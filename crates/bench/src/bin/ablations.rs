@@ -44,8 +44,11 @@ struct OverheadPoint {
 fn fault_total_with_overhead(overhead_us: f64) -> f64 {
     let engine = Engine::new();
     let cluster = Pm2Cluster::new(&engine, Pm2Config::bip_myrinet(2));
+    // The overhead splits evenly between the serving and the installing side.
+    let half = SimDuration::from_micros_f64(overhead_us / 2.0);
     let costs = DsmCosts {
-        page_protocol_overhead_us: overhead_us,
+        install_overhead: half,
+        serve_overhead: half,
         ..DsmCosts::default()
     };
     let rt = DsmRuntime::with_cluster_and_costs(cluster, costs);
@@ -881,10 +884,10 @@ fn home_release_burst_study(tuning: DsmTuning, quick: bool) -> (BatchingPoint, V
     engine.run().expect("home-burst study must not deadlock");
     let mut final_memory = Vec::new();
     for page in 0..pages {
-        let mut buf = vec![0u8; 8];
         rt.frames(NodeId(0))
-            .read(base.add(page * 4096).page(), 0, &mut buf);
-        final_memory.extend_from_slice(&buf);
+            .with_bytes(base.add(page * 4096).page(), 0, 8, false, |b| {
+                final_memory.extend_from_slice(b)
+            });
     }
     let stats = rt.stats().snapshot();
     let point = BatchingPoint {
@@ -965,10 +968,10 @@ fn diff_aggregation_study(batch_messages: bool, quick: bool) -> (BatchingPoint, 
     // every page.
     let mut final_memory = Vec::new();
     for page in 0..pages {
-        let mut buf = vec![0u8; nodes * 8];
         rt.frames(NodeId(0))
-            .read(base.add(page * 4096).page(), 0, &mut buf);
-        final_memory.extend_from_slice(&buf);
+            .with_bytes(base.add(page * 4096).page(), 0, nodes * 8, false, |b| {
+                final_memory.extend_from_slice(b)
+            });
     }
     let stats = rt.stats().snapshot();
     let point = BatchingPoint {

@@ -11,9 +11,9 @@
 //! `java_ic` protocol); [`DsmThreadCtx::inline_check`] models that path.
 
 use crate::ctx::DsmThreadCtx;
-use crate::page::{Access, DsmAddr, PAGE_SIZE};
+use crate::page::{line_range, Access, DsmAddr, PAGE_SIZE};
+use crate::page_table::UnitView;
 use crate::protocol::FaultInfo;
-use crate::runtime::DsmRuntime;
 
 /// Scalar types that can be stored in DSM memory.
 pub trait DsmScalar: Copy + Sized + Send + 'static {
@@ -57,51 +57,53 @@ impl DsmThreadCtx<'_, '_> {
     /// fault handlers) as long as it does not. This is the access-detection
     /// loop: "on exiting the fault handler the thread repeats the access".
     pub fn ensure_access(&mut self, addr: DsmAddr, needed: Access) {
-        self.ensure_access_sized(addr, 1, needed);
+        self.detect(addr, 1, needed, false);
     }
 
-    /// [`DsmThreadCtx::ensure_access`] for an access of `size` bytes: also
+    /// The access-detection loop proper, for an access of `size` bytes: also
     /// checks that the access does not straddle a coherence-line boundary on
     /// sub-page-granularity regions (rights are per line, so a straddling
-    /// access would only be covered on its first line).
-    pub fn ensure_access_sized(&mut self, addr: DsmAddr, size: usize, needed: Access) {
+    /// access would only be covered on its first line). A hit costs one
+    /// page-table shard lock: the unit is resolved once into a [`UnitView`],
+    /// which the caller gets back; `mark_write` makes that same critical
+    /// section mark a writable unit modified (the hit of a write about to
+    /// happen).
+    fn detect(&mut self, addr: DsmAddr, size: usize, needed: Access, mark_write: bool) -> UnitView {
         let page = addr.page();
         loop {
             let node = self.node();
-            let entry = self
-                .runtime()
+            let rt = &self.runtime;
+            let unit = rt
                 .page_table(node)
-                .try_get_for_offset(page, addr.offset())
+                .resolve(page, addr.offset(), mark_write)
                 .unwrap_or_else(|| {
                     panic!("access at {addr} is outside every DSM allocation (node {node})")
                 });
-            if entry.line_size < PAGE_SIZE {
-                let (line_start, line_len) = entry.line_span();
+            if unit.line_size < PAGE_SIZE {
+                let (line_start, line_len) = line_range(unit.line, unit.line_size);
                 assert!(
                     addr.offset() + size <= line_start + line_len,
                     "DSM access at {addr} of {size} bytes crosses a coherence-line boundary \
                      (granularity {}); lay shared objects out so that scalars do not straddle lines",
-                    entry.line_size
+                    unit.line_size
                 );
             }
-            if entry.access.permits(needed) {
-                return;
+            if unit.access.permits(needed) {
+                return unit;
             }
             // Page fault: charge the detection cost and run the handler.
-            let rt = self.runtime().clone();
-            rt.cluster()
-                .monitor()
-                .record("dsm_page_fault", rt.costs().page_fault());
-            self.pm2.sim.charge(rt.costs().page_fault());
+            let page_fault = rt.costs().page_fault;
+            rt.cluster().monitor().record("dsm_page_fault", page_fault);
+            self.pm2.sim.charge(page_fault);
             match needed {
                 Access::Write => rt.stats().incr_write_fault(),
                 _ => rt.stats().incr_read_fault(),
             }
-            let protocol = rt.protocol(entry.protocol);
+            let protocol = rt.protocol(unit.protocol);
             let fault = FaultInfo {
                 addr,
                 page,
-                line: entry.line,
+                line: unit.line,
                 access: needed,
             };
             if needed == Access::Write {
@@ -118,18 +120,18 @@ impl DsmThreadCtx<'_, '_> {
     /// whether the page containing `addr` is present locally with `needed`
     /// rights (the `java_ic` / compiler-target access path).
     pub fn inline_check(&mut self, addr: DsmAddr, needed: Access) -> bool {
-        let rt = self.runtime().clone();
+        let rt = &self.runtime;
         rt.stats().incr_inline_check();
-        self.pm2.sim.charge(rt.costs().inline_check());
+        self.pm2.sim.charge(rt.costs().inline_check);
         rt.page_table(self.node())
-            .access(addr.page())
-            .permits(needed)
+            .resolve(addr.page(), addr.offset(), false)
+            .is_some_and(|unit| unit.access.permits(needed))
     }
 
     /// Read a scalar from shared memory (faulting as needed).
     pub fn read<T: DsmScalar>(&mut self, addr: DsmAddr) -> T {
         check_within_page(addr, T::SIZE);
-        self.ensure_access_sized(addr, T::SIZE, Access::Read);
+        self.detect(addr, T::SIZE, Access::Read, false);
         self.read_local(addr)
     }
 
@@ -140,39 +142,25 @@ impl DsmThreadCtx<'_, '_> {
     /// across every registered protocol.
     pub fn write<T: DsmScalar>(&mut self, addr: DsmAddr, value: T) {
         check_within_page(addr, T::SIZE);
-        self.ensure_access_sized(addr, T::SIZE, Access::Write);
-        let record = self.page_records_writes(addr);
-        self.write_local(addr, value, record);
-    }
-
-    /// Whether the protocol of the page holding `addr` records writes on the
-    /// fly. Reads the protocol id from the local (sharded) page table rather
-    /// than the cluster-wide directory, so concurrent writers on different
-    /// pages do not serialize on one global lock.
-    fn page_records_writes(&mut self, addr: DsmAddr) -> bool {
-        let rt = self.runtime().clone();
-        let protocol = rt.page_table(self.node()).read(addr.page(), |e| e.protocol);
-        rt.protocol(protocol).records_writes()
+        let unit = self.detect(addr, T::SIZE, Access::Write, true);
+        self.hit(addr, T::SIZE, true, unit.records_writes, |b| {
+            value.store_le(b)
+        });
     }
 
     /// Write a scalar and record the modified range with field granularity
     /// (the on-the-fly diff recording used by the Java protocols' `put`).
     pub fn write_recorded<T: DsmScalar>(&mut self, addr: DsmAddr, value: T) {
         check_within_page(addr, T::SIZE);
-        self.ensure_access_sized(addr, T::SIZE, Access::Write);
-        self.write_local(addr, value, true);
+        self.detect(addr, T::SIZE, Access::Write, true);
+        self.hit(addr, T::SIZE, true, true, |b| value.store_le(b));
     }
 
     /// Read `buf.len()` bytes from shared memory (must not cross a page).
     pub fn read_bytes(&mut self, addr: DsmAddr, buf: &mut [u8]) {
         check_within_page(addr, buf.len());
-        self.ensure_access_sized(addr, buf.len(), Access::Read);
-        let rt = self.runtime().clone();
-        let node = self.node();
-        rt.stats().incr_local_access();
-        self.pm2.sim.charge(rt.costs().local_access());
-        rt.frames(node).read(addr.page(), addr.offset(), buf);
-        self.report_access(&rt, addr, buf.len(), false);
+        self.detect(addr, buf.len(), Access::Read, false);
+        self.hit(addr, buf.len(), false, false, |b| buf.copy_from_slice(b));
     }
 
     /// Write `bytes` to shared memory (must not cross a page). Recorded with
@@ -180,64 +168,50 @@ impl DsmThreadCtx<'_, '_> {
     /// (see [`DsmThreadCtx::write`]).
     pub fn write_bytes(&mut self, addr: DsmAddr, bytes: &[u8]) {
         check_within_page(addr, bytes.len());
-        self.ensure_access_sized(addr, bytes.len(), Access::Write);
-        let record = self.page_records_writes(addr);
-        let rt = self.runtime().clone();
-        let node = self.node();
-        rt.stats().incr_local_access();
-        self.pm2.sim.charge(rt.costs().local_access());
-        if record {
-            rt.frames(node)
-                .write_recorded(addr.page(), addr.offset(), bytes);
-        } else {
-            rt.frames(node).write(addr.page(), addr.offset(), bytes);
-        }
-        rt.page_table(node)
-            .mark_modified_at_offset(addr.page(), addr.offset());
-        self.report_access(&rt, addr, bytes.len(), true);
+        let unit = self.detect(addr, bytes.len(), Access::Write, true);
+        self.hit(addr, bytes.len(), true, unit.records_writes, |b| {
+            b.copy_from_slice(bytes)
+        });
     }
 
     /// Read a scalar assuming rights are already held (no fault detection).
     /// Used by protocol code and by the inline-check access path after a
     /// successful check.
     pub fn read_local<T: DsmScalar>(&mut self, addr: DsmAddr) -> T {
-        let rt = self.runtime().clone();
-        let node = self.node();
-        rt.stats().incr_local_access();
-        self.pm2.sim.charge(rt.costs().local_access());
-        let mut buf = vec![0u8; T::SIZE];
-        rt.frames(node).read(addr.page(), addr.offset(), &mut buf);
-        self.report_access(&rt, addr, T::SIZE, false);
-        T::load_le(&buf)
+        self.hit(addr, T::SIZE, false, false, |b| T::load_le(b))
     }
 
     /// Write a scalar assuming rights are already held.
     pub fn write_local<T: DsmScalar>(&mut self, addr: DsmAddr, value: T, record: bool) {
-        let rt = self.runtime().clone();
-        let node = self.node();
-        rt.stats().incr_local_access();
-        self.pm2.sim.charge(rt.costs().local_access());
-        let mut buf = vec![0u8; T::SIZE];
-        value.store_le(&mut buf);
-        if record {
-            rt.frames(node)
-                .write_recorded(addr.page(), addr.offset(), &buf);
-        } else {
-            rt.frames(node).write(addr.page(), addr.offset(), &buf);
-        }
-        rt.page_table(node)
-            .mark_modified_at_offset(addr.page(), addr.offset());
-        self.report_access(&rt, addr, T::SIZE, true);
+        let table = self.runtime.page_table(self.node());
+        let marked = table.resolve(addr.page(), addr.offset(), true);
+        assert!(marked.is_some(), "no page-table entry for {}", addr.page());
+        self.hit(addr, T::SIZE, true, record, |b| value.store_le(b));
     }
 
-    /// Report an application-level access to the verify observer, if one is
-    /// installed. The observer must charge no virtual time (see
-    /// [`crate::VerifyHooks`]), so instrumented runs stay bit-identical.
-    fn report_access(&mut self, rt: &DsmRuntime, addr: DsmAddr, len: usize, is_write: bool) {
+    /// The hit itself, once rights are established: count and charge one
+    /// local access, then let `copy` move the bytes between the caller's
+    /// value and the frame under the frame lock. `record` (writes only) logs
+    /// the range as modified, for protocols that diff from recorded writes.
+    fn hit<R>(
+        &mut self,
+        addr: DsmAddr,
+        len: usize,
+        is_write: bool,
+        record: bool,
+        copy: impl FnOnce(&mut [u8]) -> R,
+    ) -> R {
+        let rt = &self.runtime;
+        let node = self.node();
+        rt.stats().incr_local_access();
+        self.pm2.sim.charge(rt.costs().local_access);
+        let out = rt
+            .frames(node)
+            .with_bytes(addr.page(), addr.offset(), len, record, copy);
         if let Some(hooks) = rt.hooks() {
             let access = crate::verify::MemAccess {
                 time: self.pm2.sim.now(),
-                node: self.node(),
+                node,
                 thread: self.pm2.sim.id(),
                 page: addr.page(),
                 addr,
@@ -246,6 +220,7 @@ impl DsmThreadCtx<'_, '_> {
             };
             hooks.mem_access(rt, access);
         }
+        out
     }
 }
 

@@ -14,7 +14,7 @@
 //! the multithreaded behaviour the paper emphasizes.
 
 use dsmpm2_madeleine::{NodeId, CONTROL_MESSAGE_BYTES};
-use dsmpm2_pm2::{downcast, service_fn, RpcClass, RpcMessage, RpcReply, RpcRequestCtx};
+use dsmpm2_pm2::{downcast, service_fn, RpcClass, RpcMessage, RpcPayload, RpcReply, RpcRequestCtx};
 use dsmpm2_sim::{BlockReason, EngineCtl, SimDuration, SimHandle, SimTime, ThreadId, TickOutbox};
 
 use crate::ctx::{DsmThreadCtx, ServerCtx};
@@ -90,13 +90,25 @@ impl DsmOutbox {
 pub(crate) fn register_dsm_services(rt: &DsmRuntime) {
     let cluster = rt.cluster().clone();
 
+    // Every service holds the runtime weakly, like the two network hooks
+    // below: a strong handle would close the cycle runtime → cluster → service
+    // table → closure → runtime and no run would ever free its tables and
+    // frames. A request outliving the runtime has nobody left to observe it.
+    type Handler = fn(&DsmRuntime, &mut RpcRequestCtx<'_>, RpcPayload) -> Option<RpcReply>;
+    let register = |name: &str, handler: Handler| {
+        let weak = rt.downgrade();
+        cluster.register_service(service_fn(name, true, move |rpc, payload| {
+            let rt = DsmRuntime::from_inner(weak.upgrade()?);
+            handler(&rt, rpc, payload)
+        }));
+    };
+
     // Protocol messages.
-    let rt_msg = rt.clone();
-    cluster.register_service(service_fn(SVC_DSM, true, move |rpc, payload| {
+    register(SVC_DSM, |rt, rpc, payload| {
         let msg = downcast::<DsmMsg>(payload, "dsm message");
-        handle_dsm_msg(&rt_msg, rpc, msg);
+        handle_dsm_msg(rt, rpc, msg);
         None
-    }));
+    });
 
     // One-sided read fetch, fallback path: when the delivery interceptor
     // declined to serve the request at arrival instant (or one-sided reads
@@ -105,22 +117,21 @@ pub(crate) fn register_dsm_services(rt: &DsmRuntime) {
     // interceptor refused — the contended state can have drained by the time
     // the thread runs — otherwise the requester is told to retry through the
     // classic two-sided request path.
-    let rt_fetch = rt.clone();
-    cluster.register_service(service_fn(SVC_DSM_FETCH, true, move |rpc, payload| {
+    register(SVC_DSM_FETCH, |rt, rpc, payload| {
         let req = downcast::<FetchRead>(payload, "fetch-read request");
-        rt_fetch.stats().incr_fetch_handler_wake();
-        rpc.sim.charge(rt_fetch.costs().serve_overhead());
-        match try_serve_fetch(&rt_fetch, rpc.local_node, &req) {
+        rt.stats().incr_fetch_handler_wake();
+        rpc.sim.charge(rt.costs().serve_overhead);
+        match try_serve_fetch(rt, rpc.local_node, &req) {
             Some(reply) => {
                 let bytes = reply.payload_bytes();
                 Some(RpcReply::data(reply, bytes))
             }
             None => {
-                rt_fetch.stats().incr_one_sided_busy();
+                rt.stats().incr_one_sided_busy();
                 Some(RpcReply::control(FetchReply::Busy))
             }
         }
-    }));
+    });
 
     // The one-sided fast path proper: a delivery interceptor that runs at
     // the instant a `dsm_fetch` request arrives at its destination (on the
@@ -190,10 +201,9 @@ pub(crate) fn register_dsm_services(rt: &DsmRuntime) {
 
     // Lock acquisition: the handler thread blocks at the manager node until
     // the lock is free, then takes it on behalf of the requesting node.
-    let rt_lock = rt.clone();
-    cluster.register_service(service_fn(SVC_LOCK_ACQUIRE, true, move |rpc, payload| {
+    register(SVC_LOCK_ACQUIRE, |rt, rpc, payload| {
         let lock = LockId(downcast::<u64>(payload, "lock id"));
-        let state = rt_lock.lock_state(lock);
+        let state = rt.lock_state(lock);
         let requester = rpc.from_node;
         let state_for_wait = state.clone();
         state.waiters.wait_until(rpc.sim, || {
@@ -206,13 +216,12 @@ pub(crate) fn register_dsm_services(rt: &DsmRuntime) {
             }
         });
         Some(RpcReply::control(()))
-    }));
+    });
 
     // Lock release.
-    let rt_unlock = rt.clone();
-    cluster.register_service(service_fn(SVC_LOCK_RELEASE, true, move |rpc, payload| {
+    register(SVC_LOCK_RELEASE, |rt, rpc, payload| {
         let lock = LockId(downcast::<u64>(payload, "lock id"));
-        let state = rt_unlock.lock_state(lock);
+        let state = rt.lock_state(lock);
         {
             let mut held = state.held.lock();
             assert!(held.0, "release of DSM lock {lock:?} which is not held");
@@ -220,13 +229,12 @@ pub(crate) fn register_dsm_services(rt: &DsmRuntime) {
         }
         state.waiters.notify_one(&rpc.sim.ctl(), SimDuration::ZERO);
         None
-    }));
+    });
 
     // Barrier.
-    let rt_barrier = rt.clone();
-    cluster.register_service(service_fn(SVC_BARRIER, true, move |rpc, payload| {
+    register(SVC_BARRIER, |rt, rpc, payload| {
         let barrier = BarrierId(downcast::<u64>(payload, "barrier id"));
-        let state = rt_barrier.barrier_state(barrier);
+        let state = rt.barrier_state(barrier);
         let (my_round, last) = {
             let mut round = state.round.lock();
             round.0 += 1;
@@ -249,7 +257,7 @@ pub(crate) fn register_dsm_services(rt: &DsmRuntime) {
                 });
         }
         Some(RpcReply::control(()))
-    }));
+    });
 }
 
 fn handle_dsm_msg(rt: &DsmRuntime, rpc: &mut RpcRequestCtx<'_>, msg: DsmMsg) {

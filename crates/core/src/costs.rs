@@ -15,100 +15,61 @@
 
 use dsmpm2_sim::SimDuration;
 
-/// Cost constants of the DSM generic core and protocol library.
+/// Cost constants of the DSM generic core and protocol library, held as
+/// virtual durations: the µs calibration values are converted once, here, so
+/// the per-access charges are plain loads.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DsmCosts {
-    /// Catching a page fault and extracting fault information, in µs.
-    pub page_fault_us: f64,
-    /// Protocol overhead of a page-transfer fault: request processing on the
-    /// owner side plus page installation and page-table update on the
-    /// requester side, in µs (split evenly between the two sides).
-    pub page_protocol_overhead_us: f64,
+    /// Catching a page fault and extracting fault information.
+    pub page_fault: SimDuration,
+    /// Requester-side half of the page-transfer protocol overhead: page
+    /// installation and page-table update.
+    pub install_overhead: SimDuration,
+    /// Owner-side half of the page-transfer protocol overhead: request
+    /// processing.
+    pub serve_overhead: SimDuration,
     /// Protocol overhead of a thread-migration fault (the handler merely
-    /// calls the PM2 migration primitive), in µs.
-    pub migration_protocol_overhead_us: f64,
-    /// Cost of one access to data already available locally with sufficient
-    /// rights (the common fast path), in µs.
-    pub local_access_us: f64,
-    /// Cost of one explicit inline locality check (the `java_ic` get/put
-    /// path), in µs.
-    pub inline_check_us: f64,
-    /// Cost of creating a twin (copying a 4 kB page locally), in µs.
-    pub twin_create_us: f64,
-    /// Cost of scanning one page to compute a diff, in µs.
-    pub diff_compute_us: f64,
-    /// Cost of applying a diff at the home node, per modified byte, in µs.
+    /// calls the PM2 migration primitive).
+    pub migration_overhead: SimDuration,
+    /// One access to data already available locally with sufficient rights
+    /// (the common fast path).
+    pub local_access: SimDuration,
+    /// One explicit inline locality check (the `java_ic` get/put path).
+    pub inline_check: SimDuration,
+    /// Creating a twin (copying a 4 kB page locally).
+    pub twin_create: SimDuration,
+    /// Scanning one page to compute a diff.
+    pub diff_compute: SimDuration,
+    /// Applying a diff at the home node, per modified byte, in µs (a rate,
+    /// not a duration: sub-nanosecond values are meaningful).
     pub diff_apply_per_byte_us: f64,
     /// Page-table bookkeeping when updating an entry (owner change, copyset
-    /// update, access-right change), in µs.
-    pub table_update_us: f64,
+    /// update, access-right change).
+    pub table_update: SimDuration,
 }
 
 impl Default for DsmCosts {
     fn default() -> Self {
+        let us = SimDuration::from_micros_f64;
         DsmCosts {
-            page_fault_us: 11.0,
-            page_protocol_overhead_us: 26.0,
-            migration_protocol_overhead_us: 1.0,
-            local_access_us: 0.04,
-            inline_check_us: 0.25,
-            twin_create_us: 6.0,
-            diff_compute_us: 9.0,
+            page_fault: us(11.0),
+            install_overhead: us(13.0),
+            serve_overhead: us(13.0),
+            migration_overhead: us(1.0),
+            local_access: us(0.04),
+            inline_check: us(0.25),
+            twin_create: us(6.0),
+            diff_compute: us(9.0),
             diff_apply_per_byte_us: 0.002,
-            table_update_us: 0.5,
+            table_update: us(0.5),
         }
     }
 }
 
 impl DsmCosts {
-    /// Page-fault detection cost.
-    pub fn page_fault(&self) -> SimDuration {
-        SimDuration::from_micros_f64(self.page_fault_us)
-    }
-
-    /// Requester-side half of the page-transfer protocol overhead.
-    pub fn install_overhead(&self) -> SimDuration {
-        SimDuration::from_micros_f64(self.page_protocol_overhead_us / 2.0)
-    }
-
-    /// Owner-side half of the page-transfer protocol overhead.
-    pub fn serve_overhead(&self) -> SimDuration {
-        SimDuration::from_micros_f64(self.page_protocol_overhead_us / 2.0)
-    }
-
-    /// Thread-migration protocol overhead.
-    pub fn migration_overhead(&self) -> SimDuration {
-        SimDuration::from_micros_f64(self.migration_protocol_overhead_us)
-    }
-
-    /// Fast-path local access cost.
-    pub fn local_access(&self) -> SimDuration {
-        SimDuration::from_micros_f64(self.local_access_us)
-    }
-
-    /// Inline locality check cost.
-    pub fn inline_check(&self) -> SimDuration {
-        SimDuration::from_micros_f64(self.inline_check_us)
-    }
-
-    /// Twin creation cost.
-    pub fn twin_create(&self) -> SimDuration {
-        SimDuration::from_micros_f64(self.twin_create_us)
-    }
-
-    /// Diff computation cost (per page scanned).
-    pub fn diff_compute(&self) -> SimDuration {
-        SimDuration::from_micros_f64(self.diff_compute_us)
-    }
-
     /// Diff application cost for `bytes` modified bytes.
     pub fn diff_apply(&self, bytes: usize) -> SimDuration {
         SimDuration::from_micros_f64(self.diff_apply_per_byte_us * bytes as f64)
-    }
-
-    /// Page-table update cost.
-    pub fn table_update(&self) -> SimDuration {
-        SimDuration::from_micros_f64(self.table_update_us)
     }
 }
 
@@ -119,19 +80,19 @@ mod tests {
     #[test]
     fn defaults_match_the_paper_constants() {
         let c = DsmCosts::default();
-        assert_eq!(c.page_fault().as_micros_f64(), 11.0);
+        assert_eq!(c.page_fault.as_micros_f64(), 11.0);
         assert_eq!(
-            (c.install_overhead() + c.serve_overhead()).as_micros_f64(),
+            (c.install_overhead + c.serve_overhead).as_micros_f64(),
             26.0
         );
-        assert_eq!(c.migration_overhead().as_micros_f64(), 1.0);
+        assert_eq!(c.migration_overhead.as_micros_f64(), 1.0);
     }
 
     #[test]
     fn fast_path_is_orders_of_magnitude_cheaper_than_faults() {
         let c = DsmCosts::default();
-        assert!(c.local_access().as_nanos() * 100 < c.page_fault().as_nanos());
-        assert!(c.inline_check() > c.local_access());
+        assert!(c.local_access.as_nanos() * 100 < c.page_fault.as_nanos());
+        assert!(c.inline_check > c.local_access);
     }
 
     #[test]

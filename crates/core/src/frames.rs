@@ -12,7 +12,7 @@ use parking_lot::Mutex;
 use dsmpm2_madeleine::NodeId;
 
 use crate::diff::PageDiff;
-use crate::page::{LineIx, PageId, PAGE_SIZE};
+use crate::page::{IdMap, LineIx, PageId, PAGE_SIZE};
 
 /// A locally mapped page.
 ///
@@ -50,7 +50,7 @@ impl Frame {
 /// All frames held by one node.
 pub struct FrameStore {
     node: NodeId,
-    frames: Mutex<HashMap<PageId, Frame>>,
+    frames: Mutex<IdMap<PageId, Frame>>,
 }
 
 impl FrameStore {
@@ -58,13 +58,8 @@ impl FrameStore {
     pub fn new(node: NodeId) -> Self {
         FrameStore {
             node,
-            frames: Mutex::new(HashMap::new()),
+            frames: Mutex::new(IdMap::default()),
         }
-    }
-
-    /// The node this store belongs to.
-    pub fn node(&self) -> NodeId {
-        self.node
     }
 
     /// True if the node currently holds a copy of `page`.
@@ -124,27 +119,25 @@ impl FrameStore {
         self.with(page, |f| f.data[offset..offset + len].to_vec())
     }
 
-    /// Read `buf.len()` bytes at `offset` within `page`.
-    pub fn read(&self, page: PageId, offset: usize, buf: &mut [u8]) {
-        self.with(page, |f| {
-            buf.copy_from_slice(&f.data[offset..offset + buf.len()]);
-        });
-    }
-
-    /// Write `bytes` at `offset` within `page`.
-    pub fn write(&self, page: PageId, offset: usize, bytes: &[u8]) {
-        self.with(page, |f| {
-            f.data[offset..offset + bytes.len()].copy_from_slice(bytes);
-        });
-    }
-
-    /// Write `bytes` at `offset` and record the modified range (on-the-fly
-    /// diff recording, field granularity).
-    pub fn write_recorded(&self, page: PageId, offset: usize, bytes: &[u8]) {
-        self.with(page, |f| {
-            f.data[offset..offset + bytes.len()].copy_from_slice(bytes);
-            f.recorded.push((offset, bytes.len()));
-        });
+    /// Run `f` on the `len` bytes at `offset` within `page` — the one way the
+    /// typed accessors touch frame contents: `f` copies a scalar out of or
+    /// into the slice, so no buffer sits in between. With `record`, the range
+    /// is also logged as modified (on-the-fly diff recording, field
+    /// granularity).
+    pub fn with_bytes<R>(
+        &self,
+        page: PageId,
+        offset: usize,
+        len: usize,
+        record: bool,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> R {
+        self.with(page, |frame| {
+            if record {
+                frame.recorded.push((offset, len));
+            }
+            f(&mut frame.data[offset..offset + len])
+        })
     }
 
     /// Create a twin of `page` if none exists yet. Returns true if a twin was
@@ -276,11 +269,21 @@ mod tests {
         s
     }
 
+    fn read(s: &FrameStore, page: PageId, offset: usize, buf: &mut [u8]) {
+        s.with_bytes(page, offset, buf.len(), false, |b| buf.copy_from_slice(b));
+    }
+
+    fn write(s: &FrameStore, page: PageId, offset: usize, bytes: &[u8]) {
+        s.with_bytes(page, offset, bytes.len(), false, |b| {
+            b.copy_from_slice(bytes)
+        });
+    }
+
     #[test]
     fn zeroed_frame_reads_zero() {
         let s = store();
         let mut buf = [1u8; 8];
-        s.read(PageId(1), 100, &mut buf);
+        read(&s, PageId(1), 100, &mut buf);
         assert_eq!(buf, [0u8; 8]);
         assert!(s.has(PageId(1)));
         assert!(!s.has(PageId(2)));
@@ -289,16 +292,16 @@ mod tests {
     #[test]
     fn write_then_read_roundtrip() {
         let s = store();
-        s.write(PageId(1), 8, &[1, 2, 3, 4]);
+        write(&s, PageId(1), 8, &[1, 2, 3, 4]);
         let mut buf = [0u8; 4];
-        s.read(PageId(1), 8, &mut buf);
+        read(&s, PageId(1), 8, &mut buf);
         assert_eq!(buf, [1, 2, 3, 4]);
     }
 
     #[test]
     fn install_replaces_contents_and_clears_twin() {
         let s = store();
-        s.write(PageId(1), 0, &[9]);
+        write(&s, PageId(1), 0, &[9]);
         s.make_twin(PageId(1));
         let new = vec![7u8; PAGE_SIZE];
         s.install(PageId(1), new.clone());
@@ -309,10 +312,10 @@ mod tests {
     #[test]
     fn twin_diff_captures_writes_since_twin() {
         let s = store();
-        s.write(PageId(1), 0, &[5; 16]);
+        write(&s, PageId(1), 0, &[5; 16]);
         assert!(s.make_twin(PageId(1)));
         assert!(!s.make_twin(PageId(1)), "second twin request is a no-op");
-        s.write(PageId(1), 4, &[9; 4]);
+        write(&s, PageId(1), 4, &[9; 4]);
         let diff = s.take_twin_diff(PageId(1));
         assert_eq!(diff.runs.len(), 1);
         assert_eq!(diff.runs[0].offset, 4);
@@ -333,8 +336,8 @@ mod tests {
         );
         assert!(s.has_line_twin(PageId(1), LineIx(1)));
         assert!(!s.has_line_twin(PageId(1), LineIx(2)));
-        s.write(PageId(1), line_size + 4, &[9; 4]);
-        s.write(PageId(1), 2 * line_size, &[8; 4]);
+        write(&s, PageId(1), line_size + 4, &[9; 4]);
+        write(&s, PageId(1), 2 * line_size, &[8; 4]);
         let diff = s.take_line_twin_diff(PageId(1), LineIx(1), line_size);
         assert_eq!(diff.line, LineIx(1));
         assert_eq!(diff.runs.len(), 1);
@@ -349,7 +352,7 @@ mod tests {
     #[test]
     fn install_line_replaces_only_its_range() {
         let s = store();
-        s.write(PageId(1), 0, &[7; 64]);
+        write(&s, PageId(1), 0, &[7; 64]);
         s.make_line_twin(PageId(1), LineIx(0), 0, 1024);
         s.install_line(PageId(1), LineIx(2), 2048, &vec![5u8; 1024]);
         assert_eq!(s.snapshot_range(PageId(1), 0, 4), vec![7, 7, 7, 7]);
@@ -369,8 +372,8 @@ mod tests {
     #[test]
     fn recorded_diff_tracks_explicit_writes() {
         let s = store();
-        s.write_recorded(PageId(1), 10, &[1, 1]);
-        s.write_recorded(PageId(1), 40, &[2, 2, 2]);
+        s.with_bytes(PageId(1), 10, 2, true, |b| b.fill(1));
+        s.with_bytes(PageId(1), 40, 3, true, |b| b.fill(2));
         assert!(s.has_recorded(PageId(1)));
         let diff = s.take_recorded_diff(PageId(1));
         assert_eq!(diff.runs.len(), 2);
@@ -385,14 +388,14 @@ mod tests {
         let diff = PageDiff::compute(PageId(1), &vec![0u8; PAGE_SIZE], &other);
         s.apply_diff(PageId(1), &diff);
         let mut b = [0u8; 1];
-        s.read(PageId(1), 100, &mut b);
+        read(&s, PageId(1), 100, &mut b);
         assert_eq!(b[0], 42);
     }
 
     #[test]
     fn evict_removes_the_frame() {
         let s = store();
-        s.write(PageId(1), 0, &[3]);
+        write(&s, PageId(1), 0, &[3]);
         let data = s.evict(PageId(1)).unwrap();
         assert_eq!(data[0], 3);
         assert!(!s.has(PageId(1)));
@@ -405,7 +408,7 @@ mod tests {
     fn reading_unmapped_page_panics() {
         let s = store();
         let mut buf = [0u8; 1];
-        s.read(PageId(99), 0, &mut buf);
+        read(&s, PageId(99), 0, &mut buf);
     }
 
     #[test]

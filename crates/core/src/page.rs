@@ -6,7 +6,9 @@
 //! `dsmpm2_pm2::IsoAllocator`), so a [`DsmAddr`] designates the same datum on
 //! every node.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Size of a DSM page in bytes. The paper's measurements use common 4 kB pages.
 pub const PAGE_SIZE: usize = 4096;
@@ -79,6 +81,38 @@ pub fn line_of_offset(offset: usize, line_size: usize) -> LineIx {
 pub fn line_range(line: LineIx, line_size: usize) -> (usize, usize) {
     (line.index() * line_size, line_size)
 }
+
+/// Multiply-xor hasher for the page-table and frame maps. Their keys are page
+/// ids and line indices the runtime hands out itself, so SipHash's protection
+/// against crafted keys buys nothing, and these maps are probed on every
+/// typed access.
+#[derive(Clone, Copy, Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn write_u16(&mut self, x: u16) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves its entropy in the high bits, the maps index by
+        // the low ones — and the pages of one shard share their low id bits.
+        self.0.rotate_left(26)
+    }
+}
+
+/// A map keyed by page ids / line indices (see [`IdHasher`]).
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// A cluster-wide shared-memory address.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]

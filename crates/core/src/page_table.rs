@@ -22,7 +22,7 @@
 //! records the page's line size (the *geometry*), and the target entry lives
 //! behind the same lock.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -30,7 +30,9 @@ use parking_lot::Mutex;
 use dsmpm2_madeleine::NodeId;
 use dsmpm2_sim::WaitSet;
 
-use crate::page::{line_of_offset, lines_per_page, Access, LineIx, PageId, LINE0, PAGE_SIZE};
+use crate::page::{
+    line_of_offset, lines_per_page, Access, IdMap, LineIx, PageId, LINE0, PAGE_SIZE,
+};
 use crate::protocol::ProtocolId;
 
 /// One page-table entry: the coherence state of one line of one page (the
@@ -56,6 +58,10 @@ pub struct PageEntry {
     pub home: NodeId,
     /// Protocol managing this page.
     pub protocol: ProtocolId,
+    /// Whether that protocol records writes on the fly
+    /// ([`crate::DsmProtocol::records_writes`]), captured when the entry is
+    /// installed so a write hit need not consult the protocol registry.
+    pub records_writes: bool,
     /// Nodes believed to hold a copy (meaningful at the owner / home node).
     pub copyset: BTreeSet<NodeId>,
     /// Version counter bumped whenever the reference copy changes.
@@ -92,12 +98,6 @@ pub struct PageEntry {
 }
 
 impl PageEntry {
-    /// A fresh whole-page entry for `page`, homed at `home`, with no local
-    /// rights.
-    pub fn new(page: PageId, home: NodeId, protocol: ProtocolId) -> Self {
-        Self::new_line(page, LINE0, PAGE_SIZE, home, protocol)
-    }
-
     /// A fresh entry for one coherence line of `page`.
     pub fn new_line(
         page: PageId,
@@ -105,6 +105,7 @@ impl PageEntry {
         line_size: usize,
         home: NodeId,
         protocol: ProtocolId,
+        records_writes: bool,
     ) -> Self {
         PageEntry {
             page,
@@ -115,6 +116,7 @@ impl PageEntry {
             prob_owner: home,
             home,
             protocol,
+            records_writes,
             copyset: BTreeSet::new(),
             version: 0,
             owner_version: 0,
@@ -134,23 +136,32 @@ impl PageEntry {
     }
 }
 
+/// What a typed access needs to know about the coherence unit it touches: a
+/// small `Copy` view resolved by [`PageTable::resolve`], in place of a clone
+/// of the whole entry (copyset included).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct UnitView {
+    /// Local access rights on the unit.
+    pub access: Access,
+    /// The coherence line (line 0 at page granularity).
+    pub line: LineIx,
+    /// Size in bytes of the page's coherence lines.
+    pub line_size: usize,
+    /// Protocol managing the unit.
+    pub protocol: ProtocolId,
+    /// Whether that protocol records writes on the fly.
+    pub records_writes: bool,
+}
+
 /// One shard of a page table: a slice of the entry map with its own lock.
 /// Pages are distributed over shards by page id, so operations on different
 /// shards never contend on the same lock — the page table was the single
 /// contended structure of every node once several dispatcher, handler and
 /// application threads ran concurrently. All lines of one page share a shard.
+#[derive(Default)]
 struct Shard {
-    entries: Mutex<HashMap<(PageId, LineIx), PageEntry>>,
-    waiters: Mutex<HashMap<(PageId, LineIx), Arc<WaitSet>>>,
-}
-
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            entries: Mutex::new(HashMap::new()),
-            waiters: Mutex::new(HashMap::new()),
-        }
-    }
+    entries: Mutex<IdMap<(PageId, LineIx), PageEntry>>,
+    waiters: Mutex<IdMap<(PageId, LineIx), Arc<WaitSet>>>,
 }
 
 /// Default shard count of a node's page table (overridable through
@@ -180,18 +191,8 @@ impl PageTable {
         assert!(shards > 0, "a page table needs at least one shard");
         PageTable {
             node,
-            shards: (0..shards).map(|_| Shard::new()).collect(),
+            shards: (0..shards).map(|_| Shard::default()).collect(),
         }
-    }
-
-    /// The node this table belongs to.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// Number of independent shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
     }
 
     /// The shard holding `page`. Reading the shard map takes no lock.
@@ -199,19 +200,22 @@ impl PageTable {
         &self.shards[(page.0 % self.shards.len() as u64) as usize]
     }
 
-    /// Install a whole-page entry for `page` if none exists yet.
-    pub fn ensure(&self, page: PageId, home: NodeId, protocol: ProtocolId) {
-        self.ensure_lines(page, home, protocol, PAGE_SIZE);
-    }
-
     /// Install the line entries of `page` at granularity `line_size` if none
     /// exist yet (`line_size == PAGE_SIZE` gives the single whole-page
-    /// entry). All lines are created under one shard lock.
-    pub fn ensure_lines(&self, page: PageId, home: NodeId, protocol: ProtocolId, line_size: usize) {
+    /// entry). All lines are created under one shard lock. `records_writes`
+    /// is `protocol`'s [`crate::DsmProtocol::records_writes`].
+    pub fn ensure_lines(
+        &self,
+        page: PageId,
+        home: NodeId,
+        protocol: ProtocolId,
+        records_writes: bool,
+        line_size: usize,
+    ) {
         let mut entries = self.shard(page).entries.lock();
         for ix in 0..lines_per_page(line_size) {
             entries.entry((page, LineIx(ix))).or_insert_with(|| {
-                PageEntry::new_line(page, LineIx(ix), line_size, home, protocol)
+                PageEntry::new_line(page, LineIx(ix), line_size, home, protocol, records_writes)
             });
         }
     }
@@ -244,24 +248,6 @@ impl PageTable {
         self.shard(page).entries.lock().contains_key(&(page, LINE0))
     }
 
-    /// Line size of `page` (`PAGE_SIZE` at the default granularity).
-    ///
-    /// # Panics
-    /// Panics if the page is not registered on this node.
-    pub fn line_size(&self, page: PageId) -> usize {
-        self.read(page, |e| e.line_size)
-    }
-
-    /// Number of coherence lines `page` is split into.
-    pub fn lines_of(&self, page: PageId) -> u16 {
-        lines_per_page(self.line_size(page))
-    }
-
-    /// The line of `page` containing byte `offset`.
-    pub fn line_of(&self, page: PageId, offset: usize) -> LineIx {
-        line_of_offset(offset, self.line_size(page))
-    }
-
     /// A copy of the whole-page (line 0) entry for `page`.
     ///
     /// # Panics
@@ -284,45 +270,37 @@ impl PageTable {
             .unwrap_or_else(|| panic!("node {} has no page-table entry for {page}", self.node))
     }
 
-    /// A copy of the line-0 entry, or `None` if the page is unknown.
-    pub fn try_get(&self, page: PageId) -> Option<PageEntry> {
-        self.try_get_at(page, LINE0)
-    }
-
     /// A copy of the entry for line `line`, or `None` if unknown.
     pub fn try_get_at(&self, page: PageId, line: LineIx) -> Option<PageEntry> {
         self.shard(page).entries.lock().get(&(page, line)).cloned()
     }
 
-    /// A copy of the entry governing byte `offset` of `page`, or `None` if
-    /// the page is unknown. Resolves the page's geometry and fetches the line
-    /// entry under a single shard lock — this is the per-access hot path.
-    pub fn try_get_for_offset(&self, page: PageId, offset: usize) -> Option<PageEntry> {
-        let entries = self.shard(page).entries.lock();
-        let first = entries.get(&(page, LINE0))?;
-        if first.line_size == PAGE_SIZE {
-            return Some(first.clone());
-        }
-        let line = line_of_offset(offset, first.line_size);
-        entries.get(&(page, line)).cloned()
-    }
-
-    /// Mark the line of `page` containing byte `offset` as modified since the
-    /// last release. Geometry resolution and the update share one shard lock.
-    pub fn mark_modified_at_offset(&self, page: PageId, offset: usize) {
+    /// Resolve the coherence unit governing byte `offset` of `page` into a
+    /// [`UnitView`], or `None` if the page is unknown. This is the per-access
+    /// hot path: geometry, line entry and view all come from one shard lock
+    /// and nothing is cloned. With `mark_write` — the access is a write hit in
+    /// the making — a unit that is writable is marked modified since the last
+    /// release in the same critical section; one that is not is left alone
+    /// (the access will fault and come back).
+    pub fn resolve(&self, page: PageId, offset: usize, mark_write: bool) -> Option<UnitView> {
         let mut entries = self.shard(page).entries.lock();
-        let line_size = entries
-            .get(&(page, LINE0))
-            .unwrap_or_else(|| panic!("node {} has no page-table entry for {page}", self.node))
-            .line_size;
-        let line = if line_size == PAGE_SIZE {
-            LINE0
-        } else {
-            line_of_offset(offset, line_size)
-        };
-        if let Some(e) = entries.get_mut(&(page, line)) {
-            e.modified_since_release = true;
+        let mut entry = entries.get_mut(&(page, LINE0))?;
+        if entry.line_size != PAGE_SIZE {
+            let line = line_of_offset(offset, entry.line_size);
+            if line != LINE0 {
+                entry = entries.get_mut(&(page, line))?;
+            }
         }
+        if mark_write && entry.access == Access::Write {
+            entry.modified_since_release = true;
+        }
+        Some(UnitView {
+            access: entry.access,
+            line: entry.line,
+            line_size: entry.line_size,
+            protocol: entry.protocol,
+            records_writes: entry.records_writes,
+        })
     }
 
     /// Run `f` with shared access to the line-0 entry for `page`, without
@@ -505,7 +483,7 @@ mod tests {
 
     fn table() -> PageTable {
         let t = PageTable::new(NodeId(1));
-        t.ensure(PageId(7), NodeId(0), ProtocolId(0));
+        t.ensure_lines(PageId(7), NodeId(0), ProtocolId(0), false, PAGE_SIZE);
         t
     }
 
@@ -513,7 +491,7 @@ mod tests {
     fn ensure_is_idempotent() {
         let t = table();
         t.update(PageId(7), |e| e.access = Access::Write);
-        t.ensure(PageId(7), NodeId(0), ProtocolId(0));
+        t.ensure_lines(PageId(7), NodeId(0), ProtocolId(0), false, PAGE_SIZE);
         assert_eq!(t.get(PageId(7)).access, Access::Write);
         assert_eq!(t.len(), 1);
         assert!(!t.is_empty());
@@ -567,7 +545,7 @@ mod tests {
     fn pages_are_sorted() {
         let t = PageTable::new(NodeId(0));
         for p in [5u64, 1, 3] {
-            t.ensure(PageId(p), NodeId(0), ProtocolId(0));
+            t.ensure_lines(PageId(p), NodeId(0), ProtocolId(0), false, PAGE_SIZE);
         }
         assert_eq!(t.pages(), vec![PageId(1), PageId(3), PageId(5)]);
     }
@@ -576,9 +554,8 @@ mod tests {
     fn sharding_spreads_pages_and_preserves_behaviour() {
         for shards in [1usize, 2, 7, 8, 64] {
             let t = PageTable::with_shards(NodeId(0), shards);
-            assert_eq!(t.shard_count(), shards);
             for p in 0..40u64 {
-                t.ensure(PageId(p), NodeId(0), ProtocolId(0));
+                t.ensure_lines(PageId(p), NodeId(0), ProtocolId(0), false, PAGE_SIZE);
             }
             assert_eq!(t.len(), 40);
             t.update(PageId(17), |e| e.modified_since_release = true);
@@ -606,10 +583,9 @@ mod tests {
     fn line_entries_are_independent() {
         let t = PageTable::new(NodeId(0));
         let line_size = 1024; // 4 lines per page
-        t.ensure_lines(PageId(9), NodeId(0), ProtocolId(0), line_size);
+        t.ensure_lines(PageId(9), NodeId(0), ProtocolId(0), false, line_size);
         assert_eq!(t.len(), 4);
-        assert_eq!(t.lines_of(PageId(9)), 4);
-        assert_eq!(t.line_size(PageId(9)), line_size);
+        assert_eq!(t.get(PageId(9)).line_size, line_size);
         assert_eq!(t.pages(), vec![PageId(9)], "a page lists once");
 
         t.set_access_at(PageId(9), LineIx(2), Access::Write);
@@ -624,21 +600,6 @@ mod tests {
         assert_eq!(t.modified_units(), vec![(PageId(9), LineIx(2))]);
         assert_eq!(t.modified_pages(), vec![PageId(9)]);
 
-        // Offset resolution picks the right line entry under one lock.
-        let e = t.try_get_for_offset(PageId(9), 2 * line_size + 5).unwrap();
-        assert_eq!(e.line, LineIx(2));
-        assert_eq!(e.access, Access::Write);
-        assert_eq!(e.line_span(), (2 * line_size, line_size));
-        let e = t.try_get_for_offset(PageId(9), 0).unwrap();
-        assert_eq!(e.line, LINE0);
-
-        // Line-targeted modification marking.
-        t.mark_modified_at_offset(PageId(9), 3 * line_size);
-        assert_eq!(
-            t.modified_units(),
-            vec![(PageId(9), LineIx(2)), (PageId(9), LineIx(3))]
-        );
-
         // Waiters are per line.
         let w2 = t.waiters_at(PageId(9), LineIx(2));
         let w3 = t.waiters_at(PageId(9), LineIx(3));
@@ -647,6 +608,41 @@ mod tests {
         t.remove_page(PageId(9));
         assert!(t.is_empty());
         assert!(!t.contains(PageId(9)));
+    }
+
+    /// `resolve` at both geometries: picks the line of the offset, reports
+    /// that entry's rights / protocol / flag, marks only a writable unit and
+    /// only for a write, and knows no page it was not told about.
+    #[test]
+    fn resolve_views_the_unit_of_an_offset() {
+        for line_size in [PAGE_SIZE, 1024] {
+            let t = PageTable::new(NodeId(1));
+            let page = PageId(9);
+            t.ensure_lines(page, NodeId(0), ProtocolId(3), true, line_size);
+            let last = LineIx(lines_per_page(line_size) - 1);
+            let view = |offset, mark| t.resolve(page, offset, mark).unwrap();
+            t.set_access_at(page, last, Access::Read);
+            let expected = UnitView {
+                access: Access::Read,
+                line: last,
+                line_size,
+                protocol: ProtocolId(3),
+                records_writes: true,
+            };
+            assert_eq!(view(PAGE_SIZE - 8, true), expected);
+            assert!(t.modified_units().is_empty(), "not writable: not marked");
+            t.set_access_at(page, last, Access::Write);
+            assert_eq!(view(PAGE_SIZE - 1, false).access, Access::Write);
+            assert!(t.modified_units().is_empty(), "a read marks nothing");
+            view(PAGE_SIZE - 8, true);
+            assert_eq!(t.modified_units(), vec![(page, last)]);
+            assert_eq!(view(line_size - 1, false).line, LINE0);
+            if last != LINE0 {
+                assert_eq!(view(0, true).access, Access::None);
+                assert_eq!(view(line_size, false).line, LineIx(1));
+            }
+            assert_eq!(t.resolve(PageId(10), 0, true), None);
+        }
     }
 
     #[test]
@@ -663,9 +659,7 @@ mod tests {
 
     #[test]
     fn try_get_does_not_panic() {
-        assert!(table().try_get(PageId(1000)).is_none());
-        assert!(table().try_get(PageId(7)).is_some());
-        assert!(table().try_get_for_offset(PageId(1000), 0).is_none());
-        assert!(table().try_get_for_offset(PageId(7), 100).is_some());
+        assert!(table().try_get_at(PageId(1000), LINE0).is_none());
+        assert!(table().try_get_at(PageId(7), LINE0).is_some());
     }
 }

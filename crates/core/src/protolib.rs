@@ -60,7 +60,7 @@ pub fn request_unit_and_wait(
                 e.pending_fetch = true;
                 e.fetch_seq += 1;
             });
-            sim.charge(rt.costs().table_update());
+            sim.charge(rt.costs().table_update);
             // Write requests go to the page's home node, which acts as the
             // acquisition manager (Li & Hudak's improved centralized
             // manager); reads follow the ownership-history hint with the
@@ -149,8 +149,8 @@ pub fn one_sided_read(ctx: &mut DsmThreadCtx<'_, '_>, page: PageId, line: LineIx
                 e.version = e.version.max(version);
                 e.owner_version = e.owner_version.max(version);
             });
-            sim.charge(rt.costs().install_overhead());
-            sim.charge(rt.costs().table_update());
+            sim.charge(rt.costs().install_overhead);
+            sim.charge(rt.costs().table_update);
             table
                 .waiters_at(page, line)
                 .notify_all(&sim.ctl(), dsmpm2_sim::SimDuration::ZERO);
@@ -195,7 +195,7 @@ pub fn defer_while_fetching(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, 
     // away again: the node is guaranteed at least one successful local access
     // per page acquisition, which is what makes heavy write contention
     // starvation-free.
-    sim.sleep(rt.costs().table_update());
+    sim.sleep(rt.costs().table_update);
 }
 
 /// Install a page (or line) received from another node: store the contents,
@@ -231,8 +231,8 @@ pub fn install_received_page(
             e.copyset.insert(node);
         }
     });
-    sim.charge(rt.costs().install_overhead());
-    sim.charge(rt.costs().table_update());
+    sim.charge(rt.costs().install_overhead);
+    sim.charge(rt.costs().table_update);
     if transfer.grant == Access::Write && transfer.owner == node {
         notify_home_acquired_at(sim, node, rt, transfer.page, line, transfer.version);
     }
@@ -246,7 +246,7 @@ pub fn install_received_page(
 /// read-only copy. The serving node remains the owner.
 pub fn serve_read_copy(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, req: &PageRequest) {
     let table = rt.page_table(node);
-    sim.charge(rt.costs().serve_overhead());
+    sim.charge(rt.costs().serve_overhead);
     let (version, line_offset, line_size) = table.update_at(req.page, req.line, |e| {
         if crate::mutant::active("copyset_wipe") {
             // Historical bug: the read server rebuilt the copyset from
@@ -287,7 +287,7 @@ pub fn serve_read_copy(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, req: 
 /// ownership and the copyset; the local unit loses all rights.
 pub fn serve_write_transfer(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, req: &PageRequest) {
     let table = rt.page_table(node);
-    sim.charge(rt.costs().serve_overhead());
+    sim.charge(rt.costs().serve_overhead);
     let (copyset, version, line_offset, line_size) = table.update_at(req.page, req.line, |e| {
         let mut copyset: Vec<NodeId> = e.copyset.iter().copied().collect();
         copyset.retain(|&n| n != req.requester);
@@ -537,7 +537,7 @@ pub fn apply_invalidation(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, in
     } else if rt.frames(node).has(inv.page) {
         rt.frames(node).drop_line_twin(inv.page, inv.line);
     }
-    sim.charge(rt.costs().table_update());
+    sim.charge(rt.costs().table_update);
     if inv.needs_ack {
         rt.send_invalidate_ack(sim, node, inv.from, inv.page, inv.line);
     }
@@ -613,7 +613,7 @@ pub fn migrate_thread_to_page(ctx: &mut DsmThreadCtx<'_, '_>, page: PageId) {
             e.copyset.retain(|n| !targets.contains(n));
             e.copyset.insert(node);
         });
-        ctx.pm2.sim.charge(rt.costs().table_update());
+        ctx.pm2.sim.charge(rt.costs().table_update);
         return;
     }
     let target = if entry.prob_owner == node {
@@ -622,10 +622,10 @@ pub fn migrate_thread_to_page(ctx: &mut DsmThreadCtx<'_, '_>, page: PageId) {
         entry.prob_owner
     };
     rt.stats().incr_thread_migration();
-    ctx.pm2.sim.charge(rt.costs().migration_overhead());
+    ctx.pm2.sim.charge(rt.costs().migration_overhead);
     rt.cluster()
         .monitor()
-        .record("dsm_migrate_on_fault", rt.costs().migration_overhead());
+        .record("dsm_migrate_on_fault", rt.costs().migration_overhead);
     ctx.pm2.migrate_to(target);
 }
 
@@ -634,7 +634,7 @@ pub fn migrate_thread_to_page(ctx: &mut DsmThreadCtx<'_, '_>, page: PageId) {
 pub fn ensure_twin(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, page: PageId) {
     if rt.frames(node).make_twin(page) {
         rt.stats().incr_twin_created();
-        sim.charge(rt.costs().twin_create());
+        sim.charge(rt.costs().twin_create);
     }
 }
 
@@ -655,7 +655,7 @@ pub fn ensure_twin_at(
         .make_line_twin(page, line, line_offset, line_size)
     {
         rt.stats().incr_twin_created();
-        sim.charge(rt.costs().twin_create());
+        sim.charge(rt.costs().twin_create);
     }
 }
 
@@ -702,10 +702,10 @@ pub fn flush_unit_diffs_to_homes(
         let diff = if use_recorded {
             rt.frames(node).take_recorded_diff(page)
         } else if line_size == PAGE_SIZE {
-            sim.charge(rt.costs().diff_compute());
+            sim.charge(rt.costs().diff_compute);
             rt.frames(node).take_twin_diff(page)
         } else {
-            sim.charge(rt.costs().diff_compute());
+            sim.charge(rt.costs().diff_compute);
             rt.frames(node).take_line_twin_diff(page, line, line_offset)
         };
         table.update_at(page, line, |e| e.modified_since_release = false);
@@ -799,7 +799,7 @@ pub fn serve_copy_from_home(
     grant: Access,
 ) {
     let table = rt.page_table(node);
-    sim.charge(rt.costs().serve_overhead());
+    sim.charge(rt.costs().serve_overhead);
     let (version, line_offset, line_size) = table.update_at(req.page, req.line, |e| {
         e.copyset.insert(req.requester);
         let (off, len) = e.line_span();

@@ -354,7 +354,9 @@ impl DsmRuntime {
             }
         });
         let requested = validate_line_size(requested);
-        let line_size = if self.protocol(protocol).supports_subpage() {
+        let proto = self.protocol(protocol);
+        let records_writes = proto.records_writes();
+        let line_size = if proto.supports_subpage() {
             requested
         } else {
             PAGE_SIZE
@@ -391,7 +393,7 @@ impl DsmRuntime {
             );
             for node in self.inner.cluster.topology().nodes() {
                 self.page_table(node)
-                    .ensure_lines(page, home, protocol, line_size);
+                    .ensure_lines(page, home, protocol, records_writes, line_size);
             }
             for line in 0..lines_per_page(line_size) {
                 self.page_table(home).update_at(page, LineIx(line), |e| {
@@ -459,7 +461,9 @@ impl DsmRuntime {
             "cannot switch to unregistered {new_protocol}"
         );
         let pages = pages_covering(addr, bytes);
-        let new_supports_subpage = self.protocol(new_protocol).supports_subpage();
+        let proto = self.protocol(new_protocol);
+        let (new_supports_subpage, records_writes) =
+            (proto.supports_subpage(), proto.records_writes());
         let mut directory = self.inner.directory.lock();
         for &page in &pages {
             let meta = directory
@@ -553,31 +557,22 @@ impl DsmRuntime {
                 // and ownership-succession history, as the page-granularity
                 // switch always has).
                 for node in self.inner.cluster.topology().nodes() {
-                    if node == home {
-                        continue;
-                    }
+                    let is_home = node == home;
                     for line in 0..lines {
                         self.page_table(node).update_at(page, LineIx(line), |e| {
                             e.protocol = new_protocol;
-                            e.access = Access::None;
-                            e.owned = false;
+                            e.records_writes = records_writes;
+                            e.access = if is_home { Access::Write } else { Access::None };
+                            e.owned = is_home;
                             e.prob_owner = home;
                             e.copyset.clear();
                             e.modified_since_release = false;
+                            if is_home {
+                                e.copyset.insert(home);
+                                e.version += 1;
+                            }
                         });
                     }
-                }
-                for line in 0..lines {
-                    self.page_table(home).update_at(page, LineIx(line), |e| {
-                        e.protocol = new_protocol;
-                        e.access = Access::Write;
-                        e.owned = true;
-                        e.prob_owner = home;
-                        e.copyset.clear();
-                        e.copyset.insert(home);
-                        e.modified_since_release = false;
-                        e.version += 1;
-                    });
                 }
             } else {
                 // Geometry change (sub-page region clamped back to whole
@@ -585,8 +580,13 @@ impl DsmRuntime {
                 let version = self.page_table(home).get(page).version + 1;
                 for node in self.inner.cluster.topology().nodes() {
                     self.page_table(node).remove_page(page);
-                    self.page_table(node)
-                        .ensure_lines(page, home, new_protocol, new_line_size);
+                    self.page_table(node).ensure_lines(
+                        page,
+                        home,
+                        new_protocol,
+                        records_writes,
+                        new_line_size,
+                    );
                 }
                 for line in 0..lines_per_page(new_line_size) {
                     self.page_table(home).update_at(page, LineIx(line), |e| {
@@ -706,5 +706,29 @@ impl std::fmt::Debug for DsmRuntime {
             self.inner.protocols.read().len(),
             self.inner.directory.lock().len()
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The DSM services must not keep the runtime alive: once a run is over
+    /// and its handles are dropped, page tables and frames are freed.
+    #[test]
+    fn a_finished_run_frees_its_runtime() {
+        let mut engine = Engine::new();
+        let rt = DsmRuntime::new(&engine, Pm2Config::bip_myrinet(2));
+        let weak = rt.downgrade();
+        let barrier = rt.create_barrier(2, None);
+        for node in 0..2 {
+            rt.spawn_dsm_thread(NodeId(node), format!("t{node}"), move |ctx| {
+                ctx.dsm_barrier(barrier);
+            });
+        }
+        engine.run().expect("the barrier episode completes");
+        drop(rt);
+        drop(engine);
+        assert!(weak.upgrade().is_none(), "something still owns the runtime");
     }
 }

@@ -11,8 +11,6 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use dsmpm2_madeleine::NodeId;
 use dsmpm2_sim::{SimDuration, SimHandle, SimTime};
 
@@ -23,7 +21,9 @@ use crate::rpc::{RpcClass, RpcPayload};
 #[derive(Debug)]
 pub struct Pm2ThreadState {
     name: String,
-    node: Mutex<NodeId>,
+    /// Index of the node the thread executes on. Written only by the thread
+    /// itself when it migrates (Release), read on every DSM access (Acquire).
+    node: AtomicUsize,
     stack_bytes: AtomicUsize,
     private_bytes: AtomicUsize,
     migrations: AtomicU64,
@@ -34,7 +34,7 @@ impl Pm2ThreadState {
     pub(crate) fn new(name: String, node: NodeId, stack_bytes: usize) -> Self {
         Pm2ThreadState {
             name,
-            node: Mutex::new(node),
+            node: AtomicUsize::new(node.index()),
             stack_bytes: AtomicUsize::new(stack_bytes),
             private_bytes: AtomicUsize::new(0),
             migrations: AtomicU64::new(0),
@@ -49,7 +49,7 @@ impl Pm2ThreadState {
 
     /// Node the thread currently executes on.
     pub fn node(&self) -> NodeId {
-        *self.node.lock()
+        NodeId(self.node.load(Ordering::Acquire))
     }
 
     /// Stack size accounted for migration costs.
@@ -181,7 +181,7 @@ impl<'a> Pm2Context<'a> {
         // destination node's state.
         self.sim.set_shard(dest.index() as u64);
         self.sim.sleep(cost);
-        *self.state.node.lock() = dest;
+        self.state.node.store(dest.index(), Ordering::Release);
         self.state.migrations.fetch_add(1, Ordering::Relaxed);
     }
 

@@ -118,7 +118,7 @@ impl DsmProtocol for EntryConsistency {
             // the program's own synchronization — serializes writers).
             protolib::ensure_twin(ctx.pm2.sim, node, &rt, page);
             rt.page_table(node).set_access(page, Access::Write);
-            ctx.pm2.sim.charge(rt.costs().table_update());
+            ctx.pm2.sim.charge(rt.costs().table_update);
         } else {
             protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, page, Access::Write);
             protolib::ensure_twin(ctx.pm2.sim, node, &rt, page);
@@ -170,7 +170,7 @@ impl DsmProtocol for EntryConsistency {
                 {
                     rt.frames(node).evict(page);
                     rt.page_table(node).set_access(page, Access::None);
-                    ctx.pm2.sim.charge(rt.costs().table_update());
+                    ctx.pm2.sim.charge(rt.costs().table_update);
                 }
                 continue;
             }
@@ -181,7 +181,7 @@ impl DsmProtocol for EntryConsistency {
             if !rt.page_table(node).read(page, |e| e.modified_since_release) {
                 rt.frames(node).evict(page);
                 rt.page_table(node).set_access(page, Access::None);
-                ctx.pm2.sim.charge(rt.costs().table_update());
+                ctx.pm2.sim.charge(rt.costs().table_update);
             }
             protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, page, Access::Write);
             protolib::ensure_twin(ctx.pm2.sim, node, &rt, page);
@@ -213,7 +213,7 @@ impl DsmProtocol for EntryConsistency {
             }
             if rt.page_table(node).access(page) == Access::Write {
                 rt.page_table(node).set_access(page, Access::Read);
-                ctx.pm2.sim.charge(rt.costs().table_update());
+                ctx.pm2.sim.charge(rt.costs().table_update);
             }
         }
     }

@@ -67,7 +67,7 @@ impl DsmProtocol for HbrcMw {
             // upgrade locally.
             protolib::ensure_twin_at(ctx.pm2.sim, node, &rt, page, line);
             rt.page_table(node).set_access_at(page, line, Access::Write);
-            ctx.pm2.sim.charge(rt.costs().table_update());
+            ctx.pm2.sim.charge(rt.costs().table_update);
         } else {
             protolib::request_unit_and_wait(ctx.pm2.sim, node, &rt, page, line, Access::Write);
             protolib::ensure_twin_at(ctx.pm2.sim, node, &rt, page, line);
@@ -112,14 +112,14 @@ impl DsmProtocol for HbrcMw {
             // (the mprotect-first discipline of real MW implementations).
             rt.page_table(node)
                 .set_access_at(inv.page, inv.line, Access::None);
-            ctx.sim.charge(rt.costs().table_update());
+            ctx.sim.charge(rt.costs().table_update);
             let diff = if whole_page {
                 rt.frames(node).take_twin_diff(inv.page)
             } else {
                 rt.frames(node)
                     .take_line_twin_diff(inv.page, inv.line, line_offset)
             };
-            ctx.sim.charge(rt.costs().diff_compute());
+            ctx.sim.charge(rt.costs().diff_compute);
             if !diff.is_empty() {
                 let home = rt.page_meta(inv.page).home;
                 // The diff must be integrated at the home before we
@@ -167,7 +167,7 @@ impl DsmProtocol for HbrcMw {
             if rt.page_table(node).access_at(page, line) == dsmpm2_core::Access::Write {
                 rt.page_table(node)
                     .set_access_at(page, line, dsmpm2_core::Access::Read);
-                ctx.pm2.sim.charge(rt.costs().table_update());
+                ctx.pm2.sim.charge(rt.costs().table_update);
             }
         }
         // Units homed here: the reference copy changed in place, so remote

@@ -130,7 +130,7 @@ impl DsmProtocol for HlrcNotices {
         if rt.frames(node).has(page) && rt.page_table(node).access(page) != Access::None {
             protolib::ensure_twin(ctx.pm2.sim, node, &rt, page);
             rt.page_table(node).set_access(page, Access::Write);
-            ctx.pm2.sim.charge(rt.costs().table_update());
+            ctx.pm2.sim.charge(rt.costs().table_update);
         } else {
             protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, page, Access::Write);
             protolib::ensure_twin(ctx.pm2.sim, node, &rt, page);
@@ -169,7 +169,7 @@ impl DsmProtocol for HlrcNotices {
             // Processing one notice is a page-table lookup + update; the
             // notices themselves travel with the lock grant we already paid
             // for.
-            ctx.pm2.sim.charge(rt.costs().table_update());
+            ctx.pm2.sim.charge(rt.costs().table_update);
             if rt.page_meta(page).home == node {
                 // The home copy is authoritative (diffs were applied there).
                 continue;
@@ -206,7 +206,7 @@ impl DsmProtocol for HlrcNotices {
             }
             if rt.page_table(node).access(page) == Access::Write {
                 rt.page_table(node).set_access(page, Access::Read);
-                ctx.pm2.sim.charge(rt.costs().table_update());
+                ctx.pm2.sim.charge(rt.costs().table_update);
             }
         }
         // ...and leave a write notice for the next acquirer instead of

@@ -58,7 +58,7 @@ pub fn replicate_read_migrate_write() -> Arc<dyn DsmProtocol> {
                     e.copyset.retain(|n| !targets.contains(n));
                     e.copyset.insert(node);
                 });
-                ctx.pm2.sim.charge(rt.costs().table_update());
+                ctx.pm2.sim.charge(rt.costs().table_update);
             } else {
                 protolib::migrate_thread_to_page(ctx, fault.page);
             }

@@ -127,7 +127,7 @@ impl DsmProtocol for JavaConsistency {
             // refetch instead of landing in the frame we are about to evict.
             rt.page_table(node)
                 .set_access(inv.page, dsmpm2_core::Access::None);
-            ctx.sim.charge(rt.costs().table_update());
+            ctx.sim.charge(rt.costs().table_update);
             let diff = rt.frames(node).take_recorded_diff(inv.page);
             if !diff.is_empty() {
                 let home = rt.page_meta(inv.page).home;
@@ -177,7 +177,7 @@ impl DsmProtocol for JavaConsistency {
                 e.modified_since_release = false;
             });
         }
-        ctx.pm2.sim.charge(rt.costs().table_update());
+        ctx.pm2.sim.charge(rt.costs().table_update);
     }
 
     fn lock_release(&self, ctx: &mut DsmThreadCtx<'_, '_>, _lock: LockId) {

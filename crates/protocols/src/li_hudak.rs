@@ -104,7 +104,7 @@ impl DsmProtocol for LiHudak {
                 e.owner_version = e.owner_version.max(transfer.version);
                 e.pending_fetch = false;
             });
-            ctx.sim.charge(rt.costs().install_overhead());
+            ctx.sim.charge(rt.costs().install_overhead);
             protolib::notify_home_acquired(ctx.sim, node, &rt, transfer.page, transfer.version);
             rt.page_table(node)
                 .waiters(transfer.page)

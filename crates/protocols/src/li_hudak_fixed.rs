@@ -175,7 +175,7 @@ impl DsmProtocol for LiHudakFixed {
                 e.owner_version = e.owner_version.max(transfer.version);
                 e.pending_fetch = false;
             });
-            ctx.sim.charge(rt.costs().install_overhead());
+            ctx.sim.charge(rt.costs().install_overhead);
             protolib::notify_home_acquired_at(ctx.sim, node, &rt, page, line, transfer.version);
             rt.page_table(node)
                 .waiters_at(page, line)

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use dsmpm2_core::{
-    install_global_verify_hooks, line_of_offset, DsmAttr, DsmRuntime, DsmTuning, Engine,
+    install_global_verify_hooks, line_of_offset, DsmAttr, DsmRuntime, DsmScalar, DsmTuning, Engine,
     HomePolicy, NodeId, Pm2Config, TransportTuning, PAGE_SIZE,
 };
 use dsmpm2_protocols::register_all_protocols;
@@ -370,7 +370,6 @@ fn read_authoritative_word(rt: &DsmRuntime, page: dsmpm2_core::PageId, offset: u
     if !rt.frames(source).has(page) {
         return 0;
     }
-    let mut buf = [0u8; 8];
-    rt.frames(source).read(page, offset, &mut buf);
-    u64::from_le_bytes(buf)
+    rt.frames(source)
+        .with_bytes(page, offset, 8, false, |b| u64::load_le(b))
 }

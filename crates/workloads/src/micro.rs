@@ -69,28 +69,28 @@ pub fn measure_read_fault(network: NetworkModel, policy: FaultPolicy) -> FaultBr
         .expect("fault microbenchmark must not deadlock");
 
     let total_us = elapsed.lock().as_micros_f64();
-    let costs = rt.costs();
+    let page_fault_us = rt.costs().page_fault.as_micros_f64();
     match policy {
         FaultPolicy::PageTransfer => {
             let request_us = network.control_time().as_micros_f64();
             let transfer_us = network.page_transfer_time(4096).as_micros_f64();
             FaultBreakdown {
-                page_fault_us: costs.page_fault_us,
+                page_fault_us,
                 request_us,
                 transfer_us,
                 migration_us: 0.0,
-                overhead_us: total_us - costs.page_fault_us - request_us - transfer_us,
+                overhead_us: total_us - page_fault_us - request_us - transfer_us,
                 total_us,
             }
         }
         FaultPolicy::ThreadMigration => {
             let migration_us = network.thread_migration_time(1024, 0).as_micros_f64();
             FaultBreakdown {
-                page_fault_us: costs.page_fault_us,
+                page_fault_us,
                 request_us: 0.0,
                 transfer_us: 0.0,
                 migration_us,
-                overhead_us: total_us - costs.page_fault_us - migration_us,
+                overhead_us: total_us - page_fault_us - migration_us,
                 total_us,
             }
         }

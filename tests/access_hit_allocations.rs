@@ -1,0 +1,148 @@
+//! The typed-access hit path allocates nothing.
+//!
+//! A counting global allocator brackets 10 000 warm hits per scenario, taken
+//! inside one DSM thread (hits never yield, so nothing else runs in between).
+//! The counter is process-wide, so nothing may allocate next to the measured
+//! slice: everything lives in a single `#[test]`, and the engine is pinned to
+//! one worker (a pool's other workers run their own nodes' start-up events,
+//! which allocate, in parallel with it).
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use dsm_pm2::core::{DsmAttr, DsmRuntime, HomePolicy};
+use dsm_pm2::hyperion::HyperionHeap;
+use dsm_pm2::pm2::{EngineConfig, SimTuning};
+use dsm_pm2::prelude::*;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every call is forwarded unchanged to `System`, whose contract is
+// the one the caller upholds; the only addition is a relaxed counter bump.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: same layout, same contract.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through `alloc`/`realloc` above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System`; layout and size are the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const HITS: u64 = 10_000;
+
+fn allocations_in(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    f();
+    ALLOCATIONS.load(Ordering::Relaxed) - before
+}
+
+fn cluster(protocol: &str) -> (Engine, DsmRuntime, ProtocolId) {
+    let engine = Engine::with_config(EngineConfig {
+        tuning: SimTuning::default().with_workers(1),
+        ..EngineConfig::default()
+    });
+    let rt = DsmRuntime::new(&engine, Pm2Config::bip_myrinet(2));
+    let _ = register_all_protocols(&rt);
+    let id = rt.protocol_by_name(protocol).expect("a built-in protocol");
+    rt.set_default_protocol(id);
+    (engine, rt, id)
+}
+
+/// Allocations made by `HITS` scalar write+read pairs and as many byte-slice
+/// pairs on a home-owned page of `protocol`, after one identical warm-up pass.
+fn typed_hits(protocol: &str, granularity: usize) -> u64 {
+    let (mut engine, rt, _) = cluster(protocol);
+    let attr = DsmAttr::default()
+        .home(HomePolicy::Fixed(NodeId(0)))
+        .granularity(granularity);
+    let base = rt.dsm_malloc(PAGE_SIZE as u64, attr);
+    assert_eq!(rt.region_granularity(base), Some(granularity));
+    assert!(
+        !rt.page_table(NodeId(0)).get(base.page()).copyset.is_empty(),
+        "the home sits in its own copyset: cloning the entry would allocate"
+    );
+    let counted = Arc::new(AtomicU64::new(u64::MAX));
+    let out = counted.clone();
+    rt.spawn_dsm_thread(NodeId(0), "hitter", move |ctx| {
+        let pass = |ctx: &mut DsmThreadCtx<'_, '_>| {
+            let mut bytes = [0u8; 4];
+            for i in 0..HITS {
+                let addr = base.add((i % 512) * 8);
+                ctx.write::<u64>(addr, i);
+                assert_eq!(ctx.read::<u64>(addr), i);
+                ctx.write_bytes(addr, &(i as u32).to_le_bytes());
+                ctx.read_bytes(addr, &mut bytes);
+                assert_eq!(u32::from_le_bytes(bytes), i as u32);
+            }
+        };
+        pass(ctx);
+        out.store(allocations_in(|| pass(ctx)), Ordering::SeqCst);
+    });
+    engine.run().expect("local hits cannot deadlock");
+    counted.load(Ordering::SeqCst)
+}
+
+/// Allocations made by `HITS` `get` hits, then by `HITS` `put` hits, on an
+/// object homed on the accessing node under `java_ic`.
+fn object_hits() -> (u64, u64) {
+    let (mut engine, rt, java_ic) = cluster("java_ic");
+    let heap = HyperionHeap::new(&rt, java_ic);
+    let object = heap.alloc_object_on(NodeId(0), 8);
+    let counted = Arc::new((AtomicU64::new(u64::MAX), AtomicU64::new(u64::MAX)));
+    let out = counted.clone();
+    rt.spawn_dsm_thread(NodeId(0), "object", move |ctx| {
+        heap.put(ctx, object, 0, 1);
+        assert_eq!(heap.get(ctx, object, 0), 1);
+        let gets = allocations_in(|| {
+            for i in 0..HITS {
+                std::hint::black_box(heap.get(ctx, object, (i % 8) as usize));
+            }
+        });
+        let puts = allocations_in(|| {
+            for i in 0..HITS {
+                heap.put(ctx, object, (i % 8) as usize, i);
+            }
+        });
+        out.0.store(gets, Ordering::SeqCst);
+        out.1.store(puts, Ordering::SeqCst);
+    });
+    engine.run().expect("local hits cannot deadlock");
+    (
+        counted.0.load(Ordering::SeqCst),
+        counted.1.load(Ordering::SeqCst),
+    )
+}
+
+#[test]
+fn access_hits_do_not_allocate() {
+    for protocol in ["hbrc_mw", "li_hudak_fixed"] {
+        for granularity in [PAGE_SIZE, 256] {
+            assert_eq!(
+                typed_hits(protocol, granularity),
+                0,
+                "{protocol} at {granularity} B lines allocated on the hit path"
+            );
+        }
+    }
+    let (gets, puts) = object_hits();
+    assert_eq!(gets, 0, "HyperionHeap::get allocated on a hit");
+    // `put` appends to the frame's `recorded` log, a Vec that doubles: 10 000
+    // entries are at most 14 growths, and nothing else may allocate.
+    assert!(puts <= 14, "HyperionHeap::put allocated {puts} times");
+}

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use dsm_pm2::core::{DsmAttr, DsmRuntime, HomePolicy};
+use dsm_pm2::core::{DsmAttr, DsmRuntime, DsmScalar, HomePolicy};
 use dsm_pm2::prelude::*;
 
 fn setup(nodes: usize) -> (Engine, DsmRuntime, BuiltinProtocols) {
@@ -87,9 +87,8 @@ fn counter_is_exact_under_every_protocol() {
                     holder = NodeId(n);
                 }
             }
-            let mut buf = [0u8; 8];
-            rt.frames(holder).read(page, counter.offset(), &mut buf);
-            u64::from_le_bytes(buf)
+            rt.frames(holder)
+                .with_bytes(page, counter.offset(), 8, false, |b| u64::load_le(b))
         };
         assert_eq!(final_value, 18, "protocol {proto_name}");
     }
@@ -262,10 +261,10 @@ fn migrate_thread_composes_with_locks() {
         });
     }
     engine.run().unwrap();
-    let mut buf = [0u8; 8];
-    rt.frames(NodeId(2))
-        .read(cell.page(), cell.offset(), &mut buf);
-    assert_eq!(u64::from_le_bytes(buf), 12);
+    let value = rt
+        .frames(NodeId(2))
+        .with_bytes(cell.page(), cell.offset(), 8, false, |b| u64::load_le(b));
+    assert_eq!(value, 12);
     assert_eq!(rt.stats().snapshot().page_transfers, 0);
 }
 

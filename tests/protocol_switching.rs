@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use dsm_pm2::core::{protolib, Access, CustomProtocol, DsmAttr, DsmRuntime, HomePolicy};
+use dsm_pm2::core::{protolib, Access, CustomProtocol, DsmAttr, DsmRuntime, DsmScalar, HomePolicy};
 use dsm_pm2::prelude::*;
 
 fn setup(nodes: usize) -> (Engine, DsmRuntime, BuiltinProtocols, ExtensionProtocols) {
@@ -183,9 +183,8 @@ fn switch_preserves_values_and_folds_pending_diffs_into_the_home() {
         e.modified_since_release = true;
     });
     rt.frames(NodeId(1)).make_twin(page);
-    let mut bytes = [0u8; 8];
-    99u64.store_le_for_test(&mut bytes);
-    rt.frames(NodeId(1)).write(page, 16, &bytes);
+    rt.frames(NodeId(1))
+        .with_bytes(page, 16, 8, false, |b| 99u64.store_le(b));
 
     let pages = rt.switch_region_protocol(addr, 4096, protos.li_hudak);
     assert_eq!(pages, 1);
@@ -211,18 +210,6 @@ fn switch_preserves_values_and_folds_pending_diffs_into_the_home() {
         (99, 99),
         "the pending diff reached the home across the switch"
     );
-}
-
-/// Little helper so the white-box test above can build raw page bytes without
-/// depending on private APIs.
-trait StoreLe {
-    fn store_le_for_test(self, out: &mut [u8]);
-}
-
-impl StoreLe for u64 {
-    fn store_le_for_test(self, out: &mut [u8]) {
-        out.copy_from_slice(&self.to_le_bytes());
-    }
 }
 
 /// §2.3: several protocols can be *defined* in one program and selected
