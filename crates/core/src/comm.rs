@@ -1,27 +1,37 @@
 //! The DSM communication module and the synchronization entry points.
 //!
-//! All DSM communication goes through four PM2 services:
+//! All DSM communication goes through five PM2 services:
 //!
 //! * `dsm` — one-way protocol messages (page requests, page transfers,
 //!   invalidations, acknowledgements, diffs), dispatched to the protocol
 //!   actions of the page's protocol;
+//! * `dsm_fetch` — the one-sided read fetch, answered at arrival when the
+//!   home-side state is clean;
 //! * `dsm_lock_acquire` / `dsm_lock_release` — lock management at the lock's
 //!   manager node;
 //! * `dsm_barrier` — barrier episodes at the barrier's manager node.
 //!
-//! Because the services are registered on every node and the handlers run in
-//! their own threads, concurrent requests are served in parallel, matching
-//! the multithreaded behaviour the paper emphasizes.
+//! The services are registered on every node and every request that may wait
+//! is served in a thread of its own, so concurrent requests are served in
+//! parallel, matching the multithreaded behaviour the paper emphasizes. The
+//! three messages that cannot wait — `InvalidateAck`, `DiffAck` and
+//! `AcquireDone`: a table update and a `notify_all`, no charge — are served
+//! in the scheduler call that would have started their thread.
+
+use std::sync::{Arc, Weak};
 
 use dsmpm2_madeleine::{NodeId, CONTROL_MESSAGE_BYTES};
-use dsmpm2_pm2::{downcast, service_fn, RpcClass, RpcMessage, RpcPayload, RpcReply, RpcRequestCtx};
+use dsmpm2_pm2::{
+    downcast, service_fn, Pm2Cluster, RpcClass, RpcPayload, RpcReply, RpcRequestCtx, RpcService,
+    ServiceId,
+};
 use dsmpm2_sim::{BlockReason, EngineCtl, SimDuration, SimHandle, SimTime, ThreadId, TickOutbox};
 
 use crate::ctx::{DsmThreadCtx, ServerCtx};
 use crate::diff::PageDiff;
 use crate::msg::{DsmMsg, FetchRead, FetchReply, Invalidation, PageRequest, PageTransfer};
 use crate::page::{Access, LineIx, PageId, PAGE_SIZE};
-use crate::runtime::DsmRuntime;
+use crate::runtime::{DsmRuntime, RuntimeInner};
 use crate::sync::{BarrierId, LockId};
 use crate::verify::SyncEvent;
 
@@ -34,10 +44,20 @@ pub const SVC_LOCK_RELEASE: &str = "dsm_lock_release";
 /// Name of the barrier service.
 pub const SVC_BARRIER: &str = "dsm_barrier";
 /// Name of the one-sided read-fetch service. Requests on this service are
-/// normally consumed by the delivery interceptor at arrival instant (served
-/// straight from the home's installed frame, with no handler thread); the
-/// registered handler below is the fallback for contended home-side state.
+/// normally answered at their arrival instant (served straight from the
+/// home's installed frame, with no dispatch and no handler thread); the
+/// service's handler is the fallback for contended home-side state.
 pub const SVC_DSM_FETCH: &str = "dsm_fetch";
+
+/// The ids the five DSM services were registered under on the runtime's
+/// cluster: what every DSM request carries instead of a name.
+pub(crate) struct DsmServices {
+    dsm: ServiceId,
+    fetch: ServiceId,
+    lock_acquire: ServiceId,
+    lock_release: ServiceId,
+    barrier: ServiceId,
+}
 
 /// Per-tick batcher for coherence messages (invalidations, diffs,
 /// acknowledgements, ownership notices). One per runtime, present only when
@@ -85,43 +105,88 @@ impl DsmOutbox {
     }
 }
 
-/// Register the DSM services on the runtime's cluster. Called once from
-/// `DsmRuntime::with_cluster`.
-pub(crate) fn register_dsm_services(rt: &DsmRuntime) {
-    let cluster = rt.cluster().clone();
+/// The `dsm` service: protocol messages.
+struct DsmService {
+    rt: Weak<RuntimeInner>,
+}
 
-    // Every service holds the runtime weakly, like the two network hooks
-    // below: a strong handle would close the cycle runtime → cluster → service
-    // table → closure → runtime and no run would ever free its tables and
-    // frames. A request outliving the runtime has nobody left to observe it.
-    type Handler = fn(&DsmRuntime, &mut RpcRequestCtx<'_>, RpcPayload) -> Option<RpcReply>;
-    let register = |name: &str, handler: Handler| {
-        let weak = rt.downgrade();
-        cluster.register_service(service_fn(name, true, move |rpc, payload| {
-            let rt = DsmRuntime::from_inner(weak.upgrade()?);
-            handler(&rt, rpc, payload)
-        }));
-    };
+impl RpcService for DsmService {
+    fn name(&self) -> &str {
+        SVC_DSM
+    }
 
-    // Protocol messages.
-    register(SVC_DSM, |rt, rpc, payload| {
-        let msg = downcast::<DsmMsg>(payload, "dsm message");
-        handle_dsm_msg(rt, rpc, msg);
+    fn handle(&self, rpc: &mut RpcRequestCtx<'_>, payload: RpcPayload) -> Option<RpcReply> {
+        let rt = DsmRuntime::from_inner(self.rt.upgrade()?);
+        let mut ctx = ServerCtx {
+            sim: &mut *rpc.sim,
+            runtime: rt.clone(),
+            local_node: rpc.local_node,
+            from_node: rpc.from_node,
+        };
+        serve_dsm_msg(&rt, &mut ctx, downcast::<DsmMsg>(payload, "dsm message"));
         None
-    });
+    }
 
-    // One-sided read fetch, fallback path: when the delivery interceptor
-    // declined to serve the request at arrival instant (or one-sided reads
-    // are disabled), the request reaches the dispatcher and this handler
-    // thread re-checks the home-side state. It may succeed where the
-    // interceptor refused — the contended state can have drained by the time
-    // the thread runs — otherwise the requester is told to retry through the
-    // classic two-sided request path.
-    register(SVC_DSM_FETCH, |rt, rpc, payload| {
+    fn is_nonblocking(&self, payload: &RpcPayload) -> bool {
+        payload
+            .downcast_ref::<DsmMsg>()
+            .is_some_and(DsmMsg::is_nonblocking)
+    }
+
+    fn handle_nonblocking(
+        &self,
+        ctl: &EngineCtl,
+        local: NodeId,
+        from: NodeId,
+        payload: RpcPayload,
+    ) {
+        if let Some(inner) = self.rt.upgrade() {
+            let msg = downcast::<DsmMsg>(payload, "dsm message");
+            serve_nonblocking(&DsmRuntime::from_inner(inner), ctl, local, from, msg);
+        }
+    }
+}
+
+/// The `dsm_fetch` service: the one-sided read fetch.
+struct FetchService {
+    rt: Weak<RuntimeInner>,
+}
+
+impl RpcService for FetchService {
+    fn name(&self) -> &str {
+        SVC_DSM_FETCH
+    }
+
+    /// The one-sided fast path proper: if the home-side state is clean at the
+    /// instant the request arrives (on the home's scheduler shard, so
+    /// serialized with the node's threads and handlers), the reply leaves
+    /// from the arrival event — no dispatch, no handler thread, no scheduler
+    /// round-trip on the serving node.
+    fn answer_at_arrival(
+        &self,
+        _ctl: &EngineCtl,
+        local: NodeId,
+        _from: NodeId,
+        payload: &RpcPayload,
+    ) -> Option<RpcReply> {
+        let rt = DsmRuntime::from_inner(self.rt.upgrade()?);
+        let reply = try_serve_fetch(&rt, local, payload.downcast_ref::<FetchRead>()?)?;
+        rt.stats().incr_one_sided_serve();
+        let bytes = reply.payload_bytes();
+        Some(RpcReply::data(reply, bytes))
+    }
+
+    /// Fallback path: the home-side state was contended at arrival, so the
+    /// request was dispatched and this handler thread re-checks it. It may
+    /// succeed where the arrival event refused — the contended state can have
+    /// drained by the time the thread runs — otherwise the requester is told
+    /// to retry through the classic two-sided request path.
+    fn handle(&self, rpc: &mut RpcRequestCtx<'_>, payload: RpcPayload) -> Option<RpcReply> {
+        let rt = DsmRuntime::from_inner(self.rt.upgrade()?);
         let req = downcast::<FetchRead>(payload, "fetch-read request");
         rt.stats().incr_fetch_handler_wake();
         rpc.sim.charge(rt.costs().serve_overhead);
-        match try_serve_fetch(rt, rpc.local_node, &req) {
+        match try_serve_fetch(&rt, rpc.local_node, &req) {
             Some(reply) => {
                 let bytes = reply.payload_bytes();
                 Some(RpcReply::data(reply, bytes))
@@ -131,53 +196,27 @@ pub(crate) fn register_dsm_services(rt: &DsmRuntime) {
                 Some(RpcReply::control(FetchReply::Busy))
             }
         }
-    });
-
-    // The one-sided fast path proper: a delivery interceptor that runs at
-    // the instant a `dsm_fetch` request arrives at its destination (on the
-    // destination's scheduler shard, so it is serialized with the node's
-    // threads and handlers). If the home-side state is clean the reply is
-    // sent directly from the interceptor — no dispatcher pass, no handler
-    // thread, no scheduler round-trip on the serving node. Like the pre-send
-    // hook above, it holds the runtime weakly to avoid a reference cycle
-    // through cluster → network → hook → runtime.
-    if rt.tuning().one_sided_reads {
-        let weak = rt.downgrade();
-        cluster
-            .network()
-            .set_delivery_hook(std::sync::Arc::new(move |ctl, env| {
-                let Some(inner) = weak.upgrade() else {
-                    return Some(env);
-                };
-                let rt = DsmRuntime::from_inner(inner);
-                let req = match &env.msg {
-                    RpcMessage::Request {
-                        service, payload, ..
-                    } if service == SVC_DSM_FETCH => match payload.downcast_ref::<FetchRead>() {
-                        Some(req) => *req,
-                        None => return Some(env),
-                    },
-                    _ => return Some(env),
-                };
-                let Some(reply) = try_serve_fetch(&rt, env.to, &req) else {
-                    return Some(env);
-                };
-                rt.stats().incr_one_sided_serve();
-                let bytes = reply.payload_bytes();
-                let id = match env.msg {
-                    RpcMessage::Request { id, .. } => id,
-                    _ => unreachable!("matched Request above"),
-                };
-                rt.cluster().send_reply_from_ctl(
-                    ctl,
-                    env.to,
-                    env.from,
-                    id,
-                    RpcReply::data(reply, bytes),
-                );
-                None
-            }));
     }
+}
+
+/// Register the DSM services on `cluster` for the runtime being built behind
+/// `rt`. Called once from `DsmRuntime::with_cluster_and_costs`.
+pub(crate) fn register_dsm_services(cluster: &Pm2Cluster, rt: &Weak<RuntimeInner>) -> DsmServices {
+    // Every service holds the runtime weakly, like the network hook below: a
+    // strong handle would close the cycle runtime → cluster → service table →
+    // service → runtime and no run would ever free its tables and frames. A
+    // request outliving the runtime has nobody left to observe it.
+    type Handler = fn(&DsmRuntime, &mut RpcRequestCtx<'_>, RpcPayload) -> Option<RpcReply>;
+    let register = |name: &str, handler: Handler| {
+        let weak = rt.clone();
+        cluster.register_service(service_fn(name, true, move |rpc, payload| {
+            let rt = DsmRuntime::from_inner(weak.upgrade()?);
+            handler(&rt, rpc, payload)
+        }))
+    };
+
+    let dsm = cluster.register_service(Arc::new(DsmService { rt: rt.clone() }));
+    let fetch = cluster.register_service(Arc::new(FetchService { rt: rt.clone() }));
 
     // With batching enabled, parked coherence messages must never be
     // overtaken by a later message on the same link (an overtaking barrier
@@ -186,11 +225,11 @@ pub(crate) fn register_dsm_services(rt: &DsmRuntime) {
     // message is enqueued on it. The hook holds the runtime weakly — the
     // network outlives runtimes in some tests, and a strong reference would
     // cycle through cluster → network → hook → runtime → cluster.
-    if rt.has_outbox() {
-        let weak = rt.downgrade();
+    if cluster.config().dsm.batch_messages {
+        let weak = rt.clone();
         cluster
             .network()
-            .set_pre_send_hook(std::sync::Arc::new(move |from, to| {
+            .set_pre_send_hook(Arc::new(move |from, to| {
                 if let Some(inner) = weak.upgrade() {
                     let rt = DsmRuntime::from_inner(inner);
                     let ctl = rt.cluster().ctl();
@@ -201,7 +240,7 @@ pub(crate) fn register_dsm_services(rt: &DsmRuntime) {
 
     // Lock acquisition: the handler thread blocks at the manager node until
     // the lock is free, then takes it on behalf of the requesting node.
-    register(SVC_LOCK_ACQUIRE, |rt, rpc, payload| {
+    let lock_acquire = register(SVC_LOCK_ACQUIRE, |rt, rpc, payload| {
         let lock = LockId(downcast::<u64>(payload, "lock id"));
         let state = rt.lock_state(lock);
         let requester = rpc.from_node;
@@ -219,7 +258,7 @@ pub(crate) fn register_dsm_services(rt: &DsmRuntime) {
     });
 
     // Lock release.
-    register(SVC_LOCK_RELEASE, |rt, rpc, payload| {
+    let lock_release = register(SVC_LOCK_RELEASE, |rt, rpc, payload| {
         let lock = LockId(downcast::<u64>(payload, "lock id"));
         let state = rt.lock_state(lock);
         {
@@ -232,7 +271,7 @@ pub(crate) fn register_dsm_services(rt: &DsmRuntime) {
     });
 
     // Barrier.
-    register(SVC_BARRIER, |rt, rpc, payload| {
+    let barrier = register(SVC_BARRIER, |rt, rpc, payload| {
         let barrier = BarrierId(downcast::<u64>(payload, "barrier id"));
         let state = rt.barrier_state(barrier);
         let (my_round, last) = {
@@ -258,56 +297,64 @@ pub(crate) fn register_dsm_services(rt: &DsmRuntime) {
         }
         Some(RpcReply::control(()))
     });
+
+    DsmServices {
+        dsm,
+        fetch,
+        lock_acquire,
+        lock_release,
+        barrier,
+    }
 }
 
-fn handle_dsm_msg(rt: &DsmRuntime, rpc: &mut RpcRequestCtx<'_>, msg: DsmMsg) {
-    let mut ctx = ServerCtx {
-        sim: &mut *rpc.sim,
-        runtime: rt.clone(),
-        local_node: rpc.local_node,
-        from_node: rpc.from_node,
-    };
-    serve_dsm_msg(rt, &mut ctx, msg);
-}
-
-fn serve_dsm_msg(rt: &DsmRuntime, ctx: &mut ServerCtx<'_>, msg: DsmMsg) {
+fn trace_msg(now: SimTime, local: NodeId, from: NodeId, msg: &DsmMsg) {
     static TRACE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
     if *TRACE.get_or_init(|| std::env::var("DSMPM2_TRACE").is_ok()) {
-        eprintln!(
-            "[{}] N{} <- N{}: {:?}",
-            ctx.sim.now(),
-            ctx.local_node.0,
-            ctx.from_node.0,
-            TraceMsg(&msg)
-        );
+        eprintln!("[{now}] N{} <- N{}: {:?}", local.0, from.0, TraceMsg(msg));
     }
+}
+
+/// Serve one protocol message in a handler thread.
+fn serve_dsm_msg(rt: &DsmRuntime, ctx: &mut ServerCtx<'_>, msg: DsmMsg) {
+    if msg.is_nonblocking() {
+        let ctl = ctx.sim.ctl();
+        return serve_nonblocking(rt, &ctl, ctx.local_node, ctx.from_node, msg);
+    }
+    trace_msg(ctx.sim.now(), ctx.local_node, ctx.from_node, &msg);
     match msg {
         DsmMsg::Batch(msgs) => {
             // Atomic unpack: every sub-message became visible at this same
-            // instant, in send order. Each one is served by its own handler
-            // thread — the concurrency semantics of unbatched delivery,
-            // where the dispatcher creates one thread per message — so a
-            // blocking server action (e.g. a writer pushing its diff before
-            // acknowledging an invalidation) never delays its batch-mates.
+            // instant, in send order. Each one is served as unbatched
+            // delivery would have — in a thread of its own, or in one
+            // scheduler call if it cannot block, either way at the instant
+            // its thread creation has been paid for — so a blocking server
+            // action (e.g. a writer pushing its diff before acknowledging an
+            // invalidation) never delays its batch-mates.
             let thread_create = rt.cluster().costs().thread_create();
             let (local, from) = (ctx.local_node, ctx.from_node);
-            for (i, sub) in msgs.into_iter().enumerate() {
+            // Pinned to the local node's scheduler shard (like every thread
+            // of this node), so batch unpacking stays serialized with the
+            // node's other events.
+            let shard = local.index() as u64;
+            for sub in msgs {
                 ctx.sim.charge(thread_create);
                 let rt_sub = rt.clone();
-                // Handler threads are pinned to the local node's scheduler
-                // shard (like every thread of this node), so batch unpacking
-                // stays serialized with the node's other events.
-                let shard = local.index() as u64;
-                ctx.sim
-                    .spawn_on(shard, format!("dsm-batch@{local}#{i}"), move |sim| {
-                        let mut sub_ctx = ServerCtx {
-                            sim,
-                            runtime: rt_sub.clone(),
-                            local_node: local,
-                            from_node: from,
-                        };
-                        serve_dsm_msg(&rt_sub, &mut sub_ctx, sub);
+                if sub.is_nonblocking() {
+                    ctx.sim.call_after_on(shard, SimDuration::ZERO, move |ctl| {
+                        serve_nonblocking(&rt_sub, ctl, local, from, sub);
                     });
+                    continue;
+                }
+                let name = Arc::clone(&rt.inner().batch_thread_names[local.index()]);
+                ctx.sim.spawn_on(shard, name, move |sim| {
+                    let mut sub_ctx = ServerCtx {
+                        sim,
+                        runtime: rt_sub.clone(),
+                        local_node: local,
+                        from_node: from,
+                    };
+                    serve_dsm_msg(&rt_sub, &mut sub_ctx, sub);
+                });
             }
         }
         DsmMsg::Request(req) => {
@@ -325,10 +372,6 @@ fn serve_dsm_msg(rt: &DsmRuntime, ctx: &mut ServerCtx<'_>, msg: DsmMsg) {
             let protocol = rt.protocol_for_page(inv.page);
             protocol.invalidate_server(ctx, inv);
         }
-        DsmMsg::InvalidateAck { page, line } => {
-            rt.stats().incr_invalidation_ack();
-            acknowledge(rt, ctx, page, line);
-        }
         DsmMsg::Diff {
             diff,
             from,
@@ -342,19 +385,39 @@ fn serve_dsm_msg(rt: &DsmRuntime, ctx: &mut ServerCtx<'_>, msg: DsmMsg) {
                 rt.send_diff_ack(ctx.sim, local, from, page, line);
             }
         }
-        DsmMsg::DiffAck { page, line } => {
-            acknowledge(rt, ctx, page, line);
+        DsmMsg::InvalidateAck { .. } | DsmMsg::DiffAck { .. } | DsmMsg::AcquireDone { .. } => {
+            unreachable!("non-blocking messages were served above")
         }
+    }
+}
+
+/// Serve one of the messages [`DsmMsg::is_nonblocking`] names, on `local`'s
+/// shard at `ctl.now()`: generic-core table updates and wake-ups, with no
+/// charge and nothing to wait for, so no thread is needed to run them.
+fn serve_nonblocking(rt: &DsmRuntime, ctl: &EngineCtl, local: NodeId, from: NodeId, msg: DsmMsg) {
+    trace_msg(ctl.now(), local, from, &msg);
+    let table = rt.page_table(local);
+    let acknowledge = |page, line| {
+        table.update_at(page, line, |e| {
+            e.pending_acks = e.pending_acks.saturating_sub(1)
+        });
+        (page, line)
+    };
+    let (page, line) = match msg {
+        DsmMsg::InvalidateAck { page, line } => {
+            rt.stats().incr_invalidation_ack();
+            acknowledge(page, line)
+        }
+        DsmMsg::DiffAck { page, line } => acknowledge(page, line),
         DsmMsg::AcquireDone {
             page,
             line,
             owner,
             version,
         } => {
-            // Generic-core handling at the home node: record the new owner
-            // (version-gated against late arrivals), mark the acquisition
-            // complete, and wake any write requests queued at the manager.
-            let table = rt.page_table(ctx.local_node);
+            // At the home node: record the new owner (version-gated against
+            // late arrivals), mark the acquisition complete, and wake any
+            // write requests queued at the manager.
             let mut version_before = 0;
             let mut version_after = 0;
             table.update_at(page, line, |e| {
@@ -376,30 +439,20 @@ fn serve_dsm_msg(rt: &DsmRuntime, ctx: &mut ServerCtx<'_>, msg: DsmMsg) {
             if let Some(hooks) = rt.hooks() {
                 hooks.owner_version_update(
                     rt,
-                    ctx.sim.now(),
-                    ctx.local_node,
+                    ctl.now(),
+                    local,
                     page,
                     version_before,
                     version_after,
                 );
             }
-            table
-                .waiters_at(page, line)
-                .notify_all(&ctx.sim.ctl(), SimDuration::ZERO);
+            (page, line)
         }
-    }
-}
-
-/// Generic-core handling of an acknowledgement: decrement the line's pending
-/// acknowledgement count and wake the threads waiting for it.
-fn acknowledge(rt: &DsmRuntime, ctx: &mut ServerCtx<'_>, page: PageId, line: LineIx) {
-    let table = rt.page_table(ctx.local_node);
-    table.update_at(page, line, |e| {
-        e.pending_acks = e.pending_acks.saturating_sub(1)
-    });
+        other => unreachable!("{:?} may block", TraceMsg(&other)),
+    };
     table
         .waiters_at(page, line)
-        .notify_all(&ctx.sim.ctl(), SimDuration::ZERO);
+        .notify_all(ctl, SimDuration::ZERO);
 }
 
 /// Try to serve a one-sided read fetch for `req` from `node`'s installed
@@ -466,17 +519,18 @@ fn try_serve_fetch(rt: &DsmRuntime, node: NodeId, req: &FetchRead) -> Option<Fet
 }
 
 /// Blocking one-sided fetch RPC from a faulting thread to the line's home.
-/// The reply normally comes straight from the home's delivery interceptor;
-/// under contention it comes from the fallback handler thread, possibly as
-/// [`FetchReply::Busy`].
+/// The reply normally comes straight from the request's arrival event at the
+/// home; under contention it comes from the fallback handler thread, possibly
+/// as [`FetchReply::Busy`].
 pub(crate) fn fetch_read_rpc(
     ctx: &mut DsmThreadCtx<'_, '_>,
     home: NodeId,
     req: FetchRead,
 ) -> FetchReply {
+    let service = ctx.runtime().services().fetch;
     downcast::<FetchReply>(
         ctx.pm2
-            .rpc_call(home, SVC_DSM_FETCH, Box::new(req), RpcClass::Control),
+            .rpc_call(home, service, Box::new(req), RpcClass::Control),
         "fetch reply",
     )
 }
@@ -551,7 +605,7 @@ impl DsmRuntime {
         let Some(outbox) = self.outbox() else {
             let class = rpc_class_for(&msg);
             self.cluster()
-                .rpc_oneway(sim, from, to, SVC_DSM, Box::new(msg), class);
+                .rpc_oneway(sim, from, to, self.services().dsm, Box::new(msg), class);
             return;
         };
         let tick = sim.now();
@@ -582,8 +636,8 @@ impl DsmRuntime {
         self.inner().outbox.as_ref()
     }
 
-    pub(crate) fn has_outbox(&self) -> bool {
-        self.outbox().is_some()
+    fn services(&self) -> &DsmServices {
+        &self.inner().services
     }
 
     /// Ship every parked bucket of the (from, to) link, oldest tick first.
@@ -626,7 +680,7 @@ impl DsmRuntime {
                 ctl,
                 from,
                 to,
-                SVC_DSM,
+                self.services().dsm,
                 Box::new(payload),
                 class,
                 messages,
@@ -648,7 +702,7 @@ impl DsmRuntime {
             sim,
             from,
             to,
-            SVC_DSM,
+            self.services().dsm,
             Box::new(DsmMsg::Request(req)),
             RpcClass::Control,
         );
@@ -663,7 +717,7 @@ impl DsmRuntime {
             sim,
             from,
             to,
-            SVC_DSM,
+            self.services().dsm,
             Box::new(DsmMsg::Transfer(transfer)),
             RpcClass::Data(bytes),
         );
@@ -770,7 +824,7 @@ impl DsmThreadCtx<'_, '_> {
         let manager = rt.lock_manager(lock);
         self.pm2.rpc_call(
             manager,
-            SVC_LOCK_ACQUIRE,
+            rt.services().lock_acquire,
             Box::new(lock.0),
             RpcClass::Control,
         );
@@ -803,7 +857,7 @@ impl DsmThreadCtx<'_, '_> {
         let manager = rt.lock_manager(lock);
         self.pm2.rpc_oneway(
             manager,
-            SVC_LOCK_RELEASE,
+            rt.services().lock_release,
             Box::new(lock.0),
             RpcClass::Control,
         );
@@ -825,8 +879,12 @@ impl DsmThreadCtx<'_, '_> {
             rt.protocol(id).lock_release(self, sync_point);
         }
         let manager = rt.barrier_manager(barrier);
-        self.pm2
-            .rpc_call(manager, SVC_BARRIER, Box::new(barrier.0), RpcClass::Control);
+        self.pm2.rpc_call(
+            manager,
+            rt.services().barrier,
+            Box::new(barrier.0),
+            RpcClass::Control,
+        );
         self.report_sync(&rt, |time, node, thread| SyncEvent::BarrierExit {
             time,
             node,

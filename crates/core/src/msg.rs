@@ -172,6 +172,18 @@ impl FetchReply {
 }
 
 impl DsmMsg {
+    /// True for the messages whose service is a generic-core table update and
+    /// a wake-up — no charge, no wait, no nested request — so that serving
+    /// them can never block and needs no handler thread. Everything else
+    /// (requests, transfers, invalidations, diffs, batches) may wait and is
+    /// served in a thread.
+    pub fn is_nonblocking(&self) -> bool {
+        matches!(
+            self,
+            DsmMsg::InvalidateAck { .. } | DsmMsg::DiffAck { .. } | DsmMsg::AcquireDone { .. }
+        )
+    }
+
     /// Payload bytes accounted to the network model for this message.
     pub fn payload_bytes(&self) -> usize {
         match self {

@@ -95,6 +95,10 @@ pub(crate) struct RuntimeInner {
     costs: DsmCosts,
     tuning: DsmTuning,
     pub(crate) outbox: Option<crate::comm::DsmOutbox>,
+    pub(crate) services: crate::comm::DsmServices,
+    /// Name of the threads serving the sub-messages of a coherence batch on
+    /// each node (`dsm-batch@N<k>`).
+    pub(crate) batch_thread_names: Vec<Arc<str>>,
     nodes: Vec<NodeState>,
     directory: Mutex<HashMap<PageId, PageMeta>>,
     /// Effective coherence granularity of every allocation, keyed by region
@@ -150,29 +154,35 @@ impl DsmRuntime {
                 frames: FrameStore::new(n),
             })
             .collect();
-        let runtime = DsmRuntime {
-            inner: Arc::new(RuntimeInner {
-                outbox: tuning
-                    .batch_messages
-                    .then(|| crate::comm::DsmOutbox::new(tuning.batch_window)),
-                cluster,
-                costs,
-                tuning,
-                nodes,
-                directory: Mutex::new(HashMap::new()),
-                region_granularity: Mutex::new(HashMap::new()),
-                protocols: RwLock::new(Vec::new()),
-                default_protocol: AtomicUsize::new(NO_DEFAULT),
-                locks: Mutex::new(HashMap::new()),
-                barriers: Mutex::new(HashMap::new()),
-                next_lock: AtomicU64::new(1),
-                next_barrier: AtomicU64::new(1),
-                stats: DsmStats::new(),
-                verify_hooks: crate::verify::global_verify_hooks(),
-            }),
-        };
-        crate::comm::register_dsm_services(&runtime);
-        runtime
+        let batch_thread_names = cluster
+            .topology()
+            .nodes()
+            .map(|n| format!("dsm-batch@{n}").into())
+            .collect();
+        // Cyclic: the services registered on the cluster serve this runtime,
+        // which they hold weakly.
+        let inner = Arc::new_cyclic(|weak| RuntimeInner {
+            outbox: tuning
+                .batch_messages
+                .then(|| crate::comm::DsmOutbox::new(tuning.batch_window)),
+            services: crate::comm::register_dsm_services(&cluster, weak),
+            batch_thread_names,
+            cluster,
+            costs,
+            tuning,
+            nodes,
+            directory: Mutex::new(HashMap::new()),
+            region_granularity: Mutex::new(HashMap::new()),
+            protocols: RwLock::new(Vec::new()),
+            default_protocol: AtomicUsize::new(NO_DEFAULT),
+            locks: Mutex::new(HashMap::new()),
+            barriers: Mutex::new(HashMap::new()),
+            next_lock: AtomicU64::new(1),
+            next_barrier: AtomicU64::new(1),
+            stats: DsmStats::new(),
+            verify_hooks: crate::verify::global_verify_hooks(),
+        });
+        DsmRuntime { inner }
     }
 
     /// The PM2 cluster this DSM runs on.
@@ -184,7 +194,8 @@ impl DsmRuntime {
         &self.inner
     }
 
-    pub(crate) fn downgrade(&self) -> std::sync::Weak<RuntimeInner> {
+    #[cfg(test)]
+    fn downgrade(&self) -> std::sync::Weak<RuntimeInner> {
         Arc::downgrade(&self.inner)
     }
 

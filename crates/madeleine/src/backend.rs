@@ -167,8 +167,8 @@ const MAX_ATTEMPTS: u32 = 64;
 /// caller computed (`base_delay`, the idle-wire transfer time) and must
 /// eventually deliver the envelope — exactly once, never overtaking an
 /// earlier message on the same directed link — into `tx`, the destination
-/// node's delivery sink (the incoming queue, behind the network's delivery
-/// interceptor).
+/// node's delivery sink (the network's delivery hook, or the incoming queue
+/// when none is installed).
 pub trait Transport<M: Send + 'static>: Send + Sync {
     /// Hand one envelope to the wire.
     fn submit(&self, env: Envelope<M>, base_delay: SimDuration, tx: &DeliverySink<M>);

@@ -36,4 +36,4 @@ pub use backend::{
 pub use model::{NetworkModel, CONTROL_MESSAGE_BYTES};
 pub use stats::{LinkCounters, NetStats, NetStatsSnapshot, WireStats, WireStatsSnapshot};
 pub use topology::{NodeId, Topology};
-pub use transport::{DeliveryHook, DeliverySink, Envelope, Network, PreSendHook};
+pub use transport::{Delivery, DeliveryHook, DeliverySink, Envelope, Network, PreSendHook};

@@ -143,12 +143,13 @@ pub struct WireStatsSnapshot {
     /// `envelopes`/`envelope_bytes` form comparable per-message and
     /// per-envelope averages.
     pub message_bytes: u64,
-    /// Envelopes consumed by the delivery interceptor at arrival instant
-    /// (e.g. one-sided read fetches served directly from the home's frame)
-    /// — these never reached the destination's dispatcher queue.
+    /// Envelopes the delivery hook answered in place at their arrival
+    /// instant (one-sided read fetches served directly from the home's
+    /// frame) — these were never dispatched.
     pub hook_consumed: u64,
-    /// Envelopes offered to the installed delivery interceptor but delivered
-    /// normally. Zero when no interceptor is installed.
+    /// Envelopes the installed delivery hook saw and did not answer in place:
+    /// dispatched by the upper layer or enqueued on the node's incoming
+    /// queue. Zero when no hook is installed.
     pub hook_delivered: u64,
 }
 
@@ -220,12 +221,12 @@ impl WireStats {
         self.message_bytes.fetch_add(bytes, Ordering::Relaxed);
     }
 
-    /// Count one envelope consumed by the delivery interceptor.
+    /// Count one envelope the delivery hook answered in place.
     pub fn incr_hook_consumed(&self) {
         self.hook_consumed.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Count one envelope offered to the interceptor but delivered normally.
+    /// Count one envelope the delivery hook saw and did not answer in place.
     pub fn incr_hook_delivered(&self) {
         self.hook_delivered.fetch_add(1, Ordering::Relaxed);
     }

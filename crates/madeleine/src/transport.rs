@@ -46,23 +46,30 @@ pub struct Envelope<M> {
 /// so that no later message ever overtakes a logically earlier parked one.
 pub type PreSendHook = Arc<dyn Fn(NodeId, NodeId) + Send + Sync>;
 
-/// A delivery interceptor: runs at the envelope's arrival instant, on the
-/// destination node's scheduler shard, *before* the envelope is enqueued on
-/// the node's incoming queue. Returning `None` consumes the envelope — the
-/// hook served it in place (the DSM one-sided read fast path answers fetches
-/// directly from the home's frame this way, with no handler-thread wake);
-/// returning `Some` delivers it through the queue as usual. Installed on the
-/// whole network; when absent, delivery is exactly the historical direct
-/// enqueue.
-pub type DeliveryHook<M> =
-    Arc<dyn Fn(&EngineCtl, Envelope<M>) -> Option<Envelope<M>> + Send + Sync>;
+/// What a [`DeliveryHook`] did with an arriving envelope.
+pub enum Delivery<M> {
+    /// Not taken: enqueue it on the destination node's incoming queue, for
+    /// whoever blocks on [`Network::endpoint`].
+    Queue(Envelope<M>),
+    /// Taken by the upper layer's dispatch (PM2 turns it into a handler or a
+    /// wake-up of the waiting caller).
+    Dispatched,
+    /// Answered in place at the arrival instant, with no dispatch at all (the
+    /// DSM one-sided read fetch served from the home's frame).
+    Answered,
+}
+
+/// The delivery hook: runs at the envelope's arrival instant, on the
+/// destination node's scheduler shard, and says what became of the envelope
+/// (see [`Delivery`]). Installed on the whole network; when absent, delivery
+/// is the direct enqueue on the node's incoming queue.
+pub type DeliveryHook<M> = Arc<dyn Fn(&EngineCtl, Envelope<M>) -> Delivery<M> + Send + Sync>;
 
 /// The destination side of one node's message queue, as seen by transport
 /// backends: wraps the raw [`SimSender`] together with the network's
-/// delivery interceptor. Without an installed hook, [`DeliverySink::send_at`]
-/// is exactly `SimSender::send_at` — bit-identical to the pre-seam transport;
-/// with one, the delivery is rescheduled as an explicit arrival event on the
-/// destination shard where the hook may consume the envelope.
+/// delivery hook. Without an installed hook, [`DeliverySink::send_at`] is
+/// exactly `SimSender::send_at`; with one, the delivery is one arrival event
+/// on the destination shard, in which the hook runs.
 pub struct DeliverySink<M> {
     tx: SimSender<Envelope<M>>,
     ctl: EngineCtl,
@@ -84,8 +91,8 @@ impl<M> Clone for DeliverySink<M> {
 }
 
 impl<M: Send + 'static> DeliverySink<M> {
-    /// Deliver `env` into the destination queue at absolute time
-    /// `deliver_at`, consulting the delivery interceptor at that instant.
+    /// Deliver `env` at absolute time `deliver_at`: to the delivery hook at
+    /// that instant if one is installed, else into the destination queue.
     pub fn send_at(&self, deliver_at: SimTime, env: Envelope<M>) {
         let hook = self.hook.read().clone();
         match hook {
@@ -95,11 +102,12 @@ impl<M: Send + 'static> DeliverySink<M> {
                 let wire = Arc::clone(&self.wire);
                 self.ctl
                     .call_at_on(self.shard, deliver_at, move |ctl| match hook(ctl, env) {
-                        Some(env) => {
+                        Delivery::Queue(env) => {
                             wire.incr_hook_delivered();
                             tx.send_at(ctl.now(), env);
                         }
-                        None => wire.incr_hook_consumed(),
+                        Delivery::Dispatched => wire.incr_hook_delivered(),
+                        Delivery::Answered => wire.incr_hook_consumed(),
                     });
             }
         }
@@ -114,7 +122,7 @@ struct NetworkInner<M> {
     receivers: Vec<SimReceiver<Envelope<M>>>,
     stats: NetStats,
     /// Network-level wire accounting (envelopes, logical messages, delivery
-    /// interceptor counters); merged into [`Network::wire_stats`] together
+    /// hook counters); merged into [`Network::wire_stats`] together
     /// with the backend's own counters.
     wire: Arc<WireStats>,
     /// The wire-level backend: owns the per-directed-link state (FIFO
@@ -123,7 +131,7 @@ struct NetworkInner<M> {
     transport: Box<dyn Transport<M>>,
     /// Pre-send link hook (see [`PreSendHook`]).
     pre_send: RwLock<Option<PreSendHook>>,
-    /// Delivery interceptor shared by every node's sink.
+    /// Delivery hook shared by every node's sink.
     delivery_hook: Arc<RwLock<Option<DeliveryHook<M>>>>,
 }
 
@@ -210,7 +218,7 @@ impl<M: Send + 'static> Network<M> {
 
     /// Wire-level statistics: the transport backend's counters (NIC stalls,
     /// drops, retransmissions, duplicates) merged with the network-level
-    /// envelope/message accounting and delivery-interceptor counters.
+    /// envelope/message accounting and delivery-hook counters.
     pub fn wire_stats(&self) -> WireStatsSnapshot {
         let mut snap = self.inner.transport.wire_stats();
         let net = self.inner.wire.snapshot();
@@ -244,11 +252,10 @@ impl<M: Send + 'static> Network<M> {
         }
     }
 
-    /// Install the delivery interceptor (replacing any previous one). The
-    /// hook runs at every envelope's arrival instant on the destination
-    /// node's shard and may consume the envelope by returning `None` (see
-    /// [`DeliveryHook`]). When no hook is installed, delivery is the direct
-    /// queue enqueue — bit-identical to the pre-interceptor transport.
+    /// Install the delivery hook (replacing any previous one). It runs at
+    /// every envelope's arrival instant on the destination node's shard and
+    /// decides what becomes of the envelope (see [`Delivery`]). When no hook
+    /// is installed, delivery is the direct queue enqueue.
     pub fn set_delivery_hook(&self, hook: DeliveryHook<M>) {
         *self.inner.delivery_hook.write() = Some(hook);
     }
@@ -471,16 +478,14 @@ mod tests {
     fn delivery_hook_can_consume_envelopes_at_arrival() {
         let mut engine = Engine::new();
         let net = two_node_net::<u8>(&engine, profiles::bip_myrinet());
-        // Consume odd payloads at arrival; deliver even ones normally.
-        net.set_delivery_hook(Arc::new(
-            |_ctl, env: Envelope<u8>| {
-                if env.msg % 2 == 1 {
-                    None
-                } else {
-                    Some(env)
-                }
-            },
-        ));
+        // Answer odd payloads at arrival; deliver even ones normally.
+        net.set_delivery_hook(Arc::new(|_ctl, env: Envelope<u8>| {
+            if env.msg % 2 == 1 {
+                Delivery::Answered
+            } else {
+                Delivery::Queue(env)
+            }
+        }));
         let got = Arc::new(Mutex::new(Vec::new()));
         let rx = net.endpoint(NodeId(1));
         let g = got.clone();

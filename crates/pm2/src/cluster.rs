@@ -1,5 +1,15 @@
-//! The simulated PM2 cluster: nodes, per-node RPC dispatchers, service
-//! registry, and the blocking/one-way RPC primitives.
+//! The simulated PM2 cluster: nodes, service registry, the dispatch that
+//! turns an arriving message into a handler or a wake-up, and the
+//! blocking/one-way RPC primitives.
+//!
+//! There is no dispatcher thread. A node's dispatcher is serial — it
+//! demultiplexes one message at a time, each costing
+//! [`Pm2Costs::rpc_dispatch_us`] plus the handler thread's creation — and
+//! that is all it does, so when each message leaves it is a function of the
+//! arrival times alone: `start = max(arrival, dispatcher free)`,
+//! `done = start + cost`. [`Pm2Cluster::dispatch`] computes exactly that in
+//! the envelope's arrival event and starts the handler (or wakes the caller
+//! a reply is for) at `done`.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -7,27 +17,48 @@ use std::sync::Arc;
 
 use parking_lot::{Mutex, RwLock};
 
-use dsmpm2_madeleine::{Envelope, Network, NodeId, Topology};
-use dsmpm2_sim::{
-    BlockReason, Engine, EngineCtl, SimDuration, SimHandle, SimReceiver, SimTime, SpawnOptions,
-};
+use dsmpm2_madeleine::{Delivery, Envelope, Network, NodeId, Topology};
+use dsmpm2_sim::{BlockReason, Engine, EngineCtl, SimDuration, SimHandle, SimTime, SpawnOptions};
 
 use crate::config::{Pm2Config, Pm2Costs};
 use crate::context::{Pm2Context, Pm2ThreadState};
 use crate::isomalloc::IsoAllocator;
-use crate::monitor::Monitor;
+use crate::monitor::{Monitor, MonitorSlot};
 use crate::rpc::{
-    ReplyTable, RpcClass, RpcMessage, RpcPayload, RpcReply, RpcRequestCtx, RpcService,
+    ReplyTable, RpcClass, RpcMessage, RpcPayload, RpcReply, RpcRequestCtx, RpcService, ServiceId,
+    ServiceKey,
 };
+
+/// Everything the send, dispatch and handle paths need of one registered
+/// service, built once at registration.
+struct ServiceEntry {
+    service: Arc<dyn RpcService>,
+    /// What one request of this service occupies the node's dispatcher for:
+    /// the dispatch itself, plus the thread creation iff `spawn_thread()`.
+    dispatch_cost: SimDuration,
+    /// The monitor rows `rpc_call:<svc>`, `rpc_oneway:<svc>`,
+    /// `rpc_handler:<svc>`.
+    call: MonitorSlot,
+    oneway: MonitorSlot,
+    handler: MonitorSlot,
+    /// Name of this service's handler threads on each node
+    /// (`rpc-<svc>@N<k>`).
+    thread_names: Vec<Arc<str>>,
+}
+
+#[derive(Default)]
+struct ServiceTable {
+    ids: HashMap<String, ServiceId>,
+    entries: Vec<Arc<ServiceEntry>>,
+}
 
 struct ClusterInner {
     config: Pm2Config,
     topology: Topology,
     network: Network<RpcMessage>,
-    services: RwLock<HashMap<String, Arc<dyn RpcService>>>,
+    services: RwLock<ServiceTable>,
     replies: ReplyTable,
     next_rpc_id: AtomicU64,
-    next_thread_seq: AtomicU64,
     monitor: Monitor,
     iso: IsoAllocator,
     ctl: EngineCtl,
@@ -36,6 +67,19 @@ struct ClusterInner {
     /// Models the 450 MHz uniprocessor nodes of the paper's testbed: compute
     /// submitted through `Pm2Context::compute_shared` serializes per node.
     cpu_free: Vec<Mutex<SimTime>>,
+    /// Virtual time at which each node's RPC dispatcher has demultiplexed
+    /// everything that arrived so far. Touched only by the node's arrival
+    /// events, which all run on the node's shard.
+    dispatch_free: Vec<Mutex<SimTime>>,
+}
+
+/// Reserve `duration` on a serial resource that is busy until `*free`,
+/// starting no earlier than `not_before`. Returns the reservation's end.
+fn reserve(free: &Mutex<SimTime>, not_before: SimTime, duration: SimDuration) -> SimTime {
+    let mut free = free.lock();
+    let end = (*free).max(not_before) + duration;
+    *free = end;
+    end
 }
 
 /// Handle on a simulated PM2 cluster. Cheap to clone; all clones refer to the
@@ -53,8 +97,8 @@ impl Clone for Pm2Cluster {
 }
 
 impl Pm2Cluster {
-    /// Boot a cluster on `engine`: builds the network and starts one RPC
-    /// dispatcher daemon per node.
+    /// Boot a cluster on `engine`: builds the network and makes every
+    /// arriving envelope an RPC dispatch on its destination node.
     pub fn new(engine: &Engine, config: Pm2Config) -> Self {
         let topology = Topology::flat(config.num_nodes);
         let network = Network::with_transport(
@@ -64,38 +108,33 @@ impl Pm2Cluster {
             config.transport,
         );
         let iso = IsoAllocator::new(config.num_nodes);
+        let per_node = || {
+            (0..config.num_nodes)
+                .map(|_| Mutex::new(SimTime::ZERO))
+                .collect()
+        };
         let cluster = Pm2Cluster {
             inner: Arc::new(ClusterInner {
-                topology: topology.clone(),
+                topology,
                 network: network.clone(),
-                services: RwLock::new(HashMap::new()),
+                services: RwLock::new(ServiceTable::default()),
                 replies: ReplyTable::new(),
                 next_rpc_id: AtomicU64::new(1),
-                next_thread_seq: AtomicU64::new(0),
                 monitor: Monitor::new(),
                 iso,
                 ctl: engine.ctl(),
                 app_threads: Mutex::new(Vec::new()),
-                cpu_free: (0..config.num_nodes)
-                    .map(|_| Mutex::new(SimTime::ZERO))
-                    .collect(),
+                cpu_free: per_node(),
+                dispatch_free: per_node(),
                 config,
             }),
         };
-        for node in topology.nodes() {
-            let c = cluster.clone();
-            let rx = network.endpoint(node);
-            // The dispatcher is bound to its node's shard: handler threads it
-            // spawns inherit the shard, so all of a node's activity stays on
-            // one scheduler worker.
-            engine.spawn_daemon_on(
-                node.index() as u64,
-                format!("pm2-dispatch-{node}"),
-                move |h| {
-                    c.dispatcher_loop(h, node, rx);
-                },
-            );
-        }
+        // Weak: the network is part of the cluster it dispatches for.
+        let weak = Arc::downgrade(&cluster.inner);
+        network.set_delivery_hook(Arc::new(move |ctl, env| match weak.upgrade() {
+            Some(inner) => Pm2Cluster { inner }.dispatch(ctl, env),
+            None => Delivery::Queue(env),
+        }));
         cluster
     }
 
@@ -139,22 +178,52 @@ impl Pm2Cluster {
         self.inner.ctl.clone()
     }
 
-    /// Register a service under its name on every node. Registering the same
-    /// name twice replaces the previous handler (useful in tests).
-    pub fn register_service(&self, service: Arc<dyn RpcService>) {
-        self.inner
-            .services
-            .write()
-            .insert(service.name().to_string(), service);
+    /// Register a service under its name on every node and return the dense
+    /// id requests carry instead of the name. Registering the same name twice
+    /// replaces the previous handler under the same id (useful in tests).
+    pub fn register_service(&self, service: Arc<dyn RpcService>) -> ServiceId {
+        let name = service.name();
+        let costs = self.costs();
+        let mut dispatch_cost = costs.rpc_dispatch();
+        if service.spawn_thread() {
+            dispatch_cost += costs.thread_create();
+        }
+        let monitor = &self.inner.monitor;
+        let entry = Arc::new(ServiceEntry {
+            dispatch_cost,
+            call: monitor.slot(&format!("rpc_call:{name}")),
+            oneway: monitor.slot(&format!("rpc_oneway:{name}")),
+            handler: monitor.slot(&format!("rpc_handler:{name}")),
+            thread_names: self
+                .inner
+                .topology
+                .nodes()
+                .map(|node| format!("rpc-{name}@{node}").into())
+                .collect(),
+            service: Arc::clone(&service),
+        });
+        let mut table = self.inner.services.write();
+        match table.ids.get(name).copied() {
+            Some(id) => {
+                table.entries[id.0 as usize] = entry;
+                id
+            }
+            None => {
+                let id = ServiceId(table.entries.len() as u32);
+                table.ids.insert(name.to_string(), id);
+                table.entries.push(entry);
+                id
+            }
+        }
     }
 
-    fn service(&self, name: &str) -> Arc<dyn RpcService> {
-        self.inner
-            .services
-            .read()
-            .get(name)
-            .cloned()
-            .unwrap_or_else(|| panic!("RPC to unregistered service '{name}'"))
+    /// The id `name` was registered under, if it was.
+    pub fn service_id(&self, name: &str) -> Option<ServiceId> {
+        self.inner.services.read().ids.get(name).copied()
+    }
+
+    fn entry(&self, id: ServiceId) -> Arc<ServiceEntry> {
+        Arc::clone(&self.inner.services.read().entries[id.0 as usize])
     }
 
     fn message_delay(&self, from: NodeId, to: NodeId, class: RpcClass) -> SimDuration {
@@ -169,17 +238,19 @@ impl Pm2Cluster {
         }
     }
 
-    /// Blocking RPC: send `payload` to `service` on node `to` and wait for the
-    /// reply (in virtual time). `from` is the calling thread's current node.
+    /// Blocking RPC: send `payload` to `service` (a [`ServiceId`] or a name)
+    /// on node `to` and wait for the reply (in virtual time). `from` is the
+    /// calling thread's current node.
     pub fn rpc_call(
         &self,
         sim: &mut SimHandle,
         from: NodeId,
         to: NodeId,
-        service: &str,
+        service: impl ServiceKey,
         payload: RpcPayload,
         class: RpcClass,
     ) -> RpcPayload {
+        let service = service.resolve(self);
         let start = sim.now();
         let id = self.inner.next_rpc_id.fetch_add(1, Ordering::SeqCst);
         self.inner.replies.register(id, sim.id());
@@ -190,7 +261,7 @@ impl Pm2Cluster {
             to,
             RpcMessage::Request {
                 id,
-                service: service.to_string(),
+                service,
                 needs_reply: true,
                 payload,
             },
@@ -199,9 +270,7 @@ impl Pm2Cluster {
         );
         loop {
             if let Some(reply) = self.inner.replies.take(id) {
-                self.inner
-                    .monitor
-                    .record(&format!("rpc_call:{service}"), sim.now().since(start));
+                self.entry(service).call.record(sim.now().since(start));
                 return reply;
             }
             sim.park_with(BlockReason::Rpc);
@@ -214,16 +283,16 @@ impl Pm2Cluster {
         &self,
         from: NodeId,
         to: NodeId,
-        service: &str,
+        service: ServiceId,
         payload: RpcPayload,
         class: RpcClass,
     ) -> (RpcMessage, SimDuration) {
         let id = self.inner.next_rpc_id.fetch_add(1, Ordering::SeqCst);
-        self.inner.monitor.incr(&format!("rpc_oneway:{service}"));
+        self.entry(service).oneway.incr();
         (
             RpcMessage::Request {
                 id,
-                service: service.to_string(),
+                service,
                 needs_reply: false,
                 payload,
             },
@@ -231,16 +300,18 @@ impl Pm2Cluster {
         )
     }
 
-    /// One-way RPC: send `payload` to `service` on node `to` without waiting.
+    /// One-way RPC: send `payload` to `service` (a [`ServiceId`] or a name) on
+    /// node `to` without waiting.
     pub fn rpc_oneway(
         &self,
         sim: &mut SimHandle,
         from: NodeId,
         to: NodeId,
-        service: &str,
+        service: impl ServiceKey,
         payload: RpcPayload,
         class: RpcClass,
     ) {
+        let service = service.resolve(self);
         let (msg, delay) = self.oneway_parts(from, to, service, payload, class);
         self.inner
             .network
@@ -261,12 +332,13 @@ impl Pm2Cluster {
         ctl: &EngineCtl,
         from: NodeId,
         to: NodeId,
-        service: &str,
+        service: impl ServiceKey,
         payload: RpcPayload,
         class: RpcClass,
         messages: u32,
         not_before: SimTime,
     ) {
+        let service = service.resolve(self);
         let (msg, mut delay) = self.oneway_parts(from, to, service, payload, class);
         let now = ctl.now();
         if not_before > now {
@@ -283,57 +355,63 @@ impl Pm2Cluster {
         );
     }
 
-    fn dispatcher_loop(
-        &self,
-        sim: &mut SimHandle,
-        node: NodeId,
-        rx: SimReceiver<Envelope<RpcMessage>>,
-    ) {
-        loop {
-            let envelope = rx.recv(sim);
-            sim.charge(self.costs().rpc_dispatch());
-            match envelope.msg {
-                RpcMessage::Request {
-                    id,
-                    service,
-                    needs_reply,
-                    payload,
-                } => {
-                    let svc = self.service(&service);
-                    let from = envelope.from;
-                    if svc.spawn_thread() {
-                        sim.charge(self.costs().thread_create());
-                        let cluster = self.clone();
-                        let seq = self.inner.next_thread_seq.fetch_add(1, Ordering::SeqCst);
-                        sim.spawn(format!("rpc-{service}@{node}#{seq}"), move |handler_sim| {
-                            cluster.run_handler(
-                                handler_sim,
-                                svc,
-                                node,
-                                from,
-                                id,
-                                needs_reply,
-                                payload,
-                            );
-                        });
-                    } else {
-                        self.run_handler(sim, svc, node, from, id, needs_reply, payload);
+    /// The RPC dispatch, run by the network in the arrival event of every
+    /// envelope, on the destination node's shard. It occupies the node's
+    /// serial dispatcher for the message's cost and, at the instant the
+    /// dispatcher lets the message go, wakes the caller (a reply) or starts
+    /// the handler (a request): in a thread of its own, or — for a one-way
+    /// request its service vouches cannot block — in one scheduler call at
+    /// that same instant, with no thread. A blocking request is first offered
+    /// to [`RpcService::answer_at_arrival`], which answers it right here,
+    /// undispatched, if it can.
+    fn dispatch(&self, ctl: &EngineCtl, env: Envelope<RpcMessage>) -> Delivery<RpcMessage> {
+        let (node, from) = (env.to, env.from);
+        let dispatcher = &self.inner.dispatch_free[node.index()];
+        let shard = node.index() as u64;
+        match env.msg {
+            RpcMessage::Reply { id, payload } => {
+                let at = reserve(dispatcher, ctl.now(), self.costs().rpc_dispatch());
+                if let Some(waiter) = self.inner.replies.fulfill(id, payload) {
+                    ctl.wake_at(waiter, at);
+                }
+            }
+            RpcMessage::Request {
+                id,
+                service,
+                needs_reply,
+                payload,
+            } => {
+                let entry = self.entry(service);
+                if needs_reply {
+                    let answer = entry.service.answer_at_arrival(ctl, node, from, &payload);
+                    if let Some(reply) = answer {
+                        self.send_reply_from_ctl(ctl, node, from, id, reply);
+                        return Delivery::Answered;
                     }
                 }
-                RpcMessage::Reply { id, payload } => {
-                    if let Some(waiter) = self.inner.replies.fulfill(id, payload) {
-                        sim.wake(waiter, SimDuration::ZERO);
-                    }
+                let at = reserve(dispatcher, ctl.now(), entry.dispatch_cost);
+                if !needs_reply && entry.service.is_nonblocking(&payload) {
+                    ctl.call_at_on(shard, at, move |ctl| {
+                        entry.service.handle_nonblocking(ctl, node, from, payload);
+                        entry.handler.incr();
+                    });
+                } else {
+                    let cluster = self.clone();
+                    let name = Arc::clone(&entry.thread_names[node.index()]);
+                    ctl.spawn_on_at(shard, name, at, move |sim| {
+                        cluster.run_handler(sim, &entry, node, from, id, needs_reply, payload);
+                    });
                 }
             }
         }
+        Delivery::Dispatched
     }
 
     #[allow(clippy::too_many_arguments)]
     fn run_handler(
         &self,
         sim: &mut SimHandle,
-        svc: Arc<dyn RpcService>,
+        entry: &ServiceEntry,
         local_node: NodeId,
         from_node: NodeId,
         id: u64,
@@ -348,43 +426,35 @@ impl Pm2Cluster {
                 local_node,
                 from_node,
             };
-            svc.handle(&mut ctx, payload)
+            entry.service.handle(&mut ctx, payload)
         };
-        self.inner.monitor.record(
-            &format!("rpc_handler:{}", svc.name()),
-            sim.now().since(start),
-        );
+        entry.handler.record(sim.now().since(start));
         if needs_reply {
             let reply = reply.unwrap_or_else(|| {
                 panic!(
                     "service '{}' did not produce a reply for a blocking call",
-                    svc.name()
+                    entry.service.name()
                 )
             });
-            self.send_reply(sim, local_node, from_node, id, reply);
+            let delay = self.message_delay(local_node, from_node, reply.class);
+            self.inner.network.send_with_delay(
+                sim,
+                local_node,
+                from_node,
+                RpcMessage::Reply {
+                    id,
+                    payload: reply.payload,
+                },
+                reply.class.accounted_bytes(),
+                delay,
+            );
         }
     }
 
-    fn send_reply(&self, sim: &mut SimHandle, from: NodeId, to: NodeId, id: u64, reply: RpcReply) {
-        let delay = self.message_delay(from, to, reply.class);
-        self.inner.network.send_with_delay(
-            sim,
-            from,
-            to,
-            RpcMessage::Reply {
-                id,
-                payload: reply.payload,
-            },
-            reply.class.accounted_bytes(),
-            delay,
-        );
-    }
-
-    /// Send the reply to request `id` from a scheduler callback rather than
-    /// a handler thread. This is the one-sided service path: a delivery
-    /// interceptor that served a request at its arrival instant answers the
-    /// blocked caller without any thread having run on the serving node.
-    pub fn send_reply_from_ctl(
+    /// Send the reply to request `id` from the request's arrival event: the
+    /// blocked caller is answered without any thread having run on the
+    /// serving node.
+    fn send_reply_from_ctl(
         &self,
         ctl: &EngineCtl,
         from: NodeId,
@@ -470,11 +540,7 @@ impl Pm2Cluster {
     /// Threads computing on the same node therefore serialize, which is what
     /// makes a node "overloaded" when many threads migrate to it.
     pub fn reserve_cpu(&self, node: NodeId, not_before: SimTime, duration: SimDuration) -> SimTime {
-        let mut free = self.inner.cpu_free[node.index()].lock();
-        let start = (*free).max(not_before);
-        let end = start + duration;
-        *free = end;
-        end
+        reserve(&self.inner.cpu_free[node.index()], not_before, duration)
     }
 }
 
@@ -653,6 +719,210 @@ mod tests {
         assert!(
             *latest < dsmpm2_sim::SimTime::ZERO + serial_bound,
             "requests were serialized: finished at {latest}"
+        );
+    }
+
+    /// A one-way service that logs when each request's handler starts.
+    fn mark_service(log: &Arc<Mutex<Vec<(u32, SimTime)>>>) -> Arc<dyn RpcService> {
+        let log = log.clone();
+        service_fn("mark", true, move |ctx, payload| {
+            log.lock()
+                .push((downcast::<u32>(payload, "mark"), ctx.sim.now()));
+            None
+        })
+    }
+
+    fn micros(us: f64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_micros_f64(us)
+    }
+
+    /// The node's dispatcher is serial: a request arriving while an earlier
+    /// one still occupies it waits for the rest of that dispatch — also when
+    /// it was sent *after* the dispatcher took the earlier one, which a
+    /// dispatcher thread woken early by the second arrival got wrong.
+    #[test]
+    fn dispatcher_is_serial_for_requests() {
+        let mut engine = Engine::new();
+        // SISCI/SCI: a minimal or loop-back message takes 3us, less than the
+        // 4us (dispatch + thread creation) one request occupies the
+        // dispatcher for.
+        let c = Pm2Cluster::new(&engine, Pm2Config::sisci_sci(2));
+        let starts = Arc::new(Mutex::new(Vec::new()));
+        c.register_service(mark_service(&starts));
+        let remote = c.clone();
+        engine.spawn("remote", move |h| {
+            // Arrives at node 1 at T = 3us.
+            remote.rpc_oneway(
+                h,
+                NodeId(0),
+                NodeId(1),
+                "mark",
+                Box::new(1u32),
+                RpcClass::Minimal,
+            );
+        });
+        let local = c.clone();
+        engine.spawn_on(1, "local", move |h| {
+            // Sent at T + 0.5us, arrives at T + 3.5us.
+            h.sleep(SimDuration::from_micros_f64(3.5));
+            local.rpc_oneway(
+                h,
+                NodeId(1),
+                NodeId(1),
+                "mark",
+                Box::new(2u32),
+                RpcClass::Control,
+            );
+        });
+        engine.run().unwrap();
+        // T + 4, then max(T + 3.5, T + 4) + 4 — not T + 7.5.
+        assert_eq!(*starts.lock(), vec![(1, micros(7.0)), (2, micros(11.0))]);
+    }
+
+    /// The same for a reply: arriving while the dispatcher is busy, it wakes
+    /// its caller at `max(arrival, dispatcher free) + rpc_dispatch`.
+    #[test]
+    fn dispatcher_is_serial_for_replies() {
+        let mut engine = Engine::new();
+        let c = Pm2Cluster::new(&engine, Pm2Config::sisci_sci(2));
+        c.register_service(mark_service(&Arc::new(Mutex::new(Vec::new()))));
+        c.register_service(service_fn("echo", true, |_ctx, _payload| {
+            Some(RpcReply::minimal(()))
+        }));
+        let returned = Arc::new(Mutex::new(SimTime::ZERO));
+        let r = returned.clone();
+        let caller = c.clone();
+        engine.spawn_on(0, "caller", move |h| {
+            // The request reaches node 1 at 3us and its handler starts at
+            // 7us; the reply leaves then and reaches node 0 at 10us.
+            let _ = caller.rpc_call(
+                h,
+                NodeId(0),
+                NodeId(1),
+                "echo",
+                Box::new(()),
+                RpcClass::Minimal,
+            );
+            *r.lock() = h.now();
+        });
+        let local = c.clone();
+        engine.spawn_on(0, "local", move |h| {
+            // A loop-back request at node 0 at 6.5us — taken by the
+            // dispatcher before the reply is sent — keeps it busy until
+            // 10.5us.
+            h.sleep(SimDuration::from_micros_f64(3.5));
+            local.rpc_oneway(
+                h,
+                NodeId(0),
+                NodeId(0),
+                "mark",
+                Box::new(0u32),
+                RpcClass::Control,
+            );
+        });
+        engine.run().unwrap();
+        // max(10, 10.5) + 1 — not 10 + 1.
+        assert_eq!(*returned.lock(), micros(11.5));
+    }
+
+    /// A service with a switch: whether its one-way requests are served in a
+    /// thread or, declared non-blocking, in the scheduler call that would
+    /// have started it. Either way it logs when and in which order it ran.
+    struct Probe {
+        nonblocking: bool,
+        log: Arc<Mutex<Vec<(&'static str, SimTime)>>>,
+    }
+
+    impl RpcService for Probe {
+        fn name(&self) -> &str {
+            "probe"
+        }
+        fn handle(&self, ctx: &mut RpcRequestCtx<'_>, _payload: RpcPayload) -> Option<RpcReply> {
+            self.log.lock().push(("handler", ctx.sim.now()));
+            None
+        }
+        fn is_nonblocking(&self, _payload: &RpcPayload) -> bool {
+            self.nonblocking
+        }
+        fn handle_nonblocking(&self, ctl: &EngineCtl, _: NodeId, _: NodeId, _: RpcPayload) {
+            self.log.lock().push(("handler", ctl.now()));
+        }
+    }
+
+    /// Serving a request without a thread changes nothing but the thread: the
+    /// handler sees the same clock and keeps its place among the events of
+    /// its instant, those scheduled before its request arrived and those
+    /// scheduled after.
+    #[test]
+    fn threadless_serving_changes_nothing_but_the_thread() {
+        const REQUESTS: u64 = 3;
+        let period = SimDuration::from_micros(100);
+        let run = |nonblocking: bool| {
+            let mut engine = Engine::new();
+            let c = cluster(&engine, 2);
+            let log = Arc::new(Mutex::new(Vec::new()));
+            c.register_service(Arc::new(Probe {
+                nonblocking,
+                log: log.clone(),
+            }));
+            let arrival = profiles::bip_myrinet().control_time();
+            let dispatch = c.costs().rpc_dispatch() + c.costs().thread_create();
+            for i in 0..REQUESTS {
+                let l = log.clone();
+                engine.ctl().call_at_on(
+                    1,
+                    SimTime::ZERO + period * i + arrival + dispatch,
+                    move |ctl| {
+                        l.lock().push(("scheduled-before", ctl.now()));
+                    },
+                );
+            }
+            let caller = c.clone();
+            engine.spawn_on(0, "caller", move |h| {
+                for _ in 0..REQUESTS {
+                    caller.rpc_oneway(
+                        h,
+                        NodeId(0),
+                        NodeId(1),
+                        "probe",
+                        Box::new(()),
+                        RpcClass::Control,
+                    );
+                    h.sleep(period);
+                }
+            });
+            let l = log.clone();
+            engine.spawn_on(1, "competitor", move |h| {
+                // One microsecond into each dispatch, schedule an event for
+                // the instant it ends.
+                h.sleep(arrival + SimDuration::from_micros(1));
+                for _ in 0..REQUESTS {
+                    let l = l.clone();
+                    h.call_after_on(1, dispatch - SimDuration::from_micros(1), move |ctl| {
+                        l.lock().push(("scheduled-after", ctl.now()));
+                    });
+                    h.sleep(period);
+                }
+            });
+            let report = engine.run().unwrap();
+            assert_eq!(c.monitor().count("rpc_handler:probe"), REQUESTS);
+            let log = log.lock().clone();
+            (log, report)
+        };
+        let (threaded, with_threads) = run(false);
+        let (threadless, without) = run(true);
+        assert_eq!(threaded, threadless);
+        assert_eq!(threaded.len() as u64, 3 * REQUESTS);
+        for instant in threaded.chunks(3) {
+            let labels: Vec<_> = instant.iter().map(|(label, _)| *label).collect();
+            assert_eq!(labels, ["scheduled-before", "handler", "scheduled-after"]);
+            assert!(instant.iter().all(|(_, at)| *at == instant[0].1));
+        }
+        assert_eq!(with_threads.final_time, without.final_time);
+        assert_eq!(with_threads.events, without.events);
+        assert_eq!(
+            with_threads.threads_spawned,
+            without.threads_spawned + REQUESTS
         );
     }
 

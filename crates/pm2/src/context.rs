@@ -15,7 +15,7 @@ use dsmpm2_madeleine::NodeId;
 use dsmpm2_sim::{SimDuration, SimHandle, SimTime};
 
 use crate::cluster::Pm2Cluster;
-use crate::rpc::{RpcClass, RpcPayload};
+use crate::rpc::{RpcClass, RpcPayload, ServiceKey};
 
 /// Shared, externally observable state of one PM2 application thread.
 #[derive(Debug)]
@@ -189,21 +189,25 @@ impl<'a> Pm2Context<'a> {
     pub fn rpc_call(
         &mut self,
         to: NodeId,
-        service: &str,
+        service: impl ServiceKey,
         payload: RpcPayload,
         class: RpcClass,
     ) -> RpcPayload {
         let from = self.node();
         self.cluster
-            .clone()
             .rpc_call(self.sim, from, to, service, payload, class)
     }
 
     /// One-way RPC issued from this thread's current node.
-    pub fn rpc_oneway(&mut self, to: NodeId, service: &str, payload: RpcPayload, class: RpcClass) {
+    pub fn rpc_oneway(
+        &mut self,
+        to: NodeId,
+        service: impl ServiceKey,
+        payload: RpcPayload,
+        class: RpcClass,
+    ) {
         let from = self.node();
         self.cluster
-            .clone()
             .rpc_oneway(self.sim, from, to, service, payload, class)
     }
 }

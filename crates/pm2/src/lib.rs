@@ -5,8 +5,9 @@
 //! node interaction, iso-address allocation and preemptive thread migration.
 //! This crate models those services on top of the simulation engine:
 //!
-//! * [`Pm2Cluster`] — boots a cluster of nodes with one RPC dispatcher per
-//!   node, a service registry, and the blocking/one-way RPC primitives.
+//! * [`Pm2Cluster`] — boots a cluster of nodes with a service registry, the
+//!   per-node serial RPC dispatch (a function of each message's arrival
+//!   event, not a thread) and the blocking/one-way RPC primitives.
 //! * [`Pm2Context`] / [`Pm2ThreadState`] — application threads with a current
 //!   location and preemptive [`Pm2Context::migrate_to`] migration.
 //! * [`IsoAllocator`] — iso-address allocation (shared and node-private).
@@ -31,10 +32,10 @@ pub use context::{Pm2Context, Pm2ThreadState};
 pub use isomalloc::{
     IsoAllocator, IsoKind, IsoRange, ISO_PRIVATE_BASE, ISO_PRIVATE_SLOT, ISO_SHARED_BASE,
 };
-pub use monitor::{Monitor, MonitorReport, OpStat};
+pub use monitor::{Monitor, MonitorReport, MonitorSlot, OpStat};
 pub use rpc::{
     downcast, service_fn, FnService, RpcClass, RpcMessage, RpcPayload, RpcReply, RpcRequestCtx,
-    RpcService,
+    RpcService, ServiceId, ServiceKey,
 };
 
 /// Convenience re-exports of the layers below, so applications can depend on
@@ -44,6 +45,6 @@ pub use dsmpm2_madeleine::{
     TransportTuning, WireStatsSnapshot,
 };
 pub use dsmpm2_sim::{
-    BlockReason, Engine, EngineConfig, HandoffMode, SimDuration, SimError, SimHandle, SimTime,
-    SimTuning, SpawnOptions, ThreadId,
+    BlockReason, Engine, EngineConfig, EngineCtl, HandoffMode, SimDuration, SimError, SimHandle,
+    SimTime, SimTuning, SpawnOptions, ThreadId,
 };

@@ -9,6 +9,8 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -36,10 +38,57 @@ impl OpStat {
     }
 }
 
+/// One operation's row in a [`Monitor`], resolved once by name
+/// ([`Monitor::slot`]) so that a hot path records into it without a lookup.
+/// Cheap to clone; all clones feed the same row.
+#[derive(Clone, Default)]
+pub struct MonitorSlot(Arc<SlotStat>);
+
+/// Statistics only: nothing is published through these words, and they are
+/// read after the run, so every access is `Relaxed`.
+#[derive(Default)]
+struct SlotStat {
+    count: AtomicU64,
+    total_ns: AtomicU64,
+    max_ns: AtomicU64,
+}
+
+impl MonitorSlot {
+    /// Record one occurrence taking `elapsed` of virtual time.
+    pub fn record(&self, elapsed: SimDuration) {
+        self.0.count.fetch_add(1, Ordering::Relaxed);
+        self.0
+            .total_ns
+            .fetch_add(elapsed.as_nanos(), Ordering::Relaxed);
+        self.0
+            .max_ns
+            .fetch_max(elapsed.as_nanos(), Ordering::Relaxed);
+    }
+
+    /// Record one occurrence with no associated time (pure counter).
+    pub fn incr(&self) {
+        self.record(SimDuration::ZERO);
+    }
+
+    fn stat(&self) -> OpStat {
+        OpStat {
+            count: self.0.count.load(Ordering::Relaxed),
+            total: SimDuration::from_nanos(self.0.total_ns.load(Ordering::Relaxed)),
+            max: SimDuration::from_nanos(self.0.max_ns.load(Ordering::Relaxed)),
+        }
+    }
+
+    fn clear(&self) {
+        self.0.count.store(0, Ordering::Relaxed);
+        self.0.total_ns.store(0, Ordering::Relaxed);
+        self.0.max_ns.store(0, Ordering::Relaxed);
+    }
+}
+
 /// A monitoring sink shared by every layer of one cluster.
 #[derive(Default)]
 pub struct Monitor {
-    ops: Mutex<HashMap<String, OpStat>>,
+    ops: Mutex<HashMap<String, MonitorSlot>>,
 }
 
 impl Monitor {
@@ -48,15 +97,25 @@ impl Monitor {
         Monitor::default()
     }
 
+    /// Run `f` on the row of `name`, created empty on first use: only the
+    /// first occurrence of a name allocates.
+    fn with_slot<R>(&self, name: &str, f: impl FnOnce(&MonitorSlot) -> R) -> R {
+        let mut ops = self.ops.lock();
+        match ops.get(name) {
+            Some(slot) => f(slot),
+            None => f(ops.entry(name.to_string()).or_default()),
+        }
+    }
+
+    /// The row of `name`. An operation that never occurs does not show up in
+    /// the report.
+    pub fn slot(&self, name: &str) -> MonitorSlot {
+        self.with_slot(name, MonitorSlot::clone)
+    }
+
     /// Record one occurrence of `name` taking `elapsed` of virtual time.
     pub fn record(&self, name: &str, elapsed: SimDuration) {
-        let mut ops = self.ops.lock();
-        let stat = ops.entry(name.to_string()).or_default();
-        stat.count += 1;
-        stat.total += elapsed;
-        if elapsed > stat.max {
-            stat.max = elapsed;
-        }
+        self.with_slot(name, |slot| slot.record(elapsed));
     }
 
     /// Record one occurrence of `name` with no associated time (pure counter).
@@ -66,7 +125,11 @@ impl Monitor {
 
     /// Statistics for one operation.
     pub fn get(&self, name: &str) -> OpStat {
-        self.ops.lock().get(name).copied().unwrap_or_default()
+        self.ops
+            .lock()
+            .get(name)
+            .map(MonitorSlot::stat)
+            .unwrap_or_default()
     }
 
     /// Number of occurrences of one operation.
@@ -74,21 +137,24 @@ impl Monitor {
         self.get(name).count
     }
 
-    /// A snapshot of every operation, sorted by total time (descending).
+    /// A snapshot of every operation that occurred, sorted by total time
+    /// (descending).
     pub fn report(&self) -> MonitorReport {
         let mut rows: Vec<(String, OpStat)> = self
             .ops
             .lock()
             .iter()
-            .map(|(k, v)| (k.clone(), *v))
+            .map(|(k, v)| (k.clone(), v.stat()))
+            .filter(|(_, stat)| stat.count > 0)
             .collect();
         rows.sort_by(|a, b| b.1.total.cmp(&a.1.total).then(a.0.cmp(&b.0)));
         MonitorReport { rows }
     }
 
-    /// Reset every counter (used between benchmark iterations).
+    /// Reset every counter (used between benchmark iterations). Rows resolved
+    /// through [`Monitor::slot`] stay valid.
     pub fn reset(&self) {
-        self.ops.lock().clear();
+        self.ops.lock().values().for_each(MonitorSlot::clear);
     }
 }
 
@@ -168,6 +234,24 @@ mod tests {
         m.reset();
         assert_eq!(m.count("x"), 0);
         assert!(m.report().rows.is_empty());
+    }
+
+    #[test]
+    fn a_resolved_slot_feeds_its_named_row_and_survives_reset() {
+        let m = Monitor::new();
+        let slot = m.slot("rpc_call:dsm");
+        assert!(
+            m.report().rows.is_empty(),
+            "a row that never ran is not reported"
+        );
+        slot.record(SimDuration::from_micros(7));
+        m.record("rpc_call:dsm", SimDuration::from_micros(3));
+        let stat = m.get("rpc_call:dsm");
+        assert_eq!((stat.count, stat.max), (2, SimDuration::from_micros(7)));
+        assert_eq!(stat.total, SimDuration::from_micros(10));
+        m.reset();
+        slot.incr();
+        assert_eq!(m.count("rpc_call:dsm"), 1);
     }
 
     #[test]

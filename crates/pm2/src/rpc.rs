@@ -13,7 +13,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use dsmpm2_madeleine::{NodeId, CONTROL_MESSAGE_BYTES};
-use dsmpm2_sim::{SimHandle, ThreadId};
+use dsmpm2_sim::{EngineCtl, SimHandle, ThreadId};
 
 use crate::cluster::Pm2Cluster;
 
@@ -78,6 +78,37 @@ impl RpcReply {
     }
 }
 
+/// Dense identifier of a registered service: what a request carries on the
+/// wire instead of the service's name. Returned by
+/// [`crate::Pm2Cluster::register_service`]; layers that send many requests
+/// keep it and pass it wherever a service is named.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct ServiceId(pub(crate) u32);
+
+/// How a caller names the service it invokes: by the [`ServiceId`] it got at
+/// registration (no lookup), or by name (one lookup per call).
+pub trait ServiceKey {
+    /// The service's identifier on `cluster`.
+    ///
+    /// # Panics
+    /// Panics if a name is not registered on `cluster`.
+    fn resolve(self, cluster: &Pm2Cluster) -> ServiceId;
+}
+
+impl ServiceKey for ServiceId {
+    fn resolve(self, _cluster: &Pm2Cluster) -> ServiceId {
+        self
+    }
+}
+
+impl ServiceKey for &str {
+    fn resolve(self, cluster: &Pm2Cluster) -> ServiceId {
+        cluster
+            .service_id(self)
+            .unwrap_or_else(|| panic!("RPC to unregistered service '{self}'"))
+    }
+}
+
 /// Wire messages exchanged by the RPC layer. Exposed only because
 /// [`crate::Pm2Cluster::network`] returns the underlying typed network; user
 /// code never constructs these.
@@ -86,8 +117,8 @@ pub enum RpcMessage {
     Request {
         /// Correlation id.
         id: u64,
-        /// Target service name.
-        service: String,
+        /// Target service.
+        service: ServiceId,
         /// True if the caller blocks for a reply.
         needs_reply: bool,
         /// Arguments.
@@ -103,8 +134,9 @@ pub enum RpcMessage {
 }
 
 /// Context passed to a service handler. The handler runs on the destination
-/// node, either inline in the node's dispatcher thread or in a freshly
-/// created handler thread (the PM2 "RPC with thread creation" flavour).
+/// node in a handler thread of its own, started by the dispatch at the
+/// instant the dispatch (and, for [`RpcService::spawn_thread`] services, the
+/// thread creation) has been paid for.
 pub struct RpcRequestCtx<'a> {
     /// Simulation handle of the thread executing the handler.
     pub sim: &'a mut SimHandle,
@@ -124,10 +156,53 @@ pub trait RpcService: Send + Sync + 'static {
     /// Handle one request. Must return `Some` if the caller expects a reply.
     fn handle(&self, ctx: &mut RpcRequestCtx<'_>, payload: RpcPayload) -> Option<RpcReply>;
     /// If true (the default, and the behaviour used by the DSM page servers),
-    /// the dispatcher creates a dedicated thread per request so concurrent
-    /// requests are served in parallel and may block on nested RPCs.
+    /// the dispatch pays for the creation of the request's handler thread
+    /// ([`crate::Pm2Costs::thread_create_us`]). If false it does not: the
+    /// request is served by a pre-existing thread, which costs the model
+    /// nothing to hand the request to. Either way the handler may block, and
+    /// concurrent requests are served in parallel.
     fn spawn_thread(&self) -> bool {
         true
+    }
+    /// Asked first, at the instant a blocking request arrives and before any
+    /// dispatch: can the service answer right now, from state it may read on
+    /// the destination node's shard, without running a handler? `Some` is sent
+    /// back as the reply from the arrival event itself — no dispatch cost, no
+    /// thread (the DSM one-sided read fetch). `None` dispatches the request
+    /// normally.
+    fn answer_at_arrival(
+        &self,
+        _ctl: &EngineCtl,
+        _local_node: NodeId,
+        _from_node: NodeId,
+        _payload: &RpcPayload,
+    ) -> Option<RpcReply> {
+        None
+    }
+    /// Asked at dispatch time about a one-way request, from its payload
+    /// alone: is serving it certain not to block — no charge, no wait, no
+    /// nested blocking call? Such a request is served by
+    /// [`RpcService::handle_nonblocking`] in one scheduler call, at exactly
+    /// the instant and on the shard its handler thread's first slice would
+    /// have run, and no thread is created for it. The dispatch (and
+    /// `spawn_thread`) cost is charged all the same, so virtual time does not
+    /// depend on the answer.
+    fn is_nonblocking(&self, _payload: &RpcPayload) -> bool {
+        false
+    }
+    /// Serve a request [`RpcService::is_nonblocking`] vouched for. `ctl.now()`
+    /// is what the handler thread's clock would have read.
+    fn handle_nonblocking(
+        &self,
+        _ctl: &EngineCtl,
+        _local_node: NodeId,
+        _from_node: NodeId,
+        _payload: RpcPayload,
+    ) {
+        unreachable!(
+            "service '{}' declared a request non-blocking but cannot serve one",
+            self.name()
+        )
     }
 }
 
@@ -153,8 +228,9 @@ where
     }
 }
 
-/// Build a service from a closure. `spawn_thread` selects whether each
-/// request gets a dedicated handler thread.
+/// Build a service from a closure. `spawn_thread` selects whether the
+/// dispatch pays for creating each request's handler thread (see
+/// [`RpcService::spawn_thread`]).
 pub fn service_fn<F>(name: impl Into<String>, spawn_thread: bool, f: F) -> Arc<dyn RpcService>
 where
     F: Fn(&mut RpcRequestCtx<'_>, RpcPayload) -> Option<RpcReply> + Send + Sync + 'static,

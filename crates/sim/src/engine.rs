@@ -99,16 +99,29 @@ thread_local! {
     static INSTANT_CTX: Cell<Option<InstantCtx>> = const { Cell::new(None) };
 }
 
+// The four accessors below are the only code that touches `INSTANT_CTX`, and
+// all four are `#[inline(never)]` on purpose. LLVM treats a thread-local's
+// address as constant within a function; a continuation's frames span
+// `raw_switch`, and the slice that resumes them may run on another OS thread
+// (the coordinator at one instant, a worker at the next). Inlined into such a
+// frame, an access after the switch would reuse the address computed before it
+// and read or write the *previous* worker's context — which is what made
+// release builds diverge at two or more workers. Out of line, the address is
+// recomputed on every call, on whichever OS thread is executing it.
+
+#[inline(never)]
 pub(crate) fn set_instant_ctx(ctx: Option<InstantCtx>) {
     INSTANT_CTX.with(|c| c.set(ctx));
 }
 
+#[inline(never)]
 pub(crate) fn instant_ctx() -> Option<InstantCtx> {
     INSTANT_CTX.with(|c| c.get())
 }
 
 /// Update the shard key recorded in the current instant context (thread
 /// migration re-homes a running thread mid-event).
+#[inline(never)]
 pub(crate) fn set_instant_ctx_shard(shard: u64) {
     INSTANT_CTX.with(|c| {
         if let Some(mut ctx) = c.get() {
@@ -132,6 +145,7 @@ static EXTERNAL_ORDER: AtomicU64 = AtomicU64::new(0);
 /// the canonical execution order rather than of wall-clock interleaving
 /// between workers — and coincides with the historical wall-clock FIFO on a
 /// single worker.
+#[inline(never)]
 pub(crate) fn next_order_key() -> (u64, u64, u64) {
     INSTANT_CTX.with(|c| match c.get() {
         Some(mut ctx) => {
@@ -886,7 +900,7 @@ impl Shared {
 
     pub(crate) fn spawn_thread<F>(
         self: &Arc<Self>,
-        name: String,
+        name: Arc<str>,
         start_at: SimTime,
         daemon: bool,
         shard_key: Option<u64>,
@@ -917,7 +931,7 @@ impl Shared {
         };
         let slot = Arc::new(ThreadSlot::new(
             tid,
-            name.clone(),
+            Arc::clone(&name),
             backing,
             Arc::clone(&self.spin_map),
             Arc::clone(&self.coord),
@@ -948,7 +962,7 @@ impl Shared {
                     if let Err(payload) = result {
                         if payload.downcast_ref::<ShutdownUnwind>().is_none() {
                             shared.record_panic(
-                                slot_for_thread.name.clone(),
+                                slot_for_thread.name.to_string(),
                                 panic_message(&*payload),
                             );
                         }
@@ -981,7 +995,7 @@ impl Shared {
                         if let Err(payload) = result {
                             if payload.downcast_ref::<ShutdownUnwind>().is_none() {
                                 shared.record_panic(
-                                    slot_for_thread.name.clone(),
+                                    slot_for_thread.name.to_string(),
                                     panic_message(&*payload),
                                 );
                             }
@@ -1163,7 +1177,7 @@ impl EngineCtl {
 
     /// Spawn a simulated thread that becomes runnable at the current global
     /// time. Mirrors [`Engine::spawn`] for code that only holds a controller.
-    pub fn spawn<F>(&self, name: impl Into<String>, f: F) -> ThreadId
+    pub fn spawn<F>(&self, name: impl Into<Arc<str>>, f: F) -> ThreadId
     where
         F: FnOnce(&mut SimHandle) + Send + 'static,
     {
@@ -1174,7 +1188,7 @@ impl EngineCtl {
 
     /// Spawn a simulated thread bound to shard `shard_key` (see
     /// [`Engine::spawn_on`]).
-    pub fn spawn_on<F>(&self, shard_key: u64, name: impl Into<String>, f: F) -> ThreadId
+    pub fn spawn_on<F>(&self, shard_key: u64, name: impl Into<Arc<str>>, f: F) -> ThreadId
     where
         F: FnOnce(&mut SimHandle) + Send + 'static,
     {
@@ -1188,7 +1202,7 @@ impl EngineCtl {
     pub fn spawn_on_with<F>(
         &self,
         shard_key: u64,
-        name: impl Into<String>,
+        name: impl Into<Arc<str>>,
         opts: SpawnOptions,
         f: F,
     ) -> ThreadId
@@ -1200,8 +1214,35 @@ impl EngineCtl {
             .spawn_thread(name.into(), now, false, Some(shard_key), opts, f)
     }
 
+    /// Spawn a simulated thread bound to shard `shard_key` that becomes
+    /// runnable at the absolute virtual time `start_at` (the current instant
+    /// if that is already past). An event that knows *when* work it hands to
+    /// a thread may start — an RPC dispatch that ends after its software
+    /// cost — spawns the thread for that time directly instead of waking an
+    /// intermediary to sleep the cost off. A shared `Arc<str>` name is taken
+    /// as is, so spawning from a prepared name allocates no string.
+    pub fn spawn_on_at<F>(
+        &self,
+        shard_key: u64,
+        name: impl Into<Arc<str>>,
+        start_at: SimTime,
+        f: F,
+    ) -> ThreadId
+    where
+        F: FnOnce(&mut SimHandle) + Send + 'static,
+    {
+        self.shared.spawn_thread(
+            name.into(),
+            start_at,
+            false,
+            Some(shard_key),
+            SpawnOptions::default(),
+            f,
+        )
+    }
+
     /// Spawn a daemon thread (see [`Engine::spawn_daemon`]) from a controller.
-    pub fn spawn_daemon<F>(&self, name: impl Into<String>, f: F) -> ThreadId
+    pub fn spawn_daemon<F>(&self, name: impl Into<Arc<str>>, f: F) -> ThreadId
     where
         F: FnOnce(&mut SimHandle) + Send + 'static,
     {
@@ -1211,7 +1252,7 @@ impl EngineCtl {
     }
 
     /// Spawn a daemon thread bound to shard `shard_key`.
-    pub fn spawn_daemon_on<F>(&self, shard_key: u64, name: impl Into<String>, f: F) -> ThreadId
+    pub fn spawn_daemon_on<F>(&self, shard_key: u64, name: impl Into<Arc<str>>, f: F) -> ThreadId
     where
         F: FnOnce(&mut SimHandle) + Send + 'static,
     {
@@ -1322,7 +1363,7 @@ impl Engine {
 
     /// Spawn a simulated thread that becomes runnable at virtual time zero
     /// (or at the current time if the engine is already running).
-    pub fn spawn<F>(&self, name: impl Into<String>, f: F) -> ThreadId
+    pub fn spawn<F>(&self, name: impl Into<Arc<str>>, f: F) -> ThreadId
     where
         F: FnOnce(&mut SimHandle) + Send + 'static,
     {
@@ -1332,7 +1373,7 @@ impl Engine {
     /// Spawn a simulated thread with per-thread [`SpawnOptions`]: force a
     /// hand-off mode (the baton escape hatch for deep recursion) or size the
     /// continuation's private stack.
-    pub fn spawn_with<F>(&self, name: impl Into<String>, opts: SpawnOptions, f: F) -> ThreadId
+    pub fn spawn_with<F>(&self, name: impl Into<Arc<str>>, opts: SpawnOptions, f: F) -> ThreadId
     where
         F: FnOnce(&mut SimHandle) + Send + 'static,
     {
@@ -1345,7 +1386,7 @@ impl Engine {
     /// execute on the worker owning that shard, serialized with every other
     /// event of the shard. Upper layers pass the cluster node id so that all
     /// activity of one node stays on one worker.
-    pub fn spawn_on<F>(&self, shard_key: u64, name: impl Into<String>, f: F) -> ThreadId
+    pub fn spawn_on<F>(&self, shard_key: u64, name: impl Into<Arc<str>>, f: F) -> ThreadId
     where
         F: FnOnce(&mut SimHandle) + Send + 'static,
     {
@@ -1363,7 +1404,7 @@ impl Engine {
     /// Spawn a daemon thread: it behaves like a normal simulated thread but
     /// does not keep the simulation alive. Used for service loops such as RPC
     /// dispatchers, which block on their incoming queue forever.
-    pub fn spawn_daemon<F>(&self, name: impl Into<String>, f: F) -> ThreadId
+    pub fn spawn_daemon<F>(&self, name: impl Into<Arc<str>>, f: F) -> ThreadId
     where
         F: FnOnce(&mut SimHandle) + Send + 'static,
     {
@@ -1373,7 +1414,7 @@ impl Engine {
     }
 
     /// Spawn a daemon thread bound to shard `shard_key`.
-    pub fn spawn_daemon_on<F>(&self, shard_key: u64, name: impl Into<String>, f: F) -> ThreadId
+    pub fn spawn_daemon_on<F>(&self, shard_key: u64, name: impl Into<Arc<str>>, f: F) -> ThreadId
     where
         F: FnOnce(&mut SimHandle) + Send + 'static,
     {
@@ -1921,6 +1962,26 @@ mod tests {
         assert_eq!(observed.load(Ordering::SeqCst), 100_000);
         assert_eq!(report.final_time, SimTime::from_micros(100));
         assert_eq!(report.threads_spawned, 1);
+    }
+
+    #[test]
+    fn spawn_on_at_starts_the_thread_at_an_absolute_time() {
+        let mut engine = Engine::new();
+        let started = Arc::new(AtomicU64::new(0));
+        let s = started.clone();
+        let name: Arc<str> = "handler".into();
+        let ctl = engine.ctl();
+        engine.spawn("early", move |h| {
+            h.sleep(SimDuration::from_micros(10));
+            // From a running simulation, for a time still ahead.
+            ctl.spawn_on_at(3, name, SimTime::from_micros(40), move |h| {
+                assert_eq!((h.name(), h.shard()), ("handler", 3));
+                s.store(h.now().as_nanos(), Ordering::SeqCst);
+            });
+        });
+        let report = engine.run().unwrap();
+        assert_eq!(started.load(Ordering::SeqCst), 40_000);
+        assert_eq!(report.threads_spawned, 2);
     }
 
     #[test]

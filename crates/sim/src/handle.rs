@@ -150,7 +150,7 @@ impl SimHandle {
 
     /// Spawn a new simulated thread that becomes runnable at this thread's
     /// current local time, on this thread's shard.
-    pub fn spawn<F>(&mut self, name: impl Into<String>, f: F) -> ThreadId
+    pub fn spawn<F>(&mut self, name: impl Into<Arc<str>>, f: F) -> ThreadId
     where
         F: FnOnce(&mut SimHandle) + Send + 'static,
     {
@@ -160,7 +160,7 @@ impl SimHandle {
     /// Spawn a new simulated thread with per-thread [`SpawnOptions`] (force
     /// the OS-thread baton for deep recursion, size the continuation stack),
     /// runnable at this thread's current local time, on this thread's shard.
-    pub fn spawn_with<F>(&mut self, name: impl Into<String>, opts: SpawnOptions, f: F) -> ThreadId
+    pub fn spawn_with<F>(&mut self, name: impl Into<Arc<str>>, opts: SpawnOptions, f: F) -> ThreadId
     where
         F: FnOnce(&mut SimHandle) + Send + 'static,
     {
@@ -172,7 +172,7 @@ impl SimHandle {
 
     /// Spawn a new simulated thread bound to an explicit shard (see
     /// [`crate::Engine::spawn_on`]), runnable at this thread's local time.
-    pub fn spawn_on<F>(&mut self, shard_key: u64, name: impl Into<String>, f: F) -> ThreadId
+    pub fn spawn_on<F>(&mut self, shard_key: u64, name: impl Into<Arc<str>>, f: F) -> ThreadId
     where
         F: FnOnce(&mut SimHandle) + Send + 'static,
     {
@@ -189,7 +189,7 @@ impl SimHandle {
 
     /// Spawn a daemon thread (see [`crate::Engine::spawn_daemon`]) starting at
     /// this thread's current local time, on this thread's shard.
-    pub fn spawn_daemon<F>(&mut self, name: impl Into<String>, f: F) -> ThreadId
+    pub fn spawn_daemon<F>(&mut self, name: impl Into<Arc<str>>, f: F) -> ThreadId
     where
         F: FnOnce(&mut SimHandle) + Send + 'static,
     {

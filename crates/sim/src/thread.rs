@@ -266,7 +266,7 @@ const OUTCOME_NONE: u32 = u32::MAX;
 /// Hand-off slot shared between the scheduler and one simulated thread.
 pub(crate) struct ThreadSlot {
     pub id: ThreadId,
-    pub name: String,
+    pub name: Arc<str>,
     /// Execution substrate backing this thread.
     backing: Backing,
     /// Per-worker spin budgets (owned by the engine's `Shared`); read on
@@ -328,7 +328,7 @@ unsafe impl Sync for ThreadSlot {}
 impl ThreadSlot {
     pub fn new(
         id: ThreadId,
-        name: String,
+        name: Arc<str>,
         backing: Backing,
         spin_map: Arc<SpinMap>,
         default_sched: Arc<SchedHandle>,
