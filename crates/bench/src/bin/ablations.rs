@@ -225,45 +225,14 @@ fn main() {
     println!("{}", markdown_table(&header, &rows));
     write_json("ablation_kernels", &kernel_points);
 
-    // --- Ablation 7: page-table sharding x message batching ----------------
-    println!(
-        "\nAblation 7: sharded page table x per-tick message batching (SOR, hbrc_mw, 4 nodes)\n"
-    );
+    // --- Ablation 7: message batching ---------------------------------------
+    println!("\nAblation 7: per-tick message batching (SOR, hbrc_mw, 4 nodes)\n");
     let mut rows = Vec::new();
     let mut tuning_points = Vec::new();
     let mut reference: Option<(Vec<u64>, u64)> = None;
     for (label, tuning) in [
-        ("unsharded, unbatched", DsmTuning::legacy()),
-        (
-            "sharded, unbatched",
-            DsmTuning {
-                page_table_shards: 8,
-                batch_messages: false,
-                batch_window: Default::default(),
-                granularity: 0,
-                one_sided_reads: false,
-            },
-        ),
-        (
-            "unsharded, batched",
-            DsmTuning {
-                page_table_shards: 1,
-                batch_messages: true,
-                batch_window: Default::default(),
-                granularity: 0,
-                one_sided_reads: false,
-            },
-        ),
-        (
-            "sharded, batched",
-            DsmTuning {
-                page_table_shards: 8,
-                batch_messages: true,
-                batch_window: Default::default(),
-                granularity: 0,
-                one_sided_reads: false,
-            },
-        ),
+        ("unbatched", DsmTuning::legacy()),
+        ("batched", DsmTuning::default()),
     ] {
         let config = sor::SorConfig {
             size: if quick { 16 } else { 32 },
@@ -273,7 +242,6 @@ fn main() {
             network: profiles::bip_myrinet(),
             compute_per_cell_us: 0.05,
             tuning,
-            sim: Default::default(),
             transport: Default::default(),
         };
         let r = sor::run_sor(&config, "hbrc_mw");
@@ -286,7 +254,7 @@ fn main() {
             Some((cells, unbatched_messages)) => {
                 assert_eq!(
                     &r.final_cells, cells,
-                    "{label}: final memory diverged from the unsharded/unbatched baseline"
+                    "{label}: final memory diverged from the unbatched baseline"
                 );
                 if tuning.batch_messages {
                     assert!(
@@ -300,7 +268,6 @@ fn main() {
         }
         rows.push(vec![
             label.to_string(),
-            tuning.page_table_shards.to_string(),
             tuning.batch_messages.to_string(),
             r.wire_messages.to_string(),
             r.stats.coherence_batches.to_string(),
@@ -309,7 +276,6 @@ fn main() {
         ]);
         tuning_points.push(TuningPoint {
             configuration: label.to_string(),
-            page_table_shards: tuning.page_table_shards,
             batch_messages: tuning.batch_messages,
             wire_messages: r.wire_messages,
             coherence_batches: r.stats.coherence_batches,
@@ -322,7 +288,6 @@ fn main() {
         markdown_table(
             &[
                 "Configuration",
-                "Shards",
                 "Batching",
                 "Wire messages",
                 "Batches",
@@ -333,7 +298,7 @@ fn main() {
         )
     );
     println!(
-        "All four configurations produce bit-identical final memory (asserted above). SOR's\n\
+        "Both configurations produce bit-identical final memory (asserted above). SOR's\n\
          block-homed pages give each release at most one diff per destination, so batching\n\
          has little to coalesce here — the aggregation win shows up when several pages share\n\
          a home, measured next."
@@ -401,7 +366,6 @@ fn main() {
          own pages)\n"
     );
     let burst_tuning = |batch_messages: bool| DsmTuning {
-        page_table_shards: 8,
         batch_messages,
         batch_window: Default::default(),
         granularity: 0,
@@ -478,7 +442,6 @@ fn main() {
             network: profiles::bip_myrinet(),
             compute_per_cell_us: 0.05,
             tuning: Default::default(),
-            sim: Default::default(),
             transport,
         };
         sor::run_sor(&config, "hbrc_mw")
@@ -580,7 +543,6 @@ fn main() {
     // --- Ablation 11: time-window batching ----------------------------------
     println!("\nAblation 11: time-window batching on the home-burst workload (hbrc_mw, 3 nodes)\n");
     let windowed_tuning = DsmTuning {
-        page_table_shards: 8,
         batch_messages: true,
         batch_window: SimDuration::from_micros(50),
         granularity: 0,
@@ -836,7 +798,7 @@ fn home_release_burst_study(tuning: DsmTuning, quick: bool) -> (BatchingPoint, V
     let rounds = if quick { 3 } else { 6 };
     let nodes = 3usize;
     let config = Pm2Config::bip_myrinet(nodes).with_dsm_tuning(tuning);
-    let engine = Engine::with_config(config.engine_config());
+    let engine = Engine::new();
     let rt = DsmRuntime::new(&engine, config);
     let _ = register_all_protocols(&rt);
     rt.set_default_protocol(rt.protocol_by_name("hbrc_mw").unwrap());
@@ -923,7 +885,6 @@ fn diff_aggregation_study(batch_messages: bool, quick: bool) -> (BatchingPoint, 
     let nodes = 3usize;
     let engine = Engine::new();
     let tuning = DsmTuning {
-        page_table_shards: 8,
         batch_messages,
         batch_window: Default::default(),
         granularity: 0,
@@ -988,7 +949,6 @@ fn diff_aggregation_study(batch_messages: bool, quick: bool) -> (BatchingPoint, 
 #[derive(Serialize)]
 struct TuningPoint {
     configuration: String,
-    page_table_shards: usize,
     batch_messages: bool,
     wire_messages: u64,
     coherence_batches: u64,
@@ -1115,7 +1075,6 @@ fn run_kernel(kernel: &str, proto: &str, nodes: usize, quick: bool) -> f64 {
                 network: profiles::bip_myrinet(),
                 compute_per_madd_us: 0.01,
                 tuning: Default::default(),
-                sim: Default::default(),
                 transport: Default::default(),
             };
             let r = matmul::run_matmul(&config, proto);
@@ -1131,7 +1090,6 @@ fn run_kernel(kernel: &str, proto: &str, nodes: usize, quick: bool) -> f64 {
                 network: profiles::bip_myrinet(),
                 compute_per_cell_us: 0.05,
                 tuning: Default::default(),
-                sim: Default::default(),
                 transport: Default::default(),
             };
             let r = sor::run_sor(&config, proto);

@@ -5,26 +5,17 @@
 //! are calibrated against the paper, so an unexplained speed-up is as
 //! suspicious as a slow-down in a virtual-time simulation.
 //!
-//! Alongside the (virtual-time) read-fault envelope, the gate re-measures
-//! the *wall-clock* scheduler hand-off and enforces two envelopes: the
-//! PR 6 envelope — the continuation hand-off must stay at least
-//! [`CONTINUATION_MIN_SPEEDUP`]× faster per step than the futex OS-thread
-//! baton — and the PR 3 envelope — the futex baton must stay at least
-//! [`HANDOFF_MIN_SPEEDUP`]× faster than the legacy Condvar baton. Speed-up
-//! ratios are used rather than absolute nanoseconds so the gates are robust
-//! across machines; the recorded absolutes from `BENCH_pr3.json` (futex vs
-//! Condvar, PR 3 era) and `BENCH_pr6.json` (all three modes) are printed
-//! for context when present.
+//! Every envelope here is a virtual-time measurement, bit-stable on every
+//! machine. (Wall-clock costs, the scheduler hand-off among them, are the
+//! benchmark's layer probes: `sim.yield_ns` and friends.)
 //!
-//! Usage: `compare [path/to/BENCH_seed.json] [path/to/BENCH_pr3.json]`
-//! (defaults: `BENCH_seed.json` / `BENCH_pr3.json` in the working directory
-//! — the repository root under `cargo run`; `BENCH_pr6.json` is always read
-//! from the working directory).
+//! Usage: `compare [path/to/BENCH_seed.json]` (default: `BENCH_seed.json` in
+//! the working directory — the repository root under `cargo run`).
 //!
 //! Run in CI on every PR so perf-affecting changes must either stay inside
 //! the envelope or consciously regenerate the baseline.
 
-use dsmpm2_bench::{markdown_table, measure_handoff, probe_fan_in, probe_single_transfer};
+use dsmpm2_bench::{markdown_table, probe_fan_in, probe_single_transfer};
 use dsmpm2_madeleine::{profiles, LossyConfig, TransportBackend, TransportTuning};
 use dsmpm2_workloads::false_sharing::{run_false_sharing, FalseSharingConfig};
 use dsmpm2_workloads::{measure_read_fault, FaultPolicy};
@@ -40,27 +31,6 @@ const GRANULARITY_MIN_BYTES_RATIO: f64 = 2.0;
 /// uncontended remote read fetches (PR 10 acceptance: ≥90%, zero handler
 /// wakes on the served ones).
 const ONE_SIDED_MIN_SERVE_FRACTION: f64 = 0.9;
-/// The futex baton must beat the Condvar baton by at least this factor
-/// (PR 3 acceptance: ≥2× fewer wall-clock ns per step). The margin is wide
-/// even on a single-CPU host, where the futex baton parks immediately
-/// (`handoff_spin` auto-tunes to 0): one park/unpark pair per side still
-/// beats the legacy path's multiple mutex sections, condvar waits and
-/// broadcasts per step — measured 4.3× on a 1-vCPU container. A
-/// below-threshold first measurement is re-measured once with 3× the steps
-/// before the gate fails, to ride out noisy neighbours on shared runners.
-const HANDOFF_MIN_SPEEDUP: f64 = 2.0;
-/// The continuation hand-off must beat the futex OS-thread baton by at
-/// least this factor (PR 6 acceptance: ≥10× fewer wall-clock ns per step).
-/// A continuation grant is two userspace stack switches on the scheduler's
-/// own OS thread; a baton grant is two futex wake-ups and an OS reschedule,
-/// which costs microseconds — measured ~30× on a 1-vCPU container.
-const CONTINUATION_MIN_SPEEDUP: f64 = 10.0;
-/// Re-measuring here (rather than trusting the `sched_handoff` step's
-/// BENCH_pr3.json from the same CI run) costs ~2 s and keeps the gate
-/// honest against stale or hand-edited baselines.
-const HANDOFF_STEPS: u64 = 40_000;
-const HANDOFF_TRIALS: u32 = 3;
-
 fn number(value: &Value) -> Option<f64> {
     match value {
         Value::Float(x) => Some(*x),
@@ -214,99 +184,11 @@ fn main() {
         )
     );
 
-    // ----- scheduler hand-off envelope (wall clock) -------------------------
-    let pr3_path = std::env::args()
-        .nth(2)
-        .unwrap_or_else(|| "BENCH_pr3.json".to_string());
-    let mut m = measure_handoff(HANDOFF_STEPS, HANDOFF_TRIALS);
-    if m.speedup < HANDOFF_MIN_SPEEDUP || m.continuation_speedup < CONTINUATION_MIN_SPEEDUP {
-        // Wall-clock ratios can be disturbed by a noisy neighbour on shared
-        // CI runners; re-measure once with a longer run before declaring a
-        // regression, and keep the better of the two measurements.
-        eprintln!(
-            "hand-off ratios (futex/Condvar {:.2}x, continuation/futex {:.2}x) below \
-             threshold on first measurement; re-measuring with {}x steps to rule out \
-             scheduling noise",
-            m.speedup, m.continuation_speedup, 3
-        );
-        let retry = measure_handoff(HANDOFF_STEPS * 3, HANDOFF_TRIALS);
-        let failing = |x: &dsmpm2_bench::HandoffMeasurement| {
-            u32::from(x.speedup < HANDOFF_MIN_SPEEDUP)
-                + u32::from(x.continuation_speedup < CONTINUATION_MIN_SPEEDUP)
-        };
-        if failing(&retry) < failing(&m)
-            || (failing(&retry) == failing(&m)
-                && retry.continuation_speedup > m.continuation_speedup)
-        {
-            m = retry;
-        }
-    }
-    println!(
-        "Hand-off gate: continuation {:.0} ns/step vs futex {:.0} ns/step vs Condvar \
-         {:.0} ns/step — continuation/futex {:.2}x (required \
-         ≥{CONTINUATION_MIN_SPEEDUP:.1}x), futex/Condvar {:.2}x (required \
-         ≥{HANDOFF_MIN_SPEEDUP:.1}x)",
-        m.continuation_ns_per_step,
-        m.futex_ns_per_step,
-        m.condvar_ns_per_step,
-        m.continuation_speedup,
-        m.speedup
-    );
-    match std::fs::read_to_string(&pr3_path)
-        .ok()
-        .and_then(|text| serde_json::from_str_value(&text).ok())
-    {
-        Some(baseline) => {
-            let get = |key: &str| {
-                baseline
-                    .get("sched_handoff")
-                    .and_then(|h| h.get(key))
-                    .and_then(number)
-            };
-            if let (Some(futex), Some(condvar)) =
-                (get("futex_ns_per_step"), get("condvar_ns_per_step"))
-            {
-                println!(
-                    "  recorded in {pr3_path}: futex {futex:.0} ns/step, Condvar {condvar:.0} \
-                     ns/step (absolute numbers are machine-dependent and informational)"
-                );
-            }
-        }
-        None => {
-            println!("  note: no readable {pr3_path}; regenerate it with the sched_handoff binary")
-        }
-    }
-    match std::fs::read_to_string("BENCH_pr6.json")
-        .ok()
-        .and_then(|text| serde_json::from_str_value(&text).ok())
-    {
-        Some(baseline) => {
-            let get = |key: &str| {
-                baseline
-                    .get("sched_handoff")
-                    .and_then(|h| h.get(key))
-                    .and_then(number)
-            };
-            if let (Some(cont), Some(futex)) =
-                (get("continuation_ns_per_step"), get("futex_ns_per_step"))
-            {
-                println!(
-                    "  recorded in BENCH_pr6.json: continuation {cont:.0} ns/step, futex \
-                     {futex:.0} ns/step (absolute numbers are machine-dependent and \
-                     informational)"
-                );
-            }
-        }
-        None => println!(
-            "  note: no readable BENCH_pr6.json; regenerate it with the sched_handoff binary"
-        ),
-    }
     // ----- coherence granularity + one-sided read envelope (virtual time) ---
     //
-    // Deterministic virtual-time measurements, so unlike the wall-clock
-    // hand-off gate there is no noise margin to manage: the ratios are
-    // bit-stable on every machine. `BENCH_pr10.json` records the same
-    // numbers from the `line_coherence` binary for context.
+    // Deterministic virtual-time measurements: the ratios are bit-stable on
+    // every machine. `BENCH_pr10.json` records the same numbers from the
+    // `line_coherence` binary for context.
     let fs_nodes = 4;
     let fs_proto = "li_hudak_fixed";
     let page_run = run_false_sharing(&FalseSharingConfig::small(fs_nodes), fs_proto);
@@ -414,24 +296,8 @@ fn main() {
     }
     println!();
 
-    if m.speedup < HANDOFF_MIN_SPEEDUP {
-        failures.push(format!(
-            "sched_handoff: futex baton only {:.2}x faster than Condvar \
-             ({:.0} vs {:.0} ns/step, required ≥{HANDOFF_MIN_SPEEDUP:.1}x)",
-            m.speedup, m.futex_ns_per_step, m.condvar_ns_per_step
-        ));
-    }
-    if m.continuation_speedup < CONTINUATION_MIN_SPEEDUP {
-        failures.push(format!(
-            "sched_handoff: continuation hand-off only {:.2}x faster than the futex baton \
-             ({:.0} vs {:.0} ns/step, required ≥{CONTINUATION_MIN_SPEEDUP:.1}x)",
-            m.continuation_speedup, m.continuation_ns_per_step, m.futex_ns_per_step
-        ));
-    }
-    println!();
-
     if failures.is_empty() {
-        println!("All totals within the ±10% envelope; hand-off envelope holds.");
+        println!("All totals within the ±10% envelope.");
     } else {
         eprintln!("Perf gate FAILED:");
         for failure in &failures {

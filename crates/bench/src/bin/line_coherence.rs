@@ -13,8 +13,7 @@
 //!   wakes).
 //!
 //! Both halves are *virtual-time* measurements of a deterministic
-//! simulation, so — unlike the wall-clock `sched_handoff` numbers — they
-//! are bit-stable across machines.
+//! simulation, so they are bit-stable across machines.
 //!
 //! Usage: `line_coherence [--quick]`.
 

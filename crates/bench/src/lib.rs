@@ -7,12 +7,8 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod handoff;
 pub mod report;
-pub mod scaling;
 pub mod transport_probe;
 
-pub use handoff::{measure_handoff, measure_handoff_mode, HandoffMeasurement};
 pub use report::{markdown_table, write_json};
-pub use scaling::{measure_engine_scaling, ScalingMeasurement, ScalingRow, WORKER_COUNTS};
 pub use transport_probe::{probe_fan_in, probe_single_transfer};

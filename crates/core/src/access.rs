@@ -64,7 +64,7 @@ impl DsmThreadCtx<'_, '_> {
     /// checks that the access does not straddle a coherence-line boundary on
     /// sub-page-granularity regions (rights are per line, so a straddling
     /// access would only be covered on its first line). A hit costs one
-    /// page-table shard lock: the unit is resolved once into a [`UnitView`],
+    /// page-table lock: the unit is resolved once into a [`UnitView`],
     /// which the caller gets back; `mark_write` makes that same critical
     /// section mark a writable unit modified (the hit of a write about to
     /// happen).

@@ -469,7 +469,7 @@ fn serve_nonblocking(rt: &DsmRuntime, ctl: &EngineCtl, local: NodeId, from: Node
 ///   owner; multiple-writer protocols: not the home);
 /// * the frame is absent or doomed (evicted while the table entry lingers).
 ///
-/// On success the requester is added to the copyset — under the same shard
+/// On success the requester is added to the copyset — under the same table
 /// lock that publishes the data — and, for single-writer protocols, a
 /// writing owner self-downgrades to `Read`, exactly as the two-sided
 /// read-serve path does.

@@ -57,7 +57,7 @@ pub use page::{
     line_of_offset, line_range, lines_per_page, pages_covering, Access, DsmAddr, LineIx, PageId,
     LINE0, MIN_LINE_SIZE, PAGE_SIZE,
 };
-pub use page_table::{PageEntry, PageTable, UnitView, DEFAULT_PAGE_TABLE_SHARDS};
+pub use page_table::{PageEntry, PageTable, UnitView};
 pub use protocol::{CustomProtocol, CustomProtocolBuilder, DsmProtocol, FaultInfo, ProtocolId};
 pub use runtime::{DsmAttr, DsmRuntime, HomePolicy, PageMeta};
 pub use stats::{DsmStats, DsmStatsSnapshot};

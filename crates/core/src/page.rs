@@ -106,7 +106,7 @@ impl Hasher for IdHasher {
 
     fn finish(&self) -> u64 {
         // The multiply leaves its entropy in the high bits, the maps index by
-        // the low ones — and the pages of one shard share their low id bits.
+        // the low ones.
         self.0.rotate_left(26)
     }
 }

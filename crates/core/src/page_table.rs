@@ -16,11 +16,10 @@
 //! this reproduces the historical page-granularity table bit-for-bit. Regions
 //! allocated with a sub-page granularity split each page into
 //! `PAGE_SIZE / granularity` lines, each with its own independently-owned
-//! entry keyed `(page, line)`. All lines of one page land in the same shard
-//! (shards are chosen by page id), so resolving an offset to its line entry
-//! takes a single shard lock: the `(page, line 0)` entry always exists and
-//! records the page's line size (the *geometry*), and the target entry lives
-//! behind the same lock.
+//! entry keyed `(page, line)`. Resolving an offset to its line entry takes
+//! the table lock once: the `(page, line 0)` entry always exists and records
+//! the page's line size (the *geometry*), and the target entry lives behind
+//! the same lock.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -153,56 +152,27 @@ pub struct UnitView {
     pub records_writes: bool,
 }
 
-/// One shard of a page table: a slice of the entry map with its own lock.
-/// Pages are distributed over shards by page id, so operations on different
-/// shards never contend on the same lock — the page table was the single
-/// contended structure of every node once several dispatcher, handler and
-/// application threads ran concurrently. All lines of one page share a shard.
-#[derive(Default)]
-struct Shard {
+/// The page table of one node: one map of entries, one map of wait sets.
+/// One simulated thread runs at a time, so neither lock is ever contended.
+pub struct PageTable {
+    node: NodeId,
     entries: Mutex<IdMap<(PageId, LineIx), PageEntry>>,
     waiters: Mutex<IdMap<(PageId, LineIx), Arc<WaitSet>>>,
 }
 
-/// Default shard count of a node's page table (overridable through
-/// [`dsmpm2_pm2::DsmTuning::page_table_shards`]).
-pub const DEFAULT_PAGE_TABLE_SHARDS: usize = 8;
-
-/// The page table of one node, sharded by page id.
-///
-/// The shard vector is immutable after construction, so *finding* the shard
-/// of a page is lock-free; only the entries within one shard share a lock.
-/// Consecutive page ids land in consecutive shards (round-robin), which
-/// spreads the pages of one allocation evenly.
-pub struct PageTable {
-    node: NodeId,
-    shards: Box<[Shard]>,
-}
-
 impl PageTable {
-    /// An empty table for `node` with the default shard count.
+    /// An empty table for `node`.
     pub fn new(node: NodeId) -> Self {
-        Self::with_shards(node, DEFAULT_PAGE_TABLE_SHARDS)
-    }
-
-    /// An empty table for `node` with an explicit shard count (`1` gives the
-    /// historical single-lock table).
-    pub fn with_shards(node: NodeId, shards: usize) -> Self {
-        assert!(shards > 0, "a page table needs at least one shard");
         PageTable {
             node,
-            shards: (0..shards).map(|_| Shard::default()).collect(),
+            entries: Mutex::default(),
+            waiters: Mutex::default(),
         }
-    }
-
-    /// The shard holding `page`. Reading the shard map takes no lock.
-    fn shard(&self, page: PageId) -> &Shard {
-        &self.shards[(page.0 % self.shards.len() as u64) as usize]
     }
 
     /// Install the line entries of `page` at granularity `line_size` if none
     /// exist yet (`line_size == PAGE_SIZE` gives the single whole-page
-    /// entry). All lines are created under one shard lock. `records_writes`
+    /// entry). All lines are created under one lock. `records_writes`
     /// is `protocol`'s [`crate::DsmProtocol::records_writes`].
     pub fn ensure_lines(
         &self,
@@ -212,7 +182,7 @@ impl PageTable {
         records_writes: bool,
         line_size: usize,
     ) {
-        let mut entries = self.shard(page).entries.lock();
+        let mut entries = self.entries.lock();
         for ix in 0..lines_per_page(line_size) {
             entries.entry((page, LineIx(ix))).or_insert_with(|| {
                 PageEntry::new_line(page, LineIx(ix), line_size, home, protocol, records_writes)
@@ -224,9 +194,8 @@ impl PageTable {
     /// region is re-registered with a different protocol or granularity; the
     /// caller must have quiesced all activity on the page first.
     pub fn remove_page(&self, page: PageId) {
-        let shard = self.shard(page);
         let lines = {
-            let mut entries = shard.entries.lock();
+            let mut entries = self.entries.lock();
             let keys: Vec<(PageId, LineIx)> = entries
                 .keys()
                 .filter(|(p, _)| *p == page)
@@ -237,7 +206,7 @@ impl PageTable {
             }
             keys
         };
-        let mut waiters = shard.waiters.lock();
+        let mut waiters = self.waiters.lock();
         for k in &lines {
             waiters.remove(k);
         }
@@ -245,7 +214,7 @@ impl PageTable {
 
     /// True if the table knows about `page`.
     pub fn contains(&self, page: PageId) -> bool {
-        self.shard(page).entries.lock().contains_key(&(page, LINE0))
+        self.entries.lock().contains_key(&(page, LINE0))
     }
 
     /// A copy of the whole-page (line 0) entry for `page`.
@@ -262,8 +231,7 @@ impl PageTable {
     /// # Panics
     /// Panics if the unit is not registered on this node.
     pub fn get_at(&self, page: PageId, line: LineIx) -> PageEntry {
-        self.shard(page)
-            .entries
+        self.entries
             .lock()
             .get(&(page, line))
             .cloned()
@@ -272,18 +240,18 @@ impl PageTable {
 
     /// A copy of the entry for line `line`, or `None` if unknown.
     pub fn try_get_at(&self, page: PageId, line: LineIx) -> Option<PageEntry> {
-        self.shard(page).entries.lock().get(&(page, line)).cloned()
+        self.entries.lock().get(&(page, line)).cloned()
     }
 
     /// Resolve the coherence unit governing byte `offset` of `page` into a
     /// [`UnitView`], or `None` if the page is unknown. This is the per-access
-    /// hot path: geometry, line entry and view all come from one shard lock
+    /// hot path: geometry, line entry and view all come from one lock
     /// and nothing is cloned. With `mark_write` — the access is a write hit in
     /// the making — a unit that is writable is marked modified since the last
     /// release in the same critical section; one that is not is left alone
     /// (the access will fault and come back).
     pub fn resolve(&self, page: PageId, offset: usize, mark_write: bool) -> Option<UnitView> {
-        let mut entries = self.shard(page).entries.lock();
+        let mut entries = self.entries.lock();
         let mut entry = entries.get_mut(&(page, LINE0))?;
         if entry.line_size != PAGE_SIZE {
             let line = line_of_offset(offset, entry.line_size);
@@ -304,7 +272,7 @@ impl PageTable {
     }
 
     /// Run `f` with shared access to the line-0 entry for `page`, without
-    /// cloning it (cloning copies the whole copyset). The shard lock is held
+    /// cloning it (cloning copies the whole copyset). The table lock is held
     /// for the duration of `f`: keep it short and never call back into the
     /// same table from inside.
     ///
@@ -319,7 +287,7 @@ impl PageTable {
     /// # Panics
     /// Panics if the unit is not registered on this node.
     pub fn read_at<R>(&self, page: PageId, line: LineIx, f: impl FnOnce(&PageEntry) -> R) -> R {
-        let entries = self.shard(page).entries.lock();
+        let entries = self.entries.lock();
         let entry = entries
             .get(&(page, line))
             .unwrap_or_else(|| panic!("node {} has no page-table entry for {page}", self.node));
@@ -344,7 +312,7 @@ impl PageTable {
         line: LineIx,
         f: impl FnOnce(&mut PageEntry) -> R,
     ) -> R {
-        let mut entries = self.shard(page).entries.lock();
+        let mut entries = self.entries.lock();
         let entry = entries
             .get_mut(&(page, line))
             .unwrap_or_else(|| panic!("node {} has no page-table entry for {page}", self.node));
@@ -358,8 +326,7 @@ impl PageTable {
 
     /// Current local access rights on line `line` of `page`.
     pub fn access_at(&self, page: PageId, line: LineIx) -> Access {
-        self.shard(page)
-            .entries
+        self.entries
             .lock()
             .get(&(page, line))
             .map(|e| e.access)
@@ -385,8 +352,7 @@ impl PageTable {
     /// The wait set for line `line` of `page`.
     pub fn waiters_at(&self, page: PageId, line: LineIx) -> Arc<WaitSet> {
         Arc::clone(
-            self.shard(page)
-                .waiters
+            self.waiters
                 .lock()
                 .entry((page, line))
                 .or_insert_with(|| Arc::new(WaitSet::new())),
@@ -397,16 +363,11 @@ impl PageTable {
     /// many lines it is split into).
     pub fn pages(&self) -> Vec<PageId> {
         let mut pages: Vec<PageId> = self
-            .shards
-            .iter()
-            .flat_map(|s| {
-                s.entries
-                    .lock()
-                    .keys()
-                    .filter(|(_, l)| *l == LINE0)
-                    .map(|(p, _)| *p)
-                    .collect::<Vec<_>>()
-            })
+            .entries
+            .lock()
+            .keys()
+            .filter(|(_, l)| *l == LINE0)
+            .map(|(p, _)| *p)
             .collect();
         pages.sort();
         pages
@@ -414,20 +375,14 @@ impl PageTable {
 
     /// Pages this node wrote since the last release (release-consistency
     /// bookkeeping). A page appears once even if several of its lines are
-    /// modified. Scans shard by shard, never holding more than one shard
-    /// lock at a time.
+    /// modified.
     pub fn modified_pages(&self) -> Vec<PageId> {
         let mut pages: Vec<PageId> = self
-            .shards
+            .entries
+            .lock()
             .iter()
-            .flat_map(|s| {
-                s.entries
-                    .lock()
-                    .iter()
-                    .filter(|(_, e)| e.modified_since_release)
-                    .map(|((p, _), _)| *p)
-                    .collect::<Vec<_>>()
-            })
+            .filter(|(_, e)| e.modified_since_release)
+            .map(|((p, _), _)| *p)
             .collect();
         pages.sort();
         pages.dedup();
@@ -439,16 +394,11 @@ impl PageTable {
     /// default granularity every unit is `(page, line 0)`.
     pub fn modified_units(&self) -> Vec<(PageId, LineIx)> {
         let mut units: Vec<(PageId, LineIx)> = self
-            .shards
+            .entries
+            .lock()
             .iter()
-            .flat_map(|s| {
-                s.entries
-                    .lock()
-                    .iter()
-                    .filter(|(_, e)| e.modified_since_release)
-                    .map(|(k, _)| *k)
-                    .collect::<Vec<_>>()
-            })
+            .filter(|(_, e)| e.modified_since_release)
+            .map(|(k, _)| *k)
             .collect();
         units.sort();
         units
@@ -456,24 +406,18 @@ impl PageTable {
 
     /// Number of entries (line entries count individually).
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.entries.lock().len()).sum()
+        self.entries.lock().len()
     }
 
     /// True if the table has no entries.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.entries.lock().is_empty())
+        self.entries.lock().is_empty()
     }
 }
 
 impl std::fmt::Debug for PageTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "PageTable(node={}, {} entries, {} shards)",
-            self.node,
-            self.len(),
-            self.shards.len()
-        )
+        write!(f, "PageTable(node={}, {} entries)", self.node, self.len())
     }
 }
 
@@ -548,23 +492,6 @@ mod tests {
             t.ensure_lines(PageId(p), NodeId(0), ProtocolId(0), false, PAGE_SIZE);
         }
         assert_eq!(t.pages(), vec![PageId(1), PageId(3), PageId(5)]);
-    }
-
-    #[test]
-    fn sharding_spreads_pages_and_preserves_behaviour() {
-        for shards in [1usize, 2, 7, 8, 64] {
-            let t = PageTable::with_shards(NodeId(0), shards);
-            for p in 0..40u64 {
-                t.ensure_lines(PageId(p), NodeId(0), ProtocolId(0), false, PAGE_SIZE);
-            }
-            assert_eq!(t.len(), 40);
-            t.update(PageId(17), |e| e.modified_since_release = true);
-            t.update(PageId(3), |e| e.modified_since_release = true);
-            assert_eq!(t.modified_pages(), vec![PageId(3), PageId(17)]);
-            assert_eq!(t.pages().len(), 40);
-            assert!(t.contains(PageId(39)));
-            assert!(!t.contains(PageId(40)));
-        }
     }
 
     #[test]
@@ -643,12 +570,6 @@ mod tests {
             }
             assert_eq!(t.resolve(PageId(10), 0, true), None);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one shard")]
-    fn zero_shards_is_rejected() {
-        let _ = PageTable::with_shards(NodeId(0), 0);
     }
 
     #[test]

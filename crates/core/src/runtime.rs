@@ -8,7 +8,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 
 use dsmpm2_madeleine::NodeId;
-use dsmpm2_pm2::{DsmTuning, Engine, Pm2Cluster, Pm2Config, Pm2ThreadState, SpawnOptions};
+use dsmpm2_pm2::{DsmTuning, Engine, Pm2Cluster, Pm2Config, Pm2ThreadState};
 
 use crate::costs::DsmCosts;
 use crate::ctx::DsmThreadCtx;
@@ -150,7 +150,7 @@ impl DsmRuntime {
             .topology()
             .nodes()
             .map(|n| NodeState {
-                table: PageTable::with_shards(n, tuning.page_table_shards),
+                table: PageTable::new(n),
                 frames: FrameStore::new(n),
             })
             .collect();
@@ -627,30 +627,11 @@ impl DsmRuntime {
     where
         F: FnOnce(&mut DsmThreadCtx<'_, '_>) + Send + 'static,
     {
-        self.spawn_dsm_thread_with(node, name, SpawnOptions::default(), f)
-    }
-
-    /// [`DsmRuntime::spawn_dsm_thread`] with explicit scheduler
-    /// [`SpawnOptions`] — the per-thread escape hatch onto the OS-thread
-    /// baton (or a bigger continuation stack) for bodies with deep
-    /// recursion, e.g. branch-and-bound searches.
-    pub fn spawn_dsm_thread_with<F>(
-        &self,
-        node: NodeId,
-        name: impl Into<String>,
-        opts: SpawnOptions,
-        f: F,
-    ) -> Arc<Pm2ThreadState>
-    where
-        F: FnOnce(&mut DsmThreadCtx<'_, '_>) + Send + 'static,
-    {
         let runtime = self.clone();
-        self.inner
-            .cluster
-            .spawn_thread_on_with(node, name, opts, move |pm2| {
-                let mut ctx = DsmThreadCtx::new(pm2, runtime);
-                f(&mut ctx);
-            })
+        self.inner.cluster.spawn_thread_on(node, name, move |pm2| {
+            let mut ctx = DsmThreadCtx::new(pm2, runtime);
+            f(&mut ctx);
+        })
     }
 
     // ----- synchronization objects -------------------------------------------

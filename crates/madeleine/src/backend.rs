@@ -36,8 +36,7 @@ use crate::stats::{WireStats, WireStatsSnapshot};
 use crate::topology::{NodeId, Topology};
 use crate::transport::{DeliverySink, Envelope};
 
-/// Transport-layer tuning knobs of a cluster, threaded through `Pm2Config`
-/// the same way the scheduler's `SimTuning` is.
+/// Transport-layer tuning knobs of a cluster, threaded through `Pm2Config`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub struct TransportTuning {
     /// Which wire-level backend carries the messages.

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 
 use dsmpm2_madeleine::{Delivery, Envelope, Network, NodeId, Topology};
-use dsmpm2_sim::{BlockReason, Engine, EngineCtl, SimDuration, SimHandle, SimTime, SpawnOptions};
+use dsmpm2_sim::{BlockReason, Engine, EngineCtl, SimDuration, SimHandle, SimTime};
 
 use crate::config::{Pm2Config, Pm2Costs};
 use crate::context::{Pm2Context, Pm2ThreadState};
@@ -489,24 +489,6 @@ impl Pm2Cluster {
     where
         F: FnOnce(&mut Pm2Context<'_>) + Send + 'static,
     {
-        self.spawn_thread_on_with(node, name, SpawnOptions::default(), f)
-    }
-
-    /// [`Pm2Cluster::spawn_thread_on`] with explicit scheduler
-    /// [`SpawnOptions`]: workloads whose thread bodies cannot run on a
-    /// fixed-size continuation stack (deep recursion) force the OS-thread
-    /// baton or a bigger private stack for exactly those threads, while the
-    /// rest of the simulation stays on continuations.
-    pub fn spawn_thread_on_with<F>(
-        &self,
-        node: NodeId,
-        name: impl Into<String>,
-        opts: SpawnOptions,
-        f: F,
-    ) -> Arc<Pm2ThreadState>
-    where
-        F: FnOnce(&mut Pm2Context<'_>) + Send + 'static,
-    {
         assert!(
             self.inner.topology.contains(node),
             "cannot spawn a thread on unknown node {node}"
@@ -522,7 +504,7 @@ impl Pm2Cluster {
         let thread_state = Arc::clone(&state);
         self.inner
             .ctl
-            .spawn_on_with(node.index() as u64, name, opts, move |sim| {
+            .spawn_on(node.index() as u64, name, move |sim| {
                 let mut ctx = Pm2Context::new(sim, cluster, thread_state);
                 f(&mut ctx);
                 ctx.mark_finished();

@@ -1,7 +1,7 @@
 //! Cluster configuration and PM2 software cost constants.
 
 use dsmpm2_madeleine::{profiles, NetworkModel, TransportTuning};
-use dsmpm2_sim::{SimDuration, SimTuning};
+use dsmpm2_sim::SimDuration;
 
 /// Software-path cost constants of the PM2 runtime itself (independent of the
 /// interconnect). These model the user-level thread package (Marcel) and the
@@ -53,10 +53,6 @@ impl Pm2Costs {
 /// is described by one value that every layer can read.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct DsmTuning {
-    /// Number of independent shards of each node's page table. Lookups for
-    /// different shards never contend on the same lock; `1` reproduces the
-    /// historical single-lock table.
-    pub page_table_shards: usize,
     /// Coalesce DSM coherence messages (invalidations, diffs, acks, ownership
     /// notices) addressed to the same node within one virtual-time tick into
     /// a single batched envelope on the wire.
@@ -89,7 +85,6 @@ pub struct DsmTuning {
 impl Default for DsmTuning {
     fn default() -> Self {
         DsmTuning {
-            page_table_shards: 8,
             batch_messages: true,
             batch_window: SimDuration::ZERO,
             granularity: 0,
@@ -99,12 +94,10 @@ impl Default for DsmTuning {
 }
 
 impl DsmTuning {
-    /// The pre-sharding, pre-batching behaviour (single-lock page table,
-    /// one wire message per coherence message). Used as the ablation
-    /// baseline.
+    /// The pre-batching behaviour (one wire message per coherence message).
+    /// Used as the ablation baseline.
     pub fn legacy() -> Self {
         DsmTuning {
-            page_table_shards: 1,
             batch_messages: false,
             batch_window: SimDuration::ZERO,
             granularity: 0,
@@ -141,16 +134,8 @@ pub struct Pm2Config {
     pub network: NetworkModel,
     /// PM2 software cost constants.
     pub costs: Pm2Costs,
-    /// DSM-layer tuning knobs (page-table sharding, message batching).
+    /// DSM-layer tuning knobs (message batching, coherence granularity).
     pub dsm: DsmTuning,
-    /// Simulation-engine tuning knobs (hand-off substrate, spin budget,
-    /// scheduler workers). Consumers that build their own
-    /// [`dsmpm2_sim::Engine`] should construct it with these (the workload
-    /// runners do). The default hand-off is the continuation mode, overridable
-    /// process-wide with `DSM_SIM_HANDOFF=continuation|baton|legacy` — the
-    /// default [`SimTuning`] reads that variable, so it flows through this
-    /// field into every workload config without further plumbing.
-    pub sim: SimTuning,
     /// Transport-layer tuning knobs (wire-level backend selection): the
     /// default is the `Ideal` uncontended pipe of the paper's cost model.
     pub transport: TransportTuning,
@@ -164,7 +149,6 @@ impl Pm2Config {
             network,
             costs: Pm2Costs::default(),
             dsm: DsmTuning::default(),
-            sim: SimTuning::default(),
             transport: TransportTuning::default(),
         }
     }
@@ -175,25 +159,10 @@ impl Pm2Config {
         self
     }
 
-    /// Replace the simulation-engine tuning knobs.
-    pub fn with_sim_tuning(mut self, sim: SimTuning) -> Self {
-        self.sim = sim;
-        self
-    }
-
     /// Replace the transport-layer tuning knobs.
     pub fn with_transport_tuning(mut self, transport: TransportTuning) -> Self {
         self.transport = transport;
         self
-    }
-
-    /// An [`dsmpm2_sim::EngineConfig`] matching this cluster configuration,
-    /// so harnesses can build the engine and the cluster from one value.
-    pub fn engine_config(&self) -> dsmpm2_sim::EngineConfig {
-        dsmpm2_sim::EngineConfig {
-            tuning: self.sim,
-            ..dsmpm2_sim::EngineConfig::default()
-        }
     }
 
     /// The default experimental platform of the paper: BIP/Myrinet.
@@ -228,26 +197,11 @@ mod tests {
     }
 
     #[test]
-    fn sim_tuning_flows_into_engine_config() {
-        use dsmpm2_sim::HandoffMode;
-        let legacy = Pm2Config::bip_myrinet(2).with_sim_tuning(SimTuning::legacy());
-        assert_eq!(legacy.sim.handoff, HandoffMode::LegacyCondvar);
-        assert_eq!(
-            legacy.engine_config().tuning.handoff,
-            HandoffMode::LegacyCondvar
-        );
-        let baton = Pm2Config::bip_myrinet(2).with_sim_tuning(SimTuning::baton());
-        assert_eq!(baton.engine_config().tuning.handoff, HandoffMode::Baton);
-    }
-
-    #[test]
     fn dsm_tuning_defaults_and_legacy() {
         let config = Pm2Config::bip_myrinet(2);
-        assert!(config.dsm.page_table_shards > 1);
         assert!(config.dsm.batch_messages);
         assert!(config.dsm.batch_window.is_zero());
         let legacy = Pm2Config::bip_myrinet(2).with_dsm_tuning(DsmTuning::legacy());
-        assert_eq!(legacy.dsm.page_table_shards, 1);
         assert!(!legacy.dsm.batch_messages);
         let windowed = DsmTuning::default().with_batch_window(SimDuration::from_micros(50));
         assert_eq!(windowed.batch_window, SimDuration::from_micros(50));

@@ -177,8 +177,8 @@ impl<'a> Pm2Context<'a> {
         );
         // Re-home the thread onto the destination node's scheduler shard
         // *before* sleeping, so the post-migration wake-up (and everything
-        // the thread does afterwards) executes on the worker that owns the
-        // destination node's state.
+        // the thread does afterwards) is in program order with the
+        // destination node's other events.
         self.sim.set_shard(dest.index() as u64);
         self.sim.sleep(cost);
         self.state.node.store(dest.index(), Ordering::Release);

@@ -45,6 +45,6 @@ pub use dsmpm2_madeleine::{
     TransportTuning, WireStatsSnapshot,
 };
 pub use dsmpm2_sim::{
-    BlockReason, Engine, EngineConfig, EngineCtl, HandoffMode, SimDuration, SimError, SimHandle,
-    SimTime, SimTuning, SpawnOptions, ThreadId,
+    BlockReason, Engine, EngineConfig, EngineCtl, SimDuration, SimError, SimHandle, SimTime,
+    ThreadId,
 };

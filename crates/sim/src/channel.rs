@@ -157,32 +157,26 @@ impl<T: Send + 'static> SimSender<T> {
     /// `deliver_at`. Used by transport backends whose delivery times come
     /// from their own link state (NIC reservations, retransmission timers)
     /// rather than from a caller-relative delay. A `deliver_at` in the past
-    /// delivers at the current instant.
+    /// delivers at the current instant, behind what is already queued for it.
     pub fn send_at(&self, deliver_at: SimTime, value: T) {
         self.enqueue_at(deliver_at, value);
     }
 
     fn enqueue_at(&self, deliver_at: SimTime, value: T) {
-        // The whole enqueue is deferred to the canonical merge point when a
-        // parallel instant is executing (and runs immediately otherwise):
-        // the per-channel sequence number breaks ties between messages with
-        // equal delivery times, so it must be assigned in canonical event
-        // order, not in the wall-clock order two workers happened to race.
-        let inner = Arc::clone(&self.inner);
-        self.inner.ctl.defer_or_run(move |ctl| {
-            let seq = inner.seq.fetch_add(1, Ordering::SeqCst);
-            inner.in_flight.lock().push(Pending {
-                deliver_at: deliver_at.as_nanos(),
-                seq,
-                value,
-            });
-            // At delivery time, promote the message and wake one waiting
-            // receiver — on the receivers' shard.
-            let inner2 = Arc::clone(&inner);
-            ctl.call_at_on(inner.shard, deliver_at, move |ctl| {
-                inner2.promote(ctl.now());
-                inner2.waiters.notify_one(ctl, SimDuration::ZERO);
-            });
+        let inner = &self.inner;
+        let deliver_at = deliver_at.max(inner.ctl.now());
+        let seq = inner.seq.fetch_add(1, Ordering::SeqCst);
+        inner.in_flight.lock().push(Pending {
+            deliver_at: deliver_at.as_nanos(),
+            seq,
+            value,
+        });
+        // At delivery time, promote the message and wake one waiting
+        // receiver — on the receivers' shard.
+        let inner2 = Arc::clone(inner);
+        inner.ctl.call_at_on(inner.shard, deliver_at, move |ctl| {
+            inner2.promote(ctl.now());
+            inner2.waiters.notify_one(ctl, SimDuration::ZERO);
         });
     }
 
@@ -232,17 +226,10 @@ impl<T: Send + 'static> SimReceiver<T> {
 /// fresh bucket, so no item is ever lost — a tick may occasionally produce
 /// two batches, never zero.
 ///
-/// Within a bucket, items are ordered by the canonical event order of their
-/// pushes (like [`crate::WaitSet`] waiters), not by wall-clock push order,
-/// so batches assembled from same-instant pushes racing across scheduler
-/// workers still drain deterministically. With one worker the two orders
-/// coincide.
+/// Within a bucket, items keep the order they were pushed in.
 pub struct TickOutbox<K, T> {
-    pending: Mutex<HashMap<(K, u64), Bucket<T>>>,
+    pending: Mutex<HashMap<(K, u64), Vec<T>>>,
 }
-
-/// One bucket's items, each tagged with its canonical order key.
-type Bucket<T> = Vec<((u64, u64, u64), T)>;
 
 impl<K: Eq + Hash + Copy, T> TickOutbox<K, T> {
     /// An empty outbox.
@@ -255,11 +242,9 @@ impl<K: Eq + Hash + Copy, T> TickOutbox<K, T> {
     /// Append `item` to the bucket for (`key`, `tick`). Returns `true` when
     /// this opened the bucket: the caller must schedule a flush at `tick`.
     pub fn push(&self, key: K, tick: SimTime, item: T) -> bool {
-        let order = crate::engine::next_order_key();
         let mut pending = self.pending.lock();
         let bucket = pending.entry((key, tick.as_nanos())).or_default();
-        let at = bucket.partition_point(|(k, _)| *k < order);
-        bucket.insert(at, (order, item));
+        bucket.push(item);
         bucket.len() == 1
     }
 
@@ -269,7 +254,6 @@ impl<K: Eq + Hash + Copy, T> TickOutbox<K, T> {
         self.pending
             .lock()
             .remove(&(key, tick.as_nanos()))
-            .map(|items| items.into_iter().map(|(_, item)| item).collect())
             .unwrap_or_default()
     }
 
@@ -287,12 +271,9 @@ impl<K: Eq + Hash + Copy, T> TickOutbox<K, T> {
         let mut buckets: Vec<(SimTime, Vec<T>)> = ticks
             .into_iter()
             .filter_map(|t| {
-                pending.remove(&(key, t)).map(|items| {
-                    (
-                        SimTime::from_nanos(t),
-                        items.into_iter().map(|(_, item)| item).collect(),
-                    )
-                })
+                pending
+                    .remove(&(key, t))
+                    .map(|items| (SimTime::from_nanos(t), items))
             })
             .collect();
         buckets.sort_by_key(|(t, _)| *t);

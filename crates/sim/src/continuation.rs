@@ -1,8 +1,8 @@
 //! Stackful continuations: run a simulated thread's slice on the
 //! scheduler's own OS thread.
 //!
-//! The PR 3 baton pays two OS context switches per simulated step (grant =
-//! unpark the thread's OS thread + park ours; park = the reverse). This
+//! An OS-thread baton pays two OS context switches per simulated step (grant
+//! = unpark the thread's OS thread + park ours; park = the reverse). This
 //! module removes the OS scheduler from that path entirely: each simulated
 //! thread owns a private call stack, and the scheduler *switches onto it*
 //! with a ~dozen-instruction register swap, runs the slice to its next yield
@@ -25,15 +25,16 @@
 //! calls [`coro_entry`]. `rbp` is seeded as zero so frame-pointer walkers
 //! stop at the stack boundary.
 //!
-//! ## Safety rules (enforced by the caller, `ThreadSlot`'s phase machine)
+//! ## Safety rules (enforced by the caller, `ThreadSlot`)
 //!
-//! * At most one OS thread resumes a given coroutine at a time, and never
+//! * Only the engine's one scheduler thread resumes a coroutine, and never
 //!   while it is already running.
 //! * A started coroutine must be driven to completion (normally, or by the
 //!   shutdown unwind during teardown) before it is dropped, so the
 //!   destructors of the frames parked on its stack run.
-//! * Captured state crosses OS threads between slices (a thread may migrate
-//!   between scheduler workers), which is why spawn closures are `Send`.
+//! * Captured state may cross OS threads (a body is built by whoever spawns
+//!   it and run by whoever calls `Engine::run`), which is why spawn closures
+//!   are `Send`.
 //!
 //! Panics never cross the switch: the slice body runs under
 //! `catch_unwind` *inside* the coroutine, and [`coro_entry`] adds a
@@ -42,8 +43,8 @@
 use std::panic::{self, AssertUnwindSafe};
 
 /// Whether this target has a stack-switching implementation. When false the
-/// engine silently downgrades `HandoffMode::Continuation` to the OS-thread
-/// baton, so the programming model and determinism are preserved everywhere.
+/// engine backs every simulated thread with the OS-thread baton instead, so
+/// the programming model and determinism are preserved everywhere.
 /// `--cfg dsm_force_no_coro` forces the fallback even where the asm path
 /// exists, so CI can exercise the non-x86-64 downgrade on x86-64 hosts.
 pub(crate) const SUPPORTED: bool = cfg!(all(target_arch = "x86_64", not(dsm_force_no_coro)));
@@ -51,8 +52,7 @@ pub(crate) const SUPPORTED: bool = cfg!(all(target_arch = "x86_64", not(dsm_forc
 /// Default private stack size of one continuation. Committed lazily by the
 /// OS (the buffer is allocated but never written ahead of use), so the cost
 /// of an oversized default is address space, not memory. Deeply recursive
-/// workloads should either raise this via `SpawnOptions::stack_bytes` or
-/// fall back to the OS-thread baton, which has a guard page.
+/// workloads raise this via `SpawnOptions::stack_bytes`.
 pub(crate) const DEFAULT_STACK_BYTES: usize = 1 << 20;
 
 /// Magic word written at the low end of the stack; checked after every
@@ -135,8 +135,8 @@ mod arch {
 #[cfg(not(target_arch = "x86_64"))]
 mod arch {
     //! Stub for targets without a switch implementation: never reached,
-    //! because `SUPPORTED == false` downgrades every continuation spawn to
-    //! the OS-thread baton before a `Coro` is created.
+    //! because `SUPPORTED == false` backs every spawn with the OS-thread
+    //! baton and no `Coro` is created.
     pub(super) unsafe extern "C" fn raw_switch(_save_sp: *mut usize, _new_sp: usize) {
         unreachable!("continuation hand-off is not supported on this target");
     }
@@ -146,9 +146,8 @@ mod arch {
 }
 
 /// A stackful coroutine: a private stack plus the saved stack pointers of
-/// the two sides of the switch. Owned by a `ThreadSlot`; all access is
-/// serialized by the slot's phase machine (exactly one resumer at a time,
-/// never concurrent with the coroutine itself).
+/// the two sides of the switch. Owned by a `ThreadSlot`; the one scheduler
+/// thread is its only resumer, never concurrently with the coroutine itself.
 pub(crate) struct Coro {
     /// Backing memory of the private stack. Allocated with uninitialized
     /// content on purpose: pages are committed only as the coroutine
@@ -171,10 +170,10 @@ pub(crate) struct Coro {
     done: bool,
 }
 
-// SAFETY: a Coro migrates between scheduler OS threads (whichever worker
-// owns the thread's shard resumes it), but is only ever *accessed* by the
-// single resumer the slot's phase machine admits, or by teardown after the
-// worker pool has quit. The body is `Send`; the raw stack is private memory.
+// SAFETY: a Coro may be created on one OS thread and run on another (the
+// one that calls `Engine::run`), but is only ever *accessed* by that single
+// scheduler thread — granting, reaping, or tearing down after its loop
+// ended. The body is `Send`; the raw stack is private memory.
 unsafe impl Send for Coro {}
 
 impl Coro {
@@ -227,9 +226,9 @@ impl Coro {
     /// resumed again.
     ///
     /// # Safety
-    /// The caller must hold exclusive execution rights (the slot phase
-    /// machine's `Granting`/`Running` window, or teardown after the worker
-    /// pool quit), and the coroutine must be suspended and not `done`.
+    /// The caller must hold exclusive execution rights (the scheduler
+    /// thread granting a `Parked` slot, or teardown after the scheduler loop
+    /// ended), and the coroutine must be suspended and not `done`.
     pub unsafe fn resume(&mut self) -> bool {
         debug_assert!(!self.done, "resumed a completed coroutine");
         // Seed the bootstrap frame lazily so it captures the Coro's settled
@@ -255,7 +254,7 @@ impl Coro {
             // (the coroutine just suspended on this very OS thread).
             unsafe { self.canary_at().read() } == CANARY,
             "simulated-thread stack overflow: the continuation overran its private \
-             stack (raise SpawnOptions::stack_bytes or use the baton fallback)"
+             stack (raise SpawnOptions::stack_bytes)"
         );
         self.done
     }

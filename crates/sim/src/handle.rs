@@ -73,19 +73,18 @@ impl SimHandle {
     }
 
     /// The shard key this thread is currently bound to: all its wake-ups
-    /// execute on the worker owning that shard. Defaults to the key it was
-    /// spawned with (the spawner's shard, or the thread id).
+    /// carry it. Defaults to the key it was spawned with (the spawner's
+    /// shard, or the thread id).
     pub fn shard(&self) -> u64 {
         self.slot.shard_key()
     }
 
     /// Re-home this thread onto shard `key`. Layers call this when a thread
     /// migrates between cluster nodes, *before* the migration's sleep, so
-    /// the post-migration wake-up already executes on the destination
-    /// node's worker.
+    /// the post-migration wake-up already belongs to the destination node.
     pub fn set_shard(&mut self, key: u64) {
         self.slot.set_shard_key(key);
-        crate::engine::set_instant_ctx_shard(key);
+        self.shared.set_executing_shard(key);
     }
 
     /// Advance virtual time by `d` (plus any pending compute), yielding to the
@@ -99,7 +98,7 @@ impl SimHandle {
         self.park_raw();
     }
 
-    /// Yield the baton without advancing time (other events scheduled at the
+    /// Yield the slice without advancing time (other events scheduled at the
     /// current instant get a chance to run first).
     pub fn yield_now(&mut self) {
         self.sleep(SimDuration::ZERO);
@@ -157,9 +156,9 @@ impl SimHandle {
         self.spawn_with(name, SpawnOptions::default(), f)
     }
 
-    /// Spawn a new simulated thread with per-thread [`SpawnOptions`] (force
-    /// the OS-thread baton for deep recursion, size the continuation stack),
-    /// runnable at this thread's current local time, on this thread's shard.
+    /// Spawn a new simulated thread with per-thread [`SpawnOptions`] (a
+    /// private stack sized for deep recursion), runnable at this thread's
+    /// current local time, on this thread's shard.
     pub fn spawn_with<F>(&mut self, name: impl Into<Arc<str>>, opts: SpawnOptions, f: F) -> ThreadId
     where
         F: FnOnce(&mut SimHandle) + Send + 'static,

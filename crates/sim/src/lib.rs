@@ -3,17 +3,17 @@
 //! This crate provides the execution substrate on which the DSM-PM2
 //! reproduction runs. The original system executes on real clusters with the
 //! PM2 user-level thread package; here, "cluster nodes" and "PM2 threads" are
-//! simulated. By default a simulated thread is a *continuation* — a stackful
-//! coroutine whose slices execute inline on the scheduler's own OS thread,
-//! mirroring how Marcel multiplexes user-level threads onto a kernel thread —
-//! and control passes to exactly one simulated thread at a time, in the order
-//! dictated by a virtual-time event queue. Workloads that cannot run as
-//! continuations (deep recursion, very large stacks) can opt individual
-//! threads back onto a dedicated OS thread with a futex-style baton hand-off
-//! ([`SpawnOptions::baton`]), and the whole engine can be switched between
-//! the three hand-off substrates with [`SimTuning`] / `DSM_SIM_HANDOFF`.
-//! Every mode produces the same fully deterministic execution in *virtual
-//! time*, which is what the benchmark harness measures.
+//! simulated. A simulated thread is a *continuation* — a stackful coroutine
+//! whose slices execute inline on the scheduler's own OS thread, mirroring
+//! how Marcel multiplexes user-level threads onto a kernel thread — and
+//! control passes to exactly one simulated thread at a time, in the order
+//! dictated by one virtual-time event queue. Deeply recursive bodies size
+//! their private stack with [`SpawnOptions::with_stack_bytes`]. On targets
+//! without a stack switch (anything but x86-64) each simulated thread is
+//! instead backed by an OS thread and a futex-style baton; the choice is the
+//! platform's, made at compile time, and both produce the same fully
+//! deterministic execution in *virtual time*, which is what the benchmark
+//! harness measures.
 //!
 //! ## Programming model
 //!
@@ -53,8 +53,8 @@ mod wait;
 
 pub use channel::{channel, channel_on, SimReceiver, SimSender, TickOutbox};
 pub use engine::{
-    BlockReason, Engine, EngineConfig, EngineCtl, EventChoice, HandoffMode, RunReport,
-    ScheduleController, SimTuning, SliceOutcome, SpawnOptions,
+    BlockReason, Engine, EngineConfig, EngineCtl, EventChoice, RunReport, ScheduleController,
+    SliceOutcome, SpawnOptions,
 };
 pub use error::SimError;
 pub use handle::SimHandle;

@@ -7,45 +7,37 @@
 //! as waiters re-check their condition in a loop (spurious wake-ups are
 //! allowed and harmless).
 //!
-//! The park itself goes through the scheduler baton
-//! ([`SimHandle::park`] → `ThreadSlot`), so wait sets automatically inherit
-//! whichever hand-off implementation the engine was configured with
-//! ([`crate::SimTuning`]); nothing here depends on the baton's mechanics.
+//! The park itself goes through the scheduler hand-off
+//! ([`SimHandle::park`] → `ThreadSlot`); nothing here depends on its
+//! mechanics.
 //!
-//! Waiters are ordered by a *canonical key* — the global sequence number of
-//! the event whose execution registered them (plus an emission index within
-//! that event) — rather than by wall-clock registration order. With one
-//! scheduler worker the two orders coincide (events execute in sequence
-//! order), so this is exactly the historical FIFO; with several workers the
-//! canonical key keeps the pop order a pure function of the event order even
-//! when same-instant registrations race across workers.
+//! Waiters are woken in registration order. One thread registers at a time
+//! and the engine executes events in the order they were submitted, so that
+//! FIFO is a pure function of the program.
+
+use std::collections::VecDeque;
 
 use parking_lot::Mutex;
 
-use crate::engine::{next_order_key, BlockReason, EngineCtl};
+use crate::engine::{BlockReason, EngineCtl};
 use crate::handle::SimHandle;
 use crate::thread::ThreadId;
 use crate::time::SimDuration;
 
-/// A set of blocked simulated threads, FIFO in canonical event order.
+/// A set of blocked simulated threads, FIFO in registration order.
 #[derive(Default)]
 pub struct WaitSet {
-    /// Waiters keyed by `(parent event time, parent event seq, emission
-    /// index)` — the engine's execution order — kept sorted ascending (keys
-    /// are unique). The waiter's shard key is captured at registration so
-    /// wake-ups skip the engine's thread-table lookup (a parked thread
-    /// cannot migrate, so the key cannot go stale while registered).
-    waiters: Mutex<Vec<(OrderKey, ThreadId, u64)>>,
+    /// Waiters, oldest first. The waiter's shard key is captured at
+    /// registration so wake-ups skip the engine's thread-table lookup (a
+    /// parked thread cannot migrate, so the key cannot go stale while
+    /// registered).
+    waiters: Mutex<VecDeque<(ThreadId, u64)>>,
 }
-
-type OrderKey = (u64, u64, u64);
 
 impl WaitSet {
     /// Creates an empty wait set.
     pub fn new() -> Self {
-        WaitSet {
-            waiters: Mutex::new(Vec::new()),
-        }
+        WaitSet::default()
     }
 
     /// Number of registered waiters.
@@ -61,43 +53,30 @@ impl WaitSet {
     /// Register the calling thread as a waiter. Must be followed by
     /// [`SimHandle::park`] inside a condition re-check loop.
     pub fn register(&self, handle: &SimHandle) {
-        let key = next_order_key();
-        let mut waiters = self.waiters.lock();
-        let at = waiters.partition_point(|(k, _, _)| *k < key);
-        waiters.insert(at, (key, handle.id(), handle.shard()));
+        self.waiters.lock().push_back((handle.id(), handle.shard()));
     }
 
     /// Remove the calling thread from the set (used when a waiter gives up,
     /// e.g. after its condition became true through another path).
     pub fn deregister(&self, handle: &SimHandle) {
-        self.waiters.lock().retain(|&(_, t, _)| t != handle.id());
+        self.waiters.lock().retain(|&(t, _)| t != handle.id());
     }
 
-    /// Wake the canonically oldest waiter (if any) after `delay`, removing
-    /// it from the set. Returns the thread that was woken.
+    /// Wake the oldest waiter (if any) after `delay`, removing it from the
+    /// set. Returns the thread that was woken.
     pub fn notify_one(&self, ctl: &EngineCtl, delay: SimDuration) -> Option<ThreadId> {
-        let woken = {
-            let mut waiters = self.waiters.lock();
-            if waiters.is_empty() {
-                None
-            } else {
-                let (_, tid, shard) = waiters.remove(0);
-                Some((tid, shard))
-            }
-        };
-        if let Some((tid, shard)) = woken {
-            let at = ctl.now() + delay;
-            ctl.shared.schedule_wake_keyed(tid, at, shard);
-        }
-        woken.map(|(tid, _)| tid)
+        let (tid, shard) = self.waiters.lock().pop_front()?;
+        ctl.shared
+            .schedule_wake_keyed(tid, ctl.now() + delay, shard);
+        Some(tid)
     }
 
     /// Wake every registered waiter after `delay`, clearing the set.
     /// Returns the number of threads woken.
     pub fn notify_all(&self, ctl: &EngineCtl, delay: SimDuration) -> usize {
-        let drained: Vec<(OrderKey, ThreadId, u64)> = std::mem::take(&mut *self.waiters.lock());
+        let drained = std::mem::take(&mut *self.waiters.lock());
         let at = ctl.now() + delay;
-        for &(_, tid, shard) in &drained {
+        for &(tid, shard) in &drained {
             ctl.shared.schedule_wake_keyed(tid, at, shard);
         }
         drained.len()
@@ -231,8 +210,8 @@ mod tests {
     fn registration_order_follows_execution_order_across_instants() {
         // "late" is spawned first (its wake event gets the lower sequence
         // number) but sleeps longer, so "early" registers first in execution
-        // order. notify_one must wake "early" — the historical wall-clock
-        // FIFO — not the thread with the smaller event sequence number.
+        // order. notify_one must wake "early", not the thread with the
+        // smaller event sequence number.
         let mut engine = Engine::new();
         let ws = Arc::new(WaitSet::new());
         let order = Arc::new(parking_lot::Mutex::new(Vec::new()));

@@ -127,8 +127,8 @@ pub struct ExploreStats {
     pub capped: bool,
 }
 
-/// Explore `scenario`'s schedule space under `base` (whose `controller` and
-/// `workers` fields are overridden per run). `on_run` judges each completed
+/// Explore `scenario`'s schedule space under `base` (whose `controller`
+/// field is overridden per run). `on_run` judges each completed
 /// schedule and returns its findings; the explorer tags them with the
 /// decision path that produced them.
 pub fn explore(
@@ -150,7 +150,6 @@ pub fn explore(
         }
         let controller = Arc::new(ReplayController::new(path.clone()));
         let mut run_cfg = base.clone();
-        run_cfg.workers = 1;
         run_cfg.controller = Some(controller.clone());
         let outcome = run_scenario(scenario, &run_cfg);
         stats.schedules_run += 1;

@@ -3,9 +3,9 @@
 //! The detector is log-based rather than online so its verdict is a pure
 //! function of the recorded stream: the log is first canonicalized by a
 //! stable sort on `(virtual time, node)` — within one `(time, node)` group
-//! the append order is the engine's deterministic per-shard execution order
-//! — which makes the analysis bit-identical across worker counts and
-//! handoff modes even though the raw cross-node append interleaving is not.
+//! the append order is the engine's per-shard execution order — which makes
+//! the analysis independent of how same-instant events of different nodes
+//! happened to interleave in the raw log.
 //!
 //! Ordering edges:
 //!

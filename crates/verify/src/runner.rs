@@ -19,7 +19,7 @@ use dsmpm2_core::{
     HomePolicy, NodeId, Pm2Config, TransportTuning, PAGE_SIZE,
 };
 use dsmpm2_protocols::register_all_protocols;
-use dsmpm2_sim::{EngineConfig, HandoffMode, ScheduleController, SimTuning};
+use dsmpm2_sim::{EngineConfig, ScheduleController};
 
 use crate::log::{Finding, FindingKind, LogRecord, RecordingHooks};
 use crate::scenario::{Op, Scenario};
@@ -43,13 +43,9 @@ pub enum Instrument {
 pub struct RunConfig {
     /// Default protocol name for every page.
     pub protocol: String,
-    /// Engine worker threads.
-    pub workers: usize,
-    /// Worker handoff mode.
-    pub handoff: HandoffMode,
     /// Wire-level transport selection.
     pub transport: TransportTuning,
-    /// Schedule controller (forces `workers == 1`).
+    /// Schedule controller.
     pub controller: Option<Arc<dyn ScheduleController>>,
     /// Event budget: exceeding it fails the run (livelock detector).
     pub max_events: u64,
@@ -62,8 +58,6 @@ impl RunConfig {
     pub fn plain(protocol: &str) -> Self {
         RunConfig {
             protocol: protocol.to_string(),
-            workers: 1,
-            handoff: HandoffMode::Continuation,
             transport: TransportTuning::default(),
             controller: None,
             max_events: 2_000_000,
@@ -182,21 +176,16 @@ pub fn run_scenario(scenario: &Scenario, cfg: &RunConfig) -> RunOutcome {
         .as_ref()
         .map(|h| install_global_verify_hooks(h.clone() as Arc<dyn dsmpm2_core::VerifyHooks>));
 
-    let tuning = SimTuning::default()
-        .with_workers(cfg.workers)
-        .with_handoff(cfg.handoff);
     let mut dsm = DsmTuning::default();
     if scenario.one_sided_reads {
         dsm = dsm.with_one_sided_reads();
     }
     let config = Pm2Config::bip_myrinet(scenario.nodes)
         .with_dsm_tuning(dsm)
-        .with_sim_tuning(tuning)
         .with_transport_tuning(cfg.transport);
     let engine = Engine::with_config(EngineConfig {
         max_events: cfg.max_events,
         name: scenario.name.to_string(),
-        ..config.engine_config()
     });
     if let Some(controller) = &cfg.controller {
         engine.set_controller(controller.clone());

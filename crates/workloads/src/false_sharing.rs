@@ -28,7 +28,7 @@ use dsmpm2_core::{
 use dsmpm2_madeleine::NetworkModel;
 use dsmpm2_pm2::Engine;
 use dsmpm2_protocols::register_all_protocols;
-use dsmpm2_sim::{SimTime, SimTuning};
+use dsmpm2_sim::SimTime;
 
 /// Configuration of a false-sharing run.
 #[derive(Clone, Debug)]
@@ -46,10 +46,8 @@ pub struct FalseSharingConfig {
     pub read_mostly: bool,
     /// Network profile.
     pub network: NetworkModel,
-    /// DSM tuning knobs (granularity, one-sided reads, batching, sharding).
+    /// DSM tuning knobs (granularity, one-sided reads, batching).
     pub tuning: DsmTuning,
-    /// Simulation-engine tuning knobs.
-    pub sim: SimTuning,
     /// Transport-layer tuning knobs.
     pub transport: TransportTuning,
 }
@@ -67,7 +65,6 @@ impl FalseSharingConfig {
             read_mostly: false,
             network: dsmpm2_madeleine::profiles::bip_myrinet(),
             tuning: DsmTuning::default(),
-            sim: SimTuning::default(),
             transport: TransportTuning::default(),
         }
     }
@@ -115,9 +112,8 @@ pub fn run_false_sharing(config: &FalseSharingConfig, protocol_name: &str) -> Fa
     );
     let cluster_config = Pm2Config::new(config.nodes, config.network.clone())
         .with_dsm_tuning(config.tuning)
-        .with_sim_tuning(config.sim)
         .with_transport_tuning(config.transport);
-    let engine = Engine::with_config(cluster_config.engine_config());
+    let engine = Engine::new();
     let rt = DsmRuntime::new(&engine, cluster_config);
     let _ = register_all_protocols(&rt);
     let protocol = rt

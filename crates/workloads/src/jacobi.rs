@@ -19,7 +19,7 @@ use dsmpm2_core::{
 use dsmpm2_madeleine::NetworkModel;
 use dsmpm2_pm2::Engine;
 use dsmpm2_protocols::register_all_protocols;
-use dsmpm2_sim::{SimDuration, SimTime, SimTuning};
+use dsmpm2_sim::{SimDuration, SimTime};
 
 /// Configuration of a Jacobi run.
 #[derive(Clone, Debug)]
@@ -34,10 +34,8 @@ pub struct JacobiConfig {
     pub network: NetworkModel,
     /// Virtual compute time charged per updated cell, in µs.
     pub compute_per_cell_us: f64,
-    /// DSM tuning knobs (page-table sharding, message batching).
+    /// DSM tuning knobs (message batching, coherence granularity).
     pub tuning: DsmTuning,
-    /// Simulation-engine tuning knobs (scheduler baton hand-off).
-    pub sim: SimTuning,
     /// Transport-layer tuning knobs (wire-level backend selection).
     pub transport: TransportTuning,
 }
@@ -52,7 +50,6 @@ impl JacobiConfig {
             network: dsmpm2_madeleine::profiles::bip_myrinet(),
             compute_per_cell_us: 0.05,
             tuning: DsmTuning::default(),
-            sim: SimTuning::default(),
             transport: TransportTuning::default(),
         }
     }
@@ -76,8 +73,8 @@ pub struct JacobiResult {
     /// Wire-level transport statistics (NIC stalls, drops, retransmits):
     /// what the transport ablation compares across backends.
     pub wire: WireStatsSnapshot,
-    /// Engine-level run report (events processed, context switches,
-    /// parallel scheduler rounds): what the `engine_scaling` bench reads.
+    /// Engine-level run report (events processed, context switches, threads
+    /// spawned): pinned by the cross-substrate conformance test.
     pub engine: dsmpm2_sim::RunReport,
 }
 
@@ -92,9 +89,8 @@ pub fn run_jacobi(config: &JacobiConfig, protocol_name: &str) -> JacobiResult {
     // small grids rows share pages, which is fine (more sharing, not less).
     let cluster_config = Pm2Config::new(config.nodes, config.network.clone())
         .with_dsm_tuning(config.tuning)
-        .with_sim_tuning(config.sim)
         .with_transport_tuning(config.transport);
-    let engine = Engine::with_config(cluster_config.engine_config());
+    let engine = Engine::new();
     let rt = DsmRuntime::new(&engine, cluster_config);
     let _ = register_all_protocols(&rt);
     let protocol = rt

@@ -19,7 +19,7 @@ use dsmpm2_hyperion::{HyperionHeap, ObjectRef};
 use dsmpm2_madeleine::NetworkModel;
 use dsmpm2_pm2::Engine;
 use dsmpm2_protocols::register_builtin_protocols;
-use dsmpm2_sim::{SimDuration, SimTime, SpawnOptions};
+use dsmpm2_sim::{SimDuration, SimTime};
 
 /// Names of the 29 eastern-most US states used by the instance.
 pub const STATES: [&str; 29] = [
@@ -280,143 +280,135 @@ pub fn run_map_coloring(config: &ColoringConfig, protocol_name: &str) -> Colorin
         let finish_times = finish_times.clone();
         let best_costs = best_costs.clone();
         let config = config.clone();
-        // The colouring search recurses one frame per state: stack depth
-        // scales with the map, so pin the workers to the OS-thread baton —
-        // the per-thread fallback off the fixed-size continuation stack.
-        rt.spawn_dsm_thread_with(
-            node,
-            format!("coloring-{t}"),
-            SpawnOptions::baton(),
-            move |ctx| {
-                ctx.dsm_barrier(ready);
+        rt.spawn_dsm_thread(node, format!("coloring-{t}"), move |ctx| {
+            ctx.dsm_barrier(ready);
+            let n = config.num_states;
+            let mut colors = vec![usize::MAX; n];
+            let mut local_best = u64::MAX / 2;
+            let mut pending = 0u64;
+
+            // Recursive search expressed iteratively over an explicit stack to
+            // keep the borrow of `ctx` simple.
+            #[allow(clippy::too_many_arguments)]
+            fn dfs(
+                ctx: &mut dsmpm2_core::DsmThreadCtx<'_, '_>,
+                heap: &HyperionHeap,
+                state_objects: &[ObjectRef],
+                monitor: dsmpm2_hyperion::Monitor,
+                best_obj: ObjectRef,
+                colors: &mut Vec<usize>,
+                state: usize,
+                cost: u64,
+                local_best: &mut u64,
+                pending: &mut u64,
+                config: &ColoringConfig,
+            ) {
                 let n = config.num_states;
-                let mut colors = vec![usize::MAX; n];
-                let mut local_best = u64::MAX / 2;
-                let mut pending = 0u64;
-
-                // Recursive search expressed iteratively over an explicit stack to
-                // keep the borrow of `ctx` simple.
-                #[allow(clippy::too_many_arguments)]
-                fn dfs(
-                    ctx: &mut dsmpm2_core::DsmThreadCtx<'_, '_>,
-                    heap: &HyperionHeap,
-                    state_objects: &[ObjectRef],
-                    monitor: dsmpm2_hyperion::Monitor,
-                    best_obj: ObjectRef,
-                    colors: &mut Vec<usize>,
-                    state: usize,
-                    cost: u64,
-                    local_best: &mut u64,
-                    pending: &mut u64,
-                    config: &ColoringConfig,
-                ) {
-                    let n = config.num_states;
-                    *pending += 1;
-                    if *pending >= 32 {
-                        ctx.pm2.compute_shared(SimDuration::from_micros_f64(
-                            config.compute_per_node_us * *pending as f64,
-                        ));
-                        *pending = 0;
-                    }
-                    if cost >= *local_best {
-                        return;
-                    }
-                    if state == n {
-                        // Complete colouring. Only synchronise when it improves
-                        // on our local view of the bound: monitor entries (and
-                        // the cache flushes they imply) stay rare, as in the
-                        // paper's run where "remote accesses are not very
-                        // frequent".
-                        if cost < *local_best {
-                            heap.monitor_enter(ctx, monitor);
-                            let global = heap.get(ctx, best_obj, 0);
-                            if cost < global {
-                                heap.put(ctx, best_obj, 0, cost);
-                            }
-                            *local_best = global.min(cost);
-                            heap.monitor_exit(ctx, monitor);
-                        }
-                        return;
-                    }
-                    // Read the state's neighbour list through get (object access).
-                    let obj = state_objects[state];
-                    let degree = heap.get(ctx, obj, 0) as usize;
-                    #[allow(clippy::needless_range_loop)]
-                    for c in 0..4usize {
-                        let mut conflict = false;
-                        for i in 0..degree {
-                            let nb = heap.get(ctx, obj, 1 + i) as usize;
-                            if nb < state && colors[nb] == c {
-                                conflict = true;
-                                break;
-                            }
-                        }
-                        if conflict {
-                            continue;
-                        }
-                        colors[state] = c;
-                        dfs(
-                            ctx,
-                            heap,
-                            state_objects,
-                            monitor,
-                            best_obj,
-                            colors,
-                            state + 1,
-                            cost + COLOR_COSTS[c],
-                            local_best,
-                            pending,
-                            config,
-                        );
-                        colors[state] = usize::MAX;
-                    }
+                *pending += 1;
+                if *pending >= 32 {
+                    ctx.pm2.compute_shared(SimDuration::from_micros_f64(
+                        config.compute_per_node_us * *pending as f64,
+                    ));
+                    *pending = 0;
                 }
-
-                for (c0, c1) in my_prefixes {
-                    if n < 2 {
-                        continue;
+                if cost >= *local_best {
+                    return;
+                }
+                if state == n {
+                    // Complete colouring. Only synchronise when it improves
+                    // on our local view of the bound: monitor entries (and
+                    // the cache flushes they imply) stay rare, as in the
+                    // paper's run where "remote accesses are not very
+                    // frequent".
+                    if cost < *local_best {
+                        heap.monitor_enter(ctx, monitor);
+                        let global = heap.get(ctx, best_obj, 0);
+                        if cost < global {
+                            heap.put(ctx, best_obj, 0, cost);
+                        }
+                        *local_best = global.min(cost);
+                        heap.monitor_exit(ctx, monitor);
                     }
-                    colors[0] = c0;
-                    colors[1] = c1;
-                    // Skip inconsistent prefixes (states 0 and 1 adjacent & same colour).
-                    let degree = heap.get(ctx, state_objects[1], 0) as usize;
+                    return;
+                }
+                // Read the state's neighbour list through get (object access).
+                let obj = state_objects[state];
+                let degree = heap.get(ctx, obj, 0) as usize;
+                #[allow(clippy::needless_range_loop)]
+                for c in 0..4usize {
                     let mut conflict = false;
                     for i in 0..degree {
-                        let nb = heap.get(ctx, state_objects[1], 1 + i) as usize;
-                        if nb == 0 && c0 == c1 {
+                        let nb = heap.get(ctx, obj, 1 + i) as usize;
+                        if nb < state && colors[nb] == c {
                             conflict = true;
+                            break;
                         }
                     }
-                    if !conflict {
-                        dfs(
-                            ctx,
-                            &heap,
-                            &state_objects,
-                            monitor,
-                            best_obj,
-                            &mut colors,
-                            2,
-                            COLOR_COSTS[c0] + COLOR_COSTS[c1],
-                            &mut local_best,
-                            &mut pending,
-                            &config,
-                        );
+                    if conflict {
+                        continue;
                     }
-                    colors[0] = usize::MAX;
-                    colors[1] = usize::MAX;
+                    colors[state] = c;
+                    dfs(
+                        ctx,
+                        heap,
+                        state_objects,
+                        monitor,
+                        best_obj,
+                        colors,
+                        state + 1,
+                        cost + COLOR_COSTS[c],
+                        local_best,
+                        pending,
+                        config,
+                    );
+                    colors[state] = usize::MAX;
                 }
-                if pending > 0 {
-                    ctx.pm2.compute_shared(SimDuration::from_micros_f64(
-                        config.compute_per_node_us * pending as f64,
-                    ));
+            }
+
+            for (c0, c1) in my_prefixes {
+                if n < 2 {
+                    continue;
                 }
-                ctx.dsm_barrier(ready);
-                heap.monitor_enter(ctx, monitor);
-                best_costs.lock().push(heap.get(ctx, best_obj, 0));
-                heap.monitor_exit(ctx, monitor);
-                finish_times.lock().push(ctx.pm2.now());
-            },
-        );
+                colors[0] = c0;
+                colors[1] = c1;
+                // Skip inconsistent prefixes (states 0 and 1 adjacent & same colour).
+                let degree = heap.get(ctx, state_objects[1], 0) as usize;
+                let mut conflict = false;
+                for i in 0..degree {
+                    let nb = heap.get(ctx, state_objects[1], 1 + i) as usize;
+                    if nb == 0 && c0 == c1 {
+                        conflict = true;
+                    }
+                }
+                if !conflict {
+                    dfs(
+                        ctx,
+                        &heap,
+                        &state_objects,
+                        monitor,
+                        best_obj,
+                        &mut colors,
+                        2,
+                        COLOR_COSTS[c0] + COLOR_COSTS[c1],
+                        &mut local_best,
+                        &mut pending,
+                        &config,
+                    );
+                }
+                colors[0] = usize::MAX;
+                colors[1] = usize::MAX;
+            }
+            if pending > 0 {
+                ctx.pm2.compute_shared(SimDuration::from_micros_f64(
+                    config.compute_per_node_us * pending as f64,
+                ));
+            }
+            ctx.dsm_barrier(ready);
+            heap.monitor_enter(ctx, monitor);
+            best_costs.lock().push(heap.get(ctx, best_obj, 0));
+            heap.monitor_exit(ctx, monitor);
+            finish_times.lock().push(ctx.pm2.now());
+        });
     }
 
     let mut engine = engine;

@@ -18,7 +18,7 @@ use dsmpm2_core::{
 use dsmpm2_madeleine::NetworkModel;
 use dsmpm2_pm2::Engine;
 use dsmpm2_protocols::register_all_protocols;
-use dsmpm2_sim::{SimDuration, SimTime, SimTuning};
+use dsmpm2_sim::{SimDuration, SimTime};
 
 /// Configuration of a matrix-multiply run.
 #[derive(Clone, Debug)]
@@ -31,10 +31,8 @@ pub struct MatmulConfig {
     pub network: NetworkModel,
     /// Virtual compute time charged per multiply-add, in µs.
     pub compute_per_madd_us: f64,
-    /// DSM tuning knobs (page-table sharding, message batching).
+    /// DSM tuning knobs (message batching, coherence granularity).
     pub tuning: DsmTuning,
-    /// Simulation-engine tuning knobs (scheduler baton hand-off).
-    pub sim: SimTuning,
     /// Transport-layer tuning knobs (wire-level backend selection).
     pub transport: TransportTuning,
 }
@@ -48,7 +46,6 @@ impl MatmulConfig {
             network: dsmpm2_madeleine::profiles::bip_myrinet(),
             compute_per_madd_us: 0.01,
             tuning: DsmTuning::default(),
-            sim: SimTuning::default(),
             transport: TransportTuning::default(),
         }
     }
@@ -72,9 +69,6 @@ pub struct MatmulResult {
     /// Wire-level transport statistics (NIC stalls, drops, retransmits):
     /// what the transport ablation compares across backends.
     pub wire: WireStatsSnapshot,
-    /// Engine-level run report (events processed, context switches,
-    /// parallel scheduler rounds): what the `engine_scaling` bench reads.
-    pub engine: dsmpm2_sim::RunReport,
 }
 
 /// Deterministic input entry of `A`.
@@ -112,9 +106,8 @@ pub fn run_matmul(config: &MatmulConfig, protocol_name: &str) -> MatmulResult {
     assert!(config.n >= config.nodes && config.n.is_multiple_of(config.nodes));
     let cluster_config = Pm2Config::new(config.nodes, config.network.clone())
         .with_dsm_tuning(config.tuning)
-        .with_sim_tuning(config.sim)
         .with_transport_tuning(config.transport);
-    let engine = Engine::with_config(cluster_config.engine_config());
+    let engine = Engine::new();
     let rt = DsmRuntime::new(&engine, cluster_config);
     let _ = register_all_protocols(&rt);
     let protocol = rt
@@ -190,7 +183,7 @@ pub fn run_matmul(config: &MatmulConfig, protocol_name: &str) -> MatmulResult {
     }
 
     let mut engine = engine;
-    let report = engine.run().expect("matmul must not deadlock");
+    engine.run().expect("matmul must not deadlock");
     let elapsed = finish.lock().iter().copied().max().unwrap_or(SimTime::ZERO);
     let checksum = *checksum.lock();
     let final_cells = std::mem::take(&mut *final_cells.lock());
@@ -201,7 +194,6 @@ pub fn run_matmul(config: &MatmulConfig, protocol_name: &str) -> MatmulResult {
         stats: rt.stats().snapshot(),
         wire_messages: rt.cluster().network().stats().messages(),
         wire: rt.cluster().network().wire_stats(),
-        engine: report,
     }
 }
 
@@ -229,7 +221,6 @@ mod tests {
             network: dsmpm2_madeleine::profiles::bip_myrinet(),
             compute_per_madd_us: 0.01,
             tuning: DsmTuning::default(),
-            sim: SimTuning::default(),
             transport: TransportTuning::default(),
         };
         let oracle = sequential_checksum(config.n);

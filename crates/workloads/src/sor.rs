@@ -18,7 +18,7 @@ use dsmpm2_core::{
 use dsmpm2_madeleine::NetworkModel;
 use dsmpm2_pm2::Engine;
 use dsmpm2_protocols::register_all_protocols;
-use dsmpm2_sim::{SimDuration, SimTime, SimTuning};
+use dsmpm2_sim::{SimDuration, SimTime};
 
 /// Configuration of a red-black SOR run.
 #[derive(Clone, Debug)]
@@ -35,10 +35,8 @@ pub struct SorConfig {
     pub network: NetworkModel,
     /// Virtual compute time charged per updated cell, in µs.
     pub compute_per_cell_us: f64,
-    /// DSM tuning knobs (page-table sharding, message batching).
+    /// DSM tuning knobs (message batching, coherence granularity).
     pub tuning: DsmTuning,
-    /// Simulation-engine tuning knobs (scheduler baton hand-off).
-    pub sim: SimTuning,
     /// Transport-layer tuning knobs (wire-level backend selection).
     pub transport: TransportTuning,
 }
@@ -54,7 +52,6 @@ impl SorConfig {
             network: dsmpm2_madeleine::profiles::sisci_sci(),
             compute_per_cell_us: 0.05,
             tuning: DsmTuning::default(),
-            sim: SimTuning::default(),
             transport: TransportTuning::default(),
         }
     }
@@ -78,9 +75,6 @@ pub struct SorResult {
     /// Wire-level transport statistics (NIC stalls, drops, retransmits):
     /// what the transport ablation compares across backends.
     pub wire: WireStatsSnapshot,
-    /// Engine-level run report (events processed, context switches,
-    /// parallel scheduler rounds): what the `engine_scaling` bench reads.
-    pub engine: dsmpm2_sim::RunReport,
 }
 
 fn initial(size: usize, row: usize, col: usize) -> f64 {
@@ -131,9 +125,8 @@ pub fn run_sor(config: &SorConfig, protocol_name: &str) -> SorResult {
     assert!(config.size >= 4 && config.size.is_multiple_of(config.nodes));
     let cluster_config = Pm2Config::new(config.nodes, config.network.clone())
         .with_dsm_tuning(config.tuning)
-        .with_sim_tuning(config.sim)
         .with_transport_tuning(config.transport);
-    let engine = Engine::with_config(cluster_config.engine_config());
+    let engine = Engine::new();
     let rt = DsmRuntime::new(&engine, cluster_config);
     let _ = register_all_protocols(&rt);
     let protocol = rt
@@ -208,7 +201,7 @@ pub fn run_sor(config: &SorConfig, protocol_name: &str) -> SorResult {
     }
 
     let mut engine = engine;
-    let report = engine.run().expect("sor must not deadlock");
+    engine.run().expect("sor must not deadlock");
     let elapsed = finish.lock().iter().copied().max().unwrap_or(SimTime::ZERO);
     let checksum = *checksum.lock();
     let final_cells = std::mem::take(&mut *final_cells.lock());
@@ -219,7 +212,6 @@ pub fn run_sor(config: &SorConfig, protocol_name: &str) -> SorResult {
         stats: rt.stats().snapshot(),
         wire_messages: rt.cluster().network().stats().messages(),
         wire: rt.cluster().network().wire_stats(),
-        engine: report,
     }
 }
 
@@ -241,7 +233,6 @@ mod tests {
             network: dsmpm2_madeleine::profiles::bip_myrinet(),
             compute_per_cell_us: 0.05,
             tuning: DsmTuning::default(),
-            sim: SimTuning::default(),
             transport: TransportTuning::default(),
         };
         let oracle = sequential_checksum(&config);

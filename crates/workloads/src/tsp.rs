@@ -25,7 +25,7 @@ use dsmpm2_core::{
 use dsmpm2_madeleine::NetworkModel;
 use dsmpm2_pm2::Engine;
 use dsmpm2_protocols::register_builtin_protocols;
-use dsmpm2_sim::{SimDuration, SimTime, SpawnOptions};
+use dsmpm2_sim::{SimDuration, SimTime};
 
 /// A TSP instance: a symmetric distance matrix over `n` cities.
 #[derive(Clone, Debug)]
@@ -326,63 +326,54 @@ pub fn run_tsp(config: &TspConfig, protocol_name: &str) -> TspResult {
         let expanded_total = expanded_total.clone();
         let final_bounds = final_bounds.clone();
         let config = config.clone();
-        // The branch-and-bound search recurses one frame per city along every
-        // explored tour prefix: depth (and live frame size) scales with the
-        // instance, so pin these workers to the OS-thread baton — the
-        // per-thread fallback off the fixed-size continuation stack.
-        rt.spawn_dsm_thread_with(
-            NodeId(node),
-            format!("tsp-worker-{node}"),
-            SpawnOptions::baton(),
-            move |ctx| {
-                // Initialise the shared bound exactly once (node 0's thread).
-                if ctx.node() == NodeId(0) {
-                    ctx.dsm_lock(bound_lock);
-                    let current = ctx.read::<u32>(bound_addr);
-                    if current == 0 || initial_bound < current {
-                        ctx.write::<u32>(bound_addr, initial_bound);
-                    }
-                    ctx.dsm_unlock(bound_lock);
-                }
-                ctx.dsm_barrier(done);
-
-                let mut search = WorkerSearch {
-                    instance: &instance,
-                    shared: SharedBound {
-                        addr: bound_addr,
-                        lock: bound_lock,
-                    },
-                    local_best: initial_bound,
-                    expanded: 0,
-                    pending_compute: 0,
-                    config: config.clone(),
-                };
-                let n = instance.n;
-                for (a, b) in my_prefixes {
-                    let mut visited = vec![false; n];
-                    visited[0] = true;
-                    visited[a] = true;
-                    visited[b] = true;
-                    let mut path = vec![0, a, b];
-                    let length = instance.dist[0][a] + instance.dist[a][b];
-                    let global = read_bound(ctx, &search.shared);
-                    if global < search.local_best {
-                        search.local_best = global;
-                    }
-                    if length < search.local_best {
-                        search.dfs(ctx, &mut visited, &mut path, length);
-                    }
-                }
-                search.flush_compute(ctx);
-                ctx.dsm_barrier(done);
-                finish_times.lock().push(ctx.pm2.now());
-                *expanded_total.lock() += search.expanded;
-                // Every worker reads the agreed-upon final bound.
+        rt.spawn_dsm_thread(NodeId(node), format!("tsp-worker-{node}"), move |ctx| {
+            // Initialise the shared bound exactly once (node 0's thread).
+            if ctx.node() == NodeId(0) {
                 ctx.dsm_lock(bound_lock);
-                final_bounds.lock().push(ctx.read::<u32>(bound_addr));
+                let current = ctx.read::<u32>(bound_addr);
+                if current == 0 || initial_bound < current {
+                    ctx.write::<u32>(bound_addr, initial_bound);
+                }
                 ctx.dsm_unlock(bound_lock);
-            },
-        );
+            }
+            ctx.dsm_barrier(done);
+
+            let mut search = WorkerSearch {
+                instance: &instance,
+                shared: SharedBound {
+                    addr: bound_addr,
+                    lock: bound_lock,
+                },
+                local_best: initial_bound,
+                expanded: 0,
+                pending_compute: 0,
+                config: config.clone(),
+            };
+            let n = instance.n;
+            for (a, b) in my_prefixes {
+                let mut visited = vec![false; n];
+                visited[0] = true;
+                visited[a] = true;
+                visited[b] = true;
+                let mut path = vec![0, a, b];
+                let length = instance.dist[0][a] + instance.dist[a][b];
+                let global = read_bound(ctx, &search.shared);
+                if global < search.local_best {
+                    search.local_best = global;
+                }
+                if length < search.local_best {
+                    search.dfs(ctx, &mut visited, &mut path, length);
+                }
+            }
+            search.flush_compute(ctx);
+            ctx.dsm_barrier(done);
+            finish_times.lock().push(ctx.pm2.now());
+            *expanded_total.lock() += search.expanded;
+            // Every worker reads the agreed-upon final bound.
+            ctx.dsm_lock(bound_lock);
+            final_bounds.lock().push(ctx.read::<u32>(bound_addr));
+            ctx.dsm_unlock(bound_lock);
+        });
     }
 
     let mut engine = engine;

@@ -26,7 +26,6 @@ fn main() {
             network: dsm_pm2::madeleine::profiles::bip_myrinet(),
             compute_per_cell_us: 0.05,
             tuning: dsm_pm2::pm2::DsmTuning::default(),
-            sim: dsm_pm2::pm2::SimTuning::default(),
             transport: dsm_pm2::pm2::TransportTuning::default(),
         };
         let r = run_jacobi(&config, proto);

@@ -28,7 +28,6 @@ fn main() {
         compute_per_madd_us: 0.01,
         tuning: dsm_pm2::pm2::DsmTuning::default(),
         transport: dsm_pm2::pm2::TransportTuning::default(),
-        sim: dsm_pm2::pm2::SimTuning::default(),
     };
     let mm_oracle = matmul::sequential_checksum(mm.n);
     print!("{:<14}", "matmul 32x32");
@@ -51,7 +50,6 @@ fn main() {
         compute_per_cell_us: 0.05,
         tuning: dsm_pm2::pm2::DsmTuning::default(),
         transport: dsm_pm2::pm2::TransportTuning::default(),
-        sim: dsm_pm2::pm2::SimTuning::default(),
     };
     let sor_oracle = sor::sequential_checksum(&sor_config);
     print!("{:<14}", "sor 32x32");

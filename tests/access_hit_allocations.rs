@@ -5,9 +5,7 @@
 //! inside one DSM thread (hits never yield, so nothing else runs in between),
 //! and 10 000 one-way requests with everything their delivery runs.
 //! The counter is process-wide, so nothing may allocate next to the measured
-//! slice: everything lives in a single `#[test]`, and the engine is pinned to
-//! one worker (a pool's other workers run their own nodes' start-up events,
-//! which allocate, in parallel with it).
+//! slice: everything lives in a single `#[test]`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -16,8 +14,7 @@ use std::sync::Arc;
 use dsm_pm2::core::{DsmAttr, DsmRuntime, HomePolicy};
 use dsm_pm2::hyperion::HyperionHeap;
 use dsm_pm2::pm2::{
-    EngineConfig, EngineCtl, RpcClass, RpcPayload, RpcReply, RpcRequestCtx, RpcService, SimHandle,
-    SimTuning,
+    EngineCtl, RpcClass, RpcPayload, RpcReply, RpcRequestCtx, RpcService, SimHandle,
 };
 use dsm_pm2::prelude::*;
 
@@ -58,10 +55,7 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
 }
 
 fn cluster(protocol: &str) -> (Engine, DsmRuntime, ProtocolId) {
-    let engine = Engine::with_config(EngineConfig {
-        tuning: SimTuning::default().with_workers(1),
-        ..EngineConfig::default()
-    });
+    let engine = Engine::new();
     let rt = DsmRuntime::new(&engine, Pm2Config::bip_myrinet(2));
     let _ = register_all_protocols(&rt);
     let id = rt.protocol_by_name(protocol).expect("a built-in protocol");
@@ -159,10 +153,7 @@ impl RpcService for Sink {
 /// pass. The sender sleeps between requests so that each one is delivered and
 /// served inside the bracket.
 fn message_path() -> f64 {
-    let mut engine = Engine::with_config(EngineConfig {
-        tuning: SimTuning::default().with_workers(1),
-        ..EngineConfig::default()
-    });
+    let mut engine = Engine::new();
     let cluster = Pm2Cluster::new(&engine, Pm2Config::bip_myrinet(2));
     let sink = Arc::new(Sink(AtomicU64::new(0)));
     let service = cluster.register_service(sink.clone());

@@ -299,18 +299,17 @@ fn per_region_protocols_behave_independently() {
 // Cross-protocol conformance matrix
 // ---------------------------------------------------------------------------
 //
-// The safety net for the sharded page table and the per-tick message batcher:
-// three workloads with different sharing patterns run under every
-// general-purpose protocol (the six of the paper's Table 2 minus none, plus
-// the two extension protocols that need no per-region configuration) on 1, 2
-// and 4 nodes, with sharding and batching enabled. The *exact* final shared
-// memory of every run must equal the single-node baseline computed with the
-// legacy tuning (single-lock table, no batching) — bit-for-bit, not within a
-// tolerance — so any divergence introduced by the scale-out machinery fails
-// loudly. (`entry_sw` is excluded: it requires regions to be bound to locks
-// and is exercised by its own tests.)
+// The safety net for the per-tick message batcher: three workloads with
+// different sharing patterns run under every general-purpose protocol (the
+// six of the paper's Table 2 minus none, plus the two extension protocols
+// that need no per-region configuration) on 1, 2 and 4 nodes, with batching
+// enabled. The *exact* final shared memory of every run must equal the
+// single-node baseline computed with the legacy tuning (no batching) —
+// bit-for-bit, not within a tolerance — so any divergence introduced by the
+// scale-out machinery fails loudly. (`entry_sw` is excluded: it requires
+// regions to be bound to locks and is exercised by its own tests.)
 
-use dsm_pm2::pm2::{DsmTuning, SimTuning, TransportTuning};
+use dsm_pm2::pm2::{DsmTuning, TransportTuning};
 use dsm_pm2::workloads::{
     false_sharing::{run_false_sharing, FalseSharingConfig},
     jacobi::{run_jacobi, JacobiConfig},
@@ -332,10 +331,9 @@ const MATRIX_PROTOCOLS: [&str; 8] = [
 
 const MATRIX_NODES: [usize; 3] = [1, 2, 4];
 
-/// The tuning under test: sharded page table + per-tick message batching.
+/// The tuning under test: per-tick message batching.
 fn scale_out_tuning() -> DsmTuning {
     DsmTuning {
-        page_table_shards: 8,
         batch_messages: true,
         batch_window: Default::default(),
         granularity: 0,
@@ -352,7 +350,6 @@ fn conformance_matrix_jacobi() {
         network: dsm_pm2::pm2::profiles::bip_myrinet(),
         compute_per_cell_us: 0.02,
         tuning,
-        sim: SimTuning::default(),
         transport: TransportTuning::default(),
     };
     let baseline = run_jacobi(&config(1, DsmTuning::legacy()), "li_hudak");
@@ -381,7 +378,6 @@ fn conformance_matrix_sor() {
         network: dsm_pm2::pm2::profiles::bip_myrinet(),
         compute_per_cell_us: 0.02,
         tuning,
-        sim: SimTuning::default(),
         transport: TransportTuning::default(),
     };
     let baseline = run_sor(&config(1, DsmTuning::legacy()), "li_hudak");
@@ -397,185 +393,46 @@ fn conformance_matrix_sor() {
     }
 }
 
-/// The full matrix across all three scheduler hand-off substrates —
-/// continuations on the scheduler's OS thread (the default), the futex-style
-/// OS-thread baton, and the legacy Mutex+Condvar baton — at 1, 2 and 4
-/// scheduler workers. Every cell must be bit-identical to the
-/// continuation/1-worker run: final shared memory AND virtual completion
-/// time. The hand-off is a wall-clock mechanism only; how a simulated
-/// thread's slices reach a CPU must never leak into what the simulation
-/// computes.
+/// Conformance across the two hand-off substrates — continuations on the
+/// scheduler's OS thread where the target has a stack switch, one OS thread
+/// per simulated thread and a futex baton elsewhere. A build contains one of
+/// them, so the matrix is a pin: jacobi under `hbrc_mw` on 4 nodes must
+/// reproduce these literals — final shared memory, virtual completion time
+/// and the engine's counts — in the default lane *and* under `--cfg
+/// dsm_force_no_coro`. How a simulated thread's slices reach a CPU must
+/// never leak into what the simulation computes. (The sim crate pins its
+/// thread storm the same way, `tests/baton_stress.rs`.)
 #[test]
 fn conformance_matrix_across_handoff_modes() {
-    let jacobi = |nodes: usize, sim: SimTuning| JacobiConfig {
-        size: 16,
-        iterations: 2,
-        nodes,
-        network: dsm_pm2::pm2::profiles::bip_myrinet(),
-        compute_per_cell_us: 0.02,
-        tuning: scale_out_tuning(),
-        sim,
-        transport: TransportTuning::default(),
-    };
-    let sor = |nodes: usize, sim: SimTuning| SorConfig {
-        size: 16,
-        iterations: 2,
-        omega: 1.25,
-        nodes,
-        network: dsm_pm2::pm2::profiles::bip_myrinet(),
-        compute_per_cell_us: 0.02,
-        tuning: scale_out_tuning(),
-        sim,
-        transport: TransportTuning::default(),
-    };
-    let matmul = |nodes: usize, sim: SimTuning| MatmulConfig {
-        n: 8,
-        nodes,
-        network: dsm_pm2::pm2::profiles::bip_myrinet(),
-        compute_per_madd_us: 0.01,
-        tuning: scale_out_tuning(),
-        sim,
-        transport: TransportTuning::default(),
-    };
-    use dsm_pm2::pm2::HandoffMode;
-    assert_eq!(SimTuning::baton().handoff, HandoffMode::Baton);
-    assert_eq!(SimTuning::legacy().handoff, HandoffMode::LegacyCondvar);
-    // Pin the baseline mode explicitly: `SimTuning::default()` honours the
-    // `DSM_SIM_HANDOFF` override, and this matrix must compare fixed modes
-    // no matter what environment CI re-runs it under.
-    let continuation = SimTuning::default().with_handoff(HandoffMode::Continuation);
-    let cells = |w: usize| {
-        [
-            continuation.with_workers(w),
-            SimTuning::baton().with_workers(w),
-            SimTuning::legacy().with_workers(w),
-        ]
-    };
-    for proto in MATRIX_PROTOCOLS {
-        for nodes in MATRIX_NODES {
-            let base_j = run_jacobi(&jacobi(nodes, continuation), proto);
-            let base_s = run_sor(&sor(nodes, continuation), proto);
-            let base_m = run_matmul(&matmul(nodes, continuation), proto);
-            for workers in [1usize, 2, 4] {
-                for sim in cells(workers) {
-                    if workers == 1 && sim.handoff == HandoffMode::Continuation {
-                        continue; // the baseline cell itself
-                    }
-                    let mode = sim.handoff;
-
-                    let r = run_jacobi(&jacobi(nodes, sim), proto);
-                    assert_eq!(
-                        r.final_cells, base_j.final_cells,
-                        "jacobi memory diverged under {mode:?} x {workers} workers x {proto} x {nodes} nodes"
-                    );
-                    assert_eq!(
-                        r.elapsed, base_j.elapsed,
-                        "jacobi virtual time diverged under {mode:?} x {workers} workers x {proto} x {nodes} nodes"
-                    );
-
-                    let r = run_sor(&sor(nodes, sim), proto);
-                    assert_eq!(
-                        r.final_cells, base_s.final_cells,
-                        "sor memory diverged under {mode:?} x {workers} workers x {proto} x {nodes} nodes"
-                    );
-                    assert_eq!(
-                        r.elapsed, base_s.elapsed,
-                        "sor virtual time diverged under {mode:?} x {workers} workers x {proto} x {nodes} nodes"
-                    );
-
-                    let r = run_matmul(&matmul(nodes, sim), proto);
-                    assert_eq!(
-                        r.final_cells, base_m.final_cells,
-                        "matmul memory diverged under {mode:?} x {workers} workers x {proto} x {nodes} nodes"
-                    );
-                    assert_eq!(
-                        r.elapsed, base_m.elapsed,
-                        "matmul virtual time diverged under {mode:?} x {workers} workers x {proto} x {nodes} nodes"
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// The matrix across scheduler worker counts: every protocol × workload ×
-/// node-count cell runs on the 1-, 2- and 4-worker engine, and the 2- and
-/// 4-worker runs must be bit-identical to the 1-worker run — final shared
-/// memory AND virtual completion time. This is the safety net of the PR 5
-/// multi-worker engine: sharding the event queue and executing same-instant
-/// events of different nodes in parallel must never change what the
-/// simulation computes, only how fast the host computes it.
-#[test]
-fn conformance_matrix_across_worker_counts() {
-    let jacobi = |nodes: usize, sim: SimTuning| JacobiConfig {
-        size: 16,
-        iterations: 2,
-        nodes,
-        network: dsm_pm2::pm2::profiles::bip_myrinet(),
-        compute_per_cell_us: 0.02,
-        tuning: scale_out_tuning(),
-        sim,
-        transport: TransportTuning::default(),
-    };
-    let sor = |nodes: usize, sim: SimTuning| SorConfig {
-        size: 16,
-        iterations: 2,
-        omega: 1.25,
-        nodes,
-        network: dsm_pm2::pm2::profiles::bip_myrinet(),
-        compute_per_cell_us: 0.02,
-        tuning: scale_out_tuning(),
-        sim,
-        transport: TransportTuning::default(),
-    };
-    let matmul = |nodes: usize, sim: SimTuning| MatmulConfig {
-        n: 8,
-        nodes,
-        network: dsm_pm2::pm2::profiles::bip_myrinet(),
-        compute_per_madd_us: 0.01,
-        tuning: scale_out_tuning(),
-        sim,
-        transport: TransportTuning::default(),
-    };
-    let one = |w: usize| SimTuning::default().with_workers(w);
-    for proto in MATRIX_PROTOCOLS {
-        for nodes in [2usize, 4] {
-            let base_j = run_jacobi(&jacobi(nodes, one(1)), proto);
-            let base_s = run_sor(&sor(nodes, one(1)), proto);
-            let base_m = run_matmul(&matmul(nodes, one(1)), proto);
-            for workers in [2usize, 4] {
-                let r = run_jacobi(&jacobi(nodes, one(workers)), proto);
-                assert_eq!(
-                    r.final_cells, base_j.final_cells,
-                    "jacobi memory diverged at {workers} workers under {proto} x {nodes} nodes"
-                );
-                assert_eq!(
-                    r.elapsed, base_j.elapsed,
-                    "jacobi virtual time diverged at {workers} workers under {proto} x {nodes} nodes"
-                );
-
-                let r = run_sor(&sor(nodes, one(workers)), proto);
-                assert_eq!(
-                    r.final_cells, base_s.final_cells,
-                    "sor memory diverged at {workers} workers under {proto} x {nodes} nodes"
-                );
-                assert_eq!(
-                    r.elapsed, base_s.elapsed,
-                    "sor virtual time diverged at {workers} workers under {proto} x {nodes} nodes"
-                );
-
-                let r = run_matmul(&matmul(nodes, one(workers)), proto);
-                assert_eq!(
-                    r.final_cells, base_m.final_cells,
-                    "matmul memory diverged at {workers} workers under {proto} x {nodes} nodes"
-                );
-                assert_eq!(
-                    r.elapsed, base_m.elapsed,
-                    "matmul virtual time diverged at {workers} workers under {proto} x {nodes} nodes"
-                );
-            }
-        }
-    }
+    let r = run_jacobi(
+        &JacobiConfig {
+            size: 16,
+            iterations: 2,
+            nodes: 4,
+            network: dsm_pm2::pm2::profiles::bip_myrinet(),
+            compute_per_cell_us: 0.02,
+            tuning: scale_out_tuning(),
+            transport: TransportTuning::default(),
+        },
+        "hbrc_mw",
+    );
+    // FNV-1a over the cells' bit patterns.
+    let memory = r
+        .final_cells
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325u64, |h, &c| {
+            (h ^ c).wrapping_mul(0x0100_0000_01b3)
+        });
+    assert_eq!(
+        (
+            memory,
+            r.engine.final_time.as_nanos(),
+            r.engine.events,
+            r.engine.context_switches,
+            r.engine.threads_spawned,
+        ),
+        (9_601_329_538_796_336_933, 1_817_491, 430, 271, 88)
+    );
 }
 
 #[test]
@@ -586,7 +443,6 @@ fn conformance_matrix_matmul() {
         network: dsm_pm2::pm2::profiles::bip_myrinet(),
         compute_per_madd_us: 0.01,
         tuning,
-        sim: SimTuning::default(),
         transport: TransportTuning::default(),
     };
     let baseline = run_matmul(&config(1, DsmTuning::legacy()), "li_hudak");
@@ -622,7 +478,6 @@ fn conformance_matrix_under_contended_and_lossy_transports() {
         network: dsm_pm2::pm2::profiles::bip_myrinet(),
         compute_per_cell_us: 0.02,
         tuning: scale_out_tuning(),
-        sim: SimTuning::default(),
         transport,
     };
     let sor = |nodes: usize, transport: TransportTuning| SorConfig {
@@ -633,7 +488,6 @@ fn conformance_matrix_under_contended_and_lossy_transports() {
         network: dsm_pm2::pm2::profiles::bip_myrinet(),
         compute_per_cell_us: 0.02,
         tuning: scale_out_tuning(),
-        sim: SimTuning::default(),
         transport,
     };
     let matmul = |nodes: usize, transport: TransportTuning| MatmulConfig {
@@ -642,7 +496,6 @@ fn conformance_matrix_under_contended_and_lossy_transports() {
         network: dsm_pm2::pm2::profiles::bip_myrinet(),
         compute_per_madd_us: 0.01,
         tuning: scale_out_tuning(),
-        sim: SimTuning::default(),
         transport,
     };
 
@@ -733,7 +586,6 @@ fn conformance_matrix_line_granularity() {
         network: dsm_pm2::pm2::profiles::bip_myrinet(),
         compute_per_cell_us: 0.02,
         tuning,
-        sim: SimTuning::default(),
         transport: TransportTuning::default(),
     };
     let sor = |nodes: usize, tuning: DsmTuning| SorConfig {
@@ -744,7 +596,6 @@ fn conformance_matrix_line_granularity() {
         network: dsm_pm2::pm2::profiles::bip_myrinet(),
         compute_per_cell_us: 0.02,
         tuning,
-        sim: SimTuning::default(),
         transport: TransportTuning::default(),
     };
     let fs = |nodes: usize, tuning: DsmTuning| {
@@ -800,7 +651,6 @@ fn non_subpage_protocols_clamp_granularity_to_pages() {
         network: dsm_pm2::pm2::profiles::bip_myrinet(),
         compute_per_cell_us: 0.02,
         tuning,
-        sim: SimTuning::default(),
         transport: TransportTuning::default(),
     };
     for proto in ["li_hudak", "migrate_thread", "hlrc_notices", "java_ic"] {
@@ -836,7 +686,6 @@ fn explicit_page_granularity_is_bit_identical_to_default() {
         network: dsm_pm2::pm2::profiles::bip_myrinet(),
         compute_per_cell_us: 0.02,
         tuning,
-        sim: SimTuning::default(),
         transport: TransportTuning::default(),
     };
     for proto in MATRIX_PROTOCOLS {

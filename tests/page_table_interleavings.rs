@@ -1,12 +1,11 @@
-//! Property test: random fault/release interleavings preserve page contents
-//! under the sharded page table.
+//! Property test: random fault/release interleavings preserve page contents.
 //!
 //! Each sampled case drives a 3-node cluster through a random sequence of
 //! DSM operations — unsynchronized reads (faults that replicate or migrate
 //! pages) and lock-protected writes (release-consistency episodes) — over
-//! two shared pages, under a randomly chosen protocol, page-table shard count
-//! and coherence granularity (whole pages or 1 kB lines, one node slot per
-//! line), with per-tick message batching enabled. Every node writes only its
+//! two shared pages, under a randomly chosen protocol and coherence
+//! granularity (whole pages or 1 kB lines, one node slot per line), with
+//! per-tick message batching enabled. Every node writes only its
 //! own byte range, so the expected final contents are computable from the op
 //! list alone: for each (page, node) slot, the last value that node wrote
 //! there in program order. Every fault is detected through
@@ -28,7 +27,6 @@ const PAGES: usize = 2;
 const PAGE_BYTES: u64 = 4096;
 
 const PROTOCOLS: [&str; 4] = ["li_hudak", "li_hudak_fixed", "erc_sw", "hbrc_mw"];
-const SHARD_CHOICES: [usize; 4] = [1, 2, 4, 8];
 /// Coherence granularities (0 = whole pages). Node slots are `SLOT_STRIDE`
 /// apart, so at 1 kB lines every node's slot has a line of its own.
 const GRANULARITY_CHOICES: [usize; 2] = [0, 1024];
@@ -41,15 +39,9 @@ const SLOT_STRIDE: u64 = 1024;
 ///          sharing: forces replication / invalidation traffic).
 type Op = (usize, usize, u32, u8);
 
-fn run_interleaving(ops: &[Op], protocol: &str, shards: usize, granularity: usize) -> Vec<u8> {
+fn run_interleaving(ops: &[Op], protocol: &str, granularity: usize) -> Vec<u8> {
     let engine = Engine::new();
-    let tuning = DsmTuning {
-        page_table_shards: shards,
-        batch_messages: true,
-        batch_window: Default::default(),
-        granularity,
-        one_sided_reads: false,
-    };
+    let tuning = DsmTuning::default().with_granularity(granularity);
     let rt = DsmRuntime::new(
         &engine,
         Pm2Config::bip_myrinet(NODES).with_dsm_tuning(tuning),
@@ -142,16 +134,14 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
     /// Random fault/release interleavings leave exactly the last
     /// lock-protected write of each node visible, for every protocol and
-    /// shard count.
+    /// granularity.
     #[test]
     fn interleavings_preserve_page_contents(
         ops in proptest::collection::vec((0usize..3, 0usize..2, 0u32..3, 1u8..=255), 1..24),
         proto_idx in 0usize..4,
-        shard_idx in 0usize..4,
         granularity_idx in 0usize..2,
     ) {
         let protocol = PROTOCOLS[proto_idx];
-        let shards = SHARD_CHOICES[shard_idx];
         let granularity = GRANULARITY_CHOICES[granularity_idx];
         let mut expected = vec![0u8; PAGES * NODES];
         for &(node, page, kind, value) in &ops {
@@ -159,13 +149,12 @@ proptest! {
                 expected[page * NODES + node] = value;
             }
         }
-        let observed = run_interleaving(&ops, protocol, shards, granularity);
+        let observed = run_interleaving(&ops, protocol, granularity);
         prop_assert_eq!(
             observed,
             expected,
-            "final page contents diverged under {} with {} shards at granularity {}",
+            "final page contents diverged under {} at granularity {}",
             protocol,
-            shards,
             granularity
         );
     }

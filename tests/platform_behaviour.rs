@@ -185,69 +185,57 @@ fn post_mortem_monitor_reports_elementary_functions() {
     assert!(rendered.contains("dsm_page_fault"));
 }
 
-/// Regression (PR 3, extended to the PR 5 worker pool): a user-code panic
-/// while the thread holds the scheduler baton — mid-critical-section, with
-/// three other nodes blocked on the same lock and coherence traffic in
-/// flight — must surface as the run's error (carrying the panic message),
-/// release every other thread, join every scheduler worker, and never hang,
-/// under all three hand-off substrates (continuation, futex baton, legacy
-/// condvar) and with the 4-worker engine.
+/// Regression (PR 3): a user-code panic while the thread holds the
+/// scheduler's grant — mid-critical-section, with three other nodes blocked
+/// on the same lock and coherence traffic in flight — must surface as the
+/// run's error (carrying the panic message), release every other thread and
+/// never hang. "All hand-offs" are the platform's one per build: the default
+/// lane runs this on continuations, the `no-coro` lane on the baton.
 #[test]
 fn panic_mid_critical_section_reclaims_baton_under_all_handoffs() {
     use dsm_pm2::core::{DsmAttr, DsmRuntime, HomePolicy};
-    use dsm_pm2::pm2::{EngineConfig, SimError, SimTuning};
+    use dsm_pm2::pm2::SimError;
     use dsm_pm2::prelude::*;
 
-    for sim in [
-        SimTuning::default(),
-        SimTuning::baton(),
-        SimTuning::legacy(),
-        SimTuning::default().with_workers(4),
-        SimTuning::baton().with_workers(4),
-    ] {
-        let engine = Engine::with_config(EngineConfig {
-            tuning: sim,
-            ..EngineConfig::default()
-        });
-        let rt = DsmRuntime::new(&engine, Pm2Config::bip_myrinet(4));
-        let protos = register_builtin_protocols(&rt);
-        rt.set_default_protocol(protos.hbrc_mw);
-        let cell = rt.dsm_malloc(4 * 4096, DsmAttr::default().home(HomePolicy::RoundRobin));
-        let lock = rt.create_lock(Some(NodeId(0)));
-        for node in 0..4usize {
-            rt.spawn_dsm_thread(NodeId(node), format!("w{node}"), move |ctx| {
-                // Cache copies everywhere so the panicking release path has
-                // invalidations and diffs in flight.
-                for page in 0..4u64 {
-                    let _ = ctx.read::<u64>(cell.add(page * 4096));
-                }
-                for _ in 0..3u64 {
-                    ctx.dsm_lock(lock);
-                    for page in 0..4u64 {
-                        let v = ctx.read::<u64>(cell.add(page * 4096));
-                        ctx.write::<u64>(cell.add(page * 4096), v + 1);
-                        if node == 2 && v >= 4 {
-                            panic!("intentional mid-critical-section panic");
-                        }
-                    }
-                    ctx.dsm_unlock(lock);
-                }
-            });
-        }
-        let mut engine = engine;
-        match engine.run() {
-            Err(SimError::ThreadPanic { thread, message }) => {
-                assert_eq!(thread, "w2", "handoff {sim:?}");
-                assert!(
-                    message.contains("intentional mid-critical-section panic"),
-                    "handoff {sim:?}: panic payload must be propagated, got '{message}'"
-                );
+    let engine = Engine::new();
+    let rt = DsmRuntime::new(&engine, Pm2Config::bip_myrinet(4));
+    let protos = register_builtin_protocols(&rt);
+    rt.set_default_protocol(protos.hbrc_mw);
+    let cell = rt.dsm_malloc(4 * 4096, DsmAttr::default().home(HomePolicy::RoundRobin));
+    let lock = rt.create_lock(Some(NodeId(0)));
+    for node in 0..4usize {
+        rt.spawn_dsm_thread(NodeId(node), format!("w{node}"), move |ctx| {
+            // Cache copies everywhere so the panicking release path has
+            // invalidations and diffs in flight.
+            for page in 0..4u64 {
+                let _ = ctx.read::<u64>(cell.add(page * 4096));
             }
-            other => panic!("handoff {sim:?}: expected ThreadPanic, got {other:?}"),
-        }
-        // If teardown failed to reclaim the baton this test would hang before
-        // reaching this point; reaching it under both modes is the assertion.
+            for _ in 0..3u64 {
+                ctx.dsm_lock(lock);
+                for page in 0..4u64 {
+                    let v = ctx.read::<u64>(cell.add(page * 4096));
+                    ctx.write::<u64>(cell.add(page * 4096), v + 1);
+                    if node == 2 && v >= 4 {
+                        panic!("intentional mid-critical-section panic");
+                    }
+                }
+                ctx.dsm_unlock(lock);
+            }
+        });
     }
+    let mut engine = engine;
+    match engine.run() {
+        Err(SimError::ThreadPanic { thread, message }) => {
+            assert_eq!(thread, "w2");
+            assert!(
+                message.contains("intentional mid-critical-section panic"),
+                "panic payload must be propagated, got '{message}'"
+            );
+        }
+        other => panic!("expected ThreadPanic, got {other:?}"),
+    }
+    // If teardown failed to reclaim a thread this test would hang before
+    // reaching this point; reaching it is the assertion.
 }
 
 /// Regression (PR 3): a panic inside a scheduler callback (`call_at`) must
@@ -269,40 +257,6 @@ fn scheduler_call_panic_is_reported_and_torn_down() {
         Err(SimError::ThreadPanic { thread, message }) => {
             assert_eq!(thread, "scheduler-call");
             assert!(message.contains("intentional scheduler-call panic"));
-        }
-        other => panic!("expected scheduler-call panic error, got {other:?}"),
-    }
-}
-
-/// The PR 3 scheduler-call panic regression on the PR 5 worker pool: the
-/// panicking callback fires at an instant where all four shards have events,
-/// so it executes *on a worker*, mid-parallel-round. The panic must become
-/// the run's error, all workers must be joined and every simulated thread
-/// torn down — reaching the match arm is the no-hang assertion.
-#[test]
-fn scheduler_call_panic_mid_parallel_round_is_reported_and_torn_down() {
-    use dsm_pm2::sim::{Engine, EngineConfig, SimDuration, SimError, SimTime, SimTuning};
-
-    let mut engine = Engine::with_config(EngineConfig {
-        tuning: SimTuning::default().with_workers(4),
-        ..EngineConfig::default()
-    });
-    let ctl = engine.ctl();
-    for shard in 0..4u64 {
-        engine.spawn_on(shard, format!("sleeper{shard}"), |h| {
-            // Every shard has a wake at t = 10us, making that instant a
-            // parallel round; the panicking call below joins it on shard 2.
-            h.sleep(SimDuration::from_micros(10));
-            h.sleep(SimDuration::from_micros(500));
-        });
-    }
-    ctl.call_at_on(2, SimTime::from_micros(10), |_| {
-        panic!("intentional mid-round scheduler-call panic");
-    });
-    match engine.run() {
-        Err(SimError::ThreadPanic { thread, message }) => {
-            assert_eq!(thread, "scheduler-call");
-            assert!(message.contains("intentional mid-round scheduler-call panic"));
         }
         other => panic!("expected scheduler-call panic error, got {other:?}"),
     }
