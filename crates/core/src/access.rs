@@ -11,7 +11,7 @@
 //! `java_ic` protocol); [`DsmThreadCtx::inline_check`] models that path.
 
 use crate::ctx::DsmThreadCtx;
-use crate::page::{line_range, Access, DsmAddr, PAGE_SIZE};
+use crate::page::{line_range, Access, DsmAddr, Unit, PAGE_SIZE};
 use crate::page_table::UnitView;
 use crate::protocol::FaultInfo;
 
@@ -102,8 +102,7 @@ impl DsmThreadCtx<'_, '_> {
             let protocol = rt.protocol(unit.protocol);
             let fault = FaultInfo {
                 addr,
-                page,
-                line: unit.line,
+                unit: Unit::new(page, unit.line),
                 access: needed,
             };
             if needed == Access::Write {

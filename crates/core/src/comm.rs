@@ -30,7 +30,7 @@ use dsmpm2_sim::{BlockReason, EngineCtl, SimDuration, SimHandle, SimTime, Thread
 use crate::ctx::{DsmThreadCtx, ServerCtx};
 use crate::diff::PageDiff;
 use crate::msg::{DsmMsg, FetchRead, FetchReply, Invalidation, PageRequest, PageTransfer};
-use crate::page::{Access, LineIx, PageId, PAGE_SIZE};
+use crate::page::{Access, Unit};
 use crate::runtime::{DsmRuntime, RuntimeInner};
 use crate::sync::{BarrierId, LockId};
 use crate::verify::SyncEvent;
@@ -358,18 +358,18 @@ fn serve_dsm_msg(rt: &DsmRuntime, ctx: &mut ServerCtx<'_>, msg: DsmMsg) {
             }
         }
         DsmMsg::Request(req) => {
-            let protocol = rt.protocol_for_page(req.page);
+            let protocol = rt.protocol_for_page(req.unit.page);
             match req.access {
                 Access::Write => protocol.write_server(ctx, req),
                 _ => protocol.read_server(ctx, req),
             }
         }
         DsmMsg::Transfer(transfer) => {
-            let protocol = rt.protocol_for_page(transfer.page);
+            let protocol = rt.protocol_for_page(transfer.unit.page);
             protocol.receive_page_server(ctx, transfer);
         }
         DsmMsg::Invalidate(inv) => {
-            let protocol = rt.protocol_for_page(inv.page);
+            let protocol = rt.protocol_for_page(inv.unit.page);
             protocol.invalidate_server(ctx, inv);
         }
         DsmMsg::Diff {
@@ -377,12 +377,12 @@ fn serve_dsm_msg(rt: &DsmRuntime, ctx: &mut ServerCtx<'_>, msg: DsmMsg) {
             from,
             needs_ack,
         } => {
-            let (page, line) = (diff.page, diff.line);
-            let protocol = rt.protocol_for_page(page);
+            let unit = diff.unit;
+            let protocol = rt.protocol_for_page(unit.page);
             protocol.diff_server(ctx, diff, from);
             if needs_ack {
                 let local = ctx.local_node;
-                rt.send_diff_ack(ctx.sim, local, from, page, line);
+                rt.send_diff_ack(ctx.sim, local, from, unit);
             }
         }
         DsmMsg::InvalidateAck { .. } | DsmMsg::DiffAck { .. } | DsmMsg::AcquireDone { .. } => {
@@ -397,21 +397,18 @@ fn serve_dsm_msg(rt: &DsmRuntime, ctx: &mut ServerCtx<'_>, msg: DsmMsg) {
 fn serve_nonblocking(rt: &DsmRuntime, ctl: &EngineCtl, local: NodeId, from: NodeId, msg: DsmMsg) {
     trace_msg(ctl.now(), local, from, &msg);
     let table = rt.page_table(local);
-    let acknowledge = |page, line| {
-        table.update_at(page, line, |e| {
-            e.pending_acks = e.pending_acks.saturating_sub(1)
-        });
-        (page, line)
+    let acknowledge = |unit| {
+        table.update(unit, |e| e.pending_acks = e.pending_acks.saturating_sub(1));
+        unit
     };
-    let (page, line) = match msg {
-        DsmMsg::InvalidateAck { page, line } => {
+    let unit = match msg {
+        DsmMsg::InvalidateAck { unit } => {
             rt.stats().incr_invalidation_ack();
-            acknowledge(page, line)
+            acknowledge(unit)
         }
-        DsmMsg::DiffAck { page, line } => acknowledge(page, line),
+        DsmMsg::DiffAck { unit } => acknowledge(unit),
         DsmMsg::AcquireDone {
-            page,
-            line,
+            unit,
             owner,
             version,
         } => {
@@ -420,7 +417,7 @@ fn serve_nonblocking(rt: &DsmRuntime, ctl: &EngineCtl, local: NodeId, from: Node
             // write requests queued at the manager.
             let mut version_before = 0;
             let mut version_after = 0;
-            table.update_at(page, line, |e| {
+            table.update(unit, |e| {
                 version_before = e.owner_version;
                 // Historical bug (`hint_rewind`): applying the notice without
                 // the version gate lets a late or duplicated stale notice
@@ -441,18 +438,16 @@ fn serve_nonblocking(rt: &DsmRuntime, ctl: &EngineCtl, local: NodeId, from: Node
                     rt,
                     ctl.now(),
                     local,
-                    page,
+                    unit.page,
                     version_before,
                     version_after,
                 );
             }
-            (page, line)
+            unit
         }
         other => unreachable!("{:?} may block", TraceMsg(&other)),
     };
-    table
-        .waiters_at(page, line)
-        .notify_all(ctl, SimDuration::ZERO);
+    table.waiters(unit).notify_all(ctl, SimDuration::ZERO);
 }
 
 /// Try to serve a one-sided read fetch for `req` from `node`'s installed
@@ -460,7 +455,9 @@ fn serve_nonblocking(rt: &DsmRuntime, ctl: &EngineCtl, local: NodeId, from: Node
 /// home-side state is contended or the request cannot safely be served
 /// without the full protocol machinery:
 ///
-/// * the line's protocol has not opted into one-sided reads;
+/// * this node has no entry for the unit (a fetch for a page it was never
+///   told about is a refusal, not a panic);
+/// * the unit's protocol has not opted into one-sided reads;
 /// * the serving node's copy is not readable, is mid-fetch itself, has
 ///   acknowledgements in flight (a revocation or diff round is open), or has
 ///   a queued write acquisition (`queue_tail`) — a reader must not overtake
@@ -475,44 +472,32 @@ fn serve_nonblocking(rt: &DsmRuntime, ctl: &EngineCtl, local: NodeId, from: Node
 /// read-serve path does.
 fn try_serve_fetch(rt: &DsmRuntime, node: NodeId, req: &FetchRead) -> Option<FetchReply> {
     let table = rt.page_table(node);
-    let entry = table.try_get_at(req.page, req.line)?;
-    let protocol = rt.protocol(entry.protocol);
-    if !protocol.one_sided_reads() {
-        return None;
-    }
-    if !entry.access.permits(Access::Read)
-        || entry.pending_fetch
-        || entry.pending_acks != 0
-        || entry.queue_tail.is_some()
+    let (protocol, uncontended, is_home, owned) = table.try_read(req.unit, |e| {
+        let uncontended = e.access.permits(Access::Read)
+            && !e.pending_fetch
+            && e.pending_acks == 0
+            && e.queue_tail.is_none();
+        (e.protocol, uncontended, e.home == node, e.owned)
+    })?;
+    let protocol = rt.protocol(protocol);
+    let mw = protocol.multiple_writers();
+    let entitled = if mw { is_home } else { owned };
+    if !protocol.one_sided_reads()
+        || !uncontended
+        || !entitled
+        || !rt.frames(node).has(req.unit.page)
     {
         return None;
     }
-    let mw = protocol.multiple_writers();
-    if mw {
-        if entry.home != node {
-            return None;
-        }
-    } else if !entry.owned {
-        return None;
-    }
-    if !rt.frames(node).has(req.page) {
-        return None;
-    }
-    let (version, off, len) = table.update_at(req.page, req.line, |e| {
+    let (version, span) = table.update(req.unit, |e| {
         e.copyset.insert(req.requester);
         if !mw && e.access == Access::Write {
             e.access = Access::Read;
         }
-        let (off, len) = e.line_span();
-        (e.version, off, len)
+        (e.version, e.line_span())
     });
-    let data = if len == PAGE_SIZE {
-        rt.frames(node).snapshot(req.page)
-    } else {
-        rt.frames(node).snapshot_range(req.page, off, len)
-    };
     Some(FetchReply::Data {
-        data,
+        data: rt.frames(node).snapshot(req.unit.page, span),
         version,
         owner: node,
     })
@@ -546,34 +531,35 @@ impl std::fmt::Debug for TraceMsg<'_> {
             DsmMsg::Request(r) => write!(
                 f,
                 "Request({:?} {} req=N{})",
-                r.access, r.page, r.requester.0
+                r.access, r.unit.page, r.requester.0
             ),
             DsmMsg::Transfer(t) => write!(
                 f,
                 "Transfer({} grant={:?} owner=N{} v={})",
-                t.page, t.grant, t.owner.0, t.version
+                t.unit.page, t.grant, t.owner.0, t.version
             ),
             DsmMsg::Invalidate(i) => write!(
                 f,
                 "Invalidate({} from=N{} new_owner={:?} v={})",
-                i.page, i.from.0, i.new_owner, i.version
+                i.unit.page, i.from.0, i.new_owner, i.version
             ),
-            DsmMsg::InvalidateAck { page, line } => {
-                write!(f, "InvalidateAck({page} l={})", line.0)
+            DsmMsg::InvalidateAck { unit } => {
+                write!(f, "InvalidateAck({} l={})", unit.page, unit.line.0)
             }
-            DsmMsg::Diff { diff, from, .. } => {
-                write!(f, "Diff({} l={} from=N{})", diff.page, diff.line.0, from.0)
-            }
-            DsmMsg::DiffAck { page, line } => write!(f, "DiffAck({page} l={})", line.0),
+            DsmMsg::Diff { diff, from, .. } => write!(
+                f,
+                "Diff({} l={} from=N{})",
+                diff.unit.page, diff.unit.line.0, from.0
+            ),
+            DsmMsg::DiffAck { unit } => write!(f, "DiffAck({} l={})", unit.page, unit.line.0),
             DsmMsg::AcquireDone {
-                page,
-                line,
+                unit,
                 owner,
                 version,
             } => write!(
                 f,
-                "AcquireDone({page} l={} owner=N{} v={version})",
-                line.0, owner.0
+                "AcquireDone({} l={} owner=N{} v={version})",
+                unit.page, unit.line.0, owner.0
             ),
             DsmMsg::Batch(v) => {
                 write!(f, "Batch[")?;
@@ -723,7 +709,7 @@ impl DsmRuntime {
         );
     }
 
-    /// Send an invalidation for `inv.page` to `to` (batchable).
+    /// Send an invalidation for `inv.unit` to `to` (batchable).
     pub fn send_invalidate(
         &self,
         sim: &mut SimHandle,
@@ -736,15 +722,8 @@ impl DsmRuntime {
     }
 
     /// Acknowledge an invalidation back to `to` (batchable).
-    pub fn send_invalidate_ack(
-        &self,
-        sim: &mut SimHandle,
-        from: NodeId,
-        to: NodeId,
-        page: PageId,
-        line: LineIx,
-    ) {
-        self.send_coherence(sim, from, to, DsmMsg::InvalidateAck { page, line });
+    pub fn send_invalidate_ack(&self, sim: &mut SimHandle, from: NodeId, to: NodeId, unit: Unit) {
+        self.send_coherence(sim, from, to, DsmMsg::InvalidateAck { unit });
     }
 
     /// Send a diff to `to` (normally the page's home node; batchable — the
@@ -773,42 +752,28 @@ impl DsmRuntime {
         );
     }
 
-    /// Notify a line's home node that `owner` finished installing write
+    /// Notify a unit's home node that `owner` finished installing write
     /// ownership at `version` (batchable).
-    #[allow(clippy::too_many_arguments)]
     pub fn send_acquire_done(
         &self,
         sim: &mut SimHandle,
         from: NodeId,
         to: NodeId,
-        page: PageId,
-        line: LineIx,
+        unit: Unit,
         owner: NodeId,
         version: u64,
     ) {
-        self.send_coherence(
-            sim,
-            from,
-            to,
-            DsmMsg::AcquireDone {
-                page,
-                line,
-                owner,
-                version,
-            },
-        );
+        let done = DsmMsg::AcquireDone {
+            unit,
+            owner,
+            version,
+        };
+        self.send_coherence(sim, from, to, done);
     }
 
     /// Acknowledge a diff back to `to` (batchable).
-    pub fn send_diff_ack(
-        &self,
-        sim: &mut SimHandle,
-        from: NodeId,
-        to: NodeId,
-        page: PageId,
-        line: LineIx,
-    ) {
-        self.send_coherence(sim, from, to, DsmMsg::DiffAck { page, line });
+    pub fn send_diff_ack(&self, sim: &mut SimHandle, from: NodeId, to: NodeId, unit: Unit) {
+        self.send_coherence(sim, from, to, DsmMsg::DiffAck { unit });
     }
 }
 

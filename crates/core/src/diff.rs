@@ -8,7 +8,7 @@
 //! recorded on the fly with word/field granularity when accesses go through
 //! explicit `put` primitives (the Hyperion path).
 
-use crate::page::{LineIx, PageId, LINE0, PAGE_SIZE};
+use crate::page::{PageId, Unit, PAGE_SIZE};
 
 /// One modified run of bytes within a page.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -19,25 +19,22 @@ pub struct DiffRun {
     pub bytes: Vec<u8>,
 }
 
-/// The set of modifications made to one page since its twin was created (or
-/// since modification recording started).
+/// The set of modifications made to one coherence unit since its twin was
+/// created (or to one page since modification recording started).
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PageDiff {
-    /// Page the diff applies to.
-    pub page: PageId,
-    /// Coherence line the diff applies to (line 0 at page granularity; run
-    /// offsets stay page-absolute either way, so `apply` is line-agnostic).
-    pub line: LineIx,
+    /// Coherence unit the diff applies to (run offsets are page-absolute
+    /// whatever the unit, so `apply` takes the full page).
+    pub unit: Unit,
     /// Modified runs, sorted by offset and non-overlapping.
     pub runs: Vec<DiffRun>,
 }
 
 impl PageDiff {
-    /// An empty diff for `page`.
-    pub fn empty(page: PageId) -> Self {
+    /// An empty diff for `unit`.
+    pub fn empty(unit: Unit) -> Self {
         PageDiff {
-            page,
-            line: LINE0,
+            unit,
             runs: Vec::new(),
         }
     }
@@ -54,72 +51,43 @@ impl PageDiff {
     }
 
     /// Compute the diff between a pristine `twin` and the `current` contents
-    /// of a page. Adjacent modified bytes are coalesced into runs.
+    /// of a whole page: [`PageDiff::compute_unit`] for the unit that is the
+    /// page.
     pub fn compute(page: PageId, twin: &[u8], current: &[u8]) -> Self {
         assert_eq!(twin.len(), PAGE_SIZE, "twin must be a full page");
-        assert_eq!(current.len(), PAGE_SIZE, "page copy must be a full page");
+        Self::compute_unit(Unit::whole(page), 0, twin, current)
+    }
+
+    /// Compute the diff between the pristine `twin` and the `current`
+    /// contents of `unit`, whose span starts at byte `offset` of the page.
+    /// Adjacent modified bytes are coalesced into runs; run offsets are
+    /// page-absolute, so the diff applies to a full-page reference copy
+    /// whatever the unit's size.
+    pub fn compute_unit(unit: Unit, offset: usize, twin: &[u8], current: &[u8]) -> Self {
+        let len = twin.len();
+        assert_eq!(
+            current.len(),
+            len,
+            "twin and copy must have the same length"
+        );
+        assert!(offset + len <= PAGE_SIZE, "unit escapes the page");
         let mut runs = Vec::new();
         let mut i = 0;
-        while i < PAGE_SIZE {
+        while i < len {
             if twin[i] != current[i] {
                 let start = i;
-                while i < PAGE_SIZE && twin[i] != current[i] {
+                while i < len && twin[i] != current[i] {
                     i += 1;
                 }
                 runs.push(DiffRun {
-                    offset: start,
+                    offset: offset + start,
                     bytes: current[start..i].to_vec(),
                 });
             } else {
                 i += 1;
             }
         }
-        PageDiff {
-            page,
-            line: LINE0,
-            runs,
-        }
-    }
-
-    /// Compute a line-scoped diff between the pristine `twin_line` and the
-    /// `current_line` contents of one coherence line starting at byte
-    /// `line_offset` of the page. Run offsets are page-absolute, so the
-    /// resulting diff applies to a full-page reference copy exactly like a
-    /// page-granularity diff.
-    pub fn compute_range(
-        page: PageId,
-        line: LineIx,
-        line_offset: usize,
-        twin_line: &[u8],
-        current_line: &[u8],
-    ) -> Self {
-        assert_eq!(
-            twin_line.len(),
-            current_line.len(),
-            "line twin and line copy must have the same length"
-        );
-        assert!(
-            line_offset + twin_line.len() <= PAGE_SIZE,
-            "line escapes the page"
-        );
-        let len = twin_line.len();
-        let mut runs = Vec::new();
-        let mut i = 0;
-        while i < len {
-            if twin_line[i] != current_line[i] {
-                let start = i;
-                while i < len && twin_line[i] != current_line[i] {
-                    i += 1;
-                }
-                runs.push(DiffRun {
-                    offset: line_offset + start,
-                    bytes: current_line[start..i].to_vec(),
-                });
-            } else {
-                i += 1;
-            }
-        }
-        PageDiff { page, line, runs }
+        PageDiff { unit, runs }
     }
 
     /// Build a diff from explicitly recorded modified ranges (the
@@ -151,8 +119,7 @@ impl PageDiff {
             })
             .collect();
         PageDiff {
-            page,
-            line: LINE0,
+            unit: Unit::whole(page),
             runs,
         }
     }
@@ -189,17 +156,36 @@ mod tests {
         assert_eq!(diff.payload_bytes(), 0);
     }
 
+    /// One changed word is one small run at its page-absolute offset, for
+    /// the unit that is the page and for a 256-byte line in the middle of it.
     #[test]
     fn single_word_change_is_one_small_run() {
-        let twin = page_of(0);
-        let mut cur = twin.clone();
-        cur[100..104].copy_from_slice(&[1, 2, 3, 4]);
-        let diff = PageDiff::compute(PageId(1), &twin, &cur);
-        assert_eq!(diff.runs.len(), 1);
-        assert_eq!(diff.runs[0].offset, 100);
-        assert_eq!(diff.runs[0].bytes, vec![1, 2, 3, 4]);
-        assert_eq!(diff.modified_bytes(), 4);
-        assert!(diff.payload_bytes() < 64);
+        use crate::page::{line_range, LineIx};
+        for (line, line_size) in [(LineIx(0), PAGE_SIZE), (LineIx(3), 256)] {
+            let unit = Unit::new(PageId(1), line);
+            let (offset, len) = line_range(line, line_size);
+            let twin = vec![0u8; len];
+            let mut cur = twin.clone();
+            cur[100..104].copy_from_slice(&[1, 2, 3, 4]);
+            let diff = PageDiff::compute_unit(unit, offset, &twin, &cur);
+            assert_eq!(diff.unit, unit);
+            assert_eq!(diff.runs.len(), 1);
+            assert_eq!(diff.runs[0].offset, offset + 100);
+            assert_eq!(diff.runs[0].bytes, vec![1, 2, 3, 4]);
+            assert_eq!(diff.modified_bytes(), 4);
+            assert!(diff.payload_bytes() < 64);
+            let mut home = page_of(0);
+            diff.apply(&mut home);
+            assert_eq!(home[offset + 100..offset + 104], [1, 2, 3, 4]);
+            assert_eq!(home.iter().filter(|&&b| b != 0).count(), 4);
+        }
+        // `compute` is the whole-page unit of the same loop.
+        let (twin, cur) = (page_of(0), page_of(1));
+        let whole = Unit::whole(PageId(1));
+        assert_eq!(
+            PageDiff::compute(whole.page, &twin, &cur),
+            PageDiff::compute_unit(whole, 0, &twin, &cur)
+        );
     }
 
     #[test]
@@ -238,28 +224,10 @@ mod tests {
     }
 
     #[test]
-    fn line_scoped_diff_uses_page_absolute_offsets() {
-        use crate::page::LineIx;
-        let line_size = 256;
-        let twin_line = vec![0u8; line_size];
-        let mut cur_line = twin_line.clone();
-        cur_line[4..8].fill(9);
-        let diff =
-            PageDiff::compute_range(PageId(5), LineIx(3), 3 * line_size, &twin_line, &cur_line);
-        assert_eq!(diff.line, LineIx(3));
-        assert_eq!(diff.runs.len(), 1);
-        assert_eq!(diff.runs[0].offset, 3 * line_size + 4);
-        let mut home = page_of(0);
-        diff.apply(&mut home);
-        assert_eq!(home[3 * line_size + 4..3 * line_size + 8], [9, 9, 9, 9]);
-        assert_eq!(home[0], 0);
-    }
-
-    #[test]
     fn empty_diff_constructor() {
-        let d = PageDiff::empty(PageId(9));
+        let d = PageDiff::empty(Unit::whole(PageId(9)));
         assert!(d.is_empty());
-        assert_eq!(d.page, PageId(9));
+        assert_eq!(d.unit.page, PageId(9));
     }
 
     proptest! {

@@ -2,35 +2,35 @@
 //!
 //! The page table records *rights and ownership*; the frame store records
 //! *contents*. A node holds a frame for every page it has a copy of, plus the
-//! optional twin used by the multiple-writer protocols and the modification
-//! ranges recorded by the Java protocols' `put` primitive.
+//! twins used by the multiple-writer protocols and the modification ranges
+//! recorded by the Java protocols' `put` primitive.
+//!
+//! A frame is addressed by page; the part of it one coherence unit covers is
+//! the unit's *span*, `(offset, len)` from [`crate::PageEntry::line_span`].
+//! Under whole-page coherence that span is `(0, PAGE_SIZE)` of line 0 and
+//! goes through the same operations as any other.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 
 use parking_lot::Mutex;
 
 use dsmpm2_madeleine::NodeId;
 
 use crate::diff::PageDiff;
-use crate::page::{IdMap, LineIx, PageId, PAGE_SIZE};
+use crate::page::{IdMap, LineIx, PageId, Unit, PAGE_SIZE};
 
 /// A locally mapped page.
 ///
-/// One frame always holds the full `PAGE_SIZE` bytes even when the page is
-/// managed at sub-page granularity: line-level *rights* in the page table
-/// decide which parts of the frame are valid, while the frame itself is the
-/// backing store shared by all of the page's lines. Multiple-writer twinning
-/// happens per coherence unit: the whole-page `twin` at the default
-/// granularity, per-line pristine copies in `line_twins` otherwise.
+/// One frame always holds the full `PAGE_SIZE` bytes however the page is
+/// split: the *rights* in the page table decide which lines of the frame are
+/// valid, while the frame itself is the backing store shared by all of them.
 #[derive(Clone, Debug)]
 pub struct Frame {
     /// Current local contents.
     pub data: Vec<u8>,
-    /// Pristine copy taken at the first write after an acquire (twinning).
-    pub twin: Option<Vec<u8>>,
-    /// Pristine per-line copies for sub-page-granularity pages, keyed by line
-    /// index (each holds exactly the line's bytes).
-    pub line_twins: HashMap<LineIx, Vec<u8>>,
+    /// Pristine copies taken at the first write after an acquire (twinning),
+    /// one per twinned coherence unit, each holding exactly its span's bytes.
+    pub twins: HashMap<LineIx, Vec<u8>>,
     /// Explicitly recorded modified ranges `(offset, len)` (on-the-fly diff
     /// recording used by the Java protocols).
     pub recorded: Vec<(usize, usize)>,
@@ -40,8 +40,7 @@ impl Frame {
     fn zeroed() -> Self {
         Frame {
             data: vec![0u8; PAGE_SIZE],
-            twin: None,
-            line_twins: HashMap::new(),
+            twins: HashMap::new(),
             recorded: Vec::new(),
         }
     }
@@ -73,34 +72,35 @@ impl FrameStore {
         self.frames.lock().entry(page).or_insert_with(Frame::zeroed);
     }
 
-    /// Install (or replace) the local copy of `page` with `data`.
-    pub fn install(&self, page: PageId, data: Vec<u8>) {
-        assert_eq!(
-            data.len(),
-            PAGE_SIZE,
-            "installed page must be {PAGE_SIZE} bytes"
-        );
+    /// Install `data` as the contents of `unit`, which covers `span` of its
+    /// page (creating a zeroed frame first if the node held no copy at all).
+    /// Only the span is replaced: the unit's twin is dropped and recorded
+    /// ranges inside the span are forgotten, the rest of the frame is
+    /// untouched.
+    pub fn install(&self, unit: Unit, span: (usize, usize), data: &[u8]) {
+        let (offset, len) = span;
+        assert_eq!(data.len(), len, "installed unit must be {len} bytes");
         let mut frames = self.frames.lock();
-        let frame = frames.entry(page).or_insert_with(Frame::zeroed);
-        frame.data = data;
-        frame.twin = None;
-        frame.line_twins.clear();
-        frame.recorded.clear();
+        let frame = frames.entry(unit.page).or_insert_with(Frame::zeroed);
+        frame.data[offset..offset + len].copy_from_slice(data);
+        frame.twins.remove(&unit.line);
+        frame
+            .recorded
+            .retain(|&(at, _)| at < offset || at >= offset + len);
     }
 
-    /// Install the contents of one coherence line of `page` (creating a
-    /// zeroed frame first if the node held no copy at all). Only the line's
-    /// byte range is replaced; other lines of the frame are untouched, and
-    /// only that line's twin is dropped.
-    pub fn install_line(&self, page: PageId, line: LineIx, offset: usize, data: &[u8]) {
-        assert!(
-            offset + data.len() <= PAGE_SIZE,
-            "installed line escapes the page"
-        );
+    /// Drop what the node holds of an invalidated `unit` with span `span`:
+    /// its twin (the modifications it tracked are dead) and, when the unit is
+    /// the whole page, the frame itself — other lines of a split page may
+    /// still be valid, so their frame stays. A page without a frame is left
+    /// alone.
+    pub fn invalidate(&self, unit: Unit, span: (usize, usize)) {
         let mut frames = self.frames.lock();
-        let frame = frames.entry(page).or_insert_with(Frame::zeroed);
-        frame.data[offset..offset + data.len()].copy_from_slice(data);
-        frame.line_twins.remove(&line);
+        if span.1 == PAGE_SIZE {
+            frames.remove(&unit.page);
+        } else if let Some(frame) = frames.get_mut(&unit.page) {
+            frame.twins.remove(&unit.line);
+        }
     }
 
     /// Drop the local copy of `page`, returning its last contents.
@@ -108,15 +108,10 @@ impl FrameStore {
         self.frames.lock().remove(&page).map(|f| f.data)
     }
 
-    /// Copy the contents of `page` (for sending it to another node).
-    pub fn snapshot(&self, page: PageId) -> Vec<u8> {
-        self.with(page, |f| f.data.clone())
-    }
-
-    /// Copy `len` bytes at `offset` of `page` (for sending one coherence
-    /// line to another node).
-    pub fn snapshot_range(&self, page: PageId, offset: usize, len: usize) -> Vec<u8> {
-        self.with(page, |f| f.data[offset..offset + len].to_vec())
+    /// Copy the bytes of `span` within `page` (for sending a coherence unit
+    /// to another node).
+    pub fn snapshot(&self, page: PageId, span: (usize, usize)) -> Vec<u8> {
+        self.with(page, |f| f.data[span.0..span.0 + span.1].to_vec())
     }
 
     /// Run `f` on the `len` bytes at `offset` within `page` — the one way the
@@ -140,76 +135,33 @@ impl FrameStore {
         })
     }
 
-    /// Create a twin of `page` if none exists yet. Returns true if a twin was
-    /// actually created.
-    pub fn make_twin(&self, page: PageId) -> bool {
-        self.with(page, |f| {
-            if f.twin.is_none() {
-                f.twin = Some(f.data.clone());
-                true
-            } else {
-                false
-            }
-        })
-    }
-
-    /// True if `page` currently has a twin.
-    pub fn has_twin(&self, page: PageId) -> bool {
-        self.with(page, |f| f.twin.is_some())
-    }
-
-    /// Compute the diff of `page` against its twin, dropping the twin.
-    /// Returns an empty diff if no twin existed.
-    pub fn take_twin_diff(&self, page: PageId) -> PageDiff {
-        self.with(page, |f| match f.twin.take() {
-            Some(twin) => PageDiff::compute(page, &twin, &f.data),
-            None => PageDiff::empty(page),
-        })
-    }
-
-    /// Create a pristine twin of one coherence line of `page` if none exists
-    /// yet (sub-page-granularity twinning). Returns true if a twin was
-    /// actually created.
-    pub fn make_line_twin(&self, page: PageId, line: LineIx, offset: usize, len: usize) -> bool {
-        self.with(page, |f| {
-            if f.line_twins.contains_key(&line) {
-                false
-            } else {
-                f.line_twins
-                    .insert(line, f.data[offset..offset + len].to_vec());
+    /// Create a twin — a pristine copy of `span` — for `unit` if it has none
+    /// yet. Returns true if a twin was actually created.
+    pub fn make_twin(&self, unit: Unit, span: (usize, usize)) -> bool {
+        self.with(unit.page, |f| match f.twins.entry(unit.line) {
+            Entry::Occupied(_) => false,
+            Entry::Vacant(slot) => {
+                slot.insert(f.data[span.0..span.0 + span.1].to_vec());
                 true
             }
         })
     }
 
-    /// True if line `line` of `page` currently has a twin.
-    pub fn has_line_twin(&self, page: PageId, line: LineIx) -> bool {
-        self.with(page, |f| f.line_twins.contains_key(&line))
+    /// True if `unit` currently has a twin.
+    pub fn has_twin(&self, unit: Unit) -> bool {
+        self.with(unit.page, |f| f.twins.contains_key(&unit.line))
     }
 
-    /// Drop the twin of line `line` of `page` without computing a diff (the
-    /// line was invalidated, so its modifications are dead).
-    pub fn drop_line_twin(&self, page: PageId, line: LineIx) {
-        self.with(page, |f| {
-            f.line_twins.remove(&line);
-        });
-    }
-
-    /// Compute the line-scoped diff of line `line` of `page` against its
-    /// twin, dropping the twin. Returns an empty diff if no twin existed.
-    /// `offset` is the line's base offset within the page (run offsets in the
-    /// result are page-absolute).
-    pub fn take_line_twin_diff(&self, page: PageId, line: LineIx, offset: usize) -> PageDiff {
-        self.with(page, |f| match f.line_twins.remove(&line) {
+    /// Compute the diff of `unit`, whose span starts at byte `offset` of the
+    /// page, against its twin, dropping the twin. Returns an empty diff if no
+    /// twin existed. Run offsets in the result are page-absolute.
+    pub fn take_twin_diff(&self, unit: Unit, offset: usize) -> PageDiff {
+        self.with(unit.page, |f| match f.twins.remove(&unit.line) {
             Some(twin) => {
                 let current = &f.data[offset..offset + twin.len()];
-                PageDiff::compute_range(page, line, offset, &twin, current)
+                PageDiff::compute_unit(unit, offset, &twin, current)
             }
-            None => {
-                let mut d = PageDiff::empty(page);
-                d.line = line;
-                d
-            }
+            None => PageDiff::empty(unit),
         })
     }
 
@@ -262,10 +214,22 @@ impl std::fmt::Debug for FrameStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::line_range;
+
+    const PAGE: PageId = PageId(1);
+
+    /// Run `check` on a store holding a zeroed [`PAGE`], once per geometry,
+    /// with the unit under test and its span: the whole page, then line 1 of
+    /// four 1024-byte lines.
+    fn at_both_geometries(check: impl Fn(&FrameStore, Unit, (usize, usize))) {
+        for (line, line_size) in [(LineIx(0), PAGE_SIZE), (LineIx(1), 1024)] {
+            check(&store(), Unit::new(PAGE, line), line_range(line, line_size));
+        }
+    }
 
     fn store() -> FrameStore {
         let s = FrameStore::new(NodeId(0));
-        s.ensure_zeroed(PageId(1));
+        s.ensure_zeroed(PAGE);
         s
     }
 
@@ -283,101 +247,115 @@ mod tests {
     fn zeroed_frame_reads_zero() {
         let s = store();
         let mut buf = [1u8; 8];
-        read(&s, PageId(1), 100, &mut buf);
+        read(&s, PAGE, 100, &mut buf);
         assert_eq!(buf, [0u8; 8]);
-        assert!(s.has(PageId(1)));
+        assert!(s.has(PAGE));
         assert!(!s.has(PageId(2)));
     }
 
     #[test]
     fn write_then_read_roundtrip() {
         let s = store();
-        write(&s, PageId(1), 8, &[1, 2, 3, 4]);
+        write(&s, PAGE, 8, &[1, 2, 3, 4]);
         let mut buf = [0u8; 4];
-        read(&s, PageId(1), 8, &mut buf);
+        read(&s, PAGE, 8, &mut buf);
         assert_eq!(buf, [1, 2, 3, 4]);
     }
 
+    /// Installing a unit replaces exactly its span, drops exactly its twin
+    /// and forgets exactly the ranges recorded inside the span.
     #[test]
-    fn install_replaces_contents_and_clears_twin() {
-        let s = store();
-        write(&s, PageId(1), 0, &[9]);
-        s.make_twin(PageId(1));
-        let new = vec![7u8; PAGE_SIZE];
-        s.install(PageId(1), new.clone());
-        assert_eq!(s.snapshot(PageId(1)), new);
-        assert!(!s.has_twin(PageId(1)));
+    fn install_replaces_the_span_and_clears_its_twin() {
+        at_both_geometries(|s, unit, span| {
+            let (offset, len) = span;
+            write(s, PAGE, offset, &[9]);
+            s.make_twin(unit, span);
+            s.with_bytes(PAGE, offset + 8, 4, true, |b| b.fill(6));
+            let new = vec![7u8; len];
+            s.install(unit, span, &new);
+            assert_eq!(s.snapshot(PAGE, span), new);
+            assert!(!s.has_twin(unit));
+            assert!(!s.has_recorded(PAGE));
+            if len < PAGE_SIZE {
+                // The rest of a split page is another unit's business.
+                let other = Unit::new(PAGE, LineIx(0));
+                write(s, PAGE, 0, &[5; 64]);
+                s.make_twin(other, (0, len));
+                s.with_bytes(PAGE, 16, 4, true, |b| b.fill(5));
+                s.install(unit, span, &vec![3u8; len]);
+                assert_eq!(s.snapshot(PAGE, (0, 4)), vec![5, 5, 5, 5]);
+                assert_eq!(s.snapshot(PAGE, (offset, 2)), vec![3, 3]);
+                assert!(
+                    s.has_twin(other),
+                    "installing one line keeps other lines' twins"
+                );
+                assert!(s.has_recorded(PAGE), "and their recorded ranges");
+                s.install(other, (0, len), &vec![1u8; len]);
+                assert!(!s.has_twin(other));
+            }
+            // Installing on a node with no frame creates a zeroed frame.
+            let fresh = Unit::new(PageId(9), unit.line);
+            s.install(fresh, span, &vec![3u8; len]);
+            assert_eq!(s.snapshot(fresh.page, (offset, 1)), vec![3]);
+            if offset > 0 {
+                assert_eq!(s.snapshot(fresh.page, (0, 1)), vec![0]);
+            }
+        });
     }
 
     #[test]
     fn twin_diff_captures_writes_since_twin() {
-        let s = store();
-        write(&s, PageId(1), 0, &[5; 16]);
-        assert!(s.make_twin(PageId(1)));
-        assert!(!s.make_twin(PageId(1)), "second twin request is a no-op");
-        write(&s, PageId(1), 4, &[9; 4]);
-        let diff = s.take_twin_diff(PageId(1));
-        assert_eq!(diff.runs.len(), 1);
-        assert_eq!(diff.runs[0].offset, 4);
-        assert!(!s.has_twin(PageId(1)));
-        // Without a twin the diff is empty.
-        assert!(s.take_twin_diff(PageId(1)).is_empty());
+        at_both_geometries(|s, unit, span| {
+            let (offset, len) = span;
+            write(s, PAGE, offset, &[5; 16]);
+            assert!(s.make_twin(unit, span));
+            assert!(!s.make_twin(unit, span), "second twin request is a no-op");
+            assert!(s.has_twin(unit));
+            write(s, PAGE, offset + 4, &[9; 4]);
+            if len < PAGE_SIZE {
+                // A write to the next line is not this unit's modification.
+                assert!(!s.has_twin(Unit::new(PAGE, LineIx(2))));
+                write(s, PAGE, offset + len, &[8; 4]);
+            }
+            let diff = s.take_twin_diff(unit, offset);
+            assert_eq!(diff.unit, unit);
+            assert_eq!(diff.runs.len(), 1);
+            assert_eq!(diff.runs[0].offset, offset + 4, "offsets page-absolute");
+            assert!(!s.has_twin(unit));
+            // Without a twin the diff is empty.
+            let none = s.take_twin_diff(unit, offset);
+            assert!(none.is_empty());
+            assert_eq!(none.unit, unit);
+        });
     }
 
+    /// Invalidating a unit kills its twin; only a unit that is the whole page
+    /// takes the frame with it.
     #[test]
-    fn line_twins_are_independent_per_line() {
-        let s = store();
-        let line_size = 1024;
-        // Twin line 1, modify lines 1 and 2; only line 1's diff sees it.
-        assert!(s.make_line_twin(PageId(1), LineIx(1), line_size, line_size));
-        assert!(
-            !s.make_line_twin(PageId(1), LineIx(1), line_size, line_size),
-            "second line-twin request is a no-op"
-        );
-        assert!(s.has_line_twin(PageId(1), LineIx(1)));
-        assert!(!s.has_line_twin(PageId(1), LineIx(2)));
-        write(&s, PageId(1), line_size + 4, &[9; 4]);
-        write(&s, PageId(1), 2 * line_size, &[8; 4]);
-        let diff = s.take_line_twin_diff(PageId(1), LineIx(1), line_size);
-        assert_eq!(diff.line, LineIx(1));
-        assert_eq!(diff.runs.len(), 1);
-        assert_eq!(diff.runs[0].offset, line_size + 4, "offsets page-absolute");
-        assert!(!s.has_line_twin(PageId(1), LineIx(1)));
-        // Without a twin the line diff is empty.
-        assert!(s
-            .take_line_twin_diff(PageId(1), LineIx(1), line_size)
-            .is_empty());
-    }
-
-    #[test]
-    fn install_line_replaces_only_its_range() {
-        let s = store();
-        write(&s, PageId(1), 0, &[7; 64]);
-        s.make_line_twin(PageId(1), LineIx(0), 0, 1024);
-        s.install_line(PageId(1), LineIx(2), 2048, &vec![5u8; 1024]);
-        assert_eq!(s.snapshot_range(PageId(1), 0, 4), vec![7, 7, 7, 7]);
-        assert_eq!(s.snapshot_range(PageId(1), 2048, 2), vec![5, 5]);
-        assert!(
-            s.has_line_twin(PageId(1), LineIx(0)),
-            "installing one line keeps other lines' twins"
-        );
-        s.install_line(PageId(1), LineIx(0), 0, &vec![1u8; 1024]);
-        assert!(!s.has_line_twin(PageId(1), LineIx(0)));
-        // Installing a line on a node with no frame creates a zeroed frame.
-        s.install_line(PageId(9), LineIx(1), 1024, &vec![3u8; 1024]);
-        assert_eq!(s.snapshot_range(PageId(9), 0, 1), vec![0]);
-        assert_eq!(s.snapshot_range(PageId(9), 1024, 1), vec![3]);
+    fn invalidate_drops_the_twin_and_a_whole_pages_frame() {
+        at_both_geometries(|s, unit, span| {
+            s.make_twin(unit, span);
+            s.invalidate(unit, span);
+            if span.1 == PAGE_SIZE {
+                assert!(!s.has(PAGE));
+            } else {
+                assert!(s.has(PAGE));
+                assert!(!s.has_twin(unit));
+            }
+            s.invalidate(Unit::new(PageId(2), unit.line), span);
+            assert!(!s.has(PageId(2)), "no frame: nothing to do");
+        });
     }
 
     #[test]
     fn recorded_diff_tracks_explicit_writes() {
         let s = store();
-        s.with_bytes(PageId(1), 10, 2, true, |b| b.fill(1));
-        s.with_bytes(PageId(1), 40, 3, true, |b| b.fill(2));
-        assert!(s.has_recorded(PageId(1)));
-        let diff = s.take_recorded_diff(PageId(1));
+        s.with_bytes(PAGE, 10, 2, true, |b| b.fill(1));
+        s.with_bytes(PAGE, 40, 3, true, |b| b.fill(2));
+        assert!(s.has_recorded(PAGE));
+        let diff = s.take_recorded_diff(PAGE);
         assert_eq!(diff.runs.len(), 2);
-        assert!(!s.has_recorded(PageId(1)));
+        assert!(!s.has_recorded(PAGE));
     }
 
     #[test]
@@ -385,21 +363,21 @@ mod tests {
         let s = store();
         let mut other = vec![0u8; PAGE_SIZE];
         other[100] = 42;
-        let diff = PageDiff::compute(PageId(1), &vec![0u8; PAGE_SIZE], &other);
-        s.apply_diff(PageId(1), &diff);
+        let diff = PageDiff::compute(PAGE, &vec![0u8; PAGE_SIZE], &other);
+        s.apply_diff(PAGE, &diff);
         let mut b = [0u8; 1];
-        read(&s, PageId(1), 100, &mut b);
+        read(&s, PAGE, 100, &mut b);
         assert_eq!(b[0], 42);
     }
 
     #[test]
     fn evict_removes_the_frame() {
         let s = store();
-        write(&s, PageId(1), 0, &[3]);
-        let data = s.evict(PageId(1)).unwrap();
+        write(&s, PAGE, 0, &[3]);
+        let data = s.evict(PAGE).unwrap();
         assert_eq!(data[0], 3);
-        assert!(!s.has(PageId(1)));
-        assert!(s.evict(PageId(1)).is_none());
+        assert!(!s.has(PAGE));
+        assert!(s.evict(PAGE).is_none());
         assert!(s.pages().is_empty());
     }
 
@@ -412,8 +390,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "4096 bytes")]
-    fn installing_short_page_panics() {
-        store().install(PageId(1), vec![0u8; 10]);
+    fn installing_short_unit_panics() {
+        at_both_geometries(|s, unit, span| {
+            let install = std::panic::AssertUnwindSafe(|| s.install(unit, span, &[0u8; 10]));
+            let message = *std::panic::catch_unwind(install)
+                .unwrap_err()
+                .downcast::<String>()
+                .unwrap();
+            assert!(message.contains(&format!("{} bytes", span.1)), "{message}");
+        });
     }
 }

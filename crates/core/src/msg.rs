@@ -8,18 +8,13 @@
 use dsmpm2_madeleine::NodeId;
 
 use crate::diff::PageDiff;
-use crate::page::{Access, LineIx, PageId};
+use crate::page::{Access, Unit};
 
-/// A request for a copy of (or for ownership of) a page or coherence line.
-///
-/// At the default whole-page granularity `line` is always line 0 and the
-/// message is exactly the historical page request.
+/// A request for a copy of (or for ownership of) a coherence unit.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PageRequest {
-    /// Requested page.
-    pub page: PageId,
-    /// Requested coherence line within the page (line 0 at page granularity).
-    pub line: LineIx,
+    /// Requested unit.
+    pub unit: Unit,
     /// `Read` for a read copy, `Write` for write access / ownership.
     pub access: Access,
     /// Node that needs the page (requests may be forwarded, so this is not
@@ -27,14 +22,12 @@ pub struct PageRequest {
     pub requester: NodeId,
 }
 
-/// A page (or coherence line) sent to a requester.
+/// A coherence unit sent to a requester.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PageTransfer {
-    /// The page being transferred.
-    pub page: PageId,
-    /// The coherence line being transferred (line 0 at page granularity).
-    pub line: LineIx,
-    /// Contents: the full page at page granularity, one line otherwise.
+    /// The unit being transferred.
+    pub unit: Unit,
+    /// Contents: exactly the bytes of the unit's span.
     pub data: Vec<u8>,
     /// Rights granted to the receiving node.
     pub grant: Access,
@@ -49,10 +42,8 @@ pub struct PageTransfer {
 /// An invalidation request for a local copy.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Invalidation {
-    /// Page whose local copy must be invalidated.
-    pub page: PageId,
-    /// Coherence line to invalidate (line 0 at page granularity).
-    pub line: LineIx,
+    /// Unit whose local copy must be invalidated.
+    pub unit: Unit,
     /// Node that triggered the invalidation (new owner or home node).
     pub from: NodeId,
     /// If set, the receiving node should update its probable-owner hint.
@@ -78,12 +69,10 @@ pub enum DsmMsg {
     /// Routed to `invalidate_server`.
     Invalidate(Invalidation),
     /// Handled by the generic core: decrements the pending-ack count of the
-    /// page on the receiving node.
+    /// unit on the receiving node.
     InvalidateAck {
-        /// Acknowledged page.
-        page: PageId,
-        /// Acknowledged coherence line (line 0 at page granularity).
-        line: LineIx,
+        /// Acknowledged unit.
+        unit: Unit,
     },
     /// Routed to the protocol's `diff_server` hook (home-based protocols).
     Diff {
@@ -96,10 +85,8 @@ pub enum DsmMsg {
     },
     /// Handled by the generic core like `InvalidateAck`.
     DiffAck {
-        /// Acknowledged page.
-        page: PageId,
-        /// Acknowledged coherence line (line 0 at page granularity).
-        line: LineIx,
+        /// Acknowledged unit.
+        unit: Unit,
     },
     /// Sent to a page's home node when a node finishes installing write
     /// ownership. The home is the serialization point for ownership
@@ -108,10 +95,8 @@ pub enum DsmMsg {
     /// forwarding the next, so write requests are never routed at a node
     /// that is still fetching.
     AcquireDone {
-        /// The acquired page.
-        page: PageId,
-        /// The acquired coherence line (line 0 at page granularity).
-        line: LineIx,
+        /// The acquired unit.
+        unit: Unit,
         /// The new owner.
         owner: NodeId,
         /// Ownership-succession version of the acquisition.
@@ -134,10 +119,8 @@ pub enum DsmMsg {
 /// a handler thread.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct FetchRead {
-    /// Requested page.
-    pub page: PageId,
-    /// Requested coherence line (line 0 at page granularity).
-    pub line: LineIx,
+    /// Requested unit.
+    pub unit: Unit,
     /// Node performing the read fault.
     pub requester: NodeId,
 }
@@ -145,10 +128,9 @@ pub struct FetchRead {
 /// Reply to a [`FetchRead`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum FetchReply {
-    /// The home served a read-only copy of the line (or whole page at page
-    /// granularity) directly from its frame.
+    /// The home served a read-only copy of the unit directly from its frame.
     Data {
-        /// Line (or page) contents.
+        /// The bytes of the unit's span.
         data: Vec<u8>,
         /// Version of the home's reference copy.
         version: u64,
@@ -202,69 +184,55 @@ impl DsmMsg {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::page::{LINE0, PAGE_SIZE};
+    use crate::page::{line_range, LineIx, PageId, PAGE_SIZE};
 
+    /// Only transfers and diffs carry payload, and a transfer's is the span
+    /// of its unit — a whole page or one 1024-byte line.
     #[test]
     fn payload_accounting() {
-        let req = DsmMsg::Request(PageRequest {
-            page: PageId(1),
-            line: LINE0,
-            access: Access::Read,
-            requester: NodeId(0),
-        });
-        assert_eq!(req.payload_bytes(), 0);
+        for (line, line_size) in [(LineIx(0), PAGE_SIZE), (LineIx(2), 1024)] {
+            let unit = Unit::new(PageId(1), line);
+            let (offset, len) = line_range(line, line_size);
+            let req = DsmMsg::Request(PageRequest {
+                unit,
+                access: Access::Read,
+                requester: NodeId(0),
+            });
+            assert_eq!(req.payload_bytes(), 0);
 
-        let transfer = DsmMsg::Transfer(PageTransfer {
-            page: PageId(1),
-            line: LINE0,
-            data: vec![0; PAGE_SIZE],
-            grant: Access::Read,
-            owner: NodeId(0),
-            copyset: vec![],
-            version: 1,
-        });
-        assert_eq!(transfer.payload_bytes(), PAGE_SIZE);
+            let transfer = DsmMsg::Transfer(PageTransfer {
+                unit,
+                data: vec![0; len],
+                grant: Access::Read,
+                owner: NodeId(0),
+                copyset: vec![],
+                version: 1,
+            });
+            assert_eq!(transfer.payload_bytes(), len);
 
-        let mut cur = vec![0u8; PAGE_SIZE];
-        cur[10] = 1;
-        let diff = PageDiff::compute(PageId(1), &vec![0u8; PAGE_SIZE], &cur);
-        let bytes = diff.payload_bytes();
-        let msg = DsmMsg::Diff {
-            diff,
-            from: NodeId(2),
-            needs_ack: true,
-        };
-        assert_eq!(msg.payload_bytes(), bytes);
-        assert_eq!(
-            DsmMsg::InvalidateAck {
-                page: PageId(3),
-                line: LINE0
-            }
-            .payload_bytes(),
-            0
-        );
-        assert_eq!(
-            DsmMsg::DiffAck {
-                page: PageId(3),
-                line: LINE0
-            }
-            .payload_bytes(),
-            0
-        );
-        let batch = DsmMsg::Batch(vec![
-            msg,
-            DsmMsg::InvalidateAck {
-                page: PageId(3),
-                line: LINE0,
-            },
-            DsmMsg::AcquireDone {
-                page: PageId(4),
-                line: LINE0,
-                owner: NodeId(1),
-                version: 2,
-            },
-        ]);
-        assert_eq!(batch.payload_bytes(), bytes, "batch sums its sub-messages");
+            let mut cur = vec![0u8; len];
+            cur[10] = 1;
+            let diff = PageDiff::compute_unit(unit, offset, &vec![0u8; len], &cur);
+            let bytes = diff.payload_bytes();
+            let msg = DsmMsg::Diff {
+                diff,
+                from: NodeId(2),
+                needs_ack: true,
+            };
+            assert_eq!(msg.payload_bytes(), bytes);
+            assert_eq!(DsmMsg::InvalidateAck { unit }.payload_bytes(), 0);
+            assert_eq!(DsmMsg::DiffAck { unit }.payload_bytes(), 0);
+            let batch = DsmMsg::Batch(vec![
+                msg,
+                DsmMsg::InvalidateAck { unit },
+                DsmMsg::AcquireDone {
+                    unit,
+                    owner: NodeId(1),
+                    version: 2,
+                },
+            ]);
+            assert_eq!(batch.payload_bytes(), bytes, "batch sums its sub-messages");
+        }
     }
 
     #[test]

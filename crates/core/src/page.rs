@@ -25,7 +25,7 @@ pub const MIN_LINE_SIZE: usize = 64;
 /// [`PAGE_SIZE`]) or one of `PAGE_SIZE / granularity` equal-sized lines when
 /// the region was allocated with a sub-page granularity. Every piece of
 /// per-unit protocol state (rights, ownership, copysets, twins, versions) is
-/// keyed by `(PageId, LineIx)`, so at the default granularity the historical
+/// keyed by [`Unit`], so at the default granularity the historical
 /// page-level behaviour is reproduced bit-for-bit.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct LineIx(pub u16);
@@ -49,6 +49,36 @@ impl fmt::Debug for LineIx {
 impl fmt::Display for LineIx {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "L{}", self.0)
+    }
+}
+
+/// A coherence unit: line `line` of page `page` — *the* key of the page
+/// table, of twins, and of every protocol message and library routine. Under
+/// whole-page coherence a page is its one unit, [`Unit::whole`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct Unit {
+    /// The page.
+    pub page: PageId,
+    /// The line within the page.
+    pub line: LineIx,
+}
+
+impl Unit {
+    /// Line `line` of `page`.
+    pub fn new(page: PageId, line: LineIx) -> Self {
+        Unit { page, line }
+    }
+
+    /// The unit of a page that is one line: what protocols that only manage
+    /// whole pages address when they walk bound pages, cached frames or
+    /// write notices.
+    pub fn whole(page: PageId) -> Self {
+        Unit { page, line: LINE0 }
+    }
+
+    /// Every unit of `page` when it is split into `line_size`-byte lines.
+    pub fn all_of(page: PageId, line_size: usize) -> impl Iterator<Item = Unit> {
+        (0..lines_per_page(line_size)).map(move |ix| Unit::new(page, LineIx(ix)))
     }
 }
 

@@ -9,17 +9,17 @@
 //! (`aux_node`, `flags`, `pending_acks`, ...) give user-defined protocols
 //! room to stash their own per-page state without modifying the core.
 //!
-//! # Coherence units
+//! # One key
 //!
-//! By default the unit is the whole page: each page has exactly one entry,
-//! keyed `(page, line 0)`, and every page-level method below addresses it —
-//! this reproduces the historical page-granularity table bit-for-bit. Regions
-//! allocated with a sub-page granularity split each page into
-//! `PAGE_SIZE / granularity` lines, each with its own independently-owned
-//! entry keyed `(page, line)`. Resolving an offset to its line entry takes
-//! the table lock once: the `(page, line 0)` entry always exists and records
-//! the page's line size (the *geometry*), and the target entry lives behind
-//! the same lock.
+//! Every accessor takes the [`Unit`] it addresses; there is no page-keyed
+//! variant. A page split into `PAGE_SIZE / granularity` lines has one
+//! independently-owned entry per line; whole-page coherence is the case of
+//! one line per page, whose only unit is [`Unit::whole`] and whose
+//! [`PageEntry::line_span`] is `(0, PAGE_SIZE)` — the same entries, reached
+//! through the same code. The one place that maps a byte offset to its unit
+//! is [`PageTable::resolve`]: line 0's entry always exists and records the
+//! page's line size (the *geometry*), and the target entry lives behind the
+//! same lock (`resolve_views_the_unit_of_an_offset` covers both geometries).
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -29,19 +29,15 @@ use parking_lot::Mutex;
 use dsmpm2_madeleine::NodeId;
 use dsmpm2_sim::WaitSet;
 
-use crate::page::{
-    line_of_offset, lines_per_page, Access, IdMap, LineIx, PageId, LINE0, PAGE_SIZE,
-};
+use crate::page::{line_of_offset, Access, IdMap, LineIx, PageId, Unit, LINE0, PAGE_SIZE};
 use crate::protocol::ProtocolId;
 
 /// One page-table entry: the coherence state of one line of one page (the
 /// whole page at the default granularity), as seen by one node.
 #[derive(Clone, Debug)]
 pub struct PageEntry {
-    /// The page this entry describes.
-    pub page: PageId,
-    /// The coherence line this entry describes (line 0 at page granularity).
-    pub line: LineIx,
+    /// The coherence unit this entry describes.
+    pub unit: Unit,
     /// Size in bytes of this page's coherence lines (`PAGE_SIZE` at the
     /// default granularity). Identical across all entries of one page.
     pub line_size: usize,
@@ -97,18 +93,16 @@ pub struct PageEntry {
 }
 
 impl PageEntry {
-    /// A fresh entry for one coherence line of `page`.
-    pub fn new_line(
-        page: PageId,
-        line: LineIx,
+    /// A fresh entry for `unit`, one `line_size`-byte line of its page.
+    fn new_line(
+        unit: Unit,
         line_size: usize,
         home: NodeId,
         protocol: ProtocolId,
         records_writes: bool,
     ) -> Self {
         PageEntry {
-            page,
-            line,
+            unit,
             line_size,
             access: Access::None,
             owned: false,
@@ -131,7 +125,7 @@ impl PageEntry {
 
     /// Byte range `(offset, len)` this entry's line covers within its page.
     pub fn line_span(&self) -> (usize, usize) {
-        crate::page::line_range(self.line, self.line_size)
+        crate::page::line_range(self.unit.line, self.line_size)
     }
 }
 
@@ -156,8 +150,8 @@ pub struct UnitView {
 /// One simulated thread runs at a time, so neither lock is ever contended.
 pub struct PageTable {
     node: NodeId,
-    entries: Mutex<IdMap<(PageId, LineIx), PageEntry>>,
-    waiters: Mutex<IdMap<(PageId, LineIx), Arc<WaitSet>>>,
+    entries: Mutex<IdMap<Unit, PageEntry>>,
+    waiters: Mutex<IdMap<Unit, Arc<WaitSet>>>,
 }
 
 impl PageTable {
@@ -171,9 +165,9 @@ impl PageTable {
     }
 
     /// Install the line entries of `page` at granularity `line_size` if none
-    /// exist yet (`line_size == PAGE_SIZE` gives the single whole-page
-    /// entry). All lines are created under one lock. `records_writes`
-    /// is `protocol`'s [`crate::DsmProtocol::records_writes`].
+    /// exist yet (a `PAGE_SIZE` line gives the single whole-page entry). All
+    /// lines are created under one lock. `records_writes` is `protocol`'s
+    /// [`crate::DsmProtocol::records_writes`].
     pub fn ensure_lines(
         &self,
         page: PageId,
@@ -183,9 +177,9 @@ impl PageTable {
         line_size: usize,
     ) {
         let mut entries = self.entries.lock();
-        for ix in 0..lines_per_page(line_size) {
-            entries.entry((page, LineIx(ix))).or_insert_with(|| {
-                PageEntry::new_line(page, LineIx(ix), line_size, home, protocol, records_writes)
+        for unit in Unit::all_of(page, line_size) {
+            entries.entry(unit).or_insert_with(|| {
+                PageEntry::new_line(unit, line_size, home, protocol, records_writes)
             });
         }
     }
@@ -194,53 +188,22 @@ impl PageTable {
     /// region is re-registered with a different protocol or granularity; the
     /// caller must have quiesced all activity on the page first.
     pub fn remove_page(&self, page: PageId) {
-        let lines = {
-            let mut entries = self.entries.lock();
-            let keys: Vec<(PageId, LineIx)> = entries
-                .keys()
-                .filter(|(p, _)| *p == page)
-                .copied()
-                .collect();
-            for k in &keys {
-                entries.remove(k);
-            }
-            keys
-        };
-        let mut waiters = self.waiters.lock();
-        for k in &lines {
-            waiters.remove(k);
-        }
+        self.entries.lock().retain(|unit, _| unit.page != page);
+        self.waiters.lock().retain(|unit, _| unit.page != page);
     }
 
     /// True if the table knows about `page`.
     pub fn contains(&self, page: PageId) -> bool {
-        self.entries.lock().contains_key(&(page, LINE0))
+        self.entries.lock().contains_key(&Unit::whole(page))
     }
 
-    /// A copy of the whole-page (line 0) entry for `page`.
+    /// A copy of the entry for `unit`.
     ///
     /// # Panics
-    /// Panics if the page is not registered on this node — this corresponds
+    /// Panics if the unit is not registered on this node — this corresponds
     /// to a wild access outside any DSM allocation.
-    pub fn get(&self, page: PageId) -> PageEntry {
-        self.get_at(page, LINE0)
-    }
-
-    /// A copy of the entry for line `line` of `page`.
-    ///
-    /// # Panics
-    /// Panics if the unit is not registered on this node.
-    pub fn get_at(&self, page: PageId, line: LineIx) -> PageEntry {
-        self.entries
-            .lock()
-            .get(&(page, line))
-            .cloned()
-            .unwrap_or_else(|| panic!("node {} has no page-table entry for {page}", self.node))
-    }
-
-    /// A copy of the entry for line `line`, or `None` if unknown.
-    pub fn try_get_at(&self, page: PageId, line: LineIx) -> Option<PageEntry> {
-        self.entries.lock().get(&(page, line)).cloned()
+    pub fn get(&self, unit: Unit) -> PageEntry {
+        self.read(unit, PageEntry::clone)
     }
 
     /// Resolve the coherence unit governing byte `offset` of `page` into a
@@ -252,11 +215,11 @@ impl PageTable {
     /// (the access will fault and come back).
     pub fn resolve(&self, page: PageId, offset: usize, mark_write: bool) -> Option<UnitView> {
         let mut entries = self.entries.lock();
-        let mut entry = entries.get_mut(&(page, LINE0))?;
+        let mut entry = entries.get_mut(&Unit::whole(page))?;
         if entry.line_size != PAGE_SIZE {
             let line = line_of_offset(offset, entry.line_size);
             if line != LINE0 {
-                entry = entries.get_mut(&(page, line))?;
+                entry = entries.get_mut(&Unit { page, line })?;
             }
         }
         if mark_write && entry.access == Access::Write {
@@ -264,97 +227,63 @@ impl PageTable {
         }
         Some(UnitView {
             access: entry.access,
-            line: entry.line,
+            line: entry.unit.line,
             line_size: entry.line_size,
             protocol: entry.protocol,
             records_writes: entry.records_writes,
         })
     }
 
-    /// Run `f` with shared access to the line-0 entry for `page`, without
-    /// cloning it (cloning copies the whole copyset). The table lock is held
-    /// for the duration of `f`: keep it short and never call back into the
-    /// same table from inside.
-    ///
-    /// # Panics
-    /// Panics if the page is not registered on this node.
-    pub fn read<R>(&self, page: PageId, f: impl FnOnce(&PageEntry) -> R) -> R {
-        self.read_at(page, LINE0, f)
+    /// Run `f` with shared access to the entry for `unit`, without cloning it
+    /// (cloning copies the whole copyset), or return `None` if this node does
+    /// not know the unit. The table lock is held for the duration of `f`:
+    /// keep it short and never call back into the same table from inside.
+    pub fn try_read<R>(&self, unit: Unit, f: impl FnOnce(&PageEntry) -> R) -> Option<R> {
+        self.entries.lock().get(&unit).map(f)
     }
 
-    /// Run `f` with shared access to the entry for line `line` of `page`.
+    /// [`PageTable::try_read`] for a unit that must be registered.
     ///
     /// # Panics
     /// Panics if the unit is not registered on this node.
-    pub fn read_at<R>(&self, page: PageId, line: LineIx, f: impl FnOnce(&PageEntry) -> R) -> R {
-        let entries = self.entries.lock();
-        let entry = entries
-            .get(&(page, line))
-            .unwrap_or_else(|| panic!("node {} has no page-table entry for {page}", self.node));
-        f(entry)
+    pub fn read<R>(&self, unit: Unit, f: impl FnOnce(&PageEntry) -> R) -> R {
+        self.try_read(unit, f).unwrap_or_else(|| self.unknown(unit))
     }
 
-    /// Run `f` with mutable access to the line-0 entry for `page`.
-    ///
-    /// # Panics
-    /// Panics if the page is not registered on this node.
-    pub fn update<R>(&self, page: PageId, f: impl FnOnce(&mut PageEntry) -> R) -> R {
-        self.update_at(page, LINE0, f)
-    }
-
-    /// Run `f` with mutable access to the entry for line `line` of `page`.
+    /// Run `f` with mutable access to the entry for `unit`.
     ///
     /// # Panics
     /// Panics if the unit is not registered on this node.
-    pub fn update_at<R>(
-        &self,
-        page: PageId,
-        line: LineIx,
-        f: impl FnOnce(&mut PageEntry) -> R,
-    ) -> R {
+    pub fn update<R>(&self, unit: Unit, f: impl FnOnce(&mut PageEntry) -> R) -> R {
         let mut entries = self.entries.lock();
-        let entry = entries
-            .get_mut(&(page, line))
-            .unwrap_or_else(|| panic!("node {} has no page-table entry for {page}", self.node));
+        let entry = entries.get_mut(&unit).unwrap_or_else(|| self.unknown(unit));
         f(entry)
     }
 
-    /// Current local access rights on line 0 of `page` (`None` if unknown).
-    pub fn access(&self, page: PageId) -> Access {
-        self.access_at(page, LINE0)
+    fn unknown(&self, unit: Unit) -> ! {
+        panic!(
+            "node {} has no page-table entry for {}",
+            self.node, unit.page
+        )
     }
 
-    /// Current local access rights on line `line` of `page`.
-    pub fn access_at(&self, page: PageId, line: LineIx) -> Access {
-        self.entries
-            .lock()
-            .get(&(page, line))
-            .map(|e| e.access)
-            .unwrap_or(Access::None)
+    /// Current local access rights on `unit` (`None` if unknown).
+    pub fn access(&self, unit: Unit) -> Access {
+        self.try_read(unit, |e| e.access).unwrap_or(Access::None)
     }
 
-    /// Set the local access rights on line 0 of `page`.
-    pub fn set_access(&self, page: PageId, access: Access) {
-        self.update(page, |e| e.access = access);
+    /// Set the local access rights on `unit`.
+    pub fn set_access(&self, unit: Unit, access: Access) {
+        self.update(unit, |e| e.access = access);
     }
 
-    /// Set the local access rights on line `line` of `page`.
-    pub fn set_access_at(&self, page: PageId, line: LineIx, access: Access) {
-        self.update_at(page, line, |e| e.access = access);
-    }
-
-    /// The wait set threads block on while line 0 of `page` is being fetched
-    /// or while acknowledgements are outstanding.
-    pub fn waiters(&self, page: PageId) -> Arc<WaitSet> {
-        self.waiters_at(page, LINE0)
-    }
-
-    /// The wait set for line `line` of `page`.
-    pub fn waiters_at(&self, page: PageId, line: LineIx) -> Arc<WaitSet> {
+    /// The wait set threads block on while `unit` is being fetched or while
+    /// acknowledgements for it are outstanding.
+    pub fn waiters(&self, unit: Unit) -> Arc<WaitSet> {
         Arc::clone(
             self.waiters
                 .lock()
-                .entry((page, line))
+                .entry(unit)
                 .or_insert_with(|| Arc::new(WaitSet::new())),
         )
     }
@@ -366,39 +295,22 @@ impl PageTable {
             .entries
             .lock()
             .keys()
-            .filter(|(_, l)| *l == LINE0)
-            .map(|(p, _)| *p)
+            .filter(|unit| unit.line == LINE0)
+            .map(|unit| unit.page)
             .collect();
         pages.sort();
         pages
     }
 
-    /// Pages this node wrote since the last release (release-consistency
-    /// bookkeeping). A page appears once even if several of its lines are
-    /// modified.
-    pub fn modified_pages(&self) -> Vec<PageId> {
-        let mut pages: Vec<PageId> = self
+    /// Coherence units this node wrote since the last release
+    /// (release-consistency bookkeeping), sorted.
+    pub fn modified_units(&self) -> Vec<Unit> {
+        let mut units: Vec<Unit> = self
             .entries
             .lock()
             .iter()
             .filter(|(_, e)| e.modified_since_release)
-            .map(|((p, _), _)| *p)
-            .collect();
-        pages.sort();
-        pages.dedup();
-        pages
-    }
-
-    /// Coherence units this node wrote since the last release — the
-    /// line-granularity analogue of [`PageTable::modified_pages`]. At the
-    /// default granularity every unit is `(page, line 0)`.
-    pub fn modified_units(&self) -> Vec<(PageId, LineIx)> {
-        let mut units: Vec<(PageId, LineIx)> = self
-            .entries
-            .lock()
-            .iter()
-            .filter(|(_, e)| e.modified_since_release)
-            .map(|(k, _)| *k)
+            .map(|(unit, _)| *unit)
             .collect();
         units.sort();
         units
@@ -424,65 +336,100 @@ impl std::fmt::Debug for PageTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page::lines_per_page;
 
-    fn table() -> PageTable {
-        let t = PageTable::new(NodeId(1));
-        t.ensure_lines(PageId(7), NodeId(0), ProtocolId(0), false, PAGE_SIZE);
-        t
+    const PAGE: PageId = PageId(7);
+
+    /// Run `check` on a table holding [`PAGE`] at both geometries, with the
+    /// page's last unit: `Unit::whole(PAGE)` for whole pages, line 3 of 4
+    /// otherwise.
+    fn at_both_geometries(check: impl Fn(&PageTable, usize, Unit)) {
+        for line_size in [PAGE_SIZE, 1024] {
+            let t = PageTable::new(NodeId(1));
+            t.ensure_lines(PAGE, NodeId(0), ProtocolId(0), false, line_size);
+            let last = LineIx(lines_per_page(line_size) - 1);
+            check(&t, line_size, Unit::new(PAGE, last));
+        }
     }
 
     #[test]
     fn ensure_is_idempotent() {
-        let t = table();
-        t.update(PageId(7), |e| e.access = Access::Write);
-        t.ensure_lines(PageId(7), NodeId(0), ProtocolId(0), false, PAGE_SIZE);
-        assert_eq!(t.get(PageId(7)).access, Access::Write);
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
+        at_both_geometries(|t, line_size, unit| {
+            let lines = PAGE_SIZE / line_size;
+            assert_eq!(t.len(), lines);
+            t.update(unit, |e| e.access = Access::Write);
+            t.ensure_lines(PAGE, NodeId(0), ProtocolId(0), false, line_size);
+            assert_eq!(t.get(unit).access, Access::Write);
+            assert_eq!(t.len(), lines);
+            assert!(!t.is_empty());
+            assert_eq!(t.pages(), vec![PAGE], "a page lists once");
+        });
     }
 
     #[test]
     fn new_entries_start_unmapped_and_homed() {
-        let t = table();
-        let e = t.get(PageId(7));
-        assert_eq!(e.access, Access::None);
-        assert!(!e.owned);
-        assert_eq!(e.home, NodeId(0));
-        assert_eq!(e.prob_owner, NodeId(0));
-        assert!(e.copyset.is_empty());
-        assert_eq!(e.version, 0);
-        assert!(!e.pending_fetch);
-        assert_eq!(e.line, LINE0);
-        assert_eq!(e.line_size, PAGE_SIZE);
-        assert_eq!(e.line_span(), (0, PAGE_SIZE));
+        at_both_geometries(|t, line_size, unit| {
+            let e = t.get(unit);
+            assert_eq!(e.access, Access::None);
+            assert!(!e.owned);
+            assert_eq!(e.home, NodeId(0));
+            assert_eq!(e.prob_owner, NodeId(0));
+            assert!(e.copyset.is_empty());
+            assert_eq!(e.version, 0);
+            assert!(!e.pending_fetch);
+            assert_eq!(e.unit, unit);
+            assert_eq!(e.line_size, line_size);
+            assert_eq!(e.line_span(), (PAGE_SIZE - line_size, line_size));
+            assert_eq!(t.get(Unit::whole(PAGE)).line_size, line_size);
+            assert_eq!(t.get(Unit::whole(PAGE)).line_span(), (0, line_size));
+        });
     }
 
+    /// The helpers address exactly their unit: the page's other lines (when
+    /// it has any) and other pages keep their state.
     #[test]
     fn update_and_access_helpers() {
-        let t = table();
-        t.set_access(PageId(7), Access::Read);
-        assert_eq!(t.access(PageId(7)), Access::Read);
-        assert_eq!(t.access(PageId(99)), Access::None);
-        t.update(PageId(7), |e| {
-            e.copyset.insert(NodeId(2));
-            e.modified_since_release = true;
-            e.version += 1;
+        at_both_geometries(|t, _, unit| {
+            t.set_access(unit, Access::Read);
+            assert_eq!(t.access(unit), Access::Read);
+            assert_eq!(t.access(Unit::whole(PageId(99))), Access::None);
+            t.set_access(unit, Access::Write);
+            t.update(unit, |e| {
+                e.copyset.insert(NodeId(2));
+                e.owned = true;
+                e.modified_since_release = true;
+                e.version += 1;
+            });
+            let e = t.get(unit);
+            assert!(e.copyset.contains(&NodeId(2)));
+            assert_eq!(e.version, 1);
+            assert_eq!(t.access(unit), Access::Write);
+            assert_eq!(t.modified_units(), vec![unit]);
+            if unit.line != LINE0 {
+                assert_eq!(t.access(Unit::new(PAGE, LineIx(1))), Access::None);
+                assert!(!t.get(Unit::whole(PAGE)).owned);
+            }
+            assert!(t.get(unit).owned);
+
+            t.remove_page(PAGE);
+            assert!(t.is_empty());
+            assert!(!t.contains(PAGE));
         });
-        let e = t.get(PageId(7));
-        assert!(e.copyset.contains(&NodeId(2)));
-        assert_eq!(e.version, 1);
-        assert_eq!(t.modified_pages(), vec![PageId(7)]);
-        assert_eq!(t.modified_units(), vec![(PageId(7), LINE0)]);
     }
 
     #[test]
-    fn waiters_are_shared_per_page() {
-        let t = table();
-        let a = t.waiters(PageId(7));
-        let b = t.waiters(PageId(7));
-        assert!(Arc::ptr_eq(&a, &b));
-        let c = t.waiters(PageId(8));
-        assert!(!Arc::ptr_eq(&a, &c));
+    fn waiters_are_shared_per_unit() {
+        at_both_geometries(|t, _, unit| {
+            let a = t.waiters(unit);
+            let b = t.waiters(unit);
+            assert!(Arc::ptr_eq(&a, &b));
+            let c = t.waiters(Unit::whole(PageId(8)));
+            assert!(!Arc::ptr_eq(&a, &c));
+            if unit.line != LINE0 {
+                let d = t.waiters(Unit::new(PAGE, LineIx(2)));
+                assert!(!Arc::ptr_eq(&a, &d), "waiters are per line");
+            }
+        });
     }
 
     #[test]
@@ -496,45 +443,15 @@ mod tests {
 
     #[test]
     fn read_sees_the_entry_without_cloning() {
-        let t = table();
-        t.update(PageId(7), |e| {
-            e.copyset.insert(NodeId(4));
-            e.access = Access::Read;
+        at_both_geometries(|t, _, unit| {
+            t.update(unit, |e| {
+                e.copyset.insert(NodeId(4));
+                e.access = Access::Read;
+            });
+            let (len, access) = t.read(unit, |e| (e.copyset.len(), e.access));
+            assert_eq!(len, 1);
+            assert_eq!(access, Access::Read);
         });
-        let (len, access) = t.read(PageId(7), |e| (e.copyset.len(), e.access));
-        assert_eq!(len, 1);
-        assert_eq!(access, Access::Read);
-    }
-
-    #[test]
-    fn line_entries_are_independent() {
-        let t = PageTable::new(NodeId(0));
-        let line_size = 1024; // 4 lines per page
-        t.ensure_lines(PageId(9), NodeId(0), ProtocolId(0), false, line_size);
-        assert_eq!(t.len(), 4);
-        assert_eq!(t.get(PageId(9)).line_size, line_size);
-        assert_eq!(t.pages(), vec![PageId(9)], "a page lists once");
-
-        t.set_access_at(PageId(9), LineIx(2), Access::Write);
-        t.update_at(PageId(9), LineIx(2), |e| {
-            e.owned = true;
-            e.modified_since_release = true;
-        });
-        assert_eq!(t.access_at(PageId(9), LineIx(2)), Access::Write);
-        assert_eq!(t.access_at(PageId(9), LineIx(1)), Access::None);
-        assert!(!t.get_at(PageId(9), LineIx(0)).owned);
-        assert!(t.get_at(PageId(9), LineIx(2)).owned);
-        assert_eq!(t.modified_units(), vec![(PageId(9), LineIx(2))]);
-        assert_eq!(t.modified_pages(), vec![PageId(9)]);
-
-        // Waiters are per line.
-        let w2 = t.waiters_at(PageId(9), LineIx(2));
-        let w3 = t.waiters_at(PageId(9), LineIx(3));
-        assert!(!Arc::ptr_eq(&w2, &w3));
-
-        t.remove_page(PageId(9));
-        assert!(t.is_empty());
-        assert!(!t.contains(PageId(9)));
     }
 
     /// `resolve` at both geometries: picks the line of the offset, reports
@@ -548,7 +465,7 @@ mod tests {
             t.ensure_lines(page, NodeId(0), ProtocolId(3), true, line_size);
             let last = LineIx(lines_per_page(line_size) - 1);
             let view = |offset, mark| t.resolve(page, offset, mark).unwrap();
-            t.set_access_at(page, last, Access::Read);
+            t.set_access(Unit::new(page, last), Access::Read);
             let expected = UnitView {
                 access: Access::Read,
                 line: last,
@@ -558,11 +475,11 @@ mod tests {
             };
             assert_eq!(view(PAGE_SIZE - 8, true), expected);
             assert!(t.modified_units().is_empty(), "not writable: not marked");
-            t.set_access_at(page, last, Access::Write);
+            t.set_access(Unit::new(page, last), Access::Write);
             assert_eq!(view(PAGE_SIZE - 1, false).access, Access::Write);
             assert!(t.modified_units().is_empty(), "a read marks nothing");
             view(PAGE_SIZE - 8, true);
-            assert_eq!(t.modified_units(), vec![(page, last)]);
+            assert_eq!(t.modified_units(), vec![Unit::new(page, last)]);
             assert_eq!(view(line_size - 1, false).line, LINE0);
             if last != LINE0 {
                 assert_eq!(view(0, true).access, Access::None);
@@ -575,12 +492,21 @@ mod tests {
     #[test]
     #[should_panic(expected = "no page-table entry")]
     fn unknown_page_access_panics() {
-        table().get(PageId(1000));
+        at_both_geometries(|t, _, _| {
+            t.get(Unit::whole(PageId(1000)));
+        });
     }
 
     #[test]
-    fn try_get_does_not_panic() {
-        assert!(table().try_get_at(PageId(1000), LINE0).is_none());
-        assert!(table().try_get_at(PageId(7), LINE0).is_some());
+    fn try_read_does_not_panic() {
+        at_both_geometries(|t, _, unit| {
+            assert!(t.try_read(Unit::whole(PageId(1000)), |_| ()).is_none());
+            assert_eq!(t.try_read(unit, |e| e.unit), Some(unit));
+            if unit.line != LINE0 {
+                assert!(t
+                    .try_read(Unit::new(PageId(1000), unit.line), |_| ())
+                    .is_none());
+            }
+        });
     }
 }

@@ -16,7 +16,7 @@ use dsmpm2_madeleine::NodeId;
 use crate::ctx::{DsmThreadCtx, ServerCtx};
 use crate::diff::PageDiff;
 use crate::msg::{Invalidation, PageRequest, PageTransfer};
-use crate::page::{Access, DsmAddr, LineIx, PageId};
+use crate::page::{Access, DsmAddr, Unit};
 use crate::sync::LockId;
 use crate::verify::ConsistencyModel;
 
@@ -41,11 +41,8 @@ impl fmt::Display for ProtocolId {
 pub struct FaultInfo {
     /// Faulting address.
     pub addr: DsmAddr,
-    /// Page containing the faulting address.
-    pub page: PageId,
-    /// Coherence line containing the faulting address (line 0 at the default
-    /// whole-page granularity).
-    pub line: LineIx,
+    /// Coherence unit containing the faulting address.
+    pub unit: Unit,
     /// Kind of access that faulted.
     pub access: Access,
 }
@@ -139,13 +136,11 @@ pub trait DsmProtocol: Send + Sync + 'static {
         let runtime = ctx.runtime.clone();
         let node = ctx.local_node;
         let bytes = diff.modified_bytes();
-        runtime.frames(node).apply_diff(diff.page, &diff);
-        runtime
-            .page_table(node)
-            .update_at(diff.page, diff.line, |e| {
-                e.version += 1;
-                e.copyset.insert(from);
-            });
+        runtime.frames(node).apply_diff(diff.unit.page, &diff);
+        runtime.page_table(node).update(diff.unit, |e| {
+            e.version += 1;
+            e.copyset.insert(from);
+        });
         ctx.sim.charge(runtime.costs().diff_apply(bytes));
     }
 }
@@ -368,12 +363,11 @@ mod tests {
     fn fault_info_is_plain_data() {
         let f = FaultInfo {
             addr: DsmAddr(4096 + 8),
-            page: PageId(1),
-            line: crate::page::LINE0,
+            unit: Unit::whole(crate::page::PageId(1)),
             access: Access::Write,
         };
         let g = f;
         assert_eq!(f, g);
-        assert_eq!(g.page, PageId(1));
+        assert_eq!(g.unit.page, crate::page::PageId(1));
     }
 }

@@ -7,56 +7,48 @@
 //! a page, etc.". The built-in protocols (`dsmpm2-protocols`) and user-defined
 //! hybrid protocols are written almost entirely in terms of these routines.
 //!
-//! Every routine operates on one *coherence unit* — `(page, line)`. The
-//! page-level entry points address line 0, which at the default whole-page
-//! granularity IS the page, so protocols that do not opt into sub-page
-//! coherence ([`crate::DsmProtocol::supports_subpage`]) use this library
-//! unchanged. Sub-page-capable protocols pass the faulting line through the
-//! `*_at` variants, and the message-borne line index routes every server-side
-//! action back to the same unit.
+//! There is one routine per elementary action and it acts on one *coherence
+//! unit*, the [`Unit`] it is handed or that its message carries
+//! ([`crate::FaultInfo::unit`], [`PageRequest::unit`], ...): "page" in a
+//! routine's name means that unit. Nothing here asks how large the unit is —
+//! its bytes are the span [`crate::PageEntry::line_span`] reports and
+//! [`crate::FrameStore`] is handed. A protocol that only manages whole pages
+//! ([`crate::DsmProtocol::supports_subpage`] is `false`) gets regions of one
+//! line per page, names a page's unit with [`Unit::whole`] where it walks
+//! pages rather than faults, and runs the same code as a protocol whose
+//! regions are split into lines (`tests/consistency_models.rs` runs the
+//! conformance matrix at both granularities).
 
 use dsmpm2_madeleine::NodeId;
-use dsmpm2_sim::{BlockReason, SimHandle};
+use dsmpm2_sim::{BlockReason, SimDuration, SimHandle};
 
 use crate::ctx::DsmThreadCtx;
+use crate::diff::PageDiff;
 use crate::msg::{FetchRead, FetchReply, Invalidation, PageRequest, PageTransfer};
-use crate::page::{Access, LineIx, PageId, LINE0, PAGE_SIZE};
+use crate::page::{Access, Unit};
 use crate::runtime::DsmRuntime;
 
-/// Client side of a page fetch: send a request for `access` on `page` to the
+/// Client side of a page fetch: send a request for `access` on `unit` to the
 /// node currently believed to own it and block (in virtual time) until the
-/// local rights are sufficient. Concurrent faults on the same page from the
+/// local rights are sufficient. Concurrent faults on the same unit from the
 /// same node coalesce into a single request.
 pub fn request_page_and_wait(
     sim: &mut SimHandle,
     node: NodeId,
     rt: &DsmRuntime,
-    page: PageId,
-    access: Access,
-) {
-    request_unit_and_wait(sim, node, rt, page, LINE0, access);
-}
-
-/// [`request_page_and_wait`] for one coherence line: the unit of the request,
-/// the in-flight-fetch coalescing and the wait are all line `line` of `page`.
-pub fn request_unit_and_wait(
-    sim: &mut SimHandle,
-    node: NodeId,
-    rt: &DsmRuntime,
-    page: PageId,
-    line: LineIx,
+    unit: Unit,
     access: Access,
 ) {
     let table = rt.page_table(node);
     loop {
-        let (permitted, pending_fetch, prob_owner) = table.read_at(page, line, |e| {
+        let (permitted, pending_fetch, prob_owner) = table.read(unit, |e| {
             (e.access.permits(access), e.pending_fetch, e.prob_owner)
         });
         if permitted {
             return;
         }
         if !pending_fetch {
-            table.update_at(page, line, |e| {
+            table.update(unit, |e| {
                 e.pending_fetch = true;
                 e.fetch_seq += 1;
             });
@@ -66,26 +58,21 @@ pub fn request_unit_and_wait(
             // manager); reads follow the ownership-history hint with the
             // home as fallback.
             let target = if access == Access::Write || prob_owner == node {
-                rt.page_meta(page).home
+                rt.page_meta(unit.page).home
             } else {
                 prob_owner
             };
-            rt.send_page_request(
-                sim,
-                node,
-                target,
-                PageRequest {
-                    page,
-                    line,
-                    access,
-                    requester: node,
-                },
-            );
+            let req = PageRequest {
+                unit,
+                access,
+                requester: node,
+            };
+            rt.send_page_request(sim, node, target, req);
         }
-        let waiters = table.waiters_at(page, line);
+        let waiters = table.waiters(unit);
         waiters.register(sim);
         // Re-check before really blocking (the transfer may have raced in).
-        if table.access_at(page, line).permits(access) {
+        if table.access(unit).permits(access) {
             waiters.deregister(sim);
             return;
         }
@@ -94,22 +81,26 @@ pub fn request_unit_and_wait(
     }
 }
 
-/// One-sided read fast path: fetch a read-only copy of the faulting line
+/// One-sided read fast path: fetch a read-only copy of the faulting unit
 /// directly from the home's frame, without waking a handler thread there.
-/// Returns `true` if the line was installed (the fault is resolved) and
+/// Returns `true` if the unit was installed (the fault is resolved) and
 /// `false` if the home was contended — the caller then falls back to
-/// [`request_unit_and_wait`]. Must only be called by protocols declaring
+/// [`request_page_and_wait`]. Must only be called by protocols declaring
 /// [`crate::DsmProtocol::one_sided_reads`], and only when
 /// [`dsmpm2_pm2::DsmTuning::one_sided_reads`] is enabled.
-pub fn one_sided_read(ctx: &mut DsmThreadCtx<'_, '_>, page: PageId, line: LineIx) -> bool {
+pub fn one_sided_read(ctx: &mut DsmThreadCtx<'_, '_>, unit: Unit) -> bool {
     let rt = ctx.runtime().clone();
     let node = ctx.node();
-    let home = rt.page_meta(page).home;
+    let home = rt.page_meta(unit.page).home;
     let table = rt.page_table(node);
-    // A fetch already in flight for this line means other local threads are
+    // A fetch already in flight for this unit means other local threads are
     // parked on the classic path; join them rather than racing it.
-    let (permitted, pending_fetch) = table.read_at(page, line, |e| {
-        (e.access.permits(Access::Read), e.pending_fetch)
+    let (permitted, pending_fetch, span) = table.read(unit, |e| {
+        (
+            e.access.permits(Access::Read),
+            e.pending_fetch,
+            e.line_span(),
+        )
     });
     if permitted {
         return true;
@@ -117,29 +108,19 @@ pub fn one_sided_read(ctx: &mut DsmThreadCtx<'_, '_>, page: PageId, line: LineIx
     if pending_fetch || home == node {
         return false;
     }
-    let reply = crate::comm::fetch_read_rpc(
-        ctx,
-        home,
-        FetchRead {
-            page,
-            line,
-            requester: node,
-        },
-    );
-    match reply {
+    let req = FetchRead {
+        unit,
+        requester: node,
+    };
+    match crate::comm::fetch_read_rpc(ctx, home, req) {
         FetchReply::Data {
             data,
             version,
             owner,
         } => {
             let sim = &mut *ctx.pm2.sim;
-            let (line_offset, line_size) = table.read_at(page, line, |e| e.line_span());
-            if line_size == PAGE_SIZE {
-                rt.frames(node).install(page, data);
-            } else {
-                rt.frames(node).install_line(page, line, line_offset, &data);
-            }
-            table.update_at(page, line, |e| {
+            rt.frames(node).install(unit, span, &data);
+            table.update(unit, |e| {
                 // Never downgrade rights a racing classic transfer may have
                 // granted in the meantime; only lift None to Read.
                 if e.access == Access::None {
@@ -152,18 +133,18 @@ pub fn one_sided_read(ctx: &mut DsmThreadCtx<'_, '_>, page: PageId, line: LineIx
             sim.charge(rt.costs().install_overhead);
             sim.charge(rt.costs().table_update);
             table
-                .waiters_at(page, line)
-                .notify_all(&sim.ctl(), dsmpm2_sim::SimDuration::ZERO);
+                .waiters(unit)
+                .notify_all(&sim.ctl(), SimDuration::ZERO);
             true
         }
         FetchReply::Busy => false,
     }
 }
 
-/// Server-side guard: if this node is itself waiting for a copy of `page`
-/// (a fetch is in flight), hold an incoming *read* request for the duration
-/// of exactly that fetch instead of forwarding it along ownership hints that
-/// are about to change.
+/// Server-side guard: if this node is itself waiting for a copy of the
+/// requested unit (a fetch is in flight), hold an incoming *read* request for
+/// the duration of exactly that fetch instead of forwarding it along
+/// ownership hints that are about to change.
 ///
 /// Write requests never park here: they are serialized by the page's home
 /// manager (see [`forward_request`]) and only ever routed to a node that has
@@ -173,11 +154,10 @@ pub fn one_sided_read(ctx: &mut DsmThreadCtx<'_, '_>, page: PageId, line: LineIx
 /// faulting thread complete the access it was waiting for before the page
 /// can be served away again, which keeps heavy contention starvation-free.
 pub fn defer_while_fetching(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, req: &PageRequest) {
-    let page = req.page;
-    let line = req.line;
+    let unit = req.unit;
     let table = rt.page_table(node);
     let (owned, pending_fetch, fetch_seq) =
-        table.read_at(page, line, |e| (e.owned, e.pending_fetch, e.fetch_seq));
+        table.read(unit, |e| (e.owned, e.pending_fetch, e.fetch_seq));
     // Write requests are serialized by the home manager and only ever routed
     // to a node that finished acquiring ownership, so they never need to
     // park here. Read requests may race an in-flight fetch; park them for
@@ -186,9 +166,9 @@ pub fn defer_while_fetching(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, 
     if req.requester == node || owned || !pending_fetch || req.access == Access::Write {
         return;
     }
-    let waiters = table.waiters_at(page, line);
+    let waiters = table.waiters(unit);
     waiters.wait_until_why(sim, BlockReason::PageFault, || {
-        table.read_at(page, line, |e| !e.pending_fetch || e.fetch_seq != fetch_seq)
+        table.read(unit, |e| !e.pending_fetch || e.fetch_seq != fetch_seq)
     });
     // Yield for a short re-dispatch delay so the local threads woken by the
     // page installation run strictly before this handler serves the page
@@ -198,27 +178,20 @@ pub fn defer_while_fetching(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, 
     sim.sleep(rt.costs().table_update);
 }
 
-/// Install a page (or line) received from another node: store the contents,
-/// set the granted rights, update ownership hints and wake the local threads
-/// waiting for the unit. Charges the requester-side protocol overhead.
+/// Install a unit received from another node: store the contents, set the
+/// granted rights, update ownership hints and wake the local threads waiting
+/// for the unit. Charges the requester-side protocol overhead.
 pub fn install_received_page(
     sim: &mut SimHandle,
     node: NodeId,
     rt: &DsmRuntime,
     transfer: &PageTransfer,
 ) {
+    let unit = transfer.unit;
     let table = rt.page_table(node);
-    let line = transfer.line;
-    let (line_offset, line_size) = table.read_at(transfer.page, line, |e| e.line_span());
-    if line_size == PAGE_SIZE {
-        rt.frames(node)
-            .install(transfer.page, transfer.data.clone());
-    } else {
-        debug_assert_eq!(transfer.data.len(), line_size);
-        rt.frames(node)
-            .install_line(transfer.page, line, line_offset, &transfer.data);
-    }
-    table.update_at(transfer.page, line, |e| {
+    let span = table.read(unit, |e| e.line_span());
+    rt.frames(node).install(unit, span, &transfer.data);
+    table.update(unit, |e| {
         e.access = transfer.grant;
         e.prob_owner = transfer.owner;
         e.queue_tail = None;
@@ -234,11 +207,53 @@ pub fn install_received_page(
     sim.charge(rt.costs().install_overhead);
     sim.charge(rt.costs().table_update);
     if transfer.grant == Access::Write && transfer.owner == node {
-        notify_home_acquired_at(sim, node, rt, transfer.page, line, transfer.version);
+        notify_home_acquired(sim, node, rt, unit, transfer.version);
     }
     table
-        .waiters_at(transfer.page, line)
-        .notify_all(&sim.ctl(), dsmpm2_sim::SimDuration::ZERO);
+        .waiters(unit)
+        .notify_all(&sim.ctl(), SimDuration::ZERO);
+}
+
+/// Install a unit received together with write ownership under a
+/// write-invalidate protocol — becoming the single writer: store the
+/// contents, invalidate every other copy in the transferred copyset, and only
+/// then grant write access to the local threads and report the acquisition to
+/// the home manager.
+pub fn install_write_ownership(
+    sim: &mut SimHandle,
+    node: NodeId,
+    rt: &DsmRuntime,
+    transfer: &PageTransfer,
+) {
+    let unit = transfer.unit;
+    let table = rt.page_table(node);
+    let span = table.read(unit, |e| e.line_span());
+    rt.frames(node).install(unit, span, &transfer.data);
+    invalidate_copyset_and_wait(
+        sim,
+        node,
+        rt,
+        unit,
+        &transfer.copyset,
+        Some(node),
+        transfer.version,
+    );
+    table.update(unit, |e| {
+        e.access = Access::Write;
+        e.owned = true;
+        e.prob_owner = node;
+        e.queue_tail = None;
+        e.copyset.clear();
+        e.copyset.insert(node);
+        e.version = transfer.version;
+        e.owner_version = e.owner_version.max(transfer.version);
+        e.pending_fetch = false;
+    });
+    sim.charge(rt.costs().install_overhead);
+    notify_home_acquired(sim, node, rt, unit, transfer.version);
+    table
+        .waiters(unit)
+        .notify_all(&sim.ctl(), SimDuration::ZERO);
 }
 
 /// Owner side of a read request: add the requester to the copyset, downgrade
@@ -247,7 +262,7 @@ pub fn install_received_page(
 pub fn serve_read_copy(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, req: &PageRequest) {
     let table = rt.page_table(node);
     sim.charge(rt.costs().serve_overhead);
-    let (version, line_offset, line_size) = table.update_at(req.page, req.line, |e| {
+    let (version, span) = table.update(req.unit, |e| {
         if crate::mutant::active("copyset_wipe") {
             // Historical bug: the read server rebuilt the copyset from
             // scratch instead of accumulating, forgetting earlier readers
@@ -258,37 +273,25 @@ pub fn serve_read_copy(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, req: 
         if e.access == Access::Write {
             e.access = Access::Read;
         }
-        let (off, len) = e.line_span();
-        (e.version, off, len)
+        (e.version, e.line_span())
     });
-    let data = if line_size == PAGE_SIZE {
-        rt.frames(node).snapshot(req.page)
-    } else {
-        rt.frames(node)
-            .snapshot_range(req.page, line_offset, line_size)
+    let transfer = PageTransfer {
+        unit: req.unit,
+        data: rt.frames(node).snapshot(req.unit.page, span),
+        grant: Access::Read,
+        owner: node,
+        copyset: Vec::new(),
+        version,
     };
-    rt.send_page(
-        sim,
-        node,
-        req.requester,
-        PageTransfer {
-            page: req.page,
-            line: req.line,
-            data,
-            grant: Access::Read,
-            owner: node,
-            copyset: Vec::new(),
-            version,
-        },
-    );
+    rt.send_page(sim, node, req.requester, transfer);
 }
 
-/// Owner side of a write request: transfer the page (or line) together with
-/// ownership and the copyset; the local unit loses all rights.
+/// Owner side of a write request: transfer the unit together with ownership
+/// and the copyset; the local unit loses all rights.
 pub fn serve_write_transfer(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, req: &PageRequest) {
     let table = rt.page_table(node);
     sim.charge(rt.costs().serve_overhead);
-    let (copyset, version, line_offset, line_size) = table.update_at(req.page, req.line, |e| {
+    let (copyset, version, span) = table.update(req.unit, |e| {
         let mut copyset: Vec<NodeId> = e.copyset.iter().copied().collect();
         copyset.retain(|&n| n != req.requester);
         e.copyset.clear();
@@ -305,29 +308,32 @@ pub fn serve_write_transfer(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, 
         };
         e.version += 1;
         e.owner_version = e.version;
-        let (off, len) = e.line_span();
-        (copyset, e.version, off, len)
+        (copyset, e.version, e.line_span())
     });
-    let data = if line_size == PAGE_SIZE {
-        rt.frames(node).snapshot(req.page)
-    } else {
-        rt.frames(node)
-            .snapshot_range(req.page, line_offset, line_size)
+    let transfer = PageTransfer {
+        unit: req.unit,
+        data: rt.frames(node).snapshot(req.unit.page, span),
+        grant: Access::Write,
+        owner: req.requester,
+        copyset,
+        version,
     };
-    rt.send_page(
-        sim,
-        node,
-        req.requester,
-        PageTransfer {
-            page: req.page,
-            line: req.line,
-            data,
-            grant: Access::Write,
-            owner: req.requester,
-            copyset,
-            version,
-        },
-    );
+    rt.send_page(sim, node, req.requester, transfer);
+}
+
+/// The request server of a dynamic-distributed-manager MRSW protocol: wait
+/// out an in-flight fetch of our own ([`defer_while_fetching`]), then serve
+/// the request if this node owns the unit — a read copy, or the unit with its
+/// ownership — and forward it along the probable-owner chain otherwise.
+pub fn serve_or_forward(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, req: &PageRequest) {
+    defer_while_fetching(sim, node, rt, req);
+    if !rt.page_table(node).read(req.unit, |e| e.owned) {
+        forward_request(sim, node, rt, req);
+    } else if req.access == Access::Write {
+        serve_write_transfer(sim, node, rt, req);
+    } else {
+        serve_read_copy(sim, node, rt, req);
+    }
 }
 
 /// Forward a request along the probable-owner chain (dynamic distributed
@@ -336,9 +342,9 @@ pub fn serve_write_transfer(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, 
 /// path-compression rule of the Li & Hudak algorithm.
 pub fn forward_request(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, req: &PageRequest) {
     let table = rt.page_table(node);
-    let home = rt.page_meta(req.page).home;
+    let unit = req.unit;
+    let home = rt.page_meta(unit.page).home;
     rt.stats().incr_request_forward();
-    let line = req.line;
     if req.access == Access::Write {
         if node != home {
             // Ordinary nodes route write acquisitions to the manager.
@@ -351,11 +357,10 @@ pub fn forward_request(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, req: 
         // acquisition in flight, a record still pointing at this node or at
         // the requester's *own* in-flight acquisition — is waited out; the
         // pending AcquireDone is what refreshes the record and wakes us.
-        let page = req.page;
-        let waiters = table.waiters_at(page, line);
+        let waiters = table.waiters(unit);
         loop {
             let (owned, queue_tail, prob_owner) =
-                table.read_at(page, line, |e| (e.owned, e.queue_tail, e.prob_owner));
+                table.read(unit, |e| (e.owned, e.queue_tail, e.prob_owner));
             if owned {
                 // The home itself owns the page: serve directly
                 // (serve_write_transfer marks the new acquisition in flight).
@@ -365,7 +370,7 @@ pub fn forward_request(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, req: 
             let own_admission = queue_tail == Some(req.requester);
             if queue_tail.is_some() && !own_admission {
                 waiters.wait_until_why(sim, BlockReason::PageFault, || {
-                    table.read_at(page, line, |e| {
+                    table.read(unit, |e| {
                         e.owned || e.queue_tail.is_none() || e.queue_tail == Some(req.requester)
                     })
                 });
@@ -376,7 +381,7 @@ pub fn forward_request(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, req: 
                 // requester's own unfinished acquisition: wait for fresher
                 // ownership information.
                 waiters.wait_until_why(sim, BlockReason::PageFault, || {
-                    table.read_at(page, line, |e| {
+                    table.read(unit, |e| {
                         e.owned
                             || (e.prob_owner != node
                                 && !(e.queue_tail == Some(req.requester)
@@ -385,14 +390,14 @@ pub fn forward_request(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, req: 
                 });
                 continue;
             }
-            table.update_at(page, line, |e| e.queue_tail = Some(req.requester));
+            table.update(unit, |e| e.queue_tail = Some(req.requester));
             rt.send_page_request(sim, node, prob_owner, req.clone());
             return;
         }
     }
     // Reads follow ownership history, which cannot cycle; fall back to the
     // home node on self- or requester-references.
-    let prob_owner = table.read_at(req.page, line, |e| e.prob_owner);
+    let prob_owner = table.read(unit, |e| e.prob_owner);
     let target = if prob_owner != node && prob_owner != req.requester {
         prob_owner
     } else {
@@ -401,62 +406,33 @@ pub fn forward_request(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, req: 
     rt.send_page_request(sim, node, target, req.clone());
 }
 
-/// Invalidate the copies of `page` held by `targets` and wait for every
-/// acknowledgement. Used by write-invalidate protocols when a node acquires
-/// write ownership, and by eager release consistency at lock release.
+/// Invalidate the copies of `unit` held by `targets` (this node excepted) and
+/// wait for every acknowledgement. Used by write-invalidate protocols when a
+/// node acquires write ownership, and by eager release consistency at lock
+/// release.
 pub fn invalidate_copyset_and_wait(
     sim: &mut SimHandle,
     node: NodeId,
     rt: &DsmRuntime,
-    page: PageId,
+    unit: Unit,
     targets: &[NodeId],
     new_owner: Option<NodeId>,
     version: u64,
 ) {
-    invalidate_copyset_and_wait_at(sim, node, rt, page, LINE0, targets, new_owner, version);
-}
-
-/// [`invalidate_copyset_and_wait`] for one coherence line.
-#[allow(clippy::too_many_arguments)]
-pub fn invalidate_copyset_and_wait_at(
-    sim: &mut SimHandle,
-    node: NodeId,
-    rt: &DsmRuntime,
-    page: PageId,
-    line: LineIx,
-    targets: &[NodeId],
-    new_owner: Option<NodeId>,
-    version: u64,
-) {
-    send_copyset_invalidations_at(sim, node, rt, page, line, targets, new_owner, version);
-    await_invalidation_acks_at(sim, node, rt, page, line);
+    send_copyset_invalidations(sim, node, rt, unit, targets, new_owner, version);
+    await_invalidation_acks(sim, node, rt, unit);
 }
 
 /// Send-only half of [`invalidate_copyset_and_wait`]: register the expected
 /// acknowledgements and transmit the invalidations without blocking.
-/// Protocols invalidating several pages at once send all rounds first and
+/// Protocols invalidating several units at once send all rounds first and
 /// then collect every acknowledgement with [`await_invalidation_acks`], so
 /// the rounds overlap in the network instead of serializing.
 pub fn send_copyset_invalidations(
     sim: &mut SimHandle,
     node: NodeId,
     rt: &DsmRuntime,
-    page: PageId,
-    targets: &[NodeId],
-    new_owner: Option<NodeId>,
-    version: u64,
-) {
-    send_copyset_invalidations_at(sim, node, rt, page, LINE0, targets, new_owner, version);
-}
-
-/// [`send_copyset_invalidations`] for one coherence line.
-#[allow(clippy::too_many_arguments)]
-pub fn send_copyset_invalidations_at(
-    sim: &mut SimHandle,
-    node: NodeId,
-    rt: &DsmRuntime,
-    page: PageId,
-    line: LineIx,
+    unit: Unit,
     targets: &[NodeId],
     new_owner: Option<NodeId>,
     version: u64,
@@ -465,54 +441,36 @@ pub fn send_copyset_invalidations_at(
     if targets.is_empty() {
         return;
     }
-    let table = rt.page_table(node);
-    table.update_at(page, line, |e| e.pending_acks += targets.len());
+    rt.page_table(node)
+        .update(unit, |e| e.pending_acks += targets.len());
     for &target in &targets {
-        rt.send_invalidate(
-            sim,
-            node,
-            target,
-            Invalidation {
-                page,
-                line,
-                from: node,
-                new_owner,
-                needs_ack: true,
-                version,
-            },
-        );
+        let inv = Invalidation {
+            unit,
+            from: node,
+            new_owner,
+            needs_ack: true,
+            version,
+        };
+        rt.send_invalidate(sim, node, target, inv);
     }
 }
 
 /// Wait-only half of [`invalidate_copyset_and_wait`]: block until every
-/// acknowledgement registered for `page` has arrived.
-pub fn await_invalidation_acks(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, page: PageId) {
-    await_invalidation_acks_at(sim, node, rt, page, LINE0);
-}
-
-/// [`await_invalidation_acks`] for one coherence line.
-pub fn await_invalidation_acks_at(
-    sim: &mut SimHandle,
-    node: NodeId,
-    rt: &DsmRuntime,
-    page: PageId,
-    line: LineIx,
-) {
+/// acknowledgement registered for `unit` — of an invalidation or of a diff —
+/// has arrived.
+pub fn await_invalidation_acks(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, unit: Unit) {
     let table = rt.page_table(node);
-    let waiters = table.waiters_at(page, line);
+    let waiters = table.waiters(unit);
     waiters.wait_until_why(sim, BlockReason::Ack, || {
-        table.read_at(page, line, |e| e.pending_acks == 0)
+        table.read(unit, |e| e.pending_acks == 0)
     });
 }
 
-/// Apply an invalidation locally: drop the local copy and all rights on the
-/// invalidated unit, update the probable-owner hint, and acknowledge if
-/// requested. At whole-page granularity the frame is evicted; at sub-page
-/// granularity only the line's rights (and its twin) are dropped — other
-/// lines of the same frame may still be valid.
+/// Apply an invalidation locally: drop all rights on the invalidated unit
+/// and what the frame store holds of it ([`crate::FrameStore::invalidate`]),
+/// update the probable-owner hint, and acknowledge if requested.
 pub fn apply_invalidation(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, inv: &Invalidation) {
-    let table = rt.page_table(node);
-    let line_size = table.update_at(inv.page, inv.line, |e| {
+    let span = rt.page_table(node).update(inv.unit, |e| {
         e.access = Access::None;
         e.owned = false;
         e.modified_since_release = false;
@@ -523,71 +481,51 @@ pub fn apply_invalidation(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, in
         if inv.version > e.owner_version || e.prob_owner == node {
             e.owner_version = e.owner_version.max(inv.version);
             e.queue_tail = None;
-            if let Some(owner) = inv.new_owner {
-                e.prob_owner = owner;
-            } else {
-                e.prob_owner = inv.from;
-            }
+            e.prob_owner = inv.new_owner.unwrap_or(inv.from);
         }
         e.copyset.clear();
-        e.line_size
+        e.line_span()
     });
-    if line_size == PAGE_SIZE {
-        rt.frames(node).evict(inv.page);
-    } else if rt.frames(node).has(inv.page) {
-        rt.frames(node).drop_line_twin(inv.page, inv.line);
-    }
+    rt.frames(node).invalidate(inv.unit, span);
     sim.charge(rt.costs().table_update);
     if inv.needs_ack {
-        rt.send_invalidate_ack(sim, node, inv.from, inv.page, inv.line);
+        rt.send_invalidate_ack(sim, node, inv.from, inv.unit);
     }
 }
 
-/// Report a completed write acquisition to the page's home manager (or
+/// Report a completed write acquisition to the unit's home manager (or
 /// record it directly when the new owner *is* the home).
 pub fn notify_home_acquired(
     sim: &mut SimHandle,
     node: NodeId,
     rt: &DsmRuntime,
-    page: PageId,
+    unit: Unit,
     version: u64,
 ) {
-    notify_home_acquired_at(sim, node, rt, page, LINE0, version);
-}
-
-/// [`notify_home_acquired`] for one coherence line.
-pub fn notify_home_acquired_at(
-    sim: &mut SimHandle,
-    node: NodeId,
-    rt: &DsmRuntime,
-    page: PageId,
-    line: LineIx,
-    version: u64,
-) {
-    let home = rt.page_meta(page).home;
+    let home = rt.page_meta(unit.page).home;
     if home == node {
         let table = rt.page_table(node);
-        table.update_at(page, line, |e| {
+        table.update(unit, |e| {
             if e.queue_tail == Some(node) {
                 e.queue_tail = None;
             }
         });
         table
-            .waiters_at(page, line)
-            .notify_all(&sim.ctl(), dsmpm2_sim::SimDuration::ZERO);
+            .waiters(unit)
+            .notify_all(&sim.ctl(), SimDuration::ZERO);
     } else {
-        rt.send_acquire_done(sim, node, home, page, line, node, version);
+        rt.send_acquire_done(sim, node, home, unit, node, version);
     }
 }
 
-/// Migrate the faulting thread to the node that owns (or is home to) `page`:
+/// Migrate the faulting thread to the node that owns (or is home to) `unit`:
 /// the thread-migration alternative to transferring the page. Charges the
 /// (tiny) migration protocol overhead; the migration itself is costed by the
 /// PM2 layer.
-pub fn migrate_thread_to_page(ctx: &mut DsmThreadCtx<'_, '_>, page: PageId) {
+pub fn migrate_thread_to_page(ctx: &mut DsmThreadCtx<'_, '_>, unit: Unit) {
     let rt = ctx.runtime().clone();
     let node = ctx.node();
-    let entry = rt.page_table(node).get(page);
+    let entry = rt.page_table(node).get(unit); // owned copy: the copyset is needed below
     if entry.owned {
         // The thread is already where the data lives; the fault means the
         // owner's copy was downgraded to read-only when read replicas were
@@ -599,25 +537,20 @@ pub fn migrate_thread_to_page(ctx: &mut DsmThreadCtx<'_, '_>, page: PageId) {
             .copied()
             .filter(|&n| n != node)
             .collect();
-        invalidate_copyset_and_wait(
-            ctx.pm2.sim,
-            node,
-            &rt,
-            page,
-            &targets,
-            Some(node),
-            entry.version,
-        );
-        rt.page_table(node).update(page, |e| {
+        let sim = &mut *ctx.pm2.sim;
+        invalidate_copyset_and_wait(sim, node, &rt, unit, &targets, Some(node), entry.version);
+        // Subtract only the invalidated replicas (a copy granted during the
+        // invalidation wait must stay tracked).
+        rt.page_table(node).update(unit, |e| {
             e.access = Access::Write;
             e.copyset.retain(|n| !targets.contains(n));
             e.copyset.insert(node);
         });
-        ctx.pm2.sim.charge(rt.costs().table_update);
+        sim.charge(rt.costs().table_update);
         return;
     }
     let target = if entry.prob_owner == node {
-        rt.page_meta(page).home
+        rt.page_meta(unit.page).home
     } else {
         entry.prob_owner
     };
@@ -629,111 +562,115 @@ pub fn migrate_thread_to_page(ctx: &mut DsmThreadCtx<'_, '_>, page: PageId) {
     ctx.pm2.migrate_to(target);
 }
 
-/// Create a twin for `page` on `node` if the protocol needs one (first write
-/// after an acquire). Charges the page-copy cost when a twin is created.
-pub fn ensure_twin(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, page: PageId) {
-    if rt.frames(node).make_twin(page) {
+/// Create a twin for `unit` on `node` if it has none yet (first write after
+/// an acquire). Charges the copy cost when a twin is created.
+pub fn ensure_twin(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, unit: Unit) {
+    let span = rt.page_table(node).read(unit, |e| e.line_span());
+    if rt.frames(node).make_twin(unit, span) {
         rt.stats().incr_twin_created();
         sim.charge(rt.costs().twin_create);
     }
 }
 
-/// [`ensure_twin`] for one coherence unit: a whole-page twin at the default
-/// granularity, a line twin (pristine copy of just that line) otherwise.
-pub fn ensure_twin_at(
+/// The write fault of a twinning multiple-writer protocol. With a readable
+/// copy of the unit already present the node becomes a local writer without
+/// any communication — create the twin and upgrade in place; otherwise it
+/// fetches a writable copy first and twins that.
+pub fn write_fault_with_twin(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, unit: Unit) {
+    let table = rt.page_table(node);
+    if rt.frames(node).has(unit.page) && table.access(unit) != Access::None {
+        ensure_twin(sim, node, rt, unit);
+        table.set_access(unit, Access::Write);
+        sim.charge(rt.costs().table_update);
+    } else {
+        request_page_and_wait(sim, node, rt, unit, Access::Write);
+        ensure_twin(sim, node, rt, unit);
+    }
+}
+
+/// Ship `diffs` (empty ones are skipped) to their units' home nodes and block
+/// until the homes have integrated and acknowledged every one of them. All
+/// acknowledgements are registered, then all diffs transmitted in one burst —
+/// the sends happen at the same virtual instant, so diffs addressed to the
+/// same home coalesce into a single wire envelope when per-tick batching is
+/// enabled — and only then does the caller wait.
+pub fn push_diffs_and_wait(
     sim: &mut SimHandle,
     node: NodeId,
     rt: &DsmRuntime,
-    page: PageId,
-    line: LineIx,
+    mut diffs: Vec<PageDiff>,
 ) {
-    let (line_offset, line_size) = rt.page_table(node).read_at(page, line, |e| e.line_span());
-    if line_size == PAGE_SIZE {
-        ensure_twin(sim, node, rt, page);
-    } else if rt
-        .frames(node)
-        .make_line_twin(page, line, line_offset, line_size)
-    {
-        rt.stats().incr_twin_created();
-        sim.charge(rt.costs().twin_create);
+    let table = rt.page_table(node);
+    diffs.retain(|d| !d.is_empty());
+    let units: Vec<Unit> = diffs.iter().map(|d| d.unit).collect();
+    for &unit in &units {
+        table.update(unit, |e| e.pending_acks += 1);
+    }
+    for diff in diffs {
+        let home = rt.page_meta(diff.unit.page).home;
+        rt.send_diff(sim, node, home, diff, true);
+    }
+    for unit in units {
+        await_invalidation_acks(sim, node, rt, unit);
     }
 }
 
-/// Compute the diffs of every page this node modified since the last release
-/// and ship them to the pages' home nodes, waiting for all acknowledgements.
-/// `use_recorded` selects on-the-fly recorded ranges (Java protocols) instead
-/// of twin comparison (`hbrc_mw`).
+/// Compute the diffs of `units` — what this node modified since the last
+/// release, e.g. [`crate::PageTable::modified_units`] — and ship them to the
+/// units' home nodes, waiting for all acknowledgements. `use_recorded`
+/// selects on-the-fly recorded ranges (Java protocols) instead of twin
+/// comparison (`hbrc_mw`).
 pub fn flush_diffs_to_homes(
     sim: &mut SimHandle,
     node: NodeId,
     rt: &DsmRuntime,
-    pages: &[PageId],
-    use_recorded: bool,
-) {
-    let units: Vec<(PageId, LineIx)> = pages.iter().map(|&p| (p, LINE0)).collect();
-    flush_unit_diffs_to_homes(sim, node, rt, &units, use_recorded);
-}
-
-/// [`flush_diffs_to_homes`] over explicit coherence units (the release path
-/// of sub-page-capable multiple-writer protocols: pass
-/// [`crate::PageTable::modified_units`]). Line units diff against their line
-/// twins; whole-page units behave exactly as before.
-pub fn flush_unit_diffs_to_homes(
-    sim: &mut SimHandle,
-    node: NodeId,
-    rt: &DsmRuntime,
-    units: &[(PageId, LineIx)],
+    units: &[Unit],
     use_recorded: bool,
 ) {
     let table = rt.page_table(node);
-    // Compute every diff first (paying the per-page scan cost), then
-    // transmit them in one burst: the sends all happen at the same virtual
-    // instant, so diffs addressed to the same home node coalesce into a
-    // single wire envelope when per-tick batching is enabled.
+    // Compute every diff first (paying the per-unit scan cost), then
+    // transmit them together.
     let mut outgoing = Vec::new();
-    for &(page, line) in units {
-        let home = rt.page_meta(page).home;
-        if home == node {
-            // The home copy is already up to date; just clear the dirty flag.
-            table.update_at(page, line, |e| e.modified_since_release = false);
+    for &unit in units {
+        // A unit homed here is already up to date: just clear the dirty flag.
+        let offset = table.update(unit, |e| {
+            e.modified_since_release = false;
+            e.line_span().0
+        });
+        if rt.page_meta(unit.page).home == node {
             continue;
         }
-        let (line_offset, line_size) = table.read_at(page, line, |e| e.line_span());
-        let diff = if use_recorded {
-            rt.frames(node).take_recorded_diff(page)
-        } else if line_size == PAGE_SIZE {
-            sim.charge(rt.costs().diff_compute);
-            rt.frames(node).take_twin_diff(page)
+        outgoing.push(if use_recorded {
+            rt.frames(node).take_recorded_diff(unit.page)
         } else {
             sim.charge(rt.costs().diff_compute);
-            rt.frames(node).take_line_twin_diff(page, line, line_offset)
-        };
-        table.update_at(page, line, |e| e.modified_since_release = false);
-        if diff.is_empty() {
-            continue;
-        }
-        // Historical bug (`pre_revoke_diff_push`): the release path fired
-        // the diffs off without ack bookkeeping and returned immediately,
-        // so a subsequent acquire could read the home copy before the
-        // releaser's diffs were applied.
-        let skip_acks = crate::mutant::active("pre_revoke_diff_push");
-        if !skip_acks {
-            table.update_at(page, line, |e| e.pending_acks += 1);
-        }
-        outgoing.push((page, line, home, diff, skip_acks));
-    }
-    let mut waiting_units = Vec::new();
-    for (page, line, home, diff, skip_acks) in outgoing {
-        rt.send_diff(sim, node, home, diff, !skip_acks);
-        if !skip_acks {
-            waiting_units.push((page, line));
-        }
-    }
-    for (page, line) in waiting_units {
-        let waiters = table.waiters_at(page, line);
-        waiters.wait_until_why(sim, BlockReason::Ack, || {
-            table.read_at(page, line, |e| e.pending_acks == 0)
+            rt.frames(node).take_twin_diff(unit, offset)
         });
+    }
+    if crate::mutant::active("pre_revoke_diff_push") {
+        // Historical bug: the release path fired the diffs off without ack
+        // bookkeeping and returned immediately, so a subsequent acquire
+        // could read the home copy before the releaser's diffs were applied.
+        for diff in outgoing.into_iter().filter(|d| !d.is_empty()) {
+            let home = rt.page_meta(diff.unit.page).home;
+            rt.send_diff(sim, node, home, diff, false);
+        }
+        return;
+    }
+    push_diffs_and_wait(sim, node, rt, outgoing);
+}
+
+/// Write-protect again the units a release just flushed (the original
+/// protocols `mprotect` the page at release): the next write after the
+/// release takes a fault, which re-creates the twin the following release
+/// will diff against. Units homed here never twin and keep their rights.
+pub fn reprotect_after_flush(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, units: &[Unit]) {
+    let table = rt.page_table(node);
+    for &unit in units {
+        if rt.page_meta(unit.page).home != node && table.access(unit) == Access::Write {
+            table.set_access(unit, Access::Read);
+            sim.charge(rt.costs().table_update);
+        }
     }
 }
 
@@ -743,23 +680,11 @@ pub fn home_invalidate_other_copies(
     sim: &mut SimHandle,
     node: NodeId,
     rt: &DsmRuntime,
-    page: PageId,
-    except: NodeId,
-) {
-    home_invalidate_other_copies_at(sim, node, rt, page, LINE0, except);
-}
-
-/// [`home_invalidate_other_copies`] for one coherence line.
-pub fn home_invalidate_other_copies_at(
-    sim: &mut SimHandle,
-    node: NodeId,
-    rt: &DsmRuntime,
-    page: PageId,
-    line: LineIx,
+    unit: Unit,
     except: NodeId,
 ) {
     let table = rt.page_table(node);
-    let (targets, version) = table.read_at(page, line, |e| {
+    let (targets, version) = table.read(unit, |e| {
         let targets: Vec<NodeId> = e
             .copyset
             .iter()
@@ -769,21 +694,16 @@ pub fn home_invalidate_other_copies_at(
         (targets, e.version)
     });
     for &target in &targets {
-        rt.send_invalidate(
-            sim,
-            node,
-            target,
-            Invalidation {
-                page,
-                line,
-                from: node,
-                new_owner: Some(node),
-                needs_ack: false,
-                version,
-            },
-        );
+        let inv = Invalidation {
+            unit,
+            from: node,
+            new_owner: Some(node),
+            needs_ack: false,
+            version,
+        };
+        rt.send_invalidate(sim, node, target, inv);
     }
-    table.update_at(page, line, |e| {
+    table.update(unit, |e| {
         e.copyset.retain(|&n| n == node || n == except);
     });
 }
@@ -800,29 +720,17 @@ pub fn serve_copy_from_home(
 ) {
     let table = rt.page_table(node);
     sim.charge(rt.costs().serve_overhead);
-    let (version, line_offset, line_size) = table.update_at(req.page, req.line, |e| {
+    let (version, span) = table.update(req.unit, |e| {
         e.copyset.insert(req.requester);
-        let (off, len) = e.line_span();
-        (e.version, off, len)
+        (e.version, e.line_span())
     });
-    let data = if line_size == PAGE_SIZE {
-        rt.frames(node).snapshot(req.page)
-    } else {
-        rt.frames(node)
-            .snapshot_range(req.page, line_offset, line_size)
+    let transfer = PageTransfer {
+        unit: req.unit,
+        data: rt.frames(node).snapshot(req.unit.page, span),
+        grant,
+        owner: node,
+        copyset: Vec::new(),
+        version,
     };
-    rt.send_page(
-        sim,
-        node,
-        req.requester,
-        PageTransfer {
-            page: req.page,
-            line: req.line,
-            data,
-            grant,
-            owner: node,
-            copyset: Vec::new(),
-            version,
-        },
-    );
+    rt.send_page(sim, node, req.requester, transfer);
 }

@@ -13,9 +13,7 @@ use dsmpm2_pm2::{DsmTuning, Engine, Pm2Cluster, Pm2Config, Pm2ThreadState};
 use crate::costs::DsmCosts;
 use crate::ctx::DsmThreadCtx;
 use crate::frames::FrameStore;
-use crate::page::{
-    lines_per_page, pages_covering, validate_line_size, Access, DsmAddr, LineIx, PageId, PAGE_SIZE,
-};
+use crate::page::{pages_covering, validate_line_size, Access, DsmAddr, PageId, Unit, PAGE_SIZE};
 use crate::page_table::PageTable;
 use crate::protocol::{DsmProtocol, ProtocolId};
 use crate::stats::DsmStats;
@@ -101,9 +99,6 @@ pub(crate) struct RuntimeInner {
     pub(crate) batch_thread_names: Vec<Arc<str>>,
     nodes: Vec<NodeState>,
     directory: Mutex<HashMap<PageId, PageMeta>>,
-    /// Effective coherence granularity of every allocation, keyed by region
-    /// base address (after protocol-capability clamping).
-    region_granularity: Mutex<HashMap<DsmAddr, usize>>,
     protocols: RwLock<Vec<Arc<dyn DsmProtocol>>>,
     default_protocol: AtomicUsize,
     pub(crate) locks: Mutex<HashMap<u64, Arc<LockState>>>,
@@ -172,7 +167,6 @@ impl DsmRuntime {
             tuning,
             nodes,
             directory: Mutex::new(HashMap::new()),
-            region_granularity: Mutex::new(HashMap::new()),
             protocols: RwLock::new(Vec::new()),
             default_protocol: AtomicUsize::new(NO_DEFAULT),
             locks: Mutex::new(HashMap::new()),
@@ -378,7 +372,6 @@ impl DsmRuntime {
             .isomalloc()
             .alloc_shared(bytes, PAGE_SIZE as u64);
         let base = DsmAddr(range.start);
-        self.inner.region_granularity.lock().insert(base, line_size);
         let pages = pages_covering(base, range.len);
         let num_nodes = self.num_nodes();
         let mut directory = self.inner.directory.lock();
@@ -406,24 +399,33 @@ impl DsmRuntime {
                 self.page_table(node)
                     .ensure_lines(page, home, protocol, records_writes, line_size);
             }
-            for line in 0..lines_per_page(line_size) {
-                self.page_table(home).update_at(page, LineIx(line), |e| {
-                    e.access = Access::Write;
-                    e.owned = true;
-                    e.prob_owner = home;
-                    e.copyset.insert(home);
-                });
-            }
+            self.grant_to_home(page, home, line_size, 0);
             self.frames(home).ensure_zeroed(page);
         }
         base
     }
 
-    /// Effective coherence granularity of the allocation based at `base`
-    /// (after protocol-capability clamping), or `None` if `base` is not the
-    /// base address of an allocation.
-    pub fn region_granularity(&self, base: DsmAddr) -> Option<usize> {
-        self.inner.region_granularity.lock().get(&base).copied()
+    /// Put the fresh entries of `page` on its home node in their initial
+    /// state: the home owns every unit, writable, at `version`.
+    fn grant_to_home(&self, page: PageId, home: NodeId, line_size: usize, version: u64) {
+        for unit in Unit::all_of(page, line_size) {
+            self.page_table(home).update(unit, |e| {
+                e.access = Access::Write;
+                e.owned = true;
+                e.prob_owner = home;
+                e.copyset.insert(home);
+                e.version = version;
+            });
+        }
+    }
+
+    /// Effective coherence granularity, in bytes per line, of the allocation
+    /// containing `addr` — after protocol-capability clamping, and following
+    /// [`DsmRuntime::switch_region_protocol`] — or `None` if `addr` lies
+    /// outside every allocation.
+    pub fn region_granularity(&self, addr: DsmAddr) -> Option<usize> {
+        let directory = self.inner.directory.lock();
+        directory.get(&addr.page()).map(|meta| meta.line_size)
     }
 
     /// Allocate the "static" shared data area (the `BEGIN_DSM_DATA` /
@@ -491,12 +493,14 @@ impl DsmRuntime {
             };
             meta.protocol = new_protocol;
             meta.line_size = new_line_size;
-            let lines = lines_per_page(old_line_size);
+            let units: Vec<Unit> = Unit::all_of(page, old_line_size).collect();
             for node in self.inner.cluster.topology().nodes() {
-                for line in 0..lines {
-                    let entry = self.page_table(node).get_at(page, LineIx(line));
+                for &unit in &units {
+                    let quiescent = self
+                        .page_table(node)
+                        .read(unit, |e| !e.pending_fetch && e.pending_acks == 0);
                     assert!(
-                        !entry.pending_fetch && entry.pending_acks == 0,
+                        quiescent,
                         "protocol switch of {page} raced with in-flight protocol activity on node \
                          {node}; synchronize (e.g. with barriers) before switching"
                     );
@@ -504,64 +508,45 @@ impl DsmRuntime {
             }
             // Consolidate every remote copy into the home frame before
             // resetting rights, so no write is lost across the switch.
-            self.frames(home).ensure_zeroed(page);
+            let home_frames = self.frames(home);
+            home_frames.ensure_zeroed(page);
             for node in self.inner.cluster.topology().nodes() {
                 if node == home {
                     continue;
                 }
+                let frames = self.frames(node);
                 if crate::mutant::active("doomed_frame_write") {
                     // Historical bug: the switch evicted remote frames up
                     // front, dooming their modified contents before the
                     // consolidation below could merge them home.
-                    self.frames(node).evict(page);
+                    frames.evict(page);
                 }
-                if self.frames(node).has(page) {
-                    let had_twin = self.frames(node).has_twin(page);
-                    let had_recorded = self.frames(node).has_recorded(page);
-                    if had_twin {
+                if !frames.has(page) {
+                    continue;
+                }
+                let recorded = frames.has_recorded(page);
+                let mut twinned = false;
+                for &unit in &units {
+                    let (span, holds_reference) = self.page_table(node).read(unit, |e| {
+                        (e.line_span(), e.access == Access::Write || e.owned)
+                    });
+                    if frames.has_twin(unit) {
                         // Multiple-writer replica: its modifications relative
                         // to the twin merge into the home copy.
-                        let diff = self.frames(node).take_twin_diff(page);
-                        if !diff.is_empty() {
-                            self.frames(home).apply_diff(page, &diff);
-                        }
-                    } else if had_recorded {
-                        let diff = self.frames(node).take_recorded_diff(page);
-                        if !diff.is_empty() {
-                            self.frames(home).apply_diff(page, &diff);
-                        }
+                        twinned = true;
+                        home_frames.apply_diff(page, &frames.take_twin_diff(unit, span.0));
+                    } else if !recorded && holds_reference {
+                        // Owner under a single-writer protocol: there is no
+                        // twin, the held span is authoritative — also when
+                        // serving read copies downgraded the owner's own
+                        // access to read-only.
+                        home_frames.install(unit, span, &frames.snapshot(page, span));
                     }
-                    for line in 0..lines {
-                        let line = LineIx(line);
-                        let entry = self.page_table(node).get_at(page, line);
-                        if self.frames(node).has_line_twin(page, line) {
-                            // Sub-page multiple-writer replica: merge this
-                            // line's modifications relative to its line twin.
-                            let (off, _) = entry.line_span();
-                            let diff = self.frames(node).take_line_twin_diff(page, line, off);
-                            if !diff.is_empty() {
-                                self.frames(home).apply_diff(page, &diff);
-                            }
-                        } else if !had_twin
-                            && !had_recorded
-                            && (entry.access == Access::Write || entry.owned)
-                        {
-                            // Owner under a single-writer protocol: there is
-                            // no twin, the held range is authoritative — also
-                            // when serving read copies downgraded the owner's
-                            // own access to read-only.
-                            let (off, len) = entry.line_span();
-                            if len == PAGE_SIZE {
-                                let data = self.frames(node).snapshot(page);
-                                self.frames(home).install(page, data);
-                            } else {
-                                let data = self.frames(node).snapshot_range(page, off, len);
-                                self.frames(home).install_line(page, line, off, &data);
-                            }
-                        }
-                    }
-                    self.frames(node).evict(page);
                 }
+                if recorded && !twinned {
+                    home_frames.apply_diff(page, &frames.take_recorded_diff(page));
+                }
+                frames.evict(page);
             }
             if new_line_size == old_line_size {
                 // Same geometry: reset entries in place (preserving version
@@ -569,8 +554,8 @@ impl DsmRuntime {
                 // switch always has).
                 for node in self.inner.cluster.topology().nodes() {
                     let is_home = node == home;
-                    for line in 0..lines {
-                        self.page_table(node).update_at(page, LineIx(line), |e| {
+                    for &unit in &units {
+                        self.page_table(node).update(unit, |e| {
                             e.protocol = new_protocol;
                             e.records_writes = records_writes;
                             e.access = if is_home { Access::Write } else { Access::None };
@@ -588,7 +573,7 @@ impl DsmRuntime {
             } else {
                 // Geometry change (sub-page region clamped back to whole
                 // pages): rebuild the entries at the new line size.
-                let version = self.page_table(home).get(page).version + 1;
+                let version = self.page_table(home).read(Unit::whole(page), |e| e.version) + 1;
                 for node in self.inner.cluster.topology().nodes() {
                     self.page_table(node).remove_page(page);
                     self.page_table(node).ensure_lines(
@@ -599,15 +584,7 @@ impl DsmRuntime {
                         new_line_size,
                     );
                 }
-                for line in 0..lines_per_page(new_line_size) {
-                    self.page_table(home).update_at(page, LineIx(line), |e| {
-                        e.access = Access::Write;
-                        e.owned = true;
-                        e.prob_owner = home;
-                        e.copyset.insert(home);
-                        e.version = version;
-                    });
-                }
+                self.grant_to_home(page, home, new_line_size, version);
             }
         }
         pages.len()

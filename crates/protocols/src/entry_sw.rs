@@ -27,7 +27,7 @@ use parking_lot::Mutex;
 use dsmpm2_core::protolib;
 use dsmpm2_core::{
     pages_covering, Access, ConsistencyModel, DsmAddr, DsmProtocol, DsmThreadCtx, FaultInfo,
-    Invalidation, LockId, PageId, PageRequest, PageTransfer, ServerCtx,
+    Invalidation, LockId, PageId, PageRequest, PageTransfer, ServerCtx, Unit,
 };
 
 /// The `entry_sw` protocol (entry consistency, single writer per lock).
@@ -79,14 +79,15 @@ impl EntryConsistency {
         all.into_iter().collect()
     }
 
-    /// Pages affected by a synchronization event: the bound set of the lock,
-    /// or every bound page when the event is a barrier.
-    fn sync_pages(&self, lock: LockId) -> Vec<PageId> {
-        if lock.is_barrier() {
+    /// Units affected by a synchronization event: the pages bound to the
+    /// lock, or every bound page when the event is a barrier.
+    fn sync_units(&self, lock: LockId) -> Vec<Unit> {
+        let pages = if lock.is_barrier() {
             self.all_bound_pages()
         } else {
             self.bound_pages(lock)
-        }
+        };
+        pages.into_iter().map(Unit::whole).collect()
     }
 }
 
@@ -106,23 +107,15 @@ impl DsmProtocol for EntryConsistency {
         // read fetch.
         let rt = ctx.runtime().clone();
         let node = ctx.node();
-        protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, fault.page, Access::Read);
+        protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, fault.unit, Access::Read);
     }
 
     fn write_fault_handler(&self, ctx: &mut DsmThreadCtx<'_, '_>, fault: FaultInfo) {
+        // A present read copy is upgraded in place (the guarding lock — or
+        // the program's own synchronization — serializes writers).
         let rt = ctx.runtime().clone();
         let node = ctx.node();
-        let page = fault.page;
-        if rt.frames(node).has(page) && rt.page_table(node).access(page) != Access::None {
-            // Upgrade a present read copy in place (the guarding lock — or
-            // the program's own synchronization — serializes writers).
-            protolib::ensure_twin(ctx.pm2.sim, node, &rt, page);
-            rt.page_table(node).set_access(page, Access::Write);
-            ctx.pm2.sim.charge(rt.costs().table_update);
-        } else {
-            protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, page, Access::Write);
-            protolib::ensure_twin(ctx.pm2.sim, node, &rt, page);
-        }
+        protolib::write_fault_with_twin(ctx.pm2.sim, node, &rt, fault.unit);
     }
 
     fn read_server(&self, ctx: &mut ServerCtx<'_>, req: PageRequest) {
@@ -150,26 +143,25 @@ impl DsmProtocol for EntryConsistency {
     }
 
     fn lock_acquire(&self, ctx: &mut DsmThreadCtx<'_, '_>, lock: LockId) {
-        let pages = self.sync_pages(lock);
-        if pages.is_empty() {
+        let units = self.sync_units(lock);
+        if units.is_empty() {
             return;
         }
         let rt = ctx.runtime().clone();
         let node = ctx.node();
-        for page in pages {
-            let home = rt.page_meta(page).home;
-            if home == node {
+        let table = rt.page_table(node);
+        for unit in units {
+            if rt.page_meta(unit.page).home == node {
                 // The home always holds the up-to-date reference copy.
                 continue;
             }
+            let unpublished = table.read(unit, |e| e.modified_since_release);
             if lock.is_barrier() {
                 // Barrier acquire: drop potentially stale copies; they are
                 // re-fetched lazily on the next access.
-                if rt.frames(node).has(page)
-                    && !rt.page_table(node).read(page, |e| e.modified_since_release)
-                {
-                    rt.frames(node).evict(page);
-                    rt.page_table(node).set_access(page, Access::None);
+                if rt.frames(node).has(unit.page) && !unpublished {
+                    rt.frames(node).evict(unit.page);
+                    table.set_access(unit, Access::None);
                     ctx.pm2.sim.charge(rt.costs().table_update);
                 }
                 continue;
@@ -178,43 +170,33 @@ impl DsmProtocol for EntryConsistency {
             // prepare the twin that release-time diffing needs. A local copy
             // holding unpublished modifications (unguarded writes) is kept —
             // it will be published at the next release.
-            if !rt.page_table(node).read(page, |e| e.modified_since_release) {
-                rt.frames(node).evict(page);
-                rt.page_table(node).set_access(page, Access::None);
+            if !unpublished {
+                rt.frames(node).evict(unit.page);
+                table.set_access(unit, Access::None);
                 ctx.pm2.sim.charge(rt.costs().table_update);
             }
-            protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, page, Access::Write);
-            protolib::ensure_twin(ctx.pm2.sim, node, &rt, page);
+            protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, unit, Access::Write);
+            protolib::ensure_twin(ctx.pm2.sim, node, &rt, unit);
         }
     }
 
     fn lock_release(&self, ctx: &mut DsmThreadCtx<'_, '_>, lock: LockId) {
-        let pages = self.sync_pages(lock);
-        if pages.is_empty() {
+        let units = self.sync_units(lock);
+        if units.is_empty() {
             return;
         }
         let rt = ctx.runtime().clone();
         let node = ctx.node();
+        let table = rt.page_table(node);
         // Publish the modifications made to the synchronized pages.
-        let modified: Vec<PageId> = pages
+        let modified: Vec<Unit> = units
             .iter()
             .copied()
-            .filter(|&p| {
-                rt.page_table(node).contains(p)
-                    && rt.page_table(node).read(p, |e| e.modified_since_release)
-            })
+            .filter(|&u| table.contains(u.page) && table.read(u, |e| e.modified_since_release))
             .collect();
         protolib::flush_diffs_to_homes(ctx.pm2.sim, node, &rt, &modified, false);
         // Downgrade: the next acquirer (possibly on another node) becomes the
         // writer of the guarded data.
-        for page in pages {
-            if rt.page_meta(page).home == node {
-                continue;
-            }
-            if rt.page_table(node).access(page) == Access::Write {
-                rt.page_table(node).set_access(page, Access::Read);
-                ctx.pm2.sim.charge(rt.costs().table_update);
-            }
-        }
+        protolib::reprotect_after_flush(ctx.pm2.sim, node, &rt, &units);
     }
 }

@@ -37,52 +37,26 @@ impl DsmProtocol for ErcSw {
     fn read_fault_handler(&self, ctx: &mut DsmThreadCtx<'_, '_>, fault: FaultInfo) {
         let rt = ctx.runtime().clone();
         let node = ctx.node();
-        if rt.tuning().one_sided_reads && protolib::one_sided_read(ctx, fault.page, fault.line) {
+        if rt.tuning().one_sided_reads && protolib::one_sided_read(ctx, fault.unit) {
             return;
         }
-        protolib::request_unit_and_wait(
-            ctx.pm2.sim,
-            node,
-            &rt,
-            fault.page,
-            fault.line,
-            Access::Read,
-        );
+        protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, fault.unit, Access::Read);
     }
 
     fn write_fault_handler(&self, ctx: &mut DsmThreadCtx<'_, '_>, fault: FaultInfo) {
         let rt = ctx.runtime().clone();
         let node = ctx.node();
-        protolib::request_unit_and_wait(
-            ctx.pm2.sim,
-            node,
-            &rt,
-            fault.page,
-            fault.line,
-            Access::Write,
-        );
+        protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, fault.unit, Access::Write);
     }
 
     fn read_server(&self, ctx: &mut ServerCtx<'_>, req: PageRequest) {
         let rt = ctx.runtime.clone();
-        let node = ctx.local_node;
-        protolib::defer_while_fetching(ctx.sim, node, &rt, &req);
-        if rt.page_table(node).read_at(req.page, req.line, |e| e.owned) {
-            protolib::serve_read_copy(ctx.sim, node, &rt, &req);
-        } else {
-            protolib::forward_request(ctx.sim, node, &rt, &req);
-        }
+        protolib::serve_or_forward(ctx.sim, ctx.local_node, &rt, &req);
     }
 
     fn write_server(&self, ctx: &mut ServerCtx<'_>, req: PageRequest) {
         let rt = ctx.runtime.clone();
-        let node = ctx.local_node;
-        protolib::defer_while_fetching(ctx.sim, node, &rt, &req);
-        if rt.page_table(node).read_at(req.page, req.line, |e| e.owned) {
-            protolib::serve_write_transfer(ctx.sim, node, &rt, &req);
-        } else {
-            protolib::forward_request(ctx.sim, node, &rt, &req);
-        }
+        protolib::serve_or_forward(ctx.sim, ctx.local_node, &rt, &req);
     }
 
     fn invalidate_server(&self, ctx: &mut ServerCtx<'_>, inv: Invalidation) {
@@ -107,31 +81,30 @@ impl DsmProtocol for ErcSw {
     fn lock_release(&self, ctx: &mut DsmThreadCtx<'_, '_>, _lock: LockId) {
         let rt = ctx.runtime().clone();
         let node = ctx.node();
-        // Invalidate every remote copy of the pages this node wrote (and
-        // owns) since the previous release. The invalidations of all pages
+        let table = rt.page_table(node);
+        // Invalidate every remote copy of the units this node wrote (and
+        // owns) since the previous release. The invalidations of all units
         // go out first and the acknowledgements are awaited together: the
-        // rounds overlap instead of serializing page by page, and
+        // rounds overlap instead of serializing unit by unit, and
         // invalidations for copies held by the same node leave in one
         // batched envelope when per-tick batching is enabled.
-        let modified = rt.page_table(node).modified_units();
         let mut in_flight = Vec::new();
-        for (page, line) in modified {
-            let (owned, targets, version) = rt.page_table(node).read_at(page, line, |e| {
+        for unit in table.modified_units() {
+            let (owned, targets, version) = table.read(unit, |e| {
                 let targets: Vec<_> = e.copyset.iter().copied().filter(|&n| n != node).collect();
                 (e.owned, targets, e.version)
             });
             if !owned {
                 // Ownership already moved away; the new owner is responsible.
-                rt.page_table(node)
-                    .update_at(page, line, |e| e.modified_since_release = false);
+                table.update(unit, |e| e.modified_since_release = false);
                 continue;
             }
-            protolib::send_copyset_invalidations_at(
-                ctx.pm2.sim,
+            let sim = &mut *ctx.pm2.sim;
+            protolib::send_copyset_invalidations(
+                sim,
                 node,
                 &rt,
-                page,
-                line,
+                unit,
                 &targets,
                 Some(node),
                 version,
@@ -142,19 +115,18 @@ impl DsmProtocol for ErcSw {
             // by this node's server and survives, whereas a post-wait retain
             // could not tell that fresh copy apart from the original
             // membership and would leave it stale forever.
-            rt.page_table(node).update_at(page, line, |e| {
+            table.update(unit, |e| {
                 e.copyset.retain(|n| !targets.contains(n));
                 e.copyset.insert(node);
             });
-            in_flight.push((page, line));
+            in_flight.push(unit);
         }
-        for (page, line) in in_flight {
-            protolib::await_invalidation_acks_at(ctx.pm2.sim, node, &rt, page, line);
+        for unit in in_flight {
+            protolib::await_invalidation_acks(ctx.pm2.sim, node, &rt, unit);
             // The modified flag is only cleared once the acknowledgements
             // are in: the release is not complete until every stale copy is
             // provably gone.
-            rt.page_table(node)
-                .update_at(page, line, |e| e.modified_since_release = false);
+            table.update(unit, |e| e.modified_since_release = false);
         }
     }
 

@@ -30,7 +30,7 @@ use parking_lot::Mutex;
 use dsmpm2_core::protolib;
 use dsmpm2_core::{
     Access, ConsistencyModel, DsmProtocol, DsmThreadCtx, FaultInfo, Invalidation, LockId, NodeId,
-    PageDiff, PageId, PageRequest, PageTransfer, ServerCtx,
+    PageId, PageRequest, PageTransfer, ServerCtx, Unit,
 };
 
 /// One write notice: an interval stamp, the releasing node and the pages it
@@ -120,21 +120,13 @@ impl DsmProtocol for HlrcNotices {
     fn read_fault_handler(&self, ctx: &mut DsmThreadCtx<'_, '_>, fault: FaultInfo) {
         let rt = ctx.runtime().clone();
         let node = ctx.node();
-        protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, fault.page, Access::Read);
+        protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, fault.unit, Access::Read);
     }
 
     fn write_fault_handler(&self, ctx: &mut DsmThreadCtx<'_, '_>, fault: FaultInfo) {
         let rt = ctx.runtime().clone();
         let node = ctx.node();
-        let page = fault.page;
-        if rt.frames(node).has(page) && rt.page_table(node).access(page) != Access::None {
-            protolib::ensure_twin(ctx.pm2.sim, node, &rt, page);
-            rt.page_table(node).set_access(page, Access::Write);
-            ctx.pm2.sim.charge(rt.costs().table_update);
-        } else {
-            protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, page, Access::Write);
-            protolib::ensure_twin(ctx.pm2.sim, node, &rt, page);
-        }
+        protolib::write_fault_with_twin(ctx.pm2.sim, node, &rt, fault.unit);
     }
 
     fn read_server(&self, ctx: &mut ServerCtx<'_>, req: PageRequest) {
@@ -165,26 +157,26 @@ impl DsmProtocol for HlrcNotices {
         let rt = ctx.runtime().clone();
         let node = ctx.node();
         let stale = self.consume_notices(lock, node);
-        for page in stale {
+        for unit in stale.into_iter().map(Unit::whole) {
             // Processing one notice is a page-table lookup + update; the
             // notices themselves travel with the lock grant we already paid
             // for.
             ctx.pm2.sim.charge(rt.costs().table_update);
-            if rt.page_meta(page).home == node {
+            if rt.page_meta(unit.page).home == node {
                 // The home copy is authoritative (diffs were applied there).
                 continue;
             }
             let (modified_since_release, access) = rt
                 .page_table(node)
-                .read(page, |e| (e.modified_since_release, e.access));
+                .read(unit, |e| (e.modified_since_release, e.access));
             if modified_since_release {
                 // Our own unpublished writes live here; they will be merged
                 // through a diff at our next release, so keep the copy.
                 continue;
             }
-            if rt.frames(node).has(page) && access != Access::None {
-                rt.frames(node).evict(page);
-                rt.page_table(node).set_access(page, Access::None);
+            if rt.frames(node).has(unit.page) && access != Access::None {
+                rt.frames(node).evict(unit.page);
+                rt.page_table(node).set_access(unit, Access::None);
             }
         }
     }
@@ -192,7 +184,7 @@ impl DsmProtocol for HlrcNotices {
     fn lock_release(&self, ctx: &mut DsmThreadCtx<'_, '_>, lock: LockId) {
         let rt = ctx.runtime().clone();
         let node = ctx.node();
-        let modified = rt.page_table(node).modified_pages();
+        let modified = rt.page_table(node).modified_units();
         if modified.is_empty() {
             return;
         }
@@ -200,32 +192,14 @@ impl DsmProtocol for HlrcNotices {
         protolib::flush_diffs_to_homes(ctx.pm2.sim, node, &rt, &modified, false);
         // ...re-protect the flushed copies so the next critical section
         // faults, re-twins and produces a fresh diff...
-        for &page in &modified {
-            if rt.page_meta(page).home == node {
-                continue;
-            }
-            if rt.page_table(node).access(page) == Access::Write {
-                rt.page_table(node).set_access(page, Access::Read);
-                ctx.pm2.sim.charge(rt.costs().table_update);
-            }
-        }
+        protolib::reprotect_after_flush(ctx.pm2.sim, node, &rt, &modified);
         // ...and leave a write notice for the next acquirer instead of
         // invalidating anybody now (laziness).
-        self.record_notice(lock, node, modified);
+        let pages = modified.into_iter().map(|unit| unit.page).collect();
+        self.record_notice(lock, node, pages);
     }
 
-    fn diff_server(&self, ctx: &mut ServerCtx<'_>, diff: PageDiff, from: NodeId) {
-        // Home side: integrate the diff and bump the version, but perform no
-        // eager invalidation — stale copies are dealt with lazily at acquire
-        // time through the write notices.
-        let rt = ctx.runtime.clone();
-        let node = ctx.local_node;
-        let bytes = diff.modified_bytes();
-        rt.frames(node).apply_diff(diff.page, &diff);
-        rt.page_table(node).update(diff.page, |e| {
-            e.version += 1;
-            e.copyset.insert(from);
-        });
-        ctx.sim.charge(rt.costs().diff_apply(bytes));
-    }
+    // Home side of a diff: the default `diff_server` — integrate it and bump
+    // the version, no eager invalidation. Stale copies are dealt with lazily
+    // at acquire time through the write notices.
 }

@@ -24,49 +24,15 @@ pub fn replicate_read_migrate_write() -> Arc<dyn DsmProtocol> {
         .read_fault_handler(|ctx, fault| {
             let rt = ctx.runtime().clone();
             let node = ctx.node();
-            protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, fault.page, Access::Read);
+            protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, fault.unit, Access::Read);
         })
-        .write_fault_handler(|ctx, fault| {
-            let rt = ctx.runtime().clone();
-            let node = ctx.node();
-            let entry = rt.page_table(node).get(fault.page); // owned copy: the copyset is needed below
-            if entry.owned {
-                // The thread already executes on the owning node but the
-                // owner's copy was downgraded to read-only when read replicas
-                // were handed out: reclaim exclusive write access by
-                // invalidating the replicas instead of migrating (migrating
-                // to ourselves would fault forever).
-                let targets: Vec<_> = entry
-                    .copyset
-                    .iter()
-                    .copied()
-                    .filter(|&n| n != node)
-                    .collect();
-                protolib::invalidate_copyset_and_wait(
-                    ctx.pm2.sim,
-                    node,
-                    &rt,
-                    fault.page,
-                    &targets,
-                    Some(node),
-                    entry.version,
-                );
-                // Subtract only the invalidated replicas (a copy granted
-                // during the invalidation wait must stay tracked).
-                rt.page_table(node).update(fault.page, |e| {
-                    e.access = Access::Write;
-                    e.copyset.retain(|n| !targets.contains(n));
-                    e.copyset.insert(node);
-                });
-                ctx.pm2.sim.charge(rt.costs().table_update);
-            } else {
-                protolib::migrate_thread_to_page(ctx, fault.page);
-            }
-        })
+        // A writer already on the owning node reclaims the write access that
+        // handing out read replicas took away, by invalidating them.
+        .write_fault_handler(|ctx, fault| protolib::migrate_thread_to_page(ctx, fault.unit))
         .read_server(|ctx, req| {
             let rt = ctx.runtime.clone();
             let node = ctx.local_node;
-            if rt.page_table(node).read(req.page, |e| e.owned) {
+            if rt.page_table(node).read(req.unit, |e| e.owned) {
                 protolib::serve_read_copy(ctx.sim, node, &rt, &req);
             } else {
                 protolib::forward_request(ctx.sim, node, &rt, &req);
@@ -77,7 +43,7 @@ pub fn replicate_read_migrate_write() -> Arc<dyn DsmProtocol> {
             // indicates the protocol is being combined inconsistently.
             panic!(
                 "hybrid_rw: unexpected write request for {} from {}",
-                req.page, ctx.from_node
+                req.unit.page, ctx.from_node
             );
         })
         .invalidate_server(|ctx, inv| {

@@ -23,8 +23,8 @@
 
 use dsmpm2_core::protolib;
 use dsmpm2_core::{
-    Access, ConsistencyModel, DsmProtocol, DsmThreadCtx, FaultInfo, Invalidation, LockId,
-    PageRequest, PageTransfer, ServerCtx,
+    Access, ConsistencyModel, DsmProtocol, DsmThreadCtx, FaultInfo, Invalidation, LockId, PageId,
+    PageRequest, PageTransfer, ServerCtx, Unit,
 };
 
 /// Which access-detection flavour a Java-consistency protocol instance uses.
@@ -65,10 +65,10 @@ impl JavaConsistency {
     /// Fetch the page holding an object into the local cache (writable,
     /// multiple writers), blocking until it is present. Shared by the fault
     /// handlers (`java_pf`) and by the Hyperion get/put miss path (`java_ic`).
-    pub fn cache_page(ctx: &mut DsmThreadCtx<'_, '_>, page: dsmpm2_core::PageId) {
+    pub fn cache_page(ctx: &mut DsmThreadCtx<'_, '_>, page: PageId) {
         let rt = ctx.runtime().clone();
         let node = ctx.node();
-        protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, page, Access::Write);
+        protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, Unit::whole(page), Access::Write);
     }
 }
 
@@ -97,11 +97,11 @@ impl DsmProtocol for JavaConsistency {
     }
 
     fn read_fault_handler(&self, ctx: &mut DsmThreadCtx<'_, '_>, fault: FaultInfo) {
-        Self::cache_page(ctx, fault.page);
+        Self::cache_page(ctx, fault.unit.page);
     }
 
     fn write_fault_handler(&self, ctx: &mut DsmThreadCtx<'_, '_>, fault: FaultInfo) {
-        Self::cache_page(ctx, fault.page);
+        Self::cache_page(ctx, fault.unit.page);
     }
 
     fn read_server(&self, ctx: &mut ServerCtx<'_>, req: PageRequest) {
@@ -119,25 +119,17 @@ impl DsmProtocol for JavaConsistency {
     fn invalidate_server(&self, ctx: &mut ServerCtx<'_>, inv: Invalidation) {
         let rt = ctx.runtime.clone();
         let node = ctx.local_node;
+        let page = inv.unit.page;
         // Push any pending recorded modifications before dropping the copy,
         // and wait for the home to integrate them before acknowledging.
-        if rt.frames(node).has(inv.page) && rt.frames(node).has_recorded(inv.page) {
+        if rt.frames(node).has(page) && rt.frames(node).has_recorded(page) {
             // Same discipline as hbrc_mw: drop local access before the
             // blocking diff push, so concurrent local writes fault and
             // refetch instead of landing in the frame we are about to evict.
-            rt.page_table(node)
-                .set_access(inv.page, dsmpm2_core::Access::None);
+            rt.page_table(node).set_access(inv.unit, Access::None);
             ctx.sim.charge(rt.costs().table_update);
-            let diff = rt.frames(node).take_recorded_diff(inv.page);
-            if !diff.is_empty() {
-                let home = rt.page_meta(inv.page).home;
-                rt.page_table(node)
-                    .update(inv.page, |e| e.pending_acks += 1);
-                rt.send_diff(ctx.sim, node, home, diff, true);
-                let table = rt.page_table(node);
-                let waiters = table.waiters(inv.page);
-                waiters.wait_until(ctx.sim, || table.read(inv.page, |e| e.pending_acks == 0));
-            }
+            let diff = rt.frames(node).take_recorded_diff(page);
+            protolib::push_diffs_and_wait(ctx.sim, node, &rt, vec![diff]);
         }
         protolib::apply_invalidation(ctx.sim, node, &rt, &inv);
     }
@@ -172,7 +164,7 @@ impl DsmProtocol for JavaConsistency {
                 }
             }
             rt.frames(node).evict(page);
-            rt.page_table(node).update(page, |e| {
+            rt.page_table(node).update(Unit::whole(page), |e| {
                 e.access = Access::None;
                 e.modified_since_release = false;
             });
@@ -185,11 +177,12 @@ impl DsmProtocol for JavaConsistency {
         // Hyperion "main memory update" primitive), with field granularity.
         let rt = ctx.runtime().clone();
         let node = ctx.node();
-        let modified: Vec<_> = rt
+        let modified: Vec<Unit> = rt
             .frames(node)
             .pages()
             .into_iter()
             .filter(|&p| rt.is_dsm_page(p) && rt.frames(node).has_recorded(p))
+            .map(Unit::whole)
             .collect();
         protolib::flush_diffs_to_homes(ctx.pm2.sim, node, &rt, &modified, true);
     }

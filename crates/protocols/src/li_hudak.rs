@@ -33,35 +33,23 @@ impl DsmProtocol for LiHudak {
     fn read_fault_handler(&self, ctx: &mut DsmThreadCtx<'_, '_>, fault: FaultInfo) {
         let rt = ctx.runtime().clone();
         let node = ctx.node();
-        protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, fault.page, Access::Read);
+        protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, fault.unit, Access::Read);
     }
 
     fn write_fault_handler(&self, ctx: &mut DsmThreadCtx<'_, '_>, fault: FaultInfo) {
         let rt = ctx.runtime().clone();
         let node = ctx.node();
-        protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, fault.page, Access::Write);
+        protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, fault.unit, Access::Write);
     }
 
     fn read_server(&self, ctx: &mut ServerCtx<'_>, req: PageRequest) {
         let rt = ctx.runtime.clone();
-        let node = ctx.local_node;
-        protolib::defer_while_fetching(ctx.sim, node, &rt, &req);
-        if rt.page_table(node).read(req.page, |e| e.owned) {
-            protolib::serve_read_copy(ctx.sim, node, &rt, &req);
-        } else {
-            protolib::forward_request(ctx.sim, node, &rt, &req);
-        }
+        protolib::serve_or_forward(ctx.sim, ctx.local_node, &rt, &req);
     }
 
     fn write_server(&self, ctx: &mut ServerCtx<'_>, req: PageRequest) {
         let rt = ctx.runtime.clone();
-        let node = ctx.local_node;
-        protolib::defer_while_fetching(ctx.sim, node, &rt, &req);
-        if rt.page_table(node).read(req.page, |e| e.owned) {
-            protolib::serve_write_transfer(ctx.sim, node, &rt, &req);
-        } else {
-            protolib::forward_request(ctx.sim, node, &rt, &req);
-        }
+        protolib::serve_or_forward(ctx.sim, ctx.local_node, &rt, &req);
     }
 
     fn invalidate_server(&self, ctx: &mut ServerCtx<'_>, inv: Invalidation) {
@@ -74,41 +62,7 @@ impl DsmProtocol for LiHudak {
         let rt = ctx.runtime.clone();
         let node = ctx.local_node;
         if transfer.grant == Access::Write {
-            // Becoming the single writer: install the data, invalidate every
-            // other copy, and only then grant write access to local threads.
-            rt.frames(node)
-                .install(transfer.page, transfer.data.clone());
-            let targets: Vec<_> = transfer
-                .copyset
-                .iter()
-                .copied()
-                .filter(|&n| n != node)
-                .collect();
-            protolib::invalidate_copyset_and_wait(
-                ctx.sim,
-                node,
-                &rt,
-                transfer.page,
-                &targets,
-                Some(node),
-                transfer.version,
-            );
-            rt.page_table(node).update(transfer.page, |e| {
-                e.access = Access::Write;
-                e.owned = true;
-                e.prob_owner = node;
-                e.queue_tail = None;
-                e.copyset.clear();
-                e.copyset.insert(node);
-                e.version = transfer.version;
-                e.owner_version = e.owner_version.max(transfer.version);
-                e.pending_fetch = false;
-            });
-            ctx.sim.charge(rt.costs().install_overhead);
-            protolib::notify_home_acquired(ctx.sim, node, &rt, transfer.page, transfer.version);
-            rt.page_table(node)
-                .waiters(transfer.page)
-                .notify_all(&ctx.sim.ctl(), dsmpm2_core::SimDuration::ZERO);
+            protolib::install_write_ownership(ctx.sim, node, &rt, &transfer);
         } else {
             protolib::install_received_page(ctx.sim, node, &rt, &transfer);
         }

@@ -38,6 +38,37 @@ impl LiHudakFixed {
     }
 }
 
+impl LiHudakFixed {
+    /// Both request servers: the owner serves, the manager forwards to the
+    /// owner it has on record, anybody else bounces the request back through
+    /// the manager.
+    fn serve_via_manager(ctx: &mut ServerCtx<'_>, req: PageRequest) {
+        let rt = ctx.runtime.clone();
+        let node = ctx.local_node;
+        protolib::defer_while_fetching(ctx.sim, node, &rt, &req);
+        let owned = rt.page_table(node).read(req.unit, |e| e.owned);
+        let home = rt.page_meta(req.unit.page).home;
+        if owned && req.access == Access::Write {
+            // Serving transfers ownership; `serve_write_transfer` records the
+            // requester as the new probable owner, which on the manager node
+            // is precisely the manager's owner record.
+            protolib::serve_write_transfer(ctx.sim, node, &rt, &req);
+        } else if owned {
+            protolib::serve_read_copy(ctx.sim, node, &rt, &req);
+        } else if node == home {
+            // We are the manager but not the owner: forward to the recorded
+            // owner. A write request also moves the owner record to the
+            // requester (the transfer is now in flight to it); a read leaves
+            // it untouched.
+            protolib::forward_request(ctx.sim, node, &rt, &req);
+        } else {
+            // Stale request (ownership moved away between the manager's
+            // forward and our receipt): bounce it back through the manager.
+            rt.send_page_request(ctx.sim, node, home, req);
+        }
+    }
+}
+
 impl DsmProtocol for LiHudakFixed {
     fn name(&self) -> &str {
         "li_hudak_fixed"
@@ -48,146 +79,59 @@ impl DsmProtocol for LiHudakFixed {
         let node = ctx.node();
         // Uncontended remote reads go one-sided straight to the fixed
         // manager's frame; any refusal falls back to the classic request.
-        if rt.tuning().one_sided_reads && protolib::one_sided_read(ctx, fault.page, fault.line) {
+        if rt.tuning().one_sided_reads && protolib::one_sided_read(ctx, fault.unit) {
             return;
         }
         // Non-manager nodes keep their probable-owner hint pointed at the
         // manager (see `receive_page_server`), so the generic fetch routine
         // naturally routes the request through the fixed manager.
-        protolib::request_unit_and_wait(
-            ctx.pm2.sim,
-            node,
-            &rt,
-            fault.page,
-            fault.line,
-            Access::Read,
-        );
+        protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, fault.unit, Access::Read);
     }
 
     fn write_fault_handler(&self, ctx: &mut DsmThreadCtx<'_, '_>, fault: FaultInfo) {
         let rt = ctx.runtime().clone();
         let node = ctx.node();
-        protolib::request_unit_and_wait(
-            ctx.pm2.sim,
-            node,
-            &rt,
-            fault.page,
-            fault.line,
-            Access::Write,
-        );
+        protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, fault.unit, Access::Write);
     }
 
     fn read_server(&self, ctx: &mut ServerCtx<'_>, req: PageRequest) {
-        let rt = ctx.runtime.clone();
-        let node = ctx.local_node;
-        protolib::defer_while_fetching(ctx.sim, node, &rt, &req);
-        let owned = rt.page_table(node).read_at(req.page, req.line, |e| e.owned);
-        let home = rt.page_meta(req.page).home;
-        if owned {
-            protolib::serve_read_copy(ctx.sim, node, &rt, &req);
-        } else if node == home {
-            // We are the manager but not the owner: forward to the recorded
-            // owner. Read requests do not change ownership, so the record is
-            // left untouched.
-            protolib::forward_request(ctx.sim, node, &rt, &req);
-        } else {
-            // Stale request (ownership moved away between the manager's
-            // forward and our receipt): bounce it back through the manager.
-            rt.send_page_request(ctx.sim, node, home, req);
-        }
+        Self::serve_via_manager(ctx, req);
     }
 
     fn write_server(&self, ctx: &mut ServerCtx<'_>, req: PageRequest) {
-        let rt = ctx.runtime.clone();
-        let node = ctx.local_node;
-        protolib::defer_while_fetching(ctx.sim, node, &rt, &req);
-        let owned = rt.page_table(node).read_at(req.page, req.line, |e| e.owned);
-        let home = rt.page_meta(req.page).home;
-        if owned {
-            // Serving transfers ownership; `serve_write_transfer` records the
-            // requester as the new probable owner, which on the manager node
-            // is precisely the manager's owner record.
-            protolib::serve_write_transfer(ctx.sim, node, &rt, &req);
-        } else if node == home {
-            // Manager, not owner: forward to the owner and update the owner
-            // record to the requester (the transfer is now in flight to it).
-            protolib::forward_request(ctx.sim, node, &rt, &req);
-        } else {
-            rt.send_page_request(ctx.sim, node, home, req);
-        }
+        Self::serve_via_manager(ctx, req);
     }
 
     fn invalidate_server(&self, ctx: &mut ServerCtx<'_>, inv: Invalidation) {
         let rt = ctx.runtime.clone();
         let node = ctx.local_node;
-        let home = rt.page_meta(inv.page).home;
+        let home = rt.page_meta(inv.unit.page).home;
         protolib::apply_invalidation(ctx.sim, node, &rt, &inv);
         // Fixed manager: ordinary nodes keep routing through the manager; the
         // manager itself keeps the true owner recorded by the invalidation.
         if node != home {
             rt.page_table(node)
-                .update_at(inv.page, inv.line, |e| e.prob_owner = home);
+                .update(inv.unit, |e| e.prob_owner = home);
         }
     }
 
     fn receive_page_server(&self, ctx: &mut ServerCtx<'_>, transfer: PageTransfer) {
         let rt = ctx.runtime.clone();
         let node = ctx.local_node;
-        let home = rt.page_meta(transfer.page).home;
-        let page = transfer.page;
-        let line = transfer.line;
+        let home = rt.page_meta(transfer.unit.page).home;
         if transfer.grant == Access::Write {
-            // Becoming the single writer: install, invalidate every other
-            // copy, then grant write access locally (same sequence as
-            // `li_hudak`).
-            let (line_offset, line_size) =
-                rt.page_table(node).read_at(page, line, |e| e.line_span());
-            if line_size == dsmpm2_core::PAGE_SIZE {
-                rt.frames(node).install(page, transfer.data.clone());
-            } else {
-                rt.frames(node)
-                    .install_line(page, line, line_offset, &transfer.data);
-            }
-            let targets: Vec<_> = transfer
-                .copyset
-                .iter()
-                .copied()
-                .filter(|&n| n != node)
-                .collect();
-            protolib::invalidate_copyset_and_wait_at(
-                ctx.sim,
-                node,
-                &rt,
-                page,
-                line,
-                &targets,
-                Some(node),
-                transfer.version,
-            );
-            rt.page_table(node).update_at(page, line, |e| {
-                e.access = Access::Write;
-                e.owned = true;
-                e.prob_owner = node;
-                e.queue_tail = None;
-                e.copyset.clear();
-                e.copyset.insert(node);
-                e.version = transfer.version;
-                e.owner_version = e.owner_version.max(transfer.version);
-                e.pending_fetch = false;
-            });
-            ctx.sim.charge(rt.costs().install_overhead);
-            protolib::notify_home_acquired_at(ctx.sim, node, &rt, page, line, transfer.version);
-            rt.page_table(node)
-                .waiters_at(page, line)
-                .notify_all(&ctx.sim.ctl(), dsmpm2_core::SimDuration::ZERO);
+            protolib::install_write_ownership(ctx.sim, node, &rt, &transfer);
         } else {
             protolib::install_received_page(ctx.sim, node, &rt, &transfer);
         }
         // Fixed distributed manager: a non-manager node always sends its next
         // request to the manager, never along dynamic ownership hints.
-        if node != home && !rt.page_table(node).read_at(page, line, |e| e.owned) {
-            rt.page_table(node)
-                .update_at(page, line, |e| e.prob_owner = home);
+        if node != home {
+            rt.page_table(node).update(transfer.unit, |e| {
+                if !e.owned {
+                    e.prob_owner = home;
+                }
+            });
         }
     }
 

@@ -174,7 +174,7 @@ pub fn register_all_protocols(runtime: &DsmRuntime) -> (BuiltinProtocols, Extens
 mod tests {
     use super::*;
     use dsmpm2_core::{
-        Access, DsmAttr, DsmRuntime, Engine, HomePolicy, NodeId, Pm2Config, SimDuration,
+        Access, DsmAttr, DsmRuntime, Engine, HomePolicy, NodeId, Pm2Config, SimDuration, Unit,
     };
     use parking_lot::Mutex;
     use std::sync::Arc as StdArc;
@@ -265,17 +265,17 @@ mod tests {
             assert_eq!(v1, 7, "sequential consistency: all readers see the write");
         }
         // Ownership is now at node 2 and node 2 only.
-        let page = addr.page();
+        let unit = Unit::whole(addr.page());
         let owners: Vec<bool> = (0..3)
-            .map(|n| rt.page_table(NodeId(n)).get(page).owned)
+            .map(|n| rt.page_table(NodeId(n)).get(unit).owned)
             .collect();
         assert_eq!(owners, vec![false, false, true]);
         // After the final round of reads the other nodes requested read
         // copies, so the owner's own copy was downgraded to read-only (MRSW:
         // a single writer *or* multiple readers) — but it must still be
         // readable and the owner must know about the replicas it handed out.
-        assert!(rt.page_table(NodeId(2)).access(page).permits(Access::Read));
-        assert!(rt.page_table(NodeId(2)).get(page).copyset.len() >= 2);
+        assert!(rt.page_table(NodeId(2)).access(unit).permits(Access::Read));
+        assert!(rt.page_table(NodeId(2)).get(unit).copyset.len() >= 2);
         let stats = rt.stats().snapshot();
         assert!(
             stats.invalidations >= 1,
@@ -532,7 +532,9 @@ mod tests {
 #[cfg(test)]
 mod extension_tests {
     use super::*;
-    use dsmpm2_core::{DsmAttr, DsmRuntime, Engine, HomePolicy, NodeId, Pm2Config, SimDuration};
+    use dsmpm2_core::{
+        DsmAttr, DsmRuntime, Engine, HomePolicy, NodeId, Pm2Config, SimDuration, Unit,
+    };
     use parking_lot::Mutex;
     use std::sync::Arc as StdArc;
 
@@ -587,17 +589,15 @@ mod extension_tests {
             assert_eq!(v1, 31, "all readers observe the single writer's value");
         }
         // Ownership ended up at node 2; the manager (node 0) records it.
-        assert!(rt.page_table(NodeId(2)).get(addr.page()).owned);
+        let unit = Unit::whole(addr.page());
+        assert!(rt.page_table(NodeId(2)).get(unit).owned);
         assert_eq!(
-            rt.page_table(NodeId(0)).get(addr.page()).prob_owner,
+            rt.page_table(NodeId(0)).get(unit).prob_owner,
             NodeId(2),
             "the fixed manager tracks the current owner"
         );
         // Non-manager nodes keep routing through the manager.
-        assert_eq!(
-            rt.page_table(NodeId(1)).get(addr.page()).prob_owner,
-            NodeId(0)
-        );
+        assert_eq!(rt.page_table(NodeId(1)).get(unit).prob_owner, NodeId(0));
     }
 
     /// li_hudak_fixed routes requests through the manager: when the owner is

@@ -31,38 +31,38 @@ impl DsmProtocol for MigrateThread {
     }
 
     fn read_fault_handler(&self, ctx: &mut DsmThreadCtx<'_, '_>, fault: FaultInfo) {
-        protolib::migrate_thread_to_page(ctx, fault.page);
+        protolib::migrate_thread_to_page(ctx, fault.unit);
     }
 
     fn write_fault_handler(&self, ctx: &mut DsmThreadCtx<'_, '_>, fault: FaultInfo) {
-        protolib::migrate_thread_to_page(ctx, fault.page);
+        protolib::migrate_thread_to_page(ctx, fault.unit);
     }
 
     fn read_server(&self, _ctx: &mut ServerCtx<'_>, req: PageRequest) {
         panic!(
             "migrate_thread never requests pages, yet a read request for {} arrived",
-            req.page
+            req.unit.page
         );
     }
 
     fn write_server(&self, _ctx: &mut ServerCtx<'_>, req: PageRequest) {
         panic!(
             "migrate_thread never requests pages, yet a write request for {} arrived",
-            req.page
+            req.unit.page
         );
     }
 
     fn invalidate_server(&self, _ctx: &mut ServerCtx<'_>, inv: Invalidation) {
         panic!(
             "migrate_thread never replicates pages, yet an invalidation for {} arrived",
-            inv.page
+            inv.unit.page
         );
     }
 
     fn receive_page_server(&self, _ctx: &mut ServerCtx<'_>, transfer: PageTransfer) {
         panic!(
             "migrate_thread never transfers pages, yet {} arrived",
-            transfer.page
+            transfer.unit.page
         );
     }
 

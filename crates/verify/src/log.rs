@@ -14,8 +14,8 @@ use std::fmt;
 use parking_lot::Mutex;
 
 use dsmpm2_core::{
-    line_of_offset, Access, ConsistencyModel, DsmRuntime, MemAccess, NodeId, PageId, SimTime,
-    SyncEvent, VerifyHooks,
+    Access, ConsistencyModel, DsmRuntime, MemAccess, NodeId, PageId, SimTime, SyncEvent, Unit,
+    UnitView, VerifyHooks,
 };
 
 /// One entry of the recorded verification event stream.
@@ -161,26 +161,21 @@ impl RecordingHooks {
                 ),
             );
         }
-        let protocol = rt.page_table(access.node).read(access.page, |e| e.protocol);
-        if rt.protocol(protocol).multiple_writers() {
+        let view = unit_of(rt, access);
+        if rt.protocol(view.protocol).multiple_writers() {
             return;
         }
         // The invariants are properties of the *coherence unit* the access
-        // fell into: at whole-page granularity that is the page (LINE0), at
-        // sub-page granularity the line containing the accessed offset —
-        // two nodes legitimately hold write access to different lines of
-        // one page at once.
-        let line_size = rt
-            .page_table(access.node)
-            .read(access.page, |e| e.line_span().1);
-        let line = line_of_offset(access.addr.offset(), line_size);
+        // fell into — two nodes legitimately hold write access to different
+        // lines of one page at once.
+        let line = view.line;
+        let unit = Unit::new(access.page, line);
         // Single-writer exclusivity: at most one node may hold write access
         // to the line.
         let mut writers: Vec<NodeId> = Vec::new();
         let mut others: Vec<NodeId> = Vec::new();
         for node in rt.cluster().topology().nodes() {
-            let node_access = rt.page_table(node).read_at(access.page, line, |e| e.access);
-            match node_access {
+            match rt.page_table(node).access(unit) {
                 Access::Write => writers.push(node),
                 Access::Read => others.push(node),
                 Access::None => {}
@@ -202,9 +197,7 @@ impl RecordingHooks {
         // copyset for that line, otherwise the next invalidation round will
         // miss it and it will read stale data forever.
         if access.is_write {
-            let copyset = rt
-                .page_table(access.node)
-                .read_at(access.page, line, |e| e.copyset.clone());
+            let copyset = rt.page_table(access.node).read(unit, |e| e.copyset.clone());
             for node in others.iter().chain(writers.iter()) {
                 if *node != access.node && !copyset.contains(node) {
                     self.report(
@@ -221,13 +214,20 @@ impl RecordingHooks {
     }
 }
 
+/// The coherence unit `access` fell into, as the accessing node's own table
+/// resolves it.
+fn unit_of(rt: &DsmRuntime, access: &MemAccess) -> UnitView {
+    rt.page_table(access.node)
+        .resolve(access.page, access.addr.offset(), false)
+        .expect("the access went through the typed accessors: its page is registered")
+}
+
 impl VerifyHooks for RecordingHooks {
     fn mem_access(&self, rt: &DsmRuntime, access: MemAccess) {
         if self.check_invariants {
             self.check_access_invariants(rt, &access);
         }
-        let protocol = rt.page_table(access.node).read(access.page, |e| e.protocol);
-        let model = rt.protocol(protocol).consistency();
+        let model = rt.protocol(unit_of(rt, &access).protocol).consistency();
         self.log.lock().push(LogRecord::Access { access, model });
     }
 

@@ -280,8 +280,7 @@ pub fn run_scenario(scenario: &Scenario, cfg: &RunConfig) -> RunOutcome {
                                 ctx.pm2.sim,
                                 node,
                                 home,
-                                page_id,
-                                dsmpm2_core::LINE0,
+                                dsmpm2_core::Unit::whole(page_id),
                                 NodeId(owner),
                                 version,
                             );
@@ -346,10 +345,9 @@ fn read_authoritative_word(rt: &DsmRuntime, page: dsmpm2_core::PageId, offset: u
     let multiple_writers = rt.protocol(meta.protocol).multiple_writers();
     let mut source = meta.home;
     if !multiple_writers {
-        let line_size = rt.page_table(meta.home).read(page, |e| e.line_span().1);
-        let line = line_of_offset(offset, line_size);
+        let unit = dsmpm2_core::Unit::new(page, line_of_offset(offset, meta.line_size));
         for node in rt.cluster().topology().nodes() {
-            let owned = rt.page_table(node).read_at(page, line, |e| e.owned);
+            let owned = rt.page_table(node).read(unit, |e| e.owned);
             if owned && rt.frames(node).has(page) {
                 source = node;
                 break;

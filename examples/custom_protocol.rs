@@ -22,15 +22,15 @@ fn main() {
         .read_fault_handler(|ctx, fault| {
             let rt = ctx.runtime().clone();
             let node = ctx.node();
-            protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, fault.page, Access::Read);
+            protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, fault.unit, Access::Read);
         })
         .write_fault_handler(|ctx, fault| {
-            protolib::migrate_thread_to_page(ctx, fault.page);
+            protolib::migrate_thread_to_page(ctx, fault.unit);
         })
         .read_server(|ctx, req| {
             let rt = ctx.runtime.clone();
             let node = ctx.local_node;
-            if rt.page_table(node).get(req.page).owned {
+            if rt.page_table(node).read(req.unit, |e| e.owned) {
                 protolib::serve_read_copy(ctx.sim, node, &rt, &req);
             } else {
                 protolib::forward_request(ctx.sim, node, &rt, &req);

@@ -11,7 +11,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dsm_pm2::core::{DsmAttr, DsmRuntime, HomePolicy};
+use dsm_pm2::core::{DsmAttr, DsmRuntime, HomePolicy, Unit};
 use dsm_pm2::hyperion::HyperionHeap;
 use dsm_pm2::pm2::{
     EngineCtl, RpcClass, RpcPayload, RpcReply, RpcRequestCtx, RpcService, SimHandle,
@@ -73,7 +73,10 @@ fn typed_hits(protocol: &str, granularity: usize) -> u64 {
     let base = rt.dsm_malloc(PAGE_SIZE as u64, attr);
     assert_eq!(rt.region_granularity(base), Some(granularity));
     assert!(
-        !rt.page_table(NodeId(0)).get(base.page()).copyset.is_empty(),
+        !rt.page_table(NodeId(0))
+            .get(Unit::whole(base.page()))
+            .copyset
+            .is_empty(),
         "the home sits in its own copyset: cloning the entry would allocate"
     );
     let counted = Arc::new(AtomicU64::new(u64::MAX));

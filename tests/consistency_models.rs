@@ -6,8 +6,9 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use dsm_pm2::core::{DsmAttr, DsmRuntime, DsmScalar, HomePolicy};
+use dsm_pm2::core::{DsmAttr, DsmRuntime, DsmScalar, HomePolicy, Unit};
 use dsm_pm2::prelude::*;
+use dsm_pm2::sim::BlockReason;
 
 fn setup(nodes: usize) -> (Engine, DsmRuntime, BuiltinProtocols) {
     let engine = Engine::new();
@@ -83,7 +84,7 @@ fn counter_is_exact_under_every_protocol() {
             let page = counter.page();
             let mut holder = rt.page_meta(page).home;
             for n in 0..3 {
-                if rt.page_table(NodeId(n)).get(page).owned {
+                if rt.page_table(NodeId(n)).get(Unit::whole(page)).owned {
                     holder = NodeId(n);
                 }
             }
@@ -238,6 +239,17 @@ fn copy_refetched_during_release_wait_is_invalidated_by_next_release() {
     });
     engine.run().unwrap();
     assert_eq!(*observed.lock(), 5);
+    // Every diff of this run is a revoke-time push of the dirty writer, and
+    // waiting for the home to acknowledge it is an `Ack` wait like the six of
+    // the home's own release rounds — the block profile must book it as one,
+    // not as an anonymous wait-set park.
+    let profile = engine.block_profile();
+    let parks = |reason| profile.iter().find(|(r, _)| *r == reason).unwrap().1;
+    let pushes = rt.stats().snapshot().diffs_sent;
+    assert_eq!(
+        (pushes, parks(BlockReason::WaitSet), parks(BlockReason::Ack)),
+        (3, 0, 6 + pushes)
+    );
 }
 
 /// Thread migration interoperates with DSM locks: a thread that migrated to

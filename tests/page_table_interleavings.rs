@@ -18,7 +18,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use proptest::prelude::*;
 
-use dsm_pm2::core::{line_of_offset, DsmAttr, DsmRuntime, HomePolicy};
+use dsm_pm2::core::{line_of_offset, DsmAttr, DsmRuntime, HomePolicy, Unit};
 use dsm_pm2::pm2::DsmTuning;
 use dsm_pm2::prelude::*;
 
@@ -108,7 +108,7 @@ fn run_interleaving(ops: &[Op], protocol: &str, granularity: usize) -> Vec<u8> {
                 .resolve(addr.page(), addr.offset(), false)
                 .expect("allocated pages are registered on every node");
             assert_eq!(view.line, line_of_offset(addr.offset(), view.line_size));
-            let entry = table.get_at(addr.page(), view.line);
+            let entry = table.get(Unit::new(addr.page(), view.line));
             assert_eq!(
                 (
                     view.access,

@@ -6,7 +6,10 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use dsm_pm2::core::{protolib, Access, CustomProtocol, DsmAttr, DsmRuntime, DsmScalar, HomePolicy};
+use dsm_pm2::core::{
+    protolib, Access, CustomProtocol, DsmAttr, DsmRuntime, DsmScalar, HomePolicy, LineIx, Unit,
+    PAGE_SIZE,
+};
 use dsm_pm2::prelude::*;
 
 fn setup(nodes: usize) -> (Engine, DsmRuntime, BuiltinProtocols, ExtensionProtocols) {
@@ -176,13 +179,14 @@ fn switch_preserves_values_and_folds_pending_diffs_into_the_home() {
     // Simulate a node-1 replica with an unflushed modification, exactly the
     // state a multiple-writer protocol leaves between a write and the next
     // release: a twin plus a dirtied working copy.
-    rt.frames(NodeId(1))
-        .install(page, rt.frames(NodeId(0)).snapshot(page));
-    rt.page_table(NodeId(1)).update(page, |e| {
-        e.access = dsm_pm2::core::Access::Write;
+    let (unit, span) = (Unit::whole(page), (0, PAGE_SIZE));
+    let data = rt.frames(NodeId(0)).snapshot(page, span);
+    rt.frames(NodeId(1)).install(unit, span, &data);
+    rt.page_table(NodeId(1)).update(unit, |e| {
+        e.access = Access::Write;
         e.modified_since_release = true;
     });
-    rt.frames(NodeId(1)).make_twin(page);
+    rt.frames(NodeId(1)).make_twin(unit, span);
     rt.frames(NodeId(1))
         .with_bytes(page, 16, 8, false, |b| 99u64.store_le(b));
 
@@ -212,6 +216,63 @@ fn switch_preserves_values_and_folds_pending_diffs_into_the_home() {
     );
 }
 
+/// The line case of the test above, across a geometry change: a 1024-byte
+/// `hbrc_mw` region where node 1 holds line 2 writable, twinned and dirtied is
+/// switched to `li_hudak`, which only manages whole pages.
+#[test]
+fn switch_folds_a_line_twin_into_the_home_and_clamps_the_region_to_pages() {
+    let (mut engine, rt, protos, _ext) = setup(2);
+    let attr = DsmAttr::with_protocol(protos.hbrc_mw)
+        .home(HomePolicy::Fixed(NodeId(0)))
+        .granularity(1024);
+    let addr = rt.dsm_malloc(4096, attr);
+    let page = addr.page();
+    let (unit, span) = (Unit::new(page, LineIx(2)), (2048, 1024));
+    let word = addr.add(2048 + 16);
+    let b = rt.create_barrier(2, None);
+    let seen = Arc::new(Mutex::new((0u64, 0u64)));
+    assert_eq!(rt.region_granularity(addr), Some(1024));
+
+    let data = rt.frames(NodeId(0)).snapshot(page, span);
+    rt.frames(NodeId(1)).install(unit, span, &data);
+    rt.page_table(NodeId(1)).update(unit, |e| {
+        e.access = Access::Write;
+        e.modified_since_release = true;
+    });
+    assert!(rt.frames(NodeId(1)).make_twin(unit, span));
+    rt.frames(NodeId(1))
+        .with_bytes(page, word.offset(), 8, false, |b| 99u64.store_le(b));
+
+    assert_eq!(rt.switch_region_protocol(addr, 4096, protos.li_hudak), 1);
+
+    // After the switch: the dirtied word reached the home frame, node 1
+    // holds nothing, and every table and the runtime agree the page is one
+    // whole-page unit now.
+    let home_word = rt
+        .frames(NodeId(0))
+        .with_bytes(page, word.offset(), 8, false, |b| u64::load_le(b));
+    assert_eq!(home_word, 99);
+    assert!(!rt.frames(NodeId(1)).has(page));
+    assert_eq!(rt.page_table(NodeId(0)).len(), 1);
+    assert_eq!(rt.page_table(NodeId(1)).len(), 1);
+    assert_eq!(rt.page_meta(page).line_size, PAGE_SIZE);
+    assert_eq!(rt.region_granularity(word), Some(PAGE_SIZE));
+    assert_eq!(rt.region_granularity(addr.add(4096)), None);
+
+    let s = seen.clone();
+    rt.spawn_dsm_thread(NodeId(0), "home-reader", move |ctx| {
+        s.lock().0 = ctx.read::<u64>(word);
+        ctx.dsm_barrier(b);
+    });
+    let s = seen.clone();
+    rt.spawn_dsm_thread(NodeId(1), "remote-reader", move |ctx| {
+        ctx.dsm_barrier(b);
+        s.lock().1 = ctx.read::<u64>(word);
+    });
+    engine.run().unwrap();
+    assert_eq!(*seen.lock(), (99, 99), "both nodes read the folded word");
+}
+
 /// §2.3: several protocols can be *defined* in one program and selected
 /// dynamically without recompilation; a user-assembled protocol is usable
 /// exactly like the built-in ones.
@@ -225,12 +286,12 @@ fn user_defined_protocol_is_selected_dynamically() {
         .read_fault_handler(|ctx, fault| {
             let rt = ctx.runtime().clone();
             let node = ctx.node();
-            protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, fault.page, Access::Read);
+            protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, fault.unit, Access::Read);
         })
         .write_fault_handler(|ctx, fault| {
             let rt = ctx.runtime().clone();
             let node = ctx.node();
-            protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, fault.page, Access::Write);
+            protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, fault.unit, Access::Write);
         })
         .read_server(|ctx, req| {
             let rt = ctx.runtime.clone();
