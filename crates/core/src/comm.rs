@@ -200,8 +200,13 @@ impl RpcService for FetchService {
 }
 
 /// Register the DSM services on `cluster` for the runtime being built behind
-/// `rt`. Called once from `DsmRuntime::with_cluster_and_costs`.
-pub(crate) fn register_dsm_services(cluster: &Pm2Cluster, rt: &Weak<RuntimeInner>) -> DsmServices {
+/// `rt`, whose batching outbox (if it batches) is `outbox`. Called once from
+/// `DsmRuntime::with_cluster_and_costs`.
+pub(crate) fn register_dsm_services(
+    cluster: &Pm2Cluster,
+    rt: &Weak<RuntimeInner>,
+    outbox: Option<&Arc<DsmOutbox>>,
+) -> DsmServices {
     // Every service holds the runtime weakly, like the network hook below: a
     // strong handle would close the cycle runtime → cluster → service table →
     // service → runtime and no run would ever free its tables and frames. A
@@ -224,12 +229,17 @@ pub(crate) fn register_dsm_services(cluster: &Pm2Cluster, rt: &Weak<RuntimeInner
     // notice or invalidation): flush the link's buckets before any other
     // message is enqueued on it. The hook holds the runtime weakly — the
     // network outlives runtimes in some tests, and a strong reference would
-    // cycle through cluster → network → hook → runtime → cluster.
-    if cluster.config().dsm.batch_messages {
+    // cycle through cluster → network → hook → runtime → cluster — and the
+    // outbox itself, so that the common send, with nothing parked, stops at
+    // one look at it.
+    if let Some(outbox) = outbox.cloned() {
         let weak = rt.clone();
         cluster
             .network()
             .set_pre_send_hook(Arc::new(move |from, to| {
+                if outbox.queued.is_empty() {
+                    return;
+                }
                 if let Some(inner) = weak.upgrade() {
                     let rt = DsmRuntime::from_inner(inner);
                     let ctl = rt.cluster().ctl();
@@ -619,7 +629,7 @@ impl DsmRuntime {
     }
 
     fn outbox(&self) -> Option<&DsmOutbox> {
-        self.inner().outbox.as_ref()
+        self.inner().outbox.as_deref()
     }
 
     fn services(&self) -> &DsmServices {

@@ -92,7 +92,7 @@ pub(crate) struct RuntimeInner {
     cluster: Pm2Cluster,
     costs: DsmCosts,
     tuning: DsmTuning,
-    pub(crate) outbox: Option<crate::comm::DsmOutbox>,
+    pub(crate) outbox: Option<Arc<crate::comm::DsmOutbox>>,
     pub(crate) services: crate::comm::DsmServices,
     /// Name of the threads serving the sub-messages of a coherence batch on
     /// each node (`dsm-batch@N<k>`).
@@ -156,11 +156,12 @@ impl DsmRuntime {
             .collect();
         // Cyclic: the services registered on the cluster serve this runtime,
         // which they hold weakly.
+        let outbox = tuning
+            .batch_messages
+            .then(|| Arc::new(crate::comm::DsmOutbox::new(tuning.batch_window)));
         let inner = Arc::new_cyclic(|weak| RuntimeInner {
-            outbox: tuning
-                .batch_messages
-                .then(|| crate::comm::DsmOutbox::new(tuning.batch_window)),
-            services: crate::comm::register_dsm_services(&cluster, weak),
+            services: crate::comm::register_dsm_services(&cluster, weak, outbox.as_ref()),
+            outbox,
             batch_thread_names,
             cluster,
             costs,

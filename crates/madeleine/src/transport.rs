@@ -10,9 +10,7 @@
 //! the `Contended` and `Lossy` backends schedule delivery through NIC
 //! queues, retransmission timers and sequence numbers.
 
-use std::sync::Arc;
-
-use parking_lot::RwLock;
+use std::sync::{Arc, OnceLock};
 
 use dsmpm2_sim::{channel_on, EngineCtl, SimDuration, SimHandle, SimReceiver, SimSender, SimTime};
 
@@ -65,27 +63,65 @@ pub enum Delivery<M> {
 /// is the direct enqueue on the node's incoming queue.
 pub type DeliveryHook<M> = Arc<dyn Fn(&EngineCtl, Envelope<M>) -> Delivery<M> + Send + Sync>;
 
+/// Where a network keeps a hook: read on every send, written once per
+/// cluster (once more by a test that replaces it). A replacement hangs off
+/// the cell it replaces and a read follows the chain to its end, so the send
+/// path takes no lock and counts no reference to reach the hook, and may
+/// re-enter itself from inside the hook it is borrowing.
+struct HookCell<H> {
+    hook: Option<H>,
+    replaced_by: OnceLock<Box<HookCell<H>>>,
+}
+
+impl<H> HookCell<H> {
+    fn new(hook: Option<H>) -> Self {
+        HookCell {
+            hook,
+            replaced_by: OnceLock::new(),
+        }
+    }
+
+    /// The hook installed last, if any was.
+    fn get(&self) -> Option<&H> {
+        let mut cell = self;
+        while let Some(next) = cell.replaced_by.get() {
+            cell = next;
+        }
+        cell.hook.as_ref()
+    }
+
+    fn replace(&self, hook: H) {
+        let mut last = Box::new(HookCell::new(Some(hook)));
+        let mut cell = self;
+        while let Err(unplaced) = cell.replaced_by.set(last) {
+            last = unplaced;
+            cell = cell.replaced_by.get().expect("occupied: the set failed");
+        }
+    }
+}
+
 /// The destination side of one node's message queue, as seen by transport
 /// backends: wraps the raw [`SimSender`] together with the network's
 /// delivery hook. Without an installed hook, [`DeliverySink::send_at`] is
 /// exactly `SimSender::send_at`; with one, the delivery is one arrival event
 /// on the destination shard, in which the hook runs.
 pub struct DeliverySink<M> {
+    inner: Arc<SinkInner<M>>,
+}
+
+struct SinkInner<M> {
     tx: SimSender<Envelope<M>>,
     ctl: EngineCtl,
     shard: u64,
-    hook: Arc<RwLock<Option<DeliveryHook<M>>>>,
+    /// The network's delivery hook, shared by every node's sink.
+    hook: Arc<HookCell<DeliveryHook<M>>>,
     wire: Arc<WireStats>,
 }
 
 impl<M> Clone for DeliverySink<M> {
     fn clone(&self) -> Self {
         DeliverySink {
-            tx: self.tx.clone(),
-            ctl: self.ctl.clone(),
-            shard: self.shard,
-            hook: Arc::clone(&self.hook),
-            wire: Arc::clone(&self.wire),
+            inner: Arc::clone(&self.inner),
         }
     }
 }
@@ -94,23 +130,24 @@ impl<M: Send + 'static> DeliverySink<M> {
     /// Deliver `env` at absolute time `deliver_at`: to the delivery hook at
     /// that instant if one is installed, else into the destination queue.
     pub fn send_at(&self, deliver_at: SimTime, env: Envelope<M>) {
-        let hook = self.hook.read().clone();
-        match hook {
-            None => self.tx.send_at(deliver_at, env),
-            Some(hook) => {
-                let tx = self.tx.clone();
-                let wire = Arc::clone(&self.wire);
-                self.ctl
-                    .call_at_on(self.shard, deliver_at, move |ctl| match hook(ctl, env) {
-                        Delivery::Queue(env) => {
-                            wire.incr_hook_delivered();
-                            tx.send_at(ctl.now(), env);
-                        }
-                        Delivery::Dispatched => wire.incr_hook_delivered(),
-                        Delivery::Answered => wire.incr_hook_consumed(),
-                    });
-            }
+        let sink = &self.inner;
+        if sink.hook.get().is_none() {
+            return sink.tx.send_at(deliver_at, env);
         }
+        // The arrival event owns one reference to the sink, and through it
+        // reaches the hook, the queue and the counters.
+        let at = Arc::clone(sink);
+        sink.ctl.call_at_on(sink.shard, deliver_at, move |ctl| {
+            let hook = at.hook.get().expect("a hook is replaced, never removed");
+            match hook(ctl, env) {
+                Delivery::Queue(env) => {
+                    at.wire.incr_hook_delivered();
+                    at.tx.send_at(ctl.now(), env);
+                }
+                Delivery::Dispatched => at.wire.incr_hook_delivered(),
+                Delivery::Answered => at.wire.incr_hook_consumed(),
+            }
+        });
     }
 }
 
@@ -130,9 +167,9 @@ struct NetworkInner<M> {
     /// each envelope reaches its destination queue.
     transport: Box<dyn Transport<M>>,
     /// Pre-send link hook (see [`PreSendHook`]).
-    pre_send: RwLock<Option<PreSendHook>>,
+    pre_send: HookCell<PreSendHook>,
     /// Delivery hook shared by every node's sink.
-    delivery_hook: Arc<RwLock<Option<DeliveryHook<M>>>>,
+    delivery_hook: Arc<HookCell<DeliveryHook<M>>>,
 }
 
 /// A simulated interconnect connecting every node of the cluster.
@@ -164,18 +201,20 @@ impl<M: Send + 'static> Network<M> {
     ) -> Self {
         let mut sinks = Vec::with_capacity(topology.num_nodes);
         let mut receivers = Vec::with_capacity(topology.num_nodes);
-        let delivery_hook: Arc<RwLock<Option<DeliveryHook<M>>>> = Arc::new(RwLock::new(None));
+        let delivery_hook: Arc<HookCell<DeliveryHook<M>>> = Arc::new(HookCell::new(None));
         let wire = Arc::new(WireStats::default());
         for node in 0..topology.num_nodes {
             // Each endpoint's delivery callbacks run on the owning node's
             // shard, serialized with the node's dispatcher and handlers.
             let (tx, rx) = channel_on::<Envelope<M>>(ctl.clone(), node as u64);
             sinks.push(DeliverySink {
-                tx,
-                ctl: ctl.clone(),
-                shard: node as u64,
-                hook: Arc::clone(&delivery_hook),
-                wire: Arc::clone(&wire),
+                inner: Arc::new(SinkInner {
+                    tx,
+                    ctl: ctl.clone(),
+                    shard: node as u64,
+                    hook: Arc::clone(&delivery_hook),
+                    wire: Arc::clone(&wire),
+                }),
             });
             receivers.push(rx);
         }
@@ -190,7 +229,7 @@ impl<M: Send + 'static> Network<M> {
                 stats: NetStats::new(),
                 wire,
                 transport,
-                pre_send: RwLock::new(None),
+                pre_send: HookCell::new(None),
                 delivery_hook,
             }),
         }
@@ -242,12 +281,11 @@ impl<M: Send + 'static> Network<M> {
     /// the hook itself triggers, so it must be re-entrant (draining parked
     /// state makes the nested invocation a no-op).
     pub fn set_pre_send_hook(&self, hook: PreSendHook) {
-        *self.inner.pre_send.write() = Some(hook);
+        self.inner.pre_send.replace(hook);
     }
 
     fn run_pre_send_hook(&self, from: NodeId, to: NodeId) {
-        let hook = self.inner.pre_send.read().clone();
-        if let Some(hook) = hook {
+        if let Some(hook) = self.inner.pre_send.get() {
             hook(from, to);
         }
     }
@@ -257,7 +295,7 @@ impl<M: Send + 'static> Network<M> {
     /// decides what becomes of the envelope (see [`Delivery`]). When no hook
     /// is installed, delivery is the direct queue enqueue.
     pub fn set_delivery_hook(&self, hook: DeliveryHook<M>) {
-        *self.inner.delivery_hook.write() = Some(hook);
+        self.inner.delivery_hook.replace(hook);
     }
 
     /// Send `msg` from `from` to `to`, accounting `payload_bytes` of payload.
@@ -507,6 +545,41 @@ mod tests {
         assert_eq!(wire.hook_delivered, 2);
         assert_eq!(wire.envelopes, 4);
         assert_eq!(wire.messages, 4);
+    }
+
+    #[test]
+    fn an_installed_hook_replaces_the_previous_one_and_may_send() {
+        let mut engine = Engine::new();
+        let net = two_node_net::<u8>(&engine, profiles::bip_myrinet());
+        let calls = Arc::new(Mutex::new(Vec::new()));
+        for hook in ["first", "second", "third"] {
+            let calls = calls.clone();
+            let weak = Arc::downgrade(&net.inner);
+            let ctl = engine.ctl();
+            net.set_pre_send_hook(Arc::new(move |from, to| {
+                let first = {
+                    let mut calls = calls.lock();
+                    calls.push((hook, from, to));
+                    calls.len() == 1
+                };
+                // A hook that sends re-enters the send path, itself included.
+                if let (true, Some(inner)) = (first, weak.upgrade()) {
+                    let net = Network { inner };
+                    let delay = SimDuration::from_micros(1);
+                    net.send_with_delay_from_ctl(&ctl, from, to, 0, 1, 1, delay);
+                }
+            }));
+            net.set_delivery_hook(Arc::new(move |_ctl, env: Envelope<u8>| {
+                assert_eq!(hook, "third", "{env:?} went to a replaced hook");
+                Delivery::Answered
+            }));
+        }
+        let net2 = net.clone();
+        engine.spawn("tx", move |h| net2.send_control(h, NodeId(0), NodeId(1), 7));
+        engine.run().unwrap();
+        let third = ("third", NodeId(0), NodeId(1));
+        assert_eq!(calls.lock().clone(), vec![third, third]);
+        assert_eq!(net.wire_stats().hook_consumed, 2);
     }
 
     #[test]

@@ -288,7 +288,9 @@ impl Pm2Cluster {
         class: RpcClass,
     ) -> (RpcMessage, SimDuration) {
         let id = self.inner.next_rpc_id.fetch_add(1, Ordering::SeqCst);
-        self.entry(service).oneway.incr();
+        self.inner.services.read().entries[service.0 as usize]
+            .oneway
+            .incr();
         (
             RpcMessage::Request {
                 id,

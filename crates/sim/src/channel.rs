@@ -263,6 +263,9 @@ impl<K: Eq + Hash + Copy, T> TickOutbox<K, T> {
     /// bucket and does nothing).
     pub fn take_all(&self, key: K) -> Vec<(SimTime, Vec<T>)> {
         let mut pending = self.pending.lock();
+        if pending.is_empty() {
+            return Vec::new();
+        }
         let ticks: Vec<u64> = pending
             .keys()
             .filter(|(k, _)| *k == key)
@@ -278,6 +281,12 @@ impl<K: Eq + Hash + Copy, T> TickOutbox<K, T> {
             .collect();
         buckets.sort_by_key(|(t, _)| *t);
         buckets
+    }
+
+    /// True when no bucket is waiting for its flush: what a caller on a hot
+    /// path asks before it prepares anything for [`TickOutbox::take_all`].
+    pub fn is_empty(&self) -> bool {
+        self.pending.lock().is_empty()
     }
 
     /// Total number of items currently waiting in unflushed buckets.
@@ -450,6 +459,9 @@ mod tests {
         assert_eq!(drained, vec![(t1, vec![200]), (t0, vec![100])]);
         assert_eq!(outbox.pending(), 1, "other keys untouched");
         assert!(outbox.take_all(1).is_empty());
+        assert!(!outbox.is_empty());
+        assert_eq!(outbox.take_all(2), vec![(t0, vec![300])]);
+        assert!(outbox.is_empty() && outbox.take_all(2).is_empty());
     }
 
     #[test]

@@ -17,6 +17,23 @@
 //! [`crate::TickOutbox`] rest on that: their plain FIFO order is the event
 //! order.
 //!
+//! A simulated thread's life is this. *Spawn* builds its hand-off slot
+//! (`ThreadSlot`), enters it in the thread table and submits its first wake,
+//! which — like every wake whose submitter holds the slot: a thread's own,
+//! a [`crate::WaitSet`]'s — carries the slot, so executing it looks nothing
+//! up; only a wake by bare id ([`EngineCtl::wake_at`]) reads the table.
+//! Each wake grants one *slice*, until the thread parks again. The grant in
+//! which the body returns (or panics) is the *finishing grant*: the loop
+//! reaps the thread right there — entry removed, stack back in the pool for
+//! the next spawn, the baton lane's OS thread joined — so a thread that
+//! never blocks costs one event, and a message-driven run that spawns a
+//! handler per request holds a handful of stacks, not one per request. What
+//! the body charged after its last yield is not slept off in one more slice
+//! (nobody is left to observe it): it only moves the thread's *completion
+//! instant*, and a run ends — [`RunReport::final_time`], [`Engine::now`], a
+//! deadlock's `at` — at the later of its last event and its latest
+//! completion.
+//!
 //! Every event carries a *shard key* (upper layers use the cluster node id;
 //! key-less events inherit the key of the event that scheduled them). Keys
 //! do not influence the order above. They name the lanes whose relative
@@ -26,6 +43,7 @@
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -148,7 +166,8 @@ impl Default for EngineConfig {
 /// Summary of a completed simulation run.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RunReport {
-    /// Virtual time at which the last event was processed.
+    /// Virtual time at which the run ended: its last event, or the completion
+    /// of a thread that charged past it.
     pub final_time: SimTime,
     /// Number of events processed.
     pub events: u64,
@@ -211,10 +230,9 @@ pub trait ScheduleController: Send + Sync {
 // ---------------------------------------------------------------------------
 
 enum EventKind {
-    /// Hand a slice to a parked simulated thread. The slot pointer is a
-    /// cache: a thread scheduling its *own* wake-up embeds its slot so the
-    /// hot path (one wake per simulated step) skips the thread-map lock.
-    /// Cross-thread wakes pass `None` and resolve through the map.
+    /// Hand a slice to a parked simulated thread, named by its slot. `None`
+    /// is a wake by id for a thread already reaped when it was submitted: a
+    /// no-op that still marks its instant.
     Wake(ThreadId, Option<Arc<ThreadSlot>>),
     /// Execute a closure on the scheduler (used for delayed message delivery).
     Call(Box<dyn FnOnce(&EngineCtl) + Send>),
@@ -255,12 +273,33 @@ struct ThreadEntry {
     daemon: bool,
 }
 
+/// Thread ids are dense: the table mixes them with one multiply instead of
+/// SipHash.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the thread table is keyed by u64");
+    }
+    fn write_u64(&mut self, id: u64) {
+        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(26);
+    }
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Value of [`Shared::executing_shard`] while no event is executing. Not
 /// usable as a shard key.
 const NO_EVENT: u64 = u64::MAX;
 
 pub(crate) struct Shared {
     now: AtomicU64,
+    /// Latest instant at which a thread's body ended, its unflushed charge
+    /// included (see [`run_body`]); the clock is raised to it when the queue
+    /// drains.
+    latest_completion: AtomicU64,
     seq: AtomicU64,
     queue: Mutex<BinaryHeap<Reverse<Event>>>,
     /// Shard key of the event being executed ([`NO_EVENT`] between events):
@@ -273,7 +312,9 @@ pub(crate) struct Shared {
     /// The scheduler's OS-thread handle: baton threads unpark it when they
     /// park or finish.
     sched: Arc<SchedHandle>,
-    threads: Mutex<HashMap<u64, ThreadEntry>>,
+    /// Live threads by id, for what only knows an id (wakes through
+    /// [`EngineCtl`]), the deadlock report and teardown.
+    threads: Mutex<HashMap<u64, ThreadEntry, BuildHasherDefault<IdHasher>>>,
     next_tid: AtomicU64,
     panic_info: Mutex<Option<(String, String)>>,
     /// Raised when `panic_info` holds something: lets the scheduler loop
@@ -329,30 +370,18 @@ impl Shared {
         }));
     }
 
-    /// Shard key of `tid`: its slot's current key, falling back to the raw
-    /// thread id for threads already reaped (stale wakes are no-ops anyway).
-    fn shard_key_of(&self, tid: ThreadId) -> u64 {
-        self.threads
-            .lock()
-            .get(&tid.0)
-            .map(|e| e.slot.shard_key())
-            .unwrap_or(tid.0)
-    }
-
+    /// Wake by id: the one wake that reads the thread table. A reaped
+    /// thread's wake keeps its event, on the lane of its raw id.
     pub(crate) fn schedule_wake(&self, tid: ThreadId, at: SimTime) {
-        let key = self.shard_key_of(tid);
-        self.submit(at, EventKind::Wake(tid, None), key);
+        let slot = self.threads.lock().get(&tid.0).map(|e| Arc::clone(&e.slot));
+        let key = slot.as_ref().map_or(tid.0, |slot| slot.shard_key());
+        self.submit(at, EventKind::Wake(tid, slot), key);
     }
 
-    /// Wake with a known shard key (captured by a wait set, or a fresh
-    /// spawn's).
-    pub(crate) fn schedule_wake_keyed(&self, tid: ThreadId, at: SimTime, key: u64) {
-        self.submit(at, EventKind::Wake(tid, None), key);
-    }
-
-    /// Self-wake with the slot embedded in the event: the scheduler grants
-    /// straight off the cached `Arc` instead of taking the thread-map lock.
-    /// This is the per-step hot path (`sleep`/`yield_now`/`flush`).
+    /// Wake with the slot embedded in the event, on the thread's current
+    /// shard: the scheduler grants straight off the `Arc`. Every wake whose
+    /// submitter holds the slot — a thread's own (`sleep`/`yield_now`/
+    /// `flush`), a spawn's first, a wait set's — comes through here.
     pub(crate) fn schedule_wake_cached(&self, slot: &Arc<ThreadSlot>, at: SimTime) {
         self.submit(
             at,
@@ -441,11 +470,11 @@ impl Shared {
             }
         };
 
+        self.schedule_wake_cached(&slot, start_at);
         self.threads
             .lock()
             .insert(tid.0, ThreadEntry { slot, join, daemon });
         self.threads_spawned.fetch_add(1, Ordering::SeqCst);
-        self.schedule_wake_keyed(tid, start_at, key);
         tid
     }
 
@@ -515,60 +544,38 @@ impl Shared {
         Some(chosen)
     }
 
-    /// Drop the entries of simulated threads that have finished, recycling
-    /// continuation stacks and joining baton OS threads. Message-driven
-    /// workloads spawn one short-lived handler thread per request; without
-    /// eager reaping a long run accumulates tens of thousands of dead slots
-    /// (and, on the baton, exited-but-unjoined OS threads that eventually
-    /// exhaust the process's thread quota).
-    fn reap_finished(&self) {
-        let mut handles = Vec::new();
-        let mut stacks = Vec::new();
-        {
-            let mut threads = self.threads.lock();
-            let finished: Vec<u64> = threads
-                .iter()
-                .filter(|(_, e)| e.slot.is_finished())
-                .map(|(&tid, _)| tid)
-                .collect();
-            for tid in finished {
-                if let Some(entry) = threads.remove(&tid) {
-                    // Recycling the stack also drops the coroutine, which
-                    // breaks the body's Arc cycle back to this Shared.
-                    if let Some(stack) = entry.slot.reclaim_stack() {
-                        stacks.push(stack);
-                    }
-                    handles.push(entry.join);
-                }
-            }
-        }
-        if !stacks.is_empty() {
+    /// Drop a thread whose final slice just ended: forget its entry, return
+    /// its stack to the pool — which also drops the coroutine and with it
+    /// the body's `Arc` cycle back to this `Shared` — and join the OS thread
+    /// of a baton slot, so a run holds as many stacks and OS threads as it
+    /// has live threads, however many it spawns.
+    fn reap(&self, slot: &ThreadSlot) {
+        let entry = self.threads.lock().remove(&slot.id.0);
+        if let Some(stack) = slot.reclaim_stack() {
             let mut pool = self.stack_pool.lock();
-            for stack in stacks {
-                if pool.len() < STACK_POOL_CAP {
-                    pool.push(stack);
-                }
+            if pool.len() < STACK_POOL_CAP {
+                pool.push(stack);
             }
         }
-        for handle in handles.into_iter().flatten() {
+        if let Some(handle) = entry.and_then(|e| e.join) {
             let _ = handle.join();
         }
     }
 }
 
 /// What a simulated thread does once its first slice is granted: run the
-/// user body, fold compute charged after the last yield into the global
-/// clock (so completion times are accurate), and turn a panic into the
-/// run's error. The teardown unwind is not a panic.
+/// user body, note the instant it completes — the event's plus whatever was
+/// charged since the last yield; nobody is left to observe a slice that
+/// sleeps that off — and turn a panic into the run's error. The teardown
+/// unwind is not a panic.
 fn run_body<F>(shared: &Arc<Shared>, slot: &Arc<ThreadSlot>, f: F)
 where
     F: FnOnce(&mut SimHandle),
 {
-    let mut handle = SimHandle::new(Arc::clone(shared), slot.id, Arc::clone(slot));
-    let result = panic::catch_unwind(AssertUnwindSafe(|| {
-        f(&mut handle);
-        handle.flush();
-    }));
+    let mut handle = SimHandle::new(Arc::clone(shared), Arc::clone(slot));
+    let result = panic::catch_unwind(AssertUnwindSafe(|| f(&mut handle)));
+    let ended = handle.now().as_nanos();
+    shared.latest_completion.fetch_max(ended, Ordering::SeqCst);
     if let Err(payload) = result {
         if payload.downcast_ref::<ShutdownUnwind>().is_none() {
             shared.record_panic(slot.name.to_string(), panic_message(&*payload));
@@ -735,11 +742,12 @@ impl Engine {
         Engine {
             shared: Arc::new(Shared {
                 now: AtomicU64::new(0),
+                latest_completion: AtomicU64::new(0),
                 seq: AtomicU64::new(0),
                 queue: Mutex::new(BinaryHeap::new()),
                 executing_shard: AtomicU64::new(NO_EVENT),
                 sched: Arc::new(SchedHandle::new()),
-                threads: Mutex::new(HashMap::new()),
+                threads: Mutex::new(HashMap::default()),
                 next_tid: AtomicU64::new(0),
                 panic_info: Mutex::new(None),
                 panic_flag: AtomicBool::new(false),
@@ -894,7 +902,7 @@ impl Engine {
         // Publish the scheduler's OS-thread handle before the first grant so
         // baton threads can wake us.
         shared.sched.register_current();
-        let mut since_reap = 0u32;
+        let ctl = self.ctl();
         let mut last_pop = None;
         loop {
             // The mutex is only taken once the flag says there is something
@@ -905,14 +913,6 @@ impl Engine {
                 }
             }
 
-            // Periodically reclaim finished simulated threads so
-            // message-heavy runs stay bounded.
-            since_reap += 1;
-            if since_reap >= 512 {
-                since_reap = 0;
-                shared.reap_finished();
-            }
-
             // Under an installed controller (dsm-verify exploration) the pop
             // consults the controller at every same-instant choice point.
             let controller = shared.controller();
@@ -921,6 +921,10 @@ impl Engine {
                 None => shared.queue.lock().pop().map(|Reverse(e)| e),
             };
             let Some(event) = popped else {
+                // The run ends when its last thread completes, which may be
+                // later than its last event.
+                let completed = shared.latest_completion.load(Ordering::SeqCst);
+                shared.now.fetch_max(completed, Ordering::SeqCst);
                 return self.drained_verdict().map(|()| self.report());
             };
             // What FIFO wait sets and tick buckets rest on: left to itself,
@@ -940,7 +944,7 @@ impl Engine {
                     limit: shared.config.max_events,
                 });
             }
-            execute_event(shared, event);
+            execute_event(&ctl, event);
         }
     }
 
@@ -957,63 +961,50 @@ impl Engine {
         // Release every thread still waiting for a grant so its OS thread
         // can exit, then join them all. Runs after the scheduler loop ended,
         // so this thread owns every slot.
-        let mut entries: Vec<(Arc<ThreadSlot>, Option<JoinHandle<()>>)> = Vec::new();
-        {
-            let mut threads = self.shared.threads.lock();
-            for entry in threads.values_mut() {
-                entries.push((Arc::clone(&entry.slot), entry.join.take()));
-            }
+        let entries: Vec<ThreadEntry> =
+            self.shared.threads.lock().drain().map(|(_, e)| e).collect();
+        for entry in &entries {
+            entry.slot.request_shutdown();
         }
-        for (slot, _) in &entries {
-            slot.request_shutdown();
-        }
-        for (slot, _) in &entries {
+        for entry in &entries {
             // Unwind suspended continuations (destructors of the frames
             // parked on their private stacks must run) and drop never-started
             // bodies — both hold an Arc cycle back to `Shared`.
-            slot.teardown_continuation();
-            let _ = slot.reclaim_stack();
+            entry.slot.teardown_continuation();
+            let _ = entry.slot.reclaim_stack();
         }
-        for (_, join) in entries {
-            if let Some(handle) = join {
-                let _ = handle.join();
-            }
+        for handle in entries.into_iter().filter_map(|e| e.join) {
+            let _ = handle.join();
         }
     }
 }
 
 /// Execute one event: a `Wake` hands a slice to its thread and returns when
-/// the thread parks again, a `Call` runs its closure right here. Either way
-/// the event's shard key is what key-less pushes made meanwhile inherit.
-fn execute_event(shared: &Arc<Shared>, event: Event) {
+/// the thread parks again — reaping it if that slice was its last — and a
+/// `Call` runs its closure right here. Either way the event's shard key is
+/// what key-less pushes made meanwhile inherit.
+fn execute_event(ctl: &EngineCtl, event: Event) {
+    let shared = &ctl.shared;
     match event.kind {
-        EventKind::Wake(tid, cached) => {
-            let slot = cached.or_else(|| {
-                shared
-                    .threads
-                    .lock()
-                    .get(&tid.0)
-                    .map(|e| Arc::clone(&e.slot))
-            });
+        EventKind::Wake(_, None) => {}
+        EventKind::Wake(_, Some(slot)) => {
             // A thread woken through a key captured before it migrated runs
-            // under the key it has now.
-            if let Some(slot) = slot.filter(|slot| !slot.is_finished()) {
-                shared.set_executing_shard(slot.shard_key());
-                if slot.grant_and_wait() {
-                    shared.context_switches.fetch_add(1, Ordering::SeqCst);
+            // under the key it has now. A finished thread's grant is stale.
+            shared.set_executing_shard(slot.shard_key());
+            if slot.grant_and_wait() {
+                shared.context_switches.fetch_add(1, Ordering::SeqCst);
+                if slot.is_finished() {
+                    shared.reap(&slot);
                 }
             }
         }
         EventKind::Call(f) => {
             shared.set_executing_shard(event.shard);
-            let ctl = EngineCtl {
-                shared: Arc::clone(shared),
-            };
             // A panicking scheduler callback must not take down the
             // scheduler loop (teardown would never release the parked
             // threads); record it like a thread panic and let the loop head
             // convert it into the run's error.
-            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| f(&ctl))) {
+            if let Err(payload) = panic::catch_unwind(AssertUnwindSafe(|| f(ctl))) {
                 shared.record_panic("scheduler-call".to_string(), panic_message(&*payload));
             }
         }
@@ -1238,6 +1229,109 @@ mod tests {
         let outside = engine.spawn("outside", move |h| s.lock().push(h.shard()));
         engine.run().unwrap();
         assert_eq!(seen.lock().clone(), vec![outside.as_u64(), 5, 9]);
+    }
+
+    /// Names of the threads the engine still holds an entry for.
+    fn live(shared: &Shared) -> Vec<String> {
+        let threads = shared.threads.lock();
+        let mut names: Vec<String> = threads.values().map(|e| e.slot.name.to_string()).collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    fn a_finishing_thread_takes_no_slice_for_its_last_charge() {
+        let us = SimDuration::from_micros;
+        let report = |final_us, events, threads_spawned| RunReport {
+            final_time: SimTime::from_micros(final_us),
+            events,
+            context_switches: events,
+            threads_spawned,
+        };
+        // Alone: the run ends when the charge does, after one event.
+        let mut engine = Engine::new();
+        engine.spawn("t", move |h| h.charge(us(9)));
+        assert_eq!(engine.run().unwrap(), report(9, 1, 1));
+        assert_eq!(engine.now(), SimTime::from_micros(9));
+        // Next to a thread whose last event is later, or earlier.
+        for (other_us, final_us) in [(20, 20), (5, 9)] {
+            let mut engine = Engine::new();
+            engine.spawn("t", move |h| h.charge(us(9)));
+            engine.spawn("other", move |h| h.sleep(us(other_us)));
+            assert_eq!(engine.run().unwrap(), report(final_us, 3, 2));
+        }
+        // A deadlock is dated the same way.
+        let mut engine = Engine::new();
+        engine.spawn("t", move |h| h.charge(us(9)));
+        engine.spawn("stuck", |h| h.park());
+        match engine.run() {
+            Err(SimError::Deadlock { at, .. }) => assert_eq!(at, SimTime::from_micros(9)),
+            other => panic!("expected deadlock, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_finished_thread_is_reaped_at_its_last_grant() {
+        let continuations = Backing::PLATFORM == Backing::Continuation;
+        let mut engine = Engine::new();
+        let shared = Arc::clone(&engine.shared);
+        let frames = Arc::new(Mutex::new(std::collections::HashSet::new()));
+        let f = frames.clone();
+        engine.spawn("parent", move |h| {
+            for _ in 0..10_000 {
+                let f = f.clone();
+                h.spawn("child", move |h| {
+                    let local = 0u8;
+                    f.lock()
+                        .insert(std::hint::black_box(&local) as *const u8 as usize);
+                    h.charge(SimDuration::from_nanos(300));
+                });
+                h.sleep(SimDuration::from_micros(1));
+                // The child's one slice ran meanwhile: its entry is gone and
+                // its stack waits in the pool for the next child.
+                assert_eq!(live(&shared), ["parent"]);
+                assert_eq!(shared.stack_pool.lock().len(), usize::from(continuations));
+            }
+        });
+        let report = engine.run().unwrap();
+        assert_eq!((report.events, report.threads_spawned), (20_001, 10_001));
+        if continuations {
+            // Two stacks in the whole run: the parent's and this one.
+            assert_eq!(frames.lock().len(), 1, "every child ran on one stack");
+        }
+    }
+
+    #[test]
+    fn a_wake_for_a_reaped_thread_is_a_no_op() {
+        let mut engine = Engine::new();
+        let ctl = engine.ctl();
+        let shared = Arc::clone(&engine.shared);
+        let gone = engine.spawn("gone", |h| h.charge(SimDuration::from_micros(2)));
+        engine.spawn("waker", move |h| {
+            h.sleep(SimDuration::from_micros(1));
+            assert_eq!(live(&shared), ["waker"]);
+            ctl.wake_at(gone, h.now());
+            ctl.wake_after(gone, SimDuration::from_micros(5));
+        });
+        // The two wakes are events of their instants, and nobody's slice.
+        let report = engine.run().unwrap();
+        assert_eq!(report.final_time, SimTime::from_micros(6));
+        assert_eq!((report.events, report.context_switches), (5, 3));
+    }
+
+    #[test]
+    fn panicking_and_daemon_threads_are_reaped_like_any_other() {
+        // Driven without `run`'s teardown, which empties the table anyway.
+        let engine = Engine::new();
+        engine.spawn_daemon("daemon", |h| h.charge(SimDuration::from_micros(1)));
+        engine.spawn_daemon("parked", |h| h.park());
+        engine.spawn("bad", |h| {
+            h.sleep(SimDuration::from_micros(3));
+            panic!("intentional test panic");
+        });
+        let result = engine.run_inner();
+        assert!(matches!(result, Err(SimError::ThreadPanic { .. })));
+        assert_eq!(live(&engine.shared), ["parked"]);
     }
 
     #[test]

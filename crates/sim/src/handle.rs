@@ -16,17 +16,16 @@ use crate::time::{SimDuration, SimTime};
 /// Handle owned by a simulated thread.
 pub struct SimHandle {
     shared: Arc<Shared>,
-    tid: ThreadId,
-    slot: Arc<ThreadSlot>,
+    /// The hand-off slot: also what a wait set keeps to wake this thread.
+    pub(crate) slot: Arc<ThreadSlot>,
     /// Locally accumulated compute time not yet reflected in the global clock.
     pending: SimDuration,
 }
 
 impl SimHandle {
-    pub(crate) fn new(shared: Arc<Shared>, tid: ThreadId, slot: Arc<ThreadSlot>) -> Self {
+    pub(crate) fn new(shared: Arc<Shared>, slot: Arc<ThreadSlot>) -> Self {
         SimHandle {
             shared,
-            tid,
             slot,
             pending: SimDuration::ZERO,
         }
@@ -34,7 +33,7 @@ impl SimHandle {
 
     /// The identity of this simulated thread.
     pub fn id(&self) -> ThreadId {
-        self.tid
+        self.slot.id
     }
 
     /// The name this thread was spawned with.
@@ -240,7 +239,7 @@ impl std::fmt::Debug for SimHandle {
         write!(
             f,
             "SimHandle({} '{}' now={})",
-            self.tid,
+            self.slot.id,
             self.name(),
             self.now()
         )

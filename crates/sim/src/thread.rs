@@ -221,8 +221,8 @@ pub(crate) struct ThreadSlot {
 // slot is shared, (b) the scheduler thread granting a slice — there is one
 // scheduler thread per engine, and it grants one slot at a time, (c) the
 // coroutine body itself while that grant is suspended in `Coro::resume`, and
-// (d) reaping between events and teardown after the loop, both on the
-// scheduler thread — all mutually exclusive.
+// (d) reaping after the finishing grant and teardown after the loop, both
+// on the scheduler thread — all mutually exclusive.
 unsafe impl Send for ThreadSlot {}
 // SAFETY: see the Send justification above — every access to the one
 // non-Sync field (`coro`) happens on, or nested inside a grant of, the one
@@ -496,13 +496,14 @@ impl ThreadSlot {
     /// Reclaim the stack buffer of a finished (or never-started)
     /// continuation for reuse by a future spawn; drops the coroutine.
     /// Returns `None` for baton slots and continuations still live. Only
-    /// called with exclusive access (reaping between events, or teardown).
+    /// called with exclusive access (reaping after the final grant, or
+    /// teardown).
     pub fn reclaim_stack(&self) -> Option<Vec<u8>> {
         if self.backing != Backing::Continuation {
             return None;
         }
         // SAFETY: per this function's contract, callers hold exclusive
-        // access (reaping between events on the scheduler, or teardown).
+        // access (the scheduler reaping after the final grant, or teardown).
         let cell = unsafe { &mut *self.coro.get() };
         let reclaimable = cell
             .as_ref()

@@ -16,22 +16,21 @@
 //! FIFO is a pure function of the program.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
 use crate::engine::{BlockReason, EngineCtl};
 use crate::handle::SimHandle;
-use crate::thread::ThreadId;
+use crate::thread::{ThreadId, ThreadSlot};
 use crate::time::SimDuration;
 
 /// A set of blocked simulated threads, FIFO in registration order.
 #[derive(Default)]
 pub struct WaitSet {
-    /// Waiters, oldest first. The waiter's shard key is captured at
-    /// registration so wake-ups skip the engine's thread-table lookup (a
-    /// parked thread cannot migrate, so the key cannot go stale while
-    /// registered).
-    waiters: Mutex<VecDeque<(ThreadId, u64)>>,
+    /// Waiters, oldest first, by hand-off slot: a wake-up goes straight to
+    /// the slot, on the shard the thread is on then, with no lookup by id.
+    waiters: Mutex<VecDeque<Arc<ThreadSlot>>>,
 }
 
 impl WaitSet {
@@ -53,22 +52,21 @@ impl WaitSet {
     /// Register the calling thread as a waiter. Must be followed by
     /// [`SimHandle::park`] inside a condition re-check loop.
     pub fn register(&self, handle: &SimHandle) {
-        self.waiters.lock().push_back((handle.id(), handle.shard()));
+        self.waiters.lock().push_back(Arc::clone(&handle.slot));
     }
 
     /// Remove the calling thread from the set (used when a waiter gives up,
     /// e.g. after its condition became true through another path).
     pub fn deregister(&self, handle: &SimHandle) {
-        self.waiters.lock().retain(|&(t, _)| t != handle.id());
+        self.waiters.lock().retain(|slot| slot.id != handle.id());
     }
 
     /// Wake the oldest waiter (if any) after `delay`, removing it from the
     /// set. Returns the thread that was woken.
     pub fn notify_one(&self, ctl: &EngineCtl, delay: SimDuration) -> Option<ThreadId> {
-        let (tid, shard) = self.waiters.lock().pop_front()?;
-        ctl.shared
-            .schedule_wake_keyed(tid, ctl.now() + delay, shard);
-        Some(tid)
+        let slot = self.waiters.lock().pop_front()?;
+        ctl.shared.schedule_wake_cached(&slot, ctl.now() + delay);
+        Some(slot.id)
     }
 
     /// Wake every registered waiter after `delay`, clearing the set.
@@ -76,8 +74,8 @@ impl WaitSet {
     pub fn notify_all(&self, ctl: &EngineCtl, delay: SimDuration) -> usize {
         let drained = std::mem::take(&mut *self.waiters.lock());
         let at = ctl.now() + delay;
-        for &(tid, shard) in &drained {
-            ctl.shared.schedule_wake_keyed(tid, at, shard);
+        for slot in &drained {
+            ctl.shared.schedule_wake_cached(slot, at);
         }
         drained.len()
     }

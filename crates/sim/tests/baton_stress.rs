@@ -26,7 +26,7 @@ fn xorshift(state: &mut u64) -> u64 {
 /// pseudo-random mix of yields, sleeps and compute charges, and every eighth
 /// child spawns a grandchild. This exercises spawn-park races (on the baton:
 /// Created -> Parked while the scheduler waits), rapid re-grants and the
-/// finished-thread reaper.
+/// reaping of each thread at its last grant.
 #[test]
 fn thread_storm_matches_its_pinned_run() {
     let mut engine = Engine::new();
@@ -61,12 +61,14 @@ fn thread_storm_matches_its_pinned_run() {
         }
     });
     let report = engine.run().expect("storm must complete");
+    // Events and switches were 2 182 each while a thread that ended owing a
+    // charge took one more slice to sleep it off: 167 of the 549 did.
     assert_eq!(
         report,
         RunReport {
             final_time: SimTime::from_nanos(21_518),
-            events: 2_182,
-            context_switches: 2_182,
+            events: 2_015,
+            context_switches: 2_015,
             threads_spawned: 549,
         }
     );

@@ -443,7 +443,9 @@ fn conformance_matrix_across_handoff_modes() {
             r.engine.context_switches,
             r.engine.threads_spawned,
         ),
-        (9_601_329_538_796_336_933, 1_817_491, 430, 271, 88)
+        // Events and switches were 430 and 271 while a thread that ended
+        // owing a charge took one more slice to sleep it off: 76 of the 88 did.
+        (9_601_329_538_796_336_933, 1_817_491, 354, 195, 88)
     );
 }
 
