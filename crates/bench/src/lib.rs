@@ -4,6 +4,7 @@
 //! `ablations` binaries (each regenerates one table or figure of the paper)
 //! and the Criterion benches under `benches/`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -64,10 +64,10 @@ impl DsmThreadCtx<'_, '_> {
     /// checks that the access does not straddle a coherence-line boundary on
     /// sub-page-granularity regions (rights are per line, so a straddling
     /// access would only be covered on its first line). A hit costs one
-    /// page-table lock: the unit is resolved once into a [`UnitView`],
-    /// which the caller gets back; `mark_write` makes that same critical
-    /// section mark a writable unit modified (the hit of a write about to
-    /// happen).
+    /// borrow of the page table, which takes no lock: the unit is resolved
+    /// once into a [`UnitView`], which the caller gets back; `mark_write`
+    /// makes that same borrow mark a writable unit modified (the hit of a
+    /// write about to happen).
     fn detect(&mut self, addr: DsmAddr, size: usize, needed: Access, mark_write: bool) -> UnitView {
         let page = addr.page();
         loop {
@@ -180,18 +180,31 @@ impl DsmThreadCtx<'_, '_> {
         self.hit(addr, T::SIZE, false, false, |b| T::load_le(b))
     }
 
-    /// Write a scalar assuming rights are already held.
+    /// Write a scalar assuming write rights are already held.
+    ///
+    /// # Panics
+    /// Panics if the node cannot write the unit: the store would land in the
+    /// frame without the unit being marked modified, and the next release
+    /// would not ship it.
     pub fn write_local<T: DsmScalar>(&mut self, addr: DsmAddr, value: T, record: bool) {
         let table = self.runtime.page_table(self.node());
-        let marked = table.resolve(addr.page(), addr.offset(), true);
-        assert!(marked.is_some(), "no page-table entry for {}", addr.page());
+        let access = table
+            .resolve(addr.page(), addr.offset(), true)
+            .map(|unit| unit.access);
+        assert!(
+            access == Some(Access::Write),
+            "write_local at {addr}: node {} holds {access:?} on {}, not write access",
+            self.node(),
+            addr.page()
+        );
         self.hit(addr, T::SIZE, true, record, |b| value.store_le(b));
     }
 
     /// The hit itself, once rights are established: count and charge one
     /// local access, then let `copy` move the bytes between the caller's
-    /// value and the frame under the frame lock. `record` (writes only) logs
-    /// the range as modified, for protocols that diff from recorded writes.
+    /// value and the frame inside one borrow of the frame store. `record`
+    /// (writes only) logs the range as modified, for protocols that diff from
+    /// recorded writes.
     fn hit<R>(
         &mut self,
         addr: DsmAddr,
@@ -240,6 +253,49 @@ mod tests {
         assert_eq!(f64::load_le(&buf), 3.25);
         assert_eq!(<u8 as DsmScalar>::SIZE, 1);
         assert_eq!(<f64 as DsmScalar>::SIZE, 8);
+    }
+
+    /// `write_local` skips fault detection, not the rights: on a copy the
+    /// node may only read, the store would reach the frame while `resolve`
+    /// (rightly) left the unit unmarked, so no release would ever ship it.
+    /// The parent commit stored the 2 below without a word.
+    #[test]
+    fn write_local_on_a_read_only_copy_panics_naming_the_page() {
+        use crate::{CustomProtocol, DsmAttr, DsmRuntime, HomePolicy};
+        use dsmpm2_pm2::{Engine, Pm2Config, SimError};
+
+        let mut engine = Engine::new();
+        let rt = DsmRuntime::new(&engine, Pm2Config::bip_myrinet(2));
+        let inert = rt.register_protocol(CustomProtocol::builder("inert").build());
+        let home = dsmpm2_madeleine::NodeId(0);
+        let attr = DsmAttr::with_protocol(inert).home(HomePolicy::Fixed(home));
+        let base = rt.dsm_malloc(PAGE_SIZE as u64, attr);
+        let unit = Unit::whole(base.page());
+        rt.spawn_dsm_thread(home, "writer", move |ctx| {
+            ctx.write_local::<u64>(base, 1, false);
+            ctx.runtime()
+                .page_table(home)
+                .set_access(unit, Access::Read);
+            ctx.write_local::<u64>(base, 2, false);
+        });
+        match engine.run() {
+            Err(SimError::ThreadPanic { thread, message }) => {
+                assert_eq!(thread, "writer");
+                assert!(message.contains("write_local"), "got '{message}'");
+                assert!(
+                    message.contains(&base.page().to_string()),
+                    "got '{message}'"
+                );
+                assert!(message.contains("Read"), "got '{message}'");
+            }
+            other => panic!("expected the second write_local to panic, got {other:?}"),
+        }
+        let stored = rt.frames(home).snapshot(base.page(), (0, 8));
+        assert_eq!(
+            stored,
+            1u64.to_le_bytes(),
+            "the refused store left no trace"
+        );
     }
 
     #[test]

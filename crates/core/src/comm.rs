@@ -256,7 +256,7 @@ pub(crate) fn register_dsm_services(
         let requester = rpc.from_node;
         let state_for_wait = state.clone();
         state.waiters.wait_until(rpc.sim, || {
-            let mut held = state_for_wait.held.lock();
+            let mut held = state_for_wait.held.borrow();
             if held.0 {
                 false
             } else {
@@ -272,7 +272,7 @@ pub(crate) fn register_dsm_services(
         let lock = LockId(downcast::<u64>(payload, "lock id"));
         let state = rt.lock_state(lock);
         {
-            let mut held = state.held.lock();
+            let mut held = state.held.borrow();
             assert!(held.0, "release of DSM lock {lock:?} which is not held");
             *held = (false, None);
         }
@@ -285,7 +285,7 @@ pub(crate) fn register_dsm_services(
         let barrier = BarrierId(downcast::<u64>(payload, "barrier id"));
         let state = rt.barrier_state(barrier);
         let (my_round, last) = {
-            let mut round = state.round.lock();
+            let mut round = state.round.borrow();
             round.0 += 1;
             let my_round = round.1;
             let last = round.0 == state.parties;
@@ -302,7 +302,7 @@ pub(crate) fn register_dsm_services(
             state
                 .waiters
                 .wait_until_why(rpc.sim, BlockReason::Barrier, || {
-                    state_for_wait.round.lock().1 != my_round
+                    state_for_wait.round.borrow().1 != my_round
                 });
         }
         Some(RpcReply::control(()))

@@ -12,9 +12,8 @@
 
 use std::collections::hash_map::{Entry, HashMap};
 
-use parking_lot::Mutex;
-
 use dsmpm2_madeleine::NodeId;
+use dsmpm2_sim::SliceCell;
 
 use crate::diff::PageDiff;
 use crate::page::{IdMap, LineIx, PageId, Unit, PAGE_SIZE};
@@ -46,10 +45,12 @@ impl Frame {
     }
 }
 
-/// All frames held by one node.
+/// All frames held by one node. Like the node's [`crate::PageTable`], a
+/// store is reached by one piece of simulated code at a time, so the frames
+/// sit in a [`SliceCell`] and not behind a lock.
 pub struct FrameStore {
     node: NodeId,
-    frames: Mutex<IdMap<PageId, Frame>>,
+    frames: SliceCell<IdMap<PageId, Frame>>,
 }
 
 impl FrameStore {
@@ -57,19 +58,22 @@ impl FrameStore {
     pub fn new(node: NodeId) -> Self {
         FrameStore {
             node,
-            frames: Mutex::new(IdMap::default()),
+            frames: SliceCell::default(),
         }
     }
 
     /// True if the node currently holds a copy of `page`.
     pub fn has(&self, page: PageId) -> bool {
-        self.frames.lock().contains_key(&page)
+        self.frames.borrow().contains_key(&page)
     }
 
     /// Make sure a zero-filled frame exists for `page` (used when a page is
     /// first allocated on its home node).
     pub fn ensure_zeroed(&self, page: PageId) {
-        self.frames.lock().entry(page).or_insert_with(Frame::zeroed);
+        self.frames
+            .borrow()
+            .entry(page)
+            .or_insert_with(Frame::zeroed);
     }
 
     /// Install `data` as the contents of `unit`, which covers `span` of its
@@ -80,7 +84,7 @@ impl FrameStore {
     pub fn install(&self, unit: Unit, span: (usize, usize), data: &[u8]) {
         let (offset, len) = span;
         assert_eq!(data.len(), len, "installed unit must be {len} bytes");
-        let mut frames = self.frames.lock();
+        let mut frames = self.frames.borrow();
         let frame = frames.entry(unit.page).or_insert_with(Frame::zeroed);
         frame.data[offset..offset + len].copy_from_slice(data);
         frame.twins.remove(&unit.line);
@@ -95,7 +99,7 @@ impl FrameStore {
     /// still be valid, so their frame stays. A page without a frame is left
     /// alone.
     pub fn invalidate(&self, unit: Unit, span: (usize, usize)) {
-        let mut frames = self.frames.lock();
+        let mut frames = self.frames.borrow();
         if span.1 == PAGE_SIZE {
             frames.remove(&unit.page);
         } else if let Some(frame) = frames.get_mut(&unit.page) {
@@ -105,7 +109,7 @@ impl FrameStore {
 
     /// Drop the local copy of `page`, returning its last contents.
     pub fn evict(&self, page: PageId) -> Option<Vec<u8>> {
-        self.frames.lock().remove(&page).map(|f| f.data)
+        self.frames.borrow().remove(&page).map(|f| f.data)
     }
 
     /// Copy the bytes of `span` within `page` (for sending a coherence unit
@@ -186,13 +190,13 @@ impl FrameStore {
 
     /// Every page currently mapped on this node.
     pub fn pages(&self) -> Vec<PageId> {
-        let mut pages: Vec<PageId> = self.frames.lock().keys().copied().collect();
+        let mut pages: Vec<PageId> = self.frames.borrow().keys().copied().collect();
         pages.sort();
         pages
     }
 
     fn with<R>(&self, page: PageId, f: impl FnOnce(&mut Frame) -> R) -> R {
-        let mut frames = self.frames.lock();
+        let mut frames = self.frames.borrow();
         let frame = frames
             .get_mut(&page)
             .unwrap_or_else(|| panic!("node {} has no frame for {page}", self.node));
@@ -206,7 +210,7 @@ impl std::fmt::Debug for FrameStore {
             f,
             "FrameStore(node={}, {} pages)",
             self.node,
-            self.frames.lock().len()
+            self.frames.borrow().len()
         )
     }
 }

@@ -26,6 +26,7 @@
 //! The built-in protocols of Table 2 live in the companion crate
 //! `dsmpm2-protocols`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

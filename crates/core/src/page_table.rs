@@ -18,16 +18,24 @@
 //! [`PageEntry::line_span`] is `(0, PAGE_SIZE)` — the same entries, reached
 //! through the same code. The one place that maps a byte offset to its unit
 //! is [`PageTable::resolve`]: line 0's entry always exists and records the
-//! page's line size (the *geometry*), and the target entry lives behind the
-//! same lock (`resolve_views_the_unit_of_an_offset` covers both geometries).
+//! page's line size (the *geometry*), and the target entry lives in the same
+//! map (`resolve_views_the_unit_of_an_offset` covers both geometries).
+//!
+//! # No lock
+//!
+//! A table is reached only by simulated code of one engine — a slice, a
+//! scheduler event, or the host thread outside `Engine::run` — which the
+//! hand-off runs one at a time, so its maps sit in [`SliceCell`]s: a hit
+//! borrows the entries with a flag check, not an atomic read-modify-write.
+//! The closures passed to [`PageTable::read`] and [`PageTable::update`] run
+//! inside that borrow and must not call back into the same table (the cell
+//! panics if they do).
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use dsmpm2_madeleine::NodeId;
-use dsmpm2_sim::WaitSet;
+use dsmpm2_sim::{SliceCell, WaitSet};
 
 use crate::page::{line_of_offset, Access, IdMap, LineIx, PageId, Unit, LINE0, PAGE_SIZE};
 use crate::protocol::ProtocolId;
@@ -147,11 +155,12 @@ pub struct UnitView {
 }
 
 /// The page table of one node: one map of entries, one map of wait sets.
-/// One simulated thread runs at a time, so neither lock is ever contended.
+/// One piece of simulated code runs at a time, which is why neither map is
+/// behind a lock (see the module documentation).
 pub struct PageTable {
     node: NodeId,
-    entries: Mutex<IdMap<Unit, PageEntry>>,
-    waiters: Mutex<IdMap<Unit, Arc<WaitSet>>>,
+    entries: SliceCell<IdMap<Unit, PageEntry>>,
+    waiters: SliceCell<IdMap<Unit, Arc<WaitSet>>>,
 }
 
 impl PageTable {
@@ -159,14 +168,14 @@ impl PageTable {
     pub fn new(node: NodeId) -> Self {
         PageTable {
             node,
-            entries: Mutex::default(),
-            waiters: Mutex::default(),
+            entries: SliceCell::default(),
+            waiters: SliceCell::default(),
         }
     }
 
     /// Install the line entries of `page` at granularity `line_size` if none
     /// exist yet (a `PAGE_SIZE` line gives the single whole-page entry). All
-    /// lines are created under one lock. `records_writes` is `protocol`'s
+    /// lines are created in one borrow. `records_writes` is `protocol`'s
     /// [`crate::DsmProtocol::records_writes`].
     pub fn ensure_lines(
         &self,
@@ -176,7 +185,7 @@ impl PageTable {
         records_writes: bool,
         line_size: usize,
     ) {
-        let mut entries = self.entries.lock();
+        let mut entries = self.entries.borrow();
         for unit in Unit::all_of(page, line_size) {
             entries.entry(unit).or_insert_with(|| {
                 PageEntry::new_line(unit, line_size, home, protocol, records_writes)
@@ -188,13 +197,13 @@ impl PageTable {
     /// region is re-registered with a different protocol or granularity; the
     /// caller must have quiesced all activity on the page first.
     pub fn remove_page(&self, page: PageId) {
-        self.entries.lock().retain(|unit, _| unit.page != page);
-        self.waiters.lock().retain(|unit, _| unit.page != page);
+        self.entries.borrow().retain(|unit, _| unit.page != page);
+        self.waiters.borrow().retain(|unit, _| unit.page != page);
     }
 
     /// True if the table knows about `page`.
     pub fn contains(&self, page: PageId) -> bool {
-        self.entries.lock().contains_key(&Unit::whole(page))
+        self.entries.borrow().contains_key(&Unit::whole(page))
     }
 
     /// A copy of the entry for `unit`.
@@ -208,13 +217,13 @@ impl PageTable {
 
     /// Resolve the coherence unit governing byte `offset` of `page` into a
     /// [`UnitView`], or `None` if the page is unknown. This is the per-access
-    /// hot path: geometry, line entry and view all come from one lock
-    /// and nothing is cloned. With `mark_write` — the access is a write hit in
-    /// the making — a unit that is writable is marked modified since the last
-    /// release in the same critical section; one that is not is left alone
-    /// (the access will fault and come back).
+    /// hot path: geometry, line entry and view all come from one borrow of
+    /// the entries and nothing is cloned. With `mark_write` — the access is a
+    /// write hit in the making — a unit that is writable is marked modified
+    /// since the last release in the same borrow; one that is not is left
+    /// alone (the access will fault and come back).
     pub fn resolve(&self, page: PageId, offset: usize, mark_write: bool) -> Option<UnitView> {
-        let mut entries = self.entries.lock();
+        let mut entries = self.entries.borrow();
         let mut entry = entries.get_mut(&Unit::whole(page))?;
         if entry.line_size != PAGE_SIZE {
             let line = line_of_offset(offset, entry.line_size);
@@ -236,10 +245,10 @@ impl PageTable {
 
     /// Run `f` with shared access to the entry for `unit`, without cloning it
     /// (cloning copies the whole copyset), or return `None` if this node does
-    /// not know the unit. The table lock is held for the duration of `f`:
-    /// keep it short and never call back into the same table from inside.
+    /// not know the unit. The entries stay borrowed for the duration of `f`:
+    /// never call back into the same table from inside.
     pub fn try_read<R>(&self, unit: Unit, f: impl FnOnce(&PageEntry) -> R) -> Option<R> {
-        self.entries.lock().get(&unit).map(f)
+        self.entries.borrow().get(&unit).map(f)
     }
 
     /// [`PageTable::try_read`] for a unit that must be registered.
@@ -255,7 +264,7 @@ impl PageTable {
     /// # Panics
     /// Panics if the unit is not registered on this node.
     pub fn update<R>(&self, unit: Unit, f: impl FnOnce(&mut PageEntry) -> R) -> R {
-        let mut entries = self.entries.lock();
+        let mut entries = self.entries.borrow();
         let entry = entries.get_mut(&unit).unwrap_or_else(|| self.unknown(unit));
         f(entry)
     }
@@ -282,7 +291,7 @@ impl PageTable {
     pub fn waiters(&self, unit: Unit) -> Arc<WaitSet> {
         Arc::clone(
             self.waiters
-                .lock()
+                .borrow()
                 .entry(unit)
                 .or_insert_with(|| Arc::new(WaitSet::new())),
         )
@@ -293,7 +302,7 @@ impl PageTable {
     pub fn pages(&self) -> Vec<PageId> {
         let mut pages: Vec<PageId> = self
             .entries
-            .lock()
+            .borrow()
             .keys()
             .filter(|unit| unit.line == LINE0)
             .map(|unit| unit.page)
@@ -307,7 +316,7 @@ impl PageTable {
     pub fn modified_units(&self) -> Vec<Unit> {
         let mut units: Vec<Unit> = self
             .entries
-            .lock()
+            .borrow()
             .iter()
             .filter(|(_, e)| e.modified_since_release)
             .map(|(unit, _)| *unit)
@@ -318,12 +327,12 @@ impl PageTable {
 
     /// Number of entries (line entries count individually).
     pub fn len(&self) -> usize {
-        self.entries.lock().len()
+        self.entries.borrow().len()
     }
 
     /// True if the table has no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.lock().is_empty()
+        self.entries.borrow().is_empty()
     }
 }
 

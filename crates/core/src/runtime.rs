@@ -5,10 +5,9 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
-
 use dsmpm2_madeleine::NodeId;
 use dsmpm2_pm2::{DsmTuning, Engine, Pm2Cluster, Pm2Config, Pm2ThreadState};
+use dsmpm2_sim::SliceCell;
 
 use crate::costs::DsmCosts;
 use crate::ctx::DsmThreadCtx;
@@ -98,11 +97,11 @@ pub(crate) struct RuntimeInner {
     /// each node (`dsm-batch@N<k>`).
     pub(crate) batch_thread_names: Vec<Arc<str>>,
     nodes: Vec<NodeState>,
-    directory: Mutex<HashMap<PageId, PageMeta>>,
-    protocols: RwLock<Vec<Arc<dyn DsmProtocol>>>,
+    directory: SliceCell<HashMap<PageId, PageMeta>>,
+    protocols: SliceCell<Vec<Arc<dyn DsmProtocol>>>,
     default_protocol: AtomicUsize,
-    pub(crate) locks: Mutex<HashMap<u64, Arc<LockState>>>,
-    pub(crate) barriers: Mutex<HashMap<u64, Arc<BarrierState>>>,
+    pub(crate) locks: SliceCell<HashMap<u64, Arc<LockState>>>,
+    pub(crate) barriers: SliceCell<HashMap<u64, Arc<BarrierState>>>,
     next_lock: AtomicU64,
     next_barrier: AtomicU64,
     stats: DsmStats,
@@ -167,11 +166,11 @@ impl DsmRuntime {
             costs,
             tuning,
             nodes,
-            directory: Mutex::new(HashMap::new()),
-            protocols: RwLock::new(Vec::new()),
+            directory: SliceCell::default(),
+            protocols: SliceCell::default(),
             default_protocol: AtomicUsize::new(NO_DEFAULT),
-            locks: Mutex::new(HashMap::new()),
-            barriers: Mutex::new(HashMap::new()),
+            locks: SliceCell::default(),
+            barriers: SliceCell::default(),
             next_lock: AtomicU64::new(1),
             next_barrier: AtomicU64::new(1),
             stats: DsmStats::new(),
@@ -239,7 +238,7 @@ impl DsmRuntime {
     /// Register a protocol and return its identifier (the analogue of
     /// `dsm_create_protocol`).
     pub fn register_protocol(&self, protocol: Arc<dyn DsmProtocol>) -> ProtocolId {
-        let mut protocols = self.inner.protocols.write();
+        let mut protocols = self.inner.protocols.borrow();
         protocols.push(protocol);
         ProtocolId(protocols.len() - 1)
     }
@@ -248,7 +247,7 @@ impl DsmRuntime {
     /// (`pm2_dsm_set_default_protocol`).
     pub fn set_default_protocol(&self, protocol: ProtocolId) {
         assert!(
-            protocol.0 < self.inner.protocols.read().len(),
+            protocol.0 < self.inner.protocols.borrow().len(),
             "cannot set unregistered {protocol} as default"
         );
         self.inner
@@ -273,7 +272,7 @@ impl DsmRuntime {
     pub fn protocol(&self, id: ProtocolId) -> Arc<dyn DsmProtocol> {
         self.inner
             .protocols
-            .read()
+            .borrow()
             .get(id.0)
             .cloned()
             .unwrap_or_else(|| panic!("unknown protocol {id}"))
@@ -283,7 +282,7 @@ impl DsmRuntime {
     pub fn protocol_by_name(&self, name: &str) -> Option<ProtocolId> {
         self.inner
             .protocols
-            .read()
+            .borrow()
             .iter()
             .position(|p| p.name() == name)
             .map(ProtocolId)
@@ -293,7 +292,7 @@ impl DsmRuntime {
     pub fn protocol_names(&self) -> Vec<String> {
         self.inner
             .protocols
-            .read()
+            .borrow()
             .iter()
             .map(|p| p.name().to_string())
             .collect()
@@ -312,7 +311,7 @@ impl DsmRuntime {
         let mut ids: Vec<ProtocolId> = self
             .inner
             .directory
-            .lock()
+            .borrow()
             .values()
             .map(|m| m.protocol)
             .collect();
@@ -325,7 +324,7 @@ impl DsmRuntime {
     pub fn page_meta(&self, page: PageId) -> PageMeta {
         self.inner
             .directory
-            .lock()
+            .borrow()
             .get(&page)
             .copied()
             .unwrap_or_else(|| panic!("{page} is not part of any DSM allocation"))
@@ -333,7 +332,7 @@ impl DsmRuntime {
 
     /// True if `page` belongs to a DSM allocation.
     pub fn is_dsm_page(&self, page: PageId) -> bool {
-        self.inner.directory.lock().contains_key(&page)
+        self.inner.directory.borrow().contains_key(&page)
     }
 
     // ----- allocation --------------------------------------------------------
@@ -345,7 +344,7 @@ impl DsmRuntime {
         assert!(bytes > 0, "cannot allocate zero bytes of shared memory");
         let protocol = attr.protocol.unwrap_or_else(|| self.default_protocol());
         assert!(
-            protocol.0 < self.inner.protocols.read().len(),
+            protocol.0 < self.inner.protocols.borrow().len(),
             "allocation references unregistered {protocol}"
         );
         // Effective coherence granularity: the per-region override wins over
@@ -375,7 +374,7 @@ impl DsmRuntime {
         let base = DsmAddr(range.start);
         let pages = pages_covering(base, range.len);
         let num_nodes = self.num_nodes();
-        let mut directory = self.inner.directory.lock();
+        let mut directory = self.inner.directory.borrow();
         for (i, &page) in pages.iter().enumerate() {
             let home = match attr.home {
                 HomePolicy::RoundRobin => NodeId(i % num_nodes),
@@ -425,7 +424,7 @@ impl DsmRuntime {
     /// [`DsmRuntime::switch_region_protocol`] — or `None` if `addr` lies
     /// outside every allocation.
     pub fn region_granularity(&self, addr: DsmAddr) -> Option<usize> {
-        let directory = self.inner.directory.lock();
+        let directory = self.inner.directory.borrow();
         directory.get(&addr.page()).map(|meta| meta.line_size)
     }
 
@@ -471,14 +470,14 @@ impl DsmRuntime {
         new_protocol: ProtocolId,
     ) -> usize {
         assert!(
-            new_protocol.0 < self.inner.protocols.read().len(),
+            new_protocol.0 < self.inner.protocols.borrow().len(),
             "cannot switch to unregistered {new_protocol}"
         );
         let pages = pages_covering(addr, bytes);
         let proto = self.protocol(new_protocol);
         let (new_supports_subpage, records_writes) =
             (proto.supports_subpage(), proto.records_writes());
-        let mut directory = self.inner.directory.lock();
+        let mut directory = self.inner.directory.borrow();
         for &page in &pages {
             let meta = directory
                 .get_mut(&page)
@@ -621,7 +620,7 @@ impl DsmRuntime {
         let manager = manager.unwrap_or(NodeId(id as usize % self.num_nodes()));
         self.inner
             .locks
-            .lock()
+            .borrow()
             .insert(id, Arc::new(LockState::new(manager)));
         LockId(id)
     }
@@ -633,7 +632,7 @@ impl DsmRuntime {
         let manager = manager.unwrap_or(NodeId(0));
         self.inner
             .barriers
-            .lock()
+            .borrow()
             .insert(id, Arc::new(BarrierState::new(manager, parties)));
         BarrierId(id)
     }
@@ -641,7 +640,7 @@ impl DsmRuntime {
     pub(crate) fn lock_state(&self, lock: LockId) -> Arc<LockState> {
         self.inner
             .locks
-            .lock()
+            .borrow()
             .get(&lock.0)
             .cloned()
             .unwrap_or_else(|| panic!("unknown DSM lock {lock:?}"))
@@ -650,7 +649,7 @@ impl DsmRuntime {
     pub(crate) fn barrier_state(&self, barrier: BarrierId) -> Arc<BarrierState> {
         self.inner
             .barriers
-            .lock()
+            .borrow()
             .get(&barrier.0)
             .cloned()
             .unwrap_or_else(|| panic!("unknown DSM barrier {barrier:?}"))
@@ -673,8 +672,8 @@ impl std::fmt::Debug for DsmRuntime {
             f,
             "DsmRuntime({} nodes, {} protocols, {} pages)",
             self.num_nodes(),
-            self.inner.protocols.read().len(),
-            self.inner.directory.lock().len()
+            self.inner.protocols.borrow().len(),
+            self.inner.directory.borrow().len()
         )
     }
 }

@@ -6,32 +6,15 @@
 //! protocol behaviour (e.g. "no page is ever transferred by the
 //! thread-migration protocol").
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use dsmpm2_sim::SliceCell;
 
-/// Counters collected by the DSM generic core.
+/// Counters collected by the DSM generic core. Every bump comes from
+/// simulated code, which the engine runs one piece at a time, so the counters
+/// are plain integers in a [`SliceCell`]: a bump is a load and a store, not
+/// an atomic read-modify-write.
 #[derive(Debug, Default)]
 pub struct DsmStats {
-    read_faults: AtomicU64,
-    write_faults: AtomicU64,
-    page_transfers: AtomicU64,
-    page_bytes: AtomicU64,
-    invalidations: AtomicU64,
-    invalidation_acks: AtomicU64,
-    diffs_sent: AtomicU64,
-    diff_bytes: AtomicU64,
-    twins_created: AtomicU64,
-    lock_acquires: AtomicU64,
-    lock_releases: AtomicU64,
-    barriers: AtomicU64,
-    thread_migrations: AtomicU64,
-    local_accesses: AtomicU64,
-    inline_checks: AtomicU64,
-    request_forwards: AtomicU64,
-    coherence_batches: AtomicU64,
-    coherence_batched_messages: AtomicU64,
-    one_sided_serves: AtomicU64,
-    one_sided_busy: AtomicU64,
-    fetch_handler_wakes: AtomicU64,
+    counters: SliceCell<DsmStatsSnapshot>,
 }
 
 /// A plain-value snapshot of [`DsmStats`].
@@ -92,7 +75,7 @@ macro_rules! counter_methods {
             $(
                 /// Increment the corresponding counter.
                 pub fn $inc(&self) {
-                    self.$field.fetch_add(1, Ordering::Relaxed);
+                    self.counters.borrow().$field += 1;
                 }
             )*
         }
@@ -128,45 +111,22 @@ impl DsmStats {
 
     /// Account `bytes` of page payload for one page transfer.
     pub fn add_page_bytes(&self, bytes: u64) {
-        self.page_bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.counters.borrow().page_bytes += bytes;
     }
 
     /// Account `bytes` of diff payload.
     pub fn add_diff_bytes(&self, bytes: u64) {
-        self.diff_bytes.fetch_add(bytes, Ordering::Relaxed);
+        self.counters.borrow().diff_bytes += bytes;
     }
 
     /// Account `n` coherence messages coalesced into one batched envelope.
     pub fn add_coherence_batched_messages(&self, n: u64) {
-        self.coherence_batched_messages
-            .fetch_add(n, Ordering::Relaxed);
+        self.counters.borrow().coherence_batched_messages += n;
     }
 
-    /// A consistent snapshot of every counter.
+    /// A copy of every counter.
     pub fn snapshot(&self) -> DsmStatsSnapshot {
-        DsmStatsSnapshot {
-            read_faults: self.read_faults.load(Ordering::Relaxed),
-            write_faults: self.write_faults.load(Ordering::Relaxed),
-            page_transfers: self.page_transfers.load(Ordering::Relaxed),
-            page_bytes: self.page_bytes.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            invalidation_acks: self.invalidation_acks.load(Ordering::Relaxed),
-            diffs_sent: self.diffs_sent.load(Ordering::Relaxed),
-            diff_bytes: self.diff_bytes.load(Ordering::Relaxed),
-            twins_created: self.twins_created.load(Ordering::Relaxed),
-            lock_acquires: self.lock_acquires.load(Ordering::Relaxed),
-            lock_releases: self.lock_releases.load(Ordering::Relaxed),
-            barriers: self.barriers.load(Ordering::Relaxed),
-            thread_migrations: self.thread_migrations.load(Ordering::Relaxed),
-            local_accesses: self.local_accesses.load(Ordering::Relaxed),
-            inline_checks: self.inline_checks.load(Ordering::Relaxed),
-            request_forwards: self.request_forwards.load(Ordering::Relaxed),
-            coherence_batches: self.coherence_batches.load(Ordering::Relaxed),
-            coherence_batched_messages: self.coherence_batched_messages.load(Ordering::Relaxed),
-            one_sided_serves: self.one_sided_serves.load(Ordering::Relaxed),
-            one_sided_busy: self.one_sided_busy.load(Ordering::Relaxed),
-            fetch_handler_wakes: self.fetch_handler_wakes.load(Ordering::Relaxed),
-        }
+        *self.counters.borrow()
     }
 }
 

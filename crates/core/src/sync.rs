@@ -12,10 +12,8 @@
 
 use std::fmt;
 
-use parking_lot::Mutex;
-
 use dsmpm2_madeleine::NodeId;
-use dsmpm2_sim::WaitSet;
+use dsmpm2_sim::{SliceCell, WaitSet};
 
 /// Identifier of a DSM lock. Values with the high bit set designate the
 /// implicit lock associated with a barrier (so release-consistency protocols
@@ -63,7 +61,7 @@ pub(crate) struct LockState {
     /// Node managing this lock.
     pub manager: NodeId,
     /// (held?, current holder node)
-    pub held: Mutex<(bool, Option<NodeId>)>,
+    pub held: SliceCell<(bool, Option<NodeId>)>,
     /// Handler threads waiting for the lock to be released.
     pub waiters: WaitSet,
 }
@@ -72,7 +70,7 @@ impl LockState {
     pub fn new(manager: NodeId) -> Self {
         LockState {
             manager,
-            held: Mutex::new((false, None)),
+            held: SliceCell::new((false, None)),
             waiters: WaitSet::new(),
         }
     }
@@ -85,7 +83,7 @@ pub(crate) struct BarrierState {
     /// Number of participants.
     pub parties: usize,
     /// (threads arrived in the current episode, episode number)
-    pub round: Mutex<(usize, u64)>,
+    pub round: SliceCell<(usize, u64)>,
     /// Handler threads waiting for the episode to complete.
     pub waiters: WaitSet,
 }
@@ -96,7 +94,7 @@ impl BarrierState {
         BarrierState {
             manager,
             parties,
-            round: Mutex::new((0, 0)),
+            round: SliceCell::new((0, 0)),
             waiters: WaitSet::new(),
         }
     }
@@ -121,7 +119,7 @@ mod tests {
     #[test]
     fn lock_state_starts_free() {
         let s = LockState::new(NodeId(0));
-        assert_eq!(*s.held.lock(), (false, None));
+        assert_eq!(*s.held.borrow(), (false, None));
         assert_eq!(s.manager, NodeId(0));
         assert!(s.waiters.is_empty());
     }
@@ -129,7 +127,7 @@ mod tests {
     #[test]
     fn barrier_state_starts_at_round_zero() {
         let s = BarrierState::new(NodeId(1), 4);
-        assert_eq!(*s.round.lock(), (0, 0));
+        assert_eq!(*s.round.borrow(), (0, 0));
         assert_eq!(s.parties, 4);
     }
 

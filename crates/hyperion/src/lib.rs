@@ -16,6 +16,7 @@
 //!   exiting transmits the recorded modifications to main memory — both
 //!   through the protocol's lock hooks.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

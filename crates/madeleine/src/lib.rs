@@ -20,6 +20,7 @@
 //! one-line change of profile, exactly like relinking a PM2 program against a
 //! different Madeleine driver.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

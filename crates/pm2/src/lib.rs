@@ -16,6 +16,7 @@
 //! The DSM generic core (crate `dsmpm2-core`) is built exclusively on this
 //! API, mirroring the layering of the original system.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

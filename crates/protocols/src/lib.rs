@@ -26,6 +26,7 @@
 //! | [`EntryConsistency`] (`entry_sw`) | Entry | Midway-style: regions bound to locks, fetched at acquire, published at release |
 //! | [`HlrcNotices`] | Release | Home-based *lazy* release consistency: write notices consumed at acquire instead of eager invalidation |
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -36,12 +36,16 @@
 //!   sleeping, parking, spawning.
 //! * [`WaitSet`] — condition-variable-like wait queues for building blocking
 //!   primitives (used by DSM page waits, locks, barriers).
+//! * [`SliceCell`] — state shared between simulated threads, borrowed
+//!   without a lock because the hand-off already orders its users (used by
+//!   the DSM page tables, frame stores and counters).
 //! * [`channel`] — virtual-time message channels with per-message delivery
 //!   delays (used by the Madeleine transport model).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
+mod cell;
 mod channel;
 mod continuation;
 mod engine;
@@ -51,6 +55,7 @@ mod thread;
 mod time;
 mod wait;
 
+pub use cell::{SliceCell, SliceRef};
 pub use channel::{channel, channel_on, SimReceiver, SimSender, TickOutbox};
 pub use engine::{
     BlockReason, Engine, EngineConfig, EngineCtl, EventChoice, RunReport, ScheduleController,

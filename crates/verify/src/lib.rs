@@ -26,6 +26,7 @@
 //! ([`dsmpm2_core::mutant`]) and every one must be caught while an
 //! unmutated build passes clean.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -30,6 +30,7 @@
 //! suites) and the virtual completion time and DSM statistics used by the
 //! benchmark harness.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

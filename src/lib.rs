@@ -49,6 +49,7 @@
 //!   Jacobi), the SPLASH-2-style kernels of the paper's outlook (matrix
 //!   multiply, red-black SOR, LU, radix sort) and microkernels.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

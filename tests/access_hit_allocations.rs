@@ -1,6 +1,6 @@
 //! The typed-access hit path allocates nothing, the message path allocates
 //! three times per request, and a request served in a handler thread of its
-//! own five times — none of them a stack.
+//! own four times — none of them a stack.
 //!
 //! A counting global allocator brackets 10 000 warm hits per scenario, taken
 //! inside one DSM thread (hits never yield, so nothing else runs in between),
@@ -241,12 +241,14 @@ fn access_hits_do_not_allocate() {
         per_request <= 3.0,
         "a one-way request to a non-blocking service allocated {per_request} times"
     );
-    // Served in a thread of its own: the slot and the boxed body on top of
-    // the three above, and a stack out of the pool — the thread before it was
-    // reaped at its last grant. The parent of the change that reaps there
-    // measured 4.8892, 7 488 of its 10 000 requests allocating a 1 MiB stack.
-    // Where a simulated thread is an OS thread, spawning that one is std's
-    // business: five to seven more, depending on the harness's capture.
+    // Served in a thread of its own, four: the payload's box and the arrival
+    // event's closure as above, then the thread's slot and its boxed body in
+    // place of the handler call's closure, and a stack out of the pool — the
+    // thread before it was reaped at its last grant. The parent of the change
+    // that reaps there measured 4.8892, 7 488 of its 10 000 requests
+    // allocating a 1 MiB stack. Where a simulated thread is an OS thread,
+    // spawning that one is std's business: five to seven more, depending on
+    // the harness's capture.
     let (per_request, stacks) = message_path(true);
     let expected = if simulated_threads_are_continuations() {
         4.0

@@ -6,7 +6,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use dsm_pm2::core::{DsmAttr, DsmRuntime, DsmScalar, HomePolicy, Unit};
+use dsm_pm2::core::{DsmAttr, DsmRuntime, DsmScalar, DsmStatsSnapshot, HomePolicy, Unit};
 use dsm_pm2::prelude::*;
 use dsm_pm2::sim::BlockReason;
 
@@ -409,8 +409,8 @@ fn conformance_matrix_sor() {
 /// scheduler's OS thread where the target has a stack switch, one OS thread
 /// per simulated thread and a futex baton elsewhere. A build contains one of
 /// them, so the matrix is a pin: jacobi under `hbrc_mw` on 4 nodes must
-/// reproduce these literals — final shared memory, virtual completion time
-/// and the engine's counts — in the default lane *and* under `--cfg
+/// reproduce these literals — final shared memory, virtual completion time,
+/// the engine's counts and every DSM counter — in the default lane *and* under `--cfg
 /// dsm_force_no_coro`. How a simulated thread's slices reach a CPU must
 /// never leak into what the simulation computes. (The sim crate pins its
 /// thread storm the same way, `tests/baton_stress.rs`.)
@@ -446,6 +446,36 @@ fn conformance_matrix_across_handoff_modes() {
         // Events and switches were 430 and 271 while a thread that ended
         // owing a charge took one more slice to sleep it off: 76 of the 88 did.
         (9_601_329_538_796_336_933, 1_817_491, 354, 195, 88)
+    );
+    // Every DSM counter of the same run, read at the parent of the change
+    // that made them plain integers bumped without an atomic
+    // read-modify-write: a bump lost between two baton OS threads would
+    // leave time and memory alone and show up only here.
+    assert_eq!(
+        r.stats,
+        DsmStatsSnapshot {
+            read_faults: 9,
+            write_faults: 12,
+            page_transfers: 21,
+            page_bytes: 86_016,
+            invalidations: 15,
+            invalidation_acks: 3,
+            diffs_sent: 12,
+            diff_bytes: 1_774,
+            twins_created: 12,
+            lock_acquires: 0,
+            lock_releases: 0,
+            barriers: 12,
+            thread_migrations: 0,
+            local_accesses: 2_728,
+            inline_checks: 0,
+            request_forwards: 0,
+            coherence_batches: 3,
+            coherence_batched_messages: 6,
+            one_sided_serves: 0,
+            one_sided_busy: 0,
+            fetch_handler_wakes: 0,
+        }
     );
 }
 
