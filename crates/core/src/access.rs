@@ -93,7 +93,7 @@ impl DsmThreadCtx<'_, '_> {
             }
             // Page fault: charge the detection cost and run the handler.
             let page_fault = rt.costs().page_fault;
-            rt.cluster().monitor().record("dsm_page_fault", page_fault);
+            rt.inner().page_fault_row.record(page_fault);
             self.pm2.sim.charge(page_fault);
             match needed {
                 Access::Write => rt.stats().incr_write_fault(),

@@ -1,18 +1,19 @@
 //! The DSM runtime: ties together the page manager, the communication module,
 //! the protocol registry, shared-memory allocation and DSM thread creation.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use dsmpm2_madeleine::NodeId;
-use dsmpm2_pm2::{DsmTuning, Engine, Pm2Cluster, Pm2Config, Pm2ThreadState};
+use dsmpm2_pm2::{DsmTuning, Engine, MonitorSlot, Pm2Cluster, Pm2Config, Pm2ThreadState};
 use dsmpm2_sim::SliceCell;
 
 use crate::costs::DsmCosts;
 use crate::ctx::DsmThreadCtx;
 use crate::frames::FrameStore;
-use crate::page::{pages_covering, validate_line_size, Access, DsmAddr, PageId, Unit, PAGE_SIZE};
+use crate::page::{
+    pages_covering, validate_line_size, Access, DsmAddr, IdMap, PageId, Unit, PAGE_SIZE,
+};
 use crate::page_table::PageTable;
 use crate::protocol::{DsmProtocol, ProtocolId};
 use crate::stats::DsmStats;
@@ -97,14 +98,18 @@ pub(crate) struct RuntimeInner {
     /// each node (`dsm-batch@N<k>`).
     pub(crate) batch_thread_names: Vec<Arc<str>>,
     nodes: Vec<NodeState>,
-    directory: SliceCell<HashMap<PageId, PageMeta>>,
+    directory: SliceCell<IdMap<PageId, PageMeta>>,
     protocols: SliceCell<Vec<Arc<dyn DsmProtocol>>>,
     default_protocol: AtomicUsize,
-    pub(crate) locks: SliceCell<HashMap<u64, Arc<LockState>>>,
-    pub(crate) barriers: SliceCell<HashMap<u64, Arc<BarrierState>>>,
+    pub(crate) locks: SliceCell<IdMap<u64, Arc<LockState>>>,
+    pub(crate) barriers: SliceCell<IdMap<u64, Arc<BarrierState>>>,
     next_lock: AtomicU64,
     next_barrier: AtomicU64,
     stats: DsmStats,
+    /// The monitor rows `dsm_page_fault` and `dsm_migrate_on_fault`, resolved
+    /// once so that a fault looks nothing up by name.
+    pub(crate) page_fault_row: MonitorSlot,
+    pub(crate) migrate_on_fault_row: MonitorSlot,
     verify_hooks: Option<Arc<dyn crate::verify::VerifyHooks>>,
 }
 
@@ -158,6 +163,8 @@ impl DsmRuntime {
         let outbox = tuning
             .batch_messages
             .then(|| Arc::new(crate::comm::DsmOutbox::new(tuning.batch_window)));
+        let page_fault_row = cluster.monitor().slot("dsm_page_fault");
+        let migrate_on_fault_row = cluster.monitor().slot("dsm_migrate_on_fault");
         let inner = Arc::new_cyclic(|weak| RuntimeInner {
             services: crate::comm::register_dsm_services(&cluster, weak, outbox.as_ref()),
             outbox,
@@ -174,6 +181,8 @@ impl DsmRuntime {
             next_lock: AtomicU64::new(1),
             next_barrier: AtomicU64::new(1),
             stats: DsmStats::new(),
+            page_fault_row,
+            migrate_on_fault_row,
             verify_hooks: crate::verify::global_verify_hooks(),
         });
         DsmRuntime { inner }

@@ -27,9 +27,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
-use dsmpm2_sim::{EngineCtl, SimDuration, SimTime};
+use dsmpm2_sim::{EngineCtl, SimDuration, SimTime, SliceCell};
 
 use crate::model::NetworkModel;
 use crate::stats::{WireStats, WireStatsSnapshot};
@@ -192,22 +190,22 @@ pub fn build_transport<M: Send + 'static>(
     }
 }
 
-/// Last scheduled arrival per directed link — the per-link replacement of
-/// the old global `fifo: Mutex<HashMap<(NodeId, NodeId), SimTime>>`: one
-/// word-sized lock per link, sized once from the topology, so sends on
-/// different links never contend and nothing grows over the run.
+/// Last scheduled arrival per directed link: one word per link at
+/// `from * num_nodes + to`, sized once from the topology, so nothing grows
+/// over the run. No lock: a link's clock is advanced by whoever sends on it —
+/// a slice, or a scheduler event (a batch flush, a wire arrival) — and the
+/// engine's hand-off runs those one at a time, so the table sits in a
+/// [`SliceCell`] like every other piece of wire state in this module.
 struct LinkClocks {
     num_nodes: usize,
-    last_arrival: Vec<Mutex<SimTime>>,
+    last_arrival: SliceCell<Vec<SimTime>>,
 }
 
 impl LinkClocks {
     fn new(num_nodes: usize) -> Self {
         LinkClocks {
             num_nodes,
-            last_arrival: (0..num_nodes * num_nodes)
-                .map(|_| Mutex::new(SimTime::ZERO))
-                .collect(),
+            last_arrival: SliceCell::new(vec![SimTime::ZERO; num_nodes * num_nodes]),
         }
     }
 
@@ -215,30 +213,29 @@ impl LinkClocks {
     /// arrival, and record the result as the new last arrival. Returns the
     /// (possibly stretched) arrival time.
     fn reserve(&self, from: NodeId, to: NodeId, natural: SimTime) -> SimTime {
-        let mut last = self.last_arrival[from.index() * self.num_nodes + to.index()].lock();
-        let arrival = natural.max(*last);
-        *last = arrival;
-        arrival
+        let last = &mut self.last_arrival.borrow()[from.index() * self.num_nodes + to.index()];
+        *last = natural.max(*last);
+        *last
     }
 }
 
 /// Per-node NIC availability (egress or ingress): the time at which the NIC
 /// finishes its current frame.
 struct NicClocks {
-    free_at: Vec<Mutex<SimTime>>,
+    free_at: SliceCell<Vec<SimTime>>,
 }
 
 impl NicClocks {
     fn new(num_nodes: usize) -> Self {
         NicClocks {
-            free_at: (0..num_nodes).map(|_| Mutex::new(SimTime::ZERO)).collect(),
+            free_at: SliceCell::new(vec![SimTime::ZERO; num_nodes]),
         }
     }
 
     /// Reserve the NIC of `node` for `occupancy`, starting no earlier than
     /// `not_before`. Returns the reservation's start time.
     fn reserve(&self, node: NodeId, not_before: SimTime, occupancy: SimDuration) -> SimTime {
-        let mut free = self.free_at[node.index()].lock();
+        let free = &mut self.free_at.borrow()[node.index()];
         let start = (*free).max(not_before);
         *free = start + occupancy;
         start
@@ -467,12 +464,12 @@ impl<M> Default for LossyLink<M> {
 
 struct LossyInner<M> {
     num_nodes: usize,
-    links: Vec<Mutex<LossyLink<M>>>,
+    links: Vec<SliceCell<LossyLink<M>>>,
     stats: WireStats,
 }
 
 impl<M> LossyInner<M> {
-    fn link(&self, from: NodeId, to: NodeId) -> &Mutex<LossyLink<M>> {
+    fn link(&self, from: NodeId, to: NodeId) -> &SliceCell<LossyLink<M>> {
         &self.links[from.index() * self.num_nodes + to.index()]
     }
 }
@@ -499,7 +496,7 @@ impl<M: Send + 'static> LossyTransport<M> {
             inner: Arc::new(LossyInner {
                 num_nodes,
                 links: (0..num_nodes * num_nodes)
-                    .map(|_| Mutex::new(LossyLink::default()))
+                    .map(|_| SliceCell::new(LossyLink::default()))
                     .collect(),
                 stats: WireStats::default(),
             }),
@@ -573,7 +570,7 @@ impl<M: Send + 'static> LossyTransport<M> {
         // Arrival mutates the receiver-side reorder buffer: receiver shard.
         ctl.call_at_on(to.index() as u64, arrive_at, move |ctl| {
             let now = ctl.now();
-            let mut link = inner.link(from, to).lock();
+            let mut link = inner.link(from, to).borrow();
             debug_assert!(seq >= link.deliver_next, "duplicate real frame {seq}");
             link.reorder.insert(seq, env);
             // Release the in-order prefix, oldest first, all at this instant
@@ -596,14 +593,14 @@ impl<M: Send + 'static> Transport<M> for LossyTransport<M> {
         let (from, to) = (env.from, env.to);
         if from == to {
             // Loopback skips the wire, hence the loss layer.
-            let mut link = self.inner.link(from, to).lock();
+            let mut link = self.inner.link(from, to).borrow();
             let arrival = (env.sent_at + base_delay).max(link.last_arrival);
             link.last_arrival = arrival;
             tx.send_at(arrival, env);
             return;
         }
         let seq = {
-            let mut link = self.inner.link(from, to).lock();
+            let mut link = self.inner.link(from, to).borrow();
             let seq = link.next_seq;
             link.next_seq += 1;
             seq
@@ -640,6 +637,7 @@ mod tests {
     use crate::profiles;
     use crate::transport::Network;
     use dsmpm2_sim::Engine;
+    use parking_lot::Mutex;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn net_with(engine: &Engine, tuning: TransportTuning, nodes: usize) -> Network<(usize, u64)> {

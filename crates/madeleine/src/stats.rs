@@ -6,20 +6,25 @@
 //! breakdowns).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
-use parking_lot::Mutex;
-
-use dsmpm2_sim::SimDuration;
+use dsmpm2_sim::{SimDuration, SliceCell};
 
 use crate::topology::NodeId;
 
-/// Aggregated communication counters for one [`crate::Network`].
-#[derive(Default)]
+/// Aggregated communication counters for one [`crate::Network`]. Bumped by
+/// whoever sends (a slice, or a scheduler event flushing a batch) and read
+/// by the host thread outside the run, so — like every per-message counter
+/// of this crate — they are plain words in a [`SliceCell`], not atomics.
 pub struct NetStats {
-    messages: AtomicU64,
-    bytes: AtomicU64,
-    per_link: Mutex<HashMap<(NodeId, NodeId), LinkCounters>>,
+    num_nodes: usize,
+    counters: SliceCell<NetCounters>,
+}
+
+struct NetCounters {
+    messages: u64,
+    bytes: u64,
+    /// One row per directed link, at `from * num_nodes + to`.
+    per_link: Vec<LinkCounters>,
 }
 
 /// Counters for one directed (source, destination) pair.
@@ -38,59 +43,85 @@ pub struct NetStatsSnapshot {
     pub messages: u64,
     /// Total payload bytes sent.
     pub bytes: u64,
-    /// Per-directed-link counters.
+    /// Per-directed-link counters, for the links that carried a message.
     pub per_link: HashMap<(NodeId, NodeId), LinkCounters>,
 }
 
 impl NetStats {
-    /// Creates zeroed statistics.
-    pub fn new() -> Self {
-        Self::default()
+    /// Zeroed statistics for the links of a cluster of `num_nodes` nodes.
+    pub fn new(num_nodes: usize) -> Self {
+        NetStats {
+            num_nodes,
+            counters: SliceCell::new(NetCounters {
+                messages: 0,
+                bytes: 0,
+                per_link: vec![LinkCounters::default(); num_nodes * num_nodes],
+            }),
+        }
+    }
+
+    /// Row of `from -> to`, `None` for a node outside the cluster.
+    fn row(&self, from: NodeId, to: NodeId) -> Option<usize> {
+        let n = self.num_nodes;
+        (from.index() < n && to.index() < n).then(|| from.index() * n + to.index())
     }
 
     /// Record one message of `bytes` payload bytes from `from` to `to`.
+    ///
+    /// # Panics
+    /// Panics if either node is outside the cluster.
     pub fn record(&self, from: NodeId, to: NodeId, bytes: usize) {
-        self.messages.fetch_add(1, Ordering::Relaxed);
-        self.bytes.fetch_add(bytes as u64, Ordering::Relaxed);
-        let mut links = self.per_link.lock();
-        let entry = links.entry((from, to)).or_default();
-        entry.messages += 1;
-        entry.bytes += bytes as u64;
+        let row = self
+            .row(from, to)
+            .unwrap_or_else(|| panic!("message between unknown nodes {from} -> {to}"));
+        let mut counters = self.counters.borrow();
+        counters.messages += 1;
+        counters.bytes += bytes as u64;
+        let link = &mut counters.per_link[row];
+        link.messages += 1;
+        link.bytes += bytes as u64;
     }
 
     /// Total number of messages sent so far.
     pub fn messages(&self) -> u64 {
-        self.messages.load(Ordering::Relaxed)
+        self.counters.borrow().messages
     }
 
     /// Total payload bytes sent so far.
     pub fn bytes(&self) -> u64 {
-        self.bytes.load(Ordering::Relaxed)
+        self.counters.borrow().bytes
     }
 
-    /// Counters for one directed link.
+    /// Counters for one directed link (zero if it never carried a message).
     pub fn link(&self, from: NodeId, to: NodeId) -> LinkCounters {
-        self.per_link
-            .lock()
-            .get(&(from, to))
-            .copied()
+        self.row(from, to)
+            .map(|row| self.counters.borrow().per_link[row])
             .unwrap_or_default()
     }
 
     /// A consistent snapshot of every counter.
     pub fn snapshot(&self) -> NetStatsSnapshot {
+        let counters = self.counters.borrow();
+        let links = counters.per_link.iter().enumerate();
         NetStatsSnapshot {
-            messages: self.messages(),
-            bytes: self.bytes(),
-            per_link: self.per_link.lock().clone(),
+            messages: counters.messages,
+            bytes: counters.bytes,
+            per_link: links
+                .filter(|(_, link)| link.messages > 0)
+                .map(|(row, link)| {
+                    let (from, to) = (row / self.num_nodes, row % self.num_nodes);
+                    ((NodeId(from), NodeId(to)), *link)
+                })
+                .collect(),
         }
     }
 
     /// Reset every counter to zero (used between benchmark iterations).
     pub fn reset(&self) {
-        self.messages.store(0, Ordering::Relaxed);
-        self.bytes.store(0, Ordering::Relaxed);
-        self.per_link.lock().clear();
+        let mut counters = self.counters.borrow();
+        counters.messages = 0;
+        counters.bytes = 0;
+        counters.per_link.fill(LinkCounters::default());
     }
 }
 
@@ -98,20 +129,7 @@ impl NetStats {
 /// message-level [`NetStats`], which count what the layers above put on the
 /// wire regardless of how the backend carries it).
 #[derive(Default)]
-pub struct WireStats {
-    fifo_stall_ns: AtomicU64,
-    egress_stall_ns: AtomicU64,
-    ingress_stall_ns: AtomicU64,
-    drops: AtomicU64,
-    retransmits: AtomicU64,
-    duplicates: AtomicU64,
-    envelopes: AtomicU64,
-    envelope_bytes: AtomicU64,
-    messages: AtomicU64,
-    message_bytes: AtomicU64,
-    hook_consumed: AtomicU64,
-    hook_delivered: AtomicU64,
-}
+pub struct WireStats(SliceCell<WireStatsSnapshot>);
 
 /// A point-in-time snapshot of [`WireStats`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -181,72 +199,57 @@ impl WireStatsSnapshot {
 impl WireStats {
     /// Account FIFO stretching of one message.
     pub fn add_fifo_stall(&self, d: SimDuration) {
-        self.fifo_stall_ns
-            .fetch_add(d.as_nanos(), Ordering::Relaxed);
+        self.0.borrow().fifo_stall_ns += d.as_nanos();
     }
 
     /// Account egress-NIC waiting of one frame.
     pub fn add_egress_stall(&self, d: SimDuration) {
-        self.egress_stall_ns
-            .fetch_add(d.as_nanos(), Ordering::Relaxed);
+        self.0.borrow().egress_stall_ns += d.as_nanos();
     }
 
     /// Account ingress-NIC waiting of one frame.
     pub fn add_ingress_stall(&self, d: SimDuration) {
-        self.ingress_stall_ns
-            .fetch_add(d.as_nanos(), Ordering::Relaxed);
+        self.0.borrow().ingress_stall_ns += d.as_nanos();
     }
 
     /// Count one dropped wire attempt.
     pub fn incr_drop(&self) {
-        self.drops.fetch_add(1, Ordering::Relaxed);
+        self.0.borrow().drops += 1;
     }
 
     /// Count one retransmission.
     pub fn incr_retransmit(&self) {
-        self.retransmits.fetch_add(1, Ordering::Relaxed);
+        self.0.borrow().retransmits += 1;
     }
 
     /// Count one discarded duplicate frame.
     pub fn incr_duplicate(&self) {
-        self.duplicates.fetch_add(1, Ordering::Relaxed);
+        self.0.borrow().duplicates += 1;
     }
 
     /// Account one wire envelope of `bytes` accounted bytes carrying
     /// `messages` logical messages.
     pub fn add_envelope(&self, bytes: u64, messages: u64) {
-        self.envelopes.fetch_add(1, Ordering::Relaxed);
-        self.envelope_bytes.fetch_add(bytes, Ordering::Relaxed);
-        self.messages.fetch_add(messages, Ordering::Relaxed);
-        self.message_bytes.fetch_add(bytes, Ordering::Relaxed);
+        let mut stats = self.0.borrow();
+        stats.envelopes += 1;
+        stats.envelope_bytes += bytes;
+        stats.messages += messages;
+        stats.message_bytes += bytes;
     }
 
     /// Count one envelope the delivery hook answered in place.
     pub fn incr_hook_consumed(&self) {
-        self.hook_consumed.fetch_add(1, Ordering::Relaxed);
+        self.0.borrow().hook_consumed += 1;
     }
 
     /// Count one envelope the delivery hook saw and did not answer in place.
     pub fn incr_hook_delivered(&self) {
-        self.hook_delivered.fetch_add(1, Ordering::Relaxed);
+        self.0.borrow().hook_delivered += 1;
     }
 
     /// A consistent snapshot of every counter.
     pub fn snapshot(&self) -> WireStatsSnapshot {
-        WireStatsSnapshot {
-            fifo_stall_ns: self.fifo_stall_ns.load(Ordering::Relaxed),
-            egress_stall_ns: self.egress_stall_ns.load(Ordering::Relaxed),
-            ingress_stall_ns: self.ingress_stall_ns.load(Ordering::Relaxed),
-            drops: self.drops.load(Ordering::Relaxed),
-            retransmits: self.retransmits.load(Ordering::Relaxed),
-            duplicates: self.duplicates.load(Ordering::Relaxed),
-            envelopes: self.envelopes.load(Ordering::Relaxed),
-            envelope_bytes: self.envelope_bytes.load(Ordering::Relaxed),
-            messages: self.messages.load(Ordering::Relaxed),
-            message_bytes: self.message_bytes.load(Ordering::Relaxed),
-            hook_consumed: self.hook_consumed.load(Ordering::Relaxed),
-            hook_delivered: self.hook_delivered.load(Ordering::Relaxed),
-        }
+        *self.0.borrow()
     }
 }
 
@@ -287,7 +290,7 @@ mod tests {
 
     #[test]
     fn record_accumulates_totals_and_links() {
-        let s = NetStats::new();
+        let s = NetStats::new(2);
         s.record(NodeId(0), NodeId(1), 100);
         s.record(NodeId(0), NodeId(1), 50);
         s.record(NodeId(1), NodeId(0), 10);
@@ -300,17 +303,22 @@ mod tests {
                 bytes: 150
             }
         );
+        // A link that never carried a message reads zero, inside the
+        // cluster and outside it.
+        assert_eq!(s.link(NodeId(1), NodeId(1)), LinkCounters::default());
         assert_eq!(s.link(NodeId(2), NodeId(3)), LinkCounters::default());
     }
 
     #[test]
     fn snapshot_and_reset() {
-        let s = NetStats::new();
+        let s = NetStats::new(2);
         s.record(NodeId(0), NodeId(1), 4096);
         let snap = s.snapshot();
         assert_eq!(snap.messages, 1);
         assert_eq!(snap.bytes, 4096);
-        assert_eq!(snap.per_link.len(), 1);
+        // Only the link that carried something has a row.
+        let rows: Vec<_> = snap.per_link.keys().copied().collect();
+        assert_eq!(rows, [(NodeId(0), NodeId(1))]);
         s.reset();
         assert_eq!(s.messages(), 0);
         assert_eq!(s.bytes(), 0);

@@ -219,6 +219,7 @@ impl<M: Send + 'static> Network<M> {
             receivers.push(rx);
         }
         let transport = build_transport::<M>(ctl, &model, &topology, tuning);
+        let stats = NetStats::new(topology.num_nodes);
         Network {
             inner: Arc::new(NetworkInner {
                 model,
@@ -226,7 +227,7 @@ impl<M: Send + 'static> Network<M> {
                 tuning,
                 sinks,
                 receivers,
-                stats: NetStats::new(),
+                stats,
                 wire,
                 transport,
                 pre_send: HookCell::new(None),

@@ -148,7 +148,12 @@ impl<'a> Pm2Context<'a> {
     /// Attach `bytes` of private iso-allocated data to this thread; the data
     /// is copied along on every migration.
     pub fn attach_private_bytes(&self, bytes: usize) {
-        self.state.private_bytes.fetch_add(bytes, Ordering::Relaxed);
+        // Load + store, not a read-modify-write: the thread itself is the
+        // only writer of its state.
+        let attached = self.state.private_bytes.load(Ordering::Relaxed);
+        self.state
+            .private_bytes
+            .store(attached + bytes, Ordering::Relaxed);
     }
 
     /// Preemptively migrate this thread to `dest`.
@@ -169,7 +174,7 @@ impl<'a> Pm2Context<'a> {
         let model = self.cluster.network().model();
         let cost =
             model.thread_migration_time(self.state.stack_bytes(), self.state.private_bytes());
-        self.cluster.monitor().record("thread_migration", cost);
+        self.cluster.record_migration(cost);
         self.cluster.network().stats().record(
             from,
             dest,
@@ -182,7 +187,10 @@ impl<'a> Pm2Context<'a> {
         self.sim.set_shard(dest.index() as u64);
         self.sim.sleep(cost);
         self.state.node.store(dest.index(), Ordering::Release);
-        self.state.migrations.fetch_add(1, Ordering::Relaxed);
+        let migrations = self.state.migrations.load(Ordering::Relaxed);
+        self.state
+            .migrations
+            .store(migrations + 1, Ordering::Relaxed);
     }
 
     /// Blocking RPC issued from this thread's current node.

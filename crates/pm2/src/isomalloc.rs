@@ -9,9 +9,8 @@
 //! ranges, (b) the distinction between *shared* (DSM) and *node-private*
 //! regions, and (c) bookkeeping used by tests and the monitoring report.
 
-use parking_lot::Mutex;
-
 use dsmpm2_madeleine::NodeId;
+use dsmpm2_sim::SliceCell;
 
 /// Base of the shared (DSM) iso-address region.
 pub const ISO_SHARED_BASE: u64 = 0x0000_1000_0000_0000;
@@ -65,14 +64,14 @@ struct Inner {
 /// The cluster-wide iso-address allocator.
 #[derive(Debug)]
 pub struct IsoAllocator {
-    inner: Mutex<Inner>,
+    inner: SliceCell<Inner>,
 }
 
 impl IsoAllocator {
     /// Create an allocator for a cluster of `num_nodes` nodes.
     pub fn new(num_nodes: usize) -> Self {
         IsoAllocator {
-            inner: Mutex::new(Inner {
+            inner: SliceCell::new(Inner {
                 next_shared: ISO_SHARED_BASE,
                 next_private: (0..num_nodes)
                     .map(|i| ISO_PRIVATE_BASE + i as u64 * ISO_PRIVATE_SLOT)
@@ -92,7 +91,7 @@ impl IsoAllocator {
     pub fn alloc_shared(&self, bytes: u64, align: u64) -> IsoRange {
         assert!(bytes > 0, "cannot allocate zero bytes");
         assert!(align.is_power_of_two(), "alignment must be a power of two");
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow();
         let start = Self::align_up(inner.next_shared, align);
         let len = Self::align_up(bytes, align);
         inner.next_shared = start + len;
@@ -105,7 +104,7 @@ impl IsoAllocator {
     pub fn alloc_private(&self, node: NodeId, bytes: u64, align: u64) -> IsoRange {
         assert!(bytes > 0, "cannot allocate zero bytes");
         assert!(align.is_power_of_two(), "alignment must be a power of two");
-        let mut inner = self.inner.lock();
+        let mut inner = self.inner.borrow();
         let slot_base = ISO_PRIVATE_BASE + node.index() as u64 * ISO_PRIVATE_SLOT;
         let slot_end = slot_base + ISO_PRIVATE_SLOT;
         let cursor = inner.next_private[node.index()];
@@ -123,22 +122,22 @@ impl IsoAllocator {
 
     /// Number of allocations performed so far.
     pub fn allocation_count(&self) -> usize {
-        self.inner.lock().log.len()
+        self.inner.borrow().log.len()
     }
 
     /// Total bytes handed out so far.
     pub fn allocated_bytes(&self) -> u64 {
-        self.inner.lock().log.iter().map(|(r, _)| r.len).sum()
+        self.inner.borrow().log.iter().map(|(r, _)| r.len).sum()
     }
 
     /// The full allocation log (used by tests and the monitoring report).
     pub fn allocations(&self) -> Vec<(IsoRange, IsoKind)> {
-        self.inner.lock().log.clone()
+        self.inner.borrow().log.clone()
     }
 
     /// Verify the iso-address invariant: no two live allocations overlap.
     pub fn check_disjoint(&self) -> bool {
-        let log = self.inner.lock();
+        let log = self.inner.borrow();
         for (i, (a, _)) in log.log.iter().enumerate() {
             for (b, _) in log.log.iter().skip(i + 1) {
                 if a.overlaps(b) {

@@ -9,12 +9,9 @@
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
-use dsmpm2_sim::SimDuration;
+use dsmpm2_sim::{SimDuration, SliceCell};
 
 /// Statistics recorded for one named operation.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -40,55 +37,39 @@ impl OpStat {
 
 /// One operation's row in a [`Monitor`], resolved once by name
 /// ([`Monitor::slot`]) so that a hot path records into it without a lookup.
-/// Cheap to clone; all clones feed the same row.
+/// Cheap to clone; all clones feed the same row. The row is an [`OpStat`] in
+/// a [`SliceCell`]: fed by slices and scheduler events, read by the host
+/// thread after the run.
 #[derive(Clone, Default)]
-pub struct MonitorSlot(Arc<SlotStat>);
-
-/// Statistics only: nothing is published through these words, and they are
-/// read after the run, so every access is `Relaxed`.
-#[derive(Default)]
-struct SlotStat {
-    count: AtomicU64,
-    total_ns: AtomicU64,
-    max_ns: AtomicU64,
-}
+pub struct MonitorSlot(Arc<SliceCell<OpStat>>);
 
 impl MonitorSlot {
     /// Record one occurrence taking `elapsed` of virtual time.
     pub fn record(&self, elapsed: SimDuration) {
-        self.0.count.fetch_add(1, Ordering::Relaxed);
-        self.0
-            .total_ns
-            .fetch_add(elapsed.as_nanos(), Ordering::Relaxed);
-        self.0
-            .max_ns
-            .fetch_max(elapsed.as_nanos(), Ordering::Relaxed);
+        let mut stat = self.0.borrow();
+        stat.count += 1;
+        stat.total += elapsed;
+        stat.max = stat.max.max(elapsed);
     }
 
     /// Record one occurrence with no associated time (pure counter).
     pub fn incr(&self) {
-        self.record(SimDuration::ZERO);
+        self.0.borrow().count += 1;
     }
 
     fn stat(&self) -> OpStat {
-        OpStat {
-            count: self.0.count.load(Ordering::Relaxed),
-            total: SimDuration::from_nanos(self.0.total_ns.load(Ordering::Relaxed)),
-            max: SimDuration::from_nanos(self.0.max_ns.load(Ordering::Relaxed)),
-        }
+        *self.0.borrow()
     }
 
     fn clear(&self) {
-        self.0.count.store(0, Ordering::Relaxed);
-        self.0.total_ns.store(0, Ordering::Relaxed);
-        self.0.max_ns.store(0, Ordering::Relaxed);
+        *self.0.borrow() = OpStat::default();
     }
 }
 
 /// A monitoring sink shared by every layer of one cluster.
 #[derive(Default)]
 pub struct Monitor {
-    ops: Mutex<HashMap<String, MonitorSlot>>,
+    ops: SliceCell<HashMap<String, MonitorSlot>>,
 }
 
 impl Monitor {
@@ -100,7 +81,7 @@ impl Monitor {
     /// Run `f` on the row of `name`, created empty on first use: only the
     /// first occurrence of a name allocates.
     fn with_slot<R>(&self, name: &str, f: impl FnOnce(&MonitorSlot) -> R) -> R {
-        let mut ops = self.ops.lock();
+        let mut ops = self.ops.borrow();
         match ops.get(name) {
             Some(slot) => f(slot),
             None => f(ops.entry(name.to_string()).or_default()),
@@ -126,7 +107,7 @@ impl Monitor {
     /// Statistics for one operation.
     pub fn get(&self, name: &str) -> OpStat {
         self.ops
-            .lock()
+            .borrow()
             .get(name)
             .map(MonitorSlot::stat)
             .unwrap_or_default()
@@ -142,7 +123,7 @@ impl Monitor {
     pub fn report(&self) -> MonitorReport {
         let mut rows: Vec<(String, OpStat)> = self
             .ops
-            .lock()
+            .borrow()
             .iter()
             .map(|(k, v)| (k.clone(), v.stat()))
             .filter(|(_, stat)| stat.count > 0)
@@ -154,7 +135,7 @@ impl Monitor {
     /// Reset every counter (used between benchmark iterations). Rows resolved
     /// through [`Monitor::slot`] stay valid.
     pub fn reset(&self) {
-        self.ops.lock().values().for_each(MonitorSlot::clear);
+        self.ops.borrow().values().for_each(MonitorSlot::clear);
     }
 }
 

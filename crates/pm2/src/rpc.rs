@@ -7,13 +7,10 @@
 //! why it is modelled explicitly here rather than folded into the DSM layer.
 
 use std::any::Any;
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use dsmpm2_madeleine::{NodeId, CONTROL_MESSAGE_BYTES};
-use dsmpm2_sim::{EngineCtl, SimHandle, ThreadId};
+use dsmpm2_sim::{EngineCtl, SimHandle, SliceCell, ThreadId};
 
 use crate::cluster::Pm2Cluster;
 
@@ -142,7 +139,7 @@ pub struct RpcRequestCtx<'a> {
     pub sim: &'a mut SimHandle,
     /// The cluster, for nested RPCs (e.g. forwarding a page request along the
     /// probable-owner chain).
-    pub cluster: Pm2Cluster,
+    pub cluster: &'a Pm2Cluster,
     /// Node on which the handler executes.
     pub local_node: NodeId,
     /// Node that issued the request.
@@ -243,14 +240,17 @@ where
 }
 
 struct ReplySlot {
+    id: u64,
     value: Option<RpcPayload>,
     waiter: ThreadId,
 }
 
-/// Table of outstanding RPC calls waiting for their reply.
+/// Table of outstanding RPC calls waiting for their reply: one slot per
+/// caller blocked right now, so a handful, scanned. Callers register and take
+/// from their slices, the reply's arrival event fulfills.
 #[derive(Default)]
 pub(crate) struct ReplyTable {
-    slots: Mutex<HashMap<u64, ReplySlot>>,
+    slots: SliceCell<Vec<ReplySlot>>,
 }
 
 impl ReplyTable {
@@ -260,42 +260,34 @@ impl ReplyTable {
 
     /// Register an outstanding call made by `waiter`.
     pub fn register(&self, id: u64, waiter: ThreadId) {
-        let previous = self.slots.lock().insert(
+        let mut slots = self.slots.borrow();
+        debug_assert!(slots.iter().all(|s| s.id != id), "duplicate RPC id {id}");
+        slots.push(ReplySlot {
             id,
-            ReplySlot {
-                value: None,
-                waiter,
-            },
-        );
-        debug_assert!(previous.is_none(), "duplicate RPC id {id}");
+            value: None,
+            waiter,
+        });
     }
 
     /// Deposit the reply for call `id`; returns the waiting thread to wake.
     pub fn fulfill(&self, id: u64, payload: RpcPayload) -> Option<ThreadId> {
-        let mut slots = self.slots.lock();
-        match slots.get_mut(&id) {
-            Some(slot) => {
-                slot.value = Some(payload);
-                Some(slot.waiter)
-            }
-            None => None,
-        }
+        let mut slots = self.slots.borrow();
+        let slot = slots.iter_mut().find(|s| s.id == id)?;
+        slot.value = Some(payload);
+        Some(slot.waiter)
     }
 
     /// Take the reply for call `id` if it has arrived, removing the slot.
     pub fn take(&self, id: u64) -> Option<RpcPayload> {
-        let mut slots = self.slots.lock();
-        if slots.get(&id).map(|s| s.value.is_some()).unwrap_or(false) {
-            slots.remove(&id).and_then(|s| s.value)
-        } else {
-            None
-        }
+        let mut slots = self.slots.borrow();
+        let at = slots.iter().position(|s| s.id == id && s.value.is_some())?;
+        slots.swap_remove(at).value
     }
 
     /// Number of calls still waiting for a reply.
     #[allow(dead_code)]
     pub fn outstanding(&self) -> usize {
-        self.slots.lock().len()
+        self.slots.borrow().len()
     }
 }
 
@@ -330,6 +322,7 @@ mod tests {
 
     fn some_thread_id() -> ThreadId {
         use dsmpm2_sim::Engine;
+        use parking_lot::Mutex;
         let mut engine = Engine::new();
         let out = std::sync::Arc::new(Mutex::new(None));
         let o = out.clone();

@@ -9,14 +9,18 @@
 //! The module also provides [`TickOutbox`], the per-tick accumulator behind
 //! message batching: items addressed to the same key within one virtual-time
 //! tick are collected and handed back as one unit when the tick ends.
+//!
+//! Neither takes a lock. A channel's queues are touched by sending and
+//! receiving slices, by the delivery event of each message, and by the host
+//! thread outside [`crate::Engine::run`]; an outbox by whoever pushes and by
+//! the flush event — all ordered by the hand-off, so the state sits in a
+//! [`SliceCell`] that is released before a wake-up is submitted and before
+//! the receiver parks.
 
-use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
+use crate::cell::{SliceCell, SliceRef};
 use crate::engine::EngineCtl;
 use crate::handle::SimHandle;
 use crate::time::{SimDuration, SimTime};
@@ -46,13 +50,18 @@ impl<T> Ord for Pending<T> {
     }
 }
 
-struct Inner<T> {
+struct Queues<T> {
     /// Messages whose delivery time has not been reached yet.
-    in_flight: Mutex<BinaryHeap<Pending<T>>>,
+    in_flight: BinaryHeap<Pending<T>>,
     /// Messages ready to be received, in delivery order.
-    ready: Mutex<VecDeque<T>>,
+    ready: VecDeque<T>,
+    /// Send sequence number of the next message.
+    seq: u64,
+}
+
+struct Inner<T> {
+    queues: SliceCell<Queues<T>>,
     waiters: WaitSet,
-    seq: AtomicU64,
     /// Shard the promotion callbacks run on — the receivers' shard, so that
     /// delivery events serialize with the receiving node's other events.
     shard: u64,
@@ -61,18 +70,19 @@ struct Inner<T> {
 
 impl<T> Inner<T> {
     /// Move every in-flight message whose delivery time has passed into the
-    /// ready queue.
-    fn promote(&self, now: SimTime) {
-        let mut in_flight = self.in_flight.lock();
-        let mut ready = self.ready.lock();
-        while let Some(top) = in_flight.peek() {
+    /// ready queue, and hand the queues back for the caller to look at.
+    fn promote(&self, now: SimTime) -> SliceRef<'_, Queues<T>> {
+        let mut guard = self.queues.borrow();
+        let queues = &mut *guard;
+        while let Some(top) = queues.in_flight.peek() {
             if top.deliver_at <= now.as_nanos() {
-                let msg = in_flight.pop().expect("peeked");
-                ready.push_back(msg.value);
+                let msg = queues.in_flight.pop().expect("peeked");
+                queues.ready.push_back(msg.value);
             } else {
                 break;
             }
         }
+        guard
     }
 }
 
@@ -117,10 +127,12 @@ pub fn channel_on<T: Send + 'static>(
     shard_key: u64,
 ) -> (SimSender<T>, SimReceiver<T>) {
     let inner = Arc::new(Inner {
-        in_flight: Mutex::new(BinaryHeap::new()),
-        ready: Mutex::new(VecDeque::new()),
+        queues: SliceCell::new(Queues {
+            in_flight: BinaryHeap::new(),
+            ready: VecDeque::new(),
+            seq: 0,
+        }),
         waiters: WaitSet::new(),
-        seq: AtomicU64::new(0),
         shard: shard_key,
         ctl,
     });
@@ -165,24 +177,28 @@ impl<T: Send + 'static> SimSender<T> {
     fn enqueue_at(&self, deliver_at: SimTime, value: T) {
         let inner = &self.inner;
         let deliver_at = deliver_at.max(inner.ctl.now());
-        let seq = inner.seq.fetch_add(1, Ordering::SeqCst);
-        inner.in_flight.lock().push(Pending {
+        let mut queues = inner.queues.borrow();
+        let seq = queues.seq;
+        queues.seq += 1;
+        queues.in_flight.push(Pending {
             deliver_at: deliver_at.as_nanos(),
             seq,
             value,
         });
+        drop(queues);
         // At delivery time, promote the message and wake one waiting
         // receiver — on the receivers' shard.
         let inner2 = Arc::clone(inner);
         inner.ctl.call_at_on(inner.shard, deliver_at, move |ctl| {
-            inner2.promote(ctl.now());
+            drop(inner2.promote(ctl.now()));
             inner2.waiters.notify_one(ctl, SimDuration::ZERO);
         });
     }
 
     /// Number of messages not yet consumed (in flight + ready).
     pub fn queued(&self) -> usize {
-        self.inner.in_flight.lock().len() + self.inner.ready.lock().len()
+        let queues = self.inner.queues.borrow();
+        queues.in_flight.len() + queues.ready.len()
     }
 }
 
@@ -192,8 +208,8 @@ impl<T: Send + 'static> SimReceiver<T> {
     /// message ever arrives.
     pub fn recv(&self, handle: &mut SimHandle) -> T {
         loop {
-            self.inner.promote(handle.now());
-            if let Some(v) = self.inner.ready.lock().pop_front() {
+            let ready = self.inner.promote(handle.now()).ready.pop_front();
+            if let Some(v) = ready {
                 return v;
             }
             self.inner.waiters.register(handle);
@@ -204,14 +220,12 @@ impl<T: Send + 'static> SimReceiver<T> {
 
     /// Receive a message if one is ready at the current virtual time.
     pub fn try_recv(&self, handle: &SimHandle) -> Option<T> {
-        self.inner.promote(handle.now());
-        self.inner.ready.lock().pop_front()
+        self.inner.promote(handle.now()).ready.pop_front()
     }
 
     /// Number of messages ready to be received right now.
     pub fn ready_len(&self, handle: &SimHandle) -> usize {
-        self.inner.promote(handle.now());
-        self.inner.ready.lock().len()
+        self.inner.promote(handle.now()).ready.len()
     }
 }
 
@@ -228,33 +242,45 @@ impl<T: Send + 'static> SimReceiver<T> {
 ///
 /// Within a bucket, items keep the order they were pushed in.
 pub struct TickOutbox<K, T> {
-    pending: Mutex<HashMap<(K, u64), Vec<T>>>,
+    /// Open buckets as `(key, tick, items)`. Scanned: a bucket lives from its
+    /// first push to the end of its tick, so there are a handful at a time.
+    pending: SliceCell<Vec<(K, u64, Vec<T>)>>,
 }
 
-impl<K: Eq + Hash + Copy, T> TickOutbox<K, T> {
+impl<K: Eq + Copy, T> TickOutbox<K, T> {
     /// An empty outbox.
     pub fn new() -> Self {
         TickOutbox {
-            pending: Mutex::new(HashMap::new()),
+            pending: SliceCell::new(Vec::new()),
         }
     }
 
     /// Append `item` to the bucket for (`key`, `tick`). Returns `true` when
     /// this opened the bucket: the caller must schedule a flush at `tick`.
     pub fn push(&self, key: K, tick: SimTime, item: T) -> bool {
-        let mut pending = self.pending.lock();
-        let bucket = pending.entry((key, tick.as_nanos())).or_default();
-        bucket.push(item);
-        bucket.len() == 1
+        let tick = tick.as_nanos();
+        let mut pending = self.pending.borrow();
+        match pending.iter_mut().find(|(k, t, _)| *k == key && *t == tick) {
+            Some((_, _, bucket)) => {
+                bucket.push(item);
+                false
+            }
+            None => {
+                pending.push((key, tick, vec![item]));
+                true
+            }
+        }
     }
 
     /// Drain and return the bucket for (`key`, `tick`); empty if the bucket
     /// was already flushed.
     pub fn take(&self, key: K, tick: SimTime) -> Vec<T> {
-        self.pending
-            .lock()
-            .remove(&(key, tick.as_nanos()))
-            .unwrap_or_default()
+        let tick = tick.as_nanos();
+        let mut pending = self.pending.borrow();
+        match pending.iter().position(|(k, t, _)| *k == key && *t == tick) {
+            Some(at) => pending.swap_remove(at).2,
+            None => Vec::new(),
+        }
     }
 
     /// Drain every unflushed bucket for `key`, oldest tick first. Used to
@@ -262,40 +288,30 @@ impl<K: Eq + Hash + Copy, T> TickOutbox<K, T> {
     /// parked items (the scheduled per-bucket flush then finds an empty
     /// bucket and does nothing).
     pub fn take_all(&self, key: K) -> Vec<(SimTime, Vec<T>)> {
-        let mut pending = self.pending.lock();
-        if pending.is_empty() {
-            return Vec::new();
-        }
-        let ticks: Vec<u64> = pending
-            .keys()
-            .filter(|(k, _)| *k == key)
-            .map(|(_, t)| *t)
-            .collect();
-        let mut buckets: Vec<(SimTime, Vec<T>)> = ticks
-            .into_iter()
-            .filter_map(|t| {
-                pending
-                    .remove(&(key, t))
-                    .map(|items| (SimTime::from_nanos(t), items))
-            })
-            .collect();
-        buckets.sort_by_key(|(t, _)| *t);
+        let mut buckets = Vec::new();
+        self.pending.borrow().retain_mut(|(k, tick, items)| {
+            if *k == key {
+                buckets.push((SimTime::from_nanos(*tick), std::mem::take(items)));
+            }
+            *k != key
+        });
+        buckets.sort_by_key(|(tick, _)| *tick);
         buckets
     }
 
     /// True when no bucket is waiting for its flush: what a caller on a hot
     /// path asks before it prepares anything for [`TickOutbox::take_all`].
     pub fn is_empty(&self) -> bool {
-        self.pending.lock().is_empty()
+        self.pending.borrow().is_empty()
     }
 
     /// Total number of items currently waiting in unflushed buckets.
     pub fn pending(&self) -> usize {
-        self.pending.lock().values().map(Vec::len).sum()
+        self.pending.borrow().iter().map(|b| b.2.len()).sum()
     }
 }
 
-impl<K: Eq + Hash + Copy, T> Default for TickOutbox<K, T> {
+impl<K: Eq + Copy, T> Default for TickOutbox<K, T> {
     fn default() -> Self {
         TickOutbox::new()
     }
@@ -303,7 +319,7 @@ impl<K: Eq + Hash + Copy, T> Default for TickOutbox<K, T> {
 
 impl<K, T> std::fmt::Debug for TickOutbox<K, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "TickOutbox({} buckets)", self.pending.lock().len())
+        write!(f, "TickOutbox({} buckets)", self.pending.borrow().len())
     }
 }
 
@@ -311,7 +327,8 @@ impl<K, T> std::fmt::Debug for TickOutbox<K, T> {
 mod tests {
     use super::*;
     use crate::engine::Engine;
-    use std::sync::atomic::AtomicU64 as StdAtomicU64;
+    use parking_lot::Mutex;
+    use std::sync::atomic::{AtomicU64 as StdAtomicU64, Ordering};
 
     #[test]
     fn send_recv_roundtrip() {

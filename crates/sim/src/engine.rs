@@ -10,6 +10,20 @@
 //! run is a pure function of the program: same final memory, same virtual
 //! time, same event count, every time.
 //!
+//! # Who may touch scheduler state
+//!
+//! The same three kinds of code that may touch any [`SliceCell`]: a *slice*
+//! (a simulated thread between two yields: it submits events, spawns, parks),
+//! a *scheduler event* (the loop itself and the `Call` closures it runs), and
+//! the *host thread* outside [`Engine::run`] (set-up, teardown, reading
+//! results). The hand-off orders them totally, so the event heap and the
+//! thread table, each with its counters, sit in cells and take no lock; the
+//! clock and the executing shard are words read from inside those borrows,
+//! written with a relaxed store. Nothing here may be called from an OS thread the engine
+//! does not know while `run` is in progress. Every borrow below is released
+//! before control leaves this module — before a closure runs, before a slice
+//! is granted — so an event or a slice may submit, spawn and wake freely.
+//!
 //! Sequence numbers are assigned at submission and a time already past is
 //! submitted as the current instant, so events execute in strictly
 //! increasing `(time, seq)` order and "the order things were submitted in"
@@ -49,8 +63,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use parking_lot::Mutex;
-
+use crate::cell::SliceCell;
 use crate::continuation::{Coro, DEFAULT_STACK_BYTES};
 use crate::error::SimError;
 use crate::handle::SimHandle;
@@ -294,51 +307,65 @@ impl Hasher for IdHasher {
 /// usable as a shard key.
 const NO_EVENT: u64 = u64::MAX;
 
-pub(crate) struct Shared {
-    now: AtomicU64,
+/// The event heap and what is counted per submission, per park and per
+/// finished thread.
+struct EventState {
+    queue: BinaryHeap<Reverse<Event>>,
+    /// Sequence number of the next submission.
+    seq: u64,
     /// Latest instant at which a thread's body ended, its unflushed charge
     /// included (see [`run_body`]); the clock is raised to it when the queue
     /// drains.
-    latest_completion: AtomicU64,
-    seq: AtomicU64,
-    queue: Mutex<BinaryHeap<Reverse<Event>>>,
+    latest_completion: u64,
+    /// Count of parks per [`BlockReason`] (indexed by discriminant) — the
+    /// data behind [`Engine::block_profile`].
+    block_counts: [u64; BLOCK_REASONS.len()],
+}
+
+/// The simulated threads of a run.
+#[derive(Default)]
+struct ThreadTable {
+    /// Live threads by id, for what only knows an id (wakes through
+    /// [`EngineCtl`]), the deadlock report and teardown.
+    live: HashMap<u64, ThreadEntry, BuildHasherDefault<IdHasher>>,
+    next_tid: u64,
+    spawned: u64,
+    /// Recycled private stacks of finished continuations.
+    stack_pool: Vec<Vec<u8>>,
+}
+
+/// Scheduler state (see the module doc for who may touch it). Relaxed
+/// throughout: for a continuation every access is on one OS thread, and a
+/// baton thread runs strictly between the SeqCst `Granted` and `Parked`
+/// stores of its slot, which publish everything else it wrote.
+pub(crate) struct Shared {
+    /// The clock: written by the scheduler loop only, read by everyone.
+    now: AtomicU64,
+    events: SliceCell<EventState>,
     /// Shard key of the event being executed ([`NO_EVENT`] between events):
     /// what key-less calls and spawns made by that event inherit. Written by
     /// the scheduler around each event and by the running thread when it
-    /// migrates, read by that event's own pushes. Relaxed throughout: for a
-    /// continuation all of that is one OS thread, and a baton thread runs
-    /// strictly between the SeqCst `Granted` and `Parked` stores of its slot.
+    /// migrates, read by that event's own pushes.
     executing_shard: AtomicU64,
     /// The scheduler's OS-thread handle: baton threads unpark it when they
     /// park or finish.
     sched: Arc<SchedHandle>,
-    /// Live threads by id, for what only knows an id (wakes through
-    /// [`EngineCtl`]), the deadlock report and teardown.
-    threads: Mutex<HashMap<u64, ThreadEntry, BuildHasherDefault<IdHasher>>>,
-    next_tid: AtomicU64,
-    panic_info: Mutex<Option<(String, String)>>,
-    /// Raised when `panic_info` holds something: lets the scheduler loop
-    /// poll a plain atomic per event instead of taking the mutex.
+    threads: SliceCell<ThreadTable>,
+    panic_info: SliceCell<Option<(String, String)>>,
+    /// Raised when `panic_info` holds something: the scheduler loop polls one
+    /// word per event instead of borrowing the cell.
     panic_flag: AtomicBool,
-    context_switches: AtomicU64,
-    events_processed: AtomicU64,
-    threads_spawned: AtomicU64,
-    /// Recycled private stacks of finished continuations.
-    stack_pool: Mutex<Vec<Vec<u8>>>,
-    /// Count of parks per [`BlockReason`] (indexed by discriminant) — the
-    /// data behind [`Engine::block_profile`].
-    block_counts: [AtomicU64; BLOCK_REASONS.len()],
     /// The installed [`ScheduleController`], if any (dsm-verify exploration).
-    controller: Mutex<Option<Arc<dyn ScheduleController>>>,
+    controller: SliceCell<Option<Arc<dyn ScheduleController>>>,
     /// Raised when `controller` holds something, so the per-event scheduler
-    /// loop and the transport hot paths poll one atomic instead of a mutex.
+    /// loop and the transport hot paths poll one word instead of the cell.
     controlled: AtomicBool,
     config: EngineConfig,
 }
 
 impl Shared {
     pub(crate) fn now(&self) -> SimTime {
-        SimTime::from_nanos(self.now.load(Ordering::SeqCst))
+        SimTime::from_nanos(self.now.load(Ordering::Relaxed))
     }
 
     /// Shard key of the executing event, `None` outside any event.
@@ -360,9 +387,11 @@ impl Shared {
     /// is the current instant: keeping the past key would run the event
     /// *before* events queued earlier for this instant.
     fn submit(&self, time: SimTime, kind: EventKind, shard_key: u64) {
-        let time = time.as_nanos().max(self.now.load(Ordering::SeqCst));
-        let seq = self.seq.fetch_add(1, Ordering::SeqCst);
-        self.queue.lock().push(Reverse(Event {
+        let time = time.as_nanos().max(self.now.load(Ordering::Relaxed));
+        let mut events = self.events.borrow();
+        let seq = events.seq;
+        events.seq += 1;
+        events.queue.push(Reverse(Event {
             time,
             seq,
             shard: shard_key,
@@ -373,7 +402,12 @@ impl Shared {
     /// Wake by id: the one wake that reads the thread table. A reaped
     /// thread's wake keeps its event, on the lane of its raw id.
     pub(crate) fn schedule_wake(&self, tid: ThreadId, at: SimTime) {
-        let slot = self.threads.lock().get(&tid.0).map(|e| Arc::clone(&e.slot));
+        let slot = self
+            .threads
+            .borrow()
+            .live
+            .get(&tid.0)
+            .map(|e| Arc::clone(&e.slot));
         let key = slot.as_ref().map_or(tid.0, |slot| slot.shard_key());
         self.submit(at, EventKind::Wake(tid, slot), key);
     }
@@ -403,11 +437,11 @@ impl Shared {
     }
 
     pub(crate) fn record_panic(&self, thread: String, message: String) {
-        let mut info = self.panic_info.lock();
+        let mut info = self.panic_info.borrow();
         if info.is_none() {
             *info = Some((thread, message));
         }
-        self.panic_flag.store(true, Ordering::SeqCst);
+        self.panic_flag.store(true, Ordering::Relaxed);
     }
 
     pub(crate) fn spawn_thread<F>(
@@ -422,7 +456,12 @@ impl Shared {
     where
         F: FnOnce(&mut SimHandle) + Send + 'static,
     {
-        let tid = ThreadId(self.next_tid.fetch_add(1, Ordering::SeqCst));
+        // Held to the end: nothing below runs simulated code (a baton's new
+        // OS thread touches only its slot until it is granted).
+        let mut threads = self.threads.borrow();
+        let tid = ThreadId(threads.next_tid);
+        threads.next_tid += 1;
+        threads.spawned += 1;
         // Key preference: explicit > inherited from the spawning event >
         // the thread's own id.
         let key = shard_key
@@ -448,7 +487,7 @@ impl Shared {
                     }
                 });
                 let stack_bytes = opts.stack_bytes.unwrap_or(DEFAULT_STACK_BYTES);
-                let recycled = self.stack_pool.lock().pop();
+                let recycled = threads.stack_pool.pop();
                 slot.init_continuation(Coro::new(body, stack_bytes, recycled));
                 None
             }
@@ -471,27 +510,24 @@ impl Shared {
         };
 
         self.schedule_wake_cached(&slot, start_at);
-        self.threads
-            .lock()
+        threads
+            .live
             .insert(tid.0, ThreadEntry { slot, join, daemon });
-        self.threads_spawned.fetch_add(1, Ordering::SeqCst);
         tid
     }
 
     /// Bump the engine-wide profile counter for `reason`.
     pub(crate) fn record_block(&self, reason: BlockReason) {
-        // Relaxed: pure statistics counter, read only after `run()` returned;
-        // no other memory is published under it.
-        self.block_counts[reason as usize].fetch_add(1, Ordering::Relaxed);
+        self.events.borrow().block_counts[reason as usize] += 1;
     }
 
-    /// The installed schedule controller, if any. One atomic flag guards the
-    /// mutex so uncontrolled runs (the default) pay a single load per query.
+    /// The installed schedule controller, if any. One flag guards the cell
+    /// so uncontrolled runs (the default) pay a single load per query.
     pub(crate) fn controller(&self) -> Option<Arc<dyn ScheduleController>> {
-        if !self.controlled.load(Ordering::SeqCst) {
+        if !self.controlled.load(Ordering::Relaxed) {
             return None;
         }
-        self.controller.lock().clone()
+        self.controller.borrow().clone()
     }
 
     /// Pop the next event under schedule control: drain every pending event
@@ -501,15 +537,16 @@ impl Shared {
     /// sequence order — per-node program order and per-link FIFO — is
     /// preserved by construction; only the cross-key interleaving varies.
     fn pop_controlled(&self, controller: &Arc<dyn ScheduleController>) -> Option<Event> {
-        let mut queue = self.queue.lock();
-        let head_time = queue.peek()?.0.time;
+        let mut events = self.events.borrow();
+        let head_time = events.queue.peek()?.0.time;
         // Heap pops yield ascending (time, seq): `batch` ends up sorted by
         // sequence number.
         let mut batch: Vec<Event> = Vec::new();
-        while queue.peek().is_some_and(|r| r.0.time == head_time) {
-            batch.push(queue.pop().expect("peeked event").0);
+        while events.queue.peek().is_some_and(|r| r.0.time == head_time) {
+            batch.push(events.queue.pop().expect("peeked event").0);
         }
-        drop(queue);
+        // The controller is foreign code: not under the borrow.
+        drop(events);
         // Index (into `batch`) of the lowest-sequence event of each distinct
         // shard key, in ascending sequence order. Choice points are tiny
         // (2–4 nodes), so the quadratic scan beats a hash map.
@@ -537,9 +574,9 @@ impl Shared {
             heads[0]
         };
         let chosen = batch.swap_remove(pick);
-        let mut queue = self.queue.lock();
+        let mut events = self.events.borrow();
         for e in batch {
-            queue.push(Reverse(e));
+            events.queue.push(Reverse(e));
         }
         Some(chosen)
     }
@@ -550,13 +587,16 @@ impl Shared {
     /// of a baton slot, so a run holds as many stacks and OS threads as it
     /// has live threads, however many it spawns.
     fn reap(&self, slot: &ThreadSlot) {
-        let entry = self.threads.lock().remove(&slot.id.0);
-        if let Some(stack) = slot.reclaim_stack() {
-            let mut pool = self.stack_pool.lock();
-            if pool.len() < STACK_POOL_CAP {
-                pool.push(stack);
+        let stack = slot.reclaim_stack();
+        let entry = {
+            let mut threads = self.threads.borrow();
+            if let Some(stack) = stack {
+                if threads.stack_pool.len() < STACK_POOL_CAP {
+                    threads.stack_pool.push(stack);
+                }
             }
-        }
+            threads.live.remove(&slot.id.0)
+        };
         if let Some(handle) = entry.and_then(|e| e.join) {
             let _ = handle.join();
         }
@@ -575,7 +615,10 @@ where
     let mut handle = SimHandle::new(Arc::clone(shared), Arc::clone(slot));
     let result = panic::catch_unwind(AssertUnwindSafe(|| f(&mut handle)));
     let ended = handle.now().as_nanos();
-    shared.latest_completion.fetch_max(ended, Ordering::SeqCst);
+    {
+        let mut events = shared.events.borrow();
+        events.latest_completion = events.latest_completion.max(ended);
+    }
     if let Err(payload) = result {
         if payload.downcast_ref::<ShutdownUnwind>().is_none() {
             shared.record_panic(slot.name.to_string(), panic_message(&*payload));
@@ -742,21 +785,18 @@ impl Engine {
         Engine {
             shared: Arc::new(Shared {
                 now: AtomicU64::new(0),
-                latest_completion: AtomicU64::new(0),
-                seq: AtomicU64::new(0),
-                queue: Mutex::new(BinaryHeap::new()),
+                events: SliceCell::new(EventState {
+                    queue: BinaryHeap::new(),
+                    seq: 0,
+                    latest_completion: 0,
+                    block_counts: [0; BLOCK_REASONS.len()],
+                }),
                 executing_shard: AtomicU64::new(NO_EVENT),
                 sched: Arc::new(SchedHandle::new()),
-                threads: Mutex::new(HashMap::default()),
-                next_tid: AtomicU64::new(0),
-                panic_info: Mutex::new(None),
+                threads: SliceCell::default(),
+                panic_info: SliceCell::new(None),
                 panic_flag: AtomicBool::new(false),
-                context_switches: AtomicU64::new(0),
-                events_processed: AtomicU64::new(0),
-                threads_spawned: AtomicU64::new(0),
-                stack_pool: Mutex::new(Vec::new()),
-                block_counts: std::array::from_fn(|_| AtomicU64::new(0)),
-                controller: Mutex::new(None),
+                controller: SliceCell::new(None),
                 controlled: AtomicBool::new(false),
                 config,
             }),
@@ -829,8 +869,8 @@ impl Engine {
     /// (and every delivery on a `Permuted` transport) is resolved by the
     /// controller instead of canonically.
     pub fn set_controller(&self, controller: Arc<dyn ScheduleController>) {
-        *self.shared.controller.lock() = Some(controller);
-        self.shared.controlled.store(true, Ordering::SeqCst);
+        *self.shared.controller.borrow() = Some(controller);
+        self.shared.controlled.store(true, Ordering::Relaxed);
     }
 
     /// Engine-wide count of parks per [`BlockReason`] so far: what the
@@ -838,15 +878,8 @@ impl Engine {
     /// barriers, channels...). Purely observational — deliberately *not*
     /// part of [`RunReport`].
     pub fn block_profile(&self) -> Vec<(BlockReason, u64)> {
-        BLOCK_REASONS
-            .iter()
-            .map(|&r| {
-                (
-                    r,
-                    self.shared.block_counts[r as usize].load(Ordering::SeqCst),
-                )
-            })
-            .collect()
+        let counts = self.shared.events.borrow().block_counts;
+        BLOCK_REASONS.iter().copied().zip(counts).collect()
     }
 
     /// Run the simulation to completion.
@@ -877,7 +910,8 @@ impl Engine {
         let shared = &self.shared;
         let mut parked: Vec<String> = shared
             .threads
-            .lock()
+            .borrow()
+            .live
             .values()
             .filter(|e| !e.daemon && e.slot.is_parked() && !e.slot.is_finished())
             .map(|e| match e.slot.blocked_on() {
@@ -904,11 +938,13 @@ impl Engine {
         shared.sched.register_current();
         let ctl = self.ctl();
         let mut last_pop = None;
+        // Counted by this loop alone, so they are its locals.
+        let (mut processed, mut context_switches) = (0u64, 0u64);
         loop {
-            // The mutex is only taken once the flag says there is something
+            // The cell is only borrowed once the flag says there is something
             // to read — the loop head runs once per event.
-            if shared.panic_flag.load(Ordering::SeqCst) {
-                if let Some((thread, message)) = shared.panic_info.lock().take() {
+            if shared.panic_flag.load(Ordering::Relaxed) {
+                if let Some((thread, message)) = shared.panic_info.borrow().take() {
                     return Err(SimError::ThreadPanic { thread, message });
                 }
             }
@@ -918,14 +954,20 @@ impl Engine {
             let controller = shared.controller();
             let popped = match &controller {
                 Some(controller) => shared.pop_controlled(controller),
-                None => shared.queue.lock().pop().map(|Reverse(e)| e),
+                None => shared.events.borrow().queue.pop().map(|Reverse(e)| e),
             };
             let Some(event) = popped else {
                 // The run ends when its last thread completes, which may be
                 // later than its last event.
-                let completed = shared.latest_completion.load(Ordering::SeqCst);
-                shared.now.fetch_max(completed, Ordering::SeqCst);
-                return self.drained_verdict().map(|()| self.report());
+                let completed = shared.events.borrow().latest_completion;
+                let ended = completed.max(shared.now.load(Ordering::Relaxed));
+                shared.now.store(ended, Ordering::Relaxed);
+                return self.drained_verdict().map(|()| RunReport {
+                    final_time: SimTime::from_nanos(ended),
+                    events: processed,
+                    context_switches,
+                    threads_spawned: shared.threads.borrow().spawned,
+                });
             };
             // What FIFO wait sets and tick buckets rest on: left to itself,
             // the engine executes events in the order they were submitted
@@ -937,44 +979,38 @@ impl Engine {
                 event.seq
             );
             last_pop = Some((event.time, event.seq));
-            shared.now.store(event.time, Ordering::SeqCst);
-            let processed = shared.events_processed.fetch_add(1, Ordering::SeqCst) + 1;
+            shared.now.store(event.time, Ordering::Relaxed);
+            processed += 1;
             if processed > shared.config.max_events {
                 return Err(SimError::EventLimitExceeded {
                     limit: shared.config.max_events,
                 });
             }
-            execute_event(&ctl, event);
-        }
-    }
-
-    fn report(&self) -> RunReport {
-        RunReport {
-            final_time: self.shared.now(),
-            events: self.shared.events_processed.load(Ordering::SeqCst),
-            context_switches: self.shared.context_switches.load(Ordering::SeqCst),
-            threads_spawned: self.shared.threads_spawned.load(Ordering::SeqCst),
+            context_switches += u64::from(execute_event(&ctl, event));
         }
     }
 
     fn teardown(&self) {
-        // Release every thread still waiting for a grant so its OS thread
-        // can exit, then join them all. Runs after the scheduler loop ended,
-        // so this thread owns every slot.
-        let entries: Vec<ThreadEntry> =
-            self.shared.threads.lock().drain().map(|(_, e)| e).collect();
-        for entry in &entries {
+        // Runs after the scheduler loop ended, so this thread owns every
+        // slot. One thread at a time, to the end of its unwind: the frames
+        // parked on its stack have destructors, those may touch state that
+        // is only exclusive while the hand-off orders its users, and a baton
+        // thread unwinds on an OS thread of its own.
+        let entries: Vec<ThreadEntry> = {
+            let mut threads = self.shared.threads.borrow();
+            threads.live.drain().map(|(_, e)| e).collect()
+        };
+        for entry in entries {
+            // Release a baton thread still waiting for a grant so its OS
+            // thread can exit.
             entry.slot.request_shutdown();
-        }
-        for entry in &entries {
-            // Unwind suspended continuations (destructors of the frames
-            // parked on their private stacks must run) and drop never-started
-            // bodies — both hold an Arc cycle back to `Shared`.
+            // Unwind a suspended continuation and drop a never-started body
+            // — both hold an Arc cycle back to `Shared`.
             entry.slot.teardown_continuation();
             let _ = entry.slot.reclaim_stack();
-        }
-        for handle in entries.into_iter().filter_map(|e| e.join) {
-            let _ = handle.join();
+            if let Some(handle) = entry.join {
+                let _ = handle.join();
+            }
         }
     }
 }
@@ -982,20 +1018,20 @@ impl Engine {
 /// Execute one event: a `Wake` hands a slice to its thread and returns when
 /// the thread parks again — reaping it if that slice was its last — and a
 /// `Call` runs its closure right here. Either way the event's shard key is
-/// what key-less pushes made meanwhile inherit.
-fn execute_event(ctl: &EngineCtl, event: Event) {
+/// what key-less pushes made meanwhile inherit. Returns whether a slice ran
+/// (a context switch).
+fn execute_event(ctl: &EngineCtl, event: Event) -> bool {
     let shared = &ctl.shared;
+    let mut switched = false;
     match event.kind {
         EventKind::Wake(_, None) => {}
         EventKind::Wake(_, Some(slot)) => {
             // A thread woken through a key captured before it migrated runs
             // under the key it has now. A finished thread's grant is stale.
             shared.set_executing_shard(slot.shard_key());
-            if slot.grant_and_wait() {
-                shared.context_switches.fetch_add(1, Ordering::SeqCst);
-                if slot.is_finished() {
-                    shared.reap(&slot);
-                }
+            switched = slot.grant_and_wait();
+            if switched && slot.is_finished() {
+                shared.reap(&slot);
             }
         }
         EventKind::Call(f) => {
@@ -1010,6 +1046,7 @@ fn execute_event(ctl: &EngineCtl, event: Event) {
         }
     }
     shared.set_executing_shard(NO_EVENT);
+    switched
 }
 
 impl Default for Engine {
@@ -1029,6 +1066,7 @@ impl Drop for Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use parking_lot::Mutex;
     use std::sync::atomic::AtomicUsize;
 
     #[test]
@@ -1233,8 +1271,12 @@ mod tests {
 
     /// Names of the threads the engine still holds an entry for.
     fn live(shared: &Shared) -> Vec<String> {
-        let threads = shared.threads.lock();
-        let mut names: Vec<String> = threads.values().map(|e| e.slot.name.to_string()).collect();
+        let threads = shared.threads.borrow();
+        let mut names: Vec<String> = threads
+            .live
+            .values()
+            .map(|e| e.slot.name.to_string())
+            .collect();
         names.sort();
         names
     }
@@ -1290,7 +1332,8 @@ mod tests {
                 // The child's one slice ran meanwhile: its entry is gone and
                 // its stack waits in the pool for the next child.
                 assert_eq!(live(&shared), ["parent"]);
-                assert_eq!(shared.stack_pool.lock().len(), usize::from(continuations));
+                let pooled = shared.threads.borrow().stack_pool.len();
+                assert_eq!(pooled, usize::from(continuations));
             }
         });
         let report = engine.run().unwrap();

@@ -38,7 +38,8 @@
 //!   primitives (used by DSM page waits, locks, barriers).
 //! * [`SliceCell`] — state shared between simulated threads, borrowed
 //!   without a lock because the hand-off already orders its users (used by
-//!   the DSM page tables, frame stores and counters).
+//!   the scheduler itself, the RPC layer, the transport and the DSM page
+//!   tables, frame stores and counters).
 //! * [`channel`] — virtual-time message channels with per-message delivery
 //!   delays (used by the Madeleine transport model).
 

@@ -363,14 +363,15 @@ impl ThreadSlot {
 
     /// Install the coroutine carrying this thread's slices. Called by the
     /// spawn path before the slot is shared with the scheduler, so the
-    /// plain store is exclusive; the `Parked` store makes the slot
-    /// immediately grantable (continuations have no Created window).
+    /// plain store is exclusive; the `Parked` store — relaxed, like every
+    /// transition of a continuation's phase — makes the slot immediately
+    /// grantable (continuations have no Created window).
     pub fn init_continuation(&self, coro: Coro) {
         debug_assert_eq!(self.backing, Backing::Continuation);
         // SAFETY: called before the slot is shared (spawn path), so this
         // plain store through the UnsafeCell is exclusive.
         unsafe { *self.coro.get() = Some(coro) };
-        self.phase.store(Phase::Parked as u32, Ordering::SeqCst);
+        self.phase.store(Phase::Parked as u32, Ordering::Relaxed);
     }
 
     /// Called by the scheduler: grant a slice to the (eventually) parked

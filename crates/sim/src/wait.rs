@@ -7,6 +7,13 @@
 //! as waiters re-check their condition in a loop (spurious wake-ups are
 //! allowed and harmless).
 //!
+//! For the same reason the set takes no lock. Slices register, deregister
+//! and notify; scheduler events (a message's arrival) notify; the host thread
+//! may look before and after [`crate::Engine::run`] — all ordered by the
+//! hand-off, so the queue sits in a [`SliceCell`]. No borrow of it outlives
+//! the method that took it: a waiter is out of the queue before its wake is
+//! submitted, and nothing is held while the caller parks.
+//!
 //! The park itself goes through the scheduler hand-off
 //! ([`SimHandle::park`] → `ThreadSlot`); nothing here depends on its
 //! mechanics.
@@ -18,8 +25,7 @@
 use std::collections::VecDeque;
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
+use crate::cell::SliceCell;
 use crate::engine::{BlockReason, EngineCtl};
 use crate::handle::SimHandle;
 use crate::thread::{ThreadId, ThreadSlot};
@@ -30,7 +36,7 @@ use crate::time::SimDuration;
 pub struct WaitSet {
     /// Waiters, oldest first, by hand-off slot: a wake-up goes straight to
     /// the slot, on the shard the thread is on then, with no lookup by id.
-    waiters: Mutex<VecDeque<Arc<ThreadSlot>>>,
+    waiters: SliceCell<VecDeque<Arc<ThreadSlot>>>,
 }
 
 impl WaitSet {
@@ -41,30 +47,30 @@ impl WaitSet {
 
     /// Number of registered waiters.
     pub fn len(&self) -> usize {
-        self.waiters.lock().len()
+        self.waiters.borrow().len()
     }
 
     /// True if no thread is registered.
     pub fn is_empty(&self) -> bool {
-        self.waiters.lock().is_empty()
+        self.waiters.borrow().is_empty()
     }
 
     /// Register the calling thread as a waiter. Must be followed by
     /// [`SimHandle::park`] inside a condition re-check loop.
     pub fn register(&self, handle: &SimHandle) {
-        self.waiters.lock().push_back(Arc::clone(&handle.slot));
+        self.waiters.borrow().push_back(Arc::clone(&handle.slot));
     }
 
     /// Remove the calling thread from the set (used when a waiter gives up,
     /// e.g. after its condition became true through another path).
     pub fn deregister(&self, handle: &SimHandle) {
-        self.waiters.lock().retain(|slot| slot.id != handle.id());
+        self.waiters.borrow().retain(|slot| slot.id != handle.id());
     }
 
     /// Wake the oldest waiter (if any) after `delay`, removing it from the
     /// set. Returns the thread that was woken.
     pub fn notify_one(&self, ctl: &EngineCtl, delay: SimDuration) -> Option<ThreadId> {
-        let slot = self.waiters.lock().pop_front()?;
+        let slot = self.waiters.borrow().pop_front()?;
         ctl.shared.schedule_wake_cached(&slot, ctl.now() + delay);
         Some(slot.id)
     }
@@ -72,7 +78,7 @@ impl WaitSet {
     /// Wake every registered waiter after `delay`, clearing the set.
     /// Returns the number of threads woken.
     pub fn notify_all(&self, ctl: &EngineCtl, delay: SimDuration) -> usize {
-        let drained = std::mem::take(&mut *self.waiters.lock());
+        let drained = std::mem::take(&mut *self.waiters.borrow());
         let at = ctl.now() + delay;
         for slot in &drained {
             ctl.shared.schedule_wake_cached(slot, at);

@@ -10,7 +10,9 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use dsmpm2_sim::{Engine, RunReport, SimDuration, SimTime, SpawnOptions, WaitSet};
+use dsmpm2_sim::{
+    channel, Engine, EngineCtl, RunReport, SimDuration, SimTime, SpawnOptions, WaitSet,
+};
 
 /// Deterministic xorshift so every run sees the same "random" schedule.
 fn xorshift(state: &mut u64) -> u64 {
@@ -118,6 +120,131 @@ fn waitset_crowd_matches_its_pinned_run() {
     assert_eq!(
         (report.final_time.as_nanos(), report.events, digest),
         (123_000, 348, 14_761_836_492_225_325_616)
+    );
+}
+
+/// Scheduler state takes no lock, it is borrowed; so whatever the scheduler
+/// is running must find every borrow released. From inside a `Call` event and
+/// from inside a slice: schedule a call, spawn a thread, `notify_all` a wait
+/// set whose waiters come back and register again, and send on a channel
+/// whose receiver is parked. A borrow of the event heap, the thread table, a
+/// wait set or a channel still live at any of those call-outs would fail the
+/// run with "borrowed while an earlier borrow is live".
+#[test]
+fn events_and_slices_may_reenter_the_scheduler() {
+    let mut engine = Engine::new();
+    let ws = Arc::new(WaitSet::new());
+    let (tx, rx) = channel::<u64>(engine.ctl());
+    let generation = Arc::new(AtomicU64::new(0));
+    let [calls, spawned, woken, received] = [(); 4].map(|()| Arc::new(AtomicU64::new(0)));
+
+    for w in 0..2 {
+        let (ws, generation, woken) = (ws.clone(), generation.clone(), woken.clone());
+        engine.spawn(format!("waiter{w}"), move |h| {
+            for round in 1..=2 {
+                ws.wait_until(h, || generation.load(Ordering::SeqCst) >= round);
+                woken.fetch_add(1, Ordering::SeqCst);
+            }
+        });
+    }
+    let r = received.clone();
+    engine.spawn("receiver", move |h| {
+        for _ in 0..2 {
+            let tag = rx.recv(h);
+            r.store(r.load(Ordering::SeqCst) * 10 + tag, Ordering::SeqCst);
+        }
+    });
+
+    let poke = {
+        let (ws, calls, spawned) = (ws.clone(), calls.clone(), spawned.clone());
+        move |ctl: &EngineCtl, tag: u64| {
+            let calls = calls.clone();
+            ctl.call_at(ctl.now(), move |_| {
+                calls.fetch_add(1, Ordering::SeqCst);
+            });
+            let spawned = spawned.clone();
+            ctl.spawn("spawned", move |h| {
+                h.yield_now();
+                spawned.fetch_add(1, Ordering::SeqCst);
+            });
+            generation.fetch_add(1, Ordering::SeqCst);
+            assert_eq!(ws.notify_all(ctl, SimDuration::ZERO), 2);
+            tx.send_from_ctl(ctl, tag, SimDuration::ZERO);
+        }
+    };
+    let from_event = poke.clone();
+    engine
+        .ctl()
+        .call_at(SimTime::from_micros(10), move |ctl| from_event(ctl, 1));
+    engine.spawn("poker", move |h| {
+        h.sleep(SimDuration::from_micros(20));
+        poke(&h.ctl(), 2);
+    });
+
+    let report = engine.run().expect("no borrow is live at a call-out");
+    let count = |c: &AtomicU64| c.load(Ordering::SeqCst);
+    assert_eq!(
+        (
+            count(&calls),
+            count(&spawned),
+            count(&woken),
+            count(&received)
+        ),
+        (2, 2, 4, 12)
+    );
+    assert!(ws.is_empty());
+    assert_eq!((report.events, report.threads_spawned), (20, 6));
+}
+
+/// No borrow of a wait set or of the event heap survives a yield: four
+/// threads pass a turn around through one `WaitSet`, each yielding, sleeping
+/// or charging at seeded points between `wait_until` and `notify_all`, so
+/// every thread registers, parks and is woken while the others are mid-way
+/// through the same calls. The counts are exact and the run is pinned, on
+/// both hand-offs (four OS threads pass the baton on the no-coro lane).
+#[test]
+fn turn_taking_through_a_wait_set_matches_its_pinned_run() {
+    const THREADS: u64 = 4;
+    const TURNS: u64 = 2_000;
+    let mut engine = Engine::new();
+    let ws = Arc::new(WaitSet::new());
+    let turn = Arc::new(AtomicU64::new(0));
+    let spurious = Arc::new(AtomicU64::new(0));
+    for t in 0..THREADS {
+        let (ws, turn, spurious) = (ws.clone(), turn.clone(), spurious.clone());
+        engine.spawn(format!("player{t}"), move |h| {
+            let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ (t + 1);
+            for _ in 0..TURNS {
+                ws.wait_until(h, || {
+                    let mine = turn.load(Ordering::SeqCst) % THREADS == t;
+                    spurious.fetch_add(u64::from(!mine), Ordering::SeqCst);
+                    mine
+                });
+                match xorshift(&mut rng) % 4 {
+                    0 => h.yield_now(),
+                    1 => h.sleep(SimDuration::from_nanos(xorshift(&mut rng) % 400 + 1)),
+                    2 => h.charge(SimDuration::from_nanos(xorshift(&mut rng) % 200)),
+                    _ => {}
+                }
+                turn.fetch_add(1, Ordering::SeqCst);
+                ws.notify_all(&h.ctl(), SimDuration::ZERO);
+            }
+        });
+    }
+    let report = engine.run().expect("every turn is taken");
+    assert_eq!(turn.load(Ordering::SeqCst), THREADS * TURNS);
+    assert!(ws.is_empty());
+    assert_eq!(
+        (report, spurious.load(Ordering::SeqCst)),
+        (
+            RunReport {
+                final_time: SimTime::from_nanos(314_815),
+                events: 28_426,
+                context_switches: 28_426,
+                threads_spawned: THREADS,
+            },
+            24_457
+        )
     );
 }
 
