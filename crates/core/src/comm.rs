@@ -810,7 +810,7 @@ impl DsmThreadCtx<'_, '_> {
             thread,
             lock,
         });
-        for id in rt.protocols_in_use() {
+        for &id in rt.protocols_in_use().iter() {
             rt.protocol(id).lock_acquire(self, lock);
         }
     }
@@ -825,7 +825,7 @@ impl DsmThreadCtx<'_, '_> {
             thread,
             lock,
         });
-        for id in rt.protocols_in_use() {
+        for &id in rt.protocols_in_use().iter() {
             rt.protocol(id).lock_release(self, lock);
         }
         rt.stats().incr_lock_release();
@@ -850,7 +850,7 @@ impl DsmThreadCtx<'_, '_> {
             thread,
             barrier,
         });
-        for id in rt.protocols_in_use() {
+        for &id in rt.protocols_in_use().iter() {
             rt.protocol(id).lock_release(self, sync_point);
         }
         let manager = rt.barrier_manager(barrier);
@@ -866,7 +866,7 @@ impl DsmThreadCtx<'_, '_> {
             thread,
             barrier,
         });
-        for id in rt.protocols_in_use() {
+        for &id in rt.protocols_in_use().iter() {
             rt.protocol(id).lock_acquire(self, sync_point);
         }
         rt.stats().incr_barrier();

@@ -119,7 +119,7 @@ pub fn one_sided_read(ctx: &mut DsmThreadCtx<'_, '_>, unit: Unit) -> bool {
             owner,
         } => {
             let sim = &mut *ctx.pm2.sim;
-            rt.frames(node).install(unit, span, &data);
+            rt.frames(node).install(unit, span, data);
             table.update(unit, |e| {
                 // Never downgrade rights a racing classic transfer may have
                 // granted in the meantime; only lift None to Read.
@@ -185,12 +185,12 @@ pub fn install_received_page(
     sim: &mut SimHandle,
     node: NodeId,
     rt: &DsmRuntime,
-    transfer: &PageTransfer,
+    transfer: PageTransfer,
 ) {
     let unit = transfer.unit;
     let table = rt.page_table(node);
     let span = table.read(unit, |e| e.line_span());
-    rt.frames(node).install(unit, span, &transfer.data);
+    rt.frames(node).install(unit, span, transfer.data);
     table.update(unit, |e| {
         e.access = transfer.grant;
         e.prob_owner = transfer.owner;
@@ -223,12 +223,12 @@ pub fn install_write_ownership(
     sim: &mut SimHandle,
     node: NodeId,
     rt: &DsmRuntime,
-    transfer: &PageTransfer,
+    transfer: PageTransfer,
 ) {
     let unit = transfer.unit;
     let table = rt.page_table(node);
     let span = table.read(unit, |e| e.line_span());
-    rt.frames(node).install(unit, span, &transfer.data);
+    rt.frames(node).install(unit, span, transfer.data);
     invalidate_copyset_and_wait(
         sim,
         node,

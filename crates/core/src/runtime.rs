@@ -88,6 +88,36 @@ struct NodeState {
     frames: FrameStore,
 }
 
+/// The cluster-wide page directory, and which protocols it names.
+#[derive(Default)]
+struct Directory {
+    pages: IdMap<PageId, PageMeta>,
+    /// Number of pages each protocol manages, indexed by protocol id.
+    pages_of: Vec<usize>,
+    /// The protocols managing at least one page, ascending. Replaced, never
+    /// edited: whoever walks it across a yield keeps the set it started with.
+    in_use: Arc<[ProtocolId]>,
+}
+
+impl Directory {
+    /// Account for `pages` pages that `to` manages from now on, taken from
+    /// `from` unless they are newly allocated.
+    fn account(&mut self, from: Option<ProtocolId>, to: ProtocolId, pages: usize) {
+        if self.pages_of.len() <= to.0 {
+            self.pages_of.resize(to.0 + 1, 0);
+        }
+        self.pages_of[to.0] += pages;
+        if let Some(from) = from {
+            self.pages_of[from.0] -= pages;
+        }
+        let in_use = self.pages_of.iter().enumerate();
+        self.in_use = in_use
+            .filter(|(_, &pages)| pages > 0)
+            .map(|(id, _)| ProtocolId(id))
+            .collect();
+    }
+}
+
 pub(crate) struct RuntimeInner {
     cluster: Pm2Cluster,
     costs: DsmCosts,
@@ -98,7 +128,7 @@ pub(crate) struct RuntimeInner {
     /// each node (`dsm-batch@N<k>`).
     pub(crate) batch_thread_names: Vec<Arc<str>>,
     nodes: Vec<NodeState>,
-    directory: SliceCell<IdMap<PageId, PageMeta>>,
+    directory: SliceCell<Directory>,
     protocols: SliceCell<Vec<Arc<dyn DsmProtocol>>>,
     default_protocol: AtomicUsize,
     pub(crate) locks: SliceCell<IdMap<u64, Arc<LockState>>>,
@@ -315,18 +345,11 @@ impl DsmRuntime {
 
     /// The distinct protocols currently managing at least one page, in
     /// registration order. Lock and barrier hooks are invoked once per
-    /// protocol in use.
-    pub fn protocols_in_use(&self) -> Vec<ProtocolId> {
-        let mut ids: Vec<ProtocolId> = self
-            .inner
-            .directory
-            .borrow()
-            .values()
-            .map(|m| m.protocol)
-            .collect();
-        ids.sort();
-        ids.dedup();
-        ids
+    /// protocol in use. The set is kept up to date where allocation and
+    /// [`DsmRuntime::switch_region_protocol`] change the directory, so asking
+    /// for it copies and allocates nothing.
+    pub fn protocols_in_use(&self) -> Arc<[ProtocolId]> {
+        Arc::clone(&self.inner.directory.borrow().in_use)
     }
 
     /// Cluster-wide static information about `page`.
@@ -334,6 +357,7 @@ impl DsmRuntime {
         self.inner
             .directory
             .borrow()
+            .pages
             .get(&page)
             .copied()
             .unwrap_or_else(|| panic!("{page} is not part of any DSM allocation"))
@@ -341,7 +365,7 @@ impl DsmRuntime {
 
     /// True if `page` belongs to a DSM allocation.
     pub fn is_dsm_page(&self, page: PageId) -> bool {
-        self.inner.directory.borrow().contains_key(&page)
+        self.inner.directory.borrow().pages.contains_key(&page)
     }
 
     // ----- allocation --------------------------------------------------------
@@ -384,6 +408,7 @@ impl DsmRuntime {
         let pages = pages_covering(base, range.len);
         let num_nodes = self.num_nodes();
         let mut directory = self.inner.directory.borrow();
+        directory.account(None, protocol, pages.len());
         for (i, &page) in pages.iter().enumerate() {
             let home = match attr.home {
                 HomePolicy::RoundRobin => NodeId(i % num_nodes),
@@ -396,7 +421,7 @@ impl DsmRuntime {
                 }
                 HomePolicy::Block => NodeId((i * num_nodes) / pages.len()),
             };
-            directory.insert(
+            directory.pages.insert(
                 page,
                 PageMeta {
                     home,
@@ -434,7 +459,7 @@ impl DsmRuntime {
     /// outside every allocation.
     pub fn region_granularity(&self, addr: DsmAddr) -> Option<usize> {
         let directory = self.inner.directory.borrow();
-        directory.get(&addr.page()).map(|meta| meta.line_size)
+        directory.pages.get(&addr.page()).map(|meta| meta.line_size)
     }
 
     /// Allocate the "static" shared data area (the `BEGIN_DSM_DATA` /
@@ -489,9 +514,10 @@ impl DsmRuntime {
         let mut directory = self.inner.directory.borrow();
         for &page in &pages {
             let meta = directory
+                .pages
                 .get_mut(&page)
                 .unwrap_or_else(|| panic!("{page} is not part of any DSM allocation"));
-            let home = meta.home;
+            let (home, old_protocol) = (meta.home, meta.protocol);
             let old_line_size = meta.line_size;
             // A sub-page region keeps its granularity if the new protocol
             // handles it, otherwise it is clamped back to whole pages.
@@ -502,6 +528,7 @@ impl DsmRuntime {
             };
             meta.protocol = new_protocol;
             meta.line_size = new_line_size;
+            directory.account(Some(old_protocol), new_protocol, 1);
             let units: Vec<Unit> = Unit::all_of(page, old_line_size).collect();
             for node in self.inner.cluster.topology().nodes() {
                 for &unit in &units {
@@ -549,7 +576,7 @@ impl DsmRuntime {
                         // twin, the held span is authoritative — also when
                         // serving read copies downgraded the owner's own
                         // access to read-only.
-                        home_frames.install(unit, span, &frames.snapshot(page, span));
+                        home_frames.install(unit, span, frames.snapshot(page, span));
                     }
                 }
                 if recorded && !twinned {
@@ -682,7 +709,7 @@ impl std::fmt::Debug for DsmRuntime {
             "DsmRuntime({} nodes, {} protocols, {} pages)",
             self.num_nodes(),
             self.inner.protocols.borrow().len(),
-            self.inner.directory.borrow().len()
+            self.inner.directory.borrow().pages.len()
         )
     }
 }

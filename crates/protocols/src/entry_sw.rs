@@ -139,7 +139,7 @@ impl DsmProtocol for EntryConsistency {
     fn receive_page_server(&self, ctx: &mut ServerCtx<'_>, transfer: PageTransfer) {
         let rt = ctx.runtime.clone();
         let node = ctx.local_node;
-        protolib::install_received_page(ctx.sim, node, &rt, &transfer);
+        protolib::install_received_page(ctx.sim, node, &rt, transfer);
     }
 
     fn lock_acquire(&self, ctx: &mut DsmThreadCtx<'_, '_>, lock: LockId) {

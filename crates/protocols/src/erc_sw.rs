@@ -71,7 +71,7 @@ impl DsmProtocol for ErcSw {
         // the next lock release.
         let rt = ctx.runtime.clone();
         let node = ctx.local_node;
-        protolib::install_received_page(ctx.sim, node, &rt, &transfer);
+        protolib::install_received_page(ctx.sim, node, &rt, transfer);
     }
 
     fn lock_acquire(&self, _ctx: &mut DsmThreadCtx<'_, '_>, _lock: LockId) {

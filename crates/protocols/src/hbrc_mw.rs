@@ -101,7 +101,7 @@ impl DsmProtocol for HbrcMw {
     fn receive_page_server(&self, ctx: &mut ServerCtx<'_>, transfer: PageTransfer) {
         let rt = ctx.runtime.clone();
         let node = ctx.local_node;
-        protolib::install_received_page(ctx.sim, node, &rt, &transfer);
+        protolib::install_received_page(ctx.sim, node, &rt, transfer);
     }
 
     fn lock_acquire(&self, _ctx: &mut DsmThreadCtx<'_, '_>, _lock: LockId) {

@@ -54,7 +54,7 @@ pub fn replicate_read_migrate_write() -> Arc<dyn DsmProtocol> {
         .receive_page_server(|ctx, transfer| {
             let rt = ctx.runtime.clone();
             let node = ctx.local_node;
-            protolib::install_received_page(ctx.sim, node, &rt, &transfer);
+            protolib::install_received_page(ctx.sim, node, &rt, transfer);
         })
         .build()
 }

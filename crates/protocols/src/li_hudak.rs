@@ -62,9 +62,9 @@ impl DsmProtocol for LiHudak {
         let rt = ctx.runtime.clone();
         let node = ctx.local_node;
         if transfer.grant == Access::Write {
-            protolib::install_write_ownership(ctx.sim, node, &rt, &transfer);
+            protolib::install_write_ownership(ctx.sim, node, &rt, transfer);
         } else {
-            protolib::install_received_page(ctx.sim, node, &rt, &transfer);
+            protolib::install_received_page(ctx.sim, node, &rt, transfer);
         }
     }
 

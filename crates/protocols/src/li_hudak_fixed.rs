@@ -118,16 +118,17 @@ impl DsmProtocol for LiHudakFixed {
     fn receive_page_server(&self, ctx: &mut ServerCtx<'_>, transfer: PageTransfer) {
         let rt = ctx.runtime.clone();
         let node = ctx.local_node;
-        let home = rt.page_meta(transfer.unit.page).home;
+        let unit = transfer.unit;
+        let home = rt.page_meta(unit.page).home;
         if transfer.grant == Access::Write {
-            protolib::install_write_ownership(ctx.sim, node, &rt, &transfer);
+            protolib::install_write_ownership(ctx.sim, node, &rt, transfer);
         } else {
-            protolib::install_received_page(ctx.sim, node, &rt, &transfer);
+            protolib::install_received_page(ctx.sim, node, &rt, transfer);
         }
         // Fixed distributed manager: a non-manager node always sends its next
         // request to the manager, never along dynamic ownership hints.
         if node != home {
-            rt.page_table(node).update(transfer.unit, |e| {
+            rt.page_table(node).update(unit, |e| {
                 if !e.owned {
                     e.prob_owner = home;
                 }

@@ -44,7 +44,7 @@ fn main() {
         .receive_page_server(|ctx, transfer| {
             let rt = ctx.runtime.clone();
             let node = ctx.local_node;
-            protolib::install_received_page(ctx.sim, node, &rt, &transfer);
+            protolib::install_received_page(ctx.sim, node, &rt, transfer);
         })
         .build();
 

@@ -1,6 +1,8 @@
 //! The typed-access hit path allocates nothing, the message path allocates
 //! three times per request, and a request served in a handler thread of its
-//! own four times — none of them a stack.
+//! own four times — none of them a stack. The data path allocates no page:
+//! twins, snapshots and frames are recycled buffers, a received page becomes
+//! the frame as it is, and a diff is two small buffers.
 //!
 //! A counting global allocator brackets 10 000 warm hits per scenario, taken
 //! inside one DSM thread (hits never yield, so nothing else runs in between),
@@ -22,6 +24,18 @@ use dsm_pm2::prelude::*;
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 /// Allocations no smaller than the smallest continuation stack.
 static BIG_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Allocations that could hold a page.
+static PAGE_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+fn count(size: usize) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    if size >= PAGE_SIZE {
+        PAGE_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+    if size >= 64 * 1024 {
+        BIG_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
 
 struct Counting;
 
@@ -29,10 +43,7 @@ struct Counting;
 // the one the caller upholds; the only addition is a relaxed counter bump.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        if layout.size() >= 64 * 1024 {
-            BIG_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        }
+        count(layout.size());
         // SAFETY: same layout, same contract.
         unsafe { System.alloc(layout) }
     }
@@ -43,7 +54,7 @@ unsafe impl GlobalAlloc for Counting {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count(new_size);
         // SAFETY: `ptr` came from `System`; layout and size are the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -135,6 +146,93 @@ fn object_hits() -> (u64, u64) {
         counted.0.load(Ordering::SeqCst),
         counted.1.load(Ordering::SeqCst),
     )
+}
+
+const CYCLES: u64 = 200;
+
+/// Page-sized allocations over `CYCLES` release cycles of a thread on node 1
+/// — lock, dirty eight words of a page homed on node 0 (a write fault: twin,
+/// upgrade in place), unlock (diff to the home, its acknowledgement) — after
+/// as many warm-up cycles; then the allocations of one more
+/// `take_twin_diff` of eight dirty words on that node.
+fn twin_diff_cycles() -> (u64, u64) {
+    let (mut engine, rt, _) = cluster("hbrc_mw");
+    let base = rt.dsm_malloc(
+        PAGE_SIZE as u64,
+        DsmAttr::default().home(HomePolicy::Fixed(NodeId(0))),
+    );
+    let lock = rt.create_lock(Some(NodeId(0)));
+    let counted = Arc::new(AtomicU64::new(u64::MAX));
+    let out = counted.clone();
+    rt.spawn_dsm_thread(NodeId(1), "releaser", move |ctx| {
+        let pass = |ctx: &mut DsmThreadCtx<'_, '_>, round: u64| {
+            for cycle in 0..CYCLES {
+                ctx.dsm_lock(lock);
+                for word in 0..8 {
+                    ctx.write::<u64>(base.add(word * 128), (round * CYCLES + cycle) << 8 | word);
+                }
+                ctx.dsm_unlock(lock);
+            }
+        };
+        pass(ctx, 1);
+        let before = PAGE_ALLOCATIONS.load(Ordering::Relaxed);
+        pass(ctx, 2);
+        out.store(
+            PAGE_ALLOCATIONS.load(Ordering::Relaxed) - before,
+            Ordering::SeqCst,
+        );
+    });
+    engine.run().expect("a lone releaser cannot deadlock");
+    assert_eq!(rt.stats().snapshot().twins_created, 2 * CYCLES);
+    assert_eq!(rt.stats().snapshot().diffs_sent, 2 * CYCLES);
+    // The releaser's node still holds its (write-protected) copy.
+    let (frames, unit) = (rt.frames(NodeId(1)), Unit::whole(base.page()));
+    assert!(frames.make_twin(unit, (0, PAGE_SIZE)));
+    for word in 0..8 {
+        frames.with_bytes(base.page(), word * 128, 8, false, |b| b.fill(0xEE));
+    }
+    let mut diff = None;
+    let in_diff = allocations_in(|| diff = Some(frames.take_twin_diff(unit, 0)));
+    assert_eq!(diff.expect("just taken").modified_bytes(), 64);
+    (counted.load(Ordering::SeqCst), in_diff)
+}
+
+/// Page-sized allocations over `CYCLES` ownership transfers of one page
+/// between two nodes that write it in turn under `li_hudak_fixed` — each a
+/// snapshot on the serving node and a whole-page install on the receiving
+/// one — after as many warm-up transfers.
+fn page_pingpong() -> u64 {
+    let (mut engine, rt, _) = cluster("li_hudak_fixed");
+    let base = rt.dsm_malloc(
+        PAGE_SIZE as u64,
+        DsmAttr::default().home(HomePolicy::Fixed(NodeId(0))),
+    );
+    let barrier = rt.create_barrier(2, None);
+    let counted = Arc::new(AtomicU64::new(u64::MAX));
+    for node in 0..2u64 {
+        let out = counted.clone();
+        rt.spawn_dsm_thread(NodeId(node as usize), "writer", move |ctx| {
+            let mut before = 0;
+            for round in 0..2 * CYCLES {
+                if round == CYCLES {
+                    before = PAGE_ALLOCATIONS.load(Ordering::Relaxed);
+                }
+                if round % 2 == node {
+                    ctx.write::<u64>(base, round);
+                }
+                ctx.dsm_barrier(barrier);
+            }
+            if node == 0 {
+                out.store(
+                    PAGE_ALLOCATIONS.load(Ordering::Relaxed) - before,
+                    Ordering::SeqCst,
+                );
+            }
+        });
+    }
+    engine.run().expect("the writers meet at every barrier");
+    assert!(rt.stats().snapshot().page_transfers >= 2 * CYCLES - 1);
+    counted.load(Ordering::SeqCst)
 }
 
 /// Whether a simulated thread's slices run on the OS thread that runs the
@@ -260,4 +358,17 @@ fn access_hits_do_not_allocate() {
         "a one-way request served in a thread allocated {per_request} times"
     );
     assert_eq!(stacks, 0, "a handler thread allocated a stack");
+    // A twin is a buffer some earlier twin gave back; its diff is two
+    // buffers — run headers and bytes — however many runs it has. The parent
+    // of the change that recycles page buffers measured one page allocation
+    // per cycle (the twin) and ten allocations in the diff (one per run and
+    // two for the growing list of them).
+    let (pages, in_diff) = twin_diff_cycles();
+    assert_eq!(pages, 0, "a release cycle allocated a page-sized buffer");
+    assert!(in_diff <= 2, "a diff of 8 runs allocated {in_diff} times");
+    // The serving node's snapshot is the buffer its last install replaced,
+    // and the receiving node adopts it as its frame: the same few buffers go
+    // back and forth. The parent measured two page allocations per transfer.
+    let pages = page_pingpong();
+    assert_eq!(pages, 0, "a page transfer allocated a page-sized buffer");
 }

@@ -181,7 +181,7 @@ fn switch_preserves_values_and_folds_pending_diffs_into_the_home() {
     // release: a twin plus a dirtied working copy.
     let (unit, span) = (Unit::whole(page), (0, PAGE_SIZE));
     let data = rt.frames(NodeId(0)).snapshot(page, span);
-    rt.frames(NodeId(1)).install(unit, span, &data);
+    rt.frames(NodeId(1)).install(unit, span, data);
     rt.page_table(NodeId(1)).update(unit, |e| {
         e.access = Access::Write;
         e.modified_since_release = true;
@@ -234,7 +234,7 @@ fn switch_folds_a_line_twin_into_the_home_and_clamps_the_region_to_pages() {
     assert_eq!(rt.region_granularity(addr), Some(1024));
 
     let data = rt.frames(NodeId(0)).snapshot(page, span);
-    rt.frames(NodeId(1)).install(unit, span, &data);
+    rt.frames(NodeId(1)).install(unit, span, data);
     rt.page_table(NodeId(1)).update(unit, |e| {
         e.access = Access::Write;
         e.modified_since_release = true;
@@ -311,7 +311,7 @@ fn user_defined_protocol_is_selected_dynamically() {
         .receive_page_server(|ctx, transfer| {
             let rt = ctx.runtime.clone();
             let node = ctx.local_node;
-            protolib::install_received_page(ctx.sim, node, &rt, &transfer);
+            protolib::install_received_page(ctx.sim, node, &rt, transfer);
         })
         .build();
     let custom = rt.register_protocol(home_fetch);
