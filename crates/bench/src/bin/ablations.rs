@@ -12,18 +12,19 @@
 //! * lazy vs eager release consistency (`hlrc_notices` vs `hbrc_mw`):
 //!   invalidation traffic seen by nodes that never re-synchronize;
 //! * SPLASH-2-style kernel × protocol matrix (matmul, SOR, LU, radix);
-//! * page-table sharding × message batching (ablations 7–9);
+//! * what the per-instant coherence batcher coalesces on two home-based
+//!   workloads, whose final memory is asserted against the values they
+//!   write (ablations 8 and 9);
 //! * transport backends — Ideal vs Contended vs Lossy on the same workload
 //!   must give identical memory with distinct wire/timing statistics, and
 //!   the lossy run must replay bit-identically from its seed (ablation 10);
-//! * time-window batching — a 50 µs `batch_window` must coalesce strictly
-//!   more than same-instant batching, with identical memory (ablation 11).
+//! * coherence granularity and one-sided reads (ablations 12 and 13).
 //!
 //! Usage: `ablations [--quick]`.
 
 use dsmpm2_bench::{markdown_table, write_json};
 use dsmpm2_core::{
-    DsmAttr, DsmCosts, DsmRuntime, DsmTuning, HomePolicy, NodeId, Pm2Cluster, Pm2Config,
+    DsmAddr, DsmAttr, DsmCosts, DsmRuntime, HomePolicy, NodeId, Pm2Cluster, Pm2Config,
 };
 use dsmpm2_madeleine::{profiles, TransportTuning};
 use dsmpm2_pm2::Engine;
@@ -225,208 +226,36 @@ fn main() {
     println!("{}", markdown_table(&header, &rows));
     write_json("ablation_kernels", &kernel_points);
 
-    // --- Ablation 7: message batching ---------------------------------------
-    println!("\nAblation 7: per-tick message batching (SOR, hbrc_mw, 4 nodes)\n");
-    let mut rows = Vec::new();
-    let mut tuning_points = Vec::new();
-    let mut reference: Option<(Vec<u64>, u64)> = None;
-    for (label, tuning) in [
-        ("unbatched", DsmTuning::legacy()),
-        ("batched", DsmTuning::default()),
-    ] {
-        let config = sor::SorConfig {
-            size: if quick { 16 } else { 32 },
-            iterations: 4,
-            omega: 1.25,
-            nodes: 4,
-            network: profiles::bip_myrinet(),
-            compute_per_cell_us: 0.05,
-            tuning,
-            transport: Default::default(),
-        };
-        let r = sor::run_sor(&config, "hbrc_mw");
-        assert!(
-            (r.checksum - sor::sequential_checksum(&config)).abs() < 1e-6,
-            "{label}: checksum diverged from the sequential oracle"
-        );
-        match &reference {
-            None => reference = Some((r.final_cells.clone(), r.wire_messages)),
-            Some((cells, unbatched_messages)) => {
-                assert_eq!(
-                    &r.final_cells, cells,
-                    "{label}: final memory diverged from the unbatched baseline"
-                );
-                if tuning.batch_messages {
-                    assert!(
-                        r.wire_messages <= *unbatched_messages,
-                        "{label}: batching must never add wire messages \
-                         ({} vs {unbatched_messages})",
-                        r.wire_messages
-                    );
-                }
-            }
-        }
-        rows.push(vec![
-            label.to_string(),
-            tuning.batch_messages.to_string(),
-            r.wire_messages.to_string(),
-            r.stats.coherence_batches.to_string(),
-            r.stats.coherence_batched_messages.to_string(),
-            format!("{:.1}", r.elapsed.as_micros_f64() / 1000.0),
-        ]);
-        tuning_points.push(TuningPoint {
-            configuration: label.to_string(),
-            batch_messages: tuning.batch_messages,
-            wire_messages: r.wire_messages,
-            coherence_batches: r.stats.coherence_batches,
-            coherence_batched_messages: r.stats.coherence_batched_messages,
-            elapsed_ms: r.elapsed.as_micros_f64() / 1000.0,
-        });
-    }
-    println!(
-        "{}",
-        markdown_table(
-            &[
-                "Configuration",
-                "Batching",
-                "Wire messages",
-                "Batches",
-                "Batched msgs",
-                "Run time (ms)"
-            ],
-            &rows
-        )
-    );
-    println!(
-        "Both configurations produce bit-identical final memory (asserted above). SOR's\n\
-         block-homed pages give each release at most one diff per destination, so batching\n\
-         has little to coalesce here — the aggregation win shows up when several pages share\n\
-         a home, measured next."
-    );
-    write_json("ablation_tuning", &tuning_points);
-
-    // --- Ablation 8: batched vs unbatched message count --------------------
+    // --- Ablations 8 and 9: what the batcher coalesces ----------------------
+    // (There is no ablation 7 or 11 since PR 25; the other numbers are kept
+    // so that each table still matches its EXPERIMENTS.md section.)
     println!(
         "\nAblation 8: per-tick batching on a home-based scatter workload (hbrc_mw, 3 nodes)\n"
     );
-    let (unbatched, unbatched_memory) = diff_aggregation_study(false, quick);
-    let (batched, batched_memory) = diff_aggregation_study(true, quick);
-    assert_eq!(
-        unbatched_memory, batched_memory,
-        "batching changed the final shared memory"
-    );
-    assert!(
-        batched.wire_messages < unbatched.wire_messages,
-        "batching must put strictly fewer messages on the wire ({} vs {})",
-        batched.wire_messages,
-        unbatched.wire_messages
-    );
-    let rows: Vec<Vec<String>> = [&unbatched, &batched]
-        .iter()
-        .map(|m| {
-            vec![
-                if m.batch_messages {
-                    "batched"
-                } else {
-                    "unbatched"
-                }
-                .to_string(),
-                m.wire_messages.to_string(),
-                m.coherence_batches.to_string(),
-                m.coherence_batched_messages.to_string(),
-                format!("{:.1}", m.elapsed_ms),
-            ]
-        })
-        .collect();
+    let scatter = diff_aggregation_study(quick);
+    print_batching(&scatter);
     println!(
-        "{}",
-        markdown_table(
-            &[
-                "Configuration",
-                "Wire messages",
-                "Batches",
-                "Batched msgs",
-                "Run time (ms)"
-            ],
-            &rows
-        )
+        "Every round's final values reach the home (asserted above); every release's diffs \
+         to the shared home travel in one envelope: {} of the {} wire messages carry {} \
+         coherence messages.",
+        scatter.coherence_batches, scatter.wire_messages, scatter.coherence_batched_messages
     );
-    println!(
-        "Identical final memory, {} vs {} wire messages ({:.1}% fewer) — every release's\n\
-         diffs to the shared home travel in one envelope (asserted above).",
-        batched.wire_messages,
-        unbatched.wire_messages,
-        (1.0 - batched.wire_messages as f64 / unbatched.wire_messages as f64) * 100.0
-    );
-    write_json("ablation_batching", &[unbatched, batched]);
+    write_json("ablation_batching", &[scatter]);
 
-    // --- Ablation 9: hbrc_mw home-side release invalidation burst -----------
     println!(
         "\nAblation 9: home-side release invalidation burst (hbrc_mw, 3 nodes, home writes its \
          own pages)\n"
     );
-    let burst_tuning = |batch_messages: bool| DsmTuning {
-        batch_messages,
-        batch_window: Default::default(),
-        granularity: 0,
-        one_sided_reads: false,
-    };
-    let (unbatched, unbatched_memory) = home_release_burst_study(burst_tuning(false), quick);
-    let (batched, batched_memory) = home_release_burst_study(burst_tuning(true), quick);
-    assert_eq!(
-        unbatched_memory, batched_memory,
-        "batching changed the final shared memory of the home-burst workload"
-    );
-    assert!(
-        batched.wire_messages < unbatched.wire_messages,
-        "the home-side invalidation burst must coalesce into strictly fewer wire messages \
-         ({} vs {})",
-        batched.wire_messages,
-        unbatched.wire_messages
-    );
-    assert!(
-        batched.coherence_batched_messages > 0,
-        "the batcher found nothing to coalesce in the home-side burst"
-    );
-    let rows: Vec<Vec<String>> = [&unbatched, &batched]
-        .iter()
-        .map(|m| {
-            vec![
-                if m.batch_messages {
-                    "batched"
-                } else {
-                    "unbatched"
-                }
-                .to_string(),
-                m.wire_messages.to_string(),
-                m.coherence_batches.to_string(),
-                m.coherence_batched_messages.to_string(),
-                format!("{:.1}", m.elapsed_ms),
-            ]
-        })
-        .collect();
+    let burst = home_release_burst_study(quick);
+    print_batching(&burst);
     println!(
-        "{}",
-        markdown_table(
-            &[
-                "Configuration",
-                "Wire messages",
-                "Batches",
-                "Batched msgs",
-                "Run time (ms)"
-            ],
-            &rows
-        )
+        "hbrc_mw's home sends the whole release-time invalidation round as one same-tick \
+         burst, so the batcher folds the per-target invalidations — and the targets' \
+         acknowledgements — into single envelopes: {} batches of {} coherence messages in {} \
+         wire messages, and the last round's values reach the home (asserted above).",
+        burst.coherence_batches, burst.coherence_batched_messages, burst.wire_messages
     );
-    println!(
-        "hbrc_mw's home now sends the whole release-time invalidation round as one same-tick \
-         burst (previously it waited for each page's acks before invalidating the next page), \
-         so the per-tick batcher folds the per-target invalidations — and the targets' \
-         acknowledgements — into single envelopes: {} vs {} wire messages with bit-identical \
-         final memory (asserted above).",
-        batched.wire_messages, unbatched.wire_messages
-    );
-    write_json("ablation_home_burst", &[&unbatched, &batched]);
+    write_json("ablation_home_burst", &[burst]);
 
     // --- Ablation 10: transport backends (Ideal vs Contended vs Lossy) ------
     println!(
@@ -539,63 +368,6 @@ fn main() {
         lossy.wire.drops
     );
     write_json("ablation_transport", &transport_points);
-
-    // --- Ablation 11: time-window batching ----------------------------------
-    println!("\nAblation 11: time-window batching on the home-burst workload (hbrc_mw, 3 nodes)\n");
-    let windowed_tuning = DsmTuning {
-        batch_messages: true,
-        batch_window: SimDuration::from_micros(50),
-        granularity: 0,
-        one_sided_reads: false,
-    };
-    // Ablation 9's `batched` run *is* the window-0 configuration — reuse it
-    // rather than re-simulating a bit-identical deterministic run.
-    let (instant, instant_memory) = (batched, batched_memory);
-    let (windowed, windowed_memory) = home_release_burst_study(windowed_tuning, quick);
-    assert_eq!(
-        instant_memory, windowed_memory,
-        "the batching window changed the final shared memory"
-    );
-    assert!(
-        windowed.wire_messages < instant.wire_messages,
-        "a 50 us batching window must coalesce strictly more ({} vs {})",
-        windowed.wire_messages,
-        instant.wire_messages
-    );
-    let rows: Vec<Vec<String>> = [&instant, &windowed]
-        .iter()
-        .map(|m| {
-            vec![
-                format!("window {:.0} us", m.batch_window_us),
-                m.wire_messages.to_string(),
-                m.coherence_batches.to_string(),
-                m.coherence_batched_messages.to_string(),
-                format!("{:.1}", m.elapsed_ms),
-            ]
-        })
-        .collect();
-    println!(
-        "{}",
-        markdown_table(
-            &[
-                "Configuration",
-                "Wire messages",
-                "Batches",
-                "Batched msgs",
-                "Run time (ms)"
-            ],
-            &rows
-        )
-    );
-    println!(
-        "Same-instant batching already coalesces each release's same-tick burst; the 50 us \
-         window additionally folds the targets' acknowledgements — which trickle back a few \
-         microseconds apart because each batched sub-message pays its own handler-thread \
-         creation — into single envelopes: {} vs {} wire messages, identical final memory \
-         (asserted above).",
-        windowed.wire_messages, instant.wire_messages
-    );
-    write_json("ablation_batch_window", &[instant, windowed]);
 
     // --- Ablation 12: coherence granularity on the false-sharing kernel -----
     println!(
@@ -792,14 +564,14 @@ struct TransportPoint {
 /// while two other nodes hold read copies. At release, the home must
 /// invalidate the copysets of all its modified pages — the path that used to
 /// serialize page by page (send, wait for acks, next page) and now sends all
-/// rounds as one burst before collecting the acknowledgements.
-fn home_release_burst_study(tuning: DsmTuning, quick: bool) -> (BatchingPoint, Vec<u8>) {
+/// rounds as one burst before collecting the acknowledgements. Asserts that
+/// the home's copy of every page holds the last round's value.
+fn home_release_burst_study(quick: bool) -> BatchingPoint {
     let pages: u64 = if quick { 4 } else { 8 };
     let rounds = if quick { 3 } else { 6 };
     let nodes = 3usize;
-    let config = Pm2Config::bip_myrinet(nodes).with_dsm_tuning(tuning);
     let engine = Engine::new();
-    let rt = DsmRuntime::new(&engine, config);
+    let rt = DsmRuntime::new(&engine, Pm2Config::bip_myrinet(nodes));
     let _ = register_all_protocols(&rt);
     rt.set_default_protocol(rt.protocol_by_name("hbrc_mw").unwrap());
     let base = rt.dsm_malloc(
@@ -844,56 +616,83 @@ fn home_release_burst_study(tuning: DsmTuning, quick: bool) -> (BatchingPoint, V
     }
     let mut engine = engine;
     engine.run().expect("home-burst study must not deadlock");
-    let mut final_memory = Vec::new();
     for page in 0..pages {
-        rt.frames(NodeId(0))
-            .with_bytes(base.add(page * 4096).page(), 0, 8, false, |b| {
-                final_memory.extend_from_slice(b)
-            });
+        assert_eq!(
+            home_u64(&rt, base.add(page * 4096)),
+            ((rounds - 1) * 10) as u64,
+            "home-burst page {page} does not hold the last round's value"
+        );
     }
-    let stats = rt.stats().snapshot();
-    let point = BatchingPoint {
-        batch_messages: tuning.batch_messages,
-        batch_window_us: tuning.batch_window.as_micros_f64(),
-        wire_messages: rt.cluster().network().stats().messages(),
-        coherence_batches: stats.coherence_batches,
-        coherence_batched_messages: stats.coherence_batched_messages,
-        elapsed_ms: finish.lock().as_micros_f64() / 1000.0,
-    };
-    (point, final_memory)
+    batching_point(&rt, &finish)
 }
 
 #[derive(Serialize)]
 struct BatchingPoint {
-    batch_messages: bool,
-    batch_window_us: f64,
     wire_messages: u64,
     coherence_batches: u64,
     coherence_batched_messages: u64,
     elapsed_ms: f64,
 }
 
+/// The measurements of a finished batching study, which must have found
+/// something to coalesce.
+fn batching_point(rt: &DsmRuntime, finish: &Mutex<SimDuration>) -> BatchingPoint {
+    let stats = rt.stats().snapshot();
+    assert!(
+        stats.coherence_batched_messages > 0,
+        "the batcher found nothing to coalesce"
+    );
+    BatchingPoint {
+        wire_messages: rt.cluster().network().stats().messages(),
+        coherence_batches: stats.coherence_batches,
+        coherence_batched_messages: stats.coherence_batched_messages,
+        elapsed_ms: finish.lock().as_micros_f64() / 1000.0,
+    }
+}
+
+fn print_batching(m: &BatchingPoint) {
+    let row = vec![
+        "batched".to_string(),
+        m.wire_messages.to_string(),
+        m.coherence_batches.to_string(),
+        m.coherence_batched_messages.to_string(),
+        format!("{:.1}", m.elapsed_ms),
+    ];
+    println!(
+        "{}",
+        markdown_table(
+            &[
+                "Configuration",
+                "Wire messages",
+                "Batches",
+                "Batched msgs",
+                "Run time (ms)"
+            ],
+            &[row]
+        )
+    );
+}
+
+/// The home's (node 0's) copy of the `u64` at `addr`.
+fn home_u64(rt: &DsmRuntime, addr: DsmAddr) -> u64 {
+    rt.frames(NodeId(0))
+        .with_bytes(addr.page(), addr.offset(), 8, false, |b| {
+            u64::from_le_bytes(b.try_into().expect("8 bytes"))
+        })
+}
+
 /// A home-based scatter workload where batching has real work to do: every
 /// page is homed on node 0 (the "server" placement of home-based protocols),
 /// and each worker updates a strided slot in every page inside one critical
 /// section — so each release flushes one diff per page, all addressed to the
-/// same home within one virtual-time tick. Returns the measurements and the
-/// final shared memory (the home's reference copies).
-fn diff_aggregation_study(batch_messages: bool, quick: bool) -> (BatchingPoint, Vec<u8>) {
+/// same home within one virtual-time tick. Asserts that the home's copy of
+/// every slot holds the last round's value.
+fn diff_aggregation_study(quick: bool) -> BatchingPoint {
     let pages: u64 = if quick { 4 } else { 8 };
     let rounds = if quick { 3 } else { 6 };
     let nodes = 3usize;
     let engine = Engine::new();
-    let tuning = DsmTuning {
-        batch_messages,
-        batch_window: Default::default(),
-        granularity: 0,
-        one_sided_reads: false,
-    };
-    let rt = DsmRuntime::new(
-        &engine,
-        Pm2Config::bip_myrinet(nodes).with_dsm_tuning(tuning),
-    );
+    let rt = DsmRuntime::new(&engine, Pm2Config::bip_myrinet(nodes));
     let _ = register_all_protocols(&rt);
     rt.set_default_protocol(rt.protocol_by_name("hbrc_mw").unwrap());
     let base = rt.dsm_malloc(
@@ -925,35 +724,16 @@ fn diff_aggregation_study(batch_messages: bool, quick: bool) -> (BatchingPoint, 
     }
     let mut engine = engine;
     engine.run().expect("scatter study must not deadlock");
-    // Final shared memory: the home (node 0) holds the reference copy of
-    // every page.
-    let mut final_memory = Vec::new();
     for page in 0..pages {
-        rt.frames(NodeId(0))
-            .with_bytes(base.add(page * 4096).page(), 0, nodes * 8, false, |b| {
-                final_memory.extend_from_slice(b)
-            });
+        for node in 0..nodes {
+            assert_eq!(
+                home_u64(&rt, base.add(page * 4096 + node as u64 * 8)),
+                ((rounds - 1) * 100 + node) as u64,
+                "scatter page {page}, node {node}'s slot does not hold the last round's value"
+            );
+        }
     }
-    let stats = rt.stats().snapshot();
-    let point = BatchingPoint {
-        batch_messages: tuning.batch_messages,
-        batch_window_us: tuning.batch_window.as_micros_f64(),
-        wire_messages: rt.cluster().network().stats().messages(),
-        coherence_batches: stats.coherence_batches,
-        coherence_batched_messages: stats.coherence_batched_messages,
-        elapsed_ms: finish.lock().as_micros_f64() / 1000.0,
-    };
-    (point, final_memory)
-}
-
-#[derive(Serialize)]
-struct TuningPoint {
-    configuration: String,
-    batch_messages: bool,
-    wire_messages: u64,
-    coherence_batches: u64,
-    coherence_batched_messages: u64,
-    elapsed_ms: f64,
+    batching_point(&rt, &finish)
 }
 
 #[derive(Serialize)]

@@ -1,6 +1,5 @@
-//! Virtual-time probes of the transport backends, shared by the `compare`
-//! perf gate (which pins the `Ideal` backend to the calibrated cost model)
-//! and the `transport` bench.
+//! Virtual-time probes of the transport backends, used by the `compare`
+//! perf gate (which pins the `Ideal` backend to the calibrated cost model).
 
 use std::sync::Arc;
 

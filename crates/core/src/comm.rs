@@ -59,52 +59,6 @@ pub(crate) struct DsmServices {
     barrier: ServiceId,
 }
 
-/// Per-tick batcher for coherence messages (invalidations, diffs,
-/// acknowledgements, ownership notices). One per runtime, present only when
-/// [`dsmpm2_pm2::DsmTuning::batch_messages`] is enabled: messages addressed
-/// to the same node within one batching window are coalesced into a single
-/// [`DsmMsg::Batch`] envelope flushed at the end of the window. The default
-/// window width is zero — only *same-instant* messages coalesce, the
-/// historical behaviour; a non-zero [`dsmpm2_pm2::DsmTuning::batch_window`]
-/// widens the bucket to a time window, parking each message (together with
-/// its logical send tick, which bounds how early the flushed envelope may
-/// depart) until the window closes.
-pub(crate) struct DsmOutbox {
-    queued: TickOutbox<(NodeId, NodeId), (SimTime, DsmMsg)>,
-    window: SimDuration,
-}
-
-impl DsmOutbox {
-    pub(crate) fn new(window: SimDuration) -> Self {
-        DsmOutbox {
-            queued: TickOutbox::new(),
-            window,
-        }
-    }
-
-    /// The bucket slot a message sent at `tick` lands in: the tick itself
-    /// for same-instant batching, or the enclosing window's start otherwise.
-    fn slot_of(&self, tick: SimTime) -> SimTime {
-        let w = self.window.as_nanos();
-        match tick.as_nanos().checked_div(w) {
-            Some(windows) => SimTime::from_nanos(windows * w),
-            // Zero-width window: every tick is its own slot.
-            None => tick,
-        }
-    }
-
-    /// When the bucket for `slot` must be flushed, as a delay from `tick`
-    /// (the pushing thread's local clock): immediately for same-instant
-    /// batching, at the window's end otherwise.
-    fn flush_delay(&self, slot: SimTime, tick: SimTime) -> SimDuration {
-        if self.window.is_zero() {
-            SimDuration::ZERO
-        } else {
-            (slot + self.window).since(tick)
-        }
-    }
-}
-
 /// The `dsm` service: protocol messages.
 struct DsmService {
     rt: Weak<RuntimeInner>,
@@ -200,12 +154,12 @@ impl RpcService for FetchService {
 }
 
 /// Register the DSM services on `cluster` for the runtime being built behind
-/// `rt`, whose batching outbox (if it batches) is `outbox`. Called once from
+/// `rt`, whose coherence outbox is `outbox`. Called once from
 /// `DsmRuntime::with_cluster_and_costs`.
 pub(crate) fn register_dsm_services(
     cluster: &Pm2Cluster,
     rt: &Weak<RuntimeInner>,
-    outbox: Option<&Arc<DsmOutbox>>,
+    outbox: &Arc<TickOutbox<(NodeId, NodeId), DsmMsg>>,
 ) -> DsmServices {
     // Every service holds the runtime weakly, like the network hook below: a
     // strong handle would close the cycle runtime → cluster → service table →
@@ -223,30 +177,28 @@ pub(crate) fn register_dsm_services(
     let dsm = cluster.register_service(Arc::new(DsmService { rt: rt.clone() }));
     let fetch = cluster.register_service(Arc::new(FetchService { rt: rt.clone() }));
 
-    // With batching enabled, parked coherence messages must never be
-    // overtaken by a later message on the same link (an overtaking barrier
-    // reply or page transfer would let readers run ahead of an ownership
-    // notice or invalidation): flush the link's buckets before any other
-    // message is enqueued on it. The hook holds the runtime weakly — the
-    // network outlives runtimes in some tests, and a strong reference would
-    // cycle through cluster → network → hook → runtime → cluster — and the
-    // outbox itself, so that the common send, with nothing parked, stops at
-    // one look at it.
-    if let Some(outbox) = outbox.cloned() {
-        let weak = rt.clone();
-        cluster
-            .network()
-            .set_pre_send_hook(Arc::new(move |from, to| {
-                if outbox.queued.is_empty() {
-                    return;
-                }
-                if let Some(inner) = weak.upgrade() {
-                    let rt = DsmRuntime::from_inner(inner);
-                    let ctl = rt.cluster().ctl();
-                    rt.flush_coherence_link(&ctl, from, to);
-                }
-            }));
-    }
+    // A parked coherence message must never be overtaken by a later message
+    // on the same link (an overtaking barrier reply or page transfer would
+    // let readers run ahead of an ownership notice or invalidation): flush
+    // the link's buckets before any other message is enqueued on it. The
+    // hook holds the runtime weakly — the network outlives runtimes in some
+    // tests, and a strong reference would cycle through cluster → network →
+    // hook → runtime → cluster — and the outbox itself, so that the common
+    // send, with nothing parked, stops at one look at it.
+    let outbox = Arc::clone(outbox);
+    let weak = rt.clone();
+    cluster
+        .network()
+        .set_pre_send_hook(Arc::new(move |from, to| {
+            if outbox.is_empty() {
+                return;
+            }
+            if let Some(inner) = weak.upgrade() {
+                let rt = DsmRuntime::from_inner(inner);
+                let ctl = rt.cluster().ctl();
+                rt.flush_coherence_link(&ctl, from, to);
+            }
+        }));
 
     // Lock acquisition: the handler thread blocks at the manager node until
     // the lock is free, then takes it on behalf of the requesting node.
@@ -334,8 +286,8 @@ fn serve_dsm_msg(rt: &DsmRuntime, ctx: &mut ServerCtx<'_>, msg: DsmMsg) {
     match msg {
         DsmMsg::Batch(msgs) => {
             // Atomic unpack: every sub-message became visible at this same
-            // instant, in send order. Each one is served as unbatched
-            // delivery would have — in a thread of its own, or in one
+            // instant, in send order. Each one is served as if it had
+            // arrived alone — in a thread of its own, or in one
             // scheduler call if it cannot block, either way at the instant
             // its thread creation has been paid for — so a blocking server
             // action (e.g. a writer pushing its diff before acknowledging an
@@ -583,7 +535,7 @@ impl std::fmt::Debug for TraceMsg<'_> {
 }
 
 /// Wire cost class of one coherence message (pure control when it carries no
-/// payload, bulk otherwise) — the same classes the unbatched sends used.
+/// payload, bulk otherwise): the class of an envelope that carries it alone.
 fn rpc_class_for(msg: &DsmMsg) -> RpcClass {
     match msg.payload_bytes() {
         0 => RpcClass::Control,
@@ -593,85 +545,57 @@ fn rpc_class_for(msg: &DsmMsg) -> RpcClass {
 
 impl DsmRuntime {
     /// Send a coherence message (invalidation, diff, acknowledgement,
-    /// ownership notice). With batching enabled, messages for the same
-    /// destination sent within one virtual-time tick are parked in the
-    /// outbox and flushed as a single [`DsmMsg::Batch`] envelope at the end
-    /// of the tick; otherwise the message goes out immediately.
+    /// ownership notice). Coherence messages travel batched: every one sent
+    /// on the same link at the same virtual instant is parked in the outbox,
+    /// and at the end of the instant they leave together as one
+    /// [`DsmMsg::Batch`] envelope (a lone message leaves as itself).
     fn send_coherence(&self, sim: &mut SimHandle, from: NodeId, to: NodeId, msg: DsmMsg) {
-        let Some(outbox) = self.outbox() else {
-            let class = rpc_class_for(&msg);
-            self.cluster()
-                .rpc_oneway(sim, from, to, self.services().dsm, Box::new(msg), class);
-            return;
-        };
-        let tick = sim.now();
-        let slot = outbox.slot_of(tick);
-        if outbox.queued.push((from, to), slot, (tick, msg)) {
-            // First message for this (destination, window slot): schedule
-            // exactly one flush at the slot's end — for the default
-            // zero-width window that is the end of the current tick, so all
-            // same-tick messages for this destination have been parked by
-            // then. (The pre-send link hook may have flushed the bucket
-            // earlier, in which case the callback finds it empty and does
-            // nothing.)
+        if self.inner().outbox.push((from, to), sim.now(), msg) {
+            // First message for this link at this instant: schedule exactly
+            // one flush, at the end of the instant, so every same-instant
+            // message for the link has been parked by then. (The pre-send
+            // link hook may have flushed the bucket earlier, in which case
+            // the callback finds it empty and does nothing.) The flush drains
+            // the (from, to) bucket and enqueues on the link's clocks —
+            // sender-side state, so it is pinned to the sending node's
+            // scheduler shard.
             let rt = self.clone();
-            // The flush drains the (from, to) bucket and enqueues on the
-            // link's clocks — sender-side state, so it is pinned to the
-            // sending node's scheduler shard.
-            sim.call_after_on(
-                from.index() as u64,
-                outbox.flush_delay(slot, tick),
-                move |ctl| {
-                    rt.flush_coherence_link(ctl, from, to);
-                },
-            );
+            sim.call_after_on(from.index() as u64, SimDuration::ZERO, move |ctl| {
+                rt.flush_coherence_link(ctl, from, to);
+            });
         }
-    }
-
-    fn outbox(&self) -> Option<&DsmOutbox> {
-        self.inner().outbox.as_deref()
     }
 
     fn services(&self) -> &DsmServices {
         &self.inner().services
     }
 
-    /// Ship every parked bucket of the (from, to) link, oldest tick first.
-    /// Called by the end-of-tick flush callback and by the transport's
+    /// Ship every parked bucket of the (from, to) link, oldest instant first.
+    /// Called by the end-of-instant flush callback and by the transport's
     /// pre-send hook (which guarantees no later message overtakes a parked
     /// one on the same link — the hook's nested invocation during our own
     /// send below finds the buckets already drained and is a no-op).
     pub(crate) fn flush_coherence_link(&self, ctl: &EngineCtl, from: NodeId, to: NodeId) {
-        let Some(outbox) = self.outbox() else { return };
-        for (_slot, items) in outbox.queued.take_all((from, to)) {
-            // The flushed envelope must not depart earlier than the latest
-            // parked message's logical send time (the sender's local clock,
-            // possibly ahead of the global clock).
-            let tick = items.iter().map(|(t, _)| *t).max().unwrap_or(SimTime::ZERO);
-            let mut msgs: Vec<DsmMsg> = items.into_iter().map(|(_, m)| m).collect();
-            let (payload, class, messages) = match msgs.len() {
-                0 => continue,
-                1 => {
-                    let msg = msgs.pop().expect("len checked");
-                    let class = rpc_class_for(&msg);
-                    (msg, class, 1)
-                }
-                n => {
-                    self.stats().incr_coherence_batch();
-                    self.stats().add_coherence_batched_messages(n as u64);
-                    let batch = DsmMsg::Batch(msgs);
-                    // One envelope on the wire: a single message latency is
-                    // paid, while every coalesced message contributes its
-                    // payload plus one small per-message header at network
-                    // bandwidth.
-                    let bytes = batch.payload_bytes() + (n - 1) * CONTROL_MESSAGE_BYTES;
-                    (batch, RpcClass::Data(bytes), n as u32)
-                }
+        for (tick, mut msgs) in self.inner().outbox.take_all((from, to)) {
+            let n = msgs.len();
+            let (payload, class) = if n == 1 {
+                let msg = msgs.pop().expect("one message");
+                let class = rpc_class_for(&msg);
+                (msg, class)
+            } else {
+                self.stats().incr_coherence_batch();
+                self.stats().add_coherence_batched_messages(n as u64);
+                let batch = DsmMsg::Batch(msgs);
+                // One envelope on the wire: a single message latency is
+                // paid, while every coalesced message contributes its
+                // payload plus one small per-message header at network
+                // bandwidth.
+                let bytes = batch.payload_bytes() + (n - 1) * CONTROL_MESSAGE_BYTES;
+                (batch, RpcClass::Data(bytes))
             };
-            // `tick` is the logical send time of the parked messages (the
+            // `tick` is the instant the parked messages were sent at (the
             // sender's local clock, possibly ahead of the global clock): the
-            // flushed envelope must not depart earlier than an unbatched
-            // send would have.
+            // envelope must not depart earlier than that.
             self.cluster().rpc_oneway_from_ctl(
                 ctl,
                 from,
@@ -679,7 +603,7 @@ impl DsmRuntime {
                 self.services().dsm,
                 Box::new(payload),
                 class,
-                messages,
+                n as u32,
                 tick,
             );
         }
@@ -882,5 +806,104 @@ impl DsmThreadCtx<'_, '_> {
             let event = build(self.pm2.sim.now(), self.node(), self.pm2.sim.id());
             hooks.sync_event(rt, event);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::Mutex;
+
+    use dsmpm2_pm2::{Engine, Pm2Config};
+
+    use super::*;
+    use crate::protocol::CustomProtocol;
+    use crate::runtime::{DsmAttr, HomePolicy};
+    use crate::stats::DsmStatsSnapshot;
+
+    /// What one run left behind: the DSM counters, the wire envelopes and
+    /// the protocol messages served, in serving order.
+    struct Sent {
+        stats: DsmStatsSnapshot,
+        envelopes: u64,
+        served: Vec<&'static str>,
+    }
+
+    /// On a 3-node cluster with one page, run `send` on node 0 at one
+    /// instant. The page's protocol only records which message it served.
+    fn send_at_one_instant(
+        send: impl FnOnce(&DsmRuntime, &mut SimHandle, Unit) + Send + 'static,
+    ) -> Sent {
+        let mut engine = Engine::new();
+        let rt = DsmRuntime::new(&engine, Pm2Config::bip_myrinet(3));
+        let served = Arc::new(Mutex::new(Vec::new()));
+        let (inv, req) = (Arc::clone(&served), Arc::clone(&served));
+        let recorder = CustomProtocol::builder("recorder")
+            .invalidate_server(move |_, _| inv.lock().unwrap().push("invalidate"))
+            .read_server(move |_, _| req.lock().unwrap().push("request"))
+            .build();
+        let recorder = rt.register_protocol(recorder);
+        rt.set_default_protocol(recorder);
+        let addr = rt.dsm_malloc(4096, DsmAttr::default().home(HomePolicy::Fixed(NodeId(0))));
+        let unit = Unit::whole(addr.page());
+        rt.spawn_dsm_thread(NodeId(0), "sender", move |ctx| {
+            let rt = ctx.runtime().clone();
+            send(&rt, ctx.pm2.sim, unit);
+        });
+        engine.run().expect("nothing waits");
+        let served = served.lock().unwrap().clone();
+        Sent {
+            stats: rt.stats().snapshot(),
+            envelopes: rt.cluster().network().wire_stats().envelopes,
+            served,
+        }
+    }
+
+    /// Coherence messages sent on one link at one instant leave in one
+    /// envelope; messages for two links leave in two.
+    #[test]
+    fn same_instant_coherence_messages_share_an_envelope_per_link() {
+        let one_link = send_at_one_instant(|rt, sim, unit| {
+            rt.send_invalidate_ack(sim, NodeId(0), NodeId(1), unit);
+            rt.send_diff_ack(sim, NodeId(0), NodeId(1), unit);
+        });
+        assert_eq!(one_link.stats.coherence_batches, 1);
+        assert_eq!(one_link.stats.coherence_batched_messages, 2);
+        assert_eq!(one_link.envelopes, 1, "the run's only envelope");
+
+        let two_links = send_at_one_instant(|rt, sim, unit| {
+            rt.send_invalidate_ack(sim, NodeId(0), NodeId(1), unit);
+            rt.send_invalidate_ack(sim, NodeId(0), NodeId(2), unit);
+        });
+        assert_eq!(two_links.stats.coherence_batches, 0);
+        assert_eq!(two_links.envelopes, 2);
+    }
+
+    /// A parked coherence message is never overtaken on its link: an
+    /// invalidation parked until the end of the instant, then a page request
+    /// sent directly at that same instant to the same node — the receiver
+    /// serves the invalidation first. (The pre-send hook installed by
+    /// `register_dsm_services` flushes the link before the request; without
+    /// it the request would leave, and be served, first. Missing this order
+    /// is what deadlocked `li_hudak_fixed` in PR 2.)
+    #[test]
+    fn a_parked_coherence_message_is_never_overtaken_on_its_link() {
+        let sent = send_at_one_instant(|rt, sim, unit| {
+            let inv = Invalidation {
+                unit,
+                from: NodeId(0),
+                new_owner: None,
+                needs_ack: false,
+                version: 1,
+            };
+            rt.send_invalidate(sim, NodeId(0), NodeId(1), inv);
+            let req = PageRequest {
+                unit,
+                access: Access::Read,
+                requester: NodeId(0),
+            };
+            rt.send_page_request(sim, NodeId(0), NodeId(1), req);
+        });
+        assert_eq!(sent.served, ["invalidate", "request"]);
+        assert_eq!(sent.envelopes, 2);
     }
 }

@@ -592,8 +592,8 @@ pub fn write_fault_with_twin(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime,
 /// until the homes have integrated and acknowledged every one of them. All
 /// acknowledgements are registered, then all diffs transmitted in one burst —
 /// the sends happen at the same virtual instant, so diffs addressed to the
-/// same home coalesce into a single wire envelope when per-tick batching is
-/// enabled — and only then does the caller wait.
+/// same home coalesce into a single wire envelope — and only then does the
+/// caller wait.
 pub fn push_diffs_and_wait(
     sim: &mut SimHandle,
     node: NodeId,

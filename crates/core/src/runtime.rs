@@ -6,11 +6,12 @@ use std::sync::Arc;
 
 use dsmpm2_madeleine::NodeId;
 use dsmpm2_pm2::{DsmTuning, Engine, MonitorSlot, Pm2Cluster, Pm2Config, Pm2ThreadState};
-use dsmpm2_sim::SliceCell;
+use dsmpm2_sim::{SliceCell, TickOutbox};
 
 use crate::costs::DsmCosts;
 use crate::ctx::DsmThreadCtx;
 use crate::frames::FrameStore;
+use crate::msg::DsmMsg;
 use crate::page::{
     pages_covering, validate_line_size, Access, DsmAddr, IdMap, PageId, Unit, PAGE_SIZE,
 };
@@ -122,7 +123,9 @@ pub(crate) struct RuntimeInner {
     cluster: Pm2Cluster,
     costs: DsmCosts,
     tuning: DsmTuning,
-    pub(crate) outbox: Option<Arc<crate::comm::DsmOutbox>>,
+    /// Coherence messages parked until the end of the instant they were sent
+    /// at, per (from, to) link (see `DsmRuntime::send_coherence`).
+    pub(crate) outbox: Arc<TickOutbox<(NodeId, NodeId), DsmMsg>>,
     pub(crate) services: crate::comm::DsmServices,
     /// Name of the threads serving the sub-messages of a coherence batch on
     /// each node (`dsm-batch@N<k>`).
@@ -190,13 +193,11 @@ impl DsmRuntime {
             .collect();
         // Cyclic: the services registered on the cluster serve this runtime,
         // which they hold weakly.
-        let outbox = tuning
-            .batch_messages
-            .then(|| Arc::new(crate::comm::DsmOutbox::new(tuning.batch_window)));
+        let outbox = Arc::new(TickOutbox::new());
         let page_fault_row = cluster.monitor().slot("dsm_page_fault");
         let migrate_on_fault_row = cluster.monitor().slot("dsm_migrate_on_fault");
         let inner = Arc::new_cyclic(|weak| RuntimeInner {
-            services: crate::comm::register_dsm_services(&cluster, weak, outbox.as_ref()),
+            services: crate::comm::register_dsm_services(&cluster, weak, &outbox),
             outbox,
             batch_thread_names,
             cluster,

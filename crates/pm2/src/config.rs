@@ -51,19 +51,8 @@ impl Pm2Costs {
 /// cluster configuration (rather than in the DSM crate) so that a whole
 /// deployment — network profile, node count and DSM scale-out parameters —
 /// is described by one value that every layer can read.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct DsmTuning {
-    /// Coalesce DSM coherence messages (invalidations, diffs, acks, ownership
-    /// notices) addressed to the same node within one virtual-time tick into
-    /// a single batched envelope on the wire.
-    pub batch_messages: bool,
-    /// Width of the batching window. With the default (`ZERO`), only
-    /// messages sent at the *same instant* coalesce — the historical
-    /// behaviour. A non-zero window parks coherence messages for the same
-    /// destination until the end of the window they were sent in, trading up
-    /// to one window of extra latency for fewer wire messages. Ignored when
-    /// `batch_messages` is off.
-    pub batch_window: SimDuration,
     /// Default coherence granularity in bytes for new allocations: `0` (the
     /// default) manages whole pages, exactly as before granularity existed;
     /// a non-zero value must divide the page size and splits every page of an
@@ -82,35 +71,7 @@ pub struct DsmTuning {
     pub one_sided_reads: bool,
 }
 
-impl Default for DsmTuning {
-    fn default() -> Self {
-        DsmTuning {
-            batch_messages: true,
-            batch_window: SimDuration::ZERO,
-            granularity: 0,
-            one_sided_reads: false,
-        }
-    }
-}
-
 impl DsmTuning {
-    /// The pre-batching behaviour (one wire message per coherence message).
-    /// Used as the ablation baseline.
-    pub fn legacy() -> Self {
-        DsmTuning {
-            batch_messages: false,
-            batch_window: SimDuration::ZERO,
-            granularity: 0,
-            one_sided_reads: false,
-        }
-    }
-
-    /// Same-instant batching widened to a time window.
-    pub fn with_batch_window(mut self, window: SimDuration) -> Self {
-        self.batch_window = window;
-        self
-    }
-
     /// Set the default coherence granularity (bytes per line; `0` = whole
     /// pages).
     pub fn with_granularity(mut self, bytes: usize) -> Self {
@@ -134,7 +95,7 @@ pub struct Pm2Config {
     pub network: NetworkModel,
     /// PM2 software cost constants.
     pub costs: Pm2Costs,
-    /// DSM-layer tuning knobs (message batching, coherence granularity).
+    /// DSM-layer tuning knobs (coherence granularity, one-sided reads).
     pub dsm: DsmTuning,
     /// Transport-layer tuning knobs (wire-level backend selection): the
     /// default is the `Ideal` uncontended pipe of the paper's cost model.
@@ -197,14 +158,8 @@ mod tests {
     }
 
     #[test]
-    fn dsm_tuning_defaults_and_legacy() {
+    fn dsm_tuning_defaults_to_whole_pages_and_two_sided_reads() {
         let config = Pm2Config::bip_myrinet(2);
-        assert!(config.dsm.batch_messages);
-        assert!(config.dsm.batch_window.is_zero());
-        let legacy = Pm2Config::bip_myrinet(2).with_dsm_tuning(DsmTuning::legacy());
-        assert!(!legacy.dsm.batch_messages);
-        let windowed = DsmTuning::default().with_batch_window(SimDuration::from_micros(50));
-        assert_eq!(windowed.batch_window, SimDuration::from_micros(50));
         assert_eq!(config.dsm.granularity, 0, "whole pages by default");
         assert!(!config.dsm.one_sided_reads, "two-sided reads by default");
         let tuned = DsmTuning::default()

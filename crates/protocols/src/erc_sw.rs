@@ -87,7 +87,7 @@ impl DsmProtocol for ErcSw {
         // go out first and the acknowledgements are awaited together: the
         // rounds overlap instead of serializing unit by unit, and
         // invalidations for copies held by the same node leave in one
-        // batched envelope when per-tick batching is enabled.
+        // batched envelope.
         let mut in_flight = Vec::new();
         for unit in table.modified_units() {
             let (owned, targets, version) = table.read(unit, |e| {

@@ -233,12 +233,13 @@ impl<T: Send + 'static> SimReceiver<T> {
 ///
 /// Items pushed for the same `key` at the same virtual-time `tick` land in
 /// one bucket. [`TickOutbox::push`] tells the caller when it opened a new
-/// bucket — that is the moment to schedule exactly one flush for it (with
-/// [`crate::EngineCtl::call_at`] at `tick`); the flush then drains the bucket
-/// with [`TickOutbox::take`] and forwards the whole batch as a single unit.
-/// Items pushed for the same (key, tick) *after* its flush ran simply open a
-/// fresh bucket, so no item is ever lost — a tick may occasionally produce
-/// two batches, never zero.
+/// bucket — that is the moment to schedule exactly one flush for it, at
+/// `tick` (e.g. with [`crate::EngineCtl::call_at`]); the flush drains every
+/// bucket of the key with [`TickOutbox::take_all`] and forwards each as a
+/// single unit. A caller may also flush a key early, before the scheduled
+/// flush runs, which then finds nothing to drain. Items pushed for the same
+/// (key, tick) *after* a flush simply open a fresh bucket, so no item is ever
+/// lost — a tick may occasionally produce two batches, never zero.
 ///
 /// Within a bucket, items keep the order they were pushed in.
 pub struct TickOutbox<K, T> {
@@ -272,21 +273,8 @@ impl<K: Eq + Copy, T> TickOutbox<K, T> {
         }
     }
 
-    /// Drain and return the bucket for (`key`, `tick`); empty if the bucket
-    /// was already flushed.
-    pub fn take(&self, key: K, tick: SimTime) -> Vec<T> {
-        let tick = tick.as_nanos();
-        let mut pending = self.pending.borrow();
-        match pending.iter().position(|(k, t, _)| *k == key && *t == tick) {
-            Some(at) => pending.swap_remove(at).2,
-            None => Vec::new(),
-        }
-    }
-
-    /// Drain every unflushed bucket for `key`, oldest tick first. Used to
-    /// flush a link eagerly when a later message must not overtake the
-    /// parked items (the scheduled per-bucket flush then finds an empty
-    /// bucket and does nothing).
+    /// Drain every unflushed bucket for `key`, oldest tick first; empty if
+    /// they were already flushed.
     pub fn take_all(&self, key: K) -> Vec<(SimTime, Vec<T>)> {
         let mut buckets = Vec::new();
         self.pending.borrow().retain_mut(|(k, tick, items)| {
@@ -303,11 +291,6 @@ impl<K: Eq + Copy, T> TickOutbox<K, T> {
     /// path asks before it prepares anything for [`TickOutbox::take_all`].
     pub fn is_empty(&self) -> bool {
         self.pending.borrow().is_empty()
-    }
-
-    /// Total number of items currently waiting in unflushed buckets.
-    pub fn pending(&self) -> usize {
-        self.pending.borrow().iter().map(|b| b.2.len()).sum()
     }
 }
 
@@ -456,13 +439,17 @@ mod tests {
         assert!(!outbox.push(1, t0, "b"), "second item joins it");
         assert!(outbox.push(2, t0, "c"), "different key, own bucket");
         assert!(outbox.push(1, t1, "d"), "different tick, own bucket");
-        assert_eq!(outbox.pending(), 4);
-        assert_eq!(outbox.take(1, t0), vec!["a", "b"]);
-        assert_eq!(outbox.take(1, t0), Vec::<&str>::new(), "drained");
-        assert_eq!(outbox.pending(), 2);
+        assert_eq!(
+            outbox.take_all(1),
+            vec![(t0, vec!["a", "b"]), (t1, vec!["d"])]
+        );
+        assert!(outbox.take_all(1).is_empty(), "drained");
+        assert!(!outbox.is_empty(), "the other key's bucket is still parked");
         // A push after the flush opens a fresh bucket for the same slot.
         assert!(outbox.push(1, t0, "late"));
-        assert_eq!(outbox.take(1, t0), vec!["late"]);
+        assert_eq!(outbox.take_all(1), vec![(t0, vec!["late"])]);
+        assert_eq!(outbox.take_all(2), vec![(t0, vec!["c"])]);
+        assert!(outbox.is_empty());
     }
 
     #[test]
@@ -474,9 +461,8 @@ mod tests {
         outbox.push(2, t0, 300);
         let drained = outbox.take_all(1);
         assert_eq!(drained, vec![(t1, vec![200]), (t0, vec![100])]);
-        assert_eq!(outbox.pending(), 1, "other keys untouched");
         assert!(outbox.take_all(1).is_empty());
-        assert!(!outbox.is_empty());
+        assert!(!outbox.is_empty(), "other keys untouched");
         assert_eq!(outbox.take_all(2), vec![(t0, vec![300])]);
         assert!(outbox.is_empty() && outbox.take_all(2).is_empty());
     }
@@ -498,13 +484,15 @@ mod tests {
                     let outbox = outbox.clone();
                     let flushed = flushed.clone();
                     h.ctl().call_at(tick, move |_ctl| {
-                        flushed.lock().push(outbox.take(7, tick));
+                        flushed.lock().push(outbox.take_all(7));
                     });
                 }
             });
         }
         engine.run().unwrap();
-        assert_eq!(flushed.lock().clone(), vec![vec![1, 2]]);
+        let tick = SimTime::from_micros(5);
+        assert_eq!(flushed.lock().clone(), vec![vec![(tick, vec![1, 2])]]);
+        assert!(outbox.is_empty());
     }
 
     #[test]

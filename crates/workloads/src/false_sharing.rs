@@ -46,7 +46,7 @@ pub struct FalseSharingConfig {
     pub read_mostly: bool,
     /// Network profile.
     pub network: NetworkModel,
-    /// DSM tuning knobs (granularity, one-sided reads, batching).
+    /// DSM tuning knobs (coherence granularity, one-sided reads).
     pub tuning: DsmTuning,
     /// Transport-layer tuning knobs.
     pub transport: TransportTuning,
@@ -90,7 +90,7 @@ pub struct FalseSharingResult {
     pub checksum: u64,
     /// DSM statistics.
     pub stats: DsmStatsSnapshot,
-    /// Total messages put on the wire (after any batching).
+    /// Total messages put on the wire (a batch of coherence messages is one).
     pub wire_messages: u64,
     /// Wire-level transport statistics, including the envelope/message byte
     /// accounting and the delivery-interceptor counters.

@@ -31,7 +31,7 @@ pub struct MatmulConfig {
     pub network: NetworkModel,
     /// Virtual compute time charged per multiply-add, in µs.
     pub compute_per_madd_us: f64,
-    /// DSM tuning knobs (message batching, coherence granularity).
+    /// DSM tuning knobs (coherence granularity, one-sided reads).
     pub tuning: DsmTuning,
     /// Transport-layer tuning knobs (wire-level backend selection).
     pub transport: TransportTuning,
@@ -63,8 +63,7 @@ pub struct MatmulResult {
     pub final_cells: Vec<u64>,
     /// DSM statistics.
     pub stats: DsmStatsSnapshot,
-    /// Total messages put on the wire (after any batching): the metric the
-    /// batching ablation compares.
+    /// Total messages put on the wire (a batch of coherence messages is one).
     pub wire_messages: u64,
     /// Wire-level transport statistics (NIC stalls, drops, retransmits):
     /// what the transport ablation compares across backends.

@@ -35,7 +35,7 @@ pub struct SorConfig {
     pub network: NetworkModel,
     /// Virtual compute time charged per updated cell, in µs.
     pub compute_per_cell_us: f64,
-    /// DSM tuning knobs (message batching, coherence granularity).
+    /// DSM tuning knobs (coherence granularity, one-sided reads).
     pub tuning: DsmTuning,
     /// Transport-layer tuning knobs (wire-level backend selection).
     pub transport: TransportTuning,
@@ -69,8 +69,7 @@ pub struct SorResult {
     pub final_cells: Vec<u64>,
     /// DSM statistics.
     pub stats: DsmStatsSnapshot,
-    /// Total messages put on the wire (after any batching): the metric the
-    /// batching ablation compares.
+    /// Total messages put on the wire (a batch of coherence messages is one).
     pub wire_messages: u64,
     /// Wire-level transport statistics (NIC stalls, drops, retransmits):
     /// what the transport ablation compares across backends.

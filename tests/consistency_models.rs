@@ -311,15 +311,16 @@ fn per_region_protocols_behave_independently() {
 // Cross-protocol conformance matrix
 // ---------------------------------------------------------------------------
 //
-// The safety net for the per-tick message batcher: three workloads with
+// The safety net for the per-instant message batcher: three workloads with
 // different sharing patterns run under every general-purpose protocol (the
 // six of the paper's Table 2 minus none, plus the two extension protocols
-// that need no per-region configuration) on 1, 2 and 4 nodes, with batching
-// enabled. The *exact* final shared memory of every run must equal the
-// single-node baseline computed with the legacy tuning (no batching) —
-// bit-for-bit, not within a tolerance — so any divergence introduced by the
-// scale-out machinery fails loudly. (`entry_sw` is excluded: it requires
-// regions to be bound to locks and is exercised by its own tests.)
+// that need no per-region configuration) on 1, 2 and 4 nodes. The *exact*
+// final shared memory of every run must equal the baseline — `li_hudak` on
+// a single node, which sends no coherence message, so it cannot depend on
+// batching (asserted: no batch left) — bit-for-bit, not within a tolerance,
+// so any divergence introduced by the scale-out machinery fails loudly.
+// (`entry_sw` is excluded: it requires regions to be bound to locks and is
+// exercised by its own tests.)
 
 use dsm_pm2::pm2::{DsmTuning, TransportTuning};
 use dsm_pm2::workloads::{
@@ -343,35 +344,26 @@ const MATRIX_PROTOCOLS: [&str; 8] = [
 
 const MATRIX_NODES: [usize; 3] = [1, 2, 4];
 
-/// The tuning under test: per-tick message batching.
-fn scale_out_tuning() -> DsmTuning {
-    DsmTuning {
-        batch_messages: true,
-        batch_window: Default::default(),
-        granularity: 0,
-        one_sided_reads: false,
-    }
-}
-
 #[test]
 fn conformance_matrix_jacobi() {
-    let config = |nodes: usize, tuning: DsmTuning| JacobiConfig {
+    let config = |nodes: usize| JacobiConfig {
         size: 16,
         iterations: 2,
         nodes,
         network: dsm_pm2::pm2::profiles::bip_myrinet(),
         compute_per_cell_us: 0.02,
-        tuning,
+        tuning: DsmTuning::default(),
         transport: TransportTuning::default(),
     };
-    let baseline = run_jacobi(&config(1, DsmTuning::legacy()), "li_hudak");
+    let baseline = run_jacobi(&config(1), "li_hudak");
     assert!(
         baseline.final_cells.iter().any(|&c| c != 0),
         "baseline must produce a non-trivial grid"
     );
+    assert_eq!(baseline.stats.coherence_batches, 0, "baseline batched");
     for proto in MATRIX_PROTOCOLS {
         for nodes in MATRIX_NODES {
-            let r = run_jacobi(&config(nodes, scale_out_tuning()), proto);
+            let r = run_jacobi(&config(nodes), proto);
             assert_eq!(
                 r.final_cells, baseline.final_cells,
                 "jacobi final memory diverged under {proto} x {nodes} nodes"
@@ -382,21 +374,22 @@ fn conformance_matrix_jacobi() {
 
 #[test]
 fn conformance_matrix_sor() {
-    let config = |nodes: usize, tuning: DsmTuning| SorConfig {
+    let config = |nodes: usize| SorConfig {
         size: 16,
         iterations: 2,
         omega: 1.25,
         nodes,
         network: dsm_pm2::pm2::profiles::bip_myrinet(),
         compute_per_cell_us: 0.02,
-        tuning,
+        tuning: DsmTuning::default(),
         transport: TransportTuning::default(),
     };
-    let baseline = run_sor(&config(1, DsmTuning::legacy()), "li_hudak");
+    let baseline = run_sor(&config(1), "li_hudak");
     assert!(baseline.final_cells.iter().any(|&c| c != 0));
+    assert_eq!(baseline.stats.coherence_batches, 0, "baseline batched");
     for proto in MATRIX_PROTOCOLS {
         for nodes in MATRIX_NODES {
-            let r = run_sor(&config(nodes, scale_out_tuning()), proto);
+            let r = run_sor(&config(nodes), proto);
             assert_eq!(
                 r.final_cells, baseline.final_cells,
                 "sor final memory diverged under {proto} x {nodes} nodes"
@@ -423,7 +416,7 @@ fn conformance_matrix_across_handoff_modes() {
             nodes: 4,
             network: dsm_pm2::pm2::profiles::bip_myrinet(),
             compute_per_cell_us: 0.02,
-            tuning: scale_out_tuning(),
+            tuning: DsmTuning::default(),
             transport: TransportTuning::default(),
         },
         "hbrc_mw",
@@ -481,19 +474,20 @@ fn conformance_matrix_across_handoff_modes() {
 
 #[test]
 fn conformance_matrix_matmul() {
-    let config = |nodes: usize, tuning: DsmTuning| MatmulConfig {
+    let config = |nodes: usize| MatmulConfig {
         n: 8,
         nodes,
         network: dsm_pm2::pm2::profiles::bip_myrinet(),
         compute_per_madd_us: 0.01,
-        tuning,
+        tuning: DsmTuning::default(),
         transport: TransportTuning::default(),
     };
-    let baseline = run_matmul(&config(1, DsmTuning::legacy()), "li_hudak");
+    let baseline = run_matmul(&config(1), "li_hudak");
     assert!(baseline.final_cells.iter().any(|&c| c != 0));
+    assert_eq!(baseline.stats.coherence_batches, 0, "baseline batched");
     for proto in MATRIX_PROTOCOLS {
         for nodes in MATRIX_NODES {
-            let r = run_matmul(&config(nodes, scale_out_tuning()), proto);
+            let r = run_matmul(&config(nodes), proto);
             assert_eq!(
                 r.final_cells, baseline.final_cells,
                 "matmul final memory diverged under {proto} x {nodes} nodes"
@@ -521,7 +515,7 @@ fn conformance_matrix_under_contended_and_lossy_transports() {
         nodes,
         network: dsm_pm2::pm2::profiles::bip_myrinet(),
         compute_per_cell_us: 0.02,
-        tuning: scale_out_tuning(),
+        tuning: DsmTuning::default(),
         transport,
     };
     let sor = |nodes: usize, transport: TransportTuning| SorConfig {
@@ -531,7 +525,7 @@ fn conformance_matrix_under_contended_and_lossy_transports() {
         nodes,
         network: dsm_pm2::pm2::profiles::bip_myrinet(),
         compute_per_cell_us: 0.02,
-        tuning: scale_out_tuning(),
+        tuning: DsmTuning::default(),
         transport,
     };
     let matmul = |nodes: usize, transport: TransportTuning| MatmulConfig {
@@ -539,7 +533,7 @@ fn conformance_matrix_under_contended_and_lossy_transports() {
         nodes,
         network: dsm_pm2::pm2::profiles::bip_myrinet(),
         compute_per_madd_us: 0.01,
-        tuning: scale_out_tuning(),
+        tuning: DsmTuning::default(),
         transport,
     };
 
@@ -648,13 +642,13 @@ fn conformance_matrix_line_granularity() {
         c.tuning = tuning;
         c
     };
-    let line = |bytes: usize| scale_out_tuning().with_granularity(bytes);
+    let line = |bytes: usize| DsmTuning::default().with_granularity(bytes);
     let one_sided = |bytes: usize| line(bytes).with_one_sided_reads();
     for proto in SUBPAGE_PROTOCOLS {
         for nodes in MATRIX_NODES {
-            let base_j = run_jacobi(&jacobi(nodes, scale_out_tuning()), proto);
-            let base_s = run_sor(&sor(nodes, scale_out_tuning()), proto);
-            let base_f = run_false_sharing(&fs(nodes, scale_out_tuning()), proto);
+            let base_j = run_jacobi(&jacobi(nodes, DsmTuning::default()), proto);
+            let base_s = run_sor(&sor(nodes, DsmTuning::default()), proto);
+            let base_f = run_false_sharing(&fs(nodes, DsmTuning::default()), proto);
             for tuning in [line(256), one_sided(256)] {
                 let os = tuning.one_sided_reads;
                 let r = run_jacobi(&jacobi(nodes, tuning), proto);
@@ -699,9 +693,9 @@ fn non_subpage_protocols_clamp_granularity_to_pages() {
     };
     for proto in ["li_hudak", "migrate_thread", "hlrc_notices", "java_ic"] {
         for nodes in [2usize, 4] {
-            let base = run_jacobi(&jacobi(nodes, scale_out_tuning()), proto);
+            let base = run_jacobi(&jacobi(nodes, DsmTuning::default()), proto);
             let clamped = run_jacobi(
-                &jacobi(nodes, scale_out_tuning().with_granularity(256)),
+                &jacobi(nodes, DsmTuning::default().with_granularity(256)),
                 proto,
             );
             assert_eq!(
@@ -734,9 +728,9 @@ fn explicit_page_granularity_is_bit_identical_to_default() {
     };
     for proto in MATRIX_PROTOCOLS {
         for nodes in MATRIX_NODES {
-            let base = run_jacobi(&jacobi(nodes, scale_out_tuning()), proto);
+            let base = run_jacobi(&jacobi(nodes, DsmTuning::default()), proto);
             let explicit = run_jacobi(
-                &jacobi(nodes, scale_out_tuning().with_granularity(4096)),
+                &jacobi(nodes, DsmTuning::default().with_granularity(4096)),
                 proto,
             );
             assert_eq!(

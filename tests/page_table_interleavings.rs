@@ -4,8 +4,8 @@
 //! DSM operations — unsynchronized reads (faults that replicate or migrate
 //! pages) and lock-protected writes (release-consistency episodes) — over
 //! two shared pages, under a randomly chosen protocol and coherence
-//! granularity (whole pages or 1 kB lines, one node slot per line), with
-//! per-tick message batching enabled. Every node writes only its
+//! granularity (whole pages or 1 kB lines, one node slot per line). Every
+//! node writes only its
 //! own byte range, so the expected final contents are computable from the op
 //! list alone: for each (page, node) slot, the last value that node wrote
 //! there in program order. Every fault is detected through
