@@ -35,9 +35,8 @@ fn main() {
     println!(
         "Figure 5: minimal-cost map colouring, {states} states, SISCI/SCI, java_ic vs java_pf\n"
     );
-    if states == 29 {
-        println!("sequential optimum (oracle): {}\n", solve_sequential());
-    }
+    let oracle = solve_sequential(states);
+    println!("sequential optimum (oracle): {oracle}\n");
 
     let mut rows = Vec::new();
     let mut points = Vec::new();
@@ -46,6 +45,10 @@ fn main() {
             let mut config = ColoringConfig::paper(nodes);
             config.num_states = states;
             let result = run_map_coloring(&config, proto);
+            assert_eq!(
+                result.best_cost, oracle,
+                "{proto} on {nodes} nodes must find the oracle's cost"
+            );
             rows.push(vec![
                 proto.to_string(),
                 nodes.to_string(),

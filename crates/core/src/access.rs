@@ -99,6 +99,9 @@ impl DsmThreadCtx<'_, '_> {
                 Access::Write => rt.stats().incr_write_fault(),
                 _ => rt.stats().incr_read_fault(),
             }
+            // The handler takes this context mutably, runtime included: the
+            // protocol is borrowed from a handle of its own.
+            let rt = rt.clone();
             let protocol = rt.protocol(unit.protocol);
             let fault = FaultInfo {
                 addr,

@@ -25,7 +25,9 @@ use dsmpm2_pm2::{
     downcast, service_fn, Pm2Cluster, RpcClass, RpcPayload, RpcReply, RpcRequestCtx, RpcService,
     ServiceId,
 };
-use dsmpm2_sim::{BlockReason, EngineCtl, SimDuration, SimHandle, SimTime, ThreadId, TickOutbox};
+use dsmpm2_sim::{
+    BlockReason, EngineCtl, SimDuration, SimHandle, SimTime, ThreadId, TickBucket, TickOutbox,
+};
 
 use crate::ctx::{DsmThreadCtx, ServerCtx};
 use crate::diff::PageDiff;
@@ -73,11 +75,11 @@ impl RpcService for DsmService {
         let rt = DsmRuntime::from_inner(self.rt.upgrade()?);
         let mut ctx = ServerCtx {
             sim: &mut *rpc.sim,
-            runtime: rt.clone(),
+            runtime: &rt,
             local_node: rpc.local_node,
             from_node: rpc.from_node,
         };
-        serve_dsm_msg(&rt, &mut ctx, downcast::<DsmMsg>(payload, "dsm message"));
+        serve_dsm_msg(&mut ctx, downcast::<DsmMsg>(payload, "dsm message"));
         None
     }
 
@@ -195,8 +197,7 @@ pub(crate) fn register_dsm_services(
             }
             if let Some(inner) = weak.upgrade() {
                 let rt = DsmRuntime::from_inner(inner);
-                let ctl = rt.cluster().ctl();
-                rt.flush_coherence_link(&ctl, from, to);
+                rt.flush_coherence_link(rt.cluster().ctl(), from, to);
             }
         }));
 
@@ -228,7 +229,7 @@ pub(crate) fn register_dsm_services(
             assert!(held.0, "release of DSM lock {lock:?} which is not held");
             *held = (false, None);
         }
-        state.waiters.notify_one(&rpc.sim.ctl(), SimDuration::ZERO);
+        state.waiters.notify_one(rpc.sim.ctl(), SimDuration::ZERO);
         None
     });
 
@@ -248,7 +249,7 @@ pub(crate) fn register_dsm_services(
             (my_round, last)
         };
         if last {
-            state.waiters.notify_all(&rpc.sim.ctl(), SimDuration::ZERO);
+            state.waiters.notify_all(rpc.sim.ctl(), SimDuration::ZERO);
         } else {
             let state_for_wait = state.clone();
             state
@@ -277,10 +278,11 @@ fn trace_msg(now: SimTime, local: NodeId, from: NodeId, msg: &DsmMsg) {
 }
 
 /// Serve one protocol message in a handler thread.
-fn serve_dsm_msg(rt: &DsmRuntime, ctx: &mut ServerCtx<'_>, msg: DsmMsg) {
+fn serve_dsm_msg(ctx: &mut ServerCtx<'_>, msg: DsmMsg) {
+    let rt = ctx.runtime;
     if msg.is_nonblocking() {
         let ctl = ctx.sim.ctl();
-        return serve_nonblocking(rt, &ctl, ctx.local_node, ctx.from_node, msg);
+        return serve_nonblocking(rt, ctl, ctx.local_node, ctx.from_node, msg);
     }
     trace_msg(ctx.sim.now(), ctx.local_node, ctx.from_node, &msg);
     match msg {
@@ -311,11 +313,11 @@ fn serve_dsm_msg(rt: &DsmRuntime, ctx: &mut ServerCtx<'_>, msg: DsmMsg) {
                 ctx.sim.spawn_on(shard, name, move |sim| {
                     let mut sub_ctx = ServerCtx {
                         sim,
-                        runtime: rt_sub.clone(),
+                        runtime: &rt_sub,
                         local_node: local,
                         from_node: from,
                     };
-                    serve_dsm_msg(&rt_sub, &mut sub_ctx, sub);
+                    serve_dsm_msg(&mut sub_ctx, sub);
                 });
             }
         }
@@ -409,7 +411,7 @@ fn serve_nonblocking(rt: &DsmRuntime, ctl: &EngineCtl, local: NodeId, from: Node
         }
         other => unreachable!("{:?} may block", TraceMsg(&other)),
     };
-    table.waiters(unit).notify_all(ctl, SimDuration::ZERO);
+    table.notify_all(unit, ctl);
 }
 
 /// Try to serve a one-sided read fetch for `req` from `node`'s installed
@@ -576,22 +578,24 @@ impl DsmRuntime {
     /// one on the same link — the hook's nested invocation during our own
     /// send below finds the buckets already drained and is a no-op).
     pub(crate) fn flush_coherence_link(&self, ctl: &EngineCtl, from: NodeId, to: NodeId) {
-        for (tick, mut msgs) in self.inner().outbox.take_all((from, to)) {
-            let n = msgs.len();
-            let (payload, class) = if n == 1 {
-                let msg = msgs.pop().expect("one message");
-                let class = rpc_class_for(&msg);
-                (msg, class)
-            } else {
-                self.stats().incr_coherence_batch();
-                self.stats().add_coherence_batched_messages(n as u64);
-                let batch = DsmMsg::Batch(msgs);
-                // One envelope on the wire: a single message latency is
-                // paid, while every coalesced message contributes its
-                // payload plus one small per-message header at network
-                // bandwidth.
-                let bytes = batch.payload_bytes() + (n - 1) * CONTROL_MESSAGE_BYTES;
-                (batch, RpcClass::Data(bytes))
+        for (tick, bucket) in self.inner().outbox.take_all((from, to)) {
+            let (payload, class, n) = match bucket {
+                TickBucket::One(msg) => {
+                    let class = rpc_class_for(&msg);
+                    (msg, class, 1)
+                }
+                TickBucket::Many(msgs) => {
+                    let n = msgs.len();
+                    self.stats().incr_coherence_batch();
+                    self.stats().add_coherence_batched_messages(n as u64);
+                    let batch = DsmMsg::Batch(msgs);
+                    // One envelope on the wire: a single message latency is
+                    // paid, while every coalesced message contributes its
+                    // payload plus one small per-message header at network
+                    // bandwidth.
+                    let bytes = batch.payload_bytes() + (n - 1) * CONTROL_MESSAGE_BYTES;
+                    (batch, RpcClass::Data(bytes), n)
+                }
             };
             // `tick` is the instant the parked messages were sent at (the
             // sender's local clock, possibly ahead of the global clock): the

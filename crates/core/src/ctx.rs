@@ -59,8 +59,8 @@ impl std::fmt::Debug for DsmThreadCtx<'_, '_> {
 pub struct ServerCtx<'a> {
     /// The simulation handle of the service thread.
     pub sim: &'a mut SimHandle,
-    /// The DSM runtime.
-    pub runtime: DsmRuntime,
+    /// The DSM runtime, borrowed from whoever serves the message.
+    pub runtime: &'a DsmRuntime,
     /// Node on which the server action executes.
     pub local_node: NodeId,
     /// Node the triggering message came from.

@@ -32,10 +32,9 @@
 //! panics if they do).
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
 
 use dsmpm2_madeleine::NodeId;
-use dsmpm2_sim::{SliceCell, WaitSet};
+use dsmpm2_sim::{BlockReason, EngineCtl, SimDuration, SimHandle, SliceCell, WaitSet};
 
 use crate::page::{line_of_offset, Access, IdMap, LineIx, PageId, Unit, LINE0, PAGE_SIZE};
 use crate::protocol::ProtocolId;
@@ -160,7 +159,10 @@ pub struct UnitView {
 pub struct PageTable {
     node: NodeId,
     entries: SliceCell<IdMap<Unit, PageEntry>>,
-    waiters: SliceCell<IdMap<Unit, Arc<WaitSet>>>,
+    /// The threads blocked on each unit. Borrowed, never handed out: a
+    /// waiter registers in one borrow and deregisters in another, so none is
+    /// held while it parks.
+    waiters: SliceCell<IdMap<Unit, WaitSet>>,
 }
 
 impl PageTable {
@@ -286,15 +288,37 @@ impl PageTable {
         self.update(unit, |e| e.access = access);
     }
 
-    /// The wait set threads block on while `unit` is being fetched or while
-    /// acknowledgements for it are outstanding.
-    pub fn waiters(&self, unit: Unit) -> Arc<WaitSet> {
-        Arc::clone(
-            self.waiters
-                .borrow()
-                .entry(unit)
-                .or_insert_with(|| Arc::new(WaitSet::new())),
-        )
+    /// Park the calling thread once on `unit` — while it is being fetched,
+    /// or while acknowledgements for it are outstanding — until a
+    /// [`PageTable::notify_all`] for the unit (or a spurious wake-up). The
+    /// caller re-checks its condition afterwards.
+    pub fn park_on(&self, unit: Unit, sim: &mut SimHandle, reason: BlockReason) {
+        self.waiters.borrow().entry(unit).or_default().register(sim);
+        sim.park_with(reason);
+        if let Some(waiters) = self.waiters.borrow().get(&unit) {
+            waiters.deregister(sim);
+        }
+    }
+
+    /// Block the calling thread until `condition` holds, parking on `unit`
+    /// between re-checks.
+    pub fn wait_until(
+        &self,
+        unit: Unit,
+        sim: &mut SimHandle,
+        reason: BlockReason,
+        mut condition: impl FnMut() -> bool,
+    ) {
+        while !condition() {
+            self.park_on(unit, sim, reason);
+        }
+    }
+
+    /// Wake every thread parked on `unit`, now.
+    pub fn notify_all(&self, unit: Unit, ctl: &EngineCtl) {
+        if let Some(waiters) = self.waiters.borrow().get(&unit) {
+            waiters.notify_all(ctl, SimDuration::ZERO);
+        }
     }
 
     /// Every page registered in this table (each page once, regardless of how
@@ -427,18 +451,40 @@ mod tests {
     }
 
     #[test]
-    fn waiters_are_shared_per_unit() {
-        at_both_geometries(|t, _, unit| {
-            let a = t.waiters(unit);
-            let b = t.waiters(unit);
-            assert!(Arc::ptr_eq(&a, &b));
-            let c = t.waiters(Unit::whole(PageId(8)));
-            assert!(!Arc::ptr_eq(&a, &c));
-            if unit.line != LINE0 {
-                let d = t.waiters(Unit::new(PAGE, LineIx(2)));
-                assert!(!Arc::ptr_eq(&a, &d), "waiters are per line");
-            }
-        });
+    fn waiters_are_per_unit() {
+        use dsmpm2_sim::Engine;
+        use std::sync::Arc;
+        for line_size in [PAGE_SIZE, 1024] {
+            let t = Arc::new(PageTable::new(NodeId(1)));
+            t.ensure_lines(PAGE, NodeId(0), ProtocolId(0), false, line_size);
+            let unit = Unit::new(PAGE, LineIx(lines_per_page(line_size) - 1));
+            let mut engine = Engine::new();
+            let waiter = Arc::clone(&t);
+            engine.spawn("waiter", move |sim| {
+                waiter.wait_until(unit, sim, BlockReason::PageFault, || {
+                    waiter.access(unit) == Access::Read
+                });
+                assert_eq!(
+                    sim.now().as_nanos(),
+                    2_000,
+                    "woken by its own unit's notify"
+                );
+            });
+            let notifier = Arc::clone(&t);
+            engine.spawn("notifier", move |sim| {
+                sim.sleep(SimDuration::from_micros(1));
+                // Another page, and (when split) another line of this one:
+                // nobody to wake.
+                notifier.set_access(unit, Access::Read);
+                notifier.notify_all(Unit::whole(PageId(8)), sim.ctl());
+                if unit.line != LINE0 {
+                    notifier.notify_all(Unit::whole(PAGE), sim.ctl());
+                }
+                sim.sleep(SimDuration::from_micros(1));
+                notifier.notify_all(unit, sim.ctl());
+            });
+            engine.run().expect("the waiter is woken");
+        }
     }
 
     #[test]

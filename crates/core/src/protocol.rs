@@ -133,7 +133,7 @@ pub trait DsmProtocol: Send + Sync + 'static {
     /// Called on the home node when a diff arrives. The default applies the
     /// diff to the home copy and bumps the version of the diffed line.
     fn diff_server(&self, ctx: &mut ServerCtx<'_>, diff: PageDiff, from: NodeId) {
-        let runtime = ctx.runtime.clone();
+        let runtime = ctx.runtime;
         let node = ctx.local_node;
         let bytes = diff.modified_bytes();
         runtime.frames(node).apply_diff(diff.unit.page, &diff);

@@ -20,7 +20,7 @@
 //! conformance matrix at both granularities).
 
 use dsmpm2_madeleine::NodeId;
-use dsmpm2_sim::{BlockReason, SimDuration, SimHandle};
+use dsmpm2_sim::{BlockReason, SimHandle};
 
 use crate::ctx::DsmThreadCtx;
 use crate::diff::PageDiff;
@@ -69,15 +69,11 @@ pub fn request_page_and_wait(
             };
             rt.send_page_request(sim, node, target, req);
         }
-        let waiters = table.waiters(unit);
-        waiters.register(sim);
         // Re-check before really blocking (the transfer may have raced in).
         if table.access(unit).permits(access) {
-            waiters.deregister(sim);
             return;
         }
-        sim.park_with(BlockReason::PageFault);
-        waiters.deregister(sim);
+        table.park_on(unit, sim, BlockReason::PageFault);
     }
 }
 
@@ -132,9 +128,7 @@ pub fn one_sided_read(ctx: &mut DsmThreadCtx<'_, '_>, unit: Unit) -> bool {
             });
             sim.charge(rt.costs().install_overhead);
             sim.charge(rt.costs().table_update);
-            table
-                .waiters(unit)
-                .notify_all(&sim.ctl(), SimDuration::ZERO);
+            table.notify_all(unit, sim.ctl());
             true
         }
         FetchReply::Busy => false,
@@ -166,8 +160,7 @@ pub fn defer_while_fetching(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, 
     if req.requester == node || owned || !pending_fetch || req.access == Access::Write {
         return;
     }
-    let waiters = table.waiters(unit);
-    waiters.wait_until_why(sim, BlockReason::PageFault, || {
+    table.wait_until(unit, sim, BlockReason::PageFault, || {
         table.read(unit, |e| !e.pending_fetch || e.fetch_seq != fetch_seq)
     });
     // Yield for a short re-dispatch delay so the local threads woken by the
@@ -209,9 +202,7 @@ pub fn install_received_page(
     if transfer.grant == Access::Write && transfer.owner == node {
         notify_home_acquired(sim, node, rt, unit, transfer.version);
     }
-    table
-        .waiters(unit)
-        .notify_all(&sim.ctl(), SimDuration::ZERO);
+    table.notify_all(unit, sim.ctl());
 }
 
 /// Install a unit received together with write ownership under a
@@ -251,9 +242,7 @@ pub fn install_write_ownership(
     });
     sim.charge(rt.costs().install_overhead);
     notify_home_acquired(sim, node, rt, unit, transfer.version);
-    table
-        .waiters(unit)
-        .notify_all(&sim.ctl(), SimDuration::ZERO);
+    table.notify_all(unit, sim.ctl());
 }
 
 /// Owner side of a read request: add the requester to the copyset, downgrade
@@ -357,7 +346,6 @@ pub fn forward_request(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, req: 
         // acquisition in flight, a record still pointing at this node or at
         // the requester's *own* in-flight acquisition — is waited out; the
         // pending AcquireDone is what refreshes the record and wakes us.
-        let waiters = table.waiters(unit);
         loop {
             let (owned, queue_tail, prob_owner) =
                 table.read(unit, |e| (e.owned, e.queue_tail, e.prob_owner));
@@ -369,7 +357,7 @@ pub fn forward_request(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, req: 
             }
             let own_admission = queue_tail == Some(req.requester);
             if queue_tail.is_some() && !own_admission {
-                waiters.wait_until_why(sim, BlockReason::PageFault, || {
+                table.wait_until(unit, sim, BlockReason::PageFault, || {
                     table.read(unit, |e| {
                         e.owned || e.queue_tail.is_none() || e.queue_tail == Some(req.requester)
                     })
@@ -380,7 +368,7 @@ pub fn forward_request(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, req: 
                 // Record is stale (points at this non-owning node) or at the
                 // requester's own unfinished acquisition: wait for fresher
                 // ownership information.
-                waiters.wait_until_why(sim, BlockReason::PageFault, || {
+                table.wait_until(unit, sim, BlockReason::PageFault, || {
                     table.read(unit, |e| {
                         e.owned
                             || (e.prob_owner != node
@@ -460,8 +448,7 @@ pub fn send_copyset_invalidations(
 /// has arrived.
 pub fn await_invalidation_acks(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, unit: Unit) {
     let table = rt.page_table(node);
-    let waiters = table.waiters(unit);
-    waiters.wait_until_why(sim, BlockReason::Ack, || {
+    table.wait_until(unit, sim, BlockReason::Ack, || {
         table.read(unit, |e| e.pending_acks == 0)
     });
 }
@@ -510,9 +497,7 @@ pub fn notify_home_acquired(
                 e.queue_tail = None;
             }
         });
-        table
-            .waiters(unit)
-            .notify_all(&sim.ctl(), SimDuration::ZERO);
+        table.notify_all(unit, sim.ctl());
     } else {
         rt.send_acquire_done(sim, node, home, unit, node, version);
     }

@@ -2,7 +2,7 @@
 //! the protocol registry, shared-memory allocation and DSM thread creation.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use dsmpm2_madeleine::NodeId;
 use dsmpm2_pm2::{DsmTuning, Engine, MonitorSlot, Pm2Cluster, Pm2Config, Pm2ThreadState};
@@ -119,6 +119,64 @@ impl Directory {
     }
 }
 
+/// The registered protocols. Registration only appends and a protocol never
+/// moves once placed — write-once cells, like madeleine's hook cells — so a
+/// lookup hands out a plain borrow, valid as long as the runtime, and takes
+/// no count. Id `i` lives in segment `ilog2(i + 1)`, which has room for
+/// `2^segment` protocols and is allocated by the registration that first
+/// needs it.
+struct ProtocolRegistry {
+    segments: [OnceLock<Segment>; usize::BITS as usize],
+    /// Number of protocols registered so far: the next id.
+    len: SliceCell<usize>,
+}
+
+type Segment = Box<[OnceLock<Arc<dyn DsmProtocol>>]>;
+
+impl ProtocolRegistry {
+    fn new() -> Self {
+        ProtocolRegistry {
+            segments: std::array::from_fn(|_| OnceLock::new()),
+            len: SliceCell::new(0),
+        }
+    }
+
+    /// Segment and position within it of protocol `id`.
+    fn locate(id: usize) -> Option<(usize, usize)> {
+        let slot = id.checked_add(1)?;
+        let segment = slot.ilog2() as usize;
+        Some((segment, slot - (1 << segment)))
+    }
+
+    fn get(&self, id: usize) -> Option<&dyn DsmProtocol> {
+        let (segment, at) = Self::locate(id)?;
+        let protocol = self.segments[segment].get()?[at].get()?;
+        Some(&**protocol)
+    }
+
+    fn push(&self, protocol: Arc<dyn DsmProtocol>) -> usize {
+        let mut len = self.len.borrow();
+        let id = *len;
+        let (segment, at) = Self::locate(id).expect("fewer than usize::MAX protocols");
+        let cells = self.segments[segment]
+            .get_or_init(|| (0..1usize << segment).map(|_| OnceLock::new()).collect());
+        if cells[at].set(protocol).is_err() {
+            unreachable!("protocol id {id} handed out twice");
+        }
+        *len += 1;
+        id
+    }
+
+    fn len(&self) -> usize {
+        *self.len.borrow()
+    }
+
+    /// Every registered protocol, in registration order.
+    fn iter(&self) -> impl Iterator<Item = &dyn DsmProtocol> {
+        (0..).map_while(|id| self.get(id))
+    }
+}
+
 pub(crate) struct RuntimeInner {
     cluster: Pm2Cluster,
     costs: DsmCosts,
@@ -132,7 +190,7 @@ pub(crate) struct RuntimeInner {
     pub(crate) batch_thread_names: Vec<Arc<str>>,
     nodes: Vec<NodeState>,
     directory: SliceCell<Directory>,
-    protocols: SliceCell<Vec<Arc<dyn DsmProtocol>>>,
+    protocols: ProtocolRegistry,
     default_protocol: AtomicUsize,
     pub(crate) locks: SliceCell<IdMap<u64, Arc<LockState>>>,
     pub(crate) barriers: SliceCell<IdMap<u64, Arc<BarrierState>>>,
@@ -205,7 +263,7 @@ impl DsmRuntime {
             tuning,
             nodes,
             directory: SliceCell::default(),
-            protocols: SliceCell::default(),
+            protocols: ProtocolRegistry::new(),
             default_protocol: AtomicUsize::new(NO_DEFAULT),
             locks: SliceCell::default(),
             barriers: SliceCell::default(),
@@ -278,16 +336,14 @@ impl DsmRuntime {
     /// Register a protocol and return its identifier (the analogue of
     /// `dsm_create_protocol`).
     pub fn register_protocol(&self, protocol: Arc<dyn DsmProtocol>) -> ProtocolId {
-        let mut protocols = self.inner.protocols.borrow();
-        protocols.push(protocol);
-        ProtocolId(protocols.len() - 1)
+        ProtocolId(self.inner.protocols.push(protocol))
     }
 
     /// Install `protocol` as the default for subsequent allocations
     /// (`pm2_dsm_set_default_protocol`).
     pub fn set_default_protocol(&self, protocol: ProtocolId) {
         assert!(
-            protocol.0 < self.inner.protocols.borrow().len(),
+            protocol.0 < self.inner.protocols.len(),
             "cannot set unregistered {protocol} as default"
         );
         self.inner
@@ -309,12 +365,10 @@ impl DsmRuntime {
     }
 
     /// Look up a registered protocol.
-    pub fn protocol(&self, id: ProtocolId) -> Arc<dyn DsmProtocol> {
+    pub fn protocol(&self, id: ProtocolId) -> &dyn DsmProtocol {
         self.inner
             .protocols
-            .borrow()
             .get(id.0)
-            .cloned()
             .unwrap_or_else(|| panic!("unknown protocol {id}"))
     }
 
@@ -322,7 +376,6 @@ impl DsmRuntime {
     pub fn protocol_by_name(&self, name: &str) -> Option<ProtocolId> {
         self.inner
             .protocols
-            .borrow()
             .iter()
             .position(|p| p.name() == name)
             .map(ProtocolId)
@@ -332,14 +385,13 @@ impl DsmRuntime {
     pub fn protocol_names(&self) -> Vec<String> {
         self.inner
             .protocols
-            .borrow()
             .iter()
             .map(|p| p.name().to_string())
             .collect()
     }
 
     /// The protocol managing `page`.
-    pub fn protocol_for_page(&self, page: PageId) -> Arc<dyn DsmProtocol> {
+    pub fn protocol_for_page(&self, page: PageId) -> &dyn DsmProtocol {
         let meta = self.page_meta(page);
         self.protocol(meta.protocol)
     }
@@ -378,7 +430,7 @@ impl DsmRuntime {
         assert!(bytes > 0, "cannot allocate zero bytes of shared memory");
         let protocol = attr.protocol.unwrap_or_else(|| self.default_protocol());
         assert!(
-            protocol.0 < self.inner.protocols.borrow().len(),
+            protocol.0 < self.inner.protocols.len(),
             "allocation references unregistered {protocol}"
         );
         // Effective coherence granularity: the per-region override wins over
@@ -505,7 +557,7 @@ impl DsmRuntime {
         new_protocol: ProtocolId,
     ) -> usize {
         assert!(
-            new_protocol.0 < self.inner.protocols.borrow().len(),
+            new_protocol.0 < self.inner.protocols.len(),
             "cannot switch to unregistered {new_protocol}"
         );
         let pages = pages_covering(addr, bytes);
@@ -709,7 +761,7 @@ impl std::fmt::Debug for DsmRuntime {
             f,
             "DsmRuntime({} nodes, {} protocols, {} pages)",
             self.num_nodes(),
-            self.inner.protocols.borrow().len(),
+            self.inner.protocols.len(),
             self.inner.directory.borrow().pages.len()
         )
     }
@@ -718,23 +770,102 @@ impl std::fmt::Debug for DsmRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::Invalidation;
+    use crate::protocol::CustomProtocol;
 
-    /// The DSM services must not keep the runtime alive: once a run is over
-    /// and its handles are dropped, page tables and frames are freed.
+    /// Registration hands out dense ids, and each id keeps naming its
+    /// protocol however many are registered after it.
     #[test]
-    fn a_finished_run_frees_its_runtime() {
-        let mut engine = Engine::new();
-        let rt = DsmRuntime::new(&engine, Pm2Config::bip_myrinet(2));
-        let weak = rt.downgrade();
-        let barrier = rt.create_barrier(2, None);
-        for node in 0..2 {
-            rt.spawn_dsm_thread(NodeId(node), format!("t{node}"), move |ctx| {
-                ctx.dsm_barrier(barrier);
-            });
+    fn registered_protocols_keep_their_ids() {
+        let engine = Engine::new();
+        let rt = DsmRuntime::new(&engine, Pm2Config::bip_myrinet(1));
+        let names: Vec<String> = (0..40).map(|i| format!("p{i}")).collect();
+        for (i, name) in names.iter().enumerate() {
+            let id = rt.register_protocol(CustomProtocol::builder(name.clone()).build());
+            assert_eq!(id, ProtocolId(i));
         }
-        engine.run().expect("the barrier episode completes");
-        drop(rt);
-        drop(engine);
-        assert!(weak.upgrade().is_none(), "something still owns the runtime");
+        for (i, name) in names.iter().enumerate() {
+            assert_eq!(rt.protocol(ProtocolId(i)).name(), name);
+            assert_eq!(rt.protocol_by_name(name), Some(ProtocolId(i)));
+        }
+        assert_eq!(rt.protocol_names(), names);
+        assert!(rt.inner.protocols.get(names.len()).is_none());
+        assert!(rt.inner.protocols.get(usize::MAX).is_none());
+    }
+
+    /// However a run ends, nothing of it outlives the engine: once the engine
+    /// and every runtime handle are dropped, the runtime is freed — page
+    /// tables, frames, the coherence outbox, the services and hooks that
+    /// hold it weakly, and the threads still blocked in it included.
+    #[test]
+    fn nothing_outlives_its_run() {
+        let ends = |build: &dyn Fn(&DsmRuntime), run: bool| {
+            let mut engine = Engine::new();
+            let rt = DsmRuntime::new(&engine, Pm2Config::bip_myrinet(2));
+            let weak = rt.downgrade();
+            let quiet = CustomProtocol::builder("quiet")
+                .invalidate_server(|_, _| {})
+                .build();
+            let quiet = rt.register_protocol(quiet);
+            rt.set_default_protocol(quiet);
+            build(&rt);
+            drop(rt);
+            let result = run.then(|| engine.run());
+            drop(engine);
+            assert!(weak.upgrade().is_none(), "the runtime outlived its run");
+            result
+        };
+        // `threads` threads over both nodes, each sending a coherence message
+        // to the other node, then taking a lock and meeting at a barrier of
+        // `parties`.
+        let meet = |rt: &DsmRuntime, parties: usize, threads: usize| {
+            let barrier = rt.create_barrier(parties, None);
+            let lock = rt.create_lock(None);
+            let unit = Unit::whole(rt.dsm_malloc(4096, DsmAttr::default()).page());
+            for t in 0..threads {
+                let (me, other) = (NodeId(t % 2), NodeId((t + 1) % 2));
+                rt.spawn_dsm_thread(me, format!("t{t}"), move |ctx| {
+                    let rt = ctx.runtime().clone();
+                    let inv = Invalidation {
+                        unit,
+                        from: me,
+                        new_owner: None,
+                        needs_ack: false,
+                        version: 0,
+                    };
+                    rt.send_invalidate(ctx.pm2.sim, me, other, inv);
+                    ctx.dsm_lock(lock);
+                    ctx.dsm_unlock(lock);
+                    ctx.dsm_barrier(barrier);
+                });
+            }
+        };
+
+        let completed = ends(&|rt| meet(rt, 2, 2), true);
+        assert!(matches!(completed, Some(Ok(_))), "{completed:?}");
+        let deadlocked = ends(&|rt| meet(rt, 3, 2), true);
+        assert!(
+            matches!(deadlocked, Some(Err(dsmpm2_sim::SimError::Deadlock { .. }))),
+            "{deadlocked:?}"
+        );
+        let panicked = ends(
+            &|rt| {
+                meet(rt, 3, 2);
+                rt.spawn_dsm_thread(NodeId(1), "bad", |ctx| {
+                    ctx.pm2.sim.sleep(dsmpm2_sim::SimDuration::from_millis(1));
+                    panic!("intentional test panic");
+                });
+            },
+            true,
+        );
+        assert!(
+            matches!(
+                panicked,
+                Some(Err(dsmpm2_sim::SimError::ThreadPanic { .. }))
+            ),
+            "{panicked:?}"
+        );
+        let never_ran = ends(&|rt| meet(rt, 2, 2), false);
+        assert!(never_ran.is_none());
     }
 }

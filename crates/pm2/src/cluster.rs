@@ -199,8 +199,8 @@ impl Pm2Cluster {
     }
 
     /// Engine controller, for layers that need to schedule wake-ups.
-    pub fn ctl(&self) -> EngineCtl {
-        self.inner.ctl.clone()
+    pub fn ctl(&self) -> &EngineCtl {
+        &self.inner.ctl
     }
 
     /// Register a service under its name on every node and return the dense
@@ -1032,6 +1032,68 @@ mod tests {
                 threads_spawned: 40_004,
             }
         );
+    }
+
+    /// However a run ends, nothing of it outlives the engine: once the engine
+    /// and every cluster handle are dropped, the cluster is freed — the
+    /// services, the network and its delivery hook, the handler threads and
+    /// the callers blocked on replies included.
+    #[test]
+    fn nothing_outlives_its_run() {
+        let ends = |build: &dyn Fn(&Pm2Cluster), run: bool| {
+            let mut engine = Engine::new();
+            let c = cluster(&engine, 2);
+            let inner = Arc::downgrade(&c.inner);
+            c.register_service(service_fn("echo", true, |ctx, payload| {
+                ctx.sim.charge(SimDuration::from_micros(1));
+                Some(RpcReply::control(downcast::<u32>(payload, "echo")))
+            }));
+            c.register_service(service_fn("hang", true, |ctx, _payload| {
+                ctx.sim.park();
+                None
+            }));
+            c.register_service(service_fn("fail", true, |_ctx, _payload| {
+                panic!("intentional test panic")
+            }));
+            build(&c);
+            drop(c);
+            let result = run.then(|| engine.run());
+            drop(engine);
+            assert!(inner.upgrade().is_none(), "the cluster outlived its run");
+            result
+        };
+        // A one-way request and a blocking call, from a thread that holds
+        // the cluster through its context.
+        let call = |c: &Pm2Cluster, service: &'static str| {
+            c.spawn_thread_on(NodeId(0), format!("call-{service}"), move |ctx| {
+                ctx.rpc_oneway(NodeId(1), service, Box::new(0u32), RpcClass::Control);
+                let _ = ctx.rpc_call(NodeId(1), service, Box::new(1u32), RpcClass::Control);
+            });
+        };
+
+        let completed = ends(&|c| call(c, "echo"), true);
+        assert!(matches!(completed, Some(Ok(_))), "{completed:?}");
+        let deadlocked = ends(&|c| call(c, "hang"), true);
+        assert!(
+            matches!(deadlocked, Some(Err(dsmpm2_sim::SimError::Deadlock { .. }))),
+            "{deadlocked:?}"
+        );
+        let panicked = ends(
+            &|c| {
+                call(c, "hang");
+                call(c, "fail");
+            },
+            true,
+        );
+        assert!(
+            matches!(
+                panicked,
+                Some(Err(dsmpm2_sim::SimError::ThreadPanic { .. }))
+            ),
+            "{panicked:?}"
+        );
+        let never_ran = ends(&|c| call(c, "echo"), false);
+        assert!(never_ran.is_none());
     }
 
     #[test]

@@ -50,28 +50,28 @@ impl DsmProtocol for ErcSw {
     }
 
     fn read_server(&self, ctx: &mut ServerCtx<'_>, req: PageRequest) {
-        let rt = ctx.runtime.clone();
-        protolib::serve_or_forward(ctx.sim, ctx.local_node, &rt, &req);
+        let rt = ctx.runtime;
+        protolib::serve_or_forward(ctx.sim, ctx.local_node, rt, &req);
     }
 
     fn write_server(&self, ctx: &mut ServerCtx<'_>, req: PageRequest) {
-        let rt = ctx.runtime.clone();
-        protolib::serve_or_forward(ctx.sim, ctx.local_node, &rt, &req);
+        let rt = ctx.runtime;
+        protolib::serve_or_forward(ctx.sim, ctx.local_node, rt, &req);
     }
 
     fn invalidate_server(&self, ctx: &mut ServerCtx<'_>, inv: Invalidation) {
-        let rt = ctx.runtime.clone();
+        let rt = ctx.runtime;
         let node = ctx.local_node;
-        protolib::apply_invalidation(ctx.sim, node, &rt, &inv);
+        protolib::apply_invalidation(ctx.sim, node, rt, &inv);
     }
 
     fn receive_page_server(&self, ctx: &mut ServerCtx<'_>, transfer: PageTransfer) {
         // Ownership (and the copyset) moves with the page, but the copies in
         // the copyset are NOT invalidated here: invalidation is deferred to
         // the next lock release.
-        let rt = ctx.runtime.clone();
+        let rt = ctx.runtime;
         let node = ctx.local_node;
-        protolib::install_received_page(ctx.sim, node, &rt, transfer);
+        protolib::install_received_page(ctx.sim, node, rt, transfer);
     }
 
     fn lock_acquire(&self, _ctx: &mut DsmThreadCtx<'_, '_>, _lock: LockId) {

@@ -56,21 +56,21 @@ impl DsmProtocol for HbrcMw {
     }
 
     fn read_server(&self, ctx: &mut ServerCtx<'_>, req: PageRequest) {
-        let rt = ctx.runtime.clone();
+        let rt = ctx.runtime;
         let node = ctx.local_node;
-        protolib::serve_copy_from_home(ctx.sim, node, &rt, &req, Access::Read);
+        protolib::serve_copy_from_home(ctx.sim, node, rt, &req, Access::Read);
     }
 
     fn write_server(&self, ctx: &mut ServerCtx<'_>, req: PageRequest) {
         // Multiple writers: the home grants a writable copy but keeps its own
         // write access and ownership.
-        let rt = ctx.runtime.clone();
+        let rt = ctx.runtime;
         let node = ctx.local_node;
-        protolib::serve_copy_from_home(ctx.sim, node, &rt, &req, Access::Write);
+        protolib::serve_copy_from_home(ctx.sim, node, rt, &req, Access::Write);
     }
 
     fn invalidate_server(&self, ctx: &mut ServerCtx<'_>, inv: Invalidation) {
-        let rt = ctx.runtime.clone();
+        let rt = ctx.runtime;
         let node = ctx.local_node;
         let unit = inv.unit;
         // A third-party writer must first push its own modifications to the
@@ -93,15 +93,15 @@ impl DsmProtocol for HbrcMw {
             // the invalidation, otherwise the invalidator can proceed (and
             // other nodes can refetch) while the reference copy is still
             // stale.
-            protolib::push_diffs_and_wait(ctx.sim, node, &rt, vec![diff]);
+            protolib::push_diffs_and_wait(ctx.sim, node, rt, vec![diff]);
         }
-        protolib::apply_invalidation(ctx.sim, node, &rt, &inv);
+        protolib::apply_invalidation(ctx.sim, node, rt, &inv);
     }
 
     fn receive_page_server(&self, ctx: &mut ServerCtx<'_>, transfer: PageTransfer) {
-        let rt = ctx.runtime.clone();
+        let rt = ctx.runtime;
         let node = ctx.local_node;
-        protolib::install_received_page(ctx.sim, node, &rt, transfer);
+        protolib::install_received_page(ctx.sim, node, rt, transfer);
     }
 
     fn lock_acquire(&self, _ctx: &mut DsmThreadCtx<'_, '_>, _lock: LockId) {
@@ -156,7 +156,7 @@ impl DsmProtocol for HbrcMw {
     }
 
     fn diff_server(&self, ctx: &mut ServerCtx<'_>, diff: PageDiff, from: NodeId) {
-        let rt = ctx.runtime.clone();
+        let rt = ctx.runtime;
         let node = ctx.local_node;
         let unit = diff.unit;
         rt.frames(node).apply_diff(unit.page, &diff);
@@ -164,7 +164,7 @@ impl DsmProtocol for HbrcMw {
         ctx.sim.charge(rt.costs().diff_apply(diff.modified_bytes()));
         // Home-based invalidation of third-party copies: nodes other than the
         // releaser lose their (now stale) copies and will refetch on demand.
-        protolib::home_invalidate_other_copies(ctx.sim, node, &rt, unit, from);
+        protolib::home_invalidate_other_copies(ctx.sim, node, rt, unit, from);
     }
 
     fn supports_subpage(&self) -> bool {

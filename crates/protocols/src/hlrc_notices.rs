@@ -130,27 +130,27 @@ impl DsmProtocol for HlrcNotices {
     }
 
     fn read_server(&self, ctx: &mut ServerCtx<'_>, req: PageRequest) {
-        let rt = ctx.runtime.clone();
+        let rt = ctx.runtime;
         let node = ctx.local_node;
-        protolib::serve_copy_from_home(ctx.sim, node, &rt, &req, Access::Read);
+        protolib::serve_copy_from_home(ctx.sim, node, rt, &req, Access::Read);
     }
 
     fn write_server(&self, ctx: &mut ServerCtx<'_>, req: PageRequest) {
-        let rt = ctx.runtime.clone();
+        let rt = ctx.runtime;
         let node = ctx.local_node;
-        protolib::serve_copy_from_home(ctx.sim, node, &rt, &req, Access::Write);
+        protolib::serve_copy_from_home(ctx.sim, node, rt, &req, Access::Write);
     }
 
     fn invalidate_server(&self, ctx: &mut ServerCtx<'_>, inv: Invalidation) {
-        let rt = ctx.runtime.clone();
+        let rt = ctx.runtime;
         let node = ctx.local_node;
-        protolib::apply_invalidation(ctx.sim, node, &rt, &inv);
+        protolib::apply_invalidation(ctx.sim, node, rt, &inv);
     }
 
     fn receive_page_server(&self, ctx: &mut ServerCtx<'_>, transfer: PageTransfer) {
-        let rt = ctx.runtime.clone();
+        let rt = ctx.runtime;
         let node = ctx.local_node;
-        protolib::install_received_page(ctx.sim, node, &rt, transfer);
+        protolib::install_received_page(ctx.sim, node, rt, transfer);
     }
 
     fn lock_acquire(&self, ctx: &mut DsmThreadCtx<'_, '_>, lock: LockId) {

@@ -30,12 +30,12 @@ pub fn replicate_read_migrate_write() -> Arc<dyn DsmProtocol> {
         // handing out read replicas took away, by invalidating them.
         .write_fault_handler(|ctx, fault| protolib::migrate_thread_to_page(ctx, fault.unit))
         .read_server(|ctx, req| {
-            let rt = ctx.runtime.clone();
+            let rt = ctx.runtime;
             let node = ctx.local_node;
             if rt.page_table(node).read(req.unit, |e| e.owned) {
-                protolib::serve_read_copy(ctx.sim, node, &rt, &req);
+                protolib::serve_read_copy(ctx.sim, node, rt, &req);
             } else {
-                protolib::forward_request(ctx.sim, node, &rt, &req);
+                protolib::forward_request(ctx.sim, node, rt, &req);
             }
         })
         .write_server(|ctx, req| {
@@ -47,14 +47,14 @@ pub fn replicate_read_migrate_write() -> Arc<dyn DsmProtocol> {
             );
         })
         .invalidate_server(|ctx, inv| {
-            let rt = ctx.runtime.clone();
+            let rt = ctx.runtime;
             let node = ctx.local_node;
-            protolib::apply_invalidation(ctx.sim, node, &rt, &inv);
+            protolib::apply_invalidation(ctx.sim, node, rt, &inv);
         })
         .receive_page_server(|ctx, transfer| {
-            let rt = ctx.runtime.clone();
+            let rt = ctx.runtime;
             let node = ctx.local_node;
-            protolib::install_received_page(ctx.sim, node, &rt, transfer);
+            protolib::install_received_page(ctx.sim, node, rt, transfer);
         })
         .build()
 }

@@ -105,19 +105,19 @@ impl DsmProtocol for JavaConsistency {
     }
 
     fn read_server(&self, ctx: &mut ServerCtx<'_>, req: PageRequest) {
-        let rt = ctx.runtime.clone();
+        let rt = ctx.runtime;
         let node = ctx.local_node;
-        protolib::serve_copy_from_home(ctx.sim, node, &rt, &req, Access::Write);
+        protolib::serve_copy_from_home(ctx.sim, node, rt, &req, Access::Write);
     }
 
     fn write_server(&self, ctx: &mut ServerCtx<'_>, req: PageRequest) {
-        let rt = ctx.runtime.clone();
+        let rt = ctx.runtime;
         let node = ctx.local_node;
-        protolib::serve_copy_from_home(ctx.sim, node, &rt, &req, Access::Write);
+        protolib::serve_copy_from_home(ctx.sim, node, rt, &req, Access::Write);
     }
 
     fn invalidate_server(&self, ctx: &mut ServerCtx<'_>, inv: Invalidation) {
-        let rt = ctx.runtime.clone();
+        let rt = ctx.runtime;
         let node = ctx.local_node;
         let page = inv.unit.page;
         // Push any pending recorded modifications before dropping the copy,
@@ -129,15 +129,15 @@ impl DsmProtocol for JavaConsistency {
             rt.page_table(node).set_access(inv.unit, Access::None);
             ctx.sim.charge(rt.costs().table_update);
             let diff = rt.frames(node).take_recorded_diff(page);
-            protolib::push_diffs_and_wait(ctx.sim, node, &rt, vec![diff]);
+            protolib::push_diffs_and_wait(ctx.sim, node, rt, vec![diff]);
         }
-        protolib::apply_invalidation(ctx.sim, node, &rt, &inv);
+        protolib::apply_invalidation(ctx.sim, node, rt, &inv);
     }
 
     fn receive_page_server(&self, ctx: &mut ServerCtx<'_>, transfer: PageTransfer) {
-        let rt = ctx.runtime.clone();
+        let rt = ctx.runtime;
         let node = ctx.local_node;
-        protolib::install_received_page(ctx.sim, node, &rt, transfer);
+        protolib::install_received_page(ctx.sim, node, rt, transfer);
     }
 
     fn lock_acquire(&self, ctx: &mut DsmThreadCtx<'_, '_>, _lock: LockId) {

@@ -43,28 +43,28 @@ impl DsmProtocol for LiHudak {
     }
 
     fn read_server(&self, ctx: &mut ServerCtx<'_>, req: PageRequest) {
-        let rt = ctx.runtime.clone();
-        protolib::serve_or_forward(ctx.sim, ctx.local_node, &rt, &req);
+        let rt = ctx.runtime;
+        protolib::serve_or_forward(ctx.sim, ctx.local_node, rt, &req);
     }
 
     fn write_server(&self, ctx: &mut ServerCtx<'_>, req: PageRequest) {
-        let rt = ctx.runtime.clone();
-        protolib::serve_or_forward(ctx.sim, ctx.local_node, &rt, &req);
+        let rt = ctx.runtime;
+        protolib::serve_or_forward(ctx.sim, ctx.local_node, rt, &req);
     }
 
     fn invalidate_server(&self, ctx: &mut ServerCtx<'_>, inv: Invalidation) {
-        let rt = ctx.runtime.clone();
+        let rt = ctx.runtime;
         let node = ctx.local_node;
-        protolib::apply_invalidation(ctx.sim, node, &rt, &inv);
+        protolib::apply_invalidation(ctx.sim, node, rt, &inv);
     }
 
     fn receive_page_server(&self, ctx: &mut ServerCtx<'_>, transfer: PageTransfer) {
-        let rt = ctx.runtime.clone();
+        let rt = ctx.runtime;
         let node = ctx.local_node;
         if transfer.grant == Access::Write {
-            protolib::install_write_ownership(ctx.sim, node, &rt, transfer);
+            protolib::install_write_ownership(ctx.sim, node, rt, transfer);
         } else {
-            protolib::install_received_page(ctx.sim, node, &rt, transfer);
+            protolib::install_received_page(ctx.sim, node, rt, transfer);
         }
     }
 

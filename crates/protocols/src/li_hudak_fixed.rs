@@ -43,24 +43,24 @@ impl LiHudakFixed {
     /// owner it has on record, anybody else bounces the request back through
     /// the manager.
     fn serve_via_manager(ctx: &mut ServerCtx<'_>, req: PageRequest) {
-        let rt = ctx.runtime.clone();
+        let rt = ctx.runtime;
         let node = ctx.local_node;
-        protolib::defer_while_fetching(ctx.sim, node, &rt, &req);
+        protolib::defer_while_fetching(ctx.sim, node, rt, &req);
         let owned = rt.page_table(node).read(req.unit, |e| e.owned);
         let home = rt.page_meta(req.unit.page).home;
         if owned && req.access == Access::Write {
             // Serving transfers ownership; `serve_write_transfer` records the
             // requester as the new probable owner, which on the manager node
             // is precisely the manager's owner record.
-            protolib::serve_write_transfer(ctx.sim, node, &rt, &req);
+            protolib::serve_write_transfer(ctx.sim, node, rt, &req);
         } else if owned {
-            protolib::serve_read_copy(ctx.sim, node, &rt, &req);
+            protolib::serve_read_copy(ctx.sim, node, rt, &req);
         } else if node == home {
             // We are the manager but not the owner: forward to the recorded
             // owner. A write request also moves the owner record to the
             // requester (the transfer is now in flight to it); a read leaves
             // it untouched.
-            protolib::forward_request(ctx.sim, node, &rt, &req);
+            protolib::forward_request(ctx.sim, node, rt, &req);
         } else {
             // Stale request (ownership moved away between the manager's
             // forward and our receipt): bounce it back through the manager.
@@ -103,10 +103,10 @@ impl DsmProtocol for LiHudakFixed {
     }
 
     fn invalidate_server(&self, ctx: &mut ServerCtx<'_>, inv: Invalidation) {
-        let rt = ctx.runtime.clone();
+        let rt = ctx.runtime;
         let node = ctx.local_node;
         let home = rt.page_meta(inv.unit.page).home;
-        protolib::apply_invalidation(ctx.sim, node, &rt, &inv);
+        protolib::apply_invalidation(ctx.sim, node, rt, &inv);
         // Fixed manager: ordinary nodes keep routing through the manager; the
         // manager itself keeps the true owner recorded by the invalidation.
         if node != home {
@@ -116,14 +116,14 @@ impl DsmProtocol for LiHudakFixed {
     }
 
     fn receive_page_server(&self, ctx: &mut ServerCtx<'_>, transfer: PageTransfer) {
-        let rt = ctx.runtime.clone();
+        let rt = ctx.runtime;
         let node = ctx.local_node;
         let unit = transfer.unit;
         let home = rt.page_meta(unit.page).home;
         if transfer.grant == Access::Write {
-            protolib::install_write_ownership(ctx.sim, node, &rt, transfer);
+            protolib::install_write_ownership(ctx.sim, node, rt, transfer);
         } else {
-            protolib::install_received_page(ctx.sim, node, &rt, transfer);
+            protolib::install_received_page(ctx.sim, node, rt, transfer);
         }
         // Fixed distributed manager: a non-manager node always sends its next
         // request to the manager, never along dynamic ownership hints.

@@ -241,11 +241,34 @@ impl<T: Send + 'static> SimReceiver<T> {
 /// (key, tick) *after* a flush simply open a fresh bucket, so no item is ever
 /// lost — a tick may occasionally produce two batches, never zero.
 ///
-/// Within a bucket, items keep the order they were pushed in.
+/// Within a bucket, items keep the order they were pushed in. A bucket that
+/// holds one item keeps it inline, and draining a key with one bucket
+/// allocates nothing, so a lone item costs no allocation on its way through.
 pub struct TickOutbox<K, T> {
     /// Open buckets as `(key, tick, items)`. Scanned: a bucket lives from its
     /// first push to the end of its tick, so there are a handful at a time.
-    pending: SliceCell<Vec<(K, u64, Vec<T>)>>,
+    pending: SliceCell<Vec<(K, u64, TickBucket<T>)>>,
+}
+
+/// The items of one [`TickOutbox`] bucket, in push order.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum TickBucket<T> {
+    /// The bucket's only item.
+    One(T),
+    /// Two or more items.
+    Many(Vec<T>),
+}
+
+impl<T> TickBucket<T> {
+    fn push(&mut self, item: T) {
+        *self = match std::mem::replace(self, TickBucket::Many(Vec::new())) {
+            TickBucket::One(first) => TickBucket::Many(vec![first, item]),
+            TickBucket::Many(mut items) => {
+                items.push(item);
+                TickBucket::Many(items)
+            }
+        };
+    }
 }
 
 impl<K: Eq + Copy, T> TickOutbox<K, T> {
@@ -267,24 +290,38 @@ impl<K: Eq + Copy, T> TickOutbox<K, T> {
                 false
             }
             None => {
-                pending.push((key, tick, vec![item]));
+                pending.push((key, tick, TickBucket::One(item)));
                 true
             }
         }
     }
 
     /// Drain every unflushed bucket for `key`, oldest tick first; empty if
-    /// they were already flushed.
-    pub fn take_all(&self, key: K) -> Vec<(SimTime, Vec<T>)> {
-        let mut buckets = Vec::new();
-        self.pending.borrow().retain_mut(|(k, tick, items)| {
-            if *k == key {
-                buckets.push((SimTime::from_nanos(*tick), std::mem::take(items)));
+    /// they were already flushed. The outbox is released before this
+    /// returns, so whoever forwards the buckets may push and drain again.
+    pub fn take_all(&self, key: K) -> impl Iterator<Item = (SimTime, TickBucket<T>)> {
+        let mut pending = self.pending.borrow();
+        // The oldest bucket is kept aside; only a second one needs a list.
+        let mut oldest: Option<(SimTime, TickBucket<T>)> = None;
+        let mut later = Vec::new();
+        let mut at = 0;
+        while at < pending.len() {
+            if pending[at].0 != key {
+                at += 1;
+                continue;
             }
-            *k != key
-        });
-        buckets.sort_by_key(|(tick, _)| *tick);
-        buckets
+            // Order among the open buckets does not matter: a (key, tick)
+            // names at most one.
+            let (_, tick, items) = pending.swap_remove(at);
+            let taken = (SimTime::from_nanos(tick), items);
+            match &mut oldest {
+                None => oldest = Some(taken),
+                Some(kept) if taken.0 < kept.0 => later.push(std::mem::replace(kept, taken)),
+                Some(_) => later.push(taken),
+            }
+        }
+        later.sort_by_key(|(tick, _)| *tick);
+        oldest.into_iter().chain(later)
     }
 
     /// True when no bucket is waiting for its flush: what a caller on a hot
@@ -430,8 +467,17 @@ mod tests {
         assert_eq!(total.load(Ordering::SeqCst), 111);
     }
 
+    /// Everything `take_all` drained for `key`, in order.
+    fn drained<K: Eq + Copy, T>(
+        outbox: &TickOutbox<K, T>,
+        key: K,
+    ) -> Vec<(SimTime, TickBucket<T>)> {
+        outbox.take_all(key).collect()
+    }
+
     #[test]
     fn tick_outbox_groups_by_key_and_tick() {
+        use TickBucket::{Many, One};
         let outbox: TickOutbox<u32, &'static str> = TickOutbox::new();
         let t0 = SimTime::from_micros(10);
         let t1 = SimTime::from_micros(20);
@@ -440,31 +486,37 @@ mod tests {
         assert!(outbox.push(2, t0, "c"), "different key, own bucket");
         assert!(outbox.push(1, t1, "d"), "different tick, own bucket");
         assert_eq!(
-            outbox.take_all(1),
-            vec![(t0, vec!["a", "b"]), (t1, vec!["d"])]
+            drained(&outbox, 1),
+            vec![(t0, Many(vec!["a", "b"])), (t1, One("d"))]
         );
-        assert!(outbox.take_all(1).is_empty(), "drained");
+        assert!(drained(&outbox, 1).is_empty(), "drained");
         assert!(!outbox.is_empty(), "the other key's bucket is still parked");
         // A push after the flush opens a fresh bucket for the same slot.
         assert!(outbox.push(1, t0, "late"));
-        assert_eq!(outbox.take_all(1), vec![(t0, vec!["late"])]);
-        assert_eq!(outbox.take_all(2), vec![(t0, vec!["c"])]);
+        assert_eq!(drained(&outbox, 1), vec![(t0, One("late"))]);
+        assert_eq!(drained(&outbox, 2), vec![(t0, One("c"))]);
         assert!(outbox.is_empty());
     }
 
     #[test]
     fn tick_outbox_take_all_drains_a_key_in_tick_order() {
+        use TickBucket::One;
         let outbox: TickOutbox<u32, u32> = TickOutbox::new();
-        let (t0, t1) = (SimTime::from_micros(30), SimTime::from_micros(10));
+        let (t0, t1, t2) = (
+            SimTime::from_micros(30),
+            SimTime::from_micros(10),
+            SimTime::from_micros(20),
+        );
         outbox.push(1, t0, 100);
-        outbox.push(1, t1, 200);
         outbox.push(2, t0, 300);
-        let drained = outbox.take_all(1);
-        assert_eq!(drained, vec![(t1, vec![200]), (t0, vec![100])]);
-        assert!(outbox.take_all(1).is_empty());
+        outbox.push(1, t1, 200);
+        outbox.push(1, t2, 400);
+        let drained_in_order = vec![(t1, One(200)), (t2, One(400)), (t0, One(100))];
+        assert_eq!(drained(&outbox, 1), drained_in_order);
+        assert!(drained(&outbox, 1).is_empty());
         assert!(!outbox.is_empty(), "other keys untouched");
-        assert_eq!(outbox.take_all(2), vec![(t0, vec![300])]);
-        assert!(outbox.is_empty() && outbox.take_all(2).is_empty());
+        assert_eq!(drained(&outbox, 2), vec![(t0, One(300))]);
+        assert!(outbox.is_empty() && drained(&outbox, 2).is_empty());
     }
 
     #[test]
@@ -484,14 +536,17 @@ mod tests {
                     let outbox = outbox.clone();
                     let flushed = flushed.clone();
                     h.ctl().call_at(tick, move |_ctl| {
-                        flushed.lock().push(outbox.take_all(7));
+                        flushed.lock().push(drained(&outbox, 7));
                     });
                 }
             });
         }
         engine.run().unwrap();
         let tick = SimTime::from_micros(5);
-        assert_eq!(flushed.lock().clone(), vec![vec![(tick, vec![1, 2])]]);
+        assert_eq!(
+            flushed.lock().clone(),
+            vec![vec![(tick, TickBucket::Many(vec![1, 2]))]]
+        );
         assert!(outbox.is_empty());
     }
 

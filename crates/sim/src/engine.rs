@@ -413,15 +413,13 @@ impl Shared {
     }
 
     /// Wake with the slot embedded in the event, on the thread's current
-    /// shard: the scheduler grants straight off the `Arc`. Every wake whose
-    /// submitter holds the slot — a thread's own (`sleep`/`yield_now`/
-    /// `flush`), a spawn's first, a wait set's — comes through here.
-    pub(crate) fn schedule_wake_cached(&self, slot: &Arc<ThreadSlot>, at: SimTime) {
-        self.submit(
-            at,
-            EventKind::Wake(slot.id, Some(Arc::clone(slot))),
-            slot.shard_key(),
-        );
+    /// shard: the scheduler grants straight off the `Arc`, which the event
+    /// takes over. Every wake whose submitter holds the slot — a thread's own
+    /// (`sleep`/`yield_now`/`flush`), a spawn's first, a wait set's — comes
+    /// through here; a wait set hands over the reference it popped.
+    pub(crate) fn schedule_wake_slot(&self, slot: Arc<ThreadSlot>, at: SimTime) {
+        let (tid, key) = (slot.id, slot.shard_key());
+        self.submit(at, EventKind::Wake(tid, Some(slot)), key);
     }
 
     pub(crate) fn schedule_call(
@@ -467,11 +465,13 @@ impl Shared {
         let key = shard_key
             .or_else(|| self.executing_shard())
             .unwrap_or(tid.0);
+        // Three references besides the table's: the body's to the engine and
+        // to its slot, and the first wake's to the slot.
         let slot = Arc::new(ThreadSlot::new(
             tid,
-            Arc::clone(&name),
+            name,
             Backing::PLATFORM,
-            Arc::clone(&self.sched),
+            &self.sched,
             key,
         ));
         let shared = Arc::clone(self);
@@ -483,7 +483,7 @@ impl Shared {
                 // created. The first resume is the first grant.
                 let body: Box<dyn FnOnce() + Send> = Box::new(move || {
                     if !thread_slot.shutdown_requested() {
-                        run_body(&shared, &thread_slot, f);
+                        run_body(shared, thread_slot, f);
                     }
                 });
                 let stack_bytes = opts.stack_bytes.unwrap_or(DEFAULT_STACK_BYTES);
@@ -492,24 +492,26 @@ impl Shared {
                 None
             }
             Backing::Baton => {
-                let mut builder = std::thread::Builder::new().name(format!("sim-{name}"));
+                let mut builder = std::thread::Builder::new().name(format!("sim-{}", slot.name));
                 if let Some(bytes) = opts.stack_bytes {
                     builder = builder.stack_size(bytes);
                 }
                 let join = builder
                     .spawn(move || {
                         // Wait for the first grant before touching user code.
-                        if thread_slot.park_and_wait() {
-                            run_body(&shared, &thread_slot, f);
-                        }
-                        thread_slot.mark_finished();
+                        let slot = if thread_slot.park_and_wait() {
+                            run_body(shared, thread_slot, f)
+                        } else {
+                            thread_slot
+                        };
+                        slot.mark_finished();
                     })
                     .expect("failed to spawn backing OS thread for simulated thread");
                 Some(join)
             }
         };
 
-        self.schedule_wake_cached(&slot, start_at);
+        self.schedule_wake_slot(Arc::clone(&slot), start_at);
         threads
             .live
             .insert(tid.0, ThreadEntry { slot, join, daemon });
@@ -582,10 +584,10 @@ impl Shared {
     }
 
     /// Drop a thread whose final slice just ended: forget its entry, return
-    /// its stack to the pool — which also drops the coroutine and with it
-    /// the body's `Arc` cycle back to this `Shared` — and join the OS thread
-    /// of a baton slot, so a run holds as many stacks and OS threads as it
-    /// has live threads, however many it spawns.
+    /// its stack to the pool — the body let go of its references to this
+    /// `Shared` and to the slot when it returned — and join the OS thread of
+    /// a baton slot, so a run holds as many stacks and OS threads as it has
+    /// live threads, however many it spawns.
     fn reap(&self, slot: &ThreadSlot) {
         let stack = slot.reclaim_stack();
         let entry = {
@@ -607,23 +609,26 @@ impl Shared {
 /// user body, note the instant it completes — the event's plus whatever was
 /// charged since the last yield; nobody is left to observe a slice that
 /// sleeps that off — and turn a panic into the run's error. The teardown
-/// unwind is not a panic.
-fn run_body<F>(shared: &Arc<Shared>, slot: &Arc<ThreadSlot>, f: F)
+/// unwind is not a panic. The body's references become its handle's, and the
+/// slot's comes back for whoever publishes the thread's end.
+fn run_body<F>(shared: Arc<Shared>, slot: Arc<ThreadSlot>, f: F) -> Arc<ThreadSlot>
 where
     F: FnOnce(&mut SimHandle),
 {
-    let mut handle = SimHandle::new(Arc::clone(shared), Arc::clone(slot));
+    let mut handle = SimHandle::new(EngineCtl { shared }, slot);
     let result = panic::catch_unwind(AssertUnwindSafe(|| f(&mut handle)));
     let ended = handle.now().as_nanos();
+    let shared = &handle.ctl.shared;
     {
         let mut events = shared.events.borrow();
         events.latest_completion = events.latest_completion.max(ended);
     }
     if let Err(payload) = result {
         if payload.downcast_ref::<ShutdownUnwind>().is_none() {
-            shared.record_panic(slot.name.to_string(), panic_message(&*payload));
+            shared.record_panic(handle.slot.name.to_string(), panic_message(&*payload));
         }
     }
+    handle.slot
 }
 
 /// A lightweight, cloneable controller over the engine. It is handed to
@@ -1066,6 +1071,7 @@ impl Drop for Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wait::WaitSet;
     use parking_lot::Mutex;
     use std::sync::atomic::AtomicUsize;
 
@@ -1375,6 +1381,83 @@ mod tests {
         let result = engine.run_inner();
         assert!(matches!(result, Err(SimError::ThreadPanic { .. })));
         assert_eq!(live(&engine.shared), ["parked"]);
+    }
+
+    /// However a run ends, nothing of it outlives the engine: once the engine
+    /// and every handle on it are dropped, its scheduler state is freed. The
+    /// bodies keep controllers, wait sets that hold their own slots and
+    /// children of their own, so a reference that a spawn, a wake, a reap or
+    /// the teardown failed to give back shows up as a live `Shared`.
+    #[test]
+    fn nothing_outlives_its_run() {
+        let us = SimDuration::from_micros;
+        let ends = |build: &dyn Fn(&Engine), run: bool| {
+            let mut engine = Engine::new();
+            let shared = Arc::downgrade(&engine.shared);
+            build(&engine);
+            let result = run.then(|| engine.run());
+            drop(engine);
+            assert!(shared.upgrade().is_none(), "the run outlived its engine");
+            result
+        };
+        // Parked in a wait set that only its own body holds.
+        let park_forever = |engine: &Engine, name: &str| {
+            let ws = Arc::new(WaitSet::new());
+            engine.spawn(name, move |h| ws.wait_until(h, || false));
+        };
+
+        let completed = ends(
+            &|engine| {
+                let (ws, flag) = (Arc::new(WaitSet::new()), Arc::new(AtomicBool::new(false)));
+                let (w, f) = (ws.clone(), flag.clone());
+                engine.spawn("waiter", move |h| {
+                    w.wait_until(h, || f.load(Ordering::SeqCst))
+                });
+                let ctl = engine.ctl();
+                engine.spawn("notifier", move |h| {
+                    h.spawn("child", move |h| h.sleep(us(1)));
+                    h.sleep(us(2));
+                    flag.store(true, Ordering::SeqCst);
+                    ws.notify_all(&ctl, SimDuration::ZERO);
+                });
+            },
+            true,
+        );
+        assert!(matches!(completed, Some(Ok(_))), "{completed:?}");
+
+        let deadlocked = ends(&|engine| park_forever(engine, "stuck"), true);
+        assert!(
+            matches!(deadlocked, Some(Err(SimError::Deadlock { .. }))),
+            "{deadlocked:?}"
+        );
+
+        let panicked = ends(
+            &|engine| {
+                park_forever(engine, "parked");
+                let ctl = engine.ctl();
+                engine.spawn("bad", move |h| {
+                    // Due after the panic has ended the run: never started.
+                    ctl.spawn_on_at(0, "late", SimTime::from_micros(10), |h| h.park());
+                    h.sleep(us(1));
+                    panic!("intentional test panic");
+                });
+            },
+            true,
+        );
+        assert!(
+            matches!(panicked, Some(Err(SimError::ThreadPanic { .. }))),
+            "{panicked:?}"
+        );
+
+        let never_ran = ends(
+            &|engine| {
+                park_forever(engine, "idle");
+                let ctl = engine.ctl();
+                engine.spawn("holder", move |_| drop(ctl));
+            },
+            false,
+        );
+        assert!(never_ran.is_none());
     }
 
     #[test]

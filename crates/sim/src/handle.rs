@@ -15,7 +15,8 @@ use crate::time::{SimDuration, SimTime};
 
 /// Handle owned by a simulated thread.
 pub struct SimHandle {
-    shared: Arc<Shared>,
+    /// The engine, as every other holder of a controller sees it.
+    pub(crate) ctl: EngineCtl,
     /// The hand-off slot: also what a wait set keeps to wake this thread.
     pub(crate) slot: Arc<ThreadSlot>,
     /// Locally accumulated compute time not yet reflected in the global clock.
@@ -23,9 +24,9 @@ pub struct SimHandle {
 }
 
 impl SimHandle {
-    pub(crate) fn new(shared: Arc<Shared>, slot: Arc<ThreadSlot>) -> Self {
+    pub(crate) fn new(ctl: EngineCtl, slot: Arc<ThreadSlot>) -> Self {
         SimHandle {
-            shared,
+            ctl,
             slot,
             pending: SimDuration::ZERO,
         }
@@ -44,12 +45,12 @@ impl SimHandle {
     /// The thread's local view of virtual time: the global clock plus any
     /// compute charged since the last yield.
     pub fn now(&self) -> SimTime {
-        self.shared.now() + self.pending
+        self.shared().now() + self.pending
     }
 
     /// The global clock, excluding locally pending compute.
     pub fn global_now(&self) -> SimTime {
-        self.shared.now()
+        self.shared().now()
     }
 
     /// Compute time charged locally but not yet flushed to the global clock.
@@ -83,15 +84,16 @@ impl SimHandle {
     /// the post-migration wake-up already belongs to the destination node.
     pub fn set_shard(&mut self, key: u64) {
         self.slot.set_shard_key(key);
-        self.shared.set_executing_shard(key);
+        self.shared().set_executing_shard(key);
     }
 
     /// Advance virtual time by `d` (plus any pending compute), yielding to the
     /// scheduler so other threads and messages can make progress.
     pub fn sleep(&mut self, d: SimDuration) {
-        let wake_at = self.shared.now() + self.pending + d;
+        let wake_at = self.shared().now() + self.pending + d;
         self.pending = SimDuration::ZERO;
-        self.shared.schedule_wake_cached(&self.slot, wake_at);
+        self.shared()
+            .schedule_wake_slot(Arc::clone(&self.slot), wake_at);
         // Reified slice outcome: we advanced time and scheduled our own wake.
         self.slot.record_outcome(SliceOutcome::Yielded(wake_at));
         self.park_raw();
@@ -127,7 +129,7 @@ impl SimHandle {
             return;
         }
         self.slot.record_outcome(SliceOutcome::Blocked(reason));
-        self.shared.record_block(reason);
+        self.shared().record_block(reason);
         self.park_raw();
     }
 
@@ -143,7 +145,7 @@ impl SimHandle {
     /// Schedule a wake-up for another simulated thread after `delay` measured
     /// from this thread's local time.
     pub fn wake(&self, tid: ThreadId, delay: SimDuration) {
-        self.shared.schedule_wake(tid, self.now() + delay);
+        self.shared().schedule_wake(tid, self.now() + delay);
     }
 
     /// Spawn a new simulated thread that becomes runnable at this thread's
@@ -164,7 +166,7 @@ impl SimHandle {
     {
         let start_at = self.now();
         let key = self.slot.shard_key();
-        self.shared
+        self.shared()
             .spawn_thread(name.into(), start_at, false, Some(key), opts, f)
     }
 
@@ -175,7 +177,7 @@ impl SimHandle {
         F: FnOnce(&mut SimHandle) + Send + 'static,
     {
         let start_at = self.now();
-        self.shared.spawn_thread(
+        self.shared().spawn_thread(
             name.into(),
             start_at,
             false,
@@ -193,7 +195,7 @@ impl SimHandle {
     {
         let start_at = self.now();
         let key = self.slot.shard_key();
-        self.shared.spawn_thread(
+        self.shared().spawn_thread(
             name.into(),
             start_at,
             true,
@@ -211,7 +213,7 @@ impl SimHandle {
     where
         F: FnOnce(&EngineCtl) + Send + 'static,
     {
-        self.shared
+        self.shared()
             .schedule_call(self.now() + delay, Some(self.slot.shard_key()), Box::new(f));
     }
 
@@ -221,16 +223,19 @@ impl SimHandle {
     where
         F: FnOnce(&EngineCtl) + Send + 'static,
     {
-        self.shared
+        self.shared()
             .schedule_call(self.now() + delay, Some(shard_key), Box::new(f));
     }
 
-    /// A cloneable controller over the engine, usable from shared data
-    /// structures (channels, wait queues, RPC reply slots).
-    pub fn ctl(&self) -> EngineCtl {
-        EngineCtl {
-            shared: Arc::clone(&self.shared),
-        }
+    /// The controller over the engine this thread runs on. Clone it to keep
+    /// one in a shared data structure (channels, wait queues, RPC reply
+    /// slots) or in a scheduled closure.
+    pub fn ctl(&self) -> &EngineCtl {
+        &self.ctl
+    }
+
+    fn shared(&self) -> &Arc<Shared> {
+        &self.ctl.shared
     }
 }
 

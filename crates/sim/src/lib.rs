@@ -57,7 +57,7 @@ mod time;
 mod wait;
 
 pub use cell::{SliceCell, SliceRef};
-pub use channel::{channel, channel_on, SimReceiver, SimSender, TickOutbox};
+pub use channel::{channel, channel_on, SimReceiver, SimSender, TickBucket, TickOutbox};
 pub use engine::{
     BlockReason, Engine, EngineConfig, EngineCtl, EventChoice, RunReport, ScheduleController,
     SliceOutcome, SpawnOptions,

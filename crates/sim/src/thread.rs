@@ -202,8 +202,9 @@ pub(crate) struct ThreadSlot {
     /// scheduler). Never set for continuation slots.
     os_thread: OnceLock<Thread>,
     /// The scheduler's handle (owned by the engine's `Shared`): whom the
-    /// backing OS thread wakes when it parks or finishes.
-    sched: Arc<SchedHandle>,
+    /// backing OS thread wakes when it parks or finishes. Only a baton slot
+    /// holds it; a continuation parks by switching stacks.
+    sched: Option<Arc<SchedHandle>>,
     // ----- continuation -----------------------------------------------------
     /// The coroutine carrying this thread's slices. Only the scheduler
     /// thread touches it — to grant, reap or tear down — or the coroutine
@@ -230,11 +231,13 @@ unsafe impl Send for ThreadSlot {}
 unsafe impl Sync for ThreadSlot {}
 
 impl ThreadSlot {
+    /// A slot for thread `id`, named `name`. A baton slot keeps a reference
+    /// to `sched`; a continuation slot takes none.
     pub fn new(
         id: ThreadId,
         name: Arc<str>,
         backing: Backing,
-        sched: Arc<SchedHandle>,
+        sched: &Arc<SchedHandle>,
         shard: u64,
     ) -> Self {
         ThreadSlot {
@@ -245,7 +248,7 @@ impl ThreadSlot {
             phase: AtomicU32::new(Phase::Created as u32),
             shutdown: AtomicBool::new(false),
             os_thread: OnceLock::new(),
-            sched,
+            sched: (backing == Backing::Baton).then(|| Arc::clone(sched)),
             coro: UnsafeCell::new(None),
             outcome_kind: AtomicU32::new(OUTCOME_NONE),
             outcome_arg: AtomicU64::new(0),
@@ -320,12 +323,19 @@ impl ThreadSlot {
         }
     }
 
+    /// The scheduler's handle, which only a baton slot holds.
+    fn sched(&self) -> &SchedHandle {
+        self.sched
+            .as_deref()
+            .expect("a baton slot holds the scheduler's handle")
+    }
+
     fn park_and_wait_baton(&self) -> bool {
         // Publish our handle before the Parked store so the scheduler can
         // unpark us as soon as it observes the phase.
         let _ = self.os_thread.set(std::thread::current());
         self.phase.store(Phase::Parked as u32, Ordering::SeqCst);
-        self.sched.unpark();
+        self.sched().unpark();
         let spin = baton_spin();
         let mut spins = 0u32;
         loop {
@@ -356,7 +366,7 @@ impl ThreadSlot {
     pub fn mark_finished(&self) {
         self.record_outcome(SliceOutcome::Done);
         self.phase.store(Phase::Finished as u32, Ordering::SeqCst);
-        self.sched.unpark();
+        self.sched().unpark();
     }
 
     // ----- scheduler side ---------------------------------------------------
@@ -551,7 +561,7 @@ mod tests {
             ThreadId(id),
             "t".into(),
             Backing::Baton,
-            sched,
+            &sched,
             id,
         ))
     }

@@ -12,7 +12,8 @@
 //! may look before and after [`crate::Engine::run`] — all ordered by the
 //! hand-off, so the queue sits in a [`SliceCell`]. No borrow of it outlives
 //! the method that took it: a waiter is out of the queue before its wake is
-//! submitted, and nothing is held while the caller parks.
+//! submitted (a wake event only joins the engine's queue; nobody's code runs
+//! meanwhile), and nothing is held while the caller parks.
 //!
 //! The park itself goes through the scheduler hand-off
 //! ([`SimHandle::park`] → `ThreadSlot`); nothing here depends on its
@@ -68,22 +69,28 @@ impl WaitSet {
     }
 
     /// Wake the oldest waiter (if any) after `delay`, removing it from the
-    /// set. Returns the thread that was woken.
+    /// set: the wake event takes over the set's reference to its slot.
+    /// Returns the thread that was woken.
     pub fn notify_one(&self, ctl: &EngineCtl, delay: SimDuration) -> Option<ThreadId> {
         let slot = self.waiters.borrow().pop_front()?;
-        ctl.shared.schedule_wake_cached(&slot, ctl.now() + delay);
-        Some(slot.id)
+        let id = slot.id;
+        ctl.shared.schedule_wake_slot(slot, ctl.now() + delay);
+        Some(id)
     }
 
-    /// Wake every registered waiter after `delay`, clearing the set.
-    /// Returns the number of threads woken.
+    /// Wake every registered waiter after `delay`, clearing the set in place
+    /// — its buffer stays for the next round of waiters — and handing each
+    /// slot to its wake event. Returns the number of threads woken.
     pub fn notify_all(&self, ctl: &EngineCtl, delay: SimDuration) -> usize {
-        let drained = std::mem::take(&mut *self.waiters.borrow());
         let at = ctl.now() + delay;
-        for slot in &drained {
-            ctl.shared.schedule_wake_cached(slot, at);
+        let mut waiters = self.waiters.borrow();
+        let woken = waiters.len();
+        // Submitting a wake runs nobody's code, so the queue may stay
+        // borrowed meanwhile.
+        for slot in waiters.drain(..) {
+            ctl.shared.schedule_wake_slot(slot, at);
         }
-        drained.len()
+        woken
     }
 
     /// Block the calling thread on this wait set until `condition` returns
@@ -147,7 +154,7 @@ mod tests {
         engine.spawn("setter", move |h| {
             h.sleep(SimDuration::from_micros(40));
             flag.store(true, Ordering::SeqCst);
-            ws3.notify_one(&h.ctl(), SimDuration::ZERO);
+            ws3.notify_one(h.ctl(), SimDuration::ZERO);
         });
 
         engine.run().unwrap();
@@ -175,7 +182,7 @@ mod tests {
         engine.spawn("broadcaster", move |h| {
             h.sleep(SimDuration::from_micros(10));
             flag.store(true, Ordering::SeqCst);
-            ws2.notify_all(&h.ctl(), SimDuration::ZERO);
+            ws2.notify_all(h.ctl(), SimDuration::ZERO);
         });
         engine.run().unwrap();
         assert_eq!(woken.load(Ordering::SeqCst), 5);
@@ -203,7 +210,7 @@ mod tests {
             h.wake(waiter, SimDuration::ZERO);
             h.sleep(SimDuration::from_micros(5));
             flag.store(true, Ordering::SeqCst);
-            ws3.notify_one(&h.ctl(), SimDuration::ZERO);
+            ws3.notify_one(h.ctl(), SimDuration::ZERO);
         });
 
         engine.run().unwrap();
@@ -233,9 +240,9 @@ mod tests {
         let ws2 = ws.clone();
         engine.spawn("notifier", move |h| {
             h.sleep(SimDuration::from_micros(200));
-            ws2.notify_one(&h.ctl(), SimDuration::ZERO);
+            ws2.notify_one(h.ctl(), SimDuration::ZERO);
             h.sleep(SimDuration::from_micros(10));
-            ws2.notify_one(&h.ctl(), SimDuration::ZERO);
+            ws2.notify_one(h.ctl(), SimDuration::ZERO);
         });
         engine.run().unwrap();
         assert_eq!(order.lock().clone(), vec!["early", "late"]);

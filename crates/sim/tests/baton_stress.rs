@@ -101,15 +101,15 @@ fn waitset_crowd_matches_its_pinned_run() {
             h.sleep(SimDuration::from_micros(3));
             token.store(round + 1, Ordering::SeqCst);
             if round % 5 == 0 {
-                ws2.notify_all(&h.ctl(), SimDuration::ZERO);
+                ws2.notify_all(h.ctl(), SimDuration::ZERO);
             } else {
-                ws2.notify_one(&h.ctl(), SimDuration::ZERO);
-                ws2.notify_one(&h.ctl(), SimDuration::ZERO);
+                ws2.notify_one(h.ctl(), SimDuration::ZERO);
+                ws2.notify_one(h.ctl(), SimDuration::ZERO);
             }
         }
         // Flush any stragglers.
         h.sleep(SimDuration::from_micros(3));
-        ws2.notify_all(&h.ctl(), SimDuration::ZERO);
+        ws2.notify_all(h.ctl(), SimDuration::ZERO);
     });
     let report = engine.run().expect("crowd must complete");
     let times: Vec<u64> = done_at.iter().map(|t| t.load(Ordering::SeqCst)).collect();
@@ -178,7 +178,7 @@ fn events_and_slices_may_reenter_the_scheduler() {
         .call_at(SimTime::from_micros(10), move |ctl| from_event(ctl, 1));
     engine.spawn("poker", move |h| {
         h.sleep(SimDuration::from_micros(20));
-        poke(&h.ctl(), 2);
+        poke(h.ctl(), 2);
     });
 
     let report = engine.run().expect("no borrow is live at a call-out");
@@ -227,7 +227,7 @@ fn turn_taking_through_a_wait_set_matches_its_pinned_run() {
                     _ => {}
                 }
                 turn.fetch_add(1, Ordering::SeqCst);
-                ws.notify_all(&h.ctl(), SimDuration::ZERO);
+                ws.notify_all(h.ctl(), SimDuration::ZERO);
             }
         });
     }

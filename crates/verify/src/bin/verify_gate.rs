@@ -6,7 +6,8 @@
 //!   and assert every schedule is finding-free; prints pruning statistics.
 //! * `races` — run the workload sweep (shared counter, Jacobi, map
 //!   colouring across the registered protocols) with the race detector and
-//!   invariant oracle attached and assert it comes back clean.
+//!   invariant oracle attached and assert it comes back clean; then run the
+//!   unsynchronised-seeding scenario and assert the detector finds its race.
 //! * `mutants` — run the kill battery. With `DSM_MUTANT=<name>` set (and
 //!   the binary built with `RUSTFLAGS=--cfg dsm_mutant`) the battery must
 //!   catch the mutant (exit 0 on catch, 1 on escape); with no mutant
@@ -24,7 +25,7 @@ use dsmpm2_verify::{
 use dsmpm2_core::{PermutedConfig, TransportBackend, TransportTuning};
 use dsmpm2_pm2::profiles;
 use dsmpm2_workloads::jacobi::{run_jacobi, JacobiConfig};
-use dsmpm2_workloads::map_coloring::{run_map_coloring, ColoringConfig};
+use dsmpm2_workloads::map_coloring::{run_map_coloring, solve_sequential, ColoringConfig};
 use dsmpm2_workloads::micro::run_shared_counter;
 
 /// Protocols the micro/colouring workloads can select (the builtin set).
@@ -152,31 +153,45 @@ fn race_gate() -> bool {
             with_recording(true, || run_jacobi(&JacobiConfig::small(2), protocol));
         ok &= report_workload("jacobi", protocol, &log, &step, result.checksum.is_finite());
     }
-    // The colouring heap requires a Java-consistency protocol. Its seeding
-    // phase writes the graph objects with no synchronization edge to the
-    // worker threads — a genuine latent race the detector is expected to
-    // flag (a true positive kept as a canary): the gate asserts the races
-    // are found, are all DataRace findings, and are deterministic in count.
+    // The colouring heap requires a Java-consistency protocol.
     for protocol in ["java_ic", "java_pf"] {
-        let (result, log, step) = with_recording(true, || {
-            run_map_coloring(&ColoringConfig::small(2, 6), protocol)
-        });
-        let races = dsmpm2_verify::hb::analyze(&log);
-        let expected = step.is_empty()
-            && result.best_cost > 0
-            && !races.is_empty()
-            && races
+        let config = ColoringConfig::small(2, 6);
+        let (result, log, step) = with_recording(true, || run_map_coloring(&config, protocol));
+        let oracle = solve_sequential(config.num_states);
+        ok &= report_workload(
+            "map_coloring",
+            protocol,
+            &log,
+            &step,
+            result.best_cost == oracle,
+        );
+    }
+    // The canary: a seeding race the detector must find, under the same two
+    // protocols, as the same DataRace findings on every run.
+    let scn = scenario::unsynced_seeding();
+    for protocol in ["java_ic", "java_pf"] {
+        let runs: Vec<RunOutcome> = (0..2)
+            .map(|_| run_scenario(&scn, &RunConfig::checked(protocol)))
+            .collect();
+        let races: Vec<Vec<Finding>> = runs.iter().map(RunOutcome::race_findings).collect();
+        let expected = runs
+            .iter()
+            .all(|run| run.step_findings.is_empty() && run.expectation_findings(&scn).is_empty())
+            && !races[0].is_empty()
+            && races[0] == races[1]
+            && races[0]
                 .iter()
                 .all(|f| f.kind == dsmpm2_verify::FindingKind::DataRace);
         println!(
-            "races map_coloring/{protocol}: {} log records, {} step findings, {} race \
-             findings (unsynchronized seeding phase — expected true positive)",
-            log.len(),
-            step.len(),
-            races.len(),
+            "races {}/{protocol}: {} log records, {} step findings, {} race findings \
+             (unsynchronised seeding — expected true positive)",
+            scn.name,
+            runs[0].log.len(),
+            runs[0].step_findings.len(),
+            races[0].len(),
         );
         if !expected {
-            for finding in step.iter().chain(races.iter()) {
+            for finding in runs.iter().flat_map(|run| run.all_findings(&scn)) {
                 println!("  FINDING {finding}");
             }
         }

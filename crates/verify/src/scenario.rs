@@ -191,6 +191,46 @@ pub fn unsynced_pair() -> Scenario {
     }
 }
 
+/// Seeding with no edge to its readers: a seeding thread writes two words
+/// (a degree and a neighbour, say) while two workers, which meet at a
+/// barrier the seeder takes no part in, read them. Nothing orders the writes
+/// before the reads, so under a relaxed model the race detector must report
+/// them. This is the race the map-colouring workload had while its seeding
+/// thread was no party to the workers' first barrier — kept here as the
+/// detector's true positive. The seeder is the only writer, so the final
+/// memory is schedule-independent.
+pub fn unsynced_seeding() -> Scenario {
+    let read_both = vec![Op::Barrier, Op::Read { page: 0 }, Op::Read { page: 1 }];
+    Scenario {
+        name: "unsynced_seeding",
+        nodes: 2,
+        pages: 2,
+        home: 0,
+        lock_manager: 0,
+        granularity: 0,
+        one_sided_reads: false,
+        threads: vec![
+            ThreadSpec {
+                node: 0,
+                ops: vec![
+                    Op::Write { page: 0, value: 2 },
+                    Op::Write { page: 1, value: 1 },
+                ],
+            },
+            ThreadSpec {
+                node: 0,
+                ops: read_both.clone(),
+            },
+            ThreadSpec {
+                node: 1,
+                ops: read_both,
+            },
+        ],
+        expected: vec![Some(2), Some(1)],
+        expected_at: vec![],
+    }
+}
+
 /// Lock-protected increments where the second incrementer runs on the home
 /// node and therefore reads the home frame directly: if a release returns
 /// before its diffs reached the home (the `pre_revoke_diff_push` bug), a

@@ -28,23 +28,23 @@ fn main() {
             protolib::migrate_thread_to_page(ctx, fault.unit);
         })
         .read_server(|ctx, req| {
-            let rt = ctx.runtime.clone();
+            let rt = ctx.runtime;
             let node = ctx.local_node;
             if rt.page_table(node).read(req.unit, |e| e.owned) {
-                protolib::serve_read_copy(ctx.sim, node, &rt, &req);
+                protolib::serve_read_copy(ctx.sim, node, rt, &req);
             } else {
-                protolib::forward_request(ctx.sim, node, &rt, &req);
+                protolib::forward_request(ctx.sim, node, rt, &req);
             }
         })
         .invalidate_server(|ctx, inv| {
-            let rt = ctx.runtime.clone();
+            let rt = ctx.runtime;
             let node = ctx.local_node;
-            protolib::apply_invalidation(ctx.sim, node, &rt, &inv);
+            protolib::apply_invalidation(ctx.sim, node, rt, &inv);
         })
         .receive_page_server(|ctx, transfer| {
-            let rt = ctx.runtime.clone();
+            let rt = ctx.runtime;
             let node = ctx.local_node;
-            protolib::install_received_page(ctx.sim, node, &rt, transfer);
+            protolib::install_received_page(ctx.sim, node, rt, transfer);
         })
         .build();
 

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example map_coloring -- [states] [nodes]`
 //! (defaults: 18 states, 4 nodes — use 29 to match the paper exactly).
 
-use dsm_pm2::workloads::map_coloring::{run_map_coloring, ColoringConfig};
+use dsm_pm2::workloads::map_coloring::{run_map_coloring, solve_sequential, ColoringConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -32,7 +32,8 @@ fn main() {
         );
         costs.push(r.best_cost);
     }
-    assert_eq!(costs[0], costs[1], "both protocols find the same optimum");
+    let oracle = solve_sequential(states);
+    assert_eq!(costs, [oracle, oracle], "both protocols find the optimum");
     println!("\nAs in the paper, java_pf outperforms java_ic: objects are well distributed,");
     println!("so local accesses dominate and the per-access inline check is pure overhead.");
 }

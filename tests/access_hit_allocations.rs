@@ -1,12 +1,15 @@
 //! The typed-access hit path allocates nothing, the message path allocates
 //! three times per request, and a request served in a handler thread of its
-//! own four times — none of them a stack. The data path allocates no page:
-//! twins, snapshots and frames are recycled buffers, a received page becomes
-//! the frame as it is, and a diff is two small buffers.
+//! own four times — none of them a stack. A lone coherence message allocates
+//! no bucket and no list to drain it, and a wait cycle on a wait set nothing
+//! at all. The data path allocates no page: twins, snapshots and frames are
+//! recycled buffers, a received page becomes the frame as it is, and a diff
+//! is two small buffers.
 //!
 //! A counting global allocator brackets 10 000 warm hits per scenario, taken
 //! inside one DSM thread (hits never yield, so nothing else runs in between),
-//! and 10 000 one-way requests with everything their delivery runs.
+//! and 10 000 one-way requests or coherence messages with everything their
+//! delivery runs.
 //! The counter is process-wide, so nothing may allocate next to the measured
 //! slice: everything lives in a single `#[test]`.
 
@@ -20,6 +23,7 @@ use dsm_pm2::pm2::{
     EngineCtl, RpcClass, RpcPayload, RpcReply, RpcRequestCtx, RpcService, SimHandle,
 };
 use dsm_pm2::prelude::*;
+use dsm_pm2::sim::WaitSet;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 /// Allocations no smaller than the smallest continuation stack.
@@ -314,6 +318,80 @@ fn message_path(threaded: bool) -> (f64, u64) {
     )
 }
 
+/// Allocations per message over `HITS` lone coherence messages — an
+/// invalidation acknowledgement from node 0 to node 1, alone on its link at
+/// its instant — from the send to the end of its serving: the bucket it is
+/// parked in, the end-of-instant flush, the envelope, the arrival event and
+/// the call that serves it. After one identical warm-up pass; the sender
+/// sleeps between messages so that each is served inside the bracket.
+fn lone_coherence_messages() -> f64 {
+    let (mut engine, rt, _) = cluster("li_hudak_fixed");
+    let base = rt.dsm_malloc(
+        PAGE_SIZE as u64,
+        DsmAttr::default().home(HomePolicy::Fixed(NodeId(0))),
+    );
+    let unit = Unit::whole(base.page());
+    let counted = Arc::new(AtomicU64::new(u64::MAX));
+    let out = counted.clone();
+    rt.spawn_dsm_thread(NodeId(0), "acknowledger", move |ctx| {
+        let rt = ctx.runtime().clone();
+        let pass = |sim: &mut SimHandle| {
+            for _ in 0..HITS {
+                rt.send_invalidate_ack(sim, NodeId(0), NodeId(1), unit);
+                sim.sleep(SimDuration::from_micros(50));
+            }
+        };
+        pass(ctx.pm2.sim);
+        out.store(allocations_in(|| pass(ctx.pm2.sim)), Ordering::SeqCst);
+    });
+    engine.run().expect("acknowledgements cannot deadlock");
+    assert_eq!(
+        rt.cluster().network().wire_stats().envelopes,
+        2 * HITS,
+        "every message left alone"
+    );
+    counted.load(Ordering::SeqCst) as f64 / HITS as f64
+}
+
+const WAITS: u64 = 1_000;
+
+/// Allocations over `WAITS` wait cycles on one wait set — a thread registers
+/// and parks, another raises the turn and `notify_all`s, the first wakes and
+/// deregisters — after as many warm-up cycles. The bracket closes with the
+/// waiter parked for one more cycle, before it can end (a finished thread's
+/// stack joins the engine's pool).
+fn wait_cycles() -> u64 {
+    let cycles = 2 * WAITS + 1;
+    let mut engine = Engine::new();
+    let (ws, turn) = (Arc::new(WaitSet::new()), Arc::new(AtomicU64::new(0)));
+    let (waiters, turns) = (ws.clone(), turn.clone());
+    engine.spawn("waiter", move |h| {
+        for cycle in 1..=cycles {
+            waiters.wait_until(h, || turns.load(Ordering::Relaxed) >= cycle);
+        }
+    });
+    let counted = Arc::new(AtomicU64::new(u64::MAX));
+    let out = counted.clone();
+    engine.spawn("notifier", move |h| {
+        let mut before = 0;
+        for cycle in 1..=cycles {
+            if cycle == WAITS + 1 {
+                before = ALLOCATIONS.load(Ordering::Relaxed);
+            } else if cycle == cycles {
+                let made = ALLOCATIONS.load(Ordering::Relaxed) - before;
+                out.store(made, Ordering::SeqCst);
+            }
+            h.sleep(SimDuration::from_micros(1));
+            turn.store(cycle, Ordering::Relaxed);
+            ws.notify_all(h.ctl(), SimDuration::ZERO);
+        }
+    });
+    let report = engine.run().expect("every waiter is notified");
+    // Per cycle, one slice of each thread: the waiter parked every time.
+    assert_eq!(report.context_switches, 2 * cycles + 2);
+    counted.load(Ordering::SeqCst)
+}
+
 #[test]
 fn access_hits_do_not_allocate() {
     for protocol in ["hbrc_mw", "li_hudak_fixed"] {
@@ -371,4 +449,19 @@ fn access_hits_do_not_allocate() {
     // back and forth. The parent measured two page allocations per transfer.
     let pages = page_pingpong();
     assert_eq!(pages, 0, "a page transfer allocated a page-sized buffer");
+    // A lone coherence message is parked inline and drained without a list:
+    // the end-of-instant flush's closure, the payload's box, the arrival
+    // event's closure and the serving call's closure. The parent of the
+    // change that inlines a lone item measured 6.0 (a bucket `Vec` and the
+    // drained list besides).
+    let per_message = lone_coherence_messages();
+    assert!(
+        per_message <= 4.0,
+        "a lone coherence message allocated {per_message} times"
+    );
+    // Woken waiters leave the set in place, so its buffer serves the next
+    // round. The parent measured one allocation per cycle: `notify_all`
+    // took the buffer with it and the next `register` grew a new one.
+    let waits = wait_cycles();
+    assert_eq!(waits, 0, "{WAITS} wait cycles allocated {waits} times");
 }

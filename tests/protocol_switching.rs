@@ -294,24 +294,24 @@ fn user_defined_protocol_is_selected_dynamically() {
             protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, fault.unit, Access::Write);
         })
         .read_server(|ctx, req| {
-            let rt = ctx.runtime.clone();
+            let rt = ctx.runtime;
             let node = ctx.local_node;
-            protolib::serve_copy_from_home(ctx.sim, node, &rt, &req, Access::Read);
+            protolib::serve_copy_from_home(ctx.sim, node, rt, &req, Access::Read);
         })
         .write_server(|ctx, req| {
-            let rt = ctx.runtime.clone();
+            let rt = ctx.runtime;
             let node = ctx.local_node;
-            protolib::serve_copy_from_home(ctx.sim, node, &rt, &req, Access::Write);
+            protolib::serve_copy_from_home(ctx.sim, node, rt, &req, Access::Write);
         })
         .invalidate_server(|ctx, inv| {
-            let rt = ctx.runtime.clone();
+            let rt = ctx.runtime;
             let node = ctx.local_node;
-            protolib::apply_invalidation(ctx.sim, node, &rt, &inv);
+            protolib::apply_invalidation(ctx.sim, node, rt, &inv);
         })
         .receive_page_server(|ctx, transfer| {
-            let rt = ctx.runtime.clone();
+            let rt = ctx.runtime;
             let node = ctx.local_node;
-            protolib::install_received_page(ctx.sim, node, &rt, transfer);
+            protolib::install_received_page(ctx.sim, node, rt, transfer);
         })
         .build();
     let custom = rt.register_protocol(home_fetch);
