@@ -229,7 +229,9 @@ pub(crate) fn register_dsm_services(
             assert!(held.0, "release of DSM lock {lock:?} which is not held");
             *held = (false, None);
         }
-        state.waiters.notify_one(rpc.sim.ctl(), SimDuration::ZERO);
+        state
+            .waiters
+            .notify_one((), rpc.sim.ctl(), SimDuration::ZERO);
         None
     });
 
@@ -249,12 +251,14 @@ pub(crate) fn register_dsm_services(
             (my_round, last)
         };
         if last {
-            state.waiters.notify_all(rpc.sim.ctl(), SimDuration::ZERO);
+            state
+                .waiters
+                .notify_all((), rpc.sim.ctl(), SimDuration::ZERO);
         } else {
             let state_for_wait = state.clone();
             state
                 .waiters
-                .wait_until_why(rpc.sim, BlockReason::Barrier, || {
+                .wait_until_why((), rpc.sim, BlockReason::Barrier, || {
                     state_for_wait.round.borrow().1 != my_round
                 });
         }

@@ -153,16 +153,17 @@ pub struct UnitView {
     pub records_writes: bool,
 }
 
-/// The page table of one node: one map of entries, one map of wait sets.
-/// One piece of simulated code runs at a time, which is why neither map is
-/// behind a lock (see the module documentation).
+/// The page table of one node: one map of entries, and one wait set whose
+/// waiters are keyed by the unit they block on — while it is fetched, or
+/// while acknowledgements for it are outstanding. One piece of simulated
+/// code runs at a time, which is why neither is behind a lock (see the
+/// module documentation). A thread blocks on a unit only through
+/// [`PageTable::wait_until`], the wait set's own loop, so its pending
+/// compute is slept off before it can be woken.
 pub struct PageTable {
     node: NodeId,
     entries: SliceCell<IdMap<Unit, PageEntry>>,
-    /// The threads blocked on each unit. Borrowed, never handed out: a
-    /// waiter registers in one borrow and deregisters in another, so none is
-    /// held while it parks.
-    waiters: SliceCell<IdMap<Unit, WaitSet>>,
+    waiters: WaitSet<Unit>,
 }
 
 impl PageTable {
@@ -171,7 +172,7 @@ impl PageTable {
         PageTable {
             node,
             entries: SliceCell::default(),
-            waiters: SliceCell::default(),
+            waiters: WaitSet::new(),
         }
     }
 
@@ -195,12 +196,11 @@ impl PageTable {
         }
     }
 
-    /// Drop every line entry (and waiter set) of `page`. Only used when a
-    /// region is re-registered with a different protocol or granularity; the
-    /// caller must have quiesced all activity on the page first.
+    /// Drop every line entry of `page`. Only used when a region is
+    /// re-registered with a different protocol or granularity; the caller
+    /// must have quiesced all activity on the page first.
     pub fn remove_page(&self, page: PageId) {
         self.entries.borrow().retain(|unit, _| unit.page != page);
-        self.waiters.borrow().retain(|unit, _| unit.page != page);
     }
 
     /// True if the table knows about `page`.
@@ -288,37 +288,22 @@ impl PageTable {
         self.update(unit, |e| e.access = access);
     }
 
-    /// Park the calling thread once on `unit` — while it is being fetched,
-    /// or while acknowledgements for it are outstanding — until a
-    /// [`PageTable::notify_all`] for the unit (or a spurious wake-up). The
-    /// caller re-checks its condition afterwards.
-    pub fn park_on(&self, unit: Unit, sim: &mut SimHandle, reason: BlockReason) {
-        self.waiters.borrow().entry(unit).or_default().register(sim);
-        sim.park_with(reason);
-        if let Some(waiters) = self.waiters.borrow().get(&unit) {
-            waiters.deregister(sim);
-        }
-    }
-
-    /// Block the calling thread until `condition` holds, parking on `unit`
-    /// between re-checks.
+    /// Block the calling thread until `condition` holds, parked on `unit`
+    /// between checks (see [`WaitSet::wait_until_why`]). The condition runs
+    /// outside any borrow of the waiters and may read the table.
     pub fn wait_until(
         &self,
         unit: Unit,
         sim: &mut SimHandle,
         reason: BlockReason,
-        mut condition: impl FnMut() -> bool,
+        condition: impl FnMut() -> bool,
     ) {
-        while !condition() {
-            self.park_on(unit, sim, reason);
-        }
+        self.waiters.wait_until_why(unit, sim, reason, condition);
     }
 
     /// Wake every thread parked on `unit`, now.
     pub fn notify_all(&self, unit: Unit, ctl: &EngineCtl) {
-        if let Some(waiters) = self.waiters.borrow().get(&unit) {
-            waiters.notify_all(ctl, SimDuration::ZERO);
-        }
+        self.waiters.notify_all(unit, ctl, SimDuration::ZERO);
     }
 
     /// Every page registered in this table (each page once, regardless of how
@@ -485,6 +470,35 @@ mod tests {
             });
             engine.run().expect("the waiter is woken");
         }
+    }
+
+    /// A thread that charged compute and then waits on a unit is not resumed
+    /// before its charge has elapsed, however early the unit's notify comes.
+    #[test]
+    fn a_notify_during_a_pending_charge_does_not_cut_it_short() {
+        use dsmpm2_sim::Engine;
+        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::sync::Arc;
+        let t = Arc::new(PageTable::new(NodeId(1)));
+        t.ensure_lines(PAGE, NodeId(0), ProtocolId(0), false, PAGE_SIZE);
+        let unit = Unit::whole(PAGE);
+        let resumed_at = Arc::new(AtomicU64::new(0));
+        let mut engine = Engine::new();
+        let (waiter, r) = (Arc::clone(&t), resumed_at.clone());
+        engine.spawn("waiter", move |sim| {
+            sim.charge(SimDuration::from_micros(100));
+            waiter.wait_until(unit, sim, BlockReason::PageFault, || {
+                waiter.access(unit) == Access::Read
+            });
+            r.store(sim.now().as_nanos(), Ordering::SeqCst);
+        });
+        engine.spawn("installer", move |sim| {
+            sim.sleep(SimDuration::from_micros(30));
+            t.set_access(unit, Access::Read);
+            t.notify_all(unit, sim.ctl());
+        });
+        engine.run().expect("the waiter resumes");
+        assert_eq!(resumed_at.load(Ordering::SeqCst), 100_000);
     }
 
     #[test]

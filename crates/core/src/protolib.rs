@@ -47,6 +47,8 @@ pub fn request_page_and_wait(
         if permitted {
             return;
         }
+        // Without a fetch in flight (none yet, or the one we joined ended
+        // without granting enough), start one.
         if !pending_fetch {
             table.update(unit, |e| {
                 e.pending_fetch = true;
@@ -69,11 +71,9 @@ pub fn request_page_and_wait(
             };
             rt.send_page_request(sim, node, target, req);
         }
-        // Re-check before really blocking (the transfer may have raced in).
-        if table.access(unit).permits(access) {
-            return;
-        }
-        table.park_on(unit, sim, BlockReason::PageFault);
+        table.wait_until(unit, sim, BlockReason::PageFault, || {
+            table.read(unit, |e| e.access.permits(access) || !e.pending_fetch)
+        });
     }
 }
 

@@ -20,7 +20,7 @@
 use std::sync::Arc;
 
 use dsmpm2_madeleine::{Delivery, Envelope, Network, NodeId, Topology};
-use dsmpm2_sim::{BlockReason, Engine, EngineCtl, SimDuration, SimHandle, SimTime, SliceCell};
+use dsmpm2_sim::{Engine, EngineCtl, SimDuration, SimHandle, SimTime, SliceCell};
 
 use crate::config::{Pm2Config, Pm2Costs};
 use crate::context::{Pm2Context, Pm2ThreadState};
@@ -272,7 +272,7 @@ impl Pm2Cluster {
         let service = service.resolve(self);
         let start = sim.now();
         let id = self.inner.rpc.borrow().fresh_rpc_id();
-        self.inner.replies.register(id, sim.id());
+        self.inner.replies.open(id);
         let delay = self.message_delay(from, to, class);
         self.inner.network.send_with_delay(
             sim,
@@ -287,16 +287,12 @@ impl Pm2Cluster {
             class.accounted_bytes(),
             delay,
         );
-        loop {
-            if let Some(reply) = self.inner.replies.take(id) {
-                let elapsed = sim.now().since(start);
-                self.inner.rpc.borrow().services[service.0 as usize]
-                    .call
-                    .record(elapsed);
-                return reply;
-            }
-            sim.park_with(BlockReason::Rpc);
-        }
+        let reply = self.inner.replies.wait(id, sim);
+        let elapsed = sim.now().since(start);
+        self.inner.rpc.borrow().services[service.0 as usize]
+            .call
+            .record(elapsed);
+        reply
     }
 
     /// Build the wire message and base delivery delay shared by the one-way
@@ -399,9 +395,7 @@ impl Pm2Cluster {
         match env.msg {
             RpcMessage::Reply { id, payload } => {
                 let at = reserve(dispatcher, node, ctl.now(), self.costs().rpc_dispatch());
-                if let Some(waiter) = self.inner.replies.fulfill(id, payload) {
-                    ctl.wake_at(waiter, at);
-                }
+                self.inner.replies.fulfill(id, payload, ctl, at);
             }
             RpcMessage::Request {
                 id,
@@ -1049,7 +1043,7 @@ mod tests {
                 Some(RpcReply::control(downcast::<u32>(payload, "echo")))
             }));
             c.register_service(service_fn("hang", true, |ctx, _payload| {
-                ctx.sim.park();
+                dsmpm2_sim::WaitSet::new().wait_until(ctx.sim, || false);
                 None
             }));
             c.register_service(service_fn("fail", true, |_ctx, _payload| {

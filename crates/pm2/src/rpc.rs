@@ -10,7 +10,7 @@ use std::any::Any;
 use std::sync::Arc;
 
 use dsmpm2_madeleine::{NodeId, CONTROL_MESSAGE_BYTES};
-use dsmpm2_sim::{EngineCtl, SimHandle, SliceCell, ThreadId};
+use dsmpm2_sim::{BlockReason, EngineCtl, SimHandle, SimTime, SliceCell, WaitSet};
 
 use crate::cluster::Pm2Cluster;
 
@@ -239,18 +239,15 @@ where
     })
 }
 
-struct ReplySlot {
-    id: u64,
-    value: Option<RpcPayload>,
-    waiter: ThreadId,
-}
-
 /// Table of outstanding RPC calls waiting for their reply: one slot per
-/// caller blocked right now, so a handful, scanned. Callers register and take
-/// from their slices, the reply's arrival event fulfills.
+/// caller blocked right now, so a handful, scanned. Callers open a slot and
+/// wait from their slices, under their call id; the reply's arrival event
+/// fills the slot and notifies that id.
 #[derive(Default)]
 pub(crate) struct ReplyTable {
-    slots: SliceCell<Vec<ReplySlot>>,
+    /// Call ids, each with its reply once it has arrived.
+    slots: SliceCell<Vec<(u64, Option<RpcPayload>)>>,
+    callers: WaitSet<u64>,
 }
 
 impl ReplyTable {
@@ -258,36 +255,41 @@ impl ReplyTable {
         ReplyTable::default()
     }
 
-    /// Register an outstanding call made by `waiter`.
-    pub fn register(&self, id: u64, waiter: ThreadId) {
+    /// Open the slot of call `id`, before its request is sent.
+    pub fn open(&self, id: u64) {
         let mut slots = self.slots.borrow();
-        debug_assert!(slots.iter().all(|s| s.id != id), "duplicate RPC id {id}");
-        slots.push(ReplySlot {
-            id,
-            value: None,
-            waiter,
-        });
+        debug_assert!(slots.iter().all(|s| s.0 != id), "duplicate RPC id {id}");
+        slots.push((id, None));
     }
 
-    /// Deposit the reply for call `id`; returns the waiting thread to wake.
-    pub fn fulfill(&self, id: u64, payload: RpcPayload) -> Option<ThreadId> {
-        let mut slots = self.slots.borrow();
-        let slot = slots.iter_mut().find(|s| s.id == id)?;
-        slot.value = Some(payload);
-        Some(slot.waiter)
+    /// Block until the reply to call `id` has arrived, and take it.
+    pub fn wait(&self, id: u64, sim: &mut SimHandle) -> RpcPayload {
+        let mut reply = None;
+        self.callers.wait_until_why(id, sim, BlockReason::Rpc, || {
+            reply = self.take(id);
+            reply.is_some()
+        });
+        reply.expect("the wait ends on a reply")
+    }
+
+    /// Deposit the reply for call `id` and wake its caller at `at`. A reply
+    /// to no outstanding call is dropped.
+    pub fn fulfill(&self, id: u64, payload: RpcPayload, ctl: &EngineCtl, at: SimTime) {
+        {
+            let mut slots = self.slots.borrow();
+            let Some(slot) = slots.iter_mut().find(|s| s.0 == id) else {
+                return;
+            };
+            slot.1 = Some(payload);
+        }
+        self.callers.notify_one(id, ctl, at.since(ctl.now()));
     }
 
     /// Take the reply for call `id` if it has arrived, removing the slot.
-    pub fn take(&self, id: u64) -> Option<RpcPayload> {
+    fn take(&self, id: u64) -> Option<RpcPayload> {
         let mut slots = self.slots.borrow();
-        let at = slots.iter().position(|s| s.id == id && s.value.is_some())?;
-        slots.swap_remove(at).value
-    }
-
-    /// Number of calls still waiting for a reply.
-    #[allow(dead_code)]
-    pub fn outstanding(&self) -> usize {
-        self.slots.borrow().len()
+        let at = slots.iter().position(|s| s.0 == id && s.1.is_some())?;
+        slots.swap_remove(at).1
     }
 }
 
@@ -320,32 +322,29 @@ mod tests {
         assert_eq!(RpcReply::minimal(()).class, RpcClass::Minimal);
     }
 
-    fn some_thread_id() -> ThreadId {
-        use dsmpm2_sim::Engine;
-        use parking_lot::Mutex;
-        let mut engine = Engine::new();
-        let out = std::sync::Arc::new(Mutex::new(None));
-        let o = out.clone();
-        engine.spawn("probe", move |h| {
-            *o.lock() = Some(h.id());
-        });
-        engine.run().unwrap();
-        let id = out.lock().take().unwrap();
-        id
-    }
-
+    /// A caller waits on its call id; the reply deposited at 5us for 8us
+    /// wakes it at 8us with the value, and its slot is gone afterwards. A
+    /// reply to a call nobody made is dropped.
     #[test]
     fn reply_table_roundtrip() {
-        let table = ReplyTable::new();
-        let waiter = some_thread_id();
-        table.register(1, waiter);
-        assert_eq!(table.outstanding(), 1);
-        assert!(table.take(1).is_none(), "no reply yet");
-        assert_eq!(table.fulfill(1, Box::new(42u32)), Some(waiter));
-        let v = table.take(1).expect("reply present");
-        assert_eq!(downcast::<u32>(v, "test"), 42);
-        assert_eq!(table.outstanding(), 0);
-        assert!(table.fulfill(99, Box::new(())).is_none());
+        use dsmpm2_sim::Engine;
+        let mut engine = Engine::new();
+        let table = Arc::new(ReplyTable::new());
+        let got = Arc::new(parking_lot::Mutex::new(None));
+        let (caller, g) = (Arc::clone(&table), Arc::clone(&got));
+        engine.spawn("caller", move |sim| {
+            caller.open(1);
+            let reply = caller.wait(1, sim);
+            *g.lock() = Some((downcast::<u32>(reply, "test"), sim.now()));
+        });
+        let replier = Arc::clone(&table);
+        engine.ctl().call_at(SimTime::from_micros(5), move |ctl| {
+            replier.fulfill(99, Box::new(()), ctl, ctl.now());
+            replier.fulfill(1, Box::new(42u32), ctl, SimTime::from_micros(8));
+        });
+        engine.run().unwrap();
+        assert_eq!(*got.lock(), Some((42, SimTime::from_micros(8))));
+        assert!(table.take(1).is_none(), "the slot went with the reply");
     }
 
     #[test]

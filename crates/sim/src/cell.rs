@@ -27,7 +27,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// * the *host thread*, before [`crate::Engine::run`] is called and after it
 ///   returns (set-up, reading results).
 ///
-/// A guard must not be held across a yield (`sleep`, `park`, a blocking
+/// A guard must not be held across a yield (`sleep`, a wait, a blocking
 /// receive...): the next slice to borrow the cell would find it taken, and
 /// panics.
 #[derive(Default)]

@@ -21,7 +21,7 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 use crate::cell::{SliceCell, SliceRef};
-use crate::engine::EngineCtl;
+use crate::engine::{BlockReason, EngineCtl};
 use crate::handle::SimHandle;
 use crate::time::{SimDuration, SimTime};
 use crate::wait::WaitSet;
@@ -69,13 +69,17 @@ struct Inner<T> {
 }
 
 impl<T> Inner<T> {
-    /// Move every in-flight message whose delivery time has passed into the
-    /// ready queue, and hand the queues back for the caller to look at.
-    fn promote(&self, now: SimTime) -> SliceRef<'_, Queues<T>> {
+    /// Move every in-flight message whose delivery time the engine's clock
+    /// has reached into the ready queue, and hand the queues back for the
+    /// caller to look at. The engine's clock, not a receiver's local one: a
+    /// receiver looks only once it has slept off its pending compute, and a
+    /// message whose arrival has not happened yet is not there to take.
+    fn promote(&self) -> SliceRef<'_, Queues<T>> {
+        let now = self.ctl.now().as_nanos();
         let mut guard = self.queues.borrow();
         let queues = &mut *guard;
         while let Some(top) = queues.in_flight.peek() {
-            if top.deliver_at <= now.as_nanos() {
+            if top.deliver_at <= now {
                 let msg = queues.in_flight.pop().expect("peeked");
                 queues.ready.push_back(msg.value);
             } else {
@@ -190,42 +194,26 @@ impl<T: Send + 'static> SimSender<T> {
         // receiver — on the receivers' shard.
         let inner2 = Arc::clone(inner);
         inner.ctl.call_at_on(inner.shard, deliver_at, move |ctl| {
-            drop(inner2.promote(ctl.now()));
-            inner2.waiters.notify_one(ctl, SimDuration::ZERO);
+            drop(inner2.promote());
+            inner2.waiters.notify_one((), ctl, SimDuration::ZERO);
         });
-    }
-
-    /// Number of messages not yet consumed (in flight + ready).
-    pub fn queued(&self) -> usize {
-        let queues = self.inner.queues.borrow();
-        queues.in_flight.len() + queues.ready.len()
     }
 }
 
 impl<T: Send + 'static> SimReceiver<T> {
     /// Receive the next message, blocking in virtual time until one is
-    /// available. Blocks forever (deadlock, detected by the engine) if no
-    /// message ever arrives.
+    /// available — after the caller's pending compute, like every wait.
+    /// Blocks forever (deadlock, detected by the engine) if no message ever
+    /// arrives.
     pub fn recv(&self, handle: &mut SimHandle) -> T {
-        loop {
-            let ready = self.inner.promote(handle.now()).ready.pop_front();
-            if let Some(v) = ready {
-                return v;
-            }
-            self.inner.waiters.register(handle);
-            handle.park_with(crate::engine::BlockReason::Channel);
-            self.inner.waiters.deregister(handle);
-        }
-    }
-
-    /// Receive a message if one is ready at the current virtual time.
-    pub fn try_recv(&self, handle: &SimHandle) -> Option<T> {
-        self.inner.promote(handle.now()).ready.pop_front()
-    }
-
-    /// Number of messages ready to be received right now.
-    pub fn ready_len(&self, handle: &SimHandle) -> usize {
-        self.inner.promote(handle.now()).ready.len()
+        let mut received = None;
+        self.inner
+            .waiters
+            .wait_until_why((), handle, BlockReason::Channel, || {
+                received = self.inner.promote().ready.pop_front();
+                received.is_some()
+            });
+        received.expect("the wait ends on a message")
     }
 }
 
@@ -426,23 +414,25 @@ mod tests {
         assert_eq!(order.lock().clone(), vec![0, 1, 2, 3]);
     }
 
+    /// A receiver that charged compute and then receives is not resumed
+    /// before its charge has elapsed, however early the message arrives.
     #[test]
-    fn try_recv_does_not_block() {
+    fn a_message_during_a_pending_charge_does_not_cut_it_short() {
         let mut engine = Engine::new();
         let (tx, rx) = channel::<u32>(engine.ctl());
-        let results = Arc::new(Mutex::new(Vec::new()));
-        let r = results.clone();
-        engine.spawn("poller", move |h| {
-            r.lock().push(rx.try_recv(h).is_none());
-            h.sleep(SimDuration::from_micros(10));
-            r.lock().push(rx.try_recv(h) == Some(9));
+        let received_at = Arc::new(StdAtomicU64::new(0));
+        let r = received_at.clone();
+        engine.spawn("receiver", move |h| {
+            h.charge(SimDuration::from_micros(100));
+            assert_eq!(rx.recv(h), 7);
+            r.store(h.now().as_nanos(), Ordering::SeqCst);
         });
         engine.spawn("sender", move |h| {
-            h.sleep(SimDuration::from_micros(5));
-            tx.send(h, 9);
+            h.sleep(SimDuration::from_micros(30));
+            tx.send(h, 7);
         });
         engine.run().unwrap();
-        assert_eq!(results.lock().clone(), vec![true, true]);
+        assert_eq!(received_at.load(Ordering::SeqCst), 100_000);
     }
 
     #[test]
@@ -550,16 +540,17 @@ mod tests {
         assert!(outbox.is_empty());
     }
 
+    /// A message nobody receives keeps no thread alive: the run finishes
+    /// once its delivery event has run.
     #[test]
-    fn queued_counts_unconsumed_messages() {
+    fn an_unreceived_message_keeps_no_thread_alive() {
         let mut engine = Engine::new();
         let (tx, _rx) = channel::<u32>(engine.ctl());
-        let tx2 = tx.clone();
         engine.spawn("sender", move |h| {
-            tx2.send_delayed(h, 1, SimDuration::from_micros(1000));
-            assert_eq!(tx2.queued(), 1);
+            tx.send_delayed(h, 1, SimDuration::from_micros(1000));
         });
-        // The undelivered message keeps no thread alive, so the run finishes.
-        engine.run().unwrap();
+        let report = engine.run().unwrap();
+        assert_eq!(report.final_time, SimTime::from_micros(1000));
+        assert_eq!((report.events, report.threads_spawned), (2, 1));
     }
 }

@@ -33,9 +33,9 @@
 //!
 //! A simulated thread's life is this. *Spawn* builds its hand-off slot
 //! (`ThreadSlot`), enters it in the thread table and submits its first wake,
-//! which — like every wake whose submitter holds the slot: a thread's own,
-//! a [`crate::WaitSet`]'s — carries the slot, so executing it looks nothing
-//! up; only a wake by bare id ([`EngineCtl::wake_at`]) reads the table.
+//! which — like every wake: a thread's own sleep, a [`crate::WaitSet`]'s
+//! notify — carries the slot, so executing it looks nothing up. The only
+//! way to park is a wait set's, so there is no wake by bare id either.
 //! Each wake grants one *slice*, until the thread parks again. The grant in
 //! which the body returns (or panics) is the *finishing grant*: the loop
 //! reaps the thread right there — entry removed, stack back in the pool for
@@ -68,7 +68,7 @@ use crate::continuation::{Coro, DEFAULT_STACK_BYTES};
 use crate::error::SimError;
 use crate::handle::SimHandle;
 use crate::thread::{Backing, SchedHandle, ThreadId, ThreadSlot};
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimTime;
 
 /// Cap on the number of recycled continuation stacks kept around. Beyond
 /// this, finished stacks are simply freed.
@@ -118,25 +118,22 @@ impl SpawnOptions {
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 #[repr(u8)]
 pub enum BlockReason {
-    /// Generic park with no annotated cause.
-    Other = 0,
     /// Blocked on a [`crate::WaitSet`] without a finer-grained annotation.
-    WaitSet = 1,
+    WaitSet = 0,
     /// Blocked receiving from a simulation channel.
-    Channel = 2,
+    Channel = 1,
     /// Blocked on a DSM page fault (waiting for a page or diff to arrive).
-    PageFault = 3,
+    PageFault = 2,
     /// Blocked waiting for protocol acknowledgements (release/flush).
-    Ack = 4,
+    Ack = 3,
     /// Blocked on an RPC reply.
-    Rpc = 5,
+    Rpc = 4,
     /// Blocked in a barrier round.
-    Barrier = 6,
+    Barrier = 5,
 }
 
 /// All reasons, in discriminant order (the [`Engine::block_profile`] rows).
-pub(crate) const BLOCK_REASONS: [BlockReason; 7] = [
-    BlockReason::Other,
+pub(crate) const BLOCK_REASONS: [BlockReason; 6] = [
     BlockReason::WaitSet,
     BlockReason::Channel,
     BlockReason::PageFault,
@@ -243,14 +240,17 @@ pub trait ScheduleController: Send + Sync {
 // ---------------------------------------------------------------------------
 
 enum EventKind {
-    /// Hand a slice to a parked simulated thread, named by its slot. `None`
-    /// is a wake by id for a thread already reaped when it was submitted: a
-    /// no-op that still marks its instant.
-    Wake(ThreadId, Option<Arc<ThreadSlot>>),
+    /// Hand a slice to a parked simulated thread, named by its slot.
+    Wake(Arc<ThreadSlot>),
     /// Execute a closure on the scheduler (used for delayed message delivery).
     Call(Box<dyn FnOnce(&EngineCtl) + Send>),
 }
 
+/// 40 bytes of fields, padded to 48 by the alignment: the heap moves events
+/// on every push and pop, and at 40 bytes one slot in two straddles a
+/// 16-byte boundary. Unpadded, a yield (`sim.yield_ns`) took about a fifth
+/// longer on a 2-vCPU Xeon host.
+#[repr(align(16))]
 struct Event {
     time: u64,
     seq: u64,
@@ -325,8 +325,8 @@ struct EventState {
 /// The simulated threads of a run.
 #[derive(Default)]
 struct ThreadTable {
-    /// Live threads by id, for what only knows an id (wakes through
-    /// [`EngineCtl`]), the deadlock report and teardown.
+    /// Live threads by id, for the reaping of a finished one, the deadlock
+    /// report and teardown. No wake reads it: a wake carries its slot.
     live: HashMap<u64, ThreadEntry, BuildHasherDefault<IdHasher>>,
     next_tid: u64,
     spawned: u64,
@@ -399,27 +399,14 @@ impl Shared {
         }));
     }
 
-    /// Wake by id: the one wake that reads the thread table. A reaped
-    /// thread's wake keeps its event, on the lane of its raw id.
-    pub(crate) fn schedule_wake(&self, tid: ThreadId, at: SimTime) {
-        let slot = self
-            .threads
-            .borrow()
-            .live
-            .get(&tid.0)
-            .map(|e| Arc::clone(&e.slot));
-        let key = slot.as_ref().map_or(tid.0, |slot| slot.shard_key());
-        self.submit(at, EventKind::Wake(tid, slot), key);
-    }
-
     /// Wake with the slot embedded in the event, on the thread's current
     /// shard: the scheduler grants straight off the `Arc`, which the event
-    /// takes over. Every wake whose submitter holds the slot — a thread's own
-    /// (`sleep`/`yield_now`/`flush`), a spawn's first, a wait set's — comes
-    /// through here; a wait set hands over the reference it popped.
-    pub(crate) fn schedule_wake_slot(&self, slot: Arc<ThreadSlot>, at: SimTime) {
-        let (tid, key) = (slot.id, slot.shard_key());
-        self.submit(at, EventKind::Wake(tid, Some(slot)), key);
+    /// takes over. Every wake comes through here — a thread's own
+    /// (`sleep`/`yield_now`/`flush`), a spawn's first, a wait set's notify;
+    /// a wait set hands over the reference it popped.
+    pub(crate) fn schedule_wake(&self, slot: Arc<ThreadSlot>, at: SimTime) {
+        let key = slot.shard_key();
+        self.submit(at, EventKind::Wake(slot), key);
     }
 
     pub(crate) fn schedule_call(
@@ -511,7 +498,7 @@ impl Shared {
             }
         };
 
-        self.schedule_wake_slot(Arc::clone(&slot), start_at);
+        self.schedule_wake(Arc::clone(&slot), start_at);
         threads
             .live
             .insert(tid.0, ThreadEntry { slot, join, daemon });
@@ -565,7 +552,7 @@ impl Shared {
                     shard_key: batch[h].shard,
                     seq: batch[h].seq,
                     wakes: match &batch[h].kind {
-                        EventKind::Wake(tid, _) => Some(*tid),
+                        EventKind::Wake(slot) => Some(slot.id),
                         EventKind::Call(_) => None,
                     },
                 })
@@ -633,7 +620,8 @@ where
 
 /// A lightweight, cloneable controller over the engine. It is handed to
 /// scheduler callbacks and embedded in simulation-aware data structures
-/// (channels, wait queues) so they can schedule wake-ups.
+/// (channels, wait queues) so they can schedule calls, spawn threads and
+/// notify wait sets.
 #[derive(Clone)]
 pub struct EngineCtl {
     pub(crate) shared: Arc<Shared>,
@@ -643,20 +631,6 @@ impl EngineCtl {
     /// Current global virtual time.
     pub fn now(&self) -> SimTime {
         self.shared.now()
-    }
-
-    /// Schedule a wake-up for `tid` at absolute virtual time `at`. Stale
-    /// wake-ups (the thread finished, or is running when the event fires) are
-    /// ignored, so spurious wakes are harmless; all blocking primitives
-    /// re-check their condition in a loop.
-    pub fn wake_at(&self, tid: ThreadId, at: SimTime) {
-        self.shared.schedule_wake(tid, at);
-    }
-
-    /// Schedule a wake-up for `tid` after `delay` from the current global time.
-    pub fn wake_after(&self, tid: ThreadId, delay: SimDuration) {
-        let at = self.now() + delay;
-        self.shared.schedule_wake(tid, at);
     }
 
     /// Schedule a closure to run on the scheduler at absolute time `at` (the
@@ -1029,8 +1003,7 @@ fn execute_event(ctl: &EngineCtl, event: Event) -> bool {
     let shared = &ctl.shared;
     let mut switched = false;
     match event.kind {
-        EventKind::Wake(_, None) => {}
-        EventKind::Wake(_, Some(slot)) => {
+        EventKind::Wake(slot) => {
             // A thread woken through a key captured before it migrated runs
             // under the key it has now. A finished thread's grant is stale.
             shared.set_executing_shard(slot.shard_key());
@@ -1071,6 +1044,7 @@ impl Drop for Engine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::time::SimDuration;
     use crate::wait::WaitSet;
     use parking_lot::Mutex;
     use std::sync::atomic::AtomicUsize;
@@ -1151,17 +1125,20 @@ mod tests {
         assert_eq!(report.threads_spawned, 2);
     }
 
+    /// Park on a wait set that nobody else can notify.
+    fn park_forever(h: &mut SimHandle) {
+        WaitSet::new().wait_until(h, || false);
+    }
+
     #[test]
     fn deadlock_is_detected() {
         let mut engine = Engine::new();
-        engine.spawn("stuck", |h| {
-            // Park with no one to ever wake us.
-            h.park();
-        });
+        engine.spawn("stuck", park_forever);
         match engine.run() {
             Err(SimError::Deadlock { parked_threads, .. }) => {
                 assert_eq!(parked_threads.len(), 1);
                 assert!(parked_threads[0].starts_with("stuck"));
+                assert!(parked_threads[0].ends_with("blocked on WaitSet"));
             }
             other => panic!("expected deadlock, got {other:?}"),
         }
@@ -1200,24 +1177,6 @@ mod tests {
         let mut engine = Engine::new();
         engine.run().unwrap();
         assert!(matches!(engine.run(), Err(SimError::AlreadyRan)));
-    }
-
-    #[test]
-    fn wake_between_threads() {
-        let mut engine = Engine::new();
-        let ctl = engine.ctl();
-        let woken_at = Arc::new(AtomicU64::new(0));
-        let w = woken_at.clone();
-        let sleeper = engine.spawn("sleeper", move |h| {
-            h.park();
-            w.store(h.now().as_nanos(), Ordering::SeqCst);
-        });
-        engine.spawn("waker", move |h| {
-            h.sleep(SimDuration::from_micros(50));
-            ctl.wake_at(sleeper, h.now());
-        });
-        engine.run().unwrap();
-        assert_eq!(woken_at.load(Ordering::SeqCst), 50_000);
     }
 
     #[test]
@@ -1311,7 +1270,7 @@ mod tests {
         // A deadlock is dated the same way.
         let mut engine = Engine::new();
         engine.spawn("t", move |h| h.charge(us(9)));
-        engine.spawn("stuck", |h| h.park());
+        engine.spawn("stuck", park_forever);
         match engine.run() {
             Err(SimError::Deadlock { at, .. }) => assert_eq!(at, SimTime::from_micros(9)),
             other => panic!("expected deadlock, got {other:?}"),
@@ -1351,29 +1310,11 @@ mod tests {
     }
 
     #[test]
-    fn a_wake_for_a_reaped_thread_is_a_no_op() {
-        let mut engine = Engine::new();
-        let ctl = engine.ctl();
-        let shared = Arc::clone(&engine.shared);
-        let gone = engine.spawn("gone", |h| h.charge(SimDuration::from_micros(2)));
-        engine.spawn("waker", move |h| {
-            h.sleep(SimDuration::from_micros(1));
-            assert_eq!(live(&shared), ["waker"]);
-            ctl.wake_at(gone, h.now());
-            ctl.wake_after(gone, SimDuration::from_micros(5));
-        });
-        // The two wakes are events of their instants, and nobody's slice.
-        let report = engine.run().unwrap();
-        assert_eq!(report.final_time, SimTime::from_micros(6));
-        assert_eq!((report.events, report.context_switches), (5, 3));
-    }
-
-    #[test]
     fn panicking_and_daemon_threads_are_reaped_like_any_other() {
         // Driven without `run`'s teardown, which empties the table anyway.
         let engine = Engine::new();
         engine.spawn_daemon("daemon", |h| h.charge(SimDuration::from_micros(1)));
-        engine.spawn_daemon("parked", |h| h.park());
+        engine.spawn_daemon("parked", park_forever);
         engine.spawn("bad", |h| {
             h.sleep(SimDuration::from_micros(3));
             panic!("intentional test panic");
@@ -1401,9 +1342,8 @@ mod tests {
             result
         };
         // Parked in a wait set that only its own body holds.
-        let park_forever = |engine: &Engine, name: &str| {
-            let ws = Arc::new(WaitSet::new());
-            engine.spawn(name, move |h| ws.wait_until(h, || false));
+        let spawn_parked = |engine: &Engine, name: &str| {
+            engine.spawn(name, park_forever);
         };
 
         let completed = ends(
@@ -1418,14 +1358,14 @@ mod tests {
                     h.spawn("child", move |h| h.sleep(us(1)));
                     h.sleep(us(2));
                     flag.store(true, Ordering::SeqCst);
-                    ws.notify_all(&ctl, SimDuration::ZERO);
+                    ws.notify_all((), &ctl, SimDuration::ZERO);
                 });
             },
             true,
         );
         assert!(matches!(completed, Some(Ok(_))), "{completed:?}");
 
-        let deadlocked = ends(&|engine| park_forever(engine, "stuck"), true);
+        let deadlocked = ends(&|engine| spawn_parked(engine, "stuck"), true);
         assert!(
             matches!(deadlocked, Some(Err(SimError::Deadlock { .. }))),
             "{deadlocked:?}"
@@ -1433,11 +1373,11 @@ mod tests {
 
         let panicked = ends(
             &|engine| {
-                park_forever(engine, "parked");
+                spawn_parked(engine, "parked");
                 let ctl = engine.ctl();
                 engine.spawn("bad", move |h| {
                     // Due after the panic has ended the run: never started.
-                    ctl.spawn_on_at(0, "late", SimTime::from_micros(10), |h| h.park());
+                    ctl.spawn_on_at(0, "late", SimTime::from_micros(10), park_forever);
                     h.sleep(us(1));
                     panic!("intentional test panic");
                 });
@@ -1451,7 +1391,7 @@ mod tests {
 
         let never_ran = ends(
             &|engine| {
-                park_forever(engine, "idle");
+                spawn_parked(engine, "idle");
                 let ctl = engine.ctl();
                 engine.spawn("holder", move |_| drop(ctl));
             },

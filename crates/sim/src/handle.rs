@@ -59,7 +59,7 @@ impl SimHandle {
     }
 
     /// Charge `d` of local compute time. The charge is folded into the global
-    /// clock at the next yield point (sleep, park, flush, message send...),
+    /// clock at the next yield point (a sleep, a flush, the start of a wait),
     /// so hot loops pay no scheduler round-trip per charge.
     pub fn charge(&mut self, d: SimDuration) {
         self.pending += d;
@@ -92,8 +92,7 @@ impl SimHandle {
     pub fn sleep(&mut self, d: SimDuration) {
         let wake_at = self.shared().now() + self.pending + d;
         self.pending = SimDuration::ZERO;
-        self.shared()
-            .schedule_wake_slot(Arc::clone(&self.slot), wake_at);
+        self.shared().schedule_wake(Arc::clone(&self.slot), wake_at);
         // Reified slice outcome: we advanced time and scheduled our own wake.
         self.slot.record_outcome(SliceOutcome::Yielded(wake_at));
         self.park_raw();
@@ -105,29 +104,19 @@ impl SimHandle {
         self.sleep(SimDuration::ZERO);
     }
 
-    /// Park this thread until some other party wakes it via
-    /// [`EngineCtl::wake_at`]/[`EngineCtl::wake_after`].
-    ///
-    /// Spurious wake-ups are possible (and harmless): every caller must
-    /// re-check its wait condition in a loop. If compute time is pending, the
-    /// call first behaves like `flush()` and returns, so the caller's loop
-    /// re-evaluates its condition at the correct virtual time before really
-    /// blocking.
-    pub fn park(&mut self) {
-        self.park_with(BlockReason::Other);
-    }
-
-    /// [`SimHandle::park`] with a reified blocking reason: the yield site
-    /// annotates *why* the thread blocks (DSM page fault, ack wait, RPC
-    /// reply, barrier...), feeding the engine's
-    /// [`crate::Engine::block_profile`]. Blocking primitives
-    /// ([`crate::WaitSet::wait_until_why`], channel receives) thread their
-    /// reason through here.
-    pub fn park_with(&mut self, reason: BlockReason) {
-        if !self.pending.is_zero() {
-            self.flush();
-            return;
-        }
+    /// Park this thread until a wait set's notify wakes it, booking the park
+    /// to `reason` in the engine's [`crate::Engine::block_profile`]. Only
+    /// [`crate::WaitSet::wait_until_why`] calls this, registered and on a
+    /// flushed clock: a thread parked with compute pending would be woken at
+    /// the notify's instant and lose the rest of its charge, so that panics
+    /// in every build.
+    pub(crate) fn park(&mut self, reason: BlockReason) {
+        assert!(
+            self.pending.is_zero(),
+            "'{}' parked with {} of compute pending",
+            self.slot.name,
+            self.pending
+        );
         self.slot.record_outcome(SliceOutcome::Blocked(reason));
         self.shared().record_block(reason);
         self.park_raw();
@@ -140,12 +129,6 @@ impl SimHandle {
             // spam stderr with backtraces.
             panic::resume_unwind(Box::new(ShutdownUnwind));
         }
-    }
-
-    /// Schedule a wake-up for another simulated thread after `delay` measured
-    /// from this thread's local time.
-    pub fn wake(&self, tid: ThreadId, delay: SimDuration) {
-        self.shared().schedule_wake(tid, self.now() + delay);
     }
 
     /// Spawn a new simulated thread that becomes runnable at this thread's
@@ -255,6 +238,7 @@ impl std::fmt::Debug for SimHandle {
 mod tests {
     use super::*;
     use crate::engine::Engine;
+    use crate::error::SimError;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
@@ -269,39 +253,19 @@ mod tests {
     }
 
     #[test]
-    fn park_with_pending_charge_flushes_first() {
+    fn parking_with_pending_compute_panics() {
         let mut engine = Engine::new();
-        let seen = Arc::new(AtomicU64::new(0));
-        let s = seen.clone();
         engine.spawn("t", move |h| {
             h.charge(SimDuration::from_micros(9));
-            // park() must not lose the 9us of compute and must not block
-            // forever (it flushes and returns, letting us re-check).
-            h.park();
-            s.store(h.global_now().as_nanos(), Ordering::SeqCst);
+            h.park(BlockReason::WaitSet);
         });
-        engine.run().unwrap();
-        assert_eq!(seen.load(Ordering::SeqCst), 9_000);
-    }
-
-    #[test]
-    fn wake_uses_local_time_of_waker() {
-        let mut engine = Engine::new();
-        let ctl = engine.ctl();
-        let when = Arc::new(AtomicU64::new(0));
-        let w = when.clone();
-        let sleeper = engine.spawn("sleeper", move |h| {
-            h.park();
-            w.store(h.global_now().as_nanos(), Ordering::SeqCst);
-        });
-        let _ = ctl;
-        engine.spawn("waker", move |h| {
-            h.charge(SimDuration::from_micros(12));
-            h.wake(sleeper, SimDuration::from_micros(3));
-            h.flush();
-        });
-        engine.run().unwrap();
-        assert_eq!(when.load(Ordering::SeqCst), 15_000);
+        match engine.run() {
+            Err(SimError::ThreadPanic { thread, message }) => {
+                assert_eq!(thread, "t");
+                assert_eq!(message, "'t' parked with 9.000us of compute pending");
+            }
+            other => panic!("expected the park to panic, got {other:?}"),
+        }
     }
 
     #[test]

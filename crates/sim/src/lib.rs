@@ -33,9 +33,10 @@
 //!
 //! * [`Engine`] — owns the event queue and the scheduler loop.
 //! * [`SimHandle`] — per-thread handle: virtual clock, compute charging,
-//!   sleeping, parking, spawning.
-//! * [`WaitSet`] — condition-variable-like wait queues for building blocking
-//!   primitives (used by DSM page waits, locks, barriers).
+//!   sleeping, spawning.
+//! * [`WaitSet`] — condition-variable-like wait queues, keyed, and the one
+//!   way a simulated thread blocks (channel receives, DSM page and ack
+//!   waits, RPC replies, locks, barriers).
 //! * [`SliceCell`] — state shared between simulated threads, borrowed
 //!   without a lock because the hand-off already orders its users (used by
 //!   the scheduler itself, the RPC layer, the transport and the DSM page

@@ -101,15 +101,15 @@ fn waitset_crowd_matches_its_pinned_run() {
             h.sleep(SimDuration::from_micros(3));
             token.store(round + 1, Ordering::SeqCst);
             if round % 5 == 0 {
-                ws2.notify_all(h.ctl(), SimDuration::ZERO);
+                ws2.notify_all((), h.ctl(), SimDuration::ZERO);
             } else {
-                ws2.notify_one(h.ctl(), SimDuration::ZERO);
-                ws2.notify_one(h.ctl(), SimDuration::ZERO);
+                ws2.notify_one((), h.ctl(), SimDuration::ZERO);
+                ws2.notify_one((), h.ctl(), SimDuration::ZERO);
             }
         }
         // Flush any stragglers.
         h.sleep(SimDuration::from_micros(3));
-        ws2.notify_all(h.ctl(), SimDuration::ZERO);
+        ws2.notify_all((), h.ctl(), SimDuration::ZERO);
     });
     let report = engine.run().expect("crowd must complete");
     let times: Vec<u64> = done_at.iter().map(|t| t.load(Ordering::SeqCst)).collect();
@@ -168,7 +168,7 @@ fn events_and_slices_may_reenter_the_scheduler() {
                 spawned.fetch_add(1, Ordering::SeqCst);
             });
             generation.fetch_add(1, Ordering::SeqCst);
-            assert_eq!(ws.notify_all(ctl, SimDuration::ZERO), 2);
+            assert_eq!(ws.notify_all((), ctl, SimDuration::ZERO), 2);
             tx.send_from_ctl(ctl, tag, SimDuration::ZERO);
         }
     };
@@ -227,7 +227,7 @@ fn turn_taking_through_a_wait_set_matches_its_pinned_run() {
                     _ => {}
                 }
                 turn.fetch_add(1, Ordering::SeqCst);
-                ws.notify_all(h.ctl(), SimDuration::ZERO);
+                ws.notify_all((), h.ctl(), SimDuration::ZERO);
             }
         });
     }
@@ -238,12 +238,12 @@ fn turn_taking_through_a_wait_set_matches_its_pinned_run() {
         (report, spurious.load(Ordering::SeqCst)),
         (
             RunReport {
-                final_time: SimTime::from_nanos(314_815),
-                events: 28_426,
-                context_switches: 28_426,
+                final_time: SimTime::from_nanos(477_029),
+                events: 25_456,
+                context_switches: 25_456,
                 threads_spawned: THREADS,
             },
-            24_457
+            19_465
         )
     );
 }
@@ -279,9 +279,10 @@ fn panic_amid_storm_tears_down() {
 #[test]
 fn panic_inside_a_slice_is_recorded_not_propagated() {
     let mut engine = Engine::new();
-    // A parked thread that teardown must unwind quietly.
+    // A parked thread that teardown must unwind quietly: its wait set is
+    // never notified.
     engine.spawn("parked", |h| {
-        h.park();
+        WaitSet::new().wait_until(h, || false);
         unreachable!("never woken");
     });
     engine.spawn("bomb", |h| {

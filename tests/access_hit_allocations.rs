@@ -356,8 +356,8 @@ fn lone_coherence_messages() -> f64 {
 const WAITS: u64 = 1_000;
 
 /// Allocations over `WAITS` wait cycles on one wait set — a thread registers
-/// and parks, another raises the turn and `notify_all`s, the first wakes and
-/// deregisters — after as many warm-up cycles. The bracket closes with the
+/// and parks, another raises the turn and `notify_all`s, which takes the
+/// first out of the set and wakes it — after as many warm-up cycles. The bracket closes with the
 /// waiter parked for one more cycle, before it can end (a finished thread's
 /// stack joins the engine's pool).
 fn wait_cycles() -> u64 {
@@ -383,7 +383,7 @@ fn wait_cycles() -> u64 {
             }
             h.sleep(SimDuration::from_micros(1));
             turn.store(cycle, Ordering::Relaxed);
-            ws.notify_all(h.ctl(), SimDuration::ZERO);
+            ws.notify_all((), h.ctl(), SimDuration::ZERO);
         }
     });
     let report = engine.run().expect("every waiter is notified");
