@@ -34,6 +34,7 @@ impl<'a, 'b> DsmThreadCtx<'a, 'b> {
     }
 
     /// The node this thread currently executes on (changes after migration).
+    #[inline]
     pub fn node(&self) -> NodeId {
         self.pm2.node()
     }

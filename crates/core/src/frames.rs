@@ -295,7 +295,13 @@ impl FrameStore {
 
     /// True if `page` has recorded (not yet flushed) modifications.
     pub fn has_recorded(&self, page: PageId) -> bool {
-        self.with(page, |f, _| !f.recorded.is_empty())
+        self.recorded_ranges(page) > 0
+    }
+
+    /// Number of modification ranges recorded on `page` and not yet
+    /// flushed, one per recorded write.
+    pub fn recorded_ranges(&self, page: PageId) -> usize {
+        self.with(page, |f, _| f.recorded.len())
     }
 
     /// Apply `diff` to the local copy of `page` (home-node side).

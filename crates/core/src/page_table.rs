@@ -224,6 +224,7 @@ impl PageTable {
     /// write hit in the making — a unit that is writable is marked modified
     /// since the last release in the same borrow; one that is not is left
     /// alone (the access will fault and come back).
+    #[inline(always)]
     pub fn resolve(&self, page: PageId, offset: usize, mark_write: bool) -> Option<UnitView> {
         let mut entries = self.entries.borrow();
         let mut entry = entries.get_mut(&Unit::whole(page))?;

@@ -74,6 +74,7 @@ macro_rules! counter_methods {
         impl DsmStats {
             $(
                 /// Increment the corresponding counter.
+                #[inline]
                 pub fn $inc(&self) {
                     self.counters.borrow().$field += 1;
                 }

@@ -25,8 +25,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use dsmpm2_core::{
-    Access, DsmAddr, DsmAttr, DsmRuntime, DsmThreadCtx, HomePolicy, LockId, NodeId, ProtocolId,
-    PAGE_SIZE,
+    DsmAddr, DsmAttr, DsmRuntime, DsmThreadCtx, HomePolicy, LockId, NodeId, ProtocolId, PAGE_SIZE,
 };
 use dsmpm2_protocols::{JavaConsistency, JavaDetection};
 
@@ -173,15 +172,15 @@ impl HyperionHeap {
     pub fn get(&self, ctx: &mut DsmThreadCtx<'_, '_>, obj: ObjectRef, field: usize) -> u64 {
         let addr = obj.field_addr(field);
         match self.inner.detection {
-            JavaDetection::InlineCheck => {
-                // Explicit locality check; on a miss, call directly into the
-                // protocol to bring the page into the node cache (bypassing
-                // the page-fault machinery entirely).
-                while !ctx.inline_check(addr, Access::Read) {
-                    JavaConsistency::cache_page(ctx, addr.page());
+            // Explicit locality check and access in one resolve; on a miss,
+            // call directly into the protocol to bring the page into the
+            // node cache (bypassing the page-fault machinery entirely).
+            JavaDetection::InlineCheck => loop {
+                if let Some(value) = ctx.checked_read::<u64>(addr) {
+                    return value;
                 }
-                ctx.read_local::<u64>(addr)
-            }
+                JavaConsistency::cache_page(ctx, addr.page());
+            },
             JavaDetection::PageFault => ctx.read::<u64>(addr),
         }
     }
@@ -193,10 +192,9 @@ impl HyperionHeap {
         let addr = obj.field_addr(field);
         match self.inner.detection {
             JavaDetection::InlineCheck => {
-                while !ctx.inline_check(addr, Access::Write) {
+                while !ctx.checked_write_recorded::<u64>(addr, value) {
                     JavaConsistency::cache_page(ctx, addr.page());
                 }
-                ctx.write_local::<u64>(addr, value, true);
             }
             JavaDetection::PageFault => ctx.write_recorded::<u64>(addr, value),
         }
@@ -332,6 +330,62 @@ mod tests {
         assert_eq!(v, 777);
         assert!(stats.inline_checks >= 2, "every get/put pays a check");
         assert_eq!(stats.total_faults(), 0, "java_ic never takes page faults");
+    }
+
+    /// `java_ic`'s `get`/`put` check and access in one resolve; at the parent
+    /// commit each was an `inline_check` and then a `read_local` or a
+    /// `write_local`, which resolved the unit again. On two nodes, a fixed
+    /// run of hits and misses — among them a `put` on a read-only copy,
+    /// refused, refetched and retried — costs what it cost then: every
+    /// literal below was read off the parent's run of this same test.
+    #[test]
+    fn java_ic_get_put_cost_what_the_check_then_access_pair_did() {
+        use dsmpm2_core::{Access, Unit};
+
+        let (mut engine, rt, heap) = setup(2, true);
+        let remote = heap.alloc_object_on(NodeId(0), 4);
+        let local = heap.alloc_object_on(NodeId(0), 2);
+        let monitor = heap.create_monitor(Some(NodeId(0)));
+        let seen = StdArc::new(parking_lot::Mutex::new(([0u64; 4], 0usize)));
+
+        let (h, seen1) = (heap.clone(), seen.clone());
+        rt.spawn_dsm_thread(NodeId(1), "remote", move |ctx| {
+            h.monitor_enter(ctx, monitor);
+            let first = h.get(ctx, remote, 0); // miss, fetch, hit
+            h.put(ctx, remote, 1, 11); // hit
+            let back = h.get(ctx, remote, 1); // hit
+            h.monitor_exit(ctx, monitor);
+            let page = remote.addr.page();
+            ctx.runtime()
+                .page_table(NodeId(1))
+                .set_access(Unit::whole(page), Access::Read);
+            let read_only = h.get(ctx, remote, 1); // hit on the read-only copy
+            h.put(ctx, remote, 2, 22); // refused, refetch, hit
+            h.put(ctx, remote, 3, 33); // hit
+            let after = h.get(ctx, remote, 2); // hit
+            let ranges = ctx.runtime().frames(NodeId(1)).recorded_ranges(page);
+            *seen1.lock() = ([first, back, read_only, after], ranges);
+        });
+        let h = heap.clone();
+        rt.spawn_dsm_thread(NodeId(0), "home", move |ctx| {
+            for i in 0..5u64 {
+                h.put(ctx, local, (i % 2) as usize, i);
+                let _ = h.get(ctx, local, 0);
+            }
+        });
+        let report = engine.run().unwrap();
+        let stats = rt.stats().snapshot();
+        let (values, recorded_ranges) = *seen.lock();
+        assert_eq!(values, [0, 11, 11, 22]);
+        // Remote: 5 checks for 4 gets (one miss), 4 for 3 puts (one refused
+        // on the read-only copy); home: 10 checks for 10 hits.
+        assert_eq!(stats.inline_checks, 19);
+        assert_eq!(stats.local_accesses, 17);
+        // The refetch dropped nothing: the monitor exit had flushed the
+        // first put, and the two puts after it recorded one range each.
+        assert_eq!(recorded_ranges, 2);
+        assert_eq!(stats.total_faults(), 0);
+        assert_eq!(report.final_time.as_nanos(), 536_775);
     }
 
     #[test]

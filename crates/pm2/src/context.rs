@@ -48,6 +48,7 @@ impl Pm2ThreadState {
     }
 
     /// Node the thread currently executes on.
+    #[inline]
     pub fn node(&self) -> NodeId {
         NodeId(self.node.load(Ordering::Acquire))
     }
@@ -104,6 +105,7 @@ impl<'a> Pm2Context<'a> {
     }
 
     /// The node this thread currently executes on.
+    #[inline]
     pub fn node(&self) -> NodeId {
         self.state.node()
     }

@@ -61,6 +61,7 @@ impl SimHandle {
     /// Charge `d` of local compute time. The charge is folded into the global
     /// clock at the next yield point (a sleep, a flush, the start of a wait),
     /// so hot loops pay no scheduler round-trip per charge.
+    #[inline]
     pub fn charge(&mut self, d: SimDuration) {
         self.pending += d;
     }
