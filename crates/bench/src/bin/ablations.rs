@@ -18,7 +18,7 @@
 //! * transport backends — Ideal vs Contended vs Lossy on the same workload
 //!   must give identical memory with distinct wire/timing statistics, and
 //!   the lossy run must replay bit-identically from its seed (ablation 10);
-//! * coherence granularity and one-sided reads (ablations 12 and 13).
+//! * coherence granularity (ablation 12).
 //!
 //! Usage: `ablations [--quick]`.
 
@@ -452,81 +452,6 @@ fn main() {
          (asserted above)."
     );
     write_json("ablation_granularity", &granularity_points);
-
-    // --- Ablation 13: one-sided home reads on the read-mostly kernel --------
-    println!(
-        "\nAblation 13: one-sided home reads (read-mostly false sharing, 4 nodes, \
-         li_hudak_fixed)\n"
-    );
-    let mut rows = Vec::new();
-    let mut one_sided_points = Vec::new();
-    let mut reference: Option<Vec<u64>> = None;
-    for one_sided in [false, true] {
-        let mut config = FalseSharingConfig::read_mostly(fs_nodes);
-        if one_sided {
-            config.tuning = config.tuning.with_one_sided_reads();
-        }
-        let r = run_false_sharing(&config, "li_hudak_fixed");
-        match &reference {
-            None => reference = Some(r.final_slots.clone()),
-            Some(slots) => assert_eq!(
-                &r.final_slots, slots,
-                "the one-sided read path changed the final counters"
-            ),
-        }
-        if one_sided {
-            let attempts = r.stats.one_sided_serves + r.stats.one_sided_busy;
-            assert!(
-                r.stats.one_sided_serves > 0 && r.stats.one_sided_serves * 10 >= attempts * 9,
-                "uncontended read-mostly sharing must serve >=90% of fetches one-sided \
-                 ({} of {attempts})",
-                r.stats.one_sided_serves
-            );
-            assert_eq!(
-                r.stats.fetch_handler_wakes, r.stats.one_sided_busy,
-                "every refused fetch (and only those) must wake the fallback handler"
-            );
-        }
-        rows.push(vec![
-            if one_sided {
-                "one-sided"
-            } else {
-                "handler path"
-            }
-            .to_string(),
-            r.stats.one_sided_serves.to_string(),
-            r.stats.fetch_handler_wakes.to_string(),
-            r.wire.hook_consumed.to_string(),
-            format!("{:.1}", r.elapsed.as_micros_f64() / 1000.0),
-        ]);
-        one_sided_points.push(OneSidedPoint {
-            one_sided,
-            one_sided_serves: r.stats.one_sided_serves,
-            one_sided_busy: r.stats.one_sided_busy,
-            fetch_handler_wakes: r.stats.fetch_handler_wakes,
-            hook_consumed: r.wire.hook_consumed,
-            elapsed_ms: r.elapsed.as_micros_f64() / 1000.0,
-        });
-    }
-    println!(
-        "{}",
-        markdown_table(
-            &[
-                "Configuration",
-                "One-sided serves",
-                "Handler wakes",
-                "Envelopes consumed at delivery",
-                "Run time (ms)"
-            ],
-            &rows
-        )
-    );
-    println!(
-        "Identical final memory (asserted above); with the fast path on, the home answers \
-         uncontended read fetches at message-delivery instant — no handler-thread wake, no \
-         scheduler round-trip (>=90% of fetches served one-sided, asserted above)."
-    );
-    write_json("ablation_one_sided", &one_sided_points);
 }
 
 #[derive(Serialize)]
@@ -535,16 +460,6 @@ struct GranularityPoint {
     granularity: usize,
     wire_messages: u64,
     envelope_bytes: u64,
-    elapsed_ms: f64,
-}
-
-#[derive(Serialize)]
-struct OneSidedPoint {
-    one_sided: bool,
-    one_sided_serves: u64,
-    one_sided_busy: u64,
-    fetch_handler_wakes: u64,
-    hook_consumed: u64,
     elapsed_ms: f64,
 }
 

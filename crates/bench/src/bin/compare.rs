@@ -27,10 +27,6 @@ const THRESHOLD: f64 = 0.10;
 /// Virtual-time measurement, so the margin is machine-independent; the
 /// measured ratio is ~40× for the single-writer protocols.
 const GRANULARITY_MIN_BYTES_RATIO: f64 = 2.0;
-/// The one-sided fast path must serve at least this fraction of the
-/// uncontended remote read fetches (PR 10 acceptance: ≥90%, zero handler
-/// wakes on the served ones).
-const ONE_SIDED_MIN_SERVE_FRACTION: f64 = 0.9;
 fn number(value: &Value) -> Option<f64> {
     match value {
         Value::Float(x) => Some(*x),
@@ -184,7 +180,7 @@ fn main() {
         )
     );
 
-    // ----- coherence granularity + one-sided read envelope (virtual time) ---
+    // ----- coherence granularity envelope (virtual time) --------------------
     //
     // Deterministic virtual-time measurements: the ratios are bit-stable on
     // every machine. `BENCH_pr10.json` records the same numbers from the
@@ -227,41 +223,6 @@ fn main() {
             "granularity: 64 B lines took {} vs {} at page granularity (strictly less virtual \
              time required)",
             line_run.elapsed, page_run.elapsed
-        ));
-    }
-    let one_sided_run = {
-        let mut config = FalseSharingConfig::read_mostly(fs_nodes);
-        config.tuning = config.tuning.with_one_sided_reads();
-        run_false_sharing(&config, fs_proto)
-    };
-    let fetches = one_sided_run.stats.one_sided_serves + one_sided_run.stats.one_sided_busy;
-    let serve_fraction = if fetches == 0 {
-        0.0
-    } else {
-        one_sided_run.stats.one_sided_serves as f64 / fetches as f64
-    };
-    println!(
-        "One-sided gate ({fs_proto}, read-mostly, {fs_nodes} nodes): {} of {fetches} read \
-         fetches served at delivery instant ({:.0}%, required \
-         ≥{:.0}%), {} handler wakes",
-        one_sided_run.stats.one_sided_serves,
-        serve_fraction * 100.0,
-        ONE_SIDED_MIN_SERVE_FRACTION * 100.0,
-        one_sided_run.stats.fetch_handler_wakes
-    );
-    if fetches == 0 || serve_fraction < ONE_SIDED_MIN_SERVE_FRACTION {
-        failures.push(format!(
-            "one-sided reads: only {} of {fetches} uncontended read fetches served one-sided \
-             (required ≥{:.0}%)",
-            one_sided_run.stats.one_sided_serves,
-            ONE_SIDED_MIN_SERVE_FRACTION * 100.0
-        ));
-    }
-    if one_sided_run.stats.fetch_handler_wakes != one_sided_run.stats.one_sided_busy {
-        failures.push(format!(
-            "one-sided reads: {} handler wakes for {} refused fetches (served fetches must \
-             never wake the handler)",
-            one_sided_run.stats.fetch_handler_wakes, one_sided_run.stats.one_sided_busy
         ));
     }
     match std::fs::read_to_string("BENCH_pr10.json")

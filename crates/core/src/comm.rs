@@ -1,12 +1,11 @@
 //! The DSM communication module and the synchronization entry points.
 //!
-//! All DSM communication goes through five PM2 services:
+//! All DSM communication goes through four PM2 services:
 //!
 //! * `dsm` — one-way protocol messages (page requests, page transfers,
 //!   invalidations, acknowledgements, diffs), dispatched to the protocol
-//!   actions of the page's protocol;
-//! * `dsm_fetch` — the one-sided read fetch, answered at arrival when the
-//!   home-side state is clean;
+//!   actions of the page's protocol; a page request, read or write, is
+//!   served by a handler thread at the node it reaches;
 //! * `dsm_lock_acquire` / `dsm_lock_release` — lock management at the lock's
 //!   manager node;
 //! * `dsm_barrier` — barrier episodes at the barrier's manager node.
@@ -31,7 +30,7 @@ use dsmpm2_sim::{
 
 use crate::ctx::{DsmThreadCtx, ServerCtx};
 use crate::diff::PageDiff;
-use crate::msg::{DsmMsg, FetchRead, FetchReply, Invalidation, PageRequest, PageTransfer};
+use crate::msg::{DsmMsg, Invalidation, PageRequest, PageTransfer};
 use crate::page::{Access, Unit};
 use crate::runtime::{DsmRuntime, RuntimeInner};
 use crate::sync::{BarrierId, LockId};
@@ -45,17 +44,11 @@ pub const SVC_LOCK_ACQUIRE: &str = "dsm_lock_acquire";
 pub const SVC_LOCK_RELEASE: &str = "dsm_lock_release";
 /// Name of the barrier service.
 pub const SVC_BARRIER: &str = "dsm_barrier";
-/// Name of the one-sided read-fetch service. Requests on this service are
-/// normally answered at their arrival instant (served straight from the
-/// home's installed frame, with no dispatch and no handler thread); the
-/// service's handler is the fallback for contended home-side state.
-pub const SVC_DSM_FETCH: &str = "dsm_fetch";
 
-/// The ids the five DSM services were registered under on the runtime's
+/// The ids the four DSM services were registered under on the runtime's
 /// cluster: what every DSM request carries instead of a name.
 pub(crate) struct DsmServices {
     dsm: ServiceId,
-    fetch: ServiceId,
     lock_acquire: ServiceId,
     lock_release: ServiceId,
     barrier: ServiceId,
@@ -103,58 +96,6 @@ impl RpcService for DsmService {
     }
 }
 
-/// The `dsm_fetch` service: the one-sided read fetch.
-struct FetchService {
-    rt: Weak<RuntimeInner>,
-}
-
-impl RpcService for FetchService {
-    fn name(&self) -> &str {
-        SVC_DSM_FETCH
-    }
-
-    /// The one-sided fast path proper: if the home-side state is clean at the
-    /// instant the request arrives (on the home's scheduler shard, so
-    /// serialized with the node's threads and handlers), the reply leaves
-    /// from the arrival event — no dispatch, no handler thread, no scheduler
-    /// round-trip on the serving node.
-    fn answer_at_arrival(
-        &self,
-        _ctl: &EngineCtl,
-        local: NodeId,
-        _from: NodeId,
-        payload: &RpcPayload,
-    ) -> Option<RpcReply> {
-        let rt = DsmRuntime::from_inner(self.rt.upgrade()?);
-        let reply = try_serve_fetch(&rt, local, payload.downcast_ref::<FetchRead>()?)?;
-        rt.stats().incr_one_sided_serve();
-        let bytes = reply.payload_bytes();
-        Some(RpcReply::data(reply, bytes))
-    }
-
-    /// Fallback path: the home-side state was contended at arrival, so the
-    /// request was dispatched and this handler thread re-checks it. It may
-    /// succeed where the arrival event refused — the contended state can have
-    /// drained by the time the thread runs — otherwise the requester is told
-    /// to retry through the classic two-sided request path.
-    fn handle(&self, rpc: &mut RpcRequestCtx<'_>, payload: RpcPayload) -> Option<RpcReply> {
-        let rt = DsmRuntime::from_inner(self.rt.upgrade()?);
-        let req = downcast::<FetchRead>(payload, "fetch-read request");
-        rt.stats().incr_fetch_handler_wake();
-        rpc.sim.charge(rt.costs().serve_overhead);
-        match try_serve_fetch(&rt, rpc.local_node, &req) {
-            Some(reply) => {
-                let bytes = reply.payload_bytes();
-                Some(RpcReply::data(reply, bytes))
-            }
-            None => {
-                rt.stats().incr_one_sided_busy();
-                Some(RpcReply::control(FetchReply::Busy))
-            }
-        }
-    }
-}
-
 /// Register the DSM services on `cluster` for the runtime being built behind
 /// `rt`, whose coherence outbox is `outbox`. Called once from
 /// `DsmRuntime::with_cluster_and_costs`.
@@ -177,7 +118,6 @@ pub(crate) fn register_dsm_services(
     };
 
     let dsm = cluster.register_service(Arc::new(DsmService { rt: rt.clone() }));
-    let fetch = cluster.register_service(Arc::new(FetchService { rt: rt.clone() }));
 
     // A parked coherence message must never be overtaken by a later message
     // on the same link (an overtaking barrier reply or page transfer would
@@ -267,7 +207,6 @@ pub(crate) fn register_dsm_services(
 
     DsmServices {
         dsm,
-        fetch,
         lock_acquire,
         lock_release,
         barrier,
@@ -416,76 +355,6 @@ fn serve_nonblocking(rt: &DsmRuntime, ctl: &EngineCtl, local: NodeId, from: Node
         other => unreachable!("{:?} may block", TraceMsg(&other)),
     };
     table.notify_all(unit, ctl);
-}
-
-/// Try to serve a one-sided read fetch for `req` from `node`'s installed
-/// frame, without any protocol action running. Returns `None` whenever the
-/// home-side state is contended or the request cannot safely be served
-/// without the full protocol machinery:
-///
-/// * this node has no entry for the unit (a fetch for a page it was never
-///   told about is a refusal, not a panic);
-/// * the unit's protocol has not opted into one-sided reads;
-/// * the serving node's copy is not readable, is mid-fetch itself, has
-///   acknowledgements in flight (a revocation or diff round is open), or has
-///   a queued write acquisition (`queue_tail`) — a reader must not overtake
-///   the queued writer's invalidation;
-/// * the node is not entitled to serve (single-writer protocols: not the
-///   owner; multiple-writer protocols: not the home);
-/// * the frame is absent or doomed (evicted while the table entry lingers).
-///
-/// On success the requester is added to the copyset — under the same table
-/// lock that publishes the data — and, for single-writer protocols, a
-/// writing owner self-downgrades to `Read`, exactly as the two-sided
-/// read-serve path does.
-fn try_serve_fetch(rt: &DsmRuntime, node: NodeId, req: &FetchRead) -> Option<FetchReply> {
-    let table = rt.page_table(node);
-    let (protocol, uncontended, is_home, owned) = table.try_read(req.unit, |e| {
-        let uncontended = e.access.permits(Access::Read)
-            && !e.pending_fetch
-            && e.pending_acks == 0
-            && e.queue_tail.is_none();
-        (e.protocol, uncontended, e.home == node, e.owned)
-    })?;
-    let protocol = rt.protocol(protocol);
-    let mw = protocol.multiple_writers();
-    let entitled = if mw { is_home } else { owned };
-    if !protocol.one_sided_reads()
-        || !uncontended
-        || !entitled
-        || !rt.frames(node).has(req.unit.page)
-    {
-        return None;
-    }
-    let (version, span) = table.update(req.unit, |e| {
-        e.copyset.insert(req.requester);
-        if !mw && e.access == Access::Write {
-            e.access = Access::Read;
-        }
-        (e.version, e.line_span())
-    });
-    Some(FetchReply::Data {
-        data: rt.frames(node).snapshot(req.unit.page, span),
-        version,
-        owner: node,
-    })
-}
-
-/// Blocking one-sided fetch RPC from a faulting thread to the line's home.
-/// The reply normally comes straight from the request's arrival event at the
-/// home; under contention it comes from the fallback handler thread, possibly
-/// as [`FetchReply::Busy`].
-pub(crate) fn fetch_read_rpc(
-    ctx: &mut DsmThreadCtx<'_, '_>,
-    home: NodeId,
-    req: FetchRead,
-) -> FetchReply {
-    let service = ctx.runtime().services().fetch;
-    downcast::<FetchReply>(
-        ctx.pm2
-            .rpc_call(home, service, Box::new(req), RpcClass::Control),
-        "fetch reply",
-    )
 }
 
 // ---------------------------------------------------------------------------

@@ -48,12 +48,12 @@ mod sync;
 mod verify;
 
 pub use access::DsmScalar;
-pub use comm::{SVC_BARRIER, SVC_DSM, SVC_DSM_FETCH, SVC_LOCK_ACQUIRE, SVC_LOCK_RELEASE};
+pub use comm::{SVC_BARRIER, SVC_DSM, SVC_LOCK_ACQUIRE, SVC_LOCK_RELEASE};
 pub use costs::DsmCosts;
 pub use ctx::{DsmThreadCtx, ServerCtx};
 pub use diff::{DiffRun, PageDiff};
 pub use frames::{Frame, FrameStore};
-pub use msg::{DsmMsg, FetchRead, FetchReply, Invalidation, PageRequest, PageTransfer};
+pub use msg::{DsmMsg, Invalidation, PageRequest, PageTransfer};
 pub use page::{
     line_of_offset, line_range, lines_per_page, pages_covering, Access, DsmAddr, LineIx, PageId,
     Unit, LINE0, MIN_LINE_SIZE, PAGE_SIZE,

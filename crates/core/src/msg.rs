@@ -112,47 +112,6 @@ pub enum DsmMsg {
     Batch(Vec<DsmMsg>),
 }
 
-/// A one-sided read request, carried by the dedicated `dsm_fetch` RPC service
-/// rather than by [`DsmMsg`]: the transport-seam interceptor recognizes it at
-/// message-delivery instant on the home node and — when the home-side state
-/// is uncontended — answers directly from the installed frame, without waking
-/// a handler thread.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct FetchRead {
-    /// Requested unit.
-    pub unit: Unit,
-    /// Node performing the read fault.
-    pub requester: NodeId,
-}
-
-/// Reply to a [`FetchRead`].
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FetchReply {
-    /// The home served a read-only copy of the unit directly from its frame.
-    Data {
-        /// The bytes of the unit's span.
-        data: Vec<u8>,
-        /// Version of the home's reference copy.
-        version: u64,
-        /// Probable owner to record at the requester.
-        owner: NodeId,
-    },
-    /// The home-side state was contended (pending acquisition, doomed frame,
-    /// in-flight coherence activity): retry through the classic two-sided
-    /// request path.
-    Busy,
-}
-
-impl FetchReply {
-    /// Payload bytes accounted to the network model for this reply.
-    pub fn payload_bytes(&self) -> usize {
-        match self {
-            FetchReply::Data { data, .. } => data.len(),
-            FetchReply::Busy => 0,
-        }
-    }
-}
-
 impl DsmMsg {
     /// True for the messages whose service is a generic-core table update and
     /// a wake-up — no charge, no wait, no nested request — so that serving
@@ -233,16 +192,5 @@ mod tests {
             ]);
             assert_eq!(batch.payload_bytes(), bytes, "batch sums its sub-messages");
         }
-    }
-
-    #[test]
-    fn fetch_reply_payload_accounting() {
-        let data = FetchReply::Data {
-            data: vec![0; 256],
-            version: 3,
-            owner: NodeId(1),
-        };
-        assert_eq!(data.payload_bytes(), 256);
-        assert_eq!(FetchReply::Busy.payload_bytes(), 0);
     }
 }

@@ -120,16 +120,6 @@ pub trait DsmProtocol: Send + Sync + 'static {
         false
     }
 
-    /// True if the protocol can let uncontended remote read faults be served
-    /// by the one-sided `FetchRead` fast path (its read-fault handler tries
-    /// the fast path before the classic request when the runtime enables
-    /// one-sided reads). For such protocols the home's reference copy must be
-    /// safe to hand out read-only whenever its entry is readable and
-    /// uncontended.
-    fn one_sided_reads(&self) -> bool {
-        false
-    }
-
     /// Called on the home node when a diff arrives. The default applies the
     /// diff to the home copy and bumps the version of the diffed line.
     fn diff_server(&self, ctx: &mut ServerCtx<'_>, diff: PageDiff, from: NodeId) {

@@ -24,7 +24,7 @@ use dsmpm2_sim::{BlockReason, SimHandle};
 
 use crate::ctx::DsmThreadCtx;
 use crate::diff::PageDiff;
-use crate::msg::{FetchRead, FetchReply, Invalidation, PageRequest, PageTransfer};
+use crate::msg::{Invalidation, PageRequest, PageTransfer};
 use crate::page::{Access, Unit};
 use crate::runtime::DsmRuntime;
 
@@ -74,64 +74,6 @@ pub fn request_page_and_wait(
         table.wait_until(unit, sim, BlockReason::PageFault, || {
             table.read(unit, |e| e.access.permits(access) || !e.pending_fetch)
         });
-    }
-}
-
-/// One-sided read fast path: fetch a read-only copy of the faulting unit
-/// directly from the home's frame, without waking a handler thread there.
-/// Returns `true` if the unit was installed (the fault is resolved) and
-/// `false` if the home was contended — the caller then falls back to
-/// [`request_page_and_wait`]. Must only be called by protocols declaring
-/// [`crate::DsmProtocol::one_sided_reads`], and only when
-/// [`dsmpm2_pm2::DsmTuning::one_sided_reads`] is enabled.
-pub fn one_sided_read(ctx: &mut DsmThreadCtx<'_, '_>, unit: Unit) -> bool {
-    let rt = ctx.runtime().clone();
-    let node = ctx.node();
-    let home = rt.page_meta(unit.page).home;
-    let table = rt.page_table(node);
-    // A fetch already in flight for this unit means other local threads are
-    // parked on the classic path; join them rather than racing it.
-    let (permitted, pending_fetch, span) = table.read(unit, |e| {
-        (
-            e.access.permits(Access::Read),
-            e.pending_fetch,
-            e.line_span(),
-        )
-    });
-    if permitted {
-        return true;
-    }
-    if pending_fetch || home == node {
-        return false;
-    }
-    let req = FetchRead {
-        unit,
-        requester: node,
-    };
-    match crate::comm::fetch_read_rpc(ctx, home, req) {
-        FetchReply::Data {
-            data,
-            version,
-            owner,
-        } => {
-            let sim = &mut *ctx.pm2.sim;
-            rt.frames(node).install(unit, span, data);
-            table.update(unit, |e| {
-                // Never downgrade rights a racing classic transfer may have
-                // granted in the meantime; only lift None to Read.
-                if e.access == Access::None {
-                    e.access = Access::Read;
-                }
-                e.prob_owner = owner;
-                e.version = e.version.max(version);
-                e.owner_version = e.owner_version.max(version);
-            });
-            sim.charge(rt.costs().install_overhead);
-            sim.charge(rt.costs().table_update);
-            table.notify_all(unit, sim.ctl());
-            true
-        }
-        FetchReply::Busy => false,
     }
 }
 

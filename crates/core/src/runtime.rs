@@ -310,12 +310,6 @@ impl DsmRuntime {
         &self.inner.costs
     }
 
-    /// The tuning knobs this runtime was installed with (from the cluster
-    /// configuration).
-    pub fn tuning(&self) -> DsmTuning {
-        self.inner.tuning
-    }
-
     /// DSM statistics.
     pub fn stats(&self) -> &DsmStats {
         &self.inner.stats

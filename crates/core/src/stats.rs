@@ -57,15 +57,11 @@ pub struct DsmStatsSnapshot {
     /// Coherence messages that travelled inside a batched envelope (each
     /// batch carries at least two).
     pub coherence_batched_messages: u64,
-    /// Read fetches served one-sided by the home's delivery interceptor at
-    /// message-arrival instant (no handler thread, no dispatcher pass).
+    /// Always 0: kept only because the frozen `benchmark/` reads it;
+    /// direction 5(ii) deletes it.
     pub one_sided_serves: u64,
-    /// One-sided fetch attempts refused because home-side state was
-    /// contended (pending acquisition, in-flight diff, doomed frame);
-    /// the requester fell back to the classic request path.
-    pub one_sided_busy: u64,
-    /// Fetch requests that woke a handler thread on the serving node (the
-    /// fallback path; zero when every fetch was served one-sided).
+    /// Always 0: kept only because the frozen `benchmark/` reads it;
+    /// direction 5(ii) deletes it.
     pub fetch_handler_wakes: u64,
 }
 
@@ -99,9 +95,6 @@ counter_methods!(
     inline_checks => incr_inline_check,
     request_forwards => incr_request_forward,
     coherence_batches => incr_coherence_batch,
-    one_sided_serves => incr_one_sided_serve,
-    one_sided_busy => incr_one_sided_busy,
-    fetch_handler_wakes => incr_fetch_handler_wake,
 );
 
 impl DsmStats {

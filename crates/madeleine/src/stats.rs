@@ -161,13 +161,9 @@ pub struct WireStatsSnapshot {
     /// `envelopes`/`envelope_bytes` form comparable per-message and
     /// per-envelope averages.
     pub message_bytes: u64,
-    /// Envelopes the delivery hook answered in place at their arrival
-    /// instant (one-sided read fetches served directly from the home's
-    /// frame) — these were never dispatched.
-    pub hook_consumed: u64,
-    /// Envelopes the installed delivery hook saw and did not answer in place:
-    /// dispatched by the upper layer or enqueued on the node's incoming
-    /// queue. Zero when no hook is installed.
+    /// Envelopes the installed delivery hook saw: dispatched by the upper
+    /// layer or enqueued on the node's incoming queue. Zero when no hook is
+    /// installed.
     pub hook_delivered: u64,
 }
 
@@ -237,12 +233,7 @@ impl WireStats {
         stats.message_bytes += bytes;
     }
 
-    /// Count one envelope the delivery hook answered in place.
-    pub fn incr_hook_consumed(&self) {
-        self.0.borrow().hook_consumed += 1;
-    }
-
-    /// Count one envelope the delivery hook saw and did not answer in place.
+    /// Count one envelope the delivery hook saw.
     pub fn incr_hook_delivered(&self) {
         self.0.borrow().hook_delivered += 1;
     }
@@ -275,7 +266,6 @@ mod tests {
         let w = WireStats::default();
         w.add_envelope(100, 1);
         w.add_envelope(500, 4); // a batched envelope carrying 4 messages
-        w.incr_hook_consumed();
         w.incr_hook_delivered();
         let s = w.snapshot();
         assert_eq!(s.envelopes, 2);
@@ -284,7 +274,7 @@ mod tests {
         assert_eq!(s.message_bytes, 600);
         assert_eq!(s.bytes_per_envelope(), 300.0);
         assert_eq!(s.messages_per_envelope(), 2.5);
-        assert_eq!((s.hook_consumed, s.hook_delivered), (1, 1));
+        assert_eq!(s.hook_delivered, 1);
         assert_eq!(WireStatsSnapshot::default().bytes_per_envelope(), 0.0);
     }
 

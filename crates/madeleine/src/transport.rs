@@ -52,9 +52,6 @@ pub enum Delivery<M> {
     /// Taken by the upper layer's dispatch (PM2 turns it into a handler or a
     /// wake-up of the waiting caller).
     Dispatched,
-    /// Answered in place at the arrival instant, with no dispatch at all (the
-    /// DSM one-sided read fetch served from the home's frame).
-    Answered,
 }
 
 /// The delivery hook: runs at the envelope's arrival instant, on the
@@ -139,13 +136,9 @@ impl<M: Send + 'static> DeliverySink<M> {
         let at = Arc::clone(sink);
         sink.ctl.call_at_on(sink.shard, deliver_at, move |ctl| {
             let hook = at.hook.get().expect("a hook is replaced, never removed");
-            match hook(ctl, env) {
-                Delivery::Queue(env) => {
-                    at.wire.incr_hook_delivered();
-                    at.tx.send_at(ctl.now(), env);
-                }
-                Delivery::Dispatched => at.wire.incr_hook_delivered(),
-                Delivery::Answered => at.wire.incr_hook_consumed(),
+            at.wire.incr_hook_delivered();
+            if let Delivery::Queue(env) = hook(ctl, env) {
+                at.tx.send_at(ctl.now(), env);
             }
         });
     }
@@ -266,7 +259,6 @@ impl<M: Send + 'static> Network<M> {
         snap.envelope_bytes = net.envelope_bytes;
         snap.messages = net.messages;
         snap.message_bytes = net.message_bytes;
-        snap.hook_consumed = net.hook_consumed;
         snap.hook_delivered = net.hook_delivered;
         snap
     }
@@ -514,13 +506,13 @@ mod tests {
     }
 
     #[test]
-    fn delivery_hook_can_consume_envelopes_at_arrival() {
+    fn a_dispatched_envelope_never_reaches_the_endpoint_queue() {
         let mut engine = Engine::new();
         let net = two_node_net::<u8>(&engine, profiles::bip_myrinet());
-        // Answer odd payloads at arrival; deliver even ones normally.
+        // Take odd payloads at arrival; deliver even ones to the queue.
         net.set_delivery_hook(Arc::new(|_ctl, env: Envelope<u8>| {
             if env.msg % 2 == 1 {
-                Delivery::Answered
+                Delivery::Dispatched
             } else {
                 Delivery::Queue(env)
             }
@@ -542,8 +534,7 @@ mod tests {
         engine.run().unwrap();
         assert_eq!(got.lock().clone(), vec![2, 4]);
         let wire = net.wire_stats();
-        assert_eq!(wire.hook_consumed, 2);
-        assert_eq!(wire.hook_delivered, 2);
+        assert_eq!(wire.hook_delivered, 4);
         assert_eq!(wire.envelopes, 4);
         assert_eq!(wire.messages, 4);
     }
@@ -572,7 +563,7 @@ mod tests {
             }));
             net.set_delivery_hook(Arc::new(move |_ctl, env: Envelope<u8>| {
                 assert_eq!(hook, "third", "{env:?} went to a replaced hook");
-                Delivery::Answered
+                Delivery::Dispatched
             }));
         }
         let net2 = net.clone();
@@ -580,7 +571,7 @@ mod tests {
         engine.run().unwrap();
         let third = ("third", NodeId(0), NodeId(1));
         assert_eq!(calls.lock().clone(), vec![third, third]);
-        assert_eq!(net.wire_stats().hook_consumed, 2);
+        assert_eq!(net.wire_stats().hook_delivered, 2);
     }
 
     #[test]

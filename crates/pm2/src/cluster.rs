@@ -27,8 +27,7 @@ use crate::context::{Pm2Context, Pm2ThreadState};
 use crate::isomalloc::IsoAllocator;
 use crate::monitor::{Monitor, MonitorSlot};
 use crate::rpc::{
-    ReplyTable, RpcClass, RpcMessage, RpcPayload, RpcReply, RpcRequestCtx, RpcService, ServiceId,
-    ServiceKey,
+    ReplyTable, RpcClass, RpcMessage, RpcPayload, RpcRequestCtx, RpcService, ServiceId, ServiceKey,
 };
 
 /// Everything the send, dispatch and handle paths need of one registered
@@ -382,9 +381,7 @@ impl Pm2Cluster {
     /// dispatcher lets the message go, wakes the caller (a reply) or starts
     /// the handler (a request): in a thread of its own, or — for a one-way
     /// request its service vouches cannot block — in one scheduler call at
-    /// that same instant, with no thread. A blocking request is first offered
-    /// to [`RpcService::answer_at_arrival`], which answers it right here,
-    /// undispatched, if it can.
+    /// that same instant, with no thread.
     ///
     /// Consumes the handle the delivery hook made for it: a handler thread
     /// takes that one with it instead of a clone.
@@ -406,13 +403,6 @@ impl Pm2Cluster {
                 // The one count a request costs: the service's code runs
                 // outside any borrow of the table, and outlives this event.
                 let entry = Arc::clone(&self.inner.rpc.borrow().services[service.0 as usize]);
-                if needs_reply {
-                    let answer = entry.service.answer_at_arrival(ctl, node, from, &payload);
-                    if let Some(reply) = answer {
-                        self.send_reply_from_ctl(ctl, node, from, id, reply);
-                        return Delivery::Answered;
-                    }
-                }
                 let at = reserve(dispatcher, node, ctl.now(), entry.dispatch_cost);
                 if !needs_reply && entry.service.is_nonblocking(&payload) {
                     ctl.call_at_on(shard, at, move |ctl| {
@@ -472,32 +462,6 @@ impl Pm2Cluster {
                 delay,
             );
         }
-    }
-
-    /// Send the reply to request `id` from the request's arrival event: the
-    /// blocked caller is answered without any thread having run on the
-    /// serving node.
-    fn send_reply_from_ctl(
-        &self,
-        ctl: &EngineCtl,
-        from: NodeId,
-        to: NodeId,
-        id: u64,
-        reply: RpcReply,
-    ) {
-        let delay = self.message_delay(from, to, reply.class);
-        self.inner.network.send_with_delay_from_ctl(
-            ctl,
-            from,
-            to,
-            RpcMessage::Reply {
-                id,
-                payload: reply.payload,
-            },
-            reply.class.accounted_bytes(),
-            1,
-            delay,
-        );
     }
 
     /// Spawn an application thread on `node`. The closure receives a
@@ -569,7 +533,7 @@ impl std::fmt::Debug for Pm2Cluster {
 mod tests {
     use super::*;
     use crate::monitor::OpStat;
-    use crate::rpc::{downcast, service_fn};
+    use crate::rpc::{downcast, service_fn, RpcReply};
     use dsmpm2_madeleine::profiles;
     use parking_lot::Mutex;
     use std::sync::atomic::{AtomicU64 as StdAtomicU64, Ordering};

@@ -61,14 +61,6 @@ pub struct DsmTuning {
     /// transparently clamped back to whole pages for protocols that do not
     /// support sub-page coherence.
     pub granularity: usize,
-    /// Serve uncontended remote read faults one-sided: the requester sends a
-    /// `FetchRead` and the home answers at message-delivery instant directly
-    /// from its installed frame — no handler-thread wake, no scheduler
-    /// round-trip — falling back to the classic request path whenever the
-    /// home-side state is contended. Off by default (bit-identical to the
-    /// historical two-sided path). Only protocols that declare the
-    /// capability use the fast path.
-    pub one_sided_reads: bool,
 }
 
 impl DsmTuning {
@@ -76,12 +68,6 @@ impl DsmTuning {
     /// pages).
     pub fn with_granularity(mut self, bytes: usize) -> Self {
         self.granularity = bytes;
-        self
-    }
-
-    /// Enable the one-sided read fast path.
-    pub fn with_one_sided_reads(mut self) -> Self {
-        self.one_sided_reads = true;
         self
     }
 }
@@ -95,7 +81,7 @@ pub struct Pm2Config {
     pub network: NetworkModel,
     /// PM2 software cost constants.
     pub costs: Pm2Costs,
-    /// DSM-layer tuning knobs (coherence granularity, one-sided reads).
+    /// DSM-layer tuning knobs (coherence granularity).
     pub dsm: DsmTuning,
     /// Transport-layer tuning knobs (wire-level backend selection): the
     /// default is the `Ideal` uncontended pipe of the paper's cost model.
@@ -158,15 +144,11 @@ mod tests {
     }
 
     #[test]
-    fn dsm_tuning_defaults_to_whole_pages_and_two_sided_reads() {
+    fn dsm_tuning_defaults_to_whole_pages() {
         let config = Pm2Config::bip_myrinet(2);
         assert_eq!(config.dsm.granularity, 0, "whole pages by default");
-        assert!(!config.dsm.one_sided_reads, "two-sided reads by default");
-        let tuned = DsmTuning::default()
-            .with_granularity(256)
-            .with_one_sided_reads();
+        let tuned = DsmTuning::default().with_granularity(256);
         assert_eq!(tuned.granularity, 256);
-        assert!(tuned.one_sided_reads);
     }
 
     #[test]

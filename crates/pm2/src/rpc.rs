@@ -58,14 +58,6 @@ impl RpcReply {
         }
     }
 
-    /// A reply carrying `bytes` of bulk data.
-    pub fn data(payload: impl Any + Send, bytes: usize) -> Self {
-        RpcReply {
-            payload: Box::new(payload),
-            class: RpcClass::Data(bytes),
-        }
-    }
-
     /// A minimal reply (null RPC completion).
     pub fn minimal(payload: impl Any + Send) -> Self {
         RpcReply {
@@ -160,21 +152,6 @@ pub trait RpcService: Send + Sync + 'static {
     /// concurrent requests are served in parallel.
     fn spawn_thread(&self) -> bool {
         true
-    }
-    /// Asked first, at the instant a blocking request arrives and before any
-    /// dispatch: can the service answer right now, from state it may read on
-    /// the destination node's shard, without running a handler? `Some` is sent
-    /// back as the reply from the arrival event itself — no dispatch cost, no
-    /// thread (the DSM one-sided read fetch). `None` dispatches the request
-    /// normally.
-    fn answer_at_arrival(
-        &self,
-        _ctl: &EngineCtl,
-        _local_node: NodeId,
-        _from_node: NodeId,
-        _payload: &RpcPayload,
-    ) -> Option<RpcReply> {
-        None
     }
     /// Asked at dispatch time about a one-way request, from its payload
     /// alone: is serving it certain not to block — no charge, no wait, no
@@ -318,7 +295,6 @@ mod tests {
     #[test]
     fn reply_constructors_set_class() {
         assert_eq!(RpcReply::control(1u32).class, RpcClass::Control);
-        assert_eq!(RpcReply::data(vec![0u8; 10], 10).class, RpcClass::Data(10));
         assert_eq!(RpcReply::minimal(()).class, RpcClass::Minimal);
     }
 

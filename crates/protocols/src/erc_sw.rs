@@ -37,9 +37,6 @@ impl DsmProtocol for ErcSw {
     fn read_fault_handler(&self, ctx: &mut DsmThreadCtx<'_, '_>, fault: FaultInfo) {
         let rt = ctx.runtime().clone();
         let node = ctx.node();
-        if rt.tuning().one_sided_reads && protolib::one_sided_read(ctx, fault.unit) {
-            return;
-        }
         protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, fault.unit, Access::Read);
     }
 
@@ -134,13 +131,6 @@ impl DsmProtocol for ErcSw {
         // Fault routing, ownership migration and release-time invalidation
         // all operate on the faulting line; `modified_units` keeps the
         // release rounds line-scoped.
-        true
-    }
-
-    fn one_sided_reads(&self) -> bool {
-        // MRSW: the owner's frame is authoritative between releases, and the
-        // fetch guard refuses whenever a release round is in flight
-        // (pending acknowledgements) on the line.
         true
     }
 }

@@ -43,9 +43,6 @@ impl DsmProtocol for HbrcMw {
     fn read_fault_handler(&self, ctx: &mut DsmThreadCtx<'_, '_>, fault: FaultInfo) {
         let rt = ctx.runtime().clone();
         let node = ctx.node();
-        if rt.tuning().one_sided_reads && protolib::one_sided_read(ctx, fault.unit) {
-            return;
-        }
         protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, fault.unit, Access::Read);
     }
 
@@ -170,13 +167,6 @@ impl DsmProtocol for HbrcMw {
     fn supports_subpage(&self) -> bool {
         // Twin creation, diff shipping and home-side invalidation all
         // operate on the faulting line (line twins diff only their span).
-        true
-    }
-
-    fn one_sided_reads(&self) -> bool {
-        // Home-based: the home's reference copy is always current between
-        // diff integrations, and the fetch guard refuses while a diff round
-        // is open on the line (pending acknowledgements).
         true
     }
 }

@@ -77,14 +77,10 @@ impl DsmProtocol for LiHudakFixed {
     fn read_fault_handler(&self, ctx: &mut DsmThreadCtx<'_, '_>, fault: FaultInfo) {
         let rt = ctx.runtime().clone();
         let node = ctx.node();
-        // Uncontended remote reads go one-sided straight to the fixed
-        // manager's frame; any refusal falls back to the classic request.
-        if rt.tuning().one_sided_reads && protolib::one_sided_read(ctx, fault.unit) {
-            return;
-        }
         // Non-manager nodes keep their probable-owner hint pointed at the
         // manager (see `receive_page_server`), so the generic fetch routine
-        // naturally routes the request through the fixed manager.
+        // routes every read request to the fixed manager, whose handler
+        // thread serves it or forwards it to the owner.
         protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, fault.unit, Access::Read);
     }
 
@@ -145,13 +141,6 @@ impl DsmProtocol for LiHudakFixed {
     fn supports_subpage(&self) -> bool {
         // Every routine above routes at the faulting line; independent lines
         // of one page have fully independent owners, copysets and queues.
-        true
-    }
-
-    fn one_sided_reads(&self) -> bool {
-        // MRSW with a fixed manager: whenever the manager's entry is
-        // readable, owned and uncontended, its frame holds the authoritative
-        // copy and may be handed out read-only.
         true
     }
 }

@@ -23,7 +23,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 ///
 /// * a *slice* — a simulated thread between two yields;
 /// * a *scheduler event* — a closure the engine runs between slices (message
-///   arrival, RPCs answered at arrival, transport hooks);
+///   arrival, RPC dispatch, transport hooks);
 /// * the *host thread*, before [`crate::Engine::run`] is called and after it
 ///   returns (set-up, reading results).
 ///

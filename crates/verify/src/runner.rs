@@ -15,7 +15,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use dsmpm2_core::{
-    install_global_verify_hooks, line_of_offset, DsmAttr, DsmRuntime, DsmScalar, DsmTuning, Engine,
+    install_global_verify_hooks, line_of_offset, DsmAttr, DsmRuntime, DsmScalar, Engine,
     HomePolicy, NodeId, Pm2Config, TransportTuning, PAGE_SIZE,
 };
 use dsmpm2_protocols::register_all_protocols;
@@ -176,13 +176,7 @@ pub fn run_scenario(scenario: &Scenario, cfg: &RunConfig) -> RunOutcome {
         .as_ref()
         .map(|h| install_global_verify_hooks(h.clone() as Arc<dyn dsmpm2_core::VerifyHooks>));
 
-    let mut dsm = DsmTuning::default();
-    if scenario.one_sided_reads {
-        dsm = dsm.with_one_sided_reads();
-    }
-    let config = Pm2Config::bip_myrinet(scenario.nodes)
-        .with_dsm_tuning(dsm)
-        .with_transport_tuning(cfg.transport);
+    let config = Pm2Config::bip_myrinet(scenario.nodes).with_transport_tuning(cfg.transport);
     let engine = Engine::with_config(EngineConfig {
         max_events: cfg.max_events,
         name: scenario.name.to_string(),

@@ -115,9 +115,6 @@ pub struct Scenario {
     /// coherence clamp this transparently, so sub-page scenarios stay
     /// runnable — with identical expected memory — under every protocol.
     pub granularity: usize,
-    /// Run with the one-sided read fast path enabled (protocols that do
-    /// not declare the capability fall back to the handler path).
-    pub one_sided_reads: bool,
     /// The scenario threads.
     pub threads: Vec<ThreadSpec>,
     /// Expected final word per page, when the scenario is
@@ -151,7 +148,6 @@ pub fn locked_counter() -> Scenario {
         home: 0,
         lock_manager: 0,
         granularity: 0,
-        one_sided_reads: false,
         threads: vec![
             ThreadSpec {
                 node: 0,
@@ -175,7 +171,6 @@ pub fn unsynced_pair() -> Scenario {
         home: 0,
         lock_manager: 0,
         granularity: 0,
-        one_sided_reads: false,
         threads: vec![
             ThreadSpec {
                 node: 0,
@@ -208,7 +203,6 @@ pub fn unsynced_seeding() -> Scenario {
         home: 0,
         lock_manager: 0,
         granularity: 0,
-        one_sided_reads: false,
         threads: vec![
             ThreadSpec {
                 node: 0,
@@ -245,7 +239,6 @@ pub fn stale_release() -> Scenario {
         home: 2,
         lock_manager: 0,
         granularity: 0,
-        one_sided_reads: false,
         threads: vec![
             ThreadSpec {
                 node: 1,
@@ -270,7 +263,6 @@ pub fn reader_flock() -> Scenario {
         home: 0,
         lock_manager: 0,
         granularity: 0,
-        one_sided_reads: false,
         threads: vec![
             ThreadSpec {
                 node: 0,
@@ -307,7 +299,6 @@ pub fn switch_survivor(to_protocol: &'static str) -> Scenario {
         home: 0,
         lock_manager: 0,
         granularity: 0,
-        one_sided_reads: false,
         threads: vec![
             ThreadSpec {
                 node: 0,
@@ -350,7 +341,6 @@ pub fn stale_done_injection() -> Scenario {
         home: 0,
         lock_manager: 0,
         granularity: 0,
-        one_sided_reads: false,
         threads: vec![
             ThreadSpec {
                 node: 1,
@@ -394,7 +384,6 @@ pub fn migratory_increment() -> Scenario {
         home: 0,
         lock_manager: 0,
         granularity: 0,
-        one_sided_reads: false,
         threads: vec![
             ThreadSpec {
                 node: 0,
@@ -430,7 +419,6 @@ pub fn line_exclusive_writers() -> Scenario {
         home: 0,
         lock_manager: 0,
         granularity: 1024,
-        one_sided_reads: false,
         threads: vec![
             ThreadSpec {
                 node: 0,
@@ -484,7 +472,6 @@ pub fn line_copyset_coverage() -> Scenario {
         home: 0,
         lock_manager: 0,
         granularity: 1024,
-        one_sided_reads: false,
         threads: vec![
             ThreadSpec {
                 node: 0,
@@ -542,22 +529,21 @@ pub fn line_copyset_coverage() -> Scenario {
     }
 }
 
-/// A one-sided read fault racing a write-ownership acquisition on the
-/// same page: every interleaving must either serve the fetch from a
-/// still-valid home frame (registering the reader in the copyset so the
-/// writer's invalidation reaches it) or refuse and fall back to the
-/// handler path — never hand out a copy that escapes coherence. Node 2
-/// is the only post-barrier writer, so the final word is
+/// A remote read fault racing a write-ownership acquisition on the same
+/// page: node 1's read requests reach the home's handler threads while
+/// node 2's write request moves ownership. In every interleaving the reader
+/// must land in the copyset of whichever node serves it, so that the
+/// writer's invalidation reaches its copy — no copy may escape coherence.
+/// Node 2 is the only post-barrier writer, so the final word is
 /// schedule-independent even though the reader's observations race.
-pub fn one_sided_read_race() -> Scenario {
+pub fn read_races_acquisition() -> Scenario {
     Scenario {
-        name: "one_sided_read_race",
+        name: "read_races_acquisition",
         nodes: 3,
         pages: 1,
         home: 0,
         lock_manager: 0,
         granularity: 0,
-        one_sided_reads: true,
         threads: vec![
             ThreadSpec {
                 node: 0,

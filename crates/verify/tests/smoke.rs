@@ -103,22 +103,22 @@ fn line_copyset_coverage_keeps_readers_visible_and_lines_independent() {
 }
 
 #[test]
-fn one_sided_read_race_never_escapes_coherence() {
-    let scenario = scenario::one_sided_read_race();
+fn a_read_racing_an_acquisition_never_escapes_coherence() {
+    let scenario = scenario::read_races_acquisition();
     let outcome = run_scenario(&scenario, &RunConfig::checked("li_hudak_fixed"));
     assert_eq!(outcome.error, None);
     let findings = outcome.all_findings(&scenario);
     assert!(findings.is_empty(), "{findings:?}");
     assert_eq!(outcome.final_words, vec![5]);
     // After the closing barrier the reader must observe the writer's value:
-    // a one-sided serve that handed out a copy without registering it in
-    // the copyset would leave the reader pinned at the stale 3 forever.
+    // a serve that handed out a copy without registering it in the copyset
+    // would leave the reader pinned at the stale 3 forever.
     assert_eq!(outcome.observed[1].last().copied(), Some(5));
 }
 
 #[test]
-fn explorer_finds_every_one_sided_race_schedule_coherent() {
-    let scenario = scenario::one_sided_read_race();
+fn explorer_finds_every_read_race_schedule_coherent() {
+    let scenario = scenario::read_races_acquisition();
     let base = RunConfig::checked("li_hudak_fixed");
     let (stats, findings) = explore(
         &scenario,

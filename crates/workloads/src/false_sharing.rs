@@ -10,12 +10,6 @@
 //! no coherence traffic is exchanged after warm-up. The wire-byte and
 //! virtual-time gap between the two runs is exactly the cost of false
 //! sharing, which makes this the granularity ablation's workload.
-//!
-//! The optional *read-mostly* mode replaces the write phase: node 0
-//! initialises every counter once, and the remaining nodes repeatedly read
-//! them all. Remote read faults in this mode are uncontended — the home's
-//! copy is clean and nothing is in flight — which is the regime the
-//! one-sided `FetchRead` fast path targets.
 
 use std::sync::Arc;
 
@@ -40,13 +34,11 @@ pub struct FalseSharingConfig {
     /// Byte distance between consecutive counters (the "line" the layout
     /// avoids sharing). Must be a multiple of 8.
     pub stride: usize,
-    /// Number of increment (or read) rounds, with a barrier after each.
+    /// Number of increment rounds, with a barrier after each.
     pub iterations: usize,
-    /// Read-mostly mode: node 0 writes once, everyone else only reads.
-    pub read_mostly: bool,
     /// Network profile.
     pub network: NetworkModel,
-    /// DSM tuning knobs (coherence granularity, one-sided reads).
+    /// DSM tuning knobs (coherence granularity).
     pub tuning: DsmTuning,
     /// Transport-layer tuning knobs.
     pub transport: TransportTuning,
@@ -62,18 +54,9 @@ impl FalseSharingConfig {
             slots_per_node: 4,
             stride: 64,
             iterations: 8,
-            read_mostly: false,
             network: dsmpm2_madeleine::profiles::bip_myrinet(),
             tuning: DsmTuning::default(),
             transport: TransportTuning::default(),
-        }
-    }
-
-    /// The same layout in read-mostly mode (the one-sided read regime).
-    pub fn read_mostly(nodes: usize) -> Self {
-        FalseSharingConfig {
-            read_mostly: true,
-            ..FalseSharingConfig::small(nodes)
         }
     }
 }
@@ -93,7 +76,7 @@ pub struct FalseSharingResult {
     /// Total messages put on the wire (a batch of coherence messages is one).
     pub wire_messages: u64,
     /// Wire-level transport statistics, including the envelope/message byte
-    /// accounting and the delivery-interceptor counters.
+    /// accounting.
     pub wire: WireStatsSnapshot,
     /// Engine-level run report.
     pub engine: dsmpm2_sim::RunReport,
@@ -136,60 +119,29 @@ pub fn run_false_sharing(config: &FalseSharingConfig, protocol_name: &str) -> Fa
         let config = config.clone();
         rt.spawn_dsm_thread(NodeId(node), format!("false-sharing-{node}"), move |ctx| {
             let mine = node * config.slots_per_node..(node + 1) * config.slots_per_node;
-            if config.read_mostly {
-                // Node 0 publishes every counter once; the others only read.
-                if node == 0 {
-                    for slot in 0..slots {
-                        ctx.write::<u64>(slot_addr(base, config.stride, slot), (slot + 1) as u64);
-                    }
-                }
-                ctx.dsm_barrier(barrier);
-                if node != 0 {
-                    for _ in 0..config.iterations {
-                        let mut sum = 0u64;
-                        for slot in 0..slots {
-                            sum += ctx.read::<u64>(slot_addr(base, config.stride, slot));
-                        }
-                        let expect = (slots * (slots + 1) / 2) as u64;
-                        assert_eq!(sum, expect, "reader {node} saw a stale counter");
-                    }
-                }
-                ctx.dsm_barrier(barrier);
-            } else {
-                // Zero own counters, then increment them every round. The
-                // counters of different nodes share pages but never share a
-                // stride-aligned line.
+            // Zero own counters, then increment them every round. The
+            // counters of different nodes share pages but never share a
+            // stride-aligned line.
+            for slot in mine.clone() {
+                ctx.write::<u64>(slot_addr(base, config.stride, slot), 0);
+            }
+            ctx.dsm_barrier(barrier);
+            for _ in 0..config.iterations {
                 for slot in mine.clone() {
-                    ctx.write::<u64>(slot_addr(base, config.stride, slot), 0);
+                    let addr = slot_addr(base, config.stride, slot);
+                    let v = ctx.read::<u64>(addr);
+                    ctx.write::<u64>(addr, v + 1);
                 }
                 ctx.dsm_barrier(barrier);
-                for _ in 0..config.iterations {
-                    for slot in mine.clone() {
-                        let addr = slot_addr(base, config.stride, slot);
-                        let v = ctx.read::<u64>(addr);
-                        ctx.write::<u64>(addr, v + 1);
-                    }
-                    ctx.dsm_barrier(barrier);
-                }
             }
 
-            // Each node reads back the counters it owns (its own in write
-            // mode; node 0's published values are read back by node 0) and
-            // publishes them to the host array outside any DSM access.
-            let read_back = if config.read_mostly {
-                if node == 0 {
-                    0..slots
-                } else {
-                    0..0
-                }
-            } else {
-                mine
-            };
+            // Each node reads back its own counters and publishes them to
+            // the host array outside any DSM access.
             let mut block = Vec::new();
-            for slot in read_back.clone() {
+            for slot in mine.clone() {
                 block.push(ctx.read::<u64>(slot_addr(base, config.stride, slot)));
             }
-            final_slots.lock()[read_back].copy_from_slice(&block);
+            final_slots.lock()[mine].copy_from_slice(&block);
             finish.lock().push(ctx.pm2.now());
         });
     }
@@ -241,36 +193,5 @@ mod tests {
             page.wire.envelope_bytes
         );
         assert!(line.elapsed < page.elapsed);
-    }
-
-    #[test]
-    fn read_mostly_mode_observes_published_values() {
-        let config = FalseSharingConfig::read_mostly(3);
-        let r = run_false_sharing(&config, "li_hudak_fixed");
-        let slots = config.nodes * config.slots_per_node;
-        let expect: Vec<u64> = (1..=slots as u64).collect();
-        assert_eq!(r.final_slots, expect);
-    }
-
-    #[test]
-    fn one_sided_reads_serve_the_read_mostly_regime_without_handler_wakes() {
-        let mut config = FalseSharingConfig::read_mostly(3);
-        config.tuning = config.tuning.with_one_sided_reads();
-        let r = run_false_sharing(&config, "li_hudak_fixed");
-        let slots = config.nodes * config.slots_per_node;
-        let expect: Vec<u64> = (1..=slots as u64).collect();
-        assert_eq!(r.final_slots, expect);
-        // Every uncontended remote read fault went one-sided: the home's
-        // interceptor consumed the fetch at arrival instant, and the
-        // fallback handler never ran.
-        assert!(r.stats.one_sided_serves > 0);
-        assert_eq!(r.stats.fetch_handler_wakes, 0, "{:?}", r.stats);
-        assert!(
-            r.stats.one_sided_serves * 10 >= r.stats.read_faults * 9,
-            "one-sided {} of {} read faults",
-            r.stats.one_sided_serves,
-            r.stats.read_faults
-        );
-        assert_eq!(r.wire.hook_consumed, r.stats.one_sided_serves);
     }
 }

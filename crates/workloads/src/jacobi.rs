@@ -34,7 +34,7 @@ pub struct JacobiConfig {
     pub network: NetworkModel,
     /// Virtual compute time charged per updated cell, in µs.
     pub compute_per_cell_us: f64,
-    /// DSM tuning knobs (coherence granularity, one-sided reads).
+    /// DSM tuning knobs (coherence granularity).
     pub tuning: DsmTuning,
     /// Transport-layer tuning knobs (wire-level backend selection).
     pub transport: TransportTuning,

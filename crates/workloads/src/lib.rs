@@ -10,8 +10,7 @@
 //! * [`micro`] — the single-fault measurements behind Tables 3 and 4 and a
 //!   few small shared-memory kernels.
 //! * [`false_sharing`] — per-node counters packed into shared pages: the
-//!   coherence-granularity ablation's workload (plus a read-mostly mode for
-//!   the one-sided read fast path).
+//!   coherence-granularity ablation's workload.
 //!
 //! The paper closes by announcing "a more thorough performance evaluation
 //! using the SPLASH-2 benchmarks"; the following kernels reproduce the

@@ -31,7 +31,7 @@ pub struct MatmulConfig {
     pub network: NetworkModel,
     /// Virtual compute time charged per multiply-add, in µs.
     pub compute_per_madd_us: f64,
-    /// DSM tuning knobs (coherence granularity, one-sided reads).
+    /// DSM tuning knobs (coherence granularity).
     pub tuning: DsmTuning,
     /// Transport-layer tuning knobs (wire-level backend selection).
     pub transport: TransportTuning,

@@ -466,7 +466,6 @@ fn conformance_matrix_across_handoff_modes() {
             coherence_batches: 3,
             coherence_batched_messages: 6,
             one_sided_serves: 0,
-            one_sided_busy: 0,
             fetch_handler_wakes: 0,
         }
     );
@@ -613,8 +612,7 @@ const SUBPAGE_PROTOCOLS: [&str; 3] = ["li_hudak_fixed", "erc_sw", "hbrc_mw"];
 /// programs compute: every supporting protocol × {jacobi, sor, false_sharing}
 /// × {1, 2, 4} nodes cell runs at 256-byte (and for the false-sharing kernel
 /// also 64-byte) line granularity and must produce final shared memory
-/// bit-identical to the whole-page run of the same cell. The one-sided read
-/// fast path rides along on the line rows — it must be equally invisible.
+/// bit-identical to the whole-page run of the same cell.
 #[test]
 fn conformance_matrix_line_granularity() {
     let jacobi = |nodes: usize, tuning: DsmTuning| JacobiConfig {
@@ -643,30 +641,26 @@ fn conformance_matrix_line_granularity() {
         c
     };
     let line = |bytes: usize| DsmTuning::default().with_granularity(bytes);
-    let one_sided = |bytes: usize| line(bytes).with_one_sided_reads();
     for proto in SUBPAGE_PROTOCOLS {
         for nodes in MATRIX_NODES {
             let base_j = run_jacobi(&jacobi(nodes, DsmTuning::default()), proto);
             let base_s = run_sor(&sor(nodes, DsmTuning::default()), proto);
             let base_f = run_false_sharing(&fs(nodes, DsmTuning::default()), proto);
-            for tuning in [line(256), one_sided(256)] {
-                let os = tuning.one_sided_reads;
-                let r = run_jacobi(&jacobi(nodes, tuning), proto);
-                assert_eq!(
-                    r.final_cells, base_j.final_cells,
-                    "jacobi memory diverged at line granularity under {proto} x {nodes} nodes (one_sided={os})"
-                );
-                let r = run_sor(&sor(nodes, tuning), proto);
-                assert_eq!(
-                    r.final_cells, base_s.final_cells,
-                    "sor memory diverged at line granularity under {proto} x {nodes} nodes (one_sided={os})"
-                );
-                let r = run_false_sharing(&fs(nodes, tuning), proto);
-                assert_eq!(
-                    r.final_slots, base_f.final_slots,
-                    "false_sharing memory diverged at line granularity under {proto} x {nodes} nodes (one_sided={os})"
-                );
-            }
+            let r = run_jacobi(&jacobi(nodes, line(256)), proto);
+            assert_eq!(
+                r.final_cells, base_j.final_cells,
+                "jacobi memory diverged at line granularity under {proto} x {nodes} nodes"
+            );
+            let r = run_sor(&sor(nodes, line(256)), proto);
+            assert_eq!(
+                r.final_cells, base_s.final_cells,
+                "sor memory diverged at line granularity under {proto} x {nodes} nodes"
+            );
+            let r = run_false_sharing(&fs(nodes, line(256)), proto);
+            assert_eq!(
+                r.final_slots, base_f.final_slots,
+                "false_sharing memory diverged at line granularity under {proto} x {nodes} nodes"
+            );
             // The kernel built for the ablation also runs at its own stride.
             let r = run_false_sharing(&fs(nodes, line(64)), proto);
             assert_eq!(
