@@ -6,21 +6,8 @@
 //! Usage: `fig4_tsp [cities] [max_nodes]` — defaults to 14 cities and node
 //! counts {1, 2, 4}. Use fewer cities for a quick run.
 
-use dsmpm2_bench::{markdown_table, write_json};
+use dsmpm2_bench::markdown_table;
 use dsmpm2_workloads::tsp::{run_tsp, TspConfig, TspInstance};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Point {
-    protocol: String,
-    nodes: usize,
-    cities: usize,
-    elapsed_ms: f64,
-    best_tour: u32,
-    page_transfers: u64,
-    thread_migrations: u64,
-    expanded_nodes: u64,
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -37,7 +24,6 @@ fn main() {
     println!("sequential optimum (oracle): {oracle}\n");
 
     let mut rows = Vec::new();
-    let mut points = Vec::new();
     for &nodes in &node_counts {
         for proto in protocols {
             let mut config = TspConfig::paper(nodes);
@@ -55,16 +41,6 @@ fn main() {
                 result.migrations.to_string(),
                 result.expanded.to_string(),
             ]);
-            points.push(Point {
-                protocol: proto.to_string(),
-                nodes,
-                cities,
-                elapsed_ms: result.elapsed.as_millis_f64(),
-                best_tour: result.best,
-                page_transfers: result.stats.page_transfers,
-                thread_migrations: result.migrations,
-                expanded_nodes: result.expanded,
-            });
         }
     }
     println!(
@@ -85,5 +61,4 @@ fn main() {
         "Expected shape (paper): every page-based protocol outperforms migrate_thread,\n\
          because all computing threads migrate to the node holding the shared bound."
     );
-    write_json("fig4_tsp", &points);
 }

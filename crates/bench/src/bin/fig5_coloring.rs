@@ -7,21 +7,8 @@
 //! Usage: `fig5_coloring [num_states] [max_nodes]` — defaults to 29 states
 //! and node counts {1, 2, 4}.
 
-use dsmpm2_bench::{markdown_table, write_json};
+use dsmpm2_bench::markdown_table;
 use dsmpm2_workloads::map_coloring::{run_map_coloring, solve_sequential, ColoringConfig};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Point {
-    protocol: String,
-    nodes: usize,
-    states: usize,
-    elapsed_ms: f64,
-    best_cost: u64,
-    inline_checks: u64,
-    page_faults: u64,
-    page_transfers: u64,
-}
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -39,7 +26,6 @@ fn main() {
     println!("sequential optimum (oracle): {oracle}\n");
 
     let mut rows = Vec::new();
-    let mut points = Vec::new();
     for &nodes in &node_counts {
         for proto in ["java_ic", "java_pf"] {
             let mut config = ColoringConfig::paper(nodes);
@@ -58,16 +44,6 @@ fn main() {
                 result.faults.to_string(),
                 result.stats.page_transfers.to_string(),
             ]);
-            points.push(Point {
-                protocol: proto.to_string(),
-                nodes,
-                states,
-                elapsed_ms: result.elapsed.as_millis_f64(),
-                best_cost: result.best_cost,
-                inline_checks: result.inline_checks,
-                page_faults: result.faults,
-                page_transfers: result.stats.page_transfers,
-            });
         }
     }
     println!(
@@ -90,5 +66,4 @@ fn main() {
          used intensively (every get/put pays a check under java_ic) while remote\n\
          accesses — the only ones that fault under java_pf — are infrequent."
     );
-    write_json("fig5_coloring", &points);
 }

@@ -3,83 +3,21 @@
 //! (the paper reports 6 µs / 8 µs RPC and 62 µs / 75 µs migration for
 //! SISCI/SCI and BIP/Myrinet respectively).
 
-use std::sync::Arc;
-
-use dsmpm2_bench::{markdown_table, write_json};
+use dsmpm2_bench::{markdown_table, migration_latency, rpc_latency};
 use dsmpm2_madeleine::profiles;
-use dsmpm2_pm2::{service_fn, Engine, NodeId, Pm2Cluster, Pm2Config, RpcClass, RpcReply};
-use dsmpm2_sim::SimDuration;
-use parking_lot::Mutex;
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Row {
-    network: String,
-    rpc_latency_us: f64,
-    thread_migration_us: f64,
-}
-
-fn measure_rpc(network: dsmpm2_madeleine::NetworkModel) -> f64 {
-    let engine = Engine::new();
-    let cluster = Pm2Cluster::new(&engine, Pm2Config::new(2, network));
-    cluster.register_service(service_fn("null", false, |_ctx, _payload| {
-        Some(RpcReply::minimal(()))
-    }));
-    let elapsed = Arc::new(Mutex::new(SimDuration::ZERO));
-    let e = elapsed.clone();
-    let c = cluster.clone();
-    engine.spawn("rpc-caller", move |h| {
-        let start = h.now();
-        let _ = c.rpc_call(
-            h,
-            NodeId(0),
-            NodeId(1),
-            "null",
-            Box::new(()),
-            RpcClass::Minimal,
-        );
-        *e.lock() = h.now().since(start);
-    });
-    let mut engine = engine;
-    engine.run().unwrap();
-    let v = elapsed.lock().as_micros_f64();
-    v
-}
-
-fn measure_migration(network: dsmpm2_madeleine::NetworkModel) -> f64 {
-    let engine = Engine::new();
-    let cluster = Pm2Cluster::new(&engine, Pm2Config::new(2, network));
-    let elapsed = Arc::new(Mutex::new(SimDuration::ZERO));
-    let e = elapsed.clone();
-    cluster.spawn_thread_on(NodeId(0), "migrator", move |ctx| {
-        let start = ctx.now();
-        ctx.migrate_to(NodeId(1));
-        *e.lock() = ctx.now().since(start);
-    });
-    let mut engine = engine;
-    engine.run().unwrap();
-    let v = elapsed.lock().as_micros_f64();
-    v
-}
 
 fn main() {
     println!("PM2 micro-measurements (paper section 2.1)\n");
-    let mut rows = Vec::new();
-    let mut json_rows = Vec::new();
-    for net in profiles::all() {
-        let rpc = measure_rpc(net.clone());
-        let mig = measure_migration(net.clone());
-        rows.push(vec![
-            net.name.clone(),
-            format!("{rpc:.1}"),
-            format!("{mig:.1}"),
-        ]);
-        json_rows.push(Row {
-            network: net.name.clone(),
-            rpc_latency_us: rpc,
-            thread_migration_us: mig,
-        });
-    }
+    let rows: Vec<Vec<String>> = profiles::all()
+        .into_iter()
+        .map(|net| {
+            vec![
+                net.name.clone(),
+                format!("{:.1}", rpc_latency(net.clone()).as_micros_f64()),
+                format!("{:.1}", migration_latency(net).as_micros_f64()),
+            ]
+        })
+        .collect();
     println!(
         "{}",
         markdown_table(
@@ -92,5 +30,4 @@ fn main() {
         )
     );
     println!("Paper: RPC 8us on BIP/Myrinet, 6us on SISCI/SCI; migration 75us / 62us.");
-    write_json("micro_pm2", &json_rows);
 }

@@ -3,23 +3,9 @@
 //! request, 4 kB page transfer and protocol overhead, on the four network
 //! profiles.
 
-use dsmpm2_bench::{markdown_table, write_json};
+use dsmpm2_bench::markdown_table;
 use dsmpm2_madeleine::profiles;
 use dsmpm2_workloads::{measure_read_fault, FaultPolicy};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Row {
-    network: String,
-    page_fault_us: f64,
-    request_page_us: f64,
-    page_transfer_us: f64,
-    protocol_overhead_us: f64,
-    total_us: f64,
-    /// Calibration drift of the measured total against the paper's, in
-    /// percent (see the per-row note printed with the table).
-    drift_vs_paper_pct: f64,
-}
 
 fn main() {
     println!("Table 3: Processing a read fault under page-migration policy (us)\n");
@@ -30,7 +16,6 @@ fn main() {
         ("SISCI/SCI", 194.0),
     ];
     let mut rows = Vec::new();
-    let mut json_rows = Vec::new();
     for net in profiles::all() {
         let b = measure_read_fault(net.clone(), FaultPolicy::PageTransfer);
         let paper_total = paper
@@ -49,15 +34,6 @@ fn main() {
             format!("{paper_total:.0}"),
             format!("{drift_pct:+.1}%"),
         ]);
-        json_rows.push(Row {
-            network: net.name.clone(),
-            page_fault_us: b.page_fault_us,
-            request_page_us: b.request_us,
-            page_transfer_us: b.transfer_us,
-            protocol_overhead_us: b.overhead_us,
-            total_us: b.total_us,
-            drift_vs_paper_pct: drift_pct,
-        });
     }
     println!(
         "{}",
@@ -80,9 +56,8 @@ fn main() {
          component constants (request, transfer, protocol overhead) were fitted to each row\n\
          independently from Tables 3/4, while the paper's totals were measured end-to-end and\n\
          include cross-component effects the breakdown does not attribute. The drift is stable\n\
-         and per-row (see the Drift column and drift_vs_paper_pct in results/table3.json); it\n\
-         is accepted as documented calibration error rather than re-fitted, so the component\n\
-         rows keep matching the paper's breakdown exactly."
+         and per-row (see the Drift column); it is accepted as documented calibration error\n\
+         rather than re-fitted, so the component rows keep matching the paper's breakdown\n\
+         exactly."
     );
-    write_json("table3", &json_rows);
 }

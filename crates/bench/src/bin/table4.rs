@@ -2,19 +2,9 @@
 //! thread-migration policy (page fault, thread migration, protocol overhead)
 //! on the four network profiles.
 
-use dsmpm2_bench::{markdown_table, write_json};
+use dsmpm2_bench::markdown_table;
 use dsmpm2_madeleine::profiles;
 use dsmpm2_workloads::{measure_read_fault, FaultPolicy};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Row {
-    network: String,
-    page_fault_us: f64,
-    thread_migration_us: f64,
-    protocol_overhead_us: f64,
-    total_us: f64,
-}
 
 fn main() {
     println!("Table 4: Processing a read fault under thread-migration policy (us)\n");
@@ -25,7 +15,6 @@ fn main() {
         ("SISCI/SCI", 74.0),
     ];
     let mut rows = Vec::new();
-    let mut json_rows = Vec::new();
     for net in profiles::all() {
         let b = measure_read_fault(net.clone(), FaultPolicy::ThreadMigration);
         let paper_total = paper
@@ -41,13 +30,6 @@ fn main() {
             format!("{:.0}", b.total_us),
             format!("{paper_total:.0}"),
         ]);
-        json_rows.push(Row {
-            network: net.name.clone(),
-            page_fault_us: b.page_fault_us,
-            thread_migration_us: b.migration_us,
-            protocol_overhead_us: b.overhead_us,
-            total_us: b.total_us,
-        });
     }
     println!(
         "{}",
@@ -63,5 +45,4 @@ fn main() {
             &rows
         )
     );
-    write_json("table4", &json_rows);
 }

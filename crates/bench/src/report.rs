@@ -1,10 +1,5 @@
 //! Small reporting helpers shared by the table/figure harness binaries.
 
-use std::fs;
-use std::path::Path;
-
-use serde::Serialize;
-
 /// Render a Markdown table from a header row and data rows.
 pub fn markdown_table(header: &[&str], rows: &[Vec<String>]) -> String {
     let mut out = String::new();
@@ -17,27 +12,6 @@ pub fn markdown_table(header: &[&str], rows: &[Vec<String>]) -> String {
         out.push_str(&format!("| {} |\n", row.join(" | ")));
     }
     out
-}
-
-/// Serialize `value` as pretty JSON into `results/<name>.json` (creating the
-/// directory if needed), so EXPERIMENTS.md can reference machine-readable
-/// outputs. Errors are reported but not fatal: the printed table is the
-/// primary artefact.
-pub fn write_json<T: Serialize>(name: &str, value: &T) {
-    let dir = Path::new("results");
-    if let Err(e) = fs::create_dir_all(dir) {
-        eprintln!("warning: could not create results/: {e}");
-        return;
-    }
-    let path = dir.join(format!("{name}.json"));
-    match serde_json::to_string_pretty(value) {
-        Ok(json) => {
-            if let Err(e) = fs::write(&path, json) {
-                eprintln!("warning: could not write {}: {e}", path.display());
-            }
-        }
-        Err(e) => eprintln!("warning: could not serialize {name}: {e}"),
-    }
 }
 
 #[cfg(test)]

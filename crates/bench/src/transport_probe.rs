@@ -1,44 +1,41 @@
-//! Virtual-time probes of the transport backends, used by the `compare`
-//! perf gate (which pins the `Ideal` backend to the calibrated cost model).
-
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+//! Virtual-time probes of the transport backends, which the model rows use
+//! to pin every backend's uncontended transfer to the calibrated cost model.
 
 use dsmpm2_madeleine::{
     Network, NetworkModel, NodeId, Topology, TransportTuning, CONTROL_MESSAGE_BYTES,
 };
 use dsmpm2_sim::{Engine, SimDuration, SimTime};
 
+use crate::model_rows::Latest;
+
 /// Virtual arrival time of a single, uncontended 4 kB page transfer (plus
 /// control header) between two otherwise idle nodes under `tuning`. For the
-/// `Ideal` backend this must equal `model.page_transfer_time(4096)` exactly
-/// — the calibration seam the `compare` gate pins.
-pub fn probe_single_transfer(model: &NetworkModel, tuning: TransportTuning) -> SimDuration {
+/// `Ideal` backend this equals `model.page_transfer_time(4096)` exactly —
+/// the calibration seam the model rows pin.
+pub(crate) fn probe_single_transfer(model: &NetworkModel, tuning: TransportTuning) -> SimDuration {
     let mut engine = Engine::new();
     let net: Network<u8> =
         Network::with_transport(engine.ctl(), model.clone(), Topology::flat(2), tuning);
-    let arrived = Arc::new(Mutex::new(SimTime::ZERO));
+    let arrived = Latest::default();
     let rx = net.endpoint(NodeId(1));
     let a = arrived.clone();
     engine.spawn("rx", move |h| {
         let _ = rx.recv(h);
-        *a.lock() = h.global_now();
+        a.record(h.global_now().since(SimTime::ZERO));
     });
     let net2 = net.clone();
     engine.spawn("tx", move |h| {
         net2.send(h, NodeId(0), NodeId(1), 0, 4096 + CONTROL_MESSAGE_BYTES);
     });
     engine.run().expect("probe must terminate");
-    let arrived = *arrived.lock();
-    arrived.since(SimTime::ZERO)
+    arrived.get()
 }
 
 /// Virtual completion time of a fan-in burst: `senders` nodes each fire
 /// `messages` back-to-back 4 kB transfers at node 0 at virtual time zero;
 /// returns the last arrival. Under `Contended` the shared ingress NIC
 /// serializes the burst; under `Ideal` the transfers overlap for free.
-pub fn probe_fan_in(
+pub(crate) fn probe_fan_in(
     model: &NetworkModel,
     tuning: TransportTuning,
     senders: usize,
@@ -51,7 +48,7 @@ pub fn probe_fan_in(
         Topology::flat(senders + 1),
         tuning,
     );
-    let last = Arc::new(Mutex::new(SimTime::ZERO));
+    let last = Latest::default();
     let rx = net.endpoint(NodeId(0));
     let l = last.clone();
     let total = senders * messages;
@@ -59,7 +56,7 @@ pub fn probe_fan_in(
         for _ in 0..total {
             let _ = rx.recv(h);
         }
-        *l.lock() = h.global_now();
+        l.record(h.global_now().since(SimTime::ZERO));
     });
     for s in 1..=senders {
         let net2 = net.clone();
@@ -70,22 +67,13 @@ pub fn probe_fan_in(
         });
     }
     engine.run().expect("probe must terminate");
-    let last = *last.lock();
-    last.since(SimTime::ZERO)
+    last.get()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use dsmpm2_madeleine::profiles;
-
-    #[test]
-    fn ideal_probe_matches_the_calibrated_model_exactly() {
-        for model in profiles::all() {
-            let probed = probe_single_transfer(&model, TransportTuning::ideal());
-            assert_eq!(probed, model.page_transfer_time(4096), "{}", model.name);
-        }
-    }
 
     #[test]
     fn contended_fan_in_is_slower_than_ideal() {

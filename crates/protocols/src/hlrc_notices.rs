@@ -18,8 +18,8 @@
 //!
 //! Compared to `hbrc_mw`, nodes that never re-synchronize never pay any
 //! invalidation traffic; the price is that an acquire must process the
-//! accumulated notices. The `ablations` benchmark binary measures both
-//! effects.
+//! accumulated notices. Ablation 5 of the bench crate's model rows
+//! measures both effects.
 
 use std::collections::BTreeSet;
 use std::collections::HashMap;

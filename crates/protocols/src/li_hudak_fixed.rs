@@ -18,8 +18,8 @@
 //!   write request or serves one itself.
 //!
 //! Comparing it against `li_hudak` on the same workloads is exactly the kind
-//! of protocol experiment the platform is designed for (see the
-//! `ablations` benchmark binary).
+//! of protocol experiment the platform is designed for (see ablations 4 and
+//! 6 of the bench crate's model rows).
 
 use dsmpm2_core::protolib;
 use dsmpm2_core::{
