@@ -36,8 +36,8 @@ fn main() {
             rows.push(vec![
                 proto.to_string(),
                 nodes.to_string(),
-                format!("{:.1}", result.elapsed.as_millis_f64()),
-                result.stats.page_transfers.to_string(),
+                format!("{:.1}", result.run.elapsed.as_millis_f64()),
+                result.run.stats.page_transfers.to_string(),
                 result.migrations.to_string(),
                 result.expanded.to_string(),
             ]);

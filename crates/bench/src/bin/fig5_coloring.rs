@@ -35,14 +35,15 @@ fn main() {
                 result.best_cost, oracle,
                 "{proto} on {nodes} nodes must find the oracle's cost"
             );
+            let (run, stats) = (&result.run, &result.run.stats);
             rows.push(vec![
                 proto.to_string(),
                 nodes.to_string(),
-                format!("{:.1}", result.elapsed.as_millis_f64()),
+                format!("{:.1}", run.elapsed.as_millis_f64()),
                 result.best_cost.to_string(),
-                result.inline_checks.to_string(),
-                result.faults.to_string(),
-                result.stats.page_transfers.to_string(),
+                stats.inline_checks.to_string(),
+                stats.total_faults().to_string(),
+                stats.page_transfers.to_string(),
             ]);
         }
     }

@@ -23,16 +23,16 @@
 //! on (see each function).
 
 use std::fmt;
-use std::sync::{Arc, Mutex};
 
 use dsmpm2_core::{
     DsmAddr, DsmAttr, DsmCosts, DsmRuntime, HomePolicy, NodeId, Pm2Cluster, Pm2Config,
 };
 use dsmpm2_madeleine::{profiles, LossyConfig, NetworkModel, TransportBackend, TransportTuning};
 use dsmpm2_pm2::{service_fn, Engine, RpcClass, RpcReply};
-use dsmpm2_protocols::{register_all_protocols, register_builtin_protocols};
+use dsmpm2_protocols::register_builtin_protocols;
 use dsmpm2_sim::SimDuration;
 use dsmpm2_workloads::false_sharing::{run_false_sharing, FalseSharingConfig};
+use dsmpm2_workloads::setup::{runtime, Latest};
 use dsmpm2_workloads::tsp::{run_tsp, TspConfig};
 use dsmpm2_workloads::{lu, matmul, measure_read_fault, radix, sor, FaultPolicy};
 
@@ -81,23 +81,6 @@ pub fn model_rows() -> Vec<Row> {
     transport_backends(&mut rows);
     granularity_sweep(&mut rows);
     rows.0
-}
-
-/// The longest duration any of its clones recorded: a study's run time is
-/// its slowest thread's. Simulated threads record, the host reads after
-/// `Engine::run`.
-#[derive(Clone, Default)]
-pub(crate) struct Latest(Arc<Mutex<SimDuration>>);
-
-impl Latest {
-    pub(crate) fn record(&self, elapsed: SimDuration) {
-        let mut latest = self.0.lock().expect("a study thread panicked");
-        *latest = (*latest).max(elapsed);
-    }
-
-    pub(crate) fn get(&self) -> SimDuration {
-        *self.0.lock().expect("a study thread panicked")
-    }
 }
 
 /// Tables 3 and 4: one remote read fault under the page-transfer and the
@@ -264,7 +247,7 @@ fn tsp_scaling(rows: &mut Rows) {
         for proto in ["li_hudak", "migrate_thread"] {
             let mut config = TspConfig::paper(nodes);
             config.cities = 11;
-            let elapsed = run_tsp(&config, proto).elapsed.as_nanos();
+            let elapsed = run_tsp(&config, proto).run.elapsed.as_nanos();
             rows.push(
                 format!("ablation2.{proto}.nodes{nodes}.elapsed"),
                 elapsed,
@@ -272,14 +255,6 @@ fn tsp_scaling(rows: &mut Rows) {
             );
         }
     }
-}
-
-/// A `nodes`-node BIP/Myrinet runtime whose default protocol is `protocol`.
-fn runtime(engine: &Engine, nodes: usize, protocol: &str) -> DsmRuntime {
-    let rt = DsmRuntime::new(engine, Pm2Config::bip_myrinet(nodes));
-    let _ = register_all_protocols(&rt);
-    rt.set_default_protocol(rt.protocol_by_name(protocol).expect("registered protocol"));
-    rt
 }
 
 fn homed_on_node_0(rt: &DsmRuntime, bytes: u64) -> DsmAddr {
@@ -292,7 +267,7 @@ fn homed_on_node_0(rt: &DsmRuntime, bytes: u64) -> DsmAddr {
 fn manager_study(rows: &mut Rows) {
     for proto in ["li_hudak", "li_hudak_fixed"] {
         let mut engine = Engine::new();
-        let rt = runtime(&engine, 4, proto);
+        let rt = runtime(&engine, &Pm2Config::bip_myrinet(4), proto);
         let addr = homed_on_node_0(&rt, 4096);
         let b = rt.create_barrier(4, None);
         let finish = Latest::default();
@@ -337,7 +312,7 @@ fn manager_study(rows: &mut Rows) {
 fn laziness_study(rows: &mut Rows) {
     for proto in ["hbrc_mw", "hlrc_notices"] {
         let mut engine = Engine::new();
-        let rt = runtime(&engine, 3, proto);
+        let rt = runtime(&engine, &Pm2Config::bip_myrinet(3), proto);
         let addr = homed_on_node_0(&rt, 4096);
         let lock = rt.create_lock(Some(NodeId(0)));
         let b = rt.create_barrier(3, None);
@@ -399,55 +374,51 @@ fn kernel_matrix(rows: &mut Rows) {
 /// One 4-node kernel run's virtual nanoseconds, after checking its result
 /// against the kernel's sequential oracle.
 fn run_kernel(kernel: &str, proto: &str) -> u64 {
-    let (nodes, network) = (4, profiles::bip_myrinet());
-    match kernel {
+    let cluster = Pm2Config::bip_myrinet(4);
+    let run = match kernel {
         "matmul" => {
             let config = matmul::MatmulConfig {
                 n: 32,
-                nodes,
-                network,
                 compute_per_madd_us: 0.01,
-                tuning: Default::default(),
-                transport: Default::default(),
+                cluster,
             };
             let r = matmul::run_matmul(&config, proto);
             assert!((r.checksum - matmul::sequential_checksum(config.n)).abs() < 1e-6);
-            r.elapsed.as_nanos()
+            r.run
         }
         "sor" => {
             let config = sor_config(TransportTuning::default());
             let r = sor::run_sor(&config, proto);
             assert!((r.checksum - sor::sequential_checksum(&config)).abs() < 1e-6);
-            r.elapsed.as_nanos()
+            r.run
         }
         "lu" => {
             let config = lu::LuConfig {
                 n: 24,
-                nodes,
-                network,
                 compute_per_update_us: 0.02,
+                cluster,
             };
             let r = lu::run_lu(&config, proto);
             assert!((r.checksum - lu::sequential_checksum(config.n)).abs() < 1e-6);
-            r.elapsed.as_nanos()
+            r.run
         }
         "radix" => {
             let config = radix::RadixConfig {
                 keys: 256,
                 max_key: 1 << 16,
                 seed: 42,
-                nodes,
-                network,
                 compute_per_key_us: 0.05,
+                cluster,
             };
             let r = radix::run_radix(&config, proto);
             let mut oracle = radix::input_keys(&config);
             oracle.sort_unstable();
             assert_eq!(r.sorted, oracle);
-            r.elapsed.as_nanos()
+            r.run
         }
         other => panic!("unknown kernel {other}"),
-    }
+    };
+    run.elapsed.as_nanos()
 }
 
 /// SOR on a 32×32 grid, 4 iterations, 4 BIP/Myrinet nodes.
@@ -456,11 +427,8 @@ fn sor_config(transport: TransportTuning) -> sor::SorConfig {
         size: 32,
         iterations: 4,
         omega: 1.25,
-        nodes: 4,
-        network: profiles::bip_myrinet(),
         compute_per_cell_us: 0.05,
-        tuning: Default::default(),
-        transport,
+        cluster: Pm2Config::bip_myrinet(4).with_transport_tuning(transport),
     }
 }
 
@@ -472,7 +440,7 @@ fn sor_config(transport: TransportTuning) -> sor::SorConfig {
 fn scatter_study(rows: &mut Rows) {
     let (pages, rounds, nodes) = (8u64, 6usize, 3usize);
     let mut engine = Engine::new();
-    let rt = runtime(&engine, nodes, "hbrc_mw");
+    let rt = runtime(&engine, &Pm2Config::bip_myrinet(nodes), "hbrc_mw");
     let base = homed_on_node_0(&rt, pages * 4096);
     let lock = rt.create_lock(Some(NodeId(0)));
     let barrier = rt.create_barrier(nodes, None);
@@ -515,7 +483,7 @@ fn scatter_study(rows: &mut Rows) {
 fn home_burst_study(rows: &mut Rows) {
     let (pages, rounds, nodes) = (8u64, 6usize, 3usize);
     let mut engine = Engine::new();
-    let rt = runtime(&engine, nodes, "hbrc_mw");
+    let rt = runtime(&engine, &Pm2Config::bip_myrinet(nodes), "hbrc_mw");
     let base = homed_on_node_0(&rt, pages * 4096);
     let lock = rt.create_lock(Some(NodeId(0)));
     let barrier = rt.create_barrier(nodes, None);
@@ -556,7 +524,7 @@ fn home_burst_study(rows: &mut Rows) {
 
 /// What the per-instant coherence batcher did in a finished study, which
 /// must have found something to coalesce.
-fn batching_rows(rows: &mut Rows, study: &str, rt: &DsmRuntime, finish: &Latest) {
+fn batching_rows(rows: &mut Rows, study: &str, rt: &DsmRuntime, finish: &Latest<SimDuration>) {
     let stats = rt.stats().snapshot();
     assert!(
         stats.coherence_batched_messages > 0,
@@ -586,17 +554,20 @@ fn home_u64(rt: &DsmRuntime, addr: DsmAddr) -> u64 {
 /// contention and retransmissions each cost virtual time, and that the
 /// lossy run replays bit-identically from its seed.
 fn transport_backends(rows: &mut Rows) {
-    let sor_with = |transport| sor::run_sor(&sor_config(transport), "hbrc_mw");
-    let ideal = sor_with(TransportTuning::ideal());
-    let contended = sor_with(TransportTuning::contended());
-    let lossy = sor_with(TransportTuning::lossy(0xD5));
-    let lossy_replay = sor_with(TransportTuning::lossy(0xD5));
+    let sor_with = |transport| {
+        let r = sor::run_sor(&sor_config(transport), "hbrc_mw");
+        (r.final_cells, r.run)
+    };
+    let (ideal_cells, ideal) = sor_with(TransportTuning::ideal());
+    let (contended_cells, contended) = sor_with(TransportTuning::contended());
+    let (lossy_cells, lossy) = sor_with(TransportTuning::lossy(0xD5));
+    let (replay_cells, lossy_replay) = sor_with(TransportTuning::lossy(0xD5));
     assert_eq!(
-        contended.final_cells, ideal.final_cells,
+        contended_cells, ideal_cells,
         "the contended backend changed the final shared memory"
     );
     assert_eq!(
-        lossy.final_cells, ideal.final_cells,
+        lossy_cells, ideal_cells,
         "the lossy backend changed the final shared memory"
     );
     assert!(
@@ -620,12 +591,8 @@ fn transport_backends(rows: &mut Rows) {
         ideal.elapsed
     );
     assert_eq!(
-        (lossy.elapsed, lossy.wire, &lossy.final_cells),
-        (
-            lossy_replay.elapsed,
-            lossy_replay.wire,
-            &lossy_replay.final_cells
-        ),
+        (lossy.elapsed, lossy.wire, &lossy_cells),
+        (lossy_replay.elapsed, lossy_replay.wire, &replay_cells),
         "the lossy backend must replay bit-identically from the same seed"
     );
     for (backend, r) in [
@@ -651,12 +618,12 @@ fn transport_backends(rows: &mut Rows) {
 fn granularity_sweep(rows: &mut Rows) {
     for proto in ["li_hudak_fixed", "erc_sw", "hbrc_mw"] {
         let mut page_run = None;
-        for (label, granularity) in [("page", 0usize), ("256B", 256), ("64B", 64)] {
+        for (label, granularity) in [("page", None), ("256B", Some(256)), ("64B", Some(64))] {
             let mut config = FalseSharingConfig::small(4);
             config.iterations = 32;
-            config.tuning = config.tuning.with_granularity(granularity);
+            config.cluster.granularity = granularity;
             let r = run_false_sharing(&config, proto);
-            let (bytes, elapsed) = (r.wire.envelope_bytes, r.elapsed.as_nanos());
+            let (bytes, elapsed) = (r.run.wire.envelope_bytes, r.run.elapsed.as_nanos());
             match &page_run {
                 None => page_run = Some((r.final_slots.clone(), bytes, elapsed)),
                 Some((slots, page_bytes, page_elapsed)) => {
@@ -677,9 +644,9 @@ fn granularity_sweep(rows: &mut Rows) {
                 }
             }
             let name = |field: &str| format!("granularity.{proto}.{label}.{field}");
-            rows.push(name("wire_messages"), r.wire_messages, "count");
+            rows.push(name("wire_messages"), r.run.wire_messages, "count");
             rows.push(name("wire_bytes"), bytes, "bytes");
-            rows.push(name("envelopes"), r.wire.envelopes, "count");
+            rows.push(name("envelopes"), r.run.wire.envelopes, "count");
             rows.push(name("elapsed"), elapsed, "ns");
         }
     }

@@ -6,7 +6,7 @@ use dsmpm2_madeleine::{
 };
 use dsmpm2_sim::{Engine, SimDuration, SimTime};
 
-use crate::model_rows::Latest;
+use dsmpm2_workloads::setup::Latest;
 
 /// Virtual arrival time of a single, uncontended 4 kB page transfer (plus
 /// control header) between two otherwise idle nodes under `tuning`. For the

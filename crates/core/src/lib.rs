@@ -71,6 +71,6 @@ pub use verify::{
 /// Convenience re-exports from the runtime layers below.
 pub use dsmpm2_madeleine::{NodeId, Topology};
 pub use dsmpm2_pm2::{
-    DsmTuning, Engine, LossyConfig, PermutedConfig, Pm2Cluster, Pm2Config, Pm2ThreadState,
-    SimDuration, SimTime, ThreadId, TransportBackend, TransportTuning, WireStatsSnapshot,
+    Engine, LossyConfig, PermutedConfig, Pm2Cluster, Pm2Config, Pm2ThreadState, SimDuration,
+    SimTime, ThreadId, TransportBackend, TransportTuning, WireStatsSnapshot,
 };

@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use dsmpm2_madeleine::NodeId;
-use dsmpm2_pm2::{DsmTuning, Engine, MonitorSlot, Pm2Cluster, Pm2Config, Pm2ThreadState};
+use dsmpm2_pm2::{Engine, MonitorSlot, Pm2Cluster, Pm2Config, Pm2ThreadState};
 use dsmpm2_sim::{SliceCell, TickOutbox};
 
 use crate::costs::DsmCosts;
@@ -55,7 +55,7 @@ pub struct DsmAttr {
     /// Home placement of the allocated pages.
     pub home: HomePolicy,
     /// Per-region coherence granularity override in bytes; `None` uses
-    /// [`dsmpm2_pm2::DsmTuning::granularity`]. Must divide `PAGE_SIZE`.
+    /// [`Pm2Config::granularity`]. Must divide `PAGE_SIZE`.
     /// Silently clamped to whole pages when the region's protocol does not
     /// support sub-page coherence ([`DsmProtocol::supports_subpage`]).
     pub granularity: Option<usize>,
@@ -120,7 +120,7 @@ impl Directory {
 }
 
 /// The registered protocols. Registration only appends and a protocol never
-/// moves once placed — write-once cells, like madeleine's hook cells — so a
+/// moves once placed — write-once cells, like madeleine's hooks — so a
 /// lookup hands out a plain borrow, valid as long as the runtime, and takes
 /// no count. Id `i` lives in segment `ilog2(i + 1)`, which has room for
 /// `2^segment` protocols and is allocated by the registration that first
@@ -180,7 +180,6 @@ impl ProtocolRegistry {
 pub(crate) struct RuntimeInner {
     cluster: Pm2Cluster,
     costs: DsmCosts,
-    tuning: DsmTuning,
     /// Coherence messages parked until the end of the instant they were sent
     /// at, per (from, to) link (see `DsmRuntime::send_coherence`).
     pub(crate) outbox: Arc<TickOutbox<(NodeId, NodeId), DsmMsg>>,
@@ -223,19 +222,12 @@ impl Clone for DsmRuntime {
 impl DsmRuntime {
     /// Boot a PM2 cluster with `config` and install the DSM layer on it.
     pub fn new(engine: &Engine, config: Pm2Config) -> Self {
-        let cluster = Pm2Cluster::new(engine, config);
-        Self::with_cluster(cluster)
-    }
-
-    /// Install the DSM layer on an already-booted cluster.
-    pub fn with_cluster(cluster: Pm2Cluster) -> Self {
-        Self::with_cluster_and_costs(cluster, DsmCosts::default())
+        Self::with_cluster_and_costs(Pm2Cluster::new(engine, config), DsmCosts::default())
     }
 
     /// Install the DSM layer with explicit cost constants (used by the
     /// ablation benchmarks).
     pub fn with_cluster_and_costs(cluster: Pm2Cluster, costs: DsmCosts) -> Self {
-        let tuning = cluster.config().dsm;
         let nodes = cluster
             .topology()
             .nodes()
@@ -260,7 +252,6 @@ impl DsmRuntime {
             batch_thread_names,
             cluster,
             costs,
-            tuning,
             nodes,
             directory: SliceCell::default(),
             protocols: ProtocolRegistry::new(),
@@ -428,16 +419,10 @@ impl DsmRuntime {
             "allocation references unregistered {protocol}"
         );
         // Effective coherence granularity: the per-region override wins over
-        // the cluster-wide tuning default (0 = whole pages); protocols that
-        // do not manage sub-page units clamp the region back to whole pages.
-        let requested = attr.granularity.unwrap_or({
-            let g = self.inner.tuning.granularity;
-            if g == 0 {
-                PAGE_SIZE
-            } else {
-                g
-            }
-        });
+        // the cluster's default, and no default means whole pages; protocols
+        // that do not manage sub-page units clamp the region back to pages.
+        let cluster_default = self.inner.cluster.config().granularity;
+        let requested = attr.granularity.or(cluster_default).unwrap_or(PAGE_SIZE);
         let requested = validate_line_size(requested);
         let proto = self.protocol(protocol);
         let records_writes = proto.records_writes();

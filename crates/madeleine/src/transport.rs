@@ -60,43 +60,6 @@ pub enum Delivery<M> {
 /// is the direct enqueue on the node's incoming queue.
 pub type DeliveryHook<M> = Arc<dyn Fn(&EngineCtl, Envelope<M>) -> Delivery<M> + Send + Sync>;
 
-/// Where a network keeps a hook: read on every send, written once per
-/// cluster (once more by a test that replaces it). A replacement hangs off
-/// the cell it replaces and a read follows the chain to its end, so the send
-/// path takes no lock and counts no reference to reach the hook, and may
-/// re-enter itself from inside the hook it is borrowing.
-struct HookCell<H> {
-    hook: Option<H>,
-    replaced_by: OnceLock<Box<HookCell<H>>>,
-}
-
-impl<H> HookCell<H> {
-    fn new(hook: Option<H>) -> Self {
-        HookCell {
-            hook,
-            replaced_by: OnceLock::new(),
-        }
-    }
-
-    /// The hook installed last, if any was.
-    fn get(&self) -> Option<&H> {
-        let mut cell = self;
-        while let Some(next) = cell.replaced_by.get() {
-            cell = next;
-        }
-        cell.hook.as_ref()
-    }
-
-    fn replace(&self, hook: H) {
-        let mut last = Box::new(HookCell::new(Some(hook)));
-        let mut cell = self;
-        while let Err(unplaced) = cell.replaced_by.set(last) {
-            last = unplaced;
-            cell = cell.replaced_by.get().expect("occupied: the set failed");
-        }
-    }
-}
-
 /// The destination side of one node's message queue, as seen by transport
 /// backends: wraps the raw [`SimSender`] together with the network's
 /// delivery hook. Without an installed hook, [`DeliverySink::send_at`] is
@@ -111,7 +74,7 @@ struct SinkInner<M> {
     ctl: EngineCtl,
     shard: u64,
     /// The network's delivery hook, shared by every node's sink.
-    hook: Arc<HookCell<DeliveryHook<M>>>,
+    hook: Arc<OnceLock<DeliveryHook<M>>>,
     wire: Arc<WireStats>,
 }
 
@@ -135,7 +98,7 @@ impl<M: Send + 'static> DeliverySink<M> {
         // reaches the hook, the queue and the counters.
         let at = Arc::clone(sink);
         sink.ctl.call_at_on(sink.shard, deliver_at, move |ctl| {
-            let hook = at.hook.get().expect("a hook is replaced, never removed");
+            let hook = at.hook.get().expect("a hook is installed, never removed");
             at.wire.incr_hook_delivered();
             if let Delivery::Queue(env) = hook(ctl, env) {
                 at.tx.send_at(ctl.now(), env);
@@ -159,10 +122,14 @@ struct NetworkInner<M> {
     /// clocks, NIC reservations, retransmission machinery) and decides when
     /// each envelope reaches its destination queue.
     transport: Box<dyn Transport<M>>,
-    /// Pre-send link hook (see [`PreSendHook`]).
-    pre_send: HookCell<PreSendHook>,
+    /// Pre-send link hook (see [`PreSendHook`]). Both hooks are read on
+    /// every send and installed once per network — pm2 installs the
+    /// delivery hook, the DSM layer this one — so a send reaches them
+    /// without a lock or a reference count, and may re-enter itself from
+    /// inside the hook it borrows.
+    pre_send: OnceLock<PreSendHook>,
     /// Delivery hook shared by every node's sink.
-    delivery_hook: Arc<HookCell<DeliveryHook<M>>>,
+    delivery_hook: Arc<OnceLock<DeliveryHook<M>>>,
 }
 
 /// A simulated interconnect connecting every node of the cluster.
@@ -194,7 +161,7 @@ impl<M: Send + 'static> Network<M> {
     ) -> Self {
         let mut sinks = Vec::with_capacity(topology.num_nodes);
         let mut receivers = Vec::with_capacity(topology.num_nodes);
-        let delivery_hook: Arc<HookCell<DeliveryHook<M>>> = Arc::new(HookCell::new(None));
+        let delivery_hook: Arc<OnceLock<DeliveryHook<M>>> = Arc::default();
         let wire = Arc::new(WireStats::default());
         for node in 0..topology.num_nodes {
             // Each endpoint's delivery callbacks run on the owning node's
@@ -223,7 +190,7 @@ impl<M: Send + 'static> Network<M> {
                 stats,
                 wire,
                 transport,
-                pre_send: HookCell::new(None),
+                pre_send: OnceLock::new(),
                 delivery_hook,
             }),
         }
@@ -269,12 +236,17 @@ impl<M: Send + 'static> Network<M> {
         self.inner.receivers[node.index()].clone()
     }
 
-    /// Register the pre-send link hook (replacing any previous one). The
-    /// hook runs before every enqueue on a directed link — including sends
-    /// the hook itself triggers, so it must be re-entrant (draining parked
-    /// state makes the nested invocation a no-op).
+    /// Install the pre-send link hook. The hook runs before every enqueue
+    /// on a directed link — including sends the hook itself triggers, so it
+    /// must be re-entrant (draining parked state makes the nested invocation
+    /// a no-op).
+    ///
+    /// # Panics
+    /// Panics if a pre-send hook is already installed.
     pub fn set_pre_send_hook(&self, hook: PreSendHook) {
-        self.inner.pre_send.replace(hook);
+        if self.inner.pre_send.set(hook).is_err() {
+            panic!("the network's pre-send hook is already installed");
+        }
     }
 
     fn run_pre_send_hook(&self, from: NodeId, to: NodeId) {
@@ -283,12 +255,17 @@ impl<M: Send + 'static> Network<M> {
         }
     }
 
-    /// Install the delivery hook (replacing any previous one). It runs at
-    /// every envelope's arrival instant on the destination node's shard and
-    /// decides what becomes of the envelope (see [`Delivery`]). When no hook
-    /// is installed, delivery is the direct queue enqueue.
+    /// Install the delivery hook. It runs at every envelope's arrival
+    /// instant on the destination node's shard and decides what becomes of
+    /// the envelope (see [`Delivery`]). When no hook is installed, delivery
+    /// is the direct queue enqueue.
+    ///
+    /// # Panics
+    /// Panics if a delivery hook is already installed.
     pub fn set_delivery_hook(&self, hook: DeliveryHook<M>) {
-        self.inner.delivery_hook.replace(hook);
+        if self.inner.delivery_hook.set(hook).is_err() {
+            panic!("the network's delivery hook is already installed");
+        }
     }
 
     /// Send `msg` from `from` to `to`, accounting `payload_bytes` of payload.
@@ -540,38 +517,42 @@ mod tests {
     }
 
     #[test]
-    fn an_installed_hook_replaces_the_previous_one_and_may_send() {
+    fn an_installed_hook_runs_once_per_send_and_may_send() {
         let mut engine = Engine::new();
         let net = two_node_net::<u8>(&engine, profiles::bip_myrinet());
         let calls = Arc::new(Mutex::new(Vec::new()));
-        for hook in ["first", "second", "third"] {
-            let calls = calls.clone();
-            let weak = Arc::downgrade(&net.inner);
-            let ctl = engine.ctl();
-            net.set_pre_send_hook(Arc::new(move |from, to| {
-                let first = {
-                    let mut calls = calls.lock();
-                    calls.push((hook, from, to));
-                    calls.len() == 1
-                };
-                // A hook that sends re-enters the send path, itself included.
-                if let (true, Some(inner)) = (first, weak.upgrade()) {
-                    let net = Network { inner };
-                    let delay = SimDuration::from_micros(1);
-                    net.send_with_delay_from_ctl(&ctl, from, to, 0, 1, 1, delay);
-                }
-            }));
-            net.set_delivery_hook(Arc::new(move |_ctl, env: Envelope<u8>| {
-                assert_eq!(hook, "third", "{env:?} went to a replaced hook");
-                Delivery::Dispatched
-            }));
-        }
+        let c = calls.clone();
+        let weak = Arc::downgrade(&net.inner);
+        let ctl = engine.ctl();
+        net.set_pre_send_hook(Arc::new(move |from, to| {
+            let first = {
+                let mut calls = c.lock();
+                calls.push((from, to));
+                calls.len() == 1
+            };
+            // A hook that sends re-enters the send path, itself included.
+            if let (true, Some(inner)) = (first, weak.upgrade()) {
+                let net = Network { inner };
+                let delay = SimDuration::from_micros(1);
+                net.send_with_delay_from_ctl(&ctl, from, to, 0, 1, 1, delay);
+            }
+        }));
+        net.set_delivery_hook(Arc::new(|_ctl, _env: Envelope<u8>| Delivery::Dispatched));
         let net2 = net.clone();
         engine.spawn("tx", move |h| net2.send_control(h, NodeId(0), NodeId(1), 7));
         engine.run().unwrap();
-        let third = ("third", NodeId(0), NodeId(1));
-        assert_eq!(calls.lock().clone(), vec![third, third]);
+        let link = (NodeId(0), NodeId(1));
+        assert_eq!(calls.lock().clone(), vec![link, link]);
         assert_eq!(net.wire_stats().hook_delivered, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "the network's pre-send hook is already installed")]
+    fn a_second_hook_install_panics() {
+        let engine = Engine::new();
+        let net = two_node_net::<u8>(&engine, profiles::bip_myrinet());
+        net.set_pre_send_hook(Arc::new(|_, _| {}));
+        net.set_pre_send_hook(Arc::new(|_, _| {}));
     }
 
     #[test]

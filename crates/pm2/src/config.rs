@@ -47,32 +47,9 @@ impl Pm2Costs {
     }
 }
 
-/// Tuning knobs of the DSM layer installed on a cluster. They live in the
-/// cluster configuration (rather than in the DSM crate) so that a whole
-/// deployment — network profile, node count and DSM scale-out parameters —
-/// is described by one value that every layer can read.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct DsmTuning {
-    /// Default coherence granularity in bytes for new allocations: `0` (the
-    /// default) manages whole pages, exactly as before granularity existed;
-    /// a non-zero value must divide the page size and splits every page of an
-    /// allocation into independently-owned coherence lines of that many
-    /// bytes. Overridable per region through the allocation attributes, and
-    /// transparently clamped back to whole pages for protocols that do not
-    /// support sub-page coherence.
-    pub granularity: usize,
-}
-
-impl DsmTuning {
-    /// Set the default coherence granularity (bytes per line; `0` = whole
-    /// pages).
-    pub fn with_granularity(mut self, bytes: usize) -> Self {
-        self.granularity = bytes;
-        self
-    }
-}
-
-/// Configuration of a simulated PM2 cluster.
+/// Configuration of a simulated PM2 cluster: the one value that describes a
+/// run's deployment — node count, network profile, transport backend and the
+/// DSM layer's default coherence granularity — to every layer.
 #[derive(Clone, Debug)]
 pub struct Pm2Config {
     /// Number of cluster nodes.
@@ -81,8 +58,13 @@ pub struct Pm2Config {
     pub network: NetworkModel,
     /// PM2 software cost constants.
     pub costs: Pm2Costs,
-    /// DSM-layer tuning knobs (coherence granularity).
-    pub dsm: DsmTuning,
+    /// Default coherence granularity in bytes of the DSM allocations made on
+    /// this cluster: `None` (the default) manages whole pages; `Some(bytes)`
+    /// must divide the page size and splits every page into
+    /// independently-owned lines of that many bytes. A region's allocation
+    /// attributes override it, and protocols without sub-page coherence
+    /// clamp it back to whole pages.
+    pub granularity: Option<usize>,
     /// Transport-layer tuning knobs (wire-level backend selection): the
     /// default is the `Ideal` uncontended pipe of the paper's cost model.
     pub transport: TransportTuning,
@@ -95,15 +77,9 @@ impl Pm2Config {
             num_nodes,
             network,
             costs: Pm2Costs::default(),
-            dsm: DsmTuning::default(),
+            granularity: None,
             transport: TransportTuning::default(),
         }
-    }
-
-    /// Replace the DSM tuning knobs.
-    pub fn with_dsm_tuning(mut self, dsm: DsmTuning) -> Self {
-        self.dsm = dsm;
-        self
     }
 
     /// Replace the transport-layer tuning knobs.
@@ -144,11 +120,8 @@ mod tests {
     }
 
     #[test]
-    fn dsm_tuning_defaults_to_whole_pages() {
-        let config = Pm2Config::bip_myrinet(2);
-        assert_eq!(config.dsm.granularity, 0, "whole pages by default");
-        let tuned = DsmTuning::default().with_granularity(256);
-        assert_eq!(tuned.granularity, 256);
+    fn granularity_defaults_to_whole_pages() {
+        assert_eq!(Pm2Config::bip_myrinet(2).granularity, None);
     }
 
     #[test]

@@ -28,7 +28,7 @@ mod monitor;
 mod rpc;
 
 pub use cluster::Pm2Cluster;
-pub use config::{DsmTuning, Pm2Config, Pm2Costs};
+pub use config::{Pm2Config, Pm2Costs};
 pub use context::{Pm2Context, Pm2ThreadState};
 pub use isomalloc::{
     IsoAllocator, IsoKind, IsoRange, ISO_PRIVATE_BASE, ISO_PRIVATE_SLOT, ISO_SHARED_BASE,

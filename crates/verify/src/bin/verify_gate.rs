@@ -22,8 +22,7 @@ use dsmpm2_verify::{
     explore, run_scenario, with_recording, ExploreConfig, Finding, LogRecord, RunConfig, RunOutcome,
 };
 
-use dsmpm2_core::{PermutedConfig, TransportBackend, TransportTuning};
-use dsmpm2_pm2::profiles;
+use dsmpm2_core::{PermutedConfig, Pm2Config, TransportBackend, TransportTuning};
 use dsmpm2_workloads::jacobi::{run_jacobi, JacobiConfig};
 use dsmpm2_workloads::map_coloring::{run_map_coloring, solve_sequential, ColoringConfig};
 use dsmpm2_workloads::micro::run_shared_counter;
@@ -144,7 +143,7 @@ fn race_gate() -> bool {
     let mut ok = true;
     for protocol in BUILTIN {
         let (total, log, step) = with_recording(true, || {
-            run_shared_counter(2, 2, profiles::bip_myrinet(), protocol)
+            run_shared_counter(&Pm2Config::bip_myrinet(2), 2, protocol)
         });
         ok &= report_workload("shared_counter", protocol, &log, &step, total == 4);
     }

@@ -15,20 +15,14 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use dsmpm2_core::{
-    DsmAddr, DsmAttr, DsmRuntime, DsmStatsSnapshot, DsmTuning, HomePolicy, NodeId, Pm2Config,
-    TransportTuning, WireStatsSnapshot,
-};
-use dsmpm2_madeleine::NetworkModel;
+use dsmpm2_core::{DsmAddr, DsmAttr, HomePolicy, NodeId, Pm2Config};
 use dsmpm2_pm2::Engine;
-use dsmpm2_protocols::register_all_protocols;
-use dsmpm2_sim::SimTime;
+
+use crate::setup::{runtime, Latest, RunOutcome};
 
 /// Configuration of a false-sharing run.
 #[derive(Clone, Debug)]
 pub struct FalseSharingConfig {
-    /// Number of cluster nodes (one thread per node).
-    pub nodes: usize,
     /// 8-byte counters owned by each node.
     pub slots_per_node: usize,
     /// Byte distance between consecutive counters (the "line" the layout
@@ -36,12 +30,9 @@ pub struct FalseSharingConfig {
     pub stride: usize,
     /// Number of increment rounds, with a barrier after each.
     pub iterations: usize,
-    /// Network profile.
-    pub network: NetworkModel,
-    /// DSM tuning knobs (coherence granularity).
-    pub tuning: DsmTuning,
-    /// Transport-layer tuning knobs.
-    pub transport: TransportTuning,
+    /// The cluster the kernel runs on, one thread per node; its granularity
+    /// is what the ablation varies.
+    pub cluster: Pm2Config,
 }
 
 impl FalseSharingConfig {
@@ -50,13 +41,10 @@ impl FalseSharingConfig {
     /// every write round exhibits maximal false sharing at page granularity.
     pub fn small(nodes: usize) -> Self {
         FalseSharingConfig {
-            nodes,
             slots_per_node: 4,
             stride: 64,
             iterations: 8,
-            network: dsmpm2_madeleine::profiles::bip_myrinet(),
-            tuning: DsmTuning::default(),
-            transport: TransportTuning::default(),
+            cluster: Pm2Config::bip_myrinet(nodes),
         }
     }
 }
@@ -64,22 +52,13 @@ impl FalseSharingConfig {
 /// Result of a false-sharing run.
 #[derive(Clone, Debug)]
 pub struct FalseSharingResult {
-    /// Virtual completion time.
-    pub elapsed: SimTime,
     /// Final value of every counter, in slot order — the exact final shared
     /// memory, compared bit-for-bit by the conformance matrix.
     pub final_slots: Vec<u64>,
     /// Sum of the final counters.
     pub checksum: u64,
-    /// DSM statistics.
-    pub stats: DsmStatsSnapshot,
-    /// Total messages put on the wire (a batch of coherence messages is one).
-    pub wire_messages: u64,
-    /// Wire-level transport statistics, including the envelope/message byte
-    /// accounting.
-    pub wire: WireStatsSnapshot,
-    /// Engine-level run report.
-    pub engine: dsmpm2_sim::RunReport,
+    /// Time, statistics and engine report of the run.
+    pub run: RunOutcome,
 }
 
 fn slot_addr(base: DsmAddr, stride: usize, slot: usize) -> DsmAddr {
@@ -88,32 +67,25 @@ fn slot_addr(base: DsmAddr, stride: usize, slot: usize) -> DsmAddr {
 
 /// Run the false-sharing kernel under `protocol_name`.
 pub fn run_false_sharing(config: &FalseSharingConfig, protocol_name: &str) -> FalseSharingResult {
-    assert!(config.nodes >= 1 && config.slots_per_node >= 1);
+    let nodes = config.cluster.num_nodes;
+    assert!(nodes >= 1 && config.slots_per_node >= 1);
     assert!(
         config.stride >= 8 && config.stride.is_multiple_of(8),
         "stride must be a multiple of 8 bytes"
     );
-    let cluster_config = Pm2Config::new(config.nodes, config.network.clone())
-        .with_dsm_tuning(config.tuning)
-        .with_transport_tuning(config.transport);
-    let engine = Engine::new();
-    let rt = DsmRuntime::new(&engine, cluster_config);
-    let _ = register_all_protocols(&rt);
-    let protocol = rt
-        .protocol_by_name(protocol_name)
-        .unwrap_or_else(|| panic!("unknown protocol {protocol_name}"));
-    rt.set_default_protocol(protocol);
+    let mut engine = Engine::new();
+    let rt = runtime(&engine, &config.cluster, protocol_name);
 
-    let slots = config.nodes * config.slots_per_node;
+    let slots = nodes * config.slots_per_node;
     let bytes = (slots * config.stride) as u64;
     // A single fixed home concentrates the pages: every node's counters
     // share pages with other nodes' counters whenever they fit.
     let base = rt.dsm_malloc(bytes, DsmAttr::default().home(HomePolicy::Fixed(NodeId(0))));
-    let barrier = rt.create_barrier(config.nodes, None);
-    let finish = Arc::new(Mutex::new(Vec::new()));
+    let barrier = rt.create_barrier(nodes, None);
+    let finish = Latest::default();
     let final_slots = Arc::new(Mutex::new(vec![0u64; slots]));
 
-    for node in 0..config.nodes {
+    for node in 0..nodes {
         let finish = finish.clone();
         let final_slots = final_slots.clone();
         let config = config.clone();
@@ -142,23 +114,17 @@ pub fn run_false_sharing(config: &FalseSharingConfig, protocol_name: &str) -> Fa
                 block.push(ctx.read::<u64>(slot_addr(base, config.stride, slot)));
             }
             final_slots.lock()[mine].copy_from_slice(&block);
-            finish.lock().push(ctx.pm2.now());
+            finish.record(ctx.pm2.now());
         });
     }
 
-    let mut engine = engine;
-    let report = engine.run().expect("false sharing must not deadlock");
-    let elapsed = finish.lock().iter().copied().max().unwrap_or(SimTime::ZERO);
+    let run = RunOutcome::run(&mut engine, &rt, &finish);
     let final_slots = std::mem::take(&mut *final_slots.lock());
     let checksum = final_slots.iter().sum();
     FalseSharingResult {
-        elapsed,
         final_slots,
         checksum,
-        stats: rt.stats().snapshot(),
-        wire_messages: rt.cluster().network().stats().messages(),
-        wire: rt.cluster().network().wire_stats(),
-        engine: report,
+        run,
     }
 }
 
@@ -183,9 +149,10 @@ mod tests {
     fn line_granularity_eliminates_false_sharing_traffic() {
         let page = run_false_sharing(&FalseSharingConfig::small(2), "li_hudak_fixed");
         let mut line_cfg = FalseSharingConfig::small(2);
-        line_cfg.tuning = line_cfg.tuning.with_granularity(64);
+        line_cfg.cluster.granularity = Some(64);
         let line = run_false_sharing(&line_cfg, "li_hudak_fixed");
         assert_eq!(page.final_slots, line.final_slots);
+        let (line, page) = (line.run, page.run);
         assert!(
             line.wire.envelope_bytes * 2 <= page.wire.envelope_bytes,
             "line {} vs page {} bytes",

@@ -12,14 +12,11 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use dsmpm2_core::{
-    DsmAddr, DsmAttr, DsmRuntime, DsmStatsSnapshot, DsmTuning, HomePolicy, NodeId, Pm2Config,
-    TransportTuning, WireStatsSnapshot,
-};
-use dsmpm2_madeleine::NetworkModel;
+use dsmpm2_core::{DsmAddr, DsmAttr, HomePolicy, NodeId, Pm2Config};
 use dsmpm2_pm2::Engine;
-use dsmpm2_protocols::register_all_protocols;
-use dsmpm2_sim::{SimDuration, SimTime};
+use dsmpm2_sim::SimDuration;
+
+use crate::setup::{runtime, Latest, RunOutcome};
 
 /// Configuration of a Jacobi run.
 #[derive(Clone, Debug)]
@@ -28,16 +25,10 @@ pub struct JacobiConfig {
     pub size: usize,
     /// Number of relaxation iterations.
     pub iterations: usize,
-    /// Number of cluster nodes (one thread per node).
-    pub nodes: usize,
-    /// Network profile.
-    pub network: NetworkModel,
     /// Virtual compute time charged per updated cell, in µs.
     pub compute_per_cell_us: f64,
-    /// DSM tuning knobs (coherence granularity).
-    pub tuning: DsmTuning,
-    /// Transport-layer tuning knobs (wire-level backend selection).
-    pub transport: TransportTuning,
+    /// The cluster the kernel runs on, one thread per node.
+    pub cluster: Pm2Config,
 }
 
 impl JacobiConfig {
@@ -46,11 +37,8 @@ impl JacobiConfig {
         JacobiConfig {
             size: 32,
             iterations: 4,
-            nodes,
-            network: dsmpm2_madeleine::profiles::bip_myrinet(),
             compute_per_cell_us: 0.05,
-            tuning: DsmTuning::default(),
-            transport: TransportTuning::default(),
+            cluster: Pm2Config::bip_myrinet(nodes),
         }
     }
 }
@@ -58,23 +46,13 @@ impl JacobiConfig {
 /// Result of a Jacobi run.
 #[derive(Clone, Debug)]
 pub struct JacobiResult {
-    /// Virtual completion time.
-    pub elapsed: SimTime,
     /// Sum of the final grid (used to check cross-protocol agreement).
     pub checksum: f64,
     /// Bit patterns of every final grid cell in row-major order — the exact
     /// final shared memory, used by the cross-protocol conformance matrix.
     pub final_cells: Vec<u64>,
-    /// DSM statistics.
-    pub stats: DsmStatsSnapshot,
-    /// Total messages put on the wire (a batch of coherence messages is one).
-    pub wire_messages: u64,
-    /// Wire-level transport statistics (NIC stalls, drops, retransmits):
-    /// what the transport ablation compares across backends.
-    pub wire: WireStatsSnapshot,
-    /// Engine-level run report (events processed, context switches, threads
-    /// spawned): pinned by the cross-substrate conformance test.
-    pub engine: dsmpm2_sim::RunReport,
+    /// Time, statistics and engine report of the run.
+    pub run: RunOutcome,
 }
 
 fn cell_addr(base: DsmAddr, size: usize, row: usize, col: usize) -> DsmAddr {
@@ -83,30 +61,23 @@ fn cell_addr(base: DsmAddr, size: usize, row: usize, col: usize) -> DsmAddr {
 
 /// Run the Jacobi kernel under `protocol_name`.
 pub fn run_jacobi(config: &JacobiConfig, protocol_name: &str) -> JacobiResult {
-    assert!(config.size >= 4 && config.size.is_multiple_of(config.nodes));
+    let nodes = config.cluster.num_nodes;
+    assert!(config.size >= 4 && config.size.is_multiple_of(nodes));
     // Each row occupies a whole number of pages only if size*8 >= 4096; for
     // small grids rows share pages, which is fine (more sharing, not less).
-    let cluster_config = Pm2Config::new(config.nodes, config.network.clone())
-        .with_dsm_tuning(config.tuning)
-        .with_transport_tuning(config.transport);
-    let engine = Engine::new();
-    let rt = DsmRuntime::new(&engine, cluster_config);
-    let _ = register_all_protocols(&rt);
-    let protocol = rt
-        .protocol_by_name(protocol_name)
-        .unwrap_or_else(|| panic!("unknown protocol {protocol_name}"));
-    rt.set_default_protocol(protocol);
+    let mut engine = Engine::new();
+    let rt = runtime(&engine, &config.cluster, protocol_name);
 
     let bytes = (config.size * config.size * 8) as u64;
     let grid_a = rt.dsm_malloc(bytes, DsmAttr::default().home(HomePolicy::Block));
     let grid_b = rt.dsm_malloc(bytes, DsmAttr::default().home(HomePolicy::Block));
-    let barrier = rt.create_barrier(config.nodes, None);
-    let finish = Arc::new(Mutex::new(Vec::new()));
+    let barrier = rt.create_barrier(nodes, None);
+    let finish = Latest::default();
     let checksum = Arc::new(Mutex::new(0.0f64));
     let final_cells = Arc::new(Mutex::new(vec![0u64; config.size * config.size]));
 
-    let rows_per_node = config.size / config.nodes;
-    for node in 0..config.nodes {
+    let rows_per_node = config.size / nodes;
+    for node in 0..nodes {
         let finish = finish.clone();
         let checksum = checksum.clone();
         let final_cells = final_cells.clone();
@@ -167,23 +138,17 @@ pub fn run_jacobi(config: &JacobiConfig, protocol_name: &str) -> JacobiResult {
             }
             final_cells.lock()[first_row * size..last_row * size].copy_from_slice(&block);
             *checksum.lock() += local;
-            finish.lock().push(ctx.pm2.now());
+            finish.record(ctx.pm2.now());
         });
     }
 
-    let mut engine = engine;
-    let report = engine.run().expect("jacobi must not deadlock");
-    let elapsed = finish.lock().iter().copied().max().unwrap_or(SimTime::ZERO);
+    let run = RunOutcome::run(&mut engine, &rt, &finish);
     let checksum = *checksum.lock();
     let final_cells = std::mem::take(&mut *final_cells.lock());
     JacobiResult {
-        elapsed,
         checksum,
         final_cells,
-        stats: rt.stats().snapshot(),
-        wire_messages: rt.cluster().network().stats().messages(),
-        wire: rt.cluster().network().wire_stats(),
-        engine: report,
+        run,
     }
 }
 
@@ -195,7 +160,7 @@ mod tests {
     fn jacobi_runs_and_produces_identical_results_across_protocols() {
         let config = JacobiConfig::small(2);
         let reference = run_jacobi(&config, "li_hudak");
-        assert!(reference.elapsed > SimTime::ZERO);
+        assert!(reference.run.elapsed > dsmpm2_sim::SimTime::ZERO);
         assert!(reference.checksum > 0.0);
         for proto in ["erc_sw", "hbrc_mw"] {
             let result = run_jacobi(&config, proto);
@@ -215,6 +180,6 @@ mod tests {
         let r2 = run_jacobi(&c2, "hbrc_mw");
         let r4 = run_jacobi(&c4, "hbrc_mw");
         assert!((r2.checksum - r4.checksum).abs() < 1e-6);
-        assert!(r4.stats.page_transfers + r4.stats.diffs_sent > 0);
+        assert!(r4.run.stats.page_transfers + r4.run.stats.diffs_sent > 0);
     }
 }

@@ -24,10 +24,13 @@
 //! * [`radix`] — parallel radix sort (histogram / prefix-sum / scatter, heavy
 //!   write sharing).
 //!
-//! Every workload is deterministic for a given seed and returns both its
+//! Every workload runs on the cluster its configuration embeds (one
+//! [`Pm2Config`](dsmpm2_core::Pm2Config): nodes, network, transport and
+//! coherence granularity), through the set-up every runner shares
+//! ([`setup`]). It is deterministic for a given seed and returns both its
 //! application-level result (checked against sequential oracles in the test
-//! suites) and the virtual completion time and DSM statistics used by the
-//! benchmark harness.
+//! suites) and a [`RunOutcome`](setup::RunOutcome): the virtual completion
+//! time, DSM and wire statistics and the engine's report.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -40,6 +43,7 @@ pub mod map_coloring;
 pub mod matmul;
 pub mod micro;
 pub mod radix;
+pub mod setup;
 pub mod sor;
 pub mod tsp;
 

@@ -11,23 +11,22 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use dsmpm2_core::{DsmAddr, DsmAttr, DsmRuntime, DsmStatsSnapshot, HomePolicy, NodeId, Pm2Config};
-use dsmpm2_madeleine::NetworkModel;
+use dsmpm2_core::{DsmAddr, DsmAttr, HomePolicy, NodeId, Pm2Config};
 use dsmpm2_pm2::Engine;
-use dsmpm2_protocols::register_all_protocols;
-use dsmpm2_sim::{SimDuration, SimTime};
+use dsmpm2_sim::SimDuration;
+
+use crate::setup::{runtime, Latest, RunOutcome};
 
 /// Configuration of an LU factorisation run.
 #[derive(Clone, Debug)]
 pub struct LuConfig {
     /// The matrix is `n x n` `f64`.
     pub n: usize,
-    /// Number of cluster nodes (one thread per node, rows dealt round-robin).
-    pub nodes: usize,
-    /// Network profile.
-    pub network: NetworkModel,
     /// Virtual compute time charged per updated element, in µs.
     pub compute_per_update_us: f64,
+    /// The cluster the kernel runs on, one thread per node, rows dealt
+    /// round-robin.
+    pub cluster: Pm2Config,
 }
 
 impl LuConfig {
@@ -35,9 +34,8 @@ impl LuConfig {
     pub fn small(nodes: usize) -> Self {
         LuConfig {
             n: 16,
-            nodes,
-            network: dsmpm2_madeleine::profiles::bip_myrinet(),
             compute_per_update_us: 0.02,
+            cluster: Pm2Config::bip_myrinet(nodes),
         }
     }
 }
@@ -45,12 +43,10 @@ impl LuConfig {
 /// Result of an LU run.
 #[derive(Clone, Debug)]
 pub struct LuResult {
-    /// Virtual completion time.
-    pub elapsed: SimTime,
     /// Sum of the entries of the packed LU factors.
     pub checksum: f64,
-    /// DSM statistics.
-    pub stats: DsmStatsSnapshot,
+    /// Time, statistics and engine report of the run.
+    pub run: RunOutcome,
 }
 
 /// Deterministic, strictly diagonally dominant input matrix.
@@ -94,32 +90,25 @@ pub fn row_owner(row: usize, nodes: usize) -> usize {
 
 /// Run the LU factorisation under `protocol_name`.
 pub fn run_lu(config: &LuConfig, protocol_name: &str) -> LuResult {
-    assert!(config.n >= config.nodes);
-    let engine = Engine::new();
-    let rt = DsmRuntime::new(
-        &engine,
-        Pm2Config::new(config.nodes, config.network.clone()),
-    );
-    let _ = register_all_protocols(&rt);
-    let protocol = rt
-        .protocol_by_name(protocol_name)
-        .unwrap_or_else(|| panic!("unknown protocol {protocol_name}"));
-    rt.set_default_protocol(protocol);
+    let nodes = config.cluster.num_nodes;
+    assert!(config.n >= nodes);
+    let mut engine = Engine::new();
+    let rt = runtime(&engine, &config.cluster, protocol_name);
 
     let bytes = (config.n * config.n * 8) as u64;
     let a = rt.dsm_malloc(bytes, DsmAttr::default().home(HomePolicy::RoundRobin));
-    let barrier = rt.create_barrier(config.nodes, None);
-    let finish = Arc::new(Mutex::new(Vec::new()));
+    let barrier = rt.create_barrier(nodes, None);
+    let finish = Latest::default();
     let checksum = Arc::new(Mutex::new(0.0f64));
 
-    for node in 0..config.nodes {
+    for node in 0..nodes {
         let finish = finish.clone();
         let checksum = checksum.clone();
         let config = config.clone();
         rt.spawn_dsm_thread(NodeId(node), format!("lu-{node}"), move |ctx| {
             let n = config.n;
             // Initialise the rows this node owns.
-            for row in (0..n).filter(|&r| row_owner(r, config.nodes) == node) {
+            for row in (0..n).filter(|&r| row_owner(r, nodes) == node) {
                 for col in 0..n {
                     ctx.write::<f64>(cell(a, n, row, col), input_entry(n, row, col));
                 }
@@ -130,7 +119,7 @@ pub fn run_lu(config: &LuConfig, protocol_name: &str) -> LuResult {
                 // Read the pivot row (owned by one node, read by all).
                 let pivot = ctx.read::<f64>(cell(a, n, k, k));
                 let mut updates = 0u64;
-                for row in ((k + 1)..n).filter(|&r| row_owner(r, config.nodes) == node) {
+                for row in ((k + 1)..n).filter(|&r| row_owner(r, nodes) == node) {
                     let factor = ctx.read::<f64>(cell(a, n, row, k)) / pivot;
                     ctx.write::<f64>(cell(a, n, row, k), factor);
                     for col in (k + 1)..n {
@@ -147,25 +136,19 @@ pub fn run_lu(config: &LuConfig, protocol_name: &str) -> LuResult {
             }
 
             let mut local = 0.0;
-            for row in (0..n).filter(|&r| row_owner(r, config.nodes) == node) {
+            for row in (0..n).filter(|&r| row_owner(r, nodes) == node) {
                 for col in 0..n {
                     local += ctx.read::<f64>(cell(a, n, row, col));
                 }
             }
             *checksum.lock() += local;
-            finish.lock().push(ctx.pm2.now());
+            finish.record(ctx.pm2.now());
         });
     }
 
-    let mut engine = engine;
-    engine.run().expect("lu must not deadlock");
-    let elapsed = finish.lock().iter().copied().max().unwrap_or(SimTime::ZERO);
+    let run = RunOutcome::run(&mut engine, &rt, &finish);
     let checksum = *checksum.lock();
-    LuResult {
-        elapsed,
-        checksum,
-        stats: rt.stats().snapshot(),
-    }
+    LuResult { checksum, run }
 }
 
 #[cfg(test)]
@@ -184,9 +167,8 @@ mod tests {
         // manager.
         let config = LuConfig {
             n: 24,
-            nodes: 4,
-            network: dsmpm2_madeleine::profiles::bip_myrinet(),
             compute_per_update_us: 0.02,
+            cluster: Pm2Config::bip_myrinet(4),
         };
         let oracle = sequential_checksum(config.n);
         for proto in ["li_hudak", "li_hudak_fixed", "erc_sw"] {

@@ -14,12 +14,12 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use dsmpm2_core::{DsmRuntime, DsmStatsSnapshot, NodeId, Pm2Config};
+use dsmpm2_core::{NodeId, Pm2Config};
 use dsmpm2_hyperion::{HyperionHeap, ObjectRef};
-use dsmpm2_madeleine::NetworkModel;
 use dsmpm2_pm2::Engine;
-use dsmpm2_protocols::register_builtin_protocols;
-use dsmpm2_sim::{SimDuration, SimTime};
+use dsmpm2_sim::SimDuration;
+
+use crate::setup::{runtime, Latest, RunOutcome};
 
 /// Names of the 29 eastern-most US states used by the instance.
 pub const STATES: [&str; 29] = [
@@ -152,38 +152,29 @@ pub fn solve_sequential(num_states: usize) -> u64 {
 /// Configuration of one distributed map-colouring run.
 #[derive(Clone, Debug)]
 pub struct ColoringConfig {
-    /// Number of cluster nodes (the paper uses a four-node SCI cluster).
-    pub nodes: usize,
     /// Application threads per node.
     pub threads_per_node: usize,
-    /// Network profile (the paper uses SISCI/SCI).
-    pub network: NetworkModel,
     /// Virtual compute time charged per explored assignment, in µs.
     pub compute_per_node_us: f64,
     /// Number of states considered (≤ 29); smaller values for quick tests.
     pub num_states: usize,
+    /// The cluster the search runs on (the paper uses four SISCI/SCI nodes).
+    pub cluster: Pm2Config,
 }
 
 impl ColoringConfig {
     /// The paper's configuration on `nodes` nodes.
     pub fn paper(nodes: usize) -> Self {
-        ColoringConfig {
-            nodes,
-            threads_per_node: 1,
-            network: dsmpm2_madeleine::profiles::sisci_sci(),
-            compute_per_node_us: 1.0,
-            num_states: STATES.len(),
-        }
+        ColoringConfig::small(nodes, STATES.len())
     }
 
     /// A reduced instance for tests.
     pub fn small(nodes: usize, num_states: usize) -> Self {
         ColoringConfig {
-            nodes,
             threads_per_node: 1,
-            network: dsmpm2_madeleine::profiles::sisci_sci(),
             compute_per_node_us: 1.0,
             num_states,
+            cluster: Pm2Config::sisci_sci(nodes),
         }
     }
 }
@@ -193,31 +184,19 @@ impl ColoringConfig {
 pub struct ColoringResult {
     /// Minimal colouring cost found.
     pub best_cost: u64,
-    /// Virtual completion time (last thread).
-    pub elapsed: SimTime,
-    /// DSM statistics.
-    pub stats: DsmStatsSnapshot,
-    /// Inline checks performed (only non-zero for `java_ic`).
-    pub inline_checks: u64,
-    /// Page faults taken (dominant for `java_pf`).
-    pub faults: u64,
+    /// Time, statistics (inline checks under `java_ic`, page faults under
+    /// `java_pf`) and engine report of the run.
+    pub run: RunOutcome,
 }
 
 /// Run the branch-and-bound colouring under `protocol_name` (`"java_ic"` or
 /// `"java_pf"`).
 pub fn run_map_coloring(config: &ColoringConfig, protocol_name: &str) -> ColoringResult {
     assert!(config.num_states >= 2 && config.num_states <= STATES.len());
-    let engine = Engine::new();
-    let rt = DsmRuntime::new(
-        &engine,
-        Pm2Config::new(config.nodes, config.network.clone()),
-    );
-    let protos = register_builtin_protocols(&rt);
-    let protocol = protos
-        .by_name(protocol_name)
-        .unwrap_or_else(|| panic!("unknown protocol {protocol_name}"));
-    rt.set_default_protocol(protocol);
-    let heap = HyperionHeap::new(&rt, protocol);
+    let nodes = config.cluster.num_nodes;
+    let mut engine = Engine::new();
+    let rt = runtime(&engine, &config.cluster, protocol_name);
+    let heap = HyperionHeap::new(&rt, rt.default_protocol());
 
     let n = config.num_states;
     let mut neighbours = vec![Vec::new(); n];
@@ -231,19 +210,19 @@ pub fn run_map_coloring(config: &ColoringConfig, protocol_name: &str) -> Colorin
     // The graph as Hyperion objects, distributed round-robin: one object per
     // state, field 0 = neighbour count, fields 1.. = neighbour indices.
     let state_objects: Vec<ObjectRef> = (0..n)
-        .map(|s| heap.alloc_object_on(NodeId(s % config.nodes), 1 + neighbours[s].len().max(1)))
+        .map(|s| heap.alloc_object_on(NodeId(s % nodes), 1 + neighbours[s].len().max(1)))
         .collect();
     // The shared best cost: field 0, guarded by a monitor.
     let best_obj = heap.alloc_object_on(NodeId(0), 1);
     let monitor = heap.create_monitor(Some(NodeId(0)));
 
-    let total_threads = config.nodes * config.threads_per_node;
+    let total_threads = nodes * config.threads_per_node;
     // The seeding thread and every worker meet at `seeded`, so the graph and
     // the bound are written before any worker reads them; the workers alone
     // meet at `ready` once the search is over.
     let seeded = rt.create_barrier(total_threads + 1, None);
     let ready = rt.create_barrier(total_threads, None);
-    let finish_times = Arc::new(Mutex::new(Vec::new()));
+    let finish = Latest::default();
     let best_costs = Arc::new(Mutex::new(Vec::new()));
     let neighbours = Arc::new(neighbours);
 
@@ -276,7 +255,7 @@ pub fn run_map_coloring(config: &ColoringConfig, protocol_name: &str) -> Colorin
     }
 
     for t in 0..total_threads {
-        let node = NodeId(t % config.nodes);
+        let node = NodeId(t % nodes);
         let heap = heap.clone();
         let state_objects = state_objects.clone();
         let my_prefixes: Vec<(usize, usize)> = prefixes
@@ -286,7 +265,7 @@ pub fn run_map_coloring(config: &ColoringConfig, protocol_name: &str) -> Colorin
             .filter(|(i, _)| i % total_threads == t)
             .map(|(_, p)| p)
             .collect();
-        let finish_times = finish_times.clone();
+        let finish = finish.clone();
         let best_costs = best_costs.clone();
         let config = config.clone();
         rt.spawn_dsm_thread(node, format!("coloring-{t}"), move |ctx| {
@@ -416,33 +395,18 @@ pub fn run_map_coloring(config: &ColoringConfig, protocol_name: &str) -> Colorin
             heap.monitor_enter(ctx, monitor);
             best_costs.lock().push(heap.get(ctx, best_obj, 0));
             heap.monitor_exit(ctx, monitor);
-            finish_times.lock().push(ctx.pm2.now());
+            finish.record(ctx.pm2.now());
         });
     }
 
-    let mut engine = engine;
-    engine.run().expect("map colouring must not deadlock");
-
-    let stats = rt.stats().snapshot();
+    let run = RunOutcome::run(&mut engine, &rt, &finish);
     let best_cost = best_costs
         .lock()
         .iter()
         .copied()
         .min()
         .expect("workers report the final cost");
-    let elapsed = finish_times
-        .lock()
-        .iter()
-        .copied()
-        .max()
-        .unwrap_or(SimTime::ZERO);
-    ColoringResult {
-        best_cost,
-        elapsed,
-        inline_checks: stats.inline_checks,
-        faults: stats.total_faults(),
-        stats,
-    }
+    ColoringResult { best_cost, run }
 }
 
 #[cfg(test)]
@@ -477,9 +441,9 @@ mod tests {
         let oracle = solve_sequential(config.num_states);
         assert_eq!(ic.best_cost, oracle, "java_ic finds the optimum");
         assert_eq!(pf.best_cost, oracle, "java_pf finds the optimum");
-        assert!(ic.inline_checks > 0);
-        assert_eq!(pf.inline_checks, 0);
-        assert!(pf.faults > 0);
+        assert!(ic.run.stats.inline_checks > 0);
+        assert_eq!(pf.run.stats.inline_checks, 0);
+        assert!(pf.run.stats.total_faults() > 0);
     }
 
     #[test]
@@ -493,10 +457,10 @@ mod tests {
         let pf = run_map_coloring(&config, "java_pf");
         assert_eq!((ic.best_cost, pf.best_cost), (30, 30));
         assert!(
-            pf.elapsed < ic.elapsed,
+            pf.run.elapsed < ic.run.elapsed,
             "java_pf ({}) must outperform java_ic ({}) when accesses are mostly local",
-            pf.elapsed,
-            ic.elapsed
+            pf.run.elapsed,
+            ic.run.elapsed
         );
     }
 }

@@ -11,30 +11,21 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use dsmpm2_core::{
-    DsmAddr, DsmAttr, DsmRuntime, DsmStatsSnapshot, DsmTuning, HomePolicy, NodeId, Pm2Config,
-    TransportTuning, WireStatsSnapshot,
-};
-use dsmpm2_madeleine::NetworkModel;
+use dsmpm2_core::{DsmAddr, DsmAttr, HomePolicy, NodeId, Pm2Config};
 use dsmpm2_pm2::Engine;
-use dsmpm2_protocols::register_all_protocols;
-use dsmpm2_sim::{SimDuration, SimTime};
+use dsmpm2_sim::SimDuration;
+
+use crate::setup::{runtime, Latest, RunOutcome};
 
 /// Configuration of a matrix-multiply run.
 #[derive(Clone, Debug)]
 pub struct MatmulConfig {
     /// Matrices are `n x n` `f64`.
     pub n: usize,
-    /// Number of cluster nodes (one worker thread per node).
-    pub nodes: usize,
-    /// Network profile.
-    pub network: NetworkModel,
     /// Virtual compute time charged per multiply-add, in µs.
     pub compute_per_madd_us: f64,
-    /// DSM tuning knobs (coherence granularity).
-    pub tuning: DsmTuning,
-    /// Transport-layer tuning knobs (wire-level backend selection).
-    pub transport: TransportTuning,
+    /// The cluster the kernel runs on, one worker thread per node.
+    pub cluster: Pm2Config,
 }
 
 impl MatmulConfig {
@@ -42,11 +33,8 @@ impl MatmulConfig {
     pub fn small(nodes: usize) -> Self {
         MatmulConfig {
             n: 16,
-            nodes,
-            network: dsmpm2_madeleine::profiles::bip_myrinet(),
             compute_per_madd_us: 0.01,
-            tuning: DsmTuning::default(),
-            transport: TransportTuning::default(),
+            cluster: Pm2Config::bip_myrinet(nodes),
         }
     }
 }
@@ -54,20 +42,13 @@ impl MatmulConfig {
 /// Result of a matrix-multiply run.
 #[derive(Clone, Debug)]
 pub struct MatmulResult {
-    /// Virtual completion time.
-    pub elapsed: SimTime,
     /// Sum of all entries of `C` (checked against the sequential oracle).
     pub checksum: f64,
     /// Bit patterns of every final entry of `C` in row-major order — the
     /// exact final shared memory, used by the conformance matrix.
     pub final_cells: Vec<u64>,
-    /// DSM statistics.
-    pub stats: DsmStatsSnapshot,
-    /// Total messages put on the wire (a batch of coherence messages is one).
-    pub wire_messages: u64,
-    /// Wire-level transport statistics (NIC stalls, drops, retransmits):
-    /// what the transport ablation compares across backends.
-    pub wire: WireStatsSnapshot,
+    /// Time, statistics and engine report of the run.
+    pub run: RunOutcome,
 }
 
 /// Deterministic input entry of `A`.
@@ -102,17 +83,10 @@ fn cell(base: DsmAddr, n: usize, row: usize, col: usize) -> DsmAddr {
 /// Run the blocked matrix multiply under `protocol_name` (any registered
 /// built-in or extension protocol).
 pub fn run_matmul(config: &MatmulConfig, protocol_name: &str) -> MatmulResult {
-    assert!(config.n >= config.nodes && config.n.is_multiple_of(config.nodes));
-    let cluster_config = Pm2Config::new(config.nodes, config.network.clone())
-        .with_dsm_tuning(config.tuning)
-        .with_transport_tuning(config.transport);
-    let engine = Engine::new();
-    let rt = DsmRuntime::new(&engine, cluster_config);
-    let _ = register_all_protocols(&rt);
-    let protocol = rt
-        .protocol_by_name(protocol_name)
-        .unwrap_or_else(|| panic!("unknown protocol {protocol_name}"));
-    rt.set_default_protocol(protocol);
+    let nodes = config.cluster.num_nodes;
+    assert!(config.n >= nodes && config.n.is_multiple_of(nodes));
+    let mut engine = Engine::new();
+    let rt = runtime(&engine, &config.cluster, protocol_name);
 
     let bytes = (config.n * config.n * 8) as u64;
     // A and C are distributed block-wise (each node owns its row block); B is
@@ -120,13 +94,13 @@ pub fn run_matmul(config: &MatmulConfig, protocol_name: &str) -> MatmulResult {
     let a = rt.dsm_malloc(bytes, DsmAttr::default().home(HomePolicy::Block));
     let b = rt.dsm_malloc(bytes, DsmAttr::default().home(HomePolicy::RoundRobin));
     let c = rt.dsm_malloc(bytes, DsmAttr::default().home(HomePolicy::Block));
-    let barrier = rt.create_barrier(config.nodes, None);
-    let finish = Arc::new(Mutex::new(Vec::new()));
+    let barrier = rt.create_barrier(nodes, None);
+    let finish = Latest::default();
     let checksum = Arc::new(Mutex::new(0.0f64));
     let final_cells = Arc::new(Mutex::new(vec![0u64; config.n * config.n]));
 
-    let rows_per_node = config.n / config.nodes;
-    for node in 0..config.nodes {
+    let rows_per_node = config.n / nodes;
+    for node in 0..nodes {
         let finish = finish.clone();
         let checksum = checksum.clone();
         let final_cells = final_cells.clone();
@@ -177,22 +151,17 @@ pub fn run_matmul(config: &MatmulConfig, protocol_name: &str) -> MatmulResult {
             }
             final_cells.lock()[first * n..last * n].copy_from_slice(&block);
             *checksum.lock() += local_sum;
-            finish.lock().push(ctx.pm2.now());
+            finish.record(ctx.pm2.now());
         });
     }
 
-    let mut engine = engine;
-    engine.run().expect("matmul must not deadlock");
-    let elapsed = finish.lock().iter().copied().max().unwrap_or(SimTime::ZERO);
+    let run = RunOutcome::run(&mut engine, &rt, &finish);
     let checksum = *checksum.lock();
     let final_cells = std::mem::take(&mut *final_cells.lock());
     MatmulResult {
-        elapsed,
         checksum,
         final_cells,
-        stats: rt.stats().snapshot(),
-        wire_messages: rt.cluster().network().stats().messages(),
-        wire: rt.cluster().network().wire_stats(),
+        run,
     }
 }
 
@@ -216,11 +185,8 @@ mod tests {
         // diff push in hbrc_mw's invalidate_server).
         let config = MatmulConfig {
             n: 32,
-            nodes: 4,
-            network: dsmpm2_madeleine::profiles::bip_myrinet(),
             compute_per_madd_us: 0.01,
-            tuning: DsmTuning::default(),
-            transport: TransportTuning::default(),
+            cluster: Pm2Config::bip_myrinet(4),
         };
         let oracle = sequential_checksum(config.n);
         for proto in ["hbrc_mw", "hlrc_notices"] {
@@ -246,7 +212,7 @@ mod tests {
                 result.checksum,
                 oracle
             );
-            assert!(result.elapsed > SimTime::ZERO);
+            assert!(result.run.elapsed > dsmpm2_sim::SimTime::ZERO);
         }
     }
 
@@ -254,8 +220,8 @@ mod tests {
     fn matmul_replicates_b_rather_than_migrating_threads() {
         let config = MatmulConfig::small(2);
         let result = run_matmul(&config, "li_hudak");
-        assert!(result.stats.page_transfers > 0, "B must be replicated");
-        assert_eq!(result.stats.thread_migrations, 0);
+        assert!(result.run.stats.page_transfers > 0, "B must be replicated");
+        assert_eq!(result.run.stats.thread_migrations, 0);
     }
 
     #[test]

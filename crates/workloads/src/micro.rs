@@ -1,15 +1,11 @@
 //! Microbenchmark kernels: the single-fault measurements behind Tables 3 and
 //! 4, plus small shared-memory kernels used by tests and examples.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
-
-use dsmpm2_core::{DsmAttr, DsmRuntime, HomePolicy, NodeId, Pm2Config};
+use dsmpm2_core::{DsmAttr, HomePolicy, NodeId, Pm2Config};
 use dsmpm2_madeleine::NetworkModel;
 use dsmpm2_pm2::Engine;
-use dsmpm2_protocols::register_builtin_protocols;
-use dsmpm2_sim::SimDuration;
+
+use crate::setup::{runtime, Latest};
 
 /// Which fault-handling policy a read-fault measurement exercises.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -46,29 +42,26 @@ pub struct FaultBreakdown {
 /// network model and the protocol overhead is the measured remainder, exactly
 /// how the paper's tables decompose the measurement.
 pub fn measure_read_fault(network: NetworkModel, policy: FaultPolicy) -> FaultBreakdown {
-    let engine = Engine::new();
-    let rt = DsmRuntime::new(&engine, Pm2Config::new(2, network.clone()));
-    let protos = register_builtin_protocols(&rt);
     let protocol = match policy {
-        FaultPolicy::PageTransfer => protos.li_hudak,
-        FaultPolicy::ThreadMigration => protos.migrate_thread,
+        FaultPolicy::PageTransfer => "li_hudak",
+        FaultPolicy::ThreadMigration => "migrate_thread",
     };
-    rt.set_default_protocol(protocol);
+    let mut engine = Engine::new();
+    let rt = runtime(&engine, &Pm2Config::new(2, network.clone()), protocol);
     let addr = rt.dsm_malloc(4096, DsmAttr::default().home(HomePolicy::Fixed(NodeId(0))));
 
-    let elapsed = Arc::new(Mutex::new(SimDuration::ZERO));
-    let elapsed2 = elapsed.clone();
+    let elapsed = Latest::default();
+    let e = elapsed.clone();
     rt.spawn_dsm_thread(NodeId(1), "faulting-thread", move |ctx| {
         let start = ctx.pm2.now();
         let _ = ctx.read::<u64>(addr);
-        *elapsed2.lock() = ctx.pm2.now().since(start);
+        e.record(ctx.pm2.now().since(start));
     });
-    let mut engine = engine;
     engine
         .run()
         .expect("fault microbenchmark must not deadlock");
 
-    let total_us = elapsed.lock().as_micros_f64();
+    let total_us = elapsed.get().as_micros_f64();
     let page_fault_us = rt.costs().page_fault.as_micros_f64();
     match policy {
         FaultPolicy::PageTransfer => {
@@ -97,25 +90,21 @@ pub fn measure_read_fault(network: NetworkModel, policy: FaultPolicy) -> FaultBr
     }
 }
 
-/// A lock-protected shared counter incremented from every node; returns the
-/// final value (used by the quickstart example and by smoke tests).
+/// A lock-protected shared counter incremented from every node of
+/// `cluster`; returns the final value (used by smoke tests and the race
+/// gate).
 pub fn run_shared_counter(
-    nodes: usize,
+    cluster: &Pm2Config,
     increments_per_thread: u64,
-    network: NetworkModel,
     protocol_name: &str,
 ) -> u64 {
-    let engine = Engine::new();
-    let rt = DsmRuntime::new(&engine, Pm2Config::new(nodes, network));
-    let protos = register_builtin_protocols(&rt);
-    let protocol = protos
-        .by_name(protocol_name)
-        .unwrap_or_else(|| panic!("unknown protocol {protocol_name}"));
-    rt.set_default_protocol(protocol);
+    let nodes = cluster.num_nodes;
+    let mut engine = Engine::new();
+    let rt = runtime(&engine, cluster, protocol_name);
     let addr = rt.dsm_malloc(4096, DsmAttr::default().home(HomePolicy::Fixed(NodeId(0))));
     let lock = rt.create_lock(Some(NodeId(0)));
     let done = rt.create_barrier(nodes, None);
-    let result = Arc::new(Mutex::new(0u64));
+    let result = Latest::default();
 
     for n in 0..nodes {
         let res = result.clone();
@@ -128,20 +117,14 @@ pub fn run_shared_counter(
             }
             ctx.dsm_barrier(done);
             // Every worker reads the final value after the barrier; they all
-            // see the same total, so recording the maximum is exact.
+            // see the same total, so keeping the largest is exact.
             ctx.dsm_lock(lock);
-            let v = ctx.read::<u64>(addr);
+            res.record(ctx.read::<u64>(addr));
             ctx.dsm_unlock(lock);
-            let mut res = res.lock();
-            if v > *res {
-                *res = v;
-            }
         });
     }
-    let mut engine = engine;
     engine.run().expect("shared counter must not deadlock");
-    let v = *result.lock();
-    v
+    result.get()
 }
 
 #[cfg(test)]
@@ -190,7 +173,7 @@ mod tests {
     #[test]
     fn shared_counter_is_exact_under_each_sc_protocol() {
         for proto in ["li_hudak", "migrate_thread"] {
-            let v = run_shared_counter(3, 4, profiles::bip_myrinet(), proto);
+            let v = run_shared_counter(&Pm2Config::bip_myrinet(3), 4, proto);
             assert_eq!(v, 12, "protocol {proto}");
         }
     }

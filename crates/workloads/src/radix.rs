@@ -17,11 +17,11 @@ use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use dsmpm2_core::{DsmAddr, DsmAttr, DsmRuntime, DsmStatsSnapshot, HomePolicy, NodeId, Pm2Config};
-use dsmpm2_madeleine::NetworkModel;
+use dsmpm2_core::{DsmAddr, DsmAttr, HomePolicy, NodeId, Pm2Config};
 use dsmpm2_pm2::Engine;
-use dsmpm2_protocols::register_all_protocols;
-use dsmpm2_sim::{SimDuration, SimTime};
+use dsmpm2_sim::SimDuration;
+
+use crate::setup::{runtime, Latest, RunOutcome};
 
 /// Number of buckets per radix pass (one byte per pass).
 pub const RADIX: usize = 256;
@@ -36,12 +36,10 @@ pub struct RadixConfig {
     pub max_key: u64,
     /// RNG seed for the input keys.
     pub seed: u64,
-    /// Number of cluster nodes (one thread per node).
-    pub nodes: usize,
-    /// Network profile.
-    pub network: NetworkModel,
     /// Virtual compute time charged per key per pass, in µs.
     pub compute_per_key_us: f64,
+    /// The cluster the kernel runs on, one thread per node.
+    pub cluster: Pm2Config,
 }
 
 impl RadixConfig {
@@ -51,9 +49,8 @@ impl RadixConfig {
             keys: 128,
             max_key: 1 << 16,
             seed: 7,
-            nodes,
-            network: dsmpm2_madeleine::profiles::bip_myrinet(),
             compute_per_key_us: 0.05,
+            cluster: Pm2Config::bip_myrinet(nodes),
         }
     }
 
@@ -67,12 +64,10 @@ impl RadixConfig {
 /// Result of a radix-sort run.
 #[derive(Clone, Debug)]
 pub struct RadixResult {
-    /// Virtual completion time.
-    pub elapsed: SimTime,
     /// The sorted keys, as read back from shared memory by the worker nodes.
     pub sorted: Vec<u64>,
-    /// DSM statistics.
-    pub stats: DsmStatsSnapshot,
+    /// Time, statistics and engine report of the run.
+    pub run: RunOutcome,
 }
 
 /// The deterministic input keys for `config`.
@@ -93,32 +88,25 @@ fn hist_addr(base: DsmAddr, node: usize, bucket: usize) -> DsmAddr {
 
 /// Run the parallel radix sort under `protocol_name`.
 pub fn run_radix(config: &RadixConfig, protocol_name: &str) -> RadixResult {
-    assert!(config.keys.is_multiple_of(config.nodes) && config.keys > 0);
-    let engine = Engine::new();
-    let rt = DsmRuntime::new(
-        &engine,
-        Pm2Config::new(config.nodes, config.network.clone()),
-    );
-    let _ = register_all_protocols(&rt);
-    let protocol = rt
-        .protocol_by_name(protocol_name)
-        .unwrap_or_else(|| panic!("unknown protocol {protocol_name}"));
-    rt.set_default_protocol(protocol);
+    let nodes = config.cluster.num_nodes;
+    assert!(config.keys.is_multiple_of(nodes) && config.keys > 0);
+    let mut engine = Engine::new();
+    let rt = runtime(&engine, &config.cluster, protocol_name);
 
     let key_bytes = (config.keys * 8) as u64;
     let src = rt.dsm_malloc(key_bytes, DsmAttr::default().home(HomePolicy::Block));
     let dst = rt.dsm_malloc(key_bytes, DsmAttr::default().home(HomePolicy::Block));
     let hist = rt.dsm_malloc(
-        (config.nodes * RADIX * 8) as u64,
+        (nodes * RADIX * 8) as u64,
         DsmAttr::default().home(HomePolicy::Block),
     );
-    let barrier = rt.create_barrier(config.nodes, None);
-    let finish = Arc::new(Mutex::new(Vec::new()));
+    let barrier = rt.create_barrier(nodes, None);
+    let finish = Latest::default();
     let collected = Arc::new(Mutex::new(vec![0u64; config.keys]));
 
-    let keys_per_node = config.keys / config.nodes;
+    let keys_per_node = config.keys / nodes;
     let input = input_keys(config);
-    for node in 0..config.nodes {
+    for node in 0..nodes {
         let finish = finish.clone();
         let collected = collected.clone();
         let config = config.clone();
@@ -152,8 +140,8 @@ pub fn run_radix(config: &RadixConfig, protocol_name: &str) -> RadixResult {
                 // Phase 2: read every node's histogram and compute the global
                 // starting offset of each of our buckets (bucket-major, then
                 // node-major — the same deterministic rule on every node).
-                let mut all = vec![0u64; config.nodes * RADIX];
-                for n in 0..config.nodes {
+                let mut all = vec![0u64; nodes * RADIX];
+                for n in 0..nodes {
                     for bucket in 0..RADIX {
                         all[n * RADIX + bucket] = ctx.read::<u64>(hist_addr(hist, n, bucket));
                     }
@@ -161,7 +149,7 @@ pub fn run_radix(config: &RadixConfig, protocol_name: &str) -> RadixResult {
                 let mut offsets = vec![0u64; RADIX];
                 let mut running = 0u64;
                 for bucket in 0..RADIX {
-                    for n in 0..config.nodes {
+                    for n in 0..nodes {
                         if n == node {
                             offsets[bucket] = running;
                         }
@@ -189,19 +177,13 @@ pub fn run_radix(config: &RadixConfig, protocol_name: &str) -> RadixResult {
             for i in first..last {
                 collected.lock()[i] = ctx.read::<u64>(key_addr(from, i));
             }
-            finish.lock().push(ctx.pm2.now());
+            finish.record(ctx.pm2.now());
         });
     }
 
-    let mut engine = engine;
-    engine.run().expect("radix must not deadlock");
-    let elapsed = finish.lock().iter().copied().max().unwrap_or(SimTime::ZERO);
+    let run = RunOutcome::run(&mut engine, &rt, &finish);
     let sorted = collected.lock().clone();
-    RadixResult {
-        elapsed,
-        sorted,
-        stats: rt.stats().snapshot(),
-    }
+    RadixResult { sorted, run }
 }
 
 #[cfg(test)]
@@ -236,7 +218,7 @@ mod tests {
         oracle.sort_unstable();
         let result = run_radix(&config, "li_hudak");
         assert_eq!(result.sorted, oracle);
-        assert!(result.elapsed > SimTime::ZERO);
+        assert!(result.run.elapsed > dsmpm2_sim::SimTime::ZERO);
     }
 
     #[test]

@@ -11,14 +11,11 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-use dsmpm2_core::{
-    DsmAddr, DsmAttr, DsmRuntime, DsmStatsSnapshot, DsmTuning, HomePolicy, NodeId, Pm2Config,
-    TransportTuning, WireStatsSnapshot,
-};
-use dsmpm2_madeleine::NetworkModel;
+use dsmpm2_core::{DsmAddr, DsmAttr, HomePolicy, NodeId, Pm2Config};
 use dsmpm2_pm2::Engine;
-use dsmpm2_protocols::register_all_protocols;
-use dsmpm2_sim::{SimDuration, SimTime};
+use dsmpm2_sim::SimDuration;
+
+use crate::setup::{runtime, Latest, RunOutcome};
 
 /// Configuration of a red-black SOR run.
 #[derive(Clone, Debug)]
@@ -29,16 +26,10 @@ pub struct SorConfig {
     pub iterations: usize,
     /// Over-relaxation factor (0 < omega < 2).
     pub omega: f64,
-    /// Number of cluster nodes (one thread per node).
-    pub nodes: usize,
-    /// Network profile.
-    pub network: NetworkModel,
     /// Virtual compute time charged per updated cell, in µs.
     pub compute_per_cell_us: f64,
-    /// DSM tuning knobs (coherence granularity).
-    pub tuning: DsmTuning,
-    /// Transport-layer tuning knobs (wire-level backend selection).
-    pub transport: TransportTuning,
+    /// The cluster the kernel runs on, one thread per node.
+    pub cluster: Pm2Config,
 }
 
 impl SorConfig {
@@ -48,11 +39,8 @@ impl SorConfig {
             size: 24,
             iterations: 3,
             omega: 1.25,
-            nodes,
-            network: dsmpm2_madeleine::profiles::sisci_sci(),
             compute_per_cell_us: 0.05,
-            tuning: DsmTuning::default(),
-            transport: TransportTuning::default(),
+            cluster: Pm2Config::sisci_sci(nodes),
         }
     }
 }
@@ -60,20 +48,13 @@ impl SorConfig {
 /// Result of a SOR run.
 #[derive(Clone, Debug)]
 pub struct SorResult {
-    /// Virtual completion time.
-    pub elapsed: SimTime,
     /// Sum of the final grid.
     pub checksum: f64,
     /// Bit patterns of every final grid cell in row-major order — the exact
     /// final shared memory, used by the cross-protocol conformance matrix.
     pub final_cells: Vec<u64>,
-    /// DSM statistics.
-    pub stats: DsmStatsSnapshot,
-    /// Total messages put on the wire (a batch of coherence messages is one).
-    pub wire_messages: u64,
-    /// Wire-level transport statistics (NIC stalls, drops, retransmits):
-    /// what the transport ablation compares across backends.
-    pub wire: WireStatsSnapshot,
+    /// Time, statistics and engine report of the run.
+    pub run: RunOutcome,
 }
 
 fn initial(size: usize, row: usize, col: usize) -> f64 {
@@ -121,27 +102,20 @@ fn cell(base: DsmAddr, size: usize, row: usize, col: usize) -> DsmAddr {
 /// Run red-black SOR under `protocol_name` (any registered built-in or
 /// extension protocol).
 pub fn run_sor(config: &SorConfig, protocol_name: &str) -> SorResult {
-    assert!(config.size >= 4 && config.size.is_multiple_of(config.nodes));
-    let cluster_config = Pm2Config::new(config.nodes, config.network.clone())
-        .with_dsm_tuning(config.tuning)
-        .with_transport_tuning(config.transport);
-    let engine = Engine::new();
-    let rt = DsmRuntime::new(&engine, cluster_config);
-    let _ = register_all_protocols(&rt);
-    let protocol = rt
-        .protocol_by_name(protocol_name)
-        .unwrap_or_else(|| panic!("unknown protocol {protocol_name}"));
-    rt.set_default_protocol(protocol);
+    let nodes = config.cluster.num_nodes;
+    assert!(config.size >= 4 && config.size.is_multiple_of(nodes));
+    let mut engine = Engine::new();
+    let rt = runtime(&engine, &config.cluster, protocol_name);
 
     let bytes = (config.size * config.size * 8) as u64;
     let grid = rt.dsm_malloc(bytes, DsmAttr::default().home(HomePolicy::Block));
-    let barrier = rt.create_barrier(config.nodes, None);
-    let finish = Arc::new(Mutex::new(Vec::new()));
+    let barrier = rt.create_barrier(nodes, None);
+    let finish = Latest::default();
     let checksum = Arc::new(Mutex::new(0.0f64));
     let final_cells = Arc::new(Mutex::new(vec![0u64; config.size * config.size]));
 
-    let rows_per_node = config.size / config.nodes;
-    for node in 0..config.nodes {
+    let rows_per_node = config.size / nodes;
+    for node in 0..nodes {
         let finish = finish.clone();
         let checksum = checksum.clone();
         let final_cells = final_cells.clone();
@@ -195,22 +169,17 @@ pub fn run_sor(config: &SorConfig, protocol_name: &str) -> SorResult {
             }
             final_cells.lock()[first * size..last * size].copy_from_slice(&block);
             *checksum.lock() += local;
-            finish.lock().push(ctx.pm2.now());
+            finish.record(ctx.pm2.now());
         });
     }
 
-    let mut engine = engine;
-    engine.run().expect("sor must not deadlock");
-    let elapsed = finish.lock().iter().copied().max().unwrap_or(SimTime::ZERO);
+    let run = RunOutcome::run(&mut engine, &rt, &finish);
     let checksum = *checksum.lock();
     let final_cells = std::mem::take(&mut *final_cells.lock());
     SorResult {
-        elapsed,
         checksum,
         final_cells,
-        stats: rt.stats().snapshot(),
-        wire_messages: rt.cluster().network().stats().messages(),
-        wire: rt.cluster().network().wire_stats(),
+        run,
     }
 }
 
@@ -228,11 +197,8 @@ mod tests {
             size: 32,
             iterations: 4,
             omega: 1.25,
-            nodes: 4,
-            network: dsmpm2_madeleine::profiles::bip_myrinet(),
             compute_per_cell_us: 0.05,
-            tuning: DsmTuning::default(),
-            transport: TransportTuning::default(),
+            cluster: Pm2Config::bip_myrinet(4),
         };
         let oracle = sequential_checksum(&config);
         for proto in ["erc_sw", "hbrc_mw"] {
@@ -277,7 +243,8 @@ mod tests {
         let result = run_sor(&config, "hbrc_mw");
         // Sharing exists (halo rows cross the block boundary) but the bulk of
         // the accesses are local.
-        assert!(result.stats.page_transfers + result.stats.diffs_sent > 0);
-        assert!(result.stats.local_accesses > result.stats.total_faults() * 10);
+        let stats = result.run.stats;
+        assert!(stats.page_transfers + stats.diffs_sent > 0);
+        assert!(stats.local_accesses > stats.total_faults() * 10);
     }
 }

@@ -18,14 +18,11 @@ use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use dsmpm2_core::{
-    DsmAddr, DsmAttr, DsmRuntime, DsmStatsSnapshot, DsmThreadCtx, HomePolicy, LockId, NodeId,
-    Pm2Config, ProtocolId,
-};
-use dsmpm2_madeleine::NetworkModel;
+use dsmpm2_core::{DsmAddr, DsmAttr, DsmThreadCtx, HomePolicy, LockId, NodeId, Pm2Config};
 use dsmpm2_pm2::Engine;
-use dsmpm2_protocols::register_builtin_protocols;
-use dsmpm2_sim::{SimDuration, SimTime};
+use dsmpm2_sim::SimDuration;
+
+use crate::setup::{runtime, Latest, RunOutcome};
 
 /// A TSP instance: a symmetric distance matrix over `n` cities.
 #[derive(Clone, Debug)]
@@ -123,10 +120,6 @@ pub struct TspConfig {
     pub cities: usize,
     /// RNG seed for the instance.
     pub seed: u64,
-    /// Number of cluster nodes; one application thread runs per node.
-    pub nodes: usize,
-    /// Network profile.
-    pub network: NetworkModel,
     /// Virtual compute time charged per explored search-tree node, in µs
     /// (calibrated to a few µs on the 450 MHz PII nodes of the testbed).
     pub compute_per_node_us: f64,
@@ -134,6 +127,8 @@ pub struct TspConfig {
     pub compute_batch: u64,
     /// How often (in explored nodes) a thread re-reads the shared bound.
     pub bound_check_interval: u64,
+    /// The cluster the search runs on; one application thread runs per node.
+    pub cluster: Pm2Config,
 }
 
 impl TspConfig {
@@ -141,13 +136,10 @@ impl TspConfig {
     /// BIP/Myrinet, one thread per node.
     pub fn paper(nodes: usize) -> Self {
         TspConfig {
-            cities: 14,
             seed: 42,
-            nodes,
-            network: dsmpm2_madeleine::profiles::bip_myrinet(),
-            compute_per_node_us: 2.0,
             compute_batch: 64,
             bound_check_interval: 16,
+            ..TspConfig::small(nodes, 14)
         }
     }
 
@@ -156,11 +148,10 @@ impl TspConfig {
         TspConfig {
             cities,
             seed: 7,
-            nodes,
-            network: dsmpm2_madeleine::profiles::bip_myrinet(),
             compute_per_node_us: 2.0,
             compute_batch: 16,
             bound_check_interval: 8,
+            cluster: Pm2Config::bip_myrinet(nodes),
         }
     }
 }
@@ -170,15 +161,13 @@ impl TspConfig {
 pub struct TspResult {
     /// Best tour length found.
     pub best: u32,
-    /// Virtual time at which the last thread finished.
-    pub elapsed: SimTime,
-    /// DSM statistics accumulated over the run.
-    pub stats: DsmStatsSnapshot,
     /// Total number of search-tree nodes expanded (all threads).
     pub expanded: u64,
     /// Thread migrations per application thread (only non-zero under
     /// `migrate_thread`).
     pub migrations: u64,
+    /// Time, statistics and engine report of the run.
+    pub run: RunOutcome,
 }
 
 struct SharedBound {
@@ -273,22 +262,13 @@ impl WorkerSearch<'_> {
     }
 }
 
-/// Run the distributed TSP under `protocol` and return the result.
-///
-/// `runtime_and_protocol` is created internally: the function builds a fresh
-/// cluster per run so that benchmark iterations are independent.
+/// Run the distributed TSP under `protocol_name` on a fresh cluster, so
+/// that runs are independent, and return the result.
 pub fn run_tsp(config: &TspConfig, protocol_name: &str) -> TspResult {
+    let nodes = config.cluster.num_nodes;
     let instance = TspInstance::random(config.cities, config.seed);
-    let engine = Engine::new();
-    let rt = DsmRuntime::new(
-        &engine,
-        Pm2Config::new(config.nodes, config.network.clone()),
-    );
-    let protos = register_builtin_protocols(&rt);
-    let protocol: ProtocolId = protos
-        .by_name(protocol_name)
-        .unwrap_or_else(|| panic!("unknown protocol {protocol_name}"));
-    rt.set_default_protocol(protocol);
+    let mut engine = Engine::new();
+    let rt = runtime(&engine, &config.cluster, protocol_name);
 
     // The shared bound lives on node 0, like the globally shared variable of
     // the paper's program.
@@ -307,22 +287,22 @@ pub fn run_tsp(config: &TspConfig, protocol_name: &str) -> TspResult {
         }
     }
 
-    let finish_times = Arc::new(Mutex::new(Vec::new()));
+    let finish = Latest::default();
     let expanded_total = Arc::new(Mutex::new(0u64));
     let final_bounds = Arc::new(Mutex::new(Vec::new()));
-    let done = rt.create_barrier(config.nodes, None);
+    let done = rt.create_barrier(nodes, None);
     let instance = Arc::new(instance);
 
-    for node in 0..config.nodes {
+    for node in 0..nodes {
         let instance = Arc::clone(&instance);
         let my_prefixes: Vec<(usize, usize)> = prefixes
             .iter()
             .copied()
             .enumerate()
-            .filter(|(i, _)| i % config.nodes == node)
+            .filter(|(i, _)| i % nodes == node)
             .map(|(_, p)| p)
             .collect();
-        let finish_times = finish_times.clone();
+        let finish = finish.clone();
         let expanded_total = expanded_total.clone();
         let final_bounds = final_bounds.clone();
         let config = config.clone();
@@ -367,7 +347,7 @@ pub fn run_tsp(config: &TspConfig, protocol_name: &str) -> TspResult {
             }
             search.flush_compute(ctx);
             ctx.dsm_barrier(done);
-            finish_times.lock().push(ctx.pm2.now());
+            finish.record(ctx.pm2.now());
             *expanded_total.lock() += search.expanded;
             // Every worker reads the agreed-upon final bound.
             ctx.dsm_lock(bound_lock);
@@ -376,15 +356,7 @@ pub fn run_tsp(config: &TspConfig, protocol_name: &str) -> TspResult {
         });
     }
 
-    let mut engine = engine;
-    engine.run().expect("TSP run must not deadlock");
-
-    let elapsed = finish_times
-        .lock()
-        .iter()
-        .copied()
-        .max()
-        .unwrap_or(SimTime::ZERO);
+    let run = RunOutcome::run(&mut engine, &rt, &finish);
     let best = final_bounds
         .lock()
         .iter()
@@ -400,10 +372,9 @@ pub fn run_tsp(config: &TspConfig, protocol_name: &str) -> TspResult {
     let expanded = *expanded_total.lock();
     TspResult {
         best,
-        elapsed,
-        stats: rt.stats().snapshot(),
         expanded,
         migrations,
+        run,
     }
 }
 
@@ -437,7 +408,7 @@ mod tests {
             let result = run_tsp(&config, proto);
             assert_eq!(result.best, oracle, "protocol {proto}");
             assert!(result.expanded > 0);
-            assert!(result.elapsed > SimTime::ZERO);
+            assert!(result.run.elapsed > dsmpm2_sim::SimTime::ZERO);
         }
     }
 
@@ -451,14 +422,14 @@ mod tests {
             migrating.migrations >= 2,
             "threads must migrate to the data"
         );
-        assert_eq!(migrating.stats.page_transfers, 0);
+        assert_eq!(migrating.run.stats.page_transfers, 0);
         // Figure 4's shape: the migration protocol is slower because all the
         // compute piles up on one node.
         assert!(
-            migrating.elapsed > page_based.elapsed,
+            migrating.run.elapsed > page_based.run.elapsed,
             "migrate_thread {} should be slower than li_hudak {}",
-            migrating.elapsed,
-            page_based.elapsed
+            migrating.run.elapsed,
+            page_based.run.elapsed
         );
     }
 

@@ -4,6 +4,7 @@
 //!
 //! Run with: `cargo run --release --example jacobi -- [size] [nodes] [iters]`
 
+use dsm_pm2::prelude::Pm2Config;
 use dsm_pm2::workloads::jacobi::{run_jacobi, JacobiConfig};
 
 fn main() {
@@ -22,19 +23,16 @@ fn main() {
         let config = JacobiConfig {
             size,
             iterations,
-            nodes,
-            network: dsm_pm2::madeleine::profiles::bip_myrinet(),
             compute_per_cell_us: 0.05,
-            tuning: dsm_pm2::pm2::DsmTuning::default(),
-            transport: dsm_pm2::pm2::TransportTuning::default(),
+            cluster: Pm2Config::bip_myrinet(nodes),
         };
         let r = run_jacobi(&config, proto);
         println!(
             "{:<10} {:>14.1} {:>16} {:>12} {:>10.1}",
             proto,
-            r.elapsed.as_millis_f64(),
-            r.stats.page_transfers,
-            r.stats.diffs_sent,
+            r.run.elapsed.as_millis_f64(),
+            r.run.stats.page_transfers,
+            r.run.stats.diffs_sent,
             r.checksum
         );
         match reference {

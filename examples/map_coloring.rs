@@ -25,10 +25,10 @@ fn main() {
         println!(
             "{:<10} {:>14.1} {:>12} {:>14} {:>12}",
             proto,
-            r.elapsed.as_millis_f64(),
+            r.run.elapsed.as_millis_f64(),
             r.best_cost,
-            r.inline_checks,
-            r.faults
+            r.run.stats.inline_checks,
+            r.run.stats.total_faults()
         );
         costs.push(r.best_cost);
     }

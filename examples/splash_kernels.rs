@@ -5,6 +5,7 @@
 //!
 //! Run with: `cargo run --release --example splash_kernels`
 
+use dsm_pm2::prelude::Pm2Config;
 use dsm_pm2::workloads::{lu, matmul, radix, sor};
 
 fn main() {
@@ -20,14 +21,13 @@ fn main() {
         "{:<14} {:>14} {:>14} {:>14} {:>14} {:>14}",
         "kernel", protocols[0], protocols[1], protocols[2], protocols[3], protocols[4]
     );
+    // Every kernel runs on the same cluster.
+    let cluster = Pm2Config::bip_myrinet(4);
 
     let mm = matmul::MatmulConfig {
         n: 32,
-        nodes: 4,
-        network: dsm_pm2::madeleine::profiles::bip_myrinet(),
         compute_per_madd_us: 0.01,
-        tuning: dsm_pm2::pm2::DsmTuning::default(),
-        transport: dsm_pm2::pm2::TransportTuning::default(),
+        cluster: cluster.clone(),
     };
     let mm_oracle = matmul::sequential_checksum(mm.n);
     print!("{:<14}", "matmul 32x32");
@@ -37,7 +37,7 @@ fn main() {
             (r.checksum - mm_oracle).abs() < 1e-6,
             "{proto} diverged on matmul"
         );
-        print!(" {:>13.2}", r.elapsed.as_micros_f64() / 1000.0);
+        print!(" {:>13.2}", r.run.elapsed.as_micros_f64() / 1000.0);
     }
     println!();
 
@@ -45,11 +45,8 @@ fn main() {
         size: 32,
         iterations: 4,
         omega: 1.25,
-        nodes: 4,
-        network: dsm_pm2::madeleine::profiles::bip_myrinet(),
         compute_per_cell_us: 0.05,
-        tuning: dsm_pm2::pm2::DsmTuning::default(),
-        transport: dsm_pm2::pm2::TransportTuning::default(),
+        cluster: cluster.clone(),
     };
     let sor_oracle = sor::sequential_checksum(&sor_config);
     print!("{:<14}", "sor 32x32");
@@ -59,15 +56,14 @@ fn main() {
             (r.checksum - sor_oracle).abs() < 1e-6,
             "{proto} diverged on sor"
         );
-        print!(" {:>13.2}", r.elapsed.as_micros_f64() / 1000.0);
+        print!(" {:>13.2}", r.run.elapsed.as_micros_f64() / 1000.0);
     }
     println!();
 
     let lu_config = lu::LuConfig {
         n: 24,
-        nodes: 4,
-        network: dsm_pm2::madeleine::profiles::bip_myrinet(),
         compute_per_update_us: 0.02,
+        cluster: cluster.clone(),
     };
     let lu_oracle = lu::sequential_checksum(lu_config.n);
     print!("{:<14}", "lu 24x24");
@@ -77,7 +73,7 @@ fn main() {
             (r.checksum - lu_oracle).abs() < 1e-6,
             "{proto} diverged on lu"
         );
-        print!(" {:>13.2}", r.elapsed.as_micros_f64() / 1000.0);
+        print!(" {:>13.2}", r.run.elapsed.as_micros_f64() / 1000.0);
     }
     println!();
 
@@ -85,9 +81,8 @@ fn main() {
         keys: 256,
         max_key: 1 << 16,
         seed: 42,
-        nodes: 4,
-        network: dsm_pm2::madeleine::profiles::bip_myrinet(),
         compute_per_key_us: 0.05,
+        cluster,
     };
     let mut oracle = radix::input_keys(&radix_config);
     oracle.sort_unstable();
@@ -95,7 +90,7 @@ fn main() {
     for proto in protocols {
         let r = radix::run_radix(&radix_config, proto);
         assert_eq!(r.sorted, oracle, "{proto} produced an unsorted array");
-        print!(" {:>13.2}", r.elapsed.as_micros_f64() / 1000.0);
+        print!(" {:>13.2}", r.run.elapsed.as_micros_f64() / 1000.0);
     }
     println!();
 

@@ -26,10 +26,10 @@ fn main() {
         println!(
             "{:<16} {:>14.1} {:>16} {:>12} {:>12}",
             proto,
-            r.elapsed.as_millis_f64(),
-            r.stats.page_transfers,
+            r.run.elapsed.as_millis_f64(),
+            r.run.stats.page_transfers,
             r.migrations,
-            r.stats.total_faults()
+            r.run.stats.total_faults()
         );
     }
     println!("\nAs in the paper, the page-based protocols beat migrate_thread: all threads");

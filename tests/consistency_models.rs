@@ -322,13 +322,51 @@ fn per_region_protocols_behave_independently() {
 // (`entry_sw` is excluded: it requires regions to be bound to locks and is
 // exercised by its own tests.)
 
-use dsm_pm2::pm2::{DsmTuning, TransportTuning};
+use dsm_pm2::pm2::TransportTuning;
 use dsm_pm2::workloads::{
     false_sharing::{run_false_sharing, FalseSharingConfig},
     jacobi::{run_jacobi, JacobiConfig},
     matmul::{run_matmul, MatmulConfig},
     sor::{run_sor, SorConfig},
 };
+
+/// The matrix's jacobi cell: a 16×16 grid, 2 iterations, on `cluster`.
+fn jacobi(cluster: Pm2Config) -> JacobiConfig {
+    JacobiConfig {
+        size: 16,
+        iterations: 2,
+        compute_per_cell_us: 0.02,
+        cluster,
+    }
+}
+
+/// The matrix's sor cell: a 16×16 grid, 2 iterations, on `cluster`.
+fn sor(cluster: Pm2Config) -> SorConfig {
+    SorConfig {
+        size: 16,
+        iterations: 2,
+        omega: 1.25,
+        compute_per_cell_us: 0.02,
+        cluster,
+    }
+}
+
+/// The matrix's matmul cell: 8×8 matrices on `cluster`.
+fn matmul(cluster: Pm2Config) -> MatmulConfig {
+    MatmulConfig {
+        n: 8,
+        compute_per_madd_us: 0.01,
+        cluster,
+    }
+}
+
+/// `nodes` BIP/Myrinet nodes at coherence granularity `granularity`.
+fn lines(nodes: usize, granularity: Option<usize>) -> Pm2Config {
+    Pm2Config {
+        granularity,
+        ..Pm2Config::bip_myrinet(nodes)
+    }
+}
 
 /// Every protocol that runs unmodified application code (8 of the 9 shipped).
 const MATRIX_PROTOCOLS: [&str; 8] = [
@@ -346,21 +384,13 @@ const MATRIX_NODES: [usize; 3] = [1, 2, 4];
 
 #[test]
 fn conformance_matrix_jacobi() {
-    let config = |nodes: usize| JacobiConfig {
-        size: 16,
-        iterations: 2,
-        nodes,
-        network: dsm_pm2::pm2::profiles::bip_myrinet(),
-        compute_per_cell_us: 0.02,
-        tuning: DsmTuning::default(),
-        transport: TransportTuning::default(),
-    };
+    let config = |nodes: usize| jacobi(Pm2Config::bip_myrinet(nodes));
     let baseline = run_jacobi(&config(1), "li_hudak");
     assert!(
         baseline.final_cells.iter().any(|&c| c != 0),
         "baseline must produce a non-trivial grid"
     );
-    assert_eq!(baseline.stats.coherence_batches, 0, "baseline batched");
+    assert_eq!(baseline.run.stats.coherence_batches, 0, "baseline batched");
     for proto in MATRIX_PROTOCOLS {
         for nodes in MATRIX_NODES {
             let r = run_jacobi(&config(nodes), proto);
@@ -374,19 +404,10 @@ fn conformance_matrix_jacobi() {
 
 #[test]
 fn conformance_matrix_sor() {
-    let config = |nodes: usize| SorConfig {
-        size: 16,
-        iterations: 2,
-        omega: 1.25,
-        nodes,
-        network: dsm_pm2::pm2::profiles::bip_myrinet(),
-        compute_per_cell_us: 0.02,
-        tuning: DsmTuning::default(),
-        transport: TransportTuning::default(),
-    };
+    let config = |nodes: usize| sor(Pm2Config::bip_myrinet(nodes));
     let baseline = run_sor(&config(1), "li_hudak");
     assert!(baseline.final_cells.iter().any(|&c| c != 0));
-    assert_eq!(baseline.stats.coherence_batches, 0, "baseline batched");
+    assert_eq!(baseline.run.stats.coherence_batches, 0, "baseline batched");
     for proto in MATRIX_PROTOCOLS {
         for nodes in MATRIX_NODES {
             let r = run_sor(&config(nodes), proto);
@@ -409,18 +430,7 @@ fn conformance_matrix_sor() {
 /// thread storm the same way, `tests/baton_stress.rs`.)
 #[test]
 fn conformance_matrix_across_handoff_modes() {
-    let r = run_jacobi(
-        &JacobiConfig {
-            size: 16,
-            iterations: 2,
-            nodes: 4,
-            network: dsm_pm2::pm2::profiles::bip_myrinet(),
-            compute_per_cell_us: 0.02,
-            tuning: DsmTuning::default(),
-            transport: TransportTuning::default(),
-        },
-        "hbrc_mw",
-    );
+    let r = run_jacobi(&jacobi(Pm2Config::bip_myrinet(4)), "hbrc_mw");
     // FNV-1a over the cells' bit patterns.
     let memory = r
         .final_cells
@@ -431,10 +441,10 @@ fn conformance_matrix_across_handoff_modes() {
     assert_eq!(
         (
             memory,
-            r.engine.final_time.as_nanos(),
-            r.engine.events,
-            r.engine.context_switches,
-            r.engine.threads_spawned,
+            r.run.engine.final_time.as_nanos(),
+            r.run.engine.events,
+            r.run.engine.context_switches,
+            r.run.engine.threads_spawned,
         ),
         // Events and switches were 430 and 271 while a thread that ended
         // owing a charge took one more slice to sleep it off: 76 of the 88 did.
@@ -445,7 +455,7 @@ fn conformance_matrix_across_handoff_modes() {
     // read-modify-write: a bump lost between two baton OS threads would
     // leave time and memory alone and show up only here.
     assert_eq!(
-        r.stats,
+        r.run.stats,
         DsmStatsSnapshot {
             read_faults: 9,
             write_faults: 12,
@@ -473,17 +483,10 @@ fn conformance_matrix_across_handoff_modes() {
 
 #[test]
 fn conformance_matrix_matmul() {
-    let config = |nodes: usize| MatmulConfig {
-        n: 8,
-        nodes,
-        network: dsm_pm2::pm2::profiles::bip_myrinet(),
-        compute_per_madd_us: 0.01,
-        tuning: DsmTuning::default(),
-        transport: TransportTuning::default(),
-    };
+    let config = |nodes: usize| matmul(Pm2Config::bip_myrinet(nodes));
     let baseline = run_matmul(&config(1), "li_hudak");
     assert!(baseline.final_cells.iter().any(|&c| c != 0));
-    assert_eq!(baseline.stats.coherence_batches, 0, "baseline batched");
+    assert_eq!(baseline.run.stats.coherence_batches, 0, "baseline batched");
     for proto in MATRIX_PROTOCOLS {
         for nodes in MATRIX_NODES {
             let r = run_matmul(&config(nodes), proto);
@@ -508,37 +511,11 @@ fn conformance_matrix_matmul() {
 fn conformance_matrix_under_contended_and_lossy_transports() {
     use dsm_pm2::pm2::TransportBackend;
 
-    let jacobi = |nodes: usize, transport: TransportTuning| JacobiConfig {
-        size: 16,
-        iterations: 2,
-        nodes,
-        network: dsm_pm2::pm2::profiles::bip_myrinet(),
-        compute_per_cell_us: 0.02,
-        tuning: DsmTuning::default(),
-        transport,
-    };
-    let sor = |nodes: usize, transport: TransportTuning| SorConfig {
-        size: 16,
-        iterations: 2,
-        omega: 1.25,
-        nodes,
-        network: dsm_pm2::pm2::profiles::bip_myrinet(),
-        compute_per_cell_us: 0.02,
-        tuning: DsmTuning::default(),
-        transport,
-    };
-    let matmul = |nodes: usize, transport: TransportTuning| MatmulConfig {
-        n: 8,
-        nodes,
-        network: dsm_pm2::pm2::profiles::bip_myrinet(),
-        compute_per_madd_us: 0.01,
-        tuning: DsmTuning::default(),
-        transport,
-    };
-
-    let jacobi_baseline = run_jacobi(&jacobi(1, TransportTuning::ideal()), "li_hudak");
-    let sor_baseline = run_sor(&sor(1, TransportTuning::ideal()), "li_hudak");
-    let matmul_baseline = run_matmul(&matmul(1, TransportTuning::ideal()), "li_hudak");
+    let on =
+        |nodes: usize, transport| Pm2Config::bip_myrinet(nodes).with_transport_tuning(transport);
+    let jacobi_baseline = run_jacobi(&jacobi(on(1, TransportTuning::ideal())), "li_hudak");
+    let sor_baseline = run_sor(&sor(on(1, TransportTuning::ideal())), "li_hudak");
+    let matmul_baseline = run_matmul(&matmul(on(1, TransportTuning::ideal())), "li_hudak");
 
     let mut contended_stall_ns = 0u64;
     let mut lossy_drops = 0u64;
@@ -547,7 +524,7 @@ fn conformance_matrix_under_contended_and_lossy_transports() {
         let lossy = matches!(transport.backend, TransportBackend::Lossy(_));
         for proto in MATRIX_PROTOCOLS {
             for nodes in [2usize, 4] {
-                let r = run_jacobi(&jacobi(nodes, transport), proto);
+                let r = run_jacobi(&jacobi(on(nodes, transport)), proto);
                 assert_eq!(
                     r.final_cells,
                     jacobi_baseline.final_cells,
@@ -555,13 +532,13 @@ fn conformance_matrix_under_contended_and_lossy_transports() {
                     transport.backend.name()
                 );
                 if lossy {
-                    lossy_drops += r.wire.drops;
-                    lossy_retransmits += r.wire.retransmits;
+                    lossy_drops += r.run.wire.drops;
+                    lossy_retransmits += r.run.wire.retransmits;
                 } else {
-                    contended_stall_ns += r.wire.contention_stall_ns();
+                    contended_stall_ns += r.run.wire.contention_stall_ns();
                 }
 
-                let r = run_sor(&sor(nodes, transport), proto);
+                let r = run_sor(&sor(on(nodes, transport)), proto);
                 assert_eq!(
                     r.final_cells,
                     sor_baseline.final_cells,
@@ -569,13 +546,13 @@ fn conformance_matrix_under_contended_and_lossy_transports() {
                     transport.backend.name()
                 );
                 if lossy {
-                    lossy_drops += r.wire.drops;
-                    lossy_retransmits += r.wire.retransmits;
+                    lossy_drops += r.run.wire.drops;
+                    lossy_retransmits += r.run.wire.retransmits;
                 } else {
-                    contended_stall_ns += r.wire.contention_stall_ns();
+                    contended_stall_ns += r.run.wire.contention_stall_ns();
                 }
 
-                let r = run_matmul(&matmul(nodes, transport), proto);
+                let r = run_matmul(&matmul(on(nodes, transport)), proto);
                 assert_eq!(
                     r.final_cells,
                     matmul_baseline.final_cells,
@@ -583,10 +560,10 @@ fn conformance_matrix_under_contended_and_lossy_transports() {
                     transport.backend.name()
                 );
                 if lossy {
-                    lossy_drops += r.wire.drops;
-                    lossy_retransmits += r.wire.retransmits;
+                    lossy_drops += r.run.wire.drops;
+                    lossy_retransmits += r.run.wire.retransmits;
                 } else {
-                    contended_stall_ns += r.wire.contention_stall_ns();
+                    contended_stall_ns += r.run.wire.contention_stall_ns();
                 }
             }
         }
@@ -615,54 +592,33 @@ const SUBPAGE_PROTOCOLS: [&str; 3] = ["li_hudak_fixed", "erc_sw", "hbrc_mw"];
 /// bit-identical to the whole-page run of the same cell.
 #[test]
 fn conformance_matrix_line_granularity() {
-    let jacobi = |nodes: usize, tuning: DsmTuning| JacobiConfig {
-        size: 16,
-        iterations: 2,
-        nodes,
-        network: dsm_pm2::pm2::profiles::bip_myrinet(),
-        compute_per_cell_us: 0.02,
-        tuning,
-        transport: TransportTuning::default(),
+    let fs = |cluster: Pm2Config| FalseSharingConfig {
+        cluster,
+        ..FalseSharingConfig::small(1)
     };
-    let sor = |nodes: usize, tuning: DsmTuning| SorConfig {
-        size: 16,
-        iterations: 2,
-        omega: 1.25,
-        nodes,
-        network: dsm_pm2::pm2::profiles::bip_myrinet(),
-        compute_per_cell_us: 0.02,
-        tuning,
-        transport: TransportTuning::default(),
-    };
-    let fs = |nodes: usize, tuning: DsmTuning| {
-        let mut c = FalseSharingConfig::small(nodes);
-        c.network = dsm_pm2::pm2::profiles::bip_myrinet();
-        c.tuning = tuning;
-        c
-    };
-    let line = |bytes: usize| DsmTuning::default().with_granularity(bytes);
     for proto in SUBPAGE_PROTOCOLS {
         for nodes in MATRIX_NODES {
-            let base_j = run_jacobi(&jacobi(nodes, DsmTuning::default()), proto);
-            let base_s = run_sor(&sor(nodes, DsmTuning::default()), proto);
-            let base_f = run_false_sharing(&fs(nodes, DsmTuning::default()), proto);
-            let r = run_jacobi(&jacobi(nodes, line(256)), proto);
+            let (page, line) = (lines(nodes, None), lines(nodes, Some(256)));
+            let base_j = run_jacobi(&jacobi(page.clone()), proto);
+            let base_s = run_sor(&sor(page.clone()), proto);
+            let base_f = run_false_sharing(&fs(page), proto);
+            let r = run_jacobi(&jacobi(line.clone()), proto);
             assert_eq!(
                 r.final_cells, base_j.final_cells,
                 "jacobi memory diverged at line granularity under {proto} x {nodes} nodes"
             );
-            let r = run_sor(&sor(nodes, line(256)), proto);
+            let r = run_sor(&sor(line.clone()), proto);
             assert_eq!(
                 r.final_cells, base_s.final_cells,
                 "sor memory diverged at line granularity under {proto} x {nodes} nodes"
             );
-            let r = run_false_sharing(&fs(nodes, line(256)), proto);
+            let r = run_false_sharing(&fs(line), proto);
             assert_eq!(
                 r.final_slots, base_f.final_slots,
                 "false_sharing memory diverged at line granularity under {proto} x {nodes} nodes"
             );
             // The kernel built for the ablation also runs at its own stride.
-            let r = run_false_sharing(&fs(nodes, line(64)), proto);
+            let r = run_false_sharing(&fs(lines(nodes, Some(64))), proto);
             assert_eq!(
                 r.final_slots, base_f.final_slots,
                 "false_sharing memory diverged at 64-byte lines under {proto} x {nodes} nodes"
@@ -676,28 +632,16 @@ fn conformance_matrix_line_granularity() {
 /// final memory AND virtual time — to the default-granularity run.
 #[test]
 fn non_subpage_protocols_clamp_granularity_to_pages() {
-    let jacobi = |nodes: usize, tuning: DsmTuning| JacobiConfig {
-        size: 16,
-        iterations: 2,
-        nodes,
-        network: dsm_pm2::pm2::profiles::bip_myrinet(),
-        compute_per_cell_us: 0.02,
-        tuning,
-        transport: TransportTuning::default(),
-    };
     for proto in ["li_hudak", "migrate_thread", "hlrc_notices", "java_ic"] {
         for nodes in [2usize, 4] {
-            let base = run_jacobi(&jacobi(nodes, DsmTuning::default()), proto);
-            let clamped = run_jacobi(
-                &jacobi(nodes, DsmTuning::default().with_granularity(256)),
-                proto,
-            );
+            let base = run_jacobi(&jacobi(lines(nodes, None)), proto);
+            let clamped = run_jacobi(&jacobi(lines(nodes, Some(256))), proto);
             assert_eq!(
                 clamped.final_cells, base.final_cells,
                 "clamped jacobi memory diverged under {proto} x {nodes} nodes"
             );
             assert_eq!(
-                clamped.elapsed, base.elapsed,
+                clamped.run.elapsed, base.run.elapsed,
                 "clamped jacobi virtual time diverged under {proto} x {nodes} nodes"
             );
         }
@@ -705,34 +649,22 @@ fn non_subpage_protocols_clamp_granularity_to_pages() {
 }
 
 /// An *explicit* whole-page granularity (4096) must be byte-for-byte the same
-/// machine as the default (0 = unset): final memory AND virtual completion
+/// machine as the default (`None`): final memory AND virtual completion
 /// time agree for every protocol in the matrix. This pins the tentpole's
 /// compatibility claim — the line machinery at its default setting is not a
 /// new code path, it IS the old one.
 #[test]
 fn explicit_page_granularity_is_bit_identical_to_default() {
-    let jacobi = |nodes: usize, tuning: DsmTuning| JacobiConfig {
-        size: 16,
-        iterations: 2,
-        nodes,
-        network: dsm_pm2::pm2::profiles::bip_myrinet(),
-        compute_per_cell_us: 0.02,
-        tuning,
-        transport: TransportTuning::default(),
-    };
     for proto in MATRIX_PROTOCOLS {
         for nodes in MATRIX_NODES {
-            let base = run_jacobi(&jacobi(nodes, DsmTuning::default()), proto);
-            let explicit = run_jacobi(
-                &jacobi(nodes, DsmTuning::default().with_granularity(4096)),
-                proto,
-            );
+            let base = run_jacobi(&jacobi(lines(nodes, None)), proto);
+            let explicit = run_jacobi(&jacobi(lines(nodes, Some(4096))), proto);
             assert_eq!(
                 explicit.final_cells, base.final_cells,
                 "explicit page granularity changed jacobi memory under {proto} x {nodes} nodes"
             );
             assert_eq!(
-                explicit.elapsed, base.elapsed,
+                explicit.run.elapsed, base.run.elapsed,
                 "explicit page granularity changed jacobi virtual time under {proto} x {nodes} nodes"
             );
         }

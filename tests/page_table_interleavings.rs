@@ -19,7 +19,6 @@ use parking_lot::Mutex;
 use proptest::prelude::*;
 
 use dsm_pm2::core::{line_of_offset, DsmAttr, DsmRuntime, HomePolicy, Unit};
-use dsm_pm2::pm2::DsmTuning;
 use dsm_pm2::prelude::*;
 
 const NODES: usize = 3;
@@ -27,9 +26,10 @@ const PAGES: usize = 2;
 const PAGE_BYTES: u64 = 4096;
 
 const PROTOCOLS: [&str; 4] = ["li_hudak", "li_hudak_fixed", "erc_sw", "hbrc_mw"];
-/// Coherence granularities (0 = whole pages). Node slots are `SLOT_STRIDE`
-/// apart, so at 1 kB lines every node's slot has a line of its own.
-const GRANULARITY_CHOICES: [usize; 2] = [0, 1024];
+/// Coherence granularities (`None` = whole pages). Node slots are
+/// `SLOT_STRIDE` apart, so at 1 kB lines every node's slot has a line of its
+/// own.
+const GRANULARITY_CHOICES: [Option<usize>; 2] = [None, Some(1024)];
 const SLOT_STRIDE: u64 = 1024;
 
 /// One sampled operation: (acting node, page, kind, value).
@@ -39,13 +39,13 @@ const SLOT_STRIDE: u64 = 1024;
 ///          sharing: forces replication / invalidation traffic).
 type Op = (usize, usize, u32, u8);
 
-fn run_interleaving(ops: &[Op], protocol: &str, granularity: usize) -> Vec<u8> {
+fn run_interleaving(ops: &[Op], protocol: &str, granularity: Option<usize>) -> Vec<u8> {
     let engine = Engine::new();
-    let tuning = DsmTuning::default().with_granularity(granularity);
-    let rt = DsmRuntime::new(
-        &engine,
-        Pm2Config::bip_myrinet(NODES).with_dsm_tuning(tuning),
-    );
+    let cluster = Pm2Config {
+        granularity,
+        ..Pm2Config::bip_myrinet(NODES)
+    };
+    let rt = DsmRuntime::new(&engine, cluster);
     let _ = register_all_protocols(&rt);
     rt.set_default_protocol(rt.protocol_by_name(protocol).unwrap());
     let base = rt.dsm_malloc(
@@ -153,7 +153,7 @@ proptest! {
         prop_assert_eq!(
             observed,
             expected,
-            "final page contents diverged under {} at granularity {}",
+            "final page contents diverged under {} at granularity {:?}",
             protocol,
             granularity
         );

@@ -4,6 +4,7 @@
 //! post-mortem monitoring facilities.
 
 use dsm_pm2::madeleine::profiles;
+use dsm_pm2::pm2::Pm2Config;
 use dsm_pm2::workloads::map_coloring::{run_map_coloring, solve_sequential, ColoringConfig};
 use dsm_pm2::workloads::tsp::{run_tsp, TspConfig, TspInstance};
 use dsm_pm2::workloads::{measure_read_fault, run_shared_counter, FaultPolicy};
@@ -48,7 +49,7 @@ fn figure4_shape_on_reduced_instance() {
     for proto in ["li_hudak", "migrate_thread", "erc_sw", "hbrc_mw"] {
         let r = run_tsp(&config, proto);
         assert_eq!(r.best, oracle, "{proto}");
-        times.push((proto, r.elapsed));
+        times.push((proto, r.run.elapsed));
     }
     let migrate_time = times
         .iter()
@@ -74,14 +75,15 @@ fn figure5_shape_on_reduced_instance() {
     let pf = run_map_coloring(&config, "java_pf");
     let oracle = solve_sequential(config.num_states);
     assert_eq!((ic.best_cost, pf.best_cost), (oracle, oracle));
+    let (ic, pf) = (ic.run, pf.run);
     assert!(
         pf.elapsed < ic.elapsed,
         "pf {} vs ic {}",
         pf.elapsed,
         ic.elapsed
     );
-    assert!(ic.inline_checks > pf.inline_checks);
-    assert!(pf.faults > 0);
+    assert!(ic.stats.inline_checks > pf.stats.inline_checks);
+    assert!(pf.stats.total_faults() > 0);
 }
 
 /// Portability: the same shared-counter program produces the same result on
@@ -91,7 +93,7 @@ fn figure5_shape_on_reduced_instance() {
 fn portability_same_result_different_cost() {
     let mut results = Vec::new();
     for net in profiles::all() {
-        let v = run_shared_counter(2, 5, net.clone(), "li_hudak");
+        let v = run_shared_counter(&Pm2Config::new(2, net.clone()), 5, "li_hudak");
         assert_eq!(v, 10, "{}", net.name);
         results.push(net.name);
     }
