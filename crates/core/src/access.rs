@@ -17,9 +17,11 @@
 //! scalar codecs) carry `#[inline]`, because a build without LTO — the
 //! benchmark package's — otherwise makes each a real call on every access.
 //! The hit path's own steps here and [`crate::PageTable::resolve`] carry
-//! `#[inline(always)]`: LLVM, weighing their hash probes, kept them out of
-//! line under the hint, which cost `stencil_local` a third of its time.
-//! Only a miss leaves the caller's code.
+//! `#[inline(always)]`: LLVM kept them out of line under the hint, which
+//! cost `stencil_local` a third of its time. Only a miss leaves the caller's
+//! code. Neither the page table nor the frame store is searched: each keeps
+//! one slot per page (`PageMap`), so the unit's entry and the frame are each
+//! one subtraction and one bounds check away from the address.
 
 use dsmpm2_madeleine::NodeId;
 

@@ -15,13 +15,11 @@
 //! out again as twins, snapshots and fresh frames, and a whole page received
 //! from another node becomes the frame's contents as it is.
 
-use std::collections::hash_map::Entry;
-
 use dsmpm2_madeleine::NodeId;
 use dsmpm2_sim::SliceCell;
 
 use crate::diff::{DiffRun, PageDiff};
-use crate::page::{IdMap, LineIx, PageId, Unit, PAGE_SIZE};
+use crate::page::{LineIx, PageId, PageMap, Unit, PAGE_SIZE};
 
 /// A locally mapped page.
 ///
@@ -119,7 +117,7 @@ impl Spare {
 
 #[derive(Default)]
 struct Frames {
-    mapped: IdMap<PageId, Frame>,
+    mapped: PageMap<Frame>,
     spare: Spare,
 }
 
@@ -142,7 +140,7 @@ impl FrameStore {
 
     /// True if the node currently holds a copy of `page`.
     pub fn has(&self, page: PageId) -> bool {
-        self.frames.borrow().mapped.contains_key(&page)
+        self.frames.borrow().mapped.contains(page)
     }
 
     /// Make sure a zero-filled frame exists for `page` (used when a page is
@@ -150,7 +148,9 @@ impl FrameStore {
     pub fn ensure_zeroed(&self, page: PageId) {
         let mut frames = self.frames.borrow();
         let Frames { mapped, spare } = &mut *frames;
-        mapped.entry(page).or_insert_with(|| spare.zeroed_frame());
+        mapped
+            .slot(page)
+            .get_or_insert_with(|| spare.zeroed_frame());
     }
 
     /// Install `data` as the contents of `unit`, which covers `span` of its
@@ -165,19 +165,17 @@ impl FrameStore {
         assert_eq!(data.len(), len, "installed unit must be {len} bytes");
         let mut frames = self.frames.borrow();
         let Frames { mapped, spare } = &mut *frames;
+        let slot = mapped.slot(unit.page);
         let frame = if len == PAGE_SIZE {
-            match mapped.entry(unit.page) {
-                Entry::Occupied(slot) => {
-                    let frame = slot.into_mut();
+            match slot {
+                Some(frame) => {
                     spare.give(std::mem::replace(&mut frame.data, data));
                     frame
                 }
-                Entry::Vacant(slot) => slot.insert(Frame::holding(data)),
+                None => slot.insert(Frame::holding(data)),
             }
         } else {
-            let frame = mapped
-                .entry(unit.page)
-                .or_insert_with(|| spare.zeroed_frame());
+            let frame = slot.get_or_insert_with(|| spare.zeroed_frame());
             frame.data[offset..offset + len].copy_from_slice(&data);
             spare.give(data);
             frame
@@ -199,11 +197,11 @@ impl FrameStore {
         let mut frames = self.frames.borrow();
         let Frames { mapped, spare } = &mut *frames;
         if span.1 == PAGE_SIZE {
-            if let Some(frame) = mapped.remove(&unit.page) {
+            if let Some(frame) = mapped.remove(unit.page) {
                 spare.give_frame(frame);
             }
         } else if let Some(twin) = mapped
-            .get_mut(&unit.page)
+            .get_mut(unit.page)
             .and_then(|frame| frame.take_twin(unit.line))
         {
             spare.give(twin);
@@ -213,7 +211,7 @@ impl FrameStore {
     /// Drop the local copy of `page`; true if there was one.
     pub fn evict(&self, page: PageId) -> bool {
         let mut frames = self.frames.borrow();
-        let Some(frame) = frames.mapped.remove(&page) else {
+        let Some(frame) = frames.mapped.remove(page) else {
             return false;
         };
         frames.spare.give_frame(frame);
@@ -293,6 +291,12 @@ impl FrameStore {
         })
     }
 
+    /// Forget the modification ranges recorded on `page` (its home copy, which
+    /// nothing merges them into, is already up to date).
+    pub fn clear_recorded(&self, page: PageId) {
+        self.with(page, |f, _| f.recorded.clear());
+    }
+
     /// True if `page` has recorded (not yet flushed) modifications.
     pub fn has_recorded(&self, page: PageId) -> bool {
         self.recorded_ranges(page) > 0
@@ -309,11 +313,10 @@ impl FrameStore {
         self.with(page, |f, _| diff.apply(&mut f.data));
     }
 
-    /// Every page currently mapped on this node.
+    /// Every page currently mapped on this node, ascending.
     pub fn pages(&self) -> Vec<PageId> {
-        let mut pages: Vec<PageId> = self.frames.borrow().mapped.keys().copied().collect();
-        pages.sort();
-        pages
+        let frames = self.frames.borrow();
+        frames.mapped.iter().map(|(page, _)| page).collect()
     }
 
     #[inline]
@@ -321,7 +324,7 @@ impl FrameStore {
         let mut frames = self.frames.borrow();
         let Frames { mapped, spare } = &mut *frames;
         let frame = mapped
-            .get_mut(&page)
+            .get_mut(page)
             .unwrap_or_else(|| panic!("node {} has no frame for {page}", self.node));
         f(frame, spare)
     }
@@ -539,7 +542,9 @@ mod tests {
             write(s, PAGE, offset, &pattern);
             assert!(s.make_twin(unit, span));
             assert_eq!(spare_buffers(s), 0);
-            assert_eq!(s.frames.borrow().mapped[&PAGE].twins[0].1, pattern);
+            let frames = s.frames.borrow();
+            assert_eq!(frames.mapped.get(PAGE).unwrap().twins[0].1, pattern);
+            drop(frames);
             // The twin's buffer returns and is the next snapshot.
             assert!(s.take_twin_diff(unit, offset).is_empty());
             assert_eq!(spare_buffers(s), 1);
@@ -583,8 +588,9 @@ mod tests {
             let address = data.as_ptr();
             s.install(Unit::whole(page), whole, data);
             let frames = s.frames.borrow();
-            assert_eq!(frames.mapped[&page].data.as_ptr(), address);
-            assert_eq!(frames.mapped[&page].data, vec![7u8; PAGE_SIZE]);
+            let frame = frames.mapped.get(page).unwrap();
+            assert_eq!(frame.data.as_ptr(), address);
+            assert_eq!(frame.data, vec![7u8; PAGE_SIZE]);
             // Only `PAGE` had a frame whose buffer could be replaced.
             assert_eq!(frames.spare.buffers.len(), 1);
         }

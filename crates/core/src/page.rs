@@ -5,10 +5,12 @@
 //! consistency protocols. Addresses are cluster-wide iso-addresses (see
 //! `dsmpm2_pm2::IsoAllocator`), so a [`DsmAddr`] designates the same datum on
 //! every node.
+//!
+//! What the runtime keeps per page sits in a [`PageMap`], indexed by page
+//! number rather than hashed: shared pages are handed out contiguously, so a
+//! page's entry is reached the way a page manager reaches it — by position.
 
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
 
 /// Size of a DSM page in bytes. The paper's measurements use common 4 kB pages.
 pub const PAGE_SIZE: usize = 4096;
@@ -112,37 +114,102 @@ pub fn line_range(line: LineIx, line_size: usize) -> (usize, usize) {
     (line.index() * line_size, line_size)
 }
 
-/// Multiply-xor hasher for the page-table and frame maps. Their keys are page
-/// ids and line indices the runtime hands out itself, so SipHash's protection
-/// against crafted keys buys nothing, and these maps are probed on every
-/// typed access.
-#[derive(Clone, Copy, Default)]
-pub(crate) struct IdHasher(u64);
+/// A table with one slot per page, for what the runtime keeps per DSM page
+/// (the directory, each node's page table and frames). DSM pages are dense:
+/// `IsoAllocator::alloc_shared` bumps page-aligned ranges up from
+/// `ISO_SHARED_BASE`, so slot `i` holds page `base + i` and a lookup is one
+/// subtraction and one bounds check — no hashing, no probing. A page below
+/// the base wraps to an index past the end, so a page outside every slot is
+/// simply absent. The base is the lowest page ever given a slot: a page
+/// below it (a node may receive pages in any order) shifts the slots up.
+#[derive(Debug)]
+pub(crate) struct PageMap<T> {
+    /// Page number of slot 0.
+    base: u64,
+    slots: Vec<Option<T>>,
+}
 
-impl Hasher for IdHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(u64::from(b));
+impl<T> Default for PageMap<T> {
+    fn default() -> Self {
+        PageMap {
+            base: 0,
+            slots: Vec::new(),
         }
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn write_u16(&mut self, x: u16) {
-        self.write_u64(u64::from(x));
-    }
-
-    fn finish(&self) -> u64 {
-        // The multiply leaves its entropy in the high bits, the maps index by
-        // the low ones.
-        self.0.rotate_left(26)
     }
 }
 
-/// A map keyed by page ids / line indices (see [`IdHasher`]).
-pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+impl<T> PageMap<T> {
+    #[inline(always)]
+    fn index(&self, page: PageId) -> usize {
+        page.0.wrapping_sub(self.base) as usize
+    }
+
+    /// The value of `page`, if it has one.
+    #[inline(always)]
+    pub fn get(&self, page: PageId) -> Option<&T> {
+        self.slots.get(self.index(page))?.as_ref()
+    }
+
+    /// The value of `page`, mutably, if it has one.
+    #[inline(always)]
+    pub fn get_mut(&mut self, page: PageId) -> Option<&mut T> {
+        let at = self.index(page);
+        self.slots.get_mut(at)?.as_mut()
+    }
+
+    /// True if `page` has a value.
+    pub fn contains(&self, page: PageId) -> bool {
+        self.get(page).is_some()
+    }
+
+    /// The slot of `page`, created empty (with any slot between it and the
+    /// others) if the map did not reach it.
+    pub fn slot(&mut self, page: PageId) -> &mut Option<T> {
+        if self.slots.is_empty() {
+            self.base = page.0;
+        } else if page.0 < self.base {
+            let shift = (self.base - page.0) as usize;
+            self.slots
+                .splice(0..0, std::iter::repeat_with(|| None).take(shift));
+            self.base = page.0;
+        }
+        let at = self.index(page);
+        if at >= self.slots.len() {
+            self.slots.resize_with(at + 1, || None);
+        }
+        &mut self.slots[at]
+    }
+
+    /// Give `page` the value `value`, returning the one it replaces.
+    pub fn insert(&mut self, page: PageId, value: T) -> Option<T> {
+        self.slot(page).replace(value)
+    }
+
+    /// Take the value of `page` out of the map.
+    pub fn remove(&mut self, page: PageId) -> Option<T> {
+        let at = self.index(page);
+        self.slots.get_mut(at)?.take()
+    }
+
+    /// Every page with a value, ascending, with its value.
+    pub fn iter(&self) -> impl Iterator<Item = (PageId, &T)> {
+        let base = self.base;
+        self.slots
+            .iter()
+            .enumerate()
+            .filter_map(move |(i, slot)| Some((PageId(base + i as u64), slot.as_ref()?)))
+    }
+
+    /// Number of pages with a value.
+    pub fn len(&self) -> usize {
+        self.slots.iter().filter(|slot| slot.is_some()).count()
+    }
+
+    /// True if no page has a value.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+}
 
 /// A cluster-wide shared-memory address.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
@@ -294,7 +361,65 @@ mod tests {
         assert_eq!(format!("{}", PageId(7)), "P7");
     }
 
+    /// Page numbers of the shared iso range, where DSM pages live.
+    const SHARED: u64 = 1 << 32;
+
+    #[test]
+    fn page_map_reaches_pages_by_position() {
+        let mut map = PageMap::default();
+        assert_eq!(map.get(PageId(SHARED)), None);
+        assert_eq!(map.insert(PageId(SHARED + 2), 'c'), None);
+        assert_eq!(map.insert(PageId(SHARED), 'a'), None, "below the first");
+        assert_eq!(map.insert(PageId(SHARED + 2), 'C'), Some('c'));
+        assert_eq!(map.get(PageId(SHARED)), Some(&'a'));
+        assert_eq!(map.get(PageId(SHARED + 1)), None, "a gap is a slot");
+        assert_eq!(map.get(PageId(SHARED + 3)), None, "past the end");
+        assert_eq!(map.get(PageId(0)), None, "far below the base");
+        assert_eq!(map.get(PageId(u64::MAX)), None);
+        assert_eq!(map.remove(PageId(0)), None);
+        *map.get_mut(PageId(SHARED)).unwrap() = 'A';
+        let all: Vec<_> = map.iter().map(|(p, &v)| (p.0 - SHARED, v)).collect();
+        assert_eq!(all, [(0, 'A'), (2, 'C')]);
+        assert_eq!(map.remove(PageId(SHARED)), Some('A'));
+        assert_eq!((map.len(), map.is_empty()), (1, false));
+        assert!(map.contains(PageId(SHARED + 2)));
+    }
+
     proptest! {
+        /// A `PageMap` is an ordered map of pages under any sequence of
+        /// inserts, removals and lookups, whatever order its pages come in:
+        /// a node installs frames in the order pages reach it, below the
+        /// first page it got included.
+        #[test]
+        fn prop_page_map_matches_a_btree_map(
+            ops in proptest::collection::vec((0u8..3, 0u64..40, any::<u32>()), 1..120),
+        ) {
+            let mut map = PageMap::default();
+            let mut model = std::collections::BTreeMap::new();
+            for (op, page, value) in ops {
+                let page = PageId(SHARED + page);
+                match op {
+                    0 => prop_assert_eq!(map.insert(page, value), model.insert(page, value)),
+                    1 => prop_assert_eq!(map.remove(page), model.remove(&page)),
+                    _ => {
+                        if let Some(v) = map.get_mut(page) {
+                            *v = value;
+                        }
+                        if let Some(v) = model.get_mut(&page) {
+                            *v = value;
+                        }
+                    }
+                }
+                for p in (SHARED - 2..SHARED + 42).map(PageId) {
+                    prop_assert_eq!(map.get(p), model.get(&p));
+                }
+                let listed: Vec<_> = map.iter().map(|(p, &v)| (p, v)).collect();
+                let expected: Vec<_> = model.iter().map(|(&p, &v)| (p, v)).collect();
+                prop_assert_eq!(listed, expected);
+                prop_assert_eq!(map.len(), model.len());
+            }
+        }
+
         /// Page/offset decomposition is a bijection.
         #[test]
         fn prop_page_offset_roundtrip(addr in 0u64..(1 << 40)) {

@@ -18,8 +18,16 @@
 //! [`PageEntry::line_span`] is `(0, PAGE_SIZE)` — the same entries, reached
 //! through the same code. The one place that maps a byte offset to its unit
 //! is [`PageTable::resolve`]: line 0's entry always exists and records the
-//! page's line size (the *geometry*), and the target entry lives in the same
-//! map (`resolve_views_the_unit_of_an_offset` covers both geometries).
+//! page's line size (the *geometry*), and the target entry sits in the same
+//! slot (`resolve_views_the_unit_of_an_offset` covers both geometries).
+//!
+//! # No search
+//!
+//! The entries are a [`PageMap`]: one slot per page, reached by position.
+//! Line 0 sits inline in its page's slot, and a page split into lines keeps
+//! its other lines in one boxed slice beside it, so a hit reads its entry
+//! with one subtraction and a bounds check or two, as an MMU reads a page
+//! table entry.
 //!
 //! # No lock
 //!
@@ -36,7 +44,7 @@ use std::collections::BTreeSet;
 use dsmpm2_madeleine::NodeId;
 use dsmpm2_sim::{BlockReason, EngineCtl, SimDuration, SimHandle, SliceCell, WaitSet};
 
-use crate::page::{line_of_offset, Access, IdMap, LineIx, PageId, Unit, LINE0, PAGE_SIZE};
+use crate::page::{line_of_offset, Access, LineIx, PageId, PageMap, Unit, PAGE_SIZE};
 use crate::protocol::ProtocolId;
 
 /// One page-table entry: the coherence state of one line of one page (the
@@ -136,6 +144,52 @@ impl PageEntry {
     }
 }
 
+/// The entries of one page: line 0 inline, the page's other lines (none at
+/// whole-page granularity) in one boxed slice, line `i` at `rest[i - 1]`.
+struct PageLines {
+    first: PageEntry,
+    rest: Box<[PageEntry]>,
+}
+
+impl PageLines {
+    /// Fresh entries for every `line_size`-byte line of `page`.
+    fn new(
+        page: PageId,
+        line_size: usize,
+        home: NodeId,
+        protocol: ProtocolId,
+        records_writes: bool,
+    ) -> Self {
+        let mut lines = Unit::all_of(page, line_size)
+            .map(|unit| PageEntry::new_line(unit, line_size, home, protocol, records_writes));
+        PageLines {
+            first: lines.next().expect("a page has at least one line"),
+            rest: lines.collect(),
+        }
+    }
+
+    #[inline(always)]
+    fn line(&self, line: LineIx) -> Option<&PageEntry> {
+        match line.index() {
+            0 => Some(&self.first),
+            i => self.rest.get(i - 1),
+        }
+    }
+
+    #[inline(always)]
+    fn line_mut(&mut self, line: LineIx) -> Option<&mut PageEntry> {
+        match line.index() {
+            0 => Some(&mut self.first),
+            i => self.rest.get_mut(i - 1),
+        }
+    }
+
+    /// Every entry of the page, by line.
+    fn iter(&self) -> impl Iterator<Item = &PageEntry> {
+        std::iter::once(&self.first).chain(self.rest.iter())
+    }
+}
+
 /// What a typed access needs to know about the coherence unit it touches: a
 /// small `Copy` view resolved by [`PageTable::resolve`], in place of a clone
 /// of the whole entry (copyset included).
@@ -153,8 +207,8 @@ pub struct UnitView {
     pub records_writes: bool,
 }
 
-/// The page table of one node: one map of entries, and one wait set whose
-/// waiters are keyed by the unit they block on — while it is fetched, or
+/// The page table of one node: one slot of entries per page, and one wait
+/// set whose waiters are keyed by the unit they block on — while it is fetched, or
 /// while acknowledgements for it are outstanding. One piece of simulated
 /// code runs at a time, which is why neither is behind a lock (see the
 /// module documentation). A thread blocks on a unit only through
@@ -162,7 +216,7 @@ pub struct UnitView {
 /// compute is slept off before it can be woken.
 pub struct PageTable {
     node: NodeId,
-    entries: SliceCell<IdMap<Unit, PageEntry>>,
+    entries: SliceCell<PageMap<PageLines>>,
     waiters: WaitSet<Unit>,
 }
 
@@ -188,24 +242,22 @@ impl PageTable {
         records_writes: bool,
         line_size: usize,
     ) {
-        let mut entries = self.entries.borrow();
-        for unit in Unit::all_of(page, line_size) {
-            entries.entry(unit).or_insert_with(|| {
-                PageEntry::new_line(unit, line_size, home, protocol, records_writes)
-            });
-        }
+        self.entries
+            .borrow()
+            .slot(page)
+            .get_or_insert_with(|| PageLines::new(page, line_size, home, protocol, records_writes));
     }
 
     /// Drop every line entry of `page`. Only used when a region is
     /// re-registered with a different protocol or granularity; the caller
     /// must have quiesced all activity on the page first.
     pub fn remove_page(&self, page: PageId) {
-        self.entries.borrow().retain(|unit, _| unit.page != page);
+        self.entries.borrow().remove(page);
     }
 
     /// True if the table knows about `page`.
     pub fn contains(&self, page: PageId) -> bool {
-        self.entries.borrow().contains_key(&Unit::whole(page))
+        self.entries.borrow().contains(page)
     }
 
     /// A copy of the entry for `unit`.
@@ -227,13 +279,13 @@ impl PageTable {
     #[inline(always)]
     pub fn resolve(&self, page: PageId, offset: usize, mark_write: bool) -> Option<UnitView> {
         let mut entries = self.entries.borrow();
-        let mut entry = entries.get_mut(&Unit::whole(page))?;
-        if entry.line_size != PAGE_SIZE {
-            let line = line_of_offset(offset, entry.line_size);
-            if line != LINE0 {
-                entry = entries.get_mut(&Unit { page, line })?;
-            }
-        }
+        let lines = entries.get_mut(page)?;
+        let line_size = lines.first.line_size;
+        let entry = if line_size == PAGE_SIZE {
+            &mut lines.first
+        } else {
+            lines.line_mut(line_of_offset(offset, line_size))?
+        };
         if mark_write && entry.access == Access::Write {
             entry.modified_since_release = true;
         }
@@ -251,7 +303,7 @@ impl PageTable {
     /// not know the unit. The entries stay borrowed for the duration of `f`:
     /// never call back into the same table from inside.
     pub fn try_read<R>(&self, unit: Unit, f: impl FnOnce(&PageEntry) -> R) -> Option<R> {
-        self.entries.borrow().get(&unit).map(f)
+        self.entries.borrow().get(unit.page)?.line(unit.line).map(f)
     }
 
     /// [`PageTable::try_read`] for a unit that must be registered.
@@ -268,7 +320,10 @@ impl PageTable {
     /// Panics if the unit is not registered on this node.
     pub fn update<R>(&self, unit: Unit, f: impl FnOnce(&mut PageEntry) -> R) -> R {
         let mut entries = self.entries.borrow();
-        let entry = entries.get_mut(&unit).unwrap_or_else(|| self.unknown(unit));
+        let entry = entries
+            .get_mut(unit.page)
+            .and_then(|lines| lines.line_mut(unit.line))
+            .unwrap_or_else(|| self.unknown(unit));
         f(entry)
     }
 
@@ -307,37 +362,28 @@ impl PageTable {
         self.waiters.notify_all(unit, ctl, SimDuration::ZERO);
     }
 
-    /// Every page registered in this table (each page once, regardless of how
-    /// many lines it is split into).
+    /// Every page registered in this table, ascending (each page once,
+    /// regardless of how many lines it is split into).
     pub fn pages(&self) -> Vec<PageId> {
-        let mut pages: Vec<PageId> = self
-            .entries
-            .borrow()
-            .keys()
-            .filter(|unit| unit.line == LINE0)
-            .map(|unit| unit.page)
-            .collect();
-        pages.sort();
-        pages
+        self.entries.borrow().iter().map(|(page, _)| page).collect()
     }
 
     /// Coherence units this node wrote since the last release
-    /// (release-consistency bookkeeping), sorted.
+    /// (release-consistency bookkeeping), sorted: the slots are walked by
+    /// page and each page by line.
     pub fn modified_units(&self) -> Vec<Unit> {
-        let mut units: Vec<Unit> = self
-            .entries
-            .borrow()
-            .iter()
-            .filter(|(_, e)| e.modified_since_release)
-            .map(|(unit, _)| *unit)
-            .collect();
-        units.sort();
-        units
+        let entries = self.entries.borrow();
+        let entries = entries.iter().flat_map(|(_, lines)| lines.iter());
+        entries
+            .filter(|e| e.modified_since_release)
+            .map(|e| e.unit)
+            .collect()
     }
 
     /// Number of entries (line entries count individually).
     pub fn len(&self) -> usize {
-        self.entries.borrow().len()
+        let entries = self.entries.borrow();
+        entries.iter().map(|(_, lines)| 1 + lines.rest.len()).sum()
     }
 
     /// True if the table has no entries.
@@ -355,7 +401,7 @@ impl std::fmt::Debug for PageTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::page::lines_per_page;
+    use crate::page::{lines_per_page, LINE0};
 
     const PAGE: PageId = PageId(7);
 
@@ -502,13 +548,65 @@ mod tests {
         assert_eq!(resumed_at.load(Ordering::SeqCst), 100_000);
     }
 
+    /// Pages come out ascending and modified units by page, then line,
+    /// however the pages were registered — below the first one included.
     #[test]
-    fn pages_are_sorted() {
+    fn pages_and_modified_units_are_sorted() {
         let t = PageTable::new(NodeId(0));
         for p in [5u64, 1, 3] {
-            t.ensure_lines(PageId(p), NodeId(0), ProtocolId(0), false, PAGE_SIZE);
+            t.ensure_lines(PageId(p), NodeId(0), ProtocolId(0), false, 1024);
         }
         assert_eq!(t.pages(), vec![PageId(1), PageId(3), PageId(5)]);
+        let written = [(5, 0), (1, 3), (3, 1), (5, 2), (1, 0)];
+        for (page, line) in written {
+            t.update(Unit::new(PageId(page), LineIx(line)), |e| {
+                e.modified_since_release = true
+            });
+        }
+        let units = |list: &[(u64, u16)]| -> Vec<Unit> {
+            let unit = |&(page, line): &(u64, u16)| Unit::new(PageId(page), LineIx(line));
+            list.iter().map(unit).collect()
+        };
+        let sorted = [(1, 0), (1, 3), (3, 1), (5, 0), (5, 2)];
+        assert_eq!(t.modified_units(), units(&sorted));
+        t.remove_page(PageId(1));
+        assert_eq!(t.modified_units(), units(&sorted[2..]));
+        assert_eq!((t.pages().len(), t.len()), (2, 8));
+    }
+
+    /// The lines of a split page share its slot: line 0 inline, the others
+    /// beside it. Each resolves to, updates and loses its rights as its own
+    /// entry, and dropping the page takes them all.
+    #[test]
+    fn the_lines_of_a_split_page_are_independent_entries() {
+        let t = PageTable::new(NodeId(1));
+        let page = PageId(4);
+        t.ensure_lines(page, NodeId(0), ProtocolId(2), false, 1024);
+        let (first, third) = (Unit::whole(page), Unit::new(page, LineIx(2)));
+        for unit in [first, third] {
+            t.update(unit, |e| {
+                e.access = Access::Write;
+                e.copyset.insert(NodeId(1));
+            });
+        }
+        assert_eq!(t.resolve(page, 8, true).unwrap().line, LINE0);
+        assert_eq!(t.resolve(page, 2048 + 8, false).unwrap().line, LineIx(2));
+        assert_eq!(t.modified_units(), vec![first], "only line 0 was written");
+        // Invalidate line 2 as a protocol would: rights and copy go.
+        t.update(third, |e| {
+            e.access = Access::None;
+            e.copyset.clear();
+        });
+        let view = t.resolve(page, 3000, true).unwrap();
+        assert_eq!((view.line, view.access), (LineIx(2), Access::None));
+        assert_eq!(t.access(first), Access::Write, "line 0 keeps its rights");
+        assert!(t.get(first).copyset.contains(&NodeId(1)));
+        assert_eq!(t.access(Unit::new(page, LineIx(1))), Access::None);
+        assert_eq!(t.try_read(Unit::new(page, LineIx(4)), |_| ()), None);
+        t.remove_page(page);
+        assert_eq!(t.resolve(page, 8, false), None);
+        t.ensure_lines(page, NodeId(0), ProtocolId(2), false, 1024);
+        assert_eq!(t.access(first), Access::None, "re-registered afresh");
     }
 
     #[test]

@@ -559,12 +559,16 @@ pub fn flush_diffs_to_homes(
     // transmit them together.
     let mut outgoing = Vec::new();
     for &unit in units {
-        // A unit homed here is already up to date: just clear the dirty flag.
+        // A unit homed here is already up to date: just clear the dirty flag
+        // and forget the writes recorded on it, which no home will merge.
         let offset = table.update(unit, |e| {
             e.modified_since_release = false;
             e.line_span().0
         });
         if rt.page_meta(unit.page).home == node {
+            if use_recorded {
+                rt.frames(node).clear_recorded(unit.page);
+            }
             continue;
         }
         outgoing.push(if use_recorded {

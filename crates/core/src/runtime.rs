@@ -1,7 +1,7 @@
 //! The DSM runtime: ties together the page manager, the communication module,
 //! the protocol registry, shared-memory allocation and DSM thread creation.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use dsmpm2_madeleine::NodeId;
@@ -13,7 +13,7 @@ use crate::ctx::DsmThreadCtx;
 use crate::frames::FrameStore;
 use crate::msg::DsmMsg;
 use crate::page::{
-    pages_covering, validate_line_size, Access, DsmAddr, IdMap, PageId, Unit, PAGE_SIZE,
+    pages_covering, validate_line_size, Access, DsmAddr, PageId, PageMap, Unit, PAGE_SIZE,
 };
 use crate::page_table::PageTable;
 use crate::protocol::{DsmProtocol, ProtocolId};
@@ -92,7 +92,7 @@ struct NodeState {
 /// The cluster-wide page directory, and which protocols it names.
 #[derive(Default)]
 struct Directory {
-    pages: IdMap<PageId, PageMeta>,
+    pages: PageMap<PageMeta>,
     /// Number of pages each protocol manages, indexed by protocol id.
     pages_of: Vec<usize>,
     /// The protocols managing at least one page, ascending. Replaced, never
@@ -191,10 +191,11 @@ pub(crate) struct RuntimeInner {
     directory: SliceCell<Directory>,
     protocols: ProtocolRegistry,
     default_protocol: AtomicUsize,
-    pub(crate) locks: SliceCell<IdMap<u64, Arc<LockState>>>,
-    pub(crate) barriers: SliceCell<IdMap<u64, Arc<BarrierState>>>,
-    next_lock: AtomicU64,
-    next_barrier: AtomicU64,
+    /// Every lock and barrier created so far, in order: ids start at 1, so
+    /// the one with id `i` is at index `i - 1` and a new one's id is the
+    /// table's length once it is in.
+    locks: SliceCell<Vec<Arc<LockState>>>,
+    barriers: SliceCell<Vec<Arc<BarrierState>>>,
     stats: DsmStats,
     /// The monitor rows `dsm_page_fault` and `dsm_migrate_on_fault`, resolved
     /// once so that a fault looks nothing up by name.
@@ -258,8 +259,6 @@ impl DsmRuntime {
             default_protocol: AtomicUsize::new(NO_DEFAULT),
             locks: SliceCell::default(),
             barriers: SliceCell::default(),
-            next_lock: AtomicU64::new(1),
-            next_barrier: AtomicU64::new(1),
             stats: DsmStats::new(),
             page_fault_row,
             migrate_on_fault_row,
@@ -396,14 +395,14 @@ impl DsmRuntime {
             .directory
             .borrow()
             .pages
-            .get(&page)
+            .get(page)
             .copied()
             .unwrap_or_else(|| panic!("{page} is not part of any DSM allocation"))
     }
 
     /// True if `page` belongs to a DSM allocation.
     pub fn is_dsm_page(&self, page: PageId) -> bool {
-        self.inner.directory.borrow().pages.contains_key(&page)
+        self.inner.directory.borrow().pages.contains(page)
     }
 
     // ----- allocation --------------------------------------------------------
@@ -491,7 +490,7 @@ impl DsmRuntime {
     /// outside every allocation.
     pub fn region_granularity(&self, addr: DsmAddr) -> Option<usize> {
         let directory = self.inner.directory.borrow();
-        directory.pages.get(&addr.page()).map(|meta| meta.line_size)
+        directory.pages.get(addr.page()).map(|meta| meta.line_size)
     }
 
     /// Allocate the "static" shared data area (the `BEGIN_DSM_DATA` /
@@ -547,7 +546,7 @@ impl DsmRuntime {
         for &page in &pages {
             let meta = directory
                 .pages
-                .get_mut(&page)
+                .get_mut(page)
                 .unwrap_or_else(|| panic!("{page} is not part of any DSM allocation"));
             let (home, old_protocol) = (meta.home, meta.protocol);
             let old_line_size = meta.line_size;
@@ -684,43 +683,30 @@ impl DsmRuntime {
     /// Create a DSM lock managed by `manager` (or by a node chosen round-robin
     /// if `None`).
     pub fn create_lock(&self, manager: Option<NodeId>) -> LockId {
-        let id = self.inner.next_lock.fetch_add(1, Ordering::SeqCst);
-        let manager = manager.unwrap_or(NodeId(id as usize % self.num_nodes()));
-        self.inner
-            .locks
-            .borrow()
-            .insert(id, Arc::new(LockState::new(manager)));
-        LockId(id)
+        let mut locks = self.inner.locks.borrow();
+        let id = locks.len() + 1;
+        let manager = manager.unwrap_or(NodeId(id % self.num_nodes()));
+        locks.push(Arc::new(LockState::new(manager)));
+        LockId(id as u64)
     }
 
     /// Create a DSM barrier for `parties` participants, managed by `manager`
     /// (or node 0 if `None`).
     pub fn create_barrier(&self, parties: usize, manager: Option<NodeId>) -> BarrierId {
-        let id = self.inner.next_barrier.fetch_add(1, Ordering::SeqCst);
+        let mut barriers = self.inner.barriers.borrow();
         let manager = manager.unwrap_or(NodeId(0));
-        self.inner
-            .barriers
-            .borrow()
-            .insert(id, Arc::new(BarrierState::new(manager, parties)));
-        BarrierId(id)
+        barriers.push(Arc::new(BarrierState::new(manager, parties)));
+        BarrierId(barriers.len() as u64)
     }
 
     pub(crate) fn lock_state(&self, lock: LockId) -> Arc<LockState> {
-        self.inner
-            .locks
-            .borrow()
-            .get(&lock.0)
-            .cloned()
-            .unwrap_or_else(|| panic!("unknown DSM lock {lock:?}"))
+        let locks = self.inner.locks.borrow();
+        by_id(&locks, lock.0).unwrap_or_else(|| panic!("unknown DSM lock {lock:?}"))
     }
 
     pub(crate) fn barrier_state(&self, barrier: BarrierId) -> Arc<BarrierState> {
-        self.inner
-            .barriers
-            .borrow()
-            .get(&barrier.0)
-            .cloned()
-            .unwrap_or_else(|| panic!("unknown DSM barrier {barrier:?}"))
+        let barriers = self.inner.barriers.borrow();
+        by_id(&barriers, barrier.0).unwrap_or_else(|| panic!("unknown DSM barrier {barrier:?}"))
     }
 
     /// The manager node of `lock`.
@@ -732,6 +718,12 @@ impl DsmRuntime {
     pub fn barrier_manager(&self, barrier: BarrierId) -> NodeId {
         self.barrier_state(barrier).manager
     }
+}
+
+/// The lock or barrier with id `id` (ids start at 1) in its table.
+fn by_id<T>(table: &[Arc<T>], id: u64) -> Option<Arc<T>> {
+    let at = usize::try_from(id).ok()?.checked_sub(1)?;
+    table.get(at).cloned()
 }
 
 impl std::fmt::Debug for DsmRuntime {

@@ -388,6 +388,43 @@ mod tests {
         assert_eq!(report.final_time.as_nanos(), 536_775);
     }
 
+    /// A monitor exit forgets what `put` recorded on the node's own objects:
+    /// the home copy is main memory, so there is nothing to ship, and a log
+    /// kept past the release would only grow (one range per `put`, for the
+    /// whole run) and be listed again by every later release.
+    #[test]
+    fn monitor_exit_clears_the_write_log_of_a_home_page() {
+        for ic in [true, false] {
+            let (mut engine, rt, heap) = setup(2, ic);
+            let obj = heap.alloc_object_on(NodeId(0), 4);
+            let monitor = heap.create_monitor(Some(NodeId(0)));
+            let ranges = StdArc::new(parking_lot::Mutex::new(Vec::new()));
+            let (h, seen) = (heap.clone(), ranges.clone());
+            rt.spawn_dsm_thread(NodeId(0), "home", move |ctx| {
+                let frames = |ctx: &DsmThreadCtx<'_, '_>| {
+                    ctx.runtime()
+                        .frames(NodeId(0))
+                        .recorded_ranges(obj.addr.page())
+                };
+                for i in 0..1_000u64 {
+                    h.monitor_enter(ctx, monitor);
+                    h.put(ctx, obj, (i % 4) as usize, i);
+                    if i == 0 {
+                        seen.lock().push(frames(ctx));
+                    }
+                    h.monitor_exit(ctx, monitor);
+                }
+                seen.lock().push(frames(ctx));
+            });
+            engine.run().unwrap();
+            assert_eq!(*ranges.lock(), [1, 0], "java_ic: {ic}");
+            let page = obj.addr.page();
+            assert!(!rt.frames(NodeId(0)).has_recorded(page));
+            let unit = dsmpm2_core::Unit::whole(page);
+            assert!(!rt.page_table(NodeId(0)).get(unit).modified_since_release);
+        }
+    }
+
     #[test]
     fn local_accesses_are_cheaper_under_page_faults_than_inline_checks() {
         // The crux of Figure 5: for objects that are overwhelmingly local,

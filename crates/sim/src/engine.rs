@@ -281,9 +281,6 @@ struct ThreadEntry {
     slot: Arc<ThreadSlot>,
     /// Backing OS thread of a baton slot; `None` for continuations.
     join: Option<JoinHandle<()>>,
-    /// Daemon threads (protocol service loops) do not keep the simulation
-    /// alive and are not reported as deadlocked.
-    daemon: bool,
 }
 
 /// Thread ids are dense: the table mixes them with one multiply instead of
@@ -433,7 +430,6 @@ impl Shared {
         self: &Arc<Self>,
         name: Arc<str>,
         start_at: SimTime,
-        daemon: bool,
         shard_key: Option<u64>,
         opts: SpawnOptions,
         f: F,
@@ -499,9 +495,7 @@ impl Shared {
         };
 
         self.schedule_wake(Arc::clone(&slot), start_at);
-        threads
-            .live
-            .insert(tid.0, ThreadEntry { slot, join, daemon });
+        threads.live.insert(tid.0, ThreadEntry { slot, join });
         tid
     }
 
@@ -663,7 +657,7 @@ impl EngineCtl {
     {
         let now = self.now();
         self.shared
-            .spawn_thread(name.into(), now, false, None, SpawnOptions::default(), f)
+            .spawn_thread(name.into(), now, None, SpawnOptions::default(), f)
     }
 
     /// Spawn a simulated thread bound to shard `shard_key` (see
@@ -696,33 +690,6 @@ impl EngineCtl {
         self.shared.spawn_thread(
             name.into(),
             start_at,
-            false,
-            Some(shard_key),
-            SpawnOptions::default(),
-            f,
-        )
-    }
-
-    /// Spawn a daemon thread (see [`Engine::spawn_daemon`]) from a controller.
-    pub fn spawn_daemon<F>(&self, name: impl Into<Arc<str>>, f: F) -> ThreadId
-    where
-        F: FnOnce(&mut SimHandle) + Send + 'static,
-    {
-        let now = self.now();
-        self.shared
-            .spawn_thread(name.into(), now, true, None, SpawnOptions::default(), f)
-    }
-
-    /// Spawn a daemon thread bound to shard `shard_key`.
-    pub fn spawn_daemon_on<F>(&self, shard_key: u64, name: impl Into<Arc<str>>, f: F) -> ThreadId
-    where
-        F: FnOnce(&mut SimHandle) + Send + 'static,
-    {
-        let now = self.now();
-        self.shared.spawn_thread(
-            name.into(),
-            now,
-            true,
             Some(shard_key),
             SpawnOptions::default(),
             f,
@@ -811,8 +778,7 @@ impl Engine {
         F: FnOnce(&mut SimHandle) + Send + 'static,
     {
         let now = self.shared.now();
-        self.shared
-            .spawn_thread(name.into(), now, false, None, opts, f)
+        self.shared.spawn_thread(name.into(), now, None, opts, f)
     }
 
     /// Spawn a simulated thread bound to shard `shard_key`: all its wake-ups
@@ -824,24 +790,6 @@ impl Engine {
         F: FnOnce(&mut SimHandle) + Send + 'static,
     {
         self.ctl().spawn_on(shard_key, name, f)
-    }
-
-    /// Spawn a daemon thread: it behaves like a normal simulated thread but
-    /// does not keep the simulation alive. Used for service loops that block
-    /// on their incoming queue forever.
-    pub fn spawn_daemon<F>(&self, name: impl Into<Arc<str>>, f: F) -> ThreadId
-    where
-        F: FnOnce(&mut SimHandle) + Send + 'static,
-    {
-        self.ctl().spawn_daemon(name, f)
-    }
-
-    /// Spawn a daemon thread bound to shard `shard_key`.
-    pub fn spawn_daemon_on<F>(&self, shard_key: u64, name: impl Into<Arc<str>>, f: F) -> ThreadId
-    where
-        F: FnOnce(&mut SimHandle) + Send + 'static,
-    {
-        self.ctl().spawn_daemon_on(shard_key, name, f)
     }
 
     /// Install a [`ScheduleController`]: every same-instant event-order tie
@@ -883,7 +831,7 @@ impl Engine {
     }
 
     /// Verdict once the event queue is empty: clean completion (`Ok`) or a
-    /// deadlock report naming each parked non-daemon thread and, when the
+    /// deadlock report naming each parked thread and, when the
     /// slot recorded one, the [`BlockReason`] it is stuck on.
     fn drained_verdict(&self) -> Result<(), SimError> {
         let shared = &self.shared;
@@ -892,7 +840,7 @@ impl Engine {
             .borrow()
             .live
             .values()
-            .filter(|e| !e.daemon && e.slot.is_parked() && !e.slot.is_finished())
+            .filter(|e| e.slot.is_parked() && !e.slot.is_finished())
             .map(|e| match e.slot.blocked_on() {
                 Some(reason) => {
                     format!("{} ({}) blocked on {:?}", e.slot.name, e.slot.id, reason)
@@ -1310,11 +1258,10 @@ mod tests {
     }
 
     #[test]
-    fn panicking_and_daemon_threads_are_reaped_like_any_other() {
+    fn a_panicking_thread_is_reaped_like_any_other() {
         // Driven without `run`'s teardown, which empties the table anyway.
         let engine = Engine::new();
-        engine.spawn_daemon("daemon", |h| h.charge(SimDuration::from_micros(1)));
-        engine.spawn_daemon("parked", park_forever);
+        engine.spawn("parked", park_forever);
         engine.spawn("bad", |h| {
             h.sleep(SimDuration::from_micros(3));
             panic!("intentional test panic");

@@ -151,7 +151,7 @@ impl SimHandle {
         let start_at = self.now();
         let key = self.slot.shard_key();
         self.shared()
-            .spawn_thread(name.into(), start_at, false, Some(key), opts, f)
+            .spawn_thread(name.into(), start_at, Some(key), opts, f)
     }
 
     /// Spawn a new simulated thread bound to an explicit shard (see
@@ -164,26 +164,7 @@ impl SimHandle {
         self.shared().spawn_thread(
             name.into(),
             start_at,
-            false,
             Some(shard_key),
-            SpawnOptions::default(),
-            f,
-        )
-    }
-
-    /// Spawn a daemon thread (see [`crate::Engine::spawn_daemon`]) starting at
-    /// this thread's current local time, on this thread's shard.
-    pub fn spawn_daemon<F>(&mut self, name: impl Into<Arc<str>>, f: F) -> ThreadId
-    where
-        F: FnOnce(&mut SimHandle) + Send + 'static,
-    {
-        let start_at = self.now();
-        let key = self.slot.shard_key();
-        self.shared().spawn_thread(
-            name.into(),
-            start_at,
-            true,
-            Some(key),
             SpawnOptions::default(),
             f,
         )

@@ -406,7 +406,9 @@ fn access_hits_do_not_allocate() {
     let (gets, puts) = object_hits();
     assert_eq!(gets, 0, "HyperionHeap::get allocated on a hit");
     // `put` appends to the frame's `recorded` log, a Vec that doubles: 10 000
-    // entries are at most 14 growths, and nothing else may allocate.
+    // entries are at most 14 growths, and nothing else may allocate. The
+    // puts run outside any monitor, so no release empties the log in
+    // between; a monitor exit on a home page clears it and keeps its buffer.
     assert!(puts <= 14, "HyperionHeap::put allocated {puts} times");
     // The payload's box, the arrival event's closure and the handler call's
     // closure — no `String`, no thread. The parent commit of the change that
