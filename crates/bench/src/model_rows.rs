@@ -27,7 +27,7 @@ use std::fmt;
 use dsmpm2_core::{
     DsmAddr, DsmAttr, DsmCosts, DsmRuntime, HomePolicy, NodeId, Pm2Cluster, Pm2Config,
 };
-use dsmpm2_madeleine::{profiles, LossyConfig, NetworkModel, TransportBackend, TransportTuning};
+use dsmpm2_madeleine::{profiles, LossyConfig, NetworkModel, TransportTuning};
 use dsmpm2_pm2::{service_fn, Engine, RpcClass, RpcReply};
 use dsmpm2_protocols::register_builtin_protocols;
 use dsmpm2_sim::SimDuration;
@@ -173,13 +173,11 @@ pub fn migration_latency(network: NetworkModel) -> SimDuration {
 /// `Lossy` backend that loses nothing, because no queue is ever non-empty.
 /// A 3-sender × 2-message fan-in under `Contended` is where they part.
 fn transport_calibration(rows: &mut Rows) {
-    let lossless = TransportTuning {
-        backend: TransportBackend::Lossy(LossyConfig {
-            drop_per_mille: 0,
-            dup_per_mille: 0,
-            ..LossyConfig::default()
-        }),
-    };
+    let lossless = TransportTuning::Lossy(LossyConfig {
+        drop_per_mille: 0,
+        dup_per_mille: 0,
+        ..LossyConfig::default()
+    });
     for model in profiles::all() {
         let expected = model.page_transfer_time(4096);
         for (backend, tuning) in [

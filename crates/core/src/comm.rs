@@ -86,12 +86,12 @@ impl RpcService for DsmService {
         &self,
         ctl: &EngineCtl,
         local: NodeId,
-        from: NodeId,
+        _from: NodeId,
         payload: RpcPayload,
     ) {
         if let Some(inner) = self.rt.upgrade() {
             let msg = downcast::<DsmMsg>(payload, "dsm message");
-            serve_nonblocking(&DsmRuntime::from_inner(inner), ctl, local, from, msg);
+            serve_nonblocking(&DsmRuntime::from_inner(inner), ctl, local, msg);
         }
     }
 }
@@ -213,21 +213,13 @@ pub(crate) fn register_dsm_services(
     }
 }
 
-fn trace_msg(now: SimTime, local: NodeId, from: NodeId, msg: &DsmMsg) {
-    static TRACE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    if *TRACE.get_or_init(|| std::env::var("DSMPM2_TRACE").is_ok()) {
-        eprintln!("[{now}] N{} <- N{}: {:?}", local.0, from.0, TraceMsg(msg));
-    }
-}
-
 /// Serve one protocol message in a handler thread.
 fn serve_dsm_msg(ctx: &mut ServerCtx<'_>, msg: DsmMsg) {
     let rt = ctx.runtime;
     if msg.is_nonblocking() {
         let ctl = ctx.sim.ctl();
-        return serve_nonblocking(rt, ctl, ctx.local_node, ctx.from_node, msg);
+        return serve_nonblocking(rt, ctl, ctx.local_node, msg);
     }
-    trace_msg(ctx.sim.now(), ctx.local_node, ctx.from_node, &msg);
     match msg {
         DsmMsg::Batch(msgs) => {
             // Atomic unpack: every sub-message became visible at this same
@@ -248,7 +240,7 @@ fn serve_dsm_msg(ctx: &mut ServerCtx<'_>, msg: DsmMsg) {
                 let rt_sub = rt.clone();
                 if sub.is_nonblocking() {
                     ctx.sim.call_after_on(shard, SimDuration::ZERO, move |ctl| {
-                        serve_nonblocking(&rt_sub, ctl, local, from, sub);
+                        serve_nonblocking(&rt_sub, ctl, local, sub);
                     });
                     continue;
                 }
@@ -301,8 +293,7 @@ fn serve_dsm_msg(ctx: &mut ServerCtx<'_>, msg: DsmMsg) {
 /// Serve one of the messages [`DsmMsg::is_nonblocking`] names, on `local`'s
 /// shard at `ctl.now()`: generic-core table updates and wake-ups, with no
 /// charge and nothing to wait for, so no thread is needed to run them.
-fn serve_nonblocking(rt: &DsmRuntime, ctl: &EngineCtl, local: NodeId, from: NodeId, msg: DsmMsg) {
-    trace_msg(ctl.now(), local, from, &msg);
+fn serve_nonblocking(rt: &DsmRuntime, ctl: &EngineCtl, local: NodeId, msg: DsmMsg) {
     let table = rt.page_table(local);
     let acknowledge = |unit| {
         table.update(unit, |e| e.pending_acks = e.pending_acks.saturating_sub(1));
@@ -352,7 +343,7 @@ fn serve_nonblocking(rt: &DsmRuntime, ctl: &EngineCtl, local: NodeId, from: Node
             }
             unit
         }
-        other => unreachable!("{:?} may block", TraceMsg(&other)),
+        other => unreachable!("{other:?} may block"),
     };
     table.notify_all(unit, ctl);
 }
@@ -360,54 +351,6 @@ fn serve_nonblocking(rt: &DsmRuntime, ctl: &EngineCtl, local: NodeId, from: Node
 // ---------------------------------------------------------------------------
 // Sending primitives (the DSM communication module proper).
 // ---------------------------------------------------------------------------
-
-struct TraceMsg<'a>(&'a DsmMsg);
-impl std::fmt::Debug for TraceMsg<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self.0 {
-            DsmMsg::Request(r) => write!(
-                f,
-                "Request({:?} {} req=N{})",
-                r.access, r.unit.page, r.requester.0
-            ),
-            DsmMsg::Transfer(t) => write!(
-                f,
-                "Transfer({} grant={:?} owner=N{} v={})",
-                t.unit.page, t.grant, t.owner.0, t.version
-            ),
-            DsmMsg::Invalidate(i) => write!(
-                f,
-                "Invalidate({} from=N{} new_owner={:?} v={})",
-                i.unit.page, i.from.0, i.new_owner, i.version
-            ),
-            DsmMsg::InvalidateAck { unit } => {
-                write!(f, "InvalidateAck({} l={})", unit.page, unit.line.0)
-            }
-            DsmMsg::Diff { diff, from, .. } => write!(
-                f,
-                "Diff({} l={} from=N{})",
-                diff.unit.page, diff.unit.line.0, from.0
-            ),
-            DsmMsg::DiffAck { unit } => write!(f, "DiffAck({} l={})", unit.page, unit.line.0),
-            DsmMsg::AcquireDone {
-                unit,
-                owner,
-                version,
-            } => write!(
-                f,
-                "AcquireDone({} l={} owner=N{} v={version})",
-                unit.page, unit.line.0, owner.0
-            ),
-            DsmMsg::Batch(v) => {
-                write!(f, "Batch[")?;
-                for m in v {
-                    write!(f, "{:?}, ", TraceMsg(m))?;
-                }
-                write!(f, "]")
-            }
-        }
-    }
-}
 
 /// Wire cost class of one coherence message (pure control when it carries no
 /// payload, bulk otherwise): the class of an envelope that carries it alone.

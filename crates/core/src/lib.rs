@@ -72,5 +72,5 @@ pub use verify::{
 pub use dsmpm2_madeleine::{NodeId, Topology};
 pub use dsmpm2_pm2::{
     Engine, LossyConfig, PermutedConfig, Pm2Cluster, Pm2Config, Pm2ThreadState, SimDuration,
-    SimTime, ThreadId, TransportBackend, TransportTuning, WireStatsSnapshot,
+    SimTime, ThreadId, TransportTuning, WireStatsSnapshot,
 };

@@ -2,27 +2,31 @@
 //!
 //! The cost model ([`crate::NetworkModel`]) says how long one message takes
 //! on an otherwise idle interconnect; a transport backend says what happens
-//! when the wire is *not* idle. Three backends ship:
+//! when the wire is *not* idle. Four backends ship:
 //!
-//! * [`TransportBackend::Ideal`] — the historical behaviour: every link is an
+//! * [`TransportTuning::Ideal`] — the historical behaviour: every link is an
 //!   uncontended, infinite-capacity pipe; delivery happens exactly one
 //!   cost-model delay after the send, stretched only by the per-link FIFO
-//!   guarantee. Bit-identical (memory *and* virtual time) to the
-//!   pre-backend-seam transport.
-//! * [`TransportBackend::Contended`] — per-node egress and ingress NIC
+//!   guarantee. It is `Permuted` with a single delivery slot.
+//! * [`TransportTuning::Contended`] — per-node egress and ingress NIC
 //!   serialization plus duplex links: a node transmits one frame at a time at
 //!   the model's bandwidth, and a node receives one frame at a time, so
 //!   concurrent page transfers share bandwidth instead of overlapping for
 //!   free. Delivery is a scheduled event (the wire arrival), not a timestamp
 //!   precomputed at send time.
-//! * [`TransportBackend::Lossy`] — seeded deterministic frame drops and
+//! * [`TransportTuning::Lossy`] — seeded deterministic frame drops and
 //!   duplications with per-link retransmission timers and sequence numbers.
 //!   A receiver-side reorder buffer re-establishes the FIFO-no-overtake,
 //!   exactly-once guarantee above the loss layer, so protocols run unchanged
 //!   — only slower, by a deterministic amount reproducible from the seed.
+//! * [`TransportTuning::Permuted`] — `Ideal` with a delivery-slot choice
+//!   point per message for the schedule explorer.
 //!
-//! Every backend preserves the Madeleine channel invariant: on a directed
-//! link, a message never overtakes an earlier one.
+//! A backend hands each envelope, at its arrival time, to the network's one
+//! [`DeliverySink`], and adds what the wire did to it (stalls, drops,
+//! duplicates) to the network's counters through the same sink; it owns no
+//! counter of its own. Every backend preserves the Madeleine channel
+//! invariant: on a directed link, a message never overtakes an earlier one.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -30,53 +34,13 @@ use std::sync::Arc;
 use dsmpm2_sim::{EngineCtl, SimDuration, SimTime, SliceCell};
 
 use crate::model::NetworkModel;
-use crate::stats::{WireStats, WireStatsSnapshot};
 use crate::topology::{NodeId, Topology};
 use crate::transport::{DeliverySink, Envelope};
 
-/// Transport-layer tuning knobs of a cluster, threaded through `Pm2Config`.
+/// Which wire-level backend carries a [`crate::Network`]'s messages: the
+/// transport setting of a cluster, threaded through `Pm2Config`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub struct TransportTuning {
-    /// Which wire-level backend carries the messages.
-    pub backend: TransportBackend,
-}
-
-impl TransportTuning {
-    /// The historical uncontended pipe (the default).
-    pub fn ideal() -> Self {
-        TransportTuning {
-            backend: TransportBackend::Ideal,
-        }
-    }
-
-    /// Per-node NIC serialization and duplex link queues.
-    pub fn contended() -> Self {
-        TransportTuning {
-            backend: TransportBackend::Contended,
-        }
-    }
-
-    /// Seeded deterministic loss/duplication with retransmission.
-    pub fn lossy(seed: u64) -> Self {
-        TransportTuning {
-            backend: TransportBackend::Lossy(LossyConfig {
-                seed,
-                ..LossyConfig::default()
-            }),
-        }
-    }
-
-    /// Controller-permuted delivery order (the dsm-verify exploration seam).
-    pub fn permuted() -> Self {
-        TransportTuning {
-            backend: TransportBackend::Permuted(PermutedConfig::default()),
-        }
-    }
-}
-
-/// Selection of the wire-level behaviour of a [`crate::Network`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
-pub enum TransportBackend {
+pub enum TransportTuning {
     /// Uncontended infinite-capacity links (the historical behaviour).
     #[default]
     Ideal,
@@ -93,19 +57,42 @@ pub enum TransportBackend {
     Permuted(PermutedConfig),
 }
 
-impl TransportBackend {
+impl TransportTuning {
+    /// The historical uncontended pipe (the default).
+    pub fn ideal() -> Self {
+        TransportTuning::Ideal
+    }
+
+    /// Per-node NIC serialization and duplex link queues.
+    pub fn contended() -> Self {
+        TransportTuning::Contended
+    }
+
+    /// Seeded deterministic loss/duplication with retransmission.
+    pub fn lossy(seed: u64) -> Self {
+        TransportTuning::Lossy(LossyConfig {
+            seed,
+            ..LossyConfig::default()
+        })
+    }
+
+    /// Controller-permuted delivery order (the dsm-verify exploration seam).
+    pub fn permuted() -> Self {
+        TransportTuning::Permuted(PermutedConfig::default())
+    }
+
     /// Short human-readable backend name for reports.
     pub fn name(&self) -> &'static str {
         match self {
-            TransportBackend::Ideal => "ideal",
-            TransportBackend::Contended => "contended",
-            TransportBackend::Lossy(_) => "lossy",
-            TransportBackend::Permuted(_) => "permuted",
+            TransportTuning::Ideal => "ideal",
+            TransportTuning::Contended => "contended",
+            TransportTuning::Lossy(_) => "lossy",
+            TransportTuning::Permuted(_) => "permuted",
         }
     }
 }
 
-/// Parameters of the [`TransportBackend::Permuted`] backend.
+/// Parameters of the [`TransportTuning::Permuted`] backend.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PermutedConfig {
     /// Number of delivery slots offered to the controller per message
@@ -123,7 +110,7 @@ impl Default for PermutedConfig {
     }
 }
 
-/// Parameters of the [`TransportBackend::Lossy`] backend. All behaviour is a
+/// Parameters of the [`TransportTuning::Lossy`] backend. All behaviour is a
 /// pure function of these values, so a run replays bit-identically from the
 /// same seed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -135,7 +122,8 @@ pub struct LossyConfig {
     pub drop_per_mille: u16,
     /// Probability that a successfully received frame is duplicated on the
     /// wire, in 1/1000. Duplicates are discarded by the sequence-number
-    /// check and only show up in [`WireStatsSnapshot::duplicates`].
+    /// check and only show up in
+    /// [`WireStatsSnapshot::duplicates`](crate::WireStatsSnapshot::duplicates).
     pub dup_per_mille: u16,
     /// Retransmission timeout, as a multiple of the attempt's own wire time
     /// (clamped to ≥ 1): the sender re-sends a dropped frame `rto_factor`
@@ -163,14 +151,11 @@ const MAX_ATTEMPTS: u32 = 64;
 /// A backend receives every envelope together with the cost-model delay the
 /// caller computed (`base_delay`, the idle-wire transfer time) and must
 /// eventually deliver the envelope — exactly once, never overtaking an
-/// earlier message on the same directed link — into `tx`, the destination
-/// node's delivery sink (the network's delivery hook, or the incoming queue
-/// when none is installed).
+/// earlier message on the same directed link — into `tx`, the network's
+/// delivery sink.
 pub trait Transport<M: Send + 'static>: Send + Sync {
     /// Hand one envelope to the wire.
     fn submit(&self, env: Envelope<M>, base_delay: SimDuration, tx: &DeliverySink<M>);
-    /// Wire-level counters (stalls, drops, retransmits, duplicates).
-    fn wire_stats(&self) -> WireStatsSnapshot;
 }
 
 /// Build the backend selected by `tuning` for a cluster of
@@ -182,11 +167,13 @@ pub fn build_transport<M: Send + 'static>(
     tuning: TransportTuning,
 ) -> Box<dyn Transport<M>> {
     let n = topology.num_nodes;
-    match tuning.backend {
-        TransportBackend::Ideal => Box::new(IdealTransport::new(n)),
-        TransportBackend::Contended => Box::new(ContendedTransport::new(ctl, model, n)),
-        TransportBackend::Lossy(config) => Box::new(LossyTransport::<M>::new(ctl, config, n)),
-        TransportBackend::Permuted(config) => Box::new(PermutedTransport::new(ctl, config, n)),
+    match tuning {
+        TransportTuning::Ideal => Box::new(PermutedTransport::new(ctl, 1, n)),
+        TransportTuning::Contended => Box::new(ContendedTransport::new(ctl, model, n)),
+        TransportTuning::Lossy(config) => Box::new(LossyTransport::<M>::new(ctl, config, n)),
+        TransportTuning::Permuted(config) => {
+            Box::new(PermutedTransport::new(ctl, config.options, n))
+        }
     }
 }
 
@@ -243,62 +230,27 @@ impl NicClocks {
 }
 
 // ---------------------------------------------------------------------------
-// Ideal
-// ---------------------------------------------------------------------------
-
-/// The historical behaviour: delivery exactly `base_delay` after the send,
-/// stretched only by the per-link FIFO guarantee.
-struct IdealTransport {
-    links: LinkClocks,
-    stats: WireStats,
-}
-
-impl IdealTransport {
-    fn new(num_nodes: usize) -> Self {
-        IdealTransport {
-            links: LinkClocks::new(num_nodes),
-            stats: WireStats::default(),
-        }
-    }
-}
-
-impl<M: Send + 'static> Transport<M> for IdealTransport {
-    fn submit(&self, env: Envelope<M>, base_delay: SimDuration, tx: &DeliverySink<M>) {
-        let natural = env.sent_at + base_delay;
-        let arrival = self.links.reserve(env.from, env.to, natural);
-        self.stats.add_fifo_stall(arrival.since(natural));
-        tx.send_at(arrival, env);
-    }
-
-    fn wire_stats(&self) -> WireStatsSnapshot {
-        self.stats.snapshot()
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Permuted
 // ---------------------------------------------------------------------------
 
-/// `Ideal` with a delivery-order choice point per message: when the engine
-/// has a [`dsmpm2_sim::ScheduleController`] installed, every cross-node
-/// message asks it for one of `options` bounded delivery slots before the
-/// usual per-link FIFO reservation. Slot 0 reproduces `Ideal` exactly (and
-/// is what an uncontrolled run always takes), so runs without a controller
-/// are bit-identical to the ideal backend.
+/// Delivery exactly `base_delay` after the send, stretched only by the
+/// per-link FIFO guarantee — with a delivery-order choice point per message:
+/// when the engine has a [`dsmpm2_sim::ScheduleController`] installed, every
+/// cross-node message asks it for one of `options` bounded delivery slots
+/// before the per-link FIFO reservation. Slot 0 is the ideal arrival, and is
+/// what an uncontrolled run and a one-slot backend (`Ideal`) always take.
 struct PermutedTransport {
     ctl: EngineCtl,
     options: u32,
     links: LinkClocks,
-    stats: WireStats,
 }
 
 impl PermutedTransport {
-    fn new(ctl: EngineCtl, config: PermutedConfig, num_nodes: usize) -> Self {
+    fn new(ctl: EngineCtl, options: u8, num_nodes: usize) -> Self {
         PermutedTransport {
             ctl,
-            options: u32::from(config.options).max(1),
+            options: u32::from(options).max(1),
             links: LinkClocks::new(num_nodes),
-            stats: WireStats::default(),
         }
     }
 }
@@ -326,12 +278,9 @@ impl<M: Send + 'static> Transport<M> for PermutedTransport {
         let slack = SimDuration::from_nanos(base_delay.as_nanos() / 2 + 1) * u64::from(choice);
         let natural = env.sent_at + base_delay + slack;
         let arrival = self.links.reserve(env.from, env.to, natural);
-        self.stats.add_fifo_stall(arrival.since(natural));
+        let stall = arrival.since(natural).as_nanos();
+        tx.stats().wire_event(|wire| wire.fifo_stall_ns += stall);
         tx.send_at(arrival, env);
-    }
-
-    fn wire_stats(&self) -> WireStatsSnapshot {
-        self.stats.snapshot()
     }
 }
 
@@ -342,7 +291,6 @@ impl<M: Send + 'static> Transport<M> for PermutedTransport {
 struct ContendedInner {
     ingress: NicClocks,
     links: LinkClocks,
-    stats: WireStats,
 }
 
 /// Per-node egress/ingress NIC serialization with duplex links.
@@ -379,7 +327,6 @@ impl ContendedTransport {
             inner: Arc::new(ContendedInner {
                 ingress: NicClocks::new(num_nodes),
                 links: LinkClocks::new(num_nodes),
-                stats: WireStats::default(),
             }),
         }
     }
@@ -406,9 +353,8 @@ impl<M: Send + 'static> Transport<M> for ContendedTransport {
         let ser = self.serialization(env.bytes, base_delay);
         let wire_latency = base_delay - ser;
         let start_tx = self.egress.reserve(from, env.sent_at, ser);
-        self.inner
-            .stats
-            .add_egress_stall(start_tx.since(env.sent_at));
+        let stall = start_tx.since(env.sent_at).as_nanos();
+        tx.stats().wire_event(|wire| wire.egress_stall_ns += stall);
         // The frame's last bit reaches the destination NIC here; ingress
         // reservation happens *then*, as a scheduled event, so receivers
         // serve frames in arrival order. Same-link frames arrive in submit
@@ -424,14 +370,11 @@ impl<M: Send + 'static> Transport<M> for ContendedTransport {
         self.ctl.call_at_on(to.index() as u64, at_nic, move |ctl| {
             let now = ctl.now();
             let start_rx = inner.ingress.reserve(to, now, ser);
-            inner.stats.add_ingress_stall(start_rx.since(now));
+            let stall = start_rx.since(now).as_nanos();
+            tx.stats().wire_event(|wire| wire.ingress_stall_ns += stall);
             let arrival = inner.links.reserve(from, to, start_rx);
             tx.send_at(arrival, env);
         });
-    }
-
-    fn wire_stats(&self) -> WireStatsSnapshot {
-        self.inner.stats.snapshot()
     }
 }
 
@@ -465,7 +408,6 @@ impl<M> Default for LossyLink<M> {
 struct LossyInner<M> {
     num_nodes: usize,
     links: Vec<SliceCell<LossyLink<M>>>,
-    stats: WireStats,
 }
 
 impl<M> LossyInner<M> {
@@ -498,7 +440,6 @@ impl<M: Send + 'static> LossyTransport<M> {
                 links: (0..num_nodes * num_nodes)
                     .map(|_| SliceCell::new(LossyLink::default()))
                     .collect(),
-                stats: WireStats::default(),
             }),
         }
     }
@@ -539,8 +480,10 @@ impl<M: Send + 'static> LossyTransport<M> {
         let dropped = shim.roll(0xd209, from, to, seq, attempt_no) < config.drop_per_mille
             && attempt_no < MAX_ATTEMPTS;
         if dropped {
-            self_inner.stats.incr_drop();
-            self_inner.stats.incr_retransmit();
+            tx.stats().wire_event(|wire| {
+                wire.drops += 1;
+                wire.retransmits += 1;
+            });
             let rto = base_delay * u64::from(config.rto_factor);
             let retransmit_at = depart_at + rto;
             let inner = Arc::clone(self_inner);
@@ -563,7 +506,7 @@ impl<M: Send + 'static> LossyTransport<M> {
         if shim.roll(0x0d0b, from, to, seq, attempt_no) < config.dup_per_mille {
             // The wire delivers the frame twice; the sequence check discards
             // the second copy, which therefore only exists as a counter.
-            self_inner.stats.incr_duplicate();
+            tx.stats().wire_event(|wire| wire.duplicates += 1);
         }
         let arrive_at = depart_at + base_delay;
         let inner = Arc::clone(self_inner);
@@ -617,10 +560,6 @@ impl<M: Send + 'static> Transport<M> for LossyTransport<M> {
             tx.clone(),
         );
     }
-
-    fn wire_stats(&self) -> WireStatsSnapshot {
-        self.inner.stats.snapshot()
-    }
 }
 
 /// SplitMix64 finalizer: a cheap, well-mixed hash for the dice rolls.
@@ -636,6 +575,7 @@ mod tests {
     use super::*;
     use crate::profiles;
     use crate::transport::Network;
+    use crate::WireStatsSnapshot;
     use dsmpm2_sim::Engine;
     use parking_lot::Mutex;
     use std::sync::atomic::{AtomicU64, Ordering};
@@ -653,13 +593,11 @@ mod tests {
     /// cost model's prediction under every backend (Lossy with drops off).
     #[test]
     fn uncontended_transfer_matches_model_under_every_backend() {
-        let lossless = TransportTuning {
-            backend: TransportBackend::Lossy(LossyConfig {
-                drop_per_mille: 0,
-                dup_per_mille: 0,
-                ..LossyConfig::default()
-            }),
-        };
+        let lossless = TransportTuning::Lossy(LossyConfig {
+            drop_per_mille: 0,
+            dup_per_mille: 0,
+            ..LossyConfig::default()
+        });
         for tuning in [
             TransportTuning::ideal(),
             TransportTuning::contended(),
@@ -684,7 +622,7 @@ mod tests {
                 arrived.load(Ordering::SeqCst),
                 expected.as_nanos(),
                 "backend {}",
-                tuning.backend.name()
+                tuning.name()
             );
         }
     }
@@ -761,14 +699,12 @@ mod tests {
     #[test]
     fn lossy_replays_deterministically_from_the_seed() {
         let run = |seed: u64| -> (Vec<u64>, WireStatsSnapshot) {
-            let tuning = TransportTuning {
-                backend: TransportBackend::Lossy(LossyConfig {
-                    seed,
-                    drop_per_mille: 300,
-                    dup_per_mille: 100,
-                    rto_factor: 2,
-                }),
-            };
+            let tuning = TransportTuning::Lossy(LossyConfig {
+                seed,
+                drop_per_mille: 300,
+                dup_per_mille: 100,
+                rto_factor: 2,
+            });
             let mut engine = Engine::new();
             let net = net_with(&engine, tuning, 2);
             let arrivals = Arc::new(Mutex::new(Vec::new()));
@@ -807,14 +743,12 @@ mod tests {
     /// sequence exactly, even when later frames' attempts arrive first.
     #[test]
     fn lossy_preserves_fifo_and_exactly_once_across_drops() {
-        let tuning = TransportTuning {
-            backend: TransportBackend::Lossy(LossyConfig {
-                seed: 42,
-                drop_per_mille: 400,
-                dup_per_mille: 200,
-                rto_factor: 1,
-            }),
-        };
+        let tuning = TransportTuning::Lossy(LossyConfig {
+            seed: 42,
+            drop_per_mille: 400,
+            dup_per_mille: 200,
+            rto_factor: 1,
+        });
         let mut engine = Engine::new();
         let net = net_with(&engine, tuning, 2);
         let order = Arc::new(Mutex::new(Vec::new()));

@@ -8,13 +8,16 @@
 //!   network interface, calibrated from the paper's measurements
 //!   ([`profiles`]).
 //! * [`Network`] — the transport: typed messages between nodes with
-//!   virtual-time delivery delays derived from the model.
-//! * [`Transport`] / [`TransportBackend`] — the pluggable wire-level seam:
+//!   virtual-time delivery delays derived from the model, each handed at its
+//!   arrival to one delivery callback fixed when the network is built.
+//! * [`Transport`] / [`TransportTuning`] — the pluggable wire-level seam:
 //!   `Ideal` uncontended pipes (default), `Contended` per-node NIC
-//!   serialization, or `Lossy` deterministic drop/duplication with
-//!   retransmission — selected per cluster via [`TransportTuning`].
-//! * [`NetStats`] / [`WireStats`] — communication counters feeding the
-//!   monitoring reports and the transport ablations.
+//!   serialization, `Lossy` deterministic drop/duplication with
+//!   retransmission, or `Permuted` explorer-chosen delivery slots — selected
+//!   per cluster.
+//! * [`NetStats`] — the network's one counter store (per-link rows and the
+//!   wire totals of [`WireStatsSnapshot`]), feeding the monitoring reports
+//!   and the transport ablations.
 //!
 //! Switching a whole DSM application from one interconnect to another is a
 //! one-line change of profile, exactly like relinking a PM2 program against a
@@ -31,10 +34,8 @@ mod stats;
 mod topology;
 mod transport;
 
-pub use backend::{
-    build_transport, LossyConfig, PermutedConfig, Transport, TransportBackend, TransportTuning,
-};
+pub use backend::{build_transport, LossyConfig, PermutedConfig, Transport, TransportTuning};
 pub use model::{NetworkModel, CONTROL_MESSAGE_BYTES};
-pub use stats::{LinkCounters, NetStats, NetStatsSnapshot, WireStats, WireStatsSnapshot};
+pub use stats::{LinkCounters, NetStats, NetStatsSnapshot, WireStatsSnapshot};
 pub use topology::{NodeId, Topology};
-pub use transport::{Delivery, DeliveryHook, DeliverySink, Envelope, Network, PreSendHook};
+pub use transport::{Deliver, DeliverySink, Envelope, Network, PreSendHook};

@@ -2,19 +2,22 @@
 //!
 //! PM2 ships post-mortem monitoring tools; this module provides the
 //! communication-side counters that feed the monitoring reports and the
-//! benchmark harness (message counts, transferred volumes, per-link
-//! breakdowns).
+//! benchmark harness: message counts, transferred volumes and per-link
+//! breakdowns, and the wire-level totals of the transport backend (envelopes,
+//! logical messages, NIC and FIFO stalls, drops, duplicates). One
+//! [`NetStats`] holds all of them for one [`crate::Network`]; the network
+//! counts each envelope once, and its backend adds what the wire did to it.
 
 use std::collections::HashMap;
 
-use dsmpm2_sim::{SimDuration, SliceCell};
+use dsmpm2_sim::SliceCell;
 
 use crate::topology::NodeId;
 
-/// Aggregated communication counters for one [`crate::Network`]. Bumped by
-/// whoever sends (a slice, or a scheduler event flushing a batch) and read
-/// by the host thread outside the run, so — like every per-message counter
-/// of this crate — they are plain words in a [`SliceCell`], not atomics.
+/// Every communication counter of one [`crate::Network`]. Bumped by whoever
+/// sends (a slice, or a scheduler event flushing a batch), by the backend's
+/// wire events, and read by the host thread outside the run, so they are
+/// plain words in a [`SliceCell`], not atomics.
 pub struct NetStats {
     num_nodes: usize,
     counters: SliceCell<NetCounters>,
@@ -25,6 +28,7 @@ struct NetCounters {
     bytes: u64,
     /// One row per directed link, at `from * num_nodes + to`.
     per_link: Vec<LinkCounters>,
+    wire: WireStatsSnapshot,
 }
 
 /// Counters for one directed (source, destination) pair.
@@ -36,7 +40,7 @@ pub struct LinkCounters {
     pub bytes: u64,
 }
 
-/// A point-in-time snapshot of network statistics.
+/// A point-in-time snapshot of the per-link statistics.
 #[derive(Clone, Debug, Default)]
 pub struct NetStatsSnapshot {
     /// Total messages sent.
@@ -47,91 +51,8 @@ pub struct NetStatsSnapshot {
     pub per_link: HashMap<(NodeId, NodeId), LinkCounters>,
 }
 
-impl NetStats {
-    /// Zeroed statistics for the links of a cluster of `num_nodes` nodes.
-    pub fn new(num_nodes: usize) -> Self {
-        NetStats {
-            num_nodes,
-            counters: SliceCell::new(NetCounters {
-                messages: 0,
-                bytes: 0,
-                per_link: vec![LinkCounters::default(); num_nodes * num_nodes],
-            }),
-        }
-    }
-
-    /// Row of `from -> to`, `None` for a node outside the cluster.
-    fn row(&self, from: NodeId, to: NodeId) -> Option<usize> {
-        let n = self.num_nodes;
-        (from.index() < n && to.index() < n).then(|| from.index() * n + to.index())
-    }
-
-    /// Record one message of `bytes` payload bytes from `from` to `to`.
-    ///
-    /// # Panics
-    /// Panics if either node is outside the cluster.
-    pub fn record(&self, from: NodeId, to: NodeId, bytes: usize) {
-        let row = self
-            .row(from, to)
-            .unwrap_or_else(|| panic!("message between unknown nodes {from} -> {to}"));
-        let mut counters = self.counters.borrow();
-        counters.messages += 1;
-        counters.bytes += bytes as u64;
-        let link = &mut counters.per_link[row];
-        link.messages += 1;
-        link.bytes += bytes as u64;
-    }
-
-    /// Total number of messages sent so far.
-    pub fn messages(&self) -> u64 {
-        self.counters.borrow().messages
-    }
-
-    /// Total payload bytes sent so far.
-    pub fn bytes(&self) -> u64 {
-        self.counters.borrow().bytes
-    }
-
-    /// Counters for one directed link (zero if it never carried a message).
-    pub fn link(&self, from: NodeId, to: NodeId) -> LinkCounters {
-        self.row(from, to)
-            .map(|row| self.counters.borrow().per_link[row])
-            .unwrap_or_default()
-    }
-
-    /// A consistent snapshot of every counter.
-    pub fn snapshot(&self) -> NetStatsSnapshot {
-        let counters = self.counters.borrow();
-        let links = counters.per_link.iter().enumerate();
-        NetStatsSnapshot {
-            messages: counters.messages,
-            bytes: counters.bytes,
-            per_link: links
-                .filter(|(_, link)| link.messages > 0)
-                .map(|(row, link)| {
-                    let (from, to) = (row / self.num_nodes, row % self.num_nodes);
-                    ((NodeId(from), NodeId(to)), *link)
-                })
-                .collect(),
-        }
-    }
-
-    /// Reset every counter to zero (used between benchmark iterations).
-    pub fn reset(&self) {
-        let mut counters = self.counters.borrow();
-        counters.messages = 0;
-        counters.bytes = 0;
-        counters.per_link.fill(LinkCounters::default());
-    }
-}
-
-/// Wire-level counters of one transport backend (as opposed to the
-/// message-level [`NetStats`], which count what the layers above put on the
-/// wire regardless of how the backend carries it).
-#[derive(Default)]
-pub struct WireStats(SliceCell<WireStatsSnapshot>);
-
-/// A point-in-time snapshot of [`WireStats`].
+/// The wire-level totals of a [`crate::Network`] (as opposed to the
+/// per-link rows of [`NetStats`], which also count thread migrations).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct WireStatsSnapshot {
     /// Virtual time messages spent stretched by the per-link FIFO guarantee.
@@ -155,16 +76,6 @@ pub struct WireStatsSnapshot {
     pub envelope_bytes: u64,
     /// Logical messages carried by the submitted envelopes.
     pub messages: u64,
-    /// Accounted bytes attributed to logical messages. Equal to
-    /// `envelope_bytes` (the envelope's bytes are exactly its messages'
-    /// bytes); reported separately so `messages`/`message_bytes` and
-    /// `envelopes`/`envelope_bytes` form comparable per-message and
-    /// per-envelope averages.
-    pub message_bytes: u64,
-    /// Envelopes the installed delivery hook saw: dispatched by the upper
-    /// layer or enqueued on the node's incoming queue. Zero when no hook is
-    /// installed.
-    pub hook_delivered: u64,
 }
 
 impl WireStatsSnapshot {
@@ -172,75 +83,102 @@ impl WireStatsSnapshot {
     pub fn contention_stall_ns(&self) -> u64 {
         self.egress_stall_ns + self.ingress_stall_ns
     }
-
-    /// Average accounted bytes per wire envelope.
-    pub fn bytes_per_envelope(&self) -> f64 {
-        if self.envelopes == 0 {
-            0.0
-        } else {
-            self.envelope_bytes as f64 / self.envelopes as f64
-        }
-    }
-
-    /// Average logical messages per wire envelope (> 1 under batching).
-    pub fn messages_per_envelope(&self) -> f64 {
-        if self.envelopes == 0 {
-            0.0
-        } else {
-            self.messages as f64 / self.envelopes as f64
-        }
-    }
 }
 
-impl WireStats {
-    /// Account FIFO stretching of one message.
-    pub fn add_fifo_stall(&self, d: SimDuration) {
-        self.0.borrow().fifo_stall_ns += d.as_nanos();
+impl NetStats {
+    /// Zeroed statistics for the links of a cluster of `num_nodes` nodes.
+    pub fn new(num_nodes: usize) -> Self {
+        NetStats {
+            num_nodes,
+            counters: SliceCell::new(NetCounters {
+                messages: 0,
+                bytes: 0,
+                per_link: vec![LinkCounters::default(); num_nodes * num_nodes],
+                wire: WireStatsSnapshot::default(),
+            }),
+        }
     }
 
-    /// Account egress-NIC waiting of one frame.
-    pub fn add_egress_stall(&self, d: SimDuration) {
-        self.0.borrow().egress_stall_ns += d.as_nanos();
+    /// Row of `from -> to`, `None` for a node outside the cluster.
+    fn row(&self, from: NodeId, to: NodeId) -> Option<usize> {
+        let n = self.num_nodes;
+        (from.index() < n && to.index() < n).then(|| from.index() * n + to.index())
     }
 
-    /// Account ingress-NIC waiting of one frame.
-    pub fn add_ingress_stall(&self, d: SimDuration) {
-        self.0.borrow().ingress_stall_ns += d.as_nanos();
+    /// Record one message of `bytes` payload bytes from `from` to `to` on
+    /// its link row (a thread migration records only this).
+    ///
+    /// # Panics
+    /// Panics if either node is outside the cluster.
+    pub fn record(&self, from: NodeId, to: NodeId, bytes: usize) {
+        self.record_link(&mut self.counters.borrow(), from, to, bytes);
     }
 
-    /// Count one dropped wire attempt.
-    pub fn incr_drop(&self) {
-        self.0.borrow().drops += 1;
+    fn record_link(&self, counters: &mut NetCounters, from: NodeId, to: NodeId, bytes: usize) {
+        let row = self
+            .row(from, to)
+            .unwrap_or_else(|| panic!("message between unknown nodes {from} -> {to}"));
+        counters.messages += 1;
+        counters.bytes += bytes as u64;
+        let link = &mut counters.per_link[row];
+        link.messages += 1;
+        link.bytes += bytes as u64;
     }
 
-    /// Count one retransmission.
-    pub fn incr_retransmit(&self) {
-        self.0.borrow().retransmits += 1;
+    /// Record one wire envelope of `bytes` accounted bytes carrying
+    /// `messages` logical messages: its link row and the wire totals.
+    pub(crate) fn record_envelope(&self, from: NodeId, to: NodeId, bytes: usize, messages: u32) {
+        let mut counters = self.counters.borrow();
+        self.record_link(&mut counters, from, to, bytes);
+        let wire = &mut counters.wire;
+        wire.envelopes += 1;
+        wire.envelope_bytes += bytes as u64;
+        wire.messages += u64::from(messages);
     }
 
-    /// Count one discarded duplicate frame.
-    pub fn incr_duplicate(&self) {
-        self.0.borrow().duplicates += 1;
+    /// Add what the wire did to a frame (a stall, a drop, a duplicate) to
+    /// the wire totals.
+    pub(crate) fn wire_event(&self, event: impl FnOnce(&mut WireStatsSnapshot)) {
+        event(&mut self.counters.borrow().wire);
     }
 
-    /// Account one wire envelope of `bytes` accounted bytes carrying
-    /// `messages` logical messages.
-    pub fn add_envelope(&self, bytes: u64, messages: u64) {
-        let mut stats = self.0.borrow();
-        stats.envelopes += 1;
-        stats.envelope_bytes += bytes;
-        stats.messages += messages;
-        stats.message_bytes += bytes;
+    /// Total number of messages sent so far.
+    pub fn messages(&self) -> u64 {
+        self.counters.borrow().messages
     }
 
-    /// Count one envelope the delivery hook saw.
-    pub fn incr_hook_delivered(&self) {
-        self.0.borrow().hook_delivered += 1;
+    /// Total payload bytes sent so far.
+    pub fn bytes(&self) -> u64 {
+        self.counters.borrow().bytes
     }
 
-    /// A consistent snapshot of every counter.
-    pub fn snapshot(&self) -> WireStatsSnapshot {
-        *self.0.borrow()
+    /// Counters for one directed link (zero if it never carried a message).
+    pub fn link(&self, from: NodeId, to: NodeId) -> LinkCounters {
+        self.row(from, to)
+            .map(|row| self.counters.borrow().per_link[row])
+            .unwrap_or_default()
+    }
+
+    /// The wire-level totals so far.
+    pub fn wire(&self) -> WireStatsSnapshot {
+        self.counters.borrow().wire
+    }
+
+    /// A consistent snapshot of every per-link counter.
+    pub fn snapshot(&self) -> NetStatsSnapshot {
+        let counters = self.counters.borrow();
+        let links = counters.per_link.iter().enumerate();
+        NetStatsSnapshot {
+            messages: counters.messages,
+            bytes: counters.bytes,
+            per_link: links
+                .filter(|(_, link)| link.messages > 0)
+                .map(|(row, link)| {
+                    let (from, to) = (row / self.num_nodes, row % self.num_nodes);
+                    ((NodeId(from), NodeId(to)), *link)
+                })
+                .collect(),
+        }
     }
 }
 
@@ -249,33 +187,32 @@ mod tests {
     use super::*;
 
     #[test]
-    fn wire_stats_accumulate_and_snapshot() {
-        let w = WireStats::default();
-        w.add_egress_stall(SimDuration::from_micros(2));
-        w.add_ingress_stall(SimDuration::from_micros(3));
-        w.incr_drop();
-        w.incr_retransmit();
-        w.incr_duplicate();
-        let s = w.snapshot();
-        assert_eq!(s.contention_stall_ns(), 5_000);
-        assert_eq!((s.drops, s.retransmits, s.duplicates), (1, 1, 1));
+    fn wire_events_accumulate_and_snapshot() {
+        let s = NetStats::new(2);
+        s.wire_event(|w| w.egress_stall_ns += 2_000);
+        s.wire_event(|w| w.ingress_stall_ns += 3_000);
+        s.wire_event(|w| {
+            w.drops += 1;
+            w.retransmits += 1;
+        });
+        s.wire_event(|w| w.duplicates += 1);
+        let w = s.wire();
+        assert_eq!(w.contention_stall_ns(), 5_000);
+        assert_eq!((w.drops, w.retransmits, w.duplicates), (1, 1, 1));
+        assert_eq!(s.messages(), 0, "a wire event is no message");
     }
 
     #[test]
-    fn envelope_and_message_accounting() {
-        let w = WireStats::default();
-        w.add_envelope(100, 1);
-        w.add_envelope(500, 4); // a batched envelope carrying 4 messages
-        w.incr_hook_delivered();
-        let s = w.snapshot();
-        assert_eq!(s.envelopes, 2);
-        assert_eq!(s.envelope_bytes, 600);
-        assert_eq!(s.messages, 5);
-        assert_eq!(s.message_bytes, 600);
-        assert_eq!(s.bytes_per_envelope(), 300.0);
-        assert_eq!(s.messages_per_envelope(), 2.5);
-        assert_eq!(s.hook_delivered, 1);
-        assert_eq!(WireStatsSnapshot::default().bytes_per_envelope(), 0.0);
+    fn an_envelope_counts_once_on_its_link_and_in_the_wire_totals() {
+        let s = NetStats::new(2);
+        s.record_envelope(NodeId(0), NodeId(1), 100, 1);
+        s.record_envelope(NodeId(1), NodeId(0), 500, 4); // a batch of 4
+        s.record(NodeId(0), NodeId(1), 64); // a migration: its link only
+        let w = s.wire();
+        assert_eq!((w.envelopes, w.envelope_bytes, w.messages), (2, 600, 5));
+        assert_eq!((s.messages(), s.bytes()), (3, 664));
+        let link = s.link(NodeId(0), NodeId(1));
+        assert_eq!((link.messages, link.bytes), (2, 164));
     }
 
     #[test]
@@ -300,18 +237,13 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_and_reset() {
+    fn snapshot_lists_the_links_that_carried_a_message() {
         let s = NetStats::new(2);
         s.record(NodeId(0), NodeId(1), 4096);
         let snap = s.snapshot();
         assert_eq!(snap.messages, 1);
         assert_eq!(snap.bytes, 4096);
-        // Only the link that carried something has a row.
         let rows: Vec<_> = snap.per_link.keys().copied().collect();
         assert_eq!(rows, [(NodeId(0), NodeId(1))]);
-        s.reset();
-        assert_eq!(s.messages(), 0);
-        assert_eq!(s.bytes(), 0);
-        assert!(s.snapshot().per_link.is_empty());
     }
 }

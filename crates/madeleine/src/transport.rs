@@ -1,22 +1,23 @@
 //! Message transport between simulated cluster nodes.
 //!
-//! [`Network`] plays the role of the Madeleine communication library: it
-//! gives every node an incoming message queue and lets any simulated thread
-//! send a typed message to any node. The *cost* of a transfer comes from the
-//! configured [`NetworkModel`]; *when* it is delivered is decided by the
-//! pluggable [`crate::Transport`] backend ([`crate::TransportBackend`]):
-//! the default `Ideal` backend charges the model's delay at send time
-//! (uncontended infinite-capacity links, the historical behaviour), while
-//! the `Contended` and `Lossy` backends schedule delivery through NIC
-//! queues, retransmission timers and sequence numbers.
+//! [`Network`] plays the role of the Madeleine communication library: any
+//! simulated thread sends a typed message to any node, and the network hands
+//! every arriving message, one way, to the layer above. The *cost* of a
+//! transfer comes from the configured [`NetworkModel`]; *when* it arrives is
+//! decided by the pluggable [`crate::Transport`] backend
+//! ([`crate::TransportTuning`]). At that instant, one event on the
+//! destination node's shard runs the network's delivery callback, fixed when
+//! the network is built: PM2's dispatch ([`Network::with_delivery`]), or a
+//! push onto the destination node's incoming queue ([`Network::with_transport`],
+//! read through [`Network::endpoint`]).
 
 use std::sync::{Arc, OnceLock};
 
-use dsmpm2_sim::{channel_on, EngineCtl, SimDuration, SimHandle, SimReceiver, SimSender, SimTime};
+use dsmpm2_sim::{channel_on, EngineCtl, SimDuration, SimHandle, SimReceiver, SimTime};
 
 use crate::backend::{build_transport, Transport, TransportTuning};
 use crate::model::{NetworkModel, CONTROL_MESSAGE_BYTES};
-use crate::stats::{NetStats, WireStats, WireStatsSnapshot};
+use crate::stats::{NetStats, WireStatsSnapshot};
 use crate::topology::{NodeId, Topology};
 
 /// A message in flight (or delivered) between two nodes.
@@ -44,38 +45,21 @@ pub struct Envelope<M> {
 /// so that no later message ever overtakes a logically earlier parked one.
 pub type PreSendHook = Arc<dyn Fn(NodeId, NodeId) + Send + Sync>;
 
-/// What a [`DeliveryHook`] did with an arriving envelope.
-pub enum Delivery<M> {
-    /// Not taken: enqueue it on the destination node's incoming queue, for
-    /// whoever blocks on [`Network::endpoint`].
-    Queue(Envelope<M>),
-    /// Taken by the upper layer's dispatch (PM2 turns it into a handler or a
-    /// wake-up of the waiting caller).
-    Dispatched,
-}
+/// Where a [`Network`] puts every envelope: called once per envelope, at its
+/// arrival instant, on the destination node's scheduler shard.
+pub type Deliver<M> = Arc<dyn Fn(&EngineCtl, Envelope<M>) + Send + Sync>;
 
-/// The delivery hook: runs at the envelope's arrival instant, on the
-/// destination node's scheduler shard, and says what became of the envelope
-/// (see [`Delivery`]). Installed on the whole network; when absent, delivery
-/// is the direct enqueue on the node's incoming queue.
-pub type DeliveryHook<M> = Arc<dyn Fn(&EngineCtl, Envelope<M>) -> Delivery<M> + Send + Sync>;
-
-/// The destination side of one node's message queue, as seen by transport
-/// backends: wraps the raw [`SimSender`] together with the network's
-/// delivery hook. Without an installed hook, [`DeliverySink::send_at`] is
-/// exactly `SimSender::send_at`; with one, the delivery is one arrival event
-/// on the destination shard, in which the hook runs.
+/// The destination side of a whole network, as seen by transport backends:
+/// the delivery callback, and the counter store the backend adds stalls,
+/// drops and duplicates to. Cheap to clone.
 pub struct DeliverySink<M> {
     inner: Arc<SinkInner<M>>,
 }
 
 struct SinkInner<M> {
-    tx: SimSender<Envelope<M>>,
     ctl: EngineCtl,
-    shard: u64,
-    /// The network's delivery hook, shared by every node's sink.
-    hook: Arc<OnceLock<DeliveryHook<M>>>,
-    wire: Arc<WireStats>,
+    deliver: Deliver<M>,
+    stats: NetStats,
 }
 
 impl<M> Clone for DeliverySink<M> {
@@ -87,49 +71,41 @@ impl<M> Clone for DeliverySink<M> {
 }
 
 impl<M: Send + 'static> DeliverySink<M> {
-    /// Deliver `env` at absolute time `deliver_at`: to the delivery hook at
-    /// that instant if one is installed, else into the destination queue.
+    /// Deliver `env` at absolute time `deliver_at`: one arrival event on the
+    /// destination node's shard, in which the delivery callback runs.
     pub fn send_at(&self, deliver_at: SimTime, env: Envelope<M>) {
-        let sink = &self.inner;
-        if sink.hook.get().is_none() {
-            return sink.tx.send_at(deliver_at, env);
-        }
         // The arrival event owns one reference to the sink, and through it
-        // reaches the hook, the queue and the counters.
-        let at = Arc::clone(sink);
-        sink.ctl.call_at_on(sink.shard, deliver_at, move |ctl| {
-            let hook = at.hook.get().expect("a hook is installed, never removed");
-            at.wire.incr_hook_delivered();
-            if let Delivery::Queue(env) = hook(ctl, env) {
-                at.tx.send_at(ctl.now(), env);
-            }
-        });
+        // reaches the callback.
+        let sink = Arc::clone(&self.inner);
+        let shard = env.to.index() as u64;
+        self.inner
+            .ctl
+            .call_at_on(shard, deliver_at, move |ctl| (sink.deliver)(ctl, env));
+    }
+
+    /// The network's counters.
+    pub(crate) fn stats(&self) -> &NetStats {
+        &self.inner.stats
     }
 }
 
 struct NetworkInner<M> {
     model: NetworkModel,
     topology: Topology,
-    tuning: TransportTuning,
-    sinks: Vec<DeliverySink<M>>,
+    sink: DeliverySink<M>,
+    /// Each node's incoming queue, for a network built by
+    /// [`Network::with_transport`]; empty for one built with a delivery
+    /// callback of its own.
     receivers: Vec<SimReceiver<Envelope<M>>>,
-    stats: NetStats,
-    /// Network-level wire accounting (envelopes, logical messages, delivery
-    /// hook counters); merged into [`Network::wire_stats`] together
-    /// with the backend's own counters.
-    wire: Arc<WireStats>,
     /// The wire-level backend: owns the per-directed-link state (FIFO
     /// clocks, NIC reservations, retransmission machinery) and decides when
-    /// each envelope reaches its destination queue.
+    /// each envelope reaches the delivery sink.
     transport: Box<dyn Transport<M>>,
-    /// Pre-send link hook (see [`PreSendHook`]). Both hooks are read on
-    /// every send and installed once per network — pm2 installs the
-    /// delivery hook, the DSM layer this one — so a send reaches them
+    /// Pre-send link hook (see [`PreSendHook`]). Read on every send and
+    /// installed once per network, by the DSM layer, so a send reaches it
     /// without a lock or a reference count, and may re-enter itself from
     /// inside the hook it borrows.
     pre_send: OnceLock<PreSendHook>,
-    /// Delivery hook shared by every node's sink.
-    delivery_hook: Arc<OnceLock<DeliveryHook<M>>>,
 }
 
 /// A simulated interconnect connecting every node of the cluster.
@@ -146,52 +122,61 @@ impl<M> Clone for Network<M> {
 }
 
 impl<M: Send + 'static> Network<M> {
-    /// Build a network for `topology` using the cost model `model` and the
-    /// default (`Ideal`) transport backend.
-    pub fn new(ctl: EngineCtl, model: NetworkModel, topology: Topology) -> Self {
-        Network::with_transport(ctl, model, topology, TransportTuning::default())
+    /// Build a network for `topology` over the cost model `model` and the
+    /// backend `tuning`, which hands every envelope to `deliver` at its
+    /// arrival instant.
+    pub fn with_delivery(
+        ctl: EngineCtl,
+        model: NetworkModel,
+        topology: Topology,
+        tuning: TransportTuning,
+        deliver: Deliver<M>,
+    ) -> Self {
+        Network::build(ctl, model, topology, tuning, deliver, Vec::new())
     }
 
-    /// Build a network with an explicit transport backend selection.
+    /// Build a network whose envelopes land on each node's incoming queue,
+    /// for whoever blocks on [`Network::endpoint`].
     pub fn with_transport(
         ctl: EngineCtl,
         model: NetworkModel,
         topology: Topology,
         tuning: TransportTuning,
     ) -> Self {
-        let mut sinks = Vec::with_capacity(topology.num_nodes);
-        let mut receivers = Vec::with_capacity(topology.num_nodes);
-        let delivery_hook: Arc<OnceLock<DeliveryHook<M>>> = Arc::default();
-        let wire = Arc::new(WireStats::default());
-        for node in 0..topology.num_nodes {
-            // Each endpoint's delivery callbacks run on the owning node's
-            // shard, serialized with the node's dispatcher and handlers.
-            let (tx, rx) = channel_on::<Envelope<M>>(ctl.clone(), node as u64);
-            sinks.push(DeliverySink {
-                inner: Arc::new(SinkInner {
-                    tx,
-                    ctl: ctl.clone(),
-                    shard: node as u64,
-                    hook: Arc::clone(&delivery_hook),
-                    wire: Arc::clone(&wire),
-                }),
-            });
-            receivers.push(rx);
-        }
-        let transport = build_transport::<M>(ctl, &model, &topology, tuning);
-        let stats = NetStats::new(topology.num_nodes);
+        // Each node's queue is delivered to on the node's own shard.
+        let (senders, receivers): (Vec<_>, Vec<_>) = topology
+            .nodes()
+            .map(|node| channel_on::<Envelope<M>>(ctl.clone(), node.index() as u64))
+            .unzip();
+        let deliver: Deliver<M> =
+            Arc::new(move |ctl, env: Envelope<M>| senders[env.to.index()].deliver(ctl, env));
+        Network::build(ctl, model, topology, tuning, deliver, receivers)
+    }
+
+    fn build(
+        ctl: EngineCtl,
+        model: NetworkModel,
+        topology: Topology,
+        tuning: TransportTuning,
+        deliver: Deliver<M>,
+        receivers: Vec<SimReceiver<Envelope<M>>>,
+    ) -> Self {
+        let transport = build_transport::<M>(ctl.clone(), &model, &topology, tuning);
+        let sink = DeliverySink {
+            inner: Arc::new(SinkInner {
+                ctl,
+                deliver,
+                stats: NetStats::new(topology.num_nodes),
+            }),
+        };
         Network {
             inner: Arc::new(NetworkInner {
                 model,
                 topology,
-                tuning,
-                sinks,
+                sink,
                 receivers,
-                stats,
-                wire,
                 transport,
                 pre_send: OnceLock::new(),
-                delivery_hook,
             }),
         }
     }
@@ -206,32 +191,23 @@ impl<M: Send + 'static> Network<M> {
         &self.inner.topology
     }
 
-    /// The transport tuning this network was built with.
-    pub fn transport_tuning(&self) -> TransportTuning {
-        self.inner.tuning
-    }
-
     /// Communication statistics collected so far.
     pub fn stats(&self) -> &NetStats {
-        &self.inner.stats
+        self.inner.sink.stats()
     }
 
-    /// Wire-level statistics: the transport backend's counters (NIC stalls,
-    /// drops, retransmissions, duplicates) merged with the network-level
-    /// envelope/message accounting and delivery-hook counters.
+    /// Wire-level statistics: envelopes and the logical messages they
+    /// carried, and what the backend's wire did to them (NIC stalls, drops,
+    /// retransmissions, duplicates).
     pub fn wire_stats(&self) -> WireStatsSnapshot {
-        let mut snap = self.inner.transport.wire_stats();
-        let net = self.inner.wire.snapshot();
-        snap.envelopes = net.envelopes;
-        snap.envelope_bytes = net.envelope_bytes;
-        snap.messages = net.messages;
-        snap.message_bytes = net.message_bytes;
-        snap.hook_delivered = net.hook_delivered;
-        snap
+        self.stats().wire()
     }
 
-    /// The incoming message queue of `node`. Dispatcher threads hold a clone
-    /// of this receiver and block on it.
+    /// The incoming message queue of `node`.
+    ///
+    /// # Panics
+    /// Panics if the network was built with a delivery callback of its own
+    /// ([`Network::with_delivery`]): it has no queues.
     pub fn endpoint(&self, node: NodeId) -> SimReceiver<Envelope<M>> {
         self.inner.receivers[node.index()].clone()
     }
@@ -252,19 +228,6 @@ impl<M: Send + 'static> Network<M> {
     fn run_pre_send_hook(&self, from: NodeId, to: NodeId) {
         if let Some(hook) = self.inner.pre_send.get() {
             hook(from, to);
-        }
-    }
-
-    /// Install the delivery hook. It runs at every envelope's arrival
-    /// instant on the destination node's shard and decides what becomes of
-    /// the envelope (see [`Delivery`]). When no hook is installed, delivery
-    /// is the direct queue enqueue.
-    ///
-    /// # Panics
-    /// Panics if a delivery hook is already installed.
-    pub fn set_delivery_hook(&self, hook: DeliveryHook<M>) {
-        if self.inner.delivery_hook.set(hook).is_err() {
-            panic!("the network's delivery hook is already installed");
         }
     }
 
@@ -321,8 +284,8 @@ impl<M: Send + 'static> Network<M> {
         self.dispatch(ctl.now(), from, to, msg, payload_bytes, messages, delay);
     }
 
-    /// Common half of every send: run the pre-send hook, record statistics
-    /// and hand the envelope to the transport backend, which schedules the
+    /// Common half of every send: run the pre-send hook, count the envelope
+    /// once and hand it to the transport backend, which schedules the
     /// delivery.
     #[allow(clippy::too_many_arguments)]
     fn dispatch(
@@ -340,21 +303,19 @@ impl<M: Send + 'static> Network<M> {
             "send between unknown nodes {from} -> {to}"
         );
         self.run_pre_send_hook(from, to);
-        self.inner.stats.record(from, to, payload_bytes);
-        self.inner
-            .wire
-            .add_envelope(payload_bytes as u64, u64::from(messages.max(1)));
+        let messages = messages.max(1);
+        let sink = &self.inner.sink;
+        sink.stats()
+            .record_envelope(from, to, payload_bytes, messages);
         let envelope = Envelope {
             from,
             to,
             bytes: payload_bytes,
-            messages: messages.max(1),
+            messages,
             sent_at,
             msg,
         };
-        self.inner
-            .transport
-            .submit(envelope, delay, &self.inner.sinks[to.index()]);
+        self.inner.transport.submit(envelope, delay, sink);
     }
 }
 
@@ -367,7 +328,12 @@ mod tests {
     use std::sync::atomic::{AtomicU64, Ordering};
 
     fn two_node_net<M: Send + 'static>(engine: &Engine, model: NetworkModel) -> Network<M> {
-        Network::new(engine.ctl(), model, Topology::flat(2))
+        Network::with_transport(
+            engine.ctl(),
+            model,
+            Topology::flat(2),
+            TransportTuning::ideal(),
+        )
     }
 
     #[test]
@@ -483,25 +449,19 @@ mod tests {
     }
 
     #[test]
-    fn a_dispatched_envelope_never_reaches_the_endpoint_queue() {
+    fn the_delivery_callback_takes_every_envelope_at_its_arrival() {
         let mut engine = Engine::new();
-        let net = two_node_net::<u8>(&engine, profiles::bip_myrinet());
-        // Take odd payloads at arrival; deliver even ones to the queue.
-        net.set_delivery_hook(Arc::new(|_ctl, env: Envelope<u8>| {
-            if env.msg % 2 == 1 {
-                Delivery::Dispatched
-            } else {
-                Delivery::Queue(env)
-            }
-        }));
         let got = Arc::new(Mutex::new(Vec::new()));
-        let rx = net.endpoint(NodeId(1));
         let g = got.clone();
-        engine.spawn("rx", move |h| {
-            for _ in 0..2 {
-                g.lock().push(rx.recv(h).msg);
-            }
-        });
+        let net = Network::with_delivery(
+            engine.ctl(),
+            profiles::bip_myrinet(),
+            Topology::flat(2),
+            TransportTuning::ideal(),
+            Arc::new(move |ctl: &EngineCtl, env: Envelope<u8>| {
+                g.lock().push((env.msg, env.to, ctl.now()));
+            }),
+        );
         let net2 = net.clone();
         engine.spawn("tx", move |h| {
             for m in [1u8, 2, 3, 4] {
@@ -509,11 +469,11 @@ mod tests {
             }
         });
         engine.run().unwrap();
-        assert_eq!(got.lock().clone(), vec![2, 4]);
+        let at = SimTime::ZERO + profiles::bip_myrinet().control_time();
+        let expected: Vec<_> = (1..=4).map(|m| (m, NodeId(1), at)).collect();
+        assert_eq!(got.lock().clone(), expected);
         let wire = net.wire_stats();
-        assert_eq!(wire.hook_delivered, 4);
-        assert_eq!(wire.envelopes, 4);
-        assert_eq!(wire.messages, 4);
+        assert_eq!((wire.envelopes, wire.messages), (4, 4));
     }
 
     #[test]
@@ -537,13 +497,12 @@ mod tests {
                 net.send_with_delay_from_ctl(&ctl, from, to, 0, 1, 1, delay);
             }
         }));
-        net.set_delivery_hook(Arc::new(|_ctl, _env: Envelope<u8>| Delivery::Dispatched));
         let net2 = net.clone();
         engine.spawn("tx", move |h| net2.send_control(h, NodeId(0), NodeId(1), 7));
         engine.run().unwrap();
         let link = (NodeId(0), NodeId(1));
         assert_eq!(calls.lock().clone(), vec![link, link]);
-        assert_eq!(net.wire_stats().hook_delivered, 2);
+        assert_eq!(net.wire_stats().envelopes, 2);
     }
 
     #[test]
@@ -574,9 +533,9 @@ mod tests {
 
     #[test]
     fn default_backend_is_ideal_with_clean_wire_stats() {
+        assert_eq!(TransportTuning::default(), TransportTuning::ideal());
         let engine = Engine::new();
         let net = two_node_net::<u8>(&engine, profiles::bip_myrinet());
-        assert_eq!(net.transport_tuning(), TransportTuning::ideal());
         assert_eq!(net.wire_stats(), WireStatsSnapshot::default());
     }
 

@@ -17,9 +17,9 @@
 //! in [`SliceCell`]s. Each borrow ends before a service's code runs — a
 //! handler may call straight back into the cluster.
 
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 
-use dsmpm2_madeleine::{Delivery, Envelope, Network, NodeId, Topology};
+use dsmpm2_madeleine::{Envelope, Network, NodeId, Topology};
 use dsmpm2_sim::{Engine, EngineCtl, SimDuration, SimHandle, SimTime, SliceCell};
 
 use crate::config::{Pm2Config, Pm2Costs};
@@ -73,7 +73,6 @@ impl RpcState {
 
 struct ClusterInner {
     config: Pm2Config,
-    topology: Topology,
     network: Network<RpcMessage>,
     rpc: SliceCell<RpcState>,
     replies: ReplyTable,
@@ -121,23 +120,30 @@ impl Clone for Pm2Cluster {
 }
 
 impl Pm2Cluster {
-    /// Boot a cluster on `engine`: builds the network and makes every
-    /// arriving envelope an RPC dispatch on its destination node.
+    /// Boot a cluster on `engine`: builds the network, whose delivery
+    /// callback makes every arriving envelope an RPC dispatch on its
+    /// destination node.
     pub fn new(engine: &Engine, config: Pm2Config) -> Self {
-        let topology = Topology::flat(config.num_nodes);
-        let network = Network::with_transport(
-            engine.ctl(),
-            config.network.clone(),
-            topology.clone(),
-            config.transport,
-        );
-        let iso = IsoAllocator::new(config.num_nodes);
-        let per_node = || SliceCell::new(vec![SimTime::ZERO; config.num_nodes]);
+        let nodes = config.num_nodes;
+        let per_node = || SliceCell::new(vec![SimTime::ZERO; nodes]);
         let monitor = Monitor::new();
-        let cluster = Pm2Cluster {
-            inner: Arc::new(ClusterInner {
-                topology,
-                network: network.clone(),
+        let inner = Arc::new_cyclic(|cluster: &Weak<ClusterInner>| {
+            // Weak: the network is part of the cluster it dispatches for. An
+            // envelope that lands after the cluster is gone is dropped.
+            let cluster = cluster.clone();
+            let network = Network::with_delivery(
+                engine.ctl(),
+                config.network.clone(),
+                Topology::flat(nodes),
+                config.transport,
+                Arc::new(move |ctl: &EngineCtl, env| {
+                    if let Some(inner) = cluster.upgrade() {
+                        Pm2Cluster { inner }.dispatch(ctl, env);
+                    }
+                }),
+            );
+            ClusterInner {
+                network,
                 rpc: SliceCell::new(RpcState {
                     services: Vec::new(),
                     next_rpc_id: 1,
@@ -145,21 +151,15 @@ impl Pm2Cluster {
                 replies: ReplyTable::new(),
                 migration: monitor.slot("thread_migration"),
                 monitor,
-                iso,
+                iso: IsoAllocator::new(nodes),
                 ctl: engine.ctl(),
                 app_threads: SliceCell::default(),
                 cpu_free: per_node(),
                 dispatch_free: per_node(),
                 config,
-            }),
-        };
-        // Weak: the network is part of the cluster it dispatches for.
-        let weak = Arc::downgrade(&cluster.inner);
-        network.set_delivery_hook(Arc::new(move |ctl, env| match weak.upgrade() {
-            Some(inner) => Pm2Cluster { inner }.dispatch(ctl, env),
-            None => Delivery::Queue(env),
-        }));
-        cluster
+            }
+        });
+        Pm2Cluster { inner }
     }
 
     /// Cluster configuration.
@@ -174,12 +174,12 @@ impl Pm2Cluster {
 
     /// Cluster topology.
     pub fn topology(&self) -> &Topology {
-        &self.inner.topology
+        self.inner.network.topology()
     }
 
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
-        self.inner.topology.num_nodes
+        self.topology().num_nodes
     }
 
     /// The underlying network (model, statistics, raw sends).
@@ -219,8 +219,7 @@ impl Pm2Cluster {
             oneway: monitor.slot(&format!("rpc_oneway:{name}")),
             handler: monitor.slot(&format!("rpc_handler:{name}")),
             thread_names: self
-                .inner
-                .topology
+                .topology()
                 .nodes()
                 .map(|node| format!("rpc-{name}@{node}").into())
                 .collect(),
@@ -383,9 +382,9 @@ impl Pm2Cluster {
     /// request its service vouches cannot block — in one scheduler call at
     /// that same instant, with no thread.
     ///
-    /// Consumes the handle the delivery hook made for it: a handler thread
-    /// takes that one with it instead of a clone.
-    fn dispatch(self, ctl: &EngineCtl, env: Envelope<RpcMessage>) -> Delivery<RpcMessage> {
+    /// Consumes the handle the delivery callback made for it: a handler
+    /// thread takes that one with it instead of a clone.
+    fn dispatch(self, ctl: &EngineCtl, env: Envelope<RpcMessage>) {
         let (node, from) = (env.to, env.from);
         let dispatcher = &self.inner.dispatch_free;
         let shard = node.index() as u64;
@@ -417,7 +416,6 @@ impl Pm2Cluster {
                 }
             }
         }
-        Delivery::Dispatched
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -477,7 +475,7 @@ impl Pm2Cluster {
         F: FnOnce(&mut Pm2Context<'_>) + Send + 'static,
     {
         assert!(
-            self.inner.topology.contains(node),
+            self.topology().contains(node),
             "cannot spawn a thread on unknown node {node}"
         );
         let name = name.into();
@@ -964,8 +962,6 @@ mod tests {
                 envelopes: total,
                 envelope_bytes: 35_328_000,
                 messages: total,
-                message_bytes: 35_328_000,
-                hook_delivered: total,
                 ..Default::default()
             }
         );
@@ -994,8 +990,8 @@ mod tests {
 
     /// However a run ends, nothing of it outlives the engine: once the engine
     /// and every cluster handle are dropped, the cluster is freed — the
-    /// services, the network and its delivery hook, the handler threads and
-    /// the callers blocked on replies included.
+    /// services, the network and its delivery callback, the handler threads
+    /// and the callers blocked on replies included.
     #[test]
     fn nothing_outlives_its_run() {
         let ends = |build: &dyn Fn(&Pm2Cluster), run: bool| {
@@ -1052,6 +1048,21 @@ mod tests {
         );
         let never_ran = ends(&|c| call(c, "echo"), false);
         assert!(never_ran.is_none());
+        // A one-way request still in flight when its sender, the last holder
+        // of the cluster, finishes: it lands on a cluster that is gone and is
+        // dropped there, so no handler thread ever starts.
+        let landed_late = ends(
+            &|c| {
+                c.spawn_thread_on(NodeId(0), "oneway", |ctx| {
+                    ctx.rpc_oneway(NodeId(1), "echo", Box::new(0u32), RpcClass::Control);
+                });
+            },
+            true,
+        );
+        assert!(
+            matches!(&landed_late, Some(Ok(report)) if report.threads_spawned == 1),
+            "{landed_late:?}"
+        );
     }
 
     #[test]

@@ -65,8 +65,8 @@ pub struct Pm2Config {
     /// attributes override it, and protocols without sub-page coherence
     /// clamp it back to whole pages.
     pub granularity: Option<usize>,
-    /// Transport-layer tuning knobs (wire-level backend selection): the
-    /// default is the `Ideal` uncontended pipe of the paper's cost model.
+    /// The wire-level transport backend: the default is the `Ideal`
+    /// uncontended pipe of the paper's cost model.
     pub transport: TransportTuning,
 }
 
@@ -82,7 +82,7 @@ impl Pm2Config {
         }
     }
 
-    /// Replace the transport-layer tuning knobs.
+    /// Replace the wire-level transport backend.
     pub fn with_transport_tuning(mut self, transport: TransportTuning) -> Self {
         self.transport = transport;
         self
@@ -126,13 +126,12 @@ mod tests {
 
     #[test]
     fn transport_tuning_defaults_to_ideal_and_threads_through() {
-        use dsmpm2_madeleine::TransportBackend;
         let config = Pm2Config::bip_myrinet(2);
         assert_eq!(config.transport, TransportTuning::ideal());
         let contended =
             Pm2Config::bip_myrinet(2).with_transport_tuning(TransportTuning::contended());
-        assert_eq!(contended.transport.backend, TransportBackend::Contended);
+        assert_eq!(contended.transport, TransportTuning::Contended);
         let lossy = Pm2Config::bip_myrinet(2).with_transport_tuning(TransportTuning::lossy(7));
-        assert!(matches!(lossy.transport.backend, TransportBackend::Lossy(c) if c.seed == 7));
+        assert!(matches!(lossy.transport, TransportTuning::Lossy(c) if c.seed == 7));
     }
 }

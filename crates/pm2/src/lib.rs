@@ -42,8 +42,8 @@ pub use rpc::{
 /// Convenience re-exports of the layers below, so applications can depend on
 /// a single crate for cluster setup.
 pub use dsmpm2_madeleine::{
-    profiles, LossyConfig, NetworkModel, NodeId, PermutedConfig, Topology, TransportBackend,
-    TransportTuning, WireStatsSnapshot,
+    profiles, LossyConfig, NetworkModel, NodeId, PermutedConfig, Topology, TransportTuning,
+    WireStatsSnapshot,
 };
 pub use dsmpm2_sim::{
     BlockReason, Engine, EngineConfig, EngineCtl, SimDuration, SimError, SimHandle, SimTime,

@@ -1,93 +1,41 @@
 //! Virtual-time message channels.
 //!
-//! A [`SimChannel`] is an unbounded MPMC queue living in virtual time:
-//! senders may attach a delivery delay (used by the Madeleine transport to
-//! model network latency), and receivers block in virtual time until a
-//! message is available. Delivery order is deterministic: messages become
-//! visible in (delivery time, send sequence) order.
+//! A channel ([`channel`]) is an unbounded MPMC queue living in virtual time:
+//! senders may attach a delivery delay, and receivers block in virtual time
+//! until a message is available. A send schedules one delivery event at the
+//! message's delivery time, and the message travels inside it; the event
+//! runs [`SimSender::deliver`], which appends the message to the queue and
+//! wakes one receiver. The engine pops events in (time, sequence) order, so
+//! messages become visible in (delivery time, send order).
 //!
 //! The module also provides [`TickOutbox`], the per-tick accumulator behind
 //! message batching: items addressed to the same key within one virtual-time
 //! tick are collected and handed back as one unit when the tick ends.
 //!
-//! Neither takes a lock. A channel's queues are touched by sending and
-//! receiving slices, by the delivery event of each message, and by the host
-//! thread outside [`crate::Engine::run`]; an outbox by whoever pushes and by
-//! the flush event — all ordered by the hand-off, so the state sits in a
+//! Neither takes a lock. A channel's queue is touched by receiving slices,
+//! by the delivery event of each message, and by the host thread outside
+//! [`crate::Engine::run`]; an outbox by whoever pushes and by the flush
+//! event — all ordered by the hand-off, so the state sits in a
 //! [`SliceCell`] that is released before a wake-up is submitted and before
 //! the receiver parks.
 
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
-use crate::cell::{SliceCell, SliceRef};
+use crate::cell::SliceCell;
 use crate::engine::{BlockReason, EngineCtl};
 use crate::handle::SimHandle;
 use crate::time::{SimDuration, SimTime};
 use crate::wait::WaitSet;
 
-struct Pending<T> {
-    deliver_at: u64,
-    seq: u64,
-    value: T,
-}
-
-impl<T> PartialEq for Pending<T> {
-    fn eq(&self, other: &Self) -> bool {
-        self.deliver_at == other.deliver_at && self.seq == other.seq
-    }
-}
-impl<T> Eq for Pending<T> {}
-impl<T> PartialOrd for Pending<T> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<T> Ord for Pending<T> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // Reverse ordering: the BinaryHeap becomes a min-heap on (time, seq).
-        (other.deliver_at, other.seq).cmp(&(self.deliver_at, self.seq))
-    }
-}
-
-struct Queues<T> {
-    /// Messages whose delivery time has not been reached yet.
-    in_flight: BinaryHeap<Pending<T>>,
-    /// Messages ready to be received, in delivery order.
-    ready: VecDeque<T>,
-    /// Send sequence number of the next message.
-    seq: u64,
-}
-
 struct Inner<T> {
-    queues: SliceCell<Queues<T>>,
+    /// Messages delivered and not yet received, in delivery order.
+    ready: SliceCell<VecDeque<T>>,
     waiters: WaitSet,
-    /// Shard the promotion callbacks run on — the receivers' shard, so that
-    /// delivery events serialize with the receiving node's other events.
+    /// Shard the delivery events run on — the receivers' shard, so that
+    /// deliveries serialize with the receiving node's other events.
     shard: u64,
     ctl: EngineCtl,
-}
-
-impl<T> Inner<T> {
-    /// Move every in-flight message whose delivery time the engine's clock
-    /// has reached into the ready queue, and hand the queues back for the
-    /// caller to look at. The engine's clock, not a receiver's local one: a
-    /// receiver looks only once it has slept off its pending compute, and a
-    /// message whose arrival has not happened yet is not there to take.
-    fn promote(&self) -> SliceRef<'_, Queues<T>> {
-        let now = self.ctl.now().as_nanos();
-        let mut guard = self.queues.borrow();
-        let queues = &mut *guard;
-        while let Some(top) = queues.in_flight.peek() {
-            if top.deliver_at <= now {
-                let msg = queues.in_flight.pop().expect("peeked");
-                queues.ready.push_back(msg.value);
-            } else {
-                break;
-            }
-        }
-        guard
-    }
 }
 
 /// Sending half of a simulation channel. Cheap to clone.
@@ -124,18 +72,14 @@ pub fn channel<T: Send + 'static>(ctl: EngineCtl) -> (SimSender<T>, SimReceiver<
     channel_on(ctl, 0)
 }
 
-/// Create a new channel whose delivery callbacks run on shard `shard_key`
+/// Create a new channel whose delivery events run on shard `shard_key`
 /// (the shard of the receiving side).
 pub fn channel_on<T: Send + 'static>(
     ctl: EngineCtl,
     shard_key: u64,
 ) -> (SimSender<T>, SimReceiver<T>) {
     let inner = Arc::new(Inner {
-        queues: SliceCell::new(Queues {
-            in_flight: BinaryHeap::new(),
-            ready: VecDeque::new(),
-            seq: 0,
-        }),
+        ready: SliceCell::new(VecDeque::new()),
         waiters: WaitSet::new(),
         shard: shard_key,
         ctl,
@@ -158,45 +102,29 @@ impl<T: Send + 'static> SimSender<T> {
     /// Send a message that becomes visible `delay` after the sender's current
     /// local time. Used to model network transfer times.
     pub fn send_delayed(&self, handle: &SimHandle, value: T, delay: SimDuration) {
-        let deliver_at = handle.now() + delay;
-        self.enqueue_at(deliver_at, value);
+        self.deliver_at(handle.now() + delay, value);
     }
 
     /// Send from outside any simulated thread (scheduler callbacks, setup
     /// code): the message becomes visible `delay` after the global clock.
     pub fn send_from_ctl(&self, ctl: &EngineCtl, value: T, delay: SimDuration) {
-        let deliver_at = ctl.now() + delay;
-        self.enqueue_at(deliver_at, value);
+        self.deliver_at(ctl.now() + delay, value);
     }
 
-    /// Send a message that becomes visible at the absolute virtual time
-    /// `deliver_at`. Used by transport backends whose delivery times come
-    /// from their own link state (NIC reservations, retransmission timers)
-    /// rather than from a caller-relative delay. A `deliver_at` in the past
-    /// delivers at the current instant, behind what is already queued for it.
-    pub fn send_at(&self, deliver_at: SimTime, value: T) {
-        self.enqueue_at(deliver_at, value);
+    /// Make `value` visible now: append it to the queue and wake one waiting
+    /// receiver. What every delivery event runs, on the receivers' shard;
+    /// a layer that owns its own arrival event calls it there directly.
+    pub fn deliver(&self, ctl: &EngineCtl, value: T) {
+        self.inner.ready.borrow().push_back(value);
+        self.inner.waiters.notify_one((), ctl, SimDuration::ZERO);
     }
 
-    fn enqueue_at(&self, deliver_at: SimTime, value: T) {
+    fn deliver_at(&self, at: SimTime, value: T) {
+        let sender = self.clone();
         let inner = &self.inner;
-        let deliver_at = deliver_at.max(inner.ctl.now());
-        let mut queues = inner.queues.borrow();
-        let seq = queues.seq;
-        queues.seq += 1;
-        queues.in_flight.push(Pending {
-            deliver_at: deliver_at.as_nanos(),
-            seq,
-            value,
-        });
-        drop(queues);
-        // At delivery time, promote the message and wake one waiting
-        // receiver — on the receivers' shard.
-        let inner2 = Arc::clone(inner);
-        inner.ctl.call_at_on(inner.shard, deliver_at, move |ctl| {
-            drop(inner2.promote());
-            inner2.waiters.notify_one((), ctl, SimDuration::ZERO);
-        });
+        inner
+            .ctl
+            .call_at_on(inner.shard, at, move |ctl| sender.deliver(ctl, value));
     }
 }
 
@@ -210,7 +138,7 @@ impl<T: Send + 'static> SimReceiver<T> {
         self.inner
             .waiters
             .wait_until_why((), handle, BlockReason::Channel, || {
-                received = self.inner.promote().ready.pop_front();
+                received = self.inner.ready.borrow().pop_front();
                 received.is_some()
             });
         received.expect("the wait ends on a message")

@@ -228,7 +228,7 @@ pub trait ScheduleController: Send + Sync {
     fn choose_event(&self, now: SimTime, choices: &[EventChoice]) -> usize;
 
     /// Choose a delivery slot for one message on a permutation-aware
-    /// transport (`TransportBackend::Permuted`): a value in `0..options`,
+    /// transport (`TransportTuning::Permuted`): a value in `0..options`,
     /// where 0 is the canonical (ideal) delivery and higher values add
     /// bounded extra arrival slack, permuting cross-link delivery order
     /// while per-link FIFO is preserved by the transport itself.

@@ -22,7 +22,7 @@ use dsmpm2_verify::{
     explore, run_scenario, with_recording, ExploreConfig, Finding, LogRecord, RunConfig, RunOutcome,
 };
 
-use dsmpm2_core::{PermutedConfig, Pm2Config, TransportBackend, TransportTuning};
+use dsmpm2_core::{PermutedConfig, Pm2Config, TransportTuning};
 use dsmpm2_workloads::jacobi::{run_jacobi, JacobiConfig};
 use dsmpm2_workloads::map_coloring::{run_map_coloring, solve_sequential, ColoringConfig};
 use dsmpm2_workloads::micro::run_shared_counter;
@@ -79,9 +79,7 @@ fn main() -> ExitCode {
 }
 
 fn permuted(options: u8) -> TransportTuning {
-    TransportTuning {
-        backend: TransportBackend::Permuted(PermutedConfig { options }),
-    }
+    TransportTuning::Permuted(PermutedConfig { options })
 }
 
 /// The schedule-exploration smoke set: every schedule of each configuration
@@ -121,7 +119,7 @@ fn explorer_gate() -> bool {
             "explorer {}/{protocol} ({}): {} schedules, {} choice points, \
              {} budget-pruned, {} dedup hits{}",
             scn.name,
-            base.transport.backend.name(),
+            base.transport.name(),
             stats.schedules_run,
             stats.choice_points,
             stats.pruned_by_budget,

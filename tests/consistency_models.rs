@@ -509,8 +509,6 @@ fn conformance_matrix_matmul() {
 /// wire for the backends to act on.
 #[test]
 fn conformance_matrix_under_contended_and_lossy_transports() {
-    use dsm_pm2::pm2::TransportBackend;
-
     let on =
         |nodes: usize, transport| Pm2Config::bip_myrinet(nodes).with_transport_tuning(transport);
     let jacobi_baseline = run_jacobi(&jacobi(on(1, TransportTuning::ideal())), "li_hudak");
@@ -521,7 +519,7 @@ fn conformance_matrix_under_contended_and_lossy_transports() {
     let mut lossy_drops = 0u64;
     let mut lossy_retransmits = 0u64;
     for transport in [TransportTuning::contended(), TransportTuning::lossy(0xDD5)] {
-        let lossy = matches!(transport.backend, TransportBackend::Lossy(_));
+        let lossy = matches!(transport, TransportTuning::Lossy(_));
         for proto in MATRIX_PROTOCOLS {
             for nodes in [2usize, 4] {
                 let r = run_jacobi(&jacobi(on(nodes, transport)), proto);
@@ -529,7 +527,7 @@ fn conformance_matrix_under_contended_and_lossy_transports() {
                     r.final_cells,
                     jacobi_baseline.final_cells,
                     "jacobi memory diverged under {proto} x {nodes} nodes on the {} backend",
-                    transport.backend.name()
+                    transport.name()
                 );
                 if lossy {
                     lossy_drops += r.run.wire.drops;
@@ -543,7 +541,7 @@ fn conformance_matrix_under_contended_and_lossy_transports() {
                     r.final_cells,
                     sor_baseline.final_cells,
                     "sor memory diverged under {proto} x {nodes} nodes on the {} backend",
-                    transport.backend.name()
+                    transport.name()
                 );
                 if lossy {
                     lossy_drops += r.run.wire.drops;
@@ -557,7 +555,7 @@ fn conformance_matrix_under_contended_and_lossy_transports() {
                     r.final_cells,
                     matmul_baseline.final_cells,
                     "matmul memory diverged under {proto} x {nodes} nodes on the {} backend",
-                    transport.backend.name()
+                    transport.name()
                 );
                 if lossy {
                     lossy_drops += r.run.wire.drops;

@@ -1,16 +1,19 @@
 //! Property test: the FIFO-no-overtake invariant of the Madeleine transport
-//! holds per directed link under *all three* wire backends.
+//! holds per directed link under *all four* wire backends.
 //!
 //! Each sampled case drives a 3-node network through a random message
 //! program — random payload sizes (tiny control frames through multi-page
 //! transfers), random inter-send gaps and two concurrent senders whose link
 //! choices interleave — under a randomly chosen backend (`Ideal`,
-//! `Contended`, or `Lossy` with a random seed and an aggressive drop rate).
-//! Every message carries its (link, sequence) tag; the receivers must
-//! observe, per directed link, exactly the sent sequence: nothing lost,
+//! `Contended`, `Lossy` with a random seed and an aggressive drop rate, or
+//! `Permuted` under a seeded schedule controller that picks a random
+//! delivery slot for every message and a random order among same-instant
+//! events). Every message carries its (link, sequence) tag; the receivers
+//! must observe, per directed link, exactly the sent sequence: nothing lost,
 //! nothing duplicated, nothing overtaken — for `Lossy` that means the
 //! retransmission + reorder machinery must reconstruct the FIFO stream
-//! across drops and duplications.
+//! across drops and duplications, for `Permuted` that the link clocks hold
+//! on every explored schedule.
 
 use std::sync::Arc;
 
@@ -18,9 +21,9 @@ use parking_lot::Mutex;
 use proptest::prelude::*;
 
 use dsm_pm2::madeleine::{
-    profiles, LossyConfig, Network, NodeId, Topology, TransportBackend, TransportTuning,
+    profiles, LossyConfig, Network, NodeId, PermutedConfig, Topology, TransportTuning,
 };
-use dsm_pm2::sim::{Engine, SimDuration};
+use dsm_pm2::sim::{Engine, EventChoice, ScheduleController, SimDuration, SimTime};
 
 const NODES: usize = 3;
 
@@ -35,29 +38,59 @@ fn backend_for(idx: usize, seed: u64) -> TransportTuning {
     match idx {
         0 => TransportTuning::ideal(),
         1 => TransportTuning::contended(),
-        2 => TransportTuning {
-            backend: TransportBackend::Lossy(LossyConfig {
-                seed,
-                drop_per_mille: 250,
-                dup_per_mille: 100,
-                rto_factor: 2,
-            }),
-        },
-        _ => TransportTuning {
-            backend: TransportBackend::Lossy(LossyConfig {
-                seed,
-                drop_per_mille: 600,
-                dup_per_mille: 300,
-                rto_factor: 1,
-            }),
-        },
+        2 => TransportTuning::Lossy(LossyConfig {
+            seed,
+            drop_per_mille: 250,
+            dup_per_mille: 100,
+            rto_factor: 2,
+        }),
+        3 => TransportTuning::Lossy(LossyConfig {
+            seed,
+            drop_per_mille: 600,
+            dup_per_mille: 300,
+            rto_factor: 1,
+        }),
+        _ => TransportTuning::Permuted(PermutedConfig { options: 4 }),
+    }
+}
+
+/// A schedule controller that answers every choice from a seeded xorshift
+/// stream: a random delivery slot per message, a random same-instant event.
+struct SeededController(Mutex<u64>);
+
+impl SeededController {
+    fn next(&self, below: u64) -> u64 {
+        let mut x = self.0.lock();
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x % below
+    }
+}
+
+impl ScheduleController for SeededController {
+    fn choose_event(&self, _now: SimTime, choices: &[EventChoice]) -> usize {
+        self.next(choices.len() as u64) as usize
+    }
+
+    fn choose_delivery(&self, _now: SimTime, _from: u64, _to: u64, options: u32) -> u32 {
+        self.next(u64::from(options)) as u32
     }
 }
 
 /// Run the message program and return, per directed link, the sequence
 /// numbers in the order the destination observed them.
-fn observed_orders(sends: &[Send], tuning: TransportTuning) -> Vec<((usize, usize), Vec<u64>)> {
+fn observed_orders(
+    sends: &[Send],
+    tuning: TransportTuning,
+    seed: u64,
+) -> Vec<((usize, usize), Vec<u64>)> {
     let mut engine = Engine::new();
+    if let TransportTuning::Permuted(_) = tuning {
+        // Any nonzero state: xorshift never leaves zero.
+        let state = Mutex::new(seed | 1 << 32);
+        engine.set_controller(Arc::new(SeededController(state)));
+    }
     let net: Network<Tag> = Network::with_transport(
         engine.ctl(),
         profiles::bip_myrinet(),
@@ -128,7 +161,7 @@ proptest! {
             (0usize..NODES, 1usize..NODES, 0usize..9000, 0u32..60),
             1..40,
         ),
-        backend_idx in 0usize..4,
+        backend_idx in 0usize..5,
         seed in 0u64..1024,
     ) {
         let tuning = backend_for(backend_idx, seed);
@@ -144,12 +177,12 @@ proptest! {
             .collect();
         expected.sort_by_key(|(link, _)| *link);
 
-        let observed = observed_orders(&sends, tuning);
+        let observed = observed_orders(&sends, tuning, seed);
         prop_assert_eq!(
             observed,
             expected,
             "per-link delivery diverged from the send order under the {} backend",
-            tuning.backend.name()
+            tuning.name()
         );
     }
 }
