@@ -3,13 +3,16 @@
 //!
 //! An OS-thread baton pays two OS context switches per simulated step (grant
 //! = unpark the thread's OS thread + park ours; park = the reverse). This
-//! module removes the OS scheduler from that path entirely: each simulated
-//! thread owns a private call stack, and the scheduler *switches onto it*
-//! with a ~dozen-instruction register swap, runs the slice to its next yield
-//! point, and switches back. Blocking points (`WaitSet`, channels, DSM
-//! faults) become resumption points on the coroutine's saved stack — the
+//! module removes the OS scheduler from that path entirely: each worker (a
+//! `ThreadSlot`, which runs one simulated thread after another) owns a
+//! private call stack, and the scheduler *switches onto it* with a
+//! ~dozen-instruction register swap, runs the slice to its next yield point,
+//! and switches back. Blocking points (`WaitSet`, channels, DSM faults)
+//! become resumption points on the coroutine's saved stack — the
 //! user-visible programming model (ordinary imperative Rust against
-//! [`crate::SimHandle`]) is unchanged.
+//! [`crate::SimHandle`]) is unchanged. A coroutine's body is the worker's
+//! loop, so it is bootstrapped once per worker, not once per thread, and its
+//! stack lives as long as the engine's table of workers.
 //!
 //! ## The switch
 //!
@@ -172,14 +175,14 @@ pub(crate) struct Coro {
 
 // SAFETY: a Coro may be created on one OS thread and run on another (the
 // one that calls `Engine::run`), but is only ever *accessed* by that single
-// scheduler thread — granting, reaping, or tearing down after its loop
-// ended. The body is `Send`; the raw stack is private memory.
+// scheduler thread — granting, or tearing down after its loop ended. The
+// body is `Send`; the raw stack is private memory.
 unsafe impl Send for Coro {}
 
 impl Coro {
-    /// Create a suspended coroutine that will run `body` on `stack` (a
-    /// recycled buffer, or a fresh one of `stack_bytes`) when first resumed.
-    pub fn new(body: Box<dyn FnOnce() + Send>, stack_bytes: usize, stack: Option<Vec<u8>>) -> Self {
+    /// Create a suspended coroutine that will run `body` on a fresh stack of
+    /// `stack_bytes` when first resumed.
+    pub fn new(body: Box<dyn FnOnce() + Send>, stack_bytes: usize) -> Self {
         // Compile-time constant per target; the engine checks `SUPPORTED`
         // before choosing this backing, so reaching here unsupported is a
         // bug.
@@ -190,10 +193,7 @@ impl Coro {
                 "continuation hand-off unsupported on this target"
             );
         }
-        let mut stack = match stack {
-            Some(s) if s.capacity() >= stack_bytes => s,
-            _ => Vec::with_capacity(stack_bytes.max(64 * 1024)),
-        };
+        let mut stack: Vec<u8> = Vec::with_capacity(stack_bytes.max(64 * 1024));
         let base = stack.as_mut_ptr() as usize;
         let top = (base + stack.capacity()) & !15;
         // Plant the overflow canary at the lowest word (aligned up).
@@ -281,13 +281,6 @@ impl Coro {
     pub fn is_started(&self) -> bool {
         self.started
     }
-
-    /// Reclaim the stack buffer of a completed (or never-started)
-    /// coroutine for reuse by a future spawn.
-    pub fn take_stack(mut self) -> Vec<u8> {
-        assert!(self.done || !self.started, "cannot reclaim a live stack");
-        std::mem::take(&mut self.stack)
-    }
 }
 
 impl Drop for Coro {
@@ -350,7 +343,7 @@ mod tests {
                 unsafe { (*p).yield_to_scheduler() };
             }
         });
-        let mut coro = Box::new(Coro::new(body, 256 * 1024, None));
+        let mut coro = Box::new(Coro::new(body, 256 * 1024));
         shared.store(&mut *coro, Ordering::SeqCst);
         let mut resumes = 0;
         // SAFETY: single-threaded test — this loop is the only resumer, and
@@ -362,7 +355,6 @@ mod tests {
         assert_eq!(hits.load(Ordering::SeqCst), 5);
         assert_eq!(resumes, 5);
         assert!(coro.is_done());
-        let _stack = coro.take_stack();
     }
 
     #[test]
@@ -371,7 +363,7 @@ mod tests {
             let caught = panic::catch_unwind(|| panic!("inner"));
             assert!(caught.is_err());
         });
-        let mut coro = Box::new(Coro::new(body, 256 * 1024, None));
+        let mut coro = Box::new(Coro::new(body, 256 * 1024));
         // SAFETY: sole resumer of a fresh suspended coroutine.
         assert!(unsafe { coro.resume() });
     }
@@ -392,7 +384,6 @@ mod tests {
                 unreachable!("body must not run");
             }),
             128 * 1024,
-            None,
         ));
         assert!(!coro.is_started());
         drop(coro);

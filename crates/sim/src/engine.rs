@@ -31,22 +31,27 @@
 //! [`crate::TickOutbox`] rest on that: their plain FIFO order is the event
 //! order.
 //!
-//! A simulated thread's life is this. *Spawn* builds its hand-off slot
-//! (`ThreadSlot`), enters it in the thread table and submits its first wake,
-//! which — like every wake: a thread's own sleep, a [`crate::WaitSet`]'s
-//! notify — carries the slot, so executing it looks nothing up. The only
-//! way to park is a wait set's, so there is no wake by bare id either.
-//! Each wake grants one *slice*, until the thread parks again. The grant in
-//! which the body returns (or panics) is the *finishing grant*: the loop
-//! reaps the thread right there — entry removed, stack back in the pool for
-//! the next spawn, the baton lane's OS thread joined — so a thread that
-//! never blocks costs one event, and a message-driven run that spawns a
-//! handler per request holds a handful of stacks, not one per request. What
-//! the body charged after its last yield is not slept off in one more slice
-//! (nobody is left to observe it): it only moves the thread's *completion
-//! instant*, and a run ends — [`RunReport::final_time`], [`Engine::now`], a
-//! deadlock's `at` — at the later of its last event and its latest
-//! completion.
+//! A simulated thread's life is this. It runs on a *worker* (`ThreadSlot`):
+//! a private stack and a coroutine on the continuation lane, an OS thread on
+//! the baton lane, and one [`SimHandle`], all kept by the engine for the whole
+//! run. *Spawn* gives the thread a fresh id, hands its body, name and shard to
+//! an idle worker — or makes a worker when none is idle, or none has the
+//! stack asked for — and submits its first wake, which — like every wake: a
+//! thread's own sleep, a [`crate::WaitSet`]'s notify — carries the worker and
+//! the id of the thread it is for, so executing it looks nothing up. A wake
+//! for a thread its worker no longer runs is dropped: it counts as an event,
+//! not a switch. The only way to park is a wait set's, so there is no wake by
+//! bare id either. Each wake grants one *slice*, until the thread parks
+//! again. The grant in which the body returns (or panics) is the *finishing
+//! grant*: the worker falls vacant and parks, and the loop puts it on the
+//! idle list right there — nothing is freed, unhashed or joined — so a thread
+//! that never blocks costs one event, and a message-driven run that spawns a
+//! handler per request holds as many workers as it ever had threads live at
+//! once. What the body charged after its last yield is not slept off in one
+//! more slice (nobody is left to observe it): it only moves the thread's
+//! *completion instant*, and a run ends — [`RunReport::final_time`],
+//! [`Engine::now`], a deadlock's `at` — at the later of its last event and
+//! its latest completion.
 //!
 //! Every event carries a *shard key* (upper layers use the cluster node id;
 //! key-less events inherit the key of the event that scheduled them). Keys
@@ -56,8 +61,7 @@
 //! schedules on this same engine.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::BinaryHeap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -68,11 +72,7 @@ use crate::continuation::{Coro, DEFAULT_STACK_BYTES};
 use crate::error::SimError;
 use crate::handle::SimHandle;
 use crate::thread::{Backing, SchedHandle, ThreadId, ThreadSlot};
-use crate::time::SimTime;
-
-/// Cap on the number of recycled continuation stacks kept around. Beyond
-/// this, finished stacks are simply freed.
-const STACK_POOL_CAP: usize = 32;
+use crate::time::{SimDuration, SimTime};
 
 /// Marker panic payload used to unwind simulated threads during teardown.
 pub(crate) struct ShutdownUnwind;
@@ -97,9 +97,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// [`crate::SimHandle::spawn_with`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SpawnOptions {
-    /// Private stack size for this thread: the continuation's coroutine
-    /// stack (default 1 MiB, committed lazily), or the backing OS thread's
-    /// stack on targets without a stack switch.
+    /// Private stack size for this thread: the worker's coroutine stack
+    /// (default 1 MiB, committed lazily), or its OS thread's stack on targets
+    /// without a stack switch. A thread runs on an idle worker whose stack is
+    /// at least this large, or on a new one.
     pub stack_bytes: Option<usize>,
 }
 
@@ -240,16 +241,17 @@ pub trait ScheduleController: Send + Sync {
 // ---------------------------------------------------------------------------
 
 enum EventKind {
-    /// Hand a slice to a parked simulated thread, named by its slot.
+    /// Hand a slice to the parked simulated thread [`Event::to`], on the
+    /// worker it runs on: stale once the worker runs another thread.
     Wake(Arc<ThreadSlot>),
     /// Execute a closure on the scheduler (used for delayed message delivery).
     Call(Box<dyn FnOnce(&EngineCtl) + Send>),
 }
 
-/// 40 bytes of fields, padded to 48 by the alignment: the heap moves events
-/// on every push and pop, and at 40 bytes one slot in two straddles a
-/// 16-byte boundary. Unpadded, a yield (`sim.yield_ns`) took about a fifth
-/// longer on a 2-vCPU Xeon host.
+/// 48 bytes, a multiple of the alignment: the heap moves events on every
+/// push and pop, and at 40 bytes one slot in two straddled a 16-byte
+/// boundary. Unpadded, a yield (`sim.yield_ns`) took about a fifth longer on
+/// a 2-vCPU Xeon host.
 #[repr(align(16))]
 struct Event {
     time: u64,
@@ -257,8 +259,16 @@ struct Event {
     /// Shard key the event was scheduled with (inherited by key-less pushes
     /// made while it executes).
     shard: u64,
+    /// The thread a `Wake` is for ([`NO_THREAD`] for a `Call`). A field of
+    /// its own, in what was padding: in the `Wake` variant it made the kind
+    /// 24 bytes with a tag word, and two threads' yields to each other
+    /// 16–24 % slower on the same host.
+    to: ThreadId,
     kind: EventKind,
 }
+
+/// What a `Call` event is addressed to: no thread.
+const NO_THREAD: ThreadId = ThreadId(u64::MAX);
 
 impl PartialEq for Event {
     fn eq(&self, other: &Self) -> bool {
@@ -277,27 +287,11 @@ impl Ord for Event {
     }
 }
 
-struct ThreadEntry {
+/// A worker of the thread table: its slot and, on the baton lane, its OS
+/// thread.
+struct Worker {
     slot: Arc<ThreadSlot>,
-    /// Backing OS thread of a baton slot; `None` for continuations.
-    join: Option<JoinHandle<()>>,
-}
-
-/// Thread ids are dense: the table mixes them with one multiply instead of
-/// SipHash.
-#[derive(Default)]
-struct IdHasher(u64);
-
-impl Hasher for IdHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("the thread table is keyed by u64");
-    }
-    fn write_u64(&mut self, id: u64) {
-        self.0 = id.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_left(26);
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
+    os_thread: Option<JoinHandle<()>>,
 }
 
 /// Value of [`Shared::executing_shard`] while no event is executing. Not
@@ -311,7 +305,7 @@ struct EventState {
     /// Sequence number of the next submission.
     seq: u64,
     /// Latest instant at which a thread's body ended, its unflushed charge
-    /// included (see [`run_body`]); the clock is raised to it when the queue
+    /// included (see [`work`]); the clock is raised to it when the queue
     /// drains.
     latest_completion: u64,
     /// Count of parks per [`BlockReason`] (indexed by discriminant) — the
@@ -319,16 +313,16 @@ struct EventState {
     block_counts: [u64; BLOCK_REASONS.len()],
 }
 
-/// The simulated threads of a run.
+/// The workers of a run and the count of the threads they ran.
 #[derive(Default)]
 struct ThreadTable {
-    /// Live threads by id, for the reaping of a finished one, the deadlock
-    /// report and teardown. No wake reads it: a wake carries its slot.
-    live: HashMap<u64, ThreadEntry, BuildHasherDefault<IdHasher>>,
+    /// Every worker made, by index, for the deadlock report and teardown. No
+    /// wake reads it: a wake carries its worker.
+    workers: Vec<Worker>,
+    /// Indices of the vacant workers, the last one vacated last.
+    idle: Vec<usize>,
     next_tid: u64,
     spawned: u64,
-    /// Recycled private stacks of finished continuations.
-    stack_pool: Vec<Vec<u8>>,
 }
 
 /// Scheduler state (see the module doc for who may touch it). Relaxed
@@ -383,7 +377,7 @@ impl Shared {
     /// Append an event with a fresh sequence number. A `time` already past
     /// is the current instant: keeping the past key would run the event
     /// *before* events queued earlier for this instant.
-    fn submit(&self, time: SimTime, kind: EventKind, shard_key: u64) {
+    fn submit(&self, time: SimTime, kind: EventKind, to: ThreadId, shard_key: u64) {
         let time = time.as_nanos().max(self.now.load(Ordering::Relaxed));
         let mut events = self.events.borrow();
         let seq = events.seq;
@@ -392,18 +386,20 @@ impl Shared {
             time,
             seq,
             shard: shard_key,
+            to,
             kind,
         }));
     }
 
-    /// Wake with the slot embedded in the event, on the thread's current
-    /// shard: the scheduler grants straight off the `Arc`, which the event
-    /// takes over. Every wake comes through here — a thread's own
+    /// Wake thread `id` with its worker embedded in the event, on the
+    /// thread's current shard: the scheduler grants straight off the `Arc`,
+    /// which the event takes over, unless the worker has moved on to another
+    /// thread by then. Every wake comes through here — a thread's own
     /// (`sleep`/`yield_now`/`flush`), a spawn's first, a wait set's notify;
     /// a wait set hands over the reference it popped.
-    pub(crate) fn schedule_wake(&self, slot: Arc<ThreadSlot>, at: SimTime) {
+    pub(crate) fn schedule_wake(&self, slot: Arc<ThreadSlot>, id: ThreadId, at: SimTime) {
         let key = slot.shard_key();
-        self.submit(at, EventKind::Wake(slot), key);
+        self.submit(at, EventKind::Wake(slot), id, key);
     }
 
     pub(crate) fn schedule_call(
@@ -415,7 +411,7 @@ impl Shared {
         // Key-less calls inherit the executing event's shard; outside any
         // event they default to shard 0.
         let key = key.or_else(|| self.executing_shard()).unwrap_or(0);
-        self.submit(at, EventKind::Call(f), key);
+        self.submit(at, EventKind::Call(f), NO_THREAD, key);
     }
 
     pub(crate) fn record_panic(&self, thread: String, message: String) {
@@ -437,8 +433,8 @@ impl Shared {
     where
         F: FnOnce(&mut SimHandle) + Send + 'static,
     {
-        // Held to the end: nothing below runs simulated code (a baton's new
-        // OS thread touches only its slot until it is granted).
+        // Held to the end: nothing below runs simulated code (a new worker
+        // waits for its first grant).
         let mut threads = self.threads.borrow();
         let tid = ThreadId(threads.next_tid);
         threads.next_tid += 1;
@@ -448,55 +444,73 @@ impl Shared {
         let key = shard_key
             .or_else(|| self.executing_shard())
             .unwrap_or(tid.0);
-        // Three references besides the table's: the body's to the engine and
-        // to its slot, and the first wake's to the slot.
+        let stack_bytes = opts.stack_bytes.unwrap_or(DEFAULT_STACK_BYTES);
+        let idle = threads
+            .idle
+            .iter()
+            .rposition(|&w| threads.workers[w].slot.stack_bytes >= stack_bytes);
+        let slot = match idle {
+            Some(at) => {
+                let w = threads.idle.swap_remove(at);
+                Arc::clone(&threads.workers[w].slot)
+            }
+            None => self.new_worker(&mut threads, opts),
+        };
+        slot.occupy(tid, name, key, Box::new(f));
+        self.schedule_wake(slot, tid, start_at);
+        tid
+    }
+
+    /// Make a worker for `opts`' stack, vacant, enter it in `threads` and
+    /// start it up to its first park: a coroutine whose first resume is its
+    /// first occupant's first grant, or an OS thread parked until then.
+    fn new_worker(
+        self: &Arc<Self>,
+        threads: &mut ThreadTable,
+        opts: SpawnOptions,
+    ) -> Arc<ThreadSlot> {
+        let index = threads.workers.len();
+        let stack_bytes = opts.stack_bytes.unwrap_or(DEFAULT_STACK_BYTES);
         let slot = Arc::new(ThreadSlot::new(
-            tid,
-            name,
+            index,
+            stack_bytes,
             Backing::PLATFORM,
             &self.sched,
-            key,
         ));
-        let shared = Arc::clone(self);
-        let thread_slot = Arc::clone(&slot);
-        let join = match Backing::PLATFORM {
+        // The worker's handle for life, and its reference to this `Shared`:
+        // teardown breaks the cycle by ending the worker.
+        let mut handle = SimHandle::new(
+            EngineCtl {
+                shared: Arc::clone(self),
+            },
+            Arc::clone(&slot),
+        );
+        let os_thread = match Backing::PLATFORM {
             Backing::Continuation => {
-                // The thread is a coroutine: its slices run on the
-                // scheduler's OS thread, on a private stack. No OS thread is
-                // created. The first resume is the first grant.
-                let body: Box<dyn FnOnce() + Send> = Box::new(move || {
-                    if !thread_slot.shutdown_requested() {
-                        run_body(shared, thread_slot, f);
-                    }
-                });
-                let stack_bytes = opts.stack_bytes.unwrap_or(DEFAULT_STACK_BYTES);
-                let recycled = threads.stack_pool.pop();
-                slot.init_continuation(Coro::new(body, stack_bytes, recycled));
+                slot.init_continuation(Coro::new(Box::new(move || work(&mut handle)), stack_bytes));
                 None
             }
             Backing::Baton => {
-                let mut builder = std::thread::Builder::new().name(format!("sim-{}", slot.name));
+                let mut builder = std::thread::Builder::new().name(format!("sim-worker-{index}"));
                 if let Some(bytes) = opts.stack_bytes {
                     builder = builder.stack_size(bytes);
                 }
-                let join = builder
+                let thread = builder
                     .spawn(move || {
-                        // Wait for the first grant before touching user code.
-                        let slot = if thread_slot.park_and_wait() {
-                            run_body(shared, thread_slot, f)
-                        } else {
-                            thread_slot
-                        };
-                        slot.mark_finished();
+                        if handle.slot.park_and_wait() {
+                            work(&mut handle);
+                        }
+                        handle.slot.mark_finished();
                     })
-                    .expect("failed to spawn backing OS thread for simulated thread");
-                Some(join)
+                    .expect("failed to spawn the OS thread of a simulated thread's worker");
+                Some(thread)
             }
         };
-
-        self.schedule_wake(Arc::clone(&slot), start_at);
-        threads.live.insert(tid.0, ThreadEntry { slot, join });
-        tid
+        threads.workers.push(Worker {
+            slot: Arc::clone(&slot),
+            os_thread,
+        });
+        slot
     }
 
     /// Bump the engine-wide profile counter for `reason`.
@@ -546,7 +560,7 @@ impl Shared {
                     shard_key: batch[h].shard,
                     seq: batch[h].seq,
                     wakes: match &batch[h].kind {
-                        EventKind::Wake(slot) => Some(slot.id),
+                        EventKind::Wake(_) => Some(batch[h].to),
                         EventKind::Call(_) => None,
                     },
                 })
@@ -563,53 +577,39 @@ impl Shared {
         }
         Some(chosen)
     }
-
-    /// Drop a thread whose final slice just ended: forget its entry, return
-    /// its stack to the pool — the body let go of its references to this
-    /// `Shared` and to the slot when it returned — and join the OS thread of
-    /// a baton slot, so a run holds as many stacks and OS threads as it has
-    /// live threads, however many it spawns.
-    fn reap(&self, slot: &ThreadSlot) {
-        let stack = slot.reclaim_stack();
-        let entry = {
-            let mut threads = self.threads.borrow();
-            if let Some(stack) = stack {
-                if threads.stack_pool.len() < STACK_POOL_CAP {
-                    threads.stack_pool.push(stack);
-                }
-            }
-            threads.live.remove(&slot.id.0)
-        };
-        if let Some(handle) = entry.and_then(|e| e.join) {
-            let _ = handle.join();
-        }
-    }
 }
 
-/// What a simulated thread does once its first slice is granted: run the
-/// user body, note the instant it completes — the event's plus whatever was
-/// charged since the last yield; nobody is left to observe a slice that
-/// sleeps that off — and turn a panic into the run's error. The teardown
-/// unwind is not a panic. The body's references become its handle's, and the
-/// slot's comes back for whoever publishes the thread's end.
-fn run_body<F>(shared: Arc<Shared>, slot: Arc<ThreadSlot>, f: F) -> Arc<ThreadSlot>
-where
-    F: FnOnce(&mut SimHandle),
-{
-    let mut handle = SimHandle::new(EngineCtl { shared }, slot);
-    let result = panic::catch_unwind(AssertUnwindSafe(|| f(&mut handle)));
-    let ended = handle.now().as_nanos();
-    let shared = &handle.ctl.shared;
-    {
-        let mut events = shared.events.borrow();
-        events.latest_completion = events.latest_completion.max(ended);
-    }
-    if let Err(payload) = result {
-        if payload.downcast_ref::<ShutdownUnwind>().is_none() {
-            shared.record_panic(handle.slot.name.to_string(), panic_message(&*payload));
+/// What a worker runs, on either lane, from its first grant to teardown: take
+/// the occupant's body and run it, note the instant it completes — the
+/// event's plus whatever was charged since the last yield; nobody is left to
+/// observe a slice that sleeps that off — turn a panic into the run's error
+/// (the teardown unwind is not one), vacate the slot and park until the next
+/// occupant's first grant.
+fn work(handle: &mut SimHandle) {
+    loop {
+        let body = handle
+            .slot
+            .take_body()
+            .expect("an occupied worker is granted its body");
+        handle.name = handle.slot.name();
+        let result = panic::catch_unwind(AssertUnwindSafe(|| body(handle)));
+        let ended = handle.now().as_nanos();
+        handle.pending = SimDuration::ZERO;
+        let shared = &handle.ctl.shared;
+        {
+            let mut events = shared.events.borrow();
+            events.latest_completion = events.latest_completion.max(ended);
+        }
+        if let Err(payload) = result {
+            if payload.downcast_ref::<ShutdownUnwind>().is_none() {
+                shared.record_panic(handle.name().to_string(), panic_message(&*payload));
+            }
+        }
+        handle.slot.vacate();
+        if handle.slot.shutdown_requested() || !handle.slot.park_and_wait() {
+            return;
         }
     }
-    handle.slot
 }
 
 /// A lightweight, cloneable controller over the engine. It is handed to
@@ -831,21 +831,20 @@ impl Engine {
     }
 
     /// Verdict once the event queue is empty: clean completion (`Ok`) or a
-    /// deadlock report naming each parked thread and, when the
-    /// slot recorded one, the [`BlockReason`] it is stuck on.
+    /// deadlock report naming the occupant of each parked worker and, when
+    /// the slot recorded one, the [`BlockReason`] it is stuck on.
     fn drained_verdict(&self) -> Result<(), SimError> {
         let shared = &self.shared;
         let mut parked: Vec<String> = shared
             .threads
             .borrow()
-            .live
-            .values()
-            .filter(|e| e.slot.is_parked() && !e.slot.is_finished())
-            .map(|e| match e.slot.blocked_on() {
-                Some(reason) => {
-                    format!("{} ({}) blocked on {:?}", e.slot.name, e.slot.id, reason)
-                }
-                None => format!("{} ({})", e.slot.name, e.slot.id),
+            .workers
+            .iter()
+            .map(|w| &w.slot)
+            .filter(|slot| !slot.is_vacant() && slot.is_parked())
+            .map(|slot| match slot.blocked_on() {
+                Some(reason) => format!("{} ({}) blocked on {reason:?}", slot.name(), slot.id()),
+                None => format!("{} ({})", slot.name(), slot.id()),
             })
             .collect();
         if parked.is_empty() {
@@ -919,47 +918,52 @@ impl Engine {
 
     fn teardown(&self) {
         // Runs after the scheduler loop ended, so this thread owns every
-        // slot. One thread at a time, to the end of its unwind: the frames
-        // parked on its stack have destructors, those may touch state that
-        // is only exclusive while the hand-off orders its users, and a baton
-        // thread unwinds on an OS thread of its own.
-        let entries: Vec<ThreadEntry> = {
+        // worker. One at a time, to the end of its unwind: the frames parked
+        // on its stack have destructors, those may touch state that is only
+        // exclusive while the hand-off orders its users, and a baton worker
+        // unwinds on an OS thread of its own.
+        let workers = {
             let mut threads = self.shared.threads.borrow();
-            threads.live.drain().map(|(_, e)| e).collect()
+            threads.idle.clear();
+            std::mem::take(&mut threads.workers)
         };
-        for entry in entries {
-            // Release a baton thread still waiting for a grant so its OS
+        for worker in workers {
+            // Release a baton worker still waiting for a grant so its OS
             // thread can exit.
-            entry.slot.request_shutdown();
-            // Unwind a suspended continuation and drop a never-started body
-            // — both hold an Arc cycle back to `Shared`.
-            entry.slot.teardown_continuation();
-            let _ = entry.slot.reclaim_stack();
-            if let Some(handle) = entry.join {
-                let _ = handle.join();
+            worker.slot.request_shutdown();
+            // Unwind a suspended continuation, occupied or idle, and drop a
+            // never-started one: each holds its handle's `Arc` back to
+            // `Shared`.
+            worker.slot.teardown_continuation();
+            if let Some(os_thread) = worker.os_thread {
+                let _ = os_thread.join();
             }
+            // The body of an occupant that never started can hold one too.
+            drop(worker.slot.take_body());
         }
     }
 }
 
 /// Execute one event: a `Wake` hands a slice to its thread and returns when
-/// the thread parks again — reaping it if that slice was its last — and a
-/// `Call` runs its closure right here. Either way the event's shard key is
-/// what key-less pushes made meanwhile inherit. Returns whether a slice ran
-/// (a context switch).
+/// the thread parks again — putting its worker on the idle list if that
+/// slice was its last — and a `Call` runs its closure right here. Either way
+/// the event's shard key is what key-less pushes made meanwhile inherit.
+/// Returns whether a slice ran (a context switch).
 fn execute_event(ctl: &EngineCtl, event: Event) -> bool {
     let shared = &ctl.shared;
     let mut switched = false;
     match event.kind {
-        EventKind::Wake(slot) => {
+        // A wake for a thread its worker no longer runs is stale.
+        EventKind::Wake(slot) if slot.runs(event.to) => {
             // A thread woken through a key captured before it migrated runs
-            // under the key it has now. A finished thread's grant is stale.
+            // under the key it has now.
             shared.set_executing_shard(slot.shard_key());
             switched = slot.grant_and_wait();
-            if switched && slot.is_finished() {
-                shared.reap(&slot);
+            if slot.is_vacant() {
+                shared.threads.borrow().idle.push(slot.index);
             }
         }
+        EventKind::Wake(_) => {}
         EventKind::Call(f) => {
             shared.set_executing_shard(event.shard);
             // A panicking scheduler callback must not take down the
@@ -1182,13 +1186,14 @@ mod tests {
         assert_eq!(seen.lock().clone(), vec![outside.as_u64(), 5, 9]);
     }
 
-    /// Names of the threads the engine still holds an entry for.
-    fn live(shared: &Shared) -> Vec<String> {
+    /// Names of the threads the engine's workers are occupied by.
+    fn occupants(shared: &Shared) -> Vec<String> {
         let threads = shared.threads.borrow();
         let mut names: Vec<String> = threads
-            .live
-            .values()
-            .map(|e| e.slot.name.to_string())
+            .workers
+            .iter()
+            .filter(|w| !w.slot.is_vacant())
+            .map(|w| w.slot.name().to_string())
             .collect();
         names.sort();
         names
@@ -1223,43 +1228,23 @@ mod tests {
             Err(SimError::Deadlock { at, .. }) => assert_eq!(at, SimTime::from_micros(9)),
             other => panic!("expected deadlock, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn a_finished_thread_is_reaped_at_its_last_grant() {
-        let continuations = Backing::PLATFORM == Backing::Continuation;
+        // The thread that takes the finished thread's worker starts with
+        // nothing pending: its clock is the engine's.
         let mut engine = Engine::new();
-        let shared = Arc::clone(&engine.shared);
-        let frames = Arc::new(Mutex::new(std::collections::HashSet::new()));
-        let f = frames.clone();
-        engine.spawn("parent", move |h| {
-            for _ in 0..10_000 {
-                let f = f.clone();
-                h.spawn("child", move |h| {
-                    let local = 0u8;
-                    f.lock()
-                        .insert(std::hint::black_box(&local) as *const u8 as usize);
-                    h.charge(SimDuration::from_nanos(300));
-                });
-                h.sleep(SimDuration::from_micros(1));
-                // The child's one slice ran meanwhile: its entry is gone and
-                // its stack waits in the pool for the next child.
-                assert_eq!(live(&shared), ["parent"]);
-                let pooled = shared.threads.borrow().stack_pool.len();
-                assert_eq!(pooled, usize::from(continuations));
-            }
+        engine.spawn("t", move |h| h.charge(us(9)));
+        engine.spawn("other", move |h| {
+            h.sleep(us(20));
+            h.spawn("next", move |h| {
+                assert_eq!((h.slot.index, h.now()), (0, SimTime::from_micros(20)));
+                h.sleep(us(1));
+            });
         });
-        let report = engine.run().unwrap();
-        assert_eq!((report.events, report.threads_spawned), (20_001, 10_001));
-        if continuations {
-            // Two stacks in the whole run: the parent's and this one.
-            assert_eq!(frames.lock().len(), 1, "every child ran on one stack");
-        }
+        assert_eq!(engine.run().unwrap(), report(21, 5, 3));
     }
 
     #[test]
-    fn a_panicking_thread_is_reaped_like_any_other() {
-        // Driven without `run`'s teardown, which empties the table anyway.
+    fn a_panicking_threads_worker_falls_vacant_like_any_other() {
+        // Driven without `run`'s teardown, which ends every worker anyway.
         let engine = Engine::new();
         engine.spawn("parked", park_forever);
         engine.spawn("bad", |h| {
@@ -1268,14 +1253,62 @@ mod tests {
         });
         let result = engine.run_inner();
         assert!(matches!(result, Err(SimError::ThreadPanic { .. })));
-        assert_eq!(live(&engine.shared), ["parked"]);
+        assert_eq!(occupants(&engine.shared), ["parked"]);
+        assert_eq!(engine.shared.threads.borrow().idle, [1]);
+    }
+
+    /// A wake addressed to a thread that has finished — submitted directly,
+    /// or by the notify of a wait-set entry registered under its id — does
+    /// not reach the thread its worker runs now: it is an event, not a
+    /// switch, and the new occupant resumes when its own wake says.
+    #[test]
+    fn a_stale_wake_does_not_reach_a_recycled_worker() {
+        let us = SimDuration::from_micros;
+        for through_a_wait_set in [false, true] {
+            let mut engine = Engine::new();
+            let a = engine.spawn("a", |_| {});
+            let resumed = Arc::new(AtomicU64::new(0));
+            let r = resumed.clone();
+            engine.spawn("spawner", move |h| {
+                h.sleep(us(1));
+                // A finished at 0, so B takes its worker.
+                let b = h.spawn("b", move |h| {
+                    h.sleep(us(9));
+                    r.store(h.now().as_nanos(), Ordering::SeqCst);
+                });
+                let shared = Arc::clone(&h.ctl().shared);
+                let slot = Arc::clone(&shared.threads.borrow().workers[0].slot);
+                assert!(slot.runs(b));
+                h.sleep(us(1));
+                if through_a_wait_set {
+                    let ws = WaitSet::new();
+                    ws.waiters.borrow().push_back(((), a, slot));
+                    assert_eq!(ws.notify_all((), h.ctl(), SimDuration::ZERO), 1);
+                } else {
+                    shared.schedule_wake(slot, a, h.now());
+                }
+            });
+            let report = engine.run().unwrap();
+            assert_eq!(resumed.load(Ordering::SeqCst), 10_000);
+            // a, spawner ×3, b ×2 and the stale wake.
+            assert_eq!(
+                report,
+                RunReport {
+                    final_time: SimTime::from_micros(10),
+                    events: 7,
+                    context_switches: 6,
+                    threads_spawned: 3,
+                }
+            );
+        }
     }
 
     /// However a run ends, nothing of it outlives the engine: once the engine
     /// and every handle on it are dropped, its scheduler state is freed. The
     /// bodies keep controllers, wait sets that hold their own slots and
-    /// children of their own, so a reference that a spawn, a wake, a reap or
-    /// the teardown failed to give back shows up as a live `Shared`.
+    /// children of their own, and every worker's handle holds the engine, so
+    /// a reference that a spawn, a wake, a finishing grant or the teardown
+    /// failed to give back shows up as a live `Shared`.
     #[test]
     fn nothing_outlives_its_run() {
         let us = SimDuration::from_micros;
@@ -1317,6 +1350,24 @@ mod tests {
             matches!(deadlocked, Some(Err(SimError::Deadlock { .. }))),
             "{deadlocked:?}"
         );
+
+        // One worker idle, the other parked forever in its second occupant.
+        let recycled = ends(
+            &|engine| {
+                engine.spawn("first", |_| {});
+                engine.spawn("spawner", move |h| {
+                    h.sleep(us(1));
+                    h.spawn("second", park_forever);
+                });
+            },
+            true,
+        );
+        match recycled {
+            Some(Err(SimError::Deadlock { parked_threads, .. })) => {
+                assert_eq!(parked_threads, ["second (T2) blocked on WaitSet"]);
+            }
+            other => panic!("expected deadlock, got {other:?}"),
+        }
 
         let panicked = ends(
             &|engine| {

@@ -2,9 +2,10 @@
 //! virtual clock and the scheduler.
 //!
 //! A [`SimHandle`] is passed (by mutable reference) into every simulated
-//! thread body. It is intentionally *not* `Clone` and not `Send`: it belongs
-//! to exactly one simulated thread, mirroring how a PM2 thread owns its own
-//! Marcel descriptor.
+//! thread body. It is intentionally *not* `Clone`: it belongs to one worker
+//! for the worker's whole life, and each simulated thread the worker runs
+//! borrows it for the length of its body, mirroring how a PM2 thread owns
+//! its Marcel descriptor.
 
 use std::panic;
 use std::sync::Arc;
@@ -17,16 +18,21 @@ use crate::time::{SimDuration, SimTime};
 pub struct SimHandle {
     /// The engine, as every other holder of a controller sees it.
     pub(crate) ctl: EngineCtl,
-    /// The hand-off slot: also what a wait set keeps to wake this thread.
+    /// The worker's slot: also what a wait set keeps, with [`Self::id`], to
+    /// wake this thread.
     pub(crate) slot: Arc<ThreadSlot>,
-    /// Locally accumulated compute time not yet reflected in the global clock.
-    pending: SimDuration,
+    /// The occupant's name, copied from the slot when its body starts.
+    pub(crate) name: Arc<str>,
+    /// Locally accumulated compute time not yet reflected in the global
+    /// clock; the worker clears it when an occupant's body ends.
+    pub(crate) pending: SimDuration,
 }
 
 impl SimHandle {
     pub(crate) fn new(ctl: EngineCtl, slot: Arc<ThreadSlot>) -> Self {
         SimHandle {
             ctl,
+            name: slot.name(),
             slot,
             pending: SimDuration::ZERO,
         }
@@ -34,12 +40,12 @@ impl SimHandle {
 
     /// The identity of this simulated thread.
     pub fn id(&self) -> ThreadId {
-        self.slot.id
+        self.slot.id()
     }
 
     /// The name this thread was spawned with.
     pub fn name(&self) -> &str {
-        &self.slot.name
+        &self.name
     }
 
     /// The thread's local view of virtual time: the global clock plus any
@@ -93,7 +99,8 @@ impl SimHandle {
     pub fn sleep(&mut self, d: SimDuration) {
         let wake_at = self.shared().now() + self.pending + d;
         self.pending = SimDuration::ZERO;
-        self.shared().schedule_wake(Arc::clone(&self.slot), wake_at);
+        self.shared()
+            .schedule_wake(Arc::clone(&self.slot), self.id(), wake_at);
         // Reified slice outcome: we advanced time and scheduled our own wake.
         self.slot.record_outcome(SliceOutcome::Yielded(wake_at));
         self.park_raw();
@@ -115,7 +122,7 @@ impl SimHandle {
         assert!(
             self.pending.is_zero(),
             "'{}' parked with {} of compute pending",
-            self.slot.name,
+            self.name(),
             self.pending
         );
         self.slot.record_outcome(SliceOutcome::Blocked(reason));
@@ -209,7 +216,7 @@ impl std::fmt::Debug for SimHandle {
         write!(
             f,
             "SimHandle({} '{}' now={})",
-            self.slot.id,
+            self.id(),
             self.name(),
             self.now()
         )

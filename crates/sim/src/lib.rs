@@ -3,17 +3,19 @@
 //! This crate provides the execution substrate on which the DSM-PM2
 //! reproduction runs. The original system executes on real clusters with the
 //! PM2 user-level thread package; here, "cluster nodes" and "PM2 threads" are
-//! simulated. A simulated thread is a *continuation* — a stackful coroutine
+//! simulated. A simulated thread runs on a *worker* — a stackful coroutine
 //! whose slices execute inline on the scheduler's own OS thread, mirroring
 //! how Marcel multiplexes user-level threads onto a kernel thread — and
 //! control passes to exactly one simulated thread at a time, in the order
-//! dictated by one virtual-time event queue. Deeply recursive bodies size
-//! their private stack with [`SpawnOptions::with_stack_bytes`]. On targets
-//! without a stack switch (anything but x86-64) each simulated thread is
-//! instead backed by an OS thread and a futex-style baton; the choice is the
-//! platform's, made at compile time, and both produce the same fully
-//! deterministic execution in *virtual time*, which is what the benchmark
-//! harness measures.
+//! dictated by one virtual-time event queue. A worker whose thread has
+//! finished runs the next thread spawned, the way PM2 serves a request by a
+//! pre-existing thread, so a spawn costs a wake, not a new stack. Deeply
+//! recursive bodies size their private stack with
+//! [`SpawnOptions::with_stack_bytes`]. On targets without a stack switch
+//! (anything but x86-64) each worker is instead an OS thread passing a
+//! futex-style baton; the choice is the platform's, made at compile time,
+//! and both produce the same fully deterministic execution in *virtual
+//! time*, which is what the benchmark harness measures.
 //!
 //! ## Programming model
 //!

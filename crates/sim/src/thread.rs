@@ -1,4 +1,4 @@
-//! Simulated thread identity and the scheduler/thread hand-off slot.
+//! Simulated thread identity and the worker a simulated thread runs on.
 //!
 //! At most one simulated thread executes at any wall-clock instant: the
 //! scheduler hands control to the thread chosen by the event queue and
@@ -6,18 +6,23 @@
 //! deterministic while letting user code be written as ordinary imperative
 //! Rust (the PM2 programming model).
 //!
-//! The platform picks the hand-off ([`Backing::PLATFORM`]); both share one
-//! slot type and one atomic [`Phase`] word:
+//! A simulated thread runs on a *worker*: a [`ThreadSlot`] with its
+//! execution context, which the engine keeps for the whole run. A worker
+//! runs one thread — its *occupant* — at a time; when the occupant's body
+//! returns, the worker falls vacant and serves the next spawn, the way a
+//! PM2 node serves an RPC by a pre-existing thread. The platform picks the
+//! execution context ([`Backing::PLATFORM`]); both share one slot type and
+//! one atomic [`Phase`] word:
 //!
 //! * **Continuation**, wherever [`crate::continuation`] has a stack switch
-//!   (x86-64): the thread's slices run as a stackful coroutine *on the
-//!   scheduler's own OS thread* — a grant is a ~dozen-instruction stack
-//!   switch into [`crate::continuation::Coro`], a park is the switch back.
-//!   No OS thread wakes up, and the phase word is a record, not an arbiter.
-//! * **Baton**, everywhere else: the thread is backed by a dedicated OS
-//!   thread; each side publishes its transition with one atomic store and
-//!   wakes the other with one `std::thread::unpark`, spinning briefly before
-//!   parking. Machine-independent, and kept honest on x86-64 by the
+//!   (x86-64): the worker is a stackful coroutine run *on the scheduler's
+//!   own OS thread* — a grant is a ~dozen-instruction stack switch into
+//!   [`crate::continuation::Coro`], a park is the switch back. No OS thread
+//!   wakes up, and the phase word is a record, not an arbiter.
+//! * **Baton**, everywhere else: the worker is a dedicated OS thread; each
+//!   side publishes its transition with one atomic store and wakes the
+//!   other with one `std::thread::unpark`, spinning briefly before parking.
+//!   Machine-independent, and kept honest on x86-64 by the
 //!   `--cfg dsm_force_no_coro` CI lane.
 
 use std::cell::UnsafeCell;
@@ -26,11 +31,14 @@ use std::sync::{Arc, OnceLock};
 use std::thread::Thread;
 use std::{fmt, ptr};
 
+use crate::cell::SliceCell;
 use crate::continuation::{self, Coro};
 use crate::engine::{BlockReason, SliceOutcome, BLOCK_REASONS};
+use crate::handle::SimHandle;
 use crate::time::SimTime;
 
-/// Identifier of a simulated thread, unique within one [`crate::Engine`].
+/// Identifier of a simulated thread, unique within one [`crate::Engine`]:
+/// ids are never reused, though workers are.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ThreadId(pub(crate) u64);
 
@@ -81,8 +89,9 @@ impl Backing {
     };
 }
 
-/// Life-cycle of a simulated thread with respect to the scheduler grant,
-/// stored as a `u32` in the slot's atomic phase word.
+/// Life-cycle of a worker with respect to the scheduler grant, stored as a
+/// `u32` in the slot's atomic phase word. A vacant worker is `Parked` too,
+/// waiting for its next occupant's first grant.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum Phase {
     /// OS thread spawned but has not yet reached its first park
@@ -95,7 +104,7 @@ pub(crate) enum Phase {
     Granted = 2,
     /// Currently executing user code.
     Running = 3,
-    /// The thread body returned (or panicked); it will never run again.
+    /// The worker's loop has ended (teardown); it will never run again.
     Finished = 4,
 }
 
@@ -184,13 +193,30 @@ impl Drop for SchedHandle {
 /// Sentinel for "no slice outcome recorded yet".
 const OUTCOME_NONE: u32 = u32::MAX;
 
-/// Hand-off slot shared between the scheduler and one simulated thread.
+/// Value of a vacant worker's occupant word. Not a thread id.
+const VACANT: u64 = u64::MAX;
+
+/// A simulated thread's body, boxed by the spawn and run by a worker.
+pub(crate) type Body = Box<dyn FnOnce(&mut SimHandle) + Send>;
+
+/// A worker: the hand-off slot shared between the scheduler and whichever
+/// simulated thread occupies it.
 pub(crate) struct ThreadSlot {
-    pub id: ThreadId,
-    pub name: Arc<str>,
-    /// Execution substrate backing this thread.
+    /// Position in the engine's table of workers.
+    pub index: usize,
+    /// Size of the private stack, as requested when the worker was made.
+    pub stack_bytes: usize,
+    /// Id of the occupant, [`VACANT`] between occupants. Written by the spawn
+    /// that occupies the worker and by the worker when its occupant ends,
+    /// read by every wake: ordered by the hand-off, so relaxed.
+    occupant: AtomicU64,
+    /// The occupant's name.
+    name: SliceCell<Arc<str>>,
+    /// The occupant's body, until its first grant takes it.
+    body: SliceCell<Option<Body>>,
+    /// Execution substrate backing this worker.
     backing: Backing,
-    /// Current shard key of the thread (updated on migration).
+    /// Current shard key of the occupant (updated on migration).
     shard: AtomicU64,
     /// The atomic phase word ([`Phase`] as u32).
     phase: AtomicU32,
@@ -206,9 +232,9 @@ pub(crate) struct ThreadSlot {
     /// holds it; a continuation parks by switching stacks.
     sched: Option<Arc<SchedHandle>>,
     // ----- continuation -----------------------------------------------------
-    /// The coroutine carrying this thread's slices. Only the scheduler
-    /// thread touches it — to grant, reap or tear down — or the coroutine
-    /// itself while the scheduler is suspended inside the grant.
+    /// The coroutine carrying this worker's slices. Only the scheduler
+    /// thread touches it — to grant or tear down — or the coroutine itself
+    /// while the scheduler is suspended inside the grant.
     coro: UnsafeCell<Option<Coro>>,
     // ----- slice outcome (reified yield site, written by the thread itself
     // right before it parks — single writer, racing readers see a torn pair
@@ -218,12 +244,12 @@ pub(crate) struct ThreadSlot {
 }
 
 // SAFETY: every field but `coro` is Sync by construction. The `UnsafeCell`
-// around the coroutine is only dereferenced by (a) the spawn path before the
-// slot is shared, (b) the scheduler thread granting a slice — there is one
-// scheduler thread per engine, and it grants one slot at a time, (c) the
-// coroutine body itself while that grant is suspended in `Coro::resume`, and
-// (d) reaping after the finishing grant and teardown after the loop, both
-// on the scheduler thread — all mutually exclusive.
+// around the coroutine is only dereferenced by (a) the path that makes the
+// worker, before the slot is shared, (b) the scheduler thread granting a
+// slice — there is one scheduler thread per engine, and it grants one slot
+// at a time, (c) the coroutine body itself while that grant is suspended in
+// `Coro::resume`, and (d) teardown after the loop, on the scheduler thread —
+// all mutually exclusive.
 unsafe impl Send for ThreadSlot {}
 // SAFETY: see the Send justification above — every access to the one
 // non-Sync field (`coro`) happens on, or nested inside a grant of, the one
@@ -231,20 +257,23 @@ unsafe impl Send for ThreadSlot {}
 unsafe impl Sync for ThreadSlot {}
 
 impl ThreadSlot {
-    /// A slot for thread `id`, named `name`. A baton slot keeps a reference
-    /// to `sched`; a continuation slot takes none.
+    /// A vacant worker, number `index` of its engine, for `stack_bytes` of
+    /// stack. A baton slot keeps a reference to `sched`; a continuation slot
+    /// takes none.
     pub fn new(
-        id: ThreadId,
-        name: Arc<str>,
+        index: usize,
+        stack_bytes: usize,
         backing: Backing,
         sched: &Arc<SchedHandle>,
-        shard: u64,
     ) -> Self {
         ThreadSlot {
-            id,
-            name,
+            index,
+            stack_bytes,
+            occupant: AtomicU64::new(VACANT),
+            name: SliceCell::new(Arc::from("")),
+            body: SliceCell::new(None),
             backing,
-            shard: AtomicU64::new(shard),
+            shard: AtomicU64::new(0),
             phase: AtomicU32::new(Phase::Created as u32),
             shutdown: AtomicBool::new(false),
             os_thread: OnceLock::new(),
@@ -253,6 +282,49 @@ impl ThreadSlot {
             outcome_kind: AtomicU32::new(OUTCOME_NONE),
             outcome_arg: AtomicU64::new(0),
         }
+    }
+
+    /// Hand this vacant worker thread `id`: its name, shard and body, which
+    /// the worker takes at the thread's first grant.
+    pub fn occupy(&self, id: ThreadId, name: Arc<str>, shard: u64, body: Body) {
+        debug_assert!(self.is_vacant(), "occupied an occupied worker");
+        *self.name.borrow() = name;
+        *self.body.borrow() = Some(body);
+        self.shard.store(shard, Ordering::Relaxed);
+        self.occupant.store(id.0, Ordering::Relaxed);
+    }
+
+    /// Called by the worker when its occupant's body has returned or
+    /// unwound, before it parks for the next occupant.
+    pub fn vacate(&self) {
+        self.record_outcome(SliceOutcome::Done);
+        self.occupant.store(VACANT, Ordering::Relaxed);
+    }
+
+    /// The occupant's body, if its first grant has not taken it yet.
+    pub fn take_body(&self) -> Option<Body> {
+        self.body.borrow().take()
+    }
+
+    /// The occupant's id (meaningless while the worker is vacant).
+    pub fn id(&self) -> ThreadId {
+        ThreadId(self.occupant.load(Ordering::Relaxed))
+    }
+
+    /// The occupant's name.
+    pub fn name(&self) -> Arc<str> {
+        Arc::clone(&self.name.borrow())
+    }
+
+    /// True if the worker runs thread `id`: a wake addressed to any other
+    /// thread is stale.
+    pub fn runs(&self, id: ThreadId) -> bool {
+        self.occupant.load(Ordering::Relaxed) == id.0
+    }
+
+    /// True between the end of one occupant and the spawn of the next.
+    pub fn is_vacant(&self) -> bool {
+        self.occupant.load(Ordering::Relaxed) == VACANT
     }
 
     /// The thread's current shard key.
@@ -360,9 +432,9 @@ impl ThreadSlot {
         true
     }
 
-    /// Called by the backing OS thread of a baton slot when its body has
-    /// returned or panicked (a continuation's completion is published by the
-    /// grant that drove its final slice).
+    /// Called by the backing OS thread of a baton slot when its worker loop
+    /// has ended (a continuation's end is published by the resume that
+    /// drove it there).
     pub fn mark_finished(&self) {
         self.record_outcome(SliceOutcome::Done);
         self.phase.store(Phase::Finished as u32, Ordering::SeqCst);
@@ -371,22 +443,22 @@ impl ThreadSlot {
 
     // ----- scheduler side ---------------------------------------------------
 
-    /// Install the coroutine carrying this thread's slices. Called by the
-    /// spawn path before the slot is shared with the scheduler, so the
-    /// plain store is exclusive; the `Parked` store — relaxed, like every
-    /// transition of a continuation's phase — makes the slot immediately
-    /// grantable (continuations have no Created window).
+    /// Install the coroutine carrying this worker's slices. Called by the
+    /// path that makes the worker, before the slot is shared with the
+    /// scheduler, so the plain store is exclusive; the `Parked` store —
+    /// relaxed, like every transition of a continuation's phase — makes the
+    /// slot immediately grantable (continuations have no Created window).
     pub fn init_continuation(&self, coro: Coro) {
         debug_assert_eq!(self.backing, Backing::Continuation);
-        // SAFETY: called before the slot is shared (spawn path), so this
+        // SAFETY: called before the slot is shared (worker creation), so this
         // plain store through the UnsafeCell is exclusive.
         unsafe { *self.coro.get() = Some(coro) };
         self.phase.store(Phase::Parked as u32, Ordering::Relaxed);
     }
 
     /// Called by the scheduler: grant a slice to the (eventually) parked
-    /// thread and block until it parks again or finishes. Returns `false`
-    /// if the thread was already finished (stale wake event).
+    /// worker and block until it parks again. Returns `false` if the
+    /// worker's loop has already ended.
     ///
     /// For a continuation "block until it parks" is literal but OS-free: the
     /// slice executes right here, on the caller's stack frame, via a
@@ -416,9 +488,6 @@ impl ThreadSlot {
             // suspended and not done, so it is resumable.
             unsafe { coro.resume() }
         };
-        if done {
-            self.record_outcome(SliceOutcome::Done);
-        }
         self.phase.store(
             if done { Phase::Finished } else { Phase::Parked } as u32,
             Ordering::Relaxed,
@@ -479,9 +548,8 @@ impl ThreadSlot {
     /// Drive a suspended continuation through its shutdown unwind and drop
     /// it. Called by engine teardown *after* the scheduler loop stopped, so
     /// the access is exclusive. Dropping the coroutine also releases a
-    /// never-started body's captured state — which includes an `Arc` back to
-    /// the engine's `Shared` (the cycle must be broken here or the engine
-    /// leaks).
+    /// never-started worker's handle — an `Arc` back to the engine's
+    /// `Shared` (the cycle must be broken here or the engine leaks).
     pub fn teardown_continuation(&self) {
         if self.backing != Backing::Continuation {
             return;
@@ -504,28 +572,7 @@ impl ThreadSlot {
         self.phase.store(Phase::Finished as u32, Ordering::SeqCst);
     }
 
-    /// Reclaim the stack buffer of a finished (or never-started)
-    /// continuation for reuse by a future spawn; drops the coroutine.
-    /// Returns `None` for baton slots and continuations still live. Only
-    /// called with exclusive access (reaping after the final grant, or
-    /// teardown).
-    pub fn reclaim_stack(&self) -> Option<Vec<u8>> {
-        if self.backing != Backing::Continuation {
-            return None;
-        }
-        // SAFETY: per this function's contract, callers hold exclusive
-        // access (the scheduler reaping after the final grant, or teardown).
-        let cell = unsafe { &mut *self.coro.get() };
-        let reclaimable = cell
-            .as_ref()
-            .is_some_and(|c| c.is_done() || !c.is_started());
-        if !reclaimable {
-            return None;
-        }
-        Some(cell.take().expect("checked above").take_stack())
-    }
-
-    /// True if the thread is currently parked (used for deadlock reporting).
+    /// True if the worker is currently parked (used for deadlock reporting).
     pub fn is_parked(&self) -> bool {
         matches!(
             Phase::from_u32(self.phase.load(Ordering::SeqCst)),
@@ -533,7 +580,8 @@ impl ThreadSlot {
         )
     }
 
-    /// True if the thread has finished.
+    /// True once the worker's loop has ended.
+    #[cfg(test)]
     pub fn is_finished(&self) -> bool {
         self.phase.load(Ordering::SeqCst) == Phase::Finished as u32
     }
@@ -551,19 +599,15 @@ impl ThreadSlot {
 mod tests {
     use super::*;
 
-    /// A baton slot whose scheduler is the calling test thread. (The
-    /// continuation path cannot be driven by a bare OS thread calling
-    /// `park_and_wait`; the engine tests exercise it.)
+    /// A baton slot occupied by thread `id`, whose scheduler is the calling
+    /// test thread. (The continuation path cannot be driven by a bare OS
+    /// thread calling `park_and_wait`; the engine tests exercise it.)
     fn baton_slot(id: u64) -> Arc<ThreadSlot> {
         let sched = Arc::new(SchedHandle::new());
         sched.register_current();
-        Arc::new(ThreadSlot::new(
-            ThreadId(id),
-            "t".into(),
-            Backing::Baton,
-            &sched,
-            id,
-        ))
+        let slot = ThreadSlot::new(0, 1 << 20, Backing::Baton, &sched);
+        slot.occupy(ThreadId(id), "t".into(), id, Box::new(|_| {}));
+        Arc::new(slot)
     }
 
     #[test]
@@ -632,6 +676,20 @@ mod tests {
         assert_eq!(slot.shard_key(), 7);
         slot.set_shard_key(2);
         assert_eq!(slot.shard_key(), 2);
+    }
+
+    #[test]
+    fn a_worker_runs_one_occupant_at_a_time() {
+        let slot = baton_slot(4);
+        assert!(slot.runs(ThreadId(4)) && !slot.is_vacant());
+        assert_eq!((slot.id(), &*slot.name()), (ThreadId(4), "t"));
+        assert!(slot.take_body().is_some() && slot.take_body().is_none());
+        slot.vacate();
+        assert!(slot.is_vacant() && !slot.runs(ThreadId(4)));
+        assert_eq!(slot.last_outcome(), Some(SliceOutcome::Done));
+        slot.occupy(ThreadId(5), "u".into(), 1, Box::new(|_| {}));
+        assert!(slot.runs(ThreadId(5)) && !slot.runs(ThreadId(4)));
+        assert_eq!((&*slot.name(), slot.shard_key()), ("u", 1));
     }
 
     #[test]

@@ -47,10 +47,10 @@ use crate::time::SimDuration;
 /// A set of blocked simulated threads, each waiting under a key of type `K`,
 /// FIFO in registration order.
 pub struct WaitSet<K = ()> {
-    /// Waiters, oldest first, by key and hand-off slot: a wake-up goes
-    /// straight to the slot, on the shard the thread is on then, with no
-    /// lookup by id.
-    waiters: SliceCell<VecDeque<(K, Arc<ThreadSlot>)>>,
+    /// Waiters, oldest first, by key, thread and the worker it runs on: a
+    /// wake-up goes straight to the worker, on the shard the thread is on
+    /// then, with no lookup, addressed to the thread.
+    pub(crate) waiters: SliceCell<VecDeque<(K, ThreadId, Arc<ThreadSlot>)>>,
 }
 
 impl<K> Default for WaitSet<K> {
@@ -81,13 +81,12 @@ impl<K: Copy + PartialEq> WaitSet<K> {
     /// from the set: the wake event takes over the set's reference to its
     /// slot. Returns the thread that was woken.
     pub fn notify_one(&self, key: K, ctl: &EngineCtl, delay: SimDuration) -> Option<ThreadId> {
-        let slot = {
+        let (_, id, slot) = {
             let mut waiters = self.waiters.borrow();
-            let at = waiters.iter().position(|(k, _)| *k == key)?;
-            waiters.remove(at)?.1
+            let at = waiters.iter().position(|(k, ..)| *k == key)?;
+            waiters.remove(at)?
         };
-        let id = slot.id;
-        ctl.shared.schedule_wake(slot, ctl.now() + delay);
+        ctl.shared.schedule_wake(slot, id, ctl.now() + delay);
         Some(id)
     }
 
@@ -104,8 +103,8 @@ impl<K: Copy + PartialEq> WaitSet<K> {
         // borrowed meanwhile.
         while i < waiters.len() {
             if waiters[i].0 == key {
-                let (_, slot) = waiters.remove(i).expect("index in range");
-                ctl.shared.schedule_wake(slot, at);
+                let (_, id, slot) = waiters.remove(i).expect("index in range");
+                ctl.shared.schedule_wake(slot, id, at);
                 woken += 1;
             } else {
                 i += 1;
@@ -134,7 +133,7 @@ impl<K: Copy + PartialEq> WaitSet<K> {
             }
             self.waiters
                 .borrow()
-                .push_back((key, Arc::clone(&handle.slot)));
+                .push_back((key, handle.id(), Arc::clone(&handle.slot)));
             handle.park(reason);
             // A parked thread runs again only through a notify's wake event,
             // and the notify took its entry out of the set.
@@ -142,7 +141,7 @@ impl<K: Copy + PartialEq> WaitSet<K> {
                 .waiters
                 .borrow()
                 .iter()
-                .all(|(_, s)| s.id != handle.id()));
+                .all(|&(_, id, _)| id != handle.id()));
         }
     }
 }

@@ -7,8 +7,9 @@
 //! baton) both have to reproduce them, which is what keeps baton ≡
 //! continuation asserted without an in-process switch.
 
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use dsmpm2_sim::{
     channel, Engine, EngineCtl, RunReport, SimDuration, SimTime, SpawnOptions, WaitSet,
@@ -28,7 +29,7 @@ fn xorshift(state: &mut u64) -> u64 {
 /// pseudo-random mix of yields, sleeps and compute charges, and every eighth
 /// child spawns a grandchild. This exercises spawn-park races (on the baton:
 /// Created -> Parked while the scheduler waits), rapid re-grants and the
-/// reaping of each thread at its last grant.
+/// recycling of each thread's worker at its last grant.
 #[test]
 fn thread_storm_matches_its_pinned_run() {
     let mut engine = Engine::new();
@@ -75,6 +76,36 @@ fn thread_storm_matches_its_pinned_run() {
         }
     );
     assert_eq!(work_done.load(Ordering::SeqCst), 548);
+}
+
+/// A finished thread's worker serves the next spawn: 10 000 children spawned
+/// one after another, each ending in its first slice, all run on one worker
+/// — at one stack address on one OS thread — and cost one event each.
+#[test]
+fn children_spawned_one_after_another_run_on_one_worker() {
+    let mut engine = Engine::new();
+    let workers = Arc::new(Mutex::new(HashSet::new()));
+    let w = workers.clone();
+    engine.spawn("parent", move |h| {
+        for _ in 0..10_000 {
+            let w = w.clone();
+            h.spawn("child", move |h| {
+                let local = 0u8;
+                let frame = std::hint::black_box(&local) as *const u8 as usize;
+                let os_thread = std::thread::current().id();
+                w.lock().expect("not poisoned").insert((os_thread, frame));
+                h.charge(SimDuration::from_nanos(300));
+            });
+            h.sleep(SimDuration::from_micros(1));
+        }
+    });
+    let report = engine.run().expect("children that never block complete");
+    assert_eq!((report.events, report.threads_spawned), (20_001, 10_001));
+    assert_eq!(
+        workers.lock().expect("not poisoned").len(),
+        1,
+        "every child ran on one worker"
+    );
 }
 
 /// WaitSet ping-pong across a crowd of waiters: notify_one/notify_all wake

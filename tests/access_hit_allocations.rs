@@ -1,6 +1,6 @@
 //! The typed-access hit path allocates nothing, the message path allocates
-//! three times per request, and a request served in a handler thread of its
-//! own four times — none of them a stack. A lone coherence message allocates
+//! three times per request, and so does a request served in a handler thread
+//! of its own — none of them a stack, on either hand-off. A lone coherence message allocates
 //! no bucket and no list to drain it, and a wait cycle on a wait set nothing
 //! at all. The data path allocates no page: twins, snapshots and frames are
 //! recycled buffers, a received page becomes the frame as it is, and a diff
@@ -15,7 +15,7 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use dsm_pm2::core::{DsmAttr, DsmRuntime, HomePolicy, Unit};
 use dsm_pm2::hyperion::HyperionHeap;
@@ -239,20 +239,6 @@ fn page_pingpong() -> u64 {
     counted.load(Ordering::SeqCst)
 }
 
-/// Whether a simulated thread's slices run on the OS thread that runs the
-/// engine (the continuation hand-off) or on one of their own (the baton).
-fn simulated_threads_are_continuations() -> bool {
-    let mut engine = Engine::new();
-    let inside = Arc::new(Mutex::new(None));
-    let i = inside.clone();
-    engine.spawn("probe", move |_| {
-        *i.lock().expect("not poisoned") = Some(std::thread::current().id());
-    });
-    engine.run().expect("nothing to wait for");
-    let inside = *inside.lock().expect("not poisoned");
-    inside == Some(std::thread::current().id())
-}
-
 /// A one-way service that counts its requests: in the arrival event when
 /// `threaded` is false (its requests cannot block), else in a handler thread
 /// per request, which charges a microsecond and ends owing it.
@@ -359,7 +345,7 @@ const WAITS: u64 = 1_000;
 /// and parks, another raises the turn and `notify_all`s, which takes the
 /// first out of the set and wakes it — after as many warm-up cycles. The bracket closes with the
 /// waiter parked for one more cycle, before it can end (a finished thread's
-/// stack joins the engine's pool).
+/// worker joins the engine's idle list).
 fn wait_cycles() -> u64 {
     let cycles = 2 * WAITS + 1;
     let mut engine = Engine::new();
@@ -419,22 +405,18 @@ fn access_hits_do_not_allocate() {
         per_request <= 3.0,
         "a one-way request to a non-blocking service allocated {per_request} times"
     );
-    // Served in a thread of its own, four: the payload's box and the arrival
-    // event's closure as above, then the thread's slot and its boxed body in
-    // place of the handler call's closure, and a stack out of the pool — the
-    // thread before it was reaped at its last grant. The parent of the change
-    // that reaps there measured 4.8892, 7 488 of its 10 000 requests
-    // allocating a 1 MiB stack. Where a simulated thread is an OS thread,
-    // spawning that one is std's business: five to seven more, depending on
-    // the harness's capture.
+    // Served in a thread of its own, three: the payload's box and the arrival
+    // event's closure as above, then the thread's boxed body in place of the
+    // handler call's closure. The thread runs on the worker the thread before
+    // it left idle at its last grant: no slot, no stack, and on the baton
+    // lane no OS thread. Before workers were recycled this row allowed 4 on
+    // continuations (the thread's slot besides) and 12 on the baton (std's
+    // spawn of an OS thread per request: five to seven more); before threads
+    // were reaped at their last grant it measured 4.8892, 7 488 of its
+    // 10 000 requests allocating a 1 MiB stack.
     let (per_request, stacks) = message_path(true);
-    let expected = if simulated_threads_are_continuations() {
-        4.0
-    } else {
-        12.0
-    };
     assert!(
-        per_request <= expected,
+        per_request <= 3.0,
         "a one-way request served in a thread allocated {per_request} times"
     );
     assert_eq!(stacks, 0, "a handler thread allocated a stack");
