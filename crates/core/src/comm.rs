@@ -216,10 +216,6 @@ pub(crate) fn register_dsm_services(
 /// Serve one protocol message in a handler thread.
 fn serve_dsm_msg(ctx: &mut ServerCtx<'_>, msg: DsmMsg) {
     let rt = ctx.runtime;
-    if msg.is_nonblocking() {
-        let ctl = ctx.sim.ctl();
-        return serve_nonblocking(rt, ctl, ctx.local_node, msg);
-    }
     match msg {
         DsmMsg::Batch(msgs) => {
             // Atomic unpack: every sub-message became visible at this same
@@ -285,7 +281,10 @@ fn serve_dsm_msg(ctx: &mut ServerCtx<'_>, msg: DsmMsg) {
             }
         }
         DsmMsg::InvalidateAck { .. } | DsmMsg::DiffAck { .. } | DsmMsg::AcquireDone { .. } => {
-            unreachable!("non-blocking messages were served above")
+            unreachable!(
+                "a non-blocking message is served in a scheduler call, never in a thread: \
+                 pm2 dispatches a one-way one without a thread and a batch schedules its own"
+            )
         }
     }
 }

@@ -74,3 +74,4 @@ pub use dsmpm2_pm2::{
     Engine, LossyConfig, PermutedConfig, Pm2Cluster, Pm2Config, Pm2ThreadState, SimDuration,
     SimTime, ThreadId, TransportTuning, WireStatsSnapshot,
 };
+pub use dsmpm2_sim::SliceCell;

@@ -20,14 +20,13 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use dsmpm2_core::{
     DsmAddr, DsmAttr, DsmRuntime, DsmThreadCtx, HomePolicy, LockId, NodeId, ProtocolId, PAGE_SIZE,
 };
 use dsmpm2_protocols::{JavaConsistency, JavaDetection};
+use dsmpm2_sim::SliceCell;
 
 /// Width of one object field, in bytes (Java longs/references).
 pub const FIELD_BYTES: usize = 8;
@@ -59,17 +58,24 @@ impl ObjectRef {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Monitor(pub LockId);
 
+/// The page a home node's objects are currently packed into.
 struct NodeBump {
     page_base: DsmAddr,
     used: usize,
+}
+
+/// What allocation changes: each home node's current page (indexed by
+/// node, `None` until its first object) and the number of objects so far.
+struct Allocator {
+    bumps: Vec<Option<NodeBump>>,
+    objects: usize,
 }
 
 struct HeapInner {
     runtime: DsmRuntime,
     protocol: ProtocolId,
     detection: JavaDetection,
-    bumps: Mutex<HashMap<NodeId, NodeBump>>,
-    objects: Mutex<Vec<ObjectRef>>,
+    alloc: SliceCell<Allocator>,
 }
 
 /// The Hyperion object heap.
@@ -100,8 +106,10 @@ impl HyperionHeap {
                 runtime: runtime.clone(),
                 protocol,
                 detection,
-                bumps: Mutex::new(HashMap::new()),
-                objects: Mutex::new(Vec::new()),
+                alloc: SliceCell::new(Allocator {
+                    bumps: (0..runtime.num_nodes()).map(|_| None).collect(),
+                    objects: 0,
+                }),
             }),
         }
     }
@@ -126,26 +134,22 @@ impl HyperionHeap {
             "objects larger than a page are not supported"
         );
         let rt = &self.inner.runtime;
-        let mut bumps = self.inner.bumps.lock();
-        let bump = bumps.entry(home).or_insert_with(|| NodeBump {
+        let fresh_page = || NodeBump {
             page_base: rt.dsm_malloc(
                 PAGE_SIZE as u64,
                 DsmAttr::with_protocol(self.inner.protocol).home(HomePolicy::Fixed(home)),
             ),
             used: 0,
-        });
+        };
+        let mut alloc = self.inner.alloc.borrow();
+        let bump = alloc.bumps[home.0].get_or_insert_with(fresh_page);
         if bump.used + bytes > PAGE_SIZE {
-            bump.page_base = rt.dsm_malloc(
-                PAGE_SIZE as u64,
-                DsmAttr::with_protocol(self.inner.protocol).home(HomePolicy::Fixed(home)),
-            );
-            bump.used = 0;
+            *bump = fresh_page();
         }
         let addr = bump.page_base.add(bump.used as u64);
         bump.used += bytes;
-        let obj = ObjectRef { addr, fields };
-        self.inner.objects.lock().push(obj);
-        obj
+        alloc.objects += 1;
+        ObjectRef { addr, fields }
     }
 
     /// Allocate `count` objects of `fields` fields, homed round-robin across
@@ -160,7 +164,7 @@ impl HyperionHeap {
 
     /// Number of objects allocated so far.
     pub fn object_count(&self) -> usize {
-        self.inner.objects.lock().len()
+        self.inner.alloc.borrow().objects
     }
 
     /// The home node of an object.
@@ -261,6 +265,30 @@ mod tests {
     }
 
     #[test]
+    fn an_object_that_does_not_fit_starts_a_fresh_page_on_its_home() {
+        let (_engine, _rt, heap) = setup(2, false);
+        let home = NodeId(1);
+        // Leaves one field free on the home's first page; a one-field object
+        // then fills it exactly.
+        let big = heap.alloc_object_on(home, PAGE_SIZE / FIELD_BYTES - 1);
+        let last = heap.alloc_object_on(home, 1);
+        assert_eq!(last.addr.page(), big.addr.page());
+        assert_eq!(last.addr.offset() + last.byte_size(), PAGE_SIZE);
+        let other = heap.alloc_object_on(NodeId(0), 1);
+        // Nothing is left: the next object starts a fresh page, homed on the
+        // same node, and the one after packs into it.
+        let rolled = heap.alloc_object_on(home, 2);
+        assert_ne!(rolled.addr.page(), big.addr.page());
+        assert_ne!(rolled.addr.page(), other.addr.page());
+        assert_eq!(rolled.addr.offset(), 0);
+        assert_eq!(heap.home_of(rolled), home);
+        let packed = heap.alloc_object_on(home, 1);
+        assert_eq!(packed.addr.page(), rolled.addr.page());
+        assert_eq!(packed.addr.offset(), rolled.byte_size());
+        assert_eq!(heap.object_count(), 5);
+    }
+
+    #[test]
     fn field_addresses_are_contiguous() {
         let (_e, _rt, heap) = setup(1, false);
         let obj = heap.alloc_object_on(NodeId(0), 3);
@@ -290,7 +318,7 @@ mod tests {
         let obj = heap.alloc_object_on(NodeId(0), 2);
         let monitor = heap.create_monitor(Some(NodeId(0)));
         let b = rt.create_barrier(2, None);
-        let seen = StdArc::new(parking_lot::Mutex::new(0u64));
+        let seen = StdArc::new(std::sync::Mutex::new(0u64));
 
         let h1 = heap.clone();
         rt.spawn_dsm_thread(NodeId(1), "mutator", move |ctx| {
@@ -304,12 +332,12 @@ mod tests {
         rt.spawn_dsm_thread(NodeId(0), "observer", move |ctx| {
             ctx.dsm_barrier(b);
             h2.monitor_enter(ctx, monitor);
-            *seen2.lock() = h2.get(ctx, obj, 1);
+            *seen2.lock().unwrap() = h2.get(ctx, obj, 1);
             h2.monitor_exit(ctx, monitor);
         });
         let mut engine = engine;
         engine.run().unwrap();
-        let v = *seen.lock();
+        let v = *seen.lock().unwrap();
         (v, rt.stats().snapshot())
     }
 
@@ -346,7 +374,7 @@ mod tests {
         let remote = heap.alloc_object_on(NodeId(0), 4);
         let local = heap.alloc_object_on(NodeId(0), 2);
         let monitor = heap.create_monitor(Some(NodeId(0)));
-        let seen = StdArc::new(parking_lot::Mutex::new(([0u64; 4], 0usize)));
+        let seen = StdArc::new(std::sync::Mutex::new(([0u64; 4], 0usize)));
 
         let (h, seen1) = (heap.clone(), seen.clone());
         rt.spawn_dsm_thread(NodeId(1), "remote", move |ctx| {
@@ -364,7 +392,7 @@ mod tests {
             h.put(ctx, remote, 3, 33); // hit
             let after = h.get(ctx, remote, 2); // hit
             let ranges = ctx.runtime().frames(NodeId(1)).recorded_ranges(page);
-            *seen1.lock() = ([first, back, read_only, after], ranges);
+            *seen1.lock().unwrap() = ([first, back, read_only, after], ranges);
         });
         let h = heap.clone();
         rt.spawn_dsm_thread(NodeId(0), "home", move |ctx| {
@@ -375,7 +403,7 @@ mod tests {
         });
         let report = engine.run().unwrap();
         let stats = rt.stats().snapshot();
-        let (values, recorded_ranges) = *seen.lock();
+        let (values, recorded_ranges) = *seen.lock().unwrap();
         assert_eq!(values, [0, 11, 11, 22]);
         // Remote: 5 checks for 4 gets (one miss), 4 for 3 puts (one refused
         // on the read-only copy); home: 10 checks for 10 hits.
@@ -398,7 +426,7 @@ mod tests {
             let (mut engine, rt, heap) = setup(2, ic);
             let obj = heap.alloc_object_on(NodeId(0), 4);
             let monitor = heap.create_monitor(Some(NodeId(0)));
-            let ranges = StdArc::new(parking_lot::Mutex::new(Vec::new()));
+            let ranges = StdArc::new(std::sync::Mutex::new(Vec::new()));
             let (h, seen) = (heap.clone(), ranges.clone());
             rt.spawn_dsm_thread(NodeId(0), "home", move |ctx| {
                 let frames = |ctx: &DsmThreadCtx<'_, '_>| {
@@ -410,14 +438,14 @@ mod tests {
                     h.monitor_enter(ctx, monitor);
                     h.put(ctx, obj, (i % 4) as usize, i);
                     if i == 0 {
-                        seen.lock().push(frames(ctx));
+                        seen.lock().unwrap().push(frames(ctx));
                     }
                     h.monitor_exit(ctx, monitor);
                 }
-                seen.lock().push(frames(ctx));
+                seen.lock().unwrap().push(frames(ctx));
             });
             engine.run().unwrap();
-            assert_eq!(*ranges.lock(), [1, 0], "java_ic: {ic}");
+            assert_eq!(*ranges.lock().unwrap(), [1, 0], "java_ic: {ic}");
             let page = obj.addr.page();
             assert!(!rt.frames(NodeId(0)).has_recorded(page));
             let unit = dsmpm2_core::Unit::whole(page);

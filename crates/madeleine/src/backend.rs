@@ -577,8 +577,8 @@ mod tests {
     use crate::transport::Network;
     use crate::WireStatsSnapshot;
     use dsmpm2_sim::Engine;
-    use parking_lot::Mutex;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Mutex;
 
     fn net_with(engine: &Engine, tuning: TransportTuning, nodes: usize) -> Network<(usize, u64)> {
         Network::with_transport(
@@ -673,7 +673,7 @@ mod tests {
         engine.spawn("rx", move |h| {
             for _ in 0..2 {
                 let _ = rx.recv(h);
-                t.lock().push(h.global_now().as_nanos());
+                t.lock().unwrap().push(h.global_now().as_nanos());
             }
         });
         for src in [0usize, 1] {
@@ -683,7 +683,7 @@ mod tests {
             });
         }
         engine.run().unwrap();
-        let times = times.lock().clone();
+        let times = times.lock().unwrap().clone();
         let ser =
             SimDuration::from_micros_f64(4096.0 / profiles::bip_myrinet().bandwidth_bytes_per_us);
         assert!(
@@ -713,7 +713,7 @@ mod tests {
             engine.spawn("rx", move |h| {
                 for _ in 0..20 {
                     let _ = rx.recv(h);
-                    a.lock().push(h.global_now().as_nanos());
+                    a.lock().unwrap().push(h.global_now().as_nanos());
                 }
             });
             let net2 = net.clone();
@@ -724,7 +724,7 @@ mod tests {
                 }
             });
             engine.run().unwrap();
-            let recorded = arrivals.lock().clone();
+            let recorded = arrivals.lock().unwrap().clone();
             (recorded, net.wire_stats())
         };
         let (a1, s1) = run(7);
@@ -757,7 +757,7 @@ mod tests {
         engine.spawn("rx", move |h| {
             for _ in 0..30 {
                 let (_, i) = rx.recv(h).msg;
-                o.lock().push(i);
+                o.lock().unwrap().push(i);
             }
         });
         let net2 = net.clone();
@@ -770,7 +770,7 @@ mod tests {
             }
         });
         engine.run().unwrap();
-        assert_eq!(order.lock().clone(), (0..30).collect::<Vec<u64>>());
+        assert_eq!(order.lock().unwrap().clone(), (0..30).collect::<Vec<u64>>());
         assert!(net.wire_stats().drops > 0);
     }
 }

@@ -10,14 +10,13 @@
 //! application-level figures emerge from protocol behaviour on top of them.
 
 use dsmpm2_sim::SimDuration;
-use serde::{Deserialize, Serialize};
 
 /// Size in bytes accounted for a small control message (page request,
 /// invalidation, acknowledgement, lock message).
 pub const CONTROL_MESSAGE_BYTES: usize = 64;
 
 /// Cost model for one network interface / interconnect combination.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct NetworkModel {
     /// Human-readable name, e.g. `"BIP/Myrinet"`.
     pub name: String,

@@ -6,10 +6,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identity of a cluster node. Nodes are numbered `0..num_nodes`.
-#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct NodeId(pub usize);
 
 impl NodeId {
@@ -38,7 +36,7 @@ impl From<usize> for NodeId {
 }
 
 /// Description of the simulated cluster.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Topology {
     /// Number of nodes in the cluster.
     pub num_nodes: usize,

@@ -324,8 +324,8 @@ mod tests {
     use super::*;
     use crate::profiles;
     use dsmpm2_sim::Engine;
-    use parking_lot::Mutex;
     use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Mutex;
 
     fn two_node_net<M: Send + 'static>(engine: &Engine, model: NetworkModel) -> Network<M> {
         Network::with_transport(
@@ -376,7 +376,7 @@ mod tests {
         engine.spawn("receiver", move |h| {
             for _ in 0..2 {
                 let env = rx.recv(h);
-                t.lock().push((env.msg, h.global_now()));
+                t.lock().unwrap().push((env.msg, h.global_now()));
             }
         });
         let net2 = net.clone();
@@ -385,7 +385,7 @@ mod tests {
             net2.send(h, NodeId(0), NodeId(1), 2, 4096);
         });
         engine.run().unwrap();
-        let times = times.lock();
+        let times = times.lock().unwrap();
         assert_eq!(times[0].0, 1);
         assert_eq!(times[1].0, 2);
         assert!(times[0].1 < times[1].1);
@@ -422,7 +422,7 @@ mod tests {
         engine.spawn("receiver", move |h| {
             for _ in 0..2 {
                 let env = rx.recv(h);
-                o.lock().push((env.msg, h.global_now()));
+                o.lock().unwrap().push((env.msg, h.global_now()));
             }
         });
         let net2 = net.clone();
@@ -442,7 +442,7 @@ mod tests {
             );
         });
         engine.run().unwrap();
-        let order = order.lock();
+        let order = order.lock().unwrap();
         assert_eq!(order[0].0, 1);
         assert_eq!(order[1].0, 2);
         assert!(order[0].1 <= order[1].1);
@@ -459,7 +459,7 @@ mod tests {
             Topology::flat(2),
             TransportTuning::ideal(),
             Arc::new(move |ctl: &EngineCtl, env: Envelope<u8>| {
-                g.lock().push((env.msg, env.to, ctl.now()));
+                g.lock().unwrap().push((env.msg, env.to, ctl.now()));
             }),
         );
         let net2 = net.clone();
@@ -471,7 +471,7 @@ mod tests {
         engine.run().unwrap();
         let at = SimTime::ZERO + profiles::bip_myrinet().control_time();
         let expected: Vec<_> = (1..=4).map(|m| (m, NodeId(1), at)).collect();
-        assert_eq!(got.lock().clone(), expected);
+        assert_eq!(got.lock().unwrap().clone(), expected);
         let wire = net.wire_stats();
         assert_eq!((wire.envelopes, wire.messages), (4, 4));
     }
@@ -486,7 +486,7 @@ mod tests {
         let ctl = engine.ctl();
         net.set_pre_send_hook(Arc::new(move |from, to| {
             let first = {
-                let mut calls = c.lock();
+                let mut calls = c.lock().unwrap();
                 calls.push((from, to));
                 calls.len() == 1
             };
@@ -501,7 +501,7 @@ mod tests {
         engine.spawn("tx", move |h| net2.send_control(h, NodeId(0), NodeId(1), 7));
         engine.run().unwrap();
         let link = (NodeId(0), NodeId(1));
-        assert_eq!(calls.lock().clone(), vec![link, link]);
+        assert_eq!(calls.lock().unwrap().clone(), vec![link, link]);
         assert_eq!(net.wire_stats().envelopes, 2);
     }
 

@@ -533,8 +533,8 @@ mod tests {
     use crate::monitor::OpStat;
     use crate::rpc::{downcast, service_fn, RpcReply};
     use dsmpm2_madeleine::profiles;
-    use parking_lot::Mutex;
     use std::sync::atomic::{AtomicU64 as StdAtomicU64, Ordering};
+    use std::sync::Mutex;
 
     fn cluster(engine: &Engine, nodes: usize) -> Pm2Cluster {
         Pm2Cluster::new(engine, Pm2Config::bip_myrinet(nodes))
@@ -681,11 +681,11 @@ mod tests {
                     Box::new(()),
                     RpcClass::Control,
                 );
-                f.lock().push(h.now());
+                f.lock().unwrap().push(h.now());
             });
         }
         engine.run().unwrap();
-        let finish = finish.lock();
+        let finish = finish.lock().unwrap();
         let latest = finish.iter().max().unwrap();
         let serial_bound = profiles::bip_myrinet().control_time() * 2
             + SimDuration::from_micros(200)
@@ -701,6 +701,7 @@ mod tests {
         let log = log.clone();
         service_fn("mark", true, move |ctx, payload| {
             log.lock()
+                .unwrap()
                 .push((downcast::<u32>(payload, "mark"), ctx.sim.now()));
             None
         })
@@ -750,7 +751,10 @@ mod tests {
         });
         engine.run().unwrap();
         // T + 4, then max(T + 3.5, T + 4) + 4 — not T + 7.5.
-        assert_eq!(*starts.lock(), vec![(1, micros(7.0)), (2, micros(11.0))]);
+        assert_eq!(
+            *starts.lock().unwrap(),
+            vec![(1, micros(7.0)), (2, micros(11.0))]
+        );
     }
 
     /// The same for a reply: arriving while the dispatcher is busy, it wakes
@@ -777,7 +781,7 @@ mod tests {
                 Box::new(()),
                 RpcClass::Minimal,
             );
-            *r.lock() = h.now();
+            *r.lock().unwrap() = h.now();
         });
         let local = c.clone();
         engine.spawn_on(0, "local", move |h| {
@@ -796,7 +800,7 @@ mod tests {
         });
         engine.run().unwrap();
         // max(10, 10.5) + 1 — not 10 + 1.
-        assert_eq!(*returned.lock(), micros(11.5));
+        assert_eq!(*returned.lock().unwrap(), micros(11.5));
     }
 
     /// A service with a switch: whether its one-way requests are served in a
@@ -812,14 +816,14 @@ mod tests {
             "probe"
         }
         fn handle(&self, ctx: &mut RpcRequestCtx<'_>, _payload: RpcPayload) -> Option<RpcReply> {
-            self.log.lock().push(("handler", ctx.sim.now()));
+            self.log.lock().unwrap().push(("handler", ctx.sim.now()));
             None
         }
         fn is_nonblocking(&self, _payload: &RpcPayload) -> bool {
             self.nonblocking
         }
         fn handle_nonblocking(&self, ctl: &EngineCtl, _: NodeId, _: NodeId, _: RpcPayload) {
-            self.log.lock().push(("handler", ctl.now()));
+            self.log.lock().unwrap().push(("handler", ctl.now()));
         }
     }
 
@@ -847,7 +851,7 @@ mod tests {
                     1,
                     SimTime::ZERO + period * i + arrival + dispatch,
                     move |ctl| {
-                        l.lock().push(("scheduled-before", ctl.now()));
+                        l.lock().unwrap().push(("scheduled-before", ctl.now()));
                     },
                 );
             }
@@ -873,14 +877,14 @@ mod tests {
                 for _ in 0..REQUESTS {
                     let l = l.clone();
                     h.call_after_on(1, dispatch - SimDuration::from_micros(1), move |ctl| {
-                        l.lock().push(("scheduled-after", ctl.now()));
+                        l.lock().unwrap().push(("scheduled-after", ctl.now()));
                     });
                     h.sleep(period);
                 }
             });
             let report = engine.run().unwrap();
             assert_eq!(c.monitor().count("rpc_handler:probe"), REQUESTS);
-            let log = log.lock().clone();
+            let log = log.lock().unwrap().clone();
             (log, report)
         };
         let (threaded, with_threads) = run(false);

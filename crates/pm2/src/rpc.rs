@@ -306,12 +306,12 @@ mod tests {
         use dsmpm2_sim::Engine;
         let mut engine = Engine::new();
         let table = Arc::new(ReplyTable::new());
-        let got = Arc::new(parking_lot::Mutex::new(None));
+        let got = Arc::new(std::sync::Mutex::new(None));
         let (caller, g) = (Arc::clone(&table), Arc::clone(&got));
         engine.spawn("caller", move |sim| {
             caller.open(1);
             let reply = caller.wait(1, sim);
-            *g.lock() = Some((downcast::<u32>(reply, "test"), sim.now()));
+            *g.lock().unwrap() = Some((downcast::<u32>(reply, "test"), sim.now()));
         });
         let replier = Arc::clone(&table);
         engine.ctl().call_at(SimTime::from_micros(5), move |ctl| {
@@ -319,7 +319,7 @@ mod tests {
             replier.fulfill(1, Box::new(42u32), ctl, SimTime::from_micros(8));
         });
         engine.run().unwrap();
-        assert_eq!(*got.lock(), Some((42, SimTime::from_micros(8))));
+        assert_eq!(*got.lock().unwrap(), Some((42, SimTime::from_micros(8))));
         assert!(table.take(1).is_none(), "the slot went with the reply");
     }
 

@@ -22,12 +22,10 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use parking_lot::Mutex;
-
 use dsmpm2_core::protolib;
 use dsmpm2_core::{
     pages_covering, Access, ConsistencyModel, DsmAddr, DsmProtocol, DsmThreadCtx, FaultInfo,
-    Invalidation, LockId, PageId, PageRequest, PageTransfer, ServerCtx, Unit,
+    Invalidation, LockId, PageId, PageRequest, PageTransfer, ServerCtx, SliceCell, Unit,
 };
 
 /// The `entry_sw` protocol (entry consistency, single writer per lock).
@@ -38,7 +36,7 @@ use dsmpm2_core::{
 #[derive(Debug, Default)]
 pub struct EntryConsistency {
     /// lock id → pages guarded by that lock.
-    bindings: Mutex<BTreeMap<u64, BTreeSet<PageId>>>,
+    bindings: SliceCell<BTreeMap<u64, BTreeSet<PageId>>>,
 }
 
 impl EntryConsistency {
@@ -56,14 +54,17 @@ impl EntryConsistency {
             "regions are bound to locks; barriers synchronize all bound regions"
         );
         let pages = pages_covering(addr, bytes);
-        let mut bindings = self.bindings.lock();
-        bindings.entry(lock.0).or_default().extend(pages);
+        self.bindings
+            .borrow()
+            .entry(lock.0)
+            .or_default()
+            .extend(pages);
     }
 
     /// The pages currently bound to `lock` (empty if none).
     pub fn bound_pages(&self, lock: LockId) -> Vec<PageId> {
         self.bindings
-            .lock()
+            .borrow()
             .get(&lock.0)
             .map(|s| s.iter().copied().collect())
             .unwrap_or_default()
@@ -71,7 +72,7 @@ impl EntryConsistency {
 
     /// Every page bound to any lock (used at barriers).
     pub fn all_bound_pages(&self) -> Vec<PageId> {
-        let bindings = self.bindings.lock();
+        let bindings = self.bindings.borrow();
         let mut all = BTreeSet::new();
         for pages in bindings.values() {
             all.extend(pages.iter().copied());

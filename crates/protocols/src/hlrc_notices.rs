@@ -23,14 +23,11 @@
 
 use std::collections::BTreeSet;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use parking_lot::Mutex;
 
 use dsmpm2_core::protolib;
 use dsmpm2_core::{
     Access, ConsistencyModel, DsmProtocol, DsmThreadCtx, FaultInfo, Invalidation, LockId, NodeId,
-    PageId, PageRequest, PageTransfer, ServerCtx, Unit,
+    PageId, PageRequest, PageTransfer, ServerCtx, SliceCell, Unit,
 };
 
 /// One write notice: an interval stamp, the releasing node and the pages it
@@ -45,12 +42,17 @@ struct WriteNotice {
 /// The `hlrc_notices` protocol (home-based lazy release consistency).
 #[derive(Debug, Default)]
 pub struct HlrcNotices {
+    log: SliceCell<NoticeLog>,
+}
+
+#[derive(Debug, Default)]
+struct NoticeLog {
     /// Global interval counter (each release opens a new interval).
-    next_interval: AtomicU64,
+    next_interval: u64,
     /// lock id → write notices recorded under that lock, oldest first.
-    notices: Mutex<HashMap<u64, Vec<WriteNotice>>>,
+    notices: HashMap<u64, Vec<WriteNotice>>,
     /// (lock id, acquiring node) → last interval already consumed.
-    last_seen: Mutex<HashMap<(u64, NodeId), u64>>,
+    last_seen: HashMap<(u64, NodeId), u64>,
 }
 
 impl HlrcNotices {
@@ -62,7 +64,7 @@ impl HlrcNotices {
     /// Number of write notices currently retained (all locks). Exposed for
     /// tests and the ablation benchmarks.
     pub fn retained_notices(&self) -> usize {
-        self.notices.lock().values().map(|v| v.len()).sum()
+        self.log.borrow().notices.values().map(|v| v.len()).sum()
     }
 
     /// Record a write notice for `pages` under `lock`.
@@ -70,27 +72,24 @@ impl HlrcNotices {
         if pages.is_empty() {
             return;
         }
-        let interval = self.next_interval.fetch_add(1, Ordering::SeqCst) + 1;
-        self.notices
-            .lock()
-            .entry(lock.0)
-            .or_default()
-            .push(WriteNotice {
-                interval,
-                releaser,
-                pages,
-            });
+        let mut log = self.log.borrow();
+        log.next_interval += 1;
+        let interval = log.next_interval;
+        log.notices.entry(lock.0).or_default().push(WriteNotice {
+            interval,
+            releaser,
+            pages,
+        });
     }
 
     /// The pages another node modified under `lock` since `node` last
     /// acquired it. Advances the node's last-seen interval.
     fn consume_notices(&self, lock: LockId, node: NodeId) -> Vec<PageId> {
-        let notices = self.notices.lock();
-        let Some(list) = notices.get(&lock.0) else {
+        let log = &mut *self.log.borrow();
+        let Some(list) = log.notices.get(&lock.0) else {
             return Vec::new();
         };
-        let mut last_seen = self.last_seen.lock();
-        let seen = last_seen.entry((lock.0, node)).or_insert(0);
+        let seen = log.last_seen.entry((lock.0, node)).or_insert(0);
         let mut stale = BTreeSet::new();
         let mut newest = *seen;
         for notice in list.iter().filter(|n| n.interval > *seen) {

@@ -177,8 +177,8 @@ mod tests {
     use dsmpm2_core::{
         Access, DsmAttr, DsmRuntime, Engine, HomePolicy, NodeId, Pm2Config, SimDuration, Unit,
     };
-    use parking_lot::Mutex;
     use std::sync::Arc as StdArc;
+    use std::sync::Mutex;
 
     fn setup(nodes: usize) -> (Engine, DsmRuntime, BuiltinProtocols) {
         let engine = Engine::new();
@@ -224,10 +224,10 @@ mod tests {
         let seen2 = seen.clone();
         rt.spawn_dsm_thread(NodeId(1), "reader", move |ctx| {
             ctx.dsm_barrier(barrier);
-            *seen2.lock() = ctx.read::<u64>(addr);
+            *seen2.lock().unwrap() = ctx.read::<u64>(addr);
         });
         engine.run().unwrap();
-        assert_eq!(*seen.lock(), 42);
+        assert_eq!(*seen.lock().unwrap(), 42);
         let stats = rt.stats().snapshot();
         assert_eq!(stats.read_faults, 1, "one remote read fault expected");
         assert_eq!(stats.page_transfers, 1);
@@ -256,11 +256,11 @@ mod tests {
                 }
                 ctx.dsm_barrier(b);
                 let v1 = ctx.read::<u64>(addr);
-                results.lock().push((node, v0, v1));
+                results.lock().unwrap().push((node, v0, v1));
             });
         }
         engine.run().unwrap();
-        let results = results.lock();
+        let results = results.lock().unwrap();
         for &(_, v0, v1) in results.iter() {
             assert_eq!(v0, 0);
             assert_eq!(v1, 7, "sequential consistency: all readers see the write");
@@ -297,10 +297,14 @@ mod tests {
         let state = rt.spawn_dsm_thread(NodeId(1), "roamer", move |ctx| {
             ctx.write::<u32>(addr, 5);
             assert_eq!(ctx.read::<u32>(addr), 5);
-            *f.lock() = ctx.node();
+            *f.lock().unwrap() = ctx.node();
         });
         engine.run().unwrap();
-        assert_eq!(*final_node.lock(), NodeId(0), "thread migrated to the data");
+        assert_eq!(
+            *final_node.lock().unwrap(),
+            NodeId(0),
+            "thread migrated to the data"
+        );
         assert_eq!(state.migrations(), 1);
         let stats = rt.stats().snapshot();
         assert_eq!(stats.page_transfers, 0);
@@ -338,10 +342,10 @@ mod tests {
             ctx.dsm_lock(lock);
             let after = ctx.read::<u64>(addr);
             ctx.dsm_unlock(lock);
-            *obs.lock() = (before, after);
+            *obs.lock().unwrap() = (before, after);
         });
         engine.run().unwrap();
-        let (before, after) = *observed.lock();
+        let (before, after) = *observed.lock().unwrap();
         assert_eq!(before, 0);
         assert_eq!(after, 99, "release-consistent value visible after acquire");
         let stats = rt.stats().snapshot();
@@ -371,10 +375,14 @@ mod tests {
         let m = merged.clone();
         rt.spawn_dsm_thread(NodeId(0), "home-reader", move |ctx| {
             ctx.dsm_barrier(b);
-            *m.lock() = (ctx.read::<u64>(addr), ctx.read::<u64>(addr.add(8)));
+            *m.lock().unwrap() = (ctx.read::<u64>(addr), ctx.read::<u64>(addr.add(8)));
         });
         engine.run().unwrap();
-        assert_eq!(*merged.lock(), (11, 22), "home merged both writers' diffs");
+        assert_eq!(
+            *merged.lock().unwrap(),
+            (11, 22),
+            "home merged both writers' diffs"
+        );
         let stats = rt.stats().snapshot();
         assert!(stats.twins_created >= 2);
         assert!(stats.diffs_sent >= 2);
@@ -401,11 +409,11 @@ mod tests {
         rt.spawn_dsm_thread(NodeId(0), "observer", move |ctx| {
             ctx.dsm_barrier(b);
             ctx.dsm_lock(monitor);
-            *s.lock() = ctx.read::<u32>(addr.add(16));
+            *s.lock().unwrap() = ctx.read::<u32>(addr.add(16));
             ctx.dsm_unlock(monitor);
         });
         engine.run().unwrap();
-        assert_eq!(*seen.lock(), 1234);
+        assert_eq!(*seen.lock().unwrap(), 1234);
         assert!(rt.stats().snapshot().diffs_sent >= 1);
     }
 
@@ -423,13 +431,13 @@ mod tests {
         let w = where_after_write.clone();
         rt.spawn_dsm_thread(NodeId(1), "mixed", move |ctx| {
             let _ = ctx.read::<u64>(addr); // replicates the page to node 1
-            *r.lock() = ctx.node();
+            *r.lock().unwrap() = ctx.node();
             ctx.write::<u64>(addr, 3); // migrates the thread to node 0
-            *w.lock() = ctx.node();
+            *w.lock().unwrap() = ctx.node();
         });
         engine.run().unwrap();
-        assert_eq!(*where_after_read.lock(), NodeId(1));
-        assert_eq!(*where_after_write.lock(), NodeId(0));
+        assert_eq!(*where_after_read.lock().unwrap(), NodeId(1));
+        assert_eq!(*where_after_write.lock().unwrap(), NodeId(0));
         let stats = rt.stats().snapshot();
         assert_eq!(stats.page_transfers, 1);
         assert_eq!(stats.thread_migrations, 1);
@@ -458,10 +466,10 @@ mod tests {
             assert_eq!(ctx.node(), NodeId(1));
             // migrate_thread page: the access drags the thread to node 0.
             let _ = ctx.read::<u64>(a_mt);
-            *e.lock() = ctx.node();
+            *e.lock().unwrap() = ctx.node();
         });
         engine.run().unwrap();
-        assert_eq!(*end_node.lock(), NodeId(0));
+        assert_eq!(*end_node.lock().unwrap(), NodeId(0));
         assert_eq!(rt.protocols_in_use().len(), 2);
     }
 
@@ -491,12 +499,12 @@ mod tests {
                 }
                 ctx.dsm_barrier(b);
                 ctx.dsm_lock(lock);
-                finals.lock().push(ctx.read::<u64>(addr));
+                finals.lock().unwrap().push(ctx.read::<u64>(addr));
                 ctx.dsm_unlock(lock);
             });
         }
         engine.run().unwrap();
-        let finals = finals.lock();
+        let finals = finals.lock().unwrap();
         assert_eq!(finals.len(), threads);
         for &v in finals.iter() {
             assert_eq!(v, per_thread * threads as u64, "no lost updates");
@@ -521,11 +529,11 @@ mod tests {
             let ok2 = ok.clone();
             rt.spawn_dsm_thread(NodeId(1), "r", move |ctx| {
                 ctx.dsm_barrier(b);
-                *ok2.lock() = ctx.read::<u64>(addr) == 5;
+                *ok2.lock().unwrap() = ctx.read::<u64>(addr) == 5;
             });
             let mut engine = engine;
             engine.run().unwrap();
-            assert!(*ok.lock(), "failed on {}", profile.name);
+            assert!(*ok.lock().unwrap(), "failed on {}", profile.name);
         }
     }
 }
@@ -536,8 +544,8 @@ mod extension_tests {
     use dsmpm2_core::{
         DsmAttr, DsmRuntime, Engine, HomePolicy, NodeId, Pm2Config, SimDuration, Unit,
     };
-    use parking_lot::Mutex;
     use std::sync::Arc as StdArc;
+    use std::sync::Mutex;
 
     fn setup(nodes: usize) -> (Engine, DsmRuntime, BuiltinProtocols, ExtensionProtocols) {
         let engine = Engine::new();
@@ -581,11 +589,11 @@ mod extension_tests {
                 }
                 ctx.dsm_barrier(b);
                 let v1 = ctx.read::<u64>(addr);
-                results.lock().push((v0, v1));
+                results.lock().unwrap().push((v0, v1));
             });
         }
         engine.run().unwrap();
-        for &(v0, v1) in results.lock().iter() {
+        for &(v0, v1) in results.lock().unwrap().iter() {
             assert_eq!(v0, 0);
             assert_eq!(v1, 31, "all readers observe the single writer's value");
         }
@@ -621,10 +629,10 @@ mod extension_tests {
         let s = seen.clone();
         rt.spawn_dsm_thread(NodeId(2), "reader", move |ctx| {
             ctx.dsm_barrier(b);
-            *s.lock() = ctx.read::<u64>(addr);
+            *s.lock().unwrap() = ctx.read::<u64>(addr);
         });
         engine.run().unwrap();
-        assert_eq!(*seen.lock(), 77);
+        assert_eq!(*seen.lock().unwrap(), 77);
         let stats = rt.stats().snapshot();
         assert!(
             stats.request_forwards >= 1,
@@ -657,12 +665,12 @@ mod extension_tests {
             rt.spawn_dsm_thread(NodeId(node), format!("reader{node}"), move |ctx| {
                 ctx.dsm_barrier(b);
                 ctx.dsm_lock(lock);
-                observed.lock().push(ctx.read::<u64>(addr));
+                observed.lock().unwrap().push(ctx.read::<u64>(addr));
                 ctx.dsm_unlock(lock);
             });
         }
         engine.run().unwrap();
-        let observed = observed.lock();
+        let observed = observed.lock().unwrap();
         assert_eq!(observed.len(), 2);
         for &v in observed.iter() {
             assert_eq!(
@@ -695,11 +703,11 @@ mod extension_tests {
             ctx.write::<u64>(addr.add(8), 10);
             let after = rt2.stats().snapshot().total_faults();
             ctx.dsm_unlock(lock);
-            *f.lock() = after - before;
+            *f.lock().unwrap() = after - before;
         });
         engine.run().unwrap();
         assert_eq!(
-            *faults_inside.lock(),
+            *faults_inside.lock().unwrap(),
             0,
             "no page fault inside the critical section: the acquire prefetched the bound page"
         );
@@ -724,10 +732,10 @@ mod extension_tests {
         let s = seen.clone();
         rt.spawn_dsm_thread(NodeId(1), "unguarded-reader", move |ctx| {
             ctx.dsm_barrier(b);
-            *s.lock() = ctx.read::<u32>(addr);
+            *s.lock().unwrap() = ctx.read::<u32>(addr);
         });
         engine.run().unwrap();
-        assert_eq!(*seen.lock(), 5);
+        assert_eq!(*seen.lock().unwrap(), 5);
     }
 
     /// hlrc_notices: no eager invalidation is ever sent; a stale copy is only
@@ -753,7 +761,7 @@ mod extension_tests {
             ctx.dsm_lock(lock);
             let after = ctx.read::<u64>(addr);
             ctx.dsm_unlock(lock);
-            *obs.lock() = (before, after);
+            *obs.lock().unwrap() = (before, after);
         });
         rt.spawn_dsm_thread(NodeId(1), "writer", move |ctx| {
             ctx.dsm_barrier(b);
@@ -767,7 +775,7 @@ mod extension_tests {
             ctx.dsm_barrier(b);
         });
         engine.run().unwrap();
-        let (before, after) = *observed.lock();
+        let (before, after) = *observed.lock().unwrap();
         assert_eq!(before, 0);
         assert_eq!(
             after, 1001,
@@ -854,14 +862,14 @@ mod extension_tests {
                     ctx.dsm_barrier(b);
                     if t == 0 {
                         ctx.dsm_lock(lock);
-                        *out.lock() = ctx.read::<u64>(addr);
+                        *out.lock().unwrap() = ctx.read::<u64>(addr);
                         ctx.dsm_unlock(lock);
                     }
                 });
             }
             let mut engine = engine;
             engine.run().unwrap();
-            let v = *out.lock();
+            let v = *out.lock().unwrap();
             v
         }
         let expected = 12;

@@ -176,8 +176,7 @@ mod tests {
 
     /// A simulated thread that panics while it holds a guard leaves the cell
     /// borrowable: the guard's `Drop` runs on the unwind and there is no
-    /// poison flag. (A `std` mutex would be poisoned here; the vendored
-    /// `parking_lot` one, like the cell, is not.)
+    /// poison flag. (A `std` mutex would be poisoned here.)
     #[test]
     fn a_panic_under_a_guard_frees_the_cell() {
         let cell = Arc::new(SliceCell::new(Ledger(0)));

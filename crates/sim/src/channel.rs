@@ -263,8 +263,8 @@ impl<K, T> std::fmt::Debug for TickOutbox<K, T> {
 mod tests {
     use super::*;
     use crate::engine::Engine;
-    use parking_lot::Mutex;
     use std::sync::atomic::{AtomicU64 as StdAtomicU64, Ordering};
+    use std::sync::Mutex;
 
     #[test]
     fn send_recv_roundtrip() {
@@ -309,7 +309,7 @@ mod tests {
         let o = order.clone();
         engine.spawn("receiver", move |h| {
             for _ in 0..3 {
-                o.lock().push(rx.recv(h));
+                o.lock().unwrap().push(rx.recv(h));
             }
         });
         engine.spawn("sender", move |h| {
@@ -319,7 +319,7 @@ mod tests {
             tx.send_delayed(h, 2, SimDuration::from_micros(20));
         });
         engine.run().unwrap();
-        assert_eq!(order.lock().clone(), vec![1, 2, 3]);
+        assert_eq!(order.lock().unwrap().clone(), vec![1, 2, 3]);
     }
 
     #[test]
@@ -330,7 +330,7 @@ mod tests {
         let o = order.clone();
         engine.spawn("receiver", move |h| {
             for _ in 0..4 {
-                o.lock().push(rx.recv(h));
+                o.lock().unwrap().push(rx.recv(h));
             }
         });
         engine.spawn("sender", move |h| {
@@ -339,7 +339,7 @@ mod tests {
             }
         });
         engine.run().unwrap();
-        assert_eq!(order.lock().clone(), vec![0, 1, 2, 3]);
+        assert_eq!(order.lock().unwrap().clone(), vec![0, 1, 2, 3]);
     }
 
     /// A receiver that charged compute and then receives is not resumed
@@ -454,7 +454,7 @@ mod tests {
                     let outbox = outbox.clone();
                     let flushed = flushed.clone();
                     h.ctl().call_at(tick, move |_ctl| {
-                        flushed.lock().push(drained(&outbox, 7));
+                        flushed.lock().unwrap().push(drained(&outbox, 7));
                     });
                 }
             });
@@ -462,7 +462,7 @@ mod tests {
         engine.run().unwrap();
         let tick = SimTime::from_micros(5);
         assert_eq!(
-            flushed.lock().clone(),
+            flushed.lock().unwrap().clone(),
             vec![vec![(tick, TickBucket::Many(vec![1, 2]))]]
         );
         assert!(outbox.is_empty());

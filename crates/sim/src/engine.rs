@@ -998,8 +998,8 @@ mod tests {
     use super::*;
     use crate::time::SimDuration;
     use crate::wait::WaitSet;
-    use parking_lot::Mutex;
     use std::sync::atomic::AtomicUsize;
+    use std::sync::Mutex;
 
     #[test]
     fn empty_engine_runs_to_completion() {
@@ -1052,11 +1052,11 @@ mod tests {
             let order = order.clone();
             engine.spawn(name, move |h| {
                 h.sleep(SimDuration::from_micros(delay));
-                order.lock().push(name.to_string());
+                order.lock().unwrap().push(name.to_string());
             });
         }
         engine.run().unwrap();
-        assert_eq!(order.lock().clone(), vec!["early", "mid", "late"]);
+        assert_eq!(order.lock().unwrap().clone(), vec!["early", "mid", "late"]);
     }
 
     #[test]
@@ -1155,13 +1155,13 @@ mod tests {
             for (label, at_us) in [("due now", 50), ("dated 10 us ago", 40)] {
                 let l = l.clone();
                 ctl.call_at(SimTime::from_micros(at_us), move |c| {
-                    l.lock().push((label, c.now().as_nanos()));
+                    l.lock().unwrap().push((label, c.now().as_nanos()));
                 });
             }
         });
         engine.run().unwrap();
         assert_eq!(
-            log.lock().clone(),
+            log.lock().unwrap().clone(),
             vec![("due now", 50_000), ("dated 10 us ago", 50_000)]
         );
     }
@@ -1173,17 +1173,19 @@ mod tests {
         let s = seen.clone();
         engine.spawn_on(5, "parent", move |h| {
             let s2 = s.clone();
-            h.ctl().spawn("child", move |h| s2.lock().push(h.shard()));
+            h.ctl()
+                .spawn("child", move |h| s2.lock().unwrap().push(h.shard()));
             // A migrating thread takes what it pushes afterwards with it.
             h.set_shard(9);
             let s2 = s.clone();
-            h.ctl().spawn("child", move |h| s2.lock().push(h.shard()));
+            h.ctl()
+                .spawn("child", move |h| s2.lock().unwrap().push(h.shard()));
         });
         // Outside any event a key-less spawn is its own lane.
         let s = seen.clone();
-        let outside = engine.spawn("outside", move |h| s.lock().push(h.shard()));
+        let outside = engine.spawn("outside", move |h| s.lock().unwrap().push(h.shard()));
         engine.run().unwrap();
-        assert_eq!(seen.lock().clone(), vec![outside.as_u64(), 5, 9]);
+        assert_eq!(seen.lock().unwrap().clone(), vec![outside.as_u64(), 5, 9]);
     }
 
     /// Names of the threads the engine's workers are occupied by.

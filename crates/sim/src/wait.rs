@@ -284,7 +284,7 @@ mod tests {
         // smaller event sequence number.
         let mut engine = Engine::new();
         let ws = Arc::new(WaitSet::new());
-        let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let order = Arc::new(std::sync::Mutex::new(Vec::new()));
         for (name, sleep_us) in [("late", 100u64), ("early", 50)] {
             let ws = ws.clone();
             let order = order.clone();
@@ -293,7 +293,7 @@ mod tests {
                 // False once: park until the first wake-up.
                 let mut woken = false;
                 ws.wait_until(h, || std::mem::replace(&mut woken, true));
-                order.lock().push(name);
+                order.lock().unwrap().push(name);
             });
         }
         let ws2 = ws.clone();
@@ -304,7 +304,7 @@ mod tests {
             ws2.notify_one((), h.ctl(), SimDuration::ZERO);
         });
         engine.run().unwrap();
-        assert_eq!(order.lock().clone(), vec!["early", "late"]);
+        assert_eq!(order.lock().unwrap().clone(), vec!["early", "late"]);
     }
 
     /// A thread that returns from a wait leaves no entry behind, and a
@@ -340,7 +340,7 @@ mod tests {
     fn a_notify_wakes_only_its_key() {
         let mut engine = Engine::new();
         let ws: Arc<WaitSet<u64>> = Arc::new(WaitSet::new());
-        let order = Arc::new(parking_lot::Mutex::new(Vec::new()));
+        let order = Arc::new(std::sync::Mutex::new(Vec::new()));
         for (name, key) in [("a1", 1u64), ("b1", 2), ("a2", 1), ("b2", 2)] {
             let (ws, order) = (ws.clone(), order.clone());
             engine.spawn(name, move |h| {
@@ -348,7 +348,7 @@ mod tests {
                 ws.wait_until_why(key, h, BlockReason::WaitSet, || {
                     std::mem::replace(&mut woken, true)
                 });
-                order.lock().push((name, h.now().as_nanos()));
+                order.lock().unwrap().push((name, h.now().as_nanos()));
             });
         }
         engine.spawn("notifier", move |h| {
@@ -363,7 +363,7 @@ mod tests {
         });
         engine.run().unwrap();
         assert_eq!(
-            order.lock().clone(),
+            order.lock().unwrap().clone(),
             [("b1", 1_000), ("a1", 2_000), ("a2", 2_000), ("b2", 3_000)]
         );
     }

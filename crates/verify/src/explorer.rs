@@ -19,12 +19,9 @@
 //!   space into a small polynomial one).
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
-use dsmpm2_sim::{EventChoice, ScheduleController, SimTime};
+use dsmpm2_sim::{EventChoice, ScheduleController, SimTime, SliceCell};
 
 use crate::log::Finding;
 use crate::runner::{run_scenario, RunConfig, RunOutcome};
@@ -47,8 +44,7 @@ pub struct Choice {
 /// canonical choice 0; requested picks are clamped into range.
 pub struct ReplayController {
     path: Vec<u8>,
-    cursor: AtomicUsize,
-    recorded: Mutex<Vec<Choice>>,
+    recorded: SliceCell<Vec<Choice>>,
 }
 
 impl ReplayController {
@@ -56,8 +52,7 @@ impl ReplayController {
     pub fn new(path: Vec<u8>) -> Self {
         ReplayController {
             path,
-            cursor: AtomicUsize::new(0),
-            recorded: Mutex::new(Vec::new()),
+            recorded: SliceCell::new(Vec::new()),
         }
     }
 
@@ -68,14 +63,14 @@ impl ReplayController {
 
     /// The decisions the controlled run actually took, in encounter order.
     pub fn recorded(&self) -> Vec<Choice> {
-        self.recorded.lock().clone()
+        self.recorded.borrow().clone()
     }
 
     fn next_pick(&self, arity: u32, is_delivery: bool) -> u32 {
-        let position = self.cursor.fetch_add(1, Ordering::SeqCst);
-        let requested = self.path.get(position).copied().unwrap_or(0) as u32;
+        let mut recorded = self.recorded.borrow();
+        let requested = self.path.get(recorded.len()).copied().unwrap_or(0) as u32;
         let picked = requested.min(arity.saturating_sub(1));
-        self.recorded.lock().push(Choice {
+        recorded.push(Choice {
             arity,
             picked,
             is_delivery,

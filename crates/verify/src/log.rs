@@ -11,12 +11,11 @@
 
 use std::fmt;
 
-use parking_lot::Mutex;
-
 use dsmpm2_core::{
     Access, ConsistencyModel, DsmRuntime, MemAccess, NodeId, PageId, SimTime, SyncEvent, Unit,
     UnitView, VerifyHooks,
 };
+use dsmpm2_sim::SliceCell;
 
 /// One entry of the recorded verification event stream.
 #[derive(Clone, Debug)]
@@ -105,8 +104,8 @@ impl fmt::Display for Finding {
 /// The recording (and optionally invariant-checking) implementation of
 /// [`VerifyHooks`].
 pub struct RecordingHooks {
-    log: Mutex<Vec<LogRecord>>,
-    findings: Mutex<Vec<Finding>>,
+    log: SliceCell<Vec<LogRecord>>,
+    findings: SliceCell<Vec<Finding>>,
     check_invariants: bool,
 }
 
@@ -114,8 +113,8 @@ impl RecordingHooks {
     /// A pure recorder: log only, no per-step invariant probing.
     pub fn recorder() -> Self {
         RecordingHooks {
-            log: Mutex::new(Vec::new()),
-            findings: Mutex::new(Vec::new()),
+            log: SliceCell::new(Vec::new()),
+            findings: SliceCell::new(Vec::new()),
             check_invariants: false,
         }
     }
@@ -130,16 +129,16 @@ impl RecordingHooks {
 
     /// Drain the recorded log.
     pub fn take_log(&self) -> Vec<LogRecord> {
-        std::mem::take(&mut self.log.lock())
+        std::mem::take(&mut self.log.borrow())
     }
 
     /// Drain the per-step invariant findings.
     pub fn take_findings(&self) -> Vec<Finding> {
-        std::mem::take(&mut self.findings.lock())
+        std::mem::take(&mut self.findings.borrow())
     }
 
     fn report(&self, kind: FindingKind, detail: String) {
-        self.findings.lock().push(Finding { kind, detail });
+        self.findings.borrow().push(Finding { kind, detail });
     }
 
     /// Per-step invariants, probed at the instant of an application access.
@@ -228,11 +227,11 @@ impl VerifyHooks for RecordingHooks {
             self.check_access_invariants(rt, &access);
         }
         let model = rt.protocol(unit_of(rt, &access).protocol).consistency();
-        self.log.lock().push(LogRecord::Access { access, model });
+        self.log.borrow().push(LogRecord::Access { access, model });
     }
 
     fn sync_event(&self, _rt: &DsmRuntime, event: SyncEvent) {
-        self.log.lock().push(LogRecord::Sync(event));
+        self.log.borrow().push(LogRecord::Sync(event));
     }
 
     fn owner_version_update(
@@ -253,7 +252,7 @@ impl VerifyHooks for RecordingHooks {
                 ),
             );
         }
-        self.log.lock().push(LogRecord::OwnerVersion {
+        self.log.borrow().push(LogRecord::OwnerVersion {
             time,
             node,
             page,

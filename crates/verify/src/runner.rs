@@ -10,20 +10,20 @@
 //! runtime constructed while hooks are installed would capture them; every
 //! run therefore serializes on one process-wide gate.
 
-use std::sync::Arc;
-
-use parking_lot::Mutex;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use dsmpm2_core::{
     install_global_verify_hooks, line_of_offset, DsmAttr, DsmRuntime, DsmScalar, Engine,
     HomePolicy, NodeId, Pm2Config, TransportTuning, PAGE_SIZE,
 };
 use dsmpm2_protocols::register_all_protocols;
-use dsmpm2_sim::{EngineConfig, ScheduleController};
+use dsmpm2_sim::{EngineConfig, ScheduleController, SliceCell};
 
 use crate::log::{Finding, FindingKind, LogRecord, RecordingHooks};
 use crate::scenario::{Op, Scenario};
 
+/// Held for the whole of one run. A run that panics poisons it, but the
+/// gate guards no data, so the next run takes it anyway.
 static RUN_GATE: Mutex<()> = Mutex::new(());
 
 /// How much observation a run carries.
@@ -166,7 +166,7 @@ impl RunOutcome {
 
 /// Run `scenario` once under `cfg`.
 pub fn run_scenario(scenario: &Scenario, cfg: &RunConfig) -> RunOutcome {
-    let _gate = RUN_GATE.lock();
+    let _gate = RUN_GATE.lock().unwrap_or_else(PoisonError::into_inner);
     let hooks = match cfg.instrument {
         Instrument::Off => None,
         Instrument::Record => Some(Arc::new(RecordingHooks::recorder())),
@@ -210,8 +210,7 @@ pub fn run_scenario(scenario: &Scenario, cfg: &RunConfig) -> RunOutcome {
     let parties = scenario.barrier_parties();
     let barrier = rt.create_barrier(parties.max(1), None);
 
-    let observed: Arc<Mutex<Vec<Vec<u64>>>> =
-        Arc::new(Mutex::new(vec![Vec::new(); scenario.threads.len()]));
+    let observed = Arc::new(SliceCell::new(vec![Vec::new(); scenario.threads.len()]));
     for (index, spec) in scenario.threads.iter().enumerate() {
         let ops = spec.ops.clone();
         let pages = pages.clone();
@@ -225,17 +224,17 @@ pub fn run_scenario(scenario: &Scenario, cfg: &RunConfig) -> RunOutcome {
                     match *op {
                         Op::Read { page } => {
                             let v = ctx.read::<u64>(pages[page]);
-                            observed.lock()[index].push(v);
+                            observed.borrow()[index].push(v);
                         }
                         Op::Write { page, value } => ctx.write::<u64>(pages[page], value),
                         Op::Add { page, delta } => {
                             let v = ctx.read::<u64>(pages[page]);
-                            observed.lock()[index].push(v);
+                            observed.borrow()[index].push(v);
                             ctx.write::<u64>(pages[page], v + delta);
                         }
                         Op::ReadAt { page, offset } => {
                             let v = ctx.read::<u64>(pages[page].add(offset as u64));
-                            observed.lock()[index].push(v);
+                            observed.borrow()[index].push(v);
                         }
                         Op::WriteAt {
                             page,
@@ -249,7 +248,7 @@ pub fn run_scenario(scenario: &Scenario, cfg: &RunConfig) -> RunOutcome {
                         } => {
                             let addr = pages[page].add(offset as u64);
                             let v = ctx.read::<u64>(addr);
-                            observed.lock()[index].push(v);
+                            observed.borrow()[index].push(v);
                             ctx.write::<u64>(addr, v + delta);
                         }
                         Op::Acquire => ctx.dsm_lock(lock),
@@ -304,7 +303,7 @@ pub fn run_scenario(scenario: &Scenario, cfg: &RunConfig) -> RunOutcome {
         .iter()
         .map(|&(page, offset, _)| read_authoritative_word(&rt, pages[page].page(), offset))
         .collect();
-    outcome.observed = std::mem::take(&mut observed.lock());
+    outcome.observed = std::mem::take(&mut observed.borrow());
     if let Some(hooks) = hooks {
         outcome.log = hooks.take_log();
         outcome.step_findings = hooks.take_findings();
@@ -317,7 +316,7 @@ pub fn run_scenario(scenario: &Scenario, cfg: &RunConfig) -> RunOutcome {
 /// recorded log and per-step findings. Serialized on the same gate as
 /// [`run_scenario`].
 pub fn with_recording<R>(check: bool, f: impl FnOnce() -> R) -> (R, Vec<LogRecord>, Vec<Finding>) {
-    let _gate = RUN_GATE.lock();
+    let _gate = RUN_GATE.lock().unwrap_or_else(PoisonError::into_inner);
     let hooks = Arc::new(if check {
         RecordingHooks::checker()
     } else {

@@ -1,6 +1,8 @@
 //! Smoke tests for the verify harness: the checkers find what they should
 //! and stay silent where they must.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
 use dsmpm2_verify::scenario;
 use dsmpm2_verify::{explore, run_scenario, ExploreConfig, FindingKind, RunConfig};
 
@@ -14,6 +16,20 @@ fn locked_counter_is_clean_under_every_builtin() {
         assert!(findings.is_empty(), "{protocol}: {findings:?}");
         assert_eq!(outcome.final_words, vec![2], "{protocol}");
     }
+}
+
+/// Every run holds one process-wide gate. A run that panics while holding
+/// it poisons it, and the next run must still take it: one failing scenario
+/// may not fail every later one.
+#[test]
+fn a_run_that_panics_does_not_block_the_next_one() {
+    let scenario = scenario::locked_counter();
+    let unknown = RunConfig::plain("no_such_protocol");
+    let panicked = catch_unwind(AssertUnwindSafe(|| run_scenario(&scenario, &unknown)));
+    assert!(panicked.is_err(), "an unknown protocol must panic");
+    let outcome = run_scenario(&scenario, &RunConfig::checked("li_hudak"));
+    assert_eq!(outcome.error, None);
+    assert_eq!(outcome.final_words, vec![2]);
 }
 
 #[test]

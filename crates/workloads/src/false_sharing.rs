@@ -13,10 +13,9 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use dsmpm2_core::{DsmAddr, DsmAttr, HomePolicy, NodeId, Pm2Config};
 use dsmpm2_pm2::Engine;
+use dsmpm2_sim::SliceCell;
 
 use crate::setup::{runtime, Latest, RunOutcome};
 
@@ -83,7 +82,7 @@ pub fn run_false_sharing(config: &FalseSharingConfig, protocol_name: &str) -> Fa
     let base = rt.dsm_malloc(bytes, DsmAttr::default().home(HomePolicy::Fixed(NodeId(0))));
     let barrier = rt.create_barrier(nodes, None);
     let finish = Latest::default();
-    let final_slots = Arc::new(Mutex::new(vec![0u64; slots]));
+    let final_slots = Arc::new(SliceCell::new(vec![0u64; slots]));
 
     for node in 0..nodes {
         let finish = finish.clone();
@@ -113,13 +112,13 @@ pub fn run_false_sharing(config: &FalseSharingConfig, protocol_name: &str) -> Fa
             for slot in mine.clone() {
                 block.push(ctx.read::<u64>(slot_addr(base, config.stride, slot)));
             }
-            final_slots.lock()[mine].copy_from_slice(&block);
+            final_slots.borrow()[mine].copy_from_slice(&block);
             finish.record(ctx.pm2.now());
         });
     }
 
     let run = RunOutcome::run(&mut engine, &rt, &finish);
-    let final_slots = std::mem::take(&mut *final_slots.lock());
+    let final_slots = std::mem::take(&mut *final_slots.borrow());
     let checksum = final_slots.iter().sum();
     FalseSharingResult {
         final_slots,

@@ -9,11 +9,9 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use dsmpm2_core::{DsmAddr, DsmAttr, HomePolicy, NodeId, Pm2Config};
 use dsmpm2_pm2::Engine;
-use dsmpm2_sim::SimDuration;
+use dsmpm2_sim::{SimDuration, SliceCell};
 
 use crate::setup::{runtime, Latest, RunOutcome};
 
@@ -99,7 +97,7 @@ pub fn run_lu(config: &LuConfig, protocol_name: &str) -> LuResult {
     let a = rt.dsm_malloc(bytes, DsmAttr::default().home(HomePolicy::RoundRobin));
     let barrier = rt.create_barrier(nodes, None);
     let finish = Latest::default();
-    let checksum = Arc::new(Mutex::new(0.0f64));
+    let checksum = Arc::new(SliceCell::new(0.0f64));
 
     for node in 0..nodes {
         let finish = finish.clone();
@@ -141,13 +139,13 @@ pub fn run_lu(config: &LuConfig, protocol_name: &str) -> LuResult {
                     local += ctx.read::<f64>(cell(a, n, row, col));
                 }
             }
-            *checksum.lock() += local;
+            *checksum.borrow() += local;
             finish.record(ctx.pm2.now());
         });
     }
 
     let run = RunOutcome::run(&mut engine, &rt, &finish);
-    let checksum = *checksum.lock();
+    let checksum = *checksum.borrow();
     LuResult { checksum, run }
 }
 

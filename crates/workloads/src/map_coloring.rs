@@ -12,12 +12,10 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use dsmpm2_core::{NodeId, Pm2Config};
 use dsmpm2_hyperion::{HyperionHeap, ObjectRef};
 use dsmpm2_pm2::Engine;
-use dsmpm2_sim::SimDuration;
+use dsmpm2_sim::{SimDuration, SliceCell};
 
 use crate::setup::{runtime, Latest, RunOutcome};
 
@@ -223,7 +221,7 @@ pub fn run_map_coloring(config: &ColoringConfig, protocol_name: &str) -> Colorin
     let seeded = rt.create_barrier(total_threads + 1, None);
     let ready = rt.create_barrier(total_threads, None);
     let finish = Latest::default();
-    let best_costs = Arc::new(Mutex::new(Vec::new()));
+    let best_costs = Arc::new(SliceCell::new(Vec::new()));
     let neighbours = Arc::new(neighbours);
 
     // Seed the graph objects and the initial bound from a thread of node 0.
@@ -393,7 +391,8 @@ pub fn run_map_coloring(config: &ColoringConfig, protocol_name: &str) -> Colorin
             }
             ctx.dsm_barrier(ready);
             heap.monitor_enter(ctx, monitor);
-            best_costs.lock().push(heap.get(ctx, best_obj, 0));
+            let best_cost = heap.get(ctx, best_obj, 0);
+            best_costs.borrow().push(best_cost);
             heap.monitor_exit(ctx, monitor);
             finish.record(ctx.pm2.now());
         });
@@ -401,7 +400,7 @@ pub fn run_map_coloring(config: &ColoringConfig, protocol_name: &str) -> Colorin
 
     let run = RunOutcome::run(&mut engine, &rt, &finish);
     let best_cost = best_costs
-        .lock()
+        .borrow()
         .iter()
         .copied()
         .min()

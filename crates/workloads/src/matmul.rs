@@ -9,11 +9,9 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use dsmpm2_core::{DsmAddr, DsmAttr, HomePolicy, NodeId, Pm2Config};
 use dsmpm2_pm2::Engine;
-use dsmpm2_sim::SimDuration;
+use dsmpm2_sim::{SimDuration, SliceCell};
 
 use crate::setup::{runtime, Latest, RunOutcome};
 
@@ -96,8 +94,8 @@ pub fn run_matmul(config: &MatmulConfig, protocol_name: &str) -> MatmulResult {
     let c = rt.dsm_malloc(bytes, DsmAttr::default().home(HomePolicy::Block));
     let barrier = rt.create_barrier(nodes, None);
     let finish = Latest::default();
-    let checksum = Arc::new(Mutex::new(0.0f64));
-    let final_cells = Arc::new(Mutex::new(vec![0u64; config.n * config.n]));
+    let checksum = Arc::new(SliceCell::new(0.0f64));
+    let final_cells = Arc::new(SliceCell::new(vec![0u64; config.n * config.n]));
 
     let rows_per_node = config.n / nodes;
     for node in 0..nodes {
@@ -149,15 +147,15 @@ pub fn run_matmul(config: &MatmulConfig, protocol_name: &str) -> MatmulResult {
                     block.push(ctx.read::<f64>(cell(c, n, row, col)).to_bits());
                 }
             }
-            final_cells.lock()[first * n..last * n].copy_from_slice(&block);
-            *checksum.lock() += local_sum;
+            final_cells.borrow()[first * n..last * n].copy_from_slice(&block);
+            *checksum.borrow() += local_sum;
             finish.record(ctx.pm2.now());
         });
     }
 
     let run = RunOutcome::run(&mut engine, &rt, &finish);
-    let checksum = *checksum.lock();
-    let final_cells = std::mem::take(&mut *final_cells.lock());
+    let checksum = *checksum.borrow();
+    let final_cells = std::mem::take(&mut *final_cells.borrow());
     MatmulResult {
         checksum,
         final_cells,

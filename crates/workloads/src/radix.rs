@@ -13,13 +13,12 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use dsmpm2_core::{DsmAddr, DsmAttr, HomePolicy, NodeId, Pm2Config};
 use dsmpm2_pm2::Engine;
-use dsmpm2_sim::SimDuration;
+use dsmpm2_sim::{SimDuration, SliceCell};
 
 use crate::setup::{runtime, Latest, RunOutcome};
 
@@ -102,7 +101,7 @@ pub fn run_radix(config: &RadixConfig, protocol_name: &str) -> RadixResult {
     );
     let barrier = rt.create_barrier(nodes, None);
     let finish = Latest::default();
-    let collected = Arc::new(Mutex::new(vec![0u64; config.keys]));
+    let collected = Arc::new(SliceCell::new(vec![0u64; config.keys]));
 
     let keys_per_node = config.keys / nodes;
     let input = input_keys(config);
@@ -175,14 +174,15 @@ pub fn run_radix(config: &RadixConfig, protocol_name: &str) -> RadixResult {
 
             // Collect the final (sorted) block this node is responsible for.
             for i in first..last {
-                collected.lock()[i] = ctx.read::<u64>(key_addr(from, i));
+                let key = ctx.read::<u64>(key_addr(from, i));
+                collected.borrow()[i] = key;
             }
             finish.record(ctx.pm2.now());
         });
     }
 
     let run = RunOutcome::run(&mut engine, &rt, &finish);
-    let sorted = collected.lock().clone();
+    let sorted = collected.borrow().clone();
     RadixResult { sorted, run }
 }
 

@@ -2,11 +2,11 @@
 //! a recorder of when the run's threads finish, and what a finished run
 //! reports besides its application result.
 
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use dsmpm2_core::{DsmRuntime, DsmStatsSnapshot, Engine, Pm2Config, SimTime, WireStatsSnapshot};
 use dsmpm2_protocols::register_all_protocols;
-use dsmpm2_sim::RunReport;
+use dsmpm2_sim::{RunReport, SliceCell};
 
 /// A DSM runtime on a fresh cluster described by `cluster`, with every
 /// protocol registered and the one named `protocol` the default.
@@ -27,7 +27,7 @@ pub fn runtime(engine: &Engine, cluster: &Pm2Config, protocol: &str) -> DsmRunti
 /// latest: a run ends when its slowest thread does. Simulated threads
 /// record, the host reads after `Engine::run`.
 #[derive(Default)]
-pub struct Latest<T>(Arc<Mutex<T>>);
+pub struct Latest<T>(Arc<SliceCell<T>>);
 
 impl<T> Clone for Latest<T> {
     fn clone(&self) -> Self {
@@ -38,13 +38,13 @@ impl<T> Clone for Latest<T> {
 impl<T: Copy + Ord> Latest<T> {
     /// Keep `value` if it is the largest so far.
     pub fn record(&self, value: T) {
-        let mut latest = self.0.lock().expect("a recording thread panicked");
+        let mut latest = self.0.borrow();
         *latest = (*latest).max(value);
     }
 
     /// The largest value recorded (the default if none was).
     pub fn get(&self) -> T {
-        *self.0.lock().expect("a recording thread panicked")
+        *self.0.borrow()
     }
 }
 

@@ -9,11 +9,9 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use dsmpm2_core::{DsmAddr, DsmAttr, HomePolicy, NodeId, Pm2Config};
 use dsmpm2_pm2::Engine;
-use dsmpm2_sim::SimDuration;
+use dsmpm2_sim::{SimDuration, SliceCell};
 
 use crate::setup::{runtime, Latest, RunOutcome};
 
@@ -111,8 +109,8 @@ pub fn run_sor(config: &SorConfig, protocol_name: &str) -> SorResult {
     let grid = rt.dsm_malloc(bytes, DsmAttr::default().home(HomePolicy::Block));
     let barrier = rt.create_barrier(nodes, None);
     let finish = Latest::default();
-    let checksum = Arc::new(Mutex::new(0.0f64));
-    let final_cells = Arc::new(Mutex::new(vec![0u64; config.size * config.size]));
+    let checksum = Arc::new(SliceCell::new(0.0f64));
+    let final_cells = Arc::new(SliceCell::new(vec![0u64; config.size * config.size]));
 
     let rows_per_node = config.size / nodes;
     for node in 0..nodes {
@@ -167,15 +165,15 @@ pub fn run_sor(config: &SorConfig, protocol_name: &str) -> SorResult {
                     local += v;
                 }
             }
-            final_cells.lock()[first * size..last * size].copy_from_slice(&block);
-            *checksum.lock() += local;
+            final_cells.borrow()[first * size..last * size].copy_from_slice(&block);
+            *checksum.borrow() += local;
             finish.record(ctx.pm2.now());
         });
     }
 
     let run = RunOutcome::run(&mut engine, &rt, &finish);
-    let checksum = *checksum.lock();
-    let final_cells = std::mem::take(&mut *final_cells.lock());
+    let checksum = *checksum.borrow();
+    let final_cells = std::mem::take(&mut *final_cells.borrow());
     SorResult {
         checksum,
         final_cells,

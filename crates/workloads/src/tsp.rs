@@ -14,13 +14,12 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use dsmpm2_core::{DsmAddr, DsmAttr, DsmThreadCtx, HomePolicy, LockId, NodeId, Pm2Config};
 use dsmpm2_pm2::Engine;
-use dsmpm2_sim::SimDuration;
+use dsmpm2_sim::{SimDuration, SliceCell};
 
 use crate::setup::{runtime, Latest, RunOutcome};
 
@@ -288,8 +287,8 @@ pub fn run_tsp(config: &TspConfig, protocol_name: &str) -> TspResult {
     }
 
     let finish = Latest::default();
-    let expanded_total = Arc::new(Mutex::new(0u64));
-    let final_bounds = Arc::new(Mutex::new(Vec::new()));
+    let expanded_total = Arc::new(SliceCell::new(0u64));
+    let final_bounds = Arc::new(SliceCell::new(Vec::new()));
     let done = rt.create_barrier(nodes, None);
     let instance = Arc::new(instance);
 
@@ -348,17 +347,18 @@ pub fn run_tsp(config: &TspConfig, protocol_name: &str) -> TspResult {
             search.flush_compute(ctx);
             ctx.dsm_barrier(done);
             finish.record(ctx.pm2.now());
-            *expanded_total.lock() += search.expanded;
+            *expanded_total.borrow() += search.expanded;
             // Every worker reads the agreed-upon final bound.
             ctx.dsm_lock(bound_lock);
-            final_bounds.lock().push(ctx.read::<u32>(bound_addr));
+            let bound = ctx.read::<u32>(bound_addr);
+            final_bounds.borrow().push(bound);
             ctx.dsm_unlock(bound_lock);
         });
     }
 
     let run = RunOutcome::run(&mut engine, &rt, &finish);
     let best = final_bounds
-        .lock()
+        .borrow()
         .iter()
         .copied()
         .min()
@@ -369,7 +369,7 @@ pub fn run_tsp(config: &TspConfig, protocol_name: &str) -> TspResult {
         .iter()
         .map(|t| t.migrations())
         .sum();
-    let expanded = *expanded_total.lock();
+    let expanded = *expanded_total.borrow();
     TspResult {
         best,
         expanded,

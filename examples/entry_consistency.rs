@@ -7,10 +7,9 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use dsm_pm2::core::{DsmAttr, DsmRuntime, HomePolicy};
 use dsm_pm2::prelude::*;
+use dsm_pm2::sim::SliceCell;
 
 const NODES: usize = 4;
 const ACCOUNTS: usize = 8;
@@ -36,7 +35,7 @@ fn main() {
     }
     let accounts = Arc::new(accounts);
     let done = rt.create_barrier(NODES, None);
-    let audit = Arc::new(Mutex::new(Vec::new()));
+    let audit = Arc::new(SliceCell::new(Vec::new()));
 
     // Every node seeds two accounts, then performs transfers between pairs of
     // accounts, always acquiring the two guarding locks in index order.
@@ -86,7 +85,7 @@ fn main() {
                 total += ctx.read::<u64>(addr);
                 ctx.dsm_unlock(lock);
             }
-            audit.lock().push((node, total));
+            audit.borrow().push((node, total));
         });
     }
 
@@ -95,7 +94,7 @@ fn main() {
 
     let expected = (ACCOUNTS as u64) * 1000;
     println!("entry consistency (entry_sw), {NODES} nodes, {ACCOUNTS} accounts");
-    for (node, total) in audit.lock().iter() {
+    for (node, total) in audit.borrow().iter() {
         println!("  node {node}: audited total = {total}");
         assert_eq!(*total, expected, "money must be conserved");
     }

@@ -12,10 +12,9 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
-
 use dsm_pm2::core::{DsmAttr, DsmRuntime, HomePolicy};
 use dsm_pm2::prelude::*;
+use dsm_pm2::sim::SliceCell;
 
 const NODES: usize = 4;
 const ITEMS: usize = 64;
@@ -32,7 +31,7 @@ fn main() {
         DsmAttr::default().home(HomePolicy::Fixed(NodeId(0))),
     );
     let phase = rt.create_barrier(NODES, None);
-    let results = Arc::new(Mutex::new(Vec::new()));
+    let results = Arc::new(SliceCell::new(Vec::new()));
 
     let rt_for_switch = rt.clone();
     for node in 0..NODES {
@@ -64,7 +63,7 @@ fn main() {
                 sum += ctx.read::<u64>(queue.add((i * 8) as u64));
             }
             results
-                .lock()
+                .borrow()
                 .push((node, sum, ctx.node(), ctx.pm2.state().migrations()));
             ctx.dsm_barrier(phase);
         });
@@ -76,7 +75,7 @@ fn main() {
     let expected_total: u64 = (0..ITEMS as u64).map(|i| i * i).sum();
     let mut grand_total = 0;
     println!("\nworker results (value sum, final node, migrations):");
-    for (node, sum, final_node, migrations) in results.lock().iter() {
+    for (node, sum, final_node, migrations) in results.borrow().iter() {
         println!(
             "  worker {node}: sum = {sum:>6}, now on node {final_node}, migrated {migrations} time(s)"
         );

@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 use dsm_pm2::core::{DsmAttr, DsmRuntime, DsmScalar, DsmStatsSnapshot, HomePolicy, Unit};
 use dsm_pm2::prelude::*;
@@ -42,11 +42,11 @@ fn sequential_consistency_message_passing_pattern() {
             spins += 1;
             assert!(spins < 100_000, "flag never became visible");
         }
-        *obs.lock() = Some(ctx.read::<u64>(data));
+        *obs.lock().unwrap() = Some(ctx.read::<u64>(data));
     });
     engine.run().unwrap();
     assert_eq!(
-        *observed.lock(),
+        *observed.lock().unwrap(),
         Some(123),
         "write to data visible once flag is"
     );
@@ -121,11 +121,11 @@ fn release_consistency_visibility_after_acquire() {
             ctx.dsm_barrier(sync);
             ctx.dsm_barrier(sync);
             ctx.dsm_lock(lock);
-            *aa.lock() = ctx.read::<u64>(shared.add(128));
+            *aa.lock().unwrap() = ctx.read::<u64>(shared.add(128));
             ctx.dsm_unlock(lock);
         });
         engine.run().unwrap();
-        assert_eq!(*after_acquire.lock(), 55, "protocol {proto_name}");
+        assert_eq!(*after_acquire.lock().unwrap(), 55, "protocol {proto_name}");
     }
 }
 
@@ -149,11 +149,11 @@ fn barrier_flushes_for_release_consistency_protocols() {
                 for other in 0..4u64 {
                     sum += ctx.read::<u64>(table.add(other * 4096));
                 }
-                sums.lock().push(sum);
+                sums.lock().unwrap().push(sum);
             });
         }
         engine.run().unwrap();
-        for &s in sums.lock().iter() {
+        for &s in sums.lock().unwrap().iter() {
             assert_eq!(s, 10, "protocol {proto_name}");
         }
     }
@@ -224,7 +224,7 @@ fn copy_refetched_during_release_wait_is_invalidated_by_next_release() {
         loop {
             let v = ctx.read::<u64>(p2);
             if v >= 5 {
-                *obs.lock() = v;
+                *obs.lock().unwrap() = v;
                 break;
             }
             ctx.compute(SimDuration::from_micros(2));
@@ -238,7 +238,7 @@ fn copy_refetched_during_release_wait_is_invalidated_by_next_release() {
         }
     });
     engine.run().unwrap();
-    assert_eq!(*observed.lock(), 5);
+    assert_eq!(*observed.lock().unwrap(), 5);
     // Every diff of this run is a revoke-time push of the dirty writer, and
     // waiting for the home to acknowledge it is an `Ack` wait like the six of
     // the home's own release rounds — the block profile must book it as one,

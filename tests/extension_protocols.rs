@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 use dsm_pm2::core::{DsmAttr, DsmRuntime, HomePolicy};
 use dsm_pm2::prelude::*;
@@ -52,13 +52,13 @@ fn every_protocol_runs_on_every_network_profile() {
             rt.spawn_dsm_thread(NodeId(0), "consumer", move |ctx| {
                 ctx.dsm_barrier(b);
                 ctx.dsm_lock(lock);
-                *s.lock() = ctx.read::<u64>(addr);
+                *s.lock().unwrap() = ctx.read::<u64>(addr);
                 ctx.dsm_unlock(lock);
             });
             let mut engine = engine;
             engine.run().unwrap();
             assert_eq!(
-                *seen.lock(),
+                *seen.lock().unwrap(),
                 321,
                 "protocol {name} failed on profile {}",
                 profile.name

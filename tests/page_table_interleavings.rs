@@ -15,8 +15,8 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
+use std::sync::Mutex;
 
 use dsm_pm2::core::{line_of_offset, DsmAttr, DsmRuntime, HomePolicy, Unit};
 use dsm_pm2::prelude::*;
@@ -89,7 +89,7 @@ fn run_interleaving(ops: &[Op], protocol: &str, granularity: Option<usize>) -> V
     rt.spawn_dsm_thread(NodeId(0), "observer", move |ctx| {
         ctx.dsm_barrier(barrier);
         ctx.dsm_lock(lock);
-        let mut out = obs.lock();
+        let mut out = obs.lock().unwrap();
         for page in 0..PAGES {
             for node in 0..NODES {
                 out[page * NODES + node] = ctx.read::<u8>(slot(page, node));
@@ -126,7 +126,7 @@ fn run_interleaving(ops: &[Op], protocol: &str, granularity: Option<usize>) -> V
             );
         }
     }
-    let observed = observed.lock().clone();
+    let observed = observed.lock().unwrap().clone();
     observed
 }
 

@@ -105,8 +105,8 @@ fn portability_same_result_different_cost() {
 fn pm2_micro_measurements_match_paper() {
     use dsm_pm2::pm2::{service_fn, NodeId, Pm2Cluster, Pm2Config, RpcClass, RpcReply};
     use dsm_pm2::sim::{Engine, SimDuration};
-    use parking_lot::Mutex;
     use std::sync::Arc;
+    use std::sync::Mutex;
 
     for (profile, rpc_us, mig_us) in [
         (profiles::bip_myrinet(), 8.0, 75.0),
@@ -131,11 +131,11 @@ fn pm2_micro_measurements_match_paper() {
                 Box::new(()),
                 RpcClass::Minimal,
             );
-            *e.lock() = h.now().since(start);
+            *e.lock().unwrap() = h.now().since(start);
         });
         let mut engine = engine;
         engine.run().unwrap();
-        let measured_rpc = rpc_elapsed.lock().as_micros_f64();
+        let measured_rpc = rpc_elapsed.lock().unwrap().as_micros_f64();
         assert!(
             (measured_rpc - rpc_us).abs() < 4.0,
             "{}: RPC {measured_rpc}us vs paper {rpc_us}us",
@@ -150,11 +150,11 @@ fn pm2_micro_measurements_match_paper() {
         cluster.spawn_thread_on(NodeId(0), "mover", move |ctx| {
             let start = ctx.now();
             ctx.migrate_to(NodeId(1));
-            *e.lock() = ctx.now().since(start);
+            *e.lock().unwrap() = ctx.now().since(start);
         });
         let mut engine = engine;
         engine.run().unwrap();
-        let measured_mig = mig_elapsed.lock().as_micros_f64();
+        let measured_mig = mig_elapsed.lock().unwrap().as_micros_f64();
         assert!(
             (measured_mig - mig_us).abs() < 2.0,
             "{}: migration {measured_mig}us vs paper {mig_us}us",

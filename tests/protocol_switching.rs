@@ -4,7 +4,7 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use std::sync::Mutex;
 
 use dsm_pm2::core::{
     protolib, Access, CustomProtocol, DsmAttr, DsmRuntime, DsmScalar, HomePolicy, LineIx, Unit,
@@ -51,7 +51,7 @@ fn region_switches_from_page_replication_to_thread_migration_at_a_barrier() {
         ctx.dsm_barrier(b);
         // Phase 2 (migrate_thread).
         let v = ctx.read::<u64>(addr);
-        obs.lock().push(("node0-after", v, ctx.node()));
+        obs.lock().unwrap().push(("node0-after", v, ctx.node()));
         ctx.dsm_barrier(b);
     });
 
@@ -62,7 +62,9 @@ fn region_switches_from_page_replication_to_thread_migration_at_a_barrier() {
         ctx.dsm_barrier(b);
         // Phase 1: replicate the page to node 1 and read it there.
         let v = ctx.read::<u64>(addr);
-        obs.lock().push(("node1-replicated", v, ctx.node()));
+        obs.lock()
+            .unwrap()
+            .push(("node1-replicated", v, ctx.node()));
         assert_eq!(ctx.node(), NodeId(1), "li_hudak replicates, no migration");
         ctx.dsm_barrier(b);
         // Switch happens here (node 0 is the only one touching the table).
@@ -70,14 +72,14 @@ fn region_switches_from_page_replication_to_thread_migration_at_a_barrier() {
         // Phase 2: under migrate_thread the same access drags the thread to
         // the data instead of copying the page.
         let v = ctx.read::<u64>(addr);
-        obs.lock().push(("node1-migrated", v, ctx.node()));
-        *mig.lock() = ctx.pm2.state().migrations();
+        obs.lock().unwrap().push(("node1-migrated", v, ctx.node()));
+        *mig.lock().unwrap() = ctx.pm2.state().migrations();
         ctx.dsm_barrier(b);
     });
     let _ = state;
 
     engine.run().unwrap();
-    let observations = observations.lock();
+    let observations = observations.lock().unwrap();
     for &(label, v, _) in observations.iter() {
         assert_eq!(
             v, 5,
@@ -94,7 +96,7 @@ fn region_switches_from_page_replication_to_thread_migration_at_a_barrier() {
         NodeId(0),
         "after the switch the worker thread migrates to the data"
     );
-    assert!(*migrations.lock() >= 1);
+    assert!(*migrations.lock().unwrap() >= 1);
 }
 
 /// Switching to the protocol a region already uses is a harmless no-op, and
@@ -200,17 +202,17 @@ fn switch_preserves_values_and_folds_pending_diffs_into_the_home() {
 
     let s = seen.clone();
     rt.spawn_dsm_thread(NodeId(0), "home-reader", move |ctx| {
-        s.lock().0 = ctx.read::<u64>(addr.add(16));
+        s.lock().unwrap().0 = ctx.read::<u64>(addr.add(16));
         ctx.dsm_barrier(b);
     });
     let s = seen.clone();
     rt.spawn_dsm_thread(NodeId(1), "remote-reader", move |ctx| {
         ctx.dsm_barrier(b);
-        s.lock().1 = ctx.read::<u64>(addr.add(16));
+        s.lock().unwrap().1 = ctx.read::<u64>(addr.add(16));
     });
     engine.run().unwrap();
     assert_eq!(
-        *seen.lock(),
+        *seen.lock().unwrap(),
         (99, 99),
         "the pending diff reached the home across the switch"
     );
@@ -261,16 +263,20 @@ fn switch_folds_a_line_twin_into_the_home_and_clamps_the_region_to_pages() {
 
     let s = seen.clone();
     rt.spawn_dsm_thread(NodeId(0), "home-reader", move |ctx| {
-        s.lock().0 = ctx.read::<u64>(word);
+        s.lock().unwrap().0 = ctx.read::<u64>(word);
         ctx.dsm_barrier(b);
     });
     let s = seen.clone();
     rt.spawn_dsm_thread(NodeId(1), "remote-reader", move |ctx| {
         ctx.dsm_barrier(b);
-        s.lock().1 = ctx.read::<u64>(word);
+        s.lock().unwrap().1 = ctx.read::<u64>(word);
     });
     engine.run().unwrap();
-    assert_eq!(*seen.lock(), (99, 99), "both nodes read the folded word");
+    assert_eq!(
+        *seen.lock().unwrap(),
+        (99, 99),
+        "both nodes read the folded word"
+    );
 }
 
 /// §2.3: several protocols can be *defined* in one program and selected
@@ -331,9 +337,9 @@ fn user_defined_protocol_is_selected_dynamically() {
     let ok2 = ok.clone();
     rt.spawn_dsm_thread(NodeId(1), "r", move |ctx| {
         ctx.dsm_barrier(b);
-        *ok2.lock() = ctx.read::<u32>(addr) == 9;
+        *ok2.lock().unwrap() = ctx.read::<u32>(addr) == 9;
     });
     engine.run().unwrap();
-    assert!(*ok.lock());
+    assert!(*ok.lock().unwrap());
     assert_eq!(rt.protocol_by_name("home_fetch"), Some(custom));
 }

@@ -17,8 +17,8 @@
 
 use std::sync::Arc;
 
-use parking_lot::Mutex;
 use proptest::prelude::*;
+use std::sync::Mutex;
 
 use dsm_pm2::madeleine::{
     profiles, LossyConfig, Network, NodeId, PermutedConfig, Topology, TransportTuning,
@@ -60,7 +60,7 @@ struct SeededController(Mutex<u64>);
 
 impl SeededController {
     fn next(&self, below: u64) -> u64 {
-        let mut x = self.0.lock();
+        let mut x = self.0.lock().unwrap();
         *x ^= *x << 13;
         *x ^= *x >> 7;
         *x ^= *x << 17;
@@ -120,7 +120,7 @@ fn observed_orders(
         engine.spawn(format!("rx{node}"), move |h| {
             for _ in 0..count {
                 let env = rx.recv(h);
-                obs.lock().push(env.msg);
+                obs.lock().unwrap().push(env.msg);
             }
         });
     }
@@ -140,7 +140,7 @@ fn observed_orders(
     }
 
     engine.run().expect("message program must terminate");
-    let observed = observed.lock().clone();
+    let observed = observed.lock().unwrap().clone();
     let mut per_link = std::collections::HashMap::<(usize, usize), Vec<u64>>::new();
     for (from, to, seq) in observed {
         per_link.entry((from, to)).or_default().push(seq);
