@@ -108,9 +108,7 @@ impl DsmThreadCtx<'_, '_> {
     /// detection cost and run the protocol's fault handler.
     fn fault(&mut self, addr: DsmAddr, needed: Access, unit: UnitView) {
         let rt = &self.runtime;
-        let page_fault = rt.costs().page_fault;
-        rt.inner().page_fault_row.record(page_fault);
-        self.pm2.sim.charge(page_fault);
+        self.pm2.sim.charge(rt.costs().page_fault);
         match needed {
             Access::Write => rt.stats().incr_write_fault(),
             _ => rt.stats().incr_read_fault(),

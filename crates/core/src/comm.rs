@@ -225,7 +225,7 @@ fn serve_dsm_msg(ctx: &mut ServerCtx<'_>, msg: DsmMsg) {
             // its thread creation has been paid for — so a blocking server
             // action (e.g. a writer pushing its diff before acknowledging an
             // invalidation) never delays its batch-mates.
-            let thread_create = rt.cluster().costs().thread_create();
+            let thread_create = dsmpm2_pm2::THREAD_CREATE;
             let (local, from) = (ctx.local_node, ctx.from_node);
             // Pinned to the local node's scheduler shard (like every thread
             // of this node), so batch unpacking stays serialized with the

@@ -56,7 +56,7 @@ pub use frames::{Frame, FrameStore};
 pub use msg::{DsmMsg, Invalidation, PageRequest, PageTransfer};
 pub use page::{
     line_of_offset, line_range, lines_per_page, pages_covering, Access, DsmAddr, LineIx, PageId,
-    Unit, LINE0, MIN_LINE_SIZE, PAGE_SIZE,
+    Unit, LINE0, MIN_LINE_SIZE, PAGE_SIZE, SHARED_BASE,
 };
 pub use page_table::{PageEntry, PageTable, UnitView};
 pub use protocol::{CustomProtocol, CustomProtocolBuilder, DsmProtocol, FaultInfo, ProtocolId};

@@ -2,9 +2,9 @@
 //!
 //! DSM-PM2 is a page-based DSM: the shared address space is divided into
 //! fixed-size pages, each managed individually by the page manager and the
-//! consistency protocols. Addresses are cluster-wide iso-addresses (see
-//! `dsmpm2_pm2::IsoAllocator`), so a [`DsmAddr`] designates the same datum on
-//! every node.
+//! consistency protocols. Addresses are cluster-wide iso-addresses, handed
+//! out from [`SHARED_BASE`] up by `DsmRuntime::dsm_malloc`, so a [`DsmAddr`]
+//! designates the same datum on every node.
 //!
 //! What the runtime keeps per page sits in a [`PageMap`], indexed by page
 //! number rather than hashed: shared pages are handed out contiguously, so a
@@ -14,6 +14,10 @@ use std::fmt;
 
 /// Size of a DSM page in bytes. The paper's measurements use common 4 kB pages.
 pub const PAGE_SIZE: usize = 4096;
+
+/// The first shared iso-address: `dsm_malloc` hands out page-aligned regions
+/// back to back from here.
+pub const SHARED_BASE: u64 = 0x0000_1000_0000_0000;
 
 /// Smallest supported coherence-line size, in bytes. Lines below this would
 /// explode the per-page entry count (and the paper's own argument for
@@ -116,8 +120,8 @@ pub fn line_range(line: LineIx, line_size: usize) -> (usize, usize) {
 
 /// A table with one slot per page, for what the runtime keeps per DSM page
 /// (the directory, each node's page table and frames). DSM pages are dense:
-/// `IsoAllocator::alloc_shared` bumps page-aligned ranges up from
-/// `ISO_SHARED_BASE`, so slot `i` holds page `base + i` and a lookup is one
+/// `dsm_malloc` bumps page-aligned ranges up from [`SHARED_BASE`], so slot
+/// `i` holds page `base + i` and a lookup is one
 /// subtraction and one bounds check — no hashing, no probing. A page below
 /// the base wraps to an index past the end, so a page outside every slot is
 /// simply absent. The base is the lowest page ever given a slot: a page

@@ -483,9 +483,6 @@ pub fn migrate_thread_to_page(ctx: &mut DsmThreadCtx<'_, '_>, unit: Unit) {
     };
     rt.stats().incr_thread_migration();
     ctx.pm2.sim.charge(rt.costs().migration_overhead);
-    rt.inner()
-        .migrate_on_fault_row
-        .record(rt.costs().migration_overhead);
     ctx.pm2.migrate_to(target);
 }
 

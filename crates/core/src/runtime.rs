@@ -5,7 +5,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
 use dsmpm2_madeleine::NodeId;
-use dsmpm2_pm2::{Engine, MonitorSlot, Pm2Cluster, Pm2Config, Pm2ThreadState};
+use dsmpm2_pm2::{Engine, Pm2Cluster, Pm2Config, Pm2ThreadState};
 use dsmpm2_sim::{SliceCell, TickOutbox};
 
 use crate::costs::DsmCosts;
@@ -14,6 +14,7 @@ use crate::frames::FrameStore;
 use crate::msg::DsmMsg;
 use crate::page::{
     pages_covering, validate_line_size, Access, DsmAddr, PageId, PageMap, Unit, PAGE_SIZE,
+    SHARED_BASE,
 };
 use crate::page_table::PageTable;
 use crate::protocol::{DsmProtocol, ProtocolId};
@@ -90,14 +91,27 @@ struct NodeState {
 }
 
 /// The cluster-wide page directory, and which protocols it names.
-#[derive(Default)]
 struct Directory {
+    /// Where the next allocation starts: regions are page-aligned and back
+    /// to back from [`SHARED_BASE`].
+    next_addr: u64,
     pages: PageMap<PageMeta>,
     /// Number of pages each protocol manages, indexed by protocol id.
     pages_of: Vec<usize>,
     /// The protocols managing at least one page, ascending. Replaced, never
     /// edited: whoever walks it across a yield keeps the set it started with.
     in_use: Arc<[ProtocolId]>,
+}
+
+impl Default for Directory {
+    fn default() -> Self {
+        Directory {
+            next_addr: SHARED_BASE,
+            pages: PageMap::default(),
+            pages_of: Vec::new(),
+            in_use: Arc::default(),
+        }
+    }
 }
 
 impl Directory {
@@ -197,10 +211,6 @@ pub(crate) struct RuntimeInner {
     locks: SliceCell<Vec<Arc<LockState>>>,
     barriers: SliceCell<Vec<Arc<BarrierState>>>,
     stats: DsmStats,
-    /// The monitor rows `dsm_page_fault` and `dsm_migrate_on_fault`, resolved
-    /// once so that a fault looks nothing up by name.
-    pub(crate) page_fault_row: MonitorSlot,
-    pub(crate) migrate_on_fault_row: MonitorSlot,
     verify_hooks: Option<Arc<dyn crate::verify::VerifyHooks>>,
 }
 
@@ -245,8 +255,6 @@ impl DsmRuntime {
         // Cyclic: the services registered on the cluster serve this runtime,
         // which they hold weakly.
         let outbox = Arc::new(TickOutbox::new());
-        let page_fault_row = cluster.monitor().slot("dsm_page_fault");
-        let migrate_on_fault_row = cluster.monitor().slot("dsm_migrate_on_fault");
         let inner = Arc::new_cyclic(|weak| RuntimeInner {
             services: crate::comm::register_dsm_services(&cluster, weak, &outbox),
             outbox,
@@ -260,8 +268,6 @@ impl DsmRuntime {
             locks: SliceCell::default(),
             barriers: SliceCell::default(),
             stats: DsmStats::new(),
-            page_fault_row,
-            migrate_on_fault_row,
             verify_hooks: crate::verify::global_verify_hooks(),
         });
         DsmRuntime { inner }
@@ -430,15 +436,11 @@ impl DsmRuntime {
         } else {
             PAGE_SIZE
         };
-        let range = self
-            .inner
-            .cluster
-            .isomalloc()
-            .alloc_shared(bytes, PAGE_SIZE as u64);
-        let base = DsmAddr(range.start);
-        let pages = pages_covering(base, range.len);
         let num_nodes = self.num_nodes();
         let mut directory = self.inner.directory.borrow();
+        let base = DsmAddr(directory.next_addr);
+        let pages = pages_covering(base, bytes);
+        directory.next_addr += pages.len() as u64 * PAGE_SIZE as u64;
         directory.account(None, protocol, pages.len());
         for (i, &page) in pages.iter().enumerate() {
             let home = match attr.home {
@@ -743,6 +745,47 @@ mod tests {
     use super::*;
     use crate::msg::Invalidation;
     use crate::protocol::CustomProtocol;
+    use proptest::prelude::*;
+
+    /// A runtime on two nodes whose default protocol only has to exist:
+    /// allocation runs none of its handlers.
+    fn allocating_runtime(engine: &Engine) -> DsmRuntime {
+        let rt = DsmRuntime::new(engine, Pm2Config::bip_myrinet(2));
+        rt.set_default_protocol(rt.register_protocol(CustomProtocol::builder("idle").build()));
+        rt
+    }
+
+    proptest! {
+        /// `dsm_malloc` hands out page-aligned regions back to back from
+        /// `SHARED_BASE` — so pairwise disjoint, and the same address on
+        /// every node — and makes every page a region covers, and no page
+        /// past the last one, a DSM page.
+        #[test]
+        fn prop_dsm_malloc_places_regions_back_to_back(
+            sizes in proptest::collection::vec(1u64..(3 * PAGE_SIZE as u64 + 64), 1..12)
+        ) {
+            let engine = Engine::new();
+            let rt = allocating_runtime(&engine);
+            let mut end = SHARED_BASE;
+            for bytes in sizes {
+                let addr = rt.dsm_malloc(bytes, DsmAttr::default());
+                prop_assert_eq!(addr.as_u64(), end);
+                prop_assert_eq!(addr.offset(), 0);
+                for page in pages_covering(addr, bytes) {
+                    prop_assert!(rt.is_dsm_page(page));
+                }
+                end += bytes.div_ceil(PAGE_SIZE as u64) * PAGE_SIZE as u64;
+                prop_assert!(!rt.is_dsm_page(DsmAddr(end).page()));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot allocate zero bytes")]
+    fn zero_byte_allocation_panics() {
+        let engine = Engine::new();
+        allocating_runtime(&engine).dsm_malloc(0, DsmAttr::default());
+    }
 
     /// Registration hands out dense ids, and each id keeps naming its
     /// protocol however many are registered after it.

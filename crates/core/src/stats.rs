@@ -1,6 +1,7 @@
 //! DSM-level statistics.
 //!
-//! Typed counters complementing the generic [`dsmpm2_pm2::Monitor`]: the
+//! Typed counters of the DSM layer, next to each RPC service's own
+//! ([`dsmpm2_pm2::Pm2Cluster::rpc_report`]): the
 //! benchmark harness uses them to report fault counts, transferred pages,
 //! invalidations and diffs per experiment, and the tests use them to check
 //! protocol behaviour (e.g. "no page is ever transferred by the

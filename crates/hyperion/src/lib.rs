@@ -46,11 +46,6 @@ impl ObjectRef {
         assert!(index < self.fields, "field {index} out of bounds");
         self.addr.add((index * FIELD_BYTES) as u64)
     }
-
-    /// Size of the object in bytes.
-    pub fn byte_size(&self) -> usize {
-        self.fields * FIELD_BYTES
-    }
 }
 
 /// A monitor (Java `synchronized` object): a DSM lock whose acquire/release
@@ -65,10 +60,9 @@ struct NodeBump {
 }
 
 /// What allocation changes: each home node's current page (indexed by
-/// node, `None` until its first object) and the number of objects so far.
+/// node, `None` until its first object).
 struct Allocator {
     bumps: Vec<Option<NodeBump>>,
-    objects: usize,
 }
 
 struct HeapInner {
@@ -108,7 +102,6 @@ impl HyperionHeap {
                 detection,
                 alloc: SliceCell::new(Allocator {
                     bumps: (0..runtime.num_nodes()).map(|_| None).collect(),
-                    objects: 0,
                 }),
             }),
         }
@@ -148,7 +141,6 @@ impl HyperionHeap {
         }
         let addr = bump.page_base.add(bump.used as u64);
         bump.used += bytes;
-        alloc.objects += 1;
         ObjectRef { addr, fields }
     }
 
@@ -160,16 +152,6 @@ impl HyperionHeap {
         (0..count)
             .map(|i| self.alloc_object_on(NodeId(i % nodes), fields))
             .collect()
-    }
-
-    /// Number of objects allocated so far.
-    pub fn object_count(&self) -> usize {
-        self.inner.alloc.borrow().objects
-    }
-
-    /// The home node of an object.
-    pub fn home_of(&self, obj: ObjectRef) -> NodeId {
-        self.inner.runtime.page_meta(obj.addr.page()).home
     }
 
     /// Hyperion's `get` primitive: read field `field` of `obj`.
@@ -223,12 +205,7 @@ impl HyperionHeap {
 
 impl std::fmt::Debug for HyperionHeap {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "HyperionHeap({:?}, {} objects)",
-            self.inner.detection,
-            self.object_count()
-        )
+        write!(f, "HyperionHeap({:?})", self.inner.detection)
     }
 }
 
@@ -254,26 +231,25 @@ mod tests {
         let (_engine, rt, heap) = setup(3, false);
         let objs = heap.alloc_distributed(9, 4);
         assert_eq!(objs.len(), 9);
-        assert_eq!(heap.object_count(), 9);
         for (i, obj) in objs.iter().enumerate() {
-            assert_eq!(heap.home_of(*obj), NodeId(i % 3));
-            assert_eq!(obj.byte_size(), 32);
+            assert_eq!(rt.page_meta(obj.addr.page()).home, NodeId(i % 3));
         }
-        // Objects homed on the same node share pages while they fit.
+        // Objects homed on the same node share pages while they fit, packed
+        // back to back.
         assert_eq!(objs[0].addr.page(), objs[3].addr.page());
-        let _ = rt;
+        assert_eq!(objs[3].addr.offset(), 4 * FIELD_BYTES);
     }
 
     #[test]
     fn an_object_that_does_not_fit_starts_a_fresh_page_on_its_home() {
-        let (_engine, _rt, heap) = setup(2, false);
+        let (_engine, rt, heap) = setup(2, false);
         let home = NodeId(1);
         // Leaves one field free on the home's first page; a one-field object
         // then fills it exactly.
         let big = heap.alloc_object_on(home, PAGE_SIZE / FIELD_BYTES - 1);
         let last = heap.alloc_object_on(home, 1);
         assert_eq!(last.addr.page(), big.addr.page());
-        assert_eq!(last.addr.offset() + last.byte_size(), PAGE_SIZE);
+        assert_eq!(last.addr.offset() + FIELD_BYTES, PAGE_SIZE);
         let other = heap.alloc_object_on(NodeId(0), 1);
         // Nothing is left: the next object starts a fresh page, homed on the
         // same node, and the one after packs into it.
@@ -281,11 +257,10 @@ mod tests {
         assert_ne!(rolled.addr.page(), big.addr.page());
         assert_ne!(rolled.addr.page(), other.addr.page());
         assert_eq!(rolled.addr.offset(), 0);
-        assert_eq!(heap.home_of(rolled), home);
+        assert_eq!(rt.page_meta(rolled.addr.page()).home, home);
         let packed = heap.alloc_object_on(home, 1);
         assert_eq!(packed.addr.page(), rolled.addr.page());
-        assert_eq!(packed.addr.offset(), rolled.byte_size());
-        assert_eq!(heap.object_count(), 5);
+        assert_eq!(packed.addr.offset(), 2 * FIELD_BYTES);
     }
 
     #[test]

@@ -34,8 +34,6 @@ pub struct NetworkModel {
     /// Cost of migrating a PM2 thread with a minimal (~1 kB) stack and no
     /// attached data (Table 4 / §2.1), in microseconds.
     pub thread_migration_base_us: f64,
-    /// Stack size assumed by `thread_migration_base_us`, in bytes.
-    pub migration_base_stack_bytes: usize,
 }
 
 impl NetworkModel {
@@ -44,11 +42,6 @@ impl NetworkModel {
     pub fn message_time(&self, bytes: usize) -> SimDuration {
         let us = self.control_latency_us + bytes as f64 / self.bandwidth_bytes_per_us;
         SimDuration::from_micros_f64(us)
-    }
-
-    /// Time for a minimal RPC request (no payload beyond the header).
-    pub fn rpc_min_time(&self) -> SimDuration {
-        SimDuration::from_micros_f64(self.rpc_min_latency_us)
     }
 
     /// Time for a small DSM control message (page request, invalidation, ack).
@@ -62,22 +55,10 @@ impl NetworkModel {
         self.message_time(page_bytes + CONTROL_MESSAGE_BYTES)
     }
 
-    /// Time to migrate a thread whose stack occupies `stack_bytes` bytes and
-    /// which carries `attached_bytes` of private iso-allocated data.
-    ///
-    /// The base constant covers the paper's minimal-stack measurement; stacks
-    /// or attached data larger than the base assumption pay for the extra
-    /// bytes at the network bandwidth.
-    pub fn thread_migration_time(&self, stack_bytes: usize, attached_bytes: usize) -> SimDuration {
-        let total = stack_bytes + attached_bytes;
-        let extra = total.saturating_sub(self.migration_base_stack_bytes);
-        let us = self.thread_migration_base_us + extra as f64 / self.bandwidth_bytes_per_us;
-        SimDuration::from_micros_f64(us)
-    }
-
-    /// Effective bandwidth in MB/s (useful for reports).
-    pub fn bandwidth_mb_per_s(&self) -> f64 {
-        self.bandwidth_bytes_per_us * 1e6 / (1024.0 * 1024.0)
+    /// Time to migrate a thread with the paper's minimal (~1 kB) stack: the
+    /// calibrated base cost.
+    pub fn thread_migration_time(&self) -> SimDuration {
+        SimDuration::from_micros_f64(self.thread_migration_base_us)
     }
 }
 
@@ -94,31 +75,9 @@ mod tests {
             control_latency_us: 10.0,
             bandwidth_bytes_per_us: 100.0,
             thread_migration_base_us: 50.0,
-            migration_base_stack_bytes: 1024,
         };
         assert_eq!(m.message_time(1000), SimDuration::from_micros_f64(20.0));
-        assert_eq!(m.rpc_min_time(), SimDuration::from_micros(5));
-    }
-
-    #[test]
-    fn migration_time_grows_with_stack_size() {
-        let m = profiles::bip_myrinet();
-        let small = m.thread_migration_time(1024, 0);
-        let big = m.thread_migration_time(64 * 1024, 0);
-        assert!(big > small);
-        // Minimal stack pays exactly the base constant.
-        assert_eq!(
-            small,
-            SimDuration::from_micros_f64(m.thread_migration_base_us)
-        );
-    }
-
-    #[test]
-    fn migration_accounts_attached_data() {
-        let m = profiles::sisci_sci();
-        let without = m.thread_migration_time(1024, 0);
-        let with = m.thread_migration_time(1024, 8192);
-        assert!(with > without);
+        assert_eq!(m.thread_migration_time(), SimDuration::from_micros(50));
     }
 
     #[test]
@@ -126,13 +85,6 @@ mod tests {
         for m in profiles::all() {
             assert!(m.page_transfer_time(4096) > m.control_time());
             assert!(m.message_time(0) <= m.message_time(1));
-        }
-    }
-
-    #[test]
-    fn bandwidth_report_is_positive() {
-        for m in profiles::all() {
-            assert!(m.bandwidth_mb_per_s() > 1.0, "{}", m.name);
         }
     }
 }

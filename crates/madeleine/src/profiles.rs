@@ -23,7 +23,6 @@ pub fn bip_myrinet() -> NetworkModel {
         control_latency_us: 21.2,
         bandwidth_bytes_per_us: 35.6,
         thread_migration_base_us: 75.0,
-        migration_base_stack_bytes: 1024,
     }
 }
 
@@ -35,7 +34,6 @@ pub fn tcp_myrinet() -> NetworkModel {
         control_latency_us: 218.1,
         bandwidth_bytes_per_us: 33.3,
         thread_migration_base_us: 280.0,
-        migration_base_stack_bytes: 1024,
     }
 }
 
@@ -47,7 +45,6 @@ pub fn tcp_fast_ethernet() -> NetworkModel {
         control_latency_us: 211.9,
         bandwidth_bytes_per_us: 7.9,
         thread_migration_base_us: 373.0,
-        migration_base_stack_bytes: 1024,
     }
 }
 
@@ -59,7 +56,6 @@ pub fn sisci_sci() -> NetworkModel {
         control_latency_us: 36.7,
         bandwidth_bytes_per_us: 50.6,
         thread_migration_base_us: 62.0,
-        migration_base_stack_bytes: 1024,
     }
 }
 
@@ -131,7 +127,7 @@ mod tests {
             (sisci_sci(), 62.0),
         ];
         for (model, paper_us) in cases {
-            let t = model.thread_migration_time(1024, 0).as_micros_f64();
+            let t = model.thread_migration_time().as_micros_f64();
             assert!(
                 (t - paper_us).abs() < 1.0,
                 "{}: migration {t} vs paper {paper_us}",
@@ -143,8 +139,8 @@ mod tests {
     /// §2.1: RPC minimal latency 8 µs (BIP) and 6 µs (SCI).
     #[test]
     fn calibration_matches_rpc_micro() {
-        assert_eq!(bip_myrinet().rpc_min_time().as_micros_f64(), 8.0);
-        assert_eq!(sisci_sci().rpc_min_time().as_micros_f64(), 6.0);
+        assert_eq!(bip_myrinet().rpc_min_latency_us, 8.0);
+        assert_eq!(sisci_sci().rpc_min_latency_us, 6.0);
     }
 
     #[test]
@@ -157,10 +153,7 @@ mod tests {
             tcp_myrinet().page_transfer_time(page) < tcp_fast_ethernet().page_transfer_time(page)
         );
         // But migration is cheapest on SCI, then BIP.
-        assert!(
-            sisci_sci().thread_migration_time(1024, 0)
-                < bip_myrinet().thread_migration_time(1024, 0)
-        );
+        assert!(sisci_sci().thread_migration_time() < bip_myrinet().thread_migration_time());
     }
 
     #[test]

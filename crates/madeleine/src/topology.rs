@@ -58,11 +58,6 @@ impl Topology {
     pub fn contains(&self, node: NodeId) -> bool {
         node.0 < self.num_nodes
     }
-
-    /// The node that follows `node` in round-robin order.
-    pub fn next_round_robin(&self, node: NodeId) -> NodeId {
-        NodeId((node.0 + 1) % self.num_nodes)
-    }
 }
 
 #[cfg(test)]
@@ -82,13 +77,6 @@ mod tests {
         assert_eq!(nodes, vec![NodeId(0), NodeId(1), NodeId(2)]);
         assert!(t.contains(NodeId(2)));
         assert!(!t.contains(NodeId(3)));
-    }
-
-    #[test]
-    fn round_robin_wraps() {
-        let t = Topology::flat(4);
-        assert_eq!(t.next_round_robin(NodeId(1)), NodeId(2));
-        assert_eq!(t.next_round_robin(NodeId(3)), NodeId(0));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //!
 //! There is no dispatcher thread. A node's dispatcher is serial — it
 //! demultiplexes one message at a time, each costing
-//! [`Pm2Costs::rpc_dispatch_us`] plus the handler thread's creation — and
+//! [`RPC_DISPATCH`] plus the handler thread's creation — and
 //! that is all it does, so when each message leaves it is a function of the
 //! arrival times alone: `start = max(arrival, dispatcher free)`,
 //! `done = start + cost`. [`Pm2Cluster::dispatch`] computes exactly that in
@@ -22,12 +22,11 @@ use std::sync::{Arc, Weak};
 use dsmpm2_madeleine::{Envelope, Network, NodeId, Topology};
 use dsmpm2_sim::{Engine, EngineCtl, SimDuration, SimHandle, SimTime, SliceCell};
 
-use crate::config::{Pm2Config, Pm2Costs};
+use crate::config::{Pm2Config, RPC_DISPATCH, THREAD_CREATE};
 use crate::context::{Pm2Context, Pm2ThreadState};
-use crate::isomalloc::IsoAllocator;
-use crate::monitor::{Monitor, MonitorSlot};
 use crate::rpc::{
     ReplyTable, RpcClass, RpcMessage, RpcPayload, RpcRequestCtx, RpcService, ServiceId, ServiceKey,
+    ServiceStats,
 };
 
 /// Everything the send, dispatch and handle paths need of one registered
@@ -37,11 +36,8 @@ struct ServiceEntry {
     /// What one request of this service occupies the node's dispatcher for:
     /// the dispatch itself, plus the thread creation iff `spawn_thread()`.
     dispatch_cost: SimDuration,
-    /// The monitor rows `rpc_call:<svc>`, `rpc_oneway:<svc>`,
-    /// `rpc_handler:<svc>`.
-    call: MonitorSlot,
-    oneway: MonitorSlot,
-    handler: MonitorSlot,
+    /// What this registration's requests did, for [`Pm2Cluster::rpc_report`].
+    stats: SliceCell<ServiceStats>,
     /// Name of this service's handler threads on each node
     /// (`rpc-<svc>@N<k>`).
     thread_names: Vec<Arc<str>>,
@@ -76,10 +72,6 @@ struct ClusterInner {
     network: Network<RpcMessage>,
     rpc: SliceCell<RpcState>,
     replies: ReplyTable,
-    monitor: Monitor,
-    /// The monitor row `thread_migration`.
-    migration: MonitorSlot,
-    iso: IsoAllocator,
     ctl: EngineCtl,
     app_threads: SliceCell<Vec<Arc<Pm2ThreadState>>>,
     /// Virtual time at which each node's (single) CPU becomes free again.
@@ -126,7 +118,6 @@ impl Pm2Cluster {
     pub fn new(engine: &Engine, config: Pm2Config) -> Self {
         let nodes = config.num_nodes;
         let per_node = || SliceCell::new(vec![SimTime::ZERO; nodes]);
-        let monitor = Monitor::new();
         let inner = Arc::new_cyclic(|cluster: &Weak<ClusterInner>| {
             // Weak: the network is part of the cluster it dispatches for. An
             // envelope that lands after the cluster is gone is dropped.
@@ -149,9 +140,6 @@ impl Pm2Cluster {
                     next_rpc_id: 1,
                 }),
                 replies: ReplyTable::new(),
-                migration: monitor.slot("thread_migration"),
-                monitor,
-                iso: IsoAllocator::new(nodes),
                 ctl: engine.ctl(),
                 app_threads: SliceCell::default(),
                 cpu_free: per_node(),
@@ -165,11 +153,6 @@ impl Pm2Cluster {
     /// Cluster configuration.
     pub fn config(&self) -> &Pm2Config {
         &self.inner.config
-    }
-
-    /// PM2 software cost constants.
-    pub fn costs(&self) -> &Pm2Costs {
-        &self.inner.config.costs
     }
 
     /// Cluster topology.
@@ -187,16 +170,6 @@ impl Pm2Cluster {
         &self.inner.network
     }
 
-    /// The monitoring sink shared by every layer of this cluster.
-    pub fn monitor(&self) -> &Monitor {
-        &self.inner.monitor
-    }
-
-    /// The iso-address allocator.
-    pub fn isomalloc(&self) -> &IsoAllocator {
-        &self.inner.iso
-    }
-
     /// Engine controller, for layers that need to schedule wake-ups.
     pub fn ctl(&self) -> &EngineCtl {
         &self.inner.ctl
@@ -207,17 +180,13 @@ impl Pm2Cluster {
     /// replaces the previous handler under the same id (useful in tests).
     pub fn register_service(&self, service: Arc<dyn RpcService>) -> ServiceId {
         let name = service.name();
-        let costs = self.costs();
-        let mut dispatch_cost = costs.rpc_dispatch();
+        let mut dispatch_cost = RPC_DISPATCH;
         if service.spawn_thread() {
-            dispatch_cost += costs.thread_create();
+            dispatch_cost += THREAD_CREATE;
         }
-        let monitor = &self.inner.monitor;
         let entry = Arc::new(ServiceEntry {
             dispatch_cost,
-            call: monitor.slot(&format!("rpc_call:{name}")),
-            oneway: monitor.slot(&format!("rpc_oneway:{name}")),
-            handler: monitor.slot(&format!("rpc_handler:{name}")),
+            stats: SliceCell::default(),
             thread_names: self
                 .topology()
                 .nodes()
@@ -241,6 +210,17 @@ impl Pm2Cluster {
     /// The id `name` was registered under, if it was.
     pub fn service_id(&self, name: &str) -> Option<ServiceId> {
         self.inner.rpc.borrow().id_of(name)
+    }
+
+    /// What each registered service did so far, in registration order: the
+    /// post-mortem report of the RPC layer. A service registered again
+    /// counts from its last registration.
+    pub fn rpc_report(&self) -> Vec<(String, ServiceStats)> {
+        let rpc = self.inner.rpc.borrow();
+        rpc.services
+            .iter()
+            .map(|e| (e.service.name().to_string(), *e.stats.borrow()))
+            .collect()
     }
 
     fn message_delay(&self, from: NodeId, to: NodeId, class: RpcClass) -> SimDuration {
@@ -288,13 +268,15 @@ impl Pm2Cluster {
         let reply = self.inner.replies.wait(id, sim);
         let elapsed = sim.now().since(start);
         self.inner.rpc.borrow().services[service.0 as usize]
-            .call
+            .stats
+            .borrow()
+            .calls
             .record(elapsed);
         reply
     }
 
     /// Build the wire message and base delivery delay shared by the one-way
-    /// RPC flavours, and count the send in the monitor.
+    /// RPC flavours, and count the send in the service's statistics.
     fn oneway_parts(
         &self,
         from: NodeId,
@@ -305,7 +287,7 @@ impl Pm2Cluster {
     ) -> (RpcMessage, SimDuration) {
         let id = {
             let mut rpc = self.inner.rpc.borrow();
-            rpc.services[service.0 as usize].oneway.incr();
+            rpc.services[service.0 as usize].stats.borrow().oneways += 1;
             rpc.fresh_rpc_id()
         };
         (
@@ -390,7 +372,7 @@ impl Pm2Cluster {
         let shard = node.index() as u64;
         match env.msg {
             RpcMessage::Reply { id, payload } => {
-                let at = reserve(dispatcher, node, ctl.now(), self.costs().rpc_dispatch());
+                let at = reserve(dispatcher, node, ctl.now(), RPC_DISPATCH);
                 self.inner.replies.fulfill(id, payload, ctl, at);
             }
             RpcMessage::Request {
@@ -406,7 +388,7 @@ impl Pm2Cluster {
                 if !needs_reply && entry.service.is_nonblocking(&payload) {
                     ctl.call_at_on(shard, at, move |ctl| {
                         entry.service.handle_nonblocking(ctl, node, from, payload);
-                        entry.handler.incr();
+                        entry.stats.borrow().handled.record(SimDuration::ZERO);
                     });
                 } else {
                     let name = Arc::clone(&entry.thread_names[node.index()]);
@@ -439,7 +421,7 @@ impl Pm2Cluster {
             };
             entry.service.handle(&mut ctx, payload)
         };
-        entry.handler.record(sim.now().since(start));
+        entry.stats.borrow().handled.record(sim.now().since(start));
         if needs_reply {
             let reply = reply.unwrap_or_else(|| {
                 panic!(
@@ -479,11 +461,7 @@ impl Pm2Cluster {
             "cannot spawn a thread on unknown node {node}"
         );
         let name = name.into();
-        let state = Arc::new(Pm2ThreadState::new(
-            name.clone(),
-            node,
-            self.costs().default_stack_bytes,
-        ));
+        let state = Arc::new(Pm2ThreadState::new(name.clone(), node));
         self.inner.app_threads.borrow().push(Arc::clone(&state));
         let cluster = self.clone();
         let thread_state = Arc::clone(&state);
@@ -509,11 +487,6 @@ impl Pm2Cluster {
     pub fn reserve_cpu(&self, node: NodeId, not_before: SimTime, duration: SimDuration) -> SimTime {
         reserve(&self.inner.cpu_free, node, not_before, duration)
     }
-
-    /// Count one thread migration costing `cost` in the monitor.
-    pub(crate) fn record_migration(&self, cost: SimDuration) {
-        self.inner.migration.record(cost);
-    }
 }
 
 impl std::fmt::Debug for Pm2Cluster {
@@ -530,8 +503,7 @@ impl std::fmt::Debug for Pm2Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::monitor::OpStat;
-    use crate::rpc::{downcast, service_fn, RpcReply};
+    use crate::rpc::{downcast, service_fn, OpStat, RpcReply};
     use dsmpm2_madeleine::profiles;
     use std::sync::atomic::{AtomicU64 as StdAtomicU64, Ordering};
     use std::sync::Mutex;
@@ -565,7 +537,29 @@ mod tests {
         });
         engine.run().unwrap();
         assert_eq!(result.load(Ordering::SeqCst), 42);
-        assert_eq!(c.monitor().count("rpc_call:double"), 1);
+        // The call waits for the request and the reply on the wire, the
+        // request's dispatch and handler thread, the handler's 2us and the
+        // reply's dispatch; the handler for its 2us alone.
+        let charge = SimDuration::from_micros(2);
+        let call =
+            profiles::bip_myrinet().control_time() * 2 + RPC_DISPATCH * 2 + THREAD_CREATE + charge;
+        assert_eq!(call, SimDuration::from_nanos(52_996));
+        let once = |elapsed| OpStat {
+            count: 1,
+            total: elapsed,
+            max: elapsed,
+        };
+        assert_eq!(
+            c.rpc_report(),
+            [(
+                "double".to_string(),
+                ServiceStats {
+                    calls: once(call),
+                    oneways: 0,
+                    handled: once(charge),
+                }
+            )]
+        );
     }
 
     #[test]
@@ -844,7 +838,7 @@ mod tests {
                 log: log.clone(),
             }));
             let arrival = profiles::bip_myrinet().control_time();
-            let dispatch = c.costs().rpc_dispatch() + c.costs().thread_create();
+            let dispatch = RPC_DISPATCH + THREAD_CREATE;
             for i in 0..REQUESTS {
                 let l = log.clone();
                 engine.ctl().call_at_on(
@@ -883,7 +877,7 @@ mod tests {
                 }
             });
             let report = engine.run().unwrap();
-            assert_eq!(c.monitor().count("rpc_handler:probe"), REQUESTS);
+            assert_eq!(c.rpc_report()[0].1.handled.count, REQUESTS);
             let log = log.lock().unwrap().clone();
             (log, report)
         };
@@ -969,17 +963,21 @@ mod tests {
                 ..Default::default()
             }
         );
-        let row = |total_us, max_us| OpStat {
+        let handled = OpStat {
             count: total,
-            total: SimDuration::from_micros(total_us),
-            max: SimDuration::from_micros(max_us),
+            total: SimDuration::from_micros(80_000),
+            max: SimDuration::from_micros(2),
         };
         assert_eq!(
-            c.monitor().report().rows,
-            [
-                ("rpc_handler:tick".to_string(), row(80_000, 2)),
-                ("rpc_oneway:tick".to_string(), row(0, 0)),
-            ]
+            c.rpc_report(),
+            [(
+                "tick".to_string(),
+                ServiceStats {
+                    calls: OpStat::default(),
+                    oneways: total,
+                    handled,
+                }
+            )]
         );
         assert_eq!(
             report,

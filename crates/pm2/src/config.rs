@@ -3,49 +3,13 @@
 use dsmpm2_madeleine::{profiles, NetworkModel, TransportTuning};
 use dsmpm2_sim::SimDuration;
 
-/// Software-path cost constants of the PM2 runtime itself (independent of the
-/// interconnect). These model the user-level thread package (Marcel) and the
-/// RPC dispatch machinery.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Pm2Costs {
-    /// Demultiplexing an incoming message to its service handler, in µs.
-    pub rpc_dispatch_us: f64,
-    /// Creating a (user-level) thread to run an RPC handler, in µs.
-    pub thread_create_us: f64,
-    /// A user-level context switch between Marcel threads, in µs.
-    pub context_switch_us: f64,
-    /// Default stack size assumed for application threads, in bytes. The
-    /// paper's microbenchmark uses threads with ~1 kB stacks.
-    pub default_stack_bytes: usize,
-}
+/// Demultiplexing an incoming message to its service handler: what one
+/// message occupies its node's serial RPC dispatcher for.
+pub const RPC_DISPATCH: SimDuration = SimDuration::from_micros(1);
 
-impl Default for Pm2Costs {
-    fn default() -> Self {
-        Pm2Costs {
-            rpc_dispatch_us: 1.0,
-            thread_create_us: 3.0,
-            context_switch_us: 0.5,
-            default_stack_bytes: 1024,
-        }
-    }
-}
-
-impl Pm2Costs {
-    /// RPC dispatch cost as a virtual duration.
-    pub fn rpc_dispatch(&self) -> SimDuration {
-        SimDuration::from_micros_f64(self.rpc_dispatch_us)
-    }
-
-    /// Thread creation cost as a virtual duration.
-    pub fn thread_create(&self) -> SimDuration {
-        SimDuration::from_micros_f64(self.thread_create_us)
-    }
-
-    /// Context switch cost as a virtual duration.
-    pub fn context_switch(&self) -> SimDuration {
-        SimDuration::from_micros_f64(self.context_switch_us)
-    }
-}
+/// Creating the (user-level, Marcel) thread that runs an RPC handler, charged
+/// on top of [`RPC_DISPATCH`] to a service that asks for one.
+pub const THREAD_CREATE: SimDuration = SimDuration::from_micros(3);
 
 /// Configuration of a simulated PM2 cluster: the one value that describes a
 /// run's deployment — node count, network profile, transport backend and the
@@ -56,8 +20,6 @@ pub struct Pm2Config {
     pub num_nodes: usize,
     /// Interconnect cost model (see [`dsmpm2_madeleine::profiles`]).
     pub network: NetworkModel,
-    /// PM2 software cost constants.
-    pub costs: Pm2Costs,
     /// Default coherence granularity in bytes of the DSM allocations made on
     /// this cluster: `None` (the default) manages whole pages; `Some(bytes)`
     /// must divide the page size and splits every page into
@@ -76,7 +38,6 @@ impl Pm2Config {
         Pm2Config {
             num_nodes,
             network,
-            costs: Pm2Costs::default(),
             granularity: None,
             transport: TransportTuning::default(),
         }
@@ -105,11 +66,9 @@ mod tests {
 
     #[test]
     fn default_costs_are_small_relative_to_network() {
-        let costs = Pm2Costs::default();
         let net = profiles::bip_myrinet();
-        assert!(costs.rpc_dispatch() < net.control_time());
-        assert!(costs.thread_create() < net.control_time());
-        assert_eq!(costs.default_stack_bytes, 1024);
+        assert!(RPC_DISPATCH < net.control_time());
+        assert!(THREAD_CREATE < net.control_time());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! execution context never moves (it is an OS thread of the host process);
 //! what migration changes is (a) the thread's *location*, which every DSM
 //! access consults, and (b) the virtual clock, which is charged the
-//! calibrated migration cost for the thread's stack and attached data.
+//! calibrated cost of migrating a [`THREAD_STACK_BYTES`] stack.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -17,6 +17,11 @@ use dsmpm2_sim::{SimDuration, SimHandle, SimTime};
 use crate::cluster::Pm2Cluster;
 use crate::rpc::{RpcClass, RpcPayload, ServiceKey};
 
+/// The stack a migrating thread carries to its new node: the ~1 kB of the
+/// paper's migration measurement (Table 4), which the profiles' migration
+/// cost covers. Each migration records this many bytes on its link.
+pub const THREAD_STACK_BYTES: usize = 1024;
+
 /// Shared, externally observable state of one PM2 application thread.
 #[derive(Debug)]
 pub struct Pm2ThreadState {
@@ -24,19 +29,15 @@ pub struct Pm2ThreadState {
     /// Index of the node the thread executes on. Written only by the thread
     /// itself when it migrates (Release), read on every DSM access (Acquire).
     node: AtomicUsize,
-    stack_bytes: AtomicUsize,
-    private_bytes: AtomicUsize,
     migrations: AtomicU64,
     finished: AtomicBool,
 }
 
 impl Pm2ThreadState {
-    pub(crate) fn new(name: String, node: NodeId, stack_bytes: usize) -> Self {
+    pub(crate) fn new(name: String, node: NodeId) -> Self {
         Pm2ThreadState {
             name,
             node: AtomicUsize::new(node.index()),
-            stack_bytes: AtomicUsize::new(stack_bytes),
-            private_bytes: AtomicUsize::new(0),
             migrations: AtomicU64::new(0),
             finished: AtomicBool::new(false),
         }
@@ -51,16 +52,6 @@ impl Pm2ThreadState {
     #[inline]
     pub fn node(&self) -> NodeId {
         NodeId(self.node.load(Ordering::Acquire))
-    }
-
-    /// Stack size accounted for migration costs.
-    pub fn stack_bytes(&self) -> usize {
-        self.stack_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Bytes of private iso-allocated data that migrate with the thread.
-    pub fn private_bytes(&self) -> usize {
-        self.private_bytes.load(Ordering::Relaxed)
     }
 
     /// Number of times the thread has migrated.
@@ -142,26 +133,10 @@ impl<'a> Pm2Context<'a> {
         self.sim.sleep(end - now);
     }
 
-    /// Declare the stack footprint of this thread (affects migration cost).
-    pub fn set_stack_bytes(&self, bytes: usize) {
-        self.state.stack_bytes.store(bytes, Ordering::Relaxed);
-    }
-
-    /// Attach `bytes` of private iso-allocated data to this thread; the data
-    /// is copied along on every migration.
-    pub fn attach_private_bytes(&self, bytes: usize) {
-        // Load + store, not a read-modify-write: the thread itself is the
-        // only writer of its state.
-        let attached = self.state.private_bytes.load(Ordering::Relaxed);
-        self.state
-            .private_bytes
-            .store(attached + bytes, Ordering::Relaxed);
-    }
-
     /// Preemptively migrate this thread to `dest`.
     ///
-    /// The virtual clock is charged the calibrated migration cost (stack +
-    /// attached data over the configured interconnect); afterwards the thread
+    /// The virtual clock is charged the interconnect's calibrated migration
+    /// cost, and the link carries the thread's stack; afterwards the thread
     /// continues executing with `dest` as its location, so subsequent DSM
     /// accesses are evaluated against `dest`'s page table.
     pub fn migrate_to(&mut self, dest: NodeId) {
@@ -173,15 +148,9 @@ impl<'a> Pm2Context<'a> {
             self.cluster.topology().contains(dest),
             "cannot migrate to unknown node {dest}"
         );
-        let model = self.cluster.network().model();
-        let cost =
-            model.thread_migration_time(self.state.stack_bytes(), self.state.private_bytes());
-        self.cluster.record_migration(cost);
-        self.cluster.network().stats().record(
-            from,
-            dest,
-            self.state.stack_bytes() + self.state.private_bytes(),
-        );
+        let network = self.cluster.network();
+        let cost = network.model().thread_migration_time();
+        network.stats().record(from, dest, THREAD_STACK_BYTES);
         // Re-home the thread onto the destination node's scheduler shard
         // *before* sleeping, so the post-migration wake-up (and everything
         // the thread does afterwards) is in program order with the
@@ -255,11 +224,13 @@ mod tests {
             e.store(ctx.now().since(start).as_nanos(), Ordering::SeqCst);
         });
         engine.run().unwrap();
-        let expected = profiles::bip_myrinet().thread_migration_time(1024, 0);
+        let expected = profiles::bip_myrinet().thread_migration_time();
         assert_eq!(elapsed.load(Ordering::SeqCst), expected.as_nanos());
         assert_eq!(state.node(), NodeId(1));
         assert_eq!(state.migrations(), 1);
         assert!(state.finished());
+        let link = cluster.network().stats().snapshot();
+        assert_eq!((link.messages, link.bytes), (1, THREAD_STACK_BYTES as u64));
     }
 
     #[test]
@@ -272,24 +243,8 @@ mod tests {
             assert_eq!(ctx.now().since(start), SimDuration::ZERO);
         });
         engine.run().unwrap();
-        assert_eq!(cluster.monitor().count("thread_migration"), 0);
-    }
-
-    #[test]
-    fn migration_cost_includes_attached_private_data() {
-        let mut engine = Engine::new();
-        let cluster = Pm2Cluster::new(&engine, Pm2Config::sisci_sci(2));
-        let elapsed = Arc::new(StdAtomicU64::new(0));
-        let e = elapsed.clone();
-        cluster.spawn_thread_on(NodeId(0), "heavy", move |ctx| {
-            ctx.attach_private_bytes(64 * 1024);
-            let start = ctx.now();
-            ctx.migrate_to(NodeId(1));
-            e.store(ctx.now().since(start).as_nanos(), Ordering::SeqCst);
-        });
-        engine.run().unwrap();
-        let light = profiles::sisci_sci().thread_migration_time(1024, 0);
-        assert!(elapsed.load(Ordering::SeqCst) > light.as_nanos());
+        assert_eq!(cluster.app_threads()[0].migrations(), 0);
+        assert_eq!(cluster.network().stats().snapshot().messages, 0);
     }
 
     #[test]

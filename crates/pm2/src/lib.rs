@@ -7,11 +7,17 @@
 //!
 //! * [`Pm2Cluster`] — boots a cluster of nodes with a service registry, the
 //!   per-node serial RPC dispatch (a function of each message's arrival
-//!   event, not a thread) and the blocking/one-way RPC primitives.
+//!   event, not a thread) and the blocking/one-way RPC primitives. Each
+//!   service counts its own calls, one-way sends and handlers
+//!   ([`ServiceStats`], read through [`Pm2Cluster::rpc_report`]): the
+//!   post-mortem monitoring of the RPC layer.
 //! * [`Pm2Context`] / [`Pm2ThreadState`] — application threads with a current
-//!   location and preemptive [`Pm2Context::migrate_to`] migration.
-//! * [`IsoAllocator`] — iso-address allocation (shared and node-private).
-//! * [`Monitor`] — post-mortem per-operation timing/counter reports.
+//!   location and preemptive [`Pm2Context::migrate_to`] migration, which
+//!   moves a [`THREAD_STACK_BYTES`] stack.
+//!
+//! Iso-address allocation needs no allocator of its own here: the simulated
+//! cluster has one address space, so the DSM layer's `dsm_malloc` bumps
+//! shared addresses itself and every node sees a region at the same address.
 //!
 //! The DSM generic core (crate `dsmpm2-core`) is built exclusively on this
 //! API, mirroring the layering of the original system.
@@ -23,20 +29,14 @@
 mod cluster;
 mod config;
 mod context;
-mod isomalloc;
-mod monitor;
 mod rpc;
 
 pub use cluster::Pm2Cluster;
-pub use config::{Pm2Config, Pm2Costs};
-pub use context::{Pm2Context, Pm2ThreadState};
-pub use isomalloc::{
-    IsoAllocator, IsoKind, IsoRange, ISO_PRIVATE_BASE, ISO_PRIVATE_SLOT, ISO_SHARED_BASE,
-};
-pub use monitor::{Monitor, MonitorReport, MonitorSlot, OpStat};
+pub use config::{Pm2Config, RPC_DISPATCH, THREAD_CREATE};
+pub use context::{Pm2Context, Pm2ThreadState, THREAD_STACK_BYTES};
 pub use rpc::{
-    downcast, service_fn, FnService, RpcClass, RpcMessage, RpcPayload, RpcReply, RpcRequestCtx,
-    RpcService, ServiceId, ServiceKey,
+    downcast, service_fn, FnService, OpStat, RpcClass, RpcMessage, RpcPayload, RpcReply,
+    RpcRequestCtx, RpcService, ServiceId, ServiceKey, ServiceStats,
 };
 
 /// Convenience re-exports of the layers below, so applications can depend on

@@ -10,7 +10,7 @@ use std::any::Any;
 use std::sync::Arc;
 
 use dsmpm2_madeleine::{NodeId, CONTROL_MESSAGE_BYTES};
-use dsmpm2_sim::{BlockReason, EngineCtl, SimHandle, SimTime, SliceCell, WaitSet};
+use dsmpm2_sim::{BlockReason, EngineCtl, SimDuration, SimHandle, SimTime, SliceCell, WaitSet};
 
 use crate::cluster::Pm2Cluster;
 
@@ -146,7 +146,7 @@ pub trait RpcService: Send + Sync + 'static {
     fn handle(&self, ctx: &mut RpcRequestCtx<'_>, payload: RpcPayload) -> Option<RpcReply>;
     /// If true (the default, and the behaviour used by the DSM page servers),
     /// the dispatch pays for the creation of the request's handler thread
-    /// ([`crate::Pm2Costs::thread_create_us`]). If false it does not: the
+    /// ([`crate::THREAD_CREATE`]). If false it does not: the
     /// request is served by a pre-existing thread, which costs the model
     /// nothing to hand the request to. Either way the handler may block, and
     /// concurrent requests are served in parallel.
@@ -214,6 +214,40 @@ where
         spawn_thread,
         f,
     })
+}
+
+/// Count and virtual time of one kind of occurrence.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct OpStat {
+    /// Number of occurrences.
+    pub count: u64,
+    /// Total virtual time spent.
+    pub total: SimDuration,
+    /// Largest single occurrence.
+    pub max: SimDuration,
+}
+
+impl OpStat {
+    /// Count one occurrence taking `elapsed` of virtual time.
+    pub(crate) fn record(&mut self, elapsed: SimDuration) {
+        self.count += 1;
+        self.total += elapsed;
+        self.max = self.max.max(elapsed);
+    }
+}
+
+/// What one registered service did during a run, read through
+/// [`crate::Pm2Cluster::rpc_report`]: PM2's post-mortem report of "the time
+/// spent within each elementary function", for the RPC layer.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ServiceStats {
+    /// Blocking calls, each timed from its send to its reply's wake-up.
+    pub calls: OpStat,
+    /// One-way requests sent.
+    pub oneways: u64,
+    /// Requests served, each timed from its handler's start to its return
+    /// (zero for a request served without a thread).
+    pub handled: OpStat,
 }
 
 /// Table of outstanding RPC calls waiting for their reply: one slot per

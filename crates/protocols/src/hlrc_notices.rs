@@ -61,9 +61,9 @@ impl HlrcNotices {
         HlrcNotices::default()
     }
 
-    /// Number of write notices currently retained (all locks). Exposed for
-    /// tests and the ablation benchmarks.
-    pub fn retained_notices(&self) -> usize {
+    /// Number of write notices currently retained (all locks).
+    #[cfg(test)]
+    pub(crate) fn retained_notices(&self) -> usize {
         self.log.borrow().notices.values().map(|v| v.len()).sum()
     }
 

@@ -83,16 +83,6 @@ impl BuiltinProtocols {
             _ => None,
         }
     }
-
-    /// The four protocols compared in the paper's TSP experiment (Figure 4).
-    pub fn figure4_set(&self) -> [(&'static str, ProtocolId); 4] {
-        [
-            ("li_hudak", self.li_hudak),
-            ("migrate_thread", self.migrate_thread),
-            ("erc_sw", self.erc_sw),
-            ("hbrc_mw", self.hbrc_mw),
-        ]
-    }
 }
 
 /// Register the six built-in protocols on `runtime` and return their ids.
@@ -204,7 +194,6 @@ mod tests {
         assert_eq!(rt.protocol_by_name("hbrc_mw"), Some(builtins.hbrc_mw));
         assert_eq!(builtins.by_name("li_hudak"), Some(builtins.li_hudak));
         assert_eq!(builtins.by_name("nope"), None);
-        assert_eq!(builtins.figure4_set().len(), 4);
     }
 
     /// li_hudak: a value written on the home node is read correctly from a

@@ -177,20 +177,8 @@ impl SimHandle {
         )
     }
 
-    /// Schedule a closure to run on the scheduler after `delay` from this
-    /// thread's local time (used to model message delivery). The closure
-    /// executes on this thread's shard; use [`SimHandle::call_after_on`] to
-    /// pin it elsewhere.
-    pub fn call_after<F>(&self, delay: SimDuration, f: F)
-    where
-        F: FnOnce(&EngineCtl) + Send + 'static,
-    {
-        self.shared()
-            .schedule_call(self.now() + delay, Some(self.slot.shard_key()), Box::new(f));
-    }
-
-    /// Schedule a closure on an explicit shard after `delay` from this
-    /// thread's local time.
+    /// Schedule a closure to run on the scheduler, on shard `shard_key`,
+    /// after `delay` from this thread's local time.
     pub fn call_after_on<F>(&self, shard_key: u64, delay: SimDuration, f: F)
     where
         F: FnOnce(&EngineCtl) + Send + 'static,
@@ -265,7 +253,7 @@ mod tests {
         engine.spawn("t", move |h| {
             h.charge(SimDuration::from_micros(5));
             let w2 = w.clone();
-            h.call_after(SimDuration::from_micros(10), move |ctl| {
+            h.call_after_on(0, SimDuration::from_micros(10), move |ctl| {
                 w2.store(ctl.now().as_nanos(), Ordering::SeqCst);
             });
             h.flush();

@@ -77,7 +77,7 @@ pub fn measure_read_fault(network: NetworkModel, policy: FaultPolicy) -> FaultBr
             }
         }
         FaultPolicy::ThreadMigration => {
-            let migration_us = network.thread_migration_time(1024, 0).as_micros_f64();
+            let migration_us = network.thread_migration_time().as_micros_f64();
             FaultBreakdown {
                 page_fault_us,
                 request_us: 0.0,

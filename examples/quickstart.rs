@@ -50,8 +50,21 @@ fn main() {
     let report = engine.run().expect("simulation completed");
     println!("\nvirtual time: {}", report.final_time);
     println!("DSM statistics: {:#?}", rt.stats().snapshot());
+    println!("\npost-mortem RPC report:");
     println!(
-        "\npost-mortem monitor:\n{}",
-        rt.cluster().monitor().report()
+        "{:<18} {:>7} {:>13} {:>7} {:>9} {:>13} {:>11}",
+        "service", "calls", "call (us)", "oneway", "handled", "handler (us)", "max (us)"
     );
+    for (name, s) in rt.cluster().rpc_report() {
+        println!(
+            "{:<18} {:>7} {:>13.1} {:>7} {:>9} {:>13.1} {:>11.1}",
+            name,
+            s.calls.count,
+            s.calls.total.as_micros_f64(),
+            s.oneways,
+            s.handled.count,
+            s.handled.total.as_micros_f64(),
+            s.handled.max.as_micros_f64()
+        );
+    }
 }

@@ -37,8 +37,8 @@
 //! * [`sim`] — deterministic discrete-event engine and cooperative threads.
 //! * [`madeleine`] — network cost models (BIP/Myrinet, TCP/Myrinet,
 //!   TCP/FastEthernet, SISCI/SCI) and the message transport.
-//! * [`pm2`] — the PM2 runtime model: cluster, RPC, isomalloc, thread
-//!   migration, monitoring.
+//! * [`pm2`] — the PM2 runtime model: cluster, RPC with per-service
+//!   statistics, thread migration.
 //! * [`core`] — the DSM-PM2 generic core: page manager, DSM communication,
 //!   access detection, protocol registry, protocol library, locks/barriers.
 //! * [`protocols`] — the six built-in protocols of the paper, three extension

@@ -163,11 +163,13 @@ fn pm2_micro_measurements_match_paper() {
     }
 }
 
-/// Post-mortem monitoring: after a run, the monitor reports time spent in the
-/// elementary DSM functions (the facility §4 highlights).
+/// Post-mortem monitoring: after a run, what the elementary DSM functions
+/// did can be read back (the facility §4 highlights) — the faults from the
+/// DSM counters, and each RPC service's calls, one-way sends and handler
+/// times from the service itself.
 #[test]
 fn post_mortem_monitor_reports_elementary_functions() {
-    use dsm_pm2::core::{DsmAttr, DsmRuntime, HomePolicy};
+    use dsm_pm2::core::{DsmAttr, DsmRuntime, HomePolicy, SVC_DSM};
     use dsm_pm2::prelude::*;
 
     let engine = Engine::new();
@@ -181,11 +183,16 @@ fn post_mortem_monitor_reports_elementary_functions() {
     });
     let mut engine = engine;
     engine.run().unwrap();
-    let report = rt.cluster().monitor().report();
-    assert!(report.get("dsm_page_fault").is_some());
-    assert!(report.get("rpc_oneway:dsm").is_some() || report.get("rpc_handler:dsm").is_some());
-    let rendered = report.to_string();
-    assert!(rendered.contains("dsm_page_fault"));
+    let stats = rt.stats().snapshot();
+    assert_eq!((stats.read_faults, stats.write_faults), (1, 1));
+    let report = rt.cluster().rpc_report();
+    let (_, dsm) = report
+        .iter()
+        .find(|(name, _)| name == SVC_DSM)
+        .expect("the DSM service reports");
+    assert!(dsm.oneways > 0, "{dsm:?}");
+    assert_eq!(dsm.handled.count, dsm.oneways, "{dsm:?}");
+    assert!(dsm.handled.total >= dsm.handled.max, "{dsm:?}");
 }
 
 /// Regression (PR 3): a user-code panic while the thread holds the
