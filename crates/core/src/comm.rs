@@ -17,7 +17,7 @@
 //! `AcquireDone`: a table update and a `notify_all`, no charge — are served
 //! in the scheduler call that would have started their thread.
 
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
 use dsmpm2_madeleine::{NodeId, CONTROL_MESSAGE_BYTES};
 use dsmpm2_pm2::{
@@ -25,7 +25,8 @@ use dsmpm2_pm2::{
     ServiceId,
 };
 use dsmpm2_sim::{
-    BlockReason, EngineCtl, SimDuration, SimHandle, SimTime, ThreadId, TickBucket, TickOutbox,
+    BlockReason, EngineCtl, SimDuration, SimHandle, SimTime, SliceRc, SliceWeak, ThreadId,
+    TickBucket, TickOutbox,
 };
 
 use crate::ctx::{DsmThreadCtx, ServerCtx};
@@ -56,7 +57,7 @@ pub(crate) struct DsmServices {
 
 /// The `dsm` service: protocol messages.
 struct DsmService {
-    rt: Weak<RuntimeInner>,
+    rt: SliceWeak<RuntimeInner>,
 }
 
 impl RpcService for DsmService {
@@ -101,8 +102,8 @@ impl RpcService for DsmService {
 /// `DsmRuntime::with_cluster_and_costs`.
 pub(crate) fn register_dsm_services(
     cluster: &Pm2Cluster,
-    rt: &Weak<RuntimeInner>,
-    outbox: &Arc<TickOutbox<(NodeId, NodeId), DsmMsg>>,
+    rt: &SliceWeak<RuntimeInner>,
+    outbox: &SliceRc<TickOutbox<(NodeId, NodeId), DsmMsg>>,
 ) -> DsmServices {
     // Every service holds the runtime weakly, like the network hook below: a
     // strong handle would close the cycle runtime → cluster → service table →
@@ -127,7 +128,7 @@ pub(crate) fn register_dsm_services(
     // tests, and a strong reference would cycle through cluster → network →
     // hook → runtime → cluster — and the outbox itself, so that the common
     // send, with nothing parked, stops at one look at it.
-    let outbox = Arc::clone(outbox);
+    let outbox = SliceRc::clone(outbox);
     let weak = rt.clone();
     cluster
         .network()
@@ -240,7 +241,7 @@ fn serve_dsm_msg(ctx: &mut ServerCtx<'_>, msg: DsmMsg) {
                     });
                     continue;
                 }
-                let name = Arc::clone(&rt.inner().batch_thread_names[local.index()]);
+                let name = SliceRc::clone(&rt.inner().batch_thread_names[local.index()]);
                 ctx.sim.spawn_on(shard, name, move |sim| {
                     let mut sub_ctx = ServerCtx {
                         sim,

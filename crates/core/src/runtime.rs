@@ -6,7 +6,7 @@ use std::sync::{Arc, OnceLock};
 
 use dsmpm2_madeleine::NodeId;
 use dsmpm2_pm2::{Engine, Pm2Cluster, Pm2Config, Pm2ThreadState};
-use dsmpm2_sim::{SliceCell, TickOutbox};
+use dsmpm2_sim::{SliceCell, SliceRc, TickOutbox};
 
 use crate::costs::DsmCosts;
 use crate::ctx::DsmThreadCtx;
@@ -100,7 +100,7 @@ struct Directory {
     pages_of: Vec<usize>,
     /// The protocols managing at least one page, ascending. Replaced, never
     /// edited: whoever walks it across a yield keeps the set it started with.
-    in_use: Arc<[ProtocolId]>,
+    in_use: SliceRc<[ProtocolId]>,
 }
 
 impl Default for Directory {
@@ -109,7 +109,7 @@ impl Default for Directory {
             next_addr: SHARED_BASE,
             pages: PageMap::default(),
             pages_of: Vec::new(),
-            in_use: Arc::default(),
+            in_use: SliceRc::default(),
         }
     }
 }
@@ -196,11 +196,11 @@ pub(crate) struct RuntimeInner {
     costs: DsmCosts,
     /// Coherence messages parked until the end of the instant they were sent
     /// at, per (from, to) link (see `DsmRuntime::send_coherence`).
-    pub(crate) outbox: Arc<TickOutbox<(NodeId, NodeId), DsmMsg>>,
+    pub(crate) outbox: SliceRc<TickOutbox<(NodeId, NodeId), DsmMsg>>,
     pub(crate) services: crate::comm::DsmServices,
     /// Name of the threads serving the sub-messages of a coherence batch on
     /// each node (`dsm-batch@N<k>`).
-    pub(crate) batch_thread_names: Vec<Arc<str>>,
+    pub(crate) batch_thread_names: Vec<SliceRc<str>>,
     nodes: Vec<NodeState>,
     directory: SliceCell<Directory>,
     protocols: ProtocolRegistry,
@@ -208,24 +208,25 @@ pub(crate) struct RuntimeInner {
     /// Every lock and barrier created so far, in order: ids start at 1, so
     /// the one with id `i` is at index `i - 1` and a new one's id is the
     /// table's length once it is in.
-    locks: SliceCell<Vec<Arc<LockState>>>,
-    barriers: SliceCell<Vec<Arc<BarrierState>>>,
+    locks: SliceCell<Vec<SliceRc<LockState>>>,
+    barriers: SliceCell<Vec<SliceRc<BarrierState>>>,
     stats: DsmStats,
     verify_hooks: Option<Arc<dyn crate::verify::VerifyHooks>>,
 }
 
 const NO_DEFAULT: usize = usize::MAX;
 
-/// Handle on the DSM runtime. Cheap to clone; all clones refer to the same
-/// distributed shared memory.
+/// Handle on the DSM runtime. Cheap to clone — one plain count (a
+/// [`SliceRc`]) — and all clones refer to the same distributed shared
+/// memory.
 pub struct DsmRuntime {
-    inner: Arc<RuntimeInner>,
+    inner: SliceRc<RuntimeInner>,
 }
 
 impl Clone for DsmRuntime {
     fn clone(&self) -> Self {
         DsmRuntime {
-            inner: Arc::clone(&self.inner),
+            inner: SliceRc::clone(&self.inner),
         }
     }
 }
@@ -254,8 +255,8 @@ impl DsmRuntime {
             .collect();
         // Cyclic: the services registered on the cluster serve this runtime,
         // which they hold weakly.
-        let outbox = Arc::new(TickOutbox::new());
-        let inner = Arc::new_cyclic(|weak| RuntimeInner {
+        let outbox = SliceRc::new(TickOutbox::new());
+        let inner = SliceRc::new_cyclic(|weak| RuntimeInner {
             services: crate::comm::register_dsm_services(&cluster, weak, &outbox),
             outbox,
             batch_thread_names,
@@ -283,8 +284,8 @@ impl DsmRuntime {
     }
 
     #[cfg(test)]
-    fn downgrade(&self) -> std::sync::Weak<RuntimeInner> {
-        Arc::downgrade(&self.inner)
+    fn downgrade(&self) -> dsmpm2_sim::SliceWeak<RuntimeInner> {
+        SliceRc::downgrade(&self.inner)
     }
 
     /// Verify-hooks observer captured at construction, if one was installed.
@@ -292,7 +293,7 @@ impl DsmRuntime {
         self.inner.verify_hooks.as_ref()
     }
 
-    pub(crate) fn from_inner(inner: Arc<RuntimeInner>) -> DsmRuntime {
+    pub(crate) fn from_inner(inner: SliceRc<RuntimeInner>) -> DsmRuntime {
         DsmRuntime { inner }
     }
 
@@ -391,8 +392,8 @@ impl DsmRuntime {
     /// protocol in use. The set is kept up to date where allocation and
     /// [`DsmRuntime::switch_region_protocol`] change the directory, so asking
     /// for it copies and allocates nothing.
-    pub fn protocols_in_use(&self) -> Arc<[ProtocolId]> {
-        Arc::clone(&self.inner.directory.borrow().in_use)
+    pub fn protocols_in_use(&self) -> SliceRc<[ProtocolId]> {
+        SliceRc::clone(&self.inner.directory.borrow().in_use)
     }
 
     /// Cluster-wide static information about `page`.
@@ -688,7 +689,7 @@ impl DsmRuntime {
         let mut locks = self.inner.locks.borrow();
         let id = locks.len() + 1;
         let manager = manager.unwrap_or(NodeId(id % self.num_nodes()));
-        locks.push(Arc::new(LockState::new(manager)));
+        locks.push(SliceRc::new(LockState::new(manager)));
         LockId(id as u64)
     }
 
@@ -697,16 +698,16 @@ impl DsmRuntime {
     pub fn create_barrier(&self, parties: usize, manager: Option<NodeId>) -> BarrierId {
         let mut barriers = self.inner.barriers.borrow();
         let manager = manager.unwrap_or(NodeId(0));
-        barriers.push(Arc::new(BarrierState::new(manager, parties)));
+        barriers.push(SliceRc::new(BarrierState::new(manager, parties)));
         BarrierId(barriers.len() as u64)
     }
 
-    pub(crate) fn lock_state(&self, lock: LockId) -> Arc<LockState> {
+    pub(crate) fn lock_state(&self, lock: LockId) -> SliceRc<LockState> {
         let locks = self.inner.locks.borrow();
         by_id(&locks, lock.0).unwrap_or_else(|| panic!("unknown DSM lock {lock:?}"))
     }
 
-    pub(crate) fn barrier_state(&self, barrier: BarrierId) -> Arc<BarrierState> {
+    pub(crate) fn barrier_state(&self, barrier: BarrierId) -> SliceRc<BarrierState> {
         let barriers = self.inner.barriers.borrow();
         by_id(&barriers, barrier.0).unwrap_or_else(|| panic!("unknown DSM barrier {barrier:?}"))
     }
@@ -723,7 +724,7 @@ impl DsmRuntime {
 }
 
 /// The lock or barrier with id `id` (ids start at 1) in its table.
-fn by_id<T>(table: &[Arc<T>], id: u64) -> Option<Arc<T>> {
+fn by_id<T>(table: &[SliceRc<T>], id: u64) -> Option<SliceRc<T>> {
     let at = usize::try_from(id).ok()?.checked_sub(1)?;
     table.get(at).cloned()
 }

@@ -29,9 +29,8 @@
 //! invariant: on a directed link, a message never overtakes an earlier one.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
-use dsmpm2_sim::{EngineCtl, SimDuration, SimTime, SliceCell};
+use dsmpm2_sim::{EngineCtl, SimDuration, SimTime, SliceCell, SliceRc};
 
 use crate::model::NetworkModel;
 use crate::topology::{NodeId, Topology};
@@ -314,7 +313,7 @@ struct ContendedTransport {
     /// it through the ingress queue — the exact overtake the Madeleine FIFO
     /// guarantee forbids.
     wire_heads: LinkClocks,
-    inner: Arc<ContendedInner>,
+    inner: SliceRc<ContendedInner>,
 }
 
 impl ContendedTransport {
@@ -324,7 +323,7 @@ impl ContendedTransport {
             bandwidth_bytes_per_us: model.bandwidth_bytes_per_us,
             egress: NicClocks::new(num_nodes),
             wire_heads: LinkClocks::new(num_nodes),
-            inner: Arc::new(ContendedInner {
+            inner: SliceRc::new(ContendedInner {
                 ingress: NicClocks::new(num_nodes),
                 links: LinkClocks::new(num_nodes),
             }),
@@ -363,7 +362,7 @@ impl<M: Send + 'static> Transport<M> for ContendedTransport {
         let at_nic = self
             .wire_heads
             .reserve(from, to, start_tx + ser + wire_latency);
-        let inner = Arc::clone(&self.inner);
+        let inner = SliceRc::clone(&self.inner);
         let tx = tx.clone();
         // The wire-arrival event reserves the *receiver's* NIC, so it runs
         // on the receiver's shard, serialized with the node's other events.
@@ -424,7 +423,7 @@ impl<M> LossyInner<M> {
 struct LossyTransport<M> {
     ctl: EngineCtl,
     config: LossyConfig,
-    inner: Arc<LossyInner<M>>,
+    inner: SliceRc<LossyInner<M>>,
 }
 
 impl<M: Send + 'static> LossyTransport<M> {
@@ -435,7 +434,7 @@ impl<M: Send + 'static> LossyTransport<M> {
         LossyTransport {
             ctl,
             config,
-            inner: Arc::new(LossyInner {
+            inner: SliceRc::new(LossyInner {
                 num_nodes,
                 links: (0..num_nodes * num_nodes)
                     .map(|_| SliceCell::new(LossyLink::default()))
@@ -445,8 +444,15 @@ impl<M: Send + 'static> LossyTransport<M> {
     }
 
     /// Deterministic per-(link, seq, attempt) dice roll in `0..1000`.
-    fn roll(&self, salt: u64, from: NodeId, to: NodeId, seq: u64, attempt: u32) -> u16 {
-        let mut x = self.config.seed;
+    fn roll(
+        config: &LossyConfig,
+        salt: u64,
+        from: NodeId,
+        to: NodeId,
+        seq: u64,
+        attempt: u32,
+    ) -> u16 {
+        let mut x = config.seed;
         x ^= salt.wrapping_mul(0x9e37_79b9_7f4a_7c15);
         x ^= (from.index() as u64).wrapping_mul(0xbf58_476d_1ce4_e5b9);
         x ^= (to.index() as u64).wrapping_mul(0x94d0_49bb_1331_11eb);
@@ -461,7 +467,7 @@ impl<M: Send + 'static> LossyTransport<M> {
     /// reorder buffer.
     #[allow(clippy::too_many_arguments)]
     fn attempt(
-        self_inner: &Arc<LossyInner<M>>,
+        self_inner: &SliceRc<LossyInner<M>>,
         ctl: &EngineCtl,
         config: LossyConfig,
         seq: u64,
@@ -472,12 +478,8 @@ impl<M: Send + 'static> LossyTransport<M> {
         tx: DeliverySink<M>,
     ) {
         let (from, to) = (env.from, env.to);
-        let shim = LossyTransport {
-            ctl: ctl.clone(),
-            config,
-            inner: Arc::clone(self_inner),
-        };
-        let dropped = shim.roll(0xd209, from, to, seq, attempt_no) < config.drop_per_mille
+        let dropped = Self::roll(&config, 0xd209, from, to, seq, attempt_no)
+            < config.drop_per_mille
             && attempt_no < MAX_ATTEMPTS;
         if dropped {
             tx.stats().wire_event(|wire| {
@@ -486,12 +488,11 @@ impl<M: Send + 'static> LossyTransport<M> {
             });
             let rto = base_delay * u64::from(config.rto_factor);
             let retransmit_at = depart_at + rto;
-            let inner = Arc::clone(self_inner);
-            let ctl_again = ctl.clone();
-            ctl.call_at_on(to.index() as u64, retransmit_at, move |_| {
+            let inner = SliceRc::clone(self_inner);
+            ctl.call_at_on(to.index() as u64, retransmit_at, move |ctl| {
                 LossyTransport::attempt(
                     &inner,
-                    &ctl_again,
+                    ctl,
                     config,
                     seq,
                     attempt_no + 1,
@@ -503,13 +504,13 @@ impl<M: Send + 'static> LossyTransport<M> {
             });
             return;
         }
-        if shim.roll(0x0d0b, from, to, seq, attempt_no) < config.dup_per_mille {
+        if Self::roll(&config, 0x0d0b, from, to, seq, attempt_no) < config.dup_per_mille {
             // The wire delivers the frame twice; the sequence check discards
             // the second copy, which therefore only exists as a counter.
             tx.stats().wire_event(|wire| wire.duplicates += 1);
         }
         let arrive_at = depart_at + base_delay;
-        let inner = Arc::clone(self_inner);
+        let inner = SliceRc::clone(self_inner);
         // Arrival mutates the receiver-side reorder buffer: receiver shard.
         ctl.call_at_on(to.index() as u64, arrive_at, move |ctl| {
             let now = ctl.now();
@@ -578,7 +579,7 @@ mod tests {
     use crate::WireStatsSnapshot;
     use dsmpm2_sim::Engine;
     use std::sync::atomic::{AtomicU64, Ordering};
-    use std::sync::Mutex;
+    use std::sync::{Arc, Mutex};
 
     fn net_with(engine: &Engine, tuning: TransportTuning, nodes: usize) -> Network<(usize, u64)> {
         Network::with_transport(

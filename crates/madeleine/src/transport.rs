@@ -13,7 +13,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use dsmpm2_sim::{channel_on, EngineCtl, SimDuration, SimHandle, SimReceiver, SimTime};
+use dsmpm2_sim::{channel_on, EngineCtl, SimDuration, SimHandle, SimReceiver, SimTime, SliceRc};
 
 use crate::backend::{build_transport, Transport, TransportTuning};
 use crate::model::{NetworkModel, CONTROL_MESSAGE_BYTES};
@@ -51,9 +51,10 @@ pub type Deliver<M> = Arc<dyn Fn(&EngineCtl, Envelope<M>) + Send + Sync>;
 
 /// The destination side of a whole network, as seen by transport backends:
 /// the delivery callback, and the counter store the backend adds stalls,
-/// drops and duplicates to. Cheap to clone.
+/// drops and duplicates to. Cheap to clone: one plain count (a
+/// [`SliceRc`]), taken by every arrival event.
 pub struct DeliverySink<M> {
-    inner: Arc<SinkInner<M>>,
+    inner: SliceRc<SinkInner<M>>,
 }
 
 struct SinkInner<M> {
@@ -65,7 +66,7 @@ struct SinkInner<M> {
 impl<M> Clone for DeliverySink<M> {
     fn clone(&self) -> Self {
         DeliverySink {
-            inner: Arc::clone(&self.inner),
+            inner: SliceRc::clone(&self.inner),
         }
     }
 }
@@ -76,7 +77,7 @@ impl<M: Send + 'static> DeliverySink<M> {
     pub fn send_at(&self, deliver_at: SimTime, env: Envelope<M>) {
         // The arrival event owns one reference to the sink, and through it
         // reaches the callback.
-        let sink = Arc::clone(&self.inner);
+        let sink = SliceRc::clone(&self.inner);
         let shard = env.to.index() as u64;
         self.inner
             .ctl
@@ -163,7 +164,7 @@ impl<M: Send + 'static> Network<M> {
     ) -> Self {
         let transport = build_transport::<M>(ctl.clone(), &model, &topology, tuning);
         let sink = DeliverySink {
-            inner: Arc::new(SinkInner {
+            inner: SliceRc::new(SinkInner {
                 ctl,
                 deliver,
                 stats: NetStats::new(topology.num_nodes),

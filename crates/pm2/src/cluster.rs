@@ -17,10 +17,10 @@
 //! in [`SliceCell`]s. Each borrow ends before a service's code runs — a
 //! handler may call straight back into the cluster.
 
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 
-use dsmpm2_madeleine::{Envelope, Network, NodeId, Topology};
-use dsmpm2_sim::{Engine, EngineCtl, SimDuration, SimHandle, SimTime, SliceCell};
+use dsmpm2_madeleine::{Envelope, Network, NetworkModel, NodeId, Topology};
+use dsmpm2_sim::{Engine, EngineCtl, SimDuration, SimHandle, SimTime, SliceCell, SliceRc};
 
 use crate::config::{Pm2Config, RPC_DISPATCH, THREAD_CREATE};
 use crate::context::{Pm2Context, Pm2ThreadState};
@@ -40,14 +40,14 @@ struct ServiceEntry {
     stats: SliceCell<ServiceStats>,
     /// Name of this service's handler threads on each node
     /// (`rpc-<svc>@N<k>`).
-    thread_names: Vec<Arc<str>>,
+    thread_names: Vec<SliceRc<str>>,
 }
 
 /// What the RPC layer keeps per cluster besides the replies it waits for.
 struct RpcState {
     /// Registered services, in registration order: a [`ServiceId`] is an
     /// index.
-    services: Vec<Arc<ServiceEntry>>,
+    services: Vec<SliceRc<ServiceEntry>>,
     /// Correlation id of the next request.
     next_rpc_id: u64,
 }
@@ -67,9 +67,29 @@ impl RpcState {
     }
 }
 
+/// The delivery delays that do not depend on a message's size, evaluated
+/// once from the network's model when the cluster is built.
+struct FixedDelays {
+    /// A loopback message, or a [`RpcClass::Minimal`] one: half the model's
+    /// minimal RPC latency.
+    minimal: SimDuration,
+    /// A [`RpcClass::Control`] message between two nodes.
+    control: SimDuration,
+}
+
+impl FixedDelays {
+    fn of(model: &NetworkModel) -> Self {
+        FixedDelays {
+            minimal: SimDuration::from_micros_f64(model.rpc_min_latency_us / 2.0),
+            control: model.control_time(),
+        }
+    }
+}
+
 struct ClusterInner {
     config: Pm2Config,
     network: Network<RpcMessage>,
+    delays: FixedDelays,
     rpc: SliceCell<RpcState>,
     replies: ReplyTable,
     ctl: EngineCtl,
@@ -97,16 +117,16 @@ fn reserve(
     *free
 }
 
-/// Handle on a simulated PM2 cluster. Cheap to clone; all clones refer to the
-/// same cluster.
+/// Handle on a simulated PM2 cluster. Cheap to clone — one plain count (a
+/// [`SliceRc`]) — and all clones refer to the same cluster.
 pub struct Pm2Cluster {
-    inner: Arc<ClusterInner>,
+    inner: SliceRc<ClusterInner>,
 }
 
 impl Clone for Pm2Cluster {
     fn clone(&self) -> Self {
         Pm2Cluster {
-            inner: Arc::clone(&self.inner),
+            inner: SliceRc::clone(&self.inner),
         }
     }
 }
@@ -118,7 +138,7 @@ impl Pm2Cluster {
     pub fn new(engine: &Engine, config: Pm2Config) -> Self {
         let nodes = config.num_nodes;
         let per_node = || SliceCell::new(vec![SimTime::ZERO; nodes]);
-        let inner = Arc::new_cyclic(|cluster: &Weak<ClusterInner>| {
+        let inner = SliceRc::new_cyclic(|cluster| {
             // Weak: the network is part of the cluster it dispatches for. An
             // envelope that lands after the cluster is gone is dropped.
             let cluster = cluster.clone();
@@ -134,6 +154,7 @@ impl Pm2Cluster {
                 }),
             );
             ClusterInner {
+                delays: FixedDelays::of(network.model()),
                 network,
                 rpc: SliceCell::new(RpcState {
                     services: Vec::new(),
@@ -184,7 +205,7 @@ impl Pm2Cluster {
         if service.spawn_thread() {
             dispatch_cost += THREAD_CREATE;
         }
-        let entry = Arc::new(ServiceEntry {
+        let entry = SliceRc::new(ServiceEntry {
             dispatch_cost,
             stats: SliceCell::default(),
             thread_names: self
@@ -224,14 +245,14 @@ impl Pm2Cluster {
     }
 
     fn message_delay(&self, from: NodeId, to: NodeId, class: RpcClass) -> SimDuration {
-        let model = self.inner.network.model();
+        let delays = &self.inner.delays;
         if from == to {
-            return SimDuration::from_micros_f64(model.rpc_min_latency_us / 2.0);
+            return delays.minimal;
         }
         match class {
-            RpcClass::Minimal => SimDuration::from_micros_f64(model.rpc_min_latency_us / 2.0),
-            RpcClass::Control => model.control_time(),
-            RpcClass::Data(bytes) => model.message_time(bytes),
+            RpcClass::Minimal => delays.minimal,
+            RpcClass::Control => delays.control,
+            RpcClass::Data(bytes) => self.inner.network.model().message_time(bytes),
         }
     }
 
@@ -383,7 +404,7 @@ impl Pm2Cluster {
             } => {
                 // The one count a request costs: the service's code runs
                 // outside any borrow of the table, and outlives this event.
-                let entry = Arc::clone(&self.inner.rpc.borrow().services[service.0 as usize]);
+                let entry = SliceRc::clone(&self.inner.rpc.borrow().services[service.0 as usize]);
                 let at = reserve(dispatcher, node, ctl.now(), entry.dispatch_cost);
                 if !needs_reply && entry.service.is_nonblocking(&payload) {
                     ctl.call_at_on(shard, at, move |ctl| {
@@ -391,7 +412,7 @@ impl Pm2Cluster {
                         entry.stats.borrow().handled.record(SimDuration::ZERO);
                     });
                 } else {
-                    let name = Arc::clone(&entry.thread_names[node.index()]);
+                    let name = SliceRc::clone(&entry.thread_names[node.index()]);
                     ctl.spawn_on_at(shard, name, at, move |sim| {
                         self.run_handler(sim, &entry, node, from, id, needs_reply, payload);
                     });
@@ -898,6 +919,33 @@ mod tests {
         );
     }
 
+    /// The three size-independent delays, evaluated once when the cluster is
+    /// built, are bit-identical to the model's per-send expressions under
+    /// every profile: loopback and `Minimal` are half the minimal RPC
+    /// latency, `Control` is the model's control-message time. `Data` is
+    /// still timed per send.
+    #[test]
+    fn fixed_delays_match_the_model_per_send() {
+        for model in profiles::all() {
+            let engine = Engine::new();
+            let c = Pm2Cluster::new(&engine, Pm2Config::new(2, model.clone()));
+            let half_min = SimDuration::from_micros_f64(model.rpc_min_latency_us / 2.0);
+            let (a, b) = (NodeId(0), NodeId(1));
+            for class in [RpcClass::Minimal, RpcClass::Control, RpcClass::Data(4096)] {
+                assert_eq!(c.message_delay(a, a, class), half_min, "{}", model.name);
+            }
+            assert_eq!(c.message_delay(a, b, RpcClass::Minimal), half_min);
+            assert_eq!(
+                c.message_delay(a, b, RpcClass::Control),
+                model.control_time()
+            );
+            assert_eq!(
+                c.message_delay(a, b, RpcClass::Data(4096)),
+                model.message_time(4096)
+            );
+        }
+    }
+
     /// The per-message counters are plain words bumped without an atomic, by
     /// senders, arrival events and handlers that — on the baton lane — run on
     /// different OS threads. A bump lost between two of them shows only in
@@ -999,7 +1047,7 @@ mod tests {
         let ends = |build: &dyn Fn(&Pm2Cluster), run: bool| {
             let mut engine = Engine::new();
             let c = cluster(&engine, 2);
-            let inner = Arc::downgrade(&c.inner);
+            let inner = SliceRc::downgrade(&c.inner);
             c.register_service(service_fn("echo", true, |ctx, payload| {
                 ctx.sim.charge(SimDuration::from_micros(1));
                 Some(RpcReply::control(downcast::<u32>(payload, "echo")))

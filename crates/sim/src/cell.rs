@@ -1,9 +1,11 @@
-//! [`SliceCell`]: state shared between simulated threads without a lock.
+//! [`SliceCell`]: state shared between simulated threads without a lock;
+//! [`SliceRc`]: a handle shared between them without an atomic count.
 
 use std::cell::UnsafeCell;
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::panic::Location;
+use std::rc::{self, Rc};
 use std::sync::atomic::{AtomicBool, Ordering};
 
 /// A value borrowed exclusively, one engine-ordered piece of code at a time.
@@ -140,6 +142,154 @@ impl<T> Drop for SliceRef<'_, T> {
     }
 }
 
+/// A reference-counted handle whose counts are plain integers, for what one
+/// run's engine-ordered code shares: the worker a wake carries, a thread's
+/// name, the network's delivery sink, the cluster, its services and the DSM
+/// runtime.
+///
+/// It is [`std::rc::Rc`] made `Send` and `Sync` on the same ground as
+/// [`SliceCell`]'s `Sync`: every clone, drop and upgrade happens in a slice,
+/// a scheduler event or on the host thread outside [`crate::Engine::run`],
+/// and the hand-off orders them all, so no two count updates overlap and an
+/// `Arc`'s `lock`-prefixed increments buy nothing. [`SliceWeak`] is its
+/// `Weak`.
+///
+/// The contract is the caller's to keep, as for a [`SliceCell`]: a count
+/// updated from an OS thread the engine does not order — a thread of the
+/// caller's own cloning a handle while a run is in progress, a handle in a
+/// `static` that two engines' runs reach — is a data race. Such a handle
+/// must be an `Arc`.
+///
+/// What stays an `Arc` is what another OS thread can touch outside that
+/// order, or what lives beyond one run:
+///
+/// * the scheduler's handle (`SchedHandle`): baton threads unpark the
+///   scheduler concurrently;
+/// * registered `Arc<dyn DsmProtocol>`s: the caller keeps handles of its own
+///   (`ExtensionProtocols::entry`), and no message clones them;
+/// * the global verify hooks: a process-wide slot, read by runtimes that
+///   other OS threads build at the same time;
+/// * an `Arc<dyn ScheduleController>`: the explorer keeps its own handle to
+///   read the recorded choices once the run is over;
+/// * [`crate::EngineCtl`]'s `Arc` of the engine: no message clones it.
+pub struct SliceRc<T: ?Sized>(Rc<T>);
+
+/// The weak half of a [`SliceRc`]: `upgrade` counts like a clone, under the
+/// same contract.
+pub struct SliceWeak<T: ?Sized>(rc::Weak<T>);
+
+// SAFETY: an `Rc`'s counts are plain integers, so moving or sharing one
+// across OS threads is sound only if no two count updates overlap and each
+// sees the last. Every clone, drop and upgrade of a `SliceRc` is made by the
+// same three kinds of code that may borrow a `SliceCell` — a slice, a
+// scheduler event, the host thread outside `Engine::run` — which the
+// hand-off orders totally: on one OS thread where a slice is a stack switch,
+// and through the baton's SeqCst phase store/load pair where each worker is
+// an OS thread of its own (the pair publishes every count the previous
+// slice wrote to the next). Baton teardown keeps the order too: the host
+// unwinds one worker at a time, the worker's OS thread drops its handle,
+// its slot and whatever its unwinding stack held before `join` returns, and
+// the host touches no count until then. `T: Send + Sync` because the value
+// is reached through `&T` and dropped on whichever of those OS threads
+// drops the last handle.
+unsafe impl<T: ?Sized + Send + Sync> Send for SliceRc<T> {}
+// SAFETY: see above; `&SliceRc` only lets another engine-ordered piece of
+// code clone it.
+unsafe impl<T: ?Sized + Send + Sync> Sync for SliceRc<T> {}
+// SAFETY: as for `SliceRc`: a weak handle's clone, drop and upgrade are
+// count updates under the same order.
+unsafe impl<T: ?Sized + Send + Sync> Send for SliceWeak<T> {}
+// SAFETY: as above.
+unsafe impl<T: ?Sized + Send + Sync> Sync for SliceWeak<T> {}
+
+impl<T> SliceRc<T> {
+    /// A handle to `value`, counted once.
+    pub fn new(value: T) -> Self {
+        SliceRc(Rc::new(value))
+    }
+
+    /// A handle to the value `build` makes from a weak handle to that same
+    /// value, for a value that reaches itself (a network's delivery callback
+    /// holding its cluster). The weak handle upgrades to `None` until this
+    /// returns.
+    pub fn new_cyclic(build: impl FnOnce(&SliceWeak<T>) -> T) -> Self {
+        SliceRc(Rc::new_cyclic(|weak| build(&SliceWeak(weak.clone()))))
+    }
+}
+
+impl<T: ?Sized> SliceRc<T> {
+    /// A weak handle to the same value.
+    pub fn downgrade(this: &Self) -> SliceWeak<T> {
+        SliceWeak(Rc::downgrade(&this.0))
+    }
+
+    /// Number of strong handles to the value.
+    pub fn strong_count(this: &Self) -> usize {
+        Rc::strong_count(&this.0)
+    }
+}
+
+impl<T: ?Sized> Clone for SliceRc<T> {
+    #[inline]
+    fn clone(&self) -> Self {
+        SliceRc(Rc::clone(&self.0))
+    }
+}
+
+impl<T: ?Sized> Deref for SliceRc<T> {
+    type Target = T;
+
+    #[inline(always)]
+    fn deref(&self) -> &T {
+        &self.0
+    }
+}
+
+impl<T: ?Sized + fmt::Display> fmt::Display for SliceRc<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&*self.0, f)
+    }
+}
+
+impl From<&str> for SliceRc<str> {
+    fn from(name: &str) -> Self {
+        SliceRc(Rc::from(name))
+    }
+}
+
+impl From<String> for SliceRc<str> {
+    fn from(name: String) -> Self {
+        SliceRc(Rc::from(name))
+    }
+}
+
+impl<T> FromIterator<T> for SliceRc<[T]> {
+    fn from_iter<I: IntoIterator<Item = T>>(items: I) -> Self {
+        SliceRc(items.into_iter().collect())
+    }
+}
+
+impl<T> Default for SliceRc<[T]> {
+    fn default() -> Self {
+        SliceRc(Rc::from([]))
+    }
+}
+
+impl<T: ?Sized> SliceWeak<T> {
+    /// A strong handle, if one still exists.
+    #[inline]
+    pub fn upgrade(&self) -> Option<SliceRc<T>> {
+        self.0.upgrade().map(SliceRc)
+    }
+}
+
+impl<T: ?Sized> Clone for SliceWeak<T> {
+    #[inline]
+    fn clone(&self) -> Self {
+        SliceWeak(self.0.clone())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -189,7 +339,9 @@ mod tests {
             panic!("bomb under a guard");
         });
         match engine.run() {
-            Err(SimError::ThreadPanic { thread, message }) => {
+            Err(SimError::ThreadPanic {
+                thread, message, ..
+            }) => {
                 assert_eq!(thread, "bomb");
                 assert!(message.contains("bomb under a guard"), "got '{message}'");
             }
@@ -218,7 +370,9 @@ mod tests {
             c.borrow().0 += 1;
         });
         match engine.run() {
-            Err(SimError::ThreadPanic { thread, message }) => {
+            Err(SimError::ThreadPanic {
+                thread, message, ..
+            }) => {
                 assert_eq!(thread, "borrower");
                 assert!(message.contains("SliceCell<"), "got '{message}'");
                 assert!(message.contains("Ledger"), "got '{message}'");
@@ -228,6 +382,67 @@ mod tests {
         }
         // Teardown unwound the hoarder, whose guard gave the cell back.
         assert_eq!(cell.borrow().0, 0);
+    }
+
+    /// Clones, upgrades and drops move the plain counts one by one, and
+    /// the last strong handle frees the value: a weak handle taken before
+    /// then upgrades to nothing after.
+    #[test]
+    fn counts_follow_clones_upgrades_and_drops() {
+        let first = SliceRc::new(5u64);
+        assert_eq!(SliceRc::strong_count(&first), 1);
+        let second = first.clone();
+        assert!(Rc::ptr_eq(&first.0, &second.0));
+        assert_eq!(SliceRc::strong_count(&first), 2);
+        let weak = SliceRc::downgrade(&first);
+        let third = weak.upgrade().expect("two strong handles are alive");
+        assert_eq!(SliceRc::strong_count(&first), 3);
+        assert_eq!(*third, 5);
+        drop((second, third));
+        assert_eq!(SliceRc::strong_count(&first), 1);
+        drop(first);
+        assert!(weak.upgrade().is_none());
+    }
+
+    /// `new_cyclic` hands the value under construction a weak handle to
+    /// itself: it upgrades to nothing during the build and to the value
+    /// after, and, being weak, does not keep the value alive.
+    #[test]
+    fn new_cyclic_hands_the_value_a_weak_handle_to_itself() {
+        struct Node {
+            me: SliceWeak<Node>,
+            id: u32,
+        }
+        let node = SliceRc::new_cyclic(|me| {
+            assert!(me.upgrade().is_none(), "not built yet");
+            Node {
+                me: me.clone(),
+                id: 3,
+            }
+        });
+        let again = node.me.upgrade().expect("built");
+        assert!(Rc::ptr_eq(&node.0, &again.0));
+        assert_eq!((again.id, SliceRc::strong_count(&node)), (3, 2));
+        drop(again);
+        let weak = node.me.clone();
+        drop(node);
+        assert!(
+            weak.upgrade().is_none(),
+            "the weak self-handle made no cycle"
+        );
+    }
+
+    /// Thread names come from a `&str` or a `String` (the spawn APIs take
+    /// `impl Into<SliceRc<str>>`), and a set of ids from an iterator.
+    #[test]
+    fn names_and_slices_convert_in() {
+        let borrowed: SliceRc<str> = "rpc-dsm@N0".into();
+        let owned: SliceRc<str> = String::from("rpc-dsm@N0").into();
+        assert_eq!(&*borrowed, &*owned);
+        assert_eq!(borrowed.to_string(), "rpc-dsm@N0");
+        let ids: SliceRc<[u32]> = (1..4).collect();
+        assert_eq!(&*ids, &[1, 2, 3]);
+        assert!(SliceRc::<[u32]>::default().is_empty());
     }
 
     /// The exclusivity is the hand-off's, not the continuation's: under

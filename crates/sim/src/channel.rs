@@ -20,9 +20,8 @@
 //! the receiver parks.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
-use crate::cell::SliceCell;
+use crate::cell::{SliceCell, SliceRc};
 use crate::engine::{BlockReason, EngineCtl};
 use crate::handle::SimHandle;
 use crate::time::{SimDuration, SimTime};
@@ -38,21 +37,22 @@ struct Inner<T> {
     ctl: EngineCtl,
 }
 
-/// Sending half of a simulation channel. Cheap to clone.
+/// Sending half of a simulation channel. Cheap to clone: one plain count
+/// (a [`SliceRc`]), which each send's delivery event takes.
 pub struct SimSender<T> {
-    inner: Arc<Inner<T>>,
+    inner: SliceRc<Inner<T>>,
 }
 
 /// Receiving half of a simulation channel. Cheap to clone (multiple consumers
 /// are allowed; each message is delivered to exactly one receiver).
 pub struct SimReceiver<T> {
-    inner: Arc<Inner<T>>,
+    inner: SliceRc<Inner<T>>,
 }
 
 impl<T> Clone for SimSender<T> {
     fn clone(&self) -> Self {
         SimSender {
-            inner: Arc::clone(&self.inner),
+            inner: SliceRc::clone(&self.inner),
         }
     }
 }
@@ -60,7 +60,7 @@ impl<T> Clone for SimSender<T> {
 impl<T> Clone for SimReceiver<T> {
     fn clone(&self) -> Self {
         SimReceiver {
-            inner: Arc::clone(&self.inner),
+            inner: SliceRc::clone(&self.inner),
         }
     }
 }
@@ -78,7 +78,7 @@ pub fn channel_on<T: Send + 'static>(
     ctl: EngineCtl,
     shard_key: u64,
 ) -> (SimSender<T>, SimReceiver<T>) {
-    let inner = Arc::new(Inner {
+    let inner = SliceRc::new(Inner {
         ready: SliceCell::new(VecDeque::new()),
         waiters: WaitSet::new(),
         shard: shard_key,
@@ -86,7 +86,7 @@ pub fn channel_on<T: Send + 'static>(
     });
     (
         SimSender {
-            inner: Arc::clone(&inner),
+            inner: SliceRc::clone(&inner),
         },
         SimReceiver { inner },
     )
@@ -264,7 +264,7 @@ mod tests {
     use super::*;
     use crate::engine::Engine;
     use std::sync::atomic::{AtomicU64 as StdAtomicU64, Ordering};
-    use std::sync::Mutex;
+    use std::sync::{Arc, Mutex};
 
     #[test]
     fn send_recv_roundtrip() {

@@ -67,7 +67,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 
-use crate::cell::SliceCell;
+use crate::cell::{SliceCell, SliceRc};
 use crate::continuation::{Coro, DEFAULT_STACK_BYTES};
 use crate::error::SimError;
 use crate::handle::SimHandle;
@@ -243,7 +243,7 @@ pub trait ScheduleController: Send + Sync {
 enum EventKind {
     /// Hand a slice to the parked simulated thread [`Event::to`], on the
     /// worker it runs on: stale once the worker runs another thread.
-    Wake(Arc<ThreadSlot>),
+    Wake(SliceRc<ThreadSlot>),
     /// Execute a closure on the scheduler (used for delayed message delivery).
     Call(Box<dyn FnOnce(&EngineCtl) + Send>),
 }
@@ -290,7 +290,7 @@ impl Ord for Event {
 /// A worker of the thread table: its slot and, on the baton lane, its OS
 /// thread.
 struct Worker {
-    slot: Arc<ThreadSlot>,
+    slot: SliceRc<ThreadSlot>,
     os_thread: Option<JoinHandle<()>>,
 }
 
@@ -392,12 +392,12 @@ impl Shared {
     }
 
     /// Wake thread `id` with its worker embedded in the event, on the
-    /// thread's current shard: the scheduler grants straight off the `Arc`,
+    /// thread's current shard: the scheduler grants straight off the handle,
     /// which the event takes over, unless the worker has moved on to another
     /// thread by then. Every wake comes through here — a thread's own
     /// (`sleep`/`yield_now`/`flush`), a spawn's first, a wait set's notify;
     /// a wait set hands over the reference it popped.
-    pub(crate) fn schedule_wake(&self, slot: Arc<ThreadSlot>, id: ThreadId, at: SimTime) {
+    pub(crate) fn schedule_wake(&self, slot: SliceRc<ThreadSlot>, id: ThreadId, at: SimTime) {
         let key = slot.shard_key();
         self.submit(at, EventKind::Wake(slot), id, key);
     }
@@ -424,7 +424,7 @@ impl Shared {
 
     pub(crate) fn spawn_thread<F>(
         self: &Arc<Self>,
-        name: Arc<str>,
+        name: SliceRc<str>,
         start_at: SimTime,
         shard_key: Option<u64>,
         opts: SpawnOptions,
@@ -452,7 +452,7 @@ impl Shared {
         let slot = match idle {
             Some(at) => {
                 let w = threads.idle.swap_remove(at);
-                Arc::clone(&threads.workers[w].slot)
+                SliceRc::clone(&threads.workers[w].slot)
             }
             None => self.new_worker(&mut threads, opts),
         };
@@ -468,10 +468,10 @@ impl Shared {
         self: &Arc<Self>,
         threads: &mut ThreadTable,
         opts: SpawnOptions,
-    ) -> Arc<ThreadSlot> {
+    ) -> SliceRc<ThreadSlot> {
         let index = threads.workers.len();
         let stack_bytes = opts.stack_bytes.unwrap_or(DEFAULT_STACK_BYTES);
-        let slot = Arc::new(ThreadSlot::new(
+        let slot = SliceRc::new(ThreadSlot::new(
             index,
             stack_bytes,
             Backing::PLATFORM,
@@ -483,7 +483,7 @@ impl Shared {
             EngineCtl {
                 shared: Arc::clone(self),
             },
-            Arc::clone(&slot),
+            SliceRc::clone(&slot),
         );
         let os_thread = match Backing::PLATFORM {
             Backing::Continuation => {
@@ -507,7 +507,7 @@ impl Shared {
             }
         };
         threads.workers.push(Worker {
-            slot: Arc::clone(&slot),
+            slot: SliceRc::clone(&slot),
             os_thread,
         });
         slot
@@ -651,7 +651,7 @@ impl EngineCtl {
 
     /// Spawn a simulated thread that becomes runnable at the current global
     /// time. Mirrors [`Engine::spawn`] for code that only holds a controller.
-    pub fn spawn<F>(&self, name: impl Into<Arc<str>>, f: F) -> ThreadId
+    pub fn spawn<F>(&self, name: impl Into<SliceRc<str>>, f: F) -> ThreadId
     where
         F: FnOnce(&mut SimHandle) + Send + 'static,
     {
@@ -662,7 +662,7 @@ impl EngineCtl {
 
     /// Spawn a simulated thread bound to shard `shard_key` (see
     /// [`Engine::spawn_on`]).
-    pub fn spawn_on<F>(&self, shard_key: u64, name: impl Into<Arc<str>>, f: F) -> ThreadId
+    pub fn spawn_on<F>(&self, shard_key: u64, name: impl Into<SliceRc<str>>, f: F) -> ThreadId
     where
         F: FnOnce(&mut SimHandle) + Send + 'static,
     {
@@ -675,12 +675,12 @@ impl EngineCtl {
     /// if that is already past). An event that knows *when* work it hands to
     /// a thread may start — an RPC dispatch that ends after its software
     /// cost — spawns the thread for that time directly instead of waking an
-    /// intermediary to sleep the cost off. A shared `Arc<str>` name is taken
+    /// intermediary to sleep the cost off. A shared `SliceRc<str>` name is taken
     /// as is, so spawning from a prepared name allocates no string.
     pub fn spawn_on_at<F>(
         &self,
         shard_key: u64,
-        name: impl Into<Arc<str>>,
+        name: impl Into<SliceRc<str>>,
         start_at: SimTime,
         f: F,
     ) -> ThreadId
@@ -764,7 +764,7 @@ impl Engine {
 
     /// Spawn a simulated thread that becomes runnable at virtual time zero
     /// (or at the current time if the engine is already running).
-    pub fn spawn<F>(&self, name: impl Into<Arc<str>>, f: F) -> ThreadId
+    pub fn spawn<F>(&self, name: impl Into<SliceRc<str>>, f: F) -> ThreadId
     where
         F: FnOnce(&mut SimHandle) + Send + 'static,
     {
@@ -773,7 +773,7 @@ impl Engine {
 
     /// Spawn a simulated thread with per-thread [`SpawnOptions`] (a private
     /// stack sized for deep recursion).
-    pub fn spawn_with<F>(&self, name: impl Into<Arc<str>>, opts: SpawnOptions, f: F) -> ThreadId
+    pub fn spawn_with<F>(&self, name: impl Into<SliceRc<str>>, opts: SpawnOptions, f: F) -> ThreadId
     where
         F: FnOnce(&mut SimHandle) + Send + 'static,
     {
@@ -785,7 +785,7 @@ impl Engine {
     /// carry that key, in program order with every other event of the shard
     /// under a [`ScheduleController`]. Upper layers pass the cluster node id
     /// so that all activity of one node is one lane.
-    pub fn spawn_on<F>(&self, shard_key: u64, name: impl Into<Arc<str>>, f: F) -> ThreadId
+    pub fn spawn_on<F>(&self, shard_key: u64, name: impl Into<SliceRc<str>>, f: F) -> ThreadId
     where
         F: FnOnce(&mut SimHandle) + Send + 'static,
     {
@@ -830,10 +830,11 @@ impl Engine {
         }
     }
 
-    /// Verdict once the event queue is empty: clean completion (`Ok`) or a
-    /// deadlock report naming the occupant of each parked worker and, when
-    /// the slot recorded one, the [`BlockReason`] it is stuck on.
-    fn drained_verdict(&self) -> Result<(), SimError> {
+    /// Verdict once the event queue is empty, after `events` events: clean
+    /// completion (`Ok`) or a deadlock report naming the occupant of each
+    /// parked worker and, when the slot recorded one, the [`BlockReason`] it
+    /// is stuck on.
+    fn drained_verdict(&self, events: u64) -> Result<(), SimError> {
         let shared = &self.shared;
         let mut parked: Vec<String> = shared
             .threads
@@ -854,6 +855,7 @@ impl Engine {
         Err(SimError::Deadlock {
             at: shared.now(),
             parked_threads: parked,
+            events,
         })
     }
 
@@ -871,7 +873,11 @@ impl Engine {
             // to read — the loop head runs once per event.
             if shared.panic_flag.load(Ordering::Relaxed) {
                 if let Some((thread, message)) = shared.panic_info.borrow().take() {
-                    return Err(SimError::ThreadPanic { thread, message });
+                    return Err(SimError::ThreadPanic {
+                        thread,
+                        message,
+                        events: processed,
+                    });
                 }
             }
 
@@ -888,7 +894,7 @@ impl Engine {
                 let completed = shared.events.borrow().latest_completion;
                 let ended = completed.max(shared.now.load(Ordering::Relaxed));
                 shared.now.store(ended, Ordering::Relaxed);
-                return self.drained_verdict().map(|()| RunReport {
+                return self.drained_verdict(processed).map(|()| RunReport {
                     final_time: SimTime::from_nanos(ended),
                     events: processed,
                     context_switches,
@@ -1029,7 +1035,7 @@ mod tests {
         let mut engine = Engine::new();
         let started = Arc::new(AtomicU64::new(0));
         let s = started.clone();
-        let name: Arc<str> = "handler".into();
+        let name: SliceRc<str> = "handler".into();
         let ctl = engine.ctl();
         engine.spawn("early", move |h| {
             h.sleep(SimDuration::from_micros(10));
@@ -1101,7 +1107,9 @@ mod tests {
         let mut engine = Engine::new();
         engine.spawn("bad", |_h| panic!("intentional test panic"));
         match engine.run() {
-            Err(SimError::ThreadPanic { thread, message }) => {
+            Err(SimError::ThreadPanic {
+                thread, message, ..
+            }) => {
                 assert_eq!(thread, "bad");
                 assert!(message.contains("intentional"));
             }
@@ -1279,7 +1287,7 @@ mod tests {
                     r.store(h.now().as_nanos(), Ordering::SeqCst);
                 });
                 let shared = Arc::clone(&h.ctl().shared);
-                let slot = Arc::clone(&shared.threads.borrow().workers[0].slot);
+                let slot = SliceRc::clone(&shared.threads.borrow().workers[0].slot);
                 assert!(slot.runs(b));
                 h.sleep(us(1));
                 if through_a_wait_set {
@@ -1318,9 +1326,12 @@ mod tests {
             let mut engine = Engine::new();
             let shared = Arc::downgrade(&engine.shared);
             build(&engine);
+            // The first worker: its slot rides in wakes and wait sets.
+            let slot = SliceRc::downgrade(&engine.shared.threads.borrow().workers[0].slot);
             let result = run.then(|| engine.run());
             drop(engine);
             assert!(shared.upgrade().is_none(), "the run outlived its engine");
+            assert!(slot.upgrade().is_none(), "a worker outlived its engine");
             result
         };
         // Parked in a wait set that only its own body holds.

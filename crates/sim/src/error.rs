@@ -14,6 +14,8 @@ pub enum SimError {
         at: SimTime,
         /// Names of the threads that are still parked.
         parked_threads: Vec<String>,
+        /// Events the engine executed before it found nothing left to run.
+        events: u64,
     },
     /// A simulated thread panicked; the panic message is propagated here.
     ThreadPanic {
@@ -21,6 +23,9 @@ pub enum SimError {
         thread: String,
         /// Panic payload rendered as a string.
         message: String,
+        /// Events the engine executed up to and including the one in which
+        /// the panic happened.
+        events: u64,
     },
     /// The engine exceeded its configured event budget (runaway simulation guard).
     EventLimitExceeded {
@@ -34,16 +39,28 @@ pub enum SimError {
 impl fmt::Display for SimError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            SimError::Deadlock { at, parked_threads } => {
+            SimError::Deadlock {
+                at,
+                parked_threads,
+                events,
+            } => {
                 write!(
                     f,
-                    "simulation deadlock at {at}: {} thread(s) parked forever: {}",
+                    "simulation deadlock at {at} after {events} events: {} thread(s) parked \
+                     forever: {}",
                     parked_threads.len(),
                     parked_threads.join(", ")
                 )
             }
-            SimError::ThreadPanic { thread, message } => {
-                write!(f, "simulated thread '{thread}' panicked: {message}")
+            SimError::ThreadPanic {
+                thread,
+                message,
+                events,
+            } => {
+                write!(
+                    f,
+                    "simulated thread '{thread}' panicked after {events} events: {message}"
+                )
             }
             SimError::EventLimitExceeded { limit } => {
                 write!(f, "simulation exceeded the event limit of {limit} events")
@@ -64,17 +81,21 @@ mod tests {
         let e = SimError::Deadlock {
             at: SimTime::from_micros(42),
             parked_threads: vec!["a".into(), "b".into()],
+            events: 17,
         };
         let s = e.to_string();
         assert!(s.contains("deadlock"));
         assert!(s.contains("a, b"));
+        assert!(s.contains("after 17 events"), "{s}");
 
         let e = SimError::ThreadPanic {
             thread: "worker".into(),
             message: "boom".into(),
+            events: 3,
         };
         assert!(e.to_string().contains("worker"));
         assert!(e.to_string().contains("boom"));
+        assert!(e.to_string().contains("after 3 events"));
 
         assert!(SimError::EventLimitExceeded { limit: 7 }
             .to_string()

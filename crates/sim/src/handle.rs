@@ -10,6 +10,7 @@
 use std::panic;
 use std::sync::Arc;
 
+use crate::cell::SliceRc;
 use crate::engine::{BlockReason, EngineCtl, Shared, ShutdownUnwind, SliceOutcome, SpawnOptions};
 use crate::thread::{ThreadId, ThreadSlot};
 use crate::time::{SimDuration, SimTime};
@@ -20,16 +21,16 @@ pub struct SimHandle {
     pub(crate) ctl: EngineCtl,
     /// The worker's slot: also what a wait set keeps, with [`Self::id`], to
     /// wake this thread.
-    pub(crate) slot: Arc<ThreadSlot>,
+    pub(crate) slot: SliceRc<ThreadSlot>,
     /// The occupant's name, copied from the slot when its body starts.
-    pub(crate) name: Arc<str>,
+    pub(crate) name: SliceRc<str>,
     /// Locally accumulated compute time not yet reflected in the global
     /// clock; the worker clears it when an occupant's body ends.
     pub(crate) pending: SimDuration,
 }
 
 impl SimHandle {
-    pub(crate) fn new(ctl: EngineCtl, slot: Arc<ThreadSlot>) -> Self {
+    pub(crate) fn new(ctl: EngineCtl, slot: SliceRc<ThreadSlot>) -> Self {
         SimHandle {
             ctl,
             name: slot.name(),
@@ -100,7 +101,7 @@ impl SimHandle {
         let wake_at = self.shared().now() + self.pending + d;
         self.pending = SimDuration::ZERO;
         self.shared()
-            .schedule_wake(Arc::clone(&self.slot), self.id(), wake_at);
+            .schedule_wake(SliceRc::clone(&self.slot), self.id(), wake_at);
         // Reified slice outcome: we advanced time and scheduled our own wake.
         self.slot.record_outcome(SliceOutcome::Yielded(wake_at));
         self.park_raw();
@@ -141,7 +142,7 @@ impl SimHandle {
 
     /// Spawn a new simulated thread that becomes runnable at this thread's
     /// current local time, on this thread's shard.
-    pub fn spawn<F>(&mut self, name: impl Into<Arc<str>>, f: F) -> ThreadId
+    pub fn spawn<F>(&mut self, name: impl Into<SliceRc<str>>, f: F) -> ThreadId
     where
         F: FnOnce(&mut SimHandle) + Send + 'static,
     {
@@ -151,7 +152,12 @@ impl SimHandle {
     /// Spawn a new simulated thread with per-thread [`SpawnOptions`] (a
     /// private stack sized for deep recursion), runnable at this thread's
     /// current local time, on this thread's shard.
-    pub fn spawn_with<F>(&mut self, name: impl Into<Arc<str>>, opts: SpawnOptions, f: F) -> ThreadId
+    pub fn spawn_with<F>(
+        &mut self,
+        name: impl Into<SliceRc<str>>,
+        opts: SpawnOptions,
+        f: F,
+    ) -> ThreadId
     where
         F: FnOnce(&mut SimHandle) + Send + 'static,
     {
@@ -163,7 +169,7 @@ impl SimHandle {
 
     /// Spawn a new simulated thread bound to an explicit shard (see
     /// [`crate::Engine::spawn_on`]), runnable at this thread's local time.
-    pub fn spawn_on<F>(&mut self, shard_key: u64, name: impl Into<Arc<str>>, f: F) -> ThreadId
+    pub fn spawn_on<F>(&mut self, shard_key: u64, name: impl Into<SliceRc<str>>, f: F) -> ThreadId
     where
         F: FnOnce(&mut SimHandle) + Send + 'static,
     {
@@ -237,7 +243,9 @@ mod tests {
             h.park(BlockReason::WaitSet);
         });
         match engine.run() {
-            Err(SimError::ThreadPanic { thread, message }) => {
+            Err(SimError::ThreadPanic {
+                thread, message, ..
+            }) => {
                 assert_eq!(thread, "t");
                 assert_eq!(message, "'t' parked with 9.000us of compute pending");
             }

@@ -59,7 +59,7 @@ mod thread;
 mod time;
 mod wait;
 
-pub use cell::{SliceCell, SliceRef};
+pub use cell::{SliceCell, SliceRc, SliceRef, SliceWeak};
 pub use channel::{channel, channel_on, SimReceiver, SimSender, TickBucket, TickOutbox};
 pub use engine::{
     BlockReason, Engine, EngineConfig, EngineCtl, EventChoice, RunReport, ScheduleController,

@@ -31,7 +31,7 @@ use std::sync::{Arc, OnceLock};
 use std::thread::Thread;
 use std::{fmt, ptr};
 
-use crate::cell::SliceCell;
+use crate::cell::{SliceCell, SliceRc};
 use crate::continuation::{self, Coro};
 use crate::engine::{BlockReason, SliceOutcome, BLOCK_REASONS};
 use crate::handle::SimHandle;
@@ -211,7 +211,7 @@ pub(crate) struct ThreadSlot {
     /// read by every wake: ordered by the hand-off, so relaxed.
     occupant: AtomicU64,
     /// The occupant's name.
-    name: SliceCell<Arc<str>>,
+    name: SliceCell<SliceRc<str>>,
     /// The occupant's body, until its first grant takes it.
     body: SliceCell<Option<Body>>,
     /// Execution substrate backing this worker.
@@ -270,7 +270,7 @@ impl ThreadSlot {
             index,
             stack_bytes,
             occupant: AtomicU64::new(VACANT),
-            name: SliceCell::new(Arc::from("")),
+            name: SliceCell::new(SliceRc::from("")),
             body: SliceCell::new(None),
             backing,
             shard: AtomicU64::new(0),
@@ -286,7 +286,7 @@ impl ThreadSlot {
 
     /// Hand this vacant worker thread `id`: its name, shard and body, which
     /// the worker takes at the thread's first grant.
-    pub fn occupy(&self, id: ThreadId, name: Arc<str>, shard: u64, body: Body) {
+    pub fn occupy(&self, id: ThreadId, name: SliceRc<str>, shard: u64, body: Body) {
         debug_assert!(self.is_vacant(), "occupied an occupied worker");
         *self.name.borrow() = name;
         *self.body.borrow() = Some(body);
@@ -312,8 +312,8 @@ impl ThreadSlot {
     }
 
     /// The occupant's name.
-    pub fn name(&self) -> Arc<str> {
-        Arc::clone(&self.name.borrow())
+    pub fn name(&self) -> SliceRc<str> {
+        SliceRc::clone(&self.name.borrow())
     }
 
     /// True if the worker runs thread `id`: a wake addressed to any other

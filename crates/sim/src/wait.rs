@@ -36,9 +36,8 @@
 //! so that FIFO is a pure function of the program.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
-use crate::cell::SliceCell;
+use crate::cell::{SliceCell, SliceRc};
 use crate::engine::{BlockReason, EngineCtl};
 use crate::handle::SimHandle;
 use crate::thread::{ThreadId, ThreadSlot};
@@ -50,7 +49,7 @@ pub struct WaitSet<K = ()> {
     /// Waiters, oldest first, by key, thread and the worker it runs on: a
     /// wake-up goes straight to the worker, on the shard the thread is on
     /// then, with no lookup, addressed to the thread.
-    pub(crate) waiters: SliceCell<VecDeque<(K, ThreadId, Arc<ThreadSlot>)>>,
+    pub(crate) waiters: SliceCell<VecDeque<(K, ThreadId, SliceRc<ThreadSlot>)>>,
 }
 
 impl<K> Default for WaitSet<K> {
@@ -133,7 +132,7 @@ impl<K: Copy + PartialEq> WaitSet<K> {
             }
             self.waiters
                 .borrow()
-                .push_back((key, handle.id(), Arc::clone(&handle.slot)));
+                .push_back((key, handle.id(), SliceRc::clone(&handle.slot)));
             handle.park(reason);
             // A parked thread runs again only through a notify's wake event,
             // and the notify took its entry out of the set.

@@ -12,7 +12,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use dsmpm2_sim::{
-    channel, Engine, EngineCtl, RunReport, SimDuration, SimTime, SpawnOptions, WaitSet,
+    channel, Engine, EngineCtl, RunReport, SimDuration, SimTime, SliceCell, SliceRc, SpawnOptions,
+    WaitSet,
 };
 
 /// Deterministic xorshift so every run sees the same "random" schedule.
@@ -294,7 +295,9 @@ fn panic_amid_storm_tears_down() {
         panic!("storm bomb");
     });
     match engine.run() {
-        Err(dsmpm2_sim::SimError::ThreadPanic { thread, message }) => {
+        Err(dsmpm2_sim::SimError::ThreadPanic {
+            thread, message, ..
+        }) => {
             assert_eq!(thread, "bomb");
             assert!(message.contains("storm bomb"));
         }
@@ -321,7 +324,9 @@ fn panic_inside_a_slice_is_recorded_not_propagated() {
         panic!("slice bomb");
     });
     match engine.run() {
-        Err(dsmpm2_sim::SimError::ThreadPanic { thread, message }) => {
+        Err(dsmpm2_sim::SimError::ThreadPanic {
+            thread, message, ..
+        }) => {
             assert_eq!(thread, "bomb");
             assert!(message.contains("slice bomb"), "got '{message}'");
         }
@@ -351,4 +356,52 @@ fn deep_recursion_runs_on_a_big_stack() {
     });
     engine.run().expect("deep recursion must complete");
     assert!(out.load(Ordering::SeqCst) > 0);
+}
+
+/// One `SliceRc` cloned and dropped from many workers, one slice after
+/// another: under `--cfg dsm_force_no_coro` consecutive slices run on
+/// different OS threads, and the plain counts must still add up exactly.
+/// Each thread clones the handle thousands of times across yields and
+/// sleeps, drops all but `t + 1` of its clones along the way, and leaves
+/// in a shared keep. After the run the host counts its own handle plus the
+/// kept clones, and its own alone once the keep is emptied.
+#[test]
+fn slice_rc_counts_add_up_across_workers() {
+    const THREADS: u64 = 8;
+    const CLONES: u64 = 5_000;
+    let counted = SliceRc::new(SliceCell::new(0u64));
+    let keep = SliceRc::new(SliceCell::new(Vec::new()));
+    let mut engine = Engine::new();
+    for t in 0..THREADS {
+        let (counted, keep) = (counted.clone(), keep.clone());
+        engine.spawn(format!("cloner{t}"), move |h| {
+            let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ (t + 1);
+            let mut held = Vec::new();
+            for _ in 0..CLONES {
+                held.push(counted.clone());
+                *counted.borrow() += 1;
+                match xorshift(&mut rng) % 8 {
+                    0 => h.yield_now(),
+                    1 => h.sleep(SimDuration::from_nanos(xorshift(&mut rng) % 500 + 1)),
+                    2 | 3 if held.len() as u64 > t + 1 => drop(held.pop()),
+                    _ => {}
+                }
+                if held.len() > 64 {
+                    held.truncate(t as usize + 1);
+                }
+            }
+            held.truncate(t as usize + 1);
+            keep.borrow().extend(held);
+        });
+    }
+    engine
+        .run()
+        .expect("the cloners share nothing but the handles");
+    let kept = (1..=THREADS).sum::<u64>() as usize;
+    assert_eq!(keep.borrow().len(), kept);
+    assert_eq!(SliceRc::strong_count(&counted), 1 + kept);
+    assert_eq!(*counted.borrow(), THREADS * CLONES);
+    keep.borrow().clear();
+    assert_eq!(SliceRc::strong_count(&counted), 1);
+    assert_eq!(SliceRc::strong_count(&keep), 1);
 }

@@ -17,7 +17,7 @@ use dsmpm2_core::{
     HomePolicy, NodeId, Pm2Config, TransportTuning, PAGE_SIZE,
 };
 use dsmpm2_protocols::register_all_protocols;
-use dsmpm2_sim::{EngineConfig, ScheduleController, SliceCell};
+use dsmpm2_sim::{EngineConfig, ScheduleController, SimError, SliceCell};
 
 use crate::log::{Finding, FindingKind, LogRecord, RecordingHooks};
 use crate::scenario::{Op, Scenario};
@@ -84,7 +84,8 @@ pub struct RunOutcome {
     pub final_words_at: Vec<u64>,
     /// Virtual time at which the run finished.
     pub final_time_ns: u64,
-    /// Events the engine processed.
+    /// Events the engine processed, also when the run deadlocked or a
+    /// thread panicked.
     pub events: u64,
     /// Engine error, if the run did not complete (e.g. the event budget).
     pub error: Option<String>,
@@ -292,7 +293,14 @@ pub fn run_scenario(scenario: &Scenario, cfg: &RunConfig) -> RunOutcome {
             outcome.final_time_ns = report.final_time.as_nanos();
             outcome.events = report.events;
         }
-        Err(error) => outcome.error = Some(format!("{error:?}")),
+        Err(error) => {
+            // A failed run still says how far it got.
+            if let SimError::Deadlock { events, .. } | SimError::ThreadPanic { events, .. } = error
+            {
+                outcome.events = events;
+            }
+            outcome.error = Some(format!("{error:?}"));
+        }
     }
     outcome.final_words = pages
         .iter()

@@ -568,3 +568,51 @@ pub fn read_races_acquisition() -> Scenario {
         expected_at: vec![],
     }
 }
+
+/// The smallest input known to deadlock `li_hudak_fixed`: three nodes, one
+/// thread each, three pages homed on node 0, two rounds. In each round a
+/// thread visits the pages in its own order; a visit reads the thread's own
+/// 64-byte slot of the page (a read fault) and then writes `round + 1` to it
+/// (an upgrade), and a barrier ends the round. Every slot is written last
+/// with 2, whatever the schedule.
+pub fn read_then_upgrade() -> Scenario {
+    // Page orders per thread, round 1 then round 2.
+    const ORDERS: [[[usize; 3]; 2]; 3] = [
+        [[0, 1, 2], [2, 1, 0]],
+        [[0, 2, 1], [0, 1, 2]],
+        [[0, 1, 2], [0, 1, 2]],
+    ];
+    let threads = ORDERS
+        .iter()
+        .enumerate()
+        .map(|(t, rounds)| {
+            let offset = 64 * t;
+            let mut ops = Vec::new();
+            for (round, order) in (1u64..).zip(rounds) {
+                for &page in order {
+                    ops.push(Op::ReadAt { page, offset });
+                    ops.push(Op::WriteAt {
+                        page,
+                        offset,
+                        value: round,
+                    });
+                }
+                ops.push(Op::Barrier);
+            }
+            ThreadSpec { node: t, ops }
+        })
+        .collect();
+    Scenario {
+        name: "read_then_upgrade",
+        nodes: 3,
+        pages: 3,
+        home: 0,
+        lock_manager: 0,
+        granularity: 0,
+        threads,
+        expected: vec![None; 3],
+        expected_at: (0..3)
+            .flat_map(|page| (0..3).map(move |t| (page, 64 * t, 2)))
+            .collect(),
+    }
+}

@@ -235,7 +235,9 @@ fn panic_mid_critical_section_reclaims_baton_under_all_handoffs() {
     }
     let mut engine = engine;
     match engine.run() {
-        Err(SimError::ThreadPanic { thread, message }) => {
+        Err(SimError::ThreadPanic {
+            thread, message, ..
+        }) => {
             assert_eq!(thread, "w2");
             assert!(
                 message.contains("intentional mid-critical-section panic"),
@@ -264,7 +266,9 @@ fn scheduler_call_panic_is_reported_and_torn_down() {
         panic!("intentional scheduler-call panic");
     });
     match engine.run() {
-        Err(SimError::ThreadPanic { thread, message }) => {
+        Err(SimError::ThreadPanic {
+            thread, message, ..
+        }) => {
             assert_eq!(thread, "scheduler-call");
             assert!(message.contains("intentional scheduler-call panic"));
         }

@@ -99,7 +99,10 @@ fn parked(threads: &[String]) -> Vec<String> {
 fn li_hudak_fixed_deadlocks_on_read_then_upgrade_until_direction_1a() {
     const SEED: u64 = 7;
     let (result, memory) = rounds("li_hudak_fixed", SEED);
-    let Err(SimError::Deadlock { at, parked_threads }) = result else {
+    let Err(SimError::Deadlock {
+        at, parked_threads, ..
+    }) = result
+    else {
         panic!("li_hudak_fixed no longer deadlocks: {result:?}");
     };
     assert_eq!(
