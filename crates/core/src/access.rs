@@ -11,23 +11,23 @@
 //! `java_ic` protocol); [`DsmThreadCtx::checked_read`] and
 //! [`DsmThreadCtx::checked_write_recorded`] model that path.
 //!
-//! A hit is one inlined pass: the thread's node is read once, the unit is
-//! resolved once, the frame is borrowed once. The leaves it reaches in other
-//! crates and codegen units (the node, the clock charge, the counters, the
-//! scalar codecs) carry `#[inline]`, because a build without LTO — the
-//! benchmark package's — otherwise makes each a real call on every access.
-//! The hit path's own steps here and [`crate::PageTable::resolve`] carry
-//! `#[inline(always)]`: LLVM kept them out of line under the hint, which
-//! cost `stencil_local` a third of its time. Only a miss leaves the caller's
-//! code. Neither the page table nor the frame store is searched: each keeps
-//! one slot per page (`PageMap`), so the unit's entry and the frame are each
-//! one subtraction and one bounds check away from the address.
+//! A hit is one inlined pass and one borrow: the thread's node is read once,
+//! and one borrow of that node's page table resolves the unit, checks the
+//! rights, marks, records, counts and moves the bytes — the frame and the
+//! hit counters sit beside the entries, and the page is one subtraction and
+//! one bounds check away from the address (`PageMap`). The leaves the pass
+//! reaches in other crates (the node, the clock charge, the scalar codecs)
+//! carry `#[inline]`, because a build without LTO — the benchmark package's
+//! — otherwise makes each a real call on every access; the pass itself
+//! carries `#[inline(always)]`: LLVM kept the hit path's steps out of line
+//! under the hint, which cost `stencil_local` a third of its time. Only a
+//! miss leaves the caller's code.
 
 use dsmpm2_madeleine::NodeId;
 
 use crate::ctx::DsmThreadCtx;
 use crate::page::{line_range, Access, DsmAddr, Unit, PAGE_SIZE};
-use crate::page_table::UnitView;
+use crate::page_table::{NodePages, UnitView};
 use crate::protocol::FaultInfo;
 
 /// Scalar types that can be stored in DSM memory.
@@ -73,39 +73,44 @@ impl DsmThreadCtx<'_, '_> {
     /// Make sure the calling thread's node holds `needed` rights on the page
     /// containing `addr`, taking page faults (and running the protocol's
     /// fault handlers) as long as it does not. This is the access-detection
-    /// loop: "on exiting the fault handler the thread repeats the access".
+    /// loop without the access: "on exiting the fault handler the thread
+    /// repeats the access".
     pub fn ensure_access(&mut self, addr: DsmAddr, needed: Access) {
-        self.detect(addr, 1, needed, false);
-    }
-
-    /// The access-detection loop proper, for an access of `size` bytes. A
-    /// hit costs one borrow of the page table, which takes no lock: the unit
-    /// is resolved once into a [`UnitView`], which the caller gets back with
-    /// the node it was resolved on — the node is an atomic load, read once
-    /// per access; `mark_write` makes that same borrow mark a writable unit
-    /// modified (the hit of a write about to happen). A miss calls `fault`.
-    #[inline(always)]
-    fn detect(
-        &mut self,
-        addr: DsmAddr,
-        size: usize,
-        needed: Access,
-        mark_write: bool,
-    ) -> (NodeId, UnitView) {
         loop {
-            let node = self.node();
-            let unit = self.resolve(node, addr, size, mark_write);
+            let (node, page) = (self.node(), addr.page());
+            let unit = self.runtime.page_table(node).resolve(page, addr.offset());
+            let unit = unit.unwrap_or_else(|| outside(addr, node));
             if unit.access.permits(needed) {
-                return (node, unit);
+                return;
             }
             self.fault(addr, needed, unit);
-            // Loop: repeat the access (possibly from a different node if the
-            // handler migrated the thread).
+        }
+    }
+
+    /// The access-detection loop around [`DsmThreadCtx::hit`]: on a miss,
+    /// take the fault and repeat the access (possibly from another node, if
+    /// the handler migrated the thread).
+    #[inline(always)]
+    fn access<R>(
+        &mut self,
+        addr: DsmAddr,
+        len: usize,
+        needed: Access,
+        record: bool,
+        mut copy: impl FnMut(&mut [u8]) -> R,
+    ) -> R {
+        check_within_page(addr, len);
+        loop {
+            match self.hit(addr, len, needed, record, false, &mut copy) {
+                Ok(out) => return out,
+                Err(unit) => self.fault(addr, needed, unit),
+            }
         }
     }
 
     /// A page fault on `unit`, which lacks `needed` rights: charge the
     /// detection cost and run the protocol's fault handler.
+    #[cold]
     fn fault(&mut self, addr: DsmAddr, needed: Access, unit: UnitView) {
         let rt = &self.runtime;
         self.pm2.sim.charge(rt.costs().page_fault);
@@ -129,63 +134,98 @@ impl DsmThreadCtx<'_, '_> {
         }
     }
 
-    /// Resolve the coherence unit an access of `size` bytes at `addr`
-    /// touches on `node`, whatever the rights. Panics on an address outside
-    /// every allocation, and on an access that straddles a coherence-line
-    /// boundary of a sub-page-granularity region (rights are per line, so a
-    /// straddling access would only be covered on its first line).
+    /// One access of the `len` bytes at `addr` on the thread's node, in one
+    /// borrow of its page table: resolve the unit and, if the node holds
+    /// `needed` rights, mark a written unit modified, log the range if
+    /// `record` or the unit's protocol records writes, count the hit and let
+    /// `copy` move the bytes. A miss changes nothing and returns the unit's
+    /// view. With `check` it is an explicit inline locality check
+    /// (`java_ic`), charged and counted hit or miss. Panics on an address
+    /// outside every allocation, and on one straddling a line of a sub-page
+    /// region (rights are per line: it would be covered on its first only).
     #[inline(always)]
-    fn resolve(&self, node: NodeId, addr: DsmAddr, size: usize, mark_write: bool) -> UnitView {
-        let unit = self
-            .runtime
-            .page_table(node)
-            .resolve(addr.page(), addr.offset(), mark_write)
-            .unwrap_or_else(|| {
-                panic!("access at {addr} is outside every DSM allocation (node {node})")
-            });
-        if unit.line_size < PAGE_SIZE {
-            let (line_start, line_len) = line_range(unit.line, unit.line_size);
-            assert!(
-                addr.offset() + size <= line_start + line_len,
-                "DSM access at {addr} of {size} bytes crosses a coherence-line boundary \
-                 (granularity {}); lay shared objects out so that scalars do not straddle lines",
-                unit.line_size
-            );
+    fn hit<R>(
+        &mut self,
+        addr: DsmAddr,
+        len: usize,
+        needed: Access,
+        record: bool,
+        check: bool,
+        copy: &mut impl FnMut(&mut [u8]) -> R,
+    ) -> Result<R, UnitView> {
+        let (rt, node) = (&self.runtime, self.node());
+        let (page, offset) = (addr.page(), addr.offset());
+        if check {
+            self.pm2.sim.charge(rt.costs().inline_check);
         }
-        unit
-    }
-
-    /// One explicit inline locality check (the `java_ic` / compiler-target
-    /// access path): charge and count the check, then resolve the unit —
-    /// a write marking it modified if it is writable — and return the node
-    /// if it holds `needed` rights. No fault is taken either way.
-    #[inline(always)]
-    fn locality_check(&mut self, addr: DsmAddr, size: usize, needed: Access) -> Option<NodeId> {
-        check_within_page(addr, size);
-        let rt = &self.runtime;
-        rt.stats().incr_inline_check();
-        self.pm2.sim.charge(rt.costs().inline_check);
-        let node = self.node();
-        let unit = self.resolve(node, addr, size, needed == Access::Write);
-        unit.access.permits(needed).then_some(node)
+        let out = {
+            let mut slots = rt.page_table(node).slots.borrow();
+            let NodePages {
+                pages,
+                local_accesses,
+                inline_checks,
+            } = &mut *slots;
+            *inline_checks += u64::from(check);
+            let Some(slot) = pages.get_mut(page) else {
+                outside(addr, node)
+            };
+            let (entry, frame) = slot.unit_at(offset);
+            if entry.line_size < PAGE_SIZE {
+                let (line_start, line_len) = line_range(entry.unit.line, entry.line_size);
+                assert!(
+                    offset + len <= line_start + line_len,
+                    "DSM access at {addr} of {len} bytes crosses a coherence-line boundary \
+                     (granularity {}); lay shared objects out so that scalars do not straddle lines",
+                    entry.line_size
+                );
+            }
+            if !entry.access.permits(needed) {
+                return Err(UnitView::of(entry));
+            }
+            let frame = frame
+                .as_mut()
+                .expect("a node with rights on a page holds its frame");
+            if needed == Access::Write {
+                entry.modified_since_release = true;
+                if record || entry.records_writes {
+                    frame.recorded.push((offset, len));
+                }
+            }
+            *local_accesses += 1;
+            copy(&mut frame.data[offset..offset + len])
+        };
+        self.pm2.sim.charge(rt.costs().local_access);
+        if let Some(hooks) = rt.hooks() {
+            let access = crate::verify::MemAccess {
+                time: self.pm2.sim.now(),
+                node,
+                thread: self.pm2.sim.id(),
+                page,
+                addr,
+                len,
+                is_write: needed == Access::Write,
+            };
+            hooks.mem_access(rt, access);
+        }
+        Ok(out)
     }
 
     /// Read a scalar from shared memory (faulting as needed).
     pub fn read<T: DsmScalar>(&mut self, addr: DsmAddr) -> T {
-        check_within_page(addr, T::SIZE);
-        let (node, _) = self.detect(addr, T::SIZE, Access::Read, false);
-        self.read_local(node, addr)
+        self.access(addr, T::SIZE, Access::Read, false, |b| T::load_le(b))
     }
 
     /// Read a scalar behind an explicit inline locality check instead of
-    /// fault detection: the check's charge and count, one resolve, and — if
-    /// the node may read the unit — the hit. `None` if it may not; nothing
+    /// fault detection: the check's charge and count, and — if the node may
+    /// read the unit — the hit, in one borrow. `None` if it may not; nothing
     /// was read, and the caller brings the page in and retries (Hyperion's
     /// `get` under `java_ic`).
     #[inline]
     pub fn checked_read<T: DsmScalar>(&mut self, addr: DsmAddr) -> Option<T> {
-        let node = self.locality_check(addr, T::SIZE, Access::Read)?;
-        Some(self.read_local(node, addr))
+        check_within_page(addr, T::SIZE);
+        let mut load = |b: &mut [u8]| T::load_le(b);
+        self.hit(addr, T::SIZE, Access::Read, false, true, &mut load)
+            .ok()
     }
 
     /// Write a scalar to shared memory (faulting as needed). When the page's
@@ -194,41 +234,32 @@ impl DsmThreadCtx<'_, '_> {
     /// [`DsmThreadCtx::write_recorded`] would — plain writes stay portable
     /// across every registered protocol.
     pub fn write<T: DsmScalar>(&mut self, addr: DsmAddr, value: T) {
-        check_within_page(addr, T::SIZE);
-        let (node, unit) = self.detect(addr, T::SIZE, Access::Write, true);
-        self.hit(node, addr, T::SIZE, true, unit.records_writes, |b| {
-            value.store_le(b)
-        });
+        self.access(addr, T::SIZE, Access::Write, false, |b| value.store_le(b));
     }
 
     /// Write a scalar and record the modified range with field granularity
     /// (the on-the-fly diff recording used by the Java protocols' `put`).
     pub fn write_recorded<T: DsmScalar>(&mut self, addr: DsmAddr, value: T) {
-        check_within_page(addr, T::SIZE);
-        let (node, _) = self.detect(addr, T::SIZE, Access::Write, true);
-        self.hit(node, addr, T::SIZE, true, true, |b| value.store_le(b));
+        self.access(addr, T::SIZE, Access::Write, true, |b| value.store_le(b));
     }
 
     /// [`DsmThreadCtx::write_recorded`] behind an explicit inline locality
-    /// check instead of fault detection: the check's charge and count, one
-    /// resolve that also marks a writable unit modified, and — if the node
-    /// may write the unit — the recorded store. `false` if it may not:
-    /// nothing was stored, recorded or marked, and the caller brings the
-    /// page in and retries (Hyperion's `put` under `java_ic`).
+    /// check instead of fault detection: the check's charge and count, and —
+    /// if the node may write the unit — the marked, recorded store, in one
+    /// borrow. `false` if it may not: nothing was stored, recorded or
+    /// marked, and the caller brings the page in and retries (Hyperion's
+    /// `put` under `java_ic`).
     #[inline]
     pub fn checked_write_recorded<T: DsmScalar>(&mut self, addr: DsmAddr, value: T) -> bool {
-        let Some(node) = self.locality_check(addr, T::SIZE, Access::Write) else {
-            return false;
-        };
-        self.hit(node, addr, T::SIZE, true, true, |b| value.store_le(b));
-        true
+        check_within_page(addr, T::SIZE);
+        let mut store = |b: &mut [u8]| value.store_le(b);
+        self.hit(addr, T::SIZE, Access::Write, true, true, &mut store)
+            .is_ok()
     }
 
     /// Read `buf.len()` bytes from shared memory (must not cross a page).
     pub fn read_bytes(&mut self, addr: DsmAddr, buf: &mut [u8]) {
-        check_within_page(addr, buf.len());
-        let (node, _) = self.detect(addr, buf.len(), Access::Read, false);
-        self.hit(node, addr, buf.len(), false, false, |b| {
+        self.access(addr, buf.len(), Access::Read, false, |b| {
             buf.copy_from_slice(b)
         });
     }
@@ -237,53 +268,16 @@ impl DsmThreadCtx<'_, '_> {
     /// field granularity when the page's protocol records writes on the fly
     /// (see [`DsmThreadCtx::write`]).
     pub fn write_bytes(&mut self, addr: DsmAddr, bytes: &[u8]) {
-        check_within_page(addr, bytes.len());
-        let (node, unit) = self.detect(addr, bytes.len(), Access::Write, true);
-        self.hit(node, addr, bytes.len(), true, unit.records_writes, |b| {
+        self.access(addr, bytes.len(), Access::Write, false, |b| {
             b.copy_from_slice(bytes)
         });
     }
+}
 
-    /// Read a scalar from `node`, whose rights on it are established.
-    fn read_local<T: DsmScalar>(&mut self, node: NodeId, addr: DsmAddr) -> T {
-        self.hit(node, addr, T::SIZE, false, false, |b| T::load_le(b))
-    }
-
-    /// The hit itself, once `node`'s rights are established: count and
-    /// charge one local access, then let `copy` move the bytes between the
-    /// caller's value and the frame inside one borrow of the frame store.
-    /// `record` (writes only) logs the range as modified, for protocols that
-    /// diff from recorded writes.
-    #[inline(always)]
-    fn hit<R>(
-        &mut self,
-        node: NodeId,
-        addr: DsmAddr,
-        len: usize,
-        is_write: bool,
-        record: bool,
-        copy: impl FnOnce(&mut [u8]) -> R,
-    ) -> R {
-        let rt = &self.runtime;
-        rt.stats().incr_local_access();
-        self.pm2.sim.charge(rt.costs().local_access);
-        let out = rt
-            .frames(node)
-            .with_bytes(addr.page(), addr.offset(), len, record, copy);
-        if let Some(hooks) = rt.hooks() {
-            let access = crate::verify::MemAccess {
-                time: self.pm2.sim.now(),
-                node,
-                thread: self.pm2.sim.id(),
-                page: addr.page(),
-                addr,
-                len,
-                is_write,
-            };
-            hooks.mem_access(rt, access);
-        }
-        out
-    }
+#[cold]
+#[inline(never)]
+fn outside(addr: DsmAddr, node: NodeId) -> ! {
+    panic!("access at {addr} is outside every DSM allocation (node {node})")
 }
 
 #[cfg(test)]

@@ -1,25 +1,29 @@
 //! Per-node page frames: the actual bytes of locally mapped pages.
 //!
-//! The page table records *rights and ownership*; the frame store records
+//! The page table's entries record *rights and ownership*; a frame records
 //! *contents*. A node holds a frame for every page it has a copy of, plus the
 //! twins used by the multiple-writer protocols and the modification ranges
-//! recorded by the Java protocols' `put` primitive.
+//! recorded by the Java protocols' `put` primitive. A frame sits in its
+//! page's slot of the node's [`PageTable`], beside the page's entries, so a
+//! typed access reaches both in one lookup; [`FrameStore`] is the frame-side
+//! methods over those slots.
 //!
 //! A frame is addressed by page; the part of it one coherence unit covers is
 //! the unit's *span*, `(offset, len)` from [`crate::PageEntry::line_span`].
 //! Under whole-page coherence that span is `(0, PAGE_SIZE)` of line 0 and
 //! goes through the same operations as any other.
 //!
-//! Page-sized buffers circulate instead of being allocated and freed: a
-//! store keeps the buffers of the twins and frames it drops and hands them
-//! out again as twins, snapshots and fresh frames, and a whole page received
-//! from another node becomes the frame's contents as it is.
+//! Page-sized buffers circulate instead of being allocated and freed: one
+//! pool per run (read replication moves buffers from the owner's snapshots
+//! to the readers' dropped copies) takes back those of dropped twins and
+//! frames and hands them out as twins, snapshots and fresh frames; a whole
+//! page received from another node becomes the frame's contents as it is.
 
-use dsmpm2_madeleine::NodeId;
 use dsmpm2_sim::SliceCell;
 
 use crate::diff::{DiffRun, PageDiff};
-use crate::page::{LineIx, PageId, PageMap, Unit, PAGE_SIZE};
+use crate::page::{LineIx, PageId, Unit, PAGE_SIZE};
+use crate::page_table::PageTable;
 
 /// A locally mapped page.
 ///
@@ -59,22 +63,34 @@ impl Frame {
     }
 }
 
-/// How many idle page buffers a store keeps; one more is freed.
+/// How many idle page buffers the pool keeps per node of the run; one more
+/// is freed.
 const SPARE_BUFFERS: usize = 32;
 
-/// What a store keeps so as not to allocate it again.
+/// What a run keeps so as not to allocate it again.
 #[derive(Default)]
-struct Spare {
+pub(crate) struct Spare {
     /// Idle buffers of capacity `PAGE_SIZE`, contents unspecified: those of
-    /// the twins and frames the store dropped, handed out again as twins,
+    /// the twins and frames the nodes dropped, handed out again as twins,
     /// snapshots and fresh frames. There is one kind of buffer: the twin or
     /// snapshot of a line narrower than the page takes a whole one too.
     buffers: Vec<Vec<u8>>,
+    /// How many idle buffers are kept.
+    cap: usize,
     /// Where a twin diff collects its runs before it knows their number.
     diff_runs: Vec<DiffRun>,
 }
 
 impl Spare {
+    /// An empty pool for a run of `nodes` nodes.
+    pub(crate) fn for_nodes(nodes: usize) -> Self {
+        let cap = SPARE_BUFFERS * nodes;
+        Spare {
+            cap,
+            ..Spare::default()
+        }
+    }
+
     /// An empty buffer with room for a page.
     fn buffer(&mut self) -> Vec<u8> {
         let mut buf = self
@@ -101,7 +117,7 @@ impl Spare {
 
     /// Keep `buf` for reuse if it can hold a page and there is room.
     fn give(&mut self, buf: Vec<u8>) {
-        if buf.capacity() >= PAGE_SIZE && self.buffers.len() < SPARE_BUFFERS {
+        if buf.capacity() >= PAGE_SIZE && self.buffers.len() < self.cap {
             self.buffers.push(buf);
         }
     }
@@ -115,42 +131,35 @@ impl Spare {
     }
 }
 
-#[derive(Default)]
-struct Frames {
-    mapped: PageMap<Frame>,
-    spare: Spare,
+/// The frames of one node: the frame-side methods over the slots of its
+/// [`PageTable`], with the run's pool of spare buffers — each in a
+/// [`SliceCell`], as simulated code reaches them one piece at a time.
+#[derive(Clone, Copy)]
+pub struct FrameStore<'a> {
+    table: &'a PageTable,
+    spare: &'a SliceCell<Spare>,
 }
 
-/// All frames held by one node. Like the node's [`crate::PageTable`], a
-/// store is reached by one piece of simulated code at a time, so the frames
-/// sit in a [`SliceCell`] and not behind a lock.
-pub struct FrameStore {
-    node: NodeId,
-    frames: SliceCell<Frames>,
-}
-
-impl FrameStore {
-    /// An empty store for `node`.
-    pub fn new(node: NodeId) -> Self {
-        FrameStore {
-            node,
-            frames: SliceCell::default(),
-        }
+impl<'a> FrameStore<'a> {
+    pub(crate) fn new(table: &'a PageTable, spare: &'a SliceCell<Spare>) -> Self {
+        FrameStore { table, spare }
     }
 
     /// True if the node currently holds a copy of `page`.
     pub fn has(&self, page: PageId) -> bool {
-        self.frames.borrow().mapped.contains(page)
+        let slots = self.table.slots.borrow();
+        slots
+            .pages
+            .get(page)
+            .is_some_and(|slot| slot.frame.is_some())
     }
 
     /// Make sure a zero-filled frame exists for `page` (used when a page is
     /// first allocated on its home node).
     pub fn ensure_zeroed(&self, page: PageId) {
-        let mut frames = self.frames.borrow();
-        let Frames { mapped, spare } = &mut *frames;
-        mapped
-            .slot(page)
-            .get_or_insert_with(|| spare.zeroed_frame());
+        self.slot(page, |frame, spare| {
+            frame.get_or_insert_with(|| spare.zeroed_frame());
+        });
     }
 
     /// Install `data` as the contents of `unit`, which covers `span` of its
@@ -163,29 +172,28 @@ impl FrameStore {
     pub fn install(&self, unit: Unit, span: (usize, usize), data: Vec<u8>) {
         let (offset, len) = span;
         assert_eq!(data.len(), len, "installed unit must be {len} bytes");
-        let mut frames = self.frames.borrow();
-        let Frames { mapped, spare } = &mut *frames;
-        let slot = mapped.slot(unit.page);
-        let frame = if len == PAGE_SIZE {
-            match slot {
-                Some(frame) => {
-                    spare.give(std::mem::replace(&mut frame.data, data));
-                    frame
+        self.slot(unit.page, |slot, spare| {
+            let frame = if len == PAGE_SIZE {
+                match slot {
+                    Some(frame) => {
+                        spare.give(std::mem::replace(&mut frame.data, data));
+                        frame
+                    }
+                    None => slot.insert(Frame::holding(data)),
                 }
-                None => slot.insert(Frame::holding(data)),
+            } else {
+                let frame = slot.get_or_insert_with(|| spare.zeroed_frame());
+                frame.data[offset..offset + len].copy_from_slice(&data);
+                spare.give(data);
+                frame
+            };
+            if let Some(twin) = frame.take_twin(unit.line) {
+                spare.give(twin);
             }
-        } else {
-            let frame = slot.get_or_insert_with(|| spare.zeroed_frame());
-            frame.data[offset..offset + len].copy_from_slice(&data);
-            spare.give(data);
             frame
-        };
-        if let Some(twin) = frame.take_twin(unit.line) {
-            spare.give(twin);
-        }
-        frame
-            .recorded
-            .retain(|&(at, _)| at < offset || at >= offset + len);
+                .recorded
+                .retain(|&(at, _)| at < offset || at >= offset + len);
+        });
     }
 
     /// Drop what the node holds of an invalidated `unit` with span `span`:
@@ -194,28 +202,21 @@ impl FrameStore {
     /// still be valid, so their frame stays. A page without a frame is left
     /// alone.
     pub fn invalidate(&self, unit: Unit, span: (usize, usize)) {
-        let mut frames = self.frames.borrow();
-        let Frames { mapped, spare } = &mut *frames;
-        if span.1 == PAGE_SIZE {
-            if let Some(frame) = mapped.remove(unit.page) {
-                spare.give_frame(frame);
+        self.slot(unit.page, |slot, spare| {
+            if span.1 == PAGE_SIZE {
+                if let Some(frame) = slot.take() {
+                    spare.give_frame(frame);
+                }
+            } else if let Some(twin) = slot.as_mut().and_then(|f| f.take_twin(unit.line)) {
+                spare.give(twin);
             }
-        } else if let Some(twin) = mapped
-            .get_mut(unit.page)
-            .and_then(|frame| frame.take_twin(unit.line))
-        {
-            spare.give(twin);
-        }
+        });
     }
 
     /// Drop the local copy of `page`; true if there was one.
     pub fn evict(&self, page: PageId) -> bool {
-        let mut frames = self.frames.borrow();
-        let Some(frame) = frames.mapped.remove(page) else {
-            return false;
-        };
-        frames.spare.give_frame(frame);
-        true
+        self.slot(page, |slot, spare| slot.take().map(|f| spare.give_frame(f)))
+            .is_some()
     }
 
     /// Copy the bytes of `span` within `page` (for sending a coherence unit
@@ -226,12 +227,10 @@ impl FrameStore {
         })
     }
 
-    /// Run `f` on the `len` bytes at `offset` within `page` — the one way the
-    /// typed accessors touch frame contents: `f` copies a scalar out of or
-    /// into the slice, so no buffer sits in between. With `record`, the range
-    /// is also logged as modified (on-the-fly diff recording, field
-    /// granularity).
-    #[inline]
+    /// Run `f` on the `len` bytes at `offset` within `page`, outside any
+    /// access check (set-up and inspection; a typed access moves its bytes
+    /// in its own borrow). With `record`, the range is also logged as
+    /// modified (on-the-fly diff recording, field granularity).
     pub fn with_bytes<R>(
         &self,
         page: PageId,
@@ -315,29 +314,33 @@ impl FrameStore {
 
     /// Every page currently mapped on this node, ascending.
     pub fn pages(&self) -> Vec<PageId> {
-        let frames = self.frames.borrow();
-        frames.mapped.iter().map(|(page, _)| page).collect()
+        let slots = self.table.slots.borrow();
+        let mapped = slots.pages.iter().filter(|(_, slot)| slot.frame.is_some());
+        mapped.map(|(page, _)| page).collect()
     }
 
-    #[inline]
+    /// Run `f` on the frame slot of registered `page`, and the pool.
+    fn slot<R>(&self, page: PageId, f: impl FnOnce(&mut Option<Frame>, &mut Spare) -> R) -> R {
+        let mut slots = self.table.slots.borrow();
+        let Some(slot) = slots.pages.get_mut(page) else {
+            self.table.unknown(Unit::whole(page))
+        };
+        f(&mut slot.frame, &mut self.spare.borrow())
+    }
+
+    /// Run `f` on the frame of `page`, which the node must hold, and the pool.
     fn with<R>(&self, page: PageId, f: impl FnOnce(&mut Frame, &mut Spare) -> R) -> R {
-        let mut frames = self.frames.borrow();
-        let Frames { mapped, spare } = &mut *frames;
-        let frame = mapped
-            .get_mut(page)
-            .unwrap_or_else(|| panic!("node {} has no frame for {page}", self.node));
-        f(frame, spare)
+        self.slot(page, |frame, spare| match frame {
+            Some(frame) => f(frame, spare),
+            None => panic!("node {} has no frame for {page}", self.table.node),
+        })
     }
 }
 
-impl std::fmt::Debug for FrameStore {
+impl std::fmt::Debug for FrameStore<'_> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "FrameStore(node={}, {} pages)",
-            self.node,
-            self.frames.borrow().mapped.len()
-        )
+        let (node, pages) = (self.table.node, self.pages().len());
+        write!(f, "FrameStore(node={node}, {pages} pages)")
     }
 }
 
@@ -345,29 +348,58 @@ impl std::fmt::Debug for FrameStore {
 mod tests {
     use super::*;
     use crate::page::line_range;
+    use crate::protocol::ProtocolId;
+    use dsmpm2_madeleine::NodeId;
 
     const PAGE: PageId = PageId(1);
+
+    /// A node of a one-node run: its page table, with pages `0..80`
+    /// registered (whole pages: frames take spans whatever the geometry),
+    /// and the run's pool.
+    struct Node {
+        table: PageTable,
+        spare: SliceCell<Spare>,
+    }
+
+    impl Node {
+        fn store(&self) -> FrameStore<'_> {
+            FrameStore::new(&self.table, &self.spare)
+        }
+    }
+
+    /// A node holding a zeroed [`PAGE`].
+    fn node_with_page() -> Node {
+        let table = PageTable::new(NodeId(0));
+        for page in (0..80).map(PageId) {
+            table.register_lines(page, NodeId(0), ProtocolId(0), false, PAGE_SIZE);
+        }
+        let node = Node {
+            table,
+            spare: SliceCell::new(Spare::for_nodes(1)),
+        };
+        node.store().ensure_zeroed(PAGE);
+        node
+    }
 
     /// Run `check` on a store holding a zeroed [`PAGE`], once per geometry,
     /// with the unit under test and its span: the whole page, then line 1 of
     /// four 1024-byte lines.
-    fn at_both_geometries(check: impl Fn(&FrameStore, Unit, (usize, usize))) {
+    fn at_both_geometries(check: impl Fn(&FrameStore<'_>, Unit, (usize, usize))) {
         for (line, line_size) in [(LineIx(0), PAGE_SIZE), (LineIx(1), 1024)] {
-            check(&store(), Unit::new(PAGE, line), line_range(line, line_size));
+            let node = node_with_page();
+            check(
+                &node.store(),
+                Unit::new(PAGE, line),
+                line_range(line, line_size),
+            );
         }
     }
 
-    fn store() -> FrameStore {
-        let s = FrameStore::new(NodeId(0));
-        s.ensure_zeroed(PAGE);
-        s
-    }
-
-    fn read(s: &FrameStore, page: PageId, offset: usize, buf: &mut [u8]) {
+    fn read(s: &FrameStore<'_>, page: PageId, offset: usize, buf: &mut [u8]) {
         s.with_bytes(page, offset, buf.len(), false, |b| buf.copy_from_slice(b));
     }
 
-    fn write(s: &FrameStore, page: PageId, offset: usize, bytes: &[u8]) {
+    fn write(s: &FrameStore<'_>, page: PageId, offset: usize, bytes: &[u8]) {
         s.with_bytes(page, offset, bytes.len(), false, |b| {
             b.copy_from_slice(bytes)
         });
@@ -375,7 +407,8 @@ mod tests {
 
     #[test]
     fn zeroed_frame_reads_zero() {
-        let s = store();
+        let node = node_with_page();
+        let s = node.store();
         let mut buf = [1u8; 8];
         read(&s, PAGE, 100, &mut buf);
         assert_eq!(buf, [0u8; 8]);
@@ -385,7 +418,8 @@ mod tests {
 
     #[test]
     fn write_then_read_roundtrip() {
-        let s = store();
+        let node = node_with_page();
+        let s = node.store();
         write(&s, PAGE, 8, &[1, 2, 3, 4]);
         let mut buf = [0u8; 4];
         read(&s, PAGE, 8, &mut buf);
@@ -482,7 +516,8 @@ mod tests {
 
     #[test]
     fn recorded_diff_tracks_explicit_writes() {
-        let s = store();
+        let node = node_with_page();
+        let s = node.store();
         s.with_bytes(PAGE, 10, 2, true, |b| b.fill(1));
         s.with_bytes(PAGE, 40, 3, true, |b| b.fill(2));
         assert!(s.has_recorded(PAGE));
@@ -496,7 +531,8 @@ mod tests {
 
     #[test]
     fn apply_diff_updates_home_copy() {
-        let s = store();
+        let node = node_with_page();
+        let s = node.store();
         let mut other = vec![0u8; PAGE_SIZE];
         other[100] = 42;
         let diff = PageDiff::compute(PAGE, &vec![0u8; PAGE_SIZE], &other);
@@ -508,15 +544,20 @@ mod tests {
 
     #[test]
     fn evict_removes_the_frame() {
-        let s = store();
+        let node = node_with_page();
+        let s = node.store();
         assert!(s.evict(PAGE));
         assert!(!s.has(PAGE));
         assert!(!s.evict(PAGE));
         assert!(s.pages().is_empty());
     }
 
-    fn spare_buffers(s: &FrameStore) -> usize {
-        s.frames.borrow().spare.buffers.len()
+    fn spare_buffers(s: &FrameStore<'_>) -> usize {
+        s.spare.borrow().buffers.len()
+    }
+
+    fn frame_of<R>(s: &FrameStore<'_>, page: PageId, f: impl FnOnce(&Frame) -> R) -> R {
+        s.with(page, |frame, _| f(frame))
     }
 
     /// A buffer that held other bytes and was kept for reuse comes back as
@@ -542,9 +583,7 @@ mod tests {
             write(s, PAGE, offset, &pattern);
             assert!(s.make_twin(unit, span));
             assert_eq!(spare_buffers(s), 0);
-            let frames = s.frames.borrow();
-            assert_eq!(frames.mapped.get(PAGE).unwrap().twins[0].1, pattern);
-            drop(frames);
+            assert_eq!(frame_of(s, PAGE, |f| f.twins[0].1.clone()), pattern);
             // The twin's buffer returns and is the next snapshot.
             assert!(s.take_twin_diff(unit, offset).is_empty());
             assert_eq!(spare_buffers(s), 1);
@@ -561,7 +600,8 @@ mod tests {
     /// are kept.
     #[test]
     fn spare_buffers_are_capped() {
-        let s = store();
+        let node = node_with_page();
+        let s = node.store();
         for page in 10..10 + 2 * SPARE_BUFFERS as u64 {
             s.ensure_zeroed(PageId(page));
             s.make_twin(Unit::whole(PageId(page)), (0, PAGE_SIZE));
@@ -571,7 +611,13 @@ mod tests {
             assert!(spare_buffers(&s) <= SPARE_BUFFERS);
         }
         assert_eq!(spare_buffers(&s), SPARE_BUFFERS);
-        let s = store();
+        assert_eq!(
+            Spare::for_nodes(3).cap,
+            3 * SPARE_BUFFERS,
+            "per node of the run"
+        );
+        let fresh = node_with_page();
+        let s = fresh.store();
         let line = Unit::new(PAGE, LineIx(1));
         s.install(line, (1024, 1024), vec![1u8; 1024]);
         assert_eq!(spare_buffers(&s), 0, "a line-sized buffer is not kept");
@@ -581,27 +627,29 @@ mod tests {
     /// very buffer that was handed in, and the one it replaces is kept.
     #[test]
     fn whole_page_install_adopts_the_buffer() {
-        let s = store();
+        let node = node_with_page();
+        let s = node.store();
         let whole = (0, PAGE_SIZE);
         for page in [PAGE, PageId(7)] {
             let data = vec![7u8; PAGE_SIZE];
             let address = data.as_ptr();
             s.install(Unit::whole(page), whole, data);
-            let frames = s.frames.borrow();
-            let frame = frames.mapped.get(page).unwrap();
-            assert_eq!(frame.data.as_ptr(), address);
-            assert_eq!(frame.data, vec![7u8; PAGE_SIZE]);
+            frame_of(&s, page, |frame| {
+                assert_eq!(frame.data.as_ptr(), address);
+                assert_eq!(frame.data, vec![7u8; PAGE_SIZE]);
+            });
             // Only `PAGE` had a frame whose buffer could be replaced.
-            assert_eq!(frames.spare.buffers.len(), 1);
+            assert_eq!(spare_buffers(&s), 1);
         }
     }
 
     #[test]
     #[should_panic(expected = "no frame")]
     fn reading_unmapped_page_panics() {
-        let s = store();
+        let node = node_with_page();
+        let s = node.store();
         let mut buf = [0u8; 1];
-        read(&s, PageId(99), 0, &mut buf);
+        read(&s, PageId(2), 0, &mut buf);
     }
 
     #[test]

@@ -119,9 +119,9 @@ pub fn line_range(line: LineIx, line_size: usize) -> (usize, usize) {
 }
 
 /// A table with one slot per page, for what the runtime keeps per DSM page
-/// (the directory, each node's page table and frames). DSM pages are dense:
-/// `dsm_malloc` bumps page-aligned ranges up from [`SHARED_BASE`], so slot
-/// `i` holds page `base + i` and a lookup is one
+/// (the directory, each node's page table and the frames in it). DSM pages
+/// are dense: `dsm_malloc` bumps page-aligned ranges up from
+/// [`SHARED_BASE`], so slot `i` holds page `base + i` and a lookup is one
 /// subtraction and one bounds check — no hashing, no probing. A page below
 /// the base wraps to an index past the end, so a page outside every slot is
 /// simply absent. The base is the lowest page ever given a slot: a page
@@ -161,11 +161,6 @@ impl<T> PageMap<T> {
         self.slots.get_mut(at)?.as_mut()
     }
 
-    /// True if `page` has a value.
-    pub fn contains(&self, page: PageId) -> bool {
-        self.get(page).is_some()
-    }
-
     /// The slot of `page`, created empty (with any slot between it and the
     /// others) if the map did not reach it.
     pub fn slot(&mut self, page: PageId) -> &mut Option<T> {
@@ -189,12 +184,6 @@ impl<T> PageMap<T> {
         self.slot(page).replace(value)
     }
 
-    /// Take the value of `page` out of the map.
-    pub fn remove(&mut self, page: PageId) -> Option<T> {
-        let at = self.index(page);
-        self.slots.get_mut(at)?.take()
-    }
-
     /// Every page with a value, ascending, with its value.
     pub fn iter(&self) -> impl Iterator<Item = (PageId, &T)> {
         let base = self.base;
@@ -207,11 +196,6 @@ impl<T> PageMap<T> {
     /// Number of pages with a value.
     pub fn len(&self) -> usize {
         self.slots.iter().filter(|slot| slot.is_some()).count()
-    }
-
-    /// True if no page has a value.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -380,13 +364,12 @@ mod tests {
         assert_eq!(map.get(PageId(SHARED + 3)), None, "past the end");
         assert_eq!(map.get(PageId(0)), None, "far below the base");
         assert_eq!(map.get(PageId(u64::MAX)), None);
-        assert_eq!(map.remove(PageId(0)), None);
         *map.get_mut(PageId(SHARED)).unwrap() = 'A';
         let all: Vec<_> = map.iter().map(|(p, &v)| (p.0 - SHARED, v)).collect();
         assert_eq!(all, [(0, 'A'), (2, 'C')]);
-        assert_eq!(map.remove(PageId(SHARED)), Some('A'));
-        assert_eq!((map.len(), map.is_empty()), (1, false));
-        assert!(map.contains(PageId(SHARED + 2)));
+        assert_eq!(map.slot(PageId(SHARED)).take(), Some('A'));
+        assert_eq!(map.len(), 1);
+        assert!(map.get(PageId(SHARED + 2)).is_some());
     }
 
     proptest! {
@@ -404,7 +387,7 @@ mod tests {
                 let page = PageId(SHARED + page);
                 match op {
                     0 => prop_assert_eq!(map.insert(page, value), model.insert(page, value)),
-                    1 => prop_assert_eq!(map.remove(page), model.remove(&page)),
+                    1 => prop_assert_eq!(map.slot(page).take(), model.remove(&page)),
                     _ => {
                         if let Some(v) = map.get_mut(page) {
                             *v = value;

@@ -16,34 +16,37 @@
 //! independently-owned entry per line; whole-page coherence is the case of
 //! one line per page, whose only unit is [`Unit::whole`] and whose
 //! [`PageEntry::line_span`] is `(0, PAGE_SIZE)` — the same entries, reached
-//! through the same code. The one place that maps a byte offset to its unit
-//! is [`PageTable::resolve`]: line 0's entry always exists and records the
-//! page's line size (the *geometry*), and the target entry sits in the same
-//! slot (`resolve_views_the_unit_of_an_offset` covers both geometries).
+//! through the same code. One function maps a byte offset to its unit, for
+//! [`PageTable::resolve`] and the typed accesses alike: line 0's entry always
+//! exists and records the page's line size (the *geometry*), and the target
+//! entry sits in the same slot (`resolve_views_the_unit_of_an_offset` covers
+//! both geometries).
 //!
-//! # No search
+//! # One slot per page, the frame in it
 //!
-//! The entries are a [`PageMap`]: one slot per page, reached by position.
-//! Line 0 sits inline in its page's slot, and a page split into lines keeps
-//! its other lines in one boxed slice beside it, so a hit reads its entry
-//! with one subtraction and a bounds check or two, as an MMU reads a page
-//! table entry.
+//! The table is a [`PageMap`]: one slot per page, reached by position, with
+//! line 0 inline and a split page's other lines in one boxed slice beside
+//! it. As an MMU's entry names the physical frame, the slot also holds the
+//! page's [`Frame`] when the node has a copy ([`crate::FrameStore`] is the
+//! frame-side methods over the same slots): a hit finds rights and bytes
+//! with one subtraction and a bounds check or two.
 //!
-//! # No lock
+//! # One borrow, no lock
 //!
 //! A table is reached only by simulated code of one engine — a slice, a
 //! scheduler event, or the host thread outside `Engine::run` — which the
-//! hand-off runs one at a time, so its maps sit in [`SliceCell`]s: a hit
-//! borrows the entries with a flag check, not an atomic read-modify-write.
-//! The closures passed to [`PageTable::read`] and [`PageTable::update`] run
-//! inside that borrow and must not call back into the same table (the cell
-//! panics if they do).
+//! hand-off runs one at a time, so the slots and the node's hit counters sit
+//! in one [`SliceCell`]: a hit borrows them with a flag check, not an atomic
+//! read-modify-write. The closures passed to [`PageTable::read`] and
+//! [`PageTable::update`] run inside that borrow and must not call back into
+//! the same table or the node's frames (the cell panics if they do).
 
 use std::collections::BTreeSet;
 
 use dsmpm2_madeleine::NodeId;
 use dsmpm2_sim::{BlockReason, EngineCtl, SimDuration, SimHandle, SliceCell, WaitSet};
 
+use crate::frames::Frame;
 use crate::page::{line_of_offset, Access, LineIx, PageId, PageMap, Unit, PAGE_SIZE};
 use crate::protocol::ProtocolId;
 
@@ -144,15 +147,17 @@ impl PageEntry {
     }
 }
 
-/// The entries of one page: line 0 inline, the page's other lines (none at
-/// whole-page granularity) in one boxed slice, line `i` at `rest[i - 1]`.
-struct PageLines {
+/// What one node keeps of one page: its entries — line 0 inline, the page's
+/// other lines (none at whole-page granularity) in one boxed slice, line `i`
+/// at `rest[i - 1]` — and its frame, if the node holds a copy.
+pub(crate) struct PageSlot {
     first: PageEntry,
     rest: Box<[PageEntry]>,
+    pub(crate) frame: Option<Frame>,
 }
 
-impl PageLines {
-    /// Fresh entries for every `line_size`-byte line of `page`.
+impl PageSlot {
+    /// Fresh entries for every `line_size`-byte line of `page`, no frame.
     fn new(
         page: PageId,
         line_size: usize,
@@ -162,26 +167,34 @@ impl PageLines {
     ) -> Self {
         let mut lines = Unit::all_of(page, line_size)
             .map(|unit| PageEntry::new_line(unit, line_size, home, protocol, records_writes));
-        PageLines {
+        PageSlot {
             first: lines.next().expect("a page has at least one line"),
             rest: lines.collect(),
+            frame: None,
         }
     }
 
-    #[inline(always)]
-    fn line(&self, line: LineIx) -> Option<&PageEntry> {
-        match line.index() {
-            0 => Some(&self.first),
-            i => self.rest.get(i - 1),
-        }
-    }
-
-    #[inline(always)]
     fn line_mut(&mut self, line: LineIx) -> Option<&mut PageEntry> {
         match line.index() {
             0 => Some(&mut self.first),
             i => self.rest.get_mut(i - 1),
         }
+    }
+
+    /// The entry of the unit holding byte `offset` (the one place an offset
+    /// is mapped to its line), and the page's frame beside it.
+    #[inline(always)]
+    pub(crate) fn unit_at(&mut self, offset: usize) -> (&mut PageEntry, &mut Option<Frame>) {
+        let line_size = self.first.line_size;
+        let entry = if line_size == PAGE_SIZE {
+            &mut self.first
+        } else {
+            match line_of_offset(offset, line_size).index() {
+                0 => &mut self.first,
+                i => &mut self.rest[i - 1],
+            }
+        };
+        (entry, &mut self.frame)
     }
 
     /// Every entry of the page, by line.
@@ -207,16 +220,40 @@ pub struct UnitView {
     pub records_writes: bool,
 }
 
-/// The page table of one node: one slot of entries per page, and one wait
-/// set whose waiters are keyed by the unit they block on — while it is fetched, or
-/// while acknowledgements for it are outstanding. One piece of simulated
-/// code runs at a time, which is why neither is behind a lock (see the
-/// module documentation). A thread blocks on a unit only through
-/// [`PageTable::wait_until`], the wait set's own loop, so its pending
-/// compute is slept off before it can be woken.
+impl UnitView {
+    #[inline(always)]
+    pub(crate) fn of(entry: &PageEntry) -> Self {
+        UnitView {
+            access: entry.access,
+            line: entry.unit.line,
+            line_size: entry.line_size,
+            protocol: entry.protocol,
+            records_writes: entry.records_writes,
+        }
+    }
+}
+
+/// A node's pages and its hit counters: all a typed-access hit reads or
+/// writes, in the one cell a hit borrows.
+#[derive(Default)]
+pub(crate) struct NodePages {
+    pub(crate) pages: PageMap<PageSlot>,
+    /// This node's share of [`crate::DsmStatsSnapshot::local_accesses`].
+    pub(crate) local_accesses: u64,
+    /// This node's share of [`crate::DsmStatsSnapshot::inline_checks`].
+    pub(crate) inline_checks: u64,
+}
+
+/// The page table of one node: one slot per page, holding the page's line
+/// entries and its frame, and one wait set whose waiters are keyed by the
+/// unit they block on — while it is fetched, or while acknowledgements for
+/// it are outstanding. One piece of simulated code runs at a time, which is
+/// why neither is behind a lock (see the module documentation). A thread
+/// blocks on a unit only through [`PageTable::wait_until`], the wait set's
+/// own loop, so its pending compute is slept off before it can be woken.
 pub struct PageTable {
-    node: NodeId,
-    entries: SliceCell<PageMap<PageLines>>,
+    pub(crate) node: NodeId,
+    pub(crate) slots: SliceCell<NodePages>,
     waiters: WaitSet<Unit>,
 }
 
@@ -225,16 +262,17 @@ impl PageTable {
     pub fn new(node: NodeId) -> Self {
         PageTable {
             node,
-            entries: SliceCell::default(),
+            slots: SliceCell::default(),
             waiters: WaitSet::new(),
         }
     }
 
-    /// Install the line entries of `page` at granularity `line_size` if none
-    /// exist yet (a `PAGE_SIZE` line gives the single whole-page entry). All
-    /// lines are created in one borrow. `records_writes` is `protocol`'s
-    /// [`crate::DsmProtocol::records_writes`].
-    pub fn ensure_lines(
+    /// Give `page` fresh entries, one per `line_size`-byte line (a
+    /// `PAGE_SIZE` line is the single whole-page entry), replacing any it
+    /// had; its frame, if the node holds one, stays. `records_writes` is
+    /// `protocol`'s [`crate::DsmProtocol::records_writes`]. Re-registering a
+    /// page (a protocol switch) needs all activity on it quiesced first.
+    pub fn register_lines(
         &self,
         page: PageId,
         home: NodeId,
@@ -242,22 +280,16 @@ impl PageTable {
         records_writes: bool,
         line_size: usize,
     ) {
-        self.entries
-            .borrow()
-            .slot(page)
-            .get_or_insert_with(|| PageLines::new(page, line_size, home, protocol, records_writes));
-    }
-
-    /// Drop every line entry of `page`. Only used when a region is
-    /// re-registered with a different protocol or granularity; the caller
-    /// must have quiesced all activity on the page first.
-    pub fn remove_page(&self, page: PageId) {
-        self.entries.borrow().remove(page);
+        let mut slots = self.slots.borrow();
+        let slot = slots.pages.slot(page);
+        let frame = slot.take().and_then(|old| old.frame);
+        let fresh = PageSlot::new(page, line_size, home, protocol, records_writes);
+        *slot = Some(PageSlot { frame, ..fresh });
     }
 
     /// True if the table knows about `page`.
     pub fn contains(&self, page: PageId) -> bool {
-        self.entries.borrow().contains(page)
+        self.slots.borrow().pages.get(page).is_some()
     }
 
     /// A copy of the entry for `unit`.
@@ -270,40 +302,25 @@ impl PageTable {
     }
 
     /// Resolve the coherence unit governing byte `offset` of `page` into a
-    /// [`UnitView`], or `None` if the page is unknown. This is the per-access
-    /// hot path: geometry, line entry and view all come from one borrow of
-    /// the entries and nothing is cloned. With `mark_write` — the access is a
-    /// write hit in the making — a unit that is writable is marked modified
-    /// since the last release in the same borrow; one that is not is left
-    /// alone (the access will fault and come back).
-    #[inline(always)]
-    pub fn resolve(&self, page: PageId, offset: usize, mark_write: bool) -> Option<UnitView> {
-        let mut entries = self.entries.borrow();
-        let lines = entries.get_mut(page)?;
-        let line_size = lines.first.line_size;
-        let entry = if line_size == PAGE_SIZE {
-            &mut lines.first
-        } else {
-            lines.line_mut(line_of_offset(offset, line_size))?
-        };
-        if mark_write && entry.access == Access::Write {
-            entry.modified_since_release = true;
-        }
-        Some(UnitView {
-            access: entry.access,
-            line: entry.unit.line,
-            line_size: entry.line_size,
-            protocol: entry.protocol,
-            records_writes: entry.records_writes,
-        })
+    /// [`UnitView`] — in one borrow, cloning nothing, as a typed access does
+    /// inside its own — or `None` if the page is unknown.
+    pub fn resolve(&self, page: PageId, offset: usize) -> Option<UnitView> {
+        let mut slots = self.slots.borrow();
+        let (entry, _) = slots.pages.get_mut(page)?.unit_at(offset);
+        Some(UnitView::of(entry))
     }
 
     /// Run `f` with shared access to the entry for `unit`, without cloning it
     /// (cloning copies the whole copyset), or return `None` if this node does
-    /// not know the unit. The entries stay borrowed for the duration of `f`:
-    /// never call back into the same table from inside.
+    /// not know the unit. The slots stay borrowed for the duration of `f`:
+    /// never call back into the same table or the node's frames from inside.
     pub fn try_read<R>(&self, unit: Unit, f: impl FnOnce(&PageEntry) -> R) -> Option<R> {
-        self.entries.borrow().get(unit.page)?.line(unit.line).map(f)
+        let mut slots = self.slots.borrow();
+        slots
+            .pages
+            .get_mut(unit.page)?
+            .line_mut(unit.line)
+            .map(|e| f(e))
     }
 
     /// [`PageTable::try_read`] for a unit that must be registered.
@@ -319,15 +336,16 @@ impl PageTable {
     /// # Panics
     /// Panics if the unit is not registered on this node.
     pub fn update<R>(&self, unit: Unit, f: impl FnOnce(&mut PageEntry) -> R) -> R {
-        let mut entries = self.entries.borrow();
-        let entry = entries
+        let mut slots = self.slots.borrow();
+        let entry = slots
+            .pages
             .get_mut(unit.page)
-            .and_then(|lines| lines.line_mut(unit.line))
+            .and_then(|slot| slot.line_mut(unit.line))
             .unwrap_or_else(|| self.unknown(unit));
         f(entry)
     }
 
-    fn unknown(&self, unit: Unit) -> ! {
+    pub(crate) fn unknown(&self, unit: Unit) -> ! {
         panic!(
             "node {} has no page-table entry for {}",
             self.node, unit.page
@@ -362,18 +380,12 @@ impl PageTable {
         self.waiters.notify_all(unit, ctl, SimDuration::ZERO);
     }
 
-    /// Every page registered in this table, ascending (each page once,
-    /// regardless of how many lines it is split into).
-    pub fn pages(&self) -> Vec<PageId> {
-        self.entries.borrow().iter().map(|(page, _)| page).collect()
-    }
-
     /// Coherence units this node wrote since the last release
     /// (release-consistency bookkeeping), sorted: the slots are walked by
     /// page and each page by line.
     pub fn modified_units(&self) -> Vec<Unit> {
-        let entries = self.entries.borrow();
-        let entries = entries.iter().flat_map(|(_, lines)| lines.iter());
+        let slots = self.slots.borrow();
+        let entries = slots.pages.iter().flat_map(|(_, slot)| slot.iter());
         entries
             .filter(|e| e.modified_since_release)
             .map(|e| e.unit)
@@ -382,13 +394,17 @@ impl PageTable {
 
     /// Number of entries (line entries count individually).
     pub fn len(&self) -> usize {
-        let entries = self.entries.borrow();
-        entries.iter().map(|(_, lines)| 1 + lines.rest.len()).sum()
+        let slots = self.slots.borrow();
+        slots
+            .pages
+            .iter()
+            .map(|(_, slot)| 1 + slot.rest.len())
+            .sum()
     }
 
     /// True if the table has no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.borrow().is_empty()
+        self.len() == 0
     }
 }
 
@@ -411,23 +427,33 @@ mod tests {
     fn at_both_geometries(check: impl Fn(&PageTable, usize, Unit)) {
         for line_size in [PAGE_SIZE, 1024] {
             let t = PageTable::new(NodeId(1));
-            t.ensure_lines(PAGE, NodeId(0), ProtocolId(0), false, line_size);
+            t.register_lines(PAGE, NodeId(0), ProtocolId(0), false, line_size);
             let last = LineIx(lines_per_page(line_size) - 1);
             check(&t, line_size, Unit::new(PAGE, last));
         }
     }
 
+    /// Registering a page again — a protocol switch does, at the same or
+    /// another granularity — gives it fresh entries and keeps its frame.
     #[test]
-    fn ensure_is_idempotent() {
+    fn registering_again_starts_afresh_and_keeps_the_frame() {
         at_both_geometries(|t, line_size, unit| {
-            let lines = PAGE_SIZE / line_size;
-            assert_eq!(t.len(), lines);
+            assert_eq!(t.len(), PAGE_SIZE / line_size);
             t.update(unit, |e| e.access = Access::Write);
-            t.ensure_lines(PAGE, NodeId(0), ProtocolId(0), false, line_size);
-            assert_eq!(t.get(unit).access, Access::Write);
-            assert_eq!(t.len(), lines);
-            assert!(!t.is_empty());
-            assert_eq!(t.pages(), vec![PAGE], "a page lists once");
+            let frame = Frame {
+                data: vec![7; PAGE_SIZE],
+                twins: Vec::new(),
+                recorded: Vec::new(),
+            };
+            t.slots.borrow().pages.get_mut(PAGE).unwrap().frame = Some(frame);
+            for again in [line_size, PAGE_SIZE / 2] {
+                t.register_lines(PAGE, NodeId(0), ProtocolId(0), false, again);
+                assert_eq!(t.access(unit), Access::None);
+                assert_eq!(t.len(), PAGE_SIZE / again);
+                let slots = t.slots.borrow();
+                let frame = slots.pages.get(PAGE).unwrap().frame.as_ref();
+                assert_eq!(frame.unwrap().data, vec![7; PAGE_SIZE]);
+            }
         });
     }
 
@@ -475,10 +501,8 @@ mod tests {
                 assert!(!t.get(Unit::whole(PAGE)).owned);
             }
             assert!(t.get(unit).owned);
-
-            t.remove_page(PAGE);
-            assert!(t.is_empty());
-            assert!(!t.contains(PAGE));
+            assert!(t.contains(PAGE) && !t.is_empty());
+            assert!(!t.contains(PageId(99)));
         });
     }
 
@@ -488,7 +512,7 @@ mod tests {
         use std::sync::Arc;
         for line_size in [PAGE_SIZE, 1024] {
             let t = Arc::new(PageTable::new(NodeId(1)));
-            t.ensure_lines(PAGE, NodeId(0), ProtocolId(0), false, line_size);
+            t.register_lines(PAGE, NodeId(0), ProtocolId(0), false, line_size);
             let unit = Unit::new(PAGE, LineIx(lines_per_page(line_size) - 1));
             let mut engine = Engine::new();
             let waiter = Arc::clone(&t);
@@ -527,7 +551,7 @@ mod tests {
         use std::sync::atomic::{AtomicU64, Ordering};
         use std::sync::Arc;
         let t = Arc::new(PageTable::new(NodeId(1)));
-        t.ensure_lines(PAGE, NodeId(0), ProtocolId(0), false, PAGE_SIZE);
+        t.register_lines(PAGE, NodeId(0), ProtocolId(0), false, PAGE_SIZE);
         let unit = Unit::whole(PAGE);
         let resumed_at = Arc::new(AtomicU64::new(0));
         let mut engine = Engine::new();
@@ -548,15 +572,14 @@ mod tests {
         assert_eq!(resumed_at.load(Ordering::SeqCst), 100_000);
     }
 
-    /// Pages come out ascending and modified units by page, then line,
-    /// however the pages were registered — below the first one included.
+    /// Modified units come out by page, then line, however the pages were
+    /// registered — below the first one included.
     #[test]
-    fn pages_and_modified_units_are_sorted() {
+    fn modified_units_are_sorted() {
         let t = PageTable::new(NodeId(0));
         for p in [5u64, 1, 3] {
-            t.ensure_lines(PageId(p), NodeId(0), ProtocolId(0), false, 1024);
+            t.register_lines(PageId(p), NodeId(0), ProtocolId(0), false, 1024);
         }
-        assert_eq!(t.pages(), vec![PageId(1), PageId(3), PageId(5)]);
         let written = [(5, 0), (1, 3), (3, 1), (5, 2), (1, 0)];
         for (page, line) in written {
             t.update(Unit::new(PageId(page), LineIx(line)), |e| {
@@ -569,9 +592,9 @@ mod tests {
         };
         let sorted = [(1, 0), (1, 3), (3, 1), (5, 0), (5, 2)];
         assert_eq!(t.modified_units(), units(&sorted));
-        t.remove_page(PageId(1));
+        t.register_lines(PageId(1), NodeId(0), ProtocolId(0), false, PAGE_SIZE);
         assert_eq!(t.modified_units(), units(&sorted[2..]));
-        assert_eq!((t.pages().len(), t.len()), (2, 8));
+        assert_eq!(t.len(), 9);
     }
 
     /// The lines of a split page share its slot: line 0 inline, the others
@@ -581,7 +604,7 @@ mod tests {
     fn the_lines_of_a_split_page_are_independent_entries() {
         let t = PageTable::new(NodeId(1));
         let page = PageId(4);
-        t.ensure_lines(page, NodeId(0), ProtocolId(2), false, 1024);
+        t.register_lines(page, NodeId(0), ProtocolId(2), false, 1024);
         let (first, third) = (Unit::whole(page), Unit::new(page, LineIx(2)));
         for unit in [first, third] {
             t.update(unit, |e| {
@@ -589,24 +612,22 @@ mod tests {
                 e.copyset.insert(NodeId(1));
             });
         }
-        assert_eq!(t.resolve(page, 8, true).unwrap().line, LINE0);
-        assert_eq!(t.resolve(page, 2048 + 8, false).unwrap().line, LineIx(2));
-        assert_eq!(t.modified_units(), vec![first], "only line 0 was written");
+        assert_eq!(t.resolve(page, 8).unwrap().line, LINE0);
+        assert_eq!(t.resolve(page, 2048 + 8).unwrap().line, LineIx(2));
         // Invalidate line 2 as a protocol would: rights and copy go.
         t.update(third, |e| {
             e.access = Access::None;
             e.copyset.clear();
         });
-        let view = t.resolve(page, 3000, true).unwrap();
+        let view = t.resolve(page, 3000).unwrap();
         assert_eq!((view.line, view.access), (LineIx(2), Access::None));
         assert_eq!(t.access(first), Access::Write, "line 0 keeps its rights");
         assert!(t.get(first).copyset.contains(&NodeId(1)));
         assert_eq!(t.access(Unit::new(page, LineIx(1))), Access::None);
         assert_eq!(t.try_read(Unit::new(page, LineIx(4)), |_| ()), None);
-        t.remove_page(page);
-        assert_eq!(t.resolve(page, 8, false), None);
-        t.ensure_lines(page, NodeId(0), ProtocolId(2), false, 1024);
+        t.register_lines(page, NodeId(0), ProtocolId(2), false, 1024);
         assert_eq!(t.access(first), Access::None, "re-registered afresh");
+        assert_eq!(t.resolve(PageId(5), 8), None);
     }
 
     #[test]
@@ -623,16 +644,16 @@ mod tests {
     }
 
     /// `resolve` at both geometries: picks the line of the offset, reports
-    /// that entry's rights / protocol / flag, marks only a writable unit and
-    /// only for a write, and knows no page it was not told about.
+    /// that entry's rights / protocol / flag, marks nothing, and knows no
+    /// page it was not told about.
     #[test]
     fn resolve_views_the_unit_of_an_offset() {
         for line_size in [PAGE_SIZE, 1024] {
             let t = PageTable::new(NodeId(1));
             let page = PageId(9);
-            t.ensure_lines(page, NodeId(0), ProtocolId(3), true, line_size);
+            t.register_lines(page, NodeId(0), ProtocolId(3), true, line_size);
             let last = LineIx(lines_per_page(line_size) - 1);
-            let view = |offset, mark| t.resolve(page, offset, mark).unwrap();
+            let view = |offset| t.resolve(page, offset).unwrap();
             t.set_access(Unit::new(page, last), Access::Read);
             let expected = UnitView {
                 access: Access::Read,
@@ -641,19 +662,16 @@ mod tests {
                 protocol: ProtocolId(3),
                 records_writes: true,
             };
-            assert_eq!(view(PAGE_SIZE - 8, true), expected);
-            assert!(t.modified_units().is_empty(), "not writable: not marked");
+            assert_eq!(view(PAGE_SIZE - 8), expected);
             t.set_access(Unit::new(page, last), Access::Write);
-            assert_eq!(view(PAGE_SIZE - 1, false).access, Access::Write);
-            assert!(t.modified_units().is_empty(), "a read marks nothing");
-            view(PAGE_SIZE - 8, true);
-            assert_eq!(t.modified_units(), vec![Unit::new(page, last)]);
-            assert_eq!(view(line_size - 1, false).line, LINE0);
+            assert_eq!(view(PAGE_SIZE - 1).access, Access::Write);
+            assert!(t.modified_units().is_empty(), "resolving marks nothing");
+            assert_eq!(view(line_size - 1).line, LINE0);
             if last != LINE0 {
-                assert_eq!(view(0, true).access, Access::None);
-                assert_eq!(view(line_size, false).line, LineIx(1));
+                assert_eq!(view(0).access, Access::None);
+                assert_eq!(view(line_size).line, LineIx(1));
             }
-            assert_eq!(t.resolve(PageId(10), 0, true), None);
+            assert_eq!(t.resolve(PageId(10), 0), None);
         }
     }
 

@@ -10,7 +10,7 @@ use dsmpm2_sim::{SliceCell, SliceRc, TickOutbox};
 
 use crate::costs::DsmCosts;
 use crate::ctx::DsmThreadCtx;
-use crate::frames::FrameStore;
+use crate::frames::{FrameStore, Spare};
 use crate::msg::DsmMsg;
 use crate::page::{
     pages_covering, validate_line_size, Access, DsmAddr, PageId, PageMap, Unit, PAGE_SIZE,
@@ -18,7 +18,7 @@ use crate::page::{
 };
 use crate::page_table::PageTable;
 use crate::protocol::{DsmProtocol, ProtocolId};
-use crate::stats::DsmStats;
+use crate::stats::{DsmStats, DsmStatsSnapshot};
 use crate::sync::{BarrierId, BarrierState, LockId, LockState};
 
 /// Static, cluster-wide information about one page (held identically by every
@@ -83,11 +83,6 @@ impl DsmAttr {
         self.granularity = Some(bytes);
         self
     }
-}
-
-struct NodeState {
-    table: PageTable,
-    frames: FrameStore,
 }
 
 /// The cluster-wide page directory, and which protocols it names.
@@ -201,7 +196,10 @@ pub(crate) struct RuntimeInner {
     /// Name of the threads serving the sub-messages of a coherence batch on
     /// each node (`dsm-batch@N<k>`).
     pub(crate) batch_thread_names: Vec<SliceRc<str>>,
-    nodes: Vec<NodeState>,
+    /// Each node's page table, its frames in the same slots.
+    nodes: Vec<PageTable>,
+    /// The page buffers the nodes gave back, for any node to reuse.
+    spare: SliceCell<Spare>,
     directory: SliceCell<Directory>,
     protocols: ProtocolRegistry,
     default_protocol: AtomicUsize,
@@ -210,7 +208,8 @@ pub(crate) struct RuntimeInner {
     /// table's length once it is in.
     locks: SliceCell<Vec<SliceRc<LockState>>>,
     barriers: SliceCell<Vec<SliceRc<BarrierState>>>,
-    stats: DsmStats,
+    /// Every DSM counter but the nodes' hit counters.
+    counters: SliceCell<DsmStatsSnapshot>,
     verify_hooks: Option<Arc<dyn crate::verify::VerifyHooks>>,
 }
 
@@ -240,14 +239,7 @@ impl DsmRuntime {
     /// Install the DSM layer with explicit cost constants (used by the
     /// ablation benchmarks).
     pub fn with_cluster_and_costs(cluster: Pm2Cluster, costs: DsmCosts) -> Self {
-        let nodes = cluster
-            .topology()
-            .nodes()
-            .map(|n| NodeState {
-                table: PageTable::new(n),
-                frames: FrameStore::new(n),
-            })
-            .collect();
+        let nodes: Vec<PageTable> = cluster.topology().nodes().map(PageTable::new).collect();
         let batch_thread_names = cluster
             .topology()
             .nodes()
@@ -262,13 +254,14 @@ impl DsmRuntime {
             batch_thread_names,
             cluster,
             costs,
+            spare: SliceCell::new(Spare::for_nodes(nodes.len())),
             nodes,
             directory: SliceCell::default(),
             protocols: ProtocolRegistry::new(),
             default_protocol: AtomicUsize::new(NO_DEFAULT),
             locks: SliceCell::default(),
             barriers: SliceCell::default(),
-            stats: DsmStats::new(),
+            counters: SliceCell::default(),
             verify_hooks: crate::verify::global_verify_hooks(),
         });
         DsmRuntime { inner }
@@ -308,18 +301,20 @@ impl DsmRuntime {
     }
 
     /// DSM statistics.
-    pub fn stats(&self) -> &DsmStats {
-        &self.inner.stats
+    pub fn stats(&self) -> DsmStats<'_> {
+        DsmStats::new(&self.inner.counters, &self.inner.nodes)
     }
 
     /// The page table of `node`.
+    #[inline]
     pub fn page_table(&self, node: NodeId) -> &PageTable {
-        &self.inner.nodes[node.index()].table
+        &self.inner.nodes[node.index()]
     }
 
-    /// The frame store of `node`.
-    pub fn frames(&self, node: NodeId) -> &FrameStore {
-        &self.inner.nodes[node.index()].frames
+    /// The frames of `node`: the frame-side methods over its page table's
+    /// slots.
+    pub fn frames(&self, node: NodeId) -> FrameStore<'_> {
+        FrameStore::new(self.page_table(node), &self.inner.spare)
     }
 
     // ----- protocol registry -------------------------------------------------
@@ -409,7 +404,7 @@ impl DsmRuntime {
 
     /// True if `page` belongs to a DSM allocation.
     pub fn is_dsm_page(&self, page: PageId) -> bool {
-        self.inner.directory.borrow().pages.contains(page)
+        self.inner.directory.borrow().pages.get(page).is_some()
     }
 
     // ----- allocation --------------------------------------------------------
@@ -464,8 +459,13 @@ impl DsmRuntime {
                 },
             );
             for node in self.inner.cluster.topology().nodes() {
-                self.page_table(node)
-                    .ensure_lines(page, home, protocol, records_writes, line_size);
+                self.page_table(node).register_lines(
+                    page,
+                    home,
+                    protocol,
+                    records_writes,
+                    line_size,
+                );
             }
             self.grant_to_home(page, home, line_size, 0);
             self.frames(home).ensure_zeroed(page);
@@ -642,11 +642,11 @@ impl DsmRuntime {
                 }
             } else {
                 // Geometry change (sub-page region clamped back to whole
-                // pages): rebuild the entries at the new line size.
+                // pages): rebuild the entries at the new line size; the
+                // home's frame stays in its slot.
                 let version = self.page_table(home).read(Unit::whole(page), |e| e.version) + 1;
                 for node in self.inner.cluster.topology().nodes() {
-                    self.page_table(node).remove_page(page);
-                    self.page_table(node).ensure_lines(
+                    self.page_table(node).register_lines(
                         page,
                         home,
                         new_protocol,

@@ -9,13 +9,18 @@
 
 use dsmpm2_sim::SliceCell;
 
+use crate::page_table::PageTable;
+
 /// Counters collected by the DSM generic core. Every bump comes from
 /// simulated code, which the engine runs one piece at a time, so the counters
-/// are plain integers in a [`SliceCell`]: a bump is a load and a store, not
-/// an atomic read-modify-write.
-#[derive(Debug, Default)]
-pub struct DsmStats {
-    counters: SliceCell<DsmStatsSnapshot>,
+/// are plain integers in [`SliceCell`]s: a bump is a load and a store, not
+/// an atomic read-modify-write. A hit's two, `local_accesses` and
+/// `inline_checks`, sit in its node's page-table cell, which the hit holds
+/// borrowed anyway; the others in one cell of the runtime.
+#[derive(Clone, Copy, Debug)]
+pub struct DsmStats<'a> {
+    counters: &'a SliceCell<DsmStatsSnapshot>,
+    nodes: &'a [PageTable],
 }
 
 /// A plain-value snapshot of [`DsmStats`].
@@ -47,9 +52,9 @@ pub struct DsmStatsSnapshot {
     pub barriers: u64,
     /// Thread migrations triggered by DSM protocols.
     pub thread_migrations: u64,
-    /// Accesses served entirely locally (fast path).
+    /// Accesses served entirely locally (fast path), summed over nodes.
     pub local_accesses: u64,
-    /// Explicit inline locality checks performed.
+    /// Explicit inline locality checks performed, summed over nodes.
     pub inline_checks: u64,
     /// Page requests forwarded along the probable-owner chain.
     pub request_forwards: u64,
@@ -67,13 +72,19 @@ pub struct DsmStatsSnapshot {
 }
 
 macro_rules! counter_methods {
-    ($($field:ident => $inc:ident),* $(,)?) => {
-        impl DsmStats {
+    ($($field:ident => $inc:ident),*; $($sum:ident => $add:ident),*) => {
+        impl DsmStats<'_> {
             $(
                 /// Increment the corresponding counter.
                 #[inline]
                 pub fn $inc(&self) {
                     self.counters.borrow().$field += 1;
+                }
+            )*
+            $(
+                /// Add `n` to the corresponding counter.
+                pub fn $add(&self, n: u64) {
+                    self.counters.borrow().$sum += n;
                 }
             )*
         }
@@ -92,36 +103,28 @@ counter_methods!(
     lock_releases => incr_lock_release,
     barriers => incr_barrier,
     thread_migrations => incr_thread_migration,
-    local_accesses => incr_local_access,
-    inline_checks => incr_inline_check,
     request_forwards => incr_request_forward,
-    coherence_batches => incr_coherence_batch,
+    coherence_batches => incr_coherence_batch;
+    page_bytes => add_page_bytes,
+    diff_bytes => add_diff_bytes,
+    coherence_batched_messages => add_coherence_batched_messages
 );
 
-impl DsmStats {
-    /// New, zeroed statistics.
-    pub fn new() -> Self {
-        DsmStats::default()
+impl<'a> DsmStats<'a> {
+    /// The counters in `counters`, with the hit counters of `nodes`.
+    pub(crate) fn new(counters: &'a SliceCell<DsmStatsSnapshot>, nodes: &'a [PageTable]) -> Self {
+        DsmStats { counters, nodes }
     }
 
-    /// Account `bytes` of page payload for one page transfer.
-    pub fn add_page_bytes(&self, bytes: u64) {
-        self.counters.borrow().page_bytes += bytes;
-    }
-
-    /// Account `bytes` of diff payload.
-    pub fn add_diff_bytes(&self, bytes: u64) {
-        self.counters.borrow().diff_bytes += bytes;
-    }
-
-    /// Account `n` coherence messages coalesced into one batched envelope.
-    pub fn add_coherence_batched_messages(&self, n: u64) {
-        self.counters.borrow().coherence_batched_messages += n;
-    }
-
-    /// A copy of every counter.
+    /// A copy of every counter, the hit counters summed over nodes.
     pub fn snapshot(&self) -> DsmStatsSnapshot {
-        *self.counters.borrow()
+        let mut snapshot = *self.counters.borrow();
+        for table in self.nodes {
+            let node = table.slots.borrow();
+            snapshot.local_accesses += node.local_accesses;
+            snapshot.inline_checks += node.inline_checks;
+        }
+        snapshot
     }
 }
 
@@ -135,17 +138,22 @@ impl DsmStatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dsmpm2_madeleine::NodeId;
 
     #[test]
     fn counters_increment_independently() {
-        let s = DsmStats::new();
+        let counters = SliceCell::default();
+        let nodes = [PageTable::new(NodeId(0)), PageTable::new(NodeId(1))];
+        let s = DsmStats::new(&counters, &nodes);
         s.incr_read_fault();
         s.incr_read_fault();
         s.incr_write_fault();
         s.incr_page_transfer();
         s.add_page_bytes(4096);
         s.incr_thread_migration();
-        s.incr_inline_check();
+        nodes[0].slots.borrow().inline_checks += 1;
+        nodes[1].slots.borrow().inline_checks += 2;
+        nodes[1].slots.borrow().local_accesses += 5;
         let snap = s.snapshot();
         assert_eq!(snap.read_faults, 2);
         assert_eq!(snap.write_faults, 1);
@@ -153,13 +161,15 @@ mod tests {
         assert_eq!(snap.page_transfers, 1);
         assert_eq!(snap.page_bytes, 4096);
         assert_eq!(snap.thread_migrations, 1);
-        assert_eq!(snap.inline_checks, 1);
+        assert_eq!(snap.inline_checks, 3, "summed over nodes");
+        assert_eq!(snap.local_accesses, 5);
         assert_eq!(snap.invalidations, 0);
     }
 
     #[test]
     fn snapshot_is_plain_data() {
-        let s = DsmStats::new();
+        let counters = SliceCell::default();
+        let s = DsmStats::new(&counters, &[]);
         s.incr_lock_acquire();
         let a = s.snapshot();
         let b = a; // Copy
@@ -169,7 +179,8 @@ mod tests {
 
     #[test]
     fn diff_accounting() {
-        let s = DsmStats::new();
+        let counters = SliceCell::default();
+        let s = DsmStats::new(&counters, &[]);
         s.incr_diff_sent();
         s.add_diff_bytes(120);
         s.incr_twin_created();

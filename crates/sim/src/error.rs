@@ -5,7 +5,7 @@ use std::fmt;
 use crate::time::SimTime;
 
 /// Errors reported by [`crate::Engine::run`].
-#[derive(Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum SimError {
     /// All remaining simulated threads are parked and no events are pending:
     /// the simulated program can never make progress again.

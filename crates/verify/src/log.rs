@@ -217,7 +217,7 @@ impl RecordingHooks {
 /// resolves it.
 fn unit_of(rt: &DsmRuntime, access: &MemAccess) -> UnitView {
     rt.page_table(access.node)
-        .resolve(access.page, access.addr.offset(), false)
+        .resolve(access.page, access.addr.offset())
         .expect("the access went through the typed accessors: its page is registered")
 }
 

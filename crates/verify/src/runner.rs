@@ -88,7 +88,7 @@ pub struct RunOutcome {
     /// thread panicked.
     pub events: u64,
     /// Engine error, if the run did not complete (e.g. the event budget).
-    pub error: Option<String>,
+    pub error: Option<SimError>,
     /// Per-thread sequence of values observed by `Read` and `Add` ops.
     pub observed: Vec<Vec<u64>>,
     /// Recorded verification log (empty when uninstrumented).
@@ -109,7 +109,7 @@ impl RunOutcome {
         if let Some(error) = &self.error {
             findings.push(Finding {
                 kind: FindingKind::FinalMemory,
-                detail: format!("{}: run failed: {error}", scenario.name),
+                detail: format!("{}: run failed: {error:?}", scenario.name),
             });
             return findings;
         }
@@ -299,7 +299,7 @@ pub fn run_scenario(scenario: &Scenario, cfg: &RunConfig) -> RunOutcome {
             {
                 outcome.events = events;
             }
-            outcome.error = Some(format!("{error:?}"));
+            outcome.error = Some(error);
         }
     }
     outcome.final_words = pages

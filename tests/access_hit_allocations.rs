@@ -239,6 +239,49 @@ fn page_pingpong() -> u64 {
     counted.load(Ordering::SeqCst)
 }
 
+/// Page-sized allocations over `CYCLES` read-replication rounds under
+/// `li_hudak_fixed` — node 0 writes a page it owns, node 1 reads it (a
+/// snapshot on node 0, which node 1 adopts as its frame) and node 0's next
+/// write invalidates node 1's copy — after as many warm-up rounds.
+fn read_replication() -> u64 {
+    let (mut engine, rt, _) = cluster("li_hudak_fixed");
+    let base = rt.dsm_malloc(
+        PAGE_SIZE as u64,
+        DsmAttr::default().home(HomePolicy::Fixed(NodeId(0))),
+    );
+    let barrier = rt.create_barrier(2, None);
+    let counted = Arc::new(AtomicU64::new(u64::MAX));
+    for node in 0..2 {
+        let out = counted.clone();
+        rt.spawn_dsm_thread(NodeId(node), "replicator", move |ctx| {
+            let mut before = 0;
+            for round in 0..2 * CYCLES {
+                if round == CYCLES {
+                    before = PAGE_ALLOCATIONS.load(Ordering::Relaxed);
+                }
+                if node == 0 {
+                    ctx.write::<u64>(base, round);
+                }
+                ctx.dsm_barrier(barrier);
+                if node == 1 {
+                    assert_eq!(ctx.read::<u64>(base), round);
+                }
+                ctx.dsm_barrier(barrier);
+            }
+            if node == 0 {
+                out.store(
+                    PAGE_ALLOCATIONS.load(Ordering::Relaxed) - before,
+                    Ordering::SeqCst,
+                );
+            }
+        });
+    }
+    engine.run().expect("the replicas meet at every barrier");
+    let stats = rt.stats().snapshot();
+    assert!(stats.page_transfers >= 2 * CYCLES && stats.invalidations >= 2 * CYCLES - 1);
+    counted.load(Ordering::SeqCst)
+}
+
 /// A one-way service that counts its requests: in the arrival event when
 /// `threaded` is false (its requests cannot block), else in a handler thread
 /// per request, which charges a microsecond and ends owing it.
@@ -433,6 +476,16 @@ fn access_hits_do_not_allocate() {
     // back and forth. The parent measured two page allocations per transfer.
     let pages = page_pingpong();
     assert_eq!(pages, 0, "a page transfer allocated a page-sized buffer");
+    // Read copies flow one way: the owner snapshots each one it serves and
+    // the reader drops it when the next write invalidates it. The pool is
+    // the run's, so the reader's dropped copy is the owner's next snapshot.
+    // With one pool per node the owner's never refilled: the parent
+    // measured one page allocation per round.
+    let pages = read_replication();
+    assert_eq!(
+        pages, 0,
+        "a read-replication round allocated a page-sized buffer"
+    );
     // A lone coherence message is parked inline and drained without a list:
     // the end-of-instant flush's closure, the payload's box, the arrival
     // event's closure and the serving call's closure. The parent of the

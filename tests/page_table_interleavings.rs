@@ -105,7 +105,7 @@ fn run_interleaving(ops: &[Op], protocol: &str, granularity: Option<usize>) -> V
     for table in (0..NODES).map(|n| rt.page_table(NodeId(n))) {
         for addr in (0..PAGES * NODES).map(|i| slot(i / NODES, i % NODES)) {
             let view = table
-                .resolve(addr.page(), addr.offset(), false)
+                .resolve(addr.page(), addr.offset())
                 .expect("allocated pages are registered on every node");
             assert_eq!(view.line, line_of_offset(addr.offset(), view.line_size));
             let entry = table.get(Unit::new(addr.page(), view.line));
