@@ -11,17 +11,16 @@
 //! `java_ic` protocol); [`DsmThreadCtx::checked_read`] and
 //! [`DsmThreadCtx::checked_write_recorded`] model that path.
 //!
-//! A hit is one inlined pass and one borrow: the thread's node is read once,
-//! and one borrow of that node's page table resolves the unit, checks the
-//! rights, marks, records, counts and moves the bytes — the frame and the
-//! hit counters sit beside the entries, and the page is one subtraction and
-//! one bounds check away from the address (`PageMap`). The leaves the pass
-//! reaches in other crates (the node, the clock charge, the scalar codecs)
-//! carry `#[inline]`, because a build without LTO — the benchmark package's
-//! — otherwise makes each a real call on every access; the pass itself
-//! carries `#[inline(always)]`: LLVM kept the hit path's steps out of line
-//! under the hint, which cost `stencil_local` a third of its time. Only a
-//! miss leaves the caller's code.
+//! A hit is one inlined pass under one borrow of the node's page table: it
+//! resolves the unit, checks the rights, marks, records, counts and moves
+//! the bytes, the frame and the hit counters sitting beside the entries
+//! (`PageMap`: one subtraction and one bounds check). Its leaves in other
+//! crates (the node, the clock charge, the scalar codecs) carry `#[inline]`,
+//! as a build without LTO (the benchmark package's) would call each; the
+//! pass itself carries `#[inline(always)]`, as LLVM kept its steps out of
+//! line under the hint (a third of `stencil_local`'s time). Only a miss
+//! leaves the caller's code; [`DsmThreadCtx::ensure_access`] is the same
+//! pass, stopped at the rights.
 
 use dsmpm2_madeleine::NodeId;
 
@@ -69,22 +68,25 @@ fn check_within_page(addr: DsmAddr, size: usize) {
     );
 }
 
+/// What a pass of [`DsmThreadCtx::hit`] does once the rights permit it.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Pass {
+    /// A typed access: mark a write, record it if the protocol does, count.
+    Access,
+    /// The same, the written range recorded whatever the protocol.
+    Recorded,
+    /// An inline locality check (`java_ic`), then a recorded access.
+    Checked,
+    /// The rights only ([`DsmThreadCtx::ensure_access`]).
+    Rights,
+}
+
 impl DsmThreadCtx<'_, '_> {
-    /// Make sure the calling thread's node holds `needed` rights on the page
-    /// containing `addr`, taking page faults (and running the protocol's
-    /// fault handlers) as long as it does not. This is the access-detection
-    /// loop without the access: "on exiting the fault handler the thread
-    /// repeats the access".
+    /// Make sure the calling thread's node holds `needed` rights on the unit
+    /// of `addr`, taking page faults (running the protocol's fault handlers)
+    /// until it does: the access-detection loop without the access.
     pub fn ensure_access(&mut self, addr: DsmAddr, needed: Access) {
-        loop {
-            let (node, page) = (self.node(), addr.page());
-            let unit = self.runtime.page_table(node).resolve(page, addr.offset());
-            let unit = unit.unwrap_or_else(|| outside(addr, node));
-            if unit.access.permits(needed) {
-                return;
-            }
-            self.fault(addr, needed, unit);
-        }
+        self.access(addr, 0, needed, Pass::Rights, |_| ());
     }
 
     /// The access-detection loop around [`DsmThreadCtx::hit`]: on a miss,
@@ -96,12 +98,11 @@ impl DsmThreadCtx<'_, '_> {
         addr: DsmAddr,
         len: usize,
         needed: Access,
-        record: bool,
+        pass: Pass,
         mut copy: impl FnMut(&mut [u8]) -> R,
     ) -> R {
-        check_within_page(addr, len);
         loop {
-            match self.hit(addr, len, needed, record, false, &mut copy) {
+            match self.hit(addr, len, needed, pass, &mut copy) {
                 Ok(out) => return out,
                 Err(unit) => self.fault(addr, needed, unit),
             }
@@ -136,11 +137,8 @@ impl DsmThreadCtx<'_, '_> {
 
     /// One access of the `len` bytes at `addr` on the thread's node, in one
     /// borrow of its page table: resolve the unit and, if the node holds
-    /// `needed` rights, mark a written unit modified, log the range if
-    /// `record` or the unit's protocol records writes, count the hit and let
-    /// `copy` move the bytes. A miss changes nothing and returns the unit's
-    /// view. With `check` it is an explicit inline locality check
-    /// (`java_ic`), charged and counted hit or miss. Panics on an address
+    /// `needed` rights, do what `pass` says, `copy` moving the bytes. A miss
+    /// changes nothing and returns the unit's view. Panics on an address
     /// outside every allocation, and on one straddling a line of a sub-page
     /// region (rights are per line: it would be covered on its first only).
     #[inline(always)]
@@ -149,12 +147,13 @@ impl DsmThreadCtx<'_, '_> {
         addr: DsmAddr,
         len: usize,
         needed: Access,
-        record: bool,
-        check: bool,
+        pass: Pass,
         copy: &mut impl FnMut(&mut [u8]) -> R,
     ) -> Result<R, UnitView> {
+        check_within_page(addr, len);
         let (rt, node) = (&self.runtime, self.node());
         let (page, offset) = (addr.page(), addr.offset());
+        let check = pass == Pass::Checked;
         if check {
             self.pm2.sim.charge(rt.costs().inline_check);
         }
@@ -182,12 +181,15 @@ impl DsmThreadCtx<'_, '_> {
             if !entry.access.permits(needed) {
                 return Err(UnitView::of(entry));
             }
+            if pass == Pass::Rights {
+                return Ok(copy(&mut []));
+            }
             let frame = frame
                 .as_mut()
                 .expect("a node with rights on a page holds its frame");
             if needed == Access::Write {
                 entry.modified_since_release = true;
-                if record || entry.records_writes {
+                if matches!(pass, Pass::Recorded | Pass::Checked) || entry.records_writes {
                     frame.recorded.push((offset, len));
                 }
             }
@@ -212,7 +214,7 @@ impl DsmThreadCtx<'_, '_> {
 
     /// Read a scalar from shared memory (faulting as needed).
     pub fn read<T: DsmScalar>(&mut self, addr: DsmAddr) -> T {
-        self.access(addr, T::SIZE, Access::Read, false, |b| T::load_le(b))
+        self.access(addr, T::SIZE, Access::Read, Pass::Access, |b| T::load_le(b))
     }
 
     /// Read a scalar behind an explicit inline locality check instead of
@@ -222,10 +224,10 @@ impl DsmThreadCtx<'_, '_> {
     /// `get` under `java_ic`).
     #[inline]
     pub fn checked_read<T: DsmScalar>(&mut self, addr: DsmAddr) -> Option<T> {
-        check_within_page(addr, T::SIZE);
-        let mut load = |b: &mut [u8]| T::load_le(b);
-        self.hit(addr, T::SIZE, Access::Read, false, true, &mut load)
-            .ok()
+        self.hit(addr, T::SIZE, Access::Read, Pass::Checked, &mut |b| {
+            T::load_le(b)
+        })
+        .ok()
     }
 
     /// Write a scalar to shared memory (faulting as needed). When the page's
@@ -234,13 +236,17 @@ impl DsmThreadCtx<'_, '_> {
     /// [`DsmThreadCtx::write_recorded`] would — plain writes stay portable
     /// across every registered protocol.
     pub fn write<T: DsmScalar>(&mut self, addr: DsmAddr, value: T) {
-        self.access(addr, T::SIZE, Access::Write, false, |b| value.store_le(b));
+        self.access(addr, T::SIZE, Access::Write, Pass::Access, |b| {
+            value.store_le(b)
+        });
     }
 
     /// Write a scalar and record the modified range with field granularity
     /// (the on-the-fly diff recording used by the Java protocols' `put`).
     pub fn write_recorded<T: DsmScalar>(&mut self, addr: DsmAddr, value: T) {
-        self.access(addr, T::SIZE, Access::Write, true, |b| value.store_le(b));
+        self.access(addr, T::SIZE, Access::Write, Pass::Recorded, |b| {
+            value.store_le(b)
+        });
     }
 
     /// [`DsmThreadCtx::write_recorded`] behind an explicit inline locality
@@ -251,15 +257,14 @@ impl DsmThreadCtx<'_, '_> {
     /// `put` under `java_ic`).
     #[inline]
     pub fn checked_write_recorded<T: DsmScalar>(&mut self, addr: DsmAddr, value: T) -> bool {
-        check_within_page(addr, T::SIZE);
         let mut store = |b: &mut [u8]| value.store_le(b);
-        self.hit(addr, T::SIZE, Access::Write, true, true, &mut store)
+        self.hit(addr, T::SIZE, Access::Write, Pass::Checked, &mut store)
             .is_ok()
     }
 
     /// Read `buf.len()` bytes from shared memory (must not cross a page).
     pub fn read_bytes(&mut self, addr: DsmAddr, buf: &mut [u8]) {
-        self.access(addr, buf.len(), Access::Read, false, |b| {
+        self.access(addr, buf.len(), Access::Read, Pass::Access, |b| {
             buf.copy_from_slice(b)
         });
     }
@@ -268,7 +273,7 @@ impl DsmThreadCtx<'_, '_> {
     /// field granularity when the page's protocol records writes on the fly
     /// (see [`DsmThreadCtx::write`]).
     pub fn write_bytes(&mut self, addr: DsmAddr, bytes: &[u8]) {
-        self.access(addr, bytes.len(), Access::Write, false, |b| {
+        self.access(addr, bytes.len(), Access::Write, Pass::Access, |b| {
             b.copy_from_slice(bytes)
         });
     }
@@ -301,7 +306,7 @@ mod tests {
 
     /// The checked write skips fault detection, not the rights: on a copy
     /// the node may only read, it refuses. A store there would reach the
-    /// frame while `resolve` (rightly) left the unit unmarked, so no release
+    /// frame while the refused hit (rightly) left the unit unmarked, so no release
     /// would ever ship it — the bug of the unchecked `write_local` the
     /// checked write replaced, which stored the 2 below without a word.
     #[test]

@@ -84,9 +84,8 @@ pub(crate) struct Spare {
 impl Spare {
     /// An empty pool for a run of `nodes` nodes.
     pub(crate) fn for_nodes(nodes: usize) -> Self {
-        let cap = SPARE_BUFFERS * nodes;
         Spare {
-            cap,
+            cap: SPARE_BUFFERS * nodes,
             ..Spare::default()
         }
     }
@@ -148,10 +147,7 @@ impl<'a> FrameStore<'a> {
     /// True if the node currently holds a copy of `page`.
     pub fn has(&self, page: PageId) -> bool {
         let slots = self.table.slots.borrow();
-        slots
-            .pages
-            .get(page)
-            .is_some_and(|slot| slot.frame.is_some())
+        slots.pages.get(page).is_some_and(|s| s.frame.is_some())
     }
 
     /// Make sure a zero-filled frame exists for `page` (used when a page is

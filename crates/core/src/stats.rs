@@ -119,8 +119,7 @@ impl<'a> DsmStats<'a> {
     /// A copy of every counter, the hit counters summed over nodes.
     pub fn snapshot(&self) -> DsmStatsSnapshot {
         let mut snapshot = *self.counters.borrow();
-        for table in self.nodes {
-            let node = table.slots.borrow();
+        for node in self.nodes.iter().map(|table| table.slots.borrow()) {
             snapshot.local_accesses += node.local_accesses;
             snapshot.inline_checks += node.inline_checks;
         }
