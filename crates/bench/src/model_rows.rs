@@ -212,11 +212,8 @@ fn overhead_sweep(rows: &mut Rows) {
     for overhead_us in [0u64, 13, 26, 52, 104] {
         let mut engine = Engine::new();
         let cluster = Pm2Cluster::new(&engine, Pm2Config::bip_myrinet(2));
-        let half = SimDuration::from_nanos(overhead_us * 500);
         let costs = DsmCosts {
-            install_overhead: half,
-            serve_overhead: half,
-            ..DsmCosts::default()
+            transfer_overhead: SimDuration::from_nanos(overhead_us * 500),
         };
         let rt = DsmRuntime::with_cluster_and_costs(cluster, costs);
         let protos = register_builtin_protocols(&rt);

@@ -24,6 +24,7 @@
 
 use dsmpm2_madeleine::NodeId;
 
+use crate::costs;
 use crate::ctx::DsmThreadCtx;
 use crate::page::{line_range, Access, DsmAddr, Unit, PAGE_SIZE};
 use crate::page_table::{NodePages, UnitView};
@@ -114,7 +115,7 @@ impl DsmThreadCtx<'_, '_> {
     #[cold]
     fn fault(&mut self, addr: DsmAddr, needed: Access, unit: UnitView) {
         let rt = &self.runtime;
-        self.pm2.sim.charge(rt.costs().page_fault);
+        self.pm2.sim.charge(costs::PAGE_FAULT);
         match needed {
             Access::Write => rt.stats().incr_write_fault(),
             _ => rt.stats().incr_read_fault(),
@@ -155,7 +156,7 @@ impl DsmThreadCtx<'_, '_> {
         let (page, offset) = (addr.page(), addr.offset());
         let check = pass == Pass::Checked;
         if check {
-            self.pm2.sim.charge(rt.costs().inline_check);
+            self.pm2.sim.charge(costs::INLINE_CHECK);
         }
         let out = {
             let mut slots = rt.page_table(node).slots.borrow();
@@ -196,7 +197,7 @@ impl DsmThreadCtx<'_, '_> {
             *local_accesses += 1;
             copy(&mut frame.data[offset..offset + len])
         };
-        self.pm2.sim.charge(rt.costs().local_access);
+        self.pm2.sim.charge(costs::LOCAL_ACCESS);
         if let Some(hooks) = rt.hooks() {
             let access = crate::verify::MemAccess {
                 time: self.pm2.sim.now(),

@@ -32,7 +32,7 @@
 
 mod access;
 mod comm;
-mod costs;
+pub mod costs;
 mod ctx;
 mod diff;
 mod frames;

@@ -108,9 +108,13 @@ pub fn lines_per_page(line_size: usize) -> u16 {
 }
 
 /// The line containing byte `offset` of a page split into `line_size` lines.
+/// A shift, not a division: every line size the runtime admits divides
+/// [`PAGE_SIZE`] and so is a power of two.
+#[inline]
 pub fn line_of_offset(offset: usize, line_size: usize) -> LineIx {
     debug_assert!(offset < PAGE_SIZE);
-    LineIx((offset / line_size) as u16)
+    debug_assert!(line_size.is_power_of_two());
+    LineIx((offset >> line_size.trailing_zeros()) as u16)
 }
 
 /// Byte range `(offset, len)` of `line` within its page.
@@ -329,6 +333,22 @@ mod tests {
         assert!(!Access::None.permits(Access::Read));
         assert!(Access::None.permits(Access::None));
         assert!(Access::None < Access::Read && Access::Read < Access::Write);
+    }
+
+    /// The shift gives the quotient for every admitted line size and every
+    /// offset of a page.
+    #[test]
+    fn line_of_offset_shifts_like_it_divides() {
+        let sizes: Vec<usize> = (MIN_LINE_SIZE..=PAGE_SIZE)
+            .filter(|&s| PAGE_SIZE.is_multiple_of(s))
+            .map(validate_line_size)
+            .collect();
+        assert_eq!(sizes, [64, 128, 256, 512, 1024, 2048, 4096]);
+        for s in sizes {
+            for o in 0..PAGE_SIZE {
+                assert_eq!(line_of_offset(o, s).index(), o / s, "offset {o}, size {s}");
+            }
+        }
     }
 
     #[test]

@@ -5,9 +5,9 @@
 //! owner, home node, copyset); protocols reuse or ignore fields according to
 //! their own page-management strategy, exactly as in the original design
 //! where "a field may have different semantics in different protocols and may
-//! even be left unused by some protocols". Generic auxiliary fields
-//! (`aux_node`, `flags`, `pending_acks`, ...) give user-defined protocols
-//! room to stash their own per-page state without modifying the core.
+//! even be left unused by some protocols". A protocol that needs per-page
+//! state beyond these fields keeps it in its own tables, as `entry_sw` and
+//! `hlrc_notices` do, without modifying the core.
 //!
 //! # One key
 //!
@@ -104,10 +104,6 @@ pub struct PageEntry {
     /// True if this node wrote the page since the last release (used by the
     /// release-consistency protocols to know what to flush).
     pub modified_since_release: bool,
-    /// Generic per-protocol node hint (e.g. the node to forward to).
-    pub aux_node: Option<NodeId>,
-    /// Generic per-protocol flag word.
-    pub flags: u32,
 }
 
 impl PageEntry {
@@ -136,8 +132,6 @@ impl PageEntry {
             pending_fetch: false,
             pending_acks: 0,
             modified_since_release: false,
-            aux_node: None,
-            flags: 0,
         }
     }
 

@@ -13,6 +13,7 @@ use std::sync::Arc;
 
 use dsmpm2_madeleine::NodeId;
 
+use crate::costs;
 use crate::ctx::{DsmThreadCtx, ServerCtx};
 use crate::diff::PageDiff;
 use crate::msg::{Invalidation, PageRequest, PageTransfer};
@@ -131,7 +132,7 @@ pub trait DsmProtocol: Send + Sync + 'static {
             e.version += 1;
             e.copyset.insert(from);
         });
-        ctx.sim.charge(runtime.costs().diff_apply(bytes));
+        ctx.sim.charge(costs::diff_apply(bytes));
     }
 }
 

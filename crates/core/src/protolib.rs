@@ -22,6 +22,7 @@
 use dsmpm2_madeleine::NodeId;
 use dsmpm2_sim::{BlockReason, SimHandle};
 
+use crate::costs;
 use crate::ctx::DsmThreadCtx;
 use crate::diff::PageDiff;
 use crate::msg::{Invalidation, PageRequest, PageTransfer};
@@ -54,7 +55,7 @@ pub fn request_page_and_wait(
                 e.pending_fetch = true;
                 e.fetch_seq += 1;
             });
-            sim.charge(rt.costs().table_update);
+            sim.charge(costs::TABLE_UPDATE);
             // Write requests go to the page's home node, which acts as the
             // acquisition manager (Li & Hudak's improved centralized
             // manager); reads follow the ownership-history hint with the
@@ -110,7 +111,7 @@ pub fn defer_while_fetching(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, 
     // away again: the node is guaranteed at least one successful local access
     // per page acquisition, which is what makes heavy write contention
     // starvation-free.
-    sim.sleep(rt.costs().table_update);
+    sim.sleep(costs::TABLE_UPDATE);
 }
 
 /// Install a unit received from another node: store the contents, set the
@@ -139,8 +140,8 @@ pub fn install_received_page(
             e.copyset.insert(node);
         }
     });
-    sim.charge(rt.costs().install_overhead);
-    sim.charge(rt.costs().table_update);
+    sim.charge(rt.costs().transfer_overhead);
+    sim.charge(costs::TABLE_UPDATE);
     if transfer.grant == Access::Write && transfer.owner == node {
         notify_home_acquired(sim, node, rt, unit, transfer.version);
     }
@@ -182,7 +183,7 @@ pub fn install_write_ownership(
         e.owner_version = e.owner_version.max(transfer.version);
         e.pending_fetch = false;
     });
-    sim.charge(rt.costs().install_overhead);
+    sim.charge(rt.costs().transfer_overhead);
     notify_home_acquired(sim, node, rt, unit, transfer.version);
     table.notify_all(unit, sim.ctl());
 }
@@ -192,7 +193,7 @@ pub fn install_write_ownership(
 /// read-only copy. The serving node remains the owner.
 pub fn serve_read_copy(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, req: &PageRequest) {
     let table = rt.page_table(node);
-    sim.charge(rt.costs().serve_overhead);
+    sim.charge(rt.costs().transfer_overhead);
     let (version, span) = table.update(req.unit, |e| {
         if crate::mutant::active("copyset_wipe") {
             // Historical bug: the read server rebuilt the copyset from
@@ -221,7 +222,7 @@ pub fn serve_read_copy(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, req: 
 /// and the copyset; the local unit loses all rights.
 pub fn serve_write_transfer(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, req: &PageRequest) {
     let table = rt.page_table(node);
-    sim.charge(rt.costs().serve_overhead);
+    sim.charge(rt.costs().transfer_overhead);
     let (copyset, version, span) = table.update(req.unit, |e| {
         let mut copyset: Vec<NodeId> = e.copyset.iter().copied().collect();
         copyset.retain(|&n| n != req.requester);
@@ -416,7 +417,7 @@ pub fn apply_invalidation(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, in
         e.line_span()
     });
     rt.frames(node).invalidate(inv.unit, span);
-    sim.charge(rt.costs().table_update);
+    sim.charge(costs::TABLE_UPDATE);
     if inv.needs_ack {
         rt.send_invalidate_ack(sim, node, inv.from, inv.unit);
     }
@@ -473,7 +474,7 @@ pub fn migrate_thread_to_page(ctx: &mut DsmThreadCtx<'_, '_>, unit: Unit) {
             e.copyset.retain(|n| !targets.contains(n));
             e.copyset.insert(node);
         });
-        sim.charge(rt.costs().table_update);
+        sim.charge(costs::TABLE_UPDATE);
         return;
     }
     let target = if entry.prob_owner == node {
@@ -482,7 +483,7 @@ pub fn migrate_thread_to_page(ctx: &mut DsmThreadCtx<'_, '_>, unit: Unit) {
         entry.prob_owner
     };
     rt.stats().incr_thread_migration();
-    ctx.pm2.sim.charge(rt.costs().migration_overhead);
+    ctx.pm2.sim.charge(costs::MIGRATION_OVERHEAD);
     ctx.pm2.migrate_to(target);
 }
 
@@ -492,7 +493,7 @@ pub fn ensure_twin(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, unit: Uni
     let span = rt.page_table(node).read(unit, |e| e.line_span());
     if rt.frames(node).make_twin(unit, span) {
         rt.stats().incr_twin_created();
-        sim.charge(rt.costs().twin_create);
+        sim.charge(costs::TWIN_CREATE);
     }
 }
 
@@ -505,7 +506,7 @@ pub fn write_fault_with_twin(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime,
     if rt.frames(node).has(unit.page) && table.access(unit) != Access::None {
         ensure_twin(sim, node, rt, unit);
         table.set_access(unit, Access::Write);
-        sim.charge(rt.costs().table_update);
+        sim.charge(costs::TABLE_UPDATE);
     } else {
         request_page_and_wait(sim, node, rt, unit, Access::Write);
         ensure_twin(sim, node, rt, unit);
@@ -571,7 +572,7 @@ pub fn flush_diffs_to_homes(
         outgoing.push(if use_recorded {
             rt.frames(node).take_recorded_diff(unit.page)
         } else {
-            sim.charge(rt.costs().diff_compute);
+            sim.charge(costs::DIFF_COMPUTE);
             rt.frames(node).take_twin_diff(unit, offset)
         });
     }
@@ -597,7 +598,7 @@ pub fn reprotect_after_flush(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime,
     for &unit in units {
         if rt.page_meta(unit.page).home != node && table.access(unit) == Access::Write {
             table.set_access(unit, Access::Read);
-            sim.charge(rt.costs().table_update);
+            sim.charge(costs::TABLE_UPDATE);
         }
     }
 }
@@ -647,7 +648,7 @@ pub fn serve_copy_from_home(
     grant: Access,
 ) {
     let table = rt.page_table(node);
-    sim.charge(rt.costs().serve_overhead);
+    sim.charge(rt.costs().transfer_overhead);
     let (version, span) = table.update(req.unit, |e| {
         e.copyset.insert(req.requester);
         (e.version, e.line_span())

@@ -236,8 +236,8 @@ impl DsmRuntime {
         Self::with_cluster_and_costs(Pm2Cluster::new(engine, config), DsmCosts::default())
     }
 
-    /// Install the DSM layer with explicit cost constants (used by the
-    /// ablation benchmarks).
+    /// Install the DSM layer with an explicit page-transfer overhead (the
+    /// overhead sweep of the bench crate's ablation 1).
     pub fn with_cluster_and_costs(cluster: Pm2Cluster, costs: DsmCosts) -> Self {
         let nodes: Vec<PageTable> = cluster.topology().nodes().map(PageTable::new).collect();
         let batch_thread_names = cluster
@@ -295,7 +295,8 @@ impl DsmRuntime {
         self.inner.cluster.num_nodes()
     }
 
-    /// DSM cost constants.
+    /// The runtime's settable cost, the page-transfer overhead; every other
+    /// cost is a constant of [`crate::costs`].
     pub fn costs(&self) -> &DsmCosts {
         &self.inner.costs
     }
@@ -365,15 +366,6 @@ impl DsmRuntime {
             .iter()
             .position(|p| p.name() == name)
             .map(ProtocolId)
-    }
-
-    /// Names of every registered protocol, in registration order.
-    pub fn protocol_names(&self) -> Vec<String> {
-        self.inner
-            .protocols
-            .iter()
-            .map(|p| p.name().to_string())
-            .collect()
     }
 
     /// The protocol managing `page`.
@@ -485,15 +477,6 @@ impl DsmRuntime {
                 e.version = version;
             });
         }
-    }
-
-    /// Effective coherence granularity, in bytes per line, of the allocation
-    /// containing `addr` — after protocol-capability clamping, and following
-    /// [`DsmRuntime::switch_region_protocol`] — or `None` if `addr` lies
-    /// outside every allocation.
-    pub fn region_granularity(&self, addr: DsmAddr) -> Option<usize> {
-        let directory = self.inner.directory.borrow();
-        directory.pages.get(addr.page()).map(|meta| meta.line_size)
     }
 
     /// Allocate the "static" shared data area (the `BEGIN_DSM_DATA` /
@@ -803,7 +786,6 @@ mod tests {
             assert_eq!(rt.protocol(ProtocolId(i)).name(), name);
             assert_eq!(rt.protocol_by_name(name), Some(ProtocolId(i)));
         }
-        assert_eq!(rt.protocol_names(), names);
         assert!(rt.inner.protocols.get(names.len()).is_none());
         assert!(rt.inner.protocols.get(usize::MAX).is_none());
     }

@@ -238,36 +238,39 @@ mod tests {
     #[test]
     fn sync_event_accessors_cover_every_variant() {
         let t = SimTime::from_nanos(5);
+        let mut engine = crate::Engine::new();
+        let thread = engine.spawn("t", |_| {});
+        engine.run().unwrap();
         let events = [
             SyncEvent::LockAcquired {
                 time: t,
                 node: NodeId(1),
-                thread: ThreadId::from_u64(3),
+                thread,
                 lock: LockId(7),
             },
             SyncEvent::LockReleasing {
                 time: t,
                 node: NodeId(1),
-                thread: ThreadId::from_u64(3),
+                thread,
                 lock: LockId(7),
             },
             SyncEvent::BarrierEnter {
                 time: t,
                 node: NodeId(1),
-                thread: ThreadId::from_u64(3),
+                thread,
                 barrier: BarrierId(9),
             },
             SyncEvent::BarrierExit {
                 time: t,
                 node: NodeId(1),
-                thread: ThreadId::from_u64(3),
+                thread,
                 barrier: BarrierId(9),
             },
         ];
         for e in events {
             assert_eq!(e.time(), t);
             assert_eq!(e.node(), NodeId(1));
-            assert_eq!(e.thread(), ThreadId::from_u64(3));
+            assert_eq!(e.thread(), thread);
         }
     }
 }

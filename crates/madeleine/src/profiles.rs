@@ -69,23 +69,6 @@ pub fn all() -> Vec<NetworkModel> {
     ]
 }
 
-/// Look a profile up by (case-insensitive) name; accepts both the full names
-/// used in the paper ("BIP/Myrinet") and short aliases ("bip", "sci", ...).
-pub fn by_name(name: &str) -> Option<NetworkModel> {
-    let lower = name.to_ascii_lowercase();
-    match lower.as_str() {
-        "bip" | "bip/myrinet" | "myrinet" => Some(bip_myrinet()),
-        "tcp" | "tcp/myrinet" => Some(tcp_myrinet()),
-        "ethernet" | "fast-ethernet" | "tcp/fastethernet" | "tcp/fast ethernet" => {
-            Some(tcp_fast_ethernet())
-        }
-        "sci" | "sisci" | "sisci/sci" => Some(sisci_sci()),
-        _ => all()
-            .into_iter()
-            .find(|m| m.name.to_ascii_lowercase() == lower),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,17 +137,6 @@ mod tests {
         );
         // But migration is cheapest on SCI, then BIP.
         assert!(sisci_sci().thread_migration_time() < bip_myrinet().thread_migration_time());
-    }
-
-    #[test]
-    fn by_name_resolves_aliases() {
-        assert_eq!(by_name("bip").unwrap().name, "BIP/Myrinet");
-        assert_eq!(by_name("SISCI/SCI").unwrap().name, "SISCI/SCI");
-        assert_eq!(
-            by_name("tcp/fastethernet").unwrap().name,
-            "TCP/FastEthernet"
-        );
-        assert!(by_name("infiniband").is_none());
     }
 
     #[test]

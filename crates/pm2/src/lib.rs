@@ -46,6 +46,5 @@ pub use dsmpm2_madeleine::{
     WireStatsSnapshot,
 };
 pub use dsmpm2_sim::{
-    BlockReason, Engine, EngineConfig, EngineCtl, SimDuration, SimError, SimHandle, SimTime,
-    ThreadId,
+    BlockReason, Engine, EngineCtl, SimDuration, SimError, SimHandle, SimTime, ThreadId,
 };

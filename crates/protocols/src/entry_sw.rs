@@ -22,7 +22,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use dsmpm2_core::protolib;
+use dsmpm2_core::{costs, protolib};
 use dsmpm2_core::{
     pages_covering, Access, ConsistencyModel, DsmAddr, DsmProtocol, DsmThreadCtx, FaultInfo,
     Invalidation, LockId, PageId, PageRequest, PageTransfer, ServerCtx, SliceCell, Unit,
@@ -163,7 +163,7 @@ impl DsmProtocol for EntryConsistency {
                 if rt.frames(node).has(unit.page) && !unpublished {
                     rt.frames(node).evict(unit.page);
                     table.set_access(unit, Access::None);
-                    ctx.pm2.sim.charge(rt.costs().table_update);
+                    ctx.pm2.sim.charge(costs::TABLE_UPDATE);
                 }
                 continue;
             }
@@ -174,7 +174,7 @@ impl DsmProtocol for EntryConsistency {
             if !unpublished {
                 rt.frames(node).evict(unit.page);
                 table.set_access(unit, Access::None);
-                ctx.pm2.sim.charge(rt.costs().table_update);
+                ctx.pm2.sim.charge(costs::TABLE_UPDATE);
             }
             protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, unit, Access::Write);
             protolib::ensure_twin(ctx.pm2.sim, node, &rt, unit);

@@ -9,7 +9,7 @@
 //! invalidates third-party copies; a third-party writer that receives such an
 //! invalidation first pushes its own pending diffs, then drops its copy.
 
-use dsmpm2_core::protolib;
+use dsmpm2_core::{costs, protolib};
 use dsmpm2_core::{
     Access, ConsistencyModel, DsmProtocol, DsmThreadCtx, FaultInfo, Invalidation, LockId, NodeId,
     PageDiff, PageRequest, PageTransfer, ServerCtx,
@@ -83,9 +83,9 @@ impl DsmProtocol for HbrcMw {
                 e.access = Access::None;
                 e.line_span().0
             });
-            ctx.sim.charge(rt.costs().table_update);
+            ctx.sim.charge(costs::TABLE_UPDATE);
             let diff = rt.frames(node).take_twin_diff(unit, offset);
-            ctx.sim.charge(rt.costs().diff_compute);
+            ctx.sim.charge(costs::DIFF_COMPUTE);
             // The diff must be integrated at the home before we acknowledge
             // the invalidation, otherwise the invalidator can proceed (and
             // other nodes can refetch) while the reference copy is still
@@ -158,7 +158,7 @@ impl DsmProtocol for HbrcMw {
         let unit = diff.unit;
         rt.frames(node).apply_diff(unit.page, &diff);
         rt.page_table(node).update(unit, |e| e.version += 1);
-        ctx.sim.charge(rt.costs().diff_apply(diff.modified_bytes()));
+        ctx.sim.charge(costs::diff_apply(diff.modified_bytes()));
         // Home-based invalidation of third-party copies: nodes other than the
         // releaser lose their (now stale) copies and will refetch on demand.
         protolib::home_invalidate_other_copies(ctx.sim, node, rt, unit, from);

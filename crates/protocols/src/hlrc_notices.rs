@@ -24,7 +24,7 @@
 use std::collections::BTreeSet;
 use std::collections::HashMap;
 
-use dsmpm2_core::protolib;
+use dsmpm2_core::{costs, protolib};
 use dsmpm2_core::{
     Access, ConsistencyModel, DsmProtocol, DsmThreadCtx, FaultInfo, Invalidation, LockId, NodeId,
     PageId, PageRequest, PageTransfer, ServerCtx, SliceCell, Unit,
@@ -160,7 +160,7 @@ impl DsmProtocol for HlrcNotices {
             // Processing one notice is a page-table lookup + update; the
             // notices themselves travel with the lock grant we already paid
             // for.
-            ctx.pm2.sim.charge(rt.costs().table_update);
+            ctx.pm2.sim.charge(costs::TABLE_UPDATE);
             if rt.page_meta(unit.page).home == node {
                 // The home copy is authoritative (diffs were applied there).
                 continue;

@@ -21,7 +21,7 @@
 //! The object layer (crate `dsmpm2-hyperion`) selects the access path based
 //! on the protocol name.
 
-use dsmpm2_core::protolib;
+use dsmpm2_core::{costs, protolib};
 use dsmpm2_core::{
     Access, ConsistencyModel, DsmProtocol, DsmThreadCtx, FaultInfo, Invalidation, LockId, PageId,
     PageRequest, PageTransfer, ServerCtx, Unit,
@@ -127,7 +127,7 @@ impl DsmProtocol for JavaConsistency {
             // blocking diff push, so concurrent local writes fault and
             // refetch instead of landing in the frame we are about to evict.
             rt.page_table(node).set_access(inv.unit, Access::None);
-            ctx.sim.charge(rt.costs().table_update);
+            ctx.sim.charge(costs::TABLE_UPDATE);
             let diff = rt.frames(node).take_recorded_diff(page);
             protolib::push_diffs_and_wait(ctx.sim, node, rt, vec![diff]);
         }
@@ -169,7 +169,7 @@ impl DsmProtocol for JavaConsistency {
                 e.modified_since_release = false;
             });
         }
-        ctx.pm2.sim.charge(rt.costs().table_update);
+        ctx.pm2.sim.charge(costs::TABLE_UPDATE);
     }
 
     fn lock_release(&self, ctx: &mut DsmThreadCtx<'_, '_>, _lock: LockId) {

@@ -70,21 +70,6 @@ pub struct BuiltinProtocols {
     pub java_pf: ProtocolId,
 }
 
-impl BuiltinProtocols {
-    /// Look a built-in protocol up by its paper name.
-    pub fn by_name(&self, name: &str) -> Option<ProtocolId> {
-        match name {
-            "li_hudak" => Some(self.li_hudak),
-            "migrate_thread" => Some(self.migrate_thread),
-            "erc_sw" => Some(self.erc_sw),
-            "hbrc_mw" => Some(self.hbrc_mw),
-            "java_ic" => Some(self.java_ic),
-            "java_pf" => Some(self.java_pf),
-            _ => None,
-        }
-    }
-}
-
 /// Register the six built-in protocols on `runtime` and return their ids.
 /// Does not change the default protocol.
 pub fn register_builtin_protocols(runtime: &DsmRuntime) -> BuiltinProtocols {
@@ -113,18 +98,6 @@ pub struct ExtensionProtocols {
     pub entry: Arc<EntryConsistency>,
     /// Handle used to inspect the lazy protocol's write-notice state.
     pub hlrc: Arc<HlrcNotices>,
-}
-
-impl ExtensionProtocols {
-    /// Look an extension protocol up by name.
-    pub fn by_name(&self, name: &str) -> Option<ProtocolId> {
-        match name {
-            "li_hudak_fixed" => Some(self.li_hudak_fixed),
-            "entry_sw" => Some(self.entry_sw),
-            "hlrc_notices" => Some(self.hlrc_notices),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Debug for ExtensionProtocols {
@@ -179,21 +152,25 @@ mod tests {
 
     #[test]
     fn builtin_registration_exposes_paper_names() {
-        let (_engine, rt, builtins) = setup(2);
-        assert_eq!(
-            rt.protocol_names(),
-            vec![
-                "li_hudak",
-                "migrate_thread",
-                "erc_sw",
-                "hbrc_mw",
-                "java_ic",
-                "java_pf"
-            ]
-        );
-        assert_eq!(rt.protocol_by_name("hbrc_mw"), Some(builtins.hbrc_mw));
-        assert_eq!(builtins.by_name("li_hudak"), Some(builtins.li_hudak));
-        assert_eq!(builtins.by_name("nope"), None);
+        let (_engine, rt, b) = setup(2);
+        let names = [
+            "li_hudak",
+            "migrate_thread",
+            "erc_sw",
+            "hbrc_mw",
+            "java_ic",
+            "java_pf",
+        ];
+        let ids = [
+            b.li_hudak,
+            b.migrate_thread,
+            b.erc_sw,
+            b.hbrc_mw,
+            b.java_ic,
+            b.java_pf,
+        ];
+        assert_eq!(names.map(|n| rt.protocol_by_name(n)), ids.map(Some));
+        assert_eq!(rt.protocol_by_name("nope"), None);
     }
 
     /// li_hudak: a value written on the home node is read correctly from a
@@ -552,8 +529,6 @@ mod extension_tests {
         );
         assert_eq!(rt.protocol_by_name("entry_sw"), Some(ext.entry_sw));
         assert_eq!(rt.protocol_by_name("hlrc_notices"), Some(ext.hlrc_notices));
-        assert_eq!(ext.by_name("entry_sw"), Some(ext.entry_sw));
-        assert_eq!(ext.by_name("nope"), None);
         assert!(format!("{ext:?}").contains("ExtensionProtocols"));
     }
 
@@ -787,12 +762,8 @@ mod extension_tests {
         fn run(proto_name: &'static str) -> u64 {
             let engine = Engine::new();
             let rt = DsmRuntime::new(&engine, Pm2Config::bip_myrinet(3));
-            let (builtins, extensions) = register_all_protocols(&rt);
-            let proto = builtins
-                .by_name(proto_name)
-                .or_else(|| extensions.by_name(proto_name))
-                .unwrap();
-            rt.set_default_protocol(proto);
+            register_all_protocols(&rt);
+            rt.set_default_protocol(rt.protocol_by_name(proto_name).unwrap());
             let addr = rt.dsm_malloc(4096, DsmAttr::default().home(HomePolicy::Fixed(NodeId(0))));
             let lock = rt.create_lock(Some(NodeId(0)));
             let b = rt.create_barrier(3, None);

@@ -52,11 +52,10 @@ use std::panic::{self, AssertUnwindSafe};
 /// exists, so CI can exercise the non-x86-64 downgrade on x86-64 hosts.
 pub(crate) const SUPPORTED: bool = cfg!(all(target_arch = "x86_64", not(dsm_force_no_coro)));
 
-/// Default private stack size of one continuation. Committed lazily by the
-/// OS (the buffer is allocated but never written ahead of use), so the cost
-/// of an oversized default is address space, not memory. Deeply recursive
-/// workloads raise this via `SpawnOptions::stack_bytes`.
-pub(crate) const DEFAULT_STACK_BYTES: usize = 1 << 20;
+/// Private stack size of every continuation. Committed lazily by the OS
+/// (the buffer is allocated but never written ahead of use), so the cost of
+/// an oversized stack is address space, not memory.
+const DEFAULT_STACK_BYTES: usize = 1 << 20;
 
 /// Magic word written at the low end of the stack; checked after every
 /// slice. Heap stacks have no guard page, so this is the (best-effort)
@@ -181,8 +180,8 @@ unsafe impl Send for Coro {}
 
 impl Coro {
     /// Create a suspended coroutine that will run `body` on a fresh stack of
-    /// `stack_bytes` when first resumed.
-    pub fn new(body: Box<dyn FnOnce() + Send>, stack_bytes: usize) -> Self {
+    /// [`DEFAULT_STACK_BYTES`] when first resumed.
+    pub fn new(body: Box<dyn FnOnce() + Send>) -> Self {
         // Compile-time constant per target; the engine checks `SUPPORTED`
         // before choosing this backing, so reaching here unsupported is a
         // bug.
@@ -193,7 +192,7 @@ impl Coro {
                 "continuation hand-off unsupported on this target"
             );
         }
-        let mut stack: Vec<u8> = Vec::with_capacity(stack_bytes.max(64 * 1024));
+        let mut stack: Vec<u8> = Vec::with_capacity(DEFAULT_STACK_BYTES);
         let base = stack.as_mut_ptr() as usize;
         let top = (base + stack.capacity()) & !15;
         // Plant the overflow canary at the lowest word (aligned up).
@@ -254,7 +253,7 @@ impl Coro {
             // (the coroutine just suspended on this very OS thread).
             unsafe { self.canary_at().read() } == CANARY,
             "simulated-thread stack overflow: the continuation overran its private \
-             stack (raise SpawnOptions::stack_bytes)"
+             1 MiB stack"
         );
         self.done
     }
@@ -343,7 +342,7 @@ mod tests {
                 unsafe { (*p).yield_to_scheduler() };
             }
         });
-        let mut coro = Box::new(Coro::new(body, 256 * 1024));
+        let mut coro = Box::new(Coro::new(body));
         shared.store(&mut *coro, Ordering::SeqCst);
         let mut resumes = 0;
         // SAFETY: single-threaded test — this loop is the only resumer, and
@@ -363,7 +362,7 @@ mod tests {
             let caught = panic::catch_unwind(|| panic!("inner"));
             assert!(caught.is_err());
         });
-        let mut coro = Box::new(Coro::new(body, 256 * 1024));
+        let mut coro = Box::new(Coro::new(body));
         // SAFETY: sole resumer of a fresh suspended coroutine.
         assert!(unsafe { coro.resume() });
     }
@@ -378,13 +377,10 @@ mod tests {
         }
         let drops = Arc::new(AtomicUsize::new(0));
         let guard = Guard(drops.clone());
-        let coro = Box::new(Coro::new(
-            Box::new(move || {
-                let _g = &guard;
-                unreachable!("body must not run");
-            }),
-            128 * 1024,
-        ));
+        let coro = Box::new(Coro::new(Box::new(move || {
+            let _g = &guard;
+            unreachable!("body must not run");
+        })));
         assert!(!coro.is_started());
         drop(coro);
         assert_eq!(drops.load(Ordering::SeqCst), 1, "captured state must drop");

@@ -68,7 +68,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use crate::cell::{SliceCell, SliceRc};
-use crate::continuation::{Coro, DEFAULT_STACK_BYTES};
+use crate::continuation::Coro;
 use crate::error::SimError;
 use crate::handle::SimHandle;
 use crate::thread::{Backing, SchedHandle, ThreadId, ThreadSlot};
@@ -90,27 +90,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Spawn options and slice outcomes
+// Block reasons
 // ---------------------------------------------------------------------------
-
-/// Per-thread overrides for [`Engine::spawn_with`] /
-/// [`crate::SimHandle::spawn_with`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SpawnOptions {
-    /// Private stack size for this thread: the worker's coroutine stack
-    /// (default 1 MiB, committed lazily), or its OS thread's stack on targets
-    /// without a stack switch. A thread runs on an idle worker whose stack is
-    /// at least this large, or on a new one.
-    pub stack_bytes: Option<usize>,
-}
-
-impl SpawnOptions {
-    /// This set of options with an explicit stack size.
-    pub fn with_stack_bytes(mut self, bytes: usize) -> Self {
-        self.stack_bytes = Some(bytes);
-        self
-    }
-}
 
 /// Why a simulated thread yielded its slice back to the scheduler. Reified
 /// at every yield site (sleep, wait sets, channels, DSM faults) so the
@@ -142,37 +123,6 @@ pub(crate) const BLOCK_REASONS: [BlockReason; 6] = [
     BlockReason::Rpc,
     BlockReason::Barrier,
 ];
-
-/// What a slice reported when it yielded: the scheduler-visible outcome of
-/// one resumption of a simulated thread.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SliceOutcome {
-    /// The thread advanced virtual time and scheduled its own wake-up.
-    Yielded(SimTime),
-    /// The thread blocked for `reason`; some other party will wake it.
-    Blocked(BlockReason),
-    /// The thread's body completed; it will never run again.
-    Done,
-}
-
-/// Configuration for an [`Engine`].
-#[derive(Clone, Debug)]
-pub struct EngineConfig {
-    /// Upper bound on the number of processed events before the run aborts.
-    /// Guards against runaway simulations in tests and benchmarks.
-    pub max_events: u64,
-    /// Human-readable label used in traces.
-    pub name: String,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            max_events: 50_000_000,
-            name: "sim".to_string(),
-        }
-    }
-}
 
 /// Summary of a completed simulation run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -351,7 +301,9 @@ pub(crate) struct Shared {
     /// Raised when `controller` holds something, so the per-event scheduler
     /// loop and the transport hot paths poll one word instead of the cell.
     controlled: AtomicBool,
-    config: EngineConfig,
+    /// Processed events after which the run aborts with
+    /// [`SimError::EventLimitExceeded`].
+    max_events: u64,
 }
 
 impl Shared {
@@ -427,7 +379,6 @@ impl Shared {
         name: SliceRc<str>,
         start_at: SimTime,
         shard_key: Option<u64>,
-        opts: SpawnOptions,
         f: F,
     ) -> ThreadId
     where
@@ -444,39 +395,21 @@ impl Shared {
         let key = shard_key
             .or_else(|| self.executing_shard())
             .unwrap_or(tid.0);
-        let stack_bytes = opts.stack_bytes.unwrap_or(DEFAULT_STACK_BYTES);
-        let idle = threads
-            .idle
-            .iter()
-            .rposition(|&w| threads.workers[w].slot.stack_bytes >= stack_bytes);
-        let slot = match idle {
-            Some(at) => {
-                let w = threads.idle.swap_remove(at);
-                SliceRc::clone(&threads.workers[w].slot)
-            }
-            None => self.new_worker(&mut threads, opts),
+        let slot = match threads.idle.pop() {
+            Some(w) => SliceRc::clone(&threads.workers[w].slot),
+            None => self.new_worker(&mut threads),
         };
         slot.occupy(tid, name, key, Box::new(f));
         self.schedule_wake(slot, tid, start_at);
         tid
     }
 
-    /// Make a worker for `opts`' stack, vacant, enter it in `threads` and
-    /// start it up to its first park: a coroutine whose first resume is its
-    /// first occupant's first grant, or an OS thread parked until then.
-    fn new_worker(
-        self: &Arc<Self>,
-        threads: &mut ThreadTable,
-        opts: SpawnOptions,
-    ) -> SliceRc<ThreadSlot> {
+    /// Make a worker, vacant, enter it in `threads` and start it up to its
+    /// first park: a coroutine whose first resume is its first occupant's
+    /// first grant, or an OS thread parked until then.
+    fn new_worker(self: &Arc<Self>, threads: &mut ThreadTable) -> SliceRc<ThreadSlot> {
         let index = threads.workers.len();
-        let stack_bytes = opts.stack_bytes.unwrap_or(DEFAULT_STACK_BYTES);
-        let slot = SliceRc::new(ThreadSlot::new(
-            index,
-            stack_bytes,
-            Backing::PLATFORM,
-            &self.sched,
-        ));
+        let slot = SliceRc::new(ThreadSlot::new(index, Backing::PLATFORM, &self.sched));
         // The worker's handle for life, and its reference to this `Shared`:
         // teardown breaks the cycle by ending the worker.
         let mut handle = SimHandle::new(
@@ -487,15 +420,12 @@ impl Shared {
         );
         let os_thread = match Backing::PLATFORM {
             Backing::Continuation => {
-                slot.init_continuation(Coro::new(Box::new(move || work(&mut handle)), stack_bytes));
+                slot.init_continuation(Coro::new(Box::new(move || work(&mut handle))));
                 None
             }
             Backing::Baton => {
-                let mut builder = std::thread::Builder::new().name(format!("sim-worker-{index}"));
-                if let Some(bytes) = opts.stack_bytes {
-                    builder = builder.stack_size(bytes);
-                }
-                let thread = builder
+                let thread = std::thread::Builder::new()
+                    .name(format!("sim-worker-{index}"))
                     .spawn(move || {
                         if handle.slot.park_and_wait() {
                             work(&mut handle);
@@ -656,8 +586,7 @@ impl EngineCtl {
         F: FnOnce(&mut SimHandle) + Send + 'static,
     {
         let now = self.now();
-        self.shared
-            .spawn_thread(name.into(), now, None, SpawnOptions::default(), f)
+        self.shared.spawn_thread(name.into(), now, None, f)
     }
 
     /// Spawn a simulated thread bound to shard `shard_key` (see
@@ -687,13 +616,8 @@ impl EngineCtl {
     where
         F: FnOnce(&mut SimHandle) + Send + 'static,
     {
-        self.shared.spawn_thread(
-            name.into(),
-            start_at,
-            Some(shard_key),
-            SpawnOptions::default(),
-            f,
-        )
+        self.shared
+            .spawn_thread(name.into(), start_at, Some(shard_key), f)
     }
 
     /// The engine's installed [`ScheduleController`], if any. Transport
@@ -721,13 +645,15 @@ pub struct Engine {
 }
 
 impl Engine {
-    /// Create a new engine with the default configuration.
+    /// Create a new engine that aborts a run after 50 million events.
     pub fn new() -> Self {
-        Engine::with_config(EngineConfig::default())
+        Engine::with_event_limit(50_000_000)
     }
 
-    /// Create a new engine with an explicit configuration.
-    pub fn with_config(config: EngineConfig) -> Self {
+    /// Create a new engine that aborts a run with
+    /// [`SimError::EventLimitExceeded`] once it has processed more than
+    /// `max_events` events: the guard against a runaway simulation.
+    pub fn with_event_limit(max_events: u64) -> Self {
         Engine {
             shared: Arc::new(Shared {
                 now: AtomicU64::new(0),
@@ -744,7 +670,7 @@ impl Engine {
                 panic_flag: AtomicBool::new(false),
                 controller: SliceCell::new(None),
                 controlled: AtomicBool::new(false),
-                config,
+                max_events,
             }),
             ran: false,
         }
@@ -768,17 +694,8 @@ impl Engine {
     where
         F: FnOnce(&mut SimHandle) + Send + 'static,
     {
-        self.spawn_with(name, SpawnOptions::default(), f)
-    }
-
-    /// Spawn a simulated thread with per-thread [`SpawnOptions`] (a private
-    /// stack sized for deep recursion).
-    pub fn spawn_with<F>(&self, name: impl Into<SliceRc<str>>, opts: SpawnOptions, f: F) -> ThreadId
-    where
-        F: FnOnce(&mut SimHandle) + Send + 'static,
-    {
         let now = self.shared.now();
-        self.shared.spawn_thread(name.into(), now, None, opts, f)
+        self.shared.spawn_thread(name.into(), now, None, f)
     }
 
     /// Spawn a simulated thread bound to shard `shard_key`: all its wake-ups
@@ -913,9 +830,9 @@ impl Engine {
             last_pop = Some((event.time, event.seq));
             shared.now.store(event.time, Ordering::Relaxed);
             processed += 1;
-            if processed > shared.config.max_events {
+            if processed > shared.max_events {
                 return Err(SimError::EventLimitExceeded {
-                    limit: shared.config.max_events,
+                    limit: shared.max_events,
                 });
             }
             context_switches += u64::from(execute_event(&ctl, event));
@@ -1102,6 +1019,34 @@ mod tests {
         }
     }
 
+    /// A deadlock report names the reason of each thread's latest park, not
+    /// of an earlier one, and not its sleeps.
+    #[test]
+    fn deadlock_names_each_threads_latest_park_reason() {
+        let mut engine = Engine::new();
+        let (tx, rx) = crate::channel::channel::<u32>(engine.ctl());
+        let a = engine.spawn("a", move |h| {
+            assert_eq!(rx.recv(h), 7);
+            h.sleep(SimDuration::from_micros(5));
+            WaitSet::<()>::new().wait_until_why((), h, BlockReason::Barrier, || false);
+        });
+        let b = engine.spawn("b", move |h| {
+            h.sleep(SimDuration::from_micros(1));
+            tx.send(h, 7);
+            WaitSet::<()>::new().wait_until_why((), h, BlockReason::Rpc, || false);
+        });
+        match engine.run() {
+            Err(SimError::Deadlock { parked_threads, .. }) => assert_eq!(
+                parked_threads,
+                [
+                    format!("a ({a}) blocked on Barrier"),
+                    format!("b ({b}) blocked on Rpc"),
+                ]
+            ),
+            other => panic!("expected deadlock, got {other:?}"),
+        }
+    }
+
     #[test]
     fn thread_panic_is_reported() {
         let mut engine = Engine::new();
@@ -1119,10 +1064,7 @@ mod tests {
 
     #[test]
     fn event_limit_guard_triggers() {
-        let mut engine = Engine::with_config(EngineConfig {
-            max_events: 10,
-            name: "tiny".into(),
-        });
+        let mut engine = Engine::with_event_limit(10);
         engine.spawn("spinner", |h| loop {
             h.sleep(SimDuration::from_micros(1));
         });

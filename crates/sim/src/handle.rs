@@ -11,7 +11,7 @@ use std::panic;
 use std::sync::Arc;
 
 use crate::cell::SliceRc;
-use crate::engine::{BlockReason, EngineCtl, Shared, ShutdownUnwind, SliceOutcome, SpawnOptions};
+use crate::engine::{BlockReason, EngineCtl, Shared, ShutdownUnwind};
 use crate::thread::{ThreadId, ThreadSlot};
 use crate::time::{SimDuration, SimTime};
 
@@ -102,8 +102,6 @@ impl SimHandle {
         self.pending = SimDuration::ZERO;
         self.shared()
             .schedule_wake(SliceRc::clone(&self.slot), self.id(), wake_at);
-        // Reified slice outcome: we advanced time and scheduled our own wake.
-        self.slot.record_outcome(SliceOutcome::Yielded(wake_at));
         self.park_raw();
     }
 
@@ -126,7 +124,7 @@ impl SimHandle {
             self.name(),
             self.pending
         );
-        self.slot.record_outcome(SliceOutcome::Blocked(reason));
+        self.slot.set_park_reason(reason);
         self.shared().record_block(reason);
         self.park_raw();
     }
@@ -146,25 +144,8 @@ impl SimHandle {
     where
         F: FnOnce(&mut SimHandle) + Send + 'static,
     {
-        self.spawn_with(name, SpawnOptions::default(), f)
-    }
-
-    /// Spawn a new simulated thread with per-thread [`SpawnOptions`] (a
-    /// private stack sized for deep recursion), runnable at this thread's
-    /// current local time, on this thread's shard.
-    pub fn spawn_with<F>(
-        &mut self,
-        name: impl Into<SliceRc<str>>,
-        opts: SpawnOptions,
-        f: F,
-    ) -> ThreadId
-    where
-        F: FnOnce(&mut SimHandle) + Send + 'static,
-    {
-        let start_at = self.now();
         let key = self.slot.shard_key();
-        self.shared()
-            .spawn_thread(name.into(), start_at, Some(key), opts, f)
+        self.spawn_on(key, name, f)
     }
 
     /// Spawn a new simulated thread bound to an explicit shard (see
@@ -174,13 +155,8 @@ impl SimHandle {
         F: FnOnce(&mut SimHandle) + Send + 'static,
     {
         let start_at = self.now();
-        self.shared().spawn_thread(
-            name.into(),
-            start_at,
-            Some(shard_key),
-            SpawnOptions::default(),
-            f,
-        )
+        self.shared()
+            .spawn_thread(name.into(), start_at, Some(shard_key), f)
     }
 
     /// Schedule a closure to run on the scheduler, on shard `shard_key`,

@@ -9,13 +9,12 @@
 //! control passes to exactly one simulated thread at a time, in the order
 //! dictated by one virtual-time event queue. A worker whose thread has
 //! finished runs the next thread spawned, the way PM2 serves a request by a
-//! pre-existing thread, so a spawn costs a wake, not a new stack. Deeply
-//! recursive bodies size their private stack with
-//! [`SpawnOptions::with_stack_bytes`]. On targets without a stack switch
-//! (anything but x86-64) each worker is instead an OS thread passing a
-//! futex-style baton; the choice is the platform's, made at compile time,
-//! and both produce the same fully deterministic execution in *virtual
-//! time*, which is what the benchmark harness measures.
+//! pre-existing thread, so a spawn costs a wake, not a new stack. Every
+//! worker has the same 1 MiB stack, committed lazily. On targets without a
+//! stack switch (anything but x86-64) each worker is instead an OS thread
+//! passing a futex-style baton; the choice is the platform's, made at
+//! compile time, and both produce the same fully deterministic execution
+//! in *virtual time*, which is what the benchmark harness measures.
 //!
 //! ## Programming model
 //!
@@ -61,10 +60,7 @@ mod wait;
 
 pub use cell::{SliceCell, SliceRc, SliceRef, SliceWeak};
 pub use channel::{channel, channel_on, SimReceiver, SimSender, TickBucket, TickOutbox};
-pub use engine::{
-    BlockReason, Engine, EngineConfig, EngineCtl, EventChoice, RunReport, ScheduleController,
-    SliceOutcome, SpawnOptions,
-};
+pub use engine::{BlockReason, Engine, EngineCtl, EventChoice, RunReport, ScheduleController};
 pub use error::SimError;
 pub use handle::SimHandle;
 pub use thread::ThreadId;

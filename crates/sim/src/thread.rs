@@ -26,16 +26,15 @@
 //!   `--cfg dsm_force_no_coro` CI lane.
 
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::Thread;
 use std::{fmt, ptr};
 
 use crate::cell::{SliceCell, SliceRc};
 use crate::continuation::{self, Coro};
-use crate::engine::{BlockReason, SliceOutcome, BLOCK_REASONS};
+use crate::engine::{BlockReason, BLOCK_REASONS};
 use crate::handle::SimHandle;
-use crate::time::SimTime;
 
 /// Identifier of a simulated thread, unique within one [`crate::Engine`]:
 /// ids are never reused, though workers are.
@@ -46,15 +45,6 @@ impl ThreadId {
     /// Raw numeric id.
     pub fn as_u64(self) -> u64 {
         self.0
-    }
-
-    /// Rebuild a thread id from the raw value of [`ThreadId::as_u64`].
-    ///
-    /// The verify layer uses this to key recorded schedules and access logs
-    /// by thread across replays; an id that never came from `as_u64` simply
-    /// won't match any live thread.
-    pub fn from_u64(raw: u64) -> ThreadId {
-        ThreadId(raw)
     }
 }
 
@@ -190,8 +180,8 @@ impl Drop for SchedHandle {
     }
 }
 
-/// Sentinel for "no slice outcome recorded yet".
-const OUTCOME_NONE: u32 = u32::MAX;
+/// Value of the park-reason word while the occupant has not parked.
+const NOT_PARKED: u8 = u8::MAX;
 
 /// Value of a vacant worker's occupant word. Not a thread id.
 const VACANT: u64 = u64::MAX;
@@ -204,8 +194,6 @@ pub(crate) type Body = Box<dyn FnOnce(&mut SimHandle) + Send>;
 pub(crate) struct ThreadSlot {
     /// Position in the engine's table of workers.
     pub index: usize,
-    /// Size of the private stack, as requested when the worker was made.
-    pub stack_bytes: usize,
     /// Id of the occupant, [`VACANT`] between occupants. Written by the spawn
     /// that occupies the worker and by the worker when its occupant ends,
     /// read by every wake: ordered by the hand-off, so relaxed.
@@ -236,11 +224,10 @@ pub(crate) struct ThreadSlot {
     /// thread touches it — to grant or tear down — or the coroutine itself
     /// while the scheduler is suspended inside the grant.
     coro: UnsafeCell<Option<Coro>>,
-    // ----- slice outcome (reified yield site, written by the thread itself
-    // right before it parks — single writer, racing readers see a torn pair
-    // at worst, which profiling tolerates) -----------------------------------
-    outcome_kind: AtomicU32,
-    outcome_arg: AtomicU64,
+    /// The [`BlockReason`] of the occupant's latest park, [`NOT_PARKED`]
+    /// before its first one: what a deadlock report names. Written by the
+    /// occupant itself right before it parks and cleared when it ends.
+    park_reason: AtomicU8,
 }
 
 // SAFETY: every field but `coro` is Sync by construction. The `UnsafeCell`
@@ -257,18 +244,11 @@ unsafe impl Send for ThreadSlot {}
 unsafe impl Sync for ThreadSlot {}
 
 impl ThreadSlot {
-    /// A vacant worker, number `index` of its engine, for `stack_bytes` of
-    /// stack. A baton slot keeps a reference to `sched`; a continuation slot
-    /// takes none.
-    pub fn new(
-        index: usize,
-        stack_bytes: usize,
-        backing: Backing,
-        sched: &Arc<SchedHandle>,
-    ) -> Self {
+    /// A vacant worker, number `index` of its engine. A baton slot keeps a
+    /// reference to `sched`; a continuation slot takes none.
+    pub fn new(index: usize, backing: Backing, sched: &Arc<SchedHandle>) -> Self {
         ThreadSlot {
             index,
-            stack_bytes,
             occupant: AtomicU64::new(VACANT),
             name: SliceCell::new(SliceRc::from("")),
             body: SliceCell::new(None),
@@ -279,8 +259,7 @@ impl ThreadSlot {
             os_thread: OnceLock::new(),
             sched: (backing == Backing::Baton).then(|| Arc::clone(sched)),
             coro: UnsafeCell::new(None),
-            outcome_kind: AtomicU32::new(OUTCOME_NONE),
-            outcome_arg: AtomicU64::new(0),
+            park_reason: AtomicU8::new(NOT_PARKED),
         }
     }
 
@@ -297,7 +276,7 @@ impl ThreadSlot {
     /// Called by the worker when its occupant's body has returned or
     /// unwound, before it parks for the next occupant.
     pub fn vacate(&self) {
-        self.record_outcome(SliceOutcome::Done);
+        self.park_reason.store(NOT_PARKED, Ordering::Relaxed);
         self.occupant.store(VACANT, Ordering::Relaxed);
     }
 
@@ -338,30 +317,11 @@ impl ThreadSlot {
         self.shard.store(key, Ordering::SeqCst);
     }
 
-    /// Record the reified outcome of the current slice (the thread is about
-    /// to yield). Relaxed: single writer (the thread itself), and readers
-    /// only profile.
-    pub fn record_outcome(&self, outcome: SliceOutcome) {
-        let (kind, arg) = match outcome {
-            SliceOutcome::Yielded(t) => (0, t.as_nanos()),
-            SliceOutcome::Blocked(r) => (1, r as u64),
-            SliceOutcome::Done => (2, 0),
-        };
-        self.outcome_arg.store(arg, Ordering::Relaxed);
-        self.outcome_kind.store(kind, Ordering::Relaxed);
-    }
-
-    /// The most recently recorded slice outcome, if any.
-    pub fn last_outcome(&self) -> Option<SliceOutcome> {
-        let arg = self.outcome_arg.load(Ordering::Relaxed);
-        match self.outcome_kind.load(Ordering::Relaxed) {
-            0 => Some(SliceOutcome::Yielded(SimTime::from_nanos(arg))),
-            1 => Some(SliceOutcome::Blocked(
-                BLOCK_REASONS[(arg as usize).min(BLOCK_REASONS.len() - 1)],
-            )),
-            2 => Some(SliceOutcome::Done),
-            _ => None,
-        }
+    /// Record why the occupant is about to park. Relaxed: the occupant is
+    /// the one writer, and the one reader, the deadlock report, runs after
+    /// the hand-off.
+    pub fn set_park_reason(&self, reason: BlockReason) {
+        self.park_reason.store(reason as u8, Ordering::Relaxed);
     }
 
     /// True once teardown has begun: a thread that observes it must unwind
@@ -436,7 +396,6 @@ impl ThreadSlot {
     /// has ended (a continuation's end is published by the resume that
     /// drove it there).
     pub fn mark_finished(&self) {
-        self.record_outcome(SliceOutcome::Done);
         self.phase.store(Phase::Finished as u32, Ordering::SeqCst);
         self.sched().unpark();
     }
@@ -586,12 +545,12 @@ impl ThreadSlot {
         self.phase.load(Ordering::SeqCst) == Phase::Finished as u32
     }
 
-    /// A blocked-on label for diagnostics (deadlock reports).
+    /// Why the occupant last parked, for deadlock reports; `None` if it has
+    /// not parked yet.
     pub fn blocked_on(&self) -> Option<BlockReason> {
-        match self.last_outcome() {
-            Some(SliceOutcome::Blocked(r)) => Some(r),
-            _ => None,
-        }
+        BLOCK_REASONS
+            .get(usize::from(self.park_reason.load(Ordering::Relaxed)))
+            .copied()
     }
 }
 
@@ -605,7 +564,7 @@ mod tests {
     fn baton_slot(id: u64) -> Arc<ThreadSlot> {
         let sched = Arc::new(SchedHandle::new());
         sched.register_current();
-        let slot = ThreadSlot::new(0, 1 << 20, Backing::Baton, &sched);
+        let slot = ThreadSlot::new(0, Backing::Baton, &sched);
         slot.occupy(ThreadId(id), "t".into(), id, Box::new(|_| {}));
         Arc::new(slot)
     }
@@ -684,26 +643,14 @@ mod tests {
         assert!(slot.runs(ThreadId(4)) && !slot.is_vacant());
         assert_eq!((slot.id(), &*slot.name()), (ThreadId(4), "t"));
         assert!(slot.take_body().is_some() && slot.take_body().is_none());
+        assert_eq!(slot.blocked_on(), None);
+        slot.set_park_reason(BlockReason::PageFault);
+        assert_eq!(slot.blocked_on(), Some(BlockReason::PageFault));
         slot.vacate();
         assert!(slot.is_vacant() && !slot.runs(ThreadId(4)));
-        assert_eq!(slot.last_outcome(), Some(SliceOutcome::Done));
+        assert_eq!(slot.blocked_on(), None);
         slot.occupy(ThreadId(5), "u".into(), 1, Box::new(|_| {}));
         assert!(slot.runs(ThreadId(5)) && !slot.runs(ThreadId(4)));
         assert_eq!((&*slot.name(), slot.shard_key()), ("u", 1));
-    }
-
-    #[test]
-    fn outcome_roundtrips_through_the_slot() {
-        let slot = baton_slot(9);
-        assert_eq!(slot.last_outcome(), None);
-        slot.record_outcome(SliceOutcome::Yielded(SimTime::from_nanos(42)));
-        assert_eq!(
-            slot.last_outcome(),
-            Some(SliceOutcome::Yielded(SimTime::from_nanos(42)))
-        );
-        slot.record_outcome(SliceOutcome::Blocked(BlockReason::PageFault));
-        assert_eq!(slot.blocked_on(), Some(BlockReason::PageFault));
-        slot.record_outcome(SliceOutcome::Done);
-        assert_eq!(slot.last_outcome(), Some(SliceOutcome::Done));
     }
 }

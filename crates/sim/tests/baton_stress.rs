@@ -12,8 +12,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use dsmpm2_sim::{
-    channel, Engine, EngineCtl, RunReport, SimDuration, SimTime, SliceCell, SliceRc, SpawnOptions,
-    WaitSet,
+    channel, Engine, EngineCtl, RunReport, SimDuration, SimTime, SliceCell, SliceRc, WaitSet,
 };
 
 /// Deterministic xorshift so every run sees the same "random" schedule.
@@ -332,30 +331,6 @@ fn panic_inside_a_slice_is_recorded_not_propagated() {
         }
         other => panic!("expected ThreadPanic, got {other:?}"),
     }
-}
-
-/// Deep call stacks overflow the default private stack; a bigger one set
-/// through [`SpawnOptions`] must carry the recursion.
-#[test]
-fn deep_recursion_runs_on_a_big_stack() {
-    fn burn(depth: usize) -> u64 {
-        // ~1 KiB of live frame per level, kept alive across the recursion.
-        let pad = [depth as u64; 128];
-        if depth == 0 {
-            return pad[0];
-        }
-        burn(depth - 1) + std::hint::black_box(pad[64])
-    }
-    let mut engine = Engine::new();
-    let out = Arc::new(AtomicU64::new(0));
-    let o = out.clone();
-    let opts = SpawnOptions::default().with_stack_bytes(32 * 1024 * 1024);
-    engine.spawn_with("deep", opts, move |h| {
-        h.sleep(SimDuration::from_micros(1));
-        o.store(burn(8_000), Ordering::SeqCst);
-    });
-    engine.run().expect("deep recursion must complete");
-    assert!(out.load(Ordering::SeqCst) > 0);
 }
 
 /// One `SliceRc` cloned and dropped from many workers, one slice after

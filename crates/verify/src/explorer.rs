@@ -98,15 +98,6 @@ pub struct ExploreConfig {
     pub preemption_budget: usize,
 }
 
-impl Default for ExploreConfig {
-    fn default() -> Self {
-        ExploreConfig {
-            max_schedules: 512,
-            preemption_budget: 1,
-        }
-    }
-}
-
 /// Exploration statistics (printed by the CI gate).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ExploreStats {

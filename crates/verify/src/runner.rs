@@ -17,7 +17,7 @@ use dsmpm2_core::{
     HomePolicy, NodeId, Pm2Config, TransportTuning, PAGE_SIZE,
 };
 use dsmpm2_protocols::register_all_protocols;
-use dsmpm2_sim::{EngineConfig, ScheduleController, SimError, SliceCell};
+use dsmpm2_sim::{ScheduleController, SimError, SliceCell};
 
 use crate::log::{Finding, FindingKind, LogRecord, RecordingHooks};
 use crate::scenario::{Op, Scenario};
@@ -38,6 +38,10 @@ pub enum Instrument {
     Check,
 }
 
+/// Event budget of one scenario run: exceeding it fails the run (the
+/// livelock detector).
+const EVENT_LIMIT: u64 = 2_000_000;
+
 /// Configuration of one scenario run.
 #[derive(Clone)]
 pub struct RunConfig {
@@ -47,8 +51,6 @@ pub struct RunConfig {
     pub transport: TransportTuning,
     /// Schedule controller.
     pub controller: Option<Arc<dyn ScheduleController>>,
-    /// Event budget: exceeding it fails the run (livelock detector).
-    pub max_events: u64,
     /// Observation level.
     pub instrument: Instrument,
 }
@@ -60,7 +62,6 @@ impl RunConfig {
             protocol: protocol.to_string(),
             transport: TransportTuning::default(),
             controller: None,
-            max_events: 2_000_000,
             instrument: Instrument::Off,
         }
     }
@@ -178,10 +179,7 @@ pub fn run_scenario(scenario: &Scenario, cfg: &RunConfig) -> RunOutcome {
         .map(|h| install_global_verify_hooks(h.clone() as Arc<dyn dsmpm2_core::VerifyHooks>));
 
     let config = Pm2Config::bip_myrinet(scenario.nodes).with_transport_tuning(cfg.transport);
-    let engine = Engine::with_config(EngineConfig {
-        max_events: cfg.max_events,
-        name: scenario.name.to_string(),
-    });
+    let engine = Engine::with_event_limit(EVENT_LIMIT);
     if let Some(controller) = &cfg.controller {
         engine.set_controller(controller.clone());
     }

@@ -1,7 +1,7 @@
 //! Microbenchmark kernels: the single-fault measurements behind Tables 3 and
 //! 4, plus small shared-memory kernels used by tests and examples.
 
-use dsmpm2_core::{DsmAttr, HomePolicy, NodeId, Pm2Config};
+use dsmpm2_core::{costs, DsmAttr, HomePolicy, NodeId, Pm2Config};
 use dsmpm2_madeleine::NetworkModel;
 use dsmpm2_pm2::Engine;
 
@@ -62,7 +62,7 @@ pub fn measure_read_fault(network: NetworkModel, policy: FaultPolicy) -> FaultBr
         .expect("fault microbenchmark must not deadlock");
 
     let total_us = elapsed.get().as_micros_f64();
-    let page_fault_us = rt.costs().page_fault.as_micros_f64();
+    let page_fault_us = costs::PAGE_FAULT.as_micros_f64();
     match policy {
         FaultPolicy::PageTransfer => {
             let request_us = network.control_time().as_micros_f64();

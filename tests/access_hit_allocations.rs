@@ -92,7 +92,7 @@ fn typed_hits(protocol: &str, granularity: usize) -> u64 {
         .home(HomePolicy::Fixed(NodeId(0)))
         .granularity(granularity);
     let base = rt.dsm_malloc(PAGE_SIZE as u64, attr);
-    assert_eq!(rt.region_granularity(base), Some(granularity));
+    assert_eq!(rt.page_meta(base.page()).line_size, granularity);
     assert!(
         !rt.page_table(NodeId(0))
             .get(Unit::whole(base.page()))

@@ -57,8 +57,8 @@ fn sequential_consistency_message_passing_pattern() {
 #[test]
 fn counter_is_exact_under_every_protocol() {
     for proto_name in ["li_hudak", "migrate_thread", "erc_sw", "hbrc_mw"] {
-        let (mut engine, rt, protos) = setup(3);
-        rt.set_default_protocol(protos.by_name(proto_name).unwrap());
+        let (mut engine, rt, _) = setup(3);
+        rt.set_default_protocol(rt.protocol_by_name(proto_name).unwrap());
         let counter = rt.dsm_malloc(4096, DsmAttr::default().home(HomePolicy::Fixed(NodeId(0))));
         let lock = rt.create_lock(None);
         for node in 0..3usize {
@@ -101,8 +101,8 @@ fn counter_is_exact_under_every_protocol() {
 #[test]
 fn release_consistency_visibility_after_acquire() {
     for proto_name in ["erc_sw", "hbrc_mw"] {
-        let (mut engine, rt, protos) = setup(2);
-        rt.set_default_protocol(protos.by_name(proto_name).unwrap());
+        let (mut engine, rt, _) = setup(2);
+        rt.set_default_protocol(rt.protocol_by_name(proto_name).unwrap());
         let shared = rt.dsm_malloc(4096, DsmAttr::default().home(HomePolicy::Fixed(NodeId(0))));
         let lock = rt.create_lock(Some(NodeId(0)));
         let sync = rt.create_barrier(2, None);
@@ -134,8 +134,8 @@ fn release_consistency_visibility_after_acquire() {
 #[test]
 fn barrier_flushes_for_release_consistency_protocols() {
     for proto_name in ["erc_sw", "hbrc_mw", "li_hudak"] {
-        let (mut engine, rt, protos) = setup(4);
-        rt.set_default_protocol(protos.by_name(proto_name).unwrap());
+        let (mut engine, rt, _) = setup(4);
+        rt.set_default_protocol(rt.protocol_by_name(proto_name).unwrap());
         let table = rt.dsm_malloc(4 * 4096, DsmAttr::default().home(HomePolicy::RoundRobin));
         let barrier = rt.create_barrier(4, None);
         let sums = Arc::new(Mutex::new(Vec::new()));

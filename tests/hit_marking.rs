@@ -19,7 +19,7 @@ fn a_write_hit_marks_its_own_line_and_a_read_marks_nothing() {
         .home(HomePolicy::Fixed(home))
         .granularity(1024);
     let base = rt.dsm_malloc(PAGE_SIZE as u64, attr);
-    assert_eq!(rt.region_granularity(base), Some(1024));
+    assert_eq!(rt.page_meta(base.page()).line_size, 1024);
     let line = move |ix| Unit::new(base.page(), LineIx(ix));
     let hits = rt.clone();
     rt.spawn_dsm_thread(home, "marker", move |ctx| {

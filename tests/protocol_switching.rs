@@ -233,7 +233,7 @@ fn switch_folds_a_line_twin_into_the_home_and_clamps_the_region_to_pages() {
     let word = addr.add(2048 + 16);
     let b = rt.create_barrier(2, None);
     let seen = Arc::new(Mutex::new((0u64, 0u64)));
-    assert_eq!(rt.region_granularity(addr), Some(1024));
+    assert_eq!(rt.page_meta(page).line_size, 1024);
 
     let data = rt.frames(NodeId(0)).snapshot(page, span);
     rt.frames(NodeId(1)).install(unit, span, data);
@@ -258,8 +258,7 @@ fn switch_folds_a_line_twin_into_the_home_and_clamps_the_region_to_pages() {
     assert_eq!(rt.page_table(NodeId(0)).len(), 1);
     assert_eq!(rt.page_table(NodeId(1)).len(), 1);
     assert_eq!(rt.page_meta(page).line_size, PAGE_SIZE);
-    assert_eq!(rt.region_granularity(word), Some(PAGE_SIZE));
-    assert_eq!(rt.region_granularity(addr.add(4096)), None);
+    assert!(!rt.is_dsm_page(addr.add(4096).page()));
 
     let s = seen.clone();
     rt.spawn_dsm_thread(NodeId(0), "home-reader", move |ctx| {
