@@ -364,7 +364,7 @@ impl PageTable {
         unit: Unit,
         sim: &mut SimHandle,
         reason: BlockReason,
-        condition: impl FnMut() -> bool,
+        condition: impl FnMut() -> bool + Send,
     ) {
         self.waiters.wait_until_why(unit, sim, reason, condition);
     }

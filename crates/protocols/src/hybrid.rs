@@ -3,9 +3,9 @@
 //! The paper's "mixed approach" combines existing library routines in an
 //! ad-hoc way, e.g. page replication on read faults (as in `li_hudak`) with
 //! thread migration on write faults (as in `migrate_thread`). This module
-//! provides exactly that protocol, assembled with [`CustomProtocol::builder`]
-//! — the same builder user code would use — to demonstrate that new protocols
-//! need nothing beyond the public protocol-library API.
+//! builds exactly that protocol, with [`CustomProtocol::builder`] — the same
+//! builder user code uses, as the `custom_protocol` example does — for the
+//! crate's tests of the protocol-library routines it combines.
 
 use std::sync::Arc;
 

@@ -1,7 +1,8 @@
 //! # dsmpm2-protocols — the built-in DSM-PM2 consistency protocols
 //!
-//! This crate provides the six built-in protocols of Table 2 of the paper,
-//! plus the hybrid protocol of §2.3 assembled from library routines:
+//! This crate provides the six built-in protocols of Table 2 of the paper
+//! (a hybrid of §2.3, assembled from library routines by user code, is the
+//! `custom_protocol` example):
 //!
 //! | Protocol | Consistency | Features |
 //! |---|---|---|
@@ -34,7 +35,8 @@ mod entry_sw;
 mod erc_sw;
 mod hbrc_mw;
 mod hlrc_notices;
-pub mod hybrid;
+#[cfg(test)]
+mod hybrid;
 mod java;
 mod li_hudak;
 mod li_hudak_fixed;

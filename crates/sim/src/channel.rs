@@ -105,12 +105,6 @@ impl<T: Send + 'static> SimSender<T> {
         self.deliver_at(handle.now() + delay, value);
     }
 
-    /// Send from outside any simulated thread (scheduler callbacks, setup
-    /// code): the message becomes visible `delay` after the global clock.
-    pub fn send_from_ctl(&self, ctl: &EngineCtl, value: T, delay: SimDuration) {
-        self.deliver_at(ctl.now() + delay, value);
-    }
-
     /// Make `value` visible now: append it to the queue and wake one waiting
     /// receiver. What every delivery event runs, on the receivers' shard;
     /// a layer that owns its own arrival event calls it there directly.

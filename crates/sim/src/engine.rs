@@ -35,21 +35,26 @@
 //! a private stack and a coroutine on the continuation lane, an OS thread on
 //! the baton lane, and one [`SimHandle`], all kept by the engine for the whole
 //! run. *Spawn* gives the thread a fresh id, hands its body, name and shard to
-//! an idle worker — or makes a worker when none is idle, or none has the
-//! stack asked for — and submits its first wake, which — like every wake: a
-//! thread's own sleep, a [`crate::WaitSet`]'s notify — carries the worker and
-//! the id of the thread it is for, so executing it looks nothing up. A wake
-//! for a thread its worker no longer runs is dropped: it counts as an event,
-//! not a switch. The only way to park is a wait set's, so there is no wake by
-//! bare id either. Each wake grants one *slice*, until the thread parks
-//! again. The grant in which the body returns (or panics) is the *finishing
-//! grant*: the worker falls vacant and parks, and the loop puts it on the
-//! idle list right there — nothing is freed, unhashed or joined — so a thread
-//! that never blocks costs one event, and a message-driven run that spawns a
-//! handler per request holds as many workers as it ever had threads live at
-//! once. What the body charged after its last yield is not slept off in one
-//! more slice (nobody is left to observe it): it only moves the thread's
-//! *completion instant*, and a run ends — [`RunReport::final_time`],
+//! an idle worker — or makes a worker when none is idle — and submits its
+//! first wake, which — like every wake: a thread's own sleep, a
+//! [`crate::WaitSet`]'s notify — carries the worker and the id of the thread
+//! it is for, so executing it looks nothing up. A wake for a thread its
+//! worker no longer runs is dropped: it counts as an event, not a switch.
+//! The only way to park is a wait set's, so there is no wake by bare id
+//! either. A thread parked in a wait carries its waiter record on its
+//! worker, and a wake for it first runs the record's condition, on the
+//! scheduler: still false, and the wake registers the thread in its set
+//! again and ends without a slice — an event, not a switch — just as the
+//! thread would have parked again at once had it run (see
+//! [`crate::WaitSet`]). Any other wake grants one *slice*, until the thread
+//! parks again. The grant in which the body returns (or panics) is the
+//! *finishing grant*: the worker falls vacant and parks, and the loop puts it
+//! on the idle list right there — nothing is freed, unhashed or joined — so
+//! a thread that never blocks costs one event, and a message-driven run that
+//! spawns a handler per request holds as many workers as it ever had threads
+//! live at once. What the body charged after its last yield is not slept off
+//! in one more slice (nobody is left to observe it): it only moves the
+//! thread's *completion instant*, and a run ends — [`RunReport::final_time`],
 //! [`Engine::now`], a deadlock's `at` — at the later of its last event and
 //! its latest completion.
 //!
@@ -132,7 +137,9 @@ pub struct RunReport {
     pub final_time: SimTime,
     /// Number of events processed.
     pub events: u64,
-    /// Number of times control was handed to a simulated thread.
+    /// Number of times control was handed to a simulated thread. A wake
+    /// can end without one: addressed to a thread that has finished, or to a
+    /// thread parked in a wait whose condition the wake finds still false.
     pub context_switches: u64,
     /// Total number of simulated threads spawned over the run.
     pub threads_spawned: u64,
@@ -867,10 +874,11 @@ impl Engine {
     }
 }
 
-/// Execute one event: a `Wake` hands a slice to its thread and returns when
-/// the thread parks again — putting its worker on the idle list if that
-/// slice was its last — and a `Call` runs its closure right here. Either way
-/// the event's shard key is what key-less pushes made meanwhile inherit.
+/// Execute one event: a `Wake` whose thread is in no wait, or in one that is
+/// over, hands a slice to its thread and returns when the thread parks
+/// again — putting its worker on the idle list if that slice was its last —
+/// and a `Call` runs its closure right here. Either way the event's shard
+/// key is what key-less pushes made meanwhile inherit.
 /// Returns whether a slice ran (a context switch).
 fn execute_event(ctl: &EngineCtl, event: Event) -> bool {
     let shared = &ctl.shared;
@@ -881,9 +889,11 @@ fn execute_event(ctl: &EngineCtl, event: Event) -> bool {
             // A thread woken through a key captured before it migrated runs
             // under the key it has now.
             shared.set_executing_shard(slot.shard_key());
-            switched = slot.grant_and_wait();
-            if slot.is_vacant() {
-                shared.threads.borrow().idle.push(slot.index);
+            if wait_is_over(shared, &slot, event.to) {
+                switched = slot.grant_and_wait();
+                if slot.is_vacant() {
+                    shared.threads.borrow().idle.push(slot.index);
+                }
             }
         }
         EventKind::Wake(_) => {}
@@ -900,6 +910,22 @@ fn execute_event(ctl: &EngineCtl, event: Event) -> bool {
     }
     shared.set_executing_shard(NO_EVENT);
     switched
+}
+
+/// Whether thread `id`, woken on `slot`, is to be granted its slice: true
+/// unless it is parked in a wait whose condition is still false — the check
+/// has then registered it again and booked the park. A condition that panics
+/// here is the waiting thread's panic, and the thread stays parked for the
+/// teardown to unwind.
+fn wait_is_over(shared: &Shared, slot: &SliceRc<ThreadSlot>, id: ThreadId) -> bool {
+    let check = || ThreadSlot::check_wait(slot, id, shared);
+    match panic::catch_unwind(AssertUnwindSafe(check)) {
+        Ok(over) => over,
+        Err(payload) => {
+            shared.record_panic(slot.name().to_string(), panic_message(&*payload));
+            false
+        }
+    }
 }
 
 impl Default for Engine {
@@ -1059,6 +1085,41 @@ mod tests {
                 assert!(message.contains("intentional"));
             }
             other => panic!("expected panic error, got {other:?}"),
+        }
+    }
+
+    /// A condition that panics when the engine checks it at a wake is the
+    /// waiting thread's panic, not a scheduler call's, and the run's
+    /// teardown unwinds the thread that never got its slice.
+    #[test]
+    fn a_condition_that_panics_at_its_wake_is_the_waiters_panic() {
+        let mut engine = Engine::new();
+        let ws = Arc::new(WaitSet::new());
+        let w = ws.clone();
+        engine.spawn("waiter", move |h| {
+            let mut checks = 0;
+            w.wait_until(h, || {
+                checks += 1;
+                assert!(checks < 2, "condition checked twice");
+                false
+            });
+            unreachable!("the wait never ends");
+        });
+        engine.spawn("notifier", move |h| {
+            h.sleep(SimDuration::from_micros(1));
+            ws.notify_one((), h.ctl(), SimDuration::ZERO);
+        });
+        match engine.run() {
+            Err(SimError::ThreadPanic {
+                thread,
+                message,
+                events,
+            }) => {
+                assert_eq!(thread, "waiter");
+                assert_eq!(message, "condition checked twice");
+                assert_eq!(events, 4);
+            }
+            other => panic!("expected the waiter's panic, got {other:?}"),
         }
     }
 

@@ -11,9 +11,10 @@ use std::panic;
 use std::sync::Arc;
 
 use crate::cell::SliceRc;
-use crate::engine::{BlockReason, EngineCtl, Shared, ShutdownUnwind};
+use crate::engine::{EngineCtl, Shared, ShutdownUnwind};
 use crate::thread::{ThreadId, ThreadSlot};
 use crate::time::{SimDuration, SimTime};
+use crate::wait::Waiter;
 
 /// Handle owned by a simulated thread.
 pub struct SimHandle {
@@ -111,22 +112,26 @@ impl SimHandle {
         self.sleep(SimDuration::ZERO);
     }
 
-    /// Park this thread until a wait set's notify wakes it, booking the park
-    /// to `reason` in the engine's [`crate::Engine::block_profile`]. Only
-    /// [`crate::WaitSet::wait_until_why`] calls this, registered and on a
-    /// flushed clock: a thread parked with compute pending would be woken at
-    /// the notify's instant and lose the rest of its charge, so that panics
-    /// in every build.
-    pub(crate) fn park(&mut self, reason: BlockReason) {
-        assert!(
-            self.pending.is_zero(),
-            "'{}' parked with {} of compute pending",
-            self.name(),
-            self.pending
-        );
-        self.slot.set_park_reason(reason);
-        self.shared().record_block(reason);
+    /// Park this thread in a wait, with `waiter` attached to its worker: the
+    /// engine checks it at each of the thread's wakes and grants a slice only
+    /// once it holds. Only [`crate::WaitSet::wait_until_why`] calls this.
+    /// Compute still pending is slept off first, with the thread in no set
+    /// (a notify landing meanwhile would cut the charge short), and the wake
+    /// at its end is the first check.
+    pub(crate) fn wait(&mut self, waiter: &mut (dyn Waiter + Send + '_)) {
+        if !self.pending.is_zero() {
+            let wake_at = self.shared().now() + self.pending;
+            self.pending = SimDuration::ZERO;
+            self.shared()
+                .schedule_wake(SliceRc::clone(&self.slot), self.id(), wake_at);
+        }
+        // SAFETY: the record is borrowed for this whole call, from a frame
+        // of the caller that outlives it, and nothing here touches it. It is
+        // detached as soon as the park returns; if the park unwinds instead
+        // (teardown), the worker vacating clears it.
+        unsafe { self.slot.attach_waiter(waiter) };
         self.park_raw();
+        self.slot.detach_waiter();
     }
 
     fn park_raw(&mut self) {
@@ -197,7 +202,6 @@ impl std::fmt::Debug for SimHandle {
 mod tests {
     use super::*;
     use crate::engine::Engine;
-    use crate::error::SimError;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
@@ -209,24 +213,6 @@ mod tests {
             assert_eq!(h.pending(), SimDuration::ZERO);
         });
         engine.run().unwrap();
-    }
-
-    #[test]
-    fn parking_with_pending_compute_panics() {
-        let mut engine = Engine::new();
-        engine.spawn("t", move |h| {
-            h.charge(SimDuration::from_micros(9));
-            h.park(BlockReason::WaitSet);
-        });
-        match engine.run() {
-            Err(SimError::ThreadPanic {
-                thread, message, ..
-            }) => {
-                assert_eq!(thread, "t");
-                assert_eq!(message, "'t' parked with 9.000us of compute pending");
-            }
-            other => panic!("expected the park to panic, got {other:?}"),
-        }
     }
 
     #[test]

@@ -25,16 +25,18 @@
 //!   Machine-independent, and kept honest on x86-64 by the
 //!   `--cfg dsm_force_no_coro` CI lane.
 
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
+use std::ptr::{self, NonNull};
 use std::sync::atomic::{AtomicBool, AtomicPtr, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::thread::Thread;
-use std::{fmt, ptr};
+use std::{fmt, mem};
 
 use crate::cell::{SliceCell, SliceRc};
 use crate::continuation::{self, Coro};
-use crate::engine::{BlockReason, BLOCK_REASONS};
+use crate::engine::{BlockReason, Shared, BLOCK_REASONS};
 use crate::handle::SimHandle;
+use crate::wait::Waiter;
 
 /// Identifier of a simulated thread, unique within one [`crate::Engine`]:
 /// ids are never reused, though workers are.
@@ -228,19 +230,27 @@ pub(crate) struct ThreadSlot {
     /// before its first one: what a deadlock report names. Written by the
     /// occupant itself right before it parks and cleared when it ends.
     park_reason: AtomicU8,
+    /// The record of the wait the occupant is parked in, on the occupant's
+    /// own stack; `None` while it runs, sleeps or has not started. Written by
+    /// the occupant around its park and cleared when the worker vacates,
+    /// read by the engine at the occupant's wakes: ordered by the hand-off.
+    waiter: Cell<Option<NonNull<dyn Waiter + Send>>>,
 }
 
-// SAFETY: every field but `coro` is Sync by construction. The `UnsafeCell`
-// around the coroutine is only dereferenced by (a) the path that makes the
-// worker, before the slot is shared, (b) the scheduler thread granting a
-// slice — there is one scheduler thread per engine, and it grants one slot
-// at a time, (c) the coroutine body itself while that grant is suspended in
-// `Coro::resume`, and (d) teardown after the loop, on the scheduler thread —
-// all mutually exclusive.
+// SAFETY: every field but `coro` and `waiter` is Sync by construction. The
+// `UnsafeCell` around the coroutine is only dereferenced by (a) the path
+// that makes the worker, before the slot is shared, (b) the scheduler thread
+// granting a slice — there is one scheduler thread per engine, and it grants
+// one slot at a time, (c) the coroutine body itself while that grant is
+// suspended in `Coro::resume`, and (d) teardown after the loop, on the
+// scheduler thread — all mutually exclusive. The `waiter` cell is written by
+// the occupant inside its slice and read by the scheduler between slices,
+// which the hand-off orders (on one OS thread, or through the baton's
+// SeqCst phase store/load pair); the record it points to is `Send`.
 unsafe impl Send for ThreadSlot {}
-// SAFETY: see the Send justification above — every access to the one
-// non-Sync field (`coro`) happens on, or nested inside a grant of, the one
-// scheduler thread.
+// SAFETY: see the Send justification above — every access to the non-Sync
+// fields (`coro`, `waiter`) happens on, or nested inside a grant of, the one
+// scheduler thread, or in a slice the hand-off orders with it.
 unsafe impl Sync for ThreadSlot {}
 
 impl ThreadSlot {
@@ -260,6 +270,7 @@ impl ThreadSlot {
             sched: (backing == Backing::Baton).then(|| Arc::clone(sched)),
             coro: UnsafeCell::new(None),
             park_reason: AtomicU8::new(NOT_PARKED),
+            waiter: Cell::new(None),
         }
     }
 
@@ -276,6 +287,9 @@ impl ThreadSlot {
     /// Called by the worker when its occupant's body has returned or
     /// unwound, before it parks for the next occupant.
     pub fn vacate(&self) {
+        // An occupant unwound out of a wait (teardown) left its record's
+        // pointer behind; its frame is gone.
+        self.waiter.set(None);
         self.park_reason.store(NOT_PARKED, Ordering::Relaxed);
         self.occupant.store(VACANT, Ordering::Relaxed);
     }
@@ -322,6 +336,47 @@ impl ThreadSlot {
     /// the hand-off.
     pub fn set_park_reason(&self, reason: BlockReason) {
         self.park_reason.store(reason as u8, Ordering::Relaxed);
+    }
+
+    /// Called by the occupant as it parks in a wait: attach the record the
+    /// engine checks at each of its wakes ([`Self::check_wait`]).
+    ///
+    /// # Safety
+    ///
+    /// The caller is the occupant, about to park. `waiter` must stay where it
+    /// is, live and untouched by the caller, until the caller's park returns
+    /// and it calls [`Self::detach_waiter`], or until the worker vacates
+    /// (the occupant unwound out of the park): the engine dereferences it at
+    /// the occupant's wakes in between.
+    pub unsafe fn attach_waiter(&self, waiter: &mut (dyn Waiter + Send + '_)) {
+        // SAFETY: only the lifetime is erased; the caller keeps the record
+        // live for as long as the pointer is attached (see `# Safety`).
+        let waiter = unsafe {
+            mem::transmute::<NonNull<dyn Waiter + Send + '_>, NonNull<dyn Waiter + Send>>(
+                NonNull::from(waiter),
+            )
+        };
+        self.waiter.set(Some(waiter));
+    }
+
+    /// Called by the occupant when its park returns: its wait is over.
+    pub fn detach_waiter(&self) {
+        self.waiter.set(None);
+    }
+
+    /// Called by the engine at a wake for the occupant `id`, on worker
+    /// `slot`: run the check of the wait it is parked in, if any (see
+    /// [`Waiter::check`]). False only if the wait is not over.
+    pub fn check_wait(slot: &SliceRc<ThreadSlot>, id: ThreadId, shared: &Shared) -> bool {
+        let Some(waiter) = slot.waiter.get() else {
+            return true;
+        };
+        debug_assert!(slot.runs(id), "checked the wait of another occupant");
+        // SAFETY: an attached record belongs to the occupant, which attached
+        // it as it parked and has not run since (the engine runs between
+        // slices): by `attach_waiter`'s contract the record is live on its
+        // stack and untouched by anything else until a grant resumes it.
+        unsafe { (*waiter.as_ptr()).check(id, slot, shared) }
     }
 
     /// True once teardown has begun: a thread that observes it must unwind

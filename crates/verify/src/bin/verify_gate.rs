@@ -8,6 +8,11 @@
 //!   colouring across the registered protocols) with the race detector and
 //!   invariant oracle attached and assert it comes back clean; then run the
 //!   unsynchronised-seeding scenario and assert the detector finds its race.
+//! * `inputs` — run `read_then_upgrade` on every one of its 6⁶ page-order
+//!   assignments under `li_hudak_fixed` and `li_hudak`; print each
+//!   protocol's deadlock count and a fingerprint of every run's outcome,
+//!   and fail on a wrong final word in a run that did not deadlock, on any
+//!   other error, or on a deadlock count other than the pinned one.
 //! * `mutants` — run the kill battery. With `DSM_MUTANT=<name>` set (and
 //!   the binary built with `RUSTFLAGS=--cfg dsm_mutant`) the battery must
 //!   catch the mutant (exit 0 on catch, 1 on escape); with no mutant
@@ -23,6 +28,7 @@ use dsmpm2_verify::{
 };
 
 use dsmpm2_core::{PermutedConfig, Pm2Config, TransportTuning};
+use dsmpm2_sim::SimError;
 use dsmpm2_workloads::jacobi::{run_jacobi, JacobiConfig};
 use dsmpm2_workloads::map_coloring::{run_map_coloring, solve_sequential, ColoringConfig};
 use dsmpm2_workloads::micro::run_shared_counter;
@@ -55,17 +61,19 @@ fn main() -> ExitCode {
     let ok = match mode.as_str() {
         "explorer" => explorer_gate(),
         "races" => race_gate(),
+        "inputs" => input_gate(),
         "mutants" => mutant_gate(),
         "all" => {
             // Run every stage even if an earlier one fails, so CI logs show
             // the full picture.
             let explorer = explorer_gate();
             let races = race_gate();
+            let inputs = input_gate();
             let mutants = mutant_gate();
-            explorer && races && mutants
+            explorer && races && inputs && mutants
         }
         other => {
-            eprintln!("unknown mode {other}; expected explorer|races|mutants|all");
+            eprintln!("unknown mode {other}; expected explorer|races|inputs|mutants|all");
             false
         }
     };
@@ -193,6 +201,92 @@ fn race_gate() -> bool {
             }
         }
         ok &= expected;
+    }
+    ok
+}
+
+/// Deadlocks of `read_then_upgrade` over all its page orders, per protocol:
+/// what ROADMAP's "Known red" measured. Fixing the read-then-upgrade
+/// deadlock takes `li_hudak_fixed`'s count to 0.
+const PINNED_DEADLOCKS: [(&str, usize); 2] = [("li_hudak_fixed", 5_040), ("li_hudak", 0)];
+
+/// The six orders of three pages, lexicographic.
+const PERMUTATIONS: [[usize; 3]; 6] = [
+    [0, 1, 2],
+    [0, 2, 1],
+    [1, 0, 2],
+    [1, 2, 0],
+    [2, 0, 1],
+    [2, 1, 0],
+];
+
+/// Page orders number `index` of the 6⁶: base-6 digits, thread 0's round 1
+/// the least significant.
+fn page_orders(mut index: usize) -> scenario::PageOrders {
+    let mut orders = [[[0; 3]; 2]; 3];
+    for order in orders.iter_mut().flatten() {
+        *order = PERMUTATIONS[index % 6];
+        index /= 6;
+    }
+    orders
+}
+
+/// FNV-1a, continued over `bytes`.
+fn fnv(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Every page-order assignment of `read_then_upgrade`, under each protocol
+/// of [`PINNED_DEADLOCKS`]: a run either completes with every slot's final
+/// word right or deadlocks, and the deadlocks number as pinned. The
+/// fingerprint folds each run's final time, event count, final words and,
+/// for a deadlock, its instant and parked threads with the reasons they
+/// parked on, so any change to what a run computes shows in it.
+fn input_gate() -> bool {
+    let inputs = PERMUTATIONS.len().pow(6);
+    let mut ok = true;
+    for (protocol, pinned) in PINNED_DEADLOCKS {
+        let config = RunConfig::plain(protocol);
+        let (mut deadlocks, mut wrong) = (0, 0);
+        let mut fingerprint = 0xcbf2_9ce4_8422_2325u64;
+        for index in 0..inputs {
+            let scn = scenario::read_then_upgrade(&page_orders(index));
+            let outcome = run_scenario(&scn, &config);
+            fingerprint = fnv(fingerprint, &outcome.final_time_ns.to_le_bytes());
+            fingerprint = fnv(fingerprint, &outcome.events.to_le_bytes());
+            match &outcome.error {
+                None => {
+                    let findings = outcome.expectation_findings(&scn);
+                    if !findings.is_empty() {
+                        wrong += 1;
+                        println!("  input {index}: {}", findings[0]);
+                    }
+                    for &word in &outcome.final_words_at {
+                        fingerprint = fnv(fingerprint, &word.to_le_bytes());
+                    }
+                }
+                Some(SimError::Deadlock {
+                    at, parked_threads, ..
+                }) => {
+                    deadlocks += 1;
+                    fingerprint = fnv(fingerprint, &at.as_nanos().to_le_bytes());
+                    for thread in parked_threads {
+                        fingerprint = fnv(fingerprint, thread.as_bytes());
+                    }
+                }
+                Some(error) => {
+                    wrong += 1;
+                    println!("  input {index}: {error:?}");
+                }
+            }
+        }
+        println!(
+            "inputs read_then_upgrade/{protocol}: {inputs} page orders, {deadlocks} deadlock \
+             (pinned {pinned}), {wrong} wrong, fingerprint {fingerprint:016x}"
+        );
+        ok &= deadlocks == pinned && wrong == 0;
     }
     ok
 }

@@ -569,20 +569,27 @@ pub fn read_races_acquisition() -> Scenario {
     }
 }
 
-/// The smallest input known to deadlock `li_hudak_fixed`: three nodes, one
-/// thread each, three pages homed on node 0, two rounds. In each round a
-/// thread visits the pages in its own order; a visit reads the thread's own
-/// 64-byte slot of the page (a read fault) and then writes `round + 1` to it
-/// (an upgrade), and a barrier ends the round. Every slot is written last
-/// with 2, whatever the schedule.
-pub fn read_then_upgrade() -> Scenario {
-    // Page orders per thread, round 1 then round 2.
-    const ORDERS: [[[usize; 3]; 2]; 3] = [
-        [[0, 1, 2], [2, 1, 0]],
-        [[0, 2, 1], [0, 1, 2]],
-        [[0, 1, 2], [0, 1, 2]],
-    ];
-    let threads = ORDERS
+/// The page orders of [`read_then_upgrade`]: per thread, the order it
+/// visits the three pages in, round 1 then round 2.
+pub type PageOrders = [[[usize; 3]; 2]; 3];
+
+/// The page orders of the smallest input known to deadlock
+/// `li_hudak_fixed`.
+pub const READ_THEN_UPGRADE_ORDERS: PageOrders = [
+    [[0, 1, 2], [2, 1, 0]],
+    [[0, 2, 1], [0, 1, 2]],
+    [[0, 1, 2], [0, 1, 2]],
+];
+
+/// Three nodes, one thread each, three pages homed on node 0, two rounds. In
+/// each round a thread visits the pages in its own order, from `orders`; a
+/// visit reads the thread's own 64-byte slot of the page (a read fault) and
+/// then writes `round + 1` to it (an upgrade), and a barrier ends the round.
+/// Every slot is written last with 2, whatever the orders and the schedule.
+/// With [`READ_THEN_UPGRADE_ORDERS`] it is the smallest input known to
+/// deadlock `li_hudak_fixed`.
+pub fn read_then_upgrade(orders: &PageOrders) -> Scenario {
+    let threads = orders
         .iter()
         .enumerate()
         .map(|(t, rounds)| {

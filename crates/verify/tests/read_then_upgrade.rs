@@ -5,12 +5,12 @@
 //! input clean.
 
 use dsmpm2_sim::{SimError, SimTime};
-use dsmpm2_verify::scenario;
+use dsmpm2_verify::scenario::{self, READ_THEN_UPGRADE_ORDERS};
 use dsmpm2_verify::{run_scenario, RunConfig};
 
 #[test]
 fn li_hudak_fixed_deadlocks_on_the_smallest_read_then_upgrade() {
-    let scenario = scenario::read_then_upgrade();
+    let scenario = scenario::read_then_upgrade(&READ_THEN_UPGRADE_ORDERS);
     assert!(scenario.threads.iter().all(|t| t.ops.len() == 14));
     let outcome = run_scenario(&scenario, &RunConfig::plain("li_hudak_fixed"));
     let Some(SimError::Deadlock {
@@ -58,7 +58,7 @@ fn parked(threads: &[String]) -> Vec<String> {
 
 #[test]
 fn li_hudak_runs_the_smallest_read_then_upgrade_clean() {
-    let scenario = scenario::read_then_upgrade();
+    let scenario = scenario::read_then_upgrade(&READ_THEN_UPGRADE_ORDERS);
     let outcome = run_scenario(&scenario, &RunConfig::plain("li_hudak"));
     assert_eq!(outcome.error, None);
     assert!(outcome.expectation_findings(&scenario).is_empty());

@@ -43,7 +43,7 @@
 //!   access detection, protocol registry, protocol library, locks/barriers.
 //! * [`protocols`] — the six built-in protocols of the paper, three extension
 //!   protocols (fixed-manager sequential consistency, entry consistency, lazy
-//!   release consistency with write notices) and hybrid construction.
+//!   release consistency with write notices).
 //! * [`hyperion`] — the object layer used by the Java-consistency protocols.
 //! * [`workloads`] — the applications of the evaluation (TSP, map colouring,
 //!   Jacobi), the SPLASH-2-style kernels of the paper's outlook (matrix
