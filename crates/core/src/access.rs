@@ -9,7 +9,7 @@
 //! signal-based fault path, without the `unsafe` signal handling. The paper
 //! itself supports bypassing page faults with explicit locality checks (the
 //! `java_ic` protocol); [`DsmThreadCtx::checked_read`] and
-//! [`DsmThreadCtx::checked_write_recorded`] model that path.
+//! [`DsmThreadCtx::checked_write`] model that path.
 //!
 //! A hit is one inlined pass under one borrow of the node's page table: it
 //! resolves the unit, checks the rights, marks, records, counts and moves
@@ -27,7 +27,7 @@ use dsmpm2_madeleine::NodeId;
 use crate::costs;
 use crate::ctx::DsmThreadCtx;
 use crate::page::{line_range, Access, DsmAddr, Unit, PAGE_SIZE};
-use crate::page_table::{NodePages, UnitView};
+use crate::page_table::NodePages;
 use crate::protocol::FaultInfo;
 
 /// Scalar types that can be stored in DSM memory.
@@ -74,9 +74,7 @@ fn check_within_page(addr: DsmAddr, size: usize) {
 enum Pass {
     /// A typed access: mark a write, record it if the protocol does, count.
     Access,
-    /// The same, the written range recorded whatever the protocol.
-    Recorded,
-    /// An inline locality check (`java_ic`), then a recorded access.
+    /// An inline locality check (`java_ic`), then an access.
     Checked,
     /// The rights only ([`DsmThreadCtx::ensure_access`]).
     Rights,
@@ -111,9 +109,10 @@ impl DsmThreadCtx<'_, '_> {
     }
 
     /// A page fault on `unit`, which lacks `needed` rights: charge the
-    /// detection cost and run the protocol's fault handler.
+    /// detection cost and run the fault handler of the page's protocol, as
+    /// the directory names it.
     #[cold]
-    fn fault(&mut self, addr: DsmAddr, needed: Access, unit: UnitView) {
+    fn fault(&mut self, addr: DsmAddr, needed: Access, unit: Unit) {
         let rt = &self.runtime;
         self.pm2.sim.charge(costs::PAGE_FAULT);
         match needed {
@@ -123,10 +122,10 @@ impl DsmThreadCtx<'_, '_> {
         // The handler takes this context mutably, runtime included: the
         // protocol is borrowed from a handle of its own.
         let rt = rt.clone();
-        let protocol = rt.protocol(unit.protocol);
+        let protocol = rt.protocol_for_page(addr.page());
         let fault = FaultInfo {
             addr,
-            unit: Unit::new(addr.page(), unit.line),
+            unit,
             access: needed,
         };
         if needed == Access::Write {
@@ -139,7 +138,7 @@ impl DsmThreadCtx<'_, '_> {
     /// One access of the `len` bytes at `addr` on the thread's node, in one
     /// borrow of its page table: resolve the unit and, if the node holds
     /// `needed` rights, do what `pass` says, `copy` moving the bytes. A miss
-    /// changes nothing and returns the unit's view. Panics on an address
+    /// changes nothing and returns the unit. Panics on an address
     /// outside every allocation, and on one straddling a line of a sub-page
     /// region (rights are per line: it would be covered on its first only).
     #[inline(always)]
@@ -150,7 +149,7 @@ impl DsmThreadCtx<'_, '_> {
         needed: Access,
         pass: Pass,
         copy: &mut impl FnMut(&mut [u8]) -> R,
-    ) -> Result<R, UnitView> {
+    ) -> Result<R, Unit> {
         check_within_page(addr, len);
         let (rt, node) = (&self.runtime, self.node());
         let (page, offset) = (addr.page(), addr.offset());
@@ -180,7 +179,7 @@ impl DsmThreadCtx<'_, '_> {
                 );
             }
             if !entry.access.permits(needed) {
-                return Err(UnitView::of(entry));
+                return Err(entry.unit);
             }
             if pass == Pass::Rights {
                 return Ok(copy(&mut []));
@@ -190,7 +189,7 @@ impl DsmThreadCtx<'_, '_> {
                 .expect("a node with rights on a page holds its frame");
             if needed == Access::Write {
                 entry.modified_since_release = true;
-                if matches!(pass, Pass::Recorded | Pass::Checked) || entry.records_writes {
+                if entry.records_writes {
                     frame.recorded.push((offset, len));
                 }
             }
@@ -233,8 +232,9 @@ impl DsmThreadCtx<'_, '_> {
 
     /// Write a scalar to shared memory (faulting as needed). When the page's
     /// protocol records writes on the fly ([`crate::DsmProtocol::records_writes`],
-    /// the Java protocols), the modified range is recorded exactly as
-    /// [`DsmThreadCtx::write_recorded`] would — plain writes stay portable
+    /// the Java protocols), the modified range is recorded with field
+    /// granularity (the on-the-fly diff recording of Hyperion's `put`);
+    /// under any other protocol it is not, so plain writes stay portable
     /// across every registered protocol.
     pub fn write<T: DsmScalar>(&mut self, addr: DsmAddr, value: T) {
         self.access(addr, T::SIZE, Access::Write, Pass::Access, |b| {
@@ -242,22 +242,14 @@ impl DsmThreadCtx<'_, '_> {
         });
     }
 
-    /// Write a scalar and record the modified range with field granularity
-    /// (the on-the-fly diff recording used by the Java protocols' `put`).
-    pub fn write_recorded<T: DsmScalar>(&mut self, addr: DsmAddr, value: T) {
-        self.access(addr, T::SIZE, Access::Write, Pass::Recorded, |b| {
-            value.store_le(b)
-        });
-    }
-
-    /// [`DsmThreadCtx::write_recorded`] behind an explicit inline locality
-    /// check instead of fault detection: the check's charge and count, and —
-    /// if the node may write the unit — the marked, recorded store, in one
-    /// borrow. `false` if it may not: nothing was stored, recorded or
-    /// marked, and the caller brings the page in and retries (Hyperion's
-    /// `put` under `java_ic`).
+    /// [`DsmThreadCtx::write`] behind an explicit inline locality check
+    /// instead of fault detection: the check's charge and count, and — if
+    /// the node may write the unit — the marked store, recorded when the
+    /// page's protocol records writes, in one borrow. `false` if it may not:
+    /// nothing was stored, recorded or marked, and the caller brings the
+    /// page in and retries (Hyperion's `put` under `java_ic`).
     #[inline]
-    pub fn checked_write_recorded<T: DsmScalar>(&mut self, addr: DsmAddr, value: T) -> bool {
+    pub fn checked_write<T: DsmScalar>(&mut self, addr: DsmAddr, value: T) -> bool {
         let mut store = |b: &mut [u8]| value.store_le(b);
         self.hit(addr, T::SIZE, Access::Write, Pass::Checked, &mut store)
             .is_ok()
@@ -323,12 +315,12 @@ mod tests {
         let base = rt.dsm_malloc(PAGE_SIZE as u64, attr);
         let unit = Unit::whole(base.page());
         rt.spawn_dsm_thread(home, "writer", move |ctx| {
-            assert!(ctx.checked_write_recorded::<u64>(base, 1));
+            assert!(ctx.checked_write::<u64>(base, 1));
             ctx.runtime().page_table(home).update(unit, |e| {
                 e.access = Access::Read;
                 e.modified_since_release = false;
             });
-            assert!(!ctx.checked_write_recorded::<u64>(base, 2));
+            assert!(!ctx.checked_write::<u64>(base, 2));
         });
         engine.run().expect("a refused write is not an error");
         let stored = rt.frames(home).snapshot(base.page(), (0, 8));
@@ -338,7 +330,8 @@ mod tests {
             "the refused store left no trace"
         );
         assert!(!rt.page_table(home).get(unit).modified_since_release);
-        assert_eq!(rt.frames(home).recorded_ranges(base.page()), 1);
+        let recorded = rt.frames(home).recorded_ranges(base.page());
+        assert_eq!(recorded, 0, "a protocol that records no write");
         let stats = rt.stats().snapshot();
         assert_eq!((stats.inline_checks, stats.local_accesses), (2, 1));
     }

@@ -344,7 +344,6 @@ impl std::fmt::Debug for FrameStore<'_> {
 mod tests {
     use super::*;
     use crate::page::line_range;
-    use crate::protocol::ProtocolId;
     use dsmpm2_madeleine::NodeId;
 
     const PAGE: PageId = PageId(1);
@@ -367,7 +366,7 @@ mod tests {
     fn node_with_page() -> Node {
         let table = PageTable::new(NodeId(0));
         for page in (0..80).map(PageId) {
-            table.register_lines(page, NodeId(0), ProtocolId(0), false, PAGE_SIZE);
+            table.register_lines(page, NodeId(0), false, PAGE_SIZE);
         }
         let node = Node {
             table,

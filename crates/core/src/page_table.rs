@@ -2,12 +2,20 @@
 //!
 //! Each node keeps a table with one entry per *coherence unit*. A set of
 //! fields is common to virtually all protocols (local access rights, probable
-//! owner, home node, copyset); protocols reuse or ignore fields according to
-//! their own page-management strategy, exactly as in the original design
-//! where "a field may have different semantics in different protocols and may
-//! even be left unused by some protocols". A protocol that needs per-page
-//! state beyond these fields keeps it in its own tables, as `entry_sw` and
+//! owner, copyset); protocols reuse or ignore fields according to their own
+//! page-management strategy, exactly as in the original design where "a
+//! field may have different semantics in different protocols and may even be
+//! left unused by some protocols". A protocol that needs per-page state
+//! beyond these fields keeps it in its own tables, as `entry_sw` and
 //! `hlrc_notices` do, without modifying the core.
+//!
+//! An entry holds what this node knows of the unit. What every node knows
+//! alike — the page's home, its protocol and its line size — is the
+//! runtime's directory ([`crate::PageMeta`]), the one record a fault and a
+//! message both dispatch on. Two facts of it are copied into each entry,
+//! because a typed-access hit reads them inside its one borrow of the
+//! table: the line size (to find the unit of an offset) and whether the
+//! protocol records writes. Registering a page writes both.
 //!
 //! # One key
 //!
@@ -48,7 +56,6 @@ use dsmpm2_sim::{BlockReason, EngineCtl, SimDuration, SimHandle, SliceCell, Wait
 
 use crate::frames::Frame;
 use crate::page::{line_of_offset, Access, LineIx, PageId, PageMap, Unit, PAGE_SIZE};
-use crate::protocol::ProtocolId;
 
 /// One page-table entry: the coherence state of one line of one page (the
 /// whole page at the default granularity), as seen by one node.
@@ -57,7 +64,8 @@ pub struct PageEntry {
     /// The coherence unit this entry describes.
     pub unit: Unit,
     /// Size in bytes of this page's coherence lines (`PAGE_SIZE` at the
-    /// default granularity). Identical across all entries of one page.
+    /// default granularity), [`crate::PageMeta::line_size`] copied for the
+    /// hit path. Identical across all entries of one page.
     pub line_size: usize,
     /// Local access rights of this node.
     pub access: Access,
@@ -67,13 +75,10 @@ pub struct PageEntry {
     /// Probable owner (dynamic distributed manager) — the node to which
     /// requests are sent; updated as ownership hints flow through the system.
     pub prob_owner: NodeId,
-    /// Home node (fixed distributed manager / home-based protocols).
-    pub home: NodeId,
-    /// Protocol managing this page.
-    pub protocol: ProtocolId,
-    /// Whether that protocol records writes on the fly
+    /// Whether the page's protocol records writes on the fly
     /// ([`crate::DsmProtocol::records_writes`]), captured when the entry is
-    /// installed so a write hit need not consult the protocol registry.
+    /// installed so a write hit need not consult the directory and the
+    /// protocol registry.
     pub records_writes: bool,
     /// Nodes believed to hold a copy (meaningful at the owner / home node).
     pub copyset: BTreeSet<NodeId>,
@@ -107,22 +112,15 @@ pub struct PageEntry {
 }
 
 impl PageEntry {
-    /// A fresh entry for `unit`, one `line_size`-byte line of its page.
-    fn new_line(
-        unit: Unit,
-        line_size: usize,
-        home: NodeId,
-        protocol: ProtocolId,
-        records_writes: bool,
-    ) -> Self {
+    /// A fresh entry for `unit`, one `line_size`-byte line of its page,
+    /// naming `prob_owner` as its probable owner.
+    fn new_line(unit: Unit, line_size: usize, prob_owner: NodeId, records_writes: bool) -> Self {
         PageEntry {
             unit,
             line_size,
             access: Access::None,
             owned: false,
-            prob_owner: home,
-            home,
-            protocol,
+            prob_owner,
             records_writes,
             copyset: BTreeSet::new(),
             version: 0,
@@ -152,15 +150,9 @@ pub(crate) struct PageSlot {
 
 impl PageSlot {
     /// Fresh entries for every `line_size`-byte line of `page`, no frame.
-    fn new(
-        page: PageId,
-        line_size: usize,
-        home: NodeId,
-        protocol: ProtocolId,
-        records_writes: bool,
-    ) -> Self {
+    fn new(page: PageId, line_size: usize, prob_owner: NodeId, records_writes: bool) -> Self {
         let mut lines = Unit::all_of(page, line_size)
-            .map(|unit| PageEntry::new_line(unit, line_size, home, protocol, records_writes));
+            .map(|unit| PageEntry::new_line(unit, line_size, prob_owner, records_writes));
         PageSlot {
             first: lines.next().expect("a page has at least one line"),
             rest: lines.collect(),
@@ -197,9 +189,9 @@ impl PageSlot {
     }
 }
 
-/// What a typed access needs to know about the coherence unit it touches: a
-/// small `Copy` view resolved by [`PageTable::resolve`], in place of a clone
-/// of the whole entry (copyset included).
+/// What a typed access reads of the coherence unit an offset falls in: a
+/// small `Copy` view resolved by [`PageTable::resolve`] as the hit resolves
+/// it, in place of a clone of the whole entry (copyset included).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct UnitView {
     /// Local access rights on the unit.
@@ -208,23 +200,8 @@ pub struct UnitView {
     pub line: LineIx,
     /// Size in bytes of the page's coherence lines.
     pub line_size: usize,
-    /// Protocol managing the unit.
-    pub protocol: ProtocolId,
-    /// Whether that protocol records writes on the fly.
+    /// Whether the page's protocol records writes on the fly.
     pub records_writes: bool,
-}
-
-impl UnitView {
-    #[inline(always)]
-    pub(crate) fn of(entry: &PageEntry) -> Self {
-        UnitView {
-            access: entry.access,
-            line: entry.unit.line,
-            line_size: entry.line_size,
-            protocol: entry.protocol,
-            records_writes: entry.records_writes,
-        }
-    }
 }
 
 /// A node's pages and its hit counters: all a typed-access hit reads or
@@ -262,22 +239,23 @@ impl PageTable {
     }
 
     /// Give `page` fresh entries, one per `line_size`-byte line (a
-    /// `PAGE_SIZE` line is the single whole-page entry), replacing any it
-    /// had; its frame, if the node holds one, stays. `records_writes` is
-    /// `protocol`'s [`crate::DsmProtocol::records_writes`]. Re-registering a
-    /// page (a protocol switch) needs all activity on it quiesced first.
+    /// `PAGE_SIZE` line is the single whole-page entry), each naming
+    /// `prob_owner` (the page's home) as probable owner, replacing any it
+    /// had; its frame, if the node holds one, stays. `records_writes` is the
+    /// page's protocol's [`crate::DsmProtocol::records_writes`].
+    /// Re-registering a page (a protocol switch) needs all activity on it
+    /// quiesced first.
     pub fn register_lines(
         &self,
         page: PageId,
-        home: NodeId,
-        protocol: ProtocolId,
+        prob_owner: NodeId,
         records_writes: bool,
         line_size: usize,
     ) {
         let mut slots = self.slots.borrow();
         let slot = slots.pages.slot(page);
         let frame = slot.take().and_then(|old| old.frame);
-        let fresh = PageSlot::new(page, line_size, home, protocol, records_writes);
+        let fresh = PageSlot::new(page, line_size, prob_owner, records_writes);
         *slot = Some(PageSlot { frame, ..fresh });
     }
 
@@ -301,7 +279,12 @@ impl PageTable {
     pub fn resolve(&self, page: PageId, offset: usize) -> Option<UnitView> {
         let mut slots = self.slots.borrow();
         let (entry, _) = slots.pages.get_mut(page)?.unit_at(offset);
-        Some(UnitView::of(entry))
+        Some(UnitView {
+            access: entry.access,
+            line: entry.unit.line,
+            line_size: entry.line_size,
+            records_writes: entry.records_writes,
+        })
     }
 
     /// Run `f` with shared access to the entry for `unit`, without cloning it
@@ -421,7 +404,7 @@ mod tests {
     fn at_both_geometries(check: impl Fn(&PageTable, usize, Unit)) {
         for line_size in [PAGE_SIZE, 1024] {
             let t = PageTable::new(NodeId(1));
-            t.register_lines(PAGE, NodeId(0), ProtocolId(0), false, line_size);
+            t.register_lines(PAGE, NodeId(0), false, line_size);
             let last = LineIx(lines_per_page(line_size) - 1);
             check(&t, line_size, Unit::new(PAGE, last));
         }
@@ -441,7 +424,7 @@ mod tests {
             };
             t.slots.borrow().pages.get_mut(PAGE).unwrap().frame = Some(frame);
             for again in [line_size, PAGE_SIZE / 2] {
-                t.register_lines(PAGE, NodeId(0), ProtocolId(0), false, again);
+                t.register_lines(PAGE, NodeId(0), false, again);
                 assert_eq!(t.access(unit), Access::None);
                 assert_eq!(t.len(), PAGE_SIZE / again);
                 let slots = t.slots.borrow();
@@ -457,7 +440,6 @@ mod tests {
             let e = t.get(unit);
             assert_eq!(e.access, Access::None);
             assert!(!e.owned);
-            assert_eq!(e.home, NodeId(0));
             assert_eq!(e.prob_owner, NodeId(0));
             assert!(e.copyset.is_empty());
             assert_eq!(e.version, 0);
@@ -506,7 +488,7 @@ mod tests {
         use std::sync::Arc;
         for line_size in [PAGE_SIZE, 1024] {
             let t = Arc::new(PageTable::new(NodeId(1)));
-            t.register_lines(PAGE, NodeId(0), ProtocolId(0), false, line_size);
+            t.register_lines(PAGE, NodeId(0), false, line_size);
             let unit = Unit::new(PAGE, LineIx(lines_per_page(line_size) - 1));
             let mut engine = Engine::new();
             let waiter = Arc::clone(&t);
@@ -545,7 +527,7 @@ mod tests {
         use std::sync::atomic::{AtomicU64, Ordering};
         use std::sync::Arc;
         let t = Arc::new(PageTable::new(NodeId(1)));
-        t.register_lines(PAGE, NodeId(0), ProtocolId(0), false, PAGE_SIZE);
+        t.register_lines(PAGE, NodeId(0), false, PAGE_SIZE);
         let unit = Unit::whole(PAGE);
         let resumed_at = Arc::new(AtomicU64::new(0));
         let mut engine = Engine::new();
@@ -572,7 +554,7 @@ mod tests {
     fn modified_units_are_sorted() {
         let t = PageTable::new(NodeId(0));
         for p in [5u64, 1, 3] {
-            t.register_lines(PageId(p), NodeId(0), ProtocolId(0), false, 1024);
+            t.register_lines(PageId(p), NodeId(0), false, 1024);
         }
         let written = [(5, 0), (1, 3), (3, 1), (5, 2), (1, 0)];
         for (page, line) in written {
@@ -586,7 +568,7 @@ mod tests {
         };
         let sorted = [(1, 0), (1, 3), (3, 1), (5, 0), (5, 2)];
         assert_eq!(t.modified_units(), units(&sorted));
-        t.register_lines(PageId(1), NodeId(0), ProtocolId(0), false, PAGE_SIZE);
+        t.register_lines(PageId(1), NodeId(0), false, PAGE_SIZE);
         assert_eq!(t.modified_units(), units(&sorted[2..]));
         assert_eq!(t.len(), 9);
     }
@@ -598,7 +580,7 @@ mod tests {
     fn the_lines_of_a_split_page_are_independent_entries() {
         let t = PageTable::new(NodeId(1));
         let page = PageId(4);
-        t.register_lines(page, NodeId(0), ProtocolId(2), false, 1024);
+        t.register_lines(page, NodeId(0), false, 1024);
         let (first, third) = (Unit::whole(page), Unit::new(page, LineIx(2)));
         for unit in [first, third] {
             t.update(unit, |e| {
@@ -619,7 +601,7 @@ mod tests {
         assert!(t.get(first).copyset.contains(&NodeId(1)));
         assert_eq!(t.access(Unit::new(page, LineIx(1))), Access::None);
         assert_eq!(t.try_read(Unit::new(page, LineIx(4)), |_| ()), None);
-        t.register_lines(page, NodeId(0), ProtocolId(2), false, 1024);
+        t.register_lines(page, NodeId(0), false, 1024);
         assert_eq!(t.access(first), Access::None, "re-registered afresh");
         assert_eq!(t.resolve(PageId(5), 8), None);
     }
@@ -638,14 +620,14 @@ mod tests {
     }
 
     /// `resolve` at both geometries: picks the line of the offset, reports
-    /// that entry's rights / protocol / flag, marks nothing, and knows no
+    /// that entry's rights / line / flag, marks nothing, and knows no
     /// page it was not told about.
     #[test]
     fn resolve_views_the_unit_of_an_offset() {
         for line_size in [PAGE_SIZE, 1024] {
             let t = PageTable::new(NodeId(1));
             let page = PageId(9);
-            t.register_lines(page, NodeId(0), ProtocolId(3), true, line_size);
+            t.register_lines(page, NodeId(0), true, line_size);
             let last = LineIx(lines_per_page(line_size) - 1);
             let view = |offset| t.resolve(page, offset).unwrap();
             t.set_access(Unit::new(page, last), Access::Read);
@@ -653,7 +635,6 @@ mod tests {
                 access: Access::Read,
                 line: last,
                 line_size,
-                protocol: ProtocolId(3),
                 records_writes: true,
             };
             assert_eq!(view(PAGE_SIZE - 8), expected);

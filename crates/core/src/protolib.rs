@@ -223,6 +223,7 @@ pub fn serve_read_copy(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, req: 
 pub fn serve_write_transfer(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, req: &PageRequest) {
     let table = rt.page_table(node);
     sim.charge(rt.costs().transfer_overhead);
+    let at_home = rt.page_meta(req.unit.page).home == node;
     let (copyset, version, span) = table.update(req.unit, |e| {
         let mut copyset: Vec<NodeId> = e.copyset.iter().copied().collect();
         copyset.retain(|&n| n != req.requester);
@@ -230,7 +231,7 @@ pub fn serve_write_transfer(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, 
         e.access = Access::None;
         e.owned = false;
         e.prob_owner = req.requester;
-        e.queue_tail = if e.home == node {
+        e.queue_tail = if at_home {
             // Serving from the home: this acquisition is now in flight; the
             // manager admits the next write request once the requester's
             // AcquireDone arrives.
@@ -542,16 +543,11 @@ pub fn push_diffs_and_wait(
 
 /// Compute the diffs of `units` — what this node modified since the last
 /// release, e.g. [`crate::PageTable::modified_units`] — and ship them to the
-/// units' home nodes, waiting for all acknowledgements. `use_recorded`
-/// selects on-the-fly recorded ranges (Java protocols) instead of twin
-/// comparison (`hbrc_mw`).
-pub fn flush_diffs_to_homes(
-    sim: &mut SimHandle,
-    node: NodeId,
-    rt: &DsmRuntime,
-    units: &[Unit],
-    use_recorded: bool,
-) {
+/// units' home nodes, waiting for all acknowledgements. A unit whose
+/// protocol records writes ([`crate::DsmProtocol::records_writes`], the Java
+/// protocols) ships its on-the-fly recorded ranges; any other is compared
+/// with its twin (`hbrc_mw`).
+pub fn flush_diffs_to_homes(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, units: &[Unit]) {
     let table = rt.page_table(node);
     // Compute every diff first (paying the per-unit scan cost), then
     // transmit them together.
@@ -559,17 +555,17 @@ pub fn flush_diffs_to_homes(
     for &unit in units {
         // A unit homed here is already up to date: just clear the dirty flag
         // and forget the writes recorded on it, which no home will merge.
-        let offset = table.update(unit, |e| {
+        let (offset, recorded) = table.update(unit, |e| {
             e.modified_since_release = false;
-            e.line_span().0
+            (e.line_span().0, e.records_writes)
         });
         if rt.page_meta(unit.page).home == node {
-            if use_recorded {
+            if recorded {
                 rt.frames(node).clear_recorded(unit.page);
             }
             continue;
         }
-        outgoing.push(if use_recorded {
+        outgoing.push(if recorded {
             rt.frames(node).take_recorded_diff(unit.page)
         } else {
             sim.charge(costs::DIFF_COMPUTE);

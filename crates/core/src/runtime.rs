@@ -21,8 +21,12 @@ use crate::protocol::{DsmProtocol, ProtocolId};
 use crate::stats::{DsmStats, DsmStatsSnapshot};
 use crate::sync::{BarrierId, BarrierState, LockId, LockState};
 
-/// Static, cluster-wide information about one page (held identically by every
-/// node; it never changes after allocation).
+/// Cluster-wide information about one page, held once for every node: the
+/// one record of its home, its protocol and its line size. A fault and a
+/// message both dispatch on the protocol named here. Allocation sets it; a
+/// [`DsmRuntime::switch_region_protocol`] rewrites the protocol (and clamps
+/// the line size to whole pages when the new protocol needs it), and the
+/// home never changes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct PageMeta {
     /// Home node of the page.
@@ -55,11 +59,6 @@ pub struct DsmAttr {
     pub protocol: Option<ProtocolId>,
     /// Home placement of the allocated pages.
     pub home: HomePolicy,
-    /// Per-region coherence granularity override in bytes; `None` uses
-    /// [`Pm2Config::granularity`]. Must divide `PAGE_SIZE`.
-    /// Silently clamped to whole pages when the region's protocol does not
-    /// support sub-page coherence ([`DsmProtocol::supports_subpage`]).
-    pub granularity: Option<usize>,
 }
 
 impl DsmAttr {
@@ -68,19 +67,12 @@ impl DsmAttr {
         DsmAttr {
             protocol: Some(protocol),
             home: HomePolicy::default(),
-            granularity: None,
         }
     }
 
     /// Set the home placement policy.
     pub fn home(mut self, policy: HomePolicy) -> Self {
         self.home = policy;
-        self
-    }
-
-    /// Set a per-region coherence granularity (bytes per line).
-    pub fn granularity(mut self, bytes: usize) -> Self {
-        self.granularity = Some(bytes);
         self
     }
 }
@@ -402,8 +394,11 @@ impl DsmRuntime {
     // ----- allocation --------------------------------------------------------
 
     /// Allocate `bytes` of shared memory managed by the protocol and placement
-    /// selected by `attr` (the analogue of `dsm_malloc`). Returns the
-    /// iso-address of the first byte; the memory is zero-initialised.
+    /// selected by `attr` (the analogue of `dsm_malloc`), at the cluster's
+    /// coherence granularity ([`Pm2Config::granularity`], whole pages when
+    /// unset or when the protocol does not support sub-page coherence,
+    /// [`DsmProtocol::supports_subpage`]). Returns the iso-address of the
+    /// first byte; the memory is zero-initialised.
     pub fn dsm_malloc(&self, bytes: u64, attr: DsmAttr) -> DsmAddr {
         assert!(bytes > 0, "cannot allocate zero bytes of shared memory");
         let protocol = attr.protocol.unwrap_or_else(|| self.default_protocol());
@@ -411,12 +406,8 @@ impl DsmRuntime {
             protocol.0 < self.inner.protocols.len(),
             "allocation references unregistered {protocol}"
         );
-        // Effective coherence granularity: the per-region override wins over
-        // the cluster's default, and no default means whole pages; protocols
-        // that do not manage sub-page units clamp the region back to pages.
-        let cluster_default = self.inner.cluster.config().granularity;
-        let requested = attr.granularity.or(cluster_default).unwrap_or(PAGE_SIZE);
-        let requested = validate_line_size(requested);
+        let requested = self.inner.cluster.config().granularity;
+        let requested = validate_line_size(requested.unwrap_or(PAGE_SIZE));
         let proto = self.protocol(protocol);
         let records_writes = proto.records_writes();
         let line_size = if proto.supports_subpage() {
@@ -451,13 +442,8 @@ impl DsmRuntime {
                 },
             );
             for node in self.inner.cluster.topology().nodes() {
-                self.page_table(node).register_lines(
-                    page,
-                    home,
-                    protocol,
-                    records_writes,
-                    line_size,
-                );
+                self.page_table(node)
+                    .register_lines(page, home, records_writes, line_size);
             }
             self.grant_to_home(page, home, line_size, 0);
             self.frames(home).ensure_zeroed(page);
@@ -488,7 +474,6 @@ impl DsmRuntime {
             DsmAttr {
                 protocol: None,
                 home: HomePolicy::Fixed(NodeId(0)),
-                granularity: None,
             },
         )
     }
@@ -609,7 +594,6 @@ impl DsmRuntime {
                     let is_home = node == home;
                     for &unit in &units {
                         self.page_table(node).update(unit, |e| {
-                            e.protocol = new_protocol;
                             e.records_writes = records_writes;
                             e.access = if is_home { Access::Write } else { Access::None };
                             e.owned = is_home;
@@ -629,13 +613,8 @@ impl DsmRuntime {
                 // home's frame stays in its slot.
                 let version = self.page_table(home).read(Unit::whole(page), |e| e.version) + 1;
                 for node in self.inner.cluster.topology().nodes() {
-                    self.page_table(node).register_lines(
-                        page,
-                        home,
-                        new_protocol,
-                        records_writes,
-                        new_line_size,
-                    );
+                    self.page_table(node)
+                        .register_lines(page, home, records_writes, new_line_size);
                 }
                 self.grant_to_home(page, home, new_line_size, version);
             }

@@ -171,18 +171,19 @@ impl HyperionHeap {
         }
     }
 
-    /// Hyperion's `put` primitive: write field `field` of `obj`. The
-    /// modification is recorded with field granularity so the main-memory
-    /// update at monitor exit only ships what changed.
+    /// Hyperion's `put` primitive: write field `field` of `obj`. Both Java
+    /// protocols record writes ([`dsmpm2_core::DsmProtocol::records_writes`]),
+    /// so the modification is recorded with field granularity and the
+    /// main-memory update at monitor exit only ships what changed.
     pub fn put(&self, ctx: &mut DsmThreadCtx<'_, '_>, obj: ObjectRef, field: usize, value: u64) {
         let addr = obj.field_addr(field);
         match self.inner.detection {
             JavaDetection::InlineCheck => {
-                while !ctx.checked_write_recorded::<u64>(addr, value) {
+                while !ctx.checked_write::<u64>(addr, value) {
                     JavaConsistency::cache_page(ctx, addr.page());
                 }
             }
-            JavaDetection::PageFault => ctx.write_recorded::<u64>(addr, value),
+            JavaDetection::PageFault => ctx.write::<u64>(addr, value),
         }
     }
 

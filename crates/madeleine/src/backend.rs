@@ -124,10 +124,6 @@ pub struct LossyConfig {
     /// check and only show up in
     /// [`WireStatsSnapshot::duplicates`](crate::WireStatsSnapshot::duplicates).
     pub dup_per_mille: u16,
-    /// Retransmission timeout, as a multiple of the attempt's own wire time
-    /// (clamped to ≥ 1): the sender re-sends a dropped frame `rto_factor`
-    /// wire times after the attempt departed.
-    pub rto_factor: u32,
 }
 
 impl Default for LossyConfig {
@@ -136,10 +132,14 @@ impl Default for LossyConfig {
             seed: 0x5eed_d5a1,
             drop_per_mille: 50,
             dup_per_mille: 10,
-            rto_factor: 2,
         }
     }
 }
+
+/// Retransmission timeout of the [`TransportTuning::Lossy`] backend, as a
+/// multiple of a dropped attempt's own wire time: the sender re-sends the
+/// frame this many wire times after the attempt departed.
+const RTO_FACTOR: u64 = 2;
 
 /// Hard cap on wire attempts per frame, so even an (clamped) adversarial
 /// drop rate cannot stall a link forever.
@@ -430,7 +430,6 @@ impl<M: Send + 'static> LossyTransport<M> {
     fn new(ctl: EngineCtl, mut config: LossyConfig, num_nodes: usize) -> Self {
         config.drop_per_mille = config.drop_per_mille.min(999);
         config.dup_per_mille = config.dup_per_mille.min(1000);
-        config.rto_factor = config.rto_factor.max(1);
         LossyTransport {
             ctl,
             config,
@@ -486,7 +485,7 @@ impl<M: Send + 'static> LossyTransport<M> {
                 wire.drops += 1;
                 wire.retransmits += 1;
             });
-            let rto = base_delay * u64::from(config.rto_factor);
+            let rto = base_delay * RTO_FACTOR;
             let retransmit_at = depart_at + rto;
             let inner = SliceRc::clone(self_inner);
             ctl.call_at_on(to.index() as u64, retransmit_at, move |ctl| {
@@ -704,7 +703,6 @@ mod tests {
                 seed,
                 drop_per_mille: 300,
                 dup_per_mille: 100,
-                rto_factor: 2,
             });
             let mut engine = Engine::new();
             let net = net_with(&engine, tuning, 2);
@@ -748,7 +746,6 @@ mod tests {
             seed: 42,
             drop_per_mille: 400,
             dup_per_mille: 200,
-            rto_factor: 1,
         });
         let mut engine = Engine::new();
         let net = net_with(&engine, tuning, 2);

@@ -15,9 +15,9 @@
 //!   serialization, `Lossy` deterministic drop/duplication with
 //!   retransmission, or `Permuted` explorer-chosen delivery slots — selected
 //!   per cluster.
-//! * [`NetStats`] — the network's one counter store (per-link rows and the
-//!   wire totals of [`WireStatsSnapshot`]), feeding the monitoring reports
-//!   and the transport ablations.
+//! * [`NetStats`] — the network's one counter store (message and byte
+//!   totals and the wire totals of [`WireStatsSnapshot`]), feeding the
+//!   monitoring reports and the transport ablations.
 //!
 //! Switching a whole DSM application from one interconnect to another is a
 //! one-line change of profile, exactly like relinking a PM2 program against a
@@ -36,6 +36,6 @@ mod transport;
 
 pub use backend::{build_transport, LossyConfig, PermutedConfig, Transport, TransportTuning};
 pub use model::{NetworkModel, CONTROL_MESSAGE_BYTES};
-pub use stats::{LinkCounters, NetStats, NetStatsSnapshot, WireStatsSnapshot};
+pub use stats::{NetStats, WireStatsSnapshot};
 pub use topology::{NodeId, Topology};
 pub use transport::{Deliver, DeliverySink, Envelope, Network, PreSendHook};

@@ -996,11 +996,8 @@ mod tests {
         let total = NODES as u64 * REQUESTS;
         assert_eq!(served.load(Ordering::Relaxed), total);
 
-        let net = c.network().stats().snapshot();
-        assert_eq!((net.messages, net.bytes), (total, 35_328_000));
-        let mut links: Vec<_> = net.per_link.values().map(|l| l.messages).collect();
-        links.sort_unstable();
-        assert_eq!(links, [vec![3_333; 8], vec![3_334; 4]].concat());
+        let net = c.network().stats();
+        assert_eq!((net.messages(), net.bytes()), (total, 35_328_000));
         assert_eq!(
             c.network().wire_stats(),
             dsmpm2_madeleine::WireStatsSnapshot {

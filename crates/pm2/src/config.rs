@@ -23,9 +23,9 @@ pub struct Pm2Config {
     /// Default coherence granularity in bytes of the DSM allocations made on
     /// this cluster: `None` (the default) manages whole pages; `Some(bytes)`
     /// must divide the page size and splits every page into
-    /// independently-owned lines of that many bytes. A region's allocation
-    /// attributes override it, and protocols without sub-page coherence
-    /// clamp it back to whole pages.
+    /// independently-owned lines of that many bytes. It is the one setting
+    /// of the granularity: protocols without sub-page coherence clamp it
+    /// back to whole pages.
     pub granularity: Option<usize>,
     /// The wire-level transport backend: the default is the `Ideal`
     /// uncontended pipe of the paper's cost model.

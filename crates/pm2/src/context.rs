@@ -150,7 +150,7 @@ impl<'a> Pm2Context<'a> {
         );
         let network = self.cluster.network();
         let cost = network.model().thread_migration_time();
-        network.stats().record(from, dest, THREAD_STACK_BYTES);
+        network.stats().record(THREAD_STACK_BYTES);
         // Re-home the thread onto the destination node's scheduler shard
         // *before* sleeping, so the post-migration wake-up (and everything
         // the thread does afterwards) is in program order with the
@@ -229,8 +229,11 @@ mod tests {
         assert_eq!(state.node(), NodeId(1));
         assert_eq!(state.migrations(), 1);
         assert!(state.finished());
-        let link = cluster.network().stats().snapshot();
-        assert_eq!((link.messages, link.bytes), (1, THREAD_STACK_BYTES as u64));
+        let net = cluster.network().stats();
+        assert_eq!(
+            (net.messages(), net.bytes()),
+            (1, THREAD_STACK_BYTES as u64)
+        );
     }
 
     #[test]
@@ -244,7 +247,7 @@ mod tests {
         });
         engine.run().unwrap();
         assert_eq!(cluster.app_threads()[0].migrations(), 0);
-        assert_eq!(cluster.network().stats().snapshot().messages, 0);
+        assert_eq!(cluster.network().stats().messages(), 0);
     }
 
     #[test]

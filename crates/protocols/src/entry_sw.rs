@@ -195,7 +195,7 @@ impl DsmProtocol for EntryConsistency {
             .copied()
             .filter(|&u| table.contains(u.page) && table.read(u, |e| e.modified_since_release))
             .collect();
-        protolib::flush_diffs_to_homes(ctx.pm2.sim, node, &rt, &modified, false);
+        protolib::flush_diffs_to_homes(ctx.pm2.sim, node, &rt, &modified);
         // Downgrade: the next acquirer (possibly on another node) becomes the
         // writer of the guarded data.
         protolib::reprotect_after_flush(ctx.pm2.sim, node, &rt, &units);

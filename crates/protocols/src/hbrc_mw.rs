@@ -113,7 +113,7 @@ impl DsmProtocol for HbrcMw {
         let modified = table.modified_units();
         // Non-home units: ship the twin diffs to their home nodes, then
         // write-protect the flushed copies again.
-        protolib::flush_diffs_to_homes(ctx.pm2.sim, node, &rt, &modified, false);
+        protolib::flush_diffs_to_homes(ctx.pm2.sim, node, &rt, &modified);
         protolib::reprotect_after_flush(ctx.pm2.sim, node, &rt, &modified);
         // Units homed here: the reference copy changed in place, so remote
         // copies are stale and must be invalidated before the release

@@ -188,7 +188,7 @@ impl DsmProtocol for HlrcNotices {
             return;
         }
         // Push the diffs home so the reference copies are up to date...
-        protolib::flush_diffs_to_homes(ctx.pm2.sim, node, &rt, &modified, false);
+        protolib::flush_diffs_to_homes(ctx.pm2.sim, node, &rt, &modified);
         // ...re-protect the flushed copies so the next critical section
         // faults, re-twins and produces a fresh diff...
         protolib::reprotect_after_flush(ctx.pm2.sim, node, &rt, &modified);

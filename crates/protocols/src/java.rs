@@ -184,6 +184,6 @@ impl DsmProtocol for JavaConsistency {
             .filter(|&p| rt.is_dsm_page(p) && rt.frames(node).has_recorded(p))
             .map(Unit::whole)
             .collect();
-        protolib::flush_diffs_to_homes(ctx.pm2.sim, node, &rt, &modified, true);
+        protolib::flush_diffs_to_homes(ctx.pm2.sim, node, &rt, &modified);
     }
 }

@@ -369,7 +369,7 @@ mod tests {
 
         rt.spawn_dsm_thread(NodeId(1), "mutator", move |ctx| {
             ctx.dsm_lock(monitor);
-            ctx.write_recorded::<u32>(addr.add(16), 1234);
+            ctx.write::<u32>(addr.add(16), 1234);
             ctx.dsm_unlock(monitor);
             ctx.dsm_barrier(b);
         });

@@ -148,20 +148,18 @@ fn explorer_gate() -> bool {
 fn race_gate() -> bool {
     let mut ok = true;
     for protocol in BUILTIN {
-        let (total, log, step) = with_recording(true, || {
-            run_shared_counter(&Pm2Config::bip_myrinet(2), 2, protocol)
-        });
+        let (total, log, step) =
+            with_recording(|| run_shared_counter(&Pm2Config::bip_myrinet(2), 2, protocol));
         ok &= report_workload("shared_counter", protocol, &log, &step, total == 4);
     }
     for protocol in JACOBI {
-        let (result, log, step) =
-            with_recording(true, || run_jacobi(&JacobiConfig::small(2), protocol));
+        let (result, log, step) = with_recording(|| run_jacobi(&JacobiConfig::small(2), protocol));
         ok &= report_workload("jacobi", protocol, &log, &step, result.checksum.is_finite());
     }
     // The colouring heap requires a Java-consistency protocol.
     for protocol in ["java_ic", "java_pf"] {
         let config = ColoringConfig::small(2, 6);
-        let (result, log, step) = with_recording(true, || run_map_coloring(&config, protocol));
+        let (result, log, step) = with_recording(|| run_map_coloring(&config, protocol));
         let oracle = solve_sequential(config.num_states);
         ok &= report_workload(
             "map_coloring",

@@ -56,11 +56,6 @@ impl ReplayController {
         }
     }
 
-    /// The canonical controller (replays the all-zeros path).
-    pub fn canonical() -> Self {
-        Self::new(Vec::new())
-    }
-
     /// The decisions the controlled run actually took, in encounter order.
     pub fn recorded(&self) -> Vec<Choice> {
         self.recorded.borrow().clone()

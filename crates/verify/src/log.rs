@@ -13,7 +13,7 @@ use std::fmt;
 
 use dsmpm2_core::{
     Access, ConsistencyModel, DsmRuntime, MemAccess, NodeId, PageId, SimTime, SyncEvent, Unit,
-    UnitView, VerifyHooks,
+    VerifyHooks,
 };
 use dsmpm2_sim::SliceCell;
 
@@ -160,14 +160,18 @@ impl RecordingHooks {
                 ),
             );
         }
-        let view = unit_of(rt, access);
-        if rt.protocol(view.protocol).multiple_writers() {
+        if rt.protocol_for_page(access.page).multiple_writers() {
             return;
         }
         // The invariants are properties of the *coherence unit* the access
-        // fell into — two nodes legitimately hold write access to different
-        // lines of one page at once.
-        let line = view.line;
+        // fell into, as the accessing node's own table resolves it — two
+        // nodes legitimately hold write access to different lines of one
+        // page at once.
+        let line = rt
+            .page_table(access.node)
+            .resolve(access.page, access.addr.offset())
+            .expect("the access went through the typed accessors: its page is registered")
+            .line;
         let unit = Unit::new(access.page, line);
         // Single-writer exclusivity: at most one node may hold write access
         // to the line.
@@ -213,20 +217,12 @@ impl RecordingHooks {
     }
 }
 
-/// The coherence unit `access` fell into, as the accessing node's own table
-/// resolves it.
-fn unit_of(rt: &DsmRuntime, access: &MemAccess) -> UnitView {
-    rt.page_table(access.node)
-        .resolve(access.page, access.addr.offset())
-        .expect("the access went through the typed accessors: its page is registered")
-}
-
 impl VerifyHooks for RecordingHooks {
     fn mem_access(&self, rt: &DsmRuntime, access: MemAccess) {
         if self.check_invariants {
             self.check_access_invariants(rt, &access);
         }
-        let model = rt.protocol(unit_of(rt, &access).protocol).consistency();
+        let model = rt.protocol_for_page(access.page).consistency();
         self.log.borrow().push(LogRecord::Access { access, model });
     }
 

@@ -178,7 +178,8 @@ pub fn run_scenario(scenario: &Scenario, cfg: &RunConfig) -> RunOutcome {
         .as_ref()
         .map(|h| install_global_verify_hooks(h.clone() as Arc<dyn dsmpm2_core::VerifyHooks>));
 
-    let config = Pm2Config::bip_myrinet(scenario.nodes).with_transport_tuning(cfg.transport);
+    let mut config = Pm2Config::bip_myrinet(scenario.nodes).with_transport_tuning(cfg.transport);
+    config.granularity = (scenario.granularity > 0).then_some(scenario.granularity);
     let engine = Engine::with_event_limit(EVENT_LIMIT);
     if let Some(controller) = &cfg.controller {
         engine.set_controller(controller.clone());
@@ -191,14 +192,9 @@ pub fn run_scenario(scenario: &Scenario, cfg: &RunConfig) -> RunOutcome {
     rt.set_default_protocol(protocol);
 
     let home = NodeId(scenario.home);
+    let attr = DsmAttr::default().home(HomePolicy::Fixed(home));
     let pages: Vec<_> = (0..scenario.pages)
-        .map(|_| {
-            let mut attr = DsmAttr::default().home(HomePolicy::Fixed(home));
-            if scenario.granularity > 0 {
-                attr = attr.granularity(scenario.granularity);
-            }
-            rt.dsm_malloc(PAGE_SIZE as u64, attr)
-        })
+        .map(|_| rt.dsm_malloc(PAGE_SIZE as u64, attr))
         .collect();
     let lock = rt.create_lock(Some(NodeId(scenario.lock_manager)));
     if cfg.protocol == "entry_sw" {
@@ -317,17 +313,13 @@ pub fn run_scenario(scenario: &Scenario, cfg: &RunConfig) -> RunOutcome {
     outcome
 }
 
-/// Install recording hooks, run `f` (which may construct any number of
+/// Install checking hooks, run `f` (which may construct any number of
 /// runtimes — e.g. a workload), and return its result together with the
 /// recorded log and per-step findings. Serialized on the same gate as
 /// [`run_scenario`].
-pub fn with_recording<R>(check: bool, f: impl FnOnce() -> R) -> (R, Vec<LogRecord>, Vec<Finding>) {
+pub fn with_recording<R>(f: impl FnOnce() -> R) -> (R, Vec<LogRecord>, Vec<Finding>) {
     let _gate = RUN_GATE.lock().unwrap_or_else(PoisonError::into_inner);
-    let hooks = Arc::new(if check {
-        RecordingHooks::checker()
-    } else {
-        RecordingHooks::recorder()
-    });
+    let hooks = Arc::new(RecordingHooks::checker());
     let guard = install_global_verify_hooks(hooks.clone() as Arc<dyn dsmpm2_core::VerifyHooks>);
     let result = f();
     drop(guard);

@@ -75,9 +75,15 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
     ALLOCATIONS.load(Ordering::Relaxed) - before
 }
 
-fn cluster(protocol: &str) -> (Engine, DsmRuntime, ProtocolId) {
+/// Two BIP/Myrinet nodes at coherence `granularity` (`None`: whole pages),
+/// `protocol` the default.
+fn cluster(protocol: &str, granularity: Option<usize>) -> (Engine, DsmRuntime, ProtocolId) {
     let engine = Engine::new();
-    let rt = DsmRuntime::new(&engine, Pm2Config::bip_myrinet(2));
+    let config = Pm2Config {
+        granularity,
+        ..Pm2Config::bip_myrinet(2)
+    };
+    let rt = DsmRuntime::new(&engine, config);
     let _ = register_all_protocols(&rt);
     let id = rt.protocol_by_name(protocol).expect("a built-in protocol");
     rt.set_default_protocol(id);
@@ -87,10 +93,8 @@ fn cluster(protocol: &str) -> (Engine, DsmRuntime, ProtocolId) {
 /// Allocations made by `HITS` scalar write+read pairs and as many byte-slice
 /// pairs on a home-owned page of `protocol`, after one identical warm-up pass.
 fn typed_hits(protocol: &str, granularity: usize) -> u64 {
-    let (mut engine, rt, _) = cluster(protocol);
-    let attr = DsmAttr::default()
-        .home(HomePolicy::Fixed(NodeId(0)))
-        .granularity(granularity);
+    let (mut engine, rt, _) = cluster(protocol, Some(granularity));
+    let attr = DsmAttr::default().home(HomePolicy::Fixed(NodeId(0)));
     let base = rt.dsm_malloc(PAGE_SIZE as u64, attr);
     assert_eq!(rt.page_meta(base.page()).line_size, granularity);
     assert!(
@@ -124,7 +128,7 @@ fn typed_hits(protocol: &str, granularity: usize) -> u64 {
 /// Allocations made by `HITS` `get` hits, then by `HITS` `put` hits, on an
 /// object homed on the accessing node under `java_ic`.
 fn object_hits() -> (u64, u64) {
-    let (mut engine, rt, java_ic) = cluster("java_ic");
+    let (mut engine, rt, java_ic) = cluster("java_ic", None);
     let heap = HyperionHeap::new(&rt, java_ic);
     let object = heap.alloc_object_on(NodeId(0), 8);
     let counted = Arc::new((AtomicU64::new(u64::MAX), AtomicU64::new(u64::MAX)));
@@ -160,7 +164,7 @@ const CYCLES: u64 = 200;
 /// as many warm-up cycles; then the allocations of one more
 /// `take_twin_diff` of eight dirty words on that node.
 fn twin_diff_cycles() -> (u64, u64) {
-    let (mut engine, rt, _) = cluster("hbrc_mw");
+    let (mut engine, rt, _) = cluster("hbrc_mw", None);
     let base = rt.dsm_malloc(
         PAGE_SIZE as u64,
         DsmAttr::default().home(HomePolicy::Fixed(NodeId(0))),
@@ -206,7 +210,7 @@ fn twin_diff_cycles() -> (u64, u64) {
 /// snapshot on the serving node and a whole-page install on the receiving
 /// one — after as many warm-up transfers.
 fn page_pingpong() -> u64 {
-    let (mut engine, rt, _) = cluster("li_hudak_fixed");
+    let (mut engine, rt, _) = cluster("li_hudak_fixed", None);
     let base = rt.dsm_malloc(
         PAGE_SIZE as u64,
         DsmAttr::default().home(HomePolicy::Fixed(NodeId(0))),
@@ -244,7 +248,7 @@ fn page_pingpong() -> u64 {
 /// snapshot on node 0, which node 1 adopts as its frame) and node 0's next
 /// write invalidates node 1's copy — after as many warm-up rounds.
 fn read_replication() -> u64 {
-    let (mut engine, rt, _) = cluster("li_hudak_fixed");
+    let (mut engine, rt, _) = cluster("li_hudak_fixed", None);
     let base = rt.dsm_malloc(
         PAGE_SIZE as u64,
         DsmAttr::default().home(HomePolicy::Fixed(NodeId(0))),
@@ -354,7 +358,7 @@ fn message_path(threaded: bool) -> (f64, u64) {
 /// the call that serves it. After one identical warm-up pass; the sender
 /// sleeps between messages so that each is served inside the bracket.
 fn lone_coherence_messages() -> f64 {
-    let (mut engine, rt, _) = cluster("li_hudak_fixed");
+    let (mut engine, rt, _) = cluster("li_hudak_fixed", None);
     let base = rt.dsm_malloc(
         PAGE_SIZE as u64,
         DsmAttr::default().home(HomePolicy::Fixed(NodeId(0))),

@@ -10,8 +10,10 @@
 //! list alone: for each (page, node) slot, the last value that node wrote
 //! there in program order. Every fault is detected through
 //! `PageTable::resolve`; after the run its view of every slot is checked
-//! against the entry it summarises. A failing case shrinks to a minimal op
-//! list thanks to the shim's halving-based shrinker.
+//! against the entry it summarises and against the page's directory record
+//! (`DsmRuntime::page_meta`), the one record of its line size and protocol.
+//! A failing case shrinks to a minimal op list thanks to the shim's
+//! halving-based shrinker.
 
 use std::sync::Arc;
 
@@ -101,7 +103,8 @@ fn run_interleaving(ops: &[Op], protocol: &str, granularity: Option<usize>) -> V
     let mut engine = engine;
     engine.run().expect("interleaving must not deadlock");
     // The accessor every access above went through agrees, field by field,
-    // with the entry it summarises — on every node, for every slot.
+    // with the entry it summarises and with the directory — on every node,
+    // for every slot.
     for table in (0..NODES).map(|n| rt.page_table(NodeId(n))) {
         for addr in (0..PAGES * NODES).map(|i| slot(i / NODES, i % NODES)) {
             let view = table
@@ -109,20 +112,12 @@ fn run_interleaving(ops: &[Op], protocol: &str, granularity: Option<usize>) -> V
                 .expect("allocated pages are registered on every node");
             assert_eq!(view.line, line_of_offset(addr.offset(), view.line_size));
             let entry = table.get(Unit::new(addr.page(), view.line));
+            let meta = rt.page_meta(addr.page());
+            let records_writes = rt.protocol(meta.protocol).records_writes();
             assert_eq!(
-                (
-                    view.access,
-                    view.line_size,
-                    view.protocol,
-                    view.records_writes
-                ),
-                (
-                    entry.access,
-                    entry.line_size,
-                    entry.protocol,
-                    entry.records_writes
-                ),
-                "view of {addr} diverged from its entry"
+                (view.access, view.line_size, view.records_writes),
+                (entry.access, meta.line_size, records_writes),
+                "view of {addr} diverged from its entry or the directory"
             );
         }
     }
@@ -166,10 +161,14 @@ fn access_panic(
     access: impl FnOnce(&mut DsmThreadCtx<'_, '_>, DsmAddr) + Send + 'static,
 ) -> String {
     let mut engine = Engine::new();
-    let rt = DsmRuntime::new(&engine, Pm2Config::bip_myrinet(1));
+    let cluster = Pm2Config {
+        granularity: Some(1024),
+        ..Pm2Config::bip_myrinet(1)
+    };
+    let rt = DsmRuntime::new(&engine, cluster);
     let _ = register_all_protocols(&rt);
     rt.set_default_protocol(rt.protocol_by_name("hbrc_mw").unwrap());
-    let base = rt.dsm_malloc(PAGE_BYTES, DsmAttr::default().granularity(1024));
+    let base = rt.dsm_malloc(PAGE_BYTES, DsmAttr::default());
     rt.spawn_dsm_thread(NodeId(0), "offender", move |ctx| access(ctx, base));
     match engine.run() {
         Err(dsm_pm2::sim::SimError::ThreadPanic { message, .. }) => message,

@@ -7,8 +7,8 @@ use std::sync::Arc;
 use std::sync::Mutex;
 
 use dsm_pm2::core::{
-    protolib, Access, CustomProtocol, DsmAttr, DsmRuntime, DsmScalar, HomePolicy, LineIx, Unit,
-    PAGE_SIZE,
+    protolib, Access, CustomProtocol, DsmAttr, DsmProtocol, DsmRuntime, DsmScalar, HomePolicy,
+    LineIx, Unit, PAGE_SIZE,
 };
 use dsm_pm2::prelude::*;
 
@@ -223,10 +223,14 @@ fn switch_preserves_values_and_folds_pending_diffs_into_the_home() {
 /// switched to `li_hudak`, which only manages whole pages.
 #[test]
 fn switch_folds_a_line_twin_into_the_home_and_clamps_the_region_to_pages() {
-    let (mut engine, rt, protos, _ext) = setup(2);
-    let attr = DsmAttr::with_protocol(protos.hbrc_mw)
-        .home(HomePolicy::Fixed(NodeId(0)))
-        .granularity(1024);
+    let mut engine = Engine::new();
+    let lines = Pm2Config {
+        granularity: Some(1024),
+        ..Pm2Config::sisci_sci(2)
+    };
+    let rt = DsmRuntime::new(&engine, lines);
+    let (protos, _ext) = register_all_protocols(&rt);
+    let attr = DsmAttr::with_protocol(protos.hbrc_mw).home(HomePolicy::Fixed(NodeId(0)));
     let addr = rt.dsm_malloc(4096, attr);
     let page = addr.page();
     let (unit, span) = (Unit::new(page, LineIx(2)), (2048, 1024));
@@ -278,19 +282,16 @@ fn switch_folds_a_line_twin_into_the_home_and_clamps_the_region_to_pages() {
     );
 }
 
-/// §2.3: several protocols can be *defined* in one program and selected
-/// dynamically without recompilation; a user-assembled protocol is usable
-/// exactly like the built-in ones.
-#[test]
-fn user_defined_protocol_is_selected_dynamically() {
-    let (mut engine, rt, protos, _ext) = setup(2);
-    // A write-through-to-home protocol assembled from library routines: read
-    // faults fetch a copy from the home, write faults fetch a writable copy,
-    // no invalidations ever happen (single-phase programs only).
-    let home_fetch = CustomProtocol::builder("home_fetch")
-        .read_fault_handler(|ctx, fault| {
+/// A write-through-to-home protocol assembled from library routines: read
+/// faults fetch a copy from the home, write faults fetch a writable copy, no
+/// invalidations ever happen (single-phase programs only). Each read fault
+/// it handles pushes the faulting node onto `read_faults`.
+fn home_fetch(read_faults: Arc<Mutex<Vec<NodeId>>>) -> Arc<dyn DsmProtocol> {
+    CustomProtocol::builder("home_fetch")
+        .read_fault_handler(move |ctx, fault| {
             let rt = ctx.runtime().clone();
             let node = ctx.node();
+            read_faults.lock().unwrap().push(node);
             protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, fault.unit, Access::Read);
         })
         .write_fault_handler(|ctx, fault| {
@@ -318,8 +319,16 @@ fn user_defined_protocol_is_selected_dynamically() {
             let node = ctx.local_node;
             protolib::install_received_page(ctx.sim, node, rt, transfer);
         })
-        .build();
-    let custom = rt.register_protocol(home_fetch);
+        .build()
+}
+
+/// §2.3: several protocols can be *defined* in one program and selected
+/// dynamically without recompilation; a user-assembled protocol is usable
+/// exactly like the built-in ones.
+#[test]
+fn user_defined_protocol_is_selected_dynamically() {
+    let (mut engine, rt, protos, _ext) = setup(2);
+    let custom = rt.register_protocol(home_fetch(Arc::default()));
 
     // Select the protocol "according to the arguments provided by the user
     // without any recompilation".
@@ -341,4 +350,41 @@ fn user_defined_protocol_is_selected_dynamically() {
     engine.run().unwrap();
     assert!(*ok.lock().unwrap());
     assert_eq!(rt.protocol_by_name("home_fetch"), Some(custom));
+}
+
+/// The directory is the one record of a page's protocol: once a switch has
+/// rewritten it, a fault on the page runs the new protocol's handler, also
+/// on a node that held a copy under the old protocol, and the request it
+/// sends is served by the new protocol too.
+#[test]
+fn a_fault_after_a_switch_runs_the_new_protocols_handler() {
+    let (mut engine, rt, protos, _ext) = setup(2);
+    let read_faults = Arc::new(Mutex::new(Vec::new()));
+    let custom = rt.register_protocol(home_fetch(read_faults.clone()));
+    let addr = rt.dsm_malloc(4096, DsmAttr::with_protocol(protos.li_hudak));
+    let b = rt.create_barrier(2, None);
+    let rt_for_switch = rt.clone();
+    rt.spawn_dsm_thread(NodeId(0), "switcher", move |ctx| {
+        ctx.write::<u64>(addr, 7);
+        ctx.dsm_barrier(b);
+        ctx.dsm_barrier(b);
+        assert_eq!(rt_for_switch.switch_region_protocol(addr, 4096, custom), 1);
+        ctx.dsm_barrier(b);
+    });
+    let seen = Arc::new(Mutex::new(Vec::new()));
+    let s = seen.clone();
+    rt.spawn_dsm_thread(NodeId(1), "reader", move |ctx| {
+        ctx.dsm_barrier(b);
+        s.lock().unwrap().push(ctx.read::<u64>(addr));
+        ctx.dsm_barrier(b);
+        ctx.dsm_barrier(b);
+        s.lock().unwrap().push(ctx.read::<u64>(addr));
+    });
+    engine.run().unwrap();
+    assert_eq!(*seen.lock().unwrap(), [7, 7]);
+    assert_eq!(
+        *read_faults.lock().unwrap(),
+        [NodeId(1)],
+        "node 1's copy under li_hudak, then one fault handled by home_fetch"
+    );
 }

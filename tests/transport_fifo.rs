@@ -42,13 +42,11 @@ fn backend_for(idx: usize, seed: u64) -> TransportTuning {
             seed,
             drop_per_mille: 250,
             dup_per_mille: 100,
-            rto_factor: 2,
         }),
         3 => TransportTuning::Lossy(LossyConfig {
             seed,
             drop_per_mille: 600,
             dup_per_mille: 300,
-            rto_factor: 1,
         }),
         _ => TransportTuning::Permuted(PermutedConfig { options: 4 }),
     }
