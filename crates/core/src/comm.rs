@@ -32,7 +32,8 @@ use dsmpm2_sim::{
 use crate::ctx::{DsmThreadCtx, ServerCtx};
 use crate::diff::PageDiff;
 use crate::msg::{DsmMsg, Invalidation, PageRequest, PageTransfer};
-use crate::page::{Access, Unit};
+use crate::page::{Access, PageId, Unit};
+use crate::protocol::ProtocolId;
 use crate::runtime::{DsmRuntime, RuntimeInner};
 use crate::sync::{BarrierId, LockId};
 use crate::verify::SyncEvent;
@@ -554,9 +555,7 @@ impl DsmThreadCtx<'_, '_> {
             thread,
             lock,
         });
-        for &id in rt.protocols_in_use().iter() {
-            rt.protocol(id).lock_acquire(self, lock);
-        }
+        self.acquire_hooks(&rt, lock);
     }
 
     /// Run the consistency actions associated with lock release, then release
@@ -569,9 +568,7 @@ impl DsmThreadCtx<'_, '_> {
             thread,
             lock,
         });
-        for &id in rt.protocols_in_use().iter() {
-            rt.protocol(id).lock_release(self, lock);
-        }
+        self.release_hooks(&rt, lock);
         rt.stats().incr_lock_release();
         let manager = rt.lock_manager(lock);
         self.pm2.rpc_oneway(
@@ -594,9 +591,7 @@ impl DsmThreadCtx<'_, '_> {
             thread,
             barrier,
         });
-        for &id in rt.protocols_in_use().iter() {
-            rt.protocol(id).lock_release(self, sync_point);
-        }
+        self.release_hooks(&rt, sync_point);
         let manager = rt.barrier_manager(barrier);
         self.pm2.rpc_call(
             manager,
@@ -610,10 +605,41 @@ impl DsmThreadCtx<'_, '_> {
             thread,
             barrier,
         });
-        for &id in rt.protocols_in_use().iter() {
-            rt.protocol(id).lock_acquire(self, sync_point);
-        }
+        self.acquire_hooks(&rt, sync_point);
         rt.stats().incr_barrier();
+    }
+
+    /// Run each protocol in use, in registration order, on the units of its
+    /// own pages that this node wrote since its last release
+    /// ([`crate::DsmProtocol::lock_release`]). A protocol with no such unit
+    /// is still called: its synchronisation state (bound regions, write
+    /// notices) lives in the protocol.
+    fn release_hooks(&mut self, rt: &DsmRuntime, lock: LockId) {
+        let table = rt.page_table(self.node());
+        let modified = table.modified_units();
+        for &id in rt.protocols_in_use().iter() {
+            let slice = if crate::mutant::active("sync_scope_leak") {
+                table.modified_units()
+            } else {
+                own(rt, id, &modified, |unit| unit.page)
+            };
+            rt.protocol(id).lock_release(self, lock, &slice);
+        }
+    }
+
+    /// Run each protocol in use, in registration order, on its own pages of
+    /// which this node maps a frame ([`crate::DsmProtocol::lock_acquire`]).
+    fn acquire_hooks(&mut self, rt: &DsmRuntime, lock: LockId) {
+        let frames = rt.frames(self.node());
+        let cached = frames.pages();
+        for &id in rt.protocols_in_use().iter() {
+            let slice = if crate::mutant::active("sync_scope_leak") {
+                frames.pages()
+            } else {
+                own(rt, id, &cached, |&page| page)
+            };
+            rt.protocol(id).lock_acquire(self, lock, &slice);
+        }
     }
 
     /// Report a synchronization event to the verify observer, if installed.
@@ -627,6 +653,14 @@ impl DsmThreadCtx<'_, '_> {
             hooks.sync_event(rt, event);
         }
     }
+}
+
+/// The items of `of` on pages that protocol `id` manages, in their order.
+fn own<T: Copy>(rt: &DsmRuntime, id: ProtocolId, of: &[T], page: fn(&T) -> PageId) -> Vec<T> {
+    of.iter()
+        .filter(|x| rt.page_meta(page(x)).protocol == id)
+        .copied()
+        .collect()
 }
 
 #[cfg(test)]

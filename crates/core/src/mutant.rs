@@ -1,7 +1,7 @@
 //! Mutation gate: re-introduced historical protocol bugs.
 //!
-//! Four bugs found and fixed during the original bring-up of the protocol
-//! library are kept compilable behind `--cfg dsm_mutant`, each selected at
+//! Five bugs found and fixed in the protocol library and the generic core
+//! are kept compilable behind `--cfg dsm_mutant`, each selected at
 //! runtime by the `DSM_MUTANT` environment variable. The `dsmpm2-verify`
 //! mutation gate rebuilds with the cfg, activates each mutant in turn, and
 //! asserts that the schedule explorer, race detector, or invariant oracle
@@ -19,6 +19,7 @@
 //! | `pre_revoke_diff_push` | release-time diff flush skips ack bookkeeping and returns before homes applied the diffs | stale-read race under `Permuted` delivery |
 //! | `hint_rewind` | home applies `AcquireDone` version updates unconditionally, letting a duplicated stale notice rewind the succession record | owner-version monotonicity oracle under `Lossy` duplication |
 //! | `doomed_frame_write` | protocol switch evicts remote frames before consolidating their modified contents | final-memory divergence on the switch scenario |
+//! | `sync_scope_leak` | every lock hook gets the node's whole modified set and frame list, read anew per hook, not its own protocol's part | wrong final word on the mixed-protocol release scenario |
 
 /// Mutant names the gate can activate via `DSM_MUTANT`.
 pub const MUTANTS: &[&str] = &[
@@ -26,6 +27,7 @@ pub const MUTANTS: &[&str] = &[
     "pre_revoke_diff_push",
     "hint_rewind",
     "doomed_frame_write",
+    "sync_scope_leak",
 ];
 
 /// True if the named mutant is compiled in (`--cfg dsm_mutant`) and selected

@@ -259,11 +259,6 @@ impl PageTable {
         *slot = Some(PageSlot { frame, ..fresh });
     }
 
-    /// True if the table knows about `page`.
-    pub fn contains(&self, page: PageId) -> bool {
-        self.slots.borrow().pages.get(page).is_some()
-    }
-
     /// A copy of the entry for `unit`.
     ///
     /// # Panics
@@ -477,8 +472,8 @@ mod tests {
                 assert!(!t.get(Unit::whole(PAGE)).owned);
             }
             assert!(t.get(unit).owned);
-            assert!(t.contains(PAGE) && !t.is_empty());
-            assert!(!t.contains(PageId(99)));
+            assert!(t.try_read(unit, |_| ()).is_some() && !t.is_empty());
+            assert!(t.try_read(Unit::whole(PageId(99)), |_| ()).is_none());
         });
     }
 

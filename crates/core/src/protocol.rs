@@ -17,7 +17,7 @@ use crate::costs;
 use crate::ctx::{DsmThreadCtx, ServerCtx};
 use crate::diff::PageDiff;
 use crate::msg::{Invalidation, PageRequest, PageTransfer};
-use crate::page::{Access, DsmAddr, Unit};
+use crate::page::{Access, DsmAddr, PageId, Unit};
 use crate::sync::LockId;
 use crate::verify::ConsistencyModel;
 
@@ -78,11 +78,17 @@ pub trait DsmProtocol: Send + Sync + 'static {
     /// Called on the node receiving a page it previously requested.
     fn receive_page_server(&self, ctx: &mut ServerCtx<'_>, transfer: PageTransfer);
 
-    /// Called after the calling thread has acquired a DSM lock.
-    fn lock_acquire(&self, ctx: &mut DsmThreadCtx<'_, '_>, lock: LockId);
+    /// Called after the calling thread acquired a DSM lock or left a barrier.
+    /// `cached` holds this protocol's pages of which this node maps a frame,
+    /// ascending. A hook acts on its slice and its own state only: the core
+    /// calls every protocol in use, each with its own pages. Default: nothing.
+    fn lock_acquire(&self, _ctx: &mut DsmThreadCtx<'_, '_>, _lock: LockId, _cached: &[PageId]) {}
 
-    /// Called before the calling thread releases a DSM lock.
-    fn lock_release(&self, ctx: &mut DsmThreadCtx<'_, '_>, lock: LockId);
+    /// Called before the calling thread releases a DSM lock or enters a
+    /// barrier. `modified` holds the units of this protocol's pages that this
+    /// node wrote since its last release, sorted. Like `lock_acquire`, it acts
+    /// on its slice and its own state only. Default: nothing.
+    fn lock_release(&self, _ctx: &mut DsmThreadCtx<'_, '_>, _lock: LockId, _modified: &[Unit]) {}
 
     /// True if ordinary writes through the typed accessors must be recorded
     /// with field granularity (the on-the-fly diff recording of the Java
@@ -140,7 +146,7 @@ type FaultFn = dyn Fn(&mut DsmThreadCtx<'_, '_>, FaultInfo) + Send + Sync;
 type RequestFn = dyn Fn(&mut ServerCtx<'_>, PageRequest) + Send + Sync;
 type InvalidateFn = dyn Fn(&mut ServerCtx<'_>, Invalidation) + Send + Sync;
 type TransferFn = dyn Fn(&mut ServerCtx<'_>, PageTransfer) + Send + Sync;
-type LockFn = dyn Fn(&mut DsmThreadCtx<'_, '_>, LockId) + Send + Sync;
+type LockFn<T> = dyn Fn(&mut DsmThreadCtx<'_, '_>, LockId, &[T]) + Send + Sync;
 
 /// A protocol assembled from user-provided routines — the equivalent of the
 /// paper's `dsm_create_protocol` call, which takes the 8 component routines
@@ -157,8 +163,8 @@ pub struct CustomProtocol {
     write_server: Option<Box<RequestFn>>,
     invalidate_server: Option<Box<InvalidateFn>>,
     receive_page_server: Option<Box<TransferFn>>,
-    lock_acquire: Option<Box<LockFn>>,
-    lock_release: Option<Box<LockFn>>,
+    lock_acquire: Option<Box<LockFn<PageId>>>,
+    lock_release: Option<Box<LockFn<Unit>>>,
 }
 
 impl CustomProtocol {
@@ -240,19 +246,19 @@ impl CustomProtocolBuilder {
         self
     }
 
-    /// Set the lock-acquire consistency action.
+    /// Set the lock-acquire consistency action ([`DsmProtocol::lock_acquire`]).
     pub fn lock_acquire(
         mut self,
-        f: impl Fn(&mut DsmThreadCtx<'_, '_>, LockId) + Send + Sync + 'static,
+        f: impl Fn(&mut DsmThreadCtx<'_, '_>, LockId, &[PageId]) + Send + Sync + 'static,
     ) -> Self {
         self.proto.lock_acquire = Some(Box::new(f));
         self
     }
 
-    /// Set the lock-release consistency action.
+    /// Set the lock-release consistency action ([`DsmProtocol::lock_release`]).
     pub fn lock_release(
         mut self,
-        f: impl Fn(&mut DsmThreadCtx<'_, '_>, LockId) + Send + Sync + 'static,
+        f: impl Fn(&mut DsmThreadCtx<'_, '_>, LockId, &[Unit]) + Send + Sync + 'static,
     ) -> Self {
         self.proto.lock_release = Some(Box::new(f));
         self
@@ -318,15 +324,15 @@ impl DsmProtocol for CustomProtocol {
         }
     }
 
-    fn lock_acquire(&self, ctx: &mut DsmThreadCtx<'_, '_>, lock: LockId) {
+    fn lock_acquire(&self, ctx: &mut DsmThreadCtx<'_, '_>, lock: LockId, cached: &[PageId]) {
         if let Some(f) = &self.lock_acquire {
-            f(ctx, lock);
+            f(ctx, lock, cached);
         }
     }
 
-    fn lock_release(&self, ctx: &mut DsmThreadCtx<'_, '_>, lock: LockId) {
+    fn lock_release(&self, ctx: &mut DsmThreadCtx<'_, '_>, lock: LockId, modified: &[Unit]) {
         if let Some(f) = &self.lock_release {
-            f(ctx, lock);
+            f(ctx, lock, modified);
         }
     }
 }

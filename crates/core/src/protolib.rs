@@ -542,8 +542,9 @@ pub fn push_diffs_and_wait(
 }
 
 /// Compute the diffs of `units` — what this node modified since the last
-/// release, e.g. [`crate::PageTable::modified_units`] — and ship them to the
-/// units' home nodes, waiting for all acknowledgements. A unit whose
+/// release, e.g. the `modified` slice of [`crate::DsmProtocol::lock_release`]
+/// — and ship them to the units' home nodes, waiting for all
+/// acknowledgements. A unit whose
 /// protocol records writes ([`crate::DsmProtocol::records_writes`], the Java
 /// protocols) ships its on-the-fly recorded ranges; any other is compared
 /// with its twin (`hbrc_mw`).

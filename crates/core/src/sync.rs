@@ -2,9 +2,10 @@
 //!
 //! Weak consistency models (release, entry, scope, Java) require consistency
 //! actions to be taken at synchronization points, so the generic core
-//! provides locks and barriers whose acquire/release events are hooked to the
-//! selected protocol's `lock_acquire` / `lock_release` actions. A barrier is
-//! treated as a release followed (after everyone arrived) by an acquire.
+//! provides locks and barriers whose acquire/release events run the
+//! `lock_acquire` / `lock_release` actions of every protocol in use, each on
+//! its own pages only. A barrier is treated as a release followed (after
+//! everyone arrived) by an acquire.
 //!
 //! Each lock and barrier has a *manager node*; acquiring is a blocking RPC to
 //! that node whose handler thread waits until the object is available, which

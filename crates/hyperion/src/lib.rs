@@ -107,11 +107,6 @@ impl HyperionHeap {
         }
     }
 
-    /// The access-detection flavour used by this heap's protocol.
-    pub fn detection(&self) -> JavaDetection {
-        self.inner.detection
-    }
-
     /// The DSM runtime backing the heap.
     pub fn runtime(&self) -> &DsmRuntime {
         &self.inner.runtime

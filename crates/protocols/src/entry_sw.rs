@@ -70,21 +70,13 @@ impl EntryConsistency {
             .unwrap_or_default()
     }
 
-    /// Every page bound to any lock (used at barriers).
-    pub fn all_bound_pages(&self) -> Vec<PageId> {
-        let bindings = self.bindings.borrow();
-        let mut all = BTreeSet::new();
-        for pages in bindings.values() {
-            all.extend(pages.iter().copied());
-        }
-        all.into_iter().collect()
-    }
-
     /// Units affected by a synchronization event: the pages bound to the
     /// lock, or every bound page when the event is a barrier.
     fn sync_units(&self, lock: LockId) -> Vec<Unit> {
         let pages = if lock.is_barrier() {
-            self.all_bound_pages()
+            let all: BTreeSet<PageId> =
+                self.bindings.borrow().values().flatten().copied().collect();
+            all.into_iter().collect()
         } else {
             self.bound_pages(lock)
         };
@@ -143,7 +135,7 @@ impl DsmProtocol for EntryConsistency {
         protolib::install_received_page(ctx.sim, node, rt, transfer);
     }
 
-    fn lock_acquire(&self, ctx: &mut DsmThreadCtx<'_, '_>, lock: LockId) {
+    fn lock_acquire(&self, ctx: &mut DsmThreadCtx<'_, '_>, lock: LockId, _cached: &[PageId]) {
         let units = self.sync_units(lock);
         if units.is_empty() {
             return;
@@ -181,21 +173,20 @@ impl DsmProtocol for EntryConsistency {
         }
     }
 
-    fn lock_release(&self, ctx: &mut DsmThreadCtx<'_, '_>, lock: LockId) {
+    fn lock_release(&self, ctx: &mut DsmThreadCtx<'_, '_>, lock: LockId, modified: &[Unit]) {
         let units = self.sync_units(lock);
         if units.is_empty() {
             return;
         }
         let rt = ctx.runtime().clone();
         let node = ctx.node();
-        let table = rt.page_table(node);
         // Publish the modifications made to the synchronized pages.
-        let modified: Vec<Unit> = units
+        let bound: Vec<Unit> = modified
             .iter()
+            .filter(|u| units.contains(u))
             .copied()
-            .filter(|&u| table.contains(u.page) && table.read(u, |e| e.modified_since_release))
             .collect();
-        protolib::flush_diffs_to_homes(ctx.pm2.sim, node, &rt, &modified);
+        protolib::flush_diffs_to_homes(ctx.pm2.sim, node, &rt, &bound);
         // Downgrade: the next acquirer (possibly on another node) becomes the
         // writer of the guarded data.
         protolib::reprotect_after_flush(ctx.pm2.sim, node, &rt, &units);

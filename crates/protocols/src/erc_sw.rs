@@ -4,12 +4,13 @@
 //! `li_hudak` (page replication on read faults, ownership migration on write
 //! faults), but coherence actions are deferred to synchronization points:
 //! copies of the pages written inside a critical section are invalidated
-//! *eagerly at lock release* rather than at every write fault.
+//! *eagerly at lock release* rather than at every write fault; acquire has
+//! nothing to do.
 
 use dsmpm2_core::protolib;
 use dsmpm2_core::{
     Access, ConsistencyModel, DsmProtocol, DsmThreadCtx, FaultInfo, Invalidation, LockId,
-    PageRequest, PageTransfer, ServerCtx,
+    PageRequest, PageTransfer, ServerCtx, Unit,
 };
 
 /// The `erc_sw` protocol (eager release consistency, single writer).
@@ -71,11 +72,7 @@ impl DsmProtocol for ErcSw {
         protolib::install_received_page(ctx.sim, node, rt, transfer);
     }
 
-    fn lock_acquire(&self, _ctx: &mut DsmThreadCtx<'_, '_>, _lock: LockId) {
-        // Eager RC pushes all coherence work to the release side.
-    }
-
-    fn lock_release(&self, ctx: &mut DsmThreadCtx<'_, '_>, _lock: LockId) {
+    fn lock_release(&self, ctx: &mut DsmThreadCtx<'_, '_>, _lock: LockId, modified: &[Unit]) {
         let rt = ctx.runtime().clone();
         let node = ctx.node();
         let table = rt.page_table(node);
@@ -86,7 +83,7 @@ impl DsmProtocol for ErcSw {
         // invalidations for copies held by the same node leave in one
         // batched envelope.
         let mut in_flight = Vec::new();
-        for unit in table.modified_units() {
+        for &unit in modified {
             let (owned, targets, version) = table.read(unit, |e| {
                 let targets: Vec<_> = e.copyset.iter().copied().filter(|&n| n != node).collect();
                 (e.owned, targets, e.version)
@@ -129,8 +126,8 @@ impl DsmProtocol for ErcSw {
 
     fn supports_subpage(&self) -> bool {
         // Fault routing, ownership migration and release-time invalidation
-        // all operate on the faulting line; `modified_units` keeps the
-        // release rounds line-scoped.
+        // all operate on the faulting line; the release gets the written
+        // lines, so its rounds stay line-scoped.
         true
     }
 }

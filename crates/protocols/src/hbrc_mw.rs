@@ -8,11 +8,13 @@
 //! computed and shipped to the home node. The home integrates the diffs and
 //! invalidates third-party copies; a third-party writer that receives such an
 //! invalidation first pushes its own pending diffs, then drops its copy.
+//! Acquire has nothing to do: stale copies were invalidated when the home
+//! integrated the diffs.
 
 use dsmpm2_core::{costs, protolib};
 use dsmpm2_core::{
     Access, ConsistencyModel, DsmProtocol, DsmThreadCtx, FaultInfo, Invalidation, LockId, NodeId,
-    PageDiff, PageRequest, PageTransfer, ServerCtx,
+    PageDiff, PageRequest, PageTransfer, ServerCtx, Unit,
 };
 
 /// The `hbrc_mw` protocol (home-based release consistency, multiple writers).
@@ -101,20 +103,14 @@ impl DsmProtocol for HbrcMw {
         protolib::install_received_page(ctx.sim, node, rt, transfer);
     }
 
-    fn lock_acquire(&self, _ctx: &mut DsmThreadCtx<'_, '_>, _lock: LockId) {
-        // Laziness: nothing to do at acquire; stale copies were invalidated
-        // when the home node integrated the corresponding diffs.
-    }
-
-    fn lock_release(&self, ctx: &mut DsmThreadCtx<'_, '_>, _lock: LockId) {
+    fn lock_release(&self, ctx: &mut DsmThreadCtx<'_, '_>, _lock: LockId, modified: &[Unit]) {
         let rt = ctx.runtime().clone();
         let node = ctx.node();
         let table = rt.page_table(node);
-        let modified = table.modified_units();
         // Non-home units: ship the twin diffs to their home nodes, then
         // write-protect the flushed copies again.
-        protolib::flush_diffs_to_homes(ctx.pm2.sim, node, &rt, &modified);
-        protolib::reprotect_after_flush(ctx.pm2.sim, node, &rt, &modified);
+        protolib::flush_diffs_to_homes(ctx.pm2.sim, node, &rt, modified);
+        protolib::reprotect_after_flush(ctx.pm2.sim, node, &rt, modified);
         // Units homed here: the reference copy changed in place, so remote
         // copies are stale and must be invalidated before the release
         // completes (they will be refetched on demand). All rounds are sent
@@ -123,7 +119,7 @@ impl DsmProtocol for HbrcMw {
         // invalidations addressed to the same copy holder leave in one
         // same-tick burst the per-tick batcher can coalesce.
         let mut in_flight = Vec::new();
-        for unit in modified {
+        for &unit in modified {
             if rt.page_meta(unit.page).home != node {
                 continue;
             }

@@ -152,7 +152,7 @@ impl DsmProtocol for HlrcNotices {
         protolib::install_received_page(ctx.sim, node, rt, transfer);
     }
 
-    fn lock_acquire(&self, ctx: &mut DsmThreadCtx<'_, '_>, lock: LockId) {
+    fn lock_acquire(&self, ctx: &mut DsmThreadCtx<'_, '_>, lock: LockId, _cached: &[PageId]) {
         let rt = ctx.runtime().clone();
         let node = ctx.node();
         let stale = self.consume_notices(lock, node);
@@ -180,21 +180,20 @@ impl DsmProtocol for HlrcNotices {
         }
     }
 
-    fn lock_release(&self, ctx: &mut DsmThreadCtx<'_, '_>, lock: LockId) {
+    fn lock_release(&self, ctx: &mut DsmThreadCtx<'_, '_>, lock: LockId, modified: &[Unit]) {
         let rt = ctx.runtime().clone();
         let node = ctx.node();
-        let modified = rt.page_table(node).modified_units();
         if modified.is_empty() {
             return;
         }
         // Push the diffs home so the reference copies are up to date...
-        protolib::flush_diffs_to_homes(ctx.pm2.sim, node, &rt, &modified);
+        protolib::flush_diffs_to_homes(ctx.pm2.sim, node, &rt, modified);
         // ...re-protect the flushed copies so the next critical section
         // faults, re-twins and produces a fresh diff...
-        protolib::reprotect_after_flush(ctx.pm2.sim, node, &rt, &modified);
+        protolib::reprotect_after_flush(ctx.pm2.sim, node, &rt, modified);
         // ...and leave a write notice for the next acquirer instead of
         // invalidating anybody now (laziness).
-        let pages = modified.into_iter().map(|unit| unit.page).collect();
+        let pages = modified.iter().map(|unit| unit.page).collect();
         self.record_notice(lock, node, pages);
     }
 

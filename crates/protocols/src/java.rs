@@ -57,11 +57,6 @@ impl JavaConsistency {
         }
     }
 
-    /// The access-detection flavour of this instance.
-    pub fn detection(&self) -> JavaDetection {
-        self.detection
-    }
-
     /// Fetch the page holding an object into the local cache (writable,
     /// multiple writers), blocking until it is present. Shared by the fault
     /// handlers (`java_pf`) and by the Hyperion get/put miss path (`java_ic`).
@@ -140,16 +135,13 @@ impl DsmProtocol for JavaConsistency {
         protolib::install_received_page(ctx.sim, node, rt, transfer);
     }
 
-    fn lock_acquire(&self, ctx: &mut DsmThreadCtx<'_, '_>, _lock: LockId) {
+    fn lock_acquire(&self, ctx: &mut DsmThreadCtx<'_, '_>, _lock: LockId, cached: &[PageId]) {
         // Monitor entry: flush the node's object cache so subsequent accesses
         // observe main memory (JMM cache-flush-on-monitor-enter rule). Home
         // pages are the reference copies and are kept.
         let rt = ctx.runtime().clone();
         let node = ctx.node();
-        for page in rt.frames(node).pages() {
-            if !rt.is_dsm_page(page) {
-                continue;
-            }
+        for &page in cached {
             if rt.page_meta(page).home == node {
                 continue;
             }
@@ -172,18 +164,13 @@ impl DsmProtocol for JavaConsistency {
         ctx.pm2.sim.charge(costs::TABLE_UPDATE);
     }
 
-    fn lock_release(&self, ctx: &mut DsmThreadCtx<'_, '_>, _lock: LockId) {
+    fn lock_release(&self, ctx: &mut DsmThreadCtx<'_, '_>, _lock: LockId, modified: &[Unit]) {
         // Monitor exit: transmit local modifications to main memory (the
         // Hyperion "main memory update" primitive), with field granularity.
+        // A write to a Java page marks its unit and records its range
+        // together, so the written units are the recorded pages.
         let rt = ctx.runtime().clone();
         let node = ctx.node();
-        let modified: Vec<Unit> = rt
-            .frames(node)
-            .pages()
-            .into_iter()
-            .filter(|&p| rt.is_dsm_page(p) && rt.frames(node).has_recorded(p))
-            .map(Unit::whole)
-            .collect();
-        protolib::flush_diffs_to_homes(ctx.pm2.sim, node, &rt, &modified);
+        protolib::flush_diffs_to_homes(ctx.pm2.sim, node, &rt, modified);
     }
 }

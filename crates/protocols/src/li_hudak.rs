@@ -6,11 +6,12 @@
 //! ownership and the copyset) on write faults; requests are routed along
 //! probable-owner chains. The "single writer" is a *node*, not a thread: all
 //! threads of the owning node share the same writable copy and may write it
-//! concurrently.
+//! concurrently. Sequential consistency needs no action at synchronization
+//! points, so the lock hooks keep their empty defaults.
 
 use dsmpm2_core::protolib;
 use dsmpm2_core::{
-    Access, DsmProtocol, DsmThreadCtx, FaultInfo, Invalidation, LockId, PageRequest, PageTransfer,
+    Access, DsmProtocol, DsmThreadCtx, FaultInfo, Invalidation, PageRequest, PageTransfer,
     ServerCtx,
 };
 
@@ -67,10 +68,4 @@ impl DsmProtocol for LiHudak {
             protolib::install_received_page(ctx.sim, node, rt, transfer);
         }
     }
-
-    fn lock_acquire(&self, _ctx: &mut DsmThreadCtx<'_, '_>, _lock: LockId) {
-        // Sequential consistency needs no action at synchronization points.
-    }
-
-    fn lock_release(&self, _ctx: &mut DsmThreadCtx<'_, '_>, _lock: LockId) {}
 }

@@ -19,11 +19,12 @@
 //!
 //! Comparing it against `li_hudak` on the same workloads is exactly the kind
 //! of protocol experiment the platform is designed for (see ablations 4 and
-//! 6 of the bench crate's model rows).
+//! 6 of the bench crate's model rows). As in `li_hudak`, sequential
+//! consistency needs no action at synchronization points.
 
 use dsmpm2_core::protolib;
 use dsmpm2_core::{
-    Access, DsmProtocol, DsmThreadCtx, FaultInfo, Invalidation, LockId, PageRequest, PageTransfer,
+    Access, DsmProtocol, DsmThreadCtx, FaultInfo, Invalidation, PageRequest, PageTransfer,
     ServerCtx,
 };
 
@@ -131,12 +132,6 @@ impl DsmProtocol for LiHudakFixed {
             });
         }
     }
-
-    fn lock_acquire(&self, _ctx: &mut DsmThreadCtx<'_, '_>, _lock: LockId) {
-        // Sequential consistency needs no action at synchronization points.
-    }
-
-    fn lock_release(&self, _ctx: &mut DsmThreadCtx<'_, '_>, _lock: LockId) {}
 
     fn supports_subpage(&self) -> bool {
         // Every routine above routes at the faulting line; independent lines

@@ -14,7 +14,9 @@
 //! | [`JavaConsistency::page_fault`] (`java_pf`) | Java | Home-based MRMW, page-fault access detection, on-the-fly diff recording |
 //!
 //! Register them all with [`register_builtin_protocols`], then select one per
-//! program (`set_default_protocol`) or per allocation (`DsmAttr`).
+//! program (`set_default_protocol`) or per allocation (`DsmAttr`). Protocols
+//! compose in one runtime: each manages its own pages, and at a lock or a
+//! barrier the core hands each one only the units of its own pages.
 //!
 //! Beyond the paper's Table 2, the crate also ships three *extension*
 //! protocols written on the same toolbox — precisely the kind of protocol

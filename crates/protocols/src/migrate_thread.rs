@@ -6,12 +6,12 @@
 //! Pages are never replicated and never move, so all threads that access a
 //! non-local page end up executing on the owning node — which makes the
 //! protocol extremely simple but very sensitive to the distribution of the
-//! shared data, as the paper's TSP experiment (Figure 4) shows.
+//! shared data, as the paper's TSP experiment (Figure 4) shows. With one
+//! copy of each page there is nothing to make consistent at a lock.
 
 use dsmpm2_core::protolib;
 use dsmpm2_core::{
-    DsmProtocol, DsmThreadCtx, FaultInfo, Invalidation, LockId, PageRequest, PageTransfer,
-    ServerCtx,
+    DsmProtocol, DsmThreadCtx, FaultInfo, Invalidation, PageRequest, PageTransfer, ServerCtx,
 };
 
 /// The `migrate_thread` protocol (Figure 3 of the paper).
@@ -65,8 +65,4 @@ impl DsmProtocol for MigrateThread {
             transfer.unit.page
         );
     }
-
-    fn lock_acquire(&self, _ctx: &mut DsmThreadCtx<'_, '_>, _lock: LockId) {}
-
-    fn lock_release(&self, _ctx: &mut DsmThreadCtx<'_, '_>, _lock: LockId) {}
 }

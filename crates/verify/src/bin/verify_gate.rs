@@ -313,7 +313,7 @@ fn report_workload(
 
 /// The mutant kill battery: a fixed set of checker configurations that is
 /// clean on HEAD and must produce at least one finding under each of the
-/// four re-introduced bugs of `dsmpm2_core::mutant`.
+/// re-introduced bugs of `dsmpm2_core::mutant`.
 fn battery() -> Vec<Finding> {
     let mut findings = Vec::new();
 
@@ -353,6 +353,12 @@ fn battery() -> Vec<Finding> {
     let scn = scenario::switch_survivor("migrate_thread");
     let outcome = run_scenario(&scn, &RunConfig::checked("li_hudak"));
     findings.extend(tag("switch_survivor/li_hudak", outcome.all_findings(&scn)));
+
+    // sync_scope_leak: erc_sw's release must leave hbrc_mw's page alone, or
+    // node 1's write never reaches the home.
+    let scn = scenario::mixed_release();
+    let outcome = run_scenario(&scn, &RunConfig::checked("hbrc_mw"));
+    findings.extend(tag("mixed_release/hbrc_mw", outcome.all_findings(&scn)));
 
     findings
 }

@@ -329,6 +329,50 @@ pub fn switch_survivor(to_protocol: &'static str) -> Scenario {
     }
 }
 
+/// Two protocols in one runtime: page 1 is switched to `erc_sw` between the
+/// first two barriers, then node 1 writes page 0, still under the run's
+/// protocol, and node 0 reads it after a barrier. Each protocol's release
+/// must act on its own pages only: under `sync_scope_leak`, `erc_sw`'s
+/// release clears the modified mark of page 0's unit, which node 1 does not
+/// own under a home-based protocol, so that protocol's release flushes
+/// nothing and the word never reaches the home.
+pub fn mixed_release() -> Scenario {
+    Scenario {
+        name: "mixed_release",
+        nodes: 2,
+        pages: 2,
+        home: 0,
+        lock_manager: 0,
+        granularity: 0,
+        threads: vec![
+            ThreadSpec {
+                node: 0,
+                ops: vec![
+                    Op::Barrier,
+                    Op::Switch {
+                        page: 1,
+                        protocol: "erc_sw",
+                    },
+                    Op::Barrier,
+                    Op::Barrier,
+                    Op::Read { page: 0 },
+                ],
+            },
+            ThreadSpec {
+                node: 1,
+                ops: vec![
+                    Op::Barrier,
+                    Op::Barrier,
+                    Op::Write { page: 0, value: 5 },
+                    Op::Barrier,
+                ],
+            },
+        ],
+        expected: vec![Some(5), Some(0)],
+        expected_at: vec![],
+    }
+}
+
 /// Ownership succession with a forged stale `AcquireDone` injected after
 /// two legitimate successions: the home's version gate must ignore the
 /// stale notice (`hint_rewind` removes the gate and the owner-version
