@@ -613,32 +613,25 @@ impl DsmThreadCtx<'_, '_> {
     /// own pages that this node wrote since its last release
     /// ([`crate::DsmProtocol::lock_release`]). A protocol with no such unit
     /// is still called: its synchronisation state (bound regions, write
-    /// notices) lives in the protocol.
+    /// notices) lives in the protocol. Each slice is taken just before its
+    /// hook runs: an earlier hook may block, and meanwhile this node's
+    /// server may flush and drop a unit a later protocol owns.
     fn release_hooks(&mut self, rt: &DsmRuntime, lock: LockId) {
         let table = rt.page_table(self.node());
-        let modified = table.modified_units();
         for &id in rt.protocols_in_use().iter() {
-            let slice = if crate::mutant::active("sync_scope_leak") {
-                table.modified_units()
-            } else {
-                own(rt, id, &modified, |unit| unit.page)
-            };
-            rt.protocol(id).lock_release(self, lock, &slice);
+            let modified = own(rt, id, table.modified_units(), |unit| unit.page);
+            rt.protocol(id).lock_release(self, lock, &modified);
         }
     }
 
     /// Run each protocol in use, in registration order, on its own pages of
-    /// which this node maps a frame ([`crate::DsmProtocol::lock_acquire`]).
+    /// which this node maps a frame ([`crate::DsmProtocol::lock_acquire`]),
+    /// each list taken just before its hook runs.
     fn acquire_hooks(&mut self, rt: &DsmRuntime, lock: LockId) {
         let frames = rt.frames(self.node());
-        let cached = frames.pages();
         for &id in rt.protocols_in_use().iter() {
-            let slice = if crate::mutant::active("sync_scope_leak") {
-                frames.pages()
-            } else {
-                own(rt, id, &cached, |&page| page)
-            };
-            rt.protocol(id).lock_acquire(self, lock, &slice);
+            let cached = own(rt, id, frames.pages(), |&page| page);
+            rt.protocol(id).lock_acquire(self, lock, &cached);
         }
     }
 
@@ -655,12 +648,13 @@ impl DsmThreadCtx<'_, '_> {
     }
 }
 
-/// The items of `of` on pages that protocol `id` manages, in their order.
-fn own<T: Copy>(rt: &DsmRuntime, id: ProtocolId, of: &[T], page: fn(&T) -> PageId) -> Vec<T> {
-    of.iter()
-        .filter(|x| rt.page_meta(page(x)).protocol == id)
-        .copied()
-        .collect()
+/// The items of `of` on pages that protocol `id` manages, in their order
+/// (all of them under the `sync_scope_leak` mutant).
+fn own<T>(rt: &DsmRuntime, id: ProtocolId, mut of: Vec<T>, page: fn(&T) -> PageId) -> Vec<T> {
+    if !crate::mutant::active("sync_scope_leak") {
+        of.retain(|x| rt.page_meta(page(x)).protocol == id);
+    }
+    of
 }
 
 #[cfg(test)]

@@ -81,7 +81,9 @@ pub trait DsmProtocol: Send + Sync + 'static {
     /// Called after the calling thread acquired a DSM lock or left a barrier.
     /// `cached` holds this protocol's pages of which this node maps a frame,
     /// ascending. A hook acts on its slice and its own state only: the core
-    /// calls every protocol in use, each with its own pages. Default: nothing.
+    /// calls every protocol in use, each with its own pages, and reads each
+    /// slice when its hook is called, after the earlier protocols' hooks
+    /// returned. Default: nothing.
     fn lock_acquire(&self, _ctx: &mut DsmThreadCtx<'_, '_>, _lock: LockId, _cached: &[PageId]) {}
 
     /// Called before the calling thread releases a DSM lock or enters a

@@ -16,7 +16,8 @@
 //! * `mutants` — run the kill battery. With `DSM_MUTANT=<name>` set (and
 //!   the binary built with `RUSTFLAGS=--cfg dsm_mutant`) the battery must
 //!   catch the mutant (exit 0 on catch, 1 on escape); with no mutant
-//!   selected it must come back clean.
+//!   selected it must come back clean. `mutants --list` prints the names
+//!   the gate accepts, one a line, and runs nothing.
 //!
 //! Exit status 0 = gate passed.
 
@@ -57,7 +58,14 @@ const JACOBI: [&str; 8] = [
 ];
 
 fn main() -> ExitCode {
-    let mode = std::env::args().nth(1).unwrap_or_else(|| "all".to_string());
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let mode = args.first().cloned().unwrap_or_else(|| "all".to_string());
+    if mode == "mutants" && args.get(1).is_some_and(|a| a == "--list") {
+        for name in dsmpm2_core::mutant::MUTANTS {
+            println!("{name}");
+        }
+        return ExitCode::SUCCESS;
+    }
     let ok = match mode.as_str() {
         "explorer" => explorer_gate(),
         "races" => race_gate(),

@@ -10,6 +10,10 @@
 //! node 0 must read 4. `entry_sw` binds page A to no lock, and its model
 //! makes no promise for unbound data, so under it only the writer's own
 //! read-back of 4 is asserted.
+//!
+//! A second test sweeps the moment at which the home of an hbrc_mw page
+//! invalidates a writer's copy across the writer's erc_sw release: each
+//! protocol's release must see the node as it is when that release runs.
 
 use std::sync::{Arc, Mutex};
 
@@ -102,6 +106,84 @@ fn a_pages_protocol_behaves_as_alone_beside_every_other_protocol() {
     assert!(
         wrong.is_empty(),
         "{} pairs differ:\n{}",
+        wrong.len(),
+        wrong.join("\n")
+    );
+}
+
+/// What each node reads after the last barrier of [`run_overlapping`]:
+/// the erc_sw page's word, then the hbrc_mw page's two words.
+type Words = [[u64; 3]; 2];
+
+/// Node 1 writes an erc_sw page that node 0 holds a copy of, and the first
+/// word of an hbrc_mw page homed on node 0, sleeps 100 µs and enters a
+/// barrier, where its erc_sw release waits for node 0's invalidation ack
+/// before the hbrc_mw release runs. Node 0 sleeps `delay` after the
+/// previous barrier, writes the second word of the hbrc_mw page and enters
+/// the same barrier; its release invalidates node 1's copy of that page.
+/// When that invalidation lands shortly before node 1's barrier, node 1's
+/// server pushes the page's diff and drops the copy while node 1's erc_sw
+/// release waits: the page was still written when the barrier began, and
+/// is gone when the hbrc_mw release runs.
+fn run_overlapping(delay: SimDuration) -> Result<Words, String> {
+    let mut engine = Engine::new();
+    let rt = DsmRuntime::new(&engine, Pm2Config::bip_myrinet(2));
+    let _ = register_all_protocols(&rt);
+    let on = |name, home| {
+        let id = rt.protocol_by_name(name).expect("registered");
+        DsmAttr::with_protocol(id).home(HomePolicy::Fixed(NodeId(home)))
+    };
+    let erc = rt.dsm_malloc(PAGE_SIZE as u64, on("erc_sw", 1));
+    let hbrc = rt.dsm_malloc(PAGE_SIZE as u64, on("hbrc_mw", 0));
+    let barrier = rt.create_barrier(2, None);
+    let words = Arc::new(Mutex::new([[0u64; 3]; 2]));
+    let read_back = move |ctx: &mut DsmThreadCtx<'_, '_>| {
+        [
+            ctx.read::<u64>(erc),
+            ctx.read::<u64>(hbrc),
+            ctx.read::<u64>(hbrc.add(8)),
+        ]
+    };
+    let seen = Arc::clone(&words);
+    rt.spawn_dsm_thread(NodeId(0), "home", move |ctx| {
+        let _ = ctx.read::<u64>(erc);
+        ctx.dsm_barrier(barrier);
+        ctx.sim().sleep(delay);
+        ctx.write::<u64>(hbrc.add(8), 2);
+        ctx.dsm_barrier(barrier);
+        let words = read_back(ctx);
+        seen.lock().unwrap()[0] = words;
+    });
+    let seen = Arc::clone(&words);
+    rt.spawn_dsm_thread(NodeId(1), "writer", move |ctx| {
+        ctx.dsm_barrier(barrier);
+        ctx.write::<u64>(erc, 1);
+        ctx.write::<u64>(hbrc, 1);
+        ctx.sim().sleep(SimDuration::from_micros(100));
+        ctx.dsm_barrier(barrier);
+        let words = read_back(ctx);
+        seen.lock().unwrap()[1] = words;
+    });
+    engine.run().map_err(|e| format!("{e:?}"))?;
+    let words = *words.lock().unwrap();
+    Ok(words)
+}
+
+#[test]
+fn a_release_survives_an_invalidation_landing_while_an_earlier_protocol_waits() {
+    let mut wrong = Vec::new();
+    for us in 0..600 {
+        let delay = SimDuration::from_micros(us);
+        let words = run_overlapping(delay);
+        if words != Ok([[1, 1, 2]; 2]) {
+            wrong.push(format!(
+                "node 0 writes {us} µs after the barrier: {words:?}"
+            ));
+        }
+    }
+    assert!(
+        wrong.is_empty(),
+        "{} delays go wrong:\n{}",
         wrong.len(),
         wrong.join("\n")
     );
