@@ -258,7 +258,7 @@ fn homed_on_node_0(rt: &DsmRuntime, bytes: u64) -> DsmAddr {
 
 /// Ablation 4: ownership of one hot page migrates around 4 nodes, then every
 /// node reads it. The dynamic manager (`li_hudak`) follows hint chains; the
-/// fixed one (`li_hudak_fixed`) bounces each request through the manager.
+/// fixed one (`li_hudak_fixed`) routes each request through the manager.
 fn manager_study(rows: &mut Rows) {
     for proto in ["li_hudak", "li_hudak_fixed"] {
         let mut engine = Engine::new();

@@ -18,6 +18,7 @@ use crate::ctx::{DsmThreadCtx, ServerCtx};
 use crate::diff::PageDiff;
 use crate::msg::{Invalidation, PageRequest, PageTransfer};
 use crate::page::{Access, DsmAddr, PageId, Unit};
+use crate::protolib;
 use crate::sync::LockId;
 use crate::verify::ConsistencyModel;
 
@@ -89,8 +90,11 @@ pub trait DsmProtocol: Send + Sync + 'static {
     /// Called before the calling thread releases a DSM lock or enters a
     /// barrier. `modified` holds the units of this protocol's pages that this
     /// node wrote since its last release, sorted. Like `lock_acquire`, it acts
-    /// on its slice and its own state only. Default: nothing.
-    fn lock_release(&self, _ctx: &mut DsmThreadCtx<'_, '_>, _lock: LockId, _modified: &[Unit]) {}
+    /// on its slice and its own state only. Default: forget the writes
+    /// ([`protolib::clear_modified`]).
+    fn lock_release(&self, ctx: &mut DsmThreadCtx<'_, '_>, _lock: LockId, modified: &[Unit]) {
+        protolib::clear_modified(ctx.node(), ctx.runtime(), modified);
+    }
 
     /// True if ordinary writes through the typed accessors must be recorded
     /// with field granularity (the on-the-fly diff recording of the Java
@@ -154,9 +158,9 @@ type LockFn<T> = dyn Fn(&mut DsmThreadCtx<'_, '_>, LockId, &[T]) + Send + Sync;
 /// paper's `dsm_create_protocol` call, which takes the 8 component routines
 /// and returns a protocol identifier usable exactly like the built-in ones.
 ///
-/// Routines that are not provided default to "do nothing" for lock hooks and
-/// to a panic for the others (using a protocol without defining the actions
-/// it needs is a programming error).
+/// Lock hooks that are not provided default to the trait's, and the others
+/// to a panic (using a protocol without defining the actions it needs is a
+/// programming error).
 pub struct CustomProtocol {
     name: String,
     read_fault: Option<Box<FaultFn>>,
@@ -333,8 +337,9 @@ impl DsmProtocol for CustomProtocol {
     }
 
     fn lock_release(&self, ctx: &mut DsmThreadCtx<'_, '_>, lock: LockId, modified: &[Unit]) {
-        if let Some(f) = &self.lock_release {
-            f(ctx, lock, modified);
+        match &self.lock_release {
+            Some(f) => f(ctx, lock, modified),
+            None => protolib::clear_modified(ctx.node(), ctx.runtime(), modified),
         }
     }
 }

@@ -83,24 +83,24 @@ pub fn request_page_and_wait(
 /// the duration of exactly that fetch instead of forwarding it along
 /// ownership hints that are about to change.
 ///
-/// Write requests never park here: they are serialized by the page's home
-/// manager (see [`forward_request`]) and only ever routed to a node that has
-/// finished acquiring ownership. Parking writes at arbitrary fetching nodes
-/// is how wait-for cycles (and deadlocks) form under concurrent write
-/// faults. The small re-dispatch charge after the wait lets the local
-/// faulting thread complete the access it was waiting for before the page
-/// can be served away again, which keeps heavy contention starvation-free.
+/// Writes never park here: the home manager serializes them (see
+/// [`forward_request`]) and routes them only to a node that has finished
+/// acquiring ownership. Nor does anything park at the unit's home, where
+/// stale requests fall back to. Parking either closes wait-for cycles:
+/// writes under concurrent write faults, and a home's held read with a node
+/// holding the home's own request (the read-then-upgrade deadlock). The
+/// small re-dispatch charge after the wait lets the local faulting thread
+/// complete the access it was waiting for before the page can be served
+/// away again, which keeps heavy contention starvation-free.
 pub fn defer_while_fetching(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, req: &PageRequest) {
     let unit = req.unit;
     let table = rt.page_table(node);
     let (owned, pending_fetch, fetch_seq) =
         table.read(unit, |e| (e.owned, e.pending_fetch, e.fetch_seq));
-    // Write requests are serialized by the home manager and only ever routed
-    // to a node that finished acquiring ownership, so they never need to
-    // park here. Read requests may race an in-flight fetch; park them for
-    // the duration of exactly that fetch (same fetch_seq), then forward
-    // along the refreshed hints.
-    if req.requester == node || owned || !pending_fetch || req.access == Access::Write {
+    // Historical bug: the home parked reads behind its own fetch too.
+    let at_home =
+        rt.page_meta(unit.page).home == node && !crate::mutant::active("home_defers_reads");
+    if req.requester == node || at_home || owned || !pending_fetch || req.access == Access::Write {
         return;
     }
     table.wait_until(unit, sim, BlockReason::PageFault, || {
@@ -254,10 +254,12 @@ pub fn serve_write_transfer(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, 
     rt.send_page(sim, node, req.requester, transfer);
 }
 
-/// The request server of a dynamic-distributed-manager MRSW protocol: wait
-/// out an in-flight fetch of our own ([`defer_while_fetching`]), then serve
-/// the request if this node owns the unit — a read copy, or the unit with its
-/// ownership — and forward it along the probable-owner chain otherwise.
+/// The request server of the single-writer protocols: wait out an in-flight
+/// fetch of our own ([`defer_while_fetching`]), then serve the request if
+/// this node owns the unit — a read copy, or the unit with its ownership —
+/// and forward it otherwise ([`forward_request`]). A fixed manager and a
+/// dynamic one differ only in the hints: pinned to the home, they send every
+/// request through it.
 pub fn serve_or_forward(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, req: &PageRequest) {
     defer_while_fetching(sim, node, rt, req);
     if !rt.page_table(node).read(req.unit, |e| e.owned) {
@@ -538,6 +540,15 @@ pub fn push_diffs_and_wait(
     }
     for unit in units {
         await_invalidation_acks(sim, node, rt, unit);
+    }
+}
+
+/// Forget that this node wrote `units`: the release of a protocol with
+/// nothing to publish, so that no later release is handed them again.
+pub fn clear_modified(node: NodeId, rt: &DsmRuntime, units: &[Unit]) {
+    let table = rt.page_table(node);
+    for &unit in units {
+        table.update(unit, |e| e.modified_since_release = false);
     }
 }
 

@@ -7,7 +7,7 @@
 //! probable-owner chains. The "single writer" is a *node*, not a thread: all
 //! threads of the owning node share the same writable copy and may write it
 //! concurrently. Sequential consistency needs no action at synchronization
-//! points, so the lock hooks keep their empty defaults.
+//! points, so the lock hooks keep their defaults.
 
 use dsmpm2_core::protolib;
 use dsmpm2_core::{

@@ -12,7 +12,7 @@
 //!   assignments under `li_hudak_fixed` and `li_hudak`; print each
 //!   protocol's deadlock count and a fingerprint of every run's outcome,
 //!   and fail on a wrong final word in a run that did not deadlock, on any
-//!   other error, or on a deadlock count other than the pinned one.
+//!   other error, or on a deadlock count other than the pinned one (0).
 //! * `mutants` — run the kill battery. With `DSM_MUTANT=<name>` set (and
 //!   the binary built with `RUSTFLAGS=--cfg dsm_mutant`) the battery must
 //!   catch the mutant (exit 0 on catch, 1 on escape); with no mutant
@@ -118,6 +118,13 @@ fn explorer_gate() -> bool {
             2,
         ),
         (scenario::reader_flock(), "li_hudak", permuted(3), 1),
+        (
+            read_then_upgrade(),
+            "li_hudak_fixed",
+            TransportTuning::ideal(),
+            1,
+        ),
+        (read_then_upgrade(), "li_hudak", TransportTuning::ideal(), 1),
     ];
     for (scn, protocol, transport, budget) in configs {
         let base = RunConfig {
@@ -211,10 +218,10 @@ fn race_gate() -> bool {
     ok
 }
 
-/// Deadlocks of `read_then_upgrade` over all its page orders, per protocol:
-/// what ROADMAP's "Known red" measured. Fixing the read-then-upgrade
-/// deadlock takes `li_hudak_fixed`'s count to 0.
-const PINNED_DEADLOCKS: [(&str, usize); 2] = [("li_hudak_fixed", 5_040), ("li_hudak", 0)];
+/// Deadlocks of `read_then_upgrade` over all its page orders, per protocol.
+/// `li_hudak_fixed` deadlocked on 5 040 of them while a unit's home parked
+/// reads behind its own fetch (the `home_defers_reads` mutant).
+const PINNED_DEADLOCKS: [(&str, usize); 2] = [("li_hudak_fixed", 0), ("li_hudak", 0)];
 
 /// The six orders of three pages, lexicographic.
 const PERMUTATIONS: [[usize; 3]; 6] = [
@@ -368,7 +375,31 @@ fn battery() -> Vec<Finding> {
     let outcome = run_scenario(&scn, &RunConfig::checked("hbrc_mw"));
     findings.extend(tag("mixed_release/hbrc_mw", outcome.all_findings(&scn)));
 
+    // home_defers_reads: a home that parks a read behind its own fetch
+    // deadlocks read_then_upgrade under li_hudak_fixed on some delivery
+    // schedule; li_hudak runs every one clean either way. Only the final
+    // memory is judged, which is where a deadlock shows: under reordered
+    // delivery the copyset invariant fires on both protocols without any
+    // mutant.
+    let scn = read_then_upgrade();
+    for protocol in ["li_hudak_fixed", "li_hudak"] {
+        let base = RunConfig {
+            transport: permuted(2),
+            ..RunConfig::plain(protocol)
+        };
+        let (_, explored) = explore(&scn, &base, &cfg, &mut |_path, outcome: &RunOutcome| {
+            outcome.expectation_findings(&scn)
+        });
+        findings.extend(tag(&format!("read_then_upgrade/{protocol}"), explored));
+    }
+
     findings
+}
+
+/// The smallest read-then-upgrade input that deadlocked `li_hudak_fixed`
+/// while its home parked reads behind its own fetch.
+fn read_then_upgrade() -> scenario::Scenario {
+    scenario::read_then_upgrade(&scenario::READ_THEN_UPGRADE_ORDERS)
 }
 
 fn tag(label: &str, findings: Vec<Finding>) -> Vec<Finding> {

@@ -617,8 +617,9 @@ pub fn read_races_acquisition() -> Scenario {
 /// visits the three pages in, round 1 then round 2.
 pub type PageOrders = [[[usize; 3]; 2]; 3];
 
-/// The page orders of the smallest input known to deadlock
-/// `li_hudak_fixed`.
+/// The page orders of the smallest input known to have deadlocked
+/// `li_hudak_fixed` while a unit's home parked reads behind its own fetch
+/// (the `home_defers_reads` mutant).
 pub const READ_THEN_UPGRADE_ORDERS: PageOrders = [
     [[0, 1, 2], [2, 1, 0]],
     [[0, 2, 1], [0, 1, 2]],
@@ -631,7 +632,7 @@ pub const READ_THEN_UPGRADE_ORDERS: PageOrders = [
 /// then writes `round + 1` to it (an upgrade), and a barrier ends the round.
 /// Every slot is written last with 2, whatever the orders and the schedule.
 /// With [`READ_THEN_UPGRADE_ORDERS`] it is the smallest input known to
-/// deadlock `li_hudak_fixed`.
+/// deadlock `li_hudak_fixed` under `home_defers_reads`.
 pub fn read_then_upgrade(orders: &PageOrders) -> Scenario {
     let threads = orders
         .iter()

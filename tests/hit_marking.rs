@@ -10,6 +10,10 @@
 //! diff, and whether a write records is the page's protocol's to say
 //! (`DsmProtocol::records_writes`), for a plain write and a checked one
 //! alike.
+//!
+//! A protocol with nothing to publish at a release (sequential consistency)
+//! keeps the default release hook, which forgets the marks: a unit written
+//! once is not handed to every later release.
 
 use dsm_pm2::core::{DsmAttr, DsmRuntime, HomePolicy, LineIx, Unit};
 use dsm_pm2::prelude::*;
@@ -88,4 +92,36 @@ fn the_pages_protocol_alone_decides_whether_a_write_is_recorded() {
     engine.run().expect("hits at the home cannot deadlock");
     let recorded = |addr: DsmAddr| rt.frames(home).recorded_ranges(addr.page());
     assert_eq!((recorded(pf), recorded(mw), recorded(ic)), (3, 0, 1));
+}
+
+/// Node 1 writes a `li_hudak_fixed` page homed on node 0 before each of five
+/// barriers; after each barrier no node has a unit marked modified.
+#[test]
+fn a_barrier_forgets_a_single_writer_pages_marks() {
+    const BARRIERS: u64 = 5;
+    let mut engine = Engine::new();
+    let rt = DsmRuntime::new(&engine, Pm2Config::bip_myrinet(2));
+    let _ = register_all_protocols(&rt);
+    let attr = DsmAttr::with_protocol(rt.protocol_by_name("li_hudak_fixed").unwrap())
+        .home(HomePolicy::Fixed(NodeId(0)));
+    let base = rt.dsm_malloc(PAGE_SIZE as u64, attr);
+    let barrier = rt.create_barrier(2, None);
+    for node in 0..2 {
+        let marks = rt.clone();
+        rt.spawn_dsm_thread(NodeId(node), format!("n{node}"), move |ctx| {
+            let table = marks.page_table(NodeId(node));
+            for i in 0..BARRIERS {
+                if node == 1 {
+                    ctx.write::<u64>(base, i);
+                    assert_eq!(table.modified_units(), vec![Unit::whole(base.page())]);
+                }
+                ctx.dsm_barrier(barrier);
+                assert!(
+                    table.modified_units().is_empty(),
+                    "node {node}, barrier {i}: the release left the write marked"
+                );
+            }
+        });
+    }
+    engine.run().expect("one writer cannot deadlock");
 }
