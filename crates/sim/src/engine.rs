@@ -1,14 +1,15 @@
 //! The discrete-event scheduler.
 //!
-//! The engine owns one priority queue of events ordered by `(virtual time,
-//! sequence number)` and runs on one OS thread — whichever thread calls
-//! [`Engine::run`]. The loop pops the smallest event and executes it: a
-//! *wake* hands control to one simulated thread for a slice and takes it
-//! back when the thread parks, a *call* runs a closure on the scheduler
-//! itself. At most one simulated thread executes at any wall-clock instant,
-//! the way PM2 multiplexes its Marcel threads onto one kernel thread, so a
-//! run is a pure function of the program: same final memory, same virtual
-//! time, same event count, every time.
+//! The engine owns one queue of events ordered by `(virtual time, sequence
+//! number)` (`EventQueue`: a short sorted window, a heap for the overflow)
+//! and runs on one OS thread — whichever thread calls [`Engine::run`]. The
+//! loop pops the smallest event and executes it: a *wake* hands control to
+//! one simulated thread for a slice and takes it back when the thread
+//! parks, a *call* runs a closure on the scheduler itself. At most one
+//! simulated thread executes at any wall-clock instant, the way PM2
+//! multiplexes its Marcel threads onto one kernel thread, so a run is a
+//! pure function of the program: same final memory, same virtual time, same
+//! event count, every time.
 //!
 //! # Who may touch scheduler state
 //!
@@ -16,7 +17,7 @@
 //! (a simulated thread between two yields: it submits events, spawns, parks),
 //! a *scheduler event* (the loop itself and the `Call` closures it runs), and
 //! the *host thread* outside [`Engine::run`] (set-up, teardown, reading
-//! results). The hand-off orders them totally, so the event heap and the
+//! results). The hand-off orders them totally, so the event queue and the
 //! thread table, each with its counters, sit in cells and take no lock; the
 //! clock and the executing shard are words read from inside those borrows,
 //! written with a relaxed store. Nothing here may be called from an OS thread the engine
@@ -65,8 +66,6 @@
 //! program order is always preserved — which is how `dsm-verify` explores
 //! schedules on this same engine.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -76,6 +75,7 @@ use crate::cell::{SliceCell, SliceRc};
 use crate::continuation::Coro;
 use crate::error::SimError;
 use crate::handle::SimHandle;
+use crate::queue::{Event, EventKind, EventQueue, NO_THREAD};
 use crate::thread::{Backing, SchedHandle, ThreadId, ThreadSlot};
 use crate::time::{SimDuration, SimTime};
 
@@ -194,55 +194,8 @@ pub trait ScheduleController: Send + Sync {
 }
 
 // ---------------------------------------------------------------------------
-// Events
+// Scheduler state
 // ---------------------------------------------------------------------------
-
-enum EventKind {
-    /// Hand a slice to the parked simulated thread [`Event::to`], on the
-    /// worker it runs on: stale once the worker runs another thread.
-    Wake(SliceRc<ThreadSlot>),
-    /// Execute a closure on the scheduler (used for delayed message delivery).
-    Call(Box<dyn FnOnce(&EngineCtl) + Send>),
-}
-
-/// 48 bytes, a multiple of the alignment: the heap moves events on every
-/// push and pop, and at 40 bytes one slot in two straddled a 16-byte
-/// boundary. Unpadded, a yield (`sim.yield_ns`) took about a fifth longer on
-/// a 2-vCPU Xeon host.
-#[repr(align(16))]
-struct Event {
-    time: u64,
-    seq: u64,
-    /// Shard key the event was scheduled with (inherited by key-less pushes
-    /// made while it executes).
-    shard: u64,
-    /// The thread a `Wake` is for ([`NO_THREAD`] for a `Call`). A field of
-    /// its own, in what was padding: in the `Wake` variant it made the kind
-    /// 24 bytes with a tag word, and two threads' yields to each other
-    /// 16–24 % slower on the same host.
-    to: ThreadId,
-    kind: EventKind,
-}
-
-/// What a `Call` event is addressed to: no thread.
-const NO_THREAD: ThreadId = ThreadId(u64::MAX);
-
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.time == other.time && self.seq == other.seq
-    }
-}
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.time, self.seq).cmp(&(other.time, other.seq))
-    }
-}
 
 /// A worker of the thread table: its slot and, on the baton lane, its OS
 /// thread.
@@ -255,10 +208,10 @@ struct Worker {
 /// usable as a shard key.
 const NO_EVENT: u64 = u64::MAX;
 
-/// The event heap and what is counted per submission, per park and per
+/// The event queue and what is counted per submission, per park and per
 /// finished thread.
 struct EventState {
-    queue: BinaryHeap<Reverse<Event>>,
+    queue: EventQueue,
     /// Sequence number of the next submission.
     seq: u64,
     /// Latest instant at which a thread's body ended, its unflushed charge
@@ -341,13 +294,13 @@ impl Shared {
         let mut events = self.events.borrow();
         let seq = events.seq;
         events.seq += 1;
-        events.queue.push(Reverse(Event {
+        events.queue.push(Event {
             time,
             seq,
             shard: shard_key,
             to,
             kind,
-        }));
+        });
     }
 
     /// Wake thread `id` with its worker embedded in the event, on the
@@ -472,12 +425,12 @@ impl Shared {
     /// preserved by construction; only the cross-key interleaving varies.
     fn pop_controlled(&self, controller: &Arc<dyn ScheduleController>) -> Option<Event> {
         let mut events = self.events.borrow();
-        let head_time = events.queue.peek()?.0.time;
-        // Heap pops yield ascending (time, seq): `batch` ends up sorted by
+        let head_time = events.queue.peek()?.time;
+        // Pops yield ascending (time, seq): `batch` ends up sorted by
         // sequence number.
         let mut batch: Vec<Event> = Vec::new();
-        while events.queue.peek().is_some_and(|r| r.0.time == head_time) {
-            batch.push(events.queue.pop().expect("peeked event").0);
+        while events.queue.peek().is_some_and(|e| e.time == head_time) {
+            batch.push(events.queue.pop().expect("peeked event"));
         }
         // The controller is foreign code: not under the borrow.
         drop(events);
@@ -510,7 +463,7 @@ impl Shared {
         let chosen = batch.swap_remove(pick);
         let mut events = self.events.borrow();
         for e in batch {
-            events.queue.push(Reverse(e));
+            events.queue.push(e);
         }
         Some(chosen)
     }
@@ -665,7 +618,7 @@ impl Engine {
             shared: Arc::new(Shared {
                 now: AtomicU64::new(0),
                 events: SliceCell::new(EventState {
-                    queue: BinaryHeap::new(),
+                    queue: EventQueue::new(),
                     seq: 0,
                     latest_completion: 0,
                     block_counts: [0; BLOCK_REASONS.len()],
@@ -810,7 +763,7 @@ impl Engine {
             let controller = shared.controller();
             let popped = match &controller {
                 Some(controller) => shared.pop_controlled(controller),
-                None => shared.events.borrow().queue.pop().map(|Reverse(e)| e),
+                None => shared.events.borrow().queue.pop(),
             };
             let Some(event) = popped else {
                 // The run ends when its last thread completes, which may be

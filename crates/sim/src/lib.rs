@@ -7,14 +7,15 @@
 //! whose slices execute inline on the scheduler's own OS thread, mirroring
 //! how Marcel multiplexes user-level threads onto a kernel thread — and
 //! control passes to exactly one simulated thread at a time, in the order
-//! dictated by one virtual-time event queue. A worker whose thread has
-//! finished runs the next thread spawned, the way PM2 serves a request by a
-//! pre-existing thread, so a spawn costs a wake, not a new stack. Every
-//! worker has the same 1 MiB stack, committed lazily. On targets without a
-//! stack switch (anything but x86-64) each worker is instead an OS thread
-//! passing a futex-style baton; the choice is the platform's, made at
-//! compile time, and both produce the same fully deterministic execution
-//! in *virtual time*, which is what the benchmark harness measures.
+//! dictated by one virtual-time event queue (a short sorted window of the
+//! next events, a binary heap only for what overflows it). A worker whose
+//! thread has finished runs the next thread spawned, the way PM2 serves a
+//! request by a pre-existing thread, so a spawn costs a wake, not a new
+//! stack. Every worker has the same 1 MiB stack, committed lazily. On targets
+//! without a stack switch (anything but x86-64) each worker is instead an OS
+//! thread passing a futex-style baton; the choice is the platform's, made at
+//! compile time, and both produce the same fully deterministic execution in
+//! *virtual time*, which is what the benchmark harness measures.
 //!
 //! ## Programming model
 //!
@@ -54,6 +55,7 @@ mod continuation;
 mod engine;
 mod error;
 mod handle;
+mod queue;
 mod thread;
 mod time;
 mod wait;

@@ -11,9 +11,11 @@
 //! and 10 000 one-way requests or coherence messages with everything their
 //! delivery runs.
 //! The counter is process-wide, so nothing may allocate next to the measured
-//! slice: everything lives in a single `#[test]`.
+//! slice: everything lives in a single `#[test]`, and the allocator counts
+//! only on the threads that run it (see [`counted_here`]).
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -31,7 +33,32 @@ static BIG_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 /// Allocations that could hold a page.
 static PAGE_ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Whether this thread's allocations are counted, decided at its first.
+    static COUNTED: Cell<Option<bool>> = const { Cell::new(None) };
+}
+
+/// Whether the calling thread runs the measured work: the test's own thread
+/// and, on the baton lane, the engine's workers. libtest's main thread does
+/// not: it allocates just after it starts the test's thread, whenever the
+/// OS gets round to it, so under load those allocations landed in whichever
+/// bracket was open (4 each time, in 19 of 60 runs next to a build).
+fn counted_here() -> bool {
+    COUNTED.with(|counted| {
+        counted.get().unwrap_or_else(|| {
+            // What looking the name up allocates, if anything, is not counted.
+            counted.set(Some(false));
+            let here = std::thread::current().name() != Some("main");
+            counted.set(Some(here));
+            here
+        })
+    })
+}
+
 fn count(size: usize) {
+    if !counted_here() {
+        return;
+    }
     ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
     if size >= PAGE_SIZE {
         PAGE_ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
@@ -427,6 +454,12 @@ fn wait_cycles() -> u64 {
 
 #[test]
 fn access_hits_do_not_allocate() {
+    // Counted wherever the test runs, on libtest's main thread included.
+    COUNTED.with(|counted| counted.set(Some(true)));
+    assert!(
+        allocations_in(|| drop(std::hint::black_box(Box::new(0u64)))) >= 1,
+        "the counter misses the test's own allocations"
+    );
     for protocol in ["hbrc_mw", "li_hudak_fixed"] {
         for granularity in [PAGE_SIZE, 256] {
             assert_eq!(
