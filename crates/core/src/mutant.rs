@@ -1,6 +1,6 @@
 //! Mutation gate: re-introduced historical protocol bugs.
 //!
-//! Six bugs found and fixed in the protocol library and the generic core
+//! Seven bugs found and fixed in the protocol library and the generic core
 //! are kept compilable behind `--cfg dsm_mutant`, each selected at
 //! runtime by the `DSM_MUTANT` environment variable. The `dsmpm2-verify`
 //! mutation gate rebuilds with the cfg, activates each mutant in turn, and
@@ -21,6 +21,7 @@
 //! | `doomed_frame_write` | protocol switch evicts remote frames before consolidating their modified contents | final-memory divergence on the switch scenario |
 //! | `sync_scope_leak` | every lock hook gets the node's whole modified set and frame list, read anew per hook, not its own protocol's part | wrong final word on the mixed-protocol release scenario |
 //! | `home_defers_reads` | a unit's home parks a read request behind its own in-flight fetch, closing a wait-for cycle with a node that parks the home's request | deadlock on `read_then_upgrade` under `li_hudak_fixed`, explored under `Permuted` delivery |
+//! | `stale_copy_installed` | a node installs a read copy whose owner was succeeded by the one whose invalidation it already applied, leaving a copy the new owner's copyset does not list | copyset ⊇ readers invariant on `read_then_upgrade`, explored under `Permuted` delivery |
 
 /// Mutant names the gate can activate via `DSM_MUTANT`.
 pub const MUTANTS: &[&str] = &[
@@ -30,6 +31,7 @@ pub const MUTANTS: &[&str] = &[
     "doomed_frame_write",
     "sync_scope_leak",
     "home_defers_reads",
+    "stale_copy_installed",
 ];
 
 /// True if the named mutant is compiled in (`--cfg dsm_mutant`) and selected

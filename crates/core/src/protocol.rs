@@ -54,6 +54,10 @@ pub struct FaultInfo {
 /// multiple-writer protocols (diff receipt is part of the generic DSM
 /// communication module in the original system).
 ///
+/// Every action but `name` has a default. The six page actions default to
+/// `li_hudak`'s (sequential consistency, MRSW, from [`protolib`]'s
+/// single-writer routines): a protocol overrides only where it differs.
+///
 /// All actions must be thread-safe: the generic core may invoke them from
 /// several service threads concurrently, for the same page or different
 /// pages.
@@ -62,22 +66,50 @@ pub trait DsmProtocol: Send + Sync + 'static {
     fn name(&self) -> &str;
 
     /// Called on a read page fault, in the context of the faulting thread.
-    fn read_fault_handler(&self, ctx: &mut DsmThreadCtx<'_, '_>, fault: FaultInfo);
+    /// Default: fetch a read copy ([`protolib::request_page_and_wait`]).
+    fn read_fault_handler(&self, ctx: &mut DsmThreadCtx<'_, '_>, fault: FaultInfo) {
+        let rt = ctx.runtime().clone();
+        let node = ctx.node();
+        protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, fault.unit, Access::Read);
+    }
 
     /// Called on a write page fault, in the context of the faulting thread.
-    fn write_fault_handler(&self, ctx: &mut DsmThreadCtx<'_, '_>, fault: FaultInfo);
+    /// Default: fetch it writable ([`protolib::request_page_and_wait`]).
+    fn write_fault_handler(&self, ctx: &mut DsmThreadCtx<'_, '_>, fault: FaultInfo) {
+        let rt = ctx.runtime().clone();
+        let node = ctx.node();
+        protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, fault.unit, Access::Write);
+    }
 
-    /// Called on the node receiving a request for read access.
-    fn read_server(&self, ctx: &mut ServerCtx<'_>, req: PageRequest);
+    /// Called on the node receiving a request for read access. Default: an
+    /// owner serves a copy, others forward ([`protolib::serve_or_forward`]).
+    fn read_server(&self, ctx: &mut ServerCtx<'_>, req: PageRequest) {
+        protolib::serve_or_forward(ctx.sim, ctx.local_node, ctx.runtime, &req);
+    }
 
-    /// Called on the node receiving a request for write access.
-    fn write_server(&self, ctx: &mut ServerCtx<'_>, req: PageRequest);
+    /// Called on the node receiving a request for write access. Default: an
+    /// owner hands over ownership, others forward (the same routine).
+    fn write_server(&self, ctx: &mut ServerCtx<'_>, req: PageRequest) {
+        protolib::serve_or_forward(ctx.sim, ctx.local_node, ctx.runtime, &req);
+    }
 
-    /// Called on the node receiving an invalidation request.
-    fn invalidate_server(&self, ctx: &mut ServerCtx<'_>, inv: Invalidation);
+    /// Called on the node receiving an invalidation request. Default: drop
+    /// the copy and acknowledge ([`protolib::apply_invalidation`]).
+    fn invalidate_server(&self, ctx: &mut ServerCtx<'_>, inv: Invalidation) {
+        protolib::apply_invalidation(ctx.sim, ctx.local_node, ctx.runtime, &inv);
+    }
 
-    /// Called on the node receiving a page it previously requested.
-    fn receive_page_server(&self, ctx: &mut ServerCtx<'_>, transfer: PageTransfer);
+    /// Called on the node receiving a page it previously requested. Default:
+    /// become the single writer on a write grant, invalidating the other
+    /// copies ([`protolib::install_write_ownership`]), or install a read
+    /// copy ([`protolib::install_received_page`]).
+    fn receive_page_server(&self, ctx: &mut ServerCtx<'_>, transfer: PageTransfer) {
+        if transfer.grant == Access::Write {
+            protolib::install_write_ownership(ctx.sim, ctx.local_node, ctx.runtime, transfer);
+        } else {
+            protolib::install_received_page(ctx.sim, ctx.local_node, ctx.runtime, transfer);
+        }
+    }
 
     /// Called after the calling thread acquired a DSM lock or left a barrier.
     /// `cached` holds this protocol's pages of which this node maps a frame,

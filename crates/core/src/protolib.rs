@@ -117,6 +117,9 @@ pub fn defer_while_fetching(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, 
 /// Install a unit received from another node: store the contents, set the
 /// granted rights, update ownership hints and wake the local threads waiting
 /// for the unit. Charges the requester-side protocol overhead.
+/// A copy from an owner older than one whose invalidation this node applied
+/// is stale (that owner's copyset lacks this node): it is dropped, the fetch
+/// ends without rights and [`request_page_and_wait`] asks again.
 pub fn install_received_page(
     sim: &mut SimHandle,
     node: NodeId,
@@ -125,7 +128,17 @@ pub fn install_received_page(
 ) {
     let unit = transfer.unit;
     let table = rt.page_table(node);
-    let span = table.read(unit, |e| e.line_span());
+    let (span, owner_version) = table.read(unit, |e| (e.line_span(), e.owner_version));
+    // Historical bug: the stale copy was installed after the invalidation.
+    let stale = transfer.owner != node
+        && transfer.version < owner_version
+        && !crate::mutant::active("stale_copy_installed");
+    if stale {
+        table.update(unit, |e| e.pending_fetch = false);
+        sim.charge(costs::TABLE_UPDATE);
+        table.notify_all(unit, sim.ctl());
+        return;
+    }
     rt.frames(node).install(unit, span, transfer.data);
     table.update(unit, |e| {
         e.access = transfer.grant;

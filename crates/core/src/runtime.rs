@@ -586,9 +586,15 @@ impl DsmRuntime {
                 }
                 frames.evict(page);
             }
+            // The home's copy becomes newer than any succession a node saw,
+            // also one that passed between other nodes, or it would be stale.
+            let read = |t: &PageTable, u| t.read(u, |e| e.version.max(e.owner_version));
+            let tables = self.inner.nodes.iter();
+            let seen = tables.flat_map(|t| units.iter().map(move |&u| read(t, u)));
+            let version = seen.max().unwrap_or(0) + 1;
             if new_line_size == old_line_size {
-                // Same geometry: reset entries in place (preserving version
-                // and ownership-succession history, as the page-granularity
+                // Same geometry: reset entries in place (preserving
+                // ownership-succession history, as the page-granularity
                 // switch always has).
                 for node in self.inner.cluster.topology().nodes() {
                     let is_home = node == home;
@@ -602,7 +608,7 @@ impl DsmRuntime {
                             e.modified_since_release = false;
                             if is_home {
                                 e.copyset.insert(home);
-                                e.version += 1;
+                                e.version = version;
                             }
                         });
                     }
@@ -611,7 +617,6 @@ impl DsmRuntime {
                 // Geometry change (sub-page region clamped back to whole
                 // pages): rebuild the entries at the new line size; the
                 // home's frame stays in its slot.
-                let version = self.page_table(home).read(Unit::whole(page), |e| e.version) + 1;
                 for node in self.inner.cluster.topology().nodes() {
                     self.page_table(node)
                         .register_lines(page, home, records_writes, new_line_size);

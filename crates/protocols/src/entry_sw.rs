@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use dsmpm2_core::{costs, protolib};
 use dsmpm2_core::{
     pages_covering, Access, ConsistencyModel, DsmAddr, DsmProtocol, DsmThreadCtx, FaultInfo,
-    Invalidation, LockId, PageId, PageRequest, PageTransfer, ServerCtx, SliceCell, Unit,
+    LockId, PageId, PageRequest, PageTransfer, ServerCtx, SliceCell, Unit,
 };
 
 /// The `entry_sw` protocol (entry consistency, single writer per lock).
@@ -95,14 +95,6 @@ impl DsmProtocol for EntryConsistency {
         ConsistencyModel::Entry
     }
 
-    fn read_fault_handler(&self, ctx: &mut DsmThreadCtx<'_, '_>, fault: FaultInfo) {
-        // Unguarded access (or first access before any acquire): home-based
-        // read fetch.
-        let rt = ctx.runtime().clone();
-        let node = ctx.node();
-        protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, fault.unit, Access::Read);
-    }
-
     fn write_fault_handler(&self, ctx: &mut DsmThreadCtx<'_, '_>, fault: FaultInfo) {
         // A present read copy is upgraded in place (the guarding lock — or
         // the program's own synchronization — serializes writers).
@@ -121,12 +113,6 @@ impl DsmProtocol for EntryConsistency {
         let rt = ctx.runtime;
         let node = ctx.local_node;
         protolib::serve_copy_from_home(ctx.sim, node, rt, &req, Access::Write);
-    }
-
-    fn invalidate_server(&self, ctx: &mut ServerCtx<'_>, inv: Invalidation) {
-        let rt = ctx.runtime;
-        let node = ctx.local_node;
-        protolib::apply_invalidation(ctx.sim, node, rt, &inv);
     }
 
     fn receive_page_server(&self, ctx: &mut ServerCtx<'_>, transfer: PageTransfer) {

@@ -2,15 +2,15 @@
 //!
 //! Page management follows the same dynamic-distributed-manager scheme as
 //! `li_hudak` (page replication on read faults, ownership migration on write
-//! faults), but coherence actions are deferred to synchronization points:
+//! faults: the trait's default fault handlers and servers), but coherence
+//! actions are deferred to synchronization points:
 //! copies of the pages written inside a critical section are invalidated
 //! *eagerly at lock release* rather than at every write fault; acquire has
 //! nothing to do.
 
 use dsmpm2_core::protolib;
 use dsmpm2_core::{
-    Access, ConsistencyModel, DsmProtocol, DsmThreadCtx, FaultInfo, Invalidation, LockId,
-    PageRequest, PageTransfer, ServerCtx, Unit,
+    ConsistencyModel, DsmProtocol, DsmThreadCtx, LockId, PageTransfer, ServerCtx, Unit,
 };
 
 /// The `erc_sw` protocol (eager release consistency, single writer).
@@ -33,34 +33,6 @@ impl DsmProtocol for ErcSw {
         // Eager release consistency: writes propagate at release; an
         // unsynchronized conflicting access pair reads stale data.
         ConsistencyModel::Release
-    }
-
-    fn read_fault_handler(&self, ctx: &mut DsmThreadCtx<'_, '_>, fault: FaultInfo) {
-        let rt = ctx.runtime().clone();
-        let node = ctx.node();
-        protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, fault.unit, Access::Read);
-    }
-
-    fn write_fault_handler(&self, ctx: &mut DsmThreadCtx<'_, '_>, fault: FaultInfo) {
-        let rt = ctx.runtime().clone();
-        let node = ctx.node();
-        protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, fault.unit, Access::Write);
-    }
-
-    fn read_server(&self, ctx: &mut ServerCtx<'_>, req: PageRequest) {
-        let rt = ctx.runtime;
-        protolib::serve_or_forward(ctx.sim, ctx.local_node, rt, &req);
-    }
-
-    fn write_server(&self, ctx: &mut ServerCtx<'_>, req: PageRequest) {
-        let rt = ctx.runtime;
-        protolib::serve_or_forward(ctx.sim, ctx.local_node, rt, &req);
-    }
-
-    fn invalidate_server(&self, ctx: &mut ServerCtx<'_>, inv: Invalidation) {
-        let rt = ctx.runtime;
-        let node = ctx.local_node;
-        protolib::apply_invalidation(ctx.sim, node, rt, &inv);
     }
 
     fn receive_page_server(&self, ctx: &mut ServerCtx<'_>, transfer: PageTransfer) {

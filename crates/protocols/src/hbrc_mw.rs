@@ -42,12 +42,6 @@ impl DsmProtocol for HbrcMw {
         true
     }
 
-    fn read_fault_handler(&self, ctx: &mut DsmThreadCtx<'_, '_>, fault: FaultInfo) {
-        let rt = ctx.runtime().clone();
-        let node = ctx.node();
-        protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, fault.unit, Access::Read);
-    }
-
     fn write_fault_handler(&self, ctx: &mut DsmThreadCtx<'_, '_>, fault: FaultInfo) {
         let rt = ctx.runtime().clone();
         let node = ctx.node();

@@ -26,8 +26,8 @@ use std::collections::HashMap;
 
 use dsmpm2_core::{costs, protolib};
 use dsmpm2_core::{
-    Access, ConsistencyModel, DsmProtocol, DsmThreadCtx, FaultInfo, Invalidation, LockId, NodeId,
-    PageId, PageRequest, PageTransfer, ServerCtx, SliceCell, Unit,
+    Access, ConsistencyModel, DsmProtocol, DsmThreadCtx, FaultInfo, LockId, NodeId, PageId,
+    PageRequest, PageTransfer, ServerCtx, SliceCell, Unit,
 };
 
 /// One write notice: an interval stamp, the releasing node and the pages it
@@ -116,12 +116,6 @@ impl DsmProtocol for HlrcNotices {
         true
     }
 
-    fn read_fault_handler(&self, ctx: &mut DsmThreadCtx<'_, '_>, fault: FaultInfo) {
-        let rt = ctx.runtime().clone();
-        let node = ctx.node();
-        protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, fault.unit, Access::Read);
-    }
-
     fn write_fault_handler(&self, ctx: &mut DsmThreadCtx<'_, '_>, fault: FaultInfo) {
         let rt = ctx.runtime().clone();
         let node = ctx.node();
@@ -138,12 +132,6 @@ impl DsmProtocol for HlrcNotices {
         let rt = ctx.runtime;
         let node = ctx.local_node;
         protolib::serve_copy_from_home(ctx.sim, node, rt, &req, Access::Write);
-    }
-
-    fn invalidate_server(&self, ctx: &mut ServerCtx<'_>, inv: Invalidation) {
-        let rt = ctx.runtime;
-        let node = ctx.local_node;
-        protolib::apply_invalidation(ctx.sim, node, rt, &inv);
     }
 
     fn receive_page_server(&self, ctx: &mut ServerCtx<'_>, transfer: PageTransfer) {

@@ -18,6 +18,13 @@
 //! compose in one runtime: each manages its own pages, and at a lock or a
 //! barrier the core hands each one only the units of its own pages.
 //!
+//! `DsmProtocol`'s six page actions default to [`LiHudak`]'s, so each
+//! protocol here writes only the actions in which it differs from the
+//! sequentially consistent MRSW protocol: [`LiHudak`] is a name,
+//! [`LiHudakFixed`] (in the same module) pins its hints to the home, and the
+//! home-based protocols serve copies from the home and install what they
+//! receive as copies.
+//!
 //! Beyond the paper's Table 2, the crate also ships three *extension*
 //! protocols written on the same toolbox — precisely the kind of protocol
 //! experiment the platform exists to make cheap (register them with
@@ -41,7 +48,6 @@ mod hlrc_notices;
 mod hybrid;
 mod java;
 mod li_hudak;
-mod li_hudak_fixed;
 mod migrate_thread;
 
 use std::sync::Arc;
@@ -53,8 +59,7 @@ pub use erc_sw::ErcSw;
 pub use hbrc_mw::HbrcMw;
 pub use hlrc_notices::HlrcNotices;
 pub use java::{JavaConsistency, JavaDetection};
-pub use li_hudak::LiHudak;
-pub use li_hudak_fixed::LiHudakFixed;
+pub use li_hudak::{LiHudak, LiHudakFixed};
 pub use migrate_thread::MigrateThread;
 
 /// Identifiers of the built-in protocols after registration.

@@ -388,3 +388,51 @@ fn a_fault_after_a_switch_runs_the_new_protocols_handler() {
         "node 1's copy under li_hudak, then one fault handled by home_fetch"
     );
 }
+
+/// Regression: ownership that passes between non-home nodes bumps the
+/// succession version on the serving owners only; the home learns the owner,
+/// not the version. The same-geometry switch must still make the home's copy
+/// newer than every succession a node has seen, or a node refuses the
+/// home's copy as stale and asks again forever.
+#[test]
+fn a_switch_after_ownership_moved_between_non_home_nodes_serves_fresh_copies() {
+    for target in ["li_hudak", "hbrc_mw"] {
+        let mut engine = Engine::with_event_limit(1_000_000);
+        let rt = DsmRuntime::new(&engine, Pm2Config::sisci_sci(3));
+        let (protos, _ext) = register_all_protocols(&rt);
+        rt.set_default_protocol(protos.li_hudak);
+        let addr = rt.dsm_malloc(4096, DsmAttr::default().home(HomePolicy::Fixed(NodeId(0))));
+        let b = rt.create_barrier(3, None);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let rt_for_switch = rt.clone();
+        let to = rt.protocol_by_name(target).unwrap();
+        rt.spawn_dsm_thread(NodeId(0), "switcher", move |ctx| {
+            for _ in 0..3 {
+                ctx.dsm_barrier(b);
+            }
+            assert_eq!(rt_for_switch.switch_region_protocol(addr, 4096, to), 1);
+            ctx.dsm_barrier(b);
+            ctx.dsm_barrier(b);
+        });
+        for node in [1, 2] {
+            let s = seen.clone();
+            rt.spawn_dsm_thread(NodeId(node), "writer", move |ctx| {
+                // Nodes 1, 2 and 1 write in turn: three ownership moves.
+                for (turn, writer) in [1, 2, 1].into_iter().enumerate() {
+                    if writer == node {
+                        ctx.write::<u64>(addr, turn as u64 + 1);
+                    }
+                    ctx.dsm_barrier(b);
+                }
+                ctx.dsm_barrier(b);
+                let v = ctx.read::<u64>(addr);
+                s.lock().unwrap().push(v);
+                ctx.dsm_barrier(b);
+            });
+        }
+        engine
+            .run()
+            .unwrap_or_else(|e| panic!("switch to {target}: {e:?}"));
+        assert_eq!(*seen.lock().unwrap(), [3, 3], "switch to {target}");
+    }
+}
