@@ -304,12 +304,13 @@ mod tests {
     /// checked write replaced, which stored the 2 below without a word.
     #[test]
     fn checked_write_on_a_read_only_copy_refuses_and_leaves_no_trace() {
-        use crate::{CustomProtocol, DsmAttr, DsmRuntime, HomePolicy};
+        use crate::protocol::tests::Named;
+        use crate::{DsmAttr, DsmRuntime, HomePolicy};
         use dsmpm2_pm2::{Engine, Pm2Config};
 
         let mut engine = Engine::new();
         let rt = DsmRuntime::new(&engine, Pm2Config::bip_myrinet(2));
-        let inert = rt.register_protocol(CustomProtocol::builder("inert").build());
+        let inert = rt.register_protocol(std::sync::Arc::new(Named("inert".into())));
         let home = NodeId(0);
         let attr = DsmAttr::with_protocol(inert).home(HomePolicy::Fixed(home));
         let base = rt.dsm_malloc(PAGE_SIZE as u64, attr);

@@ -664,7 +664,7 @@ mod tests {
     use dsmpm2_pm2::{Engine, Pm2Config};
 
     use super::*;
-    use crate::protocol::CustomProtocol;
+    use crate::protocol::DsmProtocol;
     use crate::runtime::{DsmAttr, HomePolicy};
     use crate::stats::DsmStatsSnapshot;
 
@@ -676,6 +676,23 @@ mod tests {
         served: Vec<&'static str>,
     }
 
+    /// A protocol that only records which message it served.
+    struct Recorder(Arc<Mutex<Vec<&'static str>>>);
+
+    impl DsmProtocol for Recorder {
+        fn name(&self) -> &str {
+            "recorder"
+        }
+
+        fn read_server(&self, _ctx: &mut ServerCtx<'_>, _req: PageRequest) {
+            self.0.lock().unwrap().push("request");
+        }
+
+        fn invalidate_server(&self, _ctx: &mut ServerCtx<'_>, _inv: Invalidation) {
+            self.0.lock().unwrap().push("invalidate");
+        }
+    }
+
     /// On a 3-node cluster with one page, run `send` on node 0 at one
     /// instant. The page's protocol only records which message it served.
     fn send_at_one_instant(
@@ -684,12 +701,7 @@ mod tests {
         let mut engine = Engine::new();
         let rt = DsmRuntime::new(&engine, Pm2Config::bip_myrinet(3));
         let served = Arc::new(Mutex::new(Vec::new()));
-        let (inv, req) = (Arc::clone(&served), Arc::clone(&served));
-        let recorder = CustomProtocol::builder("recorder")
-            .invalidate_server(move |_, _| inv.lock().unwrap().push("invalidate"))
-            .read_server(move |_, _| req.lock().unwrap().push("request"))
-            .build();
-        let recorder = rt.register_protocol(recorder);
+        let recorder = rt.register_protocol(Arc::new(Recorder(Arc::clone(&served))));
         rt.set_default_protocol(recorder);
         let addr = rt.dsm_malloc(4096, DsmAttr::default().home(HomePolicy::Fixed(NodeId(0))));
         let unit = Unit::whole(addr.page());

@@ -16,10 +16,11 @@
 //! * the **DSM protocol library** ([`protolib`]) — thread-safe building
 //!   blocks: bring a page copy, migrate the thread to the data, invalidate a
 //!   copyset, twins and diffs;
-//! * the **DSM protocol policy layer** ([`DsmProtocol`], [`CustomProtocol`],
+//! * the **DSM protocol policy layer** ([`DsmProtocol`],
 //!   [`DsmRuntime::register_protocol`], [`DsmRuntime::set_default_protocol`])
-//!   — protocols are sets of 8 actions, registered at run time and selectable
-//!   per allocated region ([`DsmAttr`]);
+//!   — a protocol is a type implementing the 8 actions, each with a default,
+//!   registered at run time and selectable per allocated region
+//!   ([`DsmAttr`]);
 //! * **synchronization** ([`LockId`], [`BarrierId`]) with consistency hooks
 //!   at acquire/release, as required by the relaxed models.
 //!
@@ -59,7 +60,7 @@ pub use page::{
     Unit, LINE0, MIN_LINE_SIZE, PAGE_SIZE, SHARED_BASE,
 };
 pub use page_table::{PageEntry, PageTable, UnitView};
-pub use protocol::{CustomProtocol, CustomProtocolBuilder, DsmProtocol, FaultInfo, ProtocolId};
+pub use protocol::{DsmProtocol, FaultInfo, ProtocolId};
 pub use runtime::{DsmAttr, DsmRuntime, HomePolicy, PageMeta};
 pub use stats::{DsmStats, DsmStatsSnapshot};
 pub use sync::{BarrierId, LockId};

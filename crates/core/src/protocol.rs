@@ -1,15 +1,17 @@
-//! The protocol interface: the 8 actions of Table 1 and the protocol registry
-//! machinery (`dsm_create_protocol` analogue).
+//! The protocol interface: the 8 actions of Table 1 as the [`DsmProtocol`]
+//! trait.
 //!
 //! A consistency protocol in DSM-PM2 is a set of routines automatically
 //! called by the generic core on well-identified events: page faults (read /
 //! write), receipt of a page request (read / write), receipt of a page,
-//! receipt of an invalidation, lock acquire and lock release. Protocols are
-//! registered at run time, addressed by a [`ProtocolId`], and can be attached
-//! per shared memory region.
+//! receipt of an invalidation, lock acquire and lock release. A protocol is
+//! a type implementing the trait, built-in or user-written alike; it
+//! overrides only the actions that differ from the defaults. Registering a
+//! value with `DsmRuntime::register_protocol` (the paper's
+//! `dsm_create_protocol`) returns a [`ProtocolId`], which selects it at run
+//! time, per program or per shared memory region.
 
 use std::fmt;
-use std::sync::Arc;
 
 use dsmpm2_madeleine::NodeId;
 
@@ -100,11 +102,13 @@ pub trait DsmProtocol: Send + Sync + 'static {
     }
 
     /// Called on the node receiving a page it previously requested. Default:
-    /// become the single writer on a write grant, invalidating the other
-    /// copies ([`protolib::install_write_ownership`]), or install a read
-    /// copy ([`protolib::install_received_page`]).
+    /// on a write grant that makes this node the owner, become the single
+    /// writer, invalidating the other copies
+    /// ([`protolib::install_write_ownership`]); otherwise install the copy
+    /// as granted ([`protolib::install_received_page`]): a read copy, or a
+    /// writable copy of a home-based protocol, whose owner stays the home.
     fn receive_page_server(&self, ctx: &mut ServerCtx<'_>, transfer: PageTransfer) {
-        if transfer.grant == Access::Write {
+        if transfer.grant == Access::Write && transfer.owner == ctx.local_node {
             protolib::install_write_ownership(ctx.sim, ctx.local_node, ctx.runtime, transfer);
         } else {
             protolib::install_received_page(ctx.sim, ctx.local_node, ctx.runtime, transfer);
@@ -180,219 +184,23 @@ pub trait DsmProtocol: Send + Sync + 'static {
     }
 }
 
-type FaultFn = dyn Fn(&mut DsmThreadCtx<'_, '_>, FaultInfo) + Send + Sync;
-type RequestFn = dyn Fn(&mut ServerCtx<'_>, PageRequest) + Send + Sync;
-type InvalidateFn = dyn Fn(&mut ServerCtx<'_>, Invalidation) + Send + Sync;
-type TransferFn = dyn Fn(&mut ServerCtx<'_>, PageTransfer) + Send + Sync;
-type LockFn<T> = dyn Fn(&mut DsmThreadCtx<'_, '_>, LockId, &[T]) + Send + Sync;
-
-/// A protocol assembled from user-provided routines — the equivalent of the
-/// paper's `dsm_create_protocol` call, which takes the 8 component routines
-/// and returns a protocol identifier usable exactly like the built-in ones.
-///
-/// Lock hooks that are not provided default to the trait's, and the others
-/// to a panic (using a protocol without defining the actions it needs is a
-/// programming error).
-pub struct CustomProtocol {
-    name: String,
-    read_fault: Option<Box<FaultFn>>,
-    write_fault: Option<Box<FaultFn>>,
-    read_server: Option<Box<RequestFn>>,
-    write_server: Option<Box<RequestFn>>,
-    invalidate_server: Option<Box<InvalidateFn>>,
-    receive_page_server: Option<Box<TransferFn>>,
-    lock_acquire: Option<Box<LockFn<PageId>>>,
-    lock_release: Option<Box<LockFn<Unit>>>,
-}
-
-impl CustomProtocol {
-    /// Start building a protocol named `name`.
-    pub fn builder(name: impl Into<String>) -> CustomProtocolBuilder {
-        CustomProtocolBuilder {
-            proto: CustomProtocol {
-                name: name.into(),
-                read_fault: None,
-                write_fault: None,
-                read_server: None,
-                write_server: None,
-                invalidate_server: None,
-                receive_page_server: None,
-                lock_acquire: None,
-                lock_release: None,
-            },
-        }
-    }
-}
-
-/// Builder for [`CustomProtocol`].
-pub struct CustomProtocolBuilder {
-    proto: CustomProtocol,
-}
-
-impl CustomProtocolBuilder {
-    /// Set the read-fault handler.
-    pub fn read_fault_handler(
-        mut self,
-        f: impl Fn(&mut DsmThreadCtx<'_, '_>, FaultInfo) + Send + Sync + 'static,
-    ) -> Self {
-        self.proto.read_fault = Some(Box::new(f));
-        self
-    }
-
-    /// Set the write-fault handler.
-    pub fn write_fault_handler(
-        mut self,
-        f: impl Fn(&mut DsmThreadCtx<'_, '_>, FaultInfo) + Send + Sync + 'static,
-    ) -> Self {
-        self.proto.write_fault = Some(Box::new(f));
-        self
-    }
-
-    /// Set the read-request server routine.
-    pub fn read_server(
-        mut self,
-        f: impl Fn(&mut ServerCtx<'_>, PageRequest) + Send + Sync + 'static,
-    ) -> Self {
-        self.proto.read_server = Some(Box::new(f));
-        self
-    }
-
-    /// Set the write-request server routine.
-    pub fn write_server(
-        mut self,
-        f: impl Fn(&mut ServerCtx<'_>, PageRequest) + Send + Sync + 'static,
-    ) -> Self {
-        self.proto.write_server = Some(Box::new(f));
-        self
-    }
-
-    /// Set the invalidation server routine.
-    pub fn invalidate_server(
-        mut self,
-        f: impl Fn(&mut ServerCtx<'_>, Invalidation) + Send + Sync + 'static,
-    ) -> Self {
-        self.proto.invalidate_server = Some(Box::new(f));
-        self
-    }
-
-    /// Set the page-receipt server routine.
-    pub fn receive_page_server(
-        mut self,
-        f: impl Fn(&mut ServerCtx<'_>, PageTransfer) + Send + Sync + 'static,
-    ) -> Self {
-        self.proto.receive_page_server = Some(Box::new(f));
-        self
-    }
-
-    /// Set the lock-acquire consistency action ([`DsmProtocol::lock_acquire`]).
-    pub fn lock_acquire(
-        mut self,
-        f: impl Fn(&mut DsmThreadCtx<'_, '_>, LockId, &[PageId]) + Send + Sync + 'static,
-    ) -> Self {
-        self.proto.lock_acquire = Some(Box::new(f));
-        self
-    }
-
-    /// Set the lock-release consistency action ([`DsmProtocol::lock_release`]).
-    pub fn lock_release(
-        mut self,
-        f: impl Fn(&mut DsmThreadCtx<'_, '_>, LockId, &[Unit]) + Send + Sync + 'static,
-    ) -> Self {
-        self.proto.lock_release = Some(Box::new(f));
-        self
-    }
-
-    /// Finish building: the protocol can now be registered with
-    /// `DsmRuntime::register_protocol`.
-    pub fn build(self) -> Arc<dyn DsmProtocol> {
-        Arc::new(self.proto)
-    }
-}
-
-fn missing(action: &str, proto: &str) -> ! {
-    panic!(
-        "protocol '{proto}' does not define the '{action}' action but the generic core needed it"
-    )
-}
-
-impl DsmProtocol for CustomProtocol {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn read_fault_handler(&self, ctx: &mut DsmThreadCtx<'_, '_>, fault: FaultInfo) {
-        match &self.read_fault {
-            Some(f) => f(ctx, fault),
-            None => missing("read_fault_handler", &self.name),
-        }
-    }
-
-    fn write_fault_handler(&self, ctx: &mut DsmThreadCtx<'_, '_>, fault: FaultInfo) {
-        match &self.write_fault {
-            Some(f) => f(ctx, fault),
-            None => missing("write_fault_handler", &self.name),
-        }
-    }
-
-    fn read_server(&self, ctx: &mut ServerCtx<'_>, req: PageRequest) {
-        match &self.read_server {
-            Some(f) => f(ctx, req),
-            None => missing("read_server", &self.name),
-        }
-    }
-
-    fn write_server(&self, ctx: &mut ServerCtx<'_>, req: PageRequest) {
-        match &self.write_server {
-            Some(f) => f(ctx, req),
-            None => missing("write_server", &self.name),
-        }
-    }
-
-    fn invalidate_server(&self, ctx: &mut ServerCtx<'_>, inv: Invalidation) {
-        match &self.invalidate_server {
-            Some(f) => f(ctx, inv),
-            None => missing("invalidate_server", &self.name),
-        }
-    }
-
-    fn receive_page_server(&self, ctx: &mut ServerCtx<'_>, transfer: PageTransfer) {
-        match &self.receive_page_server {
-            Some(f) => f(ctx, transfer),
-            None => missing("receive_page_server", &self.name),
-        }
-    }
-
-    fn lock_acquire(&self, ctx: &mut DsmThreadCtx<'_, '_>, lock: LockId, cached: &[PageId]) {
-        if let Some(f) = &self.lock_acquire {
-            f(ctx, lock, cached);
-        }
-    }
-
-    fn lock_release(&self, ctx: &mut DsmThreadCtx<'_, '_>, lock: LockId, modified: &[Unit]) {
-        match &self.lock_release {
-            Some(f) => f(ctx, lock, modified),
-            None => protolib::clear_modified(ctx.node(), ctx.runtime(), modified),
-        }
-    }
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// A protocol that is only a name: every action is the trait's default.
+    pub(crate) struct Named(pub(crate) String);
+
+    impl DsmProtocol for Named {
+        fn name(&self) -> &str {
+            &self.0
+        }
+    }
 
     #[test]
     fn protocol_id_formats() {
         assert_eq!(format!("{}", ProtocolId(3)), "proto#3");
         assert_eq!(format!("{:?}", ProtocolId(3)), "proto#3");
-    }
-
-    #[test]
-    fn builder_produces_a_named_protocol() {
-        let proto = CustomProtocol::builder("my_proto")
-            .read_fault_handler(|_ctx, _fault| {})
-            .write_fault_handler(|_ctx, _fault| {})
-            .build();
-        assert_eq!(proto.name(), "my_proto");
     }
 
     #[test]

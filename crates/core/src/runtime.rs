@@ -711,15 +711,16 @@ impl std::fmt::Debug for DsmRuntime {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ctx::ServerCtx;
     use crate::msg::Invalidation;
-    use crate::protocol::CustomProtocol;
+    use crate::protocol::tests::Named;
     use proptest::prelude::*;
 
     /// A runtime on two nodes whose default protocol only has to exist:
     /// allocation runs none of its handlers.
     fn allocating_runtime(engine: &Engine) -> DsmRuntime {
         let rt = DsmRuntime::new(engine, Pm2Config::bip_myrinet(2));
-        rt.set_default_protocol(rt.register_protocol(CustomProtocol::builder("idle").build()));
+        rt.set_default_protocol(rt.register_protocol(Arc::new(Named("idle".into()))));
         rt
     }
 
@@ -763,7 +764,7 @@ mod tests {
         let rt = DsmRuntime::new(&engine, Pm2Config::bip_myrinet(1));
         let names: Vec<String> = (0..40).map(|i| format!("p{i}")).collect();
         for (i, name) in names.iter().enumerate() {
-            let id = rt.register_protocol(CustomProtocol::builder(name.clone()).build());
+            let id = rt.register_protocol(Arc::new(Named(name.clone())));
             assert_eq!(id, ProtocolId(i));
         }
         for (i, name) in names.iter().enumerate() {
@@ -772,6 +773,17 @@ mod tests {
         }
         assert!(rt.inner.protocols.get(names.len()).is_none());
         assert!(rt.inner.protocols.get(usize::MAX).is_none());
+    }
+
+    /// A protocol that ignores invalidations.
+    struct Quiet;
+
+    impl DsmProtocol for Quiet {
+        fn name(&self) -> &str {
+            "quiet"
+        }
+
+        fn invalidate_server(&self, _ctx: &mut ServerCtx<'_>, _inv: Invalidation) {}
     }
 
     /// However a run ends, nothing of it outlives the engine: once the engine
@@ -784,10 +796,7 @@ mod tests {
             let mut engine = Engine::new();
             let rt = DsmRuntime::new(&engine, Pm2Config::bip_myrinet(2));
             let weak = rt.downgrade();
-            let quiet = CustomProtocol::builder("quiet")
-                .invalidate_server(|_, _| {})
-                .build();
-            let quiet = rt.register_protocol(quiet);
+            let quiet = rt.register_protocol(Arc::new(Quiet));
             rt.set_default_protocol(quiet);
             build(&rt);
             drop(rt);

@@ -25,7 +25,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use dsmpm2_core::{costs, protolib};
 use dsmpm2_core::{
     pages_covering, Access, ConsistencyModel, DsmAddr, DsmProtocol, DsmThreadCtx, FaultInfo,
-    LockId, PageId, PageRequest, PageTransfer, ServerCtx, SliceCell, Unit,
+    LockId, PageId, PageRequest, ServerCtx, SliceCell, Unit,
 };
 
 /// The `entry_sw` protocol (entry consistency, single writer per lock).
@@ -113,12 +113,6 @@ impl DsmProtocol for EntryConsistency {
         let rt = ctx.runtime;
         let node = ctx.local_node;
         protolib::serve_copy_from_home(ctx.sim, node, rt, &req, Access::Write);
-    }
-
-    fn receive_page_server(&self, ctx: &mut ServerCtx<'_>, transfer: PageTransfer) {
-        let rt = ctx.runtime;
-        let node = ctx.local_node;
-        protolib::install_received_page(ctx.sim, node, rt, transfer);
     }
 
     fn lock_acquire(&self, ctx: &mut DsmThreadCtx<'_, '_>, lock: LockId, _cached: &[PageId]) {

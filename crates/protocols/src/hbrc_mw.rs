@@ -14,7 +14,7 @@
 use dsmpm2_core::{costs, protolib};
 use dsmpm2_core::{
     Access, ConsistencyModel, DsmProtocol, DsmThreadCtx, FaultInfo, Invalidation, LockId, NodeId,
-    PageDiff, PageRequest, PageTransfer, ServerCtx, Unit,
+    PageDiff, PageRequest, ServerCtx, Unit,
 };
 
 /// The `hbrc_mw` protocol (home-based release consistency, multiple writers).
@@ -89,12 +89,6 @@ impl DsmProtocol for HbrcMw {
             protolib::push_diffs_and_wait(ctx.sim, node, rt, vec![diff]);
         }
         protolib::apply_invalidation(ctx.sim, node, rt, &inv);
-    }
-
-    fn receive_page_server(&self, ctx: &mut ServerCtx<'_>, transfer: PageTransfer) {
-        let rt = ctx.runtime;
-        let node = ctx.local_node;
-        protolib::install_received_page(ctx.sim, node, rt, transfer);
     }
 
     fn lock_release(&self, ctx: &mut DsmThreadCtx<'_, '_>, _lock: LockId, modified: &[Unit]) {

@@ -27,7 +27,7 @@ use std::collections::HashMap;
 use dsmpm2_core::{costs, protolib};
 use dsmpm2_core::{
     Access, ConsistencyModel, DsmProtocol, DsmThreadCtx, FaultInfo, LockId, NodeId, PageId,
-    PageRequest, PageTransfer, ServerCtx, SliceCell, Unit,
+    PageRequest, ServerCtx, SliceCell, Unit,
 };
 
 /// One write notice: an interval stamp, the releasing node and the pages it
@@ -132,12 +132,6 @@ impl DsmProtocol for HlrcNotices {
         let rt = ctx.runtime;
         let node = ctx.local_node;
         protolib::serve_copy_from_home(ctx.sim, node, rt, &req, Access::Write);
-    }
-
-    fn receive_page_server(&self, ctx: &mut ServerCtx<'_>, transfer: PageTransfer) {
-        let rt = ctx.runtime;
-        let node = ctx.local_node;
-        protolib::install_received_page(ctx.sim, node, rt, transfer);
     }
 
     fn lock_acquire(&self, ctx: &mut DsmThreadCtx<'_, '_>, lock: LockId, _cached: &[PageId]) {

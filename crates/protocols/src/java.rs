@@ -24,7 +24,7 @@
 use dsmpm2_core::{costs, protolib};
 use dsmpm2_core::{
     Access, ConsistencyModel, DsmProtocol, DsmThreadCtx, FaultInfo, Invalidation, LockId, PageId,
-    PageRequest, PageTransfer, ServerCtx, Unit,
+    PageRequest, ServerCtx, Unit,
 };
 
 /// Which access-detection flavour a Java-consistency protocol instance uses.
@@ -127,12 +127,6 @@ impl DsmProtocol for JavaConsistency {
             protolib::push_diffs_and_wait(ctx.sim, node, rt, vec![diff]);
         }
         protolib::apply_invalidation(ctx.sim, node, rt, &inv);
-    }
-
-    fn receive_page_server(&self, ctx: &mut ServerCtx<'_>, transfer: PageTransfer) {
-        let rt = ctx.runtime;
-        let node = ctx.local_node;
-        protolib::install_received_page(ctx.sim, node, rt, transfer);
     }
 
     fn lock_acquire(&self, ctx: &mut DsmThreadCtx<'_, '_>, _lock: LockId, cached: &[PageId]) {

@@ -1,7 +1,7 @@
 //! # dsmpm2-protocols — the built-in DSM-PM2 consistency protocols
 //!
 //! This crate provides the six built-in protocols of Table 2 of the paper
-//! (a hybrid of §2.3, assembled from library routines by user code, is the
+//! (a hybrid of §2.3, written with library routines by user code, is the
 //! `custom_protocol` example):
 //!
 //! | Protocol | Consistency | Features |
@@ -396,7 +396,7 @@ mod tests {
     #[test]
     fn hybrid_protocol_combines_replication_and_migration() {
         let (mut engine, rt, _builtins) = setup(2);
-        let hybrid = rt.register_protocol(hybrid::replicate_read_migrate_write());
+        let hybrid = rt.register_protocol(StdArc::new(hybrid::ReplicateReadMigrateWrite));
         rt.set_default_protocol(hybrid);
         let addr = rt.dsm_malloc(4096, DsmAttr::default().home(HomePolicy::Fixed(NodeId(0))));
         let where_after_read = StdArc::new(Mutex::new(NodeId(9)));

@@ -1,14 +1,14 @@
 //! Integration tests for §2.3 of the paper: several protocols coexisting in
-//! one application, protocols assembled at run time, and switching the
-//! protocol of a memory region between two barriers.
+//! one application, user-written protocols registered at run time, and
+//! switching the protocol of a memory region between two barriers.
 
 use std::sync::Arc;
 
 use std::sync::Mutex;
 
 use dsm_pm2::core::{
-    protolib, Access, CustomProtocol, DsmAttr, DsmProtocol, DsmRuntime, DsmScalar, HomePolicy,
-    LineIx, Unit, PAGE_SIZE,
+    protolib, Access, DsmAttr, DsmProtocol, DsmRuntime, DsmScalar, FaultInfo, HomePolicy, LineIx,
+    PageRequest, ServerCtx, Unit, PAGE_SIZE,
 };
 use dsm_pm2::prelude::*;
 
@@ -282,53 +282,44 @@ fn switch_folds_a_line_twin_into_the_home_and_clamps_the_region_to_pages() {
     );
 }
 
-/// A write-through-to-home protocol assembled from library routines: read
-/// faults fetch a copy from the home, write faults fetch a writable copy, no
-/// invalidations ever happen (single-phase programs only). Each read fault
-/// it handles pushes the faulting node onto `read_faults`.
-fn home_fetch(read_faults: Arc<Mutex<Vec<NodeId>>>) -> Arc<dyn DsmProtocol> {
-    CustomProtocol::builder("home_fetch")
-        .read_fault_handler(move |ctx, fault| {
-            let rt = ctx.runtime().clone();
-            let node = ctx.node();
-            read_faults.lock().unwrap().push(node);
-            protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, fault.unit, Access::Read);
-        })
-        .write_fault_handler(|ctx, fault| {
-            let rt = ctx.runtime().clone();
-            let node = ctx.node();
-            protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, fault.unit, Access::Write);
-        })
-        .read_server(|ctx, req| {
-            let rt = ctx.runtime;
-            let node = ctx.local_node;
-            protolib::serve_copy_from_home(ctx.sim, node, rt, &req, Access::Read);
-        })
-        .write_server(|ctx, req| {
-            let rt = ctx.runtime;
-            let node = ctx.local_node;
-            protolib::serve_copy_from_home(ctx.sim, node, rt, &req, Access::Write);
-        })
-        .invalidate_server(|ctx, inv| {
-            let rt = ctx.runtime;
-            let node = ctx.local_node;
-            protolib::apply_invalidation(ctx.sim, node, rt, &inv);
-        })
-        .receive_page_server(|ctx, transfer| {
-            let rt = ctx.runtime;
-            let node = ctx.local_node;
-            protolib::install_received_page(ctx.sim, node, rt, transfer);
-        })
-        .build()
+/// A write-through-to-home protocol written against the library routines:
+/// read faults fetch a copy from the home, write faults fetch a writable
+/// copy, no invalidations ever happen (single-phase programs only). Each read
+/// fault it handles pushes the faulting node onto `read_faults`.
+struct HomeFetch {
+    read_faults: Arc<Mutex<Vec<NodeId>>>,
+}
+
+impl DsmProtocol for HomeFetch {
+    fn name(&self) -> &str {
+        "home_fetch"
+    }
+
+    fn read_fault_handler(&self, ctx: &mut DsmThreadCtx<'_, '_>, fault: FaultInfo) {
+        let rt = ctx.runtime().clone();
+        let node = ctx.node();
+        self.read_faults.lock().unwrap().push(node);
+        protolib::request_page_and_wait(ctx.pm2.sim, node, &rt, fault.unit, Access::Read);
+    }
+
+    fn read_server(&self, ctx: &mut ServerCtx<'_>, req: PageRequest) {
+        protolib::serve_copy_from_home(ctx.sim, ctx.local_node, ctx.runtime, &req, Access::Read);
+    }
+
+    fn write_server(&self, ctx: &mut ServerCtx<'_>, req: PageRequest) {
+        protolib::serve_copy_from_home(ctx.sim, ctx.local_node, ctx.runtime, &req, Access::Write);
+    }
 }
 
 /// §2.3: several protocols can be *defined* in one program and selected
-/// dynamically without recompilation; a user-assembled protocol is usable
+/// dynamically without recompilation; a user-written protocol is usable
 /// exactly like the built-in ones.
 #[test]
 fn user_defined_protocol_is_selected_dynamically() {
     let (mut engine, rt, protos, _ext) = setup(2);
-    let custom = rt.register_protocol(home_fetch(Arc::default()));
+    let custom = rt.register_protocol(Arc::new(HomeFetch {
+        read_faults: Arc::default(),
+    }));
 
     // Select the protocol "according to the arguments provided by the user
     // without any recompilation".
@@ -352,6 +343,68 @@ fn user_defined_protocol_is_selected_dynamically() {
     assert_eq!(rt.protocol_by_name("home_fetch"), Some(custom));
 }
 
+/// A protocol that is only a name: every action is the trait's default.
+struct Defaults;
+
+impl DsmProtocol for Defaults {
+    fn name(&self) -> &str {
+        "defaults"
+    }
+}
+
+/// A protocol inherits what it does not override from `li_hudak`: a 3-node
+/// program in which every node writes its word of one page and then reads
+/// all three, twice, leaves the same words, the same counters and the same
+/// end time under a protocol that implements only `name` as under
+/// `li_hudak`.
+#[test]
+fn a_protocol_that_overrides_nothing_runs_as_li_hudak() {
+    let run = |defaults: bool| {
+        let (mut engine, rt, protos, _ext) = setup(3);
+        let custom = rt.register_protocol(Arc::new(Defaults));
+        rt.set_default_protocol(if defaults { custom } else { protos.li_hudak });
+        let addr = rt.dsm_malloc(4096, DsmAttr::default().home(HomePolicy::Fixed(NodeId(0))));
+        let b = rt.create_barrier(3, None);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        for node in 0..3u64 {
+            let s = seen.clone();
+            rt.spawn_dsm_thread(NodeId(node as usize), format!("t{node}"), move |ctx| {
+                let mine = addr.add(8 * node);
+                ctx.write::<u64>(mine, node + 1);
+                for _ in 0..2 {
+                    ctx.dsm_barrier(b);
+                    let words: Vec<u64> =
+                        (0..3).map(|i| ctx.read::<u64>(addr.add(8 * i))).collect();
+                    ctx.dsm_barrier(b);
+                    ctx.write::<u64>(mine, words.iter().sum());
+                    s.lock().unwrap().push((node, words));
+                }
+            });
+        }
+        let report = engine.run().unwrap();
+        let mut words = seen.lock().unwrap().clone();
+        words.sort();
+        (words, rt.stats().snapshot(), report.final_time)
+    };
+    let (words, stats, end) = run(true);
+    assert_eq!(
+        words,
+        [
+            (0, vec![1, 2, 3]),
+            (0, vec![6, 6, 6]),
+            (1, vec![1, 2, 3]),
+            (1, vec![6, 6, 6]),
+            (2, vec![1, 2, 3]),
+            (2, vec![6, 6, 6]),
+        ]
+    );
+    assert!(
+        stats.page_transfers > 0 && stats.invalidations > 0,
+        "{stats:?}"
+    );
+    assert_eq!((words, stats, end), run(false));
+}
+
 /// The directory is the one record of a page's protocol: once a switch has
 /// rewritten it, a fault on the page runs the new protocol's handler, also
 /// on a node that held a copy under the old protocol, and the request it
@@ -360,7 +413,9 @@ fn user_defined_protocol_is_selected_dynamically() {
 fn a_fault_after_a_switch_runs_the_new_protocols_handler() {
     let (mut engine, rt, protos, _ext) = setup(2);
     let read_faults = Arc::new(Mutex::new(Vec::new()));
-    let custom = rt.register_protocol(home_fetch(read_faults.clone()));
+    let custom = rt.register_protocol(Arc::new(HomeFetch {
+        read_faults: read_faults.clone(),
+    }));
     let addr = rt.dsm_malloc(4096, DsmAttr::with_protocol(protos.li_hudak));
     let b = rt.create_barrier(2, None);
     let rt_for_switch = rt.clone();
