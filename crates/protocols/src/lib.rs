@@ -44,8 +44,6 @@ mod entry_sw;
 mod erc_sw;
 mod hbrc_mw;
 mod hlrc_notices;
-#[cfg(test)]
-mod hybrid;
 mod java;
 mod li_hudak;
 mod migrate_thread;
@@ -390,32 +388,6 @@ mod tests {
         engine.run().unwrap();
         assert_eq!(*seen.lock().unwrap(), 1234);
         assert!(rt.stats().snapshot().diffs_sent >= 1);
-    }
-
-    /// The hybrid protocol of §2.3: reads replicate, writes migrate the thread.
-    #[test]
-    fn hybrid_protocol_combines_replication_and_migration() {
-        let (mut engine, rt, _builtins) = setup(2);
-        let hybrid = rt.register_protocol(StdArc::new(hybrid::ReplicateReadMigrateWrite));
-        rt.set_default_protocol(hybrid);
-        let addr = rt.dsm_malloc(4096, DsmAttr::default().home(HomePolicy::Fixed(NodeId(0))));
-        let where_after_read = StdArc::new(Mutex::new(NodeId(9)));
-        let where_after_write = StdArc::new(Mutex::new(NodeId(9)));
-
-        let r = where_after_read.clone();
-        let w = where_after_write.clone();
-        rt.spawn_dsm_thread(NodeId(1), "mixed", move |ctx| {
-            let _ = ctx.read::<u64>(addr); // replicates the page to node 1
-            *r.lock().unwrap() = ctx.node();
-            ctx.write::<u64>(addr, 3); // migrates the thread to node 0
-            *w.lock().unwrap() = ctx.node();
-        });
-        engine.run().unwrap();
-        assert_eq!(*where_after_read.lock().unwrap(), NodeId(1));
-        assert_eq!(*where_after_write.lock().unwrap(), NodeId(0));
-        let stats = rt.stats().snapshot();
-        assert_eq!(stats.page_transfers, 1);
-        assert_eq!(stats.thread_migrations, 1);
     }
 
     /// Different DSM protocols can manage different memory areas of the same

@@ -3,7 +3,9 @@
 //! Modes (first CLI argument, default `all`):
 //!
 //! * `explorer` — exhaustively explore the smoke scenarios' schedule spaces
-//!   and assert every schedule is finding-free; prints pruning statistics.
+//!   and assert every schedule is finding-free and no exploration stops at
+//!   its cap; prints each one's schedules, choice points and budget-pruned
+//!   candidates.
 //! * `races` — run the workload sweep (shared counter, Jacobi, map
 //!   colouring across the registered protocols) with the race detector and
 //!   invariant oracle attached and assert it comes back clean; then run the
@@ -16,8 +18,9 @@
 //! * `mutants` — run the kill battery. With `DSM_MUTANT=<name>` set (and
 //!   the binary built with `RUSTFLAGS=--cfg dsm_mutant`) the battery must
 //!   catch the mutant (exit 0 on catch, 1 on escape); with no mutant
-//!   selected it must come back clean. `mutants --list` prints the names
-//!   the gate accepts, one a line, and runs nothing.
+//!   selected it must come back clean. Either way, an exploration of the
+//!   battery that stops at its cap fails the stage. `mutants --list` prints
+//!   the names the gate accepts, one a line, and runs nothing.
 //!
 //! Exit status 0 = gate passed.
 
@@ -142,13 +145,12 @@ fn explorer_gate() -> bool {
         });
         println!(
             "explorer {}/{protocol} ({}): {} schedules, {} choice points, \
-             {} budget-pruned, {} dedup hits{}",
+             {} budget-pruned{}",
             scn.name,
             base.transport.name(),
             stats.schedules_run,
             stats.choice_points,
             stats.pruned_by_budget,
-            stats.dedup_hits,
             if stats.capped { " (CAPPED)" } else { "" },
         );
         for finding in &findings {
@@ -279,7 +281,7 @@ fn input_gate() -> bool {
                         wrong += 1;
                         println!("  input {index}: {}", findings[0]);
                     }
-                    for &word in &outcome.final_words_at {
+                    for &word in &outcome.final_words {
                         fingerprint = fnv(fingerprint, &word.to_le_bytes());
                     }
                 }
@@ -331,71 +333,67 @@ fn report_workload(
 
 /// The mutant kill battery: a fixed set of checker configurations that is
 /// clean on HEAD and must produce at least one finding under each of the
-/// re-introduced bugs of `dsmpm2_core::mutant`.
-fn battery() -> Vec<Finding> {
+/// re-introduced bugs of `dsmpm2_core::mutant`. Returns the findings and the
+/// labels of the explorations that stopped at their cap.
+fn battery() -> (Vec<Finding>, Vec<String>) {
     let mut findings = Vec::new();
+    let mut capped = Vec::new();
+    // One checked run of `scn` under `protocol` or, with `options`, every
+    // schedule of it under `Permuted(options)` delivery at budget 1.
+    let mut check = |scn: scenario::Scenario, protocol: &str, options: Option<u8>| {
+        let label = format!("{}/{protocol}", scn.name);
+        let found = match options {
+            None => run_scenario(&scn, &RunConfig::checked(protocol)).all_findings(&scn),
+            Some(options) => {
+                let base = RunConfig {
+                    transport: permuted(options),
+                    ..RunConfig::checked(protocol)
+                };
+                let cfg = ExploreConfig {
+                    max_schedules: 400,
+                    preemption_budget: 1,
+                };
+                let (stats, found) = explore(&scn, &base, &cfg, &mut |_path, outcome| {
+                    outcome.all_findings(&scn)
+                });
+                if stats.capped {
+                    capped.push(label.clone());
+                }
+                found
+            }
+        };
+        findings.extend(tag(&label, found));
+    };
 
     // copyset_wipe: readers forgotten from the copyset surface as a
     // copyset-coverage (or stale final value) violation in reader_flock.
-    let scn = scenario::reader_flock();
-    let outcome = run_scenario(&scn, &RunConfig::checked("li_hudak"));
-    findings.extend(tag("reader_flock/li_hudak", outcome.all_findings(&scn)));
-
+    check(scenario::reader_flock(), "li_hudak", None);
     // pre_revoke_diff_push: a release that returns before its diffs landed
     // loses an increment on some delivery schedule of stale_release.
-    let scn = scenario::stale_release();
-    let base = RunConfig {
-        transport: permuted(4),
-        ..RunConfig::checked("hbrc_mw")
-    };
-    let cfg = ExploreConfig {
-        max_schedules: 400,
-        preemption_budget: 1,
-    };
-    let (_, explored) = explore(&scn, &base, &cfg, &mut |_path, outcome: &RunOutcome| {
-        outcome.all_findings(&scn)
-    });
-    findings.extend(tag("stale_release/hbrc_mw", explored));
-
+    check(scenario::stale_release(), "hbrc_mw", Some(4));
     // hint_rewind: the forged stale AcquireDone must be ignored by the
     // version gate; without it the monotonicity oracle fires.
-    let scn = scenario::stale_done_injection();
-    let outcome = run_scenario(&scn, &RunConfig::checked("li_hudak"));
-    findings.extend(tag(
-        "stale_done_injection/li_hudak",
-        outcome.all_findings(&scn),
-    ));
-
+    check(scenario::stale_done_injection(), "li_hudak", None);
     // doomed_frame_write: the protocol switch must consolidate remote
     // frames before evicting them.
-    let scn = scenario::switch_survivor("migrate_thread");
-    let outcome = run_scenario(&scn, &RunConfig::checked("li_hudak"));
-    findings.extend(tag("switch_survivor/li_hudak", outcome.all_findings(&scn)));
-
+    check(
+        scenario::switch_survivor("migrate_thread"),
+        "li_hudak",
+        None,
+    );
     // sync_scope_leak: erc_sw's release must leave hbrc_mw's page alone, or
     // node 1's write never reaches the home.
-    let scn = scenario::mixed_release();
-    let outcome = run_scenario(&scn, &RunConfig::checked("hbrc_mw"));
-    findings.extend(tag("mixed_release/hbrc_mw", outcome.all_findings(&scn)));
-
+    check(scenario::mixed_release(), "hbrc_mw", None);
     // home_defers_reads: a home that parks a read behind its own fetch
     // deadlocks read_then_upgrade under li_hudak_fixed on some delivery
     // schedule; li_hudak runs every one clean either way.
     // stale_copy_installed: a read copy that arrives after the new owner's
     // invalidation is installed, and the copyset invariant fires.
-    let scn = read_then_upgrade();
     for protocol in ["li_hudak_fixed", "li_hudak"] {
-        let base = RunConfig {
-            transport: permuted(2),
-            ..RunConfig::checked(protocol)
-        };
-        let (_, explored) = explore(&scn, &base, &cfg, &mut |_path, outcome: &RunOutcome| {
-            outcome.all_findings(&scn)
-        });
-        findings.extend(tag(&format!("read_then_upgrade/{protocol}"), explored));
+        check(read_then_upgrade(), protocol, Some(2));
     }
 
-    findings
+    (findings, capped)
 }
 
 /// The smallest read-then-upgrade input that deadlocked `li_hudak_fixed`
@@ -416,8 +414,11 @@ fn tag(label: &str, findings: Vec<Finding>) -> Vec<Finding> {
 
 fn mutant_gate() -> bool {
     let selected = std::env::var("DSM_MUTANT").ok();
-    let findings = battery();
-    match selected.as_deref() {
+    let (findings, capped) = battery();
+    for label in &capped {
+        println!("mutants: {label}: exploration stopped at its cap (CAPPED)");
+    }
+    let verdict = match selected.as_deref() {
         None | Some("") => {
             for finding in &findings {
                 println!("  FINDING {finding}");
@@ -452,5 +453,6 @@ fn mutant_gate() -> bool {
                 true
             }
         }
-    }
+    };
+    verdict && capped.is_empty()
 }

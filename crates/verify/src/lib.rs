@@ -6,10 +6,10 @@
 //! * [`explorer`] — bounded schedule-space exploration. The engine's
 //!   [`dsmpm2_sim::ScheduleController`] seam exposes every same-instant
 //!   cross-shard event-order tie and (on a `Permuted` transport) every
-//!   message-delivery slot as an explicit choice point; a DFS with
-//!   trailing-canonical normalization, deduplication and a
-//!   bounded-preemption budget enumerates the schedules of small
-//!   [`scenario`] configurations exhaustively.
+//!   message-delivery slot as an explicit choice point; a DFS over
+//!   decision paths, trailing canonical choices trimmed and bounded by a
+//!   preemption budget, enumerates the schedules of small [`scenario`]
+//!   configurations exhaustively, each path once.
 //! * [`hb`] — a happens-before race detector: vector clocks threaded
 //!   through lock acquire/release and barrier rounds over the event log
 //!   recorded by the core's [`dsmpm2_core::VerifyHooks`] seam. Conflicting
@@ -21,7 +21,7 @@
 //!   every application access: single-writer exclusivity, copyset ⊇
 //!   readers, owner-version monotonicity, no access to a missing frame.
 //!
-//! The `verify_gate` binary wires all three into the CI mutation gate: four
+//! The `verify_gate` binary wires all three into the CI mutation gate: seven
 //! historical protocol bugs are compiled back in behind `--cfg dsm_mutant`
 //! ([`dsmpm2_core::mutant`]) and every one must be caught while an
 //! unmutated build passes clean.

@@ -2,9 +2,9 @@
 //!
 //! [`RecordingHooks`] implements the core's [`VerifyHooks`] seam: every
 //! reported access, synchronization event and ownership-version update is
-//! appended to an in-memory log, and — when enabled — a battery of per-step
-//! protocol invariants is probed against the live page tables at the instant
-//! of each application access. Violations become [`Finding`]s.
+//! appended to an in-memory log, and a battery of per-step protocol
+//! invariants is probed against the live page tables at the instant of each
+//! application access. Violations become [`Finding`]s.
 //!
 //! The hooks charge no virtual time and mutate no DSM state, so an
 //! instrumented run is bit-identical to an uninstrumented one.
@@ -101,32 +101,14 @@ impl fmt::Display for Finding {
     }
 }
 
-/// The recording (and optionally invariant-checking) implementation of
-/// [`VerifyHooks`].
+/// The recording and invariant-checking implementation of [`VerifyHooks`].
+#[derive(Default)]
 pub struct RecordingHooks {
     log: SliceCell<Vec<LogRecord>>,
     findings: SliceCell<Vec<Finding>>,
-    check_invariants: bool,
 }
 
 impl RecordingHooks {
-    /// A pure recorder: log only, no per-step invariant probing.
-    pub fn recorder() -> Self {
-        RecordingHooks {
-            log: SliceCell::new(Vec::new()),
-            findings: SliceCell::new(Vec::new()),
-            check_invariants: false,
-        }
-    }
-
-    /// A recorder that also probes the per-step protocol invariants.
-    pub fn checker() -> Self {
-        RecordingHooks {
-            check_invariants: true,
-            ..Self::recorder()
-        }
-    }
-
     /// Drain the recorded log.
     pub fn take_log(&self) -> Vec<LogRecord> {
         std::mem::take(&mut self.log.borrow())
@@ -219,9 +201,7 @@ impl RecordingHooks {
 
 impl VerifyHooks for RecordingHooks {
     fn mem_access(&self, rt: &DsmRuntime, access: MemAccess) {
-        if self.check_invariants {
-            self.check_access_invariants(rt, &access);
-        }
+        self.check_access_invariants(rt, &access);
         let model = rt.protocol_for_page(access.page).consistency();
         self.log.borrow().push(LogRecord::Access { access, model });
     }
@@ -239,7 +219,7 @@ impl VerifyHooks for RecordingHooks {
         old: u64,
         new: u64,
     ) {
-        if self.check_invariants && new < old {
+        if new < old {
             self.report(
                 FindingKind::OwnerVersionRewind,
                 format!(

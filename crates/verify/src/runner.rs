@@ -32,8 +32,6 @@ pub enum Instrument {
     /// No hooks installed: the baseline the conformance suite compares
     /// instrumented runs against.
     Off,
-    /// Record the event log, skip per-step invariant probes.
-    Record,
     /// Record the event log and probe per-step invariants.
     Check,
 }
@@ -78,11 +76,9 @@ impl RunConfig {
 /// Everything observable about one completed scenario run.
 #[derive(Clone, Debug, Default)]
 pub struct RunOutcome {
-    /// Final authoritative word of each page.
+    /// Final authoritative word at each of the scenario's `expected`
+    /// positions (parallel to `scenario.expected`).
     pub final_words: Vec<u64>,
-    /// Final authoritative words at the scenario's `expected_at` offsets
-    /// (parallel to `scenario.expected_at`; empty when it is).
-    pub final_words_at: Vec<u64>,
     /// Virtual time at which the run finished.
     pub final_time_ns: u64,
     /// Events the engine processed, also when the run deadlocked or a
@@ -114,23 +110,8 @@ impl RunOutcome {
             });
             return findings;
         }
-        for (page, expected) in scenario.expected.iter().enumerate() {
-            if let Some(expected) = expected {
-                let got = self.final_words.get(page).copied().unwrap_or(0);
-                if got != *expected {
-                    findings.push(Finding {
-                        kind: FindingKind::FinalMemory,
-                        detail: format!(
-                            "{}: page {page} finished at {got}, expected {expected}",
-                            scenario.name
-                        ),
-                    });
-                }
-            }
-        }
-        for (ix, &(page, offset, expected)) in scenario.expected_at.iter().enumerate() {
-            let got = self.final_words_at.get(ix).copied().unwrap_or(0);
-            if got != expected {
+        for (&(page, offset, expected), &got) in scenario.expected.iter().zip(&self.final_words) {
+            if let Some(expected) = expected.filter(|&expected| expected != got) {
                 findings.push(Finding {
                     kind: FindingKind::FinalMemory,
                     detail: format!(
@@ -158,7 +139,7 @@ impl RunOutcome {
     /// thread observed.
     pub fn fingerprint(&self) -> (Vec<u64>, u64, u64, Vec<Vec<u64>>) {
         (
-            [self.final_words.clone(), self.final_words_at.clone()].concat(),
+            self.final_words.clone(),
             self.final_time_ns,
             self.events,
             self.observed.clone(),
@@ -169,11 +150,7 @@ impl RunOutcome {
 /// Run `scenario` once under `cfg`.
 pub fn run_scenario(scenario: &Scenario, cfg: &RunConfig) -> RunOutcome {
     let _gate = RUN_GATE.lock().unwrap_or_else(PoisonError::into_inner);
-    let hooks = match cfg.instrument {
-        Instrument::Off => None,
-        Instrument::Record => Some(Arc::new(RecordingHooks::recorder())),
-        Instrument::Check => Some(Arc::new(RecordingHooks::checker())),
-    };
+    let hooks = (cfg.instrument == Instrument::Check).then(|| Arc::new(RecordingHooks::default()));
     let _guard = hooks
         .as_ref()
         .map(|h| install_global_verify_hooks(h.clone() as Arc<dyn dsmpm2_core::VerifyHooks>));
@@ -217,26 +194,16 @@ pub fn run_scenario(scenario: &Scenario, cfg: &RunConfig) -> RunOutcome {
             move |ctx| {
                 for op in &ops {
                     match *op {
-                        Op::Read { page } => {
-                            let v = ctx.read::<u64>(pages[page]);
-                            observed.borrow()[index].push(v);
-                        }
-                        Op::Write { page, value } => ctx.write::<u64>(pages[page], value),
-                        Op::Add { page, delta } => {
-                            let v = ctx.read::<u64>(pages[page]);
-                            observed.borrow()[index].push(v);
-                            ctx.write::<u64>(pages[page], v + delta);
-                        }
-                        Op::ReadAt { page, offset } => {
+                        Op::Read { page, offset } => {
                             let v = ctx.read::<u64>(pages[page].add(offset as u64));
                             observed.borrow()[index].push(v);
                         }
-                        Op::WriteAt {
+                        Op::Write {
                             page,
                             offset,
                             value,
                         } => ctx.write::<u64>(pages[page].add(offset as u64), value),
-                        Op::AddAt {
+                        Op::Add {
                             page,
                             offset,
                             delta,
@@ -296,12 +263,8 @@ pub fn run_scenario(scenario: &Scenario, cfg: &RunConfig) -> RunOutcome {
             outcome.error = Some(error);
         }
     }
-    outcome.final_words = pages
-        .iter()
-        .map(|&addr| read_authoritative_word(&rt, addr.page(), 0))
-        .collect();
-    outcome.final_words_at = scenario
-        .expected_at
+    outcome.final_words = scenario
+        .expected
         .iter()
         .map(|&(page, offset, _)| read_authoritative_word(&rt, pages[page].page(), offset))
         .collect();
@@ -319,7 +282,7 @@ pub fn run_scenario(scenario: &Scenario, cfg: &RunConfig) -> RunOutcome {
 /// [`run_scenario`].
 pub fn with_recording<R>(f: impl FnOnce() -> R) -> (R, Vec<LogRecord>, Vec<Finding>) {
     let _gate = RUN_GATE.lock().unwrap_or_else(PoisonError::into_inner);
-    let hooks = Arc::new(RecordingHooks::checker());
+    let hooks = Arc::new(RecordingHooks::default());
     let guard = install_global_verify_hooks(hooks.clone() as Arc<dyn dsmpm2_core::VerifyHooks>);
     let result = f();
     drop(guard);

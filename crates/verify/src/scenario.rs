@@ -1,44 +1,25 @@
 //! A tiny straight-line DSL for verification scenarios.
 //!
-//! A [`Scenario`] is a fixed small configuration — 2–3 nodes, 1–2 pages,
+//! A [`Scenario`] is a fixed small configuration — 2–3 nodes, 1–3 pages,
 //! a handful of operations per thread — whose entire schedule space the
-//! explorer can enumerate. Each page holds one `u64` word at offset 0
-//! (sub-page scenarios address further words through the `*At` ops);
-//! threads run straight-line op lists (no data-dependent branching), so a
-//! scenario's behaviour is a pure function of the schedule.
+//! explorer can enumerate. Every access names a page and the byte offset of
+//! the `u64` word it touches; threads run straight-line op lists (no
+//! data-dependent branching), so a scenario's behaviour is a pure function
+//! of the schedule.
 
 /// One straight-line operation of a scenario thread.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Op {
-    /// Read page `page`'s word.
+    /// Read the word at byte `offset` of page `page`.
     Read {
         /// Page index within the scenario.
         page: usize,
-    },
-    /// Write `value` to page `page`'s word.
-    Write {
-        /// Page index within the scenario.
-        page: usize,
-        /// Value stored.
-        value: u64,
-    },
-    /// Read-modify-write: add `delta` to page `page`'s word.
-    Add {
-        /// Page index within the scenario.
-        page: usize,
-        /// Increment applied.
-        delta: u64,
-    },
-    /// Read the word at byte `offset` of page `page` (sub-page scenarios:
-    /// at line granularity `g`, offset `k * g` addresses line `k`).
-    ReadAt {
-        /// Page index within the scenario.
-        page: usize,
-        /// Byte offset within the page (8-aligned).
+        /// Byte offset within the page (8-aligned; at line granularity `g`,
+        /// offset `k * g` addresses line `k`).
         offset: usize,
     },
     /// Write `value` to the word at byte `offset` of page `page`.
-    WriteAt {
+    Write {
         /// Page index within the scenario.
         page: usize,
         /// Byte offset within the page (8-aligned).
@@ -46,8 +27,9 @@ pub enum Op {
         /// Value stored.
         value: u64,
     },
-    /// Read-modify-write the word at byte `offset` of page `page`.
-    AddAt {
+    /// Read-modify-write: add `delta` to the word at byte `offset` of page
+    /// `page`.
+    Add {
         /// Page index within the scenario.
         page: usize,
         /// Byte offset within the page (8-aligned).
@@ -97,14 +79,16 @@ pub struct ThreadSpec {
     pub ops: Vec<Op>,
 }
 
-/// A small, fully explorable verification configuration.
-#[derive(Clone, Debug)]
+/// A small, fully explorable verification configuration. Its default, which
+/// every scenario below starts from, homes the pages and the lock on node 0
+/// and keeps whole-page coherence.
+#[derive(Clone, Debug, Default)]
 pub struct Scenario {
     /// Scenario name (stable; used in reports).
     pub name: &'static str,
     /// Number of cluster nodes.
     pub nodes: usize,
-    /// Number of shared pages (each holding one word at offset 0).
+    /// Number of shared pages.
     pub pages: usize,
     /// Node index that is the fixed home of every page.
     pub home: usize,
@@ -117,13 +101,11 @@ pub struct Scenario {
     pub granularity: usize,
     /// The scenario threads.
     pub threads: Vec<ThreadSpec>,
-    /// Expected final word per page, when the scenario is
-    /// schedule-independent (`None` entries are unchecked).
-    pub expected: Vec<Option<u64>>,
-    /// Expected final words at sub-page offsets: `(page, offset, value)`
-    /// triples, checked against the authoritative copy of the coherence
-    /// unit covering each offset. Empty for page-granularity scenarios.
-    pub expected_at: Vec<(usize, usize, u64)>,
+    /// The words a run reports, as `(page, offset, expected)`: each is read
+    /// from the authoritative copy of the coherence unit covering it, and
+    /// checked when `expected` is `Some` (the word is
+    /// schedule-independent).
+    pub expected: Vec<(usize, usize, Option<u64>)>,
 }
 
 impl Scenario {
@@ -137,17 +119,25 @@ impl Scenario {
     }
 }
 
+/// Add 1 to page 0's first word under the scenario's lock.
+const LOCKED_INCREMENT: [Op; 3] = [
+    Op::Acquire,
+    Op::Add {
+        page: 0,
+        offset: 0,
+        delta: 1,
+    },
+    Op::Release,
+];
+
 /// Lock-protected increments from two nodes: race-free under every model;
 /// every schedule must end with the word at 2 and zero findings.
 pub fn locked_counter() -> Scenario {
-    let incr = vec![Op::Acquire, Op::Add { page: 0, delta: 1 }, Op::Release];
+    let incr = LOCKED_INCREMENT.to_vec();
     Scenario {
         name: "locked_counter",
         nodes: 2,
         pages: 1,
-        home: 0,
-        lock_manager: 0,
-        granularity: 0,
         threads: vec![
             ThreadSpec {
                 node: 0,
@@ -155,8 +145,8 @@ pub fn locked_counter() -> Scenario {
             },
             ThreadSpec { node: 1, ops: incr },
         ],
-        expected: vec![Some(2)],
-        expected_at: vec![],
+        expected: vec![(0, 0, Some(2))],
+        ..Scenario::default()
     }
 }
 
@@ -168,21 +158,22 @@ pub fn unsynced_pair() -> Scenario {
         name: "unsynced_pair",
         nodes: 2,
         pages: 1,
-        home: 0,
-        lock_manager: 0,
-        granularity: 0,
         threads: vec![
             ThreadSpec {
                 node: 0,
-                ops: vec![Op::Write { page: 0, value: 7 }],
+                ops: vec![Op::Write {
+                    page: 0,
+                    offset: 0,
+                    value: 7,
+                }],
             },
             ThreadSpec {
                 node: 1,
-                ops: vec![Op::Read { page: 0 }],
+                ops: vec![Op::Read { page: 0, offset: 0 }],
             },
         ],
-        expected: vec![None],
-        expected_at: vec![],
+        expected: vec![(0, 0, None)],
+        ..Scenario::default()
     }
 }
 
@@ -195,20 +186,29 @@ pub fn unsynced_pair() -> Scenario {
 /// detector's true positive. The seeder is the only writer, so the final
 /// memory is schedule-independent.
 pub fn unsynced_seeding() -> Scenario {
-    let read_both = vec![Op::Barrier, Op::Read { page: 0 }, Op::Read { page: 1 }];
+    let read_both = vec![
+        Op::Barrier,
+        Op::Read { page: 0, offset: 0 },
+        Op::Read { page: 1, offset: 0 },
+    ];
     Scenario {
         name: "unsynced_seeding",
         nodes: 2,
         pages: 2,
-        home: 0,
-        lock_manager: 0,
-        granularity: 0,
         threads: vec![
             ThreadSpec {
                 node: 0,
                 ops: vec![
-                    Op::Write { page: 0, value: 2 },
-                    Op::Write { page: 1, value: 1 },
+                    Op::Write {
+                        page: 0,
+                        offset: 0,
+                        value: 2,
+                    },
+                    Op::Write {
+                        page: 1,
+                        offset: 0,
+                        value: 1,
+                    },
                 ],
             },
             ThreadSpec {
@@ -220,8 +220,8 @@ pub fn unsynced_seeding() -> Scenario {
                 ops: read_both,
             },
         ],
-        expected: vec![Some(2), Some(1)],
-        expected_at: vec![],
+        expected: vec![(0, 0, Some(2)), (1, 0, Some(1))],
+        ..Scenario::default()
     }
 }
 
@@ -231,14 +231,12 @@ pub fn unsynced_seeding() -> Scenario {
 /// delayed diff lets the home thread read stale data and the final count
 /// drops to 1.
 pub fn stale_release() -> Scenario {
-    let incr = vec![Op::Acquire, Op::Add { page: 0, delta: 1 }, Op::Release];
+    let incr = LOCKED_INCREMENT.to_vec();
     Scenario {
         name: "stale_release",
         nodes: 3,
         pages: 1,
         home: 2,
-        lock_manager: 0,
-        granularity: 0,
         threads: vec![
             ThreadSpec {
                 node: 1,
@@ -246,8 +244,8 @@ pub fn stale_release() -> Scenario {
             },
             ThreadSpec { node: 2, ops: incr },
         ],
-        expected: vec![Some(2)],
-        expected_at: vec![],
+        expected: vec![(0, 0, Some(2))],
+        ..Scenario::default()
     }
 }
 
@@ -260,31 +258,46 @@ pub fn reader_flock() -> Scenario {
         name: "reader_flock",
         nodes: 3,
         pages: 1,
-        home: 0,
-        lock_manager: 0,
-        granularity: 0,
         threads: vec![
             ThreadSpec {
                 node: 0,
                 ops: vec![
-                    Op::Write { page: 0, value: 7 },
+                    Op::Write {
+                        page: 0,
+                        offset: 0,
+                        value: 7,
+                    },
                     Op::Barrier,
                     Op::Barrier,
-                    Op::Write { page: 0, value: 9 },
+                    Op::Write {
+                        page: 0,
+                        offset: 0,
+                        value: 9,
+                    },
                     Op::Barrier,
                 ],
             },
             ThreadSpec {
                 node: 1,
-                ops: vec![Op::Barrier, Op::Read { page: 0 }, Op::Barrier, Op::Barrier],
+                ops: vec![
+                    Op::Barrier,
+                    Op::Read { page: 0, offset: 0 },
+                    Op::Barrier,
+                    Op::Barrier,
+                ],
             },
             ThreadSpec {
                 node: 2,
-                ops: vec![Op::Barrier, Op::Read { page: 0 }, Op::Barrier, Op::Barrier],
+                ops: vec![
+                    Op::Barrier,
+                    Op::Read { page: 0, offset: 0 },
+                    Op::Barrier,
+                    Op::Barrier,
+                ],
             },
         ],
-        expected: vec![Some(9)],
-        expected_at: vec![],
+        expected: vec![(0, 0, Some(9))],
+        ..Scenario::default()
     }
 }
 
@@ -296,9 +309,6 @@ pub fn switch_survivor(to_protocol: &'static str) -> Scenario {
         name: "switch_survivor",
         nodes: 2,
         pages: 1,
-        home: 0,
-        lock_manager: 0,
-        granularity: 0,
         threads: vec![
             ThreadSpec {
                 node: 0,
@@ -309,23 +319,27 @@ pub fn switch_survivor(to_protocol: &'static str) -> Scenario {
                         protocol: to_protocol,
                     },
                     Op::Barrier,
-                    Op::Read { page: 0 },
+                    Op::Read { page: 0, offset: 0 },
                     Op::Barrier,
                 ],
             },
             ThreadSpec {
                 node: 1,
                 ops: vec![
-                    Op::Write { page: 0, value: 7 },
+                    Op::Write {
+                        page: 0,
+                        offset: 0,
+                        value: 7,
+                    },
                     Op::Barrier,
                     Op::Barrier,
-                    Op::Read { page: 0 },
+                    Op::Read { page: 0, offset: 0 },
                     Op::Barrier,
                 ],
             },
         ],
-        expected: vec![Some(7)],
-        expected_at: vec![],
+        expected: vec![(0, 0, Some(7))],
+        ..Scenario::default()
     }
 }
 
@@ -341,9 +355,6 @@ pub fn mixed_release() -> Scenario {
         name: "mixed_release",
         nodes: 2,
         pages: 2,
-        home: 0,
-        lock_manager: 0,
-        granularity: 0,
         threads: vec![
             ThreadSpec {
                 node: 0,
@@ -355,7 +366,7 @@ pub fn mixed_release() -> Scenario {
                     },
                     Op::Barrier,
                     Op::Barrier,
-                    Op::Read { page: 0 },
+                    Op::Read { page: 0, offset: 0 },
                 ],
             },
             ThreadSpec {
@@ -363,13 +374,17 @@ pub fn mixed_release() -> Scenario {
                 ops: vec![
                     Op::Barrier,
                     Op::Barrier,
-                    Op::Write { page: 0, value: 5 },
+                    Op::Write {
+                        page: 0,
+                        offset: 0,
+                        value: 5,
+                    },
                     Op::Barrier,
                 ],
             },
         ],
-        expected: vec![Some(5), Some(0)],
-        expected_at: vec![],
+        expected: vec![(0, 0, Some(5)), (1, 0, Some(0))],
+        ..Scenario::default()
     }
 }
 
@@ -382,14 +397,15 @@ pub fn stale_done_injection() -> Scenario {
         name: "stale_done_injection",
         nodes: 3,
         pages: 1,
-        home: 0,
-        lock_manager: 0,
-        granularity: 0,
         threads: vec![
             ThreadSpec {
                 node: 1,
                 ops: vec![
-                    Op::Write { page: 0, value: 1 },
+                    Op::Write {
+                        page: 0,
+                        offset: 0,
+                        value: 1,
+                    },
                     Op::Barrier,
                     Op::Barrier,
                     Op::Barrier,
@@ -399,7 +415,11 @@ pub fn stale_done_injection() -> Scenario {
                 node: 2,
                 ops: vec![
                     Op::Barrier,
-                    Op::Write { page: 0, value: 2 },
+                    Op::Write {
+                        page: 0,
+                        offset: 0,
+                        value: 2,
+                    },
                     Op::Barrier,
                     // Both successions are complete; replay node 1's old
                     // Done with its long-superseded version.
@@ -412,8 +432,8 @@ pub fn stale_done_injection() -> Scenario {
                 ],
             },
         ],
-        expected: vec![Some(2)],
-        expected_at: vec![],
+        expected: vec![(0, 0, Some(2))],
+        ..Scenario::default()
     }
 }
 
@@ -425,27 +445,23 @@ pub fn migratory_increment() -> Scenario {
         name: "migratory_increment",
         nodes: 2,
         pages: 1,
-        home: 0,
-        lock_manager: 0,
-        granularity: 0,
         threads: vec![
             ThreadSpec {
                 node: 0,
-                ops: vec![Op::Acquire, Op::Add { page: 0, delta: 1 }, Op::Release],
+                ops: LOCKED_INCREMENT.to_vec(),
             },
             ThreadSpec {
                 node: 1,
-                ops: vec![
-                    Op::Migrate { to: 0 },
-                    Op::Acquire,
-                    Op::Add { page: 0, delta: 1 },
-                    Op::Release,
-                    Op::Migrate { to: 1 },
-                ],
+                ops: [
+                    &[Op::Migrate { to: 0 }][..],
+                    &LOCKED_INCREMENT,
+                    &[Op::Migrate { to: 1 }],
+                ]
+                .concat(),
             },
         ],
-        expected: vec![Some(2)],
-        expected_at: vec![],
+        expected: vec![(0, 0, Some(2))],
+        ..Scenario::default()
     }
 }
 
@@ -460,19 +476,17 @@ pub fn line_exclusive_writers() -> Scenario {
         name: "line_exclusive_writers",
         nodes: 2,
         pages: 1,
-        home: 0,
-        lock_manager: 0,
         granularity: 1024,
         threads: vec![
             ThreadSpec {
                 node: 0,
                 ops: vec![
-                    Op::AddAt {
+                    Op::Add {
                         page: 0,
                         offset: 0,
                         delta: 1,
                     },
-                    Op::AddAt {
+                    Op::Add {
                         page: 0,
                         offset: 0,
                         delta: 1,
@@ -483,12 +497,12 @@ pub fn line_exclusive_writers() -> Scenario {
             ThreadSpec {
                 node: 1,
                 ops: vec![
-                    Op::AddAt {
+                    Op::Add {
                         page: 0,
                         offset: 1024,
                         delta: 1,
                     },
-                    Op::AddAt {
+                    Op::Add {
                         page: 0,
                         offset: 1024,
                         delta: 1,
@@ -497,8 +511,8 @@ pub fn line_exclusive_writers() -> Scenario {
                 ],
             },
         ],
-        expected: vec![None],
-        expected_at: vec![(0, 0, 2), (0, 1024, 2)],
+        expected: vec![(0, 0, Some(2)), (0, 1024, Some(2))],
+        ..Scenario::default()
     }
 }
 
@@ -513,26 +527,24 @@ pub fn line_copyset_coverage() -> Scenario {
         name: "line_copyset_coverage",
         nodes: 3,
         pages: 1,
-        home: 0,
-        lock_manager: 0,
         granularity: 1024,
         threads: vec![
             ThreadSpec {
                 node: 0,
                 ops: vec![
-                    Op::WriteAt {
+                    Op::Write {
                         page: 0,
                         offset: 0,
                         value: 7,
                     },
-                    Op::WriteAt {
+                    Op::Write {
                         page: 0,
                         offset: 1024,
                         value: 40,
                     },
                     Op::Barrier,
                     Op::Barrier,
-                    Op::WriteAt {
+                    Op::Write {
                         page: 0,
                         offset: 0,
                         value: 9,
@@ -544,32 +556,32 @@ pub fn line_copyset_coverage() -> Scenario {
                 node: 1,
                 ops: vec![
                     Op::Barrier,
-                    Op::ReadAt { page: 0, offset: 0 },
+                    Op::Read { page: 0, offset: 0 },
                     Op::Barrier,
                     Op::Barrier,
-                    Op::ReadAt { page: 0, offset: 0 },
+                    Op::Read { page: 0, offset: 0 },
                 ],
             },
             ThreadSpec {
                 node: 2,
                 ops: vec![
                     Op::Barrier,
-                    Op::ReadAt { page: 0, offset: 0 },
-                    Op::ReadAt {
+                    Op::Read { page: 0, offset: 0 },
+                    Op::Read {
                         page: 0,
                         offset: 1024,
                     },
                     Op::Barrier,
                     Op::Barrier,
-                    Op::ReadAt {
+                    Op::Read {
                         page: 0,
                         offset: 1024,
                     },
                 ],
             },
         ],
-        expected: vec![None],
-        expected_at: vec![(0, 0, 9), (0, 1024, 40)],
+        expected: vec![(0, 0, Some(9)), (0, 1024, Some(40))],
+        ..Scenario::default()
     }
 }
 
@@ -585,31 +597,44 @@ pub fn read_races_acquisition() -> Scenario {
         name: "read_races_acquisition",
         nodes: 3,
         pages: 1,
-        home: 0,
-        lock_manager: 0,
-        granularity: 0,
         threads: vec![
             ThreadSpec {
                 node: 0,
-                ops: vec![Op::Write { page: 0, value: 3 }, Op::Barrier, Op::Barrier],
+                ops: vec![
+                    Op::Write {
+                        page: 0,
+                        offset: 0,
+                        value: 3,
+                    },
+                    Op::Barrier,
+                    Op::Barrier,
+                ],
             },
             ThreadSpec {
                 node: 1,
                 ops: vec![
                     Op::Barrier,
-                    Op::Read { page: 0 },
-                    Op::Read { page: 0 },
+                    Op::Read { page: 0, offset: 0 },
+                    Op::Read { page: 0, offset: 0 },
                     Op::Barrier,
-                    Op::Read { page: 0 },
+                    Op::Read { page: 0, offset: 0 },
                 ],
             },
             ThreadSpec {
                 node: 2,
-                ops: vec![Op::Barrier, Op::Write { page: 0, value: 5 }, Op::Barrier],
+                ops: vec![
+                    Op::Barrier,
+                    Op::Write {
+                        page: 0,
+                        offset: 0,
+                        value: 5,
+                    },
+                    Op::Barrier,
+                ],
             },
         ],
-        expected: vec![Some(5)],
-        expected_at: vec![],
+        expected: vec![(0, 0, Some(5))],
+        ..Scenario::default()
     }
 }
 
@@ -642,8 +667,8 @@ pub fn read_then_upgrade(orders: &PageOrders) -> Scenario {
             let mut ops = Vec::new();
             for (round, order) in (1u64..).zip(rounds) {
                 for &page in order {
-                    ops.push(Op::ReadAt { page, offset });
-                    ops.push(Op::WriteAt {
+                    ops.push(Op::Read { page, offset });
+                    ops.push(Op::Write {
                         page,
                         offset,
                         value: round,
@@ -658,13 +683,10 @@ pub fn read_then_upgrade(orders: &PageOrders) -> Scenario {
         name: "read_then_upgrade",
         nodes: 3,
         pages: 3,
-        home: 0,
-        lock_manager: 0,
-        granularity: 0,
         threads,
-        expected: vec![None; 3],
-        expected_at: (0..3)
-            .flat_map(|page| (0..3).map(move |t| (page, 64 * t, 2)))
+        expected: (0..3)
+            .flat_map(|page| (0..3).map(move |t| (page, 64 * t, Some(2))))
             .collect(),
+        ..Scenario::default()
     }
 }

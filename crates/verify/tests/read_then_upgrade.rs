@@ -15,7 +15,7 @@ fn li_hudak_fixed_runs_the_smallest_read_then_upgrade_clean() {
     let outcome = run_scenario(&scenario, &RunConfig::plain("li_hudak_fixed"));
     assert_eq!(outcome.error, None);
     assert!(outcome.expectation_findings(&scenario).is_empty());
-    assert_eq!(outcome.final_words_at, vec![2; 9]);
+    assert_eq!(outcome.final_words, vec![2; 9]);
 }
 
 #[test]
@@ -24,5 +24,5 @@ fn li_hudak_runs_the_smallest_read_then_upgrade_clean() {
     let outcome = run_scenario(&scenario, &RunConfig::plain("li_hudak"));
     assert_eq!(outcome.error, None);
     assert!(outcome.expectation_findings(&scenario).is_empty());
-    assert_eq!(outcome.final_words_at, vec![2; 9]);
+    assert_eq!(outcome.final_words, vec![2; 9]);
 }

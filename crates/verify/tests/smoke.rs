@@ -86,7 +86,7 @@ fn line_exclusive_writers_hold_per_line_exclusivity() {
         assert_eq!(outcome.error, None, "{protocol}");
         let findings = outcome.all_findings(&scenario);
         assert!(findings.is_empty(), "{protocol}: {findings:?}");
-        assert_eq!(outcome.final_words_at, vec![2, 2], "{protocol}");
+        assert_eq!(outcome.final_words, vec![2, 2], "{protocol}");
     }
     // A protocol without sub-page support clamps the scenario's granularity
     // back to whole pages: the page ping-pongs between the writers instead
@@ -97,7 +97,7 @@ fn line_exclusive_writers_hold_per_line_exclusivity() {
     assert_eq!(outcome.error, None);
     let findings = outcome.all_findings(&scenario);
     assert!(findings.is_empty(), "{findings:?}");
-    assert_eq!(outcome.final_words_at, vec![2, 2]);
+    assert_eq!(outcome.final_words, vec![2, 2]);
 }
 
 #[test]
@@ -108,7 +108,7 @@ fn line_copyset_coverage_keeps_readers_visible_and_lines_independent() {
         assert_eq!(outcome.error, None, "{protocol}");
         let findings = outcome.all_findings(&scenario);
         assert!(findings.is_empty(), "{protocol}: {findings:?}");
-        assert_eq!(outcome.final_words_at, vec![9, 40], "{protocol}");
+        assert_eq!(outcome.final_words, vec![9, 40], "{protocol}");
         // Node 1 re-reads line 0 after the writer's barrier: the update
         // must have reached it (copyset coverage made the invalidation
         // land), and node 2's copy of line 1 must have survived line 0's

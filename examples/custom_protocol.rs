@@ -10,7 +10,7 @@
 //!
 //! Run with: `cargo run --example custom_protocol` (`-- --builtin` selects
 //! `li_hudak` instead: the same program, with pages moving instead of the
-//! writers).
+//! writers). `cargo test --example custom_protocol` runs its test.
 
 use dsm_pm2::core::{
     protolib, DsmAttr, DsmProtocol, DsmRuntime, FaultInfo, HomePolicy, PageRequest, ServerCtx,
@@ -18,6 +18,11 @@ use dsm_pm2::core::{
 use dsm_pm2::prelude::*;
 
 /// Reads replicate the page, writes migrate the thread to the page's owner.
+///
+/// As the paper notes, the user is responsible for combining routines into a
+/// *valid* protocol: this hybrid keeps writes sequentially consistent (they
+/// all execute on the owning node) but read replicas are only refreshed when
+/// they are re-fetched, so it is best suited to mostly-read shared data.
 struct MyHybrid;
 
 impl DsmProtocol for MyHybrid {
@@ -25,6 +30,8 @@ impl DsmProtocol for MyHybrid {
         "my_hybrid"
     }
 
+    // A writer already on the owning node reclaims the write access that
+    // handing out read replicas took away, by invalidating them.
     fn write_fault_handler(&self, ctx: &mut DsmThreadCtx<'_, '_>, fault: FaultInfo) {
         protolib::migrate_thread_to_page(ctx, fault.unit);
     }
@@ -99,4 +106,40 @@ fn main() {
     );
     assert!(stats.page_transfers >= 2);
     assert_eq!(stats.thread_migrations >= 2, use_hybrid);
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::{Arc, Mutex};
+
+    use super::*;
+
+    /// One thread's read replicates the page to its node, and its write then
+    /// migrates it to the page's owner.
+    #[test]
+    fn hybrid_protocol_combines_replication_and_migration() {
+        let mut engine = Engine::new();
+        let rt = DsmRuntime::new(&engine, Pm2Config::bip_myrinet(2));
+        register_builtin_protocols(&rt);
+        let hybrid = rt.register_protocol(Arc::new(MyHybrid));
+        rt.set_default_protocol(hybrid);
+        let addr = rt.dsm_malloc(4096, DsmAttr::default().home(HomePolicy::Fixed(NodeId(0))));
+        let where_after_read = Arc::new(Mutex::new(NodeId(9)));
+        let where_after_write = Arc::new(Mutex::new(NodeId(9)));
+
+        let r = where_after_read.clone();
+        let w = where_after_write.clone();
+        rt.spawn_dsm_thread(NodeId(1), "mixed", move |ctx| {
+            let _ = ctx.read::<u64>(addr); // replicates the page to node 1
+            *r.lock().unwrap() = ctx.node();
+            ctx.write::<u64>(addr, 3); // migrates the thread to node 0
+            *w.lock().unwrap() = ctx.node();
+        });
+        engine.run().unwrap();
+        assert_eq!(*where_after_read.lock().unwrap(), NodeId(1));
+        assert_eq!(*where_after_write.lock().unwrap(), NodeId(0));
+        let stats = rt.stats().snapshot();
+        assert_eq!(stats.page_transfers, 1);
+        assert_eq!(stats.thread_migrations, 1);
+    }
 }

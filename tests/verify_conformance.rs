@@ -20,7 +20,7 @@ use std::sync::Arc;
 use proptest::prelude::*;
 
 use dsmpm2_verify::scenario;
-use dsmpm2_verify::{run_scenario, Instrument, ReplayController, RunConfig};
+use dsmpm2_verify::{run_scenario, ReplayController, RunConfig};
 
 /// Instrumentation must not perturb the simulation: memory, virtual time,
 /// event count and every observed value must match the uninstrumented run.
@@ -60,10 +60,7 @@ fn race_verdict_is_stable_across_runs() {
         (scenario::unsynced_pair(), "erc_sw", true),
         (scenario::unsynced_pair(), "li_hudak", false),
     ] {
-        let cfg = RunConfig {
-            instrument: Instrument::Record,
-            ..RunConfig::plain(protocol)
-        };
+        let cfg = RunConfig::checked(protocol);
         let verdict = || {
             let outcome = run_scenario(&scn, &cfg);
             assert_eq!(outcome.error, None, "{protocol}/{}", scn.name);
@@ -91,7 +88,7 @@ proptest! {
     /// replays to a bit-identical run.
     #[test]
     fn recorded_schedules_replay_bit_identically(
-        path in proptest::collection::vec(0u8..4, 0..12),
+        path in proptest::collection::vec(0u32..4, 0..12),
         proto_idx in 0usize..3,
     ) {
         let protocol = ["li_hudak", "erc_sw", "hbrc_mw"][proto_idx];
@@ -108,11 +105,7 @@ proptest! {
         prop_assert_eq!(&first.error, &None);
 
         // Replay exactly what the first run decided (after clamping).
-        let recorded: Vec<u8> = first_controller
-            .recorded()
-            .iter()
-            .map(|c| c.picked.min(255) as u8)
-            .collect();
+        let recorded: Vec<u32> = first_controller.recorded().iter().map(|c| c.picked).collect();
         let second_controller = Arc::new(ReplayController::new(recorded));
         let mut cfg = base.clone();
         cfg.controller = Some(second_controller.clone());
