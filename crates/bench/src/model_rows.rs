@@ -211,7 +211,7 @@ fn transport_calibration(rows: &mut Rows) {
 fn overhead_sweep(rows: &mut Rows) {
     for overhead_us in [0u64, 13, 26, 52, 104] {
         let mut engine = Engine::new();
-        let cluster = Pm2Cluster::new(&engine, Pm2Config::bip_myrinet(2));
+        let cluster = Pm2Cluster::boot(&engine, Pm2Config::bip_myrinet(2));
         let costs = DsmCosts {
             transfer_overhead: SimDuration::from_nanos(overhead_us * 500),
         };

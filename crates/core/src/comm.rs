@@ -10,6 +10,10 @@
 //!   manager node;
 //! * `dsm_barrier` — barrier episodes at the barrier's manager node.
 //!
+//! Every request and reply is a [`DsmRpc`], the message type of the
+//! runtime's `Pm2Cluster<DsmRpc>`: moved by value from the `send_*` call to
+//! the protocol action, with no box and no run-time type check.
+//!
 //! The services are registered on every node and every request that may wait
 //! is served in a thread of its own, so concurrent requests are served in
 //! parallel, matching the multithreaded behaviour the paper emphasizes. The
@@ -20,13 +24,10 @@
 use std::sync::Arc;
 
 use dsmpm2_madeleine::{NodeId, CONTROL_MESSAGE_BYTES};
-use dsmpm2_pm2::{
-    downcast, service_fn, Pm2Cluster, RpcClass, RpcPayload, RpcReply, RpcRequestCtx, RpcService,
-    ServiceId,
-};
+use dsmpm2_pm2::{Pm2Cluster, RpcClass, RpcReply, RpcRequestCtx, RpcService, ServiceId};
 use dsmpm2_sim::{
-    BlockReason, EngineCtl, SimDuration, SimHandle, SimTime, SliceRc, SliceWeak, ThreadId,
-    TickBucket, TickOutbox,
+    EngineCtl, SimDuration, SimHandle, SimTime, SliceRc, SliceWeak, ThreadId, TickBucket,
+    TickOutbox,
 };
 
 use crate::ctx::{DsmThreadCtx, ServerCtx};
@@ -47,6 +48,23 @@ pub const SVC_LOCK_RELEASE: &str = "dsm_lock_release";
 /// Name of the barrier service.
 pub const SVC_BARRIER: &str = "dsm_barrier";
 
+/// The message type of the runtime's cluster ([`DsmRuntime::cluster`]):
+/// what every DSM request and reply carries, by value.
+#[derive(Debug)]
+pub enum DsmRpc {
+    /// A protocol message, to the `dsm` service.
+    Msg(DsmMsg),
+    /// A lock to take, to `dsm_lock_acquire`.
+    Acquire(LockId),
+    /// A lock to give back, to `dsm_lock_release`.
+    Release(LockId),
+    /// An arrival at a barrier, to `dsm_barrier`.
+    Barrier(BarrierId),
+    /// The reply of `dsm_lock_acquire` and `dsm_barrier`: the lock is taken,
+    /// or every party has arrived.
+    Done,
+}
+
 /// The ids the four DSM services were registered under on the runtime's
 /// cluster: what every DSM request carries instead of a name.
 pub(crate) struct DsmServices {
@@ -56,43 +74,60 @@ pub(crate) struct DsmServices {
     barrier: ServiceId,
 }
 
-/// The `dsm` service: protocol messages.
+/// One of the four DSM services. Each serves the [`DsmRpc`] variant its
+/// senders address to it; the service names the request's statistics and
+/// handler threads.
 struct DsmService {
+    name: &'static str,
+    /// Weak, like the network hook below: a strong handle would close the
+    /// cycle runtime → cluster → service table → service → runtime and no
+    /// run would ever free its tables and frames. A request outliving the
+    /// runtime has nobody left to observe it.
     rt: SliceWeak<RuntimeInner>,
 }
 
-impl RpcService for DsmService {
+impl RpcService<DsmRpc> for DsmService {
     fn name(&self) -> &str {
-        SVC_DSM
+        self.name
     }
 
-    fn handle(&self, rpc: &mut RpcRequestCtx<'_>, payload: RpcPayload) -> Option<RpcReply> {
-        let rt = DsmRuntime::from_inner(self.rt.upgrade()?);
-        let mut ctx = ServerCtx {
-            sim: &mut *rpc.sim,
-            runtime: &rt,
-            local_node: rpc.local_node,
-            from_node: rpc.from_node,
-        };
-        serve_dsm_msg(&mut ctx, downcast::<DsmMsg>(payload, "dsm message"));
-        None
-    }
-
-    fn is_nonblocking(&self, payload: &RpcPayload) -> bool {
-        payload
-            .downcast_ref::<DsmMsg>()
-            .is_some_and(DsmMsg::is_nonblocking)
-    }
-
-    fn handle_nonblocking(
+    fn handle(
         &self,
-        ctl: &EngineCtl,
-        local: NodeId,
-        _from: NodeId,
-        payload: RpcPayload,
-    ) {
-        if let Some(inner) = self.rt.upgrade() {
-            let msg = downcast::<DsmMsg>(payload, "dsm message");
+        rpc: &mut RpcRequestCtx<'_, DsmRpc>,
+        payload: DsmRpc,
+    ) -> Option<RpcReply<DsmRpc>> {
+        let rt = DsmRuntime::from_inner(self.rt.upgrade()?);
+        match payload {
+            DsmRpc::Msg(msg) => {
+                let mut ctx = ServerCtx {
+                    sim: &mut *rpc.sim,
+                    runtime: &rt,
+                    local_node: rpc.local_node,
+                    from_node: rpc.from_node,
+                };
+                serve_dsm_msg(&mut ctx, msg);
+                return None;
+            }
+            DsmRpc::Release(lock) => {
+                rt.lock_state(lock).give_back(lock, rpc.sim.ctl());
+                return None;
+            }
+            DsmRpc::Acquire(lock) => rt.lock_state(lock).take(rpc.sim, rpc.from_node),
+            DsmRpc::Barrier(barrier) => rt.barrier_state(barrier).arrive(rpc.sim),
+            DsmRpc::Done => unreachable!("a reply is never sent as a request"),
+        }
+        Some(RpcReply {
+            payload: DsmRpc::Done,
+            class: RpcClass::Control,
+        })
+    }
+
+    fn is_nonblocking(&self, payload: &DsmRpc) -> bool {
+        matches!(payload, DsmRpc::Msg(msg) if msg.is_nonblocking())
+    }
+
+    fn handle_nonblocking(&self, ctl: &EngineCtl, local: NodeId, _from: NodeId, payload: DsmRpc) {
+        if let (Some(inner), DsmRpc::Msg(msg)) = (self.rt.upgrade(), payload) {
             serve_nonblocking(&DsmRuntime::from_inner(inner), ctl, local, msg);
         }
     }
@@ -102,24 +137,20 @@ impl RpcService for DsmService {
 /// `rt`, whose coherence outbox is `outbox`. Called once from
 /// `DsmRuntime::with_cluster_and_costs`.
 pub(crate) fn register_dsm_services(
-    cluster: &Pm2Cluster,
+    cluster: &Pm2Cluster<DsmRpc>,
     rt: &SliceWeak<RuntimeInner>,
     outbox: &SliceRc<TickOutbox<(NodeId, NodeId), DsmMsg>>,
 ) -> DsmServices {
-    // Every service holds the runtime weakly, like the network hook below: a
-    // strong handle would close the cycle runtime → cluster → service table →
-    // service → runtime and no run would ever free its tables and frames. A
-    // request outliving the runtime has nobody left to observe it.
-    type Handler = fn(&DsmRuntime, &mut RpcRequestCtx<'_>, RpcPayload) -> Option<RpcReply>;
-    let register = |name: &str, handler: Handler| {
-        let weak = rt.clone();
-        cluster.register_service(service_fn(name, true, move |rpc, payload| {
-            let rt = DsmRuntime::from_inner(weak.upgrade()?);
-            handler(&rt, rpc, payload)
-        }))
+    let register = |name| {
+        let rt = rt.clone();
+        cluster.register_service(Arc::new(DsmService { name, rt }))
     };
-
-    let dsm = cluster.register_service(Arc::new(DsmService { rt: rt.clone() }));
+    let services = DsmServices {
+        dsm: register(SVC_DSM),
+        lock_acquire: register(SVC_LOCK_ACQUIRE),
+        lock_release: register(SVC_LOCK_RELEASE),
+        barrier: register(SVC_BARRIER),
+    };
 
     // A parked coherence message must never be overtaken by a later message
     // on the same link (an overtaking barrier reply or page transfer would
@@ -142,77 +173,7 @@ pub(crate) fn register_dsm_services(
                 rt.flush_coherence_link(rt.cluster().ctl(), from, to);
             }
         }));
-
-    // Lock acquisition: the handler thread blocks at the manager node until
-    // the lock is free, then takes it on behalf of the requesting node.
-    let lock_acquire = register(SVC_LOCK_ACQUIRE, |rt, rpc, payload| {
-        let lock = LockId(downcast::<u64>(payload, "lock id"));
-        let state = rt.lock_state(lock);
-        let requester = rpc.from_node;
-        let state_for_wait = state.clone();
-        state.waiters.wait_until(rpc.sim, || {
-            let mut held = state_for_wait.held.borrow();
-            if held.0 {
-                false
-            } else {
-                *held = (true, Some(requester));
-                true
-            }
-        });
-        Some(RpcReply::control(()))
-    });
-
-    // Lock release.
-    let lock_release = register(SVC_LOCK_RELEASE, |rt, rpc, payload| {
-        let lock = LockId(downcast::<u64>(payload, "lock id"));
-        let state = rt.lock_state(lock);
-        {
-            let mut held = state.held.borrow();
-            assert!(held.0, "release of DSM lock {lock:?} which is not held");
-            *held = (false, None);
-        }
-        state
-            .waiters
-            .notify_one((), rpc.sim.ctl(), SimDuration::ZERO);
-        None
-    });
-
-    // Barrier.
-    let barrier = register(SVC_BARRIER, |rt, rpc, payload| {
-        let barrier = BarrierId(downcast::<u64>(payload, "barrier id"));
-        let state = rt.barrier_state(barrier);
-        let (my_round, last) = {
-            let mut round = state.round.borrow();
-            round.0 += 1;
-            let my_round = round.1;
-            let last = round.0 == state.parties;
-            if last {
-                round.0 = 0;
-                round.1 += 1;
-            }
-            (my_round, last)
-        };
-        if last {
-            state
-                .waiters
-                .notify_all((), rpc.sim.ctl(), SimDuration::ZERO);
-        } else {
-            let state_for_wait = state.clone();
-            state
-                .waiters
-                .wait_until_why((), rpc.sim, BlockReason::Barrier, || {
-                    state_for_wait.round.borrow().1 != my_round
-                });
-        }
-        Some(RpcReply::control(()))
-    });
-
-    DsmServices {
-        dsm,
-        lock_acquire,
-        lock_release,
-        barrier,
-    }
+    services
 }
 
 /// Serve one protocol message in a handler thread.
@@ -353,15 +314,6 @@ fn serve_nonblocking(rt: &DsmRuntime, ctl: &EngineCtl, local: NodeId, msg: DsmMs
 // Sending primitives (the DSM communication module proper).
 // ---------------------------------------------------------------------------
 
-/// Wire cost class of one coherence message (pure control when it carries no
-/// payload, bulk otherwise): the class of an envelope that carries it alone.
-fn rpc_class_for(msg: &DsmMsg) -> RpcClass {
-    match msg.payload_bytes() {
-        0 => RpcClass::Control,
-        n => RpcClass::Data(n),
-    }
-}
-
 impl DsmRuntime {
     /// Send a coherence message (invalidation, diff, acknowledgement,
     /// ownership notice). Coherence messages travel batched: every one sent
@@ -397,10 +349,11 @@ impl DsmRuntime {
     pub(crate) fn flush_coherence_link(&self, ctl: &EngineCtl, from: NodeId, to: NodeId) {
         for (tick, bucket) in self.inner().outbox.take_all((from, to)) {
             let (payload, class, n) = match bucket {
-                TickBucket::One(msg) => {
-                    let class = rpc_class_for(&msg);
-                    (msg, class, 1)
-                }
+                // Alone, pure control unless it carries a payload.
+                TickBucket::One(msg) => match msg.payload_bytes() {
+                    0 => (msg, RpcClass::Control, 1),
+                    n => (msg, RpcClass::Data(n), 1),
+                },
                 TickBucket::Many(msgs) => {
                     let n = msgs.len();
                     self.stats().incr_coherence_batch();
@@ -422,7 +375,7 @@ impl DsmRuntime {
                 from,
                 to,
                 self.services().dsm,
-                Box::new(payload),
+                DsmRpc::Msg(payload),
                 class,
                 n as u32,
                 tick,
@@ -444,7 +397,7 @@ impl DsmRuntime {
             from,
             to,
             self.services().dsm,
-            Box::new(DsmMsg::Request(req)),
+            DsmRpc::Msg(DsmMsg::Request(req)),
             RpcClass::Control,
         );
     }
@@ -459,7 +412,7 @@ impl DsmRuntime {
             from,
             to,
             self.services().dsm,
-            Box::new(DsmMsg::Transfer(transfer)),
+            DsmRpc::Msg(DsmMsg::Transfer(transfer)),
             RpcClass::Data(bytes),
         );
     }
@@ -545,7 +498,7 @@ impl DsmThreadCtx<'_, '_> {
         self.pm2.rpc_call(
             manager,
             rt.services().lock_acquire,
-            Box::new(lock.0),
+            DsmRpc::Acquire(lock),
             RpcClass::Control,
         );
         rt.stats().incr_lock_acquire();
@@ -574,7 +527,7 @@ impl DsmThreadCtx<'_, '_> {
         self.pm2.rpc_oneway(
             manager,
             rt.services().lock_release,
-            Box::new(lock.0),
+            DsmRpc::Release(lock),
             RpcClass::Control,
         );
     }
@@ -596,7 +549,7 @@ impl DsmThreadCtx<'_, '_> {
         self.pm2.rpc_call(
             manager,
             rt.services().barrier,
-            Box::new(barrier.0),
+            DsmRpc::Barrier(barrier),
             RpcClass::Control,
         );
         self.report_sync(&rt, |time, node, thread| SyncEvent::BarrierExit {

@@ -13,18 +13,19 @@ use dsmpm2_madeleine::NodeId;
 use dsmpm2_pm2::Pm2Context;
 use dsmpm2_sim::SimHandle;
 
+use crate::comm::DsmRpc;
 use crate::runtime::DsmRuntime;
 
 /// Context of an application thread performing DSM operations.
 pub struct DsmThreadCtx<'a, 'b> {
     /// The underlying PM2 thread context (location, migration, RPC, clock).
-    pub pm2: &'a mut Pm2Context<'b>,
+    pub pm2: &'a mut Pm2Context<'b, DsmRpc>,
     pub(crate) runtime: DsmRuntime,
 }
 
 impl<'a, 'b> DsmThreadCtx<'a, 'b> {
     /// Wrap a PM2 context. Normally created by `DsmRuntime::spawn_dsm_thread`.
-    pub fn new(pm2: &'a mut Pm2Context<'b>, runtime: DsmRuntime) -> Self {
+    pub fn new(pm2: &'a mut Pm2Context<'b, DsmRpc>, runtime: DsmRuntime) -> Self {
         DsmThreadCtx { pm2, runtime }
     }
 

@@ -49,7 +49,7 @@ mod sync;
 mod verify;
 
 pub use access::DsmScalar;
-pub use comm::{SVC_BARRIER, SVC_DSM, SVC_LOCK_ACQUIRE, SVC_LOCK_RELEASE};
+pub use comm::{DsmRpc, SVC_BARRIER, SVC_DSM, SVC_LOCK_ACQUIRE, SVC_LOCK_RELEASE};
 pub use costs::DsmCosts;
 pub use ctx::{DsmThreadCtx, ServerCtx};
 pub use diff::{DiffRun, PageDiff};

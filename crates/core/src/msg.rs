@@ -125,17 +125,14 @@ impl DsmMsg {
         )
     }
 
-    /// Payload bytes accounted to the network model for this message.
+    /// Payload bytes accounted to the network model for this message: only
+    /// page transfers and diffs carry any.
     pub fn payload_bytes(&self) -> usize {
         match self {
-            DsmMsg::Request(_) => 0,
             DsmMsg::Transfer(t) => t.data.len(),
-            DsmMsg::Invalidate(_) => 0,
-            DsmMsg::InvalidateAck { .. } => 0,
             DsmMsg::Diff { diff, .. } => diff.payload_bytes(),
-            DsmMsg::DiffAck { .. } => 0,
-            DsmMsg::AcquireDone { .. } => 0,
             DsmMsg::Batch(msgs) => msgs.iter().map(DsmMsg::payload_bytes).sum(),
+            _ => 0,
         }
     }
 }

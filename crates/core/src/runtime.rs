@@ -8,6 +8,7 @@ use dsmpm2_madeleine::NodeId;
 use dsmpm2_pm2::{Engine, Pm2Cluster, Pm2Config, Pm2ThreadState};
 use dsmpm2_sim::{SliceCell, SliceRc, TickOutbox};
 
+use crate::comm::DsmRpc;
 use crate::costs::DsmCosts;
 use crate::ctx::DsmThreadCtx;
 use crate::frames::{FrameStore, Spare};
@@ -179,7 +180,7 @@ impl ProtocolRegistry {
 }
 
 pub(crate) struct RuntimeInner {
-    cluster: Pm2Cluster,
+    cluster: Pm2Cluster<DsmRpc>,
     costs: DsmCosts,
     /// Coherence messages parked until the end of the instant they were sent
     /// at, per (from, to) link (see `DsmRuntime::send_coherence`).
@@ -225,12 +226,12 @@ impl Clone for DsmRuntime {
 impl DsmRuntime {
     /// Boot a PM2 cluster with `config` and install the DSM layer on it.
     pub fn new(engine: &Engine, config: Pm2Config) -> Self {
-        Self::with_cluster_and_costs(Pm2Cluster::new(engine, config), DsmCosts::default())
+        Self::with_cluster_and_costs(Pm2Cluster::boot(engine, config), DsmCosts::default())
     }
 
     /// Install the DSM layer with an explicit page-transfer overhead (the
     /// overhead sweep of the bench crate's ablation 1).
-    pub fn with_cluster_and_costs(cluster: Pm2Cluster, costs: DsmCosts) -> Self {
+    pub fn with_cluster_and_costs(cluster: Pm2Cluster<DsmRpc>, costs: DsmCosts) -> Self {
         let nodes: Vec<PageTable> = cluster.topology().nodes().map(PageTable::new).collect();
         let batch_thread_names = cluster
             .topology()
@@ -260,7 +261,7 @@ impl DsmRuntime {
     }
 
     /// The PM2 cluster this DSM runs on.
-    pub fn cluster(&self) -> &Pm2Cluster {
+    pub fn cluster(&self) -> &Pm2Cluster<DsmRpc> {
         &self.inner.cluster
     }
 

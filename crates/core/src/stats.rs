@@ -64,10 +64,10 @@ pub struct DsmStatsSnapshot {
     /// batch carries at least two).
     pub coherence_batched_messages: u64,
     /// Always 0: kept only because the frozen `benchmark/` reads it;
-    /// direction 5(ii) deletes it.
+    /// ROADMAP direction 7(ii) deletes it.
     pub one_sided_serves: u64,
     /// Always 0: kept only because the frozen `benchmark/` reads it;
-    /// direction 5(ii) deletes it.
+    /// ROADMAP direction 7(ii) deletes it.
     pub fetch_handler_wakes: u64,
 }
 

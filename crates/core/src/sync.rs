@@ -14,7 +14,7 @@
 use std::fmt;
 
 use dsmpm2_madeleine::NodeId;
-use dsmpm2_sim::{SliceCell, WaitSet};
+use dsmpm2_sim::{BlockReason, EngineCtl, SimDuration, SimHandle, SliceCell, WaitSet};
 
 /// Identifier of a DSM lock. Values with the high bit set designate the
 /// implicit lock associated with a barrier (so release-consistency protocols
@@ -61,19 +61,42 @@ impl fmt::Debug for BarrierId {
 pub(crate) struct LockState {
     /// Node managing this lock.
     pub manager: NodeId,
-    /// (held?, current holder node)
-    pub held: SliceCell<(bool, Option<NodeId>)>,
+    /// The node holding the lock, if any.
+    holder: SliceCell<Option<NodeId>>,
     /// Handler threads waiting for the lock to be released.
-    pub waiters: WaitSet,
+    waiters: WaitSet,
 }
 
 impl LockState {
     pub fn new(manager: NodeId) -> Self {
         LockState {
             manager,
-            held: SliceCell::new((false, None)),
+            holder: SliceCell::new(None),
             waiters: WaitSet::new(),
         }
+    }
+
+    /// Block the calling handler thread until the lock is free, then take
+    /// it on behalf of `requester`.
+    pub fn take(&self, sim: &mut SimHandle, requester: NodeId) {
+        self.waiters.wait_until(sim, || {
+            let mut holder = self.holder.borrow();
+            let free = holder.is_none();
+            if free {
+                *holder = Some(requester);
+            }
+            free
+        });
+    }
+
+    /// Free the lock and wake one handler thread waiting for it.
+    pub fn give_back(&self, lock: LockId, ctl: &EngineCtl) {
+        let holder = self.holder.borrow().take();
+        assert!(
+            holder.is_some(),
+            "release of DSM lock {lock:?} which is not held"
+        );
+        self.waiters.notify_one((), ctl, SimDuration::ZERO);
     }
 }
 
@@ -82,11 +105,11 @@ pub(crate) struct BarrierState {
     /// Node managing this barrier.
     pub manager: NodeId,
     /// Number of participants.
-    pub parties: usize,
+    parties: usize,
     /// (threads arrived in the current episode, episode number)
-    pub round: SliceCell<(usize, u64)>,
+    round: SliceCell<(usize, u64)>,
     /// Handler threads waiting for the episode to complete.
-    pub waiters: WaitSet,
+    waiters: WaitSet,
 }
 
 impl BarrierState {
@@ -97,6 +120,28 @@ impl BarrierState {
             parties,
             round: SliceCell::new((0, 0)),
             waiters: WaitSet::new(),
+        }
+    }
+
+    /// Count the calling handler thread's arrival: the last of an episode
+    /// wakes the others, every other one waits for it.
+    pub fn arrive(&self, sim: &mut SimHandle) {
+        let (episode, last) = {
+            let mut round = self.round.borrow();
+            round.0 += 1;
+            let episode = round.1;
+            let last = round.0 == self.parties;
+            if last {
+                *round = (0, episode + 1);
+            }
+            (episode, last)
+        };
+        if last {
+            self.waiters.notify_all((), sim.ctl(), SimDuration::ZERO);
+        } else {
+            let over = || self.round.borrow().1 != episode;
+            self.waiters
+                .wait_until_why((), sim, BlockReason::Barrier, over);
         }
     }
 }
@@ -120,7 +165,7 @@ mod tests {
     #[test]
     fn lock_state_starts_free() {
         let s = LockState::new(NodeId(0));
-        assert_eq!(*s.held.borrow(), (false, None));
+        assert_eq!(*s.holder.borrow(), None);
         assert_eq!(s.manager, NodeId(0));
         assert!(s.waiters.is_empty());
     }

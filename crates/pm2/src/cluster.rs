@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use dsmpm2_madeleine::{Envelope, Network, NetworkModel, NodeId, Topology};
+use dsmpm2_madeleine::{Envelope, Network, NodeId, Topology};
 use dsmpm2_sim::{Engine, EngineCtl, SimDuration, SimHandle, SimTime, SliceCell, SliceRc};
 
 use crate::config::{Pm2Config, RPC_DISPATCH, THREAD_CREATE};
@@ -31,8 +31,8 @@ use crate::rpc::{
 
 /// Everything the send, dispatch and handle paths need of one registered
 /// service, built once at registration.
-struct ServiceEntry {
-    service: Arc<dyn RpcService>,
+struct ServiceEntry<M> {
+    service: Arc<dyn RpcService<M>>,
     /// What one request of this service occupies the node's dispatcher for:
     /// the dispatch itself, plus the thread creation iff `spawn_thread()`.
     dispatch_cost: SimDuration,
@@ -44,15 +44,15 @@ struct ServiceEntry {
 }
 
 /// What the RPC layer keeps per cluster besides the replies it waits for.
-struct RpcState {
+struct RpcState<M> {
     /// Registered services, in registration order: a [`ServiceId`] is an
     /// index.
-    services: Vec<SliceRc<ServiceEntry>>,
+    services: Vec<SliceRc<ServiceEntry<M>>>,
     /// Correlation id of the next request.
     next_rpc_id: u64,
 }
 
-impl RpcState {
+impl<M: 'static> RpcState<M> {
     /// The id `name` was registered under. A scan: a cluster has a handful
     /// of services, and their names are short.
     fn id_of(&self, name: &str) -> Option<ServiceId> {
@@ -67,31 +67,16 @@ impl RpcState {
     }
 }
 
-/// The delivery delays that do not depend on a message's size, evaluated
-/// once from the network's model when the cluster is built.
-struct FixedDelays {
-    /// A loopback message, or a [`RpcClass::Minimal`] one: half the model's
-    /// minimal RPC latency.
-    minimal: SimDuration,
-    /// A [`RpcClass::Control`] message between two nodes.
-    control: SimDuration,
-}
-
-impl FixedDelays {
-    fn of(model: &NetworkModel) -> Self {
-        FixedDelays {
-            minimal: SimDuration::from_micros_f64(model.rpc_min_latency_us / 2.0),
-            control: model.control_time(),
-        }
-    }
-}
-
-struct ClusterInner {
+struct ClusterInner<M> {
     config: Pm2Config,
-    network: Network<RpcMessage>,
-    delays: FixedDelays,
-    rpc: SliceCell<RpcState>,
-    replies: ReplyTable,
+    network: Network<RpcMessage<M>>,
+    /// The delivery delays that do not depend on a message's size, evaluated
+    /// once from the network's model: a loopback or [`RpcClass::Minimal`]
+    /// message (half the minimal RPC latency), a [`RpcClass::Control`] one.
+    minimal_delay: SimDuration,
+    control_delay: SimDuration,
+    rpc: SliceCell<RpcState<M>>,
+    replies: ReplyTable<M>,
     ctl: EngineCtl,
     app_threads: SliceCell<Vec<Arc<Pm2ThreadState>>>,
     /// Virtual time at which each node's (single) CPU becomes free again.
@@ -117,13 +102,13 @@ fn reserve(
     *free
 }
 
-/// Handle on a simulated PM2 cluster. Cheap to clone — one plain count (a
-/// [`SliceRc`]) — and all clones refer to the same cluster.
-pub struct Pm2Cluster {
-    inner: SliceRc<ClusterInner>,
+/// Handle on a simulated PM2 cluster whose messages are `M`. Cheap to clone
+/// — one plain count (a [`SliceRc`]) — and all clones refer to the same cluster.
+pub struct Pm2Cluster<M = RpcPayload> {
+    inner: SliceRc<ClusterInner<M>>,
 }
 
-impl Clone for Pm2Cluster {
+impl<M> Clone for Pm2Cluster<M> {
     fn clone(&self) -> Self {
         Pm2Cluster {
             inner: SliceRc::clone(&self.inner),
@@ -132,10 +117,17 @@ impl Clone for Pm2Cluster {
 }
 
 impl Pm2Cluster {
-    /// Boot a cluster on `engine`: builds the network, whose delivery
-    /// callback makes every arriving envelope an RPC dispatch on its
-    /// destination node.
+    /// [`Pm2Cluster::boot`] at the default message type, [`RpcPayload`].
     pub fn new(engine: &Engine, config: Pm2Config) -> Self {
+        Pm2Cluster::boot(engine, config)
+    }
+}
+
+impl<M: Send + 'static> Pm2Cluster<M> {
+    /// Boot a cluster whose messages are `M` on `engine`: builds the
+    /// network, whose delivery callback makes every arriving envelope an RPC
+    /// dispatch on its destination node.
+    pub fn boot(engine: &Engine, config: Pm2Config) -> Self {
         let nodes = config.num_nodes;
         let per_node = || SliceCell::new(vec![SimTime::ZERO; nodes]);
         let inner = SliceRc::new_cyclic(|cluster| {
@@ -154,7 +146,10 @@ impl Pm2Cluster {
                 }),
             );
             ClusterInner {
-                delays: FixedDelays::of(network.model()),
+                minimal_delay: SimDuration::from_micros_f64(
+                    config.network.rpc_min_latency_us / 2.0,
+                ),
+                control_delay: config.network.control_time(),
                 network,
                 rpc: SliceCell::new(RpcState {
                     services: Vec::new(),
@@ -187,7 +182,7 @@ impl Pm2Cluster {
     }
 
     /// The underlying network (model, statistics, raw sends).
-    pub fn network(&self) -> &Network<RpcMessage> {
+    pub fn network(&self) -> &Network<RpcMessage<M>> {
         &self.inner.network
     }
 
@@ -199,7 +194,7 @@ impl Pm2Cluster {
     /// Register a service under its name on every node and return the dense
     /// id requests carry instead of the name. Registering the same name twice
     /// replaces the previous handler under the same id (useful in tests).
-    pub fn register_service(&self, service: Arc<dyn RpcService>) -> ServiceId {
+    pub fn register_service(&self, service: Arc<dyn RpcService<M>>) -> ServiceId {
         let name = service.name();
         let mut dispatch_cost = RPC_DISPATCH;
         if service.spawn_thread() {
@@ -245,13 +240,10 @@ impl Pm2Cluster {
     }
 
     fn message_delay(&self, from: NodeId, to: NodeId, class: RpcClass) -> SimDuration {
-        let delays = &self.inner.delays;
-        if from == to {
-            return delays.minimal;
-        }
         match class {
-            RpcClass::Minimal => delays.minimal,
-            RpcClass::Control => delays.control,
+            _ if from == to => self.inner.minimal_delay,
+            RpcClass::Minimal => self.inner.minimal_delay,
+            RpcClass::Control => self.inner.control_delay,
             RpcClass::Data(bytes) => self.inner.network.model().message_time(bytes),
         }
     }
@@ -265,9 +257,9 @@ impl Pm2Cluster {
         from: NodeId,
         to: NodeId,
         service: impl ServiceKey,
-        payload: RpcPayload,
+        payload: M,
         class: RpcClass,
-    ) -> RpcPayload {
+    ) -> M {
         let service = service.resolve(self);
         let start = sim.now();
         let id = self.inner.rpc.borrow().fresh_rpc_id();
@@ -303,9 +295,9 @@ impl Pm2Cluster {
         from: NodeId,
         to: NodeId,
         service: ServiceId,
-        payload: RpcPayload,
+        payload: M,
         class: RpcClass,
-    ) -> (RpcMessage, SimDuration) {
+    ) -> (RpcMessage<M>, SimDuration) {
         let id = {
             let mut rpc = self.inner.rpc.borrow();
             rpc.services[service.0 as usize].stats.borrow().oneways += 1;
@@ -330,7 +322,7 @@ impl Pm2Cluster {
         from: NodeId,
         to: NodeId,
         service: impl ServiceKey,
-        payload: RpcPayload,
+        payload: M,
         class: RpcClass,
     ) {
         let service = service.resolve(self);
@@ -355,7 +347,7 @@ impl Pm2Cluster {
         from: NodeId,
         to: NodeId,
         service: impl ServiceKey,
-        payload: RpcPayload,
+        payload: M,
         class: RpcClass,
         messages: u32,
         not_before: SimTime,
@@ -387,7 +379,7 @@ impl Pm2Cluster {
     ///
     /// Consumes the handle the delivery callback made for it: a handler
     /// thread takes that one with it instead of a clone.
-    fn dispatch(self, ctl: &EngineCtl, env: Envelope<RpcMessage>) {
+    fn dispatch(self, ctl: &EngineCtl, env: Envelope<RpcMessage<M>>) {
         let (node, from) = (env.to, env.from);
         let dispatcher = &self.inner.dispatch_free;
         let shard = node.index() as u64;
@@ -425,12 +417,12 @@ impl Pm2Cluster {
     fn run_handler(
         &self,
         sim: &mut SimHandle,
-        entry: &ServiceEntry,
+        entry: &ServiceEntry<M>,
         local_node: NodeId,
         from_node: NodeId,
         id: u64,
         needs_reply: bool,
-        payload: RpcPayload,
+        payload: M,
     ) {
         let start = sim.now();
         let reply = {
@@ -475,7 +467,7 @@ impl Pm2Cluster {
         f: F,
     ) -> Arc<Pm2ThreadState>
     where
-        F: FnOnce(&mut Pm2Context<'_>) + Send + 'static,
+        F: FnOnce(&mut Pm2Context<'_, M>) + Send + 'static,
     {
         assert!(
             self.topology().contains(node),
@@ -510,7 +502,7 @@ impl Pm2Cluster {
     }
 }
 
-impl std::fmt::Debug for Pm2Cluster {
+impl<M: Send + 'static> std::fmt::Debug for Pm2Cluster<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
@@ -524,7 +516,7 @@ impl std::fmt::Debug for Pm2Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rpc::{downcast, service_fn, OpStat, RpcReply};
+    use crate::rpc::{service_fn, OpStat, RpcReply};
     use dsmpm2_madeleine::profiles;
     use std::sync::atomic::{AtomicU64 as StdAtomicU64, Ordering};
     use std::sync::Mutex;
@@ -538,7 +530,7 @@ mod tests {
         let mut engine = Engine::new();
         let c = cluster(&engine, 2);
         c.register_service(service_fn("double", true, |ctx, payload| {
-            let x: u64 = downcast(payload, "double arg");
+            let x = *payload.downcast::<u64>().unwrap();
             ctx.sim.charge(SimDuration::from_micros(2));
             Some(RpcReply::control(x * 2))
         }));
@@ -554,7 +546,7 @@ mod tests {
                 Box::new(21u64),
                 RpcClass::Control,
             );
-            r.store(downcast::<u64>(reply, "double reply"), Ordering::SeqCst);
+            r.store(*reply.downcast::<u64>().unwrap(), Ordering::SeqCst);
         });
         engine.run().unwrap();
         assert_eq!(result.load(Ordering::SeqCst), 42);
@@ -588,7 +580,7 @@ mod tests {
         let mut engine = Engine::new();
         let c = cluster(&engine, 2);
         c.register_service(service_fn("echo", false, |_ctx, payload| {
-            Some(RpcReply::control(downcast::<u32>(payload, "echo")))
+            Some(RpcReply::control(*payload.downcast::<u32>().unwrap()))
         }));
         let elapsed = Arc::new(StdAtomicU64::new(0));
         let e = elapsed.clone();
@@ -717,7 +709,7 @@ mod tests {
         service_fn("mark", true, move |ctx, payload| {
             log.lock()
                 .unwrap()
-                .push((downcast::<u32>(payload, "mark"), ctx.sim.now()));
+                .push((*payload.downcast::<u32>().unwrap(), ctx.sim.now()));
             None
         })
     }
@@ -818,26 +810,27 @@ mod tests {
         assert_eq!(*returned.lock().unwrap(), micros(11.5));
     }
 
-    /// A service with a switch: whether its one-way requests are served in a
-    /// thread or, declared non-blocking, in the scheduler call that would
-    /// have started it. Either way it logs when and in which order it ran.
+    /// A service of a typed cluster with a switch: whether its one-way
+    /// requests are served in a thread or, declared non-blocking, in the
+    /// scheduler call that would have started it. Either way it logs when and
+    /// in which order it ran.
     struct Probe {
         nonblocking: bool,
         log: Arc<Mutex<Vec<(&'static str, SimTime)>>>,
     }
 
-    impl RpcService for Probe {
+    impl RpcService<()> for Probe {
         fn name(&self) -> &str {
             "probe"
         }
-        fn handle(&self, ctx: &mut RpcRequestCtx<'_>, _payload: RpcPayload) -> Option<RpcReply> {
+        fn handle(&self, ctx: &mut RpcRequestCtx<'_, ()>, _: ()) -> Option<RpcReply<()>> {
             self.log.lock().unwrap().push(("handler", ctx.sim.now()));
             None
         }
-        fn is_nonblocking(&self, _payload: &RpcPayload) -> bool {
+        fn is_nonblocking(&self, _: &()) -> bool {
             self.nonblocking
         }
-        fn handle_nonblocking(&self, ctl: &EngineCtl, _: NodeId, _: NodeId, _: RpcPayload) {
+        fn handle_nonblocking(&self, ctl: &EngineCtl, _: NodeId, _: NodeId, _: ()) {
             self.log.lock().unwrap().push(("handler", ctl.now()));
         }
     }
@@ -852,7 +845,7 @@ mod tests {
         let period = SimDuration::from_micros(100);
         let run = |nonblocking: bool| {
             let mut engine = Engine::new();
-            let c = cluster(&engine, 2);
+            let c = Pm2Cluster::boot(&engine, Pm2Config::bip_myrinet(2));
             let log = Arc::new(Mutex::new(Vec::new()));
             c.register_service(Arc::new(Probe {
                 nonblocking,
@@ -873,14 +866,7 @@ mod tests {
             let caller = c.clone();
             engine.spawn_on(0, "caller", move |h| {
                 for _ in 0..REQUESTS {
-                    caller.rpc_oneway(
-                        h,
-                        NodeId(0),
-                        NodeId(1),
-                        "probe",
-                        Box::new(()),
-                        RpcClass::Control,
-                    );
+                    caller.rpc_oneway(h, NodeId(0), NodeId(1), "probe", (), RpcClass::Control);
                     h.sleep(period);
                 }
             });
@@ -1047,7 +1033,7 @@ mod tests {
             let inner = SliceRc::downgrade(&c.inner);
             c.register_service(service_fn("echo", true, |ctx, payload| {
                 ctx.sim.charge(SimDuration::from_micros(1));
-                Some(RpcReply::control(downcast::<u32>(payload, "echo")))
+                Some(RpcReply::control(*payload.downcast::<u32>().unwrap()))
             }));
             c.register_service(service_fn("hang", true, |ctx, _payload| {
                 dsmpm2_sim::WaitSet::new().wait_until(ctx.sim, || false);

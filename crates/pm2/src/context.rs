@@ -66,17 +66,17 @@ impl Pm2ThreadState {
 }
 
 /// Execution context handed to every PM2 application thread body.
-pub struct Pm2Context<'a> {
+pub struct Pm2Context<'a, M = RpcPayload> {
     /// The underlying simulation handle (virtual clock, sleeping, spawning).
     pub sim: &'a mut SimHandle,
-    cluster: Pm2Cluster,
+    cluster: Pm2Cluster<M>,
     state: Arc<Pm2ThreadState>,
 }
 
-impl<'a> Pm2Context<'a> {
+impl<'a, M: Send + 'static> Pm2Context<'a, M> {
     pub(crate) fn new(
         sim: &'a mut SimHandle,
-        cluster: Pm2Cluster,
+        cluster: Pm2Cluster<M>,
         state: Arc<Pm2ThreadState>,
     ) -> Self {
         Pm2Context {
@@ -91,7 +91,7 @@ impl<'a> Pm2Context<'a> {
     }
 
     /// The cluster this thread runs in.
-    pub fn cluster(&self) -> &Pm2Cluster {
+    pub fn cluster(&self) -> &Pm2Cluster<M> {
         &self.cluster
     }
 
@@ -169,9 +169,9 @@ impl<'a> Pm2Context<'a> {
         &mut self,
         to: NodeId,
         service: impl ServiceKey,
-        payload: RpcPayload,
+        payload: M,
         class: RpcClass,
-    ) -> RpcPayload {
+    ) -> M {
         let from = self.node();
         self.cluster
             .rpc_call(self.sim, from, to, service, payload, class)
@@ -182,7 +182,7 @@ impl<'a> Pm2Context<'a> {
         &mut self,
         to: NodeId,
         service: impl ServiceKey,
-        payload: RpcPayload,
+        payload: M,
         class: RpcClass,
     ) {
         let from = self.node();
@@ -191,7 +191,7 @@ impl<'a> Pm2Context<'a> {
     }
 }
 
-impl std::fmt::Debug for Pm2Context<'_> {
+impl<M: Send + 'static> std::fmt::Debug for Pm2Context<'_, M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,

@@ -7,7 +7,10 @@
 //!
 //! * [`Pm2Cluster`] — boots a cluster of nodes with a service registry, the
 //!   per-node serial RPC dispatch (a function of each message's arrival
-//!   event, not a thread) and the blocking/one-way RPC primitives. Each
+//!   event, not a thread) and the blocking/one-way RPC primitives. A
+//!   cluster's requests and replies are one type `M`, carried by value (the
+//!   DSM layer's is its message enum); [`RpcPayload`], a boxed `Any` for
+//!   closure services ([`service_fn`]), is only the default. Each
 //!   service counts its own calls, one-way sends and handlers
 //!   ([`ServiceStats`], read through [`Pm2Cluster::rpc_report`]): the
 //!   post-mortem monitoring of the RPC layer.
@@ -35,8 +38,8 @@ pub use cluster::Pm2Cluster;
 pub use config::{Pm2Config, RPC_DISPATCH, THREAD_CREATE};
 pub use context::{Pm2Context, Pm2ThreadState, THREAD_STACK_BYTES};
 pub use rpc::{
-    downcast, service_fn, FnService, OpStat, RpcClass, RpcMessage, RpcPayload, RpcReply,
-    RpcRequestCtx, RpcService, ServiceId, ServiceKey, ServiceStats,
+    service_fn, FnService, OpStat, RpcClass, RpcMessage, RpcPayload, RpcReply, RpcRequestCtx,
+    RpcService, ServiceId, ServiceKey, ServiceStats,
 };
 
 /// Convenience re-exports of the layers below, so applications can depend on

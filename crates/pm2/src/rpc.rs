@@ -5,6 +5,10 @@
 //! handled by a pre-existing thread or trigger the creation of a new one.
 //! All DSM-PM2 communication primitives are built on this mechanism, which is
 //! why it is modelled explicitly here rather than folded into the DSM layer.
+//!
+//! A cluster's requests and replies are values of one type `M`, moved from
+//! sender to handler: the DSM layer's is its own message enum. The default,
+//! [`RpcPayload`], is for closure services ([`service_fn`]).
 
 use std::any::Any;
 use std::sync::Arc;
@@ -14,8 +18,8 @@ use dsmpm2_sim::{BlockReason, EngineCtl, SimDuration, SimHandle, SimTime, SliceC
 
 use crate::cluster::Pm2Cluster;
 
-/// Payload carried by requests and replies. Services downcast it to their
-/// concrete argument type; the network layer only needs its accounted size.
+/// The default message type: any value, boxed, which closure services
+/// downcast to their argument type.
 pub type RpcPayload = Box<dyn Any + Send>;
 
 /// How a message should be costed by the network model.
@@ -42,9 +46,9 @@ impl RpcClass {
 }
 
 /// A reply produced by a service handler.
-pub struct RpcReply {
-    /// Reply value, downcast by the caller.
-    pub payload: RpcPayload,
+pub struct RpcReply<M = RpcPayload> {
+    /// Reply value.
+    pub payload: M,
     /// Cost class of the reply message.
     pub class: RpcClass,
 }
@@ -81,17 +85,17 @@ pub trait ServiceKey {
     ///
     /// # Panics
     /// Panics if a name is not registered on `cluster`.
-    fn resolve(self, cluster: &Pm2Cluster) -> ServiceId;
+    fn resolve<M: Send + 'static>(self, cluster: &Pm2Cluster<M>) -> ServiceId;
 }
 
 impl ServiceKey for ServiceId {
-    fn resolve(self, _cluster: &Pm2Cluster) -> ServiceId {
+    fn resolve<M: Send + 'static>(self, _cluster: &Pm2Cluster<M>) -> ServiceId {
         self
     }
 }
 
 impl ServiceKey for &str {
-    fn resolve(self, cluster: &Pm2Cluster) -> ServiceId {
+    fn resolve<M: Send + 'static>(self, cluster: &Pm2Cluster<M>) -> ServiceId {
         cluster
             .service_id(self)
             .unwrap_or_else(|| panic!("RPC to unregistered service '{self}'"))
@@ -101,7 +105,7 @@ impl ServiceKey for &str {
 /// Wire messages exchanged by the RPC layer. Exposed only because
 /// [`crate::Pm2Cluster::network`] returns the underlying typed network; user
 /// code never constructs these.
-pub enum RpcMessage {
+pub enum RpcMessage<M = RpcPayload> {
     /// A service invocation.
     Request {
         /// Correlation id.
@@ -111,14 +115,14 @@ pub enum RpcMessage {
         /// True if the caller blocks for a reply.
         needs_reply: bool,
         /// Arguments.
-        payload: RpcPayload,
+        payload: M,
     },
     /// A reply to an earlier request.
     Reply {
         /// Correlation id of the request.
         id: u64,
         /// Reply value.
-        payload: RpcPayload,
+        payload: M,
     },
 }
 
@@ -126,24 +130,24 @@ pub enum RpcMessage {
 /// node in a handler thread of its own, started by the dispatch at the
 /// instant the dispatch (and, for [`RpcService::spawn_thread`] services, the
 /// thread creation) has been paid for.
-pub struct RpcRequestCtx<'a> {
+pub struct RpcRequestCtx<'a, M = RpcPayload> {
     /// Simulation handle of the thread executing the handler.
     pub sim: &'a mut SimHandle,
     /// The cluster, for nested RPCs (e.g. forwarding a page request along the
     /// probable-owner chain).
-    pub cluster: &'a Pm2Cluster,
+    pub cluster: &'a Pm2Cluster<M>,
     /// Node on which the handler executes.
     pub local_node: NodeId,
     /// Node that issued the request.
     pub from_node: NodeId,
 }
 
-/// A named remote service.
-pub trait RpcService: Send + Sync + 'static {
+/// A named remote service of a cluster whose messages are `M`.
+pub trait RpcService<M = RpcPayload>: Send + Sync + 'static {
     /// Service name used for registration and monitoring.
     fn name(&self) -> &str;
     /// Handle one request. Must return `Some` if the caller expects a reply.
-    fn handle(&self, ctx: &mut RpcRequestCtx<'_>, payload: RpcPayload) -> Option<RpcReply>;
+    fn handle(&self, ctx: &mut RpcRequestCtx<'_, M>, payload: M) -> Option<RpcReply<M>>;
     /// If true (the default, and the behaviour used by the DSM page servers),
     /// the dispatch pays for the creation of the request's handler thread
     /// ([`crate::THREAD_CREATE`]). If false it does not: the
@@ -161,7 +165,7 @@ pub trait RpcService: Send + Sync + 'static {
     /// have run, and no thread is created for it. The dispatch (and
     /// `spawn_thread`) cost is charged all the same, so virtual time does not
     /// depend on the answer.
-    fn is_nonblocking(&self, _payload: &RpcPayload) -> bool {
+    fn is_nonblocking(&self, _payload: &M) -> bool {
         false
     }
     /// Serve a request [`RpcService::is_nonblocking`] vouched for. `ctl.now()`
@@ -171,7 +175,7 @@ pub trait RpcService: Send + Sync + 'static {
         _ctl: &EngineCtl,
         _local_node: NodeId,
         _from_node: NodeId,
-        _payload: RpcPayload,
+        _payload: M,
     ) {
         unreachable!(
             "service '{}' declared a request non-blocking but cannot serve one",
@@ -180,7 +184,8 @@ pub trait RpcService: Send + Sync + 'static {
     }
 }
 
-/// Adapter turning a closure into an [`RpcService`].
+/// Adapter turning a closure into an [`RpcService`] of the default message
+/// type.
 pub struct FnService<F> {
     name: String,
     spawn_thread: bool,
@@ -202,7 +207,8 @@ where
     }
 }
 
-/// Build a service from a closure. `spawn_thread` selects whether the
+/// Build a service of the default message type from a closure.
+/// `spawn_thread` selects whether the
 /// dispatch pays for creating each request's handler thread (see
 /// [`RpcService::spawn_thread`]).
 pub fn service_fn<F>(name: impl Into<String>, spawn_thread: bool, f: F) -> Arc<dyn RpcService>
@@ -254,16 +260,18 @@ pub struct ServiceStats {
 /// caller blocked right now, so a handful, scanned. Callers open a slot and
 /// wait from their slices, under their call id; the reply's arrival event
 /// fills the slot and notifies that id.
-#[derive(Default)]
-pub(crate) struct ReplyTable {
+pub(crate) struct ReplyTable<M> {
     /// Call ids, each with its reply once it has arrived.
-    slots: SliceCell<Vec<(u64, Option<RpcPayload>)>>,
+    slots: SliceCell<Vec<(u64, Option<M>)>>,
     callers: WaitSet<u64>,
 }
 
-impl ReplyTable {
+impl<M: Send> ReplyTable<M> {
     pub fn new() -> Self {
-        ReplyTable::default()
+        ReplyTable {
+            slots: SliceCell::default(),
+            callers: WaitSet::new(),
+        }
     }
 
     /// Open the slot of call `id`, before its request is sent.
@@ -274,7 +282,7 @@ impl ReplyTable {
     }
 
     /// Block until the reply to call `id` has arrived, and take it.
-    pub fn wait(&self, id: u64, sim: &mut SimHandle) -> RpcPayload {
+    pub fn wait(&self, id: u64, sim: &mut SimHandle) -> M {
         let mut reply = None;
         self.callers.wait_until_why(id, sim, BlockReason::Rpc, || {
             reply = self.take(id);
@@ -285,7 +293,7 @@ impl ReplyTable {
 
     /// Deposit the reply for call `id` and wake its caller at `at`. A reply
     /// to no outstanding call is dropped.
-    pub fn fulfill(&self, id: u64, payload: RpcPayload, ctl: &EngineCtl, at: SimTime) {
+    pub fn fulfill(&self, id: u64, payload: M, ctl: &EngineCtl, at: SimTime) {
         {
             let mut slots = self.slots.borrow();
             let Some(slot) = slots.iter_mut().find(|s| s.0 == id) else {
@@ -297,19 +305,11 @@ impl ReplyTable {
     }
 
     /// Take the reply for call `id` if it has arrived, removing the slot.
-    fn take(&self, id: u64) -> Option<RpcPayload> {
+    fn take(&self, id: u64) -> Option<M> {
         let mut slots = self.slots.borrow();
         let at = slots.iter().position(|s| s.0 == id && s.1.is_some())?;
         slots.swap_remove(at).1
     }
-}
-
-/// Downcast an RPC payload to a concrete type, panicking with a useful
-/// message if the service and caller disagree on the type.
-pub fn downcast<T: Any>(payload: RpcPayload, what: &str) -> T {
-    *payload
-        .downcast::<T>()
-        .unwrap_or_else(|_| panic!("RPC payload for {what} has an unexpected type"))
 }
 
 #[cfg(test)]
@@ -345,22 +345,15 @@ mod tests {
         engine.spawn("caller", move |sim| {
             caller.open(1);
             let reply = caller.wait(1, sim);
-            *g.lock().unwrap() = Some((downcast::<u32>(reply, "test"), sim.now()));
+            *g.lock().unwrap() = Some((reply, sim.now()));
         });
         let replier = Arc::clone(&table);
         engine.ctl().call_at(SimTime::from_micros(5), move |ctl| {
-            replier.fulfill(99, Box::new(()), ctl, ctl.now());
-            replier.fulfill(1, Box::new(42u32), ctl, SimTime::from_micros(8));
+            replier.fulfill(99, 0u32, ctl, ctl.now());
+            replier.fulfill(1, 42u32, ctl, SimTime::from_micros(8));
         });
         engine.run().unwrap();
         assert_eq!(*got.lock().unwrap(), Some((42, SimTime::from_micros(8))));
         assert!(table.take(1).is_none(), "the slot went with the reply");
-    }
-
-    #[test]
-    #[should_panic(expected = "unexpected type")]
-    fn downcast_mismatch_panics() {
-        let p: RpcPayload = Box::new("hello");
-        let _: u64 = downcast(p, "mismatch test");
     }
 }

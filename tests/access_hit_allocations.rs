@@ -1,6 +1,6 @@
 //! The typed-access hit path allocates nothing, the message path allocates
-//! three times per request, and so does a request served in a handler thread
-//! of its own — none of them a stack, on either hand-off. A lone coherence message allocates
+//! twice per request, and so does a request served in a handler thread of
+//! its own — none of them a stack, on either hand-off. A lone coherence message allocates
 //! no bucket and no list to drain it, and a wait cycle on a wait set nothing
 //! at all. The data path allocates no page: twins, snapshots and frames are
 //! recycled buffers, a received page becomes the frame as it is, and a diff
@@ -21,9 +21,7 @@ use std::sync::Arc;
 
 use dsm_pm2::core::{DsmAttr, DsmRuntime, HomePolicy, Unit};
 use dsm_pm2::hyperion::HyperionHeap;
-use dsm_pm2::pm2::{
-    EngineCtl, RpcClass, RpcPayload, RpcReply, RpcRequestCtx, RpcService, SimHandle,
-};
+use dsm_pm2::pm2::{EngineCtl, RpcClass, RpcReply, RpcRequestCtx, RpcService, SimHandle};
 use dsm_pm2::prelude::*;
 use dsm_pm2::sim::WaitSet;
 
@@ -313,28 +311,29 @@ fn read_replication() -> u64 {
     counted.load(Ordering::SeqCst)
 }
 
-/// A one-way service that counts its requests: in the arrival event when
-/// `threaded` is false (its requests cannot block), else in a handler thread
-/// per request, which charges a microsecond and ends owing it.
+/// A one-way service of a cluster whose messages are `u64`s that counts its
+/// requests: in the arrival event when `threaded` is false (its requests
+/// cannot block), else in a handler thread per request, which charges a
+/// microsecond and ends owing it.
 struct Sink {
     served: AtomicU64,
     threaded: bool,
 }
 
-impl RpcService for Sink {
+impl RpcService<u64> for Sink {
     fn name(&self) -> &str {
         "sink"
     }
-    fn handle(&self, ctx: &mut RpcRequestCtx<'_>, _payload: RpcPayload) -> Option<RpcReply> {
+    fn handle(&self, ctx: &mut RpcRequestCtx<'_, u64>, _payload: u64) -> Option<RpcReply<u64>> {
         assert!(self.threaded, "a non-blocking request reached a thread");
         ctx.sim.charge(SimDuration::from_micros(1));
         self.served.fetch_add(1, Ordering::Relaxed);
         None
     }
-    fn is_nonblocking(&self, _payload: &RpcPayload) -> bool {
+    fn is_nonblocking(&self, _payload: &u64) -> bool {
         !self.threaded
     }
-    fn handle_nonblocking(&self, _ctl: &EngineCtl, _: NodeId, _: NodeId, _payload: RpcPayload) {
+    fn handle_nonblocking(&self, _ctl: &EngineCtl, _: NodeId, _: NodeId, _payload: u64) {
         self.served.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -348,7 +347,7 @@ impl RpcService for Sink {
 /// the bracket.
 fn message_path(threaded: bool) -> (f64, u64) {
     let mut engine = Engine::new();
-    let cluster = Pm2Cluster::new(&engine, Pm2Config::bip_myrinet(2));
+    let cluster = Pm2Cluster::<u64>::boot(&engine, Pm2Config::bip_myrinet(2));
     let sink = Arc::new(Sink {
         served: AtomicU64::new(0),
         threaded,
@@ -359,8 +358,7 @@ fn message_path(threaded: bool) -> (f64, u64) {
     engine.spawn_on(0, "sender", move |h| {
         let pass = |h: &mut SimHandle| {
             for i in 0..HITS {
-                let payload = Box::new(i);
-                cluster.rpc_oneway(h, NodeId(0), NodeId(1), service, payload, RpcClass::Control);
+                cluster.rpc_oneway(h, NodeId(0), NodeId(1), service, i, RpcClass::Control);
                 h.sleep(SimDuration::from_micros(50));
             }
         };
@@ -476,27 +474,30 @@ fn access_hits_do_not_allocate() {
     // puts run outside any monitor, so no release empties the log in
     // between; a monitor exit on a home page clears it and keeps its buffer.
     assert!(puts <= 14, "HyperionHeap::put allocated {puts} times");
-    // The payload's box, the arrival event's closure and the handler call's
-    // closure — no `String`, no thread. The parent commit of the change that
-    // interned services measured 13.86 for the same loop against a
-    // thread-per-request service named by a string.
+    // The arrival event's closure and the handler call's closure — no
+    // `String`, no thread, and no box for the payload: the cluster's
+    // messages are `u64`s, carried by value. The parent of the change that
+    // typed the RPC layer measured 3.0 (a `Box<dyn Any>` per payload
+    // besides); the parent of the change that interned services, 13.86
+    // against a thread-per-request service named by a string.
     let (per_request, _) = message_path(false);
     assert!(
-        per_request <= 3.0,
+        per_request <= 2.0,
         "a one-way request to a non-blocking service allocated {per_request} times"
     );
-    // Served in a thread of its own, three: the payload's box and the arrival
-    // event's closure as above, then the thread's boxed body in place of the
-    // handler call's closure. The thread runs on the worker the thread before
-    // it left idle at its last grant: no slot, no stack, and on the baton
-    // lane no OS thread. Before workers were recycled this row allowed 4 on
+    // Served in a thread of its own, two: the arrival event's closure as
+    // above, then the thread's boxed body in place of the handler call's
+    // closure (the parent of the typed RPC layer measured 3.0, the payload's
+    // box besides). The thread runs on the worker the thread before it left
+    // idle at its last grant: no slot, no stack, and on the baton lane no OS
+    // thread. Before workers were recycled this row allowed 4 on
     // continuations (the thread's slot besides) and 12 on the baton (std's
     // spawn of an OS thread per request: five to seven more); before threads
     // were reaped at their last grant it measured 4.8892, 7 488 of its
     // 10 000 requests allocating a 1 MiB stack.
     let (per_request, stacks) = message_path(true);
     assert!(
-        per_request <= 3.0,
+        per_request <= 2.0,
         "a one-way request served in a thread allocated {per_request} times"
     );
     assert_eq!(stacks, 0, "a handler thread allocated a stack");
@@ -523,14 +524,15 @@ fn access_hits_do_not_allocate() {
         pages, 0,
         "a read-replication round allocated a page-sized buffer"
     );
-    // A lone coherence message is parked inline and drained without a list:
-    // the end-of-instant flush's closure, the payload's box, the arrival
-    // event's closure and the serving call's closure. The parent of the
-    // change that inlines a lone item measured 6.0 (a bucket `Vec` and the
-    // drained list besides).
+    // A lone coherence message is parked inline and drained without a list,
+    // and travels as a `DsmRpc` by value: the end-of-instant flush's
+    // closure, the arrival event's closure and the serving call's closure.
+    // The parent of the change that typed the RPC layer measured 4.0 (the
+    // payload's box besides); the parent of the change that inlines a lone
+    // item, 6.0 (a bucket `Vec` and the drained list besides).
     let per_message = lone_coherence_messages();
     assert!(
-        per_message <= 4.0,
+        per_message <= 3.0,
         "a lone coherence message allocated {per_message} times"
     );
     // Woken waiters leave the set in place, so its buffer serves the next
