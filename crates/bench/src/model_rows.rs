@@ -517,8 +517,8 @@ fn home_burst_study(rows: &mut Rows) {
     batching_rows(rows, "ablation9", &rt, &finish);
 }
 
-/// What the per-instant coherence batcher did in a finished study, which
-/// must have found something to coalesce.
+/// What coherence batching did in a finished study, which must have found
+/// a burst to coalesce.
 fn batching_rows(rows: &mut Rows, study: &str, rt: &DsmRuntime, finish: &Latest<SimDuration>) {
     let stats = rt.stats().snapshot();
     assert!(

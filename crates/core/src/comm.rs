@@ -14,6 +14,12 @@
 //! runtime's `Pm2Cluster<DsmRpc>`: moved by value from the `send_*` call to
 //! the protocol action, with no box and no run-time type check.
 //!
+//! A protocol message goes on the wire when it is sent, in an envelope of
+//! its own. The coherence messages one routine sends together — a release's
+//! diffs or invalidation rounds — go through [`DsmRuntime::send_burst`],
+//! which puts those bound for one node in a single [`DsmMsg::Batch`]
+//! envelope.
+//!
 //! The services are registered on every node and every request that may wait
 //! is served in a thread of its own, so concurrent requests are served in
 //! parallel, matching the multithreaded behaviour the paper emphasizes. The
@@ -25,13 +31,9 @@ use std::sync::Arc;
 
 use dsmpm2_madeleine::{NodeId, CONTROL_MESSAGE_BYTES};
 use dsmpm2_pm2::{Pm2Cluster, RpcClass, RpcReply, RpcRequestCtx, RpcService, ServiceId};
-use dsmpm2_sim::{
-    EngineCtl, SimDuration, SimHandle, SimTime, SliceRc, SliceWeak, ThreadId, TickBucket,
-    TickOutbox,
-};
+use dsmpm2_sim::{EngineCtl, SimDuration, SimHandle, SimTime, SliceRc, SliceWeak, ThreadId};
 
 use crate::ctx::{DsmThreadCtx, ServerCtx};
-use crate::diff::PageDiff;
 use crate::msg::{DsmMsg, Invalidation, PageRequest, PageTransfer};
 use crate::page::{Access, PageId, Unit};
 use crate::protocol::ProtocolId;
@@ -79,10 +81,10 @@ pub(crate) struct DsmServices {
 /// handler threads.
 struct DsmService {
     name: &'static str,
-    /// Weak, like the network hook below: a strong handle would close the
-    /// cycle runtime → cluster → service table → service → runtime and no
-    /// run would ever free its tables and frames. A request outliving the
-    /// runtime has nobody left to observe it.
+    /// Weak: a strong handle would close the cycle runtime → cluster →
+    /// service table → service → runtime and no run would ever free its
+    /// tables and frames. A request outliving the runtime has nobody left
+    /// to observe it.
     rt: SliceWeak<RuntimeInner>,
 }
 
@@ -134,46 +136,21 @@ impl RpcService<DsmRpc> for DsmService {
 }
 
 /// Register the DSM services on `cluster` for the runtime being built behind
-/// `rt`, whose coherence outbox is `outbox`. Called once from
-/// `DsmRuntime::with_cluster_and_costs`.
+/// `rt`. Called once from `DsmRuntime::with_cluster_and_costs`.
 pub(crate) fn register_dsm_services(
     cluster: &Pm2Cluster<DsmRpc>,
     rt: &SliceWeak<RuntimeInner>,
-    outbox: &SliceRc<TickOutbox<(NodeId, NodeId), DsmMsg>>,
 ) -> DsmServices {
     let register = |name| {
         let rt = rt.clone();
         cluster.register_service(Arc::new(DsmService { name, rt }))
     };
-    let services = DsmServices {
+    DsmServices {
         dsm: register(SVC_DSM),
         lock_acquire: register(SVC_LOCK_ACQUIRE),
         lock_release: register(SVC_LOCK_RELEASE),
         barrier: register(SVC_BARRIER),
-    };
-
-    // A parked coherence message must never be overtaken by a later message
-    // on the same link (an overtaking barrier reply or page transfer would
-    // let readers run ahead of an ownership notice or invalidation): flush
-    // the link's buckets before any other message is enqueued on it. The
-    // hook holds the runtime weakly — the network outlives runtimes in some
-    // tests, and a strong reference would cycle through cluster → network →
-    // hook → runtime → cluster — and the outbox itself, so that the common
-    // send, with nothing parked, stops at one look at it.
-    let outbox = SliceRc::clone(outbox);
-    let weak = rt.clone();
-    cluster
-        .network()
-        .set_pre_send_hook(Arc::new(move |from, to| {
-            if outbox.is_empty() {
-                return;
-            }
-            if let Some(inner) = weak.upgrade() {
-                let rt = DsmRuntime::from_inner(inner);
-                rt.flush_coherence_link(rt.cluster().ctl(), from, to);
-            }
-        }));
-    services
+    }
 }
 
 /// Serve one protocol message in a handler thread.
@@ -315,71 +292,80 @@ fn serve_nonblocking(rt: &DsmRuntime, ctl: &EngineCtl, local: NodeId, msg: DsmMs
 // ---------------------------------------------------------------------------
 
 impl DsmRuntime {
-    /// Send a coherence message (invalidation, diff, acknowledgement,
-    /// ownership notice). Coherence messages travel batched: every one sent
-    /// on the same link at the same virtual instant is parked in the outbox,
-    /// and at the end of the instant they leave together as one
-    /// [`DsmMsg::Batch`] envelope (a lone message leaves as itself).
-    fn send_coherence(&self, sim: &mut SimHandle, from: NodeId, to: NodeId, msg: DsmMsg) {
-        if self.inner().outbox.push((from, to), sim.now(), msg) {
-            // First message for this link at this instant: schedule exactly
-            // one flush, at the end of the instant, so every same-instant
-            // message for the link has been parked by then. (The pre-send
-            // link hook may have flushed the bucket earlier, in which case
-            // the callback finds it empty and does nothing.) The flush drains
-            // the (from, to) bucket and enqueues on the link's clocks —
-            // sender-side state, so it is pinned to the sending node's
-            // scheduler shard.
-            let rt = self.clone();
-            sim.call_after_on(from.index() as u64, SimDuration::ZERO, move |ctl| {
-                rt.flush_coherence_link(ctl, from, to);
-            });
-        }
-    }
-
     fn services(&self) -> &DsmServices {
         &self.inner().services
     }
 
-    /// Ship every parked bucket of the (from, to) link, oldest instant first.
-    /// Called by the end-of-instant flush callback and by the transport's
-    /// pre-send hook (which guarantees no later message overtakes a parked
-    /// one on the same link — the hook's nested invocation during our own
-    /// send below finds the buckets already drained and is a no-op).
-    pub(crate) fn flush_coherence_link(&self, ctl: &EngineCtl, from: NodeId, to: NodeId) {
-        for (tick, bucket) in self.inner().outbox.take_all((from, to)) {
-            let (payload, class, n) = match bucket {
-                // Alone, pure control unless it carries a payload.
-                TickBucket::One(msg) => match msg.payload_bytes() {
-                    0 => (msg, RpcClass::Control, 1),
-                    n => (msg, RpcClass::Data(n), 1),
-                },
-                TickBucket::Many(msgs) => {
-                    let n = msgs.len();
-                    self.stats().incr_coherence_batch();
-                    self.stats().add_coherence_batched_messages(n as u64);
-                    let batch = DsmMsg::Batch(msgs);
-                    // One envelope on the wire: a single message latency is
-                    // paid, while every coalesced message contributes its
-                    // payload plus one small per-message header at network
-                    // bandwidth.
-                    let bytes = batch.payload_bytes() + (n - 1) * CONTROL_MESSAGE_BYTES;
-                    (batch, RpcClass::Data(bytes), n)
-                }
+    /// Put `msg` on the wire to `to` now, as an envelope of its own: pure
+    /// control unless it carries a payload. Every protocol message leaves
+    /// here or in [`DsmRuntime::send_burst`] at the instant it is sent, so
+    /// each link carries them in send order.
+    fn send(&self, sim: &mut SimHandle, from: NodeId, to: NodeId, msg: DsmMsg) {
+        self.count_sent(&msg);
+        let class = match msg.payload_bytes() {
+            0 => RpcClass::Control,
+            n => RpcClass::Data(n),
+        };
+        self.send_envelope(sim, from, to, msg, class, 1);
+    }
+
+    fn send_envelope(
+        &self,
+        sim: &mut SimHandle,
+        from: NodeId,
+        to: NodeId,
+        msg: DsmMsg,
+        class: RpcClass,
+        messages: u32,
+    ) {
+        let (dsm, payload) = (self.services().dsm, DsmRpc::Msg(msg));
+        self.cluster()
+            .rpc_oneway(sim, from, to, dsm, payload, class, messages);
+    }
+
+    /// Add what sending `msg` does to the DSM counters.
+    fn count_sent(&self, msg: &DsmMsg) {
+        let stats = self.stats();
+        match msg {
+            DsmMsg::Transfer(transfer) => {
+                stats.incr_page_transfer();
+                stats.add_page_bytes(transfer.data.len() as u64);
+            }
+            DsmMsg::Invalidate(_) => stats.incr_invalidation(),
+            DsmMsg::Diff { diff, .. } => {
+                stats.incr_diff_sent();
+                stats.add_diff_bytes(diff.payload_bytes() as u64);
+            }
+            _ => {}
+        }
+    }
+
+    /// Send the coherence messages one routine produces together, given as
+    /// `(destination, message)` pairs in send order: one envelope per
+    /// destination, in order of first appearance. A destination's lone
+    /// message leaves as itself, as the single sends below send it; two or
+    /// more leave as one [`DsmMsg::Batch`], which pays one message latency
+    /// while each message adds its payload and one small header at network
+    /// bandwidth. A diff is sent this way, alone or with others
+    /// ([`crate::protolib::diff_to_home`]).
+    pub fn send_burst(&self, sim: &mut SimHandle, from: NodeId, mut burst: Vec<(NodeId, DsmMsg)>) {
+        while let Some(&(to, _)) = burst.first() {
+            let mut bound_for_to = burst
+                .extract_if(.., |(dest, _)| *dest == to)
+                .map(|(_, msg)| msg);
+            let first = bound_for_to.next().expect("the burst's first message");
+            let Some(second) = bound_for_to.next() else {
+                self.send(sim, from, to, first);
+                continue;
             };
-            // `tick` is the instant the parked messages were sent at (the
-            // sender's local clock, possibly ahead of the global clock): the
-            // envelope must not depart earlier than that.
-            self.cluster().rpc_oneway_from_ctl(
-                ctl,
-                from,
-                to,
-                self.services().dsm,
-                DsmRpc::Msg(payload),
-                class,
-                n as u32,
-                tick,
-            );
+            let msgs: Vec<DsmMsg> = [first, second].into_iter().chain(bound_for_to).collect();
+            let n = msgs.len();
+            msgs.iter().for_each(|msg| self.count_sent(msg));
+            self.stats().incr_coherence_batch();
+            self.stats().add_coherence_batched_messages(n as u64);
+            let batch = DsmMsg::Batch(msgs);
+            let bytes = batch.payload_bytes() + (n - 1) * CONTROL_MESSAGE_BYTES;
+            self.send_envelope(sim, from, to, batch, RpcClass::Data(bytes), n as u32);
         }
     }
 
@@ -392,32 +378,15 @@ impl DsmRuntime {
         to: NodeId,
         req: PageRequest,
     ) {
-        self.cluster().rpc_oneway(
-            sim,
-            from,
-            to,
-            self.services().dsm,
-            DsmRpc::Msg(DsmMsg::Request(req)),
-            RpcClass::Control,
-        );
+        self.send(sim, from, to, DsmMsg::Request(req));
     }
 
-    /// Send a full page to `to`.
+    /// Send a full page (or line) to `to`.
     pub fn send_page(&self, sim: &mut SimHandle, from: NodeId, to: NodeId, transfer: PageTransfer) {
-        let bytes = transfer.data.len();
-        self.stats().incr_page_transfer();
-        self.stats().add_page_bytes(bytes as u64);
-        self.cluster().rpc_oneway(
-            sim,
-            from,
-            to,
-            self.services().dsm,
-            DsmRpc::Msg(DsmMsg::Transfer(transfer)),
-            RpcClass::Data(bytes),
-        );
+        self.send(sim, from, to, DsmMsg::Transfer(transfer));
     }
 
-    /// Send an invalidation for `inv.unit` to `to` (batchable).
+    /// Send an invalidation for `inv.unit` to `to`.
     pub fn send_invalidate(
         &self,
         sim: &mut SimHandle,
@@ -425,43 +394,16 @@ impl DsmRuntime {
         to: NodeId,
         inv: Invalidation,
     ) {
-        self.stats().incr_invalidation();
-        self.send_coherence(sim, from, to, DsmMsg::Invalidate(inv));
+        self.send(sim, from, to, DsmMsg::Invalidate(inv));
     }
 
-    /// Acknowledge an invalidation back to `to` (batchable).
+    /// Acknowledge an invalidation back to `to`.
     pub fn send_invalidate_ack(&self, sim: &mut SimHandle, from: NodeId, to: NodeId, unit: Unit) {
-        self.send_coherence(sim, from, to, DsmMsg::InvalidateAck { unit });
-    }
-
-    /// Send a diff to `to` (normally the page's home node; batchable — the
-    /// diffs of several pages flushed at one release coalesce when they are
-    /// homed on the same node).
-    pub fn send_diff(
-        &self,
-        sim: &mut SimHandle,
-        from: NodeId,
-        to: NodeId,
-        diff: PageDiff,
-        needs_ack: bool,
-    ) {
-        let bytes = diff.payload_bytes();
-        self.stats().incr_diff_sent();
-        self.stats().add_diff_bytes(bytes as u64);
-        self.send_coherence(
-            sim,
-            from,
-            to,
-            DsmMsg::Diff {
-                diff,
-                from,
-                needs_ack,
-            },
-        );
+        self.send(sim, from, to, DsmMsg::InvalidateAck { unit });
     }
 
     /// Notify a unit's home node that `owner` finished installing write
-    /// ownership at `version` (batchable).
+    /// ownership at `version`.
     pub fn send_acquire_done(
         &self,
         sim: &mut SimHandle,
@@ -476,12 +418,12 @@ impl DsmRuntime {
             owner,
             version,
         };
-        self.send_coherence(sim, from, to, done);
+        self.send(sim, from, to, done);
     }
 
-    /// Acknowledge a diff back to `to` (batchable).
+    /// Acknowledge a diff back to `to`.
     pub fn send_diff_ack(&self, sim: &mut SimHandle, from: NodeId, to: NodeId, unit: Unit) {
-        self.send_coherence(sim, from, to, DsmMsg::DiffAck { unit });
+        self.send(sim, from, to, DsmMsg::DiffAck { unit });
     }
 }
 
@@ -671,33 +613,44 @@ mod tests {
         }
     }
 
-    /// Coherence messages sent on one link at one instant leave in one
-    /// envelope; messages for two links leave in two.
+    /// A burst's messages for one node leave in one envelope, those for two
+    /// nodes in two; separate sends leave separately, even at one instant.
     #[test]
-    fn same_instant_coherence_messages_share_an_envelope_per_link() {
-        let one_link = send_at_one_instant(|rt, sim, unit| {
+    fn a_burst_shares_an_envelope_per_destination() {
+        let one_node = send_at_one_instant(|rt, sim, unit| {
+            let burst = vec![
+                (NodeId(1), DsmMsg::InvalidateAck { unit }),
+                (NodeId(1), DsmMsg::DiffAck { unit }),
+            ];
+            rt.send_burst(sim, NodeId(0), burst);
+        });
+        assert_eq!(one_node.stats.coherence_batches, 1);
+        assert_eq!(one_node.stats.coherence_batched_messages, 2);
+        assert_eq!(one_node.envelopes, 1, "the run's only envelope");
+
+        let two_nodes = send_at_one_instant(|rt, sim, unit| {
+            let burst = vec![
+                (NodeId(1), DsmMsg::InvalidateAck { unit }),
+                (NodeId(2), DsmMsg::InvalidateAck { unit }),
+            ];
+            rt.send_burst(sim, NodeId(0), burst);
+        });
+        assert_eq!(two_nodes.stats.coherence_batches, 0);
+        assert_eq!(two_nodes.envelopes, 2);
+
+        let separate = send_at_one_instant(|rt, sim, unit| {
             rt.send_invalidate_ack(sim, NodeId(0), NodeId(1), unit);
             rt.send_diff_ack(sim, NodeId(0), NodeId(1), unit);
         });
-        assert_eq!(one_link.stats.coherence_batches, 1);
-        assert_eq!(one_link.stats.coherence_batched_messages, 2);
-        assert_eq!(one_link.envelopes, 1, "the run's only envelope");
-
-        let two_links = send_at_one_instant(|rt, sim, unit| {
-            rt.send_invalidate_ack(sim, NodeId(0), NodeId(1), unit);
-            rt.send_invalidate_ack(sim, NodeId(0), NodeId(2), unit);
-        });
-        assert_eq!(two_links.stats.coherence_batches, 0);
-        assert_eq!(two_links.envelopes, 2);
+        assert_eq!(separate.stats.coherence_batches, 0);
+        assert_eq!(separate.envelopes, 2);
     }
 
-    /// A parked coherence message is never overtaken on its link: an
-    /// invalidation parked until the end of the instant, then a page request
-    /// sent directly at that same instant to the same node — the receiver
-    /// serves the invalidation first. (The pre-send hook installed by
-    /// `register_dsm_services` flushes the link before the request; without
-    /// it the request would leave, and be served, first. Missing this order
-    /// is what deadlocked `li_hudak_fixed` in PR 2.)
+    /// A coherence message is never overtaken on its link: an invalidation,
+    /// then a page request sent at that same instant to the same node — the
+    /// receiver serves the invalidation first. Both leave when they are
+    /// sent, so the link's FIFO order is their send order. (Missing this
+    /// order once deadlocked `li_hudak_fixed`.)
     #[test]
     fn a_parked_coherence_message_is_never_overtaken_on_its_link() {
         let sent = send_at_one_instant(|rt, sim, unit| {

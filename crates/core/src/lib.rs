@@ -10,7 +10,7 @@
 //!   see fit;
 //! * the **DSM communication module** ([`DsmRuntime::send_page_request`],
 //!   [`DsmRuntime::send_page`], [`DsmRuntime::send_invalidate`],
-//!   [`DsmRuntime::send_diff`], ...) built on PM2 RPC;
+//!   [`DsmRuntime::send_burst`], ...) built on PM2 RPC;
 //! * **access detection** (the typed accessors of [`DsmThreadCtx`], which
 //!   fault in software and re-execute the access after the handler runs);
 //! * the **DSM protocol library** ([`protolib`]) — thread-safe building

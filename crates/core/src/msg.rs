@@ -102,9 +102,9 @@ pub enum DsmMsg {
         /// Ownership-succession version of the acquisition.
         version: u64,
     },
-    /// Several coherence messages (invalidations, diffs, acknowledgements,
-    /// ownership notices) addressed to the same node within one virtual-time
-    /// tick, coalesced into a single wire envelope by the per-tick batcher.
+    /// Several coherence messages (invalidations, diffs) addressed to the
+    /// same node in one burst, coalesced into a single wire envelope by
+    /// `DsmRuntime::send_burst`.
     /// The receiving node unpacks the batch atomically — every sub-message
     /// becomes visible at the same instant, in send order — and serves each
     /// one in its own handler thread, exactly as if they had arrived

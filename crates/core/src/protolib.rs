@@ -25,7 +25,7 @@ use dsmpm2_sim::{BlockReason, SimHandle};
 use crate::costs;
 use crate::ctx::DsmThreadCtx;
 use crate::diff::PageDiff;
-use crate::msg::{Invalidation, PageRequest, PageTransfer};
+use crate::msg::{DsmMsg, Invalidation, PageRequest, PageTransfer};
 use crate::page::{Access, Unit};
 use crate::runtime::DsmRuntime;
 
@@ -366,17 +366,21 @@ pub fn invalidate_copyset_and_wait(
     new_owner: Option<NodeId>,
     version: u64,
 ) {
-    send_copyset_invalidations(sim, node, rt, unit, targets, new_owner, version);
+    let mut burst = Vec::new();
+    add_copyset_invalidations(&mut burst, node, rt, unit, targets, new_owner, version);
+    rt.send_burst(sim, node, burst);
     await_invalidation_acks(sim, node, rt, unit);
 }
 
-/// Send-only half of [`invalidate_copyset_and_wait`]: register the expected
-/// acknowledgements and transmit the invalidations without blocking.
-/// Protocols invalidating several units at once send all rounds first and
-/// then collect every acknowledgement with [`await_invalidation_acks`], so
-/// the rounds overlap in the network instead of serializing.
-pub fn send_copyset_invalidations(
-    sim: &mut SimHandle,
+/// Send-free half of [`invalidate_copyset_and_wait`]: register the expected
+/// acknowledgements and add the invalidations to `burst`, for
+/// [`DsmRuntime::send_burst`]. Protocols invalidating several units at once
+/// add every round to one burst, send it, and then collect every
+/// acknowledgement with [`await_invalidation_acks`], so the rounds overlap
+/// in the network instead of serializing, and the invalidations bound for
+/// one copy holder share an envelope.
+pub fn add_copyset_invalidations(
+    burst: &mut Vec<(NodeId, DsmMsg)>,
     node: NodeId,
     rt: &DsmRuntime,
     unit: Unit,
@@ -384,13 +388,8 @@ pub fn send_copyset_invalidations(
     new_owner: Option<NodeId>,
     version: u64,
 ) {
-    let targets: Vec<NodeId> = targets.iter().copied().filter(|&n| n != node).collect();
-    if targets.is_empty() {
-        return;
-    }
-    rt.page_table(node)
-        .update(unit, |e| e.pending_acks += targets.len());
-    for &target in &targets {
+    let before = burst.len();
+    for &target in targets.iter().filter(|&&n| n != node) {
         let inv = Invalidation {
             unit,
             from: node,
@@ -398,7 +397,12 @@ pub fn send_copyset_invalidations(
             needs_ack: true,
             version,
         };
-        rt.send_invalidate(sim, node, target, inv);
+        burst.push((target, DsmMsg::Invalidate(inv)));
+    }
+    let added = burst.len() - before;
+    if added > 0 {
+        rt.page_table(node)
+            .update(unit, |e| e.pending_acks += added);
     }
 }
 
@@ -529,12 +533,28 @@ pub fn write_fault_with_twin(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime,
     }
 }
 
+/// `diff`, addressed to its unit's home node, as one message of a
+/// [`DsmRuntime::send_burst`].
+pub fn diff_to_home(
+    rt: &DsmRuntime,
+    node: NodeId,
+    diff: PageDiff,
+    needs_ack: bool,
+) -> (NodeId, DsmMsg) {
+    let home = rt.page_meta(diff.unit.page).home;
+    let msg = DsmMsg::Diff {
+        diff,
+        from: node,
+        needs_ack,
+    };
+    (home, msg)
+}
+
 /// Ship `diffs` (empty ones are skipped) to their units' home nodes and block
 /// until the homes have integrated and acknowledged every one of them. All
-/// acknowledgements are registered, then all diffs transmitted in one burst —
-/// the sends happen at the same virtual instant, so diffs addressed to the
-/// same home coalesce into a single wire envelope — and only then does the
-/// caller wait.
+/// acknowledgements are registered, then all diffs sent in one burst — the
+/// diffs addressed to the same home share one wire envelope — and only then
+/// does the caller wait.
 pub fn push_diffs_and_wait(
     sim: &mut SimHandle,
     node: NodeId,
@@ -547,10 +567,11 @@ pub fn push_diffs_and_wait(
     for &unit in &units {
         table.update(unit, |e| e.pending_acks += 1);
     }
-    for diff in diffs {
-        let home = rt.page_meta(diff.unit.page).home;
-        rt.send_diff(sim, node, home, diff, true);
-    }
+    let burst = diffs
+        .into_iter()
+        .map(|diff| diff_to_home(rt, node, diff, true))
+        .collect();
+    rt.send_burst(sim, node, burst);
     for unit in units {
         await_invalidation_acks(sim, node, rt, unit);
     }
@@ -601,10 +622,12 @@ pub fn flush_diffs_to_homes(sim: &mut SimHandle, node: NodeId, rt: &DsmRuntime, 
         // Historical bug: the release path fired the diffs off without ack
         // bookkeeping and returned immediately, so a subsequent acquire
         // could read the home copy before the releaser's diffs were applied.
-        for diff in outgoing.into_iter().filter(|d| !d.is_empty()) {
-            let home = rt.page_meta(diff.unit.page).home;
-            rt.send_diff(sim, node, home, diff, false);
-        }
+        let burst = outgoing
+            .into_iter()
+            .filter(|d| !d.is_empty())
+            .map(|diff| diff_to_home(rt, node, diff, false))
+            .collect();
+        rt.send_burst(sim, node, burst);
         return;
     }
     push_diffs_and_wait(sim, node, rt, outgoing);

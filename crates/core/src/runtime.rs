@@ -6,13 +6,12 @@ use std::sync::{Arc, OnceLock};
 
 use dsmpm2_madeleine::NodeId;
 use dsmpm2_pm2::{Engine, Pm2Cluster, Pm2Config, Pm2ThreadState};
-use dsmpm2_sim::{SliceCell, SliceRc, TickOutbox};
+use dsmpm2_sim::{SliceCell, SliceRc};
 
 use crate::comm::DsmRpc;
 use crate::costs::DsmCosts;
 use crate::ctx::DsmThreadCtx;
 use crate::frames::{FrameStore, Spare};
-use crate::msg::DsmMsg;
 use crate::page::{
     pages_covering, validate_line_size, Access, DsmAddr, PageId, PageMap, Unit, PAGE_SIZE,
     SHARED_BASE,
@@ -182,9 +181,6 @@ impl ProtocolRegistry {
 pub(crate) struct RuntimeInner {
     cluster: Pm2Cluster<DsmRpc>,
     costs: DsmCosts,
-    /// Coherence messages parked until the end of the instant they were sent
-    /// at, per (from, to) link (see `DsmRuntime::send_coherence`).
-    pub(crate) outbox: SliceRc<TickOutbox<(NodeId, NodeId), DsmMsg>>,
     pub(crate) services: crate::comm::DsmServices,
     /// Name of the threads serving the sub-messages of a coherence batch on
     /// each node (`dsm-batch@N<k>`).
@@ -240,10 +236,8 @@ impl DsmRuntime {
             .collect();
         // Cyclic: the services registered on the cluster serve this runtime,
         // which they hold weakly.
-        let outbox = SliceRc::new(TickOutbox::new());
         let inner = SliceRc::new_cyclic(|weak| RuntimeInner {
-            services: crate::comm::register_dsm_services(&cluster, weak, &outbox),
-            outbox,
+            services: crate::comm::register_dsm_services(&cluster, weak),
             batch_thread_names,
             cluster,
             costs,
@@ -789,8 +783,8 @@ mod tests {
 
     /// However a run ends, nothing of it outlives the engine: once the engine
     /// and every runtime handle are dropped, the runtime is freed — page
-    /// tables, frames, the coherence outbox, the services and hooks that
-    /// hold it weakly, and the threads still blocked in it included.
+    /// tables, frames, the services and hooks that hold it weakly, and the
+    /// threads still blocked in it included.
     #[test]
     fn nothing_outlives_its_run() {
         let ends = |build: &dyn Fn(&DsmRuntime), run: bool| {

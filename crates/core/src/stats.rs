@@ -58,7 +58,8 @@ pub struct DsmStatsSnapshot {
     pub inline_checks: u64,
     /// Page requests forwarded along the probable-owner chain.
     pub request_forwards: u64,
-    /// Batched envelopes put on the wire by the per-tick message batcher.
+    /// Batched envelopes put on the wire: a burst's two or more messages to
+    /// one node (`DsmRuntime::send_burst`).
     pub coherence_batches: u64,
     /// Coherence messages that travelled inside a batched envelope (each
     /// batch carries at least two).

@@ -179,8 +179,8 @@ pub fn build_transport<M: Send + 'static>(
 /// Last scheduled arrival per directed link: one word per link at
 /// `from * num_nodes + to`, sized once from the topology, so nothing grows
 /// over the run. No lock: a link's clock is advanced by whoever sends on it —
-/// a slice, or a scheduler event (a batch flush, a wire arrival) — and the
-/// engine's hand-off runs those one at a time, so the table sits in a
+/// a slice, or a scheduler event (a wire arrival) — and the engine's
+/// hand-off runs those one at a time, so the table sits in a
 /// [`SliceCell`] like every other piece of wire state in this module.
 struct LinkClocks {
     num_nodes: usize,

@@ -38,4 +38,4 @@ pub use backend::{build_transport, LossyConfig, PermutedConfig, Transport, Trans
 pub use model::{NetworkModel, CONTROL_MESSAGE_BYTES};
 pub use stats::{NetStats, WireStatsSnapshot};
 pub use topology::{NodeId, Topology};
-pub use transport::{Deliver, DeliverySink, Envelope, Network, PreSendHook};
+pub use transport::{Deliver, DeliverySink, Envelope, Network};

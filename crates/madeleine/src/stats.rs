@@ -11,8 +11,8 @@
 use dsmpm2_sim::SliceCell;
 
 /// Every communication counter of one [`crate::Network`]. Bumped by whoever
-/// sends (a slice, or a scheduler event flushing a batch), by the backend's
-/// wire events, and read by the host thread outside the run, so they are
+/// sends (a slice), by the backend's wire events, and read by the host
+/// thread outside the run, so they are
 /// plain words in a [`SliceCell`], not atomics.
 #[derive(Default)]
 pub struct NetStats {
@@ -44,8 +44,8 @@ pub struct WireStatsSnapshot {
     /// Duplicate frames discarded by the sequence-number check.
     pub duplicates: u64,
     /// Wire envelopes submitted to the transport. One envelope may carry
-    /// several logical messages (the per-tick coherence batcher coalesces
-    /// same-destination messages into one).
+    /// several logical messages (a DSM routine's burst of coherence messages
+    /// to one node leaves as one).
     pub envelopes: u64,
     /// Total accounted bytes of those envelopes (payload plus per-message
     /// wire headers).

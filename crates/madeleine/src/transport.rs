@@ -11,7 +11,7 @@
 //! push onto the destination node's incoming queue ([`Network::with_transport`],
 //! read through [`Network::endpoint`]).
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use dsmpm2_sim::{channel_on, EngineCtl, SimDuration, SimHandle, SimReceiver, SimTime, SliceRc};
 
@@ -31,19 +31,13 @@ pub struct Envelope<M> {
     pub bytes: usize,
     /// Number of logical messages this envelope carries: 1 for plain sends,
     /// more when an upper layer coalesced several messages into one wire
-    /// envelope (the DSM per-tick coherence batcher).
+    /// envelope (a DSM routine's burst of coherence messages to one node).
     pub messages: u32,
     /// Virtual time at which the message was handed to the network.
     pub sent_at: SimTime,
     /// The message itself.
     pub msg: M,
 }
-
-/// A callback invoked with (from, to) before any message is enqueued on that
-/// directed link. Layers that *park* messages for later transmission (the
-/// DSM per-tick batcher) register one to flush their parked messages first,
-/// so that no later message ever overtakes a logically earlier parked one.
-pub type PreSendHook = Arc<dyn Fn(NodeId, NodeId) + Send + Sync>;
 
 /// Where a [`Network`] puts every envelope: called once per envelope, at its
 /// arrival instant, on the destination node's scheduler shard.
@@ -102,11 +96,6 @@ struct NetworkInner<M> {
     /// clocks, NIC reservations, retransmission machinery) and decides when
     /// each envelope reaches the delivery sink.
     transport: Box<dyn Transport<M>>,
-    /// Pre-send link hook (see [`PreSendHook`]). Read on every send and
-    /// installed once per network, by the DSM layer, so a send reaches it
-    /// without a lock or a reference count, and may re-enter itself from
-    /// inside the hook it borrows.
-    pre_send: OnceLock<PreSendHook>,
 }
 
 /// A simulated interconnect connecting every node of the cluster.
@@ -177,7 +166,6 @@ impl<M: Send + 'static> Network<M> {
                 sink,
                 receivers,
                 transport,
-                pre_send: OnceLock::new(),
             }),
         }
     }
@@ -213,25 +201,6 @@ impl<M: Send + 'static> Network<M> {
         self.inner.receivers[node.index()].clone()
     }
 
-    /// Install the pre-send link hook. The hook runs before every enqueue
-    /// on a directed link — including sends the hook itself triggers, so it
-    /// must be re-entrant (draining parked state makes the nested invocation
-    /// a no-op).
-    ///
-    /// # Panics
-    /// Panics if a pre-send hook is already installed.
-    pub fn set_pre_send_hook(&self, hook: PreSendHook) {
-        if self.inner.pre_send.set(hook).is_err() {
-            panic!("the network's pre-send hook is already installed");
-        }
-    }
-
-    fn run_pre_send_hook(&self, from: NodeId, to: NodeId) {
-        if let Some(hook) = self.inner.pre_send.get() {
-            hook(from, to);
-        }
-    }
-
     /// Send `msg` from `from` to `to`, accounting `payload_bytes` of payload.
     /// The message is delivered after the backend's transfer time; messages
     /// on the same link are always delivered in FIFO order.
@@ -242,7 +211,7 @@ impl<M: Send + 'static> Network<M> {
         } else {
             self.inner.model.message_time(payload_bytes)
         };
-        self.send_with_delay(handle, from, to, msg, payload_bytes, delay);
+        self.send_with_delay(handle, from, to, msg, payload_bytes, 1, delay);
     }
 
     /// Send a small control message (page request, invalidation, ack, ...).
@@ -252,46 +221,14 @@ impl<M: Send + 'static> Network<M> {
 
     /// Send with an explicitly chosen idle-wire delivery delay (used by
     /// layers that have already computed a cost, e.g. thread migration).
+    /// `messages` is the number of logical messages the envelope carries (a
+    /// batch carries several), accounted by [`Network::wire_stats`]. Counts
+    /// the envelope once and hands it to the transport backend, which
+    /// schedules the delivery.
+    #[allow(clippy::too_many_arguments)]
     pub fn send_with_delay(
         &self,
         handle: &SimHandle,
-        from: NodeId,
-        to: NodeId,
-        msg: M,
-        payload_bytes: usize,
-        delay: SimDuration,
-    ) {
-        self.dispatch(handle.now(), from, to, msg, payload_bytes, 1, delay);
-    }
-
-    /// Send from outside any simulated thread (scheduler callbacks). Used by
-    /// the per-tick message batcher, whose flush runs as an engine callback
-    /// at the end of the tick rather than on a simulated thread. The message
-    /// is timed from the global clock and obeys the same per-link FIFO order
-    /// as thread-originated sends. `messages` is the number of logical
-    /// messages the envelope carries (a batched envelope carries several),
-    /// accounted by [`Network::wire_stats`].
-    #[allow(clippy::too_many_arguments)]
-    pub fn send_with_delay_from_ctl(
-        &self,
-        ctl: &EngineCtl,
-        from: NodeId,
-        to: NodeId,
-        msg: M,
-        payload_bytes: usize,
-        messages: u32,
-        delay: SimDuration,
-    ) {
-        self.dispatch(ctl.now(), from, to, msg, payload_bytes, messages, delay);
-    }
-
-    /// Common half of every send: run the pre-send hook, count the envelope
-    /// once and hand it to the transport backend, which schedules the
-    /// delivery.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch(
-        &self,
-        sent_at: SimTime,
         from: NodeId,
         to: NodeId,
         msg: M,
@@ -303,7 +240,6 @@ impl<M: Send + 'static> Network<M> {
             self.inner.topology.contains(from) && self.inner.topology.contains(to),
             "send between unknown nodes {from} -> {to}"
         );
-        self.run_pre_send_hook(from, to);
         let messages = messages.max(1);
         let sink = &self.inner.sink;
         sink.stats().record_envelope(payload_bytes, messages);
@@ -312,7 +248,7 @@ impl<M: Send + 'static> Network<M> {
             to,
             bytes: payload_bytes,
             messages,
-            sent_at,
+            sent_at: handle.now(),
             msg,
         };
         self.inner.transport.submit(envelope, delay, sink);
@@ -413,7 +349,7 @@ mod tests {
     }
 
     #[test]
-    fn ctl_sends_obey_link_fifo_and_reach_the_endpoint() {
+    fn a_faster_later_send_never_overtakes_on_its_link() {
         let mut engine = Engine::new();
         let net = two_node_net::<u8>(&engine, profiles::bip_myrinet());
         let order = Arc::new(Mutex::new(Vec::new()));
@@ -422,30 +358,33 @@ mod tests {
         engine.spawn("receiver", move |h| {
             for _ in 0..2 {
                 let env = rx.recv(h);
-                o.lock().unwrap().push((env.msg, h.global_now()));
+                o.lock()
+                    .unwrap()
+                    .push((env.msg, env.messages, h.global_now()));
             }
         });
         let net2 = net.clone();
-        let ctl = engine.ctl();
-        // A slow thread-originated message followed by a fast ctl-originated
-        // one on the same link: FIFO forbids the overtake.
+        // A slow page-sized message followed by a fast envelope of two
+        // messages on the same link: FIFO forbids the overtake.
         engine.spawn("sender", move |h| {
             net2.send(h, NodeId(0), NodeId(1), 1, 4096);
-            net2.send_with_delay_from_ctl(
-                &ctl,
+            net2.send_with_delay(
+                h,
                 NodeId(0),
                 NodeId(1),
                 2,
                 0,
-                1,
+                2,
                 SimDuration::from_micros(1),
             );
         });
         engine.run().unwrap();
         let order = order.lock().unwrap();
-        assert_eq!(order[0].0, 1);
-        assert_eq!(order[1].0, 2);
-        assert!(order[0].1 <= order[1].1);
+        assert_eq!((order[0].0, order[0].1), (1, 1));
+        assert_eq!((order[1].0, order[1].1), (2, 2));
+        assert!(order[0].2 <= order[1].2);
+        let wire = net.wire_stats();
+        assert_eq!((wire.envelopes, wire.messages), (2, 3));
     }
 
     #[test]
@@ -474,44 +413,6 @@ mod tests {
         assert_eq!(got.lock().unwrap().clone(), expected);
         let wire = net.wire_stats();
         assert_eq!((wire.envelopes, wire.messages), (4, 4));
-    }
-
-    #[test]
-    fn an_installed_hook_runs_once_per_send_and_may_send() {
-        let mut engine = Engine::new();
-        let net = two_node_net::<u8>(&engine, profiles::bip_myrinet());
-        let calls = Arc::new(Mutex::new(Vec::new()));
-        let c = calls.clone();
-        let weak = Arc::downgrade(&net.inner);
-        let ctl = engine.ctl();
-        net.set_pre_send_hook(Arc::new(move |from, to| {
-            let first = {
-                let mut calls = c.lock().unwrap();
-                calls.push((from, to));
-                calls.len() == 1
-            };
-            // A hook that sends re-enters the send path, itself included.
-            if let (true, Some(inner)) = (first, weak.upgrade()) {
-                let net = Network { inner };
-                let delay = SimDuration::from_micros(1);
-                net.send_with_delay_from_ctl(&ctl, from, to, 0, 1, 1, delay);
-            }
-        }));
-        let net2 = net.clone();
-        engine.spawn("tx", move |h| net2.send_control(h, NodeId(0), NodeId(1), 7));
-        engine.run().unwrap();
-        let link = (NodeId(0), NodeId(1));
-        assert_eq!(calls.lock().unwrap().clone(), vec![link, link]);
-        assert_eq!(net.wire_stats().envelopes, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "the network's pre-send hook is already installed")]
-    fn a_second_hook_install_panics() {
-        let engine = Engine::new();
-        let net = two_node_net::<u8>(&engine, profiles::bip_myrinet());
-        net.set_pre_send_hook(Arc::new(|_, _| {}));
-        net.set_pre_send_hook(Arc::new(|_, _| {}));
     }
 
     #[test]

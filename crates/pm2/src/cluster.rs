@@ -276,6 +276,7 @@ impl<M: Send + 'static> Pm2Cluster<M> {
                 payload,
             },
             class.accounted_bytes(),
+            1,
             delay,
         );
         let reply = self.inner.replies.wait(id, sim);
@@ -288,34 +289,12 @@ impl<M: Send + 'static> Pm2Cluster<M> {
         reply
     }
 
-    /// Build the wire message and base delivery delay shared by the one-way
-    /// RPC flavours, and count the send in the service's statistics.
-    fn oneway_parts(
-        &self,
-        from: NodeId,
-        to: NodeId,
-        service: ServiceId,
-        payload: M,
-        class: RpcClass,
-    ) -> (RpcMessage<M>, SimDuration) {
-        let id = {
-            let mut rpc = self.inner.rpc.borrow();
-            rpc.services[service.0 as usize].stats.borrow().oneways += 1;
-            rpc.fresh_rpc_id()
-        };
-        (
-            RpcMessage::Request {
-                id,
-                service,
-                needs_reply: false,
-                payload,
-            },
-            self.message_delay(from, to, class),
-        )
-    }
-
     /// One-way RPC: send `payload` to `service` (a [`ServiceId`] or a name) on
-    /// node `to` without waiting.
+    /// node `to` without waiting. `messages` is the number of logical
+    /// messages `payload` carries — 1, or more for a batch the caller
+    /// coalesced (a DSM routine's burst of coherence messages to one node) —
+    /// fed to the wire-level accounting.
+    #[allow(clippy::too_many_arguments)]
     pub fn rpc_oneway(
         &self,
         sim: &mut SimHandle,
@@ -324,49 +303,24 @@ impl<M: Send + 'static> Pm2Cluster<M> {
         service: impl ServiceKey,
         payload: M,
         class: RpcClass,
-    ) {
-        let service = service.resolve(self);
-        let (msg, delay) = self.oneway_parts(from, to, service, payload, class);
-        self.inner
-            .network
-            .send_with_delay(sim, from, to, msg, class.accounted_bytes(), delay);
-    }
-
-    /// One-way RPC issued from a scheduler callback rather than a simulated
-    /// thread (the DSM message batcher flushes its per-tick outbox this way).
-    /// Semantics match [`Pm2Cluster::rpc_oneway`], timed from the global
-    /// clock but never departing before `not_before` — the logical send time
-    /// of a parked message, which may lie ahead of the global clock when the
-    /// sending thread carried uncommitted local compute. `messages` is the
-    /// number of logical messages the envelope carries (a batched coherence
-    /// envelope carries several), fed to the wire-level accounting.
-    #[allow(clippy::too_many_arguments)]
-    pub fn rpc_oneway_from_ctl(
-        &self,
-        ctl: &EngineCtl,
-        from: NodeId,
-        to: NodeId,
-        service: impl ServiceKey,
-        payload: M,
-        class: RpcClass,
         messages: u32,
-        not_before: SimTime,
     ) {
         let service = service.resolve(self);
-        let (msg, mut delay) = self.oneway_parts(from, to, service, payload, class);
-        let now = ctl.now();
-        if not_before > now {
-            delay += not_before - now;
-        }
-        self.inner.network.send_with_delay_from_ctl(
-            ctl,
-            from,
-            to,
-            msg,
-            class.accounted_bytes(),
-            messages,
-            delay,
-        );
+        let id = {
+            let mut rpc = self.inner.rpc.borrow();
+            rpc.services[service.0 as usize].stats.borrow().oneways += 1;
+            rpc.fresh_rpc_id()
+        };
+        let msg = RpcMessage::Request {
+            id,
+            service,
+            needs_reply: false,
+            payload,
+        };
+        let delay = self.message_delay(from, to, class);
+        let bytes = class.accounted_bytes();
+        let network = &self.inner.network;
+        network.send_with_delay(sim, from, to, msg, bytes, messages, delay);
     }
 
     /// The RPC dispatch, run by the network in the arrival event of every
@@ -452,6 +406,7 @@ impl<M: Send + 'static> Pm2Cluster<M> {
                     payload: reply.payload,
                 },
                 reply.class.accounted_bytes(),
+                1,
                 delay,
             );
         }
@@ -650,6 +605,7 @@ mod tests {
                 "notify",
                 Box::new(()),
                 RpcClass::Control,
+                1,
             );
             c2.rpc_oneway(
                 h,
@@ -658,6 +614,7 @@ mod tests {
                 "notify",
                 Box::new(()),
                 RpcClass::Control,
+                1,
             );
         });
         engine.run().unwrap();
@@ -741,6 +698,7 @@ mod tests {
                 "mark",
                 Box::new(1u32),
                 RpcClass::Minimal,
+                1,
             );
         });
         let local = c.clone();
@@ -754,6 +712,7 @@ mod tests {
                 "mark",
                 Box::new(2u32),
                 RpcClass::Control,
+                1,
             );
         });
         engine.run().unwrap();
@@ -803,6 +762,7 @@ mod tests {
                 "mark",
                 Box::new(0u32),
                 RpcClass::Control,
+                1,
             );
         });
         engine.run().unwrap();
@@ -866,7 +826,7 @@ mod tests {
             let caller = c.clone();
             engine.spawn_on(0, "caller", move |h| {
                 for _ in 0..REQUESTS {
-                    caller.rpc_oneway(h, NodeId(0), NodeId(1), "probe", (), RpcClass::Control);
+                    caller.rpc_oneway(h, NodeId(0), NodeId(1), "probe", (), RpcClass::Control, 1);
                     h.sleep(period);
                 }
             });

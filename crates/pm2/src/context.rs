@@ -187,7 +187,7 @@ impl<'a, M: Send + 'static> Pm2Context<'a, M> {
     ) {
         let from = self.node();
         self.cluster
-            .rpc_oneway(self.sim, from, to, service, payload, class)
+            .rpc_oneway(self.sim, from, to, service, payload, class, 1)
     }
 }
 

@@ -50,10 +50,10 @@ impl DsmProtocol for ErcSw {
         let table = rt.page_table(node);
         // Invalidate every remote copy of the units this node wrote (and
         // owns) since the previous release. The invalidations of all units
-        // go out first and the acknowledgements are awaited together: the
-        // rounds overlap instead of serializing unit by unit, and
-        // invalidations for copies held by the same node leave in one
-        // batched envelope.
+        // go out in one burst and the acknowledgements are awaited together:
+        // the rounds overlap instead of serializing unit by unit, and
+        // invalidations for copies held by the same node share an envelope.
+        let mut burst = Vec::new();
         let mut in_flight = Vec::new();
         for &unit in modified {
             let (owned, targets, version) = table.read(unit, |e| {
@@ -65,9 +65,8 @@ impl DsmProtocol for ErcSw {
                 table.update(unit, |e| e.modified_since_release = false);
                 continue;
             }
-            let sim = &mut *ctx.pm2.sim;
-            protolib::send_copyset_invalidations(
-                sim,
+            protolib::add_copyset_invalidations(
+                &mut burst,
                 node,
                 &rt,
                 unit,
@@ -76,7 +75,7 @@ impl DsmProtocol for ErcSw {
                 version,
             );
             // Remove the condemned copies from the copyset *before* any
-            // blocking (there is no yield point since the send): a target
+            // blocking (there is no yield point before the send): a target
             // that refetches while the ack wait below blocks is re-inserted
             // by this node's server and survives, whereas a post-wait retain
             // could not tell that fresh copy apart from the original
@@ -87,6 +86,7 @@ impl DsmProtocol for ErcSw {
             });
             in_flight.push(unit);
         }
+        rt.send_burst(ctx.pm2.sim, node, burst);
         for unit in in_flight {
             protolib::await_invalidation_acks(ctx.pm2.sim, node, &rt, unit);
             // The modified flag is only cleared once the acknowledgements

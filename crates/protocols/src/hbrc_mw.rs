@@ -101,11 +101,12 @@ impl DsmProtocol for HbrcMw {
         protolib::reprotect_after_flush(ctx.pm2.sim, node, &rt, modified);
         // Units homed here: the reference copy changed in place, so remote
         // copies are stale and must be invalidated before the release
-        // completes (they will be refetched on demand). All rounds are sent
-        // first and the acknowledgements collected together, so the rounds
-        // overlap in the network instead of serializing unit by unit — and
-        // invalidations addressed to the same copy holder leave in one
-        // same-tick burst the per-tick batcher can coalesce.
+        // completes (they will be refetched on demand). Every round goes out
+        // in one burst and the acknowledgements are collected together, so
+        // the rounds overlap in the network instead of serializing unit by
+        // unit, and invalidations addressed to the same copy holder share an
+        // envelope.
+        let mut burst = Vec::new();
         let mut in_flight = Vec::new();
         for &unit in modified {
             if rt.page_meta(unit.page).home != node {
@@ -119,18 +120,20 @@ impl DsmProtocol for HbrcMw {
             if targets.is_empty() {
                 continue;
             }
-            let sim = &mut *ctx.pm2.sim;
-            protolib::send_copyset_invalidations(sim, node, &rt, unit, &targets, None, version);
+            protolib::add_copyset_invalidations(
+                &mut burst, node, &rt, unit, &targets, None, version,
+            );
             // Drop the condemned targets from the copyset *now*, before any
-            // blocking: there is no yield point between the send and this
-            // update, so a target that refetches the page while the ack wait
-            // below blocks is re-inserted by the page server and survives —
+            // blocking: there is no yield point between here and the send,
+            // so a target that refetches the page while the ack wait below
+            // blocks is re-inserted by the page server and survives —
             // whereas a post-wait retain would wrongly drop that fresh copy
             // (it is indistinguishable from the original membership) and
             // leave the node permanently stale.
             table.update(unit, |e| e.copyset.retain(|n| !targets.contains(n)));
             in_flight.push(unit);
         }
+        rt.send_burst(ctx.pm2.sim, node, burst);
         for unit in in_flight {
             protolib::await_invalidation_acks(ctx.pm2.sim, node, &rt, unit);
         }

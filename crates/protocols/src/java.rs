@@ -135,6 +135,7 @@ impl DsmProtocol for JavaConsistency {
         // pages are the reference copies and are kept.
         let rt = ctx.runtime().clone();
         let node = ctx.node();
+        let mut burst = Vec::new();
         for &page in cached {
             if rt.page_meta(page).home == node {
                 continue;
@@ -145,8 +146,7 @@ impl DsmProtocol for JavaConsistency {
             if rt.frames(node).has_recorded(page) {
                 let diff = rt.frames(node).take_recorded_diff(page);
                 if !diff.is_empty() {
-                    let home = rt.page_meta(page).home;
-                    rt.send_diff(ctx.pm2.sim, node, home, diff, false);
+                    burst.push(protolib::diff_to_home(&rt, node, diff, false));
                 }
             }
             rt.frames(node).evict(page);
@@ -155,6 +155,8 @@ impl DsmProtocol for JavaConsistency {
                 e.modified_since_release = false;
             });
         }
+        // The diffs bound for one home share an envelope.
+        rt.send_burst(ctx.pm2.sim, node, burst);
         ctx.pm2.sim.charge(costs::TABLE_UPDATE);
     }
 

@@ -8,16 +8,11 @@
 //! wakes one receiver. The engine pops events in (time, sequence) order, so
 //! messages become visible in (delivery time, send order).
 //!
-//! The module also provides [`TickOutbox`], the per-tick accumulator behind
-//! message batching: items addressed to the same key within one virtual-time
-//! tick are collected and handed back as one unit when the tick ends.
-//!
-//! Neither takes a lock. A channel's queue is touched by receiving slices,
-//! by the delivery event of each message, and by the host thread outside
-//! [`crate::Engine::run`]; an outbox by whoever pushes and by the flush
-//! event — all ordered by the hand-off, so the state sits in a
-//! [`SliceCell`] that is released before a wake-up is submitted and before
-//! the receiver parks.
+//! A channel takes no lock. Its queue is touched by receiving slices, by
+//! the delivery event of each message, and by the host thread outside
+//! [`crate::Engine::run`] — all ordered by the hand-off, so the queue sits
+//! in a [`SliceCell`] that is released before a wake-up is submitted and
+//! before the receiver parks.
 
 use std::collections::VecDeque;
 
@@ -136,120 +131,6 @@ impl<T: Send + 'static> SimReceiver<T> {
                 received.is_some()
             });
         received.expect("the wait ends on a message")
-    }
-}
-
-/// Per-tick accumulator used to batch messages.
-///
-/// Items pushed for the same `key` at the same virtual-time `tick` land in
-/// one bucket. [`TickOutbox::push`] tells the caller when it opened a new
-/// bucket — that is the moment to schedule exactly one flush for it, at
-/// `tick` (e.g. with [`crate::EngineCtl::call_at`]); the flush drains every
-/// bucket of the key with [`TickOutbox::take_all`] and forwards each as a
-/// single unit. A caller may also flush a key early, before the scheduled
-/// flush runs, which then finds nothing to drain. Items pushed for the same
-/// (key, tick) *after* a flush simply open a fresh bucket, so no item is ever
-/// lost — a tick may occasionally produce two batches, never zero.
-///
-/// Within a bucket, items keep the order they were pushed in. A bucket that
-/// holds one item keeps it inline, and draining a key with one bucket
-/// allocates nothing, so a lone item costs no allocation on its way through.
-pub struct TickOutbox<K, T> {
-    /// Open buckets as `(key, tick, items)`. Scanned: a bucket lives from its
-    /// first push to the end of its tick, so there are a handful at a time.
-    pending: SliceCell<Vec<(K, u64, TickBucket<T>)>>,
-}
-
-/// The items of one [`TickOutbox`] bucket, in push order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum TickBucket<T> {
-    /// The bucket's only item.
-    One(T),
-    /// Two or more items.
-    Many(Vec<T>),
-}
-
-impl<T> TickBucket<T> {
-    fn push(&mut self, item: T) {
-        *self = match std::mem::replace(self, TickBucket::Many(Vec::new())) {
-            TickBucket::One(first) => TickBucket::Many(vec![first, item]),
-            TickBucket::Many(mut items) => {
-                items.push(item);
-                TickBucket::Many(items)
-            }
-        };
-    }
-}
-
-impl<K: Eq + Copy, T> TickOutbox<K, T> {
-    /// An empty outbox.
-    pub fn new() -> Self {
-        TickOutbox {
-            pending: SliceCell::new(Vec::new()),
-        }
-    }
-
-    /// Append `item` to the bucket for (`key`, `tick`). Returns `true` when
-    /// this opened the bucket: the caller must schedule a flush at `tick`.
-    pub fn push(&self, key: K, tick: SimTime, item: T) -> bool {
-        let tick = tick.as_nanos();
-        let mut pending = self.pending.borrow();
-        match pending.iter_mut().find(|(k, t, _)| *k == key && *t == tick) {
-            Some((_, _, bucket)) => {
-                bucket.push(item);
-                false
-            }
-            None => {
-                pending.push((key, tick, TickBucket::One(item)));
-                true
-            }
-        }
-    }
-
-    /// Drain every unflushed bucket for `key`, oldest tick first; empty if
-    /// they were already flushed. The outbox is released before this
-    /// returns, so whoever forwards the buckets may push and drain again.
-    pub fn take_all(&self, key: K) -> impl Iterator<Item = (SimTime, TickBucket<T>)> {
-        let mut pending = self.pending.borrow();
-        // The oldest bucket is kept aside; only a second one needs a list.
-        let mut oldest: Option<(SimTime, TickBucket<T>)> = None;
-        let mut later = Vec::new();
-        let mut at = 0;
-        while at < pending.len() {
-            if pending[at].0 != key {
-                at += 1;
-                continue;
-            }
-            // Order among the open buckets does not matter: a (key, tick)
-            // names at most one.
-            let (_, tick, items) = pending.swap_remove(at);
-            let taken = (SimTime::from_nanos(tick), items);
-            match &mut oldest {
-                None => oldest = Some(taken),
-                Some(kept) if taken.0 < kept.0 => later.push(std::mem::replace(kept, taken)),
-                Some(_) => later.push(taken),
-            }
-        }
-        later.sort_by_key(|(tick, _)| *tick);
-        oldest.into_iter().chain(later)
-    }
-
-    /// True when no bucket is waiting for its flush: what a caller on a hot
-    /// path asks before it prepares anything for [`TickOutbox::take_all`].
-    pub fn is_empty(&self) -> bool {
-        self.pending.borrow().is_empty()
-    }
-}
-
-impl<K: Eq + Copy, T> Default for TickOutbox<K, T> {
-    fn default() -> Self {
-        TickOutbox::new()
-    }
-}
-
-impl<K, T> std::fmt::Debug for TickOutbox<K, T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "TickOutbox({} buckets)", self.pending.borrow().len())
     }
 }
 
@@ -377,89 +258,6 @@ mod tests {
         });
         engine.run().unwrap();
         assert_eq!(total.load(Ordering::SeqCst), 111);
-    }
-
-    /// Everything `take_all` drained for `key`, in order.
-    fn drained<K: Eq + Copy, T>(
-        outbox: &TickOutbox<K, T>,
-        key: K,
-    ) -> Vec<(SimTime, TickBucket<T>)> {
-        outbox.take_all(key).collect()
-    }
-
-    #[test]
-    fn tick_outbox_groups_by_key_and_tick() {
-        use TickBucket::{Many, One};
-        let outbox: TickOutbox<u32, &'static str> = TickOutbox::new();
-        let t0 = SimTime::from_micros(10);
-        let t1 = SimTime::from_micros(20);
-        assert!(outbox.push(1, t0, "a"), "first item opens the bucket");
-        assert!(!outbox.push(1, t0, "b"), "second item joins it");
-        assert!(outbox.push(2, t0, "c"), "different key, own bucket");
-        assert!(outbox.push(1, t1, "d"), "different tick, own bucket");
-        assert_eq!(
-            drained(&outbox, 1),
-            vec![(t0, Many(vec!["a", "b"])), (t1, One("d"))]
-        );
-        assert!(drained(&outbox, 1).is_empty(), "drained");
-        assert!(!outbox.is_empty(), "the other key's bucket is still parked");
-        // A push after the flush opens a fresh bucket for the same slot.
-        assert!(outbox.push(1, t0, "late"));
-        assert_eq!(drained(&outbox, 1), vec![(t0, One("late"))]);
-        assert_eq!(drained(&outbox, 2), vec![(t0, One("c"))]);
-        assert!(outbox.is_empty());
-    }
-
-    #[test]
-    fn tick_outbox_take_all_drains_a_key_in_tick_order() {
-        use TickBucket::One;
-        let outbox: TickOutbox<u32, u32> = TickOutbox::new();
-        let (t0, t1, t2) = (
-            SimTime::from_micros(30),
-            SimTime::from_micros(10),
-            SimTime::from_micros(20),
-        );
-        outbox.push(1, t0, 100);
-        outbox.push(2, t0, 300);
-        outbox.push(1, t1, 200);
-        outbox.push(1, t2, 400);
-        let drained_in_order = vec![(t1, One(200)), (t2, One(400)), (t0, One(100))];
-        assert_eq!(drained(&outbox, 1), drained_in_order);
-        assert!(drained(&outbox, 1).is_empty());
-        assert!(!outbox.is_empty(), "other keys untouched");
-        assert_eq!(drained(&outbox, 2), vec![(t0, One(300))]);
-        assert!(outbox.is_empty() && drained(&outbox, 2).is_empty());
-    }
-
-    #[test]
-    fn tick_outbox_flush_via_call_at_sees_all_same_tick_items() {
-        // Two threads push for the same destination at the same virtual time;
-        // the flush scheduled by the bucket opener collects both items.
-        let mut engine = Engine::new();
-        let outbox: Arc<TickOutbox<u8, u32>> = Arc::new(TickOutbox::new());
-        let flushed = Arc::new(Mutex::new(Vec::new()));
-        for v in [1u32, 2] {
-            let outbox = outbox.clone();
-            let flushed = flushed.clone();
-            engine.spawn(format!("pusher{v}"), move |h| {
-                h.sleep(SimDuration::from_micros(5));
-                let tick = h.now();
-                if outbox.push(7, tick, v) {
-                    let outbox = outbox.clone();
-                    let flushed = flushed.clone();
-                    h.ctl().call_at(tick, move |_ctl| {
-                        flushed.lock().unwrap().push(drained(&outbox, 7));
-                    });
-                }
-            });
-        }
-        engine.run().unwrap();
-        let tick = SimTime::from_micros(5);
-        assert_eq!(
-            flushed.lock().unwrap().clone(),
-            vec![vec![(tick, TickBucket::Many(vec![1, 2]))]]
-        );
-        assert!(outbox.is_empty());
     }
 
     /// A message nobody receives keeps no thread alive: the run finishes

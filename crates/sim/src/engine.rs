@@ -28,9 +28,8 @@
 //! Sequence numbers are assigned at submission and a time already past is
 //! submitted as the current instant, so events execute in strictly
 //! increasing `(time, seq)` order and "the order things were submitted in"
-//! is the same thing as "the order they happen in". [`crate::WaitSet`] and
-//! [`crate::TickOutbox`] rest on that: their plain FIFO order is the event
-//! order.
+//! is the same thing as "the order they happen in". [`crate::WaitSet`]
+//! rests on that: its plain FIFO order is the event order.
 //!
 //! A simulated thread's life is this. It runs on a *worker* (`ThreadSlot`):
 //! a private stack and a coroutine on the continuation lane, an OS thread on

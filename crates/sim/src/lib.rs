@@ -61,7 +61,7 @@ mod time;
 mod wait;
 
 pub use cell::{SliceCell, SliceRc, SliceRef, SliceWeak};
-pub use channel::{channel, channel_on, SimReceiver, SimSender, TickBucket, TickOutbox};
+pub use channel::{channel, channel_on, SimReceiver, SimSender};
 pub use engine::{BlockReason, Engine, EngineCtl, EventChoice, RunReport, ScheduleController};
 pub use error::SimError;
 pub use handle::SimHandle;

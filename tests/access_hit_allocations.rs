@@ -358,7 +358,7 @@ fn message_path(threaded: bool) -> (f64, u64) {
     engine.spawn_on(0, "sender", move |h| {
         let pass = |h: &mut SimHandle| {
             for i in 0..HITS {
-                cluster.rpc_oneway(h, NodeId(0), NodeId(1), service, i, RpcClass::Control);
+                cluster.rpc_oneway(h, NodeId(0), NodeId(1), service, i, RpcClass::Control, 1);
                 h.sleep(SimDuration::from_micros(50));
             }
         };
@@ -377,10 +377,9 @@ fn message_path(threaded: bool) -> (f64, u64) {
 }
 
 /// Allocations per message over `HITS` lone coherence messages — an
-/// invalidation acknowledgement from node 0 to node 1, alone on its link at
-/// its instant — from the send to the end of its serving: the bucket it is
-/// parked in, the end-of-instant flush, the envelope, the arrival event and
-/// the call that serves it. After one identical warm-up pass; the sender
+/// invalidation acknowledgement from node 0 to node 1 — from the send to
+/// the end of its serving: the envelope, the arrival event and the call
+/// that serves it. After one identical warm-up pass; the sender
 /// sleeps between messages so that each is served inside the bracket.
 fn lone_coherence_messages() -> f64 {
     let (mut engine, rt, _) = cluster("li_hudak_fixed", None);
@@ -524,15 +523,16 @@ fn access_hits_do_not_allocate() {
         pages, 0,
         "a read-replication round allocated a page-sized buffer"
     );
-    // A lone coherence message is parked inline and drained without a list,
-    // and travels as a `DsmRpc` by value: the end-of-instant flush's
-    // closure, the arrival event's closure and the serving call's closure.
-    // The parent of the change that typed the RPC layer measured 4.0 (the
-    // payload's box besides); the parent of the change that inlines a lone
-    // item, 6.0 (a bucket `Vec` and the drained list besides).
+    // A lone coherence message leaves when it is sent and travels as a
+    // `DsmRpc` by value: the arrival event's closure and the serving call's
+    // closure. The parent of the change that sends it at once measured 3.0
+    // (the closure of a flush at the end of its instant besides); the
+    // parent of the change that typed the RPC layer, 4.0 (the payload's box
+    // besides); the parent of the change that inlined a lone parked item,
+    // 6.0 (a bucket `Vec` and the drained list besides).
     let per_message = lone_coherence_messages();
     assert!(
-        per_message <= 3.0,
+        per_message <= 2.0,
         "a lone coherence message allocated {per_message} times"
     );
     // Woken waiters leave the set in place, so its buffer serves the next

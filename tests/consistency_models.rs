@@ -311,7 +311,7 @@ fn per_region_protocols_behave_independently() {
 // Cross-protocol conformance matrix
 // ---------------------------------------------------------------------------
 //
-// The safety net for the per-instant message batcher: three workloads with
+// The safety net for coherence batching: three workloads with
 // different sharing patterns run under every general-purpose protocol (the
 // six of the paper's Table 2 minus none, plus the two extension protocols
 // that need no per-region configuration) on 1, 2 and 4 nodes. The *exact*
@@ -450,8 +450,11 @@ fn conformance_matrix_across_handoff_modes() {
         // owing a charge took one more slice to sleep it off: 76 of the 88 did.
         // Switches were 195 while a woken waiter checked its condition on its
         // own stack: the engine checks it at the wake now, and the 36 wakes
-        // that find the wait not over run no slice.
-        (9_601_329_538_796_336_933, 1_817_491, 354, 159, 88)
+        // that find the wait not over run no slice. Events were 354 while a
+        // coherence message waited in a per-link outbox for a flush event
+        // at the end of its instant: the 39 flushes are gone, and the
+        // messages leave when sent, so nothing else moved.
+        (9_601_329_538_796_336_933, 1_817_491, 315, 159, 88)
     );
     // Every DSM counter of the same run, read at the parent of the change
     // that made them plain integers bumped without an atomic
